@@ -68,6 +68,40 @@ fn bench_select(c: &mut Criterion) {
     }
     group.finish();
 
+    // The decision alone, on a standing window of `window` candidates
+    // drawn once from a deep backlog: what the per-pass window index and
+    // validation scratch are meant to keep near-linear in the window.
+    let mut group = c.benchmark_group("select_plan");
+    let mut collect = backlog(256, 8);
+    for &window in &[8usize, 64] {
+        let cfg = EngineConfig::default().with_window(window);
+        let registry = StrategyRegistry::standard(&cfg);
+        let groups = collect.collect_candidates(ChannelId(0), window, |_, _| true);
+        let ctx = OptContext {
+            now: SimTime::from_nanos(1_000_000),
+            channel: ChannelId(0),
+            caps: &caps,
+            cost: &cost,
+            config: &cfg,
+            groups: &groups,
+            packet_limit: 32 << 10,
+            rail_count: 1,
+            health_penalty: 1.0,
+        };
+        group.bench_with_input(BenchmarkId::new("window", window), &window, |b, _| {
+            b.iter(|| {
+                black_box(select_plan(
+                    &registry,
+                    &ctx,
+                    &collect,
+                    32 << 10,
+                    cfg.rearrange_budget,
+                ))
+            })
+        });
+    }
+    group.finish();
+
     let mut group = c.benchmark_group("select_plan_budget");
     let mut collect = backlog(128, 8);
     for &budget in &[1usize, 8, 64, 1024] {

@@ -116,6 +116,7 @@ pub struct PendingMessage {
 impl PendingMessage {
     /// Index of the first express fragment that is not yet fully committed;
     /// fragments *after* it may not be scheduled yet.
+    // madlint: allow(linear-scan) — the fragments of one message
     pub fn first_open_express(&self) -> Option<usize> {
         self.frags
             .iter()
@@ -161,8 +162,36 @@ pub struct FlowState {
     /// Traffic class.
     pub class: TrafficClass,
     next_seq: u32,
-    /// Pending (not fully transmitted) messages, oldest first.
+    /// Pending (not fully transmitted) messages, oldest first: strictly
+    /// ascending in `seq`, which is what lets `find_msg` and the mutators
+    /// resolve a message by position instead of walking the queue.
     pub queue: VecDeque<PendingMessage>,
+}
+
+impl FlowState {
+    /// Queue index of message `seq`, if it is still pending. Sequences are
+    /// assigned densely and the queue is ascending, so the message sits
+    /// `seq − front.seq` places from the front unless shedding or
+    /// out-of-order completion removed something older; only then is it
+    /// binary-searched for.
+    fn index_of(&self, seq: u32) -> Option<usize> {
+        let front = self.queue.front()?.id.seq.0;
+        let guess = seq.checked_sub(front)? as usize;
+        if self.queue.get(guess).is_some_and(|m| m.id.seq.0 == seq) {
+            return Some(guess);
+        }
+        self.queue.binary_search_by_key(&seq, |m| m.id.seq.0).ok()
+    }
+}
+
+/// The window's group for `dst`, opened on first use.
+// madlint: allow(linear-scan) — one group per destination in the window
+fn group_for(groups: &mut Vec<DstGroup>, dst: NodeId) -> &mut DstGroup {
+    let at = groups.iter().position(|g| g.dst == dst).unwrap_or_else(|| {
+        groups.push(DstGroup::new(dst));
+        groups.len() - 1
+    });
+    &mut groups[at]
 }
 
 /// The collect layer: all flows and their backlogs, plus the madflow
@@ -302,20 +331,15 @@ impl CollectLayer {
 
     /// Find a pending message.
     pub fn find_msg(&self, flow: FlowId, seq: u32) -> Option<&PendingMessage> {
-        self.flows
-            .get(flow.0 as usize)?
-            .queue
-            .iter()
-            .find(|m| m.id.seq.0 == seq)
+        let fs = self.flows.get(flow.0 as usize)?;
+        fs.queue.get(fs.index_of(seq)?)
     }
 
     /// Find a pending message mutably.
     pub fn find_msg_mut(&mut self, flow: FlowId, seq: u32) -> Option<&mut PendingMessage> {
-        self.flows
-            .get_mut(flow.0 as usize)?
-            .queue
-            .iter_mut()
-            .find(|m| m.id.seq.0 == seq)
+        let fs = self.flows.get_mut(flow.0 as usize)?;
+        let at = fs.index_of(seq)?;
+        fs.queue.get_mut(at)
     }
 
     /// Build the optimizer's view for one rail: schedulable chunks grouped
@@ -456,13 +480,7 @@ impl CollectLayer {
                 if frag.fully_committed() {
                     continue;
                 }
-                let group = match groups.iter_mut().find(|g| g.dst == msg.dst) {
-                    Some(g) => g,
-                    None => {
-                        groups.push(DstGroup::new(msg.dst));
-                        groups.last_mut().expect("just pushed")
-                    }
-                };
+                let group = group_for(groups, msg.dst);
                 match frag.rndv {
                     RndvState::NeedRequest => {
                         group.rndv.push(RndvCandidate {
@@ -533,7 +551,8 @@ impl CollectLayer {
                 break;
             }
             let fs = &mut self.flows[flow as usize];
-            fs.queue.retain(|m| m.id.seq.0 != seq);
+            let at = fs.index_of(seq).expect("sheddable message is queued");
+            fs.queue.remove(at);
             let empty = fs.queue.is_empty();
             self.index.note_remove(flow, slot, bytes, empty);
             freed += bytes;
@@ -585,9 +604,14 @@ impl CollectLayer {
     /// Mark a committed chunk's transmission complete; removes the message
     /// once fully sent. Returns true if the message completed.
     pub fn complete_chunk(&mut self, chunk: &PlannedChunk) -> bool {
-        let msg = self
-            .find_msg_mut(chunk.flow, chunk.seq)
+        let fs = self
+            .flows
+            .get_mut(chunk.flow.0 as usize)
+            .expect("completion for unknown flow");
+        let at = fs
+            .index_of(chunk.seq)
             .expect("completion for unknown message");
+        let msg = &mut fs.queue[at];
         let frag = &mut msg.frags[chunk.frag as usize];
         debug_assert!(frag.inflight >= chunk.len, "completion exceeds inflight");
         frag.inflight -= chunk.len;
@@ -596,15 +620,14 @@ impl CollectLayer {
             msg.pinned_rail = None;
         }
         let slot = class_slot(msg.class);
-        let completed = if msg.is_complete() {
-            let fs = &mut self.flows[chunk.flow.0 as usize];
-            fs.queue.retain(|m| m.id.seq.0 != chunk.seq);
+        let completed = msg.is_complete();
+        if completed {
+            // Front of the queue unless another rail finished a younger
+            // message first; `remove` shifts the shorter side either way.
+            fs.queue.remove(at);
             let empty = fs.queue.is_empty();
             self.index.note_remove(chunk.flow.0, slot, 0, empty);
-            true
-        } else {
-            false
-        };
+        }
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants();
         completed
@@ -616,6 +639,11 @@ impl CollectLayer {
     /// and no fully-sent message left in a queue. Compiled only with the
     /// `debug-invariants` feature; callers wrap invocations in the same
     /// `cfg` so release builds pay nothing.
+    ///
+    /// The sequence-order assertion is load-bearing: `find_msg`, commit,
+    /// completion and shedding all locate a message by its position in an
+    /// ascending queue, so an out-of-order queue would make live messages
+    /// unreachable rather than merely mis-ordered.
     #[cfg(feature = "debug-invariants")]
     pub fn debug_assert_invariants(&self) {
         for fs in &self.flows {
@@ -652,17 +680,22 @@ impl CollectLayer {
         let mut backlog = 0u64;
         let mut by_class = [0u64; CLASS_SLOTS];
         let mut pending = 0u64;
+        // The id sets iterate ascending, as does the flow table: one merge
+        // pass checks membership both ways (an id left over at the end
+        // names no flow, or sits in another class's set).
+        let mut active_ids = self.index.active_ids().peekable();
+        let mut class_ids: [_; CLASS_SLOTS] =
+            std::array::from_fn(|slot| self.index.class_ids(slot).peekable());
         for fs in &self.flows {
             let slot = class_slot(fs.class);
-            let active = self.index.active_ids().any(|id| id == fs.id.0);
             assert_eq!(
-                active,
+                active_ids.next_if_eq(&fs.id.0).is_some(),
                 !fs.queue.is_empty(),
                 "{}: active-set membership diverged from queue state",
                 fs.id
             );
             assert_eq!(
-                self.index.class_ids(slot).any(|id| id == fs.id.0),
+                class_ids[slot].next_if_eq(&fs.id.0).is_some(),
                 !fs.queue.is_empty(),
                 "{}: class-set membership diverged from queue state",
                 fs.id
@@ -671,6 +704,10 @@ impl CollectLayer {
             let flow_backlog: u64 = fs.queue.iter().map(PendingMessage::backlog_bytes).sum();
             backlog += flow_backlog;
             by_class[slot] += flow_backlog;
+        }
+        assert_eq!(active_ids.next(), None, "active set holds a stray flow id");
+        for (slot, ids) in class_ids.iter_mut().enumerate() {
+            assert_eq!(ids.next(), None, "class {slot} set holds a stray flow id");
         }
         assert_eq!(backlog, self.index.backlog_bytes(), "backlog counter drift");
         assert_eq!(pending, self.index.pending_msgs(), "pending counter drift");

@@ -10,8 +10,6 @@
 
 // madlint: file: hot-path
 
-use std::collections::HashMap;
-
 use nicdrv::DriverCapabilities;
 
 use crate::collect::{CollectLayer, RndvState};
@@ -116,6 +114,29 @@ impl std::fmt::Display for PlanViolation {
 
 impl std::error::Error for PlanViolation {}
 
+/// Bytes of each fragment claimed by the chunks of one plan seen so far,
+/// so that a later chunk may rely on an earlier chunk of the same packet.
+/// A selection pass reuses one across all its proposals.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCoverage(Vec<((FlowId, u32, FragIndex), u32)>);
+
+impl PlanCoverage {
+    // madlint: allow(linear-scan) — one entry per fragment the plan
+    // touches: at most `agg_chunk_limit` for every built-in strategy
+    fn covered(&self, key: (FlowId, u32, FragIndex)) -> u32 {
+        self.0.iter().find(|e| e.0 == key).map_or(0, |e| e.1)
+    }
+
+    // madlint: allow(linear-scan) — same bound as `covered`
+    fn entry(&mut self, key: (FlowId, u32, FragIndex)) -> &mut u32 {
+        let at = self.0.iter().position(|e| e.0 == key).unwrap_or_else(|| {
+            self.0.push((key, 0));
+            self.0.len() - 1
+        });
+        &mut self.0[at].1
+    }
+}
+
 /// Validate a candidate plan against the current backlog state and the
 /// target rail's capabilities. `wire_mtu` is the network MTU of the rail.
 pub fn validate_plan(
@@ -123,6 +144,17 @@ pub fn validate_plan(
     collect: &CollectLayer,
     caps: &DriverCapabilities,
     wire_mtu: u64,
+) -> Result<(), PlanViolation> {
+    validate_plan_with(plan, collect, caps, wire_mtu, &mut PlanCoverage::default())
+}
+
+/// [`validate_plan`] with the caller's coverage scratch (cleared here).
+pub(crate) fn validate_plan_with(
+    plan: &TransferPlan,
+    collect: &CollectLayer,
+    caps: &DriverCapabilities,
+    wire_mtu: u64,
+    planned: &mut PlanCoverage,
 ) -> Result<(), PlanViolation> {
     match &plan.body {
         PlanBody::RndvRequest { flow, seq, frag } => {
@@ -145,9 +177,7 @@ pub fn validate_plan(
             if chunks.is_empty() {
                 return Err(PlanViolation::EmptyPlan);
             }
-            // Per-fragment planned coverage within this plan, so that a
-            // later chunk may rely on an earlier chunk of the same packet.
-            let mut planned: HashMap<(FlowId, u32, FragIndex), u32> = HashMap::new();
+            planned.0.clear();
             let mut payload = 0u64;
             for c in chunks {
                 if c.len == 0 {
@@ -180,10 +210,7 @@ pub fn validate_plan(
                     if earlier.mode != PackMode::Express || earlier.fully_committed() {
                         continue;
                     }
-                    let covered = planned
-                        .get(&(c.flow, c.seq, i as FragIndex))
-                        .copied()
-                        .unwrap_or(0);
+                    let covered = planned.covered((c.flow, c.seq, i as FragIndex));
                     if earlier.committed() + covered < earlier.len() {
                         return Err(PlanViolation::ExpressOrder {
                             flow: c.flow,
@@ -192,7 +219,7 @@ pub fn validate_plan(
                         });
                     }
                 }
-                let already = planned.entry((c.flow, c.seq, c.frag)).or_insert(0);
+                let already = planned.entry((c.flow, c.seq, c.frag));
                 let expected = frag.committed() + *already;
                 if c.offset != expected {
                     return Err(PlanViolation::NonContiguous {

@@ -24,7 +24,8 @@
 
 use simnet::{SimDuration, TxMode};
 
-use crate::plan::{PlanBody, TransferPlan};
+use crate::ids::{FlowId, FragIndex};
+use crate::plan::{ChunkCandidate, DstGroup, PlanBody, RndvCandidate, TransferPlan};
 use crate::strategy::OptContext;
 
 /// A plan together with its evaluated score.
@@ -46,6 +47,52 @@ impl ScoredPlan {
     /// incumbent, so earlier proposals win among equals.
     pub fn beats(&self, incumbent: &ScoredPlan) -> bool {
         self.score.total_cmp(&incumbent.score) == std::cmp::Ordering::Greater
+    }
+}
+
+/// `(flow, seq, frag)`-keyed view of one activation window, built once per
+/// selection pass: scoring resolves each chunk's candidate by binary
+/// search instead of walking every group. Where a key repeats, the entry
+/// that comes first in window order answers, as a front-to-back walk would.
+pub struct WindowIndex<'a> {
+    data: Vec<(FragKey, &'a ChunkCandidate)>,
+    rndv: Vec<(FragKey, &'a RndvCandidate)>,
+}
+
+type FragKey = (FlowId, u32, FragIndex);
+
+impl<'a> WindowIndex<'a> {
+    /// Index every data and rendezvous candidate of `groups`.
+    pub fn new(groups: &'a [DstGroup]) -> Self {
+        let mut data: Vec<_> = groups
+            .iter()
+            .flat_map(|g| g.candidates.iter())
+            .map(|c| ((c.flow, c.seq, c.frag), c))
+            .collect();
+        let mut rndv: Vec<_> = groups
+            .iter()
+            .flat_map(|g| g.rndv.iter())
+            .map(|r| ((r.flow, r.seq, r.frag), r))
+            .collect();
+        // Stable, so equal keys keep window order.
+        data.sort_by_key(|e| e.0);
+        rndv.sort_by_key(|e| e.0);
+        WindowIndex { data, rndv }
+    }
+
+    fn first<T: Copy>(entries: &[(FragKey, T)], key: FragKey) -> Option<T> {
+        let at = entries.partition_point(|e| e.0 < key);
+        entries.get(at).filter(|e| e.0 == key).map(|e| e.1)
+    }
+
+    /// The data candidate for a fragment, if the window offers one.
+    pub fn candidate(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<&'a ChunkCandidate> {
+        Self::first(&self.data, (flow, seq, frag))
+    }
+
+    /// The rendezvous candidate for a fragment, if the window offers one.
+    pub fn rndv(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<&'a RndvCandidate> {
+        Self::first(&self.rndv, (flow, seq, frag))
     }
 }
 
@@ -90,9 +137,14 @@ pub fn estimate_busy(plan: &TransferPlan, ctx: &OptContext<'_>) -> SimDuration {
     }
 }
 
-/// Score a plan. Higher is better; deterministic for identical inputs.
-pub fn score_plan(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
-    let est_busy = estimate_busy(plan, ctx);
+/// Score a plan against the window it was proposed from (`window` indexes
+/// `ctx.groups`). Higher is better; deterministic for identical inputs.
+pub fn score_plan(
+    plan: TransferPlan,
+    ctx: &OptContext<'_>,
+    window: &WindowIndex<'_>,
+) -> ScoredPlan {
+    let est_busy = estimate_busy(&plan, ctx);
     // madrel: a degraded rail's transmissions are worth less per nanosecond
     // — its timeouts will be paid in retransmissions — so its busy time is
     // inflated by the health penalty and healthier rails win the contest.
@@ -101,12 +153,7 @@ pub fn score_plan(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
         PlanBody::Data { chunks, .. } => {
             let mut value = plan.payload_bytes() as f64;
             for c in chunks {
-                if let Some(cand) = ctx
-                    .groups
-                    .iter()
-                    .flat_map(|g| g.candidates.iter())
-                    .find(|k| k.flow == c.flow && k.seq == c.seq && k.frag == c.frag)
-                {
+                if let Some(cand) = window.candidate(c.flow, c.seq, c.frag) {
                     let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
                     value += age_us * cand.class.urgency_weight() * ctx.config.urgency_weight;
                 }
@@ -115,19 +162,15 @@ pub fn score_plan(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
         }
         PlanBody::RndvRequest { flow, seq, frag } => {
             // Value of a request = bandwidth it unblocks per handshake cost.
-            let frag_len = ctx
-                .groups
-                .iter()
-                .flat_map(|g| g.rndv.iter())
-                .find(|r| r.flow == *flow && r.seq == *seq && r.frag == *frag)
-                .map(|r| r.frag_len as f64)
-                .unwrap_or(0.0);
+            let frag_len = window
+                .rndv(*flow, *seq, *frag)
+                .map_or(0.0, |r| r.frag_len as f64);
             let handshake_ns = ctx.cost.control_rtt(TxMode::Pio).as_nanos().max(1) as f64;
             frag_len / handshake_ns
         }
     };
     ScoredPlan {
-        plan: plan.clone(),
+        plan,
         score,
         est_busy,
     }
@@ -160,6 +203,10 @@ mod tests {
         }
     }
 
+    fn score(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
+        score_plan(plan.clone(), ctx, &WindowIndex::new(ctx.groups))
+    }
+
     fn pc(flow: u32, len: u32) -> PlannedChunk {
         PlannedChunk {
             flow: FlowId(flow),
@@ -181,8 +228,8 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let merged = score_plan(&data_plan((0..4).map(|i| pc(i, 64)).collect(), false), &ctx);
-        let single = score_plan(&data_plan(vec![pc(0, 64)], false), &ctx);
+        let merged = score(&data_plan((0..4).map(|i| pc(i, 64)).collect(), false), &ctx);
+        let single = score(&data_plan(vec![pc(0, 64)], false), &ctx);
         assert!(
             merged.score > single.score,
             "merged {} <= single {}",
@@ -204,7 +251,7 @@ mod tests {
         let ctx_fresh = ctx_fixture(&fresh_groups, &caps, &cost, &cfg);
         let ctx_aged = ctx_fixture(&aged, &caps, &cost, &cfg);
         let plan = data_plan(vec![pc(0, 64)], false);
-        assert!(score_plan(&plan, &ctx_aged).score > score_plan(&plan, &ctx_fresh).score);
+        assert!(score(&plan, &ctx_aged).score > score(&plan, &ctx_fresh).score);
     }
 
     #[test]
@@ -224,8 +271,8 @@ mod tests {
         let g_ctrl = mk(TrafficClass::CONTROL);
         let g_bulk = mk(TrafficClass::BULK);
         let plan = data_plan(vec![pc(0, 64)], false);
-        let s_ctrl = score_plan(&plan, &ctx_fixture(&g_ctrl, &caps, &cost, &cfg)).score;
-        let s_bulk = score_plan(&plan, &ctx_fixture(&g_bulk, &caps, &cost, &cfg)).score;
+        let s_ctrl = score(&plan, &ctx_fixture(&g_ctrl, &caps, &cost, &cfg)).score;
+        let s_bulk = score(&plan, &ctx_fixture(&g_bulk, &caps, &cost, &cfg)).score;
         assert!(s_ctrl > s_bulk);
     }
 
@@ -268,9 +315,9 @@ mod tests {
             },
             strategy: "rndv",
         };
-        let scored = score_plan(&req, &ctx);
+        let scored = score(&req, &ctx);
         // Unblocking a 1 MiB transfer should dominate small data plans.
-        let small = score_plan(&data_plan(vec![pc(0, 64)], false), &ctx);
+        let small = score(&data_plan(vec![pc(0, 64)], false), &ctx);
         assert!(scored.score > small.score);
     }
 }

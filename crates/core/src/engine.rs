@@ -567,42 +567,17 @@ impl EngineCore {
                 ref chunks,
                 linearize,
             } => {
-                let mut wire_chunks = Vec::with_capacity(chunks.len());
-                for c in chunks {
-                    let msg = self
-                        .collect
-                        .find_msg(c.flow, c.seq)
-                        .expect("validated plan references live message");
-                    let frag = &msg.frags[c.frag as usize];
-                    wire_chunks.push(WireChunk {
-                        header: make_header(
-                            c.flow,
-                            c.seq,
-                            c.frag,
-                            msg.frags.len() as u16,
-                            frag.mode == crate::message::PackMode::Express,
-                            msg.class,
-                            frag.len(),
-                            c.offset,
-                            c.len,
-                            msg.submitted_at,
-                        ),
-                        data: frag
-                            .data
-                            .slice(c.offset as usize..(c.offset + c.len) as usize),
-                    });
-                }
+                // The one lookup per chunk before commit: headers carry
+                // everything the rest of this function needs from the
+                // message (class, submission time).
+                let wire_chunks = wire_chunks_for(&self.collect, chunks);
                 // A packet travels on one virtual channel; when chunks of
                 // several classes share a packet (only possible when the
                 // policy lets those classes share the rail), the leading
                 // chunk's class tags it. Receiver demux by channel is a
                 // sorting aid (§2), not a correctness dependency — chunk
                 // headers carry the authoritative class.
-                let class = self
-                    .collect
-                    .find_msg(chunks[0].flow, chunks[0].seq)
-                    .expect("checked above")
-                    .class;
+                let class = wire_chunks[0].header.class;
                 let rail = &self.rails[rail_idx];
                 let dst_nic = *rail
                     .peers
@@ -630,10 +605,9 @@ impl EngineCore {
                     },
                 )?;
                 let now = ctx.now();
-                for c in chunks {
-                    if let Some(msg) = self.collect.find_msg(c.flow, c.seq) {
-                        self.metrics.queue_delay.record(now.since(msg.submitted_at));
-                    }
+                for (c, wc) in chunks.iter().zip(&wire_chunks) {
+                    let submitted_at = SimTime::from_nanos(wc.header.submit_ns);
+                    self.metrics.queue_delay.record(now.since(submitted_at));
                     self.collect.commit_chunk(c, ChannelId(rail_idx as u16));
                 }
                 // Committing bytes is the only place backlog shrinks, so
@@ -1140,36 +1114,8 @@ impl EngineCore {
         };
         let deadline = now + RetransmitTracker::backoff(self.config.retransmit_timeout, attempts);
         for chunk_list in packets {
-            let mut wire_chunks = Vec::with_capacity(chunk_list.len());
-            for c in &chunk_list {
-                let msg = self
-                    .collect
-                    .find_msg(c.flow, c.seq)
-                    .expect("retransmit references live message");
-                let frag = &msg.frags[c.frag as usize];
-                wire_chunks.push(WireChunk {
-                    header: make_header(
-                        c.flow,
-                        c.seq,
-                        c.frag,
-                        msg.frags.len() as u16,
-                        frag.mode == crate::message::PackMode::Express,
-                        msg.class,
-                        frag.len(),
-                        c.offset,
-                        c.len,
-                        msg.submitted_at,
-                    ),
-                    data: frag
-                        .data
-                        .slice(c.offset as usize..(c.offset + c.len) as usize),
-                });
-            }
-            let class = self
-                .collect
-                .find_msg(chunk_list[0].flow, chunk_list[0].seq)
-                .expect("checked above")
-                .class;
+            let wire_chunks = wire_chunks_for(&self.collect, &chunk_list);
+            let class = wire_chunks[0].header.class;
             let cookie = self.next_cookie;
             self.next_cookie += 1;
             let submitted = {
@@ -1467,6 +1413,42 @@ impl EngineCore {
         }
         out
     }
+}
+
+/// Stamp one wire chunk per planned chunk from its live message — the
+/// header (class, submission time, fragment geometry) and a zero-copy
+/// slice of the payload.
+///
+/// # Panics
+/// Panics when a chunk names a message no longer pending: plans are
+/// validated and retransmits only cover unacknowledged, still-queued data.
+fn wire_chunks_for(collect: &CollectLayer, chunks: &[PlannedChunk]) -> Vec<WireChunk> {
+    chunks
+        .iter()
+        .map(|c| {
+            let msg = collect
+                .find_msg(c.flow, c.seq)
+                .expect("planned chunk references live message");
+            let frag = &msg.frags[c.frag as usize];
+            WireChunk {
+                header: make_header(
+                    c.flow,
+                    c.seq,
+                    c.frag,
+                    msg.frags.len() as u16,
+                    frag.mode == crate::message::PackMode::Express,
+                    msg.class,
+                    frag.len(),
+                    c.offset,
+                    c.len,
+                    msg.submitted_at,
+                ),
+                data: frag
+                    .data
+                    .slice(c.offset as usize..(c.offset + c.len) as usize),
+            }
+        })
+        .collect()
 }
 
 /// The [`CommApi`] view handed to application callbacks.

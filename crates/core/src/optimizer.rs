@@ -17,8 +17,8 @@ use simnet::SimDuration;
 
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
-use crate::constraints::validate_plan;
-use crate::cost::{score_plan, ScoredPlan};
+use crate::constraints::{validate_plan_with, PlanCoverage};
+use crate::cost::{score_plan, ScoredPlan, WindowIndex};
 use crate::strategy::{OptContext, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
 
@@ -69,25 +69,33 @@ pub fn select_plan_traced(
 ) -> SelectionOutcome {
     let mut proposals = Vec::new();
     registry.propose_all(ctx, &mut proposals);
+    // Per-pass scratch shared by every proposal: the keyed window view
+    // scoring reads, and the in-plan coverage validation writes.
+    let window = WindowIndex::new(ctx.groups);
+    let mut coverage = PlanCoverage::default();
     let mut best: Option<ScoredPlan> = None;
     let mut evaluated = 0usize;
     let mut rejected = 0usize;
     let mut skipped = 0usize;
     for plan in proposals {
-        sink.push(
-            ctx.now,
-            EngineEvent::PlanProposed {
-                activation,
-                strategy: plan.strategy,
-                chunks: plan.chunk_count() as u16,
-                bytes: plan.payload_bytes(),
-            },
-        );
+        if sink.is_enabled() {
+            sink.push(
+                ctx.now,
+                EngineEvent::PlanProposed {
+                    activation,
+                    strategy: plan.strategy,
+                    chunks: plan.chunk_count() as u16,
+                    bytes: plan.payload_bytes(),
+                },
+            );
+        }
         if evaluated >= budget {
             skipped += 1;
             continue;
         }
-        if let Err(violation) = validate_plan(&plan, collect, ctx.caps, wire_mtu) {
+        if let Err(violation) =
+            validate_plan_with(&plan, collect, ctx.caps, wire_mtu, &mut coverage)
+        {
             sink.push(
                 ctx.now,
                 EngineEvent::PlanVetoed {
@@ -99,14 +107,14 @@ pub fn select_plan_traced(
             rejected += 1;
             continue;
         }
-        let scored = score_plan(&plan, ctx);
+        let scored = score_plan(plan, ctx, &window);
         if sink.is_enabled() {
             let (score_num, score_den) = encode_score(scored.score, scored.est_busy.as_nanos());
             sink.push(
                 ctx.now,
                 EngineEvent::PlanScored {
                     activation,
-                    strategy: plan.strategy,
+                    strategy: scored.plan.strategy,
                     score_num,
                     score_den,
                 },
@@ -178,9 +186,10 @@ pub fn submit_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ChannelId, TrafficClass};
+    use crate::ids::{ChannelId, FlowId, TrafficClass};
     use crate::message::{MessageBuilder, PackMode};
-    use crate::strategy::OptContext;
+    use crate::plan::{PlanBody, PlannedChunk, TransferPlan};
+    use crate::strategy::{OptContext, Strategy};
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId, SimTime};
 
@@ -298,6 +307,173 @@ mod tests {
         // The untraced wrapper picks the same plan.
         let plain = select_plan(&registry, &ctx, &c, 1 << 20, 256);
         assert_eq!(plain.best.unwrap().plan, best.plan);
+    }
+
+    /// A strategy whose only proposal names a message nobody submitted.
+    struct Stray;
+
+    impl Strategy for Stray {
+        fn name(&self) -> &'static str {
+            "stray"
+        }
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+            out.push(TransferPlan {
+                channel: ctx.channel,
+                dst: NodeId(1),
+                body: PlanBody::Data {
+                    chunks: vec![PlannedChunk {
+                        flow: FlowId(0),
+                        seq: 9_999,
+                        frag: 0,
+                        offset: 0,
+                        len: 8,
+                    }],
+                    linearize: false,
+                },
+                strategy: "stray",
+            });
+        }
+    }
+
+    /// Selection as it read before the window was indexed: validate with a
+    /// fresh scratch, score with one front-to-back walk of the window per
+    /// chunk. Returns (winner, score, est_busy) and the three counters.
+    #[allow(clippy::type_complexity)]
+    fn reference_select(
+        registry: &StrategyRegistry,
+        ctx: &OptContext<'_>,
+        collect: &CollectLayer,
+        wire_mtu: u64,
+        budget: usize,
+    ) -> (Option<(TransferPlan, f64, SimDuration)>, [usize; 3]) {
+        let mut proposals = Vec::new();
+        registry.propose_all(ctx, &mut proposals);
+        let mut best: Option<(TransferPlan, f64, SimDuration)> = None;
+        let [mut evaluated, mut rejected, mut skipped] = [0usize; 3];
+        for plan in proposals {
+            if evaluated >= budget {
+                skipped += 1;
+                continue;
+            }
+            if crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu).is_err() {
+                rejected += 1;
+                continue;
+            }
+            let est_busy = crate::cost::estimate_busy(&plan, ctx);
+            let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
+            let score = match &plan.body {
+                PlanBody::Data { chunks, .. } => {
+                    let mut value = plan.payload_bytes() as f64;
+                    for c in chunks {
+                        let cand = ctx
+                            .groups
+                            .iter()
+                            .flat_map(|g| g.candidates.iter())
+                            .find(|k| k.flow == c.flow && k.seq == c.seq && k.frag == c.frag);
+                        if let Some(cand) = cand {
+                            let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
+                            value +=
+                                age_us * cand.class.urgency_weight() * ctx.config.urgency_weight;
+                        }
+                    }
+                    value / busy_ns
+                }
+                PlanBody::RndvRequest { flow, seq, frag } => {
+                    let frag_len = ctx
+                        .groups
+                        .iter()
+                        .flat_map(|g| g.rndv.iter())
+                        .find(|r| r.flow == *flow && r.seq == *seq && r.frag == *frag)
+                        .map_or(0.0, |r| r.frag_len as f64);
+                    frag_len / ctx.cost.control_rtt(simnet::TxMode::Pio).as_nanos().max(1) as f64
+                }
+            };
+            evaluated += 1;
+            if best
+                .as_ref()
+                .is_none_or(|(_, s, _)| score.total_cmp(s).is_gt())
+            {
+                best = Some((plan, score, est_busy));
+            }
+        }
+        (best, [evaluated, rejected, skipped])
+    }
+
+    #[test]
+    fn indexed_selection_matches_linear_search_reference() {
+        // Eight flows alternating between two destinations and three
+        // classes; every message is an express header plus a body, and
+        // every third body is large enough to need a rendezvous.
+        let mut c = CollectLayer::new();
+        let classes = [
+            TrafficClass::DEFAULT,
+            TrafficClass::CONTROL,
+            TrafficClass::BULK,
+        ];
+        let flows: Vec<_> = (0..8)
+            .map(|i| c.open_flow(NodeId(1 + i % 2), classes[i as usize % 3]))
+            .collect();
+        for m in 0..40usize {
+            let body = if m % 3 == 2 { 8192 } else { 40 + 37 * (m % 11) };
+            let parts = MessageBuilder::new()
+                .pack_express(&(m as u64).to_le_bytes())
+                .pack_cheaper(&vec![m as u8; body])
+                .build_parts();
+            c.submit(
+                flows[m % flows.len()],
+                parts,
+                SimTime::from_nanos(137 * m as u64),
+                4096,
+            );
+        }
+        let caps = calib::synthetic_capabilities();
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        let cfg = EngineConfig::default();
+        let mut registry = StrategyRegistry::standard(&cfg);
+        registry.register(Box::new(Stray));
+        let groups = c.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
+        assert_eq!(groups.len(), 2, "two destinations in the window");
+        assert_eq!(
+            groups
+                .iter()
+                .map(|g| g.candidates.len() + g.rndv.len())
+                .sum::<usize>(),
+            64,
+            "the window is full"
+        );
+        assert!(groups.iter().all(|g| !g.rndv.is_empty()));
+        let ctx = OptContext {
+            now: SimTime::from_nanos(250_000),
+            channel: ChannelId(0),
+            caps: &caps,
+            cost: &cost,
+            config: &cfg,
+            groups: &groups,
+            packet_limit: 1 << 16,
+            rail_count: 1,
+            health_penalty: 1.5,
+        };
+        // Unbounded, then a budget that runs out mid-list.
+        for budget in [256, 5] {
+            let got = select_plan(&registry, &ctx, &c, 1 << 20, budget);
+            let (want, [evaluated, rejected, skipped]) =
+                reference_select(&registry, &ctx, &c, 1 << 20, budget);
+            assert_eq!(
+                [got.evaluated, got.rejected, got.skipped],
+                [evaluated, rejected, skipped],
+                "budget {budget}"
+            );
+            let (got, (plan, score, est_busy)) = (got.best.expect("winner"), want.expect("winner"));
+            assert_eq!(got.plan, plan, "budget {budget}");
+            assert_eq!(got.score.to_bits(), score.to_bits(), "budget {budget}");
+            assert_eq!(got.est_busy, est_busy, "budget {budget}");
+        }
+        let unbounded = select_plan(&registry, &ctx, &c, 1 << 20, 256);
+        assert_eq!(unbounded.rejected, 1, "the stray proposal is vetoed");
+        assert!(
+            unbounded.evaluated > 5,
+            "budget 5 really cut the list short"
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
-use crate::ids::{FlowId, TrafficClass};
+use std::ops::Range;
+
+use simnet::SimTime;
+
 use crate::plan::{ChunkCandidate, TransferPlan};
 use crate::strategy::{fill_packet, OptContext, Strategy};
 
@@ -26,23 +29,50 @@ impl ReorderVariants {
     }
 }
 
-/// Group candidates by message, preserving within-message chunk order.
-fn message_groups(cands: &[ChunkCandidate]) -> Vec<Vec<ChunkCandidate>> {
-    let mut groups: Vec<(FlowId, u32, Vec<ChunkCandidate>)> = Vec::new();
-    for c in cands {
-        match groups
-            .iter_mut()
-            .find(|(f, s, _)| *f == c.flow && *s == c.seq)
-        {
-            Some((_, _, v)) => v.push(*c),
-            None => groups.push((c.flow, c.seq, vec![*c])),
-        }
-    }
-    groups.into_iter().map(|(_, _, v)| v).collect()
+/// One message's candidates: a run of adjacent window entries, with the
+/// two sort keys the variants order messages by.
+#[derive(Clone)]
+struct MessageRun {
+    at: Range<usize>,
+    bytes: u64,
+    urgency: f64,
+    submitted_at: SimTime,
 }
 
-fn flatten(groups: Vec<Vec<ChunkCandidate>>) -> Vec<ChunkCandidate> {
-    groups.into_iter().flatten().collect()
+/// Split a window into per-message runs, in window order. The collect
+/// layer offers a message's fragments back to back, so a run is a message;
+/// candidates of one message that are *not* adjacent would form separate
+/// runs, and a permutation that then breaks their order is vetoed by the
+/// constraint checker like any other invalid proposal.
+fn message_runs(cands: &[ChunkCandidate]) -> Vec<MessageRun> {
+    let mut runs: Vec<MessageRun> = Vec::new();
+    for (i, c) in cands.iter().enumerate() {
+        let same_message = |run: &MessageRun| {
+            let head = &cands[run.at.start];
+            head.flow == c.flow && head.seq == c.seq
+        };
+        match runs.last_mut().filter(|run| same_message(run)) {
+            Some(run) => {
+                run.at.end = i + 1;
+                run.bytes += u64::from(c.remaining);
+            }
+            None => runs.push(MessageRun {
+                at: i..i + 1,
+                bytes: u64::from(c.remaining),
+                urgency: c.class.urgency_weight(),
+                submitted_at: c.submitted_at,
+            }),
+        }
+    }
+    runs
+}
+
+/// The window's candidates with whole messages permuted into `runs` order.
+fn permuted(cands: &[ChunkCandidate], runs: &[MessageRun], out: &mut Vec<ChunkCandidate>) {
+    out.clear();
+    for run in runs {
+        out.extend_from_slice(&cands[run.at.clone()]);
+    }
 }
 
 impl Strategy for ReorderVariants {
@@ -57,12 +87,15 @@ impl Strategy for ReorderVariants {
             }
             // Variant 1: shortest message first — packs more distinct
             // messages per packet, minimizing mean completion time.
-            let mut by_size = message_groups(&g.candidates);
-            by_size.sort_by_key(|m| m.iter().map(|c| c.remaining as u64).sum::<u64>());
+            let runs = message_runs(&g.candidates);
+            let mut order = Vec::with_capacity(g.candidates.len());
+            let mut by_size = runs.clone();
+            by_size.sort_by_key(|m| m.bytes);
+            permuted(&g.candidates, &by_size, &mut order);
             if let Some(p) = fill_packet(
                 ctx,
                 g.dst,
-                &flatten(by_size),
+                &order,
                 ctx.config.agg_chunk_limit,
                 false,
                 "reorder-sjf",
@@ -73,17 +106,17 @@ impl Strategy for ReorderVariants {
             }
             // Variant 2: most urgent class first (control before bulk),
             // then oldest first within a class.
-            let mut by_urgency = message_groups(&g.candidates);
+            let mut by_urgency = runs;
             by_urgency.sort_by(|a, b| {
-                let ua = class_key(a[0].class);
-                let ub = class_key(b[0].class);
-                ub.total_cmp(&ua)
-                    .then(a[0].submitted_at.cmp(&b[0].submitted_at))
+                b.urgency
+                    .total_cmp(&a.urgency)
+                    .then(a.submitted_at.cmp(&b.submitted_at))
             });
+            permuted(&g.candidates, &by_urgency, &mut order);
             if let Some(p) = fill_packet(
                 ctx,
                 g.dst,
-                &flatten(by_urgency),
+                &order,
                 ctx.config.agg_chunk_limit,
                 false,
                 "reorder-urgent",
@@ -96,14 +129,11 @@ impl Strategy for ReorderVariants {
     }
 }
 
-fn class_key(c: TrafficClass) -> f64 {
-    c.urgency_weight()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::ids::{FlowId, TrafficClass};
     use crate::plan::{DstGroup, PlanBody};
     use crate::strategy::testutil::{cand, ctx_fixture};
     use nicdrv::{calib, CostModel};

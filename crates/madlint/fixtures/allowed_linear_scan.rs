@@ -1,0 +1,34 @@
+//! Fixture: the same idioms as `bad_linear_scan.rs`, each either replaced
+//! by positional access or allowed with the bound that keeps it small.
+//! Must be silent.
+// madlint: file: hot-path
+
+pub struct Msg {
+    pub seq: u32,
+}
+
+pub struct Group {
+    pub dst: u32,
+}
+
+/// Positional: the queue is ascending in `seq`.
+pub fn find_msg(queue: &[Msg], seq: u32) -> Option<&Msg> {
+    let at = queue.binary_search_by_key(&seq, |m| m.seq).ok()?;
+    queue.get(at)
+}
+
+/// Item-level allow: the whole function scans something bounded.
+// madlint: allow(linear-scan) — one group per destination in a window
+pub fn group_for(groups: &mut [Group], dst: u32) -> Option<&mut Group> {
+    groups.iter_mut().find(|g| g.dst == dst)
+}
+
+/// Line-level allow: only the annotated scan is sanctioned.
+pub fn first_open(frags: &[bool]) -> Option<usize> {
+    frags.iter().position(|open| *open) // madlint: allow(linear-scan) — fragments of one message
+}
+
+/// Searching an iterator adaptor's output is not the flagged idiom.
+pub fn first_even(xs: &[u32]) -> Option<u32> {
+    xs.iter().copied().find(|x| x % 2 == 0)
+}

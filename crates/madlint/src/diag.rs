@@ -14,6 +14,7 @@
 //! | 3    | panic hygiene (panic-path)                |
 //! | 4    | concurrency readiness (shared-state)      |
 //! | 5    | trace coverage (trace-coverage)           |
+//! | 6    | complexity (linear-scan)                  |
 //! | 64   | analyzer error (I/O, malformed directive) |
 
 use std::fmt::Write as _;
@@ -33,17 +34,20 @@ pub enum RuleId {
     SharedState,
     /// Flow-lifecycle mutation without an `EngineEvent` emission.
     TraceCoverage,
+    /// Element searches over a queue or window in engine hot paths.
+    LinearScan,
 }
 
 impl RuleId {
     /// Every shipped rule, in report order.
-    pub const ALL: [RuleId; 6] = [
+    pub const ALL: [RuleId; 7] = [
         RuleId::NondetIter,
         RuleId::NondetSource,
         RuleId::PanicPath,
         RuleId::FloatOrd,
         RuleId::SharedState,
         RuleId::TraceCoverage,
+        RuleId::LinearScan,
     ];
 
     /// Kebab-case rule id used in diagnostics and `allow(...)` directives.
@@ -55,6 +59,7 @@ impl RuleId {
             RuleId::FloatOrd => "float-ord",
             RuleId::SharedState => "shared-state",
             RuleId::TraceCoverage => "trace-coverage",
+            RuleId::LinearScan => "linear-scan",
         }
     }
 
@@ -67,6 +72,7 @@ impl RuleId {
             RuleId::PanicPath => FailureClass::PanicHygiene,
             RuleId::SharedState => FailureClass::Concurrency,
             RuleId::TraceCoverage => FailureClass::Coverage,
+            RuleId::LinearScan => FailureClass::Complexity,
         }
     }
 }
@@ -82,6 +88,8 @@ pub enum FailureClass {
     Concurrency,
     /// A lifecycle transition is invisible to madtrace.
     Coverage,
+    /// Per-operation cost grows with backlog depth or window size.
+    Complexity,
 }
 
 impl FailureClass {
@@ -92,6 +100,7 @@ impl FailureClass {
             FailureClass::PanicHygiene => "panic-hygiene",
             FailureClass::Concurrency => "concurrency",
             FailureClass::Coverage => "coverage",
+            FailureClass::Complexity => "complexity",
         }
     }
 
@@ -102,6 +111,7 @@ impl FailureClass {
             FailureClass::PanicHygiene => 3,
             FailureClass::Concurrency => 4,
             FailureClass::Coverage => 5,
+            FailureClass::Complexity => 6,
         }
     }
 }

@@ -23,7 +23,8 @@
 //! the whole item; a trailing `allow` on a code line suppresses it for
 //! that line only. Marker directives (`hot-path`, `deterministic-output`,
 //! `scoring`, `send-sync`, `trace-covered`, `emits-trace`) opt a scope
-//! *into* a rule; nothing is linted by default except the always-on rules
+//! *into* a rule (`hot-path` into two: panic-path and linear-scan);
+//! nothing is linted by default except the always-on rules
 //! (`nondet-source`, `shared-state`).
 
 use std::collections::BTreeMap;
@@ -36,7 +37,7 @@ use crate::lexer::{Tok, TokKind};
 pub enum Directive {
     /// Suppress the named rules in this scope.
     Allow(Vec<String>),
-    /// Engine hot path: panic-path hygiene applies.
+    /// Engine hot path: panic-path hygiene and linear-scan apply.
     HotPath,
     /// Scope feeds deterministic output (traces, exports, registries):
     /// nondet-iter applies.

@@ -10,6 +10,7 @@
 //! | nondet-source  | always on (all non-test code)         |
 //! | shared-state   | always on + `send-sync` type audits   |
 //! | panic-path     | `hot-path` scopes                     |
+//! | linear-scan    | `hot-path` scopes                     |
 //! | nondet-iter    | `deterministic-output` scopes         |
 //! | float-ord      | `scoring` scopes                      |
 //! | trace-coverage | `trace-covered` scopes                |
@@ -21,6 +22,7 @@
 //! inside strings, comments or unrelated identifiers cannot trip them.
 
 pub mod float_ord;
+pub mod linear_scan;
 pub mod nondet_iter;
 pub mod nondet_source;
 pub mod panic_path;
@@ -37,7 +39,7 @@ use crate::parse::{Directive, Item, ItemKind, SourceFile};
 /// Effective scope context at one point of the item tree.
 #[derive(Clone, Debug, Default)]
 pub struct ScopeFlags {
-    /// panic-path applies.
+    /// panic-path and linear-scan apply.
     pub hot_path: bool,
     /// nondet-iter applies.
     pub det_output: bool,
@@ -187,6 +189,7 @@ fn walk(f: &SourceFile, item: &Item, parent: &ScopeFlags, out: &mut Vec<Diagnost
             nondet_source::check(f, &ctx, &sig, out);
             if ctx.hot_path {
                 panic_path::check(f, &ctx, &sig, out);
+                linear_scan::check(f, &ctx, &sig, out);
             }
             if ctx.det_output {
                 nondet_iter::check(f, &ctx, &sig, out);

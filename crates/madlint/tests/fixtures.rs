@@ -32,6 +32,7 @@ fn each_bad_fixture_trips_exactly_its_rule() {
         ("bad_float_ord.rs", RuleId::FloatOrd),
         ("bad_shared_state.rs", RuleId::SharedState),
         ("bad_trace_coverage.rs", RuleId::TraceCoverage),
+        ("bad_linear_scan.rs", RuleId::LinearScan),
     ];
     for (file, rule) in cases {
         let report = lint_fixture(file);
@@ -71,6 +72,19 @@ fn clean_fixture_is_silent() {
         report.render_text()
     );
     assert_eq!(report.exit_code(), 0);
+}
+
+/// The partner of `bad_linear_scan.rs`: the same scans, rewritten or
+/// allowed at item and line level with a stated bound, raise nothing.
+#[test]
+fn allowed_linear_scan_fixture_is_silent() {
+    let report = lint_fixture("allowed_linear_scan.rs");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(
+        report.diagnostics.is_empty(),
+        "allowed_linear_scan.rs should be silent:\n{}",
+        report.render_text()
+    );
 }
 
 /// The whole corpus rendered as `--json` must match the golden snapshot

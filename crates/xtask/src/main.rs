@@ -17,7 +17,8 @@
 //!   traced workload is exported to Chrome trace-event JSON, re-parsed,
 //!   and the event count must round-trip (bit-identically across runs).
 //! * `lint` — run the madlint AST pass (determinism, panic hygiene,
-//!   concurrency readiness, trace coverage; see `crates/madlint`), plus
+//!   concurrency readiness, trace coverage, hot-path linear scans; see
+//!   `crates/madlint`), plus
 //!   `cargo fmt --check` when rustfmt is installed. `--json` emits the
 //!   machine-readable diagnostics document; the exit code is stable per
 //!   failure class (see `madlint::diag`).
@@ -92,7 +93,8 @@ commands:
   lint      madlint AST pass only (+ cargo fmt --check when available)
               --json             machine-readable diagnostics on stdout
             exit codes: 0 clean, 2 determinism, 3 panic-hygiene,
-            4 concurrency, 5 trace-coverage, 1 mixed classes, 64 error
+            4 concurrency, 5 trace-coverage, 6 complexity,
+            1 mixed classes, 64 error
   help      this text
 ";
 
