@@ -11,6 +11,14 @@ use crate::trace::EngineEvent;
 /// Timer tags at or above this value are reserved for library internals
 /// (Nagle flushes, adaptive-policy epochs).
 pub const INTERNAL_TAG_BASE: u64 = 1 << 62;
+/// Internal timer tag: Nagle flush (armed by the optimizer).
+pub(crate) const NAGLE_TAG: u64 = INTERNAL_TAG_BASE;
+/// Internal timer tag: adaptive-policy epoch (armed by the optimizer).
+pub(crate) const ADAPTIVE_TAG: u64 = INTERNAL_TAG_BASE + 1;
+/// Internal timer tag: retransmit-deadline sweep (armed by madrel).
+pub(crate) const RETX_TAG: u64 = INTERNAL_TAG_BASE + 2;
+/// Internal timer tag: madscope sampler tick (armed by the observer).
+pub(crate) const SAMPLER_TAG: u64 = INTERNAL_TAG_BASE + 3;
 
 /// What an application/middleware may do from inside its callbacks.
 ///

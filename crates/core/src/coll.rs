@@ -949,9 +949,8 @@ impl CollStats {
 /// An [`AppDriver`] running `iterations` back-to-back collectives of one
 /// shape on one member — the standard harness for tests and experiments.
 ///
-/// Contribution of member `m` in iteration `i` is `m + i` per element
-/// (the same convention as `madware`'s legacy tree allreduce), so results
-/// are verified in closed form every iteration on every member.
+/// Contribution of member `m` in iteration `i` is `m + i` per element,
+/// so results are verified in closed form every iteration on every member.
 pub struct CollApp {
     me: u32,
     nodes: Vec<NodeId>,
@@ -1221,6 +1220,25 @@ mod tests {
         assert_eq!(s.completed, 4);
         assert_eq!(s.wrong_results, 0);
         assert_eq!(s.wins.iter().sum::<u64>(), 4, "one win per collective");
+    }
+
+    #[test]
+    fn works_on_legacy_engine_too() {
+        let cfg = CollConfig::for_tech(Technology::MyrinetMx);
+        let (apps, hub) = CollApp::ranks(CollOp::Allreduce, 8, 6, 3, &cfg);
+        let spec = ClusterSpec {
+            nodes: 6,
+            rails: vec![Technology::MyrinetMx],
+            engine: EngineKind::legacy(),
+            trace: None,
+            engine_trace: None,
+        };
+        Cluster::build(&spec, apps).drain();
+        let s = hub.borrow();
+        assert_eq!(
+            (s.completed, s.member_completions, s.wrong_results),
+            (3, 18, 0)
+        );
     }
 
     #[test]

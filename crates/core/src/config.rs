@@ -5,7 +5,7 @@
 
 use simnet::SimDuration;
 
-use crate::flowmgr::{AdmissionConfig, FairnessMode, CLASS_SLOTS};
+use crate::flowmgr::{AdmissionConfig, FairnessMode};
 use crate::reliability::ReliabilityMode;
 
 /// Configuration of the optimizing engine.
@@ -23,9 +23,6 @@ pub struct EngineConfig {
     /// NIC and a small backlog (§3). Zero disables the delay: packets are
     /// sent as they become available.
     pub nagle_delay: SimDuration,
-    /// Backlog payload size (bytes) above which the Nagle delay is skipped
-    /// and the optimizer runs immediately.
-    pub nagle_threshold: u64,
     /// Eager→rendezvous switch point in bytes; `None` uses the driver's
     /// capability hint per rail.
     pub rndv_threshold: Option<u64>,
@@ -44,8 +41,6 @@ pub struct EngineConfig {
     /// Enable zero-copy gather variants (else every multi-chunk packet is
     /// linearized by copy).
     pub enable_gather: bool,
-    /// Weight of the anti-starvation urgency term in plan scoring.
-    pub urgency_weight: f64,
     /// Record every delivered message in the engine handle (tests and
     /// examples want them; long benches turn this off).
     pub record_deliveries: bool,
@@ -67,16 +62,9 @@ pub struct EngineConfig {
     /// DRR byte quantum granted per flow visit (only used with
     /// [`FairnessMode::Drr`]).
     pub drr_quantum: u64,
-    /// Per-class-slot weights splitting the lookahead window under
-    /// [`FairnessMode::Drr`].
-    pub class_weights: [u32; CLASS_SLOTS],
     /// madflow admission control budgets; the default is unlimited
     /// (admission disabled, `send` never blocks).
     pub admission: AdmissionConfig,
-    /// Bound on the delivered-message buffer drained via
-    /// `take_delivered`; overflow drops the oldest entry and counts it
-    /// in the `deliveries_dropped` metric.
-    pub delivered_capacity: usize,
     /// React to fabric ECN marks (madnet): echoed congestion bits feed a
     /// per-rail EWMA that inflates `cost_penalty()`, steering multi-rail
     /// splitting and rendezvous gating away from loaded links. When false
@@ -91,7 +79,6 @@ impl Default for EngineConfig {
             lookahead_window: 64,
             rearrange_budget: 256,
             nagle_delay: SimDuration::ZERO,
-            nagle_threshold: 1024,
             rndv_threshold: None,
             agg_chunk_limit: 16,
             enable_aggregation: true,
@@ -99,7 +86,6 @@ impl Default for EngineConfig {
             enable_split: true,
             enable_rndv: true,
             enable_gather: true,
-            urgency_weight: 1.0,
             record_deliveries: true,
             adaptive_epoch: SimDuration::from_millis(1),
             reliability: ReliabilityMode::Off,
@@ -107,9 +93,7 @@ impl Default for EngineConfig {
             retry_budget: 6,
             fairness: FairnessMode::PackOrder,
             drr_quantum: 4096,
-            class_weights: [1; CLASS_SLOTS],
             admission: AdmissionConfig::default(),
-            delivered_capacity: 1 << 20,
             congestion_aware: true,
         }
     }
@@ -166,9 +150,6 @@ impl EngineConfig {
         if self.agg_chunk_limit == 0 {
             return Err("agg_chunk_limit must be >= 1".into());
         }
-        if !(self.urgency_weight.is_finite() && self.urgency_weight >= 0.0) {
-            return Err("urgency_weight must be finite and >= 0".into());
-        }
         if self.reliability != ReliabilityMode::Off {
             if self.retransmit_timeout.is_zero() {
                 return Err("retransmit_timeout must be > 0 when reliability is on".into());
@@ -179,9 +160,6 @@ impl EngineConfig {
         }
         if self.fairness == FairnessMode::Drr && self.drr_quantum == 0 {
             return Err("drr_quantum must be >= 1 under DRR fairness".into());
-        }
-        if self.delivered_capacity == 0 {
-            return Err("delivered_capacity must be >= 1".into());
         }
         if self.admission.max_backlog_bytes == 0 || self.admission.class_backlog_bytes.contains(&0)
         {
@@ -247,9 +225,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.drr_quantum = 4096;
         assert!(c.validate().is_ok());
-        c.delivered_capacity = 0;
-        assert!(c.validate().is_err());
-        c.delivered_capacity = 16;
         c.admission.class_backlog_bytes[2] = 0;
         assert!(c.validate().is_err(), "zero budget admits nothing");
         c.admission.class_backlog_bytes[2] = 1 << 16;
@@ -262,11 +237,6 @@ mod tests {
         assert!(EngineConfig::default().with_budget(0).validate().is_err());
         let c = EngineConfig {
             agg_chunk_limit: 0,
-            ..EngineConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = EngineConfig {
-            urgency_weight: f64::NAN,
             ..EngineConfig::default()
         };
         assert!(c.validate().is_err());

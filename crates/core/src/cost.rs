@@ -28,6 +28,10 @@ use crate::ids::{FlowId, FragIndex};
 use crate::plan::{ChunkCandidate, DstGroup, PlanBody, RndvCandidate, TransferPlan};
 use crate::strategy::OptContext;
 
+/// Weight of the anti-starvation urgency term in plan scoring: one
+/// byte-equivalent per microsecond waited, before the class weight.
+pub const URGENCY_WEIGHT: f64 = 1.0;
+
 /// A plan together with its evaluated score.
 #[derive(Clone, Debug)]
 pub struct ScoredPlan {
@@ -155,7 +159,7 @@ pub fn score_plan(
             for c in chunks {
                 if let Some(cand) = window.candidate(c.flow, c.seq, c.frag) {
                     let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
-                    value += age_us * cand.class.urgency_weight() * ctx.config.urgency_weight;
+                    value += age_us * cand.class.urgency_weight() * URGENCY_WEIGHT;
                 }
             }
             value / busy_ns

@@ -22,10 +22,16 @@
 //!   byte-identical to the pre-madflow walk).
 
 // madlint: file: hot-path
+// madlint: file: deterministic-output
+// madlint: file: trace-covered
 
 use std::collections::BTreeSet;
 
+use simnet::SimTime;
+
 use crate::ids::{MsgId, TrafficClass};
+use crate::observer::Observer;
+use crate::trace::EngineEvent;
 
 /// Number of class slots tracked by the index, budgets and weights.
 /// User-defined classes above the predefined range share the last slot
@@ -152,29 +158,89 @@ impl SendOutcome {
     }
 }
 
-/// Tracks which class slots are currently over budget, so the engine
-/// emits exactly one `Unblocked` signal per pressure episode.
-#[derive(Clone, Debug, Default)]
-pub struct AdmissionState {
+/// Admission control: the budgets, which class slots are inside a
+/// pressure episode (so each episode ends with exactly one `Unblocked`
+/// signal), and the classes that regained headroom since the application
+/// was last told.
+// madlint: send-sync — sharded across madpar workers with the engine core
+pub(crate) struct Admission {
+    cfg: AdmissionConfig,
     blocked: [bool; CLASS_SLOTS],
+    unblocked: Vec<TrafficClass>,
 }
 
-impl AdmissionState {
-    /// Record budget pressure on a slot; true when the slot was not
-    /// already marked (the start of a pressure episode).
-    pub fn note_pressure(&mut self, slot: usize) -> bool {
-        !std::mem::replace(&mut self.blocked[slot], true)
+impl Admission {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Self {
+        Admission {
+            cfg,
+            blocked: [false; CLASS_SLOTS],
+            unblocked: Vec::new(),
+        }
     }
 
-    /// True when the slot is inside a pressure episode.
-    pub fn is_blocked(&self, slot: usize) -> bool {
-        self.blocked[slot]
+    /// True when any budget is finite.
+    pub(crate) fn enabled(&self) -> bool {
+        self.cfg.enabled()
     }
 
-    /// Clear a slot's pressure mark (headroom reappeared); true when it
-    /// was marked.
-    pub fn release(&mut self, slot: usize) -> bool {
-        std::mem::replace(&mut self.blocked[slot], false)
+    /// Rule on admitting `incoming` bytes of `class` on top of the
+    /// backlog `index` reports. `Ok(need)` admits it once `need` backlog
+    /// bytes of the class are shed — 0 when it fits as is, else the
+    /// larger of the engine's and the class's overshoot; `Err` is the
+    /// refusal to hand back. A `WouldBlock` opens (or continues) the
+    /// class's pressure episode.
+    pub(crate) fn decide(
+        &mut self,
+        class: TrafficClass,
+        incoming: u64,
+        index: &FlowIndex,
+        obs: &mut Observer,
+    ) -> Result<u64, SendOutcome> {
+        let slot = class_slot(class);
+        let (engine, in_class) = (index.backlog_bytes(), index.class_backlog_bytes(slot));
+        match self.cfg.over_budget(slot, engine, in_class, incoming) {
+            None => Ok(0),
+            Some(AdmissionPolicy::Block) => {
+                obs.metrics_mut().blocked_sends += 1;
+                self.blocked[slot] = true;
+                Err(SendOutcome::WouldBlock)
+            }
+            Some(AdmissionPolicy::Reject) => {
+                obs.metrics_mut().rejected_sends += 1;
+                Err(SendOutcome::Rejected)
+            }
+            Some(AdmissionPolicy::ShedOldest) => {
+                let over = |backlog: u64, budget: u64| {
+                    backlog.saturating_add(incoming).saturating_sub(budget)
+                };
+                Ok(over(engine, self.cfg.max_backlog_bytes)
+                    .max(over(in_class, self.cfg.class_backlog_bytes[slot])))
+            }
+        }
+    }
+
+    /// End the pressure episode of every class slot that regained
+    /// backlog headroom: one `Unblocked` event each, and the class is
+    /// queued for the application's `on_unblocked` callback.
+    pub(crate) fn release(&mut self, now: SimTime, index: &FlowIndex, obs: &mut Observer) {
+        if !self.enabled() {
+            return;
+        }
+        let engine = index.backlog_bytes();
+        for slot in 0..CLASS_SLOTS {
+            let in_class = index.class_backlog_bytes(slot);
+            if self.blocked[slot] && self.cfg.has_headroom(slot, engine, in_class) {
+                self.blocked[slot] = false;
+                let class = TrafficClass(slot as u8);
+                obs.emit(now, EngineEvent::Unblocked { class });
+                self.unblocked.push(class);
+            }
+        }
+    }
+
+    /// Classes that regained headroom since the last call.
+    pub(crate) fn take_unblocked(&mut self) -> Vec<TrafficClass> {
+        std::mem::take(&mut self.unblocked)
     }
 }
 
@@ -278,6 +344,10 @@ impl FlowIndex {
     }
 }
 
+/// Per-class-slot weights splitting the lookahead window under
+/// [`FairnessMode::Drr`]: every class an equal share.
+pub const DRR_CLASS_WEIGHTS: [u32; CLASS_SLOTS] = [1; CLASS_SLOTS];
+
 /// Credit a flow may accumulate, in quanta, while it has nothing
 /// schedulable or loses window races — bounds burst size after idling.
 const MAX_CREDIT_QUANTA: u64 = 8;
@@ -298,7 +368,7 @@ pub struct DrrScheduler {
 
 impl Default for DrrScheduler {
     fn default() -> Self {
-        DrrScheduler::new(4096, [1; CLASS_SLOTS])
+        DrrScheduler::new(4096, DRR_CLASS_WEIGHTS)
     }
 }
 
@@ -504,13 +574,46 @@ mod tests {
 
     #[test]
     fn admission_state_one_signal_per_episode() {
-        let mut st = AdmissionState::default();
-        assert!(st.note_pressure(2), "first pressure starts an episode");
-        assert!(!st.note_pressure(2), "repeat pressure is silent");
-        assert!(st.is_blocked(2));
-        assert!(st.release(2), "release ends the episode");
-        assert!(!st.release(2), "double release is silent");
-        assert!(st.note_pressure(2), "a new episode can start");
+        let mut cfg = AdmissionConfig {
+            max_backlog_bytes: 1000,
+            ..AdmissionConfig::default()
+        };
+        cfg.class_backlog_bytes[1] = 100;
+        cfg.policy[1] = AdmissionPolicy::ShedOldest;
+        cfg.policy[2] = AdmissionPolicy::Reject;
+        let (mut adm, mut obs) = (Admission::new(cfg), Observer::new(simnet::NodeId(0)));
+        let [c0, c1, c2] = [0, 1, 2].map(TrafficClass);
+        // Shed `need` is the larger overshoot, whichever budget it is:
+        // (class-0 backlog, class-1 backlog, incoming) → need
+        for (b0, b1, incoming, need) in [(850, 90, 70, 60), (980, 10, 50, 40)] {
+            let mut ix = FlowIndex::default();
+            ix.note_submit(0, 0, b0);
+            ix.note_submit(1, 1, b1);
+            assert_eq!(adm.decide(c1, incoming, &ix, &mut obs), Ok(need));
+        }
+        let mut ix = FlowIndex::default();
+        ix.note_submit(0, 0, 990);
+        assert_eq!(adm.decide(c0, 10, &ix, &mut obs), Ok(0), "fits exactly");
+        assert_eq!(
+            adm.decide(c2, 11, &ix, &mut obs),
+            Err(SendOutcome::Rejected)
+        );
+        for _ in 0..2 {
+            let blocked = adm.decide(c0, 11, &ix, &mut obs);
+            assert_eq!(blocked, Err(SendOutcome::WouldBlock), "one episode");
+        }
+        ix.note_submit(0, 0, 10);
+        adm.release(SimTime::ZERO, &ix, &mut obs);
+        assert!(adm.take_unblocked().is_empty(), "no headroom at the budget");
+        ix.note_commit(0, 500);
+        adm.release(SimTime::ZERO, &ix, &mut obs);
+        adm.release(SimTime::ZERO, &ix, &mut obs);
+        assert_eq!(adm.take_unblocked(), vec![c0], "released once");
+        let m = obs.metrics();
+        assert_eq!(
+            (m.blocked_sends, m.rejected_sends, m.unblocked_events),
+            (2, 1, 1)
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::api::AppDriver;
 use crate::config::EngineConfig;
 use crate::engine::{EngineHandle, MadEngine};
 use crate::ids::{FlowId, MsgId, TrafficClass};
-use crate::legacy::{LegacyEngine, LegacyHandle};
+use crate::legacy::LegacyHandle;
 use crate::message::{DeliveredMessage, Fragment};
 use crate::metrics::EngineMetrics;
 use crate::policy::PolicyKind;
@@ -226,46 +226,33 @@ impl Cluster {
         apps.resize_with(spec.nodes, || None);
         let mut handles = Vec::with_capacity(spec.nodes);
         for (i, (&node, app)) in nodes.iter().zip(apps).enumerate() {
-            match &spec.engine {
-                EngineKind::Optimizing { config, policy } => {
-                    let mut b = MadEngine::builder(node)
-                        .config(config.clone())
-                        .policy(*policy);
-                    for (r, &tech) in spec.rails.iter().enumerate() {
-                        b = b.rail_tech(tech, nics[i][r]);
-                    }
-                    for (j, &peer) in nodes.iter().enumerate() {
-                        if j != i {
-                            b = b.peer(peer, nics[j].clone());
-                        }
-                    }
-                    if let Some(app) = app {
-                        b = b.app(app);
-                    }
-                    let (engine, handle) = b.build().expect("valid cluster spec");
-                    if let Some(cap) = spec.engine_trace {
-                        handle.enable_trace(cap);
-                    }
-                    sim.set_endpoint(node, Box::new(engine));
-                    handles.push(NodeHandle::Opt(handle));
+            let (config, policy) = match &spec.engine {
+                EngineKind::Optimizing { config, policy } => (config, Some(*policy)),
+                EngineKind::Legacy { config } => (config, None),
+            };
+            let mut b = MadEngine::builder(node).config(config.clone());
+            for (r, &tech) in spec.rails.iter().enumerate() {
+                b = b.rail_tech(tech, nics[i][r]);
+            }
+            for (j, &peer) in nodes.iter().enumerate() {
+                if j != i {
+                    b = b.peer(peer, nics[j].clone());
                 }
-                EngineKind::Legacy { config } => {
-                    let mut b = LegacyEngine::builder(node).config(config.clone());
-                    for (r, &tech) in spec.rails.iter().enumerate() {
-                        b = b.rail_tech(tech, nics[i][r]);
-                    }
-                    for (j, &peer) in nodes.iter().enumerate() {
-                        if j != i {
-                            b = b.peer(peer, nics[j].clone());
-                        }
-                    }
-                    if let Some(app) = app {
-                        b = b.app(app);
-                    }
-                    let (engine, handle) = b.build().expect("valid cluster spec");
-                    sim.set_endpoint(node, Box::new(engine));
-                    handles.push(NodeHandle::Legacy(handle));
+            }
+            if let Some(app) = app {
+                b = b.app(app);
+            }
+            if let Some(policy) = policy {
+                let (engine, handle) = b.policy(policy).build().expect("valid cluster spec");
+                if let Some(cap) = spec.engine_trace {
+                    handle.enable_trace(cap);
                 }
+                sim.set_endpoint(node, Box::new(engine));
+                handles.push(NodeHandle::Opt(handle));
+            } else {
+                let (engine, handle) = b.build_legacy().expect("valid cluster spec");
+                sim.set_endpoint(node, Box::new(engine));
+                handles.push(NodeHandle::Legacy(handle));
             }
         }
         Cluster {

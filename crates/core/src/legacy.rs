@@ -21,14 +21,12 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nicdrv::{Driver, ModeSel, SimDriver, TransferRequest};
-use simnet::{Endpoint, NicId, NodeId, SimCtx, SimTime, Technology, TimerId, WirePacket};
+use nicdrv::{Driver, ModeSel, TransferRequest};
+use simnet::{Endpoint, NicId, NodeId, SimCtx, SimTime, TimerId, WirePacket};
 
 use crate::api::{AppDriver, CommApi, INTERNAL_TAG_BASE};
-use crate::classes::ClassMap;
 use crate::collect::flow_id_for_index;
 use crate::config::EngineConfig;
-use crate::error::EngineError;
 use crate::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, Fragment, PackMode};
 use crate::metrics::{Activation, EngineMetrics};
@@ -36,8 +34,9 @@ use crate::proto::{
     decode_packet, decode_rndv, encode_packet, encode_rndv, framing_bytes, make_header,
     ChunkHeader, WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
-use crate::receiver::{Receiver, ReceiverStats};
+use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::strategy::MAX_AGG_CHUNKS;
+use crate::transfer::{assert_reachable, rail_of, Rail};
 
 /// A packet fully built at submission time, waiting in a rail's software
 /// queue for hardware space.
@@ -58,20 +57,13 @@ struct LegacyFlow {
     next_seq: u32,
 }
 
-struct LegacyRail {
-    driver: SimDriver,
-    classmap: ClassMap,
-    wire_mtu: u64,
-    peers: HashMap<NodeId, NicId>,
-    queue: VecDeque<PreparedPacket>,
-}
-
 /// Shared state of the legacy engine.
 pub struct LegacyCore {
     node: NodeId,
     config: EngineConfig,
-    rails: Vec<LegacyRail>,
-    nic_to_rail: HashMap<NicId, usize>,
+    rails: Vec<Rail>,
+    /// Per-rail software queues of prepared packets.
+    queues: Vec<VecDeque<PreparedPacket>>,
     flows: Vec<LegacyFlow>,
     next_rail_rr: usize,
     /// Fragments awaiting a rendezvous grant, keyed by (flow, seq, frag).
@@ -80,9 +72,8 @@ pub struct LegacyCore {
     pub receiver: Receiver,
     /// Counters (subset of fields are meaningful for the legacy engine).
     pub metrics: EngineMetrics,
-    /// Delivered messages (when `config.record_deliveries`), capped at
-    /// `config.delivered_capacity` (oldest dropped, counted in metrics).
-    pub delivered: VecDeque<DeliveredMessage>,
+    /// Delivered messages (when `config.record_deliveries`).
+    pub delivered: DeliveredRing,
 }
 
 impl LegacyCore {
@@ -96,11 +87,7 @@ impl LegacyCore {
     }
 
     fn open_flow(&mut self, dst: NodeId, class: TrafficClass) -> FlowId {
-        assert!(
-            self.rails.iter().any(|r| r.peers.contains_key(&dst)),
-            "node {dst:?} is not a registered peer on any rail of node {:?}",
-            self.node
-        );
+        assert_reachable(&self.rails, dst, self.node);
         let id = FlowId(flow_id_for_index(self.flows.len()));
         let rail = self.next_rail_rr % self.rails.len();
         self.next_rail_rr += 1;
@@ -228,7 +215,7 @@ impl LegacyCore {
         }
         flush(&mut pending, &mut pending_bytes, &mut packets);
 
-        self.rails[rail_idx].queue.extend(packets);
+        self.queues[rail_idx].extend(packets);
         self.pump(ctx, rail_idx);
         id
     }
@@ -236,14 +223,15 @@ impl LegacyCore {
     /// Drain a rail's software queue into the hardware queue.
     fn pump(&mut self, ctx: &mut SimCtx<'_>, rail_idx: usize) {
         loop {
-            let rail = &mut self.rails[rail_idx];
+            let rail = &self.rails[rail_idx];
+            let queue = &mut self.queues[rail_idx];
             if rail.driver.free_slots(ctx) == 0 {
                 break;
             }
-            let Some(pkt) = rail.queue.pop_front() else {
+            let Some(pkt) = queue.pop_front() else {
                 break;
             };
-            let Some(&dst_nic) = rail.peers.get(&pkt.dst) else {
+            let Some(dst_nic) = rail.peer_nic(pkt.dst) else {
                 debug_assert!(false, "unknown peer {:?}", pkt.dst);
                 continue;
             };
@@ -263,7 +251,7 @@ impl LegacyCore {
                     }
                 }
                 Err(nicdrv::DriverError::Nic(simnet::SubmitError::QueueFull)) => {
-                    rail.queue.push_front(pkt);
+                    queue.push_front(pkt);
                     break;
                 }
                 Err(e) => {
@@ -280,7 +268,7 @@ impl LegacyCore {
         nic: NicId,
         pkt: WirePacket,
     ) -> Vec<DeliveredMessage> {
-        let rail_idx = self.nic_to_rail.get(&nic).copied();
+        let rail_idx = rail_of(&self.rails, nic);
         match pkt.kind {
             KIND_DATA => {
                 self.receiver.record_vchan(pkt.vchan);
@@ -305,22 +293,15 @@ impl LegacyCore {
                     );
                 }
                 if self.config.record_deliveries {
-                    for d in &out {
-                        if self.delivered.len() >= self.config.delivered_capacity {
-                            self.delivered.pop_front();
-                            self.metrics.deliveries_dropped += 1;
-                        }
-                        self.delivered.push_back(d.clone());
-                    }
+                    self.metrics.deliveries_dropped += self.delivered.extend(&out);
                 }
                 out
             }
             KIND_RNDV_REQ => {
                 if let (Ok(header), Some(rail_idx)) = (decode_rndv(&pkt), rail_idx) {
-                    let rail = &mut self.rails[rail_idx];
-                    rail.queue.push_back(PreparedPacket {
+                    self.queues[rail_idx].push_back(PreparedPacket {
                         dst: pkt.src,
-                        vchan: rail.classmap.control(),
+                        vchan: self.rails[rail_idx].classmap.control(),
                         kind: KIND_RNDV_ACK,
                         segments: encode_rndv(header),
                         chunk_count: 0,
@@ -356,7 +337,7 @@ impl LegacyCore {
                                 header: h,
                                 data: data.slice(offset as usize..(offset + take) as usize),
                             };
-                            self.rails[rail_idx].queue.push_back(PreparedPacket {
+                            self.queues[rail_idx].push_back(PreparedPacket {
                                 dst,
                                 vchan,
                                 kind: KIND_DATA,
@@ -387,111 +368,6 @@ pub struct LegacyEngine {
 #[derive(Clone)]
 pub struct LegacyHandle {
     core: Rc<RefCell<LegacyCore>>,
-}
-
-/// Builder for [`LegacyEngine`].
-pub struct LegacyBuilder {
-    node: NodeId,
-    config: EngineConfig,
-    rails: Vec<(SimDriver, u64)>,
-    peers: Vec<(NodeId, Vec<NicId>)>,
-    app: Option<Box<dyn AppDriver>>,
-}
-
-impl LegacyBuilder {
-    /// Start building a legacy engine for `node`.
-    pub fn new(node: NodeId) -> Self {
-        LegacyBuilder {
-            node,
-            config: EngineConfig::default(),
-            rails: Vec::new(),
-            peers: Vec::new(),
-            app: None,
-        }
-    }
-
-    /// Set the configuration (only `rndv_threshold`, `enable_rndv` and
-    /// `record_deliveries` are meaningful for the legacy engine).
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Add a rail.
-    pub fn rail(mut self, driver: SimDriver, wire_mtu: u64) -> Self {
-        self.rails.push((driver, wire_mtu));
-        self
-    }
-
-    /// Add a rail from a technology preset.
-    pub fn rail_tech(self, tech: Technology, nic: NicId) -> Self {
-        let mtu = nicdrv::calib::params(tech).mtu;
-        self.rail(nicdrv::calib::driver(tech, nic), mtu)
-    }
-
-    /// Register a peer's NIC addresses (one per rail).
-    pub fn peer(mut self, node: NodeId, nics: Vec<NicId>) -> Self {
-        self.peers.push((node, nics));
-        self
-    }
-
-    /// Install the application stack.
-    pub fn app(mut self, app: Box<dyn AppDriver>) -> Self {
-        self.app = Some(app);
-        self
-    }
-
-    /// Build the engine and its handle.
-    pub fn build(self) -> Result<(LegacyEngine, LegacyHandle), EngineError> {
-        if self.rails.is_empty() {
-            return Err(EngineError::Config("engine needs at least one rail".into()));
-        }
-        let mut rails = Vec::with_capacity(self.rails.len());
-        let mut nic_to_rail = HashMap::new();
-        for (idx, (driver, wire_mtu)) in self.rails.into_iter().enumerate() {
-            nic_to_rail.insert(driver.nic(), idx);
-            let classmap = ClassMap::new(driver.capabilities().vchannels);
-            rails.push(LegacyRail {
-                driver,
-                classmap,
-                wire_mtu,
-                peers: HashMap::new(),
-                queue: VecDeque::new(),
-            });
-        }
-        for (peer, nics) in self.peers {
-            if nics.len() != rails.len() {
-                return Err(EngineError::Config(format!(
-                    "peer {peer:?} supplied {} NICs for {} rails",
-                    nics.len(),
-                    rails.len()
-                )));
-            }
-            for (rail, nic) in rails.iter_mut().zip(nics) {
-                rail.peers.insert(peer, nic);
-            }
-        }
-        let core = Rc::new(RefCell::new(LegacyCore {
-            node: self.node,
-            config: self.config,
-            rails,
-            nic_to_rail,
-            flows: Vec::new(),
-            next_rail_rr: 0,
-            rndv_waiting: HashMap::new(),
-            receiver: Receiver::new(),
-            metrics: EngineMetrics::default(),
-            delivered: VecDeque::new(),
-        }));
-        let handle = LegacyHandle { core: core.clone() };
-        Ok((
-            LegacyEngine {
-                core,
-                app: self.app,
-            },
-            handle,
-        ))
-    }
 }
 
 /// [`CommApi`] view for legacy-engine applications.
@@ -530,9 +406,30 @@ impl CommApi for LegacyApi<'_, '_> {
 }
 
 impl LegacyEngine {
-    /// Start building a legacy engine.
-    pub fn builder(node: NodeId) -> LegacyBuilder {
-        LegacyBuilder::new(node)
+    /// The engine and its handle over already-assembled rails
+    /// ([`crate::engine::EngineBuilder::build_legacy`]). Of `config`
+    /// only `rndv_threshold`, `enable_rndv` and `record_deliveries` are
+    /// meaningful for the legacy engine.
+    pub(crate) fn assemble(
+        node: NodeId,
+        config: EngineConfig,
+        rails: Vec<Rail>,
+        app: Option<Box<dyn AppDriver>>,
+    ) -> (LegacyEngine, LegacyHandle) {
+        let core = Rc::new(RefCell::new(LegacyCore {
+            node,
+            config,
+            queues: (0..rails.len()).map(|_| VecDeque::new()).collect(),
+            rails,
+            flows: Vec::new(),
+            next_rail_rr: 0,
+            rndv_waiting: HashMap::new(),
+            receiver: Receiver::new(),
+            metrics: EngineMetrics::default(),
+            delivered: DeliveredRing::default(),
+        }));
+        let handle = LegacyHandle { core: core.clone() };
+        (LegacyEngine { core, app }, handle)
     }
 
     fn with_app(
@@ -561,7 +458,7 @@ impl Endpoint for LegacyEngine {
 
     fn on_tx_done(&mut self, ctx: &mut SimCtx<'_>, nic: NicId, _cookie: u64) {
         let mut core = self.core.borrow_mut();
-        if let Some(rail) = core.nic_to_rail.get(&nic).copied() {
+        if let Some(rail) = rail_of(&core.rails, nic) {
             core.pump(ctx, rail);
         }
     }
@@ -601,7 +498,7 @@ impl LegacyHandle {
 
     /// Drain recorded deliveries.
     pub fn take_delivered(&self) -> Vec<DeliveredMessage> {
-        self.core.borrow_mut().delivered.drain(..).collect()
+        self.core.borrow_mut().delivered.drain()
     }
 
     /// Messages delivered so far.
@@ -623,9 +520,9 @@ impl LegacyHandle {
     pub fn queued_bytes(&self) -> u64 {
         self.core
             .borrow()
-            .rails
+            .queues
             .iter()
-            .flat_map(|r| r.queue.iter())
+            .flatten()
             .map(|p| p.segments.iter().map(|s| s.len() as u64).sum::<u64>())
             .sum()
     }
@@ -634,7 +531,9 @@ impl LegacyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MadEngine;
     use crate::message::MessageBuilder;
+    use nicdrv::SimDriver;
     use simnet::{NetworkParams, Simulation};
 
     fn cluster() -> (Simulation, LegacyHandle, LegacyHandle, NodeId, NodeId) {
@@ -647,10 +546,10 @@ mod tests {
         let caps = nicdrv::calib::synthetic_capabilities();
         let cost = nicdrv::CostModel::from_params(sim.network_params(net));
         let mk = |node, nic, peer_node, peer_nic: NicId| {
-            LegacyEngine::builder(node)
+            MadEngine::builder(node)
                 .rail(SimDriver::new(nic, caps.clone(), cost.clone()), 1 << 20)
                 .peer(peer_node, vec![peer_nic])
-                .build()
+                .build_legacy()
                 .unwrap()
         };
         let (ea, ha) = mk(a, na, b, nb);
@@ -759,11 +658,11 @@ mod tests {
         let nb2 = sim.add_nic(b, net);
         let caps = nicdrv::calib::synthetic_capabilities();
         let cost = nicdrv::CostModel::from_params(sim.network_params(net));
-        let (ea, ha) = LegacyEngine::builder(a)
+        let (ea, ha) = MadEngine::builder(a)
             .rail(SimDriver::new(na1, caps.clone(), cost.clone()), 1 << 20)
             .rail(SimDriver::new(na2, caps.clone(), cost.clone()), 1 << 20)
             .peer(b, vec![nb1, nb2])
-            .build()
+            .build_legacy()
             .unwrap();
         sim.set_endpoint(a, Box::new(ea));
         let f0 = ha.open_flow(b, TrafficClass::DEFAULT);

@@ -71,6 +71,7 @@ pub mod json;
 pub mod legacy;
 pub mod message;
 pub mod metrics;
+pub mod observer;
 pub mod optimizer;
 pub mod plan;
 pub mod policy;
@@ -81,6 +82,7 @@ pub mod reliability;
 pub mod scope;
 pub mod strategy;
 pub mod trace;
+pub mod transfer;
 
 pub use api::{AppDriver, CommApi, NullApp};
 pub use coll::{

@@ -1,6 +1,7 @@
 //! The optimizer's decision procedures: plan selection under a
 //! rearrangement budget, and the submit-time activation policy (send now,
-//! wait for NIC idle, or arm a Nagle-style delay).
+//! wait for NIC idle, or arm a Nagle-style delay) — plus [`Optimizer`],
+//! the scheduler state Figure 1's middle box owns between activations.
 //!
 //! Candidate order is owned by the collect layer's madflow machinery
 //! ([`crate::flowmgr`]): under the default pack-order fairness the groups
@@ -12,15 +13,27 @@
 
 // madlint: file: hot-path
 // madlint: file: scoring
+// madlint: file: deterministic-output
+// madlint: file: trace-covered
 
-use simnet::SimDuration;
+use nicdrv::Driver;
+use simnet::{SimCtx, SimDuration, TimerId};
 
+use crate::api::{ADAPTIVE_TAG, NAGLE_TAG};
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
 use crate::constraints::{validate_plan_with, PlanCoverage};
 use crate::cost::{score_plan, ScoredPlan, WindowIndex};
+use crate::ids::{FlowId, TrafficClass};
+use crate::policy::{PolicyKind, RailPolicy};
+use crate::reliability::Reliability;
 use crate::strategy::{OptContext, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
+use crate::transfer::Rail;
+
+/// Backlog payload size (bytes) above which the Nagle delay is skipped
+/// and the optimizer runs immediately.
+const NAGLE_THRESHOLD: u64 = 1024;
 
 /// Result of one plan-selection pass.
 #[derive(Debug)]
@@ -173,13 +186,160 @@ pub fn submit_action(
     if !any_idle_rail {
         return SubmitAction::Wait;
     }
-    if cfg.nagle_delay.is_zero() || backlog_bytes >= cfg.nagle_threshold {
+    if cfg.nagle_delay.is_zero() || backlog_bytes >= NAGLE_THRESHOLD {
         return SubmitAction::OptimizeNow;
     }
     if nagle_armed {
         SubmitAction::Wait
     } else {
         SubmitAction::ArmNagle(cfg.nagle_delay)
+    }
+}
+
+/// The scheduler's state between activations: the strategy database, the
+/// rail-eligibility policy, activation ids, and the Nagle and
+/// adaptive-epoch timers.
+// madlint: send-sync — sharded across madpar workers with the engine core
+pub(crate) struct Optimizer {
+    registry: StrategyRegistry,
+    policy: RailPolicy,
+    next_activation: u64,
+    nagle_timer: Option<TimerId>,
+    /// Consecutive traffic-less adaptive epochs.
+    adaptive_idle_epochs: u32,
+    /// The epoch timer is asleep (so an otherwise-idle simulation can
+    /// reach quiescence); the next submission re-arms it.
+    adaptive_sleeping: bool,
+}
+
+impl Optimizer {
+    pub(crate) fn new(registry: StrategyRegistry, policy: RailPolicy) -> Self {
+        Optimizer {
+            registry,
+            policy,
+            next_activation: 0,
+            nagle_timer: None,
+            adaptive_idle_epochs: 0,
+            adaptive_sleeping: true,
+        }
+    }
+
+    pub(crate) fn registry(&self) -> &StrategyRegistry {
+        &self.registry
+    }
+
+    pub(crate) fn policy(&self) -> &RailPolicy {
+        &self.policy
+    }
+
+    /// For pinning, runtime switches and traffic accounting.
+    pub(crate) fn policy_mut(&mut self) -> &mut RailPolicy {
+        &mut self.policy
+    }
+
+    /// A fresh activation id (correlates one activation's decision events).
+    pub(crate) fn begin_activation(&mut self) -> u64 {
+        self.next_activation += 1;
+        self.next_activation - 1
+    }
+
+    /// Eager→rendezvous switch point for a flow: the configured
+    /// threshold, else the smallest hint over the live rails the policy
+    /// lets the flow use.
+    pub(crate) fn rndv_threshold_for(
+        &self,
+        cfg: &EngineConfig,
+        flow: FlowId,
+        class: TrafficClass,
+        rails: &[Rail],
+        rel: &Reliability,
+    ) -> u64 {
+        if !cfg.enable_rndv {
+            return u64::MAX;
+        }
+        if let Some(t) = cfg.rndv_threshold {
+            return t;
+        }
+        let usable = || {
+            rel.live_rails()
+                .filter(|&r| self.policy.eligible(flow, class, r))
+        };
+        let hint = usable()
+            .map(|r| rails[r].driver.capabilities().rndv_threshold_hint)
+            .min()
+            .unwrap_or(u64::MAX);
+        if hint == u64::MAX {
+            return hint;
+        }
+        // madnet: under fabric congestion, gate eager sends earlier — a
+        // rendezvous round-trip is cheap insurance against stuffing more
+        // bytes into an already-marking switch queue. Scaled by the
+        // *least* congested eligible rail so a clean rail keeps the full
+        // eager window (congestion penalty is 1.0 when the EWMA is zero,
+        // leaving loss-only scenarios untouched).
+        let cong = usable()
+            .map(|r| rel.rails()[r].congestion_penalty())
+            .fold(f64::INFINITY, f64::min);
+        if cong.is_finite() && cong > 1.0 {
+            ((hint as f64 / cong) as u64).max(1)
+        } else {
+            hint
+        }
+    }
+
+    /// Engine start, or a submission arrived: wake a sleeping
+    /// adaptive-epoch timer (it starts out asleep).
+    pub(crate) fn wake(&mut self, ctx: &mut SimCtx<'_>, cfg: &EngineConfig) {
+        if self.policy.kind() == PolicyKind::Adaptive && self.adaptive_sleeping {
+            self.adaptive_sleeping = false;
+            self.adaptive_idle_epochs = 0;
+            ctx.set_timer(cfg.adaptive_epoch, ADAPTIVE_TAG);
+        }
+    }
+
+    /// The adaptive-policy epoch ended: rebalance, then re-arm — unless
+    /// this was the second silent epoch, after which the timer sleeps so
+    /// the event queue can drain.
+    pub(crate) fn on_epoch(&mut self, ctx: &mut SimCtx<'_>, cfg: &EngineConfig) {
+        let traffic = self.policy.epoch_traffic();
+        self.policy.rebalance();
+        self.adaptive_idle_epochs = if traffic == 0 {
+            self.adaptive_idle_epochs + 1
+        } else {
+            0
+        };
+        if self.adaptive_idle_epochs >= 2 {
+            self.adaptive_sleeping = true;
+        } else {
+            ctx.set_timer(cfg.adaptive_epoch, ADAPTIVE_TAG);
+        }
+    }
+
+    /// Apply the submit-time activation policy ([`submit_action`]),
+    /// arming the Nagle timer when it says so. True when the optimizer
+    /// should run now.
+    pub(crate) fn on_submit(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        cfg: &EngineConfig,
+        any_idle_rail: bool,
+        backlog_bytes: u64,
+    ) -> bool {
+        let armed = self.nagle_timer.is_some();
+        match submit_action(cfg, any_idle_rail, backlog_bytes, armed) {
+            SubmitAction::OptimizeNow => true,
+            SubmitAction::ArmNagle(delay) => {
+                self.nagle_timer = Some(ctx.set_timer(delay, NAGLE_TAG));
+                false
+            }
+            SubmitAction::Wait => false,
+        }
+    }
+
+    /// Forget the Nagle timer (it fired, or a flush overtakes it);
+    /// returns it so a flush can cancel it.
+    pub(crate) fn disarm_nagle(&mut self) -> Option<TimerId> {
+        self.nagle_timer.take()
     }
 }
 
@@ -373,7 +533,7 @@ mod tests {
                         if let Some(cand) = cand {
                             let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
                             value +=
-                                age_us * cand.class.urgency_weight() * ctx.config.urgency_weight;
+                                age_us * cand.class.urgency_weight() * crate::cost::URGENCY_WEIGHT;
                         }
                     }
                     value / busy_ns
@@ -487,7 +647,6 @@ mod tests {
         assert_eq!(submit_action(&cfg, false, 10, false), SubmitAction::Wait);
         // Nagle enabled: small backlog arms the timer once.
         cfg.nagle_delay = SimDuration::from_micros(5);
-        cfg.nagle_threshold = 1024;
         assert_eq!(
             submit_action(&cfg, true, 10, false),
             SubmitAction::ArmNagle(SimDuration::from_micros(5))

@@ -14,7 +14,7 @@
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use simnet::{NodeId, SimDuration, SimTime};
@@ -306,6 +306,38 @@ impl Receiver {
             .values()
             .map(|f| f.pending.values().filter(|m| !m.complete()).count())
             .sum()
+    }
+}
+
+/// Bound on the delivered-message buffer drained via `take_delivered`.
+const DELIVERED_CAPACITY: usize = 1 << 20;
+
+/// Delivered messages retained for `take_delivered` (when
+/// `config.record_deliveries`), bounded by oldest-drop. Shared by both
+/// engines.
+#[derive(Default)]
+pub struct DeliveredRing {
+    buf: VecDeque<DeliveredMessage>,
+}
+
+impl DeliveredRing {
+    /// Retain `out`; returns how many of the oldest entries the bound
+    /// pushed out (the `deliveries_dropped` metric).
+    pub fn extend(&mut self, out: &[DeliveredMessage]) -> u64 {
+        let mut dropped = 0;
+        for d in out {
+            if self.buf.len() >= DELIVERED_CAPACITY {
+                self.buf.pop_front();
+                dropped += 1;
+            }
+            self.buf.push_back(d.clone());
+        }
+        dropped
+    }
+
+    /// Drain the retained messages, oldest first.
+    pub fn drain(&mut self) -> Vec<DeliveredMessage> {
+        self.buf.drain(..).collect()
     }
 }
 

@@ -21,14 +21,20 @@
 //! traces.
 
 // madlint: file: hot-path
+// madlint: file: deterministic-output
+// madlint: file: trace-covered
 
 use std::collections::BTreeMap;
 
 use nicdrv::DriverCapabilities;
-use simnet::{NodeId, SimDuration, SimTime, TimerId};
+use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId};
 
+use crate::api::RETX_TAG;
+use crate::config::EngineConfig;
+use crate::observer::Observer;
 use crate::plan::PlannedChunk;
 use crate::proto;
+use crate::trace::EngineEvent;
 
 /// How the engine treats packet loss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,15 +83,34 @@ pub struct PendingTx {
     pub attempts: u32,
 }
 
-/// Tracks unacked packets and owns the single retransmit timer.
+impl PendingTx {
+    /// The record of `chunks` entering the NIC at `now` as `send` says.
+    pub(crate) fn sent(
+        chunks: Vec<PlannedChunk>,
+        dst: NodeId,
+        linearize: bool,
+        now: SimTime,
+        send: Attempt,
+    ) -> PendingTx {
+        PendingTx {
+            chunks,
+            dst,
+            rail: send.rail,
+            linearize,
+            sent_at: now,
+            deadline: send.deadline,
+            attempts: send.attempts,
+        }
+    }
+}
+
+/// Tracks unacked packets.
 ///
 /// The tracker keys by cookie in a `BTreeMap` so iteration — and therefore
 /// timer scheduling and retransmit order — is deterministic.
 #[derive(Debug, Default)]
 pub struct RetransmitTracker {
     pending: BTreeMap<u64, PendingTx>,
-    timer: Option<TimerId>,
-    timer_deadline: SimTime,
 }
 
 impl RetransmitTracker {
@@ -99,7 +124,7 @@ impl RetransmitTracker {
         self.pending.insert(cookie, tx);
     }
 
-    /// Stop tracking `cookie` (ack received or given up). Returns the
+    /// Stop tracking `cookie` (ack received, timed out or given up). Returns the
     /// entry when it was still tracked — a duplicate ack returns `None`.
     pub fn acked(&mut self, cookie: u64) -> Option<PendingTx> {
         self.pending.remove(&cookie)
@@ -132,33 +157,6 @@ impl RetransmitTracker {
             .filter(|(_, p)| p.deadline <= now)
             .map(|(&c, _)| c)
             .collect()
-    }
-
-    /// Remove and return an expired entry for rework (re-track under the
-    /// retransmission's new cookie).
-    pub fn take(&mut self, cookie: u64) -> Option<PendingTx> {
-        self.pending.remove(&cookie)
-    }
-
-    /// Pending entries in cookie order (rail-death sweep).
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &PendingTx)> {
-        self.pending.iter()
-    }
-
-    /// The armed timer, if any, with its deadline.
-    pub fn timer(&self) -> Option<(TimerId, SimTime)> {
-        self.timer.map(|t| (t, self.timer_deadline))
-    }
-
-    /// Record that a timer was armed for `deadline`.
-    pub fn set_timer(&mut self, timer: TimerId, deadline: SimTime) {
-        self.timer = Some(timer);
-        self.timer_deadline = deadline;
-    }
-
-    /// Forget the armed timer (it fired or was cancelled).
-    pub fn clear_timer(&mut self) -> Option<TimerId> {
-        self.timer.take()
     }
 
     /// Backoff for the `attempts`-th retry: `base << (attempts - 1)`,
@@ -390,6 +388,251 @@ pub fn plan_retransmit(
     packets
 }
 
+/// madnet congestion gate: a rail whose congestion penalty exceeds the
+/// best live rail's by more than this factor declines to pull the shared
+/// backlog. Read against [`RailHealth::CONGESTION_WEIGHT`]: a fully
+/// marked rail sits at 9.0, so the gate closes once the congestion EWMA
+/// passes 1/8 while another rail is clean.
+const CONGESTION_GATE_RATIO: f64 = 2.0;
+
+/// One transmission of a tracked packet: where it goes out, which
+/// attempt it is (1 = a first send, or a rerouted one whose budget
+/// restarts) and when it times out (exponential backoff).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Attempt {
+    pub(crate) rail: usize,
+    pub(crate) attempts: u32,
+    pub(crate) deadline: SimTime,
+}
+
+/// What to do with one timed-out packet ([`Reliability::expire`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Expiry {
+    /// Re-send on the same rail; the retry budget is not yet spent.
+    Resend(Attempt),
+    /// The budget is spent and the rail is dead: re-send on the
+    /// healthiest surviving rail, restarting the attempt budget there.
+    Reroute(Attempt),
+    /// The budget is spent and no live rail reaches the destination:
+    /// complete the packet's accounting and count its messages lost.
+    Lost,
+    /// `Detect` mode: raise a fault and complete the packet's
+    /// accounting; nothing is re-sent.
+    DetectOnly,
+}
+
+/// The reliability layer's state: unacked packets with the single
+/// retransmit timer, per-rail health, and the `EngineConfig` values that
+/// drive them.
+// madlint: send-sync — sharded across madpar workers with the engine core
+pub(crate) struct Reliability {
+    mode: ReliabilityMode,
+    base_timeout: SimDuration,
+    retry_budget: u32,
+    congestion_aware: bool,
+    retx: RetransmitTracker,
+    /// The armed timer with the deadline it was armed for.
+    timer: Option<(TimerId, SimTime)>,
+    health: Vec<RailHealth>,
+}
+
+impl Reliability {
+    pub(crate) fn new(rails: usize, cfg: &EngineConfig) -> Self {
+        Reliability {
+            mode: cfg.reliability,
+            base_timeout: cfg.retransmit_timeout,
+            retry_budget: cfg.retry_budget,
+            congestion_aware: cfg.congestion_aware,
+            retx: RetransmitTracker::new(),
+            timer: None,
+            health: vec![RailHealth::new(); rails],
+        }
+    }
+
+    /// Whether data packets are tracked and acknowledged.
+    pub(crate) fn acks_enabled(&self) -> bool {
+        self.mode.acks_enabled()
+    }
+
+    /// Health of every rail, in rail order.
+    pub(crate) fn rails(&self) -> &[RailHealth] {
+        &self.health
+    }
+
+    /// Rails not declared dead, ascending.
+    pub(crate) fn live_rails(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.health.len()).filter(|&r| !self.health[r].is_dead())
+    }
+
+    /// All rails in the order they pull the shared backlog: ascending
+    /// cost penalty, so an ECN-inflated (or lossy) rail only sees what
+    /// healthier rails left behind. Stable on the rail index — when every
+    /// rail is equally healthy this is plain index order, preserving the
+    /// determinism contract.
+    pub(crate) fn pull_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.health.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.health[a]
+                .cost_penalty()
+                .total_cmp(&self.health[b].cost_penalty())
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
+    /// madnet congestion gate: a rail whose ECN-driven penalty is far
+    /// above the best live rail's declines to pull the shared backlog —
+    /// being work-conserving onto a collapsing fabric path converts a
+    /// microsecond of patience into a retransmit timeout. The comparison
+    /// is relative, so the least-congested live rail is never gated and
+    /// the engine can always make progress; with `congestion_aware` off
+    /// (or no marks seen) this is always false.
+    pub(crate) fn congestion_gated(&self, rail: usize) -> bool {
+        if !self.congestion_aware || self.health.len() < 2 {
+            return false;
+        }
+        let best = self
+            .live_rails()
+            .map(|r| self.health[r].congestion_penalty())
+            .fold(f64::INFINITY, f64::min);
+        best.is_finite() && self.health[rail].congestion_penalty() > CONGESTION_GATE_RATIO * best
+    }
+
+    /// The healthiest live rail `reaches` admits (lowest index on ties),
+    /// or `None` when every route is dead.
+    // madlint: scoring
+    fn live_rail_for(&self, reaches: impl Fn(usize) -> bool) -> Option<usize> {
+        self.live_rails().filter(|&r| reaches(r)).max_by(|&a, &b| {
+            self.health[a]
+                .score()
+                .total_cmp(&self.health[b].score())
+                .then(b.cmp(&a))
+        })
+    }
+
+    /// Unacked data packets.
+    pub(crate) fn unacked(&self) -> usize {
+        self.retx.len()
+    }
+
+    /// Whether `cookie` still awaits its ack.
+    pub(crate) fn is_pending(&self, cookie: u64) -> bool {
+        self.retx.is_pending(cookie)
+    }
+
+    /// The `attempts`-th transmission of a packet, entering `rail`'s NIC
+    /// at `now` and due one backed-off timeout later.
+    pub(crate) fn attempt(&self, rail: usize, attempts: u32, now: SimTime) -> Attempt {
+        Attempt {
+            rail,
+            attempts,
+            deadline: now + RetransmitTracker::backoff(self.base_timeout, attempts),
+        }
+    }
+
+    /// Track a data packet until its ack.
+    pub(crate) fn track(&mut self, cookie: u64, tx: PendingTx) {
+        self.retx.track(cookie, tx);
+    }
+
+    /// An ack for `cookie` arrived carrying the fabric's ECN echo. False
+    /// for a duplicate ack (the data was retransmitted and both copies
+    /// arrived), which changes nothing.
+    pub(crate) fn on_ack(
+        &mut self,
+        cookie: u64,
+        ecn: bool,
+        now: SimTime,
+        node: NodeId,
+        obs: &mut Observer,
+    ) -> bool {
+        let Some(p) = self.retx.acked(cookie) else {
+            return false;
+        };
+        let rail = p.rail as u16;
+        self.health[p.rail].on_ack();
+        // madnet: the echoed congestion bit moves the rail's EWMA only in
+        // congestion-aware mode; blind mode still counts marks.
+        self.health[p.rail].on_congestion(ecn, self.congestion_aware);
+        if ecn {
+            let mark = EngineEvent::CongestionMark {
+                src: node,
+                cookie,
+                rail,
+            };
+            obs.emit(now, mark);
+        }
+        let rtt_ns = now.since(p.sent_at).as_nanos();
+        let acked = EngineEvent::AckReceived {
+            cookie,
+            rail,
+            rtt_ns,
+        };
+        obs.emit(now, acked);
+        true
+    }
+
+    /// The retransmit timer fired: forget it and list the cookies whose
+    /// deadline has passed at `now`, in cookie order. Feed each to
+    /// [`Reliability::expire`], then re-arm.
+    pub(crate) fn begin_sweep(&mut self, now: SimTime) -> Vec<u64> {
+        self.timer = None;
+        self.retx.expired(now)
+    }
+
+    /// Decide what happens to timed-out `cookie`: stop tracking it, fold
+    /// the timeout into its rail's health (declaring the rail dead, once,
+    /// when the retry budget is spent) and return the packet with the
+    /// action the engine must execute. Touches no driver and no timer;
+    /// `reaches(rail, dst)` is the transfer layer's routing predicate.
+    pub(crate) fn expire(
+        &mut self,
+        cookie: u64,
+        now: SimTime,
+        reaches: impl Fn(usize, NodeId) -> bool,
+        obs: &mut Observer,
+    ) -> Option<(PendingTx, Expiry)> {
+        let p = self.retx.acked(cookie)?;
+        obs.metrics_mut().timeouts += 1;
+        let rail = p.rail;
+        if self.health[rail].on_timeout() {
+            let score_milli = (self.health[rail].score() * 1000.0) as u32;
+            let rail = rail as u16;
+            obs.emit(now, EngineEvent::RailDegraded { rail, score_milli });
+        }
+        if !self.mode.recovers() {
+            return Some((p, Expiry::DetectOnly));
+        }
+        let action = if p.attempts < self.retry_budget {
+            Expiry::Resend(self.attempt(rail, p.attempts + 1, now))
+        } else {
+            if !self.health[rail].is_dead() {
+                self.health[rail].declare_dead();
+                obs.emit(now, EngineEvent::RailDead { rail: rail as u16 });
+            }
+            match self.live_rail_for(|r| reaches(r, p.dst)) {
+                Some(live) => Expiry::Reroute(self.attempt(live, 1, now)),
+                None => Expiry::Lost,
+            }
+        };
+        Some((p, action))
+    }
+
+    /// (Re)arm the single retransmit timer toward the earliest pending
+    /// deadline, cancelling a stale one. With nothing pending the timer is
+    /// cancelled so the simulation can reach quiescence.
+    pub(crate) fn arm_timer(&mut self, ctx: &mut SimCtx<'_>) {
+        let deadline = self.retx.next_deadline();
+        if let Some((timer, armed_for)) = self.timer {
+            if Some(armed_for) == deadline {
+                return;
+            }
+            ctx.cancel_timer(timer);
+        }
+        self.timer = deadline.map(|d| (ctx.set_timer(d.since(ctx.now()), RETX_TAG), d));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,6 +671,61 @@ mod tests {
         assert!(t.acked(2).is_some());
         assert!(t.acked(2).is_none(), "duplicate ack is a no-op");
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn expire_decides_resend_reroute_lost_and_detect() {
+        use ReliabilityMode::{Detect, Recover};
+        let now = SimTime::from_nanos(1_000);
+        let due = |rail, attempts| Attempt {
+            rail,
+            attempts,
+            deadline: now + RetransmitTracker::backoff(SimDuration::from_micros(50), attempts),
+        };
+        // Two packets on rail 0 time out in one sweep, on their
+        // `attempts`-th transmission of a budget of 3:
+        // (mode, rails, attempts, rail 1 reaches dst) → decision, rail 0 dies
+        let cases = [
+            (Recover, 2, 1, true, Expiry::Resend(due(0, 2)), false),
+            (Recover, 2, 3, true, Expiry::Reroute(due(1, 1)), true),
+            (Recover, 2, 3, false, Expiry::Lost, true),
+            (Recover, 1, 3, true, Expiry::Lost, true),
+            (Detect, 2, 3, true, Expiry::DetectOnly, false),
+        ];
+        for (reliability, rails, attempts, alt, want, dies) in cases {
+            let cfg = EngineConfig {
+                reliability,
+                retry_budget: 3,
+                ..EngineConfig::default()
+            };
+            let (mut r, mut obs) = (Reliability::new(rails, &cfg), Observer::new(NodeId(0)));
+            let sent = Attempt {
+                rail: 0,
+                attempts,
+                deadline: now,
+            };
+            for cookie in [7, 8] {
+                let tx = PendingTx::sent(vec![chunk(10)], NodeId(1), false, SimTime::ZERO, sent);
+                r.track(cookie, tx);
+            }
+            assert_eq!(r.begin_sweep(now), vec![7, 8]);
+            let reaches = |rail: usize, _| rail == 0 || alt;
+            let (p, action) = r.expire(7, now, reaches, &mut obs).expect("tracked");
+            assert_eq!((p.attempts, action), (attempts, want));
+            assert!(
+                r.expire(7, now, reaches, &mut obs).is_none(),
+                "expires once"
+            );
+            r.expire(8, now, reaches, &mut obs);
+            assert_eq!(r.rails()[0].is_dead(), dies, "{want:?}");
+            let m = obs.metrics();
+            assert_eq!((m.timeouts, m.rails_dead), (2, dies as u64), "killed once");
+            assert_eq!(
+                (r.unacked(), m.retransmits),
+                (0, 0),
+                "deciding sends nothing"
+            );
+        }
     }
 
     #[test]

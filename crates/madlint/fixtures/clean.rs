@@ -46,5 +46,17 @@ pub fn relieve_pressure(b: &mut Backlog, trace: &mut Trace) {
     trace.push(EngineEvent);
 }
 
+pub struct Observer;
+
+impl Observer {
+    pub fn delivered(&mut self) {}
+}
+
+/// Lifecycle mutation reported through the observer seam only.
+pub fn relieve_through_seam(b: &mut Backlog, obs: &mut Observer) {
+    b.shed_oldest();
+    obs.delivered();
+}
+
 /// A documented lock (see the file-level lock-order directive).
 pub static REGISTRY: std::sync::Mutex<Vec<u32>> = std::sync::Mutex::new(Vec::new());

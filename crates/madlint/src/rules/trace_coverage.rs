@@ -1,10 +1,12 @@
 //! trace-coverage: lifecycle mutations must be visible to madtrace.
 //!
-//! In scopes marked `// madlint: trace-covered` (the engine core), any
+//! In scopes marked `// madlint: trace-covered` (the engine core and the
+//! layers it assembles), any
 //! function that calls a flow-lifecycle mutator — submit, shed, rendezvous
 //! grant, chunk commit/complete, receiver delivery — must also emit at
-//! least one `EngineEvent`, or the flight recorder and the Chrome export
-//! go blind for that transition. Functions whose events are pushed by a
+//! least one `EngineEvent` — by naming one, by pushing on the sink, or
+//! through the `Observer` seam (`emit`, `emit_with`, `delivered`) — or the
+//! flight recorder and the Chrome export go blind for that transition. Functions whose events are pushed by a
 //! callee can declare it with `// madlint: emits-trace`.
 //!
 //! Marker reference (all written as `// madlint:` comments):
@@ -42,8 +44,9 @@ const MUTATORS: &[&str] = &[
     "on_cancel",
 ];
 
-/// Calls (or constructions) that put an event on the ring.
-const EMITTER_METHODS: &[&str] = &["trace_admitted", "note_deliveries", "kill_rail"];
+/// The observer seam (`core/src/observer.rs`): the calls through which an
+/// engine layer puts an event on the ring without touching the sink.
+const EMITTER_METHODS: &[&str] = &["emit", "emit_with", "delivered"];
 
 /// Scan one function in a trace-covered scope.
 pub fn check(

@@ -15,7 +15,6 @@
 //! * [`dsm`] — latency-critical page faults answered by bulk pages;
 //! * [`corba`] — marshalled multi-fragment invocations;
 //! * [`rma`] — one-sided put/get windows over the PUT_GET traffic class;
-//! * [`coll`] — tree collectives (allreduce/broadcast/barrier shapes);
 //! * [`mltrain`] — distributed-ML training steps (compute → gradient
 //!   ring-allreduce or parameter-server exchange → step barrier) over
 //!   madcoll's algorithm-selected collectives;
@@ -61,7 +60,6 @@
 #![forbid(unsafe_code)]
 
 pub mod apps;
-pub mod coll;
 pub mod corba;
 pub mod dsm;
 pub mod ga;

@@ -1,22 +1,27 @@
-//! MPI-style collectives over the engine: iterated tree allreduce across a
-//! growing cluster, on both engines.
+//! MPI-style collectives over the engine: iterated allreduce across a
+//! growing cluster, on both engines, through madcoll.
 //!
 //! Collectives are waves of small, latency-coupled messages — several per
-//! node per round, flowing up and down a binary tree. Every rank verifies
-//! the reduced sums each iteration, so this doubles as an N-node
-//! correctness demonstration.
+//! node per round. Member `m` contributes `m + i` per element in iteration
+//! `i`, so every member checks every iteration's sums in closed form
+//! (`n(n−1)/2 + n·i`); this doubles as an N-node correctness
+//! demonstration. The algorithm (flat, binomial or ring) is picked per
+//! collective by madcoll's cost model.
 //!
 //! ```text
 //! cargo run --release -p madeleine --example allreduce
 //! ```
 
+use madeleine::coll::{CollApp, CollConfig, CollOp};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madware::coll::allreduce_ranks;
 use simnet::Technology;
 
-fn run(size: u32, engine: EngineKind) -> (f64, u64) {
-    let iterations = 20;
-    let (apps, handles) = allreduce_ranks(size, 256, iterations);
+const ITERATIONS: u32 = 20;
+
+/// Mean per-member completion time of one allreduce, in µs.
+fn run(size: u32, engine: EngineKind) -> f64 {
+    let cfg = CollConfig::for_tech(Technology::MyrinetMx);
+    let (apps, hub) = CollApp::ranks(CollOp::Allreduce, 256, size, ITERATIONS, &cfg);
     let spec = ClusterSpec {
         nodes: size as usize,
         rails: vec![Technology::MyrinetMx],
@@ -26,26 +31,24 @@ fn run(size: u32, engine: EngineKind) -> (f64, u64) {
     };
     let mut c = Cluster::build(&spec, apps);
     c.drain();
-    let mut packets = 0;
-    for (i, h) in handles.iter().enumerate() {
-        let s = h.borrow();
-        assert_eq!(s.iterations_done, iterations, "rank {i}");
-        assert_eq!(s.wrong_results, 0, "rank {i} produced wrong sums");
-        packets += c.handle(i).metrics().packets_sent;
-    }
-    let mean = handles[0].borrow().iteration_us.mean();
-    (mean, packets)
+    let s = hub.borrow();
+    assert_eq!(s.completed, u64::from(ITERATIONS), "{size} ranks");
+    assert_eq!(s.member_completions, u64::from(ITERATIONS * size));
+    assert_eq!(s.wrong_results, 0, "{size} ranks produced wrong sums");
+    s.completion[CollOp::Allreduce.index()].summary().mean()
 }
 
 fn main() {
-    println!("iterated allreduce of 256 x u64 (20 iterations), binary tree, MX rail");
+    println!(
+        "iterated allreduce of 256 x u64 ({ITERATIONS} iterations), madcoll auto-selected, MX rail"
+    );
     println!(
         "{:>6} {:>22} {:>22}",
         "ranks", "optimizer mean(us)", "legacy mean(us)"
     );
     for size in [2u32, 4, 8, 16] {
-        let (opt_us, _) = run(size, EngineKind::optimizing());
-        let (leg_us, _) = run(size, EngineKind::legacy());
+        let opt_us = run(size, EngineKind::optimizing());
+        let leg_us = run(size, EngineKind::legacy());
         println!("{size:>6} {opt_us:>22.1} {leg_us:>22.1}");
     }
     println!("\nevery rank verified every iteration's element-wise sums — all correct.");

@@ -114,6 +114,42 @@ fn eager_flows_complete_under_loss_with_madrel() {
 }
 
 #[test]
+fn is_drained_never_holds_while_packets_await_their_ack() {
+    // A lost data packet leaves nothing in the backlog, the NIC idle and
+    // the control queue empty: only the retransmit tracker still knows.
+    let plan = FaultPlan::new(9).with_loss(0.2);
+    let mut c = lossy_cluster(ReliabilityMode::Recover, plan);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let f = h.open_flow(dst, TrafficClass::DEFAULT);
+    c.sim.inject(src, |ctx| {
+        for i in 0..100u32 {
+            let body = pattern(f.0, i, 0, 96);
+            h.send(
+                ctx,
+                f,
+                MessageBuilder::new().pack_cheaper(&body).build_parts(),
+            );
+        }
+    });
+    let mut steps_unacked = 0;
+    while !h.is_drained() {
+        c.run_for(SimDuration::from_micros(2));
+        if h.unacked_packets() > 0 {
+            assert!(!h.is_drained(), "drained with unacked packets");
+            steps_unacked += 1;
+        }
+    }
+    assert!(
+        steps_unacked > 0,
+        "the run must pass through unacked states"
+    );
+    assert_eq!(h.unacked_packets(), 0);
+    assert_eq!(c.handle(1).delivered_count(), 100);
+    assert!(h.metrics().retransmits > 0, "the plan must injure the wire");
+}
+
+#[test]
 fn loss_without_recovery_trips_the_flight_recorder() {
     // Same wire, recovery off (Detect): messages go missing, and the
     // first ack timeout captures a flight dump instead of hanging drain.
