@@ -426,13 +426,24 @@ impl Simulation {
             }
             let ev = self.queue.pop().expect("peeked event vanished");
             debug_assert!(ev.at >= self.time, "time went backwards");
-            // Cancelled timers are discarded without advancing the clock,
-            // so a dormant (cancelled) timeout cannot inflate the
-            // quiescence time of an otherwise-finished simulation.
-            if let EventKind::Timer { timer, .. } = &ev.kind {
-                if self.world.cancelled_timers.remove(timer) {
-                    continue;
-                }
+            // Cancelled timers and stale fabric completions are discarded
+            // without advancing the clock or counting as processed, so an
+            // event that does nothing cannot inflate the quiescence time
+            // of an otherwise-finished simulation.
+            let dead = match &ev.kind {
+                EventKind::Timer { timer, .. } => self.world.cancelled_timers.remove(timer),
+                EventKind::FabricDone {
+                    network,
+                    generation,
+                    ..
+                } => self.world.networks[network.0 as usize]
+                    .fabric
+                    .as_ref()
+                    .is_none_or(|f| f.is_stale(*generation)),
+                _ => false,
+            };
+            if dead {
+                continue;
             }
             self.time = ev.at;
             self.events_processed += 1;
@@ -507,10 +518,10 @@ impl Simulation {
         }
     }
 
-    /// A fabric fluid transfer finished serializing (madnet). Stale
-    /// generations — reschedules superseded by a later join/leave — are
-    /// discarded; a live completion releases the packet onto its path's
-    /// propagation latency and reschedules the transfers that sped up.
+    /// A fabric fluid transfer finished serializing (madnet): release the
+    /// packet onto its path's propagation latency and schedule the next
+    /// completion under the allocation this leave produced. (Stale
+    /// completions never get here; the run loop drops them.)
     fn fabric_done(&mut self, network: NetworkId, transfer: u64, generation: u64) {
         let now = self.time;
         let Some(fabric) = self.world.networks[network.0 as usize].fabric.as_mut() else {
@@ -536,7 +547,7 @@ impl Simulation {
                 },
             );
         }
-        for r in d.resched {
+        if let Some(r) = d.resched {
             self.queue.push(
                 r.done_at,
                 EventKind::FabricDone {
@@ -703,7 +714,7 @@ impl Simulation {
                             },
                         );
                     }
-                    AdmitOutcome::Queued { marked, .. } => {
+                    AdmitOutcome::Queued { marked, next } => {
                         if marked {
                             self.world.nics[nic_idx].stats.ecn_marked += 1;
                             self.world.trace.push(
@@ -714,20 +725,14 @@ impl Simulation {
                                 },
                             );
                         }
-                        let fabric = self.world.networks[net_idx]
-                            .fabric
-                            .as_ref()
-                            .expect("checked above");
-                        for r in fabric.reschedules(now) {
-                            self.queue.push(
-                                r.done_at,
-                                EventKind::FabricDone {
-                                    network,
-                                    transfer: r.id,
-                                    generation: r.generation,
-                                },
-                            );
-                        }
+                        self.queue.push(
+                            next.done_at,
+                            EventKind::FabricDone {
+                                network,
+                                transfer: next.id,
+                                generation: next.generation,
+                            },
+                        );
                     }
                 }
             } else {
@@ -1303,6 +1308,52 @@ mod tests {
         );
         assert!(stats.iter().any(|s| s.ecn_marks > 0));
         assert!(stats.iter().any(|s| s.busy_ns > 0));
+    }
+
+    #[test]
+    fn dead_fabric_completions_do_not_move_the_clock() {
+        // A short and a long packet share a slow core. The short one is
+        // admitted first and alone; the long one's join reallocates, so
+        // the completion posted for the short one under its solo rate is
+        // dead. Then the short one leaves and the long one speeds up, so
+        // nothing posted under the shared allocation may outlive it.
+        let core = crate::topo::LinkProfile {
+            bandwidth: 10_000_000,
+            latency: SimDuration::from_nanos(500),
+            queue_capacity: 1 << 20,
+            ecn_threshold: 1 << 19,
+        };
+        let (mut sim, src_nics, rnic) = incast_sim(2, core);
+        sim.enable_trace(64);
+        for (&nic, len) in src_nics.iter().zip([2_000usize, 100_000]) {
+            let node = sim.nic(nic).node;
+            sim.inject(node, |ctx| {
+                ctx.submit(nic, req_to(rnic, 1, len as u64, &vec![0u8; len]))
+                    .unwrap();
+            });
+        }
+        let end = sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+        assert_eq!(sim.nic(rnic).stats.rx_packets, 2);
+        let delivered: Vec<u64> = sim
+            .trace()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RxDelivered { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [2_000, 100_000], "the short packet overtakes");
+        let last = sim.trace().iter().last().expect("traced run");
+        assert_eq!(end, last.at, "quiescence is when the last thing happened");
+        // Every dispatched event did something: per packet one tx-engine
+        // completion, one live fabric completion, one arrival and one
+        // rx-engine completion.
+        let tx_done = sim
+            .trace()
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::TxDone { .. }))
+            .count() as u64;
+        assert_eq!(sim.events_processed(), tx_done + 3 * delivered.len() as u64);
     }
 
     #[test]

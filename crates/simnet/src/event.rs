@@ -34,8 +34,10 @@ pub enum EventKind {
         tag: u64,
     },
     /// A fabric (madnet) fluid transfer finished serializing at its
-    /// max-min fair rate. Stale when `generation` no longer matches the
-    /// transfer (it was rescheduled by a later join/leave).
+    /// max-min fair rate: the earliest completion under fabric
+    /// allocation `generation`, the only one a reallocation posts. Stale
+    /// once the fabric's generation has moved on (a later join/leave
+    /// posted its own); the run loop drops it without moving the clock.
     FabricDone {
         network: crate::engine::NetworkId,
         transfer: u64,

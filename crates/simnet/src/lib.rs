@@ -67,5 +67,6 @@ pub use stats::{Summary, Throughput, Utilization};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use topo::{
     flow_hash, max_min_rates, FabricState, Link, LinkProfile, LinkStats, Topology, Vertex,
+    WaterFill,
 };
 pub use trace::{Trace, TraceEvent, TraceRecord};

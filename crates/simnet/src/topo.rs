@@ -15,7 +15,10 @@
 //! * per-link **max-min fair sharing** ([`max_min_rates`]): every packet
 //!   in transit is a fluid transfer whose serialization rate is
 //!   recomputed on each join/leave, in the style of dslab-network's
-//!   shared-bandwidth throughput model;
+//!   shared-bandwidth throughput model. The per-packet path allocates
+//!   nothing: one [`WaterFill`] scratch and a memoised route table live
+//!   in [`FabricState`], and each reallocation posts one completion
+//!   event (the earliest), not one per live transfer;
 //! * bounded switch queues: a packet whose wire bytes would overflow a
 //!   link's queue is dropped, and occupancy past an ECN threshold marks
 //!   the packet so the receiver can echo congestion back to the sender.
@@ -26,7 +29,7 @@
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::engine::NicId;
 use crate::packet::WirePacket;
@@ -132,17 +135,16 @@ impl Topology {
         for h in 0..hosts as usize {
             let d = &mut dist[h];
             d[h] = 0;
-            let mut frontier = vec![h];
-            while let Some(v) = frontier.pop() {
+            let mut frontier = VecDeque::from([h]);
+            while let Some(v) = frontier.pop_front() {
                 let dv = d[v];
-                // Depth-ordered expansion keeps this a proper BFS even
-                // with the vec-as-stack: all edges have weight 1, so a
-                // vertex is finalized the first time it is labelled.
+                // All edges have weight 1, so a vertex is finalized the
+                // first time it is labelled.
                 for &li in &radj[v] {
                     let u = links[li].from.index(hosts);
                     if d[u] == u32::MAX {
                         d[u] = dv + 1;
-                        frontier.insert(0, u);
+                        frontier.push_back(u);
                     }
                 }
             }
@@ -338,65 +340,200 @@ pub fn flow_hash(src: u32, dst: u32, vchan: u16) -> u64 {
     mix64((u64::from(src) << 32) | (u64::from(dst) << 16) | u64::from(vchan))
 }
 
+/// Per-link state of one water-filling run.
+#[derive(Clone, Copy, Debug, Default)]
+struct FillLink {
+    /// Capacity not yet handed to a frozen flow.
+    remaining: u64,
+    /// Path entries of open (not yet frozen) flows on the link. Zero
+    /// between runs: every run freezes every flow it counted.
+    open: u32,
+    /// Path entries of open flows that named this link their bottleneck
+    /// in the current round. Zero between rounds.
+    votes: u32,
+    /// `remaining / open`, valid unless `dirty`.
+    share: u64,
+    /// A freeze changed `remaining` or `open` since `share` was divided.
+    dirty: bool,
+}
+
+/// A flow not yet frozen, and what the current round found out about it.
+#[derive(Clone, Copy, Debug)]
+struct OpenFlow {
+    flow: usize,
+    /// The tightest link on the flow's path.
+    bottleneck: usize,
+    /// Every open flow on `bottleneck` named it: freeze this round.
+    ready: bool,
+}
+
+/// Reusable scratch for progressive-filling max-min fair allocation: the
+/// one water-filling routine of the workspace. [`FabricState`] keeps one
+/// for its lifetime, so a join/leave allocates nothing; [`max_min_rates`]
+/// runs the same routine on a throw-away one.
+///
+/// Textbook progressive filling takes the tightest link (smallest
+/// `remaining / open`, ties to the lowest link index), freezes its open
+/// flows at that share, debits every link they cross, and repeats. This
+/// routine computes exactly those rates, but freezes every *locally*
+/// tightest link in one round: a link that is the tightest on the path
+/// of each of its open flows. No earlier freeze of the sequential order
+/// can touch such a link (a flow shared with a tighter link would
+/// contradict the local minimum, and shares only grow as capacity is
+/// debited at no more than the link's own share), so its flows and its
+/// share are the same when its turn comes, and debits commute. The
+/// globally tightest link is always among them, so every round makes
+/// progress. Only links on an open flow's path are visited, a link's
+/// share is re-divided only after a freeze touched it (and not at all
+/// while a single flow is open on it), and each round walks only the
+/// flows still open. Rates are clamped to ≥ 1 B/s so every admitted
+/// transfer makes progress; a flow crossing no links is unconstrained
+/// and gets `u64::MAX`.
+#[derive(Clone, Debug, Default)]
+pub struct WaterFill {
+    links: Vec<FillLink>,
+    /// Flows not yet frozen, ascending.
+    open: Vec<OpenFlow>,
+    rates: Vec<u64>,
+}
+
+impl WaterFill {
+    /// Empty scratch; it grows to the largest problem it is given.
+    pub fn new() -> Self {
+        WaterFill::default()
+    }
+
+    /// Allocate rates for `flows` over links of the given `capacities`
+    /// (see [`max_min_rates`]). The result stays valid until the next
+    /// call and depends on nothing but this call's arguments.
+    pub fn allocate(&mut self, capacities: &[u64], flows: &[Vec<usize>]) -> &[u64] {
+        self.fill(capacities, flows.len(), |f| &flows[f])
+    }
+
+    fn fill<'p>(
+        &mut self,
+        capacities: &[u64],
+        nflows: usize,
+        path_of: impl Fn(usize) -> &'p [usize],
+    ) -> &[u64] {
+        let WaterFill { links, open, rates } = self;
+        if links.len() < capacities.len() {
+            links.resize(capacities.len(), FillLink::default());
+        }
+        open.clear();
+        open.reserve(nflows);
+        rates.clear();
+        rates.resize(nflows, u64::MAX);
+        for flow in 0..nflows {
+            let path = path_of(flow);
+            if path.is_empty() {
+                continue;
+            }
+            open.push(OpenFlow {
+                flow,
+                bottleneck: path[0],
+                ready: false,
+            });
+            for &l in path {
+                let link = &mut links[l];
+                if link.open == 0 {
+                    link.remaining = capacities[l];
+                }
+                link.open += 1;
+                link.dirty = true;
+            }
+        }
+        while !open.is_empty() {
+            // Each open flow names the tightest link on its path: the
+            // smallest share, ties to the lowest link index. A link that
+            // occurs twice on a path counts (and votes) twice.
+            for o in open.iter_mut() {
+                let mut best = (u64::MAX, usize::MAX);
+                let mut hits = 0;
+                for &l in path_of(o.flow) {
+                    let link = &mut links[l];
+                    if link.dirty {
+                        link.share = match link.open {
+                            1 => link.remaining,
+                            n => link.remaining / u64::from(n),
+                        };
+                        link.dirty = false;
+                    }
+                    let key = (link.share, l);
+                    if key < best {
+                        best = key;
+                        hits = 1;
+                    } else if key == best {
+                        hits += 1;
+                    }
+                }
+                o.bottleneck = best.1;
+                links[o.bottleneck].votes += hits;
+            }
+            // A link named by every open flow that crosses it is locally
+            // tightest. Decide for all flows before any count changes.
+            for o in open.iter_mut() {
+                let link = &links[o.bottleneck];
+                o.ready = link.votes == link.open;
+            }
+            let mut kept = 0;
+            for i in 0..open.len() {
+                let o = open[i];
+                links[o.bottleneck].votes = 0;
+                if !o.ready {
+                    open[kept] = o;
+                    kept += 1;
+                    continue;
+                }
+                // `share` is the round's: freezes mark links dirty, the
+                // next round re-divides.
+                let share = links[o.bottleneck].share;
+                rates[o.flow] = share.max(1);
+                for &l in path_of(o.flow) {
+                    let link = &mut links[l];
+                    link.remaining = link.remaining.saturating_sub(share);
+                    link.open -= 1;
+                    link.dirty = true;
+                }
+            }
+            debug_assert!(kept < open.len(), "the tightest link of all is ready");
+            open.truncate(kept);
+        }
+        rates
+    }
+}
+
 /// Progressive-filling max-min fair allocation. `capacities[l]` is link
 /// `l`'s bandwidth in bytes/s; `flows[f]` lists the links flow `f`
-/// crosses. Returns each flow's rate. Pure integer water-filling: the
-/// tightest link (smallest `remaining / unfrozen`) freezes its flows at
-/// the equal share, capacity is debited everywhere, repeat. Rates are
-/// clamped to ≥ 1 B/s so every admitted transfer makes progress; a flow
-/// crossing no links is unconstrained and gets `u64::MAX`.
+/// crosses. Returns each flow's rate, computed by [`WaterFill`] — the
+/// routine the fabric itself runs — on a fresh scratch.
 ///
 /// Deterministic and order-independent: permuting the flow list permutes
 /// the result the same way (ties freeze at identical shares).
 pub fn max_min_rates(capacities: &[u64], flows: &[Vec<usize>]) -> Vec<u64> {
-    let mut rates = vec![0u64; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut remaining: Vec<u64> = capacities.to_vec();
-    let mut unfrozen_on: Vec<u64> = vec![0; capacities.len()];
-    let mut left = 0usize;
-    for (f, path) in flows.iter().enumerate() {
-        if path.is_empty() {
-            rates[f] = u64::MAX;
-            frozen[f] = true;
-        } else {
-            left += 1;
-            for &l in path {
-                unfrozen_on[l] += 1;
-            }
-        }
-    }
-    while left > 0 {
-        // Bottleneck link: the smallest equal share among links that
-        // still carry unfrozen flows (ties: lowest link index).
-        let mut best: Option<(u64, usize)> = None;
-        for (l, &n) in unfrozen_on.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let share = remaining[l] / n;
-            if best.is_none_or(|(s, _)| share < s) {
-                best = Some((share, l));
-            }
-        }
-        let Some((share, bottleneck)) = best else {
-            break;
-        };
-        let rate = share.max(1);
-        for f in 0..flows.len() {
-            if frozen[f] || !flows[f].contains(&bottleneck) {
-                continue;
-            }
-            rates[f] = rate;
-            frozen[f] = true;
-            left -= 1;
-            for &l in &flows[f] {
-                remaining[l] = remaining[l].saturating_sub(share);
-                unfrozen_on[l] -= 1;
-            }
-        }
-    }
-    rates
+    let mut fill = WaterFill::new();
+    fill.allocate(capacities, flows);
+    fill.rates
 }
+
+/// `a × b / d`, rounded down and truncated to 64 bits; the 128-bit
+/// product is formed only when the 64-bit one overflows.
+fn mul_div(a: u64, b: u64, d: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / d,
+        None => (u128::from(a) * u128::from(b) / u128::from(d)) as u64,
+    }
+}
+
+/// [`mul_div`] rounded up.
+fn mul_div_ceil(a: u64, b: u64, d: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p.div_ceil(d),
+        None => (u128::from(a) * u128::from(b)).div_ceil(u128::from(d)) as u64,
+    }
+}
+
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// Outcome of offering a packet to the fabric.
 #[derive(Debug)]
@@ -414,15 +551,19 @@ pub(crate) enum AdmitOutcome {
     /// A link's queue would overflow: the packet is gone (the offending
     /// link's `queue_drops` counter records which).
     Dropped,
-    /// Admitted as a fluid transfer; `marked` reports ECN.
+    /// Admitted as a fluid transfer.
     Queued {
         /// Whether any crossed link was past its ECN threshold.
         marked: bool,
+        /// The completion to schedule under the new allocation.
+        next: Resched,
     },
 }
 
-/// A completion event tag: schedule delivery of transfer `id` unless
-/// `generation` is stale (the transfer was resheduled since).
+/// The one completion event a reallocation posts: transfer `id` is the
+/// earliest to finish under allocation `generation` (ties to the lowest
+/// id), at `done_at`. Stale once the fabric's generation has moved on —
+/// any join/leave reallocates and posts its own.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Resched {
     pub id: u64,
@@ -439,17 +580,27 @@ pub(crate) struct FabricDelivery {
     pub path_latency: SimDuration,
     /// Jitter + fault-plan delay drawn at injection time.
     pub extra_delay: SimDuration,
-    /// Reschedules for the transfers that sped up on this leave.
-    pub resched: Vec<Resched>,
+    /// The next completion under the allocation this leave produced;
+    /// `None` when the fabric drained.
+    pub resched: Option<Resched>,
+}
+
+/// A memoised ECMP route: a pure function of (src port, dst port, vchan)
+/// on an immutable graph, resolved once.
+#[derive(Debug)]
+struct Route {
+    links: Vec<usize>,
+    latency: SimDuration,
 }
 
 /// One in-flight fluid transfer.
 #[derive(Debug)]
 struct Transfer {
-    path: Vec<usize>,
+    id: u64,
+    /// Index into `FabricState::routes`.
+    route: usize,
     remaining: u64,
     rate: u64,
-    generation: u64,
     wire_bytes: u64,
     packet: Box<WirePacket>,
     dup_packet: Option<Box<WirePacket>>,
@@ -458,7 +609,7 @@ struct Transfer {
 }
 
 /// Cumulative per-link counters, exposed to experiments and metrics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets ECN-marked while crossing this link.
     pub ecn_marks: u64,
@@ -478,29 +629,47 @@ pub struct LinkStats {
 #[derive(Debug)]
 pub struct FabricState {
     topo: Topology,
+    /// Link bandwidths, indexed like [`Topology::links`].
+    caps: Vec<u64>,
     ports: BTreeMap<NicId, u32>,
-    transfers: BTreeMap<u64, Transfer>,
+    /// (src port, dst port, vchan) → index into `routes`; `None` when
+    /// unreachable.
+    route_of: BTreeMap<(u32, u32, u16), Option<usize>>,
+    routes: Vec<Route>,
+    /// Live transfers in id order (ids only grow, so admission appends).
+    transfers: Vec<Transfer>,
     next_transfer: u64,
+    /// Bumped by every join/leave; the completion event posted under an
+    /// older value is dead.
     generation: u64,
     last_advance: SimTime,
     occupancy: Vec<u64>,
     link_rate: Vec<u64>,
+    /// Links whose `link_rate` is set: the ones a live transfer crosses.
+    busy: Vec<usize>,
     stats: Vec<LinkStats>,
+    fill: WaterFill,
 }
 
 impl FabricState {
     pub(crate) fn new(topo: Topology) -> Self {
-        let n = topo.links().len();
+        let caps: Vec<u64> = topo.links().iter().map(|l| l.profile.bandwidth).collect();
+        let n = caps.len();
         FabricState {
             topo,
+            caps,
             ports: BTreeMap::new(),
-            transfers: BTreeMap::new(),
+            route_of: BTreeMap::new(),
+            routes: Vec::new(),
+            transfers: Vec::new(),
             next_transfer: 0,
             generation: 0,
             last_advance: SimTime::ZERO,
             occupancy: vec![0; n],
             link_rate: vec![0; n],
+            busy: Vec::new(),
             stats: vec![LinkStats::default(); n],
+            fill: WaterFill::new(),
         }
     }
 
@@ -540,26 +709,49 @@ impl FabricState {
         Some(port)
     }
 
+    /// Whether a completion event posted under `generation` is dead: a
+    /// later join/leave reallocated and posted its own.
+    pub(crate) fn is_stale(&self, generation: u64) -> bool {
+        generation != self.generation
+    }
+
+    /// The memoised route of a flow identity, resolved on first use.
+    fn route_index(&mut self, src: u32, dst: u32, vchan: u16) -> Option<usize> {
+        if let Some(&known) = self.route_of.get(&(src, dst, vchan)) {
+            return known;
+        }
+        let resolved = self
+            .topo
+            .route(src, dst, flow_hash(src, dst, vchan))
+            .map(|links| {
+                let latency = self.topo.path_latency(&links);
+                self.routes.push(Route { links, latency });
+                self.routes.len() - 1
+            });
+        self.route_of.insert((src, dst, vchan), resolved);
+        resolved
+    }
+
     /// Advance every transfer's progress to `now` and accrue per-link
-    /// utilization integrals.
+    /// utilization integrals. Each step rounds the bytes sent down on its
+    /// own — summing elapsed time across steps instead would round
+    /// differently and move completion instants.
     fn advance(&mut self, now: SimTime) {
         let elapsed = now.since(self.last_advance).as_nanos();
         self.last_advance = now;
         if elapsed == 0 {
             return;
         }
-        for (l, &rate) in self.link_rate.iter().enumerate() {
-            let cap = self.topo.links()[l].profile.bandwidth;
+        for &l in &self.busy {
+            let (rate, cap) = (self.link_rate[l], self.caps[l]);
             if rate > 0 && cap > 0 {
-                self.stats[l].busy_ns +=
-                    (u128::from(elapsed) * u128::from(rate.min(cap)) / u128::from(cap)) as u64;
+                self.stats[l].busy_ns += mul_div(elapsed, rate.min(cap), cap);
             }
         }
-        for t in self.transfers.values_mut() {
-            let sent_fluid = u128::from(t.rate) * u128::from(elapsed) / 1_000_000_000u128;
-            let sent = (sent_fluid as u64).min(t.remaining);
+        for t in &mut self.transfers {
+            let sent = mul_div(t.rate, elapsed, NANOS_PER_SEC).min(t.remaining);
             t.remaining -= sent;
-            for &l in &t.path {
+            for &l in &self.routes[t.route].links {
                 self.stats[l].bytes_carried += sent;
             }
         }
@@ -567,14 +759,13 @@ impl FabricState {
 
     /// Offer a packet to the fabric: route it, enforce bounded queues,
     /// apply ECN marking, and register it as a fluid transfer. On
-    /// `Queued` the caller must schedule the reschedules returned by
-    /// [`FabricState::reschedules`].
+    /// `Queued` the caller must schedule the completion it carries.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit(
         &mut self,
         now: SimTime,
         mut packet: Box<WirePacket>,
-        dup_packet: Option<Box<WirePacket>>,
+        mut dup_packet: Option<Box<WirePacket>>,
         dst_nic: NicId,
         wire_bytes: u64,
         extra_delay: SimDuration,
@@ -589,19 +780,19 @@ impl FabricState {
         if src == dst {
             return AdmitOutcome::Local { packet, dup_packet };
         }
-        let hash = flow_hash(src, dst, packet.vchan.into());
-        let Some(path) = self.topo.route(src, dst, hash) else {
+        let Some(route) = self.route_index(src, dst, packet.vchan.into()) else {
             return AdmitOutcome::NoRoute;
         };
+        let path = &self.routes[route].links;
         let wire = wire_bytes.max(1);
-        for &l in &path {
+        for &l in path {
             if self.occupancy[l] + wire > self.topo.links()[l].profile.queue_capacity {
                 self.stats[l].queue_drops += 1;
                 return AdmitOutcome::Dropped;
             }
         }
         let mut marked = false;
-        for &l in &path {
+        for &l in path {
             self.occupancy[l] += wire;
             if self.occupancy[l] > self.stats[l].peak_queue_bytes {
                 self.stats[l].peak_queue_bytes = self.occupancy[l];
@@ -612,49 +803,30 @@ impl FabricState {
             }
         }
         packet.ecn = packet.ecn || marked;
-        let mut dup_packet = dup_packet;
         if let Some(d) = dup_packet.as_mut() {
             d.ecn = d.ecn || marked;
         }
         let id = self.next_transfer;
         self.next_transfer += 1;
-        self.transfers.insert(
+        self.transfers.push(Transfer {
             id,
-            Transfer {
-                path,
-                remaining: wire,
-                rate: 0,
-                generation: 0,
-                wire_bytes: wire,
-                packet,
-                dup_packet,
-                dst_nic,
-                extra_delay,
-            },
-        );
-        self.recompute(now);
-        AdmitOutcome::Queued { marked }
-    }
-
-    /// Completion reschedules for every live transfer under the current
-    /// allocation (valid until the next join/leave).
-    pub(crate) fn reschedules(&self, now: SimTime) -> Vec<Resched> {
-        self.transfers
-            .iter()
-            .map(|(&id, t)| {
-                let ns = (u128::from(t.remaining) * 1_000_000_000u128)
-                    .div_ceil(u128::from(t.rate.max(1)));
-                Resched {
-                    id,
-                    generation: t.generation,
-                    done_at: now + SimDuration::from_nanos(ns as u64),
-                }
-            })
-            .collect()
+            route,
+            remaining: wire,
+            rate: 0,
+            wire_bytes: wire,
+            packet,
+            dup_packet,
+            dst_nic,
+            extra_delay,
+        });
+        let next = self
+            .recompute(now)
+            .expect("the transfer just admitted is live");
+        AdmitOutcome::Queued { marked, next }
     }
 
     /// Handle a completion event. Returns `None` when the tag is stale
-    /// (the transfer was rescheduled after the event was posted) and the
+    /// (a join/leave reallocated after the event was posted) and the
     /// delivery payload otherwise.
     pub(crate) fn complete(
         &mut self,
@@ -662,55 +834,75 @@ impl FabricState {
         id: u64,
         generation: u64,
     ) -> Option<FabricDelivery> {
-        if self
-            .transfers
-            .get(&id)
-            .is_none_or(|t| t.generation != generation)
-        {
+        if self.is_stale(generation) {
             return None;
         }
+        let at = self.transfers.binary_search_by_key(&id, |t| t.id).ok()?;
         self.advance(now);
-        let t = self.transfers.remove(&id).expect("checked above");
-        for &l in &t.path {
+        let t = self.transfers.remove(at);
+        let route = &self.routes[t.route];
+        for &l in &route.links {
             // Fluid progress rounds down; credit the residual so
             // carried-bytes accounting telescopes to the packet size.
             self.stats[l].bytes_carried += t.remaining;
             self.occupancy[l] = self.occupancy[l].saturating_sub(t.wire_bytes);
         }
-        self.recompute(now);
         Some(FabricDelivery {
             packet: t.packet,
             dup_packet: t.dup_packet,
             dst_nic: t.dst_nic,
-            path_latency: self.topo.path_latency(&t.path),
+            path_latency: route.latency,
             extra_delay: t.extra_delay,
-            resched: self.reschedules(now),
+            resched: self.recompute(now),
         })
     }
 
-    /// Recompute the max-min fair allocation after a join/leave and stamp
-    /// a fresh generation on every live transfer (invalidating any
-    /// completion events posted under the old allocation).
-    fn recompute(&mut self, _now: SimTime) {
+    /// Recompute the max-min fair allocation after a join/leave under a
+    /// fresh generation, and name the one completion worth scheduling:
+    /// the earliest, ties to the lowest id. Every other transfer's
+    /// completion would be posted behind it and die at the reallocation
+    /// it triggers.
+    fn recompute(&mut self, now: SimTime) -> Option<Resched> {
         self.generation += 1;
-        let caps: Vec<u64> = self
-            .topo
-            .links()
-            .iter()
-            .map(|l| l.profile.bandwidth)
-            .collect();
-        let flows: Vec<Vec<usize>> = self.transfers.values().map(|t| t.path.clone()).collect();
-        let rates = max_min_rates(&caps, &flows);
-        self.link_rate = vec![0; caps.len()];
-        for (t, &rate) in self.transfers.values_mut().zip(rates.iter()) {
+        for &l in &self.busy {
+            self.link_rate[l] = 0;
+        }
+        self.busy.clear();
+        let FabricState {
+            fill,
+            transfers,
+            routes,
+            caps,
+            link_rate,
+            busy,
+            ..
+        } = self;
+        let rates = fill.fill(caps, transfers.len(), |f| &routes[transfers[f].route].links);
+        let mut next: Option<(SimTime, u64)> = None;
+        for (t, &rate) in transfers.iter_mut().zip(rates) {
             t.rate = rate;
-            t.generation = self.generation;
-            for &l in &t.path {
-                self.link_rate[l] = self.link_rate[l].saturating_add(rate.min(caps[l]));
+            for &l in &routes[t.route].links {
+                if link_rate[l] == 0 {
+                    busy.push(l);
+                }
+                link_rate[l] = link_rate[l].saturating_add(rate.min(caps[l]));
+            }
+            let ns = mul_div_ceil(t.remaining, NANOS_PER_SEC, rate.max(1));
+            let done_at = now + SimDuration::from_nanos(ns);
+            if next.is_none_or(|(at, _)| done_at < at) {
+                next = Some((done_at, t.id));
             }
         }
+        next.map(|(done_at, id)| Resched {
+            id,
+            generation: self.generation,
+            done_at,
+        })
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,10 @@
 //!   rates and changes nothing else (the invariant that makes fabric
 //!   recomputation on flow join/leave deterministic regardless of
 //!   arrival order),
-//! * **unconstrained flows** — a flow crossing no links is not rated.
+//! * **unconstrained flows** — a flow crossing no links is not rated,
+//! * **no state between calls** — one `WaterFill` scratch reused over a
+//!   sequence of problems (what `FabricState` does on every join/leave)
+//!   gives what a fresh `max_min_rates` gives for each.
 //!
 //! Conservation and work conservation are re-derived by
 //! `madcheck::verify_rates`, the same independent checker the
@@ -20,7 +23,7 @@
 //! 1 B/s links, empty flows).
 
 use proptest::prelude::*;
-use simnet::{max_min_rates, SplitMix64};
+use simnet::{max_min_rates, SplitMix64, WaterFill};
 
 /// Build a seeded random allocation problem: `links` capacities spanning
 /// six orders of magnitude and `nflows` flows, each crossing a random
@@ -92,6 +95,27 @@ proptest! {
                 rates[f], back[p],
                 "flow {}'s rate changed when the list was permuted", f
             );
+        }
+    }
+
+    /// One scratch over a sequence of unrelated problems — more links,
+    /// fewer links, more flows, fewer flows — leaks nothing from one
+    /// call into the next.
+    #[test]
+    fn reused_scratch_matches_fresh_allocation(
+        seed in any::<u64>(),
+        problems in 2usize..8,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mut fill = WaterFill::new();
+        for _ in 0..problems {
+            let links = 1 + rng.next_below(11) as usize;
+            let nflows = 1 + rng.next_below(19) as usize;
+            let (capacities, flows) = build_problem(rng.next_u64(), links, nflows);
+            let rates = fill.allocate(&capacities, &flows).to_vec();
+            prop_assert_eq!(&rates, &max_min_rates(&capacities, &flows));
+            let verdict = madcheck::verify_rates(&capacities, &flows, &rates);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         }
     }
 }
