@@ -6,13 +6,13 @@
 //! hot path but one `Option` branch), and sampler-on must cost <= 3%.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use madeleine::harness::EngineKind;
+use madeleine::harness::ClusterSpec;
 use madeleine::ids::{FlowId, TrafficClass};
 use madeleine::metrics::EngineMetrics;
 use madeleine::scope::{RailTick, Sampler, TickStats};
 use madeleine::LatencyHistogram;
 use madware::scenario::eager_flows;
-use simnet::{SimDuration, SimTime, Technology};
+use simnet::{SimDuration, SimTime};
 use std::hint::black_box;
 
 fn bench_madscope(c: &mut Criterion) {
@@ -86,8 +86,7 @@ fn bench_madscope(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("eager_flows", name), &sampled, |b, _| {
             b.iter(|| {
                 let (mut cluster, _tx, _rx) = eager_flows(
-                    EngineKind::optimizing(),
-                    Technology::MyrinetMx,
+                    &ClusterSpec::mx_pair(),
                     4,
                     64,
                     SimDuration::from_micros(2),

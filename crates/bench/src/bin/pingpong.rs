@@ -82,13 +82,7 @@ fn pingpong(tech: Technology, legacy: bool, size: usize, reps: u32) -> (f64, f64
     } else {
         EngineKind::optimizing()
     };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(2, vec![tech]).engine(engine);
     let rtts = Rc::new(RefCell::new(Vec::new()));
     let ping = Ping {
         peer: NodeId(1),

@@ -19,10 +19,9 @@
 
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::json::obj;
-use madeleine::{EngineConfig, Json, PolicyKind, ReliabilityMode, RunSnapshot, TrafficClass};
-use madware::apps::{FlowSpec, TrafficApp};
-use madware::workload::{Arrival, SizeDist};
-use simnet::{FaultPlan, NodeId, SimDuration, Technology};
+use madeleine::{EngineConfig, Json, ReliabilityMode, RunSnapshot};
+use madware::scenario::eager_flows;
+use simnet::{FaultPlan, SimDuration, Technology};
 use std::collections::BTreeMap;
 
 use crate::experiments::{e13_flowscale, e14_incast, e15_coll};
@@ -53,27 +52,11 @@ fn traced_eager(
     seed: u64,
     fault: Option<FaultPlan>,
 ) -> Cluster {
-    let specs: Vec<FlowSpec> = (0..flows)
-        .map(|_| FlowSpec {
-            dst: NodeId(1),
-            class: TrafficClass::DEFAULT,
-            arrival: Arrival::Poisson(SimDuration::from_micros(gap_us)),
-            sizes: SizeDist::Fixed(msg_size),
-            express_header: 8,
-            stop_after: Some(msgs),
-            start_after: SimDuration::ZERO,
-        })
-        .collect();
-    let (app, _tx) = TrafficApp::new("diffcell", specs, seed, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], seed, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; rails],
-        engine,
-        trace: Some(TRACE_CAP),
-        engine_trace: Some(TRACE_CAP),
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; rails])
+        .engine(engine)
+        .with_tracing(TRACE_CAP);
+    let gap = SimDuration::from_micros(gap_us);
+    let (mut cluster, _tx, _rx) = eager_flows(&spec, flows, msg_size, gap, msgs, seed);
     if let Some(plan) = fault {
         cluster.set_fault_plan(0, plan);
     }
@@ -109,10 +92,7 @@ fn e2_cell(salt: u64) -> Cluster {
 
 fn e7_cell(salt: u64) -> Cluster {
     traced_eager(
-        EngineKind::Optimizing {
-            config: EngineConfig::default(),
-            policy: PolicyKind::Pooled,
-        },
+        EngineKind::optimizing(),
         2,
         1,
         24 << 10,
@@ -138,57 +118,18 @@ fn e12_cell(salt: u64) -> Cluster {
 }
 
 fn e13_mode_free_recover() -> EngineKind {
-    EngineKind::Optimizing {
-        config: EngineConfig {
-            reliability: ReliabilityMode::Recover,
-            ..EngineConfig::default()
-        },
-        policy: PolicyKind::Pooled,
-    }
+    EngineKind::with_config(EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..EngineConfig::default()
+    })
 }
 
 /// Mini fairness cell: one BULK elephant against 8 DEFAULT mice under
 /// weighted DRR — the same shape as E13's fairness cell at a size a
 /// gate-failure re-run can afford.
 fn e13_cell(salt: u64) -> Cluster {
-    let mut specs = vec![FlowSpec {
-        dst: NodeId(1),
-        class: TrafficClass::BULK,
-        arrival: Arrival::Periodic(SimDuration::from_micros(10)),
-        sizes: SizeDist::Fixed(8 << 10),
-        express_header: 0,
-        stop_after: Some(100),
-        start_after: SimDuration::ZERO,
-    }];
-    specs.extend((0..8).map(|_| FlowSpec {
-        dst: NodeId(1),
-        class: TrafficClass::DEFAULT,
-        arrival: Arrival::Poisson(SimDuration::from_micros(200)),
-        sizes: SizeDist::Fixed(256),
-        express_header: 8,
-        stop_after: Some(25),
-        start_after: SimDuration::ZERO,
-    }));
     let seed = e13_flowscale::SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let (app, _tx) = TrafficApp::new("fairness", specs, seed, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], seed, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: EngineConfig {
-                fairness: madeleine::FairnessMode::Drr,
-                drr_quantum: 2048,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        },
-        trace: Some(TRACE_CAP),
-        engine_trace: Some(TRACE_CAP),
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
-    cluster.drain();
-    cluster
+    e13_flowscale::fairness_cluster(madeleine::FairnessMode::Drr, 100, 8, seed, Some(TRACE_CAP))
 }
 
 fn e14_cell(salt: u64) -> Cluster {
@@ -244,11 +185,6 @@ pub fn cell_for_metric(metric: &str) -> Option<&'static DiffCell> {
     CELLS
         .iter()
         .find(|c| c.prefixes.iter().any(|p| metric.starts_with(p)))
-}
-
-/// Look a cell up by its name.
-pub fn cell_named(name: &str) -> Option<&'static DiffCell> {
-    CELLS.iter().find(|c| c.name == name)
 }
 
 /// Snapshot every cell at salt 0 into one `maddiff-seeds` bundle — the
@@ -404,6 +340,10 @@ pub fn root_cause_report(
 mod tests {
     use super::*;
     use madeleine::AdmissionPolicy;
+
+    fn cell_named(name: &str) -> Option<&'static DiffCell> {
+        CELLS.iter().find(|c| c.name == name)
+    }
 
     #[test]
     fn every_prefix_resolves_and_names_are_unique() {

@@ -11,8 +11,8 @@
 //! 2. *Measured*: a marshalled (CORBA-like) workload run with the gather
 //!    variants enabled (optimizer picks per packet) vs forcibly linearized.
 
-use madeleine::harness::EngineKind;
-use madeleine::{EngineConfig, PolicyKind};
+use madeleine::harness::ClusterSpec;
+use madeleine::EngineConfig;
 use madware::scenario::eager_flows;
 use nicdrv::{calib, CostModel};
 use simnet::{Technology, TxMode};
@@ -38,13 +38,8 @@ pub fn measured(force_copy: bool, size: usize) -> (f64, u64, u64) {
         rndv_threshold: Some(u64::MAX),
         ..EngineConfig::default()
     };
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
     let (mut cluster, _tx, _rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().config(config),
         8,
         size,
         simnet::SimDuration::from_micros(2),

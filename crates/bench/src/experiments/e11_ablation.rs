@@ -7,10 +7,11 @@
 //! "fifo-only" is the optimizer degenerated to a plain library while still
 //! keeping NIC-idle activation.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::ClusterSpec;
 use madeleine::ids::TrafficClass;
-use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madeleine::EngineConfig;
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
@@ -56,19 +57,8 @@ pub struct AblationPoint {
 
 /// Run the mixed workload under a configuration.
 pub fn run_config(config: EngineConfig) -> AblationPoint {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; 2],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
-    let (app, _) = TrafficApp::new("mixed", workload(), 61, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], 61, 1);
-    let mut c = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 2]).config(config);
+    let (mut c, _, rx) = traffic_pair(&spec, "mixed", workload(), 61);
     let end = c.drain();
     assert!(
         rx.borrow().integrity.all_ok(),

@@ -11,11 +11,9 @@
 //! the survivor.
 
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madeleine::{EngineConfig, PolicyKind, ReliabilityMode, TrafficClass};
-use madware::apps::{FlowSpec, TrafficApp};
+use madeleine::{EngineConfig, ReliabilityMode};
 use madware::scenario::eager_flows;
-use madware::workload::{Arrival, SizeDist};
-use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Technology};
+use simnet::{FaultPlan, SimDuration, SimTime, Technology};
 
 use crate::{fmt_f, Report, Table};
 
@@ -30,13 +28,10 @@ pub const LOSS_SWEEP: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 
 /// Optimizing engine with full ack/retransmit recovery enabled.
 pub fn recover_engine() -> EngineKind {
-    EngineKind::Optimizing {
-        config: EngineConfig {
-            reliability: ReliabilityMode::Recover,
-            ..EngineConfig::default()
-        },
-        policy: PolicyKind::Pooled,
-    }
+    EngineKind::with_config(EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..EngineConfig::default()
+    })
 }
 
 /// One measured run of the eager-flow workload under a fault plan.
@@ -84,19 +79,17 @@ fn measure(cluster: &mut Cluster) -> LossPoint {
     }
 }
 
+/// The E12 eager-flow workload on the cell `spec` describes, undrained.
+fn workload(spec: &ClusterSpec) -> Cluster {
+    let gap = SimDuration::from_micros(MEAN_GAP_US);
+    eager_flows(spec, FLOWS, MSG_SIZE, gap, MSGS_PER_FLOW, SEED).0
+}
+
 /// Run the eager-flow workload on one rail under `loss`, with the given
 /// engine. Identical seeds give identical traces: the fault plan is a pure
 /// function of (seed, transmission order).
 pub fn run_point(engine: EngineKind, loss: f64) -> LossPoint {
-    let (mut cluster, _tx, _rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
-        FLOWS,
-        MSG_SIZE,
-        SimDuration::from_micros(MEAN_GAP_US),
-        MSGS_PER_FLOW,
-        SEED,
-    );
+    let mut cluster = workload(&ClusterSpec::mx_pair().engine(engine));
     if loss > 0.0 {
         cluster.set_fault_plan(0, FaultPlan::new(SEED).with_loss(loss));
     }
@@ -106,27 +99,8 @@ pub fn run_point(engine: EngineKind, loss: f64) -> LossPoint {
 /// Two-rail pooled run where rail 0 dies permanently mid-run; returns the
 /// measured point plus the sender's `rails_dead` counter.
 pub fn run_rail_death() -> (LossPoint, u64) {
-    let specs: Vec<FlowSpec> = (0..FLOWS)
-        .map(|_| FlowSpec {
-            dst: NodeId(1),
-            class: TrafficClass::DEFAULT,
-            arrival: Arrival::Poisson(SimDuration::from_micros(MEAN_GAP_US)),
-            sizes: SizeDist::Fixed(MSG_SIZE),
-            express_header: 8,
-            stop_after: Some(MSGS_PER_FLOW),
-            start_after: SimDuration::ZERO,
-        })
-        .collect();
-    let (app, _tx) = TrafficApp::new("eager", specs, SEED, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], SEED, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; 2],
-        engine: recover_engine(),
-        trace: None,
-        engine_trace: None,
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 2]).engine(recover_engine());
+    let mut cluster = workload(&spec);
     cluster.set_fault_plan(
         0,
         FaultPlan::new(SEED).with_death(SimTime::from_nanos(500_000)),
@@ -141,27 +115,10 @@ pub fn run_rail_death() -> (LossPoint, u64) {
 /// 1% seeded loss makes every phase — including `retx_recovery` —
 /// carry real time, so the `prof_*` share gates bite.
 pub fn traced_cell() -> Cluster {
-    let specs: Vec<FlowSpec> = (0..FLOWS)
-        .map(|_| FlowSpec {
-            dst: NodeId(1),
-            class: TrafficClass::DEFAULT,
-            arrival: Arrival::Poisson(SimDuration::from_micros(MEAN_GAP_US)),
-            sizes: SizeDist::Fixed(MSG_SIZE),
-            express_header: 8,
-            stop_after: Some(MSGS_PER_FLOW),
-            start_after: SimDuration::ZERO,
-        })
-        .collect();
-    let (app, _tx) = TrafficApp::new("eager", specs, SEED, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], SEED, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: recover_engine(),
-        trace: Some(1 << 16),
-        engine_trace: Some(1 << 16),
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::mx_pair()
+        .engine(recover_engine())
+        .with_tracing(1 << 16);
+    let mut cluster = workload(&spec);
     cluster.set_fault_plan(0, FaultPlan::new(SEED).with_loss(0.01));
     cluster.drain();
     cluster

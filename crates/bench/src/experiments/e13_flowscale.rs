@@ -29,14 +29,15 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use madeleine::api::{AppDriver, CommApi, NullApp};
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::{FlowId, TrafficClass};
 use madeleine::message::{Fragment, MessageBuilder, PackMode};
 use madeleine::trace::EngineEvent;
-use madeleine::{AdmissionPolicy, EngineConfig, PolicyKind, SendOutcome};
-use madware::apps::{FlowSpec, TrafficApp};
+use madeleine::{AdmissionPolicy, EngineConfig, SendOutcome};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
-use simnet::{NodeId, SimDuration, Technology};
+use simnet::{NodeId, SimDuration};
 
 use crate::{fmt_f, Report, Table};
 
@@ -107,23 +108,11 @@ pub fn run_scale(total_flows: usize, msgs_per_flow: u64, seed: u64, sampler: boo
             start_after: SimDuration::from_nanos((i as u64 % 4096) * 500),
         })
         .collect();
-    let (app, _tx) = TrafficApp::new("flowscale", specs, seed, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], seed, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: EngineConfig {
-                // Bounded memory: no delivery recording on stress runs.
-                record_deliveries: false,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::mx_pair().config(EngineConfig {
+        record_deliveries: false,
+        ..EngineConfig::default()
+    });
+    let (mut cluster, _tx, rx) = traffic_pair(&spec, "flowscale", specs, seed);
     if sampler {
         cluster.enable_sampler(SimDuration::from_micros(50));
     }
@@ -188,47 +177,49 @@ pub fn run_fairness(mode: madeleine::FairnessMode) -> FairnessPoint {
     fairness_cell(mode, None).0
 }
 
-/// The fairness cell with optional madtrace rings (for madprof).
-fn fairness_cell(
+/// The fairness workload at any size, drained: one continuous BULK
+/// elephant of `elephant_msgs` × 8 KiB against `mice` sparse DEFAULT
+/// flows of [`MICE_MSGS`] × 256 B, with optional madtrace rings. The
+/// fairness cell and maddiff's smaller E13 cell are both this.
+pub fn fairness_cluster(
     mode: madeleine::FairnessMode,
+    elephant_msgs: u64,
+    mice: usize,
+    seed: u64,
     trace_cap: Option<usize>,
-) -> (FairnessPoint, Cluster) {
+) -> Cluster {
     let mut specs = vec![FlowSpec {
         dst: NodeId(1),
         class: TrafficClass::BULK,
         arrival: Arrival::Periodic(SimDuration::from_micros(10)),
         sizes: SizeDist::Fixed(8 << 10),
         express_header: 0,
-        stop_after: Some(ELEPHANT_MSGS),
+        stop_after: Some(elephant_msgs),
         start_after: SimDuration::ZERO,
     }];
-    specs.extend((0..MICE).map(|_| FlowSpec {
-        dst: NodeId(1),
-        class: TrafficClass::DEFAULT,
-        arrival: Arrival::Poisson(SimDuration::from_micros(200)),
-        sizes: SizeDist::Fixed(256),
-        express_header: 8,
+    let mouse = FlowSpec {
         stop_after: Some(MICE_MSGS),
-        start_after: SimDuration::ZERO,
-    }));
-    let (app, _tx) = TrafficApp::new("fairness", specs, SEED, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], SEED, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: EngineConfig {
-                fairness: mode,
-                drr_quantum: 2048,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        },
-        trace: trace_cap,
-        engine_trace: trace_cap,
+        ..FlowSpec::eager(NodeId(1), SimDuration::from_micros(200), 256)
     };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    specs.extend(vec![mouse; mice]);
+    let spec = ClusterSpec::mx_pair()
+        .config(EngineConfig {
+            fairness: mode,
+            drr_quantum: 2048,
+            ..EngineConfig::default()
+        })
+        .with_tracing(trace_cap);
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "fairness", specs, seed);
     cluster.drain();
+    cluster
+}
+
+/// The fairness cell with optional madtrace rings (for madprof).
+fn fairness_cell(
+    mode: madeleine::FairnessMode,
+    trace_cap: Option<usize>,
+) -> (FairnessPoint, Cluster) {
+    let cluster = fairness_cluster(mode, ELEPHANT_MSGS, MICE, SEED, trace_cap);
     let m = cluster.handle(1).metrics();
     let mice = &m.latency_by_class[TrafficClass::DEFAULT.0 as usize];
     let elephant = &m.latency_by_class[TrafficClass::BULK.0 as usize];
@@ -242,39 +233,12 @@ fn fairness_cell(
     (point, cluster)
 }
 
-/// Fully-traced replica of `run_fairness(mode)`, drained and ready to
-/// snapshot — maddiff's E13 cell (diffing pack-order vs DRR shows the
-/// queueing/decision-wait swap between the elephant and the mice).
-pub fn traced_fairness_cell(mode: madeleine::FairnessMode) -> Cluster {
-    fairness_cell(mode, Some(1 << 18)).1
-}
-
 /// Fully-traced replica of the overload cell for one admission policy.
 /// maddiff's explicit E13 Shed case: diffing `Block` against
 /// `ShedOldest` must report the shed messages in `unmatched` (submitted
 /// but never delivered), never fold them into the phase deltas.
 pub fn traced_overload_cell(policy: AdmissionPolicy) -> Cluster {
-    let mut config = EngineConfig::default();
-    config.admission.max_backlog_bytes = OVERLOAD_BUDGET;
-    config.admission.policy = [policy; 4];
-    let (app, _stats) = OverloadApp::new(
-        NodeId(1),
-        TrafficClass::DEFAULT,
-        OVERLOAD_MSG,
-        SimDuration::from_micros(1),
-        OVERLOAD_TARGET,
-    );
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: Some(1 << 18),
-        engine_trace: Some(1 << 18),
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(NullApp))]);
+    let (mut cluster, _stats) = overload_cluster(policy, Some(1 << 18), Some(1 << 18));
     cluster.drain();
     cluster
 }
@@ -447,9 +411,14 @@ const OVERLOAD_TARGET: u64 = 300;
 const OVERLOAD_MSG: usize = 4 << 10;
 const OVERLOAD_BUDGET: u64 = 64 << 10;
 
-/// Run the overload cell: offered load far above the rail drain rate
-/// against a 64KiB engine backlog budget under the given policy.
-pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
+/// The overload cell, undrained: offered load far above the rail drain
+/// rate against a 64KiB engine backlog budget under `policy`, with the
+/// given simulator / engine ring capacities.
+fn overload_cluster(
+    policy: AdmissionPolicy,
+    trace: Option<usize>,
+    engine_trace: Option<usize>,
+) -> (Cluster, Rc<RefCell<OverloadStats>>) {
     let mut config = EngineConfig::default();
     config.admission.max_backlog_bytes = OVERLOAD_BUDGET;
     config.admission.policy = [policy; 4];
@@ -460,17 +429,15 @@ pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
         SimDuration::from_micros(1),
         OVERLOAD_TARGET,
     );
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: Some(1 << 14),
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(NullApp))]);
+    let mut spec = ClusterSpec::mx_pair().config(config);
+    (spec.trace, spec.engine_trace) = (trace, engine_trace);
+    let cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(NullApp))]);
+    (cluster, stats)
+}
+
+/// Run the overload cell under the given policy.
+pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
+    let (mut cluster, stats) = overload_cluster(policy, None, Some(1 << 14));
     if sampler {
         cluster.enable_sampler(SimDuration::from_micros(20));
     }

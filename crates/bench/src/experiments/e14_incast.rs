@@ -24,9 +24,9 @@
 //! Everything runs in virtual time on seeded RNGs: repeat runs are
 //! byte-identical, including fabric queue evolution and mark timing.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
-use madeleine::{AdmissionPolicy, EngineConfig, PolicyKind, ReliabilityMode};
+use madeleine::{AdmissionPolicy, EngineConfig, ReliabilityMode};
 use madware::apps::{FlowSpec, TrafficApp};
 use madware::workload::{Arrival, SizeDist};
 use simnet::{LinkProfile, NodeId, SimDuration, Technology, Topology};
@@ -113,16 +113,9 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         stats.push(s);
     }
     apps.push(None); // the receiver runs a bare engine
-    let spec = ClusterSpec {
-        nodes: n + 1,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: trace_cap,
-        engine_trace: trace_cap,
-    };
+    let spec = ClusterSpec::new(n + 1, vec![Technology::MyrinetMx])
+        .config(config)
+        .with_tracing(trace_cap);
     let mut cluster = Cluster::build_with_topologies(&spec, vec![Some(topo)], apps);
     let end = cluster.drain();
     let fab = cluster
@@ -246,17 +239,11 @@ pub fn run_steering(aware: bool) -> SteerPoint {
         retry_budget: 16,
         ..EngineConfig::default()
     };
-    let mice_specs: Vec<FlowSpec> = (0..MICE)
-        .map(|_| FlowSpec {
-            dst: NodeId(2),
-            class: TrafficClass::DEFAULT,
-            arrival: Arrival::Poisson(SimDuration::from_micros(100)),
-            sizes: SizeDist::Fixed(256),
-            express_header: 8,
-            stop_after: Some(MICE_MSGS),
-            start_after: SimDuration::ZERO,
-        })
-        .collect();
+    let mouse = FlowSpec {
+        stop_after: Some(MICE_MSGS),
+        ..FlowSpec::eager(NodeId(2), SimDuration::from_micros(100), 256)
+    };
+    let mice_specs = vec![mouse; MICE];
     let elephant_spec = vec![FlowSpec {
         dst: NodeId(3),
         class: TrafficClass::BULK,
@@ -268,16 +255,7 @@ pub fn run_steering(aware: bool) -> SteerPoint {
     }];
     let (mice, _mtx) = TrafficApp::new("mice", mice_specs, SEED, 0);
     let (elephant, _etx) = TrafficApp::new("elephant", elephant_spec, SEED, 1);
-    let spec = ClusterSpec {
-        nodes: 4,
-        rails: vec![Technology::MyrinetMx; 2],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(4, vec![Technology::MyrinetMx; 2]).config(config);
     let mut cluster = Cluster::build_with_topologies(
         &spec,
         vec![Some(topo), None],

@@ -33,12 +33,11 @@
 //! byte-identical, schedules included.
 
 use madeleine::coll::{CollAlgo, CollApp, CollConfig, CollHub, CollOp};
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madeleine::{
-    coll_hub, AppDriver, CommApi, EngineConfig, FairnessMode, LatencyHistogram, PolicyKind,
-    ReliabilityMode,
+    coll_hub, AppDriver, CommApi, EngineConfig, FairnessMode, LatencyHistogram, ReliabilityMode,
 };
 use madware::mltrain::{MlTrainApp, MlTrainMode, MlTrainSpec};
 use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Technology, Topology};
@@ -181,16 +180,9 @@ fn grid_cluster(
         ..CollConfig::for_fabric(Technology::MyrinetMx, &topo)
     };
     let (apps, hub) = CollApp::ranks(shape.op, shape.elems, shape.members, shape.iters, &cfg);
-    let spec = ClusterSpec {
-        nodes,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: engine_config(),
-            policy: PolicyKind::Pooled,
-        },
-        trace: trace_cap,
-        engine_trace: trace_cap,
-    };
+    let spec = ClusterSpec::new(nodes, vec![Technology::MyrinetMx])
+        .config(engine_config())
+        .with_tracing(trace_cap);
     (
         Cluster::build_with_topologies(&spec, vec![Some(topo)], apps),
         hub,
@@ -369,16 +361,7 @@ pub fn run_fairness_cell(fairness: FairnessMode) -> FairPoint {
         fairness,
         ..engine_config()
     };
-    let spec = ClusterSpec {
-        nodes: 10,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(10, vec![Technology::MyrinetMx]).config(config);
     let mut cluster = Cluster::build_with_topologies(&spec, vec![Some(topo)], apps);
     let end = cluster.drain();
     let mut engine_json = String::new();
@@ -421,29 +404,18 @@ pub struct FaultPoint {
 /// Run the madrel fault cell: an 8-member allreduce on `dumbbell(4,4)`
 /// with `Recover` reliability under the given wire fault plan.
 pub fn run_fault_cell(plan: FaultPlan) -> FaultPoint {
-    let profile = nicdrv::calib::params(Technology::MyrinetMx).link_profile();
-    let topo = Topology::dumbbell(4, 4, profile, profile);
-    let cfg = CollConfig {
-        algo: None,
-        ..CollConfig::for_fabric(Technology::MyrinetMx, &topo)
+    let shape = Shape {
+        label: "allreduce 8x8KiB",
+        op: CollOp::Allreduce,
+        members: 8,
+        elems: 1024,
+        iters: 10,
     };
-    let (op, members, elems, iters) = (CollOp::Allreduce, 8u32, 1024u32, 10u32);
-    let (apps, hub) = CollApp::ranks(op, elems, members, iters, &cfg);
-    let spec = ClusterSpec {
-        nodes: members as usize,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: engine_config(),
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
-    let mut cluster = Cluster::build_with_topologies(&spec, vec![Some(topo)], apps);
+    let (mut cluster, hub) = grid_cluster(Fabric::Dumbbell, &shape, None, None);
     cluster.set_fault_plan(0, plan);
     let end = cluster.drain();
     let mut retransmits = 0;
-    for i in 0..members as usize {
+    for i in 0..shape.members as usize {
         retransmits += cluster.handle(i).metrics().retransmits;
     }
     let stats = hub.borrow();
@@ -453,7 +425,9 @@ pub fn run_fault_cell(plan: FaultPlan) -> FaultPoint {
         member_completions: stats.member_completions,
         wrong: stats.wrong_results,
         retransmits,
-        p99_us: stats.completion[op.index()].quantile(0.99).as_micros_f64(),
+        p99_us: stats.completion[shape.op.index()]
+            .quantile(0.99)
+            .as_micros_f64(),
         makespan_us: end.as_micros_f64(),
     }
 }
@@ -513,16 +487,8 @@ pub fn run_train_cell(mode: MlTrainMode) -> TrainPoint {
         coll: CollConfig::for_tech(Technology::MyrinetMx),
     };
     let (apps, handles) = MlTrainApp::ranks(ranks, spec);
-    let cluster_spec = ClusterSpec {
-        nodes: ranks as usize,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: engine_config(),
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
+    let cluster_spec =
+        ClusterSpec::new(ranks as usize, vec![Technology::MyrinetMx]).config(engine_config());
     let mut cluster = Cluster::build(&cluster_spec, apps);
     let end = cluster.drain();
     let mut step = LatencyHistogram::new();

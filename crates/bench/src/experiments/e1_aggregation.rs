@@ -7,7 +7,7 @@
 //! mean latency and aggregation ratio for the optimizer and for the legacy
 //! engine, across flow counts and segment sizes.
 
-use madeleine::harness::EngineKind;
+use madeleine::harness::{ClusterSpec, EngineKind};
 use madware::scenario::eager_flows;
 use simnet::{SimDuration, Technology};
 
@@ -34,8 +34,7 @@ pub struct Cell {
 /// Run one configuration.
 pub fn run_cell(engine: EngineKind, flows: usize, size: usize, msgs: u64, seed: u64) -> Cell {
     let (mut cluster, _tx, rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().engine(engine),
         flows,
         size,
         SimDuration::from_micros(2), // heavy load: backlog forms

@@ -10,9 +10,9 @@
 //! non-blocking (submissions during NIC-busy periods simply extend the
 //! backlog).
 
-use madeleine::harness::EngineKind;
+use madeleine::harness::ClusterSpec;
 use madware::scenario::eager_flows;
-use simnet::{SimDuration, Technology};
+use simnet::SimDuration;
 
 use crate::{fmt_f, Report, Table};
 
@@ -35,8 +35,7 @@ pub fn run() -> Report {
     let mut notes = Vec::new();
     for &gap_us in &[1u64, 2, 5, 10, 50, 200] {
         let (mut cluster, _tx, _rx) = eager_flows(
-            EngineKind::optimizing(),
-            Technology::MyrinetMx,
+            &ClusterSpec::mx_pair(),
             8,
             64,
             SimDuration::from_micros(gap_us),
@@ -82,8 +81,7 @@ mod tests {
     #[test]
     fn heavy_load_batches_submissions_per_activation() {
         let (mut cluster, _tx, _rx) = eager_flows(
-            EngineKind::optimizing(),
-            Technology::MyrinetMx,
+            &ClusterSpec::mx_pair(),
             8,
             64,
             SimDuration::from_micros(1),
@@ -106,8 +104,7 @@ mod tests {
     #[test]
     fn light_load_sends_as_available() {
         let (mut cluster, _tx, _rx) = eager_flows(
-            EngineKind::optimizing(),
-            Technology::MyrinetMx,
+            &ClusterSpec::mx_pair(),
             2,
             64,
             SimDuration::from_micros(500),

@@ -7,10 +7,10 @@
 //! off to 32 µs: aggregation rises with the delay, at the cost of added
 //! latency — the trade-off curve the knob exists to navigate.
 
-use madeleine::harness::EngineKind;
-use madeleine::{EngineConfig, PolicyKind};
+use madeleine::harness::ClusterSpec;
+use madeleine::EngineConfig;
 use madware::scenario::eager_flows;
-use simnet::{SimDuration, Technology};
+use simnet::SimDuration;
 
 use crate::{fmt_f, Report, Table};
 
@@ -29,13 +29,8 @@ pub struct NaglePoint {
 /// Run one Nagle configuration under sparse multi-flow traffic.
 pub fn run_point(delay_us: u64) -> NaglePoint {
     let config = EngineConfig::default().with_nagle(SimDuration::from_micros(delay_us));
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
     let (mut cluster, _tx, _rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().config(config),
         6,
         32,
         SimDuration::from_micros(15), // sparse: NIC idles between messages

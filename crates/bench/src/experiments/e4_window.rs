@@ -5,10 +5,10 @@
 //! per activation. Tiny windows cannot find merges; past a point the
 //! window exceeds the typical backlog and returns diminish.
 
-use madeleine::harness::EngineKind;
-use madeleine::{EngineConfig, PolicyKind};
+use madeleine::harness::ClusterSpec;
+use madeleine::EngineConfig;
 use madware::scenario::eager_flows;
-use simnet::{SimDuration, Technology};
+use simnet::SimDuration;
 
 use crate::{fmt_f, Report, Table};
 
@@ -25,13 +25,8 @@ pub struct WindowPoint {
 /// Run one window size under heavy multi-flow load.
 pub fn run_point(window: usize) -> WindowPoint {
     let config = EngineConfig::default().with_window(window);
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
     let (mut cluster, _tx, _rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().config(config),
         16,
         64,
         SimDuration::from_micros(1),

@@ -9,10 +9,10 @@
 //! that a small budget captures nearly all of the benefit, which is the
 //! result the authors hoped to establish.
 
-use madeleine::harness::EngineKind;
-use madeleine::{EngineConfig, PolicyKind};
+use madeleine::harness::ClusterSpec;
+use madeleine::EngineConfig;
 use madware::scenario::eager_flows;
-use simnet::{SimDuration, Technology};
+use simnet::SimDuration;
 
 use crate::{fmt_f, Report, Table};
 
@@ -31,13 +31,8 @@ pub struct BudgetPoint {
 /// Run one budget level.
 pub fn run_point(budget: usize) -> BudgetPoint {
     let config = EngineConfig::default().with_budget(budget);
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
     let (mut cluster, _tx, _rx) = eager_flows(
-        engine,
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().config(config),
         12,
         96,
         SimDuration::from_micros(1),

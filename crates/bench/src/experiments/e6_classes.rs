@@ -10,10 +10,11 @@
 //! latency, at a bounded cost in bulk throughput. A second table shows the
 //! receiver-sorting effect of per-class virtual channels.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
+use madeleine::harness::{ClusterSpec, EngineKind, NodeHandle};
 use madeleine::ids::TrafficClass;
 use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
@@ -67,16 +68,9 @@ pub fn run_point(pin: bool, collapse_vchans: bool) -> ClassPoint {
     } else {
         PolicyKind::Pooled
     };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx, Technology::MyrinetMx],
-        engine: EngineKind::Optimizing { config, policy },
-        trace: None,
-        engine_trace: None,
-    };
-    let (app, _tx) = TrafficApp::new("mix", workload(), 17, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], 17, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx, Technology::MyrinetMx])
+        .engine(EngineKind::with_policy(config, policy));
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "mix", workload(), 17);
     if pin {
         if let NodeHandle::Opt(h) = cluster.handle(0) {
             h.pin_class(TrafficClass::CONTROL, &[0]);

@@ -11,10 +11,11 @@
 
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
-use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madeleine::EngineConfig;
+use madware::apps::{FlowSpec, StatsHandle};
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
-use simnet::{NodeId, SimDuration, Technology};
+use simnet::{NodeId, SimDuration, SimTime, Technology};
 
 use crate::{fmt_f, Report, Table};
 
@@ -32,15 +33,9 @@ pub struct RailPoint {
     pub intact: bool,
 }
 
-/// Stream `msgs` x 24 KiB messages over the given rails with one flow.
-pub fn run_point(engine: EngineKind, rails: Vec<Technology>, msgs: u64) -> RailPoint {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails,
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+/// One BULK flow streaming `msgs` x 24 KiB over the cell `spec`
+/// describes, drained: the cluster, its end time and the sink's stats.
+fn bulk_stream(spec: &ClusterSpec, msgs: u64) -> (Cluster, SimTime, StatsHandle) {
     let flow = FlowSpec {
         dst: NodeId(1),
         class: TrafficClass::BULK,
@@ -50,10 +45,15 @@ pub fn run_point(engine: EngineKind, rails: Vec<Technology>, msgs: u64) -> RailP
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };
-    let (app, _tx) = TrafficApp::new("bulk", vec![flow], 29, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], 29, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let (mut cluster, _tx, rx) = traffic_pair(spec, "bulk", vec![flow], 29);
     let end = cluster.drain();
+    (cluster, end, rx)
+}
+
+/// Stream `msgs` x 24 KiB messages over the given rails with one flow.
+pub fn run_point(engine: EngineKind, rails: Vec<Technology>, msgs: u64) -> RailPoint {
+    let spec = ClusterSpec::new(2, rails).engine(engine);
+    let (cluster, end, rx) = bulk_stream(&spec, msgs);
     let bytes = msgs * (24 << 10);
     let per_nic_bytes = cluster.nics[0]
         .iter()
@@ -80,10 +80,7 @@ pub fn opt() -> EngineKind {
         rndv_threshold: Some(u64::MAX),
         ..EngineConfig::default()
     };
-    EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    }
+    EngineKind::with_config(config)
 }
 
 /// Legacy engine under the same rendezvous-free configuration.
@@ -99,27 +96,10 @@ pub fn leg() -> EngineKind {
 /// of `run_point(opt(), [mx; 2], msgs)` profiled post-hoc, showing how
 /// idle-rail pull splits each message's time between decision and wire.
 pub fn profile_artifacts(msgs: u64) -> Vec<(String, String)> {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; 2],
-        engine: opt(),
-        trace: Some(1 << 16),
-        engine_trace: Some(1 << 16),
-    };
-    let flow = FlowSpec {
-        dst: NodeId(1),
-        class: TrafficClass::BULK,
-        arrival: Arrival::Periodic(SimDuration::from_micros(5)),
-        sizes: SizeDist::Fixed(24 << 10),
-        express_header: 0,
-        stop_after: Some(msgs),
-        start_after: SimDuration::ZERO,
-    };
-    let (app, _tx) = TrafficApp::new("bulk", vec![flow], 29, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], 29, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
-    cluster.drain();
-    let prof = cluster.profile();
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 2])
+        .engine(opt())
+        .with_tracing(1 << 16);
+    let prof = bulk_stream(&spec, msgs).0.profile();
     vec![
         ("e7_profile.folded".to_string(), prof.folded_stacks()),
         ("e7_attribution.csv".to_string(), prof.attribution_csv()),

@@ -9,10 +9,11 @@
 //! phase 2; the adaptive policy re-assigns rails from observed per-class
 //! traffic every epoch and recovers it.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
+use madeleine::harness::{ClusterSpec, EngineKind, NodeHandle};
 use madeleine::ids::TrafficClass;
 use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
@@ -68,16 +69,9 @@ pub fn run_point(adaptive: bool) -> AdaptivePoint {
     } else {
         PolicyKind::ClassPinned
     };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; 4],
-        engine: EngineKind::Optimizing { config, policy },
-        trace: None,
-        engine_trace: None,
-    };
-    let (app, _tx) = TrafficApp::new("phased", phased_workload(phase2_start), 41, 0);
-    let (sink, _rx) = TrafficApp::new("sink", vec![], 41, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 4])
+        .engine(EngineKind::with_policy(config, policy));
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "phased", phased_workload(phase2_start), 41);
     let (rebalances, _) = {
         if let NodeHandle::Opt(h) = cluster.handle(0) {
             if !adaptive {

@@ -9,7 +9,7 @@
 //! points — where PIO yields to DMA and eager yields to rendezvous — are
 //! the capability parameters the optimizer keys on.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
@@ -20,13 +20,7 @@ use crate::{fmt_bytes, fmt_f, Report, Table};
 
 /// Measured one-shot latency for a message of `size` over `tech`.
 pub fn measure(tech: Technology, size: usize) -> (f64, bool) {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(2, vec![tech]);
     let mut cluster = Cluster::build(&spec, vec![]);
     let h = cluster.handle(0).clone();
     let dst = cluster.nodes[1];

@@ -8,6 +8,13 @@
 //! cargo run -p mad-bench --release --bin experiments -- all
 //! cargo run -p mad-bench --release --bin experiments -- e1 e7
 //! ```
+//!
+//! Every experiment describes its cell with `ClusterSpec`'s constructors
+//! — `ClusterSpec::mx_pair().config(cfg)`, `ClusterSpec::new(2, rails)
+//! .engine(kind).with_tracing(cap)` — and, where the workload is one
+//! traffic source and one sink, builds it with
+//! `madware::scenario::traffic_pair` (or `eager_flows`, the E1 workload
+//! on any cell).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -29,7 +29,7 @@
 //!
 //! [`SAMPLER_SLEEP_TICKS`]: madeleine::scope::SAMPLER_SLEEP_TICKS
 
-use madeleine::harness::EngineKind;
+use madeleine::harness::{ClusterSpec, EngineKind};
 use madeleine::json::{obj, Json};
 use madeleine::{AdmissionPolicy, FairnessMode, Phase};
 use madware::scenario::eager_flows;
@@ -272,8 +272,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
 
     // E2: NIC-idle batching under heavy load (gap 2us), seed 7.
     let (mut cluster, _tx, _rx) = eager_flows(
-        EngineKind::optimizing(),
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair(),
         8,
         64,
         SimDuration::from_micros(2),
@@ -559,8 +558,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
     // out of the gated makespans (the tick timer outlives the last
     // delivery by up to SAMPLER_SLEEP_TICKS ticks).
     let (mut cluster, _tx, _rx) = eager_flows(
-        EngineKind::optimizing(),
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair(),
         8,
         64,
         SimDuration::from_micros(2),

@@ -1,7 +1,7 @@
 //! Implementation of the `trace-tool` binary: inspect, generate, replay
 //! and export workload traces from the command line.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::trace::{ChromeExport, EngineEvent};
 use madeleine::{Json, LatencyHistogram, Sampler};
 use madware::apps::{FlowSpec, TrafficApp};
@@ -61,22 +61,27 @@ pub fn info(trace: &Trace) -> String {
     out
 }
 
+/// The two-node replay cell every subcommand runs, undrained: `trace`
+/// replayed from node 0 onto a bare engine at node 1 over one `tech`
+/// rail. `legacy` picks the baseline engine; `trace_cap` turns both
+/// trace rings on.
+fn replay_cluster(
+    trace: Trace,
+    legacy: bool,
+    tech: Technology,
+    trace_cap: Option<usize>,
+) -> Cluster {
+    let mut spec = ClusterSpec::new(2, vec![tech]).with_tracing(trace_cap);
+    if legacy {
+        spec = spec.legacy();
+    }
+    Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(trace))), None])
+}
+
 /// Replay a trace on a fresh two-node cluster; returns a result summary.
 pub fn replay(trace: Trace, legacy: bool, tech: Technology) -> String {
-    let engine = if legacy {
-        EngineKind::legacy()
-    } else {
-        EngineKind::optimizing()
-    };
     let expected = trace.len() as u64;
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
-    let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(trace))), None]);
+    let mut c = replay_cluster(trace, legacy, tech, None);
     let end = c.drain();
     let tx = c.handle(0).metrics();
     let rx = c.handle(1).metrics();
@@ -98,22 +103,7 @@ pub fn replay(trace: Trace, legacy: bool, tech: Technology) -> String {
 /// Run the same trace on both engines and render a comparison table.
 pub fn compare(trace: Trace, tech: Technology) -> String {
     let run = |legacy: bool| {
-        let engine = if legacy {
-            EngineKind::legacy()
-        } else {
-            EngineKind::optimizing()
-        };
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![tech],
-            engine,
-            trace: None,
-            engine_trace: None,
-        };
-        let mut c = Cluster::build(
-            &spec,
-            vec![Some(Box::new(ReplayApp::new(trace.clone()))), None],
-        );
+        let mut c = replay_cluster(trace.clone(), legacy, tech, None);
         let end = c.drain();
         let tx = c.handle(0).metrics();
         let rx = c.handle(1).metrics();
@@ -160,20 +150,13 @@ pub fn compare(trace: Trace, tech: Technology) -> String {
 pub fn stats(trace: Trace, tech: Technology, tick_us: u64) -> (String, String) {
     let tick_us = tick_us.max(1);
     let expected = trace.len() as u64;
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
     // Classes the trace opens flows under, captured before the replay
     // consumes it: a class whose every flow was cancelled or shed
     // delivers nothing, and must still show up in the percentile table.
     let mut trace_classes: Vec<u8> = trace.flows.iter().map(|&(_, class)| class.0).collect();
     trace_classes.sort_unstable();
     trace_classes.dedup();
-    let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(trace))), None]);
+    let mut c = replay_cluster(trace, false, tech, None);
     c.enable_sampler(SimDuration::from_micros(tick_us));
     let end = c.drain();
     let tx = c.handle(0).metrics();
@@ -342,19 +325,7 @@ fn spark_line(label: &str, vals: &[u64]) -> String {
 /// Build the fully-traced two-node replay cluster used by `export`,
 /// `explain` and the bench suite's madprof smoke point.
 pub fn traced_replay(trace: Trace, legacy: bool, tech: Technology) -> Cluster {
-    let engine = if legacy {
-        EngineKind::legacy()
-    } else {
-        EngineKind::optimizing()
-    };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine,
-        trace: Some(EXPORT_TRACE_CAP),
-        engine_trace: Some(EXPORT_TRACE_CAP),
-    };
-    let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(trace))), None]);
+    let mut c = replay_cluster(trace, legacy, tech, Some(EXPORT_TRACE_CAP));
     c.drain();
     c
 }
@@ -693,13 +664,7 @@ pub fn sample(seed: u64) -> Trace {
         .collect();
     let (app, _) = TrafficApp::new("sample", specs, seed, 0);
     let (recorder, handle) = Recorder::new(Box::new(app));
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);
     c.drain();
     let t = handle.borrow().clone();
@@ -778,13 +743,7 @@ mod tests {
         // A switched rail stamps its topology into the export; the info
         // summary surfaces it. Flat rails (every other test here) don't.
         let profile = nicdrv::calib::params(Technology::MyrinetMx).link_profile();
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: Some(1 << 12),
-            engine_trace: Some(1 << 12),
-        };
+        let spec = ClusterSpec::mx_pair().with_tracing(1 << 12);
         let mut c = Cluster::build_with_topologies(
             &spec,
             vec![Some(simnet::Topology::dumbbell(1, 1, profile, profile))],
@@ -903,6 +862,126 @@ mod tests {
             profile_input(&t.to_text(), Technology::MyrinetMx, 8).expect("replay profiles");
         assert_eq!(from_chrome.csv, from_replay.csv);
         assert_eq!(from_chrome.folded, from_replay.folded);
+    }
+
+    /// The record kinds a clean replay never emits must cross the Chrome
+    /// artifact unchanged too: `Retransmit` and `RndvGranted` (a Recover
+    /// run under loss + duplication with one rendezvous-sized message),
+    /// vetoes in the `P:/V:/S:/W:` decision log, and `CongestionMark`
+    /// (E14's traced incast cell). Both directions: what the live rings
+    /// fold to is what their export folds to, `decisions()` included.
+    #[test]
+    fn chrome_round_trip_crosses_recovery_rendezvous_veto_and_congestion_records() {
+        use madeleine::harness::NodeHandle;
+        use madeleine::plan::{PlanBody, TransferPlan};
+        use madeleine::strategy::{OptContext, Strategy};
+        use madeleine::{
+            EngineConfig, MadEngine, MessageBuilder, ReliabilityMode, RunSnapshot, TrafficClass,
+        };
+        use simnet::FaultPlan;
+        let crossed = |c: &Cluster| {
+            let live = c.prof_input();
+            let chrome = madeleine::ProfInput::from_chrome(&c.export_chrome_trace().json)
+                .expect("export parses");
+            assert_eq!(live.decisions(), chrome.decisions());
+            assert_eq!(live.undelivered(), chrome.undelivered());
+            let (a, b) = (live.profile(), chrome.profile());
+            assert_eq!(a.attribution_csv(), b.attribution_csv());
+            assert_eq!(a.folded_stacks(), b.folded_stacks());
+            assert_eq!(a.to_json().render(), b.to_json().render());
+            assert_eq!(
+                RunSnapshot::capture("x", &live).to_json().render(),
+                RunSnapshot::capture("x", &chrome).to_json().render()
+            );
+            live
+        };
+        let count = |c: &Cluster, name: &str| -> usize {
+            let sinks = c.handles.iter().filter_map(|h| h.opt());
+            sinks
+                .map(|h| h.trace_snapshot().count_matching(|e| e.name() == name))
+                .sum()
+        };
+
+        // The standard strategies are never vetoed (madcheck proves it),
+        // so the cell registers one that always is — which the harness
+        // has no knob for: the two engines are assembled by hand.
+        struct EmptyHanded;
+        impl Strategy for EmptyHanded {
+            fn name(&self) -> &'static str {
+                "empty-handed"
+            }
+            fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+                if let Some(group) = ctx.groups.first() {
+                    let (chunks, linearize) = (Vec::new(), false);
+                    out.push(TransferPlan {
+                        channel: ctx.channel,
+                        dst: group.dst,
+                        body: PlanBody::Data { chunks, linearize },
+                        strategy: self.name(),
+                    });
+                }
+            }
+        }
+        let tech = Technology::MyrinetMx;
+        let mut sim = simnet::Simulation::new();
+        sim.enable_trace(EXPORT_TRACE_CAP);
+        let net = sim.add_network(nicdrv::calib::params(tech));
+        let nodes = vec![sim.add_node(), sim.add_node()];
+        let nics: Vec<Vec<_>> = nodes.iter().map(|&n| vec![sim.add_nic(n, net)]).collect();
+        let mut handles = Vec::new();
+        for i in 0..2 {
+            let (engine, handle) = MadEngine::builder(nodes[i])
+                .config(EngineConfig {
+                    reliability: ReliabilityMode::Recover,
+                    ..EngineConfig::default()
+                })
+                .rail_tech(tech, nics[i][0])
+                .peer(nodes[1 - i], nics[1 - i].clone())
+                .strategy(Box::new(EmptyHanded))
+                .build()
+                .expect("valid engine");
+            handle.enable_trace(EXPORT_TRACE_CAP);
+            sim.set_endpoint(nodes[i], Box::new(engine));
+            handles.push(NodeHandle::Opt(handle));
+        }
+        let networks = vec![net];
+        let mut c = Cluster {
+            sim,
+            nodes,
+            nics,
+            handles,
+            networks,
+        };
+        c.set_fault_plan(0, FaultPlan::new(11).with_loss(0.1).with_dup(0.1));
+        let (src, dst) = (c.nodes[0], c.nodes[1]);
+        let h = c.handle(0).clone();
+        let flow = h.open_flow(dst, TrafficClass::DEFAULT);
+        for len in [64usize, 256 << 10, 512, 4096, 96, 2048] {
+            c.sim.inject(src, |ctx| {
+                let body = vec![0x3Cu8; len];
+                let parts = MessageBuilder::new()
+                    .pack_express(&[7u8; 8])
+                    .pack_cheaper(&body)
+                    .build_parts();
+                h.send(ctx, flow, parts)
+            });
+        }
+        c.drain();
+        assert_eq!(c.handle(1).delivered_count(), 6, "Recover delivers all");
+        assert!(count(&c, "Retransmit") > 0, "loss must force a resend");
+        assert!(count(&c, "RndvGranted") > 0, "256 KiB goes by rendezvous");
+        assert!(count(&c, "PlanVetoed") > 0, "a proposal must be vetoed");
+        let live = crossed(&c);
+        let log = live.decisions().values().flatten();
+        assert!(log.clone().any(|l| l.starts_with("V:")), "veto logged");
+        assert!(log.clone().any(|l| l.starts_with("W:")), "winner logged");
+
+        let incast = crate::experiments::e14_incast::traced_cell(0);
+        assert!(
+            count(&incast, "CongestionMark") > 0,
+            "the incast fabric must echo congestion marks"
+        );
+        crossed(&incast);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl ClassMap {
         true
     }
 
-    /// Channels still unallocated in the NIC's pool.
-    pub fn free_channels(&self) -> usize {
-        self.pool.available()
-    }
-
     /// Collapse every class onto one channel (the "no separation" baseline
     /// for experiment E6).
     pub fn collapse(&mut self) {
@@ -107,11 +102,6 @@ impl ClassMap {
         for a in &mut self.assignment {
             *a = shared;
         }
-    }
-
-    /// Whether two classes currently share a channel.
-    pub fn shares_channel(&self, a: TrafficClass, b: TrafficClass) -> bool {
-        self.vchan_for(a) == self.vchan_for(b)
     }
 }
 
@@ -123,9 +113,9 @@ mod tests {
     fn pool_backs_the_default_assignment() {
         let m = ClassMap::new(8);
         // 7 data channels, 4 predefined classes allocated.
-        assert_eq!(m.free_channels(), 3);
+        assert_eq!(m.pool.available(), 3);
         let m = ClassMap::new(3);
-        assert_eq!(m.free_channels(), 0);
+        assert_eq!(m.pool.available(), 0);
     }
 
     #[test]
@@ -171,7 +161,13 @@ mod tests {
     fn collapse_merges_all_classes() {
         let mut m = ClassMap::new(8);
         m.collapse();
-        assert!(m.shares_channel(TrafficClass::BULK, TrafficClass::CONTROL));
-        assert!(m.shares_channel(TrafficClass::DEFAULT, TrafficClass::PUT_GET));
+        assert_eq!(
+            m.vchan_for(TrafficClass::BULK),
+            m.vchan_for(TrafficClass::CONTROL)
+        );
+        assert_eq!(
+            m.vchan_for(TrafficClass::DEFAULT),
+            m.vchan_for(TrafficClass::PUT_GET)
+        );
     }
 }

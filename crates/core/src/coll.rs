@@ -1157,7 +1157,7 @@ impl AppDriver for CollApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Cluster, ClusterSpec, EngineKind};
+    use crate::harness::{Cluster, ClusterSpec};
     use simnet::Technology;
 
     fn run_cells(
@@ -1172,13 +1172,7 @@ mod tests {
             ..CollConfig::for_tech(Technology::MyrinetMx)
         };
         let (apps, hub) = CollApp::ranks(op, elems, members, iterations, &cfg);
-        let spec = ClusterSpec {
-            nodes: members as usize,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::new(members as usize, vec![Technology::MyrinetMx]);
         let mut c = Cluster::build(&spec, apps);
         c.drain();
         hub
@@ -1226,13 +1220,7 @@ mod tests {
     fn works_on_legacy_engine_too() {
         let cfg = CollConfig::for_tech(Technology::MyrinetMx);
         let (apps, hub) = CollApp::ranks(CollOp::Allreduce, 8, 6, 3, &cfg);
-        let spec = ClusterSpec {
-            nodes: 6,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::legacy(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::new(6, vec![Technology::MyrinetMx]).legacy();
         Cluster::build(&spec, apps).drain();
         let s = hub.borrow();
         assert_eq!(
@@ -1292,13 +1280,8 @@ mod tests {
     fn trace_events_record_the_selection() {
         let cfg = CollConfig::for_tech(Technology::MyrinetMx);
         let (apps, _hub) = CollApp::ranks(CollOp::Allreduce, 16, 4, 2, &cfg);
-        let spec = ClusterSpec {
-            nodes: 4,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: Some(4096),
-        };
+        let mut spec = ClusterSpec::new(4, vec![Technology::MyrinetMx]);
+        spec.engine_trace = Some(4096);
         let mut c = Cluster::build(&spec, apps);
         c.drain();
         let snap = c.handle(0).opt().expect("optimizing").trace_snapshot();

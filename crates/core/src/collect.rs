@@ -123,15 +123,6 @@ impl PendingMessage {
             .position(|f| f.mode == PackMode::Express && !f.fully_committed())
     }
 
-    /// Whether fragment `j` may be scheduled now (express gating only; the
-    /// rendezvous state is checked separately).
-    pub fn frag_schedulable(&self, j: usize) -> bool {
-        match self.first_open_express() {
-            Some(gate) => j <= gate,
-            None => true,
-        }
-    }
-
     /// All fragments fully transmitted.
     pub fn is_complete(&self) -> bool {
         self.frags.iter().all(PendingFragment::fully_sent)

@@ -133,12 +133,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for congestion-aware scoring.
-    pub fn with_congestion_aware(mut self, aware: bool) -> Self {
-        self.congestion_aware = aware;
-        self
-    }
-
     /// Validate ranges; called by engine constructors.
     pub fn validate(&self) -> Result<(), String> {
         if self.lookahead_window == 0 {

@@ -1001,6 +1001,11 @@ impl EngineHandle {
         self.core.borrow_mut().obs.enable_trace(capacity);
     }
 
+    /// Whether the madtrace event sink is recording (no copy of the ring).
+    pub fn trace_enabled(&self) -> bool {
+        self.core.borrow().obs.trace().is_enabled()
+    }
+
     /// Clone of the engine's event sink (records, drop count, state).
     pub fn trace_snapshot(&self) -> EventSink {
         self.core.borrow().obs.trace().clone()

@@ -151,11 +151,6 @@ impl SendOutcome {
             SendOutcome::WouldBlock | SendOutcome::Rejected => None,
         }
     }
-
-    /// True when the message entered the collect layer.
-    pub fn is_admitted(&self) -> bool {
-        self.msg_id().is_some()
-    }
 }
 
 /// Admission control: the budgets, which class slots are inside a
@@ -623,12 +618,12 @@ mod tests {
             seq: MsgSeq(4),
         };
         assert_eq!(SendOutcome::Admitted(id).msg_id(), Some(id));
-        assert!(SendOutcome::Shed {
+        let shed = SendOutcome::Shed {
             admitted: id,
             shed: vec![],
-        }
-        .is_admitted());
-        assert!(!SendOutcome::WouldBlock.is_admitted());
-        assert!(!SendOutcome::Rejected.is_admitted());
+        };
+        assert_eq!(shed.msg_id(), Some(id));
+        assert_eq!(SendOutcome::WouldBlock.msg_id(), None);
+        assert_eq!(SendOutcome::Rejected.msg_id(), None);
     }
 }

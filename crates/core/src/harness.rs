@@ -34,10 +34,17 @@ pub enum EngineKind {
 impl EngineKind {
     /// Optimizing engine with defaults.
     pub fn optimizing() -> Self {
-        EngineKind::Optimizing {
-            config: EngineConfig::default(),
-            policy: PolicyKind::Pooled,
-        }
+        EngineKind::with_config(EngineConfig::default())
+    }
+
+    /// Optimizing engine running `config` under the pooled policy.
+    pub fn with_config(config: EngineConfig) -> Self {
+        EngineKind::with_policy(config, PolicyKind::Pooled)
+    }
+
+    /// Optimizing engine running `config` under `policy`.
+    pub fn with_policy(config: EngineConfig, policy: PolicyKind) -> Self {
+        EngineKind::Optimizing { config, policy }
     }
 
     /// Legacy engine with defaults.
@@ -125,7 +132,11 @@ impl NodeHandle {
     }
 }
 
-/// Cluster construction parameters.
+/// Cluster construction parameters. Outside this file a spec is always
+/// described through the constructors below ([`ClusterSpec::new`] or
+/// [`ClusterSpec::mx_pair`], then `.engine` / `.config` / `.legacy` /
+/// `.with_tracing`), so the defaults — optimizing engine, pooled policy,
+/// no tracing — are spelled once.
 #[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// Number of nodes.
@@ -142,21 +153,44 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Two nodes, one MX rail, optimizing engine — the paper's beta setup.
-    pub fn mx_pair() -> Self {
+    /// `nodes` nodes with one rail per entry of `rails`, the default
+    /// optimizing engine, tracing off.
+    pub fn new(nodes: usize, rails: Vec<Technology>) -> Self {
         ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
+            nodes,
+            rails,
             engine: EngineKind::optimizing(),
             trace: None,
             engine_trace: None,
         }
     }
 
-    /// Enable both simulator and engine tracing with capacity `cap`.
-    pub fn with_tracing(mut self, cap: usize) -> Self {
-        self.trace = Some(cap);
-        self.engine_trace = Some(cap);
+    /// Two nodes, one MX rail, optimizing engine — the paper's beta setup.
+    pub fn mx_pair() -> Self {
+        ClusterSpec::new(2, vec![Technology::MyrinetMx])
+    }
+
+    /// Run `kind` on every node.
+    pub fn engine(mut self, kind: EngineKind) -> Self {
+        self.engine = kind;
+        self
+    }
+
+    /// Run the optimizing engine with `config` under the pooled policy.
+    pub fn config(self, config: EngineConfig) -> Self {
+        self.engine(EngineKind::with_config(config))
+    }
+
+    /// Run the legacy baseline engine with defaults.
+    pub fn legacy(self) -> Self {
+        self.engine(EngineKind::legacy())
+    }
+
+    /// Enable both simulator and engine tracing with capacity `cap`
+    /// (`None` turns both off, for callers whose tracing is optional).
+    pub fn with_tracing(mut self, cap: impl Into<Option<usize>>) -> Self {
+        self.trace = cap.into();
+        self.engine_trace = self.trace;
         self
     }
 }
@@ -288,17 +322,22 @@ impl Cluster {
         &self.handles[i]
     }
 
+    /// One copy of every optimizing node's engine event ring, in node
+    /// order — what the Chrome export and the profiler both read.
+    fn engine_rings(&self) -> Vec<(NodeId, crate::trace::EventSink)> {
+        self.nodes
+            .iter()
+            .zip(&self.handles)
+            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace_snapshot())))
+            .collect()
+    }
+
     /// Merge the simulator trace and every node's engine trace into one
     /// Chrome trace-event export (rails as tracks, messages as flow
     /// arrows). Works with either trace disabled — the export simply
     /// contains fewer events.
     pub fn export_chrome_trace(&self) -> crate::trace::ChromeExport {
-        let sinks: Vec<(NodeId, crate::trace::EventSink)> = self
-            .nodes
-            .iter()
-            .zip(&self.handles)
-            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace_snapshot())))
-            .collect();
+        let sinks = self.engine_rings();
         let borrowed: Vec<(NodeId, &crate::trace::EventSink)> =
             sinks.iter().map(|(n, s)| (*n, s)).collect();
         // madnet: switched rails stamp their topology summary into the
@@ -330,12 +369,7 @@ impl Cluster {
     /// — the shared front half of [`Cluster::profile`] and the maddiff
     /// snapshot/diff surfaces.
     pub fn prof_input(&self) -> crate::prof::ProfInput {
-        let sinks: Vec<(NodeId, crate::trace::EventSink)> = self
-            .nodes
-            .iter()
-            .zip(&self.handles)
-            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace_snapshot())))
-            .collect();
+        let sinks = self.engine_rings();
         let borrowed: Vec<(NodeId, &crate::trace::EventSink)> =
             sinks.iter().map(|(n, s)| (*n, s)).collect();
         crate::prof::ProfInput::from_engine(self.sim.trace(), &borrowed, &self.nics)
@@ -346,15 +380,6 @@ impl Cluster {
     /// comparison, round-trippable through JSON for committed baselines.
     pub fn run_snapshot(&self, label: &str) -> crate::diff::RunSnapshot {
         crate::diff::RunSnapshot::capture(label, &self.prof_input())
-    }
-
-    /// maddiff: compare this run (side B, "fresh") against `baseline`
-    /// (side A); every signed delta in the result reads B minus A.
-    pub fn diff_against(&self, baseline: &Cluster) -> crate::diff::RunDiff {
-        crate::diff::diff(
-            &baseline.run_snapshot("baseline"),
-            &self.run_snapshot("fresh"),
-        )
     }
 
     /// Walk every node's engine/receiver metrics (plus sampler digests,
@@ -422,7 +447,7 @@ impl Cluster {
         if self
             .handles
             .iter()
-            .any(|h| h.opt().is_some_and(|h| h.trace_snapshot().is_enabled()))
+            .any(|h| h.opt().is_some_and(|h| h.trace_enabled()))
         {
             reg.add_section("profile", self.profile().to_json());
         }
@@ -450,14 +475,6 @@ impl Cluster {
     /// The whole cluster registry rendered as Prometheus text format.
     pub fn prometheus_text(&self) -> String {
         crate::scope::prometheus_render(&self.metrics_registry())
-    }
-
-    /// Flight-recorder dumps captured so far, in node order.
-    pub fn flight_dumps(&self) -> Vec<crate::trace::FlightDump> {
-        self.handles
-            .iter()
-            .filter_map(|h| h.opt().and_then(|h| h.flight_dump()))
-            .collect()
     }
 }
 
@@ -521,13 +538,7 @@ mod tests {
 
     #[test]
     fn legacy_cluster_roundtrip() {
-        let spec = ClusterSpec {
-            nodes: 3,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::legacy(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::new(3, vec![Technology::MyrinetMx]).legacy();
         let mut c = Cluster::build(&spec, vec![]);
         let h0 = c.handle(0).clone();
         let n2 = c.nodes[2];
@@ -547,16 +558,50 @@ mod tests {
 
     #[test]
     fn multirail_cluster_builds() {
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx, Technology::QuadricsElan],
-            engine: EngineKind::optimizing(),
-            trace: Some(1024),
-            engine_trace: None,
-        };
+        let mut spec = ClusterSpec::new(2, vec![Technology::MyrinetMx, Technology::QuadricsElan]);
+        spec.trace = Some(1024);
         let c = Cluster::build(&spec, vec![]);
         assert_eq!(c.nics[0].len(), 2);
         assert_eq!(c.nics[1].len(), 2);
         assert!(c.sim.trace().is_enabled());
+    }
+    /// The constructors are the literal, field for field, and compose in
+    /// any order.
+    #[test]
+    fn constructors_equal_the_literal() {
+        let literal = |engine: EngineKind, cap: Option<usize>| {
+            let spec = ClusterSpec {
+                nodes: 2,
+                rails: vec![Technology::MyrinetMx],
+                engine,
+                trace: cap,
+                engine_trace: cap,
+            };
+            format!("{spec:?}")
+        };
+        let show = |s: ClusterSpec| format!("{s:?}");
+        let pooled = |config: EngineConfig| EngineKind::Optimizing {
+            config,
+            policy: PolicyKind::Pooled,
+        };
+        let legacy = || EngineKind::Legacy {
+            config: EngineConfig::default(),
+        };
+        let new = || ClusterSpec::new(2, vec![Technology::MyrinetMx]);
+
+        let plain = literal(pooled(EngineConfig::default()), None);
+        assert_eq!(show(new()), plain);
+        assert_eq!(show(ClusterSpec::mx_pair()), plain);
+        assert_eq!(show(new().with_tracing(None)), plain);
+
+        let traced_legacy = literal(legacy(), Some(64));
+        assert_eq!(show(new().legacy().with_tracing(64)), traced_legacy);
+        assert_eq!(show(new().with_tracing(64).legacy()), traced_legacy);
+
+        let cfg = EngineConfig::default().with_nagle(SimDuration::from_micros(3));
+        let tuned = literal(pooled(cfg.clone()), Some(8));
+        assert_eq!(show(new().config(cfg.clone()).with_tracing(8)), tuned);
+        let last_engine_wins = new().with_tracing(8).legacy().config(cfg);
+        assert_eq!(show(last_engine_wins), tuned);
     }
 }

@@ -68,11 +68,6 @@ impl Message {
     pub fn total_len(&self) -> u64 {
         self.fragments.iter().map(Fragment::len).sum()
     }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
 }
 
 /// Incremental builder mirroring Madeleine's `begin_packing` / `pack` /
@@ -225,7 +220,7 @@ mod tests {
             submitted_at: SimTime::ZERO,
         };
         assert_eq!(msg.total_len(), 104);
-        assert_eq!(msg.fragment_count(), 2);
+        assert_eq!(msg.fragments.len(), 2);
     }
 
     #[test]

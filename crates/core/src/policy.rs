@@ -168,18 +168,20 @@ impl RailPolicy {
     pub fn epoch_traffic(&self) -> u64 {
         self.epoch_bytes.iter().sum()
     }
-
-    /// Rails eligible for a (flow, class) pair, in rail order.
-    pub fn eligible_rails(&self, flow: FlowId, class: TrafficClass) -> Vec<usize> {
-        (0..self.rails)
-            .filter(|&r| self.eligible(flow, class, r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RailPolicy {
+        /// Rails eligible for a (flow, class) pair, in rail order.
+        fn eligible_rails(&self, flow: FlowId, class: TrafficClass) -> Vec<usize> {
+            (0..self.rails)
+                .filter(|&r| self.eligible(flow, class, r))
+                .collect()
+        }
+    }
 
     #[test]
     fn one_to_one_pins_by_flow() {

@@ -149,18 +149,6 @@ impl FlowSpan {
     pub fn total_ns(&self) -> u64 {
         self.delivered_ns - self.submit_ns
     }
-
-    /// The phase holding the largest share of the total (ties broken by
-    /// attribution order).
-    pub fn dominant(&self) -> Phase {
-        let mut best = Phase::Admission;
-        for p in Phase::ALL {
-            if self.phases[p.rank() as usize] > self.phases[best.rank() as usize] {
-                best = p;
-            }
-        }
-        best
-    }
 }
 
 /// One span on the run critical path.
@@ -220,6 +208,246 @@ enum CookieOp {
     Cong { ts: u64, cookie: u64 },
 }
 
+/// One trace record reduced to what the profiler keeps, independent of
+/// the source it was read from: [`Rec::of_event`] decodes a live engine
+/// event, [`Rec::of_chrome`] an exported Chrome instant event, and
+/// [`ProfInput::fold`] is the only consumer. Record kinds the profiler
+/// ignores decode to `None`.
+enum Rec<'a> {
+    TxDone {
+        rail: u16,
+        cookie: u64,
+    },
+    Submitted {
+        key: MsgKey,
+        bytes: u64,
+        class: &'a str,
+    },
+    Admitted(MsgKey),
+    RndvGranted(MsgKey),
+    ChunkBound {
+        key: MsgKey,
+        cookie: u64,
+    },
+    Retransmit {
+        old: u64,
+        new: u64,
+    },
+    CongestionMark {
+        sender: u32,
+        cookie: u64,
+    },
+    Delivered {
+        key: MsgKey,
+        bytes: u64,
+        latency_ns: u64,
+    },
+    PacketEncoded {
+        activation: u64,
+        rail: u16,
+        cookie: u64,
+    },
+    PlanProposed {
+        activation: u64,
+        strategy: &'a str,
+        chunks: u64,
+        bytes: u64,
+    },
+    PlanScored {
+        activation: u64,
+        strategy: &'a str,
+        score: (u64, u64),
+    },
+    /// `score` is absent from exports that did not record it; the win
+    /// still counts, only the decision-log line is skipped.
+    PlanWon {
+        activation: u64,
+        strategy: &'a str,
+        score: Option<(u64, u64)>,
+    },
+    /// `why` = (strategy, violation); absent, the veto is still counted.
+    PlanVetoed {
+        activation: u64,
+        why: Option<(&'a str, String)>,
+    },
+}
+
+impl<'a> Rec<'a> {
+    /// Decode a live engine event recorded on `node`.
+    fn of_event(node: u32, event: &'a EngineEvent) -> Option<Rec<'a>> {
+        let key = |src: u32, flow: &crate::ids::FlowId, seq: &u32| MsgKey {
+            src,
+            flow: flow.0,
+            seq: *seq,
+        };
+        Some(match event {
+            EngineEvent::Submitted {
+                flow,
+                seq,
+                bytes,
+                class,
+                ..
+            } => Rec::Submitted {
+                key: key(node, flow, seq),
+                bytes: *bytes,
+                class: class.label(),
+            },
+            EngineEvent::Admitted { flow, seq, .. } => Rec::Admitted(key(node, flow, seq)),
+            EngineEvent::RndvGranted { flow, seq, .. } => Rec::RndvGranted(key(node, flow, seq)),
+            EngineEvent::ChunkBound {
+                flow, seq, cookie, ..
+            } => Rec::ChunkBound {
+                key: key(node, flow, seq),
+                cookie: *cookie,
+            },
+            EngineEvent::Retransmit {
+                old_cookie,
+                new_cookie,
+                ..
+            } => Rec::Retransmit {
+                old: *old_cookie,
+                new: *new_cookie,
+            },
+            EngineEvent::CongestionMark { src, cookie, .. } => Rec::CongestionMark {
+                sender: src.0,
+                cookie: *cookie,
+            },
+            EngineEvent::Delivered {
+                src,
+                flow,
+                seq,
+                bytes,
+                latency_ns,
+            } => Rec::Delivered {
+                key: key(src.0, flow, seq),
+                bytes: *bytes,
+                latency_ns: *latency_ns,
+            },
+            EngineEvent::PacketEncoded {
+                activation,
+                rail,
+                cookie,
+                ..
+            } => Rec::PacketEncoded {
+                activation: *activation,
+                rail: *rail,
+                cookie: *cookie,
+            },
+            EngineEvent::PlanProposed {
+                activation,
+                strategy,
+                chunks,
+                bytes,
+            } => Rec::PlanProposed {
+                activation: *activation,
+                strategy,
+                chunks: u64::from(*chunks),
+                bytes: *bytes,
+            },
+            EngineEvent::PlanScored {
+                activation,
+                strategy,
+                score_num,
+                score_den,
+            } => Rec::PlanScored {
+                activation: *activation,
+                strategy,
+                score: (*score_num, *score_den),
+            },
+            EngineEvent::PlanWon {
+                activation,
+                strategy,
+                score_num,
+                score_den,
+            } => Rec::PlanWon {
+                activation: *activation,
+                strategy,
+                score: Some((*score_num, *score_den)),
+            },
+            EngineEvent::PlanVetoed {
+                activation,
+                strategy,
+                violation,
+            } => Rec::PlanVetoed {
+                activation: *activation,
+                why: Some((strategy, violation.to_string())),
+            },
+            _ => return None,
+        })
+    }
+
+    /// Decode one Chrome instant event (`pid` = node, `tid` = rail track);
+    /// a record missing a required argument decodes to `None`.
+    fn of_chrome(pid: u32, tid: u16, name: &str, args: &'a Json) -> Option<Rec<'a>> {
+        let au = |k: &str| args.get(k).and_then(|v| v.as_u64());
+        let astr = |k: &str| args.get(k).and_then(|v| v.as_str());
+        let key = |src: u32| {
+            Some(MsgKey {
+                src,
+                flow: au("flow")? as u32,
+                seq: au("seq")? as u32,
+            })
+        };
+        let score = || Some((au("score_num")?, au("score_den")?));
+        Some(match name {
+            "TxDone" => Rec::TxDone {
+                rail: tid,
+                cookie: au("cookie")?,
+            },
+            "Submitted" => Rec::Submitted {
+                key: key(pid)?,
+                bytes: au("bytes")?,
+                class: astr("class").unwrap_or("?"),
+            },
+            "Admitted" => Rec::Admitted(key(pid)?),
+            "RndvGranted" => Rec::RndvGranted(key(pid)?),
+            "ChunkBound" => Rec::ChunkBound {
+                key: key(pid)?,
+                cookie: au("cookie")?,
+            },
+            "Retransmit" => Rec::Retransmit {
+                old: au("old_cookie")?,
+                new: au("new_cookie")?,
+            },
+            "CongestionMark" => Rec::CongestionMark {
+                sender: au("src")? as u32,
+                cookie: au("cookie")?,
+            },
+            "Delivered" => Rec::Delivered {
+                key: key(au("src")? as u32)?,
+                bytes: au("bytes")?,
+                latency_ns: au("latency_ns")?,
+            },
+            "PacketEncoded" => Rec::PacketEncoded {
+                activation: au("activation")?,
+                rail: au("rail")? as u16,
+                cookie: au("cookie")?,
+            },
+            "PlanProposed" => Rec::PlanProposed {
+                activation: au("activation")?,
+                strategy: astr("strategy")?,
+                chunks: au("chunks")?,
+                bytes: au("bytes")?,
+            },
+            "PlanScored" => Rec::PlanScored {
+                activation: au("activation")?,
+                strategy: astr("strategy")?,
+                score: score()?,
+            },
+            "PlanWon" => Rec::PlanWon {
+                activation: au("activation")?,
+                strategy: astr("strategy")?,
+                score: score(),
+            },
+            "PlanVetoed" => Rec::PlanVetoed {
+                activation: au("activation")?,
+                why: astr("strategy").zip(astr("violation").map(str::to_string)),
+            },
+            _ => return None,
+        })
+    }
+}
+
 impl ProfInput {
     /// Normalize live rings: the simulator trace, per-node engine sinks
     /// and the `nics[node][rail]` topology (same shape as
@@ -243,11 +471,8 @@ impl ProfInput {
             input.events += 1;
             if let SimEvent::TxDone { nic, cookie } = &rec.event {
                 if let Some(&(node, rail)) = nic_loc.get(&nic.0) {
-                    input
-                        .txdone
-                        .entry((node, rail))
-                        .or_default()
-                        .push((rec.at.as_nanos(), *cookie));
+                    let cookie = *cookie;
+                    input.fold(node, rec.at.as_nanos(), Rec::TxDone { rail, cookie });
                 }
             }
         }
@@ -255,147 +480,96 @@ impl ProfInput {
             input.dropped += sink.dropped();
             for rec in sink.iter() {
                 input.events += 1;
-                input.engine_event(node.0, rec.at.as_nanos(), &rec.event);
+                if let Some(r) = Rec::of_event(node.0, &rec.event) {
+                    input.fold(node.0, rec.at.as_nanos(), r);
+                }
             }
         }
         input
     }
 
-    fn engine_event(&mut self, node: u32, ts: u64, event: &EngineEvent) {
-        match event {
-            EngineEvent::Submitted {
-                flow,
-                seq,
-                bytes,
-                class,
-                ..
-            } => {
-                let key = MsgKey {
-                    src: node,
-                    flow: flow.0,
-                    seq: *seq,
-                };
-                self.submits
-                    .insert(key, (ts, *bytes, class.label().to_string()));
+    /// The one record → state fold: every per-kind update of the maps
+    /// above lives here, whichever source the record was decoded from.
+    /// `node` is the node whose ring (or Chrome process) held the record.
+    fn fold(&mut self, node: u32, ts: u64, rec: Rec<'_>) {
+        let mut decide = |activation: u64, line: String| {
+            self.decisions
+                .entry((node, activation))
+                .or_default()
+                .push(line);
+        };
+        match rec {
+            Rec::TxDone { rail, cookie } => {
+                self.txdone
+                    .entry((node, rail))
+                    .or_default()
+                    .push((ts, cookie));
             }
-            EngineEvent::Admitted { flow, seq, .. } => {
-                let key = MsgKey {
-                    src: node,
-                    flow: flow.0,
-                    seq: *seq,
-                };
+            Rec::Submitted { key, bytes, class } => {
+                self.submits.insert(key, (ts, bytes, class.to_string()));
+            }
+            Rec::Admitted(key) => {
                 self.admits.insert(key, ts);
             }
-            EngineEvent::RndvGranted { flow, seq, .. } => {
-                let key = MsgKey {
-                    src: node,
-                    flow: flow.0,
-                    seq: *seq,
-                };
+            Rec::RndvGranted(key) => {
                 self.grants.insert(key, ts); // last grant wins
             }
-            EngineEvent::ChunkBound {
-                flow, seq, cookie, ..
-            } => {
-                let key = MsgKey {
-                    src: node,
-                    flow: flow.0,
-                    seq: *seq,
-                };
-                self.ops.entry(node).or_default().push(CookieOp::Bind {
-                    ts,
-                    key,
-                    cookie: *cookie,
-                });
+            Rec::ChunkBound { key, cookie } => {
+                let op = CookieOp::Bind { ts, key, cookie };
+                self.ops.entry(node).or_default().push(op);
             }
-            EngineEvent::Retransmit {
-                old_cookie,
-                new_cookie,
-                ..
-            } => {
-                self.ops.entry(node).or_default().push(CookieOp::Retx {
-                    ts,
-                    old: *old_cookie,
-                    new: *new_cookie,
-                });
+            Rec::Retransmit { old, new } => {
+                let op = CookieOp::Retx { ts, old, new };
+                self.ops.entry(node).or_default().push(op);
             }
-            EngineEvent::CongestionMark { src, cookie, .. } => {
+            Rec::CongestionMark { sender, cookie } => {
                 // Filed under the *sender* — cookies are per-sender
                 // counters, and the mark lives in the sender's sink.
-                self.ops.entry(src.0).or_default().push(CookieOp::Cong {
-                    ts,
-                    cookie: *cookie,
-                });
+                let op = CookieOp::Cong { ts, cookie };
+                self.ops.entry(sender).or_default().push(op);
             }
-            EngineEvent::Delivered {
-                src,
-                flow,
-                seq,
+            Rec::Delivered {
+                key,
                 bytes,
                 latency_ns,
             } => {
-                let key = MsgKey {
-                    src: src.0,
-                    flow: flow.0,
-                    seq: *seq,
-                };
-                self.delivered.insert(key, (ts, *bytes, *latency_ns));
+                self.delivered.insert(key, (ts, bytes, latency_ns));
             }
-            EngineEvent::PacketEncoded {
+            Rec::PacketEncoded {
                 activation,
                 rail,
                 cookie,
-                ..
             } => {
-                self.encoded.insert((node, *cookie), (*rail, *activation));
+                self.encoded.insert((node, cookie), (rail, activation));
             }
-            EngineEvent::PlanProposed {
+            Rec::PlanProposed {
                 activation,
                 strategy,
                 chunks,
                 bytes,
-            } => {
-                self.decisions
-                    .entry((node, *activation))
-                    .or_default()
-                    .push(format!("P:{strategy}:{chunks}:{bytes}"));
-            }
-            EngineEvent::PlanScored {
+            } => decide(activation, format!("P:{strategy}:{chunks}:{bytes}")),
+            Rec::PlanScored {
                 activation,
                 strategy,
-                score_num,
-                score_den,
-            } => {
-                self.decisions
-                    .entry((node, *activation))
-                    .or_default()
-                    .push(format!("S:{strategy}:{score_num}/{score_den}"));
-            }
-            EngineEvent::PlanWon {
+                score: (num, den),
+            } => decide(activation, format!("S:{strategy}:{num}/{den}")),
+            Rec::PlanWon {
                 activation,
                 strategy,
-                score_num,
-                score_den,
+                score,
             } => {
+                if let Some((num, den)) = score {
+                    decide(activation, format!("W:{strategy}:{num}/{den}"));
+                }
                 self.plan_won
-                    .insert((node, *activation), (*strategy).to_string());
-                self.decisions
-                    .entry((node, *activation))
-                    .or_default()
-                    .push(format!("W:{strategy}:{score_num}/{score_den}"));
+                    .insert((node, activation), strategy.to_string());
             }
-            EngineEvent::PlanVetoed {
-                activation,
-                strategy,
-                violation,
-            } => {
-                *self.plan_vetoes.entry((node, *activation)).or_insert(0) += 1;
-                self.decisions
-                    .entry((node, *activation))
-                    .or_default()
-                    .push(format!("V:{strategy}:{violation}"));
+            Rec::PlanVetoed { activation, why } => {
+                if let Some((strategy, violation)) = why {
+                    decide(activation, format!("V:{strategy}:{violation}"));
+                }
+                *self.plan_vetoes.entry((node, activation)).or_insert(0) += 1;
             }
-            _ => {}
         }
     }
 
@@ -440,164 +614,9 @@ impl ProfInput {
                 Some(a) => a,
                 None => continue,
             };
-            let au = |k: &str| args.get(k).and_then(|v| v.as_u64());
-            let astr = |k: &str| args.get(k).and_then(|v| v.as_str());
             input.events += 1;
-            match name {
-                "TxDone" => {
-                    if let Some(cookie) = au("cookie") {
-                        input
-                            .txdone
-                            .entry((pid, tid as u16))
-                            .or_default()
-                            .push((ts, cookie));
-                    }
-                }
-                "Submitted" => {
-                    if let (Some(flow), Some(seq), Some(bytes)) =
-                        (au("flow"), au("seq"), au("bytes"))
-                    {
-                        let key = MsgKey {
-                            src: pid,
-                            flow: flow as u32,
-                            seq: seq as u32,
-                        };
-                        let class = astr("class").unwrap_or("?").to_string();
-                        input.submits.insert(key, (ts, bytes, class));
-                    }
-                }
-                "Admitted" => {
-                    if let (Some(flow), Some(seq)) = (au("flow"), au("seq")) {
-                        let key = MsgKey {
-                            src: pid,
-                            flow: flow as u32,
-                            seq: seq as u32,
-                        };
-                        input.admits.insert(key, ts);
-                    }
-                }
-                "RndvGranted" => {
-                    if let (Some(flow), Some(seq)) = (au("flow"), au("seq")) {
-                        let key = MsgKey {
-                            src: pid,
-                            flow: flow as u32,
-                            seq: seq as u32,
-                        };
-                        input.grants.insert(key, ts);
-                    }
-                }
-                "ChunkBound" => {
-                    if let (Some(flow), Some(seq), Some(cookie)) =
-                        (au("flow"), au("seq"), au("cookie"))
-                    {
-                        let key = MsgKey {
-                            src: pid,
-                            flow: flow as u32,
-                            seq: seq as u32,
-                        };
-                        input
-                            .ops
-                            .entry(pid)
-                            .or_default()
-                            .push(CookieOp::Bind { ts, key, cookie });
-                    }
-                }
-                "Retransmit" => {
-                    if let (Some(old), Some(new)) = (au("old_cookie"), au("new_cookie")) {
-                        input
-                            .ops
-                            .entry(pid)
-                            .or_default()
-                            .push(CookieOp::Retx { ts, old, new });
-                    }
-                }
-                "CongestionMark" => {
-                    if let (Some(src), Some(cookie)) = (au("src"), au("cookie")) {
-                        input
-                            .ops
-                            .entry(src as u32)
-                            .or_default()
-                            .push(CookieOp::Cong { ts, cookie });
-                    }
-                }
-                "Delivered" => {
-                    if let (Some(src), Some(flow), Some(seq), Some(bytes), Some(lat)) = (
-                        au("src"),
-                        au("flow"),
-                        au("seq"),
-                        au("bytes"),
-                        au("latency_ns"),
-                    ) {
-                        let key = MsgKey {
-                            src: src as u32,
-                            flow: flow as u32,
-                            seq: seq as u32,
-                        };
-                        input.delivered.insert(key, (ts, bytes, lat));
-                    }
-                }
-                "PacketEncoded" => {
-                    if let (Some(act), Some(rail), Some(cookie)) =
-                        (au("activation"), au("rail"), au("cookie"))
-                    {
-                        input.encoded.insert((pid, cookie), (rail as u16, act));
-                    }
-                }
-                "PlanProposed" => {
-                    if let (Some(act), Some(strategy), Some(chunks), Some(bytes)) = (
-                        au("activation"),
-                        astr("strategy"),
-                        au("chunks"),
-                        au("bytes"),
-                    ) {
-                        input
-                            .decisions
-                            .entry((pid, act))
-                            .or_default()
-                            .push(format!("P:{strategy}:{chunks}:{bytes}"));
-                    }
-                }
-                "PlanScored" => {
-                    if let (Some(act), Some(strategy), Some(num), Some(den)) = (
-                        au("activation"),
-                        astr("strategy"),
-                        au("score_num"),
-                        au("score_den"),
-                    ) {
-                        input
-                            .decisions
-                            .entry((pid, act))
-                            .or_default()
-                            .push(format!("S:{strategy}:{num}/{den}"));
-                    }
-                }
-                "PlanWon" => {
-                    if let (Some(act), Some(strategy)) = (au("activation"), astr("strategy")) {
-                        input.plan_won.insert((pid, act), strategy.to_string());
-                        if let (Some(num), Some(den)) = (au("score_num"), au("score_den")) {
-                            input
-                                .decisions
-                                .entry((pid, act))
-                                .or_default()
-                                .push(format!("W:{strategy}:{num}/{den}"));
-                        }
-                    }
-                }
-                "PlanVetoed" => {
-                    if let Some(act) = au("activation") {
-                        *input.plan_vetoes.entry((pid, act)).or_insert(0) += 1;
-                        if let (Some(strategy), Some(violation)) =
-                            (astr("strategy"), astr("violation"))
-                        {
-                            input
-                                .decisions
-                                .entry((pid, act))
-                                .or_default()
-                                .push(format!("V:{strategy}:{violation}"));
-                        }
-                    }
-                }
-                _ => {}
+            if let Some(r) = Rec::of_chrome(pid, tid as u16, name, args) {
+                input.fold(pid, ts, r);
             }
         }
         Ok(input)
@@ -1240,7 +1259,6 @@ mod tests {
         assert_eq!(f.rail, 0);
         assert_eq!(f.strategy, "aggregate");
         assert_eq!(f.vetoes, 1);
-        assert_eq!(f.dominant(), Phase::Retx);
         assert_eq!(p.partition_violations, 0);
         assert!(!p.truncated());
     }

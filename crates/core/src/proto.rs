@@ -239,23 +239,13 @@ pub fn decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
     Ok(chunks[0].header)
 }
 
-/// Encode a reliability acknowledgement for the data packet that carried
-/// `cookie`. Rides the metadata-only packet shape: the acked cookie is
-/// carried in the header's `(flow, msg_seq)` pair as its high/low halves,
-/// so no new wire format is needed.
-pub fn encode_ack(cookie: u64) -> Vec<Bytes> {
-    encode_rndv(ack_header(cookie))
-}
-
-/// The metadata-only header an acknowledgement for `cookie` travels in
-/// (the engine queues these through its control-packet path).
-pub fn ack_header(cookie: u64) -> ChunkHeader {
-    ack_header_ecn(cookie, false)
-}
-
-/// An acknowledgement header that additionally echoes a fabric congestion
-/// mark (madnet ECN). The spare `frag_index` field carries the bit — acks
-/// are single metadata-only chunks, so the field is otherwise always zero.
+/// The metadata-only header a reliability acknowledgement for the data
+/// packet that carried `cookie` travels in (the engine queues these through
+/// its control-packet path). It rides the metadata-only packet shape: the
+/// acked cookie is carried in the header's `(flow, msg_seq)` pair as its
+/// high/low halves, so no new wire format is needed. `ecn` echoes a fabric
+/// congestion mark (madnet ECN) in the spare `frag_index` field — acks are
+/// single metadata-only chunks, so the field is otherwise always zero.
 pub fn ack_header_ecn(cookie: u64, ecn: bool) -> ChunkHeader {
     ChunkHeader {
         flow: FlowId((cookie >> 32) as u32),
@@ -269,11 +259,6 @@ pub fn ack_header_ecn(cookie: u64, ecn: bool) -> ChunkHeader {
         chunk_len: 0,
         submit_ns: 0,
     }
-}
-
-/// Decode a reliability acknowledgement back to the acked data cookie.
-pub fn decode_ack(pkt: &WirePacket) -> Result<u64, ProtoError> {
-    decode_ack_ecn(pkt).map(|(cookie, _)| cookie)
 }
 
 /// Decode an acknowledgement to `(cookie, ecn_echo)` — the congestion bit
@@ -437,9 +422,9 @@ mod tests {
     #[test]
     fn ack_roundtrip_carries_full_cookie() {
         for cookie in [0u64, 1, 0xDEAD_BEEF, u64::MAX, 0x1234_5678_9ABC_DEF0] {
-            let mut pkt = as_packet(encode_ack(cookie));
+            let mut pkt = as_packet(encode_rndv(ack_header_ecn(cookie, false)));
             pkt.kind = KIND_ACK;
-            assert_eq!(decode_ack(&pkt).unwrap(), cookie);
+            assert_eq!(decode_ack_ecn(&pkt).unwrap(), (cookie, false));
         }
     }
 
@@ -449,12 +434,7 @@ mod tests {
             let mut pkt = as_packet(encode_rndv(ack_header_ecn(cookie, ecn)));
             pkt.kind = KIND_ACK;
             assert_eq!(decode_ack_ecn(&pkt).unwrap(), (cookie, ecn));
-            // Legacy decoder still sees the cookie regardless of the bit.
-            assert_eq!(decode_ack(&pkt).unwrap(), cookie);
         }
-        let mut pkt = as_packet(encode_ack(42));
-        pkt.kind = KIND_ACK;
-        assert_eq!(decode_ack_ecn(&pkt).unwrap(), (42, false));
     }
 
     #[test]

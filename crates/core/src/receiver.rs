@@ -291,22 +291,6 @@ impl Receiver {
         self.stats.delivered += out.len() as u64;
         out
     }
-
-    /// Messages reassembled but held for flow ordering.
-    pub fn held_messages(&self) -> usize {
-        self.flows
-            .values()
-            .map(|f| f.pending.values().filter(|m| m.complete()).count())
-            .sum()
-    }
-
-    /// Messages with partial state (reassembly in progress).
-    pub fn incomplete_messages(&self) -> usize {
-        self.flows
-            .values()
-            .map(|f| f.pending.values().filter(|m| !m.complete()).count())
-            .sum()
-    }
 }
 
 /// Bound on the delivered-message buffer drained via `take_delivered`.
@@ -345,6 +329,14 @@ impl DeliveredRing {
 mod tests {
     use super::*;
     use crate::proto::ChunkHeader;
+
+    /// Messages reassembled but held for flow ordering.
+    fn held_messages(r: &Receiver) -> usize {
+        r.flows
+            .values()
+            .map(|f| f.pending.values().filter(|m| m.complete()).count())
+            .sum()
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn chunk(
@@ -418,7 +410,7 @@ mod tests {
         assert!(r
             .on_chunk(SRC, &chunk(0, 1, 0, 1, false, 2, 0, b"m1"), NOW)
             .is_empty());
-        assert_eq!(r.held_messages(), 1);
+        assert_eq!(held_messages(&r), 1);
         // ...but is only delivered after message 0.
         let out = r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 2, 0, b"m0"), NOW);
         assert_eq!(out.len(), 2);
@@ -502,14 +494,14 @@ mod tests {
         assert!(r
             .on_chunk(SRC, &chunk(0, 2, 0, 1, false, 2, 0, b"m2"), NOW)
             .is_empty());
-        assert_eq!(r.held_messages(), 1);
+        assert_eq!(held_messages(&r), 1);
         // The sender shed seq 1: the cancel releases seq 2.
         let out = r.on_cancel(SRC, FlowId(0), 1, NOW);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id.seq.0, 2);
         assert_eq!(r.stats.cancelled, 1);
         assert_eq!(r.stats.delivered, 2);
-        assert_eq!(r.held_messages(), 0);
+        assert_eq!(held_messages(&r), 0);
     }
 
     #[test]

@@ -211,14 +211,6 @@ impl StrategyRegistry {
             }
         }
     }
-
-    /// [`StrategyRegistry::propose_all`] without mask filtering — the
-    /// exhaustive sweep the conformance analyzer compares against.
-    pub fn propose_unmasked(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
-        for s in &self.items {
-            s.propose(ctx, out);
-        }
-    }
 }
 
 /// The applicability mask actually in force on a rail: the driver's

@@ -551,106 +551,13 @@ pub fn encode_score(score: f64, busy_ns: u64) -> (u64, u64) {
 }
 
 /// A timestamped engine event.
-#[derive(Clone, Debug)]
-pub struct EngineRecord {
-    /// Virtual time of the event.
-    pub at: SimTime,
-    /// The event.
-    pub event: EngineEvent,
-}
+pub type EngineRecord = simnet::Stamped<EngineEvent>;
 
-/// Bounded ring of engine events (mirrors [`simnet::Trace`]: disabled
-/// tracing costs one branch per push, a full ring overwrites the oldest
-/// records and counts them in [`EventSink::dropped`]).
-#[derive(Clone, Debug)]
-pub struct EventSink {
-    enabled: bool,
-    capacity: usize,
-    records: Vec<EngineRecord>,
-    head: usize,
-    dropped: u64,
-}
-
-impl Default for EventSink {
-    fn default() -> Self {
-        EventSink::disabled()
-    }
-}
-
-impl EventSink {
-    /// A disabled sink (records nothing).
-    pub fn disabled() -> Self {
-        EventSink {
-            enabled: false,
-            capacity: 0,
-            records: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// An enabled sink retaining the most recent `capacity` records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventSink {
-            enabled: true,
-            capacity: capacity.max(1),
-            records: Vec::with_capacity(capacity.min(4096)),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Whether tracing is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Record an event (no-op when disabled).
-    pub fn push(&mut self, at: SimTime, event: EngineEvent) {
-        if !self.enabled {
-            return;
-        }
-        let rec = EngineRecord { at, event };
-        if self.records.len() < self.capacity {
-            self.records.push(rec);
-        } else {
-            self.records[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Records in chronological order (oldest retained first).
-    pub fn iter(&self) -> impl Iterator<Item = &EngineRecord> {
-        let (newer, older) = self.records.split_at(self.head);
-        older.iter().chain(newer.iter())
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Number of records discarded due to capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Count retained records matching a predicate.
-    pub fn count_matching(&self, mut pred: impl FnMut(&EngineEvent) -> bool) -> usize {
-        self.iter().filter(|r| pred(&r.event)).count()
-    }
-}
+/// Bounded ring of engine events: [`simnet::Ring`], the ring the
+/// simulator's own trace is kept in. Disabled tracing costs one branch per
+/// push; a full ring overwrites the oldest records and counts them in
+/// [`EventSink::dropped`].
+pub type EventSink = simnet::Ring<EngineEvent>;
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event export
@@ -1101,26 +1008,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let mut s = EventSink::disabled();
-        s.push(SimTime::ZERO, ev(0));
-        assert!(s.is_empty());
-        assert!(!s.is_enabled());
-        assert_eq!(s.dropped(), 0);
-    }
-
+    /// `EventSink` / `EngineRecord` are names over `simnet::Ring`, whose
+    /// own unit tests cover the ring; this only pins the aliases.
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
+        let mut off = EventSink::default();
+        off.push(SimTime::ZERO, ev(0));
+        assert!(off.is_empty() && !off.is_enabled());
+        assert_eq!(off.dropped(), 0);
+
         let mut s = EventSink::with_capacity(3);
         for i in 0..5 {
             s.push(SimTime::from_nanos(i as u64), ev(i));
         }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
+        assert_eq!((s.len(), s.dropped()), (3, 2));
         let seqs: Vec<u32> = s
             .iter()
-            .map(|r| match r.event {
+            .map(|r: &EngineRecord| match r.event {
                 EngineEvent::Submitted { seq, .. } => seq,
                 _ => unreachable!(),
             })

@@ -17,47 +17,7 @@ use madeleine::coll::{select_algo, CollAlgo, CollOp, CollPlan, CHUNK_FULL};
 use nicdrv::{calib, CostModel};
 use simnet::{SplitMix64, Technology};
 
-/// Aggregate result of a madcoll schedule conformance check.
-#[derive(Clone, Debug)]
-pub struct CollReport {
-    /// Corpus shapes checked (op × algo × members × elems).
-    pub samples: usize,
-    /// Schedules verified (includes the auto-selected plan per shape and
-    /// capability profile).
-    pub plans: usize,
-    /// Total sends walked across all schedules.
-    pub sends: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
-}
-
-impl CollReport {
-    /// True when every schedule was a spanning, byte-exact DAG.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for CollReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck coll: {} shapes, {} schedules verified, {} sends walked",
-            self.samples, self.plans, self.sends
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: every schedule is an acyclic, member-spanning, byte-exact round-gated DAG"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "COLL FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
+use crate::report::SweepReport;
 
 /// The capability profiles selection is exercised under — every
 /// calibrated driver plus the synthetic round-number NIC.
@@ -218,7 +178,7 @@ fn check_bytes(plan: &CollPlan, label: &str, findings: &mut Vec<String>) {
 }
 
 /// Run the conformance check over a seeded corpus.
-pub fn coll_check(seed: u64, samples: usize) -> CollReport {
+pub fn coll_check(seed: u64, samples: usize) -> SweepReport {
     let mut rng = SplitMix64::new(seed ^ 0xC011_C4EC);
     let profiles = profiles();
     let ops = [
@@ -227,12 +187,13 @@ pub fn coll_check(seed: u64, samples: usize) -> CollReport {
         CollOp::Broadcast { root: 0 },
         CollOp::Reduce { root: 0 },
     ];
-    let mut report = CollReport {
-        samples: 0,
-        plans: 0,
-        sends: 0,
-        findings: Vec::new(),
-    };
+    // Shapes are op × algo × members × elems; the schedule count includes
+    // the auto-selected plan per shape and capability profile.
+    let mut report = SweepReport::new(
+        "coll",
+        "every schedule is an acyclic, member-spanning, byte-exact round-gated DAG",
+        &["shapes", "schedules verified", "sends walked"],
+    );
     for i in 0..samples {
         let members = [1u32, 2, 3, 4, 5, 7, 8, 12, 16, 33][(rng.next_u64() % 10) as usize];
         let elems = [1u32, 2, 9, 64, 1000, 8192][(rng.next_u64() % 6) as usize];
@@ -242,10 +203,10 @@ pub fn coll_check(seed: u64, samples: usize) -> CollReport {
             CollOp::Reduce { .. } => CollOp::Reduce { root },
             other => other,
         };
-        report.samples += 1;
-        let verify = |plan: &CollPlan, label: &str, report: &mut CollReport| {
-            report.plans += 1;
-            report.sends += plan.sends.len();
+        report.add("shapes", 1);
+        let verify = |plan: &CollPlan, label: &str, report: &mut SweepReport| {
+            report.add("schedules verified", 1);
+            report.add("sends walked", plan.sends.len());
             check_acyclic(plan, label, &mut report.findings);
             check_spanning(plan, label, &mut report.findings);
             check_bytes(plan, label, &mut report.findings);
@@ -291,8 +252,9 @@ mod tests {
     fn corpus_is_conformant() {
         let r = coll_check(7, 24);
         assert!(r.is_clean(), "{r}");
-        assert!(r.plans > 100, "corpus too small: {} plans", r.plans);
-        assert!(r.sends > 1000, "corpus too small: {} sends", r.sends);
+        let (plans, sends) = (r.count("schedules verified"), r.count("sends walked"));
+        assert!(plans > 100, "corpus too small: {plans} plans");
+        assert!(sends > 1000, "corpus too small: {sends} sends");
     }
 
     #[test]
@@ -318,8 +280,7 @@ mod tests {
     fn deterministic_for_a_seed() {
         let a = coll_check(3, 12);
         let b = coll_check(3, 12);
-        assert_eq!(a.plans, b.plans);
-        assert_eq!(a.sends, b.sends);
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.findings, b.findings);
     }
 }

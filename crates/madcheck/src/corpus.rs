@@ -7,9 +7,16 @@
 //! pressure, express gating, mid-transfer frontiers, handshake phases);
 //! the sampled tail walks the wider product space of flow counts, sizes,
 //! classes and pack modes.
+//!
+//! The second corpus here, [`traced_run`], is the seeded *live* one: small
+//! fully-traced two-node runs that the madprof and maddiff rules both
+//! replay, each with its own [`TracedCorpus`] shape.
 
+use madeleine::harness::{Cluster, ClusterSpec};
+use madeleine::ids::TrafficClass;
+use madeleine::{EngineConfig, MessageBuilder, ReliabilityMode};
 use nicdrv::DriverCapabilities;
-use simnet::SplitMix64;
+use simnet::{FaultPlan, SimDuration, SimTime, SplitMix64};
 
 use crate::backlog::{BacklogSpec, FragSpec, MsgSpec, RndvPhase};
 
@@ -188,6 +195,78 @@ pub fn corpus(
         });
     }
     out
+}
+
+/// Event-ring capacity for traced corpus clusters. Corpus workloads are
+/// tens of messages; overflow would silently weaken a check, so the rules
+/// also assert no ring dropped anything.
+const RING_CAP: usize = 1 << 14;
+
+/// What one rule's traced samples are drawn from. Every choice is one
+/// draw from the sample's own RNG, in field order per message.
+pub struct TracedCorpus {
+    /// One flow per listed class.
+    pub classes: &'static [TrafficClass],
+    /// A sample sends `msgs.0 + below(msgs.1)` messages.
+    pub msgs: (u64, u64),
+    /// Gap before each message (ns): same-instant bursts plus gaps long
+    /// enough for the backlog to drain (idle-rail admissions).
+    pub gaps_ns: &'static [u64],
+    /// Body sizes (bytes).
+    pub bodies: &'static [usize],
+    /// One message in this many leads with a 16-byte express header;
+    /// 0 = never (and no draw).
+    pub express_one_in: u64,
+    /// The adversity odd-indexed samples run under.
+    pub faults: fn(FaultPlan) -> FaultPlan,
+}
+
+/// Build, drive and drain sample `idx` of a traced corpus: a two-node MX
+/// cluster with both rings on, sending the seeded schedule `shape`
+/// describes. Odd-indexed samples run madrel `Recover` under
+/// `shape.faults`, so the `retx_recovery` phase carries real time;
+/// even-indexed samples run the clean optimizing engine. `nagle` is the
+/// one configuration perturbation maddiff compares against (zero is the
+/// default).
+pub fn traced_run(seed: u64, idx: usize, shape: &TracedCorpus, nagle: SimDuration) -> Cluster {
+    let mut rng = SplitMix64::new(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let faulty = idx % 2 == 1;
+    let mut config = EngineConfig::default().with_nagle(nagle);
+    if faulty {
+        config.reliability = ReliabilityMode::Recover;
+    }
+    let spec = ClusterSpec::mx_pair().config(config).with_tracing(RING_CAP);
+    let mut c = Cluster::build(&spec, vec![]);
+    if faulty {
+        let plan = FaultPlan::new(seed.wrapping_add(idx as u64));
+        c.set_fault_plan(0, (shape.faults)(plan));
+    }
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let h = c.handles[0].clone();
+    let flows: Vec<_> = shape
+        .classes
+        .iter()
+        .map(|&cl| h.open_flow(dst, cl))
+        .collect();
+    let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+    let msgs = shape.msgs.0 + rng.next_below(shape.msgs.1);
+    let mut t_ns = 0u64;
+    for _ in 0..msgs {
+        t_ns += shape.gaps_ns[pick(&mut rng, shape.gaps_ns.len())];
+        let flow = flows[pick(&mut rng, flows.len())];
+        let body = shape.bodies[pick(&mut rng, shape.bodies.len())];
+        let express = shape.express_one_in > 0 && rng.next_below(shape.express_one_in) == 0;
+        c.sim.run_until(SimTime::from_nanos(t_ns));
+        c.sim.inject(src, |ctx| {
+            let mut b = MessageBuilder::new();
+            if express {
+                b = b.pack_express(&[0xA5u8; 16]);
+            }
+            h.send(ctx, flow, b.pack_cheaper(&vec![0x5Au8; body]).build_parts())
+        });
+    }
+    c.drain();
+    c
 }
 
 #[cfg(test)]

@@ -12,129 +12,52 @@
 //! nanoseconds, would steer every regression hunt toward noise.
 
 use madeleine::diff::diff;
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
-use madeleine::{EngineConfig, MessageBuilder, PolicyKind, ReliabilityMode, RunSnapshot};
-use simnet::{FaultPlan, SimTime, SplitMix64, Technology};
+use madeleine::RunSnapshot;
+use simnet::SimDuration;
 
-/// Event-ring capacity for corpus clusters; overflow would silently
-/// weaken the check, so snapshots are also asserted un-truncated.
-const RING_CAP: usize = 1 << 14;
+use crate::corpus::{traced_run, TracedCorpus};
+use crate::report::SweepReport;
 
-/// Aggregate result of a maddiff conformance check.
-#[derive(Clone, Debug)]
-pub struct DiffReport {
-    /// Corpus workloads diffed.
-    pub samples: usize,
-    /// Aligned message pairs whose delta partition was verified.
-    pub aligned: usize,
-    /// Aligned pairs in the perturbed comparisons with a nonzero delta
-    /// (the perturbation must actually move something).
-    pub moved: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
+/// The maddiff corpus: two classes, no express headers, and the faulted
+/// half under plain loss so the `retx_recovery` phase carries weight in
+/// the deltas.
+const CORPUS: TracedCorpus = TracedCorpus {
+    classes: &[TrafficClass::DEFAULT, TrafficClass::BULK],
+    msgs: (8, 8),
+    gaps_ns: &[0, 400, 2_500],
+    bodies: &[64, 512, 4_096],
+    express_one_in: 0,
+    faults: |plan| plan.with_loss(0.02),
+};
+
+/// An empty maddiff report: corpus workloads diffed, aligned message
+/// pairs whose delta partition was verified, and aligned pairs in the
+/// perturbed comparisons with a nonzero delta (the perturbation must
+/// actually move something).
+fn new_report(samples: usize) -> SweepReport {
+    let mut report = SweepReport::new(
+        "diff",
+        "self-diffs are exactly zero and every phase delta partitions",
+        &["workloads", "aligned pairs", "moved under perturbation"],
+    );
+    report.add("workloads", samples);
+    report
 }
 
-impl DiffReport {
-    /// True when every diff behaved.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for DiffReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck diff: {} workloads, {} aligned pairs, {} moved under perturbation",
-            self.samples, self.aligned, self.moved
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: self-diffs are exactly zero and every phase delta partitions"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "DIFF FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Build, drive and drain one seeded corpus workload. `perturb` arms a
-/// 2 µs Nagle delay (the default is zero) — a pure-configuration change
-/// that shifts decision and queueing time without altering which
-/// messages exist, so every message still aligns. Odd-indexed samples
-/// also run madrel `Recover` under a seeded loss fault plan so the
-/// `retx_recovery` phase carries weight in the deltas.
-fn build_sample(seed: u64, idx: usize, perturb: bool) -> Cluster {
-    let mut rng = SplitMix64::new(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let faulty = idx % 2 == 1;
-    let mut config = EngineConfig::default();
-    if faulty {
-        config.reliability = ReliabilityMode::Recover;
-    }
-    if perturb {
-        config.nagle_delay = simnet::SimDuration::from_micros(2);
-    }
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: Some(RING_CAP),
-        engine_trace: Some(RING_CAP),
-    };
-    let mut c = Cluster::build(&spec, vec![]);
-    if faulty {
-        c.set_fault_plan(
-            0,
-            FaultPlan::new(seed.wrapping_add(idx as u64)).with_loss(0.02),
-        );
-    }
-    let src = c.nodes[0];
-    let dst = c.nodes[1];
-    let h = c.handles[0].clone();
-    let classes = [TrafficClass::DEFAULT, TrafficClass::BULK];
-    let flows: Vec<_> = classes.iter().map(|&cl| h.open_flow(dst, cl)).collect();
-    let msgs = 8 + rng.next_below(8);
-    let mut t_ns = 0u64;
-    for _ in 0..msgs {
-        t_ns += [0, 400, 2_500][rng.next_below(3) as usize];
-        let flow = flows[rng.next_below(flows.len() as u64) as usize];
-        let body = [64usize, 512, 4_096][rng.next_below(3) as usize];
-        c.sim.run_until(SimTime::from_nanos(t_ns));
-        c.sim.inject(src, |ctx| {
-            h.send(
-                ctx,
-                flow,
-                MessageBuilder::new()
-                    .pack_cheaper(&vec![0x6Bu8; body])
-                    .build_parts(),
-            )
-        });
-    }
-    c.drain();
-    c
-}
-
+/// Snapshot one corpus sample. `perturb` arms a 2 µs Nagle delay (the
+/// default is zero) — a pure-configuration change that shifts decision
+/// and queueing time without altering which messages exist, so every
+/// message still aligns.
 fn snapshot(seed: u64, idx: usize, perturb: bool, label: &str) -> RunSnapshot {
-    build_sample(seed, idx, perturb).run_snapshot(label)
+    let nagle = SimDuration::from_micros(if perturb { 2 } else { 0 });
+    traced_run(seed, idx, &CORPUS, nagle).run_snapshot(label)
 }
 
 /// Replay the seeded corpus, verifying self-diff zero, report
 /// determinism and the perturbed delta partition.
-pub fn diff_check(seed: u64, samples: usize) -> DiffReport {
-    let mut report = DiffReport {
-        samples,
-        aligned: 0,
-        moved: 0,
-        findings: Vec::new(),
-    };
+pub fn diff_check(seed: u64, samples: usize) -> SweepReport {
+    let mut report = new_report(samples);
     for idx in 0..samples {
         let ctx = format!("sample {idx}");
         let base = snapshot(seed, idx, false, "base");
@@ -176,9 +99,9 @@ pub fn diff_check(seed: u64, samples: usize) -> DiffReport {
             ));
         }
         for m in &d.aligned {
-            report.aligned += 1;
+            report.add("aligned pairs", 1);
             if m.delta_ns != 0 {
-                report.moved += 1;
+                report.add("moved under perturbation", 1);
             }
             let sum: i64 = m.phase_deltas.iter().sum();
             if sum != m.delta_ns {
@@ -220,9 +143,10 @@ mod tests {
     fn corpus_diffs_conform() {
         let r = diff_check(42, 6);
         assert!(r.is_clean(), "{r}");
-        assert!(r.aligned >= 6 * 8, "aligned pairs checked: {}", r.aligned);
+        let aligned = r.count("aligned pairs");
+        assert!(aligned >= 6 * 8, "aligned pairs checked: {aligned}");
         assert!(
-            r.moved > 0,
+            r.count("moved under perturbation") > 0,
             "doubling the Nagle delay must move at least one latency"
         );
     }
@@ -231,8 +155,7 @@ mod tests {
     fn diff_check_is_deterministic() {
         let a = diff_check(7, 4);
         let b = diff_check(7, 4);
-        assert_eq!(a.aligned, b.aligned);
-        assert_eq!(a.moved, b.moved);
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.findings, b.findings);
     }
 
@@ -249,14 +172,9 @@ mod tests {
         let wire = madeleine::Phase::Wire.rank() as usize;
         row.phases[wire] += 5;
         let d = diff(&base, &bent);
-        let mut report = DiffReport {
-            samples: 1,
-            aligned: 0,
-            moved: 0,
-            findings: Vec::new(),
-        };
+        let mut report = new_report(1);
         for m in &d.aligned {
-            report.aligned += 1;
+            report.add("aligned pairs", 1);
             let sum: i64 = m.phase_deltas.iter().sum();
             if sum != m.delta_ns {
                 report

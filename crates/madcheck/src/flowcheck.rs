@@ -21,6 +21,7 @@ use simnet::SimTime;
 
 use crate::backlog::ANALYZED_RAIL;
 use crate::corpus::corpus;
+use crate::report::SweepReport;
 
 /// Everything the index claims, recomputed two ways.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,47 +114,9 @@ fn diff(ctx: &str, index: &Snapshot, walk: &Snapshot) -> Vec<String> {
     out
 }
 
-/// Aggregate result of a flow-index conformance check.
-#[derive(Clone, Debug)]
-pub struct FlowReport {
-    /// Corpus backlogs replayed.
-    pub specs: usize,
-    /// Index-vs-walk comparisons performed.
-    pub checks: usize,
-    /// Messages shed while exercising the removal path.
-    pub shed: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
-}
-
-impl FlowReport {
-    /// True when the index never disagreed with the full walk.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for FlowReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck flow: {} backlogs, {} index-vs-walk comparisons, {} messages shed",
-            self.specs, self.checks, self.shed
-        )?;
-        if self.is_clean() {
-            writeln!(f, "conformant: the active-flow index matches a full walk")?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "FLOW FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One audit point: compare both derivations, record differences.
-fn audit(c: &CollectLayer, ctx: &str, report: &mut FlowReport) {
-    report.checks += 1;
+fn audit(c: &CollectLayer, ctx: &str, report: &mut SweepReport) {
+    report.add("index-vs-walk comparisons", 1);
     let findings = diff(ctx, &indexed(c), &brute_force(c));
     if report.findings.len() < 32 {
         report.findings.extend(findings);
@@ -162,15 +125,15 @@ fn audit(c: &CollectLayer, ctx: &str, report: &mut FlowReport) {
 
 /// Replay the seeded corpus through every index-mutating operation,
 /// auditing after each step.
-pub fn flow_check(seed: u64, samples: usize) -> FlowReport {
+pub fn flow_check(seed: u64, samples: usize) -> SweepReport {
     let caps = calib::synthetic_capabilities();
     let specs = corpus(seed, caps.rndv_threshold_hint, &caps, 1 << 20, samples);
-    let mut report = FlowReport {
-        specs: specs.len(),
-        checks: 0,
-        shed: 0,
-        findings: Vec::new(),
-    };
+    let mut report = SweepReport::new(
+        "flow",
+        "the active-flow index matches a full walk",
+        &["backlogs", "index-vs-walk comparisons", "messages shed"],
+    );
+    report.add("backlogs", specs.len());
     for (i, spec) in specs.iter().enumerate() {
         for mode in [FairnessMode::PackOrder, FairnessMode::Drr] {
             let mut c = spec.build();
@@ -187,7 +150,7 @@ pub fn flow_check(seed: u64, samples: usize) -> FlowReport {
             // including flows whose queue empties.
             for slot in 0..CLASS_SLOTS {
                 let shed = c.shed_oldest(TrafficClass(slot as u8), 96);
-                report.shed += shed.len();
+                report.add("messages shed", shed.len());
             }
             audit(&c, &format!("spec {i} {mode:?} after shed"), &mut report);
 
@@ -211,17 +174,20 @@ mod tests {
     fn corpus_index_always_matches_full_walk() {
         let r = flow_check(42, 60);
         assert!(r.is_clean(), "{r}");
-        assert!(r.specs > 60, "templates plus samples: {}", r.specs);
-        assert!(r.checks >= r.specs * 2, "audits per spec: {}", r.checks);
-        assert!(r.shed > 0, "the shed path must actually run");
+        let (specs, checks) = (r.count("backlogs"), r.count("index-vs-walk comparisons"));
+        assert!(specs > 60, "templates plus samples: {specs}");
+        assert!(checks >= specs * 2, "audits per spec: {checks}");
+        assert!(
+            r.count("messages shed") > 0,
+            "the shed path must actually run"
+        );
     }
 
     #[test]
     fn flow_check_is_deterministic() {
         let a = flow_check(7, 25);
         let b = flow_check(7, 25);
-        assert_eq!(a.checks, b.checks);
-        assert_eq!(a.shed, b.shed);
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.findings, b.findings);
     }
 

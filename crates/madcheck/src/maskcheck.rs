@@ -30,6 +30,7 @@ use simnet::Technology;
 
 use crate::analyzer::{check_spec, effective_rndv_threshold, profiles, AnalyzeOptions};
 use crate::corpus::corpus;
+use crate::report::SweepReport;
 
 /// One mask/sweep disagreement.
 #[derive(Clone, Debug)]
@@ -64,54 +65,17 @@ impl std::fmt::Display for MaskFinding {
     }
 }
 
-/// Aggregate result of a mask conformance sweep.
-#[derive(Clone, Debug)]
-pub struct MaskReport {
-    /// Capability profiles swept.
-    pub profiles: usize,
-    /// Strategy × profile pairs checked.
-    pub cases: usize,
-    /// Valid plans observed across all sweeps.
-    pub plans: usize,
-    /// Disagreements, in discovery order.
-    pub findings: Vec<MaskFinding>,
-}
-
-impl MaskReport {
-    /// True when the mask matches the observed sweep everywhere.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for MaskReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck mask: {} profiles, {} strategy cases, {} valid plans observed",
-            self.profiles, self.cases, self.plans
-        )?;
-        if self.is_clean() {
-            writeln!(f, "conformant: strategy mask equals the observed sweep")?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "MASK FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Check the registry's standard strategies against the precomputed mask
 /// on every capability profile, over the same deterministic corpus the
 /// conformance analyzer replays (same seed derivation, same samples).
-pub fn mask_check(registry: &StrategyRegistry, opts: &AnalyzeOptions) -> MaskReport {
-    let mut report = MaskReport {
-        profiles: 0,
-        cases: 0,
-        plans: 0,
-        findings: Vec::new(),
-    };
+pub fn mask_check(registry: &StrategyRegistry, opts: &AnalyzeOptions) -> SweepReport {
+    // Capability profiles swept, strategy × profile pairs checked, valid
+    // plans observed across all sweeps.
+    let mut report = SweepReport::new(
+        "mask",
+        "strategy mask equals the observed sweep",
+        &["profiles", "strategy cases", "valid plans observed"],
+    );
     for (ti, tech) in profiles().into_iter().enumerate() {
         let caps = calib::capabilities(tech);
         let params = calib::params(tech);
@@ -128,13 +92,13 @@ pub fn mask_check(registry: &StrategyRegistry, opts: &AnalyzeOptions) -> MaskRep
             opts.samples,
         );
         let mask = effective_strategy_mask(&opts.config, &caps);
-        report.profiles += 1;
+        report.add("profiles", 1);
         for strategy in registry.iter() {
             // The mask claims nothing about custom strategies.
             let Some(bit) = StrategyMask::for_name(strategy.name()) else {
                 continue;
             };
-            report.cases += 1;
+            report.add("strategy cases", 1);
             let mut valid_plans = 0usize;
             for spec in &specs {
                 let outcome = check_spec(strategy, spec, &caps, &cost, wire_mtu, &opts.config);
@@ -144,14 +108,15 @@ pub fn mask_check(registry: &StrategyRegistry, opts: &AnalyzeOptions) -> MaskRep
                     valid_plans += outcome.plans;
                 }
             }
-            report.plans += valid_plans;
+            report.add("valid plans observed", valid_plans);
             if mask.contains(bit) != (valid_plans > 0) {
-                report.findings.push(MaskFinding {
+                let finding = MaskFinding {
                     tech,
                     strategy: strategy.name(),
                     masked_in: mask.contains(bit),
                     valid_plans,
-                });
+                };
+                report.findings.push(finding.to_string());
             }
         }
     }
@@ -160,7 +125,7 @@ pub fn mask_check(registry: &StrategyRegistry, opts: &AnalyzeOptions) -> MaskRep
 
 /// [`mask_check`] with the standard registry (every strategy toggled on)
 /// and default options — what `cargo xtask analyze` runs.
-pub fn mask_check_standard() -> MaskReport {
+pub fn mask_check_standard() -> SweepReport {
     let mut cfg = EngineConfig::default();
     cfg.enable_rndv = true;
     cfg.enable_aggregation = true;
@@ -182,8 +147,11 @@ mod tests {
     #[test]
     fn standard_registry_mask_matches_sweep_on_all_profiles() {
         let report = mask_check_standard();
-        assert!(report.profiles >= 6, "all technologies swept");
-        assert!(report.plans > 0, "sweep observed plans");
+        assert!(report.count("profiles") >= 6, "all technologies swept");
+        assert!(
+            report.count("valid plans observed") > 0,
+            "sweep observed plans"
+        );
         assert!(report.is_clean(), "{report}");
     }
 
@@ -222,6 +190,9 @@ mod tests {
         };
         let report = mask_check(&registry, &opts);
         assert!(report.is_clean(), "{report}");
-        assert!(report.plans > 0, "rendezvous plans observed under override");
+        assert!(
+            report.count("valid plans observed") > 0,
+            "rendezvous plans observed under override"
+        );
     }
 }

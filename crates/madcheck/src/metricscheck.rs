@@ -16,46 +16,7 @@ use madeleine::metrics::MetricsRegistry;
 use madeleine::{flatten_registry, prometheus_render, MessageBuilder, TrafficClass};
 use simnet::SimDuration;
 
-/// Aggregate result of a metrics-export conformance check.
-#[derive(Clone, Debug)]
-pub struct MetricsReport {
-    /// Registry sections walked.
-    pub sections: usize,
-    /// Prometheus samples flattened from the registry.
-    pub samples: usize,
-    /// Numeric leaves counted by the independent JSON walk.
-    pub leaves: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
-}
-
-impl MetricsReport {
-    /// True when the export loses or duplicates nothing.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for MetricsReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck metrics: {} sections, {} Prometheus samples, {} numeric leaves",
-            self.sections, self.samples, self.leaves
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: every registered metric exports exactly once"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "METRICS FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
+use crate::report::SweepReport;
 
 /// Count the numeric leaves of one registry section the way the
 /// Prometheus flattener must see them: every `Int`/`UInt`/`Float`/
@@ -72,16 +33,17 @@ fn count_leaves(doc: &Json) -> usize {
 
 /// Check one registry: unique sample keys, an independent leaf count,
 /// and presence of every sample in the rendered text export.
-pub fn check_registry(reg: &MetricsRegistry) -> MetricsReport {
-    let mut report = MetricsReport {
-        sections: reg.len(),
-        samples: 0,
-        leaves: 0,
-        findings: Vec::new(),
-    };
-
+pub fn check_registry(reg: &MetricsRegistry) -> SweepReport {
+    // Sections walked; samples the flattener produced; numeric leaves the
+    // independent JSON walk below counts.
+    let mut report = SweepReport::new(
+        "metrics",
+        "every registered metric exports exactly once",
+        &["sections", "Prometheus samples", "numeric leaves"],
+    );
     let samples = flatten_registry(reg);
-    report.samples = samples.len();
+    report.add("sections", reg.len());
+    report.add("Prometheus samples", samples.len());
 
     // Rule 1: section names are unique (a duplicate section merges two
     // engines' metrics into one label value).
@@ -93,7 +55,7 @@ pub fn check_registry(reg: &MetricsRegistry) -> MetricsReport {
                     .findings
                     .push(format!("duplicate registry section name `{name}`"));
             }
-            report.leaves += count_leaves(body);
+            report.add("numeric leaves", count_leaves(body));
         }
     } else {
         report
@@ -121,11 +83,12 @@ pub fn check_registry(reg: &MetricsRegistry) -> MetricsReport {
 
     // Rule 3: the flattener saw every numeric leaf (no silent drops in
     // either direction).
-    if report.leaves != report.samples {
+    let leaves = report.count("numeric leaves");
+    if leaves != samples.len() {
         report.findings.push(format!(
-            "flattener produced {} samples but the registry holds {} numeric \
+            "flattener produced {} samples but the registry holds {leaves} numeric \
              leaves: metrics are being silently dropped or invented",
-            report.samples, report.leaves
+            samples.len()
         ));
     }
 
@@ -159,7 +122,7 @@ pub fn check_registry(reg: &MetricsRegistry) -> MetricsReport {
 /// Run a small deterministic two-node workload (sampler enabled, several
 /// flows and classes, so per-flow, per-rail and sampler sections all
 /// populate) and check its cluster-wide registry.
-pub fn metrics_check() -> MetricsReport {
+pub fn metrics_check() -> SweepReport {
     let mut c = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
     c.enable_sampler(SimDuration::from_micros(5));
     let src = c.nodes[0];
@@ -196,13 +159,10 @@ mod tests {
     fn live_workload_registry_is_clean() {
         let r = metrics_check();
         assert!(r.is_clean(), "{r}");
-        assert!(
-            r.sections >= 5,
-            "engines + receivers + nics: {}",
-            r.sections
-        );
-        assert!(r.samples > 100, "rich registry expected: {}", r.samples);
-        assert_eq!(r.samples, r.leaves);
+        let (sections, samples) = (r.count("sections"), r.count("Prometheus samples"));
+        assert!(sections >= 5, "engines + receivers + nics: {sections}");
+        assert!(samples > 100, "rich registry expected: {samples}");
+        assert_eq!(samples, r.count("numeric leaves"));
     }
 
     #[test]
@@ -233,6 +193,6 @@ mod tests {
         );
         let r = check_registry(&reg);
         assert!(r.is_clean(), "{r}");
-        assert_eq!(r.samples, 4, "a, b[0], b[1], c.d");
+        assert_eq!(r.count("Prometheus samples"), 4, "a, b[0], b[1], c.d");
     }
 }

@@ -16,45 +16,16 @@
 
 use simnet::{flow_hash, max_min_rates, LinkProfile, SplitMix64, Topology, Vertex};
 
-/// Aggregate result of a madnet topology conformance check.
-#[derive(Clone, Debug)]
-pub struct NetReport {
-    /// Topology corpus samples checked.
-    pub samples: usize,
-    /// (src, dst, hash) routes walked and verified.
-    pub routes: usize,
-    /// Flow sets pushed through the fair-share allocator.
-    pub allocations: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
-}
+use crate::report::SweepReport;
 
-impl NetReport {
-    /// True when every route resolved and every allocation conserved.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for NetReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck net: {} topologies, {} routes walked, {} fair-share allocations",
-            self.samples, self.routes, self.allocations
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: every host pair routes and every allocation conserves capacity"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "NET FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
+/// An empty madnet report: corpus topologies, (src, dst, hash) routes
+/// walked, flow sets pushed through the fair-share allocator.
+fn new_report() -> SweepReport {
+    SweepReport::new(
+        "net",
+        "every host pair routes and every allocation conserves capacity",
+        &["topologies", "routes walked", "fair-share allocations"],
+    )
 }
 
 /// One corpus topology: the family cycles through dumbbells and
@@ -83,9 +54,9 @@ fn check_route(
     dst: u32,
     hash: u64,
     ctx: &str,
-    report: &mut NetReport,
+    report: &mut SweepReport,
 ) -> Option<usize> {
-    report.routes += 1;
+    report.add("routes walked", 1);
     let Some(path) = topo.route(src, dst, hash) else {
         report
             .findings
@@ -166,8 +137,8 @@ pub fn verify_rates(capacities: &[u64], flows: &[Vec<usize>], rates: &[u64]) -> 
 
 /// Verify one allocation: capacity conservation, work conservation and
 /// order independence.
-fn check_allocation(topo: &Topology, flows: &[Vec<usize>], ctx: &str, report: &mut NetReport) {
-    report.allocations += 1;
+fn check_allocation(topo: &Topology, flows: &[Vec<usize>], ctx: &str, report: &mut SweepReport) {
+    report.add("fair-share allocations", 1);
     let capacities: Vec<u64> = topo.links().iter().map(|l| l.profile.bandwidth).collect();
     let rates = max_min_rates(&capacities, flows);
     if let Err(e) = verify_rates(&capacities, flows, &rates) {
@@ -188,13 +159,9 @@ fn check_allocation(topo: &Topology, flows: &[Vec<usize>], ctx: &str, report: &m
 /// Replay the seeded topology corpus: route every host pair under
 /// several flow hashes, then verify fair-share allocations over seeded
 /// flow sets routed on the same graph.
-pub fn net_check(seed: u64, samples: usize) -> NetReport {
-    let mut report = NetReport {
-        samples,
-        routes: 0,
-        allocations: 0,
-        findings: Vec::new(),
-    };
+pub fn net_check(seed: u64, samples: usize) -> SweepReport {
+    let mut report = new_report();
+    report.add("topologies", samples);
     let mut rng = SplitMix64::new(seed ^ 0x6E65_7463_6865_636B);
     for idx in 0..samples {
         let topo = build_sample(&mut rng, idx);
@@ -254,16 +221,16 @@ mod tests {
     fn corpus_routes_and_allocations_conform() {
         let r = net_check(42, 12);
         assert!(r.is_clean(), "{r}");
-        assert!(r.routes >= 12 * 2, "routes walked: {}", r.routes);
-        assert_eq!(r.allocations, 12 * 4);
+        let routes = r.count("routes walked");
+        assert!(routes >= 12 * 2, "routes walked: {routes}");
+        assert_eq!(r.count("fair-share allocations"), 12 * 4);
     }
 
     #[test]
     fn net_check_is_deterministic() {
         let a = net_check(7, 6);
         let b = net_check(7, 6);
-        assert_eq!(a.routes, b.routes);
-        assert_eq!(a.allocations, b.allocations);
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.findings, b.findings);
     }
 
@@ -295,12 +262,7 @@ mod tests {
             ..LinkProfile::synthetic()
         };
         let starved = Topology::dumbbell(2, 2, tiny, tiny);
-        let mut report = NetReport {
-            samples: 1,
-            routes: 0,
-            allocations: 0,
-            findings: Vec::new(),
-        };
+        let mut report = new_report();
         let path = starved.route(0, 2, flow_hash(0, 2, 0)).unwrap();
         check_allocation(&starved, &[path.clone(), path], "starved", &mut report);
         assert!(report.is_clean(), "clamped shares still conserve: {report}");

@@ -16,128 +16,59 @@
 //! (loss + duplication + reordering) with madrel `Recover`, so the
 //! `retx_recovery` phase carries real time.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::Cluster;
 use madeleine::ids::TrafficClass;
-use madeleine::{EngineConfig, MessageBuilder, PolicyKind, Profile, ReliabilityMode};
-use simnet::{FaultPlan, SimDuration, SimTime, SplitMix64, Technology};
+use madeleine::Profile;
+use simnet::SimDuration;
 
-/// Event-ring capacity for corpus clusters. Corpus workloads are tens of
-/// messages; overflow here would silently weaken the check, so the rule
-/// also asserts no ring dropped anything.
-const RING_CAP: usize = 1 << 14;
+use crate::corpus::{traced_run, TracedCorpus};
+use crate::report::SweepReport;
 
-/// Aggregate result of a madprof attribution conformance check.
-#[derive(Clone, Debug)]
-pub struct ProfReport {
-    /// Corpus workloads replayed.
-    pub samples: usize,
-    /// Delivered messages whose partition was verified.
-    pub messages: usize,
-    /// Span segments bounds-checked.
-    pub segments: usize,
-    /// Messages that recovered via at least one retransmission.
-    pub retransmitted: usize,
-    /// Violations, in discovery order.
-    pub findings: Vec<String>,
-}
-
-impl ProfReport {
-    /// True when every attribution partitioned exactly.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for ProfReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck prof: {} workloads, {} message partitions, {} segments, \
-             {} retransmitted",
-            self.samples, self.messages, self.segments, self.retransmitted
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: every phase attribution partitions its message's lifetime"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "PROF FINDING {}: {finding}", i + 1)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Build, drive and drain one seeded corpus workload. Odd-indexed
-/// samples run madrel `Recover` under a loss + dup + reorder fault plan;
-/// even-indexed samples run the clean optimizing engine.
-fn build_sample(seed: u64, idx: usize) -> Cluster {
-    let mut rng = SplitMix64::new(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let faulty = idx % 2 == 1;
-    let engine = if faulty {
-        EngineKind::Optimizing {
-            config: EngineConfig {
-                reliability: ReliabilityMode::Recover,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        }
-    } else {
-        EngineKind::optimizing()
-    };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine,
-        trace: Some(RING_CAP),
-        engine_trace: Some(RING_CAP),
-    };
-    let mut c = Cluster::build(&spec, vec![]);
-    if faulty {
-        c.set_fault_plan(
-            0,
-            FaultPlan::new(seed.wrapping_add(idx as u64))
-                .with_loss(0.02)
-                .with_dup(0.02)
-                .with_reorder(0.05, SimDuration::from_nanos(2_000)),
-        );
-    }
-    let src = c.nodes[0];
-    let dst = c.nodes[1];
-    let h = c.handles[0].clone();
-    let classes = [
+/// The madprof corpus: three classes, bursts and drains, a third of the
+/// messages express-led, and the faulted half under loss + duplication
+/// + reordering.
+const CORPUS: TracedCorpus = TracedCorpus {
+    classes: &[
         TrafficClass::DEFAULT,
         TrafficClass::CONTROL,
         TrafficClass::BULK,
-    ];
-    let flows: Vec<_> = classes.iter().map(|&cl| h.open_flow(dst, cl)).collect();
-    let msgs = 6 + rng.next_below(12);
-    let mut t_ns = 0u64;
-    for _ in 0..msgs {
-        // Mixed arrival spacing: bursts at the same instant plus gaps
-        // long enough for the backlog to drain (idle-rail admissions).
-        t_ns += [0, 0, 500, 4_000][rng.next_below(4) as usize];
-        let flow = flows[rng.next_below(flows.len() as u64) as usize];
-        let body = [16usize, 256, 2_048, 16_384][rng.next_below(4) as usize];
-        let express = rng.next_below(3) == 0;
-        c.sim.run_until(SimTime::from_nanos(t_ns));
-        c.sim.inject(src, |ctx| {
-            let mut b = MessageBuilder::new();
-            if express {
-                b = b.pack_express(&[0xA5u8; 16]);
-            }
-            h.send(ctx, flow, b.pack_cheaper(&vec![0x5Au8; body]).build_parts())
-        });
-    }
-    c.drain();
-    c
+    ],
+    msgs: (6, 12),
+    gaps_ns: &[0, 0, 500, 4_000],
+    bodies: &[16, 256, 2_048, 16_384],
+    express_one_in: 3,
+    faults: |plan| {
+        plan.with_loss(0.02)
+            .with_dup(0.02)
+            .with_reorder(0.05, SimDuration::from_nanos(2_000))
+    },
+};
+
+fn build_sample(seed: u64, idx: usize) -> Cluster {
+    traced_run(seed, idx, &CORPUS, SimDuration::ZERO)
+}
+
+/// An empty madprof report: corpus workloads, delivered messages whose
+/// partition was verified, span segments bounds-checked, messages that
+/// recovered via at least one retransmission.
+fn new_report(samples: usize) -> SweepReport {
+    let mut report = SweepReport::new(
+        "prof",
+        "every phase attribution partitions its message's lifetime",
+        &[
+            "workloads",
+            "message partitions",
+            "segments",
+            "retransmitted",
+        ],
+    );
+    report.add("workloads", samples);
+    report
 }
 
 /// Verify one profile span-by-span, independently of the profiler's own
 /// violation counter.
-fn check_profile(prof: &Profile, ctx: &str, report: &mut ProfReport) {
+fn check_profile(prof: &Profile, ctx: &str, report: &mut SweepReport) {
     if prof.truncated() {
         report.findings.push(format!(
             "{ctx}: event ring overflowed ({} dropped)",
@@ -151,9 +82,9 @@ fn check_profile(prof: &Profile, ctx: &str, report: &mut ProfReport) {
         ));
     }
     for f in &prof.flows {
-        report.messages += 1;
+        report.add("message partitions", 1);
         if f.retransmits > 0 {
-            report.retransmitted += 1;
+            report.add("retransmitted", 1);
         }
         let lifetime = f.delivered_ns - f.submit_ns;
         let total: u64 = f.phases.iter().sum();
@@ -168,7 +99,7 @@ fn check_profile(prof: &Profile, ctx: &str, report: &mut ProfReport) {
         let mut per_phase = [0u64; madeleine::PHASE_COUNT];
         let mut cursor = f.submit_ns;
         for &(phase, start, end) in &f.segments {
-            report.segments += 1;
+            report.add("segments", 1);
             if start < cursor || end < start || end > f.delivered_ns {
                 report.findings.push(format!(
                     "{ctx}: {} segment {}..{} escapes [{}, {}]",
@@ -194,14 +125,8 @@ fn check_profile(prof: &Profile, ctx: &str, report: &mut ProfReport) {
 /// Replay the seeded corpus, profiling each workload and verifying the
 /// partition invariant; every sample is rebuilt and re-profiled to pin
 /// byte-identical exports.
-pub fn prof_check(seed: u64, samples: usize) -> ProfReport {
-    let mut report = ProfReport {
-        samples,
-        messages: 0,
-        segments: 0,
-        retransmitted: 0,
-        findings: Vec::new(),
-    };
+pub fn prof_check(seed: u64, samples: usize) -> SweepReport {
+    let mut report = new_report(samples);
     for idx in 0..samples {
         let prof = build_sample(seed, idx).profile();
         check_profile(&prof, &format!("sample {idx}"), &mut report);
@@ -230,10 +155,11 @@ mod tests {
     fn corpus_attributions_partition_exactly() {
         let r = prof_check(42, 8);
         assert!(r.is_clean(), "{r}");
-        assert!(r.messages >= 8 * 6, "messages checked: {}", r.messages);
-        assert!(r.segments >= r.messages, "segments checked: {}", r.segments);
+        let (messages, segments) = (r.count("message partitions"), r.count("segments"));
+        assert!(messages >= 8 * 6, "messages checked: {messages}");
+        assert!(segments >= messages, "segments checked: {segments}");
         assert!(
-            r.retransmitted > 0,
+            r.count("retransmitted") > 0,
             "the faulted half must exercise retx_recovery"
         );
     }
@@ -242,9 +168,7 @@ mod tests {
     fn prof_check_is_deterministic() {
         let a = prof_check(7, 4);
         let b = prof_check(7, 4);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.segments, b.segments);
-        assert_eq!(a.retransmitted, b.retransmitted);
+        assert_eq!(a.counters, b.counters);
         assert_eq!(a.findings, b.findings);
     }
 
@@ -255,13 +179,7 @@ mod tests {
         let mut prof = build_sample(3, 0).profile();
         let f = &mut prof.flows[0];
         f.phases[Phase::Wire.rank() as usize] += 1;
-        let mut report = ProfReport {
-            samples: 1,
-            messages: 0,
-            segments: 0,
-            retransmitted: 0,
-            findings: Vec::new(),
-        };
+        let mut report = new_report(1);
         check_profile(&prof, "corrupted", &mut report);
         assert!(!report.is_clean());
         assert!(

@@ -15,9 +15,10 @@ use madeleine::plan::PlannedChunk;
 use madeleine::proto::framing_bytes;
 use madeleine::reliability::plan_retransmit;
 use nicdrv::{calib, DriverCapabilities};
-use simnet::{SplitMix64, Technology};
+use simnet::SplitMix64;
 
 use crate::analyzer::profiles;
+use crate::report::SweepReport;
 
 /// A retransmission packet that violates the target rail's capabilities,
 /// or a re-segmentation that corrupts the byte coverage.
@@ -204,60 +205,6 @@ pub fn check_retransmit(
     Ok(packets.len())
 }
 
-/// One violation found by the sweep.
-#[derive(Clone, Debug)]
-pub struct RetxFinding {
-    /// Capability profile the violation occurred under.
-    pub tech: Technology,
-    /// What went wrong.
-    pub violation: RetxViolation,
-    /// Debug rendering of the pending chunks that triggered it.
-    pub input: String,
-}
-
-/// Aggregate result of a retransmission-conformance sweep.
-#[derive(Clone, Debug)]
-pub struct RetxReport {
-    /// Capability profiles swept.
-    pub profiles: usize,
-    /// Pending-chunk shapes replayed.
-    pub cases: usize,
-    /// Retransmission packets verified.
-    pub packets: usize,
-    /// Violations, in discovery order (first per profile).
-    pub findings: Vec<RetxFinding>,
-}
-
-impl RetxReport {
-    /// True when every re-segmentation conformed.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-impl std::fmt::Display for RetxReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "madcheck retx: {} profiles, {} pending-chunk shapes, {} retransmit packets checked",
-            self.profiles, self.cases, self.packets
-        )?;
-        if self.is_clean() {
-            writeln!(
-                f,
-                "conformant: every retransmission respects the target driver's capabilities"
-            )?;
-        } else {
-            for (i, finding) in self.findings.iter().enumerate() {
-                writeln!(f, "RETX FINDING {}: on {:?}", i + 1, finding.tech)?;
-                writeln!(f, "  defect: {}", finding.violation)?;
-                writeln!(f, "  pending chunks: {}", finding.input)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 fn chunk(flow: u32, seq: u32, frag: u16, offset: u32, len: u32) -> PlannedChunk {
     PlannedChunk {
         flow: FlowId(flow),
@@ -291,17 +238,21 @@ fn templates(caps: &DriverCapabilities, wire_mtu: u64) -> Vec<Vec<PlannedChunk>>
 /// Sweep [`plan_retransmit`] over every capability profile with templates
 /// plus `samples` seeded pending-chunk shapes per profile. Deterministic
 /// for a given seed.
-pub fn retx_sweep(seed: u64, samples: usize) -> RetxReport {
-    let mut report = RetxReport {
-        profiles: 0,
-        cases: 0,
-        packets: 0,
-        findings: Vec::new(),
-    };
+pub fn retx_sweep(seed: u64, samples: usize) -> SweepReport {
+    // Findings are the first violation per profile.
+    let mut report = SweepReport::new(
+        "retx",
+        "every retransmission respects the target driver's capabilities",
+        &[
+            "profiles",
+            "pending-chunk shapes",
+            "retransmit packets checked",
+        ],
+    );
     for (ti, tech) in profiles().into_iter().enumerate() {
         let caps = calib::capabilities(tech);
         let wire_mtu = calib::params(tech).mtu;
-        report.profiles += 1;
+        report.add("profiles", 1);
         let mut shapes = templates(&caps, wire_mtu);
         let mut rng = SplitMix64::new(
             seed.wrapping_add(ti as u64)
@@ -328,16 +279,14 @@ pub fn retx_sweep(seed: u64, samples: usize) -> RetxReport {
         }
         let mut hit = false;
         for input in &shapes {
-            report.cases += 1;
+            report.add("pending-chunk shapes", 1);
             match check_retransmit(input, &caps, wire_mtu) {
-                Ok(n) => report.packets += n,
+                Ok(n) => report.add("retransmit packets checked", n),
                 Err(violation) if !hit => {
                     hit = true; // one finding per profile keeps reports short
-                    report.findings.push(RetxFinding {
-                        tech,
-                        violation,
-                        input: format!("{input:?}"),
-                    });
+                    report.findings.push(format!(
+                        "on {tech:?}\n  defect: {violation}\n  pending chunks: {input:?}"
+                    ));
                 }
                 Err(_) => {}
             }
@@ -354,16 +303,18 @@ mod tests {
     fn sweep_is_clean_on_all_profiles() {
         let r = retx_sweep(0xAD_5EED, 64);
         assert!(r.is_clean(), "{r}");
-        assert!(r.packets > r.cases / 2, "sweep must actually emit packets");
-        assert_eq!(r.profiles, profiles().len());
+        assert!(
+            r.count("retransmit packets checked") > r.count("pending-chunk shapes") / 2,
+            "sweep must actually emit packets"
+        );
+        assert_eq!(r.count("profiles"), profiles().len());
     }
 
     #[test]
     fn sweep_is_deterministic() {
         let a = retx_sweep(9, 32);
         let b = retx_sweep(9, 32);
-        assert_eq!(a.cases, b.cases);
-        assert_eq!(a.packets, b.packets);
+        assert_eq!(a.counters, b.counters);
     }
 
     #[test]

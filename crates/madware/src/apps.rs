@@ -223,43 +223,24 @@ impl AppDriver for TrafficApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use simnet::{SimDuration, Technology};
-
-    fn spec() -> ClusterSpec {
-        ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        }
-    }
+    use crate::scenario::traffic_pair;
+    use madeleine::harness::ClusterSpec;
+    use simnet::SimDuration;
 
     #[test]
     fn traffic_app_generates_and_verifies() {
-        let cluster_spec = spec();
-        // Build apps first: node 0 sends 50 messages to node 1.
-        let dst = NodeId(1);
-        let (app, tx_stats) = TrafficApp::new(
-            "t",
-            vec![FlowSpec {
-                dst,
-                class: TrafficClass::DEFAULT,
-                arrival: Arrival::Periodic(SimDuration::from_micros(5)),
-                sizes: SizeDist::Fixed(128),
-                express_header: 8,
-                stop_after: Some(50),
-                start_after: simnet::SimDuration::ZERO,
-            }],
-            42,
-            0,
-        );
-        let (sink, rx_stats) = TrafficApp::new("sink", vec![], 42, 1);
-        let mut c = Cluster::build(
-            &cluster_spec,
-            vec![Some(Box::new(app)), Some(Box::new(sink))],
-        );
+        // Node 0 sends 50 messages to node 1.
+        let flow = FlowSpec {
+            dst: NodeId(1),
+            class: TrafficClass::DEFAULT,
+            arrival: Arrival::Periodic(SimDuration::from_micros(5)),
+            sizes: SizeDist::Fixed(128),
+            express_header: 8,
+            stop_after: Some(50),
+            start_after: SimDuration::ZERO,
+        };
+        let (mut c, tx_stats, rx_stats) =
+            traffic_pair(&ClusterSpec::mx_pair(), "t", vec![flow], 42);
         c.drain();
         assert_eq!(tx_stats.borrow().sent, 50);
         let rx = rx_stats.borrow();
@@ -270,29 +251,19 @@ mod tests {
 
     #[test]
     fn burst_arrivals_send_batches() {
-        let cluster_spec = spec();
-        let (app, tx_stats) = TrafficApp::new(
-            "b",
-            vec![FlowSpec {
-                dst: NodeId(1),
-                class: TrafficClass::DEFAULT,
-                arrival: Arrival::Burst {
-                    count: 10,
-                    period: SimDuration::from_micros(100),
-                },
-                sizes: SizeDist::Fixed(32),
-                express_header: 0,
-                stop_after: Some(30),
-                start_after: simnet::SimDuration::ZERO,
-            }],
-            7,
-            0,
-        );
-        let (sink, rx_stats) = TrafficApp::new("sink", vec![], 7, 1);
-        let mut c = Cluster::build(
-            &cluster_spec,
-            vec![Some(Box::new(app)), Some(Box::new(sink))],
-        );
+        let flow = FlowSpec {
+            dst: NodeId(1),
+            class: TrafficClass::DEFAULT,
+            arrival: Arrival::Burst {
+                count: 10,
+                period: SimDuration::from_micros(100),
+            },
+            sizes: SizeDist::Fixed(32),
+            express_header: 0,
+            stop_after: Some(30),
+            start_after: SimDuration::ZERO,
+        };
+        let (mut c, tx_stats, rx_stats) = traffic_pair(&ClusterSpec::mx_pair(), "b", vec![flow], 7);
         c.drain();
         assert_eq!(tx_stats.borrow().sent, 30);
         assert_eq!(rx_stats.borrow().received, 30);
@@ -301,28 +272,30 @@ mod tests {
 
     #[test]
     fn multiple_flows_interleave_on_legacy_too() {
-        let mut cluster_spec = spec();
-        cluster_spec.engine = EngineKind::legacy();
-        let specs: Vec<FlowSpec> = (0..4)
-            .map(|_| FlowSpec {
-                dst: NodeId(1),
-                class: TrafficClass::DEFAULT,
-                arrival: Arrival::Poisson(SimDuration::from_micros(3)),
-                sizes: SizeDist::Uniform(16, 256),
-                express_header: 4,
-                stop_after: Some(25),
-                start_after: simnet::SimDuration::ZERO,
-            })
-            .collect();
-        let (app, _) = TrafficApp::new("multi", specs, 11, 0);
-        let (sink, rx_stats) = TrafficApp::new("sink", vec![], 11, 1);
-        let mut c = Cluster::build(
-            &cluster_spec,
-            vec![Some(Box::new(app)), Some(Box::new(sink))],
-        );
+        let flow = FlowSpec {
+            dst: NodeId(1),
+            class: TrafficClass::DEFAULT,
+            arrival: Arrival::Poisson(SimDuration::from_micros(3)),
+            sizes: SizeDist::Uniform(16, 256),
+            express_header: 4,
+            stop_after: Some(25),
+            start_after: SimDuration::ZERO,
+        };
+        let spec = ClusterSpec::mx_pair().legacy();
+        let (mut c, _, rx_stats) = traffic_pair(&spec, "multi", vec![flow; 4], 11);
         c.drain();
         let rx = rx_stats.borrow();
         assert_eq!(rx.received, 100);
         assert!(rx.integrity.all_ok(), "{:?}", rx.integrity.failures);
+    }
+
+    /// Regression: `AppStats::default()` used to build its RTT summary
+    /// through a derived `Default` whose minimum started at 0.
+    #[test]
+    fn fresh_stats_report_the_true_minimum_rtt() {
+        let stats = stats_handle();
+        stats.borrow_mut().rtt_us.record(5.0);
+        stats.borrow_mut().rtt_us.record(9.0);
+        assert_eq!(stats.borrow().rtt_us.min(), 5.0);
     }
 }

@@ -157,18 +157,12 @@ impl AppDriver for CorbaServant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use simnet::{SimDuration, Technology};
+    use madeleine::harness::{Cluster, ClusterSpec};
+    use simnet::SimDuration;
 
     #[test]
     fn marshalled_invocations_survive_optimization() {
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair();
         let (inv, istats) = CorbaInvoker::new(
             NodeId(1),
             Arrival::Poisson(SimDuration::from_micros(8)),

@@ -178,18 +178,12 @@ impl AppDriver for DsmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use simnet::{SimDuration, Technology};
+    use madeleine::harness::{Cluster, ClusterSpec};
+    use simnet::SimDuration;
 
     #[test]
     fn page_faults_are_served() {
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair();
         let (client, cstats) = DsmClient::new(
             NodeId(1),
             Arrival::Poisson(SimDuration::from_micros(30)),

@@ -51,11 +51,6 @@ impl ArraySpec {
         (owner, row - owner as u64 * self.block_rows())
     }
 
-    /// Bytes each owner must expose in its window.
-    pub fn window_bytes(&self) -> usize {
-        (self.block_rows() * self.cols * 8) as usize
-    }
-
     /// Byte offset of `(local_row, col)` within an owner's window.
     pub fn offset(&self, local_row: u64, col: u64) -> u64 {
         (local_row * self.cols + col) * 8
@@ -171,7 +166,7 @@ mod tests {
     use super::*;
     use crate::rma::RmaServer;
     use madeleine::api::AppDriver;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+    use madeleine::harness::{Cluster, ClusterSpec};
     use madeleine::message::DeliveredMessage;
     use simnet::Technology;
 
@@ -189,7 +184,6 @@ mod tests {
         assert_eq!(spec.owner_of(4), 1);
         assert_eq!(spec.owner_of(9), 2);
         assert_eq!(spec.localize(5), (1, 1));
-        assert_eq!(spec.window_bytes(), 4 * 4 * 8);
         assert_eq!(spec.offset(1, 2), (4 + 2) * 8);
     }
 
@@ -253,15 +247,10 @@ mod tests {
             get: None,
             ok: ok.clone(),
         };
-        let (owner0, s0) = RmaServer::new(vec![(3, spec.window_bytes())]);
-        let (owner1, s1) = RmaServer::new(vec![(3, spec.window_bytes())]);
-        let cluster_spec = ClusterSpec {
-            nodes: 3,
-            rails: vec![Technology::QuadricsElan],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let window_bytes = (spec.block_rows() * spec.cols * 8) as usize;
+        let (owner0, s0) = RmaServer::new(vec![(3, window_bytes)]);
+        let (owner1, s1) = RmaServer::new(vec![(3, window_bytes)]);
+        let cluster_spec = ClusterSpec::new(3, vec![Technology::QuadricsElan]);
         let mut c = Cluster::build(
             &cluster_spec,
             vec![

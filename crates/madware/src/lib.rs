@@ -21,17 +21,18 @@
 //! * [`ga`] — Global-Arrays-style strided distributed arrays over [`rma`];
 //! * [`verify`] — deterministic payload patterns: every workload checks the
 //!   bytes it receives, so experiments double as correctness tests;
-//! * [`scenario`] — composed clusters (multi-middleware node pair, N eager
-//!   flows) used by the experiment harness;
+//! * [`scenario`] — composed clusters (multi-middleware node pair, the
+//!   source → sink pair, N eager flows) used by the experiment harness;
 //! * [`trace`] — workload record & replay for apples-to-apples engine
 //!   comparisons.
 //!
 //! ```
-//! use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-//! use madware::apps::{FlowSpec, TrafficApp};
+//! use madeleine::harness::ClusterSpec;
+//! use madware::apps::FlowSpec;
+//! use madware::scenario::traffic_pair;
 //! use madware::workload::{Arrival, SizeDist};
 //! use madeleine::ids::TrafficClass;
-//! use simnet::{NodeId, SimDuration, Technology};
+//! use simnet::{NodeId, SimDuration};
 //!
 //! // Two flows of verified traffic through the optimizing engine.
 //! let spec = FlowSpec {
@@ -43,14 +44,8 @@
 //!     stop_after: Some(20),
 //!     start_after: SimDuration::ZERO,
 //! };
-//! let (app, _tx) = TrafficApp::new("demo", vec![spec.clone(), spec], 1, 0);
-//! let (sink, rx) = TrafficApp::new("sink", vec![], 1, 1);
-//! let mut cluster = Cluster::build(
-//!     &ClusterSpec { nodes: 2, rails: vec![Technology::MyrinetMx],
-//!                    engine: EngineKind::optimizing(), trace: None,
-//!                    engine_trace: None },
-//!     vec![Some(Box::new(app)), Some(Box::new(sink))],
-//! );
+//! let (mut cluster, _tx, rx) =
+//!     traffic_pair(&ClusterSpec::mx_pair(), "demo", vec![spec.clone(), spec], 1);
 //! cluster.drain();
 //! assert_eq!(rx.borrow().received, 40);
 //! assert!(rx.borrow().integrity.all_ok());

@@ -338,7 +338,7 @@ impl AppDriver for MlTrainApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+    use madeleine::harness::{Cluster, ClusterSpec};
     use simnet::Technology;
 
     fn run(mode: MlTrainMode, ranks: u32, elems: u32, steps: u32) -> Vec<MlTrainHandle> {
@@ -351,13 +351,7 @@ mod tests {
             coll: CollConfig::for_tech(Technology::MyrinetMx),
         };
         let (apps, handles) = MlTrainApp::ranks(ranks, spec);
-        let cluster_spec = ClusterSpec {
-            nodes: ranks as usize,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let cluster_spec = ClusterSpec::new(ranks as usize, vec![Technology::MyrinetMx]);
         let mut c = Cluster::build(&cluster_spec, apps);
         c.drain();
         handles

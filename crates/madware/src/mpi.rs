@@ -109,19 +109,13 @@ impl AppDriver for MpiStencil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+    use madeleine::harness::{Cluster, ClusterSpec};
     use simnet::Technology;
 
     #[test]
     fn ring_halo_exchange_completes() {
         let n = 4usize;
-        let spec = ClusterSpec {
-            nodes: n,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::new(n, vec![Technology::MyrinetMx]);
         let iters = 10u64;
         let mut apps: Vec<Option<Box<dyn madeleine::AppDriver>>> = Vec::new();
         let mut handles = Vec::new();

@@ -293,7 +293,7 @@ impl AppDriver for RmaServer {
 mod tests {
     use super::*;
     use crate::verify::pattern;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+    use madeleine::harness::{Cluster, ClusterSpec};
     use simnet::Technology;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -334,13 +334,8 @@ mod tests {
 
     #[test]
     fn put_then_get_roundtrip() {
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::QuadricsElan], // the RDMA-capable rail
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        // QuadricsElan is the RDMA-capable rail.
+        let spec = ClusterSpec::new(2, vec![Technology::QuadricsElan]);
         let got = Rc::new(RefCell::new(Vec::new()));
         let (client_agent, cstats) = RmaAgent::new();
         let client = RmaClient {
@@ -390,13 +385,7 @@ mod tests {
                 self.agent.on_message(api, msg);
             }
         }
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::QuadricsElan],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::new(2, vec![Technology::QuadricsElan]);
         let (agent, _c) = RmaAgent::new();
         let (server, sstats) = RmaServer::new(vec![(1, 1024)]);
         let mut c = Cluster::build(

@@ -207,18 +207,12 @@ impl AppDriver for RpcServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use simnet::{SimDuration, Technology};
+    use madeleine::harness::{Cluster, ClusterSpec};
+    use simnet::SimDuration;
 
     #[test]
     fn request_reply_roundtrips_with_rtt() {
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair();
         let (client, cstats) = RpcClient::new(
             NodeId(1),
             Arrival::Poisson(SimDuration::from_micros(20)),

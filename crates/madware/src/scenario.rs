@@ -233,13 +233,7 @@ pub fn multi_middleware(
         }),
     };
 
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(2, vec![tech]).engine(engine);
     let cluster = Cluster::build(
         &spec,
         vec![Some(Box::new(clients)), Some(Box::new(servers))],
@@ -257,39 +251,39 @@ pub fn multi_middleware(
     )
 }
 
-/// N independent eager flows between one node pair — the E1 workload.
-/// Returns the cluster plus (sender stats, sink stats).
+/// One traffic source and one counting sink: node 0 runs `flows` as a
+/// [`TrafficApp`] called `name` (RNG stream 0 of `seed`), node 1 a
+/// flow-less sink (stream 1). `spec` describes everything else about the
+/// cell — rails, engine, tracing. Returns the undrained cluster plus
+/// (sender stats, sink stats).
+pub fn traffic_pair(
+    spec: &ClusterSpec,
+    name: &'static str,
+    flows: Vec<FlowSpec>,
+    seed: u64,
+) -> (Cluster, StatsHandle, StatsHandle) {
+    let (app, tx) = TrafficApp::new(name, flows, seed, 0);
+    let (sink, rx) = TrafficApp::new("sink", vec![], seed, 1);
+    let cluster = Cluster::build(spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    (cluster, tx, rx)
+}
+
+/// N independent eager flows between one node pair — the E1 workload —
+/// on the cell `spec` describes. Returns the cluster plus (sender stats,
+/// sink stats).
 pub fn eager_flows(
-    engine: EngineKind,
-    tech: Technology,
+    spec: &ClusterSpec,
     n_flows: usize,
     msg_size: usize,
     mean_gap: SimDuration,
     msgs_per_flow: u64,
     seed: u64,
 ) -> (Cluster, StatsHandle, StatsHandle) {
-    let specs: Vec<FlowSpec> = (0..n_flows)
-        .map(|_| FlowSpec {
-            dst: NodeId(1),
-            class: TrafficClass::DEFAULT,
-            arrival: Arrival::Poisson(mean_gap),
-            sizes: SizeDist::Fixed(msg_size),
-            express_header: 8,
-            stop_after: Some(msgs_per_flow),
-            start_after: SimDuration::ZERO,
-        })
-        .collect();
-    let (app, tx) = TrafficApp::new("eager", specs, seed, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], seed, 1);
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![tech],
-        engine,
-        trace: None,
-        engine_trace: None,
+    let flow = FlowSpec {
+        stop_after: Some(msgs_per_flow),
+        ..FlowSpec::eager(NodeId(1), mean_gap, msg_size)
     };
-    let cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
-    (cluster, tx, rx)
+    traffic_pair(spec, "eager", vec![flow; n_flows], seed)
 }
 
 #[cfg(test)]
@@ -330,8 +324,7 @@ mod tests {
     #[test]
     fn eager_flows_scenario_counts_match() {
         let (mut cluster, tx, rx) = eager_flows(
-            EngineKind::legacy(),
-            Technology::MyrinetMx,
+            &ClusterSpec::mx_pair().legacy(),
             4,
             64,
             SimDuration::from_micros(10),

@@ -286,22 +286,6 @@ impl AppDriver for Recorder {
     }
 }
 
-/// One replayed submission, correlating a trace record with the engine
-/// ids madtrace events carry: trace line `trace_idx` became message
-/// `(id.flow, id.seq)` at `at_ns`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplayTag {
-    /// Index into [`Trace::msgs`].
-    pub trace_idx: usize,
-    /// Virtual time the submission actually fired (ns).
-    pub at_ns: u64,
-    /// Engine message id assigned to the replayed submission.
-    pub id: MsgId,
-}
-
-/// Shared handle to the tags a [`ReplayApp`] emits.
-pub type ReplayTagHandle = Rc<RefCell<Vec<ReplayTag>>>;
-
 /// Replays a [`Trace`]: opens the same flows and re-submits every message
 /// at its recorded virtual time, with pattern payloads.
 pub struct ReplayApp {
@@ -309,7 +293,6 @@ pub struct ReplayApp {
     flows: Vec<FlowId>,
     seqs: Vec<u32>,
     next: usize,
-    tags: Option<ReplayTagHandle>,
 }
 
 impl ReplayApp {
@@ -321,18 +304,7 @@ impl ReplayApp {
             flows: Vec::new(),
             seqs: Vec::new(),
             next: 0,
-            tags: None,
         }
-    }
-
-    /// Like [`ReplayApp::new`], but also emits one [`ReplayTag`] per
-    /// submission through the returned handle, so madtrace events
-    /// (keyed by flow and sequence) can be joined back to trace lines.
-    pub fn with_tags(trace: Trace) -> (Self, ReplayTagHandle) {
-        let tags = ReplayTagHandle::default();
-        let mut app = ReplayApp::new(trace);
-        app.tags = Some(tags.clone());
-        (app, tags)
     }
 
     fn fire_due(&mut self, api: &mut dyn CommApi) {
@@ -351,14 +323,7 @@ impl ReplayApp {
                 };
                 b = b.pack(&pattern(flow.0, seq, i as u16, len), mode);
             }
-            let id = api.send(flow, b.build_parts());
-            if let Some(tags) = &self.tags {
-                tags.borrow_mut().push(ReplayTag {
-                    trace_idx: self.next,
-                    at_ns: now,
-                    id,
-                });
-            }
+            api.send(flow, b.build_parts());
             self.next += 1;
         }
         if self.next < self.trace.msgs.len() {
@@ -387,8 +352,7 @@ mod tests {
     use super::*;
     use crate::apps::{FlowSpec, TrafficApp};
     use crate::workload::{Arrival, SizeDist};
-    use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use simnet::Technology;
+    use madeleine::harness::{Cluster, ClusterSpec};
 
     fn text_fixture() -> &'static str {
         "# madeleine-trace v1\n\
@@ -439,13 +403,7 @@ mod tests {
         }];
         let (app, _stats) = TrafficApp::new("rec", specs, 99, 0);
         let (recorder, trace) = Recorder::new(Box::new(app));
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair();
         let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);
         c.drain();
         let recorded = trace.borrow().clone();
@@ -455,13 +413,7 @@ mod tests {
         // Replay the text-serialized trace on the *legacy* engine.
         let replayed = Trace::from_text(&recorded.to_text()).unwrap();
         let total = replayed.total_bytes();
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::legacy(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair().legacy();
         let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(replayed))), None]);
         c.drain();
         let m = c.handle(0).metrics();
@@ -482,47 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_tags_join_trace_lines_to_engine_events() {
-        let t = Trace::from_text(text_fixture()).unwrap();
-        let (app, tags) = ReplayApp::with_tags(t);
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: Some(256),
-        };
-        let mut c = Cluster::build(&spec, vec![Some(Box::new(app)), None]);
-        c.drain();
-        let tags = tags.borrow();
-        assert_eq!(tags.len(), 3);
-        assert_eq!(tags[0].trace_idx, 0);
-        // Each tag's (flow, seq) appears as a Submitted event in the
-        // engine's madtrace ring — the join madtrace correlations rely on.
-        let sink = c.handles[0].opt().unwrap().trace_snapshot();
-        for tag in tags.iter() {
-            assert_eq!(
-                sink.count_matching(|e| matches!(
-                    e,
-                    madeleine::trace::EngineEvent::Submitted { flow, seq, .. }
-                        if *flow == tag.id.flow && *seq == tag.id.seq.0
-                )),
-                1,
-                "tag {tag:?} must match exactly one Submitted event"
-            );
-        }
-    }
-
-    #[test]
     fn replay_preserves_timing() {
         let t = Trace::from_text(text_fixture()).unwrap();
-        let spec = ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        };
+        let spec = ClusterSpec::mx_pair();
         let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(t))), None]);
         c.drain();
         assert_eq!(c.handle(0).metrics().submitted_msgs, 3);

@@ -122,26 +122,6 @@ impl Arrival {
             Arrival::Burst { count, period } => (period, count),
         }
     }
-
-    /// Mean messages per second.
-    pub fn rate_per_sec(&self) -> f64 {
-        match *self {
-            Arrival::Periodic(p) | Arrival::Poisson(p) => {
-                if p.as_nanos() == 0 {
-                    0.0
-                } else {
-                    1e9 / p.as_nanos() as f64
-                }
-            }
-            Arrival::Burst { count, period } => {
-                if period.as_nanos() == 0 {
-                    0.0
-                } else {
-                    count as f64 * 1e9 / period.as_nanos() as f64
-                }
-            }
-        }
-    }
 }
 
 /// Deterministic RNG for a (seed, stream) pair, so each app instance gets
@@ -232,7 +212,6 @@ mod tests {
         let (d, c) = a.next(&mut rng);
         assert_eq!(c, 7);
         assert_eq!(d.as_nanos(), 50_000);
-        assert!((a.rate_per_sec() - 140_000.0).abs() < 1.0);
     }
 
     #[test]

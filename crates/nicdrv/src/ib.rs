@@ -36,7 +36,6 @@ pub fn params() -> NetworkParams {
         rx_bandwidth: 1_500_000_000,
         tx_queue_depth: 32,
         host_copy_bandwidth: 3_000_000_000,
-        drop_rate: 0.0,
     }
 }
 

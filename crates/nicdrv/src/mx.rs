@@ -36,7 +36,6 @@ pub fn params() -> NetworkParams {
         rx_bandwidth: 800_000_000,
         tx_queue_depth: 8,
         host_copy_bandwidth: 3_000_000_000,
-        drop_rate: 0.0,
     }
 }
 

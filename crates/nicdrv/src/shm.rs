@@ -28,7 +28,6 @@ pub fn params() -> NetworkParams {
         rx_bandwidth: 3_000_000_000,
         tx_queue_depth: 16,
         host_copy_bandwidth: 3_000_000_000,
-        drop_rate: 0.0,
     }
 }
 

@@ -35,11 +35,6 @@ impl VChannelPool {
         }
     }
 
-    /// The control channel (always allocated).
-    pub fn control_channel(&self) -> VChannel {
-        0
-    }
-
     /// Total channels on the NIC.
     pub fn total(&self) -> u8 {
         self.total
@@ -86,7 +81,6 @@ mod tests {
     #[test]
     fn channel_zero_reserved_for_control() {
         let p = VChannelPool::new(4);
-        assert_eq!(p.control_channel(), 0);
         assert!(p.is_allocated(0));
         assert_eq!(p.available(), 3);
     }

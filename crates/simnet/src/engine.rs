@@ -408,13 +408,6 @@ impl Simulation {
             .expect("node has no endpoint")
     }
 
-    /// Mutably borrow a node's endpoint (outside the event loop).
-    pub fn endpoint_mut(&mut self, node: NodeId) -> &mut dyn Endpoint {
-        self.endpoints[node.0 as usize]
-            .as_deref_mut()
-            .expect("node has no endpoint")
-    }
-
     /// Process events until the queue is exhausted or `limit` is reached,
     /// whichever first; returns the final virtual time.
     pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
@@ -570,26 +563,23 @@ impl Simulation {
         let cookie = req.cookie;
         let payload_len = req.payload_len();
         let seg_count = req.payload.len();
-        let (latency, jitter, overhead, dropped, fault) = {
+        let (latency, jitter, overhead, fault) = {
             let net = &mut self.world.networks[net_idx];
             let jitter = if net.params.jitter.is_zero() {
                 SimDuration::ZERO
             } else {
                 SimDuration::from_nanos(net.rng.next_below(net.params.jitter.as_nanos()))
             };
-            let dropped = net.params.drop_rate > 0.0 && net.rng.next_bool(net.params.drop_rate);
-            // The scripted fault plan draws from its own RNG stream, and
-            // only for packets the legacy drop knob did not already claim,
-            // so fault decisions stay a pure function of (seed, tx order).
+            // The scripted fault plan draws from its own RNG stream, so
+            // fault decisions stay a pure function of (seed, tx order).
             let fault = match net.fault.as_mut() {
-                Some(f) if !dropped => f.on_tx(now),
-                _ => crate::fault::FaultOutcome::default(),
+                Some(f) => f.on_tx(now),
+                None => crate::fault::FaultOutcome::default(),
             };
             (
                 net.params.wire_latency,
                 jitter,
                 net.params.per_packet_overhead_bytes,
-                dropped || fault.dropped,
                 fault,
             )
         };
@@ -604,7 +594,7 @@ impl Simulation {
         }
 
         // Launch the packet onto the wire (unless fault injection drops it).
-        if dropped {
+        if fault.dropped {
             self.world.nics[nic_idx].stats.wire_drops += 1;
             self.world.trace.push(
                 now,
@@ -1047,15 +1037,9 @@ mod tests {
     }
 
     #[test]
-    fn drop_rate_discards_packets() {
-        let mut sim = Simulation::new();
-        let mut p = NetworkParams::synthetic();
-        p.drop_rate = 1.0;
-        let net = sim.add_network(p);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let na = sim.add_nic(a, net);
-        let nb = sim.add_nic(b, net);
+    fn fault_plan_loss_discards_packets() {
+        let (mut sim, a, b, na, nb) = two_nodes();
+        sim.set_fault_plan(NetworkId(0), crate::fault::FaultPlan::new(5).with_loss(1.0));
         let rx = Rc::new(RefCell::new(Vec::new()));
         sim.set_endpoint(
             b,

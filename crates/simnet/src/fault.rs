@@ -1,7 +1,7 @@
 //! Deterministic fault injection: scripted adversity for simulated networks.
 //!
-//! A [`FaultPlan`] replaces the bare uniform `drop_rate` knob as the way
-//! experiments script failures: per-link burst-loss windows, duplication,
+//! A [`FaultPlan`] is the way experiments script failures: uniform loss,
+//! per-link burst-loss windows, duplication,
 //! reordering, NIC stall intervals, and permanent rail death, all driven by
 //! a private seeded [`SplitMix64`] so two runs with the same plan produce
 //! identical fault sequences (and therefore identical traces).

@@ -63,10 +63,10 @@ pub use link::{NetworkParams, Technology};
 pub use nic::{NicState, NicStats};
 pub use packet::{SubmitError, TxMode, TxRequest, VChannel, WirePacket};
 pub use rng::SplitMix64;
-pub use stats::{Summary, Throughput, Utilization};
+pub use stats::{Summary, Utilization};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use topo::{
     flow_hash, max_min_rates, FabricState, Link, LinkProfile, LinkStats, Topology, Vertex,
     WaterFill,
 };
-pub use trace::{Trace, TraceEvent, TraceRecord};
+pub use trace::{Ring, Stamped, Trace, TraceEvent, TraceRecord};

@@ -97,15 +97,11 @@ pub struct NetworkParams {
     /// Host memory copy bandwidth (bytes/s), charged when the library
     /// linearizes segments by copy (e.g. by-copy aggregation).
     pub host_copy_bandwidth: u64,
-    /// Probability in `[0,1]` that a packet is silently dropped on the wire.
-    /// High-speed networks are lossless; nonzero values are for fault
-    /// injection tests only.
-    pub drop_rate: f64,
 }
 
 impl NetworkParams {
     /// Round-number synthetic fabric for unit tests: 1 µs latency, 1 GB/s
-    /// wire, 0.5 GB/s PIO, 2 GB/s DMA pull, no jitter, no drops.
+    /// wire, 0.5 GB/s PIO, 2 GB/s DMA pull, no jitter.
     pub fn synthetic() -> Self {
         NetworkParams {
             tech: Technology::Synthetic,
@@ -123,7 +119,6 @@ impl NetworkParams {
             rx_bandwidth: 2_000_000_000,
             tx_queue_depth: 4,
             host_copy_bandwidth: 4_000_000_000,
-            drop_rate: 0.0,
         }
     }
 
@@ -171,7 +166,6 @@ mod tests {
         assert!(p.pio_bandwidth <= p.wire_bandwidth);
         assert!(p.mtu > 0);
         assert!(p.tx_queue_depth >= 1);
-        assert_eq!(p.drop_rate, 0.0);
     }
 
     #[test]

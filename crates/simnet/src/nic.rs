@@ -93,11 +93,6 @@ impl NicState {
         !self.tx_busy && self.tx_queue.is_empty()
     }
 
-    /// Packets currently queued or in flight in the tx engine.
-    pub fn tx_queue_len(&self) -> usize {
-        self.tx_queue.len()
-    }
-
     /// Remaining hardware queue slots given a queue depth.
     pub fn tx_queue_free(&self, depth: usize) -> usize {
         depth.saturating_sub(self.tx_queue.len())
@@ -156,7 +151,6 @@ mod tests {
     fn fresh_nic_is_idle() {
         let n = NicState::new(NicId(0), NodeId(0), NetworkId(0));
         assert!(n.is_tx_idle());
-        assert_eq!(n.tx_queue_len(), 0);
         assert_eq!(n.tx_queue_free(4), 4);
     }
 
@@ -180,6 +174,6 @@ mod tests {
             other => panic!("expected PacketTooLarge, got {other:?}"),
         }
         // Rejection does not consume a queue slot.
-        assert_eq!(n.tx_queue_len(), 0);
+        assert_eq!(n.tx_queue_free(4), 4);
     }
 }

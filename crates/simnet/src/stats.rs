@@ -1,22 +1,27 @@
-//! Measurement primitives: counters, running statistics, log-scaled latency
-//! histograms and time-weighted utilization tracking.
+//! Measurement primitives: running scalar statistics and time-weighted
+//! utilization tracking.
 //!
 //! These are used both by the simulator core (NIC busy/idle accounting) and by
-//! the experiment harness (latency distributions, throughput series).
+//! the experiment harness (round-trip summaries).
 
 use crate::time::{SimDuration, SimTime};
 
-/// Running scalar statistics (count / sum / min / max / mean / variance) using
-/// Welford's online algorithm, so the harness can report stable variance
-/// without storing samples.
-#[derive(Clone, Debug, Default)]
+/// Running scalar statistics (count / sum / min / max / mean), kept without
+/// storing samples; the mean is updated incrementally (Welford).
+#[derive(Clone, Debug)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     sum: f64,
+}
+
+impl Default for Summary {
+    /// Same as [`Summary::new`]: the extremes start at ±∞, not at zero.
+    fn default() -> Self {
+        Summary::new()
+    }
 }
 
 impl Summary {
@@ -25,7 +30,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             sum: 0.0,
@@ -36,9 +40,7 @@ impl Summary {
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -48,7 +50,7 @@ impl Summary {
         self.record(d.as_micros_f64());
     }
 
-    /// Merge another summary into this one (parallel Welford merge).
+    /// Merge another summary into this one.
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
             return;
@@ -57,12 +59,9 @@ impl Summary {
             *self = other.clone();
             return;
         }
-        let n1 = self.count as f64;
         let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        let total = self.count as f64 + n2;
+        self.mean += (other.mean - self.mean) * n2 / total;
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -88,15 +87,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation (0 if < 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
     /// Minimum sample (0 if empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -115,12 +105,6 @@ impl Summary {
         }
     }
 }
-
-// NOTE: the log2-bucketed `LatencyHistogram` that used to live here was
-// promoted to `madeleine::hist` (madscope), which depends on this crate
-// and re-exports the shared implementation for every consumer. Only the
-// scalar `Summary` (and the time-weighted trackers below) remain in
-// simnet.
 
 /// Tracks the fraction of virtual time a binary resource (e.g. a NIC transmit
 /// engine) spends busy, with exact time weighting.
@@ -155,11 +139,6 @@ impl Utilization {
         }
     }
 
-    /// Whether the resource is currently accounted busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
     /// Total busy time up to `now`.
     pub fn busy_time(&self, now: SimTime) -> SimDuration {
         let mut t = self.accumulated_busy;
@@ -179,41 +158,6 @@ impl Utilization {
     }
 }
 
-/// Simple throughput accumulator: bytes and packet count over the run.
-#[derive(Clone, Debug, Default)]
-pub struct Throughput {
-    /// Total bytes recorded.
-    pub bytes: u64,
-    /// Total packets recorded.
-    pub packets: u64,
-}
-
-impl Throughput {
-    /// Record one wire packet of `bytes` payload+framing bytes.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-        self.packets += 1;
-    }
-
-    /// Mean MB/s over `elapsed` (decimal MB). 0 for an empty interval.
-    pub fn mb_per_sec(&self, elapsed: SimDuration) -> f64 {
-        let s = elapsed.as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / s
-    }
-
-    /// Mean packets per second. 0 for an empty interval.
-    pub fn packets_per_sec(&self, elapsed: SimDuration) -> f64 {
-        let s = elapsed.as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        self.packets as f64 / s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +170,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -248,14 +191,22 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.stddev() - all.stddev()).abs() < 1e-9);
+        assert_eq!((a.min(), a.max()), (all.min(), all.max()));
+    }
+
+    /// `#[derive(Default)]` used to start the extremes at 0.0, which pinned
+    /// `min()` at zero for any positive sample.
+    #[test]
+    fn default_summary_starts_like_new() {
+        let mut s = Summary::default();
+        s.record(5.0);
+        assert_eq!((s.min(), s.max()), (5.0, 5.0));
     }
 
     #[test]
     fn empty_summary_is_zeroed() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -268,7 +219,6 @@ mod tests {
         u.set_busy(SimTime::from_nanos(750));
         // At t=1000: busy 250 + 250 = 500 of 1000.
         assert!((u.busy_fraction(SimTime::from_nanos(1000)) - 0.5).abs() < 1e-12);
-        assert!(u.is_busy());
     }
 
     #[test]
@@ -279,16 +229,5 @@ mod tests {
         u.set_idle(SimTime::from_nanos(30));
         u.set_idle(SimTime::from_nanos(40)); // ignored, already idle
         assert_eq!(u.busy_time(SimTime::from_nanos(100)).as_nanos(), 20);
-    }
-
-    #[test]
-    fn throughput_rates() {
-        let mut t = Throughput::default();
-        t.record(1_000_000);
-        t.record(1_000_000);
-        let d = SimDuration::from_secs(2);
-        assert!((t.mb_per_sec(d) - 1.0).abs() < 1e-9);
-        assert!((t.packets_per_sec(d) - 1.0).abs() < 1e-9);
-        assert_eq!(t.mb_per_sec(SimDuration::ZERO), 0.0);
     }
 }

@@ -693,11 +693,6 @@ impl FabricState {
         self.transfers.len()
     }
 
-    /// Host port assigned to a NIC, if attached.
-    pub fn port_of(&self, nic: NicId) -> Option<u32> {
-        self.ports.get(&nic).copied()
-    }
-
     /// Attach the next free host port to `nic` (ports fill in attachment
     /// order). Returns `None` when the topology is out of ports.
     pub(crate) fn assign_port(&mut self, nic: NicId) -> Option<u32> {

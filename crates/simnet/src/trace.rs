@@ -72,36 +72,45 @@ impl TraceEvent {
     }
 }
 
-/// A timestamped trace record.
+/// One timestamped record of a [`Ring`].
 #[derive(Clone, Debug)]
-pub struct TraceRecord {
-    /// Virtual time of the action.
+pub struct Stamped<E> {
+    /// Virtual time of the event.
     pub at: SimTime,
-    /// The action.
-    pub event: TraceEvent,
+    /// The event.
+    pub event: E,
 }
 
-/// Bounded trace buffer. When full, the oldest records are discarded (it is
-/// a ring), so long runs can keep tracing the recent window.
-#[derive(Debug)]
-pub struct Trace {
+/// The bounded overwrite-oldest ring every trace in the workspace is kept
+/// in: the simulator's [`Trace`] here and the engine's event sink in
+/// `madeleine`. Disabled, a push costs one branch; full, a push overwrites
+/// the oldest record and counts it in [`Ring::dropped`], so long runs keep
+/// the recent window.
+#[derive(Clone, Debug)]
+pub struct Ring<E> {
     enabled: bool,
     capacity: usize,
-    records: Vec<TraceRecord>,
+    records: Vec<Stamped<E>>,
     head: usize,
     dropped: u64,
 }
 
-impl Default for Trace {
+/// A timestamped trace record.
+pub type TraceRecord = Stamped<TraceEvent>;
+
+/// The simulator's trace: a [`Ring`] of [`TraceEvent`]s.
+pub type Trace = Ring<TraceEvent>;
+
+impl<E> Default for Ring<E> {
     fn default() -> Self {
-        Trace::disabled()
+        Ring::disabled()
     }
 }
 
-impl Trace {
-    /// A disabled trace (records nothing).
+impl<E> Ring<E> {
+    /// A disabled ring (records nothing).
     pub fn disabled() -> Self {
-        Trace {
+        Ring {
             enabled: false,
             capacity: 0,
             records: Vec::new(),
@@ -110,9 +119,9 @@ impl Trace {
         }
     }
 
-    /// An enabled trace retaining the most recent `capacity` records.
+    /// An enabled ring retaining the most recent `capacity` records.
     pub fn with_capacity(capacity: usize) -> Self {
-        Trace {
+        Ring {
             enabled: true,
             capacity: capacity.max(1),
             records: Vec::with_capacity(capacity.min(4096)),
@@ -126,12 +135,17 @@ impl Trace {
         self.enabled
     }
 
+    /// Ring capacity (0 when disabled).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Record an event (no-op when disabled).
-    pub fn push(&mut self, at: SimTime, event: TraceEvent) {
+    pub fn push(&mut self, at: SimTime, event: E) {
         if !self.enabled {
             return;
         }
-        let rec = TraceRecord { at, event };
+        let rec = Stamped { at, event };
         if self.records.len() < self.capacity {
             self.records.push(rec);
         } else {
@@ -142,7 +156,7 @@ impl Trace {
     }
 
     /// Records in chronological order (oldest retained first).
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
+    pub fn iter(&self) -> impl Iterator<Item = &Stamped<E>> {
         let (newer, older) = self.records.split_at(self.head);
         older.iter().chain(newer.iter())
     }
@@ -163,7 +177,7 @@ impl Trace {
     }
 
     /// Count retained records matching a predicate.
-    pub fn count_matching(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> usize {
+    pub fn count_matching(&self, mut pred: impl FnMut(&E) -> bool) -> usize {
         self.iter().filter(|r| pred(&r.event)).count()
     }
 }
@@ -174,34 +188,57 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        t.push(SimTime::ZERO, TraceEvent::NicIdle { nic: NicId(0) });
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
+        let mut r = Ring::<u64>::default();
+        r.push(SimTime::ZERO, 1);
+        assert!(r.is_empty());
+        assert!(!r.is_enabled());
+        assert_eq!((r.capacity(), r.dropped()), (0, 0));
     }
 
     #[test]
     fn ring_keeps_most_recent() {
-        let mut t = Trace::with_capacity(3);
+        let mut r = Ring::with_capacity(3);
+        // Seven pushes wrap the head past the end more than once.
+        for i in 0..7u64 {
+            r.push(SimTime::from_nanos(i), i);
+        }
+        assert_eq!((r.len(), r.capacity(), r.dropped()), (3, 3, 4));
+        let kept: Vec<(u64, u64)> = r.iter().map(|s| (s.at.as_nanos(), s.event)).collect();
+        assert_eq!(kept, vec![(4, 4), (5, 5), (6, 6)]);
+        // A zero capacity still holds the latest record.
+        let mut one = Ring::with_capacity(0);
+        one.push(SimTime::ZERO, 1u64);
+        one.push(SimTime::ZERO, 2u64);
+        assert_eq!(one.iter().map(|s| s.event).collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn count_matching_filters() {
+        let mut r = Ring::with_capacity(10);
         for i in 0..5u64 {
+            r.push(SimTime::ZERO, i);
+        }
+        assert_eq!(r.count_matching(|e| e % 2 == 0), 3);
+    }
+
+    /// `Trace` and `TraceRecord` are names over `Ring<TraceEvent>`.
+    #[test]
+    fn trace_is_a_ring_of_trace_events() {
+        let mut t = Trace::with_capacity(2);
+        for tag in 0..3 {
+            let node = NodeId(0);
             t.push(
-                SimTime::from_nanos(i),
-                TraceEvent::TimerFired {
-                    node: NodeId(0),
-                    tag: i,
-                },
+                SimTime::from_nanos(tag),
+                TraceEvent::TimerFired { node, tag },
             );
         }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let tags: Vec<u64> = t
-            .iter()
-            .map(|r| match r.event {
-                TraceEvent::TimerFired { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags, vec![2, 3, 4]);
+        let first: &TraceRecord = t.iter().next().expect("two records retained");
+        assert_eq!(first.at, SimTime::from_nanos(1));
+        assert_eq!(t.dropped(), 1);
+        assert_eq!(
+            t.count_matching(|e| matches!(e, TraceEvent::TimerFired { .. })),
+            2
+        );
     }
 
     #[test]
@@ -219,23 +256,5 @@ mod tests {
         };
         assert_eq!(timer.name(), "TimerFired");
         assert_eq!(timer.nic(), None);
-    }
-
-    #[test]
-    fn count_matching_filters() {
-        let mut t = Trace::with_capacity(10);
-        t.push(SimTime::ZERO, TraceEvent::NicIdle { nic: NicId(1) });
-        t.push(SimTime::ZERO, TraceEvent::NicIdle { nic: NicId(2) });
-        t.push(
-            SimTime::ZERO,
-            TraceEvent::TxDone {
-                nic: NicId(1),
-                cookie: 0,
-            },
-        );
-        assert_eq!(
-            t.count_matching(|e| matches!(e, TraceEvent::NicIdle { .. })),
-            2
-        );
     }
 }

@@ -147,49 +147,11 @@ fn analyze(args: &[String]) -> ExitCode {
     print!("{report}");
     ok &= report.is_clean();
 
-    let mask = madcheck::mask_check(&registry, &opts);
-    print!("{mask}");
-    ok &= mask.is_clean();
-
-    let retx = madcheck::retx_sweep(opts.seed, opts.samples);
-    print!("{retx}");
-    ok &= retx.is_clean();
-
-    let metrics = madcheck::metrics_check();
-    print!("{metrics}");
-    ok &= metrics.is_clean();
-
-    let flow = madcheck::flow_check(opts.seed, opts.samples);
-    print!("{flow}");
-    ok &= flow.is_clean();
-
-    // madnet topology sweep: routed paths + fair-share conservation
-    // over the seeded topology corpus.
-    let net = madcheck::net_check(opts.seed, opts.samples.max(4));
-    print!("{net}");
-    ok &= net.is_clean();
-
-    // madprof partition sweep: bounded corpus (each sample is a full
-    // traced simulation, so the count is fixed rather than tied to
-    // --samples).
-    let prof = madcheck::prof_check(opts.seed, 8);
-    print!("{prof}");
-    ok &= prof.is_clean();
-
-    // madcoll schedule sweep: every collective plan in the seeded corpus
-    // (and every auto-selected plan per capability profile) must be an
-    // acyclic, member-spanning, byte-exact round-gated DAG.
-    let coll = madcheck::coll_check(opts.seed, opts.samples.max(8));
-    print!("{coll}");
-    ok &= coll.is_clean();
-
-    // maddiff sweep: self-diffs must be exactly zero, perturbed diffs
-    // must keep the delta-partition invariant, and reports must be
-    // byte-stable (each sample is two full traced simulations plus a
-    // perturbed third, so the count is fixed like prof's).
-    let diffr = madcheck::diff_check(opts.seed, 6);
-    print!("{diffr}");
-    ok &= diffr.is_clean();
+    for rule in madcheck::RULES {
+        let sweep = rule(&registry, &opts);
+        print!("{sweep}");
+        ok &= sweep.is_clean();
+    }
 
     ok &= trace_smoke();
 

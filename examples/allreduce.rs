@@ -22,13 +22,7 @@ const ITERATIONS: u32 = 20;
 fn run(size: u32, engine: EngineKind) -> f64 {
     let cfg = CollConfig::for_tech(Technology::MyrinetMx);
     let (apps, hub) = CollApp::ranks(CollOp::Allreduce, 256, size, ITERATIONS, &cfg);
-    let spec = ClusterSpec {
-        nodes: size as usize,
-        rails: vec![Technology::MyrinetMx],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(size as usize, vec![Technology::MyrinetMx]).engine(engine);
     let mut c = Cluster::build(&spec, apps);
     c.drain();
     let s = hub.borrow();

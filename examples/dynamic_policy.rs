@@ -12,10 +12,11 @@
 //! cargo run --release -p madeleine --example dynamic_policy
 //! ```
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
+use madeleine::harness::{ClusterSpec, EngineKind, NodeHandle};
 use madeleine::ids::TrafficClass;
 use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
@@ -51,16 +52,9 @@ fn run(adaptive: bool) -> (f64, u64) {
     } else {
         PolicyKind::ClassPinned
     };
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx; 4],
-        engine: EngineKind::Optimizing { config, policy },
-        trace: None,
-        engine_trace: None,
-    };
-    let (app, _) = TrafficApp::new("phased", workload(phase2_at), 5, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], 5, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 4])
+        .engine(EngineKind::with_policy(config, policy));
+    let (mut cluster, _, rx) = traffic_pair(&spec, "phased", workload(phase2_at), 5);
     let NodeHandle::Opt(h) = cluster.handle(0).clone() else {
         unreachable!()
     };

@@ -9,21 +9,17 @@
 //! cargo run --release -p madeleine --example multirail_loadbalance
 //! ```
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
-use madeleine::{EngineConfig, PolicyKind};
-use madware::apps::{FlowSpec, TrafficApp};
+use madeleine::EngineConfig;
+use madware::apps::FlowSpec;
+use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
 fn run(engine: EngineKind, label: &str) {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx, Technology::QuadricsElan],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec =
+        ClusterSpec::new(2, vec![Technology::MyrinetMx, Technology::QuadricsElan]).engine(engine);
     let msgs = 400u64;
     let flow = FlowSpec {
         dst: NodeId(1),
@@ -34,9 +30,7 @@ fn run(engine: EngineKind, label: &str) {
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };
-    let (app, _) = TrafficApp::new("bulk", vec![flow], 1, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], 1, 1);
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let (mut cluster, _, rx) = traffic_pair(&spec, "bulk", vec![flow], 1);
     let end = cluster.drain();
     let bytes = msgs * (24 << 10);
     let mbps = bytes as f64 / 1e6 / end.as_secs_f64();
@@ -64,10 +58,7 @@ fn main() {
         ..EngineConfig::default()
     };
     run(
-        EngineKind::Optimizing {
-            config: config.clone(),
-            policy: PolicyKind::Pooled,
-        },
+        EngineKind::with_config(config.clone()),
         "optimizer, pooled rails (work-stealing balance)",
     );
     run(

@@ -14,7 +14,7 @@ use madeleine::ids::TrafficClass;
 use madware::apps::{FlowSpec, TrafficApp};
 use madware::trace::{Recorder, ReplayApp, Trace};
 use madware::workload::{Arrival, SizeDist};
-use simnet::{NodeId, SimDuration, Technology};
+use simnet::{NodeId, SimDuration};
 
 fn record() -> Trace {
     // A bursty mixed workload to record.
@@ -38,13 +38,7 @@ fn record() -> Trace {
         .collect();
     let (app, _) = TrafficApp::new("recorded", specs, 1234, 0);
     let (recorder, trace) = Recorder::new(Box::new(app));
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);
     c.drain();
     let t = trace.borrow().clone();
@@ -52,13 +46,7 @@ fn record() -> Trace {
 }
 
 fn replay(trace: Trace, engine: EngineKind, label: &str) {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair().engine(engine);
     let n = trace.len() as u64;
     let mut c = Cluster::build(&spec, vec![Some(Box::new(ReplayApp::new(trace))), None]);
     let end = c.drain();

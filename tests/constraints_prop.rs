@@ -13,7 +13,6 @@ use madeleine::ids::TrafficClass;
 use madeleine::message::{MessageBuilder, PackMode};
 use madware::pattern;
 use proptest::prelude::*;
-use simnet::Technology;
 
 /// A randomly-shaped message: per-fragment (size, express?).
 #[derive(Clone, Debug)]
@@ -31,13 +30,7 @@ fn msg_shape(max_flows: usize) -> impl Strategy<Value = MsgShape> {
 }
 
 fn run_workload(shapes: &[MsgShape], engine: EngineKind, classes: &[TrafficClass]) {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair().engine(engine);
     let mut c = Cluster::build(&spec, vec![]);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
@@ -250,11 +243,11 @@ proptest! {
         window in 1usize..8,
         budget in 1usize..4,
     ) {
-        use madeleine::{EngineConfig, PolicyKind};
+        use madeleine::EngineConfig;
         let config = EngineConfig::default().with_window(window).with_budget(budget);
         run_workload(
             &shapes,
-            EngineKind::Optimizing { config, policy: PolicyKind::Pooled },
+            EngineKind::with_config(config),
             &[TrafficClass::DEFAULT, TrafficClass::BULK],
         );
     }

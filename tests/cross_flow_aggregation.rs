@@ -5,16 +5,11 @@ use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use simnet::{SimTime, Technology, TraceEvent};
+use simnet::{SimTime, TraceEvent};
 
 fn burst_cluster(engine: EngineKind, flows: usize, msgs: u32, size: usize) -> (Cluster, u64) {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine,
-        trace: Some(1 << 16),
-        engine_trace: None,
-    };
+    let mut spec = ClusterSpec::mx_pair().engine(engine);
+    spec.trace = Some(1 << 16);
     let mut c = Cluster::build(&spec, vec![]);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);

@@ -11,8 +11,8 @@
 //! containers.)
 
 use madeleine::coll::{CollApp, CollConfig, CollHub, CollOp};
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madeleine::{EngineConfig, MessageBuilder, PolicyKind, ReliabilityMode, TrafficClass};
+use madeleine::harness::{Cluster, ClusterSpec};
+use madeleine::{EngineConfig, MessageBuilder, ReliabilityMode, TrafficClass};
 use proptest::prelude::*;
 use simnet::{FaultPlan, SimDuration, SimTime, Technology};
 
@@ -113,19 +113,12 @@ fn profile_exports_are_byte_identical_across_runs() {
 /// contention, switch queues and ECN marks all participate in the trace.
 fn fat_tree_workload() -> Cluster {
     let profile = nicdrv::calib::params(Technology::MyrinetMx).link_profile();
-    let spec = ClusterSpec {
-        nodes: 16,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config: EngineConfig {
-                reliability: ReliabilityMode::Recover,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        },
-        trace: Some(1 << 14),
-        engine_trace: Some(1 << 14),
-    };
+    let spec = ClusterSpec::new(16, vec![Technology::MyrinetMx])
+        .config(EngineConfig {
+            reliability: ReliabilityMode::Recover,
+            ..EngineConfig::default()
+        })
+        .with_tracing(1 << 14);
     let mut c = Cluster::build_with_topologies(
         &spec,
         vec![Some(simnet::Topology::fat_tree(4, profile))],
@@ -194,20 +187,13 @@ const FAULTED_MSGS: u32 = 24;
 /// changes latencies without changing message identity).
 fn faulted_cell_nagle(seed: u64, loss_pm: u32, dup_pm: u32, nagle_us: u64) -> Cluster {
     let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::Optimizing {
-                config: EngineConfig {
-                    reliability: ReliabilityMode::Recover,
-                    nagle_delay: SimDuration::from_micros(nagle_us),
-                    ..EngineConfig::default()
-                },
-                policy: PolicyKind::Pooled,
-            },
-            trace: Some(1 << 14),
-            engine_trace: Some(1 << 14),
-        },
+        &ClusterSpec::mx_pair()
+            .config(EngineConfig {
+                reliability: ReliabilityMode::Recover,
+                nagle_delay: SimDuration::from_micros(nagle_us),
+                ..EngineConfig::default()
+            })
+            .with_tracing(1 << 14),
         vec![],
     );
     c.set_fault_plan(
@@ -271,19 +257,12 @@ const COLL_ITERS: u32 = 3;
 fn faulted_allreduce(seed: u64, loss_pm: u32, dup_pm: u32) -> (Cluster, CollHub) {
     let cfg = CollConfig::for_tech(Technology::MyrinetMx);
     let (apps, hub) = CollApp::ranks(CollOp::Allreduce, 256, COLL_MEMBERS, COLL_ITERS, &cfg);
-    let spec = ClusterSpec {
-        nodes: COLL_MEMBERS as usize,
-        rails: vec![Technology::MyrinetMx; 2],
-        engine: EngineKind::Optimizing {
-            config: EngineConfig {
-                reliability: ReliabilityMode::Recover,
-                ..EngineConfig::default()
-            },
-            policy: PolicyKind::Pooled,
-        },
-        trace: Some(1 << 15),
-        engine_trace: Some(1 << 15),
-    };
+    let spec = ClusterSpec::new(COLL_MEMBERS as usize, vec![Technology::MyrinetMx; 2])
+        .config(EngineConfig {
+            reliability: ReliabilityMode::Recover,
+            ..EngineConfig::default()
+        })
+        .with_tracing(1 << 15);
     let mut c = Cluster::build(&spec, apps);
     c.set_fault_plan(
         0,

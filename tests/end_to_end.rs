@@ -9,16 +9,7 @@ use madware::pattern;
 use simnet::Technology;
 
 fn cluster(engine: EngineKind, tech: Technology) -> Cluster {
-    Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![tech],
-            engine,
-            trace: None,
-            engine_trace: None,
-        },
-        vec![],
-    )
+    Cluster::build(&ClusterSpec::new(2, vec![tech]).engine(engine), vec![])
 }
 
 fn engines() -> Vec<EngineKind> {
@@ -166,13 +157,7 @@ fn bidirectional_traffic() {
 
 #[test]
 fn three_node_all_to_all() {
-    let spec = ClusterSpec {
-        nodes: 3,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(3, vec![Technology::MyrinetMx]);
     let mut c = Cluster::build(&spec, vec![]);
     let handles: Vec<_> = (0..3).map(|i| c.handle(i).clone()).collect();
     let nodes = c.nodes.clone();

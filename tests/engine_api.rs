@@ -2,12 +2,12 @@
 //! drain queries, robustness against rogue user strategies, and incast.
 
 use madeleine::api::{AppDriver, CommApi};
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
+use madeleine::harness::{Cluster, ClusterSpec, NodeHandle};
 use madeleine::ids::{FlowId, MsgId, TrafficClass};
 use madeleine::message::MessageBuilder;
 use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
 use madeleine::strategy::{OptContext, Strategy};
-use madeleine::{EngineConfig, MadEngine, PolicyKind};
+use madeleine::{EngineConfig, MadEngine};
 use madware::pattern;
 use simnet::{NodeId, SimDuration, SimTime, Technology};
 use std::cell::RefCell;
@@ -34,16 +34,7 @@ fn flush_overrides_nagle_delay() {
         }
     }
     let config = EngineConfig::default().with_nagle(SimDuration::from_micros(500));
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::Optimizing {
-            config,
-            policy: PolicyKind::Pooled,
-        },
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair().config(config);
     let mut c = Cluster::build(
         &spec,
         vec![
@@ -89,13 +80,7 @@ fn on_sent_fires_once_per_message_after_transmission() {
     }
     let sent = Rc::new(RefCell::new(Vec::new()));
     let submitted = Rc::new(RefCell::new(Vec::new()));
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(
         &spec,
         vec![
@@ -117,13 +102,7 @@ fn on_sent_fires_once_per_message_after_transmission() {
 
 #[test]
 fn is_drained_tracks_engine_state() {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![]);
     let NodeHandle::Opt(h) = c.handle(0).clone() else {
         unreachable!()
@@ -254,13 +233,7 @@ fn rogue_user_strategy_cannot_corrupt_traffic() {
 
 #[test]
 fn debug_report_and_strategy_wins_reflect_activity() {
-    let spec = ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![]);
     let NodeHandle::Opt(h) = c.handle(0).clone() else {
         unreachable!()
@@ -300,13 +273,7 @@ fn debug_report_and_strategy_wins_reflect_activity() {
 fn incast_many_senders_one_receiver() {
     // 7 senders blast one receiver simultaneously: the receiver's rx engine
     // serializes, nothing is lost, per-flow order holds.
-    let spec = ClusterSpec {
-        nodes: 8,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(8, vec![Technology::MyrinetMx]);
     let mut c = Cluster::build(&spec, vec![]);
     let sink = c.nodes[0];
     let handles: Vec<_> = (1..8).map(|i| c.handle(i).clone()).collect();

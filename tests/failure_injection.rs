@@ -5,12 +5,12 @@
 //! silently corrupt.
 
 use bytes::Bytes;
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
 use nicdrv::{calib, CostModel, Driver, DriverError, ModeSel, SimDriver, TransferRequest};
-use simnet::{NetworkParams, SimTime, Simulation, SubmitError, Technology};
+use simnet::{FaultPlan, NetworkParams, SimTime, Simulation, SubmitError, Technology};
 
 #[test]
 fn hardware_queue_exhaustion_backpressures_cleanly() {
@@ -56,16 +56,7 @@ fn hardware_queue_exhaustion_backpressures_cleanly() {
 fn engine_absorbs_queue_pressure_without_loss() {
     // Tiny hardware queues + a large burst: the collect layer buffers, the
     // engine never drops, every message arrives.
-    let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::optimizing(),
-            trace: None,
-            engine_trace: None,
-        },
-        vec![],
-    );
+    let mut c = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
@@ -87,32 +78,16 @@ fn engine_absorbs_queue_pressure_without_loss() {
 
 #[test]
 fn lossy_wire_is_detected_not_corrupting() {
-    // A drop rate on the fabric: messages go missing (counted by the NIC),
-    // but whatever is delivered is byte-exact and in order, and reassembly
-    // state reports the stuck messages.
-    // The harness uses calibrated (lossless) fabrics, so build a dedicated
-    // simulation with a lossy variant of the MX parameters.
-    let mut params = calib::params(Technology::MyrinetMx);
-    params.drop_rate = 0.3;
-    let mut sim = Simulation::new();
-    let net = sim.add_network(params);
-    let a = sim.add_node();
-    let b = sim.add_node();
-    let na = sim.add_nic(a, net);
-    let nb = sim.add_nic(b, net);
-    let build = |node, nic, peer, peer_nic: simnet::NicId| {
-        madeleine::MadEngine::builder(node)
-            .rail(calib::driver(Technology::MyrinetMx, nic), 32 << 10)
-            .peer(peer, vec![peer_nic])
-            .build()
-            .unwrap()
-    };
-    let (ea, ha) = build(a, na, b, nb);
-    let (eb, hb) = build(b, nb, a, na);
-    sim.set_endpoint(a, Box::new(ea));
-    sim.set_endpoint(b, Box::new(eb));
+    // Loss on the fabric: messages go missing (counted by the NIC), but
+    // whatever is delivered is byte-exact and in order, and reassembly
+    // state reports the stuck messages. The calibrated fabrics are
+    // lossless, so the loss is scripted with a fault plan.
+    let mut c = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
+    c.set_fault_plan(0, FaultPlan::new(8).with_loss(0.3));
+    let (a, b) = (c.nodes[0], c.nodes[1]);
+    let ha = c.handle(0).clone();
     let f = ha.open_flow(b, TrafficClass::DEFAULT);
-    sim.inject(a, |ctx| {
+    c.sim.inject(a, |ctx| {
         for i in 0..100u32 {
             ha.send(
                 ctx,
@@ -123,7 +98,9 @@ fn lossy_wire_is_detected_not_corrupting() {
             );
         }
     });
-    sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+    c.drain();
+    let na = c.nics[0][0];
+    let sim = &c.sim;
     let drops = sim.nic(na).stats.wire_drops;
     // Aggregation packs the 100 messages into few packets, so the absolute
     // drop count is small — but it must be nonzero and visible.
@@ -132,7 +109,7 @@ fn lossy_wire_is_detected_not_corrupting() {
         sim.nic(na).stats.tx_packets > drops,
         "some packets must still get through"
     );
-    let got = hb.take_delivered();
+    let got = c.handle(1).take_delivered();
     assert!(got.len() < 100, "some messages must be missing");
     // Whatever arrived is intact and strictly in order.
     let mut last = None;

@@ -7,20 +7,16 @@
 //!   "adequately busy with adequately scheduled communication requests";
 //! * the transfer layer is the only place packets are produced.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use simnet::{SimDuration, Technology};
+use simnet::SimDuration;
 
 fn spec() -> ClusterSpec {
-    ClusterSpec {
-        nodes: 2,
-        rails: vec![Technology::MyrinetMx],
-        engine: EngineKind::optimizing(),
-        trace: Some(1 << 14),
-        engine_trace: None,
-    }
+    let mut spec = ClusterSpec::mx_pair();
+    spec.trace = Some(1 << 14);
+    spec
 }
 
 #[test]

@@ -9,13 +9,7 @@ use madware::pattern;
 use simnet::Technology;
 
 fn bulk_spec(engine: EngineKind, rails: Vec<Technology>) -> ClusterSpec {
-    ClusterSpec {
-        nodes: 2,
-        rails,
-        engine,
-        trace: None,
-        engine_trace: None,
-    }
+    ClusterSpec::new(2, rails).engine(engine)
 }
 
 fn eager_cfg() -> EngineConfig {
@@ -52,10 +46,7 @@ fn stream(engine: EngineKind, rails: Vec<Technology>, msgs: u32) -> (u64, Vec<u6
 
 #[test]
 fn two_rails_nearly_double_throughput() {
-    let opt1 = EngineKind::Optimizing {
-        config: eager_cfg(),
-        policy: PolicyKind::Pooled,
-    };
+    let opt1 = EngineKind::with_config(eager_cfg());
     let opt2 = opt1.clone();
     let (t1, _, c1) = stream(opt1, vec![Technology::MyrinetMx], 60);
     let (t2, bytes, c2) = stream(opt2, vec![Technology::MyrinetMx; 2], 60);
@@ -79,10 +70,7 @@ fn two_rails_nearly_double_throughput() {
 
 #[test]
 fn heterogeneous_rails_split_by_speed() {
-    let opt = EngineKind::Optimizing {
-        config: eager_cfg(),
-        policy: PolicyKind::Pooled,
-    };
+    let opt = EngineKind::with_config(eager_cfg());
     let (_, bytes, c) = stream(
         opt,
         vec![Technology::MyrinetMx, Technology::QuadricsElan],
@@ -96,10 +84,7 @@ fn heterogeneous_rails_split_by_speed() {
 
 #[test]
 fn one_to_one_policy_reproduces_legacy_mapping() {
-    let opt = EngineKind::Optimizing {
-        config: eager_cfg(),
-        policy: PolicyKind::OneToOne,
-    };
+    let opt = EngineKind::with_policy(eager_cfg(), PolicyKind::OneToOne);
     let (_, bytes, c) = stream(opt, vec![Technology::MyrinetMx; 2], 40);
     // Single flow -> pinned to rail (flow 0 % 2 == 0).
     assert!(bytes[0] > 0);
@@ -112,10 +97,7 @@ fn express_messages_stay_on_one_rail_until_resolved() {
     // Messages with express headers are pinned while the header is in
     // flight; the body may then split. Correctness: delivery intact and no
     // express violations on the receiver.
-    let opt = EngineKind::Optimizing {
-        config: eager_cfg(),
-        policy: PolicyKind::Pooled,
-    };
+    let opt = EngineKind::with_config(eager_cfg());
     let mut c = Cluster::build(
         &bulk_spec(opt, vec![Technology::MyrinetMx, Technology::MyrinetMx]),
         vec![],
@@ -148,10 +130,7 @@ fn express_messages_stay_on_one_rail_until_resolved() {
 
 #[test]
 fn runtime_policy_switch_takes_effect() {
-    let opt = EngineKind::Optimizing {
-        config: eager_cfg(),
-        policy: PolicyKind::Pooled,
-    };
+    let opt = EngineKind::with_config(eager_cfg());
     let mut c = Cluster::build(&bulk_spec(opt, vec![Technology::MyrinetMx; 2]), vec![]);
     let h = c.handle(0).clone();
     let NodeHandle::Opt(oh) = h.clone() else {

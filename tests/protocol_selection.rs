@@ -5,22 +5,12 @@ use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madeleine::EngineConfig;
-use madeleine::PolicyKind;
 use madware::pattern;
 use nicdrv::calib;
 use simnet::Technology;
 
 fn one_shot(engine: EngineKind, tech: Technology, size: usize) -> (Cluster, u64) {
-    let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![tech],
-            engine,
-            trace: None,
-            engine_trace: None,
-        },
-        vec![],
-    );
+    let mut c = Cluster::build(&ClusterSpec::new(2, vec![tech]).engine(engine), vec![]);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
@@ -55,10 +45,7 @@ fn config_override_beats_driver_hint() {
         rndv_threshold: Some(1024),
         ..EngineConfig::default()
     };
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
+    let engine = EngineKind::with_config(config);
     let (c, _) = one_shot(engine, Technology::MyrinetMx, 2048);
     assert_eq!(c.handle(0).metrics().rndv_requests, 1);
 }
@@ -83,18 +70,12 @@ fn eager_latency_beats_rndv_for_medium_messages() {
         ..EngineConfig::default()
     };
     let (_, t_eager) = one_shot(
-        EngineKind::Optimizing {
-            config: eager_cfg,
-            policy: PolicyKind::Pooled,
-        },
+        EngineKind::with_config(eager_cfg),
         Technology::MyrinetMx,
         4096,
     );
     let (_, t_rndv) = one_shot(
-        EngineKind::Optimizing {
-            config: rndv_cfg,
-            policy: PolicyKind::Pooled,
-        },
+        EngineKind::with_config(rndv_cfg),
         Technology::MyrinetMx,
         4096,
     );
@@ -132,10 +113,7 @@ fn mtu_chunking_is_transparent() {
         rndv_threshold: Some(u64::MAX),
         ..EngineConfig::default()
     };
-    let engine = EngineKind::Optimizing {
-        config,
-        policy: PolicyKind::Pooled,
-    };
+    let engine = EngineKind::with_config(config);
     let (c, _) = one_shot(engine, Technology::MyrinetMx, 100_000); // MTU is 32 KiB
     let m = c.handle(0).metrics();
     assert!(

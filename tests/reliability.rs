@@ -12,33 +12,21 @@ use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madeleine::trace::FlightTrigger;
-use madeleine::{EngineConfig, PolicyKind, ReliabilityMode};
+use madeleine::{EngineConfig, ReliabilityMode};
 use madware::pattern;
 use madware::scenario::eager_flows;
 use proptest::prelude::*;
-use simnet::{FaultPlan, SimDuration, Technology};
+use simnet::{FaultPlan, SimDuration};
 
 fn engine(mode: ReliabilityMode) -> EngineKind {
-    EngineKind::Optimizing {
-        config: EngineConfig {
-            reliability: mode,
-            ..EngineConfig::default()
-        },
-        policy: PolicyKind::Pooled,
-    }
+    EngineKind::with_config(EngineConfig {
+        reliability: mode,
+        ..EngineConfig::default()
+    })
 }
 
 fn lossy_cluster(mode: ReliabilityMode, plan: FaultPlan) -> Cluster {
-    let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: engine(mode),
-            trace: None,
-            engine_trace: None,
-        },
-        vec![],
-    );
+    let mut c = Cluster::build(&ClusterSpec::mx_pair().engine(engine(mode)), vec![]);
     c.set_fault_plan(0, plan);
     c
 }
@@ -94,8 +82,7 @@ fn eager_flows_complete_under_loss_with_madrel() {
     // The E2-style scenario, but on a 2%-lossy wire: recovery must make it
     // indistinguishable (in delivery terms) from a lossless run.
     let (mut cluster, tx, rx) = eager_flows(
-        engine(ReliabilityMode::Recover),
-        Technology::MyrinetMx,
+        &ClusterSpec::mx_pair().engine(engine(ReliabilityMode::Recover)),
         4,
         64,
         SimDuration::from_micros(10),
@@ -184,13 +171,9 @@ fn loss_without_recovery_trips_the_flight_recorder() {
 fn same_seed_lossy_runs_export_identical_traces() {
     let run = || {
         let mut c = Cluster::build(
-            &ClusterSpec {
-                nodes: 2,
-                rails: vec![Technology::MyrinetMx],
-                engine: engine(ReliabilityMode::Recover),
-                trace: Some(1 << 14),
-                engine_trace: Some(1 << 14),
-            },
+            &ClusterSpec::mx_pair()
+                .engine(engine(ReliabilityMode::Recover))
+                .with_tracing(1 << 14),
             vec![],
         );
         c.set_fault_plan(0, FaultPlan::new(21).with_loss(0.03).with_dup(0.05));

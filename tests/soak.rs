@@ -58,13 +58,8 @@ fn node_workload(me: usize, nodes: usize, msgs: u64) -> Vec<FlowSpec> {
 
 fn soak(engine: EngineKind, msgs: u64) {
     let nodes = 4usize;
-    let spec = ClusterSpec {
-        nodes,
-        rails: vec![Technology::MyrinetMx, Technology::QuadricsElan],
-        engine,
-        trace: None,
-        engine_trace: None,
-    };
+    let spec = ClusterSpec::new(nodes, vec![Technology::MyrinetMx, Technology::QuadricsElan])
+        .engine(engine);
     let mut apps: Vec<Option<Box<dyn madeleine::AppDriver>>> = Vec::new();
     let mut stats = Vec::new();
     for me in 0..nodes {
@@ -126,10 +121,7 @@ fn soak_adaptive_policy_with_nagle() {
         ..madeleine::EngineConfig::default()
     };
     soak(
-        EngineKind::Optimizing {
-            config,
-            policy: madeleine::PolicyKind::Adaptive,
-        },
+        EngineKind::with_policy(config, madeleine::PolicyKind::Adaptive),
         40,
     );
 }

@@ -14,13 +14,8 @@ fn two_rail_cluster(policy: PolicyKind) -> Cluster {
         ..EngineConfig::default()
     };
     Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx; 2],
-            engine: EngineKind::Optimizing { config, policy },
-            trace: None,
-            engine_trace: None,
-        },
+        &ClusterSpec::new(2, vec![Technology::MyrinetMx; 2])
+            .engine(EngineKind::with_policy(config, policy)),
         vec![],
     )
 }
@@ -158,16 +153,8 @@ fn adaptive_policy_rebalances_under_shifting_load() {
         ..EngineConfig::default()
     };
     let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx; 3],
-            engine: EngineKind::Optimizing {
-                config,
-                policy: PolicyKind::Adaptive,
-            },
-            trace: None,
-            engine_trace: None,
-        },
+        &ClusterSpec::new(2, vec![Technology::MyrinetMx; 3])
+            .engine(EngineKind::with_policy(config, PolicyKind::Adaptive)),
         vec![],
     );
     let h = c.handle(0).clone();
@@ -201,19 +188,7 @@ fn urgency_lets_aged_control_jump_bulk_queues() {
         rndv_threshold: Some(u64::MAX),
         ..EngineConfig::default()
     };
-    let mut c = Cluster::build(
-        &ClusterSpec {
-            nodes: 2,
-            rails: vec![Technology::MyrinetMx],
-            engine: EngineKind::Optimizing {
-                config,
-                policy: PolicyKind::Pooled,
-            },
-            trace: None,
-            engine_trace: None,
-        },
-        vec![],
-    );
+    let mut c = Cluster::build(&ClusterSpec::mx_pair().config(config), vec![]);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let bulk = h.open_flow(dst, TrafficClass::BULK);
