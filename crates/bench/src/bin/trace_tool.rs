@@ -238,8 +238,7 @@ fn main() {
             let tech = tech_arg(&args);
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&e.to_string()));
             let snap = tracecli::snapshot_input(&text, tech, &label).unwrap_or_else(|e| fail(&e));
-            std::fs::write(out_path, snap.to_json().render())
-                .unwrap_or_else(|e| fail(&e.to_string()));
+            std::fs::write(out_path, snap.render()).unwrap_or_else(|e| fail(&e.to_string()));
             println!(
                 "wrote maddiff snapshot '{label}' ({} messages, {} dropped events) to {out_path}",
                 snap.rows.len(),

@@ -18,7 +18,7 @@
 //! timing-independent, so salted runs still align fully.
 
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madeleine::json::obj;
+use madeleine::json::{JsonSink, JsonWriter};
 use madeleine::{EngineConfig, Json, ReliabilityMode, RunSnapshot};
 use madware::scenario::eager_flows;
 use simnet::{FaultPlan, SimDuration, Technology};
@@ -190,18 +190,20 @@ pub fn cell_for_metric(metric: &str) -> Option<&'static DiffCell> {
 /// Snapshot every cell at salt 0 into one `maddiff-seeds` bundle — the
 /// committed-baseline half of every future root-cause diff.
 pub fn write_seeds(label: &str) -> String {
-    let mut cells = obj();
-    for cell in CELLS {
-        let snap = (cell.build)(0).run_snapshot(cell.name);
-        cells = cells.field(cell.name, snap.to_json());
-    }
-    obj()
-        .field("artifact", "maddiff-seeds")
-        .field("schema", "maddiff-seeds-v1")
-        .field("label", label)
-        .field("cells", cells.build())
-        .build()
-        .render()
+    JsonWriter::document(|w| {
+        w.begin_object();
+        w.field_str("artifact", "maddiff-seeds");
+        w.field_str("schema", "maddiff-seeds-v1");
+        w.field_str("label", label);
+        w.key("cells");
+        w.begin_object();
+        for cell in CELLS {
+            w.key(cell.name);
+            (cell.build)(0).run_snapshot(cell.name).write_to(w);
+        }
+        w.end_object();
+        w.end_object();
+    })
 }
 
 /// Parse a `maddiff-seeds` bundle back into per-cell snapshots.
@@ -339,6 +341,7 @@ pub fn root_cause_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use madeleine::json::obj;
     use madeleine::AdmissionPolicy;
 
     fn cell_named(name: &str) -> Option<&'static DiffCell> {
@@ -450,6 +453,19 @@ mod tests {
         let rebuilt = (cell.build)(0).run_snapshot(cell.name);
         assert!(madeleine::diff(back, &rebuilt).is_zero());
         assert!(parse_seeds("{}").is_err());
+    }
+
+    /// The committed seed bundle is what the parent of every change
+    /// captured: rebuilding it must not move a byte, which pins
+    /// `RunSnapshot::capture` (and the profile it reuses) on every cell.
+    #[test]
+    fn rebuilt_seed_bundle_equals_the_committed_one() {
+        let committed = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_baseline_diffseeds.json"
+        );
+        let committed = std::fs::read_to_string(committed).expect("committed seed bundle");
+        assert!(write_seeds("baseline") == committed.trim_end());
     }
 
     /// Nightly cross-seed diff smoke (slow; run with `--ignored`): for

@@ -445,7 +445,7 @@ pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
     let m = cluster.handle(0).metrics();
     let mut events = String::new();
     if let Some(h) = cluster.handle(0).opt() {
-        for rec in h.trace_snapshot().iter() {
+        for rec in h.trace().iter() {
             if matches!(
                 rec.event,
                 EngineEvent::Admitted { .. }

@@ -2,6 +2,7 @@
 //! and export workload traces from the command line.
 
 use madeleine::harness::{Cluster, ClusterSpec};
+use madeleine::json::{JsonError, Parser};
 use madeleine::trace::{ChromeExport, EngineEvent};
 use madeleine::{Json, LatencyHistogram, Sampler};
 use madware::apps::{FlowSpec, TrafficApp};
@@ -346,10 +347,7 @@ pub fn export(trace: Trace, legacy: bool, tech: Technology) -> (ChromeExport, St
 /// most proposals (ties: lowest id) is explained.
 pub fn explain(trace: Trace, tech: Technology, activation: Option<u64>) -> String {
     let c = traced_replay(trace, false, tech);
-    let sink = c.handles[0]
-        .opt()
-        .expect("optimizing engine")
-        .trace_snapshot();
+    let sink = c.handles[0].opt().expect("optimizing engine").trace();
     let mut out = format!(
         "node 0: {} engine events retained ({} dropped), {} activations\n",
         sink.len(),
@@ -461,21 +459,57 @@ pub struct ProfileOutput {
     pub dropped_events: u64,
 }
 
+/// What kind of JSON artifact an input is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Artifact {
+    /// A `maddiff-snapshot` document.
+    Snapshot,
+    /// A Chrome trace-event export written by madtrace.
+    ChromeExport,
+    /// Anything else, workload traces included.
+    Other,
+}
+
+/// Tell the artifacts apart by their leading top-level fields — `artifact`
+/// opens a snapshot, `otherData.exporter` precedes a Chrome export's
+/// events — and stop there, so that the one full read of a large document
+/// is the reader's, not the sniffer's.
+fn sniff(text: &str) -> Artifact {
+    let mut p = Parser::new(text);
+    let mut leading_fields = || -> Result<Artifact, JsonError> {
+        if p.peek() != Some(b'{') {
+            return Ok(Artifact::Other);
+        }
+        p.begin_object()?;
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "artifact" => {
+                    if p.value()?.as_str() == Some("maddiff-snapshot") {
+                        return Ok(Artifact::Snapshot);
+                    }
+                }
+                "otherData" => {
+                    let exporter = p.value()?;
+                    let exporter = exporter.get("exporter").and_then(|e| e.as_str());
+                    if exporter == Some("madtrace") {
+                        return Ok(Artifact::ChromeExport);
+                    }
+                }
+                _ => p.skip()?,
+            }
+        }
+        Ok(Artifact::Other)
+    };
+    leading_fields().unwrap_or(Artifact::Other)
+}
+
 /// madprof from the command line: accept either a madtrace Chrome export
 /// (profiled directly from the artifact) or a workload trace (replayed on
 /// a fully-traced cluster first), attribute every delivered message's
 /// latency and explain the `top` slowest.
 pub fn profile_input(text: &str, tech: Technology, top: usize) -> Result<ProfileOutput, String> {
-    let is_chrome = Json::parse(text)
-        .ok()
-        .and_then(|doc| {
-            doc.get("otherData")?
-                .get("exporter")
-                .map(|e| e.as_str() == Some("madtrace"))
-        })
-        .unwrap_or(false);
-    let prof = if is_chrome {
-        madeleine::ProfInput::from_chrome(text)?.profile()
+    let prof = if sniff(text) == Artifact::ChromeExport {
+        madeleine::ProfInput::from_chrome(text)?.into_profile()
     } else {
         let trace = Trace::from_text(text).map_err(|e| {
             format!("input is neither a madtrace Chrome export nor a workload trace: {e:?}")
@@ -534,19 +568,13 @@ pub fn snapshot_input(
     tech: Technology,
     label: &str,
 ) -> Result<madeleine::RunSnapshot, String> {
-    if let Ok(doc) = Json::parse(text) {
-        if doc.get("artifact").and_then(|v| v.as_str()) == Some("maddiff-snapshot") {
-            return madeleine::RunSnapshot::from_json(&doc);
-        }
-        let is_chrome = doc
-            .get("otherData")
-            .and_then(|o| o.get("exporter"))
-            .map(|e| e.as_str() == Some("madtrace"))
-            .unwrap_or(false);
-        if is_chrome {
+    match sniff(text) {
+        Artifact::Snapshot => return madeleine::RunSnapshot::parse(text),
+        Artifact::ChromeExport => {
             let input = madeleine::ProfInput::from_chrome(text)?;
             return Ok(madeleine::RunSnapshot::capture(label, &input));
         }
+        Artifact::Other => {}
     }
     let trace = Trace::from_text(text).map_err(|e| {
         format!(
@@ -592,9 +620,8 @@ pub fn diff_inputs(
 /// count plus the retained/dropped counters of every contributing ring.
 /// Returns `None` when `text` is not a madtrace Chrome export.
 pub fn info_export(text: &str) -> Option<String> {
-    let doc = Json::parse(text).ok()?;
-    let events = doc.get("traceEvents")?.as_array()?.len();
-    let other = doc.get("otherData")?;
+    let header = madeleine::trace::read_chrome_export(text, Parser::skip).ok()?;
+    let (events, other) = (header.events, header.other_data?);
     if other.get("exporter")?.as_str() != Some("madtrace") {
         return None;
     }
@@ -647,6 +674,85 @@ pub fn info_export(text: &str) -> Option<String> {
         }
     }
     Some(out)
+}
+
+/// The record kinds a clean replay never emits, in one traced cell: a
+/// `Recover` run under 10 % loss and 10 % duplication whose six messages
+/// include one of rendezvous size, with a strategy registered that is
+/// always vetoed — `Retransmit`, `RndvGranted` and `PlanVetoed` records
+/// for the export and profile cross-checks (here and in `xtask`).
+pub fn recovery_cell() -> Cluster {
+    use madeleine::harness::NodeHandle;
+    use madeleine::plan::{PlanBody, TransferPlan};
+    use madeleine::strategy::{OptContext, Strategy};
+    use madeleine::{EngineConfig, MadEngine, MessageBuilder, ReliabilityMode, TrafficClass};
+    use simnet::FaultPlan;
+    // The standard strategies are never vetoed (madcheck proves it),
+    // so the cell registers one that always is — which the harness
+    // has no knob for: the two engines are assembled by hand.
+    struct EmptyHanded;
+    impl Strategy for EmptyHanded {
+        fn name(&self) -> &'static str {
+            "empty-handed"
+        }
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+            if let Some(group) = ctx.groups.first() {
+                let (chunks, linearize) = (Vec::new(), false);
+                out.push(TransferPlan {
+                    channel: ctx.channel,
+                    dst: group.dst,
+                    body: PlanBody::Data { chunks, linearize },
+                    strategy: self.name(),
+                });
+            }
+        }
+    }
+    let tech = Technology::MyrinetMx;
+    let mut sim = simnet::Simulation::new();
+    sim.enable_trace(EXPORT_TRACE_CAP);
+    let net = sim.add_network(nicdrv::calib::params(tech));
+    let nodes = vec![sim.add_node(), sim.add_node()];
+    let nics: Vec<Vec<_>> = nodes.iter().map(|&n| vec![sim.add_nic(n, net)]).collect();
+    let mut handles = Vec::new();
+    for i in 0..2 {
+        let (engine, handle) = MadEngine::builder(nodes[i])
+            .config(EngineConfig {
+                reliability: ReliabilityMode::Recover,
+                ..EngineConfig::default()
+            })
+            .rail_tech(tech, nics[i][0])
+            .peer(nodes[1 - i], nics[1 - i].clone())
+            .strategy(Box::new(EmptyHanded))
+            .build()
+            .expect("valid engine");
+        handle.enable_trace(EXPORT_TRACE_CAP);
+        sim.set_endpoint(nodes[i], Box::new(engine));
+        handles.push(NodeHandle::Opt(handle));
+    }
+    let networks = vec![net];
+    let mut c = Cluster {
+        sim,
+        nodes,
+        nics,
+        handles,
+        networks,
+    };
+    c.set_fault_plan(0, FaultPlan::new(11).with_loss(0.1).with_dup(0.1));
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let h = c.handle(0).clone();
+    let flow = h.open_flow(dst, TrafficClass::DEFAULT);
+    for len in [64usize, 256 << 10, 512, 4096, 96, 2048] {
+        c.sim.inject(src, |ctx| {
+            let body = vec![0x3Cu8; len];
+            let parts = MessageBuilder::new()
+                .pack_express(&[7u8; 8])
+                .pack_cheaper(&body)
+                .build_parts();
+            h.send(ctx, flow, parts)
+        });
+    }
+    c.drain();
+    c
 }
 
 /// Generate a sample multi-flow trace (for demos and tests).
@@ -872,13 +978,7 @@ mod tests {
     /// fold to is what their export folds to, `decisions()` included.
     #[test]
     fn chrome_round_trip_crosses_recovery_rendezvous_veto_and_congestion_records() {
-        use madeleine::harness::NodeHandle;
-        use madeleine::plan::{PlanBody, TransferPlan};
-        use madeleine::strategy::{OptContext, Strategy};
-        use madeleine::{
-            EngineConfig, MadEngine, MessageBuilder, ReliabilityMode, RunSnapshot, TrafficClass,
-        };
-        use simnet::FaultPlan;
+        use madeleine::RunSnapshot;
         let crossed = |c: &Cluster| {
             let live = c.prof_input();
             let chrome = madeleine::ProfInput::from_chrome(&c.export_chrome_trace().json)
@@ -898,75 +998,11 @@ mod tests {
         let count = |c: &Cluster, name: &str| -> usize {
             let sinks = c.handles.iter().filter_map(|h| h.opt());
             sinks
-                .map(|h| h.trace_snapshot().count_matching(|e| e.name() == name))
+                .map(|h| h.trace().count_matching(|e| e.name() == name))
                 .sum()
         };
 
-        // The standard strategies are never vetoed (madcheck proves it),
-        // so the cell registers one that always is — which the harness
-        // has no knob for: the two engines are assembled by hand.
-        struct EmptyHanded;
-        impl Strategy for EmptyHanded {
-            fn name(&self) -> &'static str {
-                "empty-handed"
-            }
-            fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
-                if let Some(group) = ctx.groups.first() {
-                    let (chunks, linearize) = (Vec::new(), false);
-                    out.push(TransferPlan {
-                        channel: ctx.channel,
-                        dst: group.dst,
-                        body: PlanBody::Data { chunks, linearize },
-                        strategy: self.name(),
-                    });
-                }
-            }
-        }
-        let tech = Technology::MyrinetMx;
-        let mut sim = simnet::Simulation::new();
-        sim.enable_trace(EXPORT_TRACE_CAP);
-        let net = sim.add_network(nicdrv::calib::params(tech));
-        let nodes = vec![sim.add_node(), sim.add_node()];
-        let nics: Vec<Vec<_>> = nodes.iter().map(|&n| vec![sim.add_nic(n, net)]).collect();
-        let mut handles = Vec::new();
-        for i in 0..2 {
-            let (engine, handle) = MadEngine::builder(nodes[i])
-                .config(EngineConfig {
-                    reliability: ReliabilityMode::Recover,
-                    ..EngineConfig::default()
-                })
-                .rail_tech(tech, nics[i][0])
-                .peer(nodes[1 - i], nics[1 - i].clone())
-                .strategy(Box::new(EmptyHanded))
-                .build()
-                .expect("valid engine");
-            handle.enable_trace(EXPORT_TRACE_CAP);
-            sim.set_endpoint(nodes[i], Box::new(engine));
-            handles.push(NodeHandle::Opt(handle));
-        }
-        let networks = vec![net];
-        let mut c = Cluster {
-            sim,
-            nodes,
-            nics,
-            handles,
-            networks,
-        };
-        c.set_fault_plan(0, FaultPlan::new(11).with_loss(0.1).with_dup(0.1));
-        let (src, dst) = (c.nodes[0], c.nodes[1]);
-        let h = c.handle(0).clone();
-        let flow = h.open_flow(dst, TrafficClass::DEFAULT);
-        for len in [64usize, 256 << 10, 512, 4096, 96, 2048] {
-            c.sim.inject(src, |ctx| {
-                let body = vec![0x3Cu8; len];
-                let parts = MessageBuilder::new()
-                    .pack_express(&[7u8; 8])
-                    .pack_cheaper(&body)
-                    .build_parts();
-                h.send(ctx, flow, parts)
-            });
-        }
-        c.drain();
+        let c = recovery_cell();
         assert_eq!(c.handle(1).delivered_count(), 6, "Recover delivers all");
         assert!(count(&c, "Retransmit") > 0, "loss must force a resend");
         assert!(count(&c, "RndvGranted") > 0, "256 KiB goes by rendezvous");

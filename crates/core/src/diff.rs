@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
 use crate::prof::{CritSpan, MsgKey, Phase, ProfInput, PHASE_COUNT};
 
 /// One message's profile, flattened for snapshotting: a
@@ -99,7 +99,8 @@ pub struct RunSnapshot {
 }
 
 impl RunSnapshot {
-    /// Profile `input` and capture the result under `label`.
+    /// Capture `input`'s profile under `label` — the one
+    /// [`ProfInput::profile`] holds, not a second run of the passes.
     pub fn capture(label: &str, input: &ProfInput) -> RunSnapshot {
         let prof = input.profile();
         let rows = prof
@@ -123,7 +124,7 @@ impl RunSnapshot {
         RunSnapshot {
             label: label.to_string(),
             rows,
-            critical_path: prof.critical_path,
+            critical_path: prof.critical_path.clone(),
             undelivered,
             decisions: input.decisions().clone(),
             events_processed: prof.events_processed as u64,
@@ -140,72 +141,80 @@ impl RunSnapshot {
     /// arrays (`[src, flow, seq, class, bytes, submit, delivered,
     /// p0..p5, retx, rail, strategy, vetoes]`) so a baseline for a
     /// few hundred messages stays a few KiB.
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut cells: Vec<Json> = vec![
-                    r.key.src.into(),
-                    r.key.flow.into(),
-                    r.key.seq.into(),
-                    r.class.as_str().into(),
-                    r.bytes.into(),
-                    r.submit_ns.into(),
-                    r.delivered_ns.into(),
-                ];
-                cells.extend(r.phases.iter().map(|&p| Json::from(p)));
-                cells.push(r.retransmits.into());
-                cells.push(r.rail.into());
-                cells.push(r.strategy.as_str().into());
-                cells.push(r.vetoes.into());
-                Json::Arr(cells)
-            })
-            .collect();
-        let crit: Vec<Json> = self
-            .critical_path
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    s.key.src.into(),
-                    s.key.flow.into(),
-                    s.key.seq.into(),
-                    u64::from(s.phase.rank()).into(),
-                    s.start_ns.into(),
-                    s.end_ns.into(),
-                ])
-            })
-            .collect();
-        let undelivered: Vec<Json> = self
-            .undelivered
-            .iter()
-            .map(|(k, class)| {
-                Json::Arr(vec![
-                    k.src.into(),
-                    k.flow.into(),
-                    k.seq.into(),
-                    class.as_str().into(),
-                ])
-            })
-            .collect();
-        let mut decisions = obj();
-        for ((node, act), log) in &self.decisions {
-            decisions = decisions.field(
-                &format!("{node}:{act}"),
-                Json::Arr(log.iter().map(|r| Json::from(r.as_str())).collect()),
-            );
+    pub fn write_to(&self, s: &mut impl JsonSink) {
+        fn key(s: &mut impl JsonSink, k: &MsgKey) {
+            s.uint(u64::from(k.src));
+            s.uint(u64::from(k.flow));
+            s.uint(u64::from(k.seq));
         }
-        obj()
-            .field("artifact", "maddiff-snapshot")
-            .field("schema", "maddiff-v1")
-            .field("label", self.label.as_str())
-            .field("events_processed", self.events_processed)
-            .field("dropped_events", self.dropped_events)
-            .field("rows", Json::Arr(rows))
-            .field("critical_path", Json::Arr(crit))
-            .field("undelivered", Json::Arr(undelivered))
-            .field("decisions", decisions.build())
-            .build()
+        s.begin_object();
+        s.field_str("artifact", "maddiff-snapshot");
+        s.field_str("schema", "maddiff-v1");
+        s.field_str("label", &self.label);
+        s.field_uint("events_processed", self.events_processed);
+        s.field_uint("dropped_events", self.dropped_events);
+        s.key("rows");
+        s.begin_array();
+        for r in &self.rows {
+            s.begin_array();
+            key(s, &r.key);
+            s.str(&r.class);
+            s.uint(r.bytes);
+            s.uint(r.submit_ns);
+            s.uint(r.delivered_ns);
+            for &p in &r.phases {
+                s.uint(p);
+            }
+            s.uint(u64::from(r.retransmits));
+            s.uint(u64::from(r.rail));
+            s.str(&r.strategy);
+            s.uint(u64::from(r.vetoes));
+            s.end_array();
+        }
+        s.end_array();
+        s.key("critical_path");
+        s.begin_array();
+        for span in &self.critical_path {
+            s.begin_array();
+            key(s, &span.key);
+            s.uint(u64::from(span.phase.rank()));
+            s.uint(span.start_ns);
+            s.uint(span.end_ns);
+            s.end_array();
+        }
+        s.end_array();
+        s.key("undelivered");
+        s.begin_array();
+        for (k, class) in &self.undelivered {
+            s.begin_array();
+            key(s, k);
+            s.str(class);
+            s.end_array();
+        }
+        s.end_array();
+        s.key("decisions");
+        s.begin_object();
+        for ((node, act), log) in &self.decisions {
+            s.key(&format!("{node}:{act}"));
+            s.begin_array();
+            for record in log {
+                s.str(record);
+            }
+            s.end_array();
+        }
+        s.end_object();
+        s.end_object();
+    }
+
+    /// The artifact as a [`Json`] value, for embedding in a larger
+    /// document (a seeds bundle).
+    pub fn to_json(&self) -> Json {
+        JsonTree::document(|t| self.write_to(t))
+    }
+
+    /// The artifact as deterministic JSON text, written row by row.
+    pub fn render(&self) -> String {
+        JsonWriter::document(|w| self.write_to(w))
     }
 
     /// Parse a `maddiff-snapshot` document back into a snapshot.
@@ -1161,7 +1170,12 @@ mod tests {
         );
         a.undelivered.push((key(7), "BULK".to_string()));
         a.dropped_events = 3;
-        let text = a.to_json().render();
+        let text = a.render();
+        assert_eq!(
+            a.to_json().render(),
+            text,
+            "tree and text are one description"
+        );
         let back = RunSnapshot::parse(&text).expect("parses");
         assert_eq!(back.label, a.label);
         assert_eq!(back.rows, a.rows);
@@ -1172,7 +1186,7 @@ mod tests {
         assert!(back.truncated());
         // Round-trip is lossless for diffing: diff(a, parse(render(a)))
         // is zero except the truncation flags, and render is stable.
-        assert_eq!(back.to_json().render(), text);
+        assert_eq!(back.render(), text);
         assert!(diff(&a, &back).is_zero());
     }
 

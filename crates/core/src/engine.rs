@@ -27,7 +27,7 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use nicdrv::{Driver, DriverError, SimDriver};
@@ -1004,6 +1004,13 @@ impl EngineHandle {
     /// Whether the madtrace event sink is recording (no copy of the ring).
     pub fn trace_enabled(&self) -> bool {
         self.core.borrow().obs.trace().is_enabled()
+    }
+
+    /// The engine's event sink, borrowed in place for as long as the
+    /// guard lives (the engine must not run meanwhile) — what a reader of
+    /// a large ring wants instead of [`EngineHandle::trace_snapshot`].
+    pub fn trace(&self) -> Ref<'_, EventSink> {
+        Ref::map(self.core.borrow(), |core| core.obs.trace())
     }
 
     /// Clone of the engine's event sink (records, drop count, state).

@@ -322,14 +322,24 @@ impl Cluster {
         &self.handles[i]
     }
 
-    /// One copy of every optimizing node's engine event ring, in node
-    /// order — what the Chrome export and the profiler both read.
-    fn engine_rings(&self) -> Vec<(NodeId, crate::trace::EventSink)> {
-        self.nodes
+    /// Run `read` over the simulator trace's companions: every optimizing
+    /// node's engine event ring, in node order, borrowed in place for the
+    /// call — what the Chrome export and the profiler both read. (A ring
+    /// of a few million records is tens of mebibytes; nothing here needs
+    /// a copy of it.)
+    fn with_engine_rings<R>(
+        &self,
+        read: impl FnOnce(&[(NodeId, &crate::trace::EventSink)]) -> R,
+    ) -> R {
+        let held: Vec<_> = self
+            .nodes
             .iter()
             .zip(&self.handles)
-            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace_snapshot())))
-            .collect()
+            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace())))
+            .collect();
+        let rings: Vec<(NodeId, &crate::trace::EventSink)> =
+            held.iter().map(|(n, ring)| (*n, &**ring)).collect();
+        read(&rings)
     }
 
     /// Merge the simulator trace and every node's engine trace into one
@@ -337,9 +347,6 @@ impl Cluster {
     /// arrows). Works with either trace disabled — the export simply
     /// contains fewer events.
     pub fn export_chrome_trace(&self) -> crate::trace::ChromeExport {
-        let sinks = self.engine_rings();
-        let borrowed: Vec<(NodeId, &crate::trace::EventSink)> =
-            sinks.iter().map(|(n, s)| (*n, s)).collect();
         // madnet: switched rails stamp their topology summary into the
         // export's otherData so `trace-tool info` can describe the fabric.
         let topos: Vec<crate::trace::TopologySummary> = self
@@ -348,12 +355,14 @@ impl Cluster {
             .filter_map(|&net| self.sim.fabric(net))
             .map(|f| crate::trace::TopologySummary::of(f.topology()))
             .collect();
-        crate::trace::export_chrome_trace_with_topology(
-            self.sim.trace(),
-            &borrowed,
-            &self.nics,
-            &topos,
-        )
+        self.with_engine_rings(|rings| {
+            crate::trace::export_chrome_trace_with_topology(
+                self.sim.trace(),
+                rings,
+                &self.nics,
+                &topos,
+            )
+        })
     }
 
     /// madprof: attribute every delivered message's latency into phases
@@ -362,17 +371,16 @@ impl Cluster {
     /// engine tracing enabled ([`ClusterSpec::with_tracing`]); without it
     /// the profile is empty.
     pub fn profile(&self) -> crate::prof::Profile {
-        self.prof_input().profile()
+        self.prof_input().into_profile()
     }
 
     /// Normalize this cluster's live rings into a [`crate::prof::ProfInput`]
     /// — the shared front half of [`Cluster::profile`] and the maddiff
     /// snapshot/diff surfaces.
     pub fn prof_input(&self) -> crate::prof::ProfInput {
-        let sinks = self.engine_rings();
-        let borrowed: Vec<(NodeId, &crate::trace::EventSink)> =
-            sinks.iter().map(|(n, s)| (*n, s)).collect();
-        crate::prof::ProfInput::from_engine(self.sim.trace(), &borrowed, &self.nics)
+        self.with_engine_rings(|rings| {
+            crate::prof::ProfInput::from_engine(self.sim.trace(), rings, &self.nics)
+        })
     }
 
     /// maddiff: capture this run's profile as a serializable

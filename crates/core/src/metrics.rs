@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use crate::hist::{LatencyHistogram, LogHistogram};
 use crate::ids::{FlowId, TrafficClass};
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
 use crate::receiver::ReceiverStats;
 
 /// Histogram of chunks-per-packet (index = chunk count, capped at the last
@@ -452,21 +452,33 @@ impl MetricsRegistry {
         self.sections.is_empty()
     }
 
+    /// The sections in insertion order.
+    pub(crate) fn sections(&self) -> &[(String, Json)] {
+        &self.sections
+    }
+
+    /// Describe the registry as one JSON document.
+    pub fn write_to(&self, s: &mut impl JsonSink) {
+        s.begin_object();
+        s.field_str("artifact", "madtrace-metrics");
+        s.key("sections");
+        s.begin_object();
+        for (name, doc) in &self.sections {
+            s.key(name);
+            s.value(doc);
+        }
+        s.end_object();
+        s.end_object();
+    }
+
     /// The registry as one JSON document.
     pub fn to_json(&self) -> Json {
-        let mut sections = obj();
-        for (name, doc) in &self.sections {
-            sections = sections.field(name, doc.clone());
-        }
-        obj()
-            .field("artifact", "madtrace-metrics")
-            .field("sections", sections.build())
-            .build()
+        JsonTree::document(|t| self.write_to(t))
     }
 
     /// Render the registry as deterministic JSON text.
     pub fn render(&self) -> String {
-        self.to_json().render()
+        JsonWriter::document(|w| self.write_to(w))
     }
 }
 

@@ -36,13 +36,16 @@
 
 // madlint: file: deterministic-output
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use simnet::{NodeId, SimDuration, Trace as SimTrace, TraceEvent as SimEvent};
 
 use crate::hist::LatencyHistogram;
-use crate::json::{obj, Json};
-use crate::trace::{EngineEvent, EventSink};
+use crate::json::{obj, Json, JsonError, Parser};
+use crate::trace::{read_chrome_export, EngineEvent, EventSink};
 
 /// Number of attribution phases.
 pub const PHASE_COUNT: usize = 6;
@@ -196,6 +199,9 @@ pub struct ProfInput {
     dropped: u64,
     /// Records consumed (all sources).
     events: usize,
+    /// The attribution of the above, computed on first use: an input is
+    /// not changed once it is built, so there is one profile per input.
+    profile: OnceCell<Rc<Profile>>,
 }
 
 /// A chronological per-node cookie operation: chunk→packet bindings and
@@ -575,15 +581,13 @@ impl ProfInput {
 
     /// Normalize an exported madtrace Chrome JSON document (the
     /// `trace-tool export` / `export_chrome_trace` output), so profiles
-    /// can be rebuilt from an artifact long after the run.
+    /// can be rebuilt from an artifact long after the run. The document
+    /// is folded one `traceEvents` element at a time and never held as a
+    /// tree: the peak is the text plus the input being built.
     pub fn from_chrome(text: &str) -> Result<ProfInput, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| "missing traceEvents array".to_string())?;
         let mut input = ProfInput::default();
-        if let Some(other) = doc.get("otherData") {
+        let header = read_chrome_export(text, |p| input.fold_chrome(p))?;
+        if let Some(other) = &header.other_data {
             input.dropped += other
                 .get("sim_dropped")
                 .and_then(|v| v.as_u64())
@@ -594,32 +598,51 @@ impl ProfInput {
                 }
             }
         }
-        for ev in events {
-            let name = match ev.get("name").and_then(|n| n.as_str()) {
-                Some(n) => n,
-                None => continue,
-            };
-            if ev.get("ph").and_then(|p| p.as_str()) != Some("i") {
-                continue; // metadata and flow arrows carry no samples
-            }
-            let ts = match ev.get("ts") {
-                Some(Json::Float(us)) => (us * 1000.0).round() as u64,
-                Some(Json::UInt(us)) => us * 1000,
-                Some(Json::Int(us)) if *us >= 0 => (*us as u64) * 1000,
-                _ => continue,
-            };
-            let pid = ev.get("pid").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
-            let tid = ev.get("tid").and_then(|v| v.as_u64()).unwrap_or(0);
-            let args = match ev.get("args") {
-                Some(a) => a,
-                None => continue,
-            };
-            input.events += 1;
-            if let Some(r) = Rec::of_chrome(pid, tid as u16, name, args) {
-                input.fold(pid, ts, r);
+        Ok(input)
+    }
+
+    /// Fold the `traceEvents` element at the cursor. Metadata, flow
+    /// arrows and anything that is not a well-formed instant event carry
+    /// no samples and are passed over.
+    fn fold_chrome(&mut self, p: &mut Parser<'_>) -> Result<(), JsonError> {
+        /// The string at the cursor; any other value is passed over.
+        fn string<'a>(p: &mut Parser<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+            match p.peek() {
+                Some(b'"') => p.string().map(Some),
+                _ => p.skip().map(|()| None),
             }
         }
-        Ok(input)
+        if p.peek() != Some(b'{') {
+            return p.skip();
+        }
+        let (mut name, mut ph, mut ts, mut args) = (None, None, None, None);
+        let (mut pid, mut tid) = (0, 0);
+        p.begin_object()?;
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "name" if name.is_none() => name = string(p)?,
+                "ph" if ph.is_none() => ph = string(p)?,
+                "ts" if ts.is_none() => ts = Some(p.value()?),
+                "pid" => pid = p.value()?.as_u64().unwrap_or(0),
+                "tid" => tid = p.value()?.as_u64().unwrap_or(0),
+                "args" if args.is_none() => args = Some(p.value()?),
+                _ => p.skip()?,
+            }
+        }
+        let (Some(name), Some("i"), Some(args)) = (name, ph.as_deref(), args) else {
+            return Ok(());
+        };
+        let ts = match ts {
+            Some(Json::Float(us)) => (us * 1000.0).round() as u64,
+            Some(Json::UInt(us)) => us * 1000,
+            Some(Json::Int(us)) if us >= 0 => (us as u64) * 1000,
+            _ => return Ok(()),
+        };
+        self.events += 1;
+        if let Some(r) = Rec::of_chrome(pid as u32, tid as u16, &name, &args) {
+            self.fold(pid as u32, ts, r);
+        }
+        Ok(())
     }
 
     /// Ordered canonical decision records per `(node, activation)` —
@@ -641,8 +664,25 @@ impl ProfInput {
             .collect()
     }
 
+    /// This input's profile: the attribution and critical-path passes run
+    /// on the first call, and every later call — [`RunSnapshot::capture`]
+    /// among them — shares that result.
+    ///
+    /// [`RunSnapshot::capture`]: crate::diff::RunSnapshot::capture
+    pub fn profile(&self) -> Rc<Profile> {
+        Rc::clone(self.profile.get_or_init(|| Rc::new(self.attribute())))
+    }
+
+    /// [`ProfInput::profile`] for a caller that is done with the input
+    /// and wants the profile to itself.
+    pub fn into_profile(self) -> Profile {
+        let shared = self.profile();
+        drop(self);
+        Rc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
+    }
+
     /// Run the attribution and critical-path passes.
-    pub fn profile(&self) -> Profile {
+    fn attribute(&self) -> Profile {
         // Pass 1: resolve cookie→message sets, following retransmit
         // renames so a re-sent packet still belongs to its messages.
         let mut cookie_msgs: BTreeMap<(u32, u64), Vec<MsgKey>> = BTreeMap::new();
@@ -904,18 +944,20 @@ impl Profile {
     /// Quantile of one phase's share of end-to-end latency, in
     /// thousandths (0–1000), over all delivered messages.
     pub fn phase_share_mille(&self, phase: Phase, q: f64) -> u64 {
+        share_quantile(&self.phase_shares(phase), q)
+    }
+
+    /// Every delivered message's share of `phase` in its end-to-end
+    /// latency, in thousandths, ascending.
+    fn phase_shares(&self, phase: Phase) -> Vec<u64> {
         let mut shares: Vec<u64> = self
             .flows
             .iter()
             .filter(|f| f.total_ns() > 0)
             .map(|f| f.phases[phase.rank() as usize] * 1000 / f.total_ns())
             .collect();
-        if shares.is_empty() {
-            return 0;
-        }
         shares.sort_unstable();
-        let idx = ((shares.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        shares[idx]
+        shares
     }
 
     /// Folded-stack flamegraph text (inferno-compatible): one line per
@@ -991,12 +1033,13 @@ impl Profile {
         for p in Phase::ALL {
             let h = &self.phase_hist[p.rank() as usize];
             let total: u64 = self.flows.iter().map(|f| f.phases[p.rank() as usize]).sum();
+            let shares = self.phase_shares(p);
             phases = phases.field(
                 p.label(),
                 obj()
                     .field("total_ns", total)
-                    .field("share_p50_mille", self.phase_share_mille(p, 0.50))
-                    .field("share_p99_mille", self.phase_share_mille(p, 0.99))
+                    .field("share_p50_mille", share_quantile(&shares, 0.50))
+                    .field("share_p99_mille", share_quantile(&shares, 0.99))
                     .field("latency_us", h.to_json_us())
                     .build(),
             );
@@ -1113,6 +1156,14 @@ impl Profile {
     }
 }
 
+/// Nearest-rank quantile of ascending `shares` (0 when there are none).
+fn share_quantile(shares: &[u64], q: f64) -> u64 {
+    if shares.is_empty() {
+        return 0;
+    }
+    shares[((shares.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
+}
+
 /// Profile live rings in one call (same argument shape as
 /// [`crate::trace::export_chrome_trace`]).
 pub fn profile(
@@ -1120,7 +1171,7 @@ pub fn profile(
     sinks: &[(NodeId, &EventSink)],
     nics: &[Vec<simnet::NicId>],
 ) -> Profile {
-    ProfInput::from_engine(sim, sinks, nics).profile()
+    ProfInput::from_engine(sim, sinks, nics).into_profile()
 }
 
 #[cfg(test)]
@@ -1263,11 +1314,28 @@ mod tests {
         assert!(!p.truncated());
     }
 
+    /// An input profiles once: later calls, and the snapshot capture,
+    /// share the first call's result instead of re-running the passes.
+    #[test]
+    fn an_input_holds_one_profile() {
+        let input = one_message_input();
+        let (a, b) = (input.profile(), input.profile());
+        assert!(Rc::ptr_eq(&a, &b), "the second call must not re-attribute");
+        let fresh = one_message_input().into_profile();
+        assert_eq!(a.attribution_csv(), fresh.attribution_csv());
+        assert_eq!(a.critical_path, fresh.critical_path);
+        let snap = crate::diff::RunSnapshot::capture("x", &input);
+        assert!(Rc::ptr_eq(&a, &input.profile()), "capture reuses it too");
+        assert_eq!(snap.rows.len(), a.flows.len());
+        assert_eq!(snap.rows[0].phases, a.flows[0].phases);
+        assert_eq!(snap.critical_path, a.critical_path);
+    }
+
     #[test]
     fn exports_are_deterministic_and_consistent() {
         let input = one_message_input();
         let a = input.profile();
-        let b = input.profile();
+        let b = one_message_input().profile();
         assert_eq!(a.attribution_csv(), b.attribution_csv());
         assert_eq!(a.folded_stacks(), b.folded_stacks());
         assert_eq!(a.to_json().render(), b.to_json().render());

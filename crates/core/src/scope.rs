@@ -19,11 +19,11 @@
 
 // madlint: file: deterministic-output
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use simnet::{SimDuration, SimTime};
 
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, JsonSink, JsonWriter};
 use crate::metrics::MetricsRegistry;
 
 /// Consecutive drained ticks after which the sampler timer sleeps (a
@@ -319,19 +319,50 @@ impl PromSample {
     /// with the same key would silently overwrite each other in any
     /// Prometheus scrape, which is exactly what madcheck rejects.
     pub fn key(&self) -> String {
-        let mut out = self.family.clone();
-        out.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(v);
-            out.push('"');
-        }
-        out.push('}');
+        let mut out = String::new();
+        let labels = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        push_sample_key(&mut out, &self.family, labels);
         out
+    }
+}
+
+/// Append `family{label="value",...}`.
+fn push_sample_key<'a>(
+    out: &mut String,
+    family: &str,
+    labels: impl Iterator<Item = (&'a str, &'a str)>,
+) {
+    out.push_str(family);
+    out.push('{');
+    for (i, (k, v)) in labels.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        out.push_str(v);
+        out.push('"');
+    }
+    out.push('}');
+}
+
+/// The label set of one leaf, in emission order.
+fn leaf_labels<'a>(
+    section: &'a str,
+    index: Option<&'a str>,
+) -> impl Iterator<Item = (&'a str, &'a str)> {
+    [("section", section)]
+        .into_iter()
+        .chain(index.map(|i| ("index", i)))
+}
+
+/// Replace `out` with the `madeleine_`-prefixed family name of a key path.
+fn family_into(out: &mut String, path: &[String]) {
+    out.clear();
+    out.push_str("madeleine");
+    for seg in path {
+        out.push('_');
+        out.push_str(seg);
     }
 }
 
@@ -352,78 +383,70 @@ fn sanitize(seg: &str) -> String {
     out
 }
 
+/// One registry leaf as the walk hands it out: its section, sanitized key
+/// path, array index label (if it sits in an array) and numeric value.
+type LeafVisitor<'v> = dyn FnMut(&str, &[String], Option<&str>, &Json) + 'v;
+
 fn walk_leaves(
     v: &Json,
     section: &str,
     path: &mut Vec<String>,
-    index: Option<String>,
-    out: &mut Vec<PromSample>,
+    index: Option<&str>,
+    visit: &mut LeafVisitor<'_>,
 ) {
     match v {
         Json::Obj(fields) => {
             for (k, child) in fields {
                 path.push(sanitize(k));
-                walk_leaves(child, section, path, index.clone(), out);
+                walk_leaves(child, section, path, index, visit);
                 path.pop();
             }
         }
         Json::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
-                let idx = match &index {
+                let idx = match index {
                     Some(prev) => format!("{prev}_{i}"),
                     None => i.to_string(),
                 };
-                walk_leaves(child, section, path, Some(idx), out);
+                walk_leaves(child, section, path, Some(&idx), visit);
             }
         }
         Json::UInt(_) | Json::Int(_) | Json::Float(_) | Json::Fixed3(_) => {
-            emit(v.clone(), section, path, index, out);
+            visit(section, path, index, v);
         }
-        Json::Bool(b) => {
-            emit(Json::UInt(u64::from(*b)), section, path, index, out);
-        }
+        Json::Bool(b) => visit(section, path, index, &Json::UInt(u64::from(*b))),
         Json::Str(_) | Json::Null => {}
     }
 }
 
-fn emit(
-    value: Json,
-    section: &str,
-    path: &[String],
-    index: Option<String>,
-    out: &mut Vec<PromSample>,
-) {
-    let mut family = String::from("madeleine");
-    for seg in path {
-        family.push('_');
-        family.push_str(seg);
+/// Visit every numeric/boolean leaf of the registry: the family name is
+/// the `madeleine_`-prefixed key path, the registry section becomes a
+/// `section` label, array positions an `index` label. Strings and nulls
+/// are skipped (they are identity, not measurement). The order follows
+/// the registry's insertion order, so it is deterministic.
+fn for_each_leaf(reg: &MetricsRegistry, visit: &mut LeafVisitor<'_>) {
+    let mut path = Vec::new();
+    for (name, body) in reg.sections() {
+        walk_leaves(body, name, &mut path, None, visit);
     }
-    let mut labels = vec![("section".to_string(), section.to_string())];
-    if let Some(idx) = index {
-        labels.push(("index".to_string(), idx));
-    }
-    out.push(PromSample {
-        family,
-        labels,
-        value,
-    });
 }
 
-/// Flatten every numeric/boolean leaf of the registry into Prometheus
-/// samples: the family name is the `madeleine_`-prefixed key path, the
-/// registry section becomes a `section` label, array positions an `index`
-/// label. Strings and nulls are skipped (they are identity, not
-/// measurement). Emission order follows the registry's insertion order,
-/// so the output is deterministic.
+/// Flatten the registry into Prometheus samples, in the order and with
+/// the naming [`prometheus_render`] writes them — what madcheck audits
+/// for uniqueness / completeness.
 pub fn flatten_registry(reg: &MetricsRegistry) -> Vec<PromSample> {
-    let doc = reg.to_json();
     let mut out = Vec::new();
-    if let Some(Json::Obj(sections)) = doc.get("sections") {
-        for (name, body) in sections {
-            let mut path = Vec::new();
-            walk_leaves(body, name, &mut path, None, &mut out);
-        }
-    }
+    for_each_leaf(reg, &mut |section, path, index, value| {
+        let mut family = String::new();
+        family_into(&mut family, path);
+        out.push(PromSample {
+            family,
+            labels: leaf_labels(section, index)
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value: value.clone(),
+        });
+    });
     out
 }
 
@@ -433,22 +456,27 @@ pub fn flatten_registry(reg: &MetricsRegistry) -> Vec<PromSample> {
 /// output is a pure function of the registry, hence byte-stable across
 /// repeat runs.
 pub fn prometheus_render(reg: &MetricsRegistry) -> String {
-    let samples = flatten_registry(reg);
     let mut out = String::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for s in &samples {
-        if !seen.contains(&s.family.as_str()) {
-            seen.push(&s.family);
-            out.push_str(&format!(
-                "# HELP {f} madscope gauge (registry leaf)\n# TYPE {f} gauge\n",
-                f = s.family
-            ));
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut family = String::new();
+    for_each_leaf(reg, &mut |section, path, index, value| {
+        family_into(&mut family, path);
+        if !seen.contains(&family) {
+            seen.insert(family.clone());
+            for (head, tail) in [
+                ("# HELP ", " madscope gauge (registry leaf)\n"),
+                ("# TYPE ", " gauge\n"),
+            ] {
+                out.push_str(head);
+                out.push_str(&family);
+                out.push_str(tail);
+            }
         }
-        out.push_str(&s.key());
+        push_sample_key(&mut out, &family, leaf_labels(section, index));
         out.push(' ');
-        out.push_str(&s.value.render());
+        JsonWriter::new(&mut out).value(value);
         out.push('\n');
-    }
+    });
     out
 }
 

@@ -38,11 +38,12 @@
 // madlint: file: deterministic-output
 
 use simnet::{NicId, NodeId, SimTime, Trace as SimTrace, TraceEvent as SimEvent};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::constraints::PlanViolation;
 use crate::ids::{FlowId, FragIndex, TrafficClass};
-use crate::json::{obj, Json};
+use crate::json::{Json, JsonError, JsonSink, JsonTree, JsonWriter, Parser};
 use crate::metrics::Activation;
 
 /// One structured engine event.
@@ -329,6 +330,17 @@ impl EngineEvent {
     /// Structured arguments as a JSON object (insertion-ordered, so the
     /// rendering is deterministic).
     pub fn args(&self) -> Json {
+        JsonTree::document(|t| {
+            t.begin_object();
+            self.write_args(t);
+            t.end_object();
+        })
+    }
+
+    /// The event's arguments as `key, value` pairs into an object the
+    /// caller has open — the one place each kind's field list is written
+    /// down, whether it ends up as export text or as [`EngineEvent::args`].
+    pub fn write_args(&self, s: &mut impl JsonSink) {
         match self {
             EngineEvent::Submitted {
                 flow,
@@ -336,82 +348,77 @@ impl EngineEvent {
                 frags,
                 bytes,
                 class,
-            } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("frags", *frags)
-                .field("bytes", *bytes)
-                .field("class", class.label())
-                .build(),
+            } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("frags", *frags);
+                s.field_uint("bytes", *bytes);
+                s.field_str("class", class.label());
+            }
             EngineEvent::RndvGated {
                 flow,
                 seq,
                 frag,
                 bytes,
-            } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("frag", *frag)
-                .field("bytes", *bytes)
-                .build(),
-            EngineEvent::RndvGranted { flow, seq, frag } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("frag", *frag)
-                .build(),
+            } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("frag", *frag);
+                s.field_uint("bytes", *bytes);
+            }
+            EngineEvent::RndvGranted { flow, seq, frag } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("frag", *frag);
+            }
             EngineEvent::ActivationStart {
                 id,
                 cause,
                 rail,
                 backlog_depth,
-            } => obj()
-                .field("activation", *id)
-                .field("cause", cause.label())
-                .field("rail", *rail)
-                .field("backlog_depth", *backlog_depth)
-                .build(),
+            } => {
+                s.field_uint("activation", *id);
+                s.field_str("cause", cause.label());
+                s.field_uint("rail", *rail);
+                s.field_uint("backlog_depth", *backlog_depth);
+            }
             EngineEvent::PlanProposed {
                 activation,
                 strategy,
                 chunks,
                 bytes,
-            } => obj()
-                .field("activation", *activation)
-                .field("strategy", *strategy)
-                .field("chunks", *chunks)
-                .field("bytes", *bytes)
-                .build(),
+            } => {
+                s.field_uint("activation", *activation);
+                s.field_str("strategy", strategy);
+                s.field_uint("chunks", *chunks);
+                s.field_uint("bytes", *bytes);
+            }
             EngineEvent::PlanVetoed {
                 activation,
                 strategy,
                 violation,
-            } => obj()
-                .field("activation", *activation)
-                .field("strategy", *strategy)
-                .field("violation", violation.to_string())
-                .build(),
+            } => {
+                s.field_uint("activation", *activation);
+                s.field_str("strategy", strategy);
+                s.field_str("violation", &violation.to_string());
+            }
             EngineEvent::PlanScored {
                 activation,
                 strategy,
                 score_num,
                 score_den,
-            } => obj()
-                .field("activation", *activation)
-                .field("strategy", *strategy)
-                .field("score_num", *score_num)
-                .field("score_den", *score_den)
-                .build(),
-            EngineEvent::PlanWon {
+            }
+            | EngineEvent::PlanWon {
                 activation,
                 strategy,
                 score_num,
                 score_den,
-            } => obj()
-                .field("activation", *activation)
-                .field("strategy", *strategy)
-                .field("score_num", *score_num)
-                .field("score_den", *score_den)
-                .build(),
+            } => {
+                s.field_uint("activation", *activation);
+                s.field_str("strategy", strategy);
+                s.field_uint("score_num", *score_num);
+                s.field_uint("score_den", *score_den);
+            }
             EngineEvent::PacketEncoded {
                 activation,
                 rail,
@@ -419,93 +426,94 @@ impl EngineEvent {
                 chunks,
                 bytes,
                 linearized,
-            } => obj()
-                .field("activation", *activation)
-                .field("rail", *rail)
-                .field("cookie", *cookie)
-                .field("chunks", *chunks)
-                .field("bytes", *bytes)
-                .field("linearized", *linearized)
-                .build(),
+            } => {
+                s.field_uint("activation", *activation);
+                s.field_uint("rail", *rail);
+                s.field_uint("cookie", *cookie);
+                s.field_uint("chunks", *chunks);
+                s.field_uint("bytes", *bytes);
+                s.key("linearized");
+                s.bool(*linearized);
+            }
             EngineEvent::ChunkBound {
                 flow,
                 seq,
                 frag,
                 cookie,
                 bytes,
-            } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("frag", *frag)
-                .field("cookie", *cookie)
-                .field("bytes", *bytes)
-                .build(),
+            } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("frag", *frag);
+                s.field_uint("cookie", *cookie);
+                s.field_uint("bytes", *bytes);
+            }
             EngineEvent::Delivered {
                 src,
                 flow,
                 seq,
                 bytes,
                 latency_ns,
-            } => obj()
-                .field("src", src.0)
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("bytes", *bytes)
-                .field("latency_ns", *latency_ns)
-                .build(),
+            } => {
+                s.field_uint("src", src.0);
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("bytes", *bytes);
+                s.field_uint("latency_ns", *latency_ns);
+            }
             EngineEvent::Retransmit {
                 old_cookie,
                 new_cookie,
                 rail,
                 attempt,
-            } => obj()
-                .field("old_cookie", *old_cookie)
-                .field("new_cookie", *new_cookie)
-                .field("rail", *rail)
-                .field("attempt", *attempt)
-                .build(),
+            } => {
+                s.field_uint("old_cookie", *old_cookie);
+                s.field_uint("new_cookie", *new_cookie);
+                s.field_uint("rail", *rail);
+                s.field_uint("attempt", *attempt);
+            }
             EngineEvent::AckReceived {
                 cookie,
                 rail,
                 rtt_ns,
-            } => obj()
-                .field("cookie", *cookie)
-                .field("rail", *rail)
-                .field("rtt_ns", *rtt_ns)
-                .build(),
-            EngineEvent::RailDegraded { rail, score_milli } => obj()
-                .field("rail", *rail)
-                .field("score_milli", *score_milli)
-                .build(),
-            EngineEvent::RailDead { rail } => obj().field("rail", *rail).build(),
+            } => {
+                s.field_uint("cookie", *cookie);
+                s.field_uint("rail", *rail);
+                s.field_uint("rtt_ns", *rtt_ns);
+            }
+            EngineEvent::RailDegraded { rail, score_milli } => {
+                s.field_uint("rail", *rail);
+                s.field_uint("score_milli", *score_milli);
+            }
+            EngineEvent::RailDead { rail } => s.field_uint("rail", *rail),
             EngineEvent::Admitted {
                 flow,
                 seq,
                 bytes,
                 backlog,
-            } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("bytes", *bytes)
-                .field("backlog", *backlog)
-                .build(),
+            } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("bytes", *bytes);
+                s.field_uint("backlog", *backlog);
+            }
             EngineEvent::Shed {
                 flow,
                 seq,
                 bytes,
                 class,
-            } => obj()
-                .field("flow", flow.0)
-                .field("seq", *seq)
-                .field("bytes", *bytes)
-                .field("class", class.label())
-                .build(),
-            EngineEvent::Unblocked { class } => obj().field("class", class.label()).build(),
-            EngineEvent::CongestionMark { src, cookie, rail } => obj()
-                .field("src", src.0)
-                .field("cookie", *cookie)
-                .field("rail", *rail)
-                .build(),
+            } => {
+                s.field_uint("flow", flow.0);
+                s.field_uint("seq", *seq);
+                s.field_uint("bytes", *bytes);
+                s.field_str("class", class.label());
+            }
+            EngineEvent::Unblocked { class } => s.field_str("class", class.label()),
+            EngineEvent::CongestionMark { src, cookie, rail } => {
+                s.field_uint("src", src.0);
+                s.field_uint("cookie", *cookie);
+                s.field_uint("rail", *rail);
+            }
             EngineEvent::CollProposed {
                 coll,
                 op,
@@ -521,14 +529,14 @@ impl EngineEvent {
                 members,
                 bytes,
                 est_ns,
-            } => obj()
-                .field("coll", *coll)
-                .field("op", *op)
-                .field("algo", *algo)
-                .field("members", *members)
-                .field("bytes", *bytes)
-                .field("est_ns", *est_ns)
-                .build(),
+            } => {
+                s.field_uint("coll", *coll);
+                s.field_str("op", op);
+                s.field_str("algo", algo);
+                s.field_uint("members", *members);
+                s.field_uint("bytes", *bytes);
+                s.field_uint("est_ns", *est_ns);
+            }
         }
     }
 }
@@ -645,6 +653,10 @@ pub fn export_chrome_trace(
 /// [`export_chrome_trace`] plus madnet topology metadata: each summary in
 /// `topos` becomes an entry in `otherData.topologies`, making the export
 /// self-describing about the fabric the run crossed.
+///
+/// Nothing is built before it is written: the rings are merged (each is
+/// chronological, being pushed at `now`) and every entry goes straight
+/// into the output text.
 pub fn export_chrome_trace_with_topology(
     sim: &SimTrace,
     sinks: &[(NodeId, &EventSink)],
@@ -657,233 +669,312 @@ pub fn export_chrome_trace_with_topology(
             nic_loc.insert(nic.0, (node as u32, rail as u32));
         }
     }
-
-    let mut events: Vec<Json> = Vec::new();
-
-    // Metadata: name processes (nodes) and threads (rails + engine track).
-    for (node, rails) in nics.iter().enumerate() {
-        events.push(meta_event(
-            "process_name",
-            node as u32,
-            None,
-            &format!("node{node}"),
-        ));
-        for rail in 0..rails.len() {
-            events.push(meta_event(
-                "thread_name",
-                node as u32,
-                Some(rail as u32),
-                &format!("rail{rail}"),
-            ));
-        }
-        events.push(meta_event(
-            "thread_name",
-            node as u32,
-            Some(ENGINE_TRACK),
-            "engine",
-        ));
-    }
-
-    // Timeline entries: (ts_ns, source_rank, index, json...). Each source
-    // is already chronological; the sort key keeps merging deterministic.
-    let mut timeline: Vec<(u64, u32, usize, Vec<Json>)> = Vec::new();
-
     // madrel: tally injected wire faults so the export is self-describing
     // about how hostile the run was (also surfaced by `trace-tool info`).
     let (mut wire_drops, mut wire_dups, mut wire_stalls) = (0u64, 0u64, 0u64);
-    for (idx, rec) in sim.iter().enumerate() {
+    for rec in sim.iter() {
         match &rec.event {
             SimEvent::WireDrop { .. } => wire_drops += 1,
             SimEvent::WireDup { .. } => wire_dups += 1,
             SimEvent::WireStall { .. } => wire_stalls += 1,
             _ => {}
         }
-        // The unification hook: `TraceEvent::nic()` routes NIC-scoped
-        // events onto their rail track; node-scoped events (timers) land
-        // on the engine track.
-        let (pid, tid) = match rec.event.nic() {
-            Some(nic) => match nic_loc.get(&nic.0).copied() {
-                Some(loc) => loc,
-                None => continue, // NIC outside the exported cluster
-            },
-            None => match &rec.event {
-                SimEvent::TimerFired { node, .. } => (node.0, ENGINE_TRACK),
-                _ => continue,
-            },
-        };
-        let args = match &rec.event {
-            SimEvent::TxSubmitted { bytes, cookie, .. } => obj()
-                .field("bytes", *bytes)
-                .field("cookie", *cookie)
-                .build(),
-            SimEvent::TxDone { cookie, .. }
-            | SimEvent::WireDrop { cookie, .. }
-            | SimEvent::WireDup { cookie, .. }
-            | SimEvent::WireStall { cookie, .. }
-            | SimEvent::EcnMark { cookie, .. }
-            | SimEvent::FabricDrop { cookie, .. } => obj().field("cookie", *cookie).build(),
-            SimEvent::NicIdle { .. } => obj().build(),
-            SimEvent::RxDelivered { bytes, kind, .. } => {
-                obj().field("bytes", *bytes).field("kind", *kind).build()
-            }
-            SimEvent::TimerFired { tag, .. } => obj().field("tag", *tag).build(),
-        };
-        let ts = rec.at.as_nanos();
-        timeline.push((
-            ts,
-            0,
-            idx,
-            vec![instant_event(rec.event.name(), ts, pid, tid, args)],
-        ));
     }
 
-    for (rank, (node, sink)) in sinks.iter().enumerate() {
-        // Decision events carry only their activation id; recover the rail
-        // from the activation's start event so they land on the rail track.
-        let mut act_rail: HashMap<u64, u32> = HashMap::new();
-        for rec in sink.iter() {
-            if let EngineEvent::ActivationStart { id, rail, .. } = rec.event {
-                act_rail.insert(id, rail as u32);
-            }
-        }
-        for (idx, rec) in sink.iter().enumerate() {
-            let ts = rec.at.as_nanos();
-            let pid = node.0;
-            let tid = match &rec.event {
-                EngineEvent::ActivationStart { rail, .. }
-                | EngineEvent::PacketEncoded { rail, .. } => *rail as u32,
-                e => e
-                    .activation()
-                    .and_then(|a| act_rail.get(&a).copied())
-                    .unwrap_or(ENGINE_TRACK),
-            };
-            let mut entry = vec![instant_event(
-                rec.event.name(),
-                ts,
-                pid,
-                tid,
-                rec.event.args(),
-            )];
-            match &rec.event {
-                EngineEvent::Submitted { flow, seq, .. } => {
-                    entry.push(flow_event(
-                        "s",
-                        ts,
-                        pid,
-                        tid,
-                        flow_arrow_id(*node, *flow, *seq),
-                    ));
-                }
-                EngineEvent::Delivered { src, flow, seq, .. } => {
-                    entry.push(flow_event(
-                        "f",
-                        ts,
-                        pid,
-                        tid,
-                        flow_arrow_id(*src, *flow, *seq),
-                    ));
-                }
-                _ => {}
-            }
-            timeline.push((ts, 1 + rank as u32, idx, entry));
-        }
-    }
-
-    timeline.sort_by_key(|&(ts, rank, idx, _)| (ts, rank, idx));
-    for (_, _, _, entry) in timeline {
-        events.extend(entry);
-    }
-
-    let mut engine_dropped = obj();
-    let mut engine_retained = obj();
+    // Every entry is written straight into the one output buffer, sized
+    // for the whole document up front: a record and its share of the flow
+    // arrows come to about 160 bytes.
+    let records = sim.len() + sinks.iter().map(|(_, s)| s.len()).sum::<usize>();
+    let mut json = String::with_capacity(4096 + 192 * records);
+    let mut w = JsonWriter::new(&mut json);
+    w.begin_object();
+    w.field_str("displayTimeUnit", "ns");
+    w.key("otherData");
+    w.begin_object();
+    w.field_str("exporter", "madtrace");
+    w.field_uint("sim_retained", sim.len() as u64);
+    w.field_uint("sim_dropped", sim.dropped());
+    w.field_uint("wire_drops", wire_drops);
+    w.field_uint("wire_dups", wire_dups);
+    w.field_uint("wire_stalls", wire_stalls);
+    w.key("engine_retained");
+    w.begin_object();
     for (node, sink) in sinks {
-        let key = format!("node{}", node.0);
-        engine_dropped = engine_dropped.field(&key, sink.dropped());
-        engine_retained = engine_retained.field(&key, sink.len());
+        w.field_uint(&format!("node{}", node.0), sink.len() as u64);
     }
-    let count = events.len();
-    let mut other = obj()
-        .field("exporter", "madtrace")
-        .field("sim_retained", sim.len())
-        .field("sim_dropped", sim.dropped())
-        .field("wire_drops", wire_drops)
-        .field("wire_dups", wire_dups)
-        .field("wire_stalls", wire_stalls)
-        .field("engine_retained", engine_retained.build())
-        .field("engine_dropped", engine_dropped.build());
+    w.end_object();
+    w.key("engine_dropped");
+    w.begin_object();
+    for (node, sink) in sinks {
+        w.field_uint(&format!("node{}", node.0), sink.dropped());
+    }
+    w.end_object();
     if !topos.is_empty() {
-        let entries: Vec<Json> = topos
-            .iter()
-            .map(|t| {
-                obj()
-                    .field("name", t.name.as_str())
-                    .field("hosts", t.hosts)
-                    .field("switches", t.switches)
-                    .field("links", t.links)
-                    .field("oversub_milli", t.oversub_milli)
-                    .build()
-            })
-            .collect();
-        other = other.field("topologies", Json::Arr(entries));
+        w.key("topologies");
+        w.begin_array();
+        for t in topos {
+            w.begin_object();
+            w.field_str("name", &t.name);
+            w.field_uint("hosts", t.hosts);
+            w.field_uint("switches", t.switches);
+            w.field_uint("links", t.links);
+            w.field_uint("oversub_milli", t.oversub_milli);
+            w.end_object();
+        }
+        w.end_array();
     }
-    let doc = obj()
-        .field("displayTimeUnit", "ns")
-        .field("otherData", other.build())
-        .field("traceEvents", Json::Arr(events))
-        .build();
-    ChromeExport {
-        json: doc.render(),
-        events: count,
+    w.end_object();
+    w.key("traceEvents");
+    w.begin_array();
+    let mut events = 0usize;
+
+    // Metadata: name processes (nodes) and threads (rails + engine track).
+    for (node, rails) in nics.iter().enumerate() {
+        let pid = node as u32;
+        meta_event(&mut w, "process_name", pid, None, &format!("node{node}"));
+        for rail in 0..rails.len() {
+            let tid = Some(rail as u32);
+            meta_event(&mut w, "thread_name", pid, tid, &format!("rail{rail}"));
+        }
+        meta_event(&mut w, "thread_name", pid, Some(ENGINE_TRACK), "engine");
+        events += 2 + rails.len();
     }
+
+    // Decision events carry only their activation id; recover the rail
+    // from the activation's start event so they land on the rail track.
+    let act_rails: Vec<HashMap<u64, u32>> = sinks
+        .iter()
+        .map(|(_, sink)| {
+            let mut act_rail = HashMap::new();
+            for rec in sink.iter() {
+                if let EngineEvent::ActivationStart { id, rail, .. } = rec.event {
+                    act_rail.insert(id, rail as u32);
+                }
+            }
+            act_rail
+        })
+        .collect();
+
+    // The timeline is a merge, not a sort: every ring is chronological
+    // (records are pushed at `now`), so the next entry is the earliest
+    // head, ties going to the lower rank — the simulator (rank 0), then
+    // the sinks in the order given — and, within one ring, to ring order.
+    let mut sim_recs = sim.iter().peekable();
+    let mut sink_recs: Vec<_> = sinks.iter().map(|(_, s)| s.iter().peekable()).collect();
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    if let Some(rec) = sim_recs.peek() {
+        heads.push(Reverse((rec.at.as_nanos(), 0)));
+    }
+    for (i, recs) in sink_recs.iter_mut().enumerate() {
+        if let Some(rec) = recs.peek() {
+            heads.push(Reverse((rec.at.as_nanos(), 1 + i)));
+        }
+    }
+    while let Some(Reverse((ts, rank))) = heads.pop() {
+        let next = if rank == 0 {
+            if let Some(rec) = sim_recs.next() {
+                events += sim_entry(&mut w, ts, &rec.event, &nic_loc);
+            }
+            sim_recs.peek().map(|rec| rec.at)
+        } else {
+            let ((node, _), recs) = (&sinks[rank - 1], &mut sink_recs[rank - 1]);
+            if let Some(rec) = recs.next() {
+                events += engine_entry(&mut w, ts, *node, &rec.event, &act_rails[rank - 1]);
+            }
+            recs.peek().map(|rec| rec.at)
+        };
+        if let Some(at) = next {
+            heads.push(Reverse((at.as_nanos(), rank)));
+        }
+    }
+    w.end_array();
+    w.end_object();
+    ChromeExport { json, events }
+}
+
+/// Write one simulator record's entry; returns how many entries that was
+/// (0 for a record outside the exported cluster).
+fn sim_entry(
+    w: &mut JsonWriter<'_>,
+    ts: u64,
+    event: &SimEvent,
+    nic_loc: &HashMap<u32, (u32, u32)>,
+) -> usize {
+    // The unification hook: `TraceEvent::nic()` routes NIC-scoped
+    // events onto their rail track; node-scoped events (timers) land
+    // on the engine track.
+    let (pid, tid) = match (event.nic(), event) {
+        (Some(nic), _) => match nic_loc.get(&nic.0) {
+            Some(&loc) => loc,
+            None => return 0, // NIC outside the exported cluster
+        },
+        (None, SimEvent::TimerFired { node, .. }) => (node.0, ENGINE_TRACK),
+        (None, _) => return 0,
+    };
+    instant_event(w, event.name(), ts, pid, tid, |w| match event {
+        SimEvent::TxSubmitted { bytes, cookie, .. } => {
+            w.field_uint("bytes", *bytes);
+            w.field_uint("cookie", *cookie);
+        }
+        SimEvent::TxDone { cookie, .. }
+        | SimEvent::WireDrop { cookie, .. }
+        | SimEvent::WireDup { cookie, .. }
+        | SimEvent::WireStall { cookie, .. }
+        | SimEvent::EcnMark { cookie, .. }
+        | SimEvent::FabricDrop { cookie, .. } => w.field_uint("cookie", *cookie),
+        SimEvent::NicIdle { .. } => {}
+        SimEvent::RxDelivered { bytes, kind, .. } => {
+            w.field_uint("bytes", *bytes);
+            w.field_uint("kind", *kind);
+        }
+        SimEvent::TimerFired { tag, .. } => w.field_uint("tag", *tag),
+    });
+    1
+}
+
+/// Write one engine record's entry and, for the two ends of a message,
+/// its flow arrow; returns how many entries that was.
+fn engine_entry(
+    w: &mut JsonWriter<'_>,
+    ts: u64,
+    node: NodeId,
+    event: &EngineEvent,
+    act_rail: &HashMap<u64, u32>,
+) -> usize {
+    let pid = node.0;
+    let tid = match event {
+        EngineEvent::ActivationStart { rail, .. } | EngineEvent::PacketEncoded { rail, .. } => {
+            *rail as u32
+        }
+        e => e
+            .activation()
+            .and_then(|a| act_rail.get(&a).copied())
+            .unwrap_or(ENGINE_TRACK),
+    };
+    instant_event(w, event.name(), ts, pid, tid, |w| event.write_args(w));
+    match event {
+        EngineEvent::Submitted { flow, seq, .. } => {
+            flow_event(w, "s", ts, pid, tid, flow_arrow_id(node, *flow, *seq));
+            2
+        }
+        EngineEvent::Delivered { src, flow, seq, .. } => {
+            flow_event(w, "f", ts, pid, tid, flow_arrow_id(*src, *flow, *seq));
+            2
+        }
+        _ => 1,
+    }
+}
+
+/// One pass over a Chrome trace-event document without holding it: the
+/// cursor is handed to `on_event` at each `traceEvents` element (which
+/// consumes exactly that element), everything else at top level is
+/// checked and dropped, except `otherData`, which is small and returned.
+pub fn read_chrome_export<'a>(
+    text: &'a str,
+    mut on_event: impl FnMut(&mut Parser<'a>) -> Result<(), JsonError>,
+) -> Result<ChromeHeader, String> {
+    let mut read = || -> Result<Option<ChromeHeader>, JsonError> {
+        let mut p = Parser::new(text);
+        if p.peek() != Some(b'{') {
+            p.skip()?;
+            return p.finish().map(|()| None);
+        }
+        let (mut other_data, mut events) = (None, None);
+        p.begin_object()?;
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "otherData" if other_data.is_none() => other_data = Some(p.value()?),
+                "traceEvents" if events.is_none() && p.peek() == Some(b'[') => {
+                    let mut n = 0usize;
+                    p.begin_array()?;
+                    while p.next_element()? {
+                        on_event(&mut p)?;
+                        n += 1;
+                    }
+                    events = Some(n);
+                }
+                _ => p.skip()?,
+            }
+        }
+        p.finish()?;
+        Ok(events.map(|events| ChromeHeader { other_data, events }))
+    };
+    read()
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| "missing traceEvents array".to_string())
+}
+
+/// What [`read_chrome_export`] keeps of a document.
+#[derive(Clone, Debug)]
+pub struct ChromeHeader {
+    /// The document's `otherData` object, when it has one.
+    pub other_data: Option<Json>,
+    /// Length of the `traceEvents` array.
+    pub events: usize,
 }
 
 /// Parse a Chrome trace-event JSON document and return its event count
 /// (the `traceEvents` array length) — the export→parse round-trip check.
 pub fn chrome_event_count(text: &str) -> Result<usize, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    doc.get("traceEvents")
-        .and_then(|v| v.as_array())
-        .map(|a| a.len())
-        .ok_or_else(|| "missing traceEvents array".to_string())
+    read_chrome_export(text, Parser::skip).map(|h| h.events)
 }
 
-fn instant_event(name: &str, ts_ns: u64, pid: u32, tid: u32, args: Json) -> Json {
-    obj()
-        .field("name", name)
-        .field("ph", "i")
-        .field("ts", Json::Fixed3(ts_ns))
-        .field("pid", pid)
-        .field("tid", tid)
-        .field("s", "t")
-        .field("args", args)
-        .build()
+fn instant_event(
+    w: &mut JsonWriter<'_>,
+    name: &str,
+    ts_ns: u64,
+    pid: u32,
+    tid: u32,
+    args: impl FnOnce(&mut JsonWriter<'_>),
+) {
+    w.begin_object();
+    w.field_str("name", name);
+    w.field_str("ph", "i");
+    w.key("ts");
+    w.fixed3(ts_ns);
+    w.field_uint("pid", pid);
+    w.field_uint("tid", tid);
+    w.field_str("s", "t");
+    w.key("args");
+    w.begin_object();
+    args(w);
+    w.end_object();
+    w.end_object();
 }
 
-fn flow_event(ph: &str, ts_ns: u64, pid: u32, tid: u32, id: u64) -> Json {
-    let mut b = obj()
-        .field("name", "msg")
-        .field("cat", "flow")
-        .field("ph", ph)
-        .field("ts", Json::Fixed3(ts_ns))
-        .field("pid", pid)
-        .field("tid", tid)
-        .field("id", id);
+fn flow_event(w: &mut JsonWriter<'_>, ph: &str, ts_ns: u64, pid: u32, tid: u32, id: u64) {
+    w.begin_object();
+    w.field_str("name", "msg");
+    w.field_str("cat", "flow");
+    w.field_str("ph", ph);
+    w.key("ts");
+    w.fixed3(ts_ns);
+    w.field_uint("pid", pid);
+    w.field_uint("tid", tid);
+    w.field_uint("id", id);
     if ph == "f" {
-        b = b.field("bp", "e");
+        w.field_str("bp", "e");
     }
-    b.build()
+    w.end_object();
 }
 
 fn flow_arrow_id(src: NodeId, flow: FlowId, seq: u32) -> u64 {
     ((src.0 as u64) << 48) | ((flow.0 as u64 & 0xff_ffff) << 24) | (seq as u64 & 0xff_ffff)
 }
 
-fn meta_event(name: &str, pid: u32, tid: Option<u32>, value: &str) -> Json {
-    let mut b = obj().field("name", name).field("ph", "M").field("pid", pid);
+fn meta_event(w: &mut JsonWriter<'_>, name: &str, pid: u32, tid: Option<u32>, value: &str) {
+    w.begin_object();
+    w.field_str("name", name);
+    w.field_str("ph", "M");
+    w.field_uint("pid", pid);
     if let Some(tid) = tid {
-        b = b.field("tid", tid);
+        w.field_uint("tid", tid);
     }
-    b.field("args", obj().field("name", value).build()).build()
+    w.key("args");
+    w.begin_object();
+    w.field_str("name", value);
+    w.end_object();
+    w.end_object();
 }
 
 // ---------------------------------------------------------------------------
@@ -964,39 +1055,39 @@ impl FlightDump {
         }
     }
 
-    /// The dump as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|r| {
-                obj()
-                    .field("ts_ns", r.at.as_nanos())
-                    .field("name", r.event.name())
-                    .field("args", r.event.args())
-                    .build()
-            })
-            .collect();
-        obj()
-            .field("artifact", "madtrace-flight-dump")
-            .field("node", self.node.0)
-            .field("trigger", self.trigger.label())
-            .field("at_ns", self.at.as_nanos())
-            .field("report", self.report.clone())
-            .field("metrics", self.metrics.clone())
-            .field("events", Json::Arr(events))
-            .build()
-    }
-
     /// Render the dump as deterministic JSON text.
     pub fn render(&self) -> String {
-        self.to_json().render()
+        JsonWriter::document(|w| {
+            w.begin_object();
+            w.field_str("artifact", "madtrace-flight-dump");
+            w.field_uint("node", self.node.0);
+            w.field_str("trigger", self.trigger.label());
+            w.field_uint("at_ns", self.at.as_nanos());
+            w.field_str("report", &self.report);
+            w.key("metrics");
+            w.value(&self.metrics);
+            w.key("events");
+            w.begin_array();
+            for r in &self.events {
+                w.begin_object();
+                w.field_uint("ts_ns", r.at.as_nanos());
+                w.field_str("name", r.event.name());
+                w.key("args");
+                w.begin_object();
+                r.event.write_args(w);
+                w.end_object();
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::obj;
 
     fn ev(seq: u32) -> EngineEvent {
         EngineEvent::Submitted {

@@ -72,7 +72,7 @@ pub fn diff_check(seed: u64, samples: usize) -> SweepReport {
         // (1) Identically seeded re-run: the diff must be exactly zero,
         // and the snapshot itself must not move a byte.
         let again = snapshot(seed, idx, false, "base");
-        if base.to_json().render() != again.to_json().render() {
+        if base.render() != again.render() {
             report.findings.push(format!(
                 "{ctx}: same-seed replay changed the snapshot bytes"
             ));

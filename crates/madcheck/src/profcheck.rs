@@ -44,7 +44,8 @@ const CORPUS: TracedCorpus = TracedCorpus {
     },
 };
 
-fn build_sample(seed: u64, idx: usize) -> Cluster {
+/// Sample `idx` of the madprof corpus for `seed`, run to completion.
+pub fn build_sample(seed: u64, idx: usize) -> Cluster {
     traced_run(seed, idx, &CORPUS, SimDuration::ZERO)
 }
 

@@ -40,6 +40,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+#[cfg(test)]
+mod chrome_reference;
+
 use madcheck::AnalyzeOptions;
 use madeleine::strategy::StrategyRegistry;
 use madeleine::EngineConfig;
@@ -390,6 +393,12 @@ fn trace_smoke() -> bool {
 }
 
 fn trace_export_once() -> madeleine::ChromeExport {
+    trace_smoke_cell().export_chrome_trace()
+}
+
+/// The smoke workload, run to completion: eight 96-byte messages on one
+/// flow of a traced MX pair.
+fn trace_smoke_cell() -> madeleine::Cluster {
     use madeleine::{Cluster, ClusterSpec, MessageBuilder, TrafficClass};
     let mut c = Cluster::build(&ClusterSpec::mx_pair().with_tracing(4096), vec![]);
     let src = c.nodes[0];
@@ -406,7 +415,7 @@ fn trace_export_once() -> madeleine::ChromeExport {
         });
     }
     c.drain();
-    c.export_chrome_trace()
+    c
 }
 
 // ---------------------------------------------------------------------------
