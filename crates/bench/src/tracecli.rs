@@ -683,8 +683,7 @@ pub fn info_export(text: &str) -> Option<String> {
 /// for the export and profile cross-checks (here and in `xtask`).
 pub fn recovery_cell() -> Cluster {
     use madeleine::harness::NodeHandle;
-    use madeleine::plan::{PlanBody, TransferPlan};
-    use madeleine::strategy::{OptContext, Strategy};
+    use madeleine::strategy::{OptContext, Proposals, Strategy};
     use madeleine::{EngineConfig, MadEngine, MessageBuilder, ReliabilityMode, TrafficClass};
     use simnet::FaultPlan;
     // The standard strategies are never vetoed (madcheck proves it),
@@ -695,15 +694,9 @@ pub fn recovery_cell() -> Cluster {
         fn name(&self) -> &'static str {
             "empty-handed"
         }
-        fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
             if let Some(group) = ctx.groups.first() {
-                let (chunks, linearize) = (Vec::new(), false);
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: group.dst,
-                    body: PlanBody::Data { chunks, linearize },
-                    strategy: self.name(),
-                });
+                out.push_data(ctx.channel, group.dst, &[], false, self.name());
             }
         }
     }

@@ -16,7 +16,7 @@ use simnet::{NodeId, SimTime};
 use crate::flowmgr::{class_slot, DrrScheduler, FairnessMode, FlowIndex, CLASS_SLOTS};
 use crate::ids::{ChannelId, FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{Fragment, PackMode};
-use crate::plan::{ChunkCandidate, DstGroup, PlannedChunk, RndvCandidate};
+use crate::plan::{ChunkCandidate, DstGroup, PlannedChunk, RndvCandidate, WindowGroups};
 
 /// Convert a flow-table index into a `FlowId` payload, refusing the
 /// silent wraparound a bare `as u32` cast would produce.
@@ -173,16 +173,6 @@ impl FlowState {
         }
         self.queue.binary_search_by_key(&seq, |m| m.id.seq.0).ok()
     }
-}
-
-/// The window's group for `dst`, opened on first use.
-// madlint: allow(linear-scan) — one group per destination in the window
-fn group_for(groups: &mut Vec<DstGroup>, dst: NodeId) -> &mut DstGroup {
-    let at = groups.iter().position(|g| g.dst == dst).unwrap_or_else(|| {
-        groups.push(DstGroup::new(dst));
-        groups.len() - 1
-    });
-    &mut groups[at]
 }
 
 /// The collect layer: all flows and their backlogs, plus the madflow
@@ -351,9 +341,25 @@ impl CollectLayer {
         window: usize,
         eligible: impl Fn(FlowId, TrafficClass) -> bool,
     ) -> Vec<DstGroup> {
+        let mut groups = WindowGroups::default();
+        self.collect_window(rail, window, eligible, &mut groups);
+        groups.into_groups()
+    }
+
+    /// [`CollectLayer::collect_candidates`] into the caller's `groups`
+    /// (emptied here): the engine keeps one across activations, so a
+    /// window is filled without allocating.
+    pub(crate) fn collect_window(
+        &mut self,
+        rail: ChannelId,
+        window: usize,
+        eligible: impl Fn(FlowId, TrafficClass) -> bool,
+        groups: &mut WindowGroups,
+    ) {
+        groups.clear();
         match self.fairness {
-            FairnessMode::PackOrder => self.collect_pack_order(rail, window, eligible),
-            FairnessMode::Drr => self.collect_drr(rail, window, eligible),
+            FairnessMode::PackOrder => self.collect_pack_order(rail, window, eligible, groups),
+            FairnessMode::Drr => self.collect_drr(rail, window, eligible, groups),
         }
     }
 
@@ -363,8 +369,8 @@ impl CollectLayer {
         rail: ChannelId,
         window: usize,
         eligible: impl Fn(FlowId, TrafficClass) -> bool,
-    ) -> Vec<DstGroup> {
-        let mut groups: Vec<DstGroup> = Vec::new();
+        groups: &mut WindowGroups,
+    ) {
         let mut taken = 0usize;
         for id in self.index.active_ids() {
             if taken >= window {
@@ -374,9 +380,8 @@ impl CollectLayer {
             if !eligible(fs.id, fs.class) {
                 continue;
             }
-            Self::offer_flow(fs, rail, window, &mut taken, &mut groups, None);
+            Self::offer_flow(fs, rail, window, &mut taken, groups, None);
         }
-        groups
     }
 
     /// Weighted-fair flow order: the window is split across class slots
@@ -388,12 +393,12 @@ impl CollectLayer {
         rail: ChannelId,
         window: usize,
         eligible: impl Fn(FlowId, TrafficClass) -> bool,
-    ) -> Vec<DstGroup> {
+        groups: &mut WindowGroups,
+    ) {
         let CollectLayer {
             flows, index, drr, ..
         } = self;
         drr.ensure_flows(flows.len());
-        let mut groups: Vec<DstGroup> = Vec::new();
         let mut taken = 0usize;
         let mut active = [0usize; CLASS_SLOTS];
         for (slot, a) in active.iter_mut().enumerate() {
@@ -417,21 +422,13 @@ impl CollectLayer {
                 }
                 let mut budget = drr.visit(id as usize);
                 last_visited = Some(id);
-                Self::offer_flow(
-                    fs,
-                    rail,
-                    class_cap,
-                    &mut taken,
-                    &mut groups,
-                    Some(&mut budget),
-                );
+                Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
                 drr.store(id as usize, budget);
             }
             if let Some(last) = last_visited {
                 drr.set_cursor(slot, last.wrapping_add(1));
             }
         }
-        groups
     }
 
     /// Offer one flow's schedulable fragments into `groups`, honouring the
@@ -444,7 +441,7 @@ impl CollectLayer {
         rail: ChannelId,
         window: usize,
         taken: &mut usize,
-        groups: &mut Vec<DstGroup>,
+        groups: &mut WindowGroups,
         mut deficit: Option<&mut u64>,
     ) {
         for msg in &fs.queue {
@@ -471,7 +468,7 @@ impl CollectLayer {
                 if frag.fully_committed() {
                     continue;
                 }
-                let group = group_for(groups, msg.dst);
+                let group = groups.group_for(msg.dst);
                 match frag.rndv {
                     RndvState::NeedRequest => {
                         group.rndv.push(RndvCandidate {

@@ -15,7 +15,7 @@ use nicdrv::DriverCapabilities;
 use crate::collect::{CollectLayer, RndvState};
 use crate::ids::{FlowId, FragIndex};
 use crate::message::PackMode;
-use crate::plan::{PlanBody, TransferPlan};
+use crate::plan::{Body, PlanRef, TransferPlan};
 
 /// Why a plan was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -145,35 +145,37 @@ pub fn validate_plan(
     caps: &DriverCapabilities,
     wire_mtu: u64,
 ) -> Result<(), PlanViolation> {
-    validate_plan_with(plan, collect, caps, wire_mtu, &mut PlanCoverage::default())
+    let mut coverage = PlanCoverage::default();
+    validate_plan_with(plan.view(), collect, caps, wire_mtu, &mut coverage)
 }
 
-/// [`validate_plan`] with the caller's coverage scratch (cleared here).
+/// [`validate_plan`] of a borrowed plan, with the caller's coverage
+/// scratch (cleared here).
 pub(crate) fn validate_plan_with(
-    plan: &TransferPlan,
+    plan: PlanRef<'_>,
     collect: &CollectLayer,
     caps: &DriverCapabilities,
     wire_mtu: u64,
     planned: &mut PlanCoverage,
 ) -> Result<(), PlanViolation> {
-    match &plan.body {
-        PlanBody::RndvRequest { flow, seq, frag } => {
+    match plan.body {
+        Body::RndvRequest { flow, seq, frag } => {
             let msg = collect
-                .find_msg(*flow, *seq)
+                .find_msg(flow, seq)
                 .ok_or(PlanViolation::UnknownChunk)?;
             if msg.dst != plan.dst {
                 return Err(PlanViolation::MixedDestinations);
             }
             let f = msg
                 .frags
-                .get(*frag as usize)
+                .get(frag as usize)
                 .ok_or(PlanViolation::UnknownChunk)?;
             if f.rndv != RndvState::NeedRequest {
                 return Err(PlanViolation::RndvNotNeeded);
             }
             Ok(())
         }
-        PlanBody::Data { chunks, linearize } => {
+        Body::Data { chunks, linearize } => {
             if chunks.is_empty() {
                 return Err(PlanViolation::EmptyPlan);
             }
@@ -245,7 +247,7 @@ pub(crate) fn validate_plan_with(
                     limit,
                 });
             }
-            if !*linearize {
+            if !linearize {
                 let segs = 1 + chunks.len();
                 // PIO can stream arbitrary segment lists; DMA needs gather
                 // entries. If neither path fits, the plan must linearize.

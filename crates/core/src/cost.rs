@@ -22,10 +22,10 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
-use simnet::{SimDuration, TxMode};
+use simnet::{SimDuration, SimTime, TxMode};
 
-use crate::ids::{FlowId, FragIndex};
-use crate::plan::{ChunkCandidate, DstGroup, PlanBody, RndvCandidate, TransferPlan};
+use crate::ids::{FlowId, FragIndex, TrafficClass};
+use crate::plan::{Body, DstGroup, PlanRef, TransferPlan};
 use crate::strategy::OptContext;
 
 /// Weight of the anti-starvation urgency term in plan scoring: one
@@ -43,75 +43,89 @@ pub struct ScoredPlan {
     pub est_busy: SimDuration,
 }
 
-impl ScoredPlan {
-    /// Total-order "strictly better" test used by plan selection. Scores
-    /// are compared with [`f64::total_cmp`] so a NaN (which the cost
-    /// model should never produce) orders deterministically instead of
-    /// making the winner depend on evaluation order. Ties keep the
-    /// incumbent, so earlier proposals win among equals.
-    pub fn beats(&self, incumbent: &ScoredPlan) -> bool {
-        self.score.total_cmp(&incumbent.score) == std::cmp::Ordering::Greater
-    }
+/// Total-order "strictly better" test used by plan selection. Scores are
+/// compared with [`f64::total_cmp`] so a NaN (which the cost model should
+/// never produce) orders deterministically instead of making the winner
+/// depend on evaluation order. Ties keep the incumbent, so earlier
+/// proposals win among equals.
+pub fn beats(score: f64, incumbent: f64) -> bool {
+    score.total_cmp(&incumbent) == std::cmp::Ordering::Greater
 }
 
-/// `(flow, seq, frag)`-keyed view of one activation window, built once per
-/// selection pass: scoring resolves each chunk's candidate by binary
-/// search instead of walking every group. Where a key repeats, the entry
-/// that comes first in window order answers, as a front-to-back walk would.
-pub struct WindowIndex<'a> {
-    data: Vec<(FragKey, &'a ChunkCandidate)>,
-    rndv: Vec<(FragKey, &'a RndvCandidate)>,
+/// `(flow, seq, frag)`-keyed view of one activation window, rebuilt once
+/// per selection pass in storage the optimizer keeps: scoring resolves each
+/// chunk's candidate by binary search instead of walking every group.
+/// Where a key repeats, the entry that comes first in window order
+/// answers, as a front-to-back walk would. Entries copy the two fields
+/// scoring reads, so the index borrows nothing from the window.
+#[derive(Debug, Default)]
+pub struct WindowIndex {
+    data: Vec<(FragKey, (SimTime, TrafficClass))>,
+    rndv: Vec<(FragKey, u32)>,
 }
 
-type FragKey = (FlowId, u32, FragIndex);
+/// A fragment's `(flow, seq, frag)`.
+type FragId = (FlowId, u32, FragIndex);
 
-impl<'a> WindowIndex<'a> {
-    /// Index every data and rendezvous candidate of `groups`.
-    pub fn new(groups: &'a [DstGroup]) -> Self {
-        let mut data: Vec<_> = groups
-            .iter()
-            .flat_map(|g| g.candidates.iter())
-            .map(|c| ((c.flow, c.seq, c.frag), c))
-            .collect();
-        let mut rndv: Vec<_> = groups
-            .iter()
-            .flat_map(|g| g.rndv.iter())
-            .map(|r| ((r.flow, r.seq, r.frag), r))
-            .collect();
-        // Stable, so equal keys keep window order.
-        data.sort_by_key(|e| e.0);
-        rndv.sort_by_key(|e| e.0);
-        WindowIndex { data, rndv }
+/// A fragment, then its position in the window: unique, so an unstable
+/// sort orders equal fragments as the window does.
+type FragKey = (FragId, usize);
+
+impl WindowIndex {
+    /// Index every data and rendezvous candidate of `groups`, replacing
+    /// whatever was indexed before.
+    pub fn rebuild(&mut self, groups: &[DstGroup]) {
+        self.data.clear();
+        self.rndv.clear();
+        self.data
+            .reserve(groups.iter().map(|g| g.candidates.len()).sum());
+        self.rndv.reserve(groups.iter().map(|g| g.rndv.len()).sum());
+        let data = groups.iter().flat_map(|g| g.candidates.iter());
+        for (at, c) in data.enumerate() {
+            let key = ((c.flow, c.seq, c.frag), at);
+            self.data.push((key, (c.submitted_at, c.class)));
+        }
+        let rndv = groups.iter().flat_map(|g| g.rndv.iter());
+        for (at, r) in rndv.enumerate() {
+            self.rndv.push((((r.flow, r.seq, r.frag), at), r.frag_len));
+        }
+        self.data.sort_unstable_by_key(|e| e.0);
+        self.rndv.sort_unstable_by_key(|e| e.0);
     }
 
-    fn first<T: Copy>(entries: &[(FragKey, T)], key: FragKey) -> Option<T> {
-        let at = entries.partition_point(|e| e.0 < key);
-        entries.get(at).filter(|e| e.0 == key).map(|e| e.1)
+    fn first<T: Copy>(entries: &[(FragKey, T)], frag: FragId) -> Option<T> {
+        let at = entries.partition_point(|e| e.0 < (frag, 0));
+        let &((found, _), value) = entries.get(at)?;
+        (found == frag).then_some(value)
     }
 
-    /// The data candidate for a fragment, if the window offers one.
-    pub fn candidate(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<&'a ChunkCandidate> {
+    /// Submission time and class of a fragment's data candidate, if the
+    /// window offers one.
+    pub fn candidate(
+        &self,
+        flow: FlowId,
+        seq: u32,
+        frag: FragIndex,
+    ) -> Option<(SimTime, TrafficClass)> {
         Self::first(&self.data, (flow, seq, frag))
     }
 
-    /// The rendezvous candidate for a fragment, if the window offers one.
-    pub fn rndv(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<&'a RndvCandidate> {
+    /// Length of a fragment waiting for its rendezvous request, if the
+    /// window offers one.
+    pub fn rndv(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<u32> {
         Self::first(&self.rndv, (flow, seq, frag))
     }
 }
 
 /// Estimate how long the transmit engine will be occupied by this plan,
 /// including a linearization copy if the plan requires one.
-pub fn estimate_busy(plan: &TransferPlan, ctx: &OptContext<'_>) -> SimDuration {
-    match &plan.body {
-        PlanBody::RndvRequest { .. } => {
+pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> SimDuration {
+    match plan.body {
+        Body::RndvRequest { .. } => {
             // A rendezvous request is a small linearized control packet.
             ctx.cost.injection_time(TxMode::Pio, plan.framing(), 1)
         }
-        PlanBody::Data {
-            chunks: _,
-            linearize,
-        } => {
+        Body::Data { linearize, .. } => {
             let bytes = plan.payload_bytes() + plan.framing();
             let segs = plan.segment_count();
             let pio = if ctx.caps.can_pio(bytes) {
@@ -119,7 +133,7 @@ pub fn estimate_busy(plan: &TransferPlan, ctx: &OptContext<'_>) -> SimDuration {
             } else {
                 None
             };
-            let dma = if ctx.caps.supports_dma && (*linearize || ctx.caps.can_gather(segs)) {
+            let dma = if ctx.caps.supports_dma && (linearize || ctx.caps.can_gather(segs)) {
                 Some(ctx.cost.injection_time(TxMode::Dma, bytes, segs))
             } else {
                 None
@@ -132,7 +146,7 @@ pub fn estimate_busy(plan: &TransferPlan, ctx: &OptContext<'_>) -> SimDuration {
                 // pessimistically so they also lose on score.
                 (None, None) => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
             };
-            if *linearize {
+            if linearize {
                 base + ctx.cost.copy_time(bytes)
             } else {
                 base
@@ -142,42 +156,37 @@ pub fn estimate_busy(plan: &TransferPlan, ctx: &OptContext<'_>) -> SimDuration {
 }
 
 /// Score a plan against the window it was proposed from (`window` indexes
-/// `ctx.groups`). Higher is better; deterministic for identical inputs.
+/// `ctx.groups`): `(score, estimated busy time)`. Higher is better;
+/// deterministic for identical inputs.
 pub fn score_plan(
-    plan: TransferPlan,
+    plan: PlanRef<'_>,
     ctx: &OptContext<'_>,
-    window: &WindowIndex<'_>,
-) -> ScoredPlan {
-    let est_busy = estimate_busy(&plan, ctx);
+    window: &WindowIndex,
+) -> (f64, SimDuration) {
+    let est_busy = estimate_busy(plan, ctx);
     // madrel: a degraded rail's transmissions are worth less per nanosecond
     // — its timeouts will be paid in retransmissions — so its busy time is
     // inflated by the health penalty and healthier rails win the contest.
     let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
-    let score = match &plan.body {
-        PlanBody::Data { chunks, .. } => {
+    let score = match plan.body {
+        Body::Data { chunks, .. } => {
             let mut value = plan.payload_bytes() as f64;
             for c in chunks {
-                if let Some(cand) = window.candidate(c.flow, c.seq, c.frag) {
-                    let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
-                    value += age_us * cand.class.urgency_weight() * URGENCY_WEIGHT;
+                if let Some((submitted_at, class)) = window.candidate(c.flow, c.seq, c.frag) {
+                    let age_us = ctx.now.since(submitted_at).as_nanos() as f64 / 1e3;
+                    value += age_us * class.urgency_weight() * URGENCY_WEIGHT;
                 }
             }
             value / busy_ns
         }
-        PlanBody::RndvRequest { flow, seq, frag } => {
+        Body::RndvRequest { flow, seq, frag } => {
             // Value of a request = bandwidth it unblocks per handshake cost.
-            let frag_len = window
-                .rndv(*flow, *seq, *frag)
-                .map_or(0.0, |r| r.frag_len as f64);
+            let frag_len = window.rndv(flow, seq, frag).map_or(0.0, f64::from);
             let handshake_ns = ctx.cost.control_rtt(TxMode::Pio).as_nanos().max(1) as f64;
             frag_len / handshake_ns
         }
     };
-    ScoredPlan {
-        plan,
-        score,
-        est_busy,
-    }
+    (score, est_busy)
 }
 
 #[cfg(test)]
@@ -185,7 +194,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ids::{ChannelId, FlowId, TrafficClass};
-    use crate::plan::{DstGroup, PlannedChunk, RndvCandidate};
+    use crate::plan::{DstGroup, PlanBody, PlannedChunk, RndvCandidate};
     use crate::strategy::testutil::{cand, ctx_fixture};
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId, SimTime};
@@ -208,7 +217,14 @@ mod tests {
     }
 
     fn score(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
-        score_plan(plan.clone(), ctx, &WindowIndex::new(ctx.groups))
+        let mut window = WindowIndex::default();
+        window.rebuild(ctx.groups);
+        let (score, est_busy) = score_plan(plan.view(), ctx, &window);
+        ScoredPlan {
+            plan: plan.clone(),
+            score,
+            est_busy,
+        }
     }
 
     fn pc(flow: u32, len: u32) -> PlannedChunk {
@@ -285,8 +301,10 @@ mod tests {
         let (caps, cost, cfg) = fixtures();
         let groups: Vec<DstGroup> = vec![];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let gather = estimate_busy(&data_plan(vec![pc(0, 4096), pc(1, 4096)], false), &ctx);
-        let copied = estimate_busy(&data_plan(vec![pc(0, 4096), pc(1, 4096)], true), &ctx);
+        let gather = data_plan(vec![pc(0, 4096), pc(1, 4096)], false);
+        let gather = estimate_busy(gather.view(), &ctx);
+        let copied = data_plan(vec![pc(0, 4096), pc(1, 4096)], true);
+        let copied = estimate_busy(copied.view(), &ctx);
         assert!(
             copied > gather,
             "copy {copied} should exceed gather {gather} at 4 KiB chunks"

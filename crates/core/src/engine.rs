@@ -47,12 +47,12 @@ use crate::legacy::{LegacyEngine, LegacyHandle};
 use crate::message::{DeliveredMessage, Fragment};
 use crate::metrics::{Activation, EngineMetrics, MetricsRegistry};
 use crate::observer::{submitted_events, EngineView, Observer};
-use crate::optimizer::{select_plan_traced, Optimizer};
+use crate::optimizer::{select_plan_in, Optimizer};
 use crate::plan::{PlanBody, TransferPlan};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::proto::{
-    ack_header_ecn, cancel_header, decode_ack_ecn, decode_packet, decode_rndv, ProtoError,
-    KIND_ACK, KIND_CTRL, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
+    ack_header_ecn, cancel_header, decode_ack_ecn, decode_packet_into, decode_rndv, DecodedChunk,
+    ProtoError, KIND_ACK, KIND_CTRL, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::reliability::{plan_retransmit, Attempt, Expiry, PendingTx, Reliability};
@@ -60,7 +60,7 @@ use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
 use crate::trace::{EngineEvent, EventSink, FlightDump, FlightTrigger};
 use crate::transfer::{
-    assert_reachable, build_rails, chunk_header, rail_of, wire_chunks_for, Transfer, CTRL_COOKIE,
+    assert_reachable, build_rails, chunk_header, rail_of, Transfer, CTRL_COOKIE,
 };
 
 /// The engine's mutable state (shared behind an [`EngineHandle`]): the
@@ -79,6 +79,24 @@ pub struct EngineCore {
     obs: Observer,
     /// Delivered messages (retained when `config.record_deliveries`).
     delivered: DeliveredRing,
+    /// Buffers the event handlers fill and empty again, kept so that a
+    /// packet's worth of results costs no allocation.
+    scratch: Scratch,
+}
+
+/// [`EngineCore`]'s reusable buffers. `deliveries` and `sent` leave the
+/// core while the application's callbacks run (they need the core) and
+/// come back through [`EngineCore::recycle`] / [`EngineCore::recycle_sent`].
+#[derive(Default)]
+struct Scratch {
+    /// The rails in pull order, for one sweep over the idle ones.
+    rail_order: Vec<usize>,
+    /// The chunks of the data packet being received.
+    chunks: Vec<DecodedChunk>,
+    /// Messages the event being handled made deliverable.
+    deliveries: Vec<DeliveredMessage>,
+    /// Own messages whose transmission the event being handled completed.
+    sent: Vec<MsgId>,
 }
 
 /// The sibling layers as the observer reads them. A macro, so the borrows
@@ -223,18 +241,23 @@ impl EngineCore {
     /// Activate every idle live rail, in the reliability layer's pull
     /// order, skipping rails the congestion gate holds back.
     fn optimize_all_idle(&mut self, ctx: &mut SimCtx<'_>, cause: Activation) {
-        for r in self.rel.pull_order() {
+        let mut order = std::mem::take(&mut self.scratch.rail_order);
+        self.rel.pull_order(&mut order);
+        for &r in &order {
             if self.rel.congestion_gated(r) {
                 self.obs.metrics_mut().congestion_gated += 1;
             } else if self.transfer.rails()[r].driver.is_idle(ctx) {
                 self.optimize_rail(ctx, r, cause);
             }
         }
+        self.scratch.rail_order = order;
     }
 
     /// One optimizer activation on one rail: repeatedly select and submit
     /// the best plan until the hardware queue fills or the backlog (as
-    /// visible to this rail) is exhausted.
+    /// visible to this rail) is exhausted. Every pass works in the
+    /// optimizer's scratch, so an activation that finds nothing to send
+    /// allocates nothing.
     fn optimize_rail(&mut self, ctx: &mut SimCtx<'_>, rail_idx: usize, cause: Activation) {
         if self.rel.rails()[rail_idx].is_dead() {
             return;
@@ -248,6 +271,7 @@ impl EngineCore {
         let mut budget = self.config.rearrange_budget;
         let window = self.config.lookahead_window;
         let mut first_pass = true;
+        let mut pass = self.opt.lend_scratch();
         loop {
             let rail = &self.transfer.rails()[rail_idx];
             if budget == 0 || rail.driver.free_slots(ctx) == 0 {
@@ -258,7 +282,9 @@ impl EngineCore {
             // answers eligibility queries.
             let policy = self.opt.policy();
             let eligible = |f, c| policy.eligible(f, c, rail_idx);
-            let groups = self.collect.collect_candidates(channel, window, eligible);
+            self.collect
+                .collect_window(channel, window, eligible, &mut pass.groups);
+            let groups = pass.groups.groups();
             let backlog: usize = groups
                 .iter()
                 .map(|g| g.candidates.len() + g.rndv.len())
@@ -284,12 +310,13 @@ impl EngineCore {
                 caps,
                 cost: rail.driver.cost_model(),
                 config: &self.config,
-                groups: &groups,
+                groups,
                 packet_limit: rail.wire_mtu.min(caps.max_packet_bytes),
                 rail_count: self.rel.live_rails().count().max(1),
                 health_penalty: self.rel.rails()[rail_idx].cost_penalty(),
             };
-            let outcome = select_plan_traced(
+            let outcome = select_plan_in(
+                &mut pass.selection,
                 self.opt.registry(),
                 &octx,
                 &self.collect,
@@ -316,6 +343,7 @@ impl EngineCore {
             #[cfg(feature = "debug-invariants")]
             self.transfer.debug_assert_invariants(&self.collect);
         }
+        self.opt.return_scratch(pass);
     }
 
     fn apply_plan(
@@ -329,16 +357,20 @@ impl EngineCore {
         let rail = rail_idx as u16;
         match plan.body {
             PlanBody::Data { chunks, linearize } => {
-                // The one lookup per chunk before commit: headers carry
-                // everything the rest of this function needs from the
-                // message (class, submission time).
-                let wire = wire_chunks_for(&self.collect, &chunks);
-                let (cookie, sent) = self
-                    .transfer
-                    .submit_data(ctx, rail_idx, plan.dst, &wire, linearize)?;
+                // The one lookup per chunk before commit: the stamped
+                // headers carry everything the rest of this function needs
+                // from the message (class, submission time).
+                let (cookie, sent) = self.transfer.submit_data(
+                    ctx,
+                    rail_idx,
+                    plan.dst,
+                    &self.collect,
+                    &chunks,
+                    linearize,
+                )?;
                 sent?;
                 let mut bytes = 0;
-                for (c, wc) in chunks.iter().zip(&wire) {
+                for (c, wc) in chunks.iter().zip(self.transfer.wire()) {
                     let submitted_at = SimTime::from_nanos(wc.header.submit_ns);
                     let m = self.obs.metrics_mut();
                     m.queue_delay.record(now.since(submitted_at));
@@ -371,7 +403,7 @@ impl EngineCore {
                 let m = self.obs.metrics_mut();
                 m.record_packet(chunks.len(), linearize);
                 m.plans_submitted += 1;
-                let class = wire[0].header.class;
+                let class = self.transfer.wire()[0].header.class;
                 self.opt.policy_mut().record_traffic(class, bytes);
                 if self.rel.acks_enabled() {
                     let first = self.rel.attempt(rail_idx, 1, now);
@@ -402,7 +434,8 @@ impl EngineCore {
 
     /// Process an incoming wire packet; returns messages that became
     /// deliverable, plus the ids of our own sends whose acknowledgement
-    /// this packet completed (madrel).
+    /// this packet completed (madrel) — both in the core's own buffers,
+    /// which the caller hands back through [`EngineCore::recycle`].
     fn handle_packet(
         &mut self,
         ctx: &mut SimCtx<'_>,
@@ -412,10 +445,15 @@ impl EngineCore {
         self.obs.wake(ctx);
         let now = ctx.now();
         let rx_rail = rail_of(self.transfer.rails(), nic);
-        let Ok((out, sent)) = self.dispatch(ctx, rx_rail, &pkt) else {
+        let mut out = std::mem::take(&mut self.scratch.deliveries);
+        let mut sent = std::mem::take(&mut self.scratch.sent);
+        if self
+            .dispatch(ctx, rx_rail, &pkt, &mut out, &mut sent)
+            .is_err()
+        {
             self.obs.fault(now, FlightTrigger::ProtoError, &view!(self));
-            return (Vec::new(), Vec::new());
-        };
+            return (out, sent);
+        }
         self.obs.delivered(now, rx_rail, &out);
         if self.config.record_deliveries {
             self.obs.metrics_mut().deliveries_dropped += self.delivered.extend(&out);
@@ -423,20 +461,36 @@ impl EngineCore {
         (out, sent)
     }
 
-    /// [`EngineCore::handle_packet`]'s dispatch on the packet kind; `Err`
-    /// is an undecodable packet.
+    /// Take back, emptied, the buffers [`EngineCore::handle_packet`] gave
+    /// its caller.
+    fn recycle(&mut self, mut deliveries: Vec<DeliveredMessage>, sent: Vec<MsgId>) {
+        deliveries.clear();
+        self.scratch.deliveries = deliveries;
+        self.recycle_sent(sent);
+    }
+
+    /// Take back, emptied, the list of completed sends an event handler
+    /// gave its caller.
+    fn recycle_sent(&mut self, mut sent: Vec<MsgId>) {
+        sent.clear();
+        self.scratch.sent = sent;
+    }
+
+    /// [`EngineCore::handle_packet`]'s dispatch on the packet kind, adding
+    /// to `out` and `sent`; `Err` is an undecodable packet.
     fn dispatch(
         &mut self,
         ctx: &mut SimCtx<'_>,
         rx_rail: Option<usize>,
         pkt: &WirePacket,
-    ) -> Result<(Vec<DeliveredMessage>, Vec<MsgId>), ProtoError> {
+        out: &mut Vec<DeliveredMessage>,
+        sent: &mut Vec<MsgId>,
+    ) -> Result<(), ProtoError> {
         let now = ctx.now();
-        let (mut out, mut sent) = (Vec::new(), Vec::new());
         match pkt.kind {
             KIND_DATA => {
                 self.receiver.record_vchan(pkt.vchan);
-                let chunks = decode_packet(pkt)?;
+                decode_packet_into(pkt, &mut self.scratch.chunks)?;
                 // Acknowledge every decodable data packet — duplicates
                 // included, so a lost ack is repaired by the sender's
                 // retransmission of the data. madnet: the ack echoes the
@@ -448,8 +502,10 @@ impl EngineCore {
                     }
                 }
                 let violations_before = self.receiver.stats.express_violations;
-                for ch in &chunks {
-                    out.extend(self.receiver.on_chunk(pkt.src, ch, now));
+                // Drained, so the chunks give their packet's buffers up
+                // here and not when the next packet arrives.
+                for ch in self.scratch.chunks.drain(..) {
+                    out.extend(self.receiver.on_chunk(pkt.src, &ch, now));
                 }
                 if self.receiver.stats.express_violations > violations_before {
                     self.obs
@@ -460,7 +516,7 @@ impl EngineCore {
                 // Shed-cancel notification: the sender dropped (flow, seq)
                 // before committing any byte; ordered delivery skips it.
                 let h = decode_rndv(pkt)?;
-                out = self.receiver.on_cancel(pkt.src, h.flow, h.msg_seq, now);
+                out.extend(self.receiver.on_cancel(pkt.src, h.flow, h.msg_seq, now));
             }
             KIND_RNDV_REQ => {
                 let header = decode_rndv(pkt)?;
@@ -484,13 +540,13 @@ impl EngineCore {
                 let (cookie, ecn) = decode_ack_ecn(pkt)?;
                 // A duplicate ack finds nothing tracked and is ignored.
                 if self.rel.on_ack(cookie, ecn, now, self.node, &mut self.obs) {
-                    sent = self.transfer.complete(cookie, &mut self.collect);
+                    self.transfer.complete(cookie, &mut self.collect, sent);
                     self.rel.arm_timer(ctx);
                 }
             }
             _ => {}
         }
-        Ok((out, sent))
+        Ok(())
     }
 
     /// The retransmit timer fired: sweep every expired packet and execute
@@ -499,7 +555,7 @@ impl EngineCore {
     /// the usual `on_sent` callbacks.
     fn on_retx_timer(&mut self, ctx: &mut SimCtx<'_>) -> Vec<MsgId> {
         let now = ctx.now();
-        let mut completed = Vec::new();
+        let mut completed = std::mem::take(&mut self.scratch.sent);
         for cookie in self.rel.begin_sweep(now) {
             let rails = self.transfer.rails();
             let reaches = |rail: usize, dst| rails[rail].reaches(dst);
@@ -513,12 +569,14 @@ impl EngineCore {
                 }
                 Expiry::DetectOnly => {
                     self.obs.fault(now, FlightTrigger::Timeout, &view!(self));
-                    completed.extend(self.transfer.complete(cookie, &mut self.collect));
+                    self.transfer
+                        .complete(cookie, &mut self.collect, &mut completed);
                 }
                 Expiry::Lost => {
-                    let done = self.transfer.complete(cookie, &mut self.collect);
-                    self.obs.metrics_mut().lost_msgs += done.len() as u64;
-                    completed.extend(done);
+                    let before = completed.len();
+                    self.transfer
+                        .complete(cookie, &mut self.collect, &mut completed);
+                    self.obs.metrics_mut().lost_msgs += (completed.len() - before) as u64;
                 }
             }
         }
@@ -544,10 +602,16 @@ impl EngineCore {
         let rail = &self.transfer.rails()[rail_idx];
         let packets = plan_retransmit(&pending.chunks, rail.driver.capabilities(), rail.wire_mtu);
         for chunks in packets {
-            let wire = wire_chunks_for(&self.collect, &chunks);
             let (cookie, sent) = self
                 .transfer
-                .submit_data(ctx, rail_idx, pending.dst, &wire, pending.linearize)
+                .submit_data(
+                    ctx,
+                    rail_idx,
+                    pending.dst,
+                    &self.collect,
+                    &chunks,
+                    pending.linearize,
+                )
                 .expect("retransmit rail reaches destination");
             match sent {
                 Ok(()) => {
@@ -722,6 +786,7 @@ impl EngineBuilder {
             transfer: Transfer::new(rails),
             obs: Observer::new(self.node),
             delivered: DeliveredRing::default(),
+            scratch: Scratch::default(),
             config: self.config,
         }));
         let handle = EngineHandle { core: core.clone() };
@@ -772,10 +837,10 @@ impl MadEngine {
     }
 
     /// Run `on_sent` for messages whose send-side accounting completed.
-    fn notify_sent(&mut self, ctx: &mut SimCtx<'_>, sent: Vec<MsgId>) {
+    fn notify_sent(&mut self, ctx: &mut SimCtx<'_>, sent: &[MsgId]) {
         if !sent.is_empty() {
             self.with_app(ctx, |app, api| {
-                for id in sent {
+                for &id in sent {
                     app.on_sent(api, id);
                 }
             });
@@ -813,18 +878,19 @@ impl Endpoint for MadEngine {
     fn on_tx_done(&mut self, ctx: &mut SimCtx<'_>, _nic: NicId, cookie: u64) {
         let completed = {
             let core = &mut *self.core.borrow_mut();
+            let mut completed = std::mem::take(&mut core.scratch.sent);
             // madrel: a tracked packet completes on its *ack*, not on
             // injection — `tx_done` for it only frees queue space. (The
             // lossless seed behavior is the untracked branch.)
-            let completed = if core.rel.is_pending(cookie) {
-                Vec::new()
-            } else {
-                core.transfer.complete(cookie, &mut core.collect)
-            };
+            if !core.rel.is_pending(cookie) {
+                core.transfer
+                    .complete(cookie, &mut core.collect, &mut completed);
+            }
             core.transfer.flush_ctrl(ctx);
             completed
         };
-        self.notify_sent(ctx, completed);
+        self.notify_sent(ctx, &completed);
+        self.core.borrow_mut().recycle_sent(completed);
         self.notify_unblocked(ctx);
     }
 
@@ -854,7 +920,8 @@ impl Endpoint for MadEngine {
                 }
             });
         }
-        self.notify_sent(ctx, sent);
+        self.notify_sent(ctx, &sent);
+        self.core.borrow_mut().recycle(deliveries, sent);
         self.notify_unblocked(ctx);
     }
 
@@ -862,7 +929,8 @@ impl Endpoint for MadEngine {
         match tag {
             RETX_TAG => {
                 let completed = self.core.borrow_mut().on_retx_timer(ctx);
-                self.notify_sent(ctx, completed);
+                self.notify_sent(ctx, &completed);
+                self.core.borrow_mut().recycle_sent(completed);
             }
             NAGLE_TAG => {
                 let mut core = self.core.borrow_mut();
@@ -1075,7 +1143,9 @@ impl EngineHandle {
     /// driver; used to exercise fault handling (e.g. the flight recorder
     /// on protocol errors) deterministically.
     pub fn inject_packet(&self, ctx: &mut SimCtx<'_>, nic: NicId, pkt: WirePacket) {
-        let _ = self.core.borrow_mut().handle_packet(ctx, nic, pkt);
+        let mut core = self.core.borrow_mut();
+        let (deliveries, sent) = core.handle_packet(ctx, nic, pkt);
+        core.recycle(deliveries, sent);
     }
 
     /// madrel: number of data packets currently awaiting acknowledgement.

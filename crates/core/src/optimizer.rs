@@ -23,11 +23,12 @@ use crate::api::{ADAPTIVE_TAG, NAGLE_TAG};
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
 use crate::constraints::{validate_plan_with, PlanCoverage};
-use crate::cost::{score_plan, ScoredPlan, WindowIndex};
+use crate::cost::{beats, score_plan, ScoredPlan, WindowIndex};
 use crate::ids::{FlowId, TrafficClass};
+use crate::plan::WindowGroups;
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::reliability::Reliability;
-use crate::strategy::{OptContext, StrategyRegistry};
+use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
 use crate::transfer::Rail;
 
@@ -46,6 +47,27 @@ pub struct SelectionOutcome {
     pub rejected: usize,
     /// Proposals skipped because the budget ran out.
     pub skipped: usize,
+}
+
+/// What a selection pass works in, kept by its caller from pass to pass:
+/// the proposals' chunk arena, the keyed window view scoring reads, and
+/// the in-plan coverage validation writes. A pass leaves nothing behind
+/// that the next one reads, so one scratch serves any sequence of windows;
+/// after the first few it costs a pass no allocation, however many
+/// proposals the strategies make.
+#[derive(Debug, Default)]
+pub(crate) struct SelectionScratch {
+    proposals: Proposals,
+    window: WindowIndex,
+    coverage: PlanCoverage,
+}
+
+/// The scratch of a rail activation: the window's groups and what the
+/// selection passes over them work in.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    pub(crate) groups: WindowGroups,
+    pub(crate) selection: SelectionScratch,
 }
 
 /// Collect proposals from every strategy, validate each, score up to
@@ -80,17 +102,47 @@ pub fn select_plan_traced(
     sink: &mut EventSink,
     activation: u64,
 ) -> SelectionOutcome {
-    let mut proposals = Vec::new();
-    registry.propose_all(ctx, &mut proposals);
-    // Per-pass scratch shared by every proposal: the keyed window view
-    // scoring reads, and the in-plan coverage validation writes.
-    let window = WindowIndex::new(ctx.groups);
-    let mut coverage = PlanCoverage::default();
-    let mut best: Option<ScoredPlan> = None;
+    let mut scratch = SelectionScratch::default();
+    select_plan_in(
+        &mut scratch,
+        registry,
+        ctx,
+        collect,
+        wire_mtu,
+        budget,
+        sink,
+        activation,
+    )
+}
+
+/// The selection routine: [`select_plan_traced`] in the caller's
+/// `scratch`. Proposals are validated and scored where the strategies
+/// wrote them; only the winner becomes an owned plan.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_plan_in(
+    scratch: &mut SelectionScratch,
+    registry: &StrategyRegistry,
+    ctx: &OptContext<'_>,
+    collect: &CollectLayer,
+    wire_mtu: u64,
+    budget: usize,
+    sink: &mut EventSink,
+    activation: u64,
+) -> SelectionOutcome {
+    let SelectionScratch {
+        proposals,
+        window,
+        coverage,
+    } = scratch;
+    proposals.clear();
+    registry.propose_all(ctx, proposals);
+    window.rebuild(ctx.groups);
+    // The best so far: its place among the proposals, score, busy time.
+    let mut best: Option<(usize, f64, SimDuration)> = None;
     let mut evaluated = 0usize;
     let mut rejected = 0usize;
     let mut skipped = 0usize;
-    for plan in proposals {
+    for (at, plan) in proposals.iter().enumerate() {
         if sink.is_enabled() {
             sink.push(
                 ctx.now,
@@ -106,9 +158,7 @@ pub fn select_plan_traced(
             skipped += 1;
             continue;
         }
-        if let Err(violation) =
-            validate_plan_with(&plan, collect, ctx.caps, wire_mtu, &mut coverage)
-        {
+        if let Err(violation) = validate_plan_with(plan, collect, ctx.caps, wire_mtu, coverage) {
             sink.push(
                 ctx.now,
                 EngineEvent::PlanVetoed {
@@ -120,25 +170,29 @@ pub fn select_plan_traced(
             rejected += 1;
             continue;
         }
-        let scored = score_plan(plan, ctx, &window);
+        let (score, est_busy) = score_plan(plan, ctx, window);
         if sink.is_enabled() {
-            let (score_num, score_den) = encode_score(scored.score, scored.est_busy.as_nanos());
+            let (score_num, score_den) = encode_score(score, est_busy.as_nanos());
             sink.push(
                 ctx.now,
                 EngineEvent::PlanScored {
                     activation,
-                    strategy: scored.plan.strategy,
+                    strategy: plan.strategy,
                     score_num,
                     score_den,
                 },
             );
         }
         evaluated += 1;
-        match &best {
-            Some(b) if !scored.beats(b) => {}
-            _ => best = Some(scored),
+        if best.is_none_or(|(_, incumbent, _)| beats(score, incumbent)) {
+            best = Some((at, score, est_busy));
         }
     }
+    let best = best.map(|(at, score, est_busy)| ScoredPlan {
+        plan: proposals.get(at).to_plan(),
+        score,
+        est_busy,
+    });
     if let Some(b) = &best {
         if sink.is_enabled() {
             let (score_num, score_den) = encode_score(b.score, b.est_busy.as_nanos());
@@ -210,6 +264,8 @@ pub(crate) struct Optimizer {
     /// The epoch timer is asleep (so an otherwise-idle simulation can
     /// reach quiescence); the next submission re-arms it.
     adaptive_sleeping: bool,
+    /// What activations work in; lent to one at a time.
+    scratch: PassScratch,
 }
 
 impl Optimizer {
@@ -221,7 +277,20 @@ impl Optimizer {
             nagle_timer: None,
             adaptive_idle_epochs: 0,
             adaptive_sleeping: true,
+            scratch: PassScratch::default(),
         }
+    }
+
+    /// Lend the pass scratch to an activation (which runs with the engine
+    /// borrowed mutably, so it cannot work in a field of it); what comes
+    /// back through [`Optimizer::return_scratch`] serves the next one.
+    pub(crate) fn lend_scratch(&mut self) -> PassScratch {
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Take the pass scratch back from the activation that borrowed it.
+    pub(crate) fn return_scratch(&mut self, scratch: PassScratch) {
+        self.scratch = scratch;
     }
 
     pub(crate) fn registry(&self) -> &StrategyRegistry {
@@ -476,22 +545,15 @@ mod tests {
         fn name(&self) -> &'static str {
             "stray"
         }
-        fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
-            out.push(TransferPlan {
-                channel: ctx.channel,
-                dst: NodeId(1),
-                body: PlanBody::Data {
-                    chunks: vec![PlannedChunk {
-                        flow: FlowId(0),
-                        seq: 9_999,
-                        frag: 0,
-                        offset: 0,
-                        len: 8,
-                    }],
-                    linearize: false,
-                },
-                strategy: "stray",
-            });
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+            let stray = PlannedChunk {
+                flow: FlowId(0),
+                seq: 9_999,
+                frag: 0,
+                offset: 0,
+                len: 8,
+            };
+            out.push_data(ctx.channel, NodeId(1), &[stray], false, "stray");
         }
     }
 
@@ -506,11 +568,11 @@ mod tests {
         wire_mtu: u64,
         budget: usize,
     ) -> (Option<(TransferPlan, f64, SimDuration)>, [usize; 3]) {
-        let mut proposals = Vec::new();
+        let mut proposals = Proposals::new();
         registry.propose_all(ctx, &mut proposals);
         let mut best: Option<(TransferPlan, f64, SimDuration)> = None;
         let [mut evaluated, mut rejected, mut skipped] = [0usize; 3];
-        for plan in proposals {
+        for plan in proposals.to_plans() {
             if evaluated >= budget {
                 skipped += 1;
                 continue;
@@ -519,7 +581,7 @@ mod tests {
                 rejected += 1;
                 continue;
             }
-            let est_busy = crate::cost::estimate_busy(&plan, ctx);
+            let est_busy = crate::cost::estimate_busy(plan.view(), ctx);
             let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
             let score = match &plan.body {
                 PlanBody::Data { chunks, .. } => {
@@ -591,48 +653,94 @@ mod tests {
         let cfg = EngineConfig::default();
         let mut registry = StrategyRegistry::standard(&cfg);
         registry.register(Box::new(Stray));
-        let groups = c.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
-        assert_eq!(groups.len(), 2, "two destinations in the window");
-        assert_eq!(
-            groups
-                .iter()
-                .map(|g| g.candidates.len() + g.rndv.len())
-                .sum::<usize>(),
-            64,
-            "the window is full"
-        );
-        assert!(groups.iter().all(|g| !g.rndv.is_empty()));
-        let ctx = OptContext {
-            now: SimTime::from_nanos(250_000),
-            channel: ChannelId(0),
-            caps: &caps,
-            cost: &cost,
-            config: &cfg,
-            groups: &groups,
-            packet_limit: 1 << 16,
-            rail_count: 1,
-            health_penalty: 1.5,
-        };
-        // Unbounded, then a budget that runs out mid-list.
-        for budget in [256, 5] {
-            let got = select_plan(&registry, &ctx, &c, 1 << 20, budget);
-            let (want, [evaluated, rejected, skipped]) =
-                reference_select(&registry, &ctx, &c, 1 << 20, budget);
-            assert_eq!(
-                [got.evaluated, got.rejected, got.skipped],
-                [evaluated, rejected, skipped],
-                "budget {budget}"
-            );
-            let (got, (plan, score, est_busy)) = (got.best.expect("winner"), want.expect("winner"));
-            assert_eq!(got.plan, plan, "budget {budget}");
-            assert_eq!(got.score.to_bits(), score.to_bits(), "budget {budget}");
-            assert_eq!(got.est_busy, est_busy, "budget {budget}");
+        // One scratch for every pass of the loop below: whatever a pass
+        // leaves in it, the next — over a different window — must not see.
+        let mut scratch = SelectionScratch::default();
+        let (mut data_turns, mut rndv_turns, mut cut_short) = (0, 0, 0);
+        // The engine's refill loop: select, carry the winner out, look again.
+        for turn in 0u64.. {
+            let groups = c.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
+            if groups.is_empty() {
+                break;
+            }
+            if turn == 0 {
+                assert_eq!(groups.len(), 2, "two destinations in the window");
+                let offered: usize = groups
+                    .iter()
+                    .map(|g| g.candidates.len() + g.rndv.len())
+                    .sum();
+                assert_eq!(offered, 64, "the window is full");
+                assert!(groups.iter().all(|g| !g.rndv.is_empty()));
+            }
+            let ctx = OptContext {
+                now: SimTime::from_nanos(250_000 + 900 * turn),
+                channel: ChannelId(0),
+                caps: &caps,
+                cost: &cost,
+                config: &cfg,
+                groups: &groups,
+                packet_limit: 1 << 16,
+                rail_count: 1,
+                health_penalty: 1.5,
+            };
+            // Unbounded, then a budget that runs out mid-list.
+            let mut winner = None;
+            for budget in [256, 5] {
+                let mut log = EventSink::with_capacity(1 << 10);
+                let got = select_plan_in(
+                    &mut scratch,
+                    &registry,
+                    &ctx,
+                    &c,
+                    1 << 20,
+                    budget,
+                    &mut log,
+                    3,
+                );
+                let (want, [evaluated, rejected, skipped]) =
+                    reference_select(&registry, &ctx, &c, 1 << 20, budget);
+                let at = format!("turn {turn}, budget {budget}");
+                assert_eq!(
+                    [got.evaluated, got.rejected, got.skipped],
+                    [evaluated, rejected, skipped],
+                    "{at}"
+                );
+                if got.skipped == 0 {
+                    assert_eq!(got.rejected, 1, "the stray proposal is vetoed: {at}");
+                }
+                cut_short += usize::from(got.skipped > 0);
+                let (got, (plan, score, est_busy)) =
+                    (got.best.expect("winner"), want.expect("winner"));
+                assert_eq!(got.plan, plan, "{at}");
+                assert_eq!(got.score.to_bits(), score.to_bits(), "{at}");
+                assert_eq!(got.est_busy, est_busy, "{at}");
+                // The decision log of a pass in a used scratch is the log
+                // of the same pass in a fresh one, record for record.
+                let mut fresh = EventSink::with_capacity(1 << 10);
+                select_plan_traced(&registry, &ctx, &c, 1 << 20, budget, &mut fresh, 3);
+                let records = |sink: &EventSink| format!("{:?}", sink.iter().collect::<Vec<_>>());
+                assert_eq!(records(&log), records(&fresh), "{at}");
+                winner.get_or_insert(got.plan);
+            }
+            match winner.expect("two passes ran").body {
+                PlanBody::Data { chunks, .. } => {
+                    data_turns += 1;
+                    for chunk in &chunks {
+                        c.commit_chunk(chunk, ChannelId(0));
+                        c.complete_chunk(chunk);
+                    }
+                }
+                PlanBody::RndvRequest { flow, seq, frag } => {
+                    rndv_turns += 1;
+                    c.mark_rndv_requested(flow, seq, frag);
+                    c.grant_rndv(flow, seq, frag);
+                }
+            }
         }
-        let unbounded = select_plan(&registry, &ctx, &c, 1 << 20, 256);
-        assert_eq!(unbounded.rejected, 1, "the stray proposal is vetoed");
+        assert!(c.is_empty(), "the loop drained the backlog");
         assert!(
-            unbounded.evaluated > 5,
-            "budget 5 really cut the list short"
+            data_turns > 5 && rndv_turns > 5 && cut_short > 10,
+            "{data_turns} data plans and {rndv_turns} requests won; budget 5 cut {cut_short} lists short"
         );
     }
 

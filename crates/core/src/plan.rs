@@ -25,13 +25,15 @@ pub struct PlannedChunk {
     pub len: u32,
 }
 
-/// What a plan does.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlanBody {
+/// What a plan does. `C` is how a data packet's chunk list is held: owned
+/// ([`PlanBody`]), borrowed ([`PlanRef`]'s body), or as a place in a
+/// strategy's proposal arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Body<C> {
     /// Send one wire packet carrying the listed chunks (in order).
     Data {
         /// Chunks in packet order.
-        chunks: Vec<PlannedChunk>,
+        chunks: C,
         /// Linearize by copy (true) or send as a gather list (false).
         linearize: bool,
     },
@@ -46,41 +48,99 @@ pub enum PlanBody {
     },
 }
 
-/// A complete candidate plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransferPlan {
+/// A complete candidate plan over chunk-list representation `C` (see
+/// [`Body`]): [`TransferPlan`] owns its chunks, [`PlanRef`] borrows them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Plan<C> {
     /// Rail (NIC) the packet goes out on.
     pub channel: ChannelId,
     /// Destination node (all chunks of a data plan share it).
     pub dst: NodeId,
     /// The action.
-    pub body: PlanBody,
+    pub body: Body<C>,
     /// Name of the strategy that proposed it (for metrics/debugging).
     pub strategy: &'static str,
 }
 
+/// What an owned plan does.
+pub type PlanBody = Body<Vec<PlannedChunk>>;
+
+/// A plan that owns its chunk list: what a selection's winner becomes, and
+/// what is executed.
+pub type TransferPlan = Plan<Vec<PlannedChunk>>;
+
+/// A plan whose chunks live elsewhere — in a strategy's proposal arena, or
+/// in the [`TransferPlan`] it is a view of. What validation and scoring
+/// read.
+pub type PlanRef<'a> = Plan<&'a [PlannedChunk]>;
+
+impl<C> Plan<C> {
+    /// The same plan with its chunk list held as `hold` makes of it.
+    pub fn map_chunks<'a, D>(&'a self, hold: impl FnOnce(&'a C) -> D) -> Plan<D> {
+        Plan {
+            channel: self.channel,
+            dst: self.dst,
+            body: match &self.body {
+                Body::Data { chunks, linearize } => Body::Data {
+                    chunks: hold(chunks),
+                    linearize: *linearize,
+                },
+                &Body::RndvRequest { flow, seq, frag } => Body::RndvRequest { flow, seq, frag },
+            },
+            strategy: self.strategy,
+        }
+    }
+}
+
 impl TransferPlan {
+    /// The plan, borrowed.
+    pub fn view(&self) -> PlanRef<'_> {
+        self.map_chunks(|chunks| &chunks[..])
+    }
+}
+
+impl PlanRef<'_> {
+    /// The plan with a chunk list of its own.
+    pub fn to_plan(&self) -> TransferPlan {
+        self.map_chunks(|chunks| chunks.to_vec())
+    }
+}
+
+impl<C: AsRef<[PlannedChunk]>> Plan<C> {
+    /// The chunks a data plan carries (none for rendezvous requests).
+    pub fn chunks(&self) -> &[PlannedChunk] {
+        match &self.body {
+            Body::Data { chunks, .. } => chunks.as_ref(),
+            Body::RndvRequest { .. } => &[],
+        }
+    }
+
     /// Total payload bytes the plan moves (0 for rendezvous requests).
     pub fn payload_bytes(&self) -> u64 {
-        match &self.body {
-            PlanBody::Data { chunks, .. } => chunks.iter().map(|c| c.len as u64).sum(),
-            PlanBody::RndvRequest { .. } => 0,
-        }
+        self.chunks().iter().map(|c| c.len as u64).sum()
     }
 
     /// Number of chunks (0 for rendezvous requests).
     pub fn chunk_count(&self) -> usize {
-        match &self.body {
-            PlanBody::Data { chunks, .. } => chunks.len(),
-            PlanBody::RndvRequest { .. } => 0,
-        }
+        self.chunks().len()
+    }
+
+    /// Whether this is a data plan sent by copy.
+    pub fn linearized(&self) -> bool {
+        matches!(
+            self.body,
+            Body::Data {
+                linearize: true,
+                ..
+            }
+        )
     }
 
     /// Protocol framing bytes this plan will add on the wire.
     pub fn framing(&self) -> u64 {
         match &self.body {
-            PlanBody::Data { chunks, .. } => framing_bytes(chunks.len()),
-            PlanBody::RndvRequest { .. } => framing_bytes(1),
+            Body::Data { chunks, .. } => framing_bytes(chunks.as_ref().len()),
+            Body::RndvRequest { .. } => framing_bytes(1),
         }
     }
 
@@ -88,14 +148,11 @@ impl TransferPlan {
     /// single linearized segment).
     pub fn segment_count(&self) -> usize {
         match &self.body {
-            PlanBody::Data { chunks, linearize } => {
-                if *linearize {
-                    1
-                } else {
-                    1 + chunks.len()
-                }
-            }
-            PlanBody::RndvRequest { .. } => 1,
+            Body::Data {
+                linearize: false,
+                chunks,
+            } => 1 + chunks.as_ref().len(),
+            _ => 1,
         }
     }
 }
@@ -164,6 +221,54 @@ impl DstGroup {
     /// Total schedulable payload bytes in this group.
     pub fn total_bytes(&self) -> u64 {
         self.candidates.iter().map(|c| c.remaining as u64).sum()
+    }
+}
+
+/// The groups of one activation window, in storage that outlives it: a
+/// group that falls out of use keeps its candidate vectors for the next
+/// window, so a sender that holds one of these fills windows without
+/// allocating.
+#[derive(Clone, Debug, Default)]
+pub struct WindowGroups {
+    /// `groups[..live]` are the window; the rest are spares.
+    groups: Vec<DstGroup>,
+    live: usize,
+}
+
+impl WindowGroups {
+    /// The window, one group per destination in first-offer order.
+    pub fn groups(&self) -> &[DstGroup] {
+        &self.groups[..self.live]
+    }
+
+    /// The window as a vector of its own.
+    pub fn into_groups(mut self) -> Vec<DstGroup> {
+        self.groups.truncate(self.live);
+        self.groups
+    }
+
+    /// Start an empty window.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// The window's group for `dst`, opened on first use.
+    // madlint: allow(linear-scan) — one group per destination in the window
+    pub(crate) fn group_for(&mut self, dst: NodeId) -> &mut DstGroup {
+        let open = self.groups[..self.live].iter().position(|g| g.dst == dst);
+        let at = open.unwrap_or_else(|| {
+            match self.groups.get_mut(self.live) {
+                Some(spare) => {
+                    spare.dst = dst;
+                    spare.candidates.clear();
+                    spare.rndv.clear();
+                }
+                None => self.groups.push(DstGroup::new(dst)),
+            }
+            self.live += 1;
+            self.live - 1
+        });
+        &mut self.groups[at]
     }
 }
 

@@ -28,9 +28,22 @@ use crate::proto::DecodedChunk;
 struct FragmentAssembly {
     express: bool,
     total: u32,
-    buf: Vec<u8>,
-    /// Received byte ranges, kept sorted and coalesced.
-    ranges: Vec<(u32, u32)>,
+    bytes: Assembled,
+}
+
+/// Where a fragment's received bytes are.
+#[derive(Clone, Debug)]
+enum Assembled {
+    /// One chunk carried the whole fragment: that chunk's buffer, a slice
+    /// of the packet it arrived in. Nothing is allocated or copied.
+    Whole(Bytes),
+    /// Chunks are copied into `buf` (allocated when the first one lands)
+    /// as they arrive; `ranges` are the byte ranges received so far, kept
+    /// sorted and coalesced.
+    Pieces {
+        buf: Vec<u8>,
+        ranges: Vec<(u32, u32)>,
+    },
 }
 
 impl FragmentAssembly {
@@ -38,40 +51,69 @@ impl FragmentAssembly {
         FragmentAssembly {
             express,
             total,
-            buf: vec![0; total as usize],
-            ranges: Vec::new(),
+            bytes: Assembled::Pieces {
+                buf: Vec::new(),
+                ranges: Vec::new(),
+            },
         }
     }
 
-    /// Insert a chunk; returns false on overlap (duplicate delivery — a
-    /// protocol violation worth surfacing).
-    fn insert(&mut self, offset: u32, data: &[u8]) -> bool {
-        let end = offset + data.len() as u32;
-        if end > self.total {
+    /// Insert a chunk; returns false when it reaches past the fragment or
+    /// overlaps bytes already received (duplicate delivery — a protocol
+    /// violation worth surfacing). `offset` and the chunk's length are a
+    /// peer's header fields: the bounds are checked before anything is
+    /// sized from them.
+    fn insert(&mut self, offset: u32, data: &Bytes) -> bool {
+        let end = u64::from(offset) + data.len() as u64;
+        if end > u64::from(self.total) {
             return false;
         }
-        for &(s, e) in &self.ranges {
-            if offset < e && s < end {
-                return false; // overlap
+        let end = end as u32;
+        let overlaps = |&(s, e): &(u32, u32)| offset < e && s < end;
+        match &mut self.bytes {
+            Assembled::Whole(_) => !overlaps(&(0, self.total)),
+            Assembled::Pieces { buf, ranges } => {
+                if ranges.iter().any(overlaps) {
+                    return false;
+                }
+                if ranges.is_empty() && offset == 0 && end == self.total {
+                    self.bytes = Assembled::Whole(data.clone());
+                    return true;
+                }
+                if buf.is_empty() {
+                    *buf = vec![0; self.total as usize];
+                }
+                buf[offset as usize..end as usize].copy_from_slice(data);
+                ranges.push((offset, end));
+                ranges.sort_unstable();
+                // Coalesce adjacent ranges, in place: a range that starts
+                // within (or at the end of) the one kept before it grows
+                // that one and goes.
+                ranges.dedup_by(|next, kept| {
+                    let adjacent = next.0 <= kept.1;
+                    if adjacent {
+                        kept.1 = kept.1.max(next.1);
+                    }
+                    adjacent
+                });
+                true
             }
         }
-        self.buf[offset as usize..end as usize].copy_from_slice(data);
-        self.ranges.push((offset, end));
-        self.ranges.sort_unstable();
-        // Coalesce adjacent ranges.
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.ranges.len());
-        for &(s, e) in &self.ranges {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.ranges = merged;
-        true
     }
 
     fn complete(&self) -> bool {
-        self.total == 0 || (self.ranges.len() == 1 && self.ranges[0] == (0, self.total))
+        match &self.bytes {
+            Assembled::Whole(_) => true,
+            Assembled::Pieces { ranges, .. } => self.total == 0 || ranges[..] == [(0, self.total)],
+        }
+    }
+
+    /// The fragment's bytes, once complete.
+    fn into_bytes(self) -> Bytes {
+        match self.bytes {
+            Assembled::Whole(data) => data,
+            Assembled::Pieces { buf, .. } => Bytes::from(buf),
+        }
     }
 }
 
@@ -123,17 +165,17 @@ pub struct ReceiverStats {
 }
 
 /// Deliver every message at the head of `fx`'s sequence space that is
-/// either complete (delivered) or cancelled (skipped), stopping at the
-/// first gap still waiting for data. The caller adds `out.len()` to
-/// `stats.delivered`; cancelled skips are counted here.
+/// either complete (appended to `out`) or cancelled (skipped), stopping at
+/// the first gap still waiting for data. Deliveries and cancelled skips
+/// are counted here.
 fn drain_ready(
     fx: &mut FlowRx,
     src: NodeId,
     flow: FlowId,
     now: SimTime,
     stats: &mut ReceiverStats,
-) -> Vec<DeliveredMessage> {
-    let mut out = Vec::new();
+    out: &mut Vec<DeliveredMessage>,
+) {
     loop {
         if fx.cancelled.remove(&fx.next_deliver) {
             fx.next_deliver += 1;
@@ -150,6 +192,7 @@ fn drain_ready(
         let asm = fx.pending.remove(&seq).expect("checked present");
         fx.next_deliver += 1;
         let latency = SimDuration::from_nanos(now.as_nanos().saturating_sub(asm.submit_ns));
+        stats.delivered += 1;
         out.push(DeliveredMessage {
             src,
             flow,
@@ -168,14 +211,13 @@ fn drain_ready(
                     } else {
                         PackMode::Cheaper
                     };
-                    (mode, Bytes::from(f.buf))
+                    (mode, f.into_bytes())
                 })
                 .collect(),
             latency,
             delivered_at: now,
         });
     }
-    out
 }
 
 /// The reassembly and ordered-delivery engine of one node.
@@ -185,6 +227,9 @@ pub struct Receiver {
     flows: BTreeMap<(NodeId, FlowId), FlowRx>,
     /// Counters.
     pub stats: ReceiverStats,
+    /// Messages the current call made deliverable; drained by its caller,
+    /// so the buffer is allocated once.
+    ready: Vec<DeliveredMessage>,
 }
 
 impl Receiver {
@@ -202,14 +247,20 @@ impl Receiver {
         self.stats.per_vchan_packets[idx] += 1;
     }
 
-    /// Ingest one decoded chunk from `src`; returns any messages that
+    /// Ingest one decoded chunk from `src`; yields any messages that
     /// became deliverable (in flow order), ready for the application.
+    /// What the caller leaves in the iterator is dropped with it.
     pub fn on_chunk(
         &mut self,
         src: NodeId,
         chunk: &DecodedChunk,
         now: SimTime,
-    ) -> Vec<DeliveredMessage> {
+    ) -> std::vec::Drain<'_, DeliveredMessage> {
+        self.ingest(src, chunk, now);
+        self.ready.drain(..)
+    }
+
+    fn ingest(&mut self, src: NodeId, chunk: &DecodedChunk, now: SimTime) {
         let h = &chunk.header;
         let key = (src, h.flow);
         let fx = self.flows.entry(key).or_default();
@@ -217,7 +268,7 @@ impl Receiver {
         // sequence the sender announced as shed — drop.
         if h.msg_seq < fx.next_deliver || fx.cancelled.contains(&h.msg_seq) {
             self.stats.overlaps += 1;
-            return Vec::new();
+            return;
         }
         let asm = fx
             .pending
@@ -230,43 +281,36 @@ impl Receiver {
         let fi = h.frag_index as usize;
         if fi >= asm.frags.len() {
             self.stats.overlaps += 1;
-            return Vec::new();
+            return;
         }
         // Express check: every express fragment before this one should
-        // already be complete when any of our bytes arrive.
-        let violation = asm.frags[..fi].iter().any(|f| match f {
-            Some(fa) => fa.express && !fa.complete(),
-            None => false, // unseen fragment: we cannot know its mode yet
-        }) || (fi > 0 && asm.frags[..fi].iter().any(Option::is_none) && {
-            // An earlier fragment entirely unseen: if it turns out to be
-            // express this was a violation; we cannot tell yet, so count
-            // only definite cases above. This branch intentionally
-            // evaluates to false.
-            false
-        });
+        // already be complete when any of our bytes arrive. An earlier
+        // fragment entirely unseen may turn out to be express; we cannot
+        // tell yet, so only the definite cases count.
+        let violation = asm.frags[..fi]
+            .iter()
+            .flatten()
+            .any(|fa| fa.express && !fa.complete());
         if violation {
             self.stats.express_violations += 1;
         }
         let fa = asm.frags[fi].get_or_insert_with(|| FragmentAssembly::new(h.frag_len, h.express));
         if !fa.insert(h.offset, &chunk.data) {
             self.stats.overlaps += 1;
-            return Vec::new();
+            return;
         }
         self.stats.chunks += 1;
 
         if !asm.complete() {
-            return Vec::new();
+            return;
         }
         self.stats.completed += 1;
-
-        let out = drain_ready(fx, src, h.flow, now, &mut self.stats);
-        self.stats.delivered += out.len() as u64;
-        out
+        drain_ready(fx, src, h.flow, now, &mut self.stats, &mut self.ready);
     }
 
     /// Ingest a shed-cancel notification from `src`: `(flow, seq)` was
     /// dropped by the sender before any byte was committed and will never
-    /// arrive. Ordered delivery skips the sequence; returns any later
+    /// arrive. Ordered delivery skips the sequence; yields any later
     /// messages the skip made deliverable.
     pub fn on_cancel(
         &mut self,
@@ -274,22 +318,21 @@ impl Receiver {
         flow: FlowId,
         seq: u32,
         now: SimTime,
-    ) -> Vec<DeliveredMessage> {
+    ) -> std::vec::Drain<'_, DeliveredMessage> {
         let fx = self.flows.entry((src, flow)).or_default();
         // Cancel for an already-delivered sequence: a protocol violation
         // (shed messages never commit bytes) — surface, don't apply.
         if seq < fx.next_deliver {
             self.stats.overlaps += 1;
-            return Vec::new();
+        } else {
+            // Drop any partial reassembly state (none should exist for a
+            // fully-uncommitted message; duplicates under fault injection
+            // can leave some) and mark the gap.
+            fx.pending.remove(&seq);
+            fx.cancelled.insert(seq);
+            drain_ready(fx, src, flow, now, &mut self.stats, &mut self.ready);
         }
-        // Drop any partial reassembly state (none should exist for a
-        // fully-uncommitted message; duplicates under fault injection can
-        // leave some) and mark the gap.
-        fx.pending.remove(&seq);
-        fx.cancelled.insert(seq);
-        let out = drain_ready(fx, src, flow, now, &mut self.stats);
-        self.stats.delivered += out.len() as u64;
-        out
+        self.ready.drain(..)
     }
 }
 
@@ -369,10 +412,18 @@ mod tests {
     const SRC: NodeId = NodeId(0);
     const NOW: SimTime = SimTime::from_nanos(5_100);
 
+    fn feed(r: &mut Receiver, src: NodeId, chunk: DecodedChunk) -> Vec<DeliveredMessage> {
+        r.on_chunk(src, &chunk, NOW).collect()
+    }
+
+    fn cancel(r: &mut Receiver, seq: u32) -> Vec<DeliveredMessage> {
+        r.on_cancel(SRC, FlowId(0), seq, NOW).collect()
+    }
+
     #[test]
     fn single_chunk_message_delivers_immediately() {
         let mut r = Receiver::new();
-        let out = r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 5, 0, b"hello"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 5, 0, b"hello"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].contiguous(), b"hello");
         assert_eq!(out[0].latency.as_nanos(), 5_000);
@@ -380,12 +431,59 @@ mod tests {
     }
 
     #[test]
+    fn whole_fragment_chunks_are_delivered_as_slices_of_their_packet() {
+        use crate::proto::{decode_packet, encode_packet, framing_bytes, WireChunk, KIND_DATA};
+        use simnet::{NicId, WirePacket};
+        let wire: Vec<WireChunk> = [
+            chunk(0, 0, 0, 2, true, 3, 0, b"hdr"),
+            chunk(0, 0, 1, 2, false, 4, 0, b"body"),
+        ]
+        .into_iter()
+        .map(|c| WireChunk {
+            header: c.header,
+            data: c.data,
+        })
+        .collect();
+        for linearize in [false, true] {
+            let pkt = WirePacket {
+                src: SRC,
+                dst: NodeId(1),
+                src_nic: NicId(0),
+                dst_nic: NicId(1),
+                vchan: 0,
+                kind: KIND_DATA,
+                cookie: 1,
+                seq: 0,
+                ecn: false,
+                payload: encode_packet(&wire, linearize),
+            };
+            let mut r = Receiver::new();
+            let mut out = Vec::new();
+            for c in decode_packet(&pkt).unwrap() {
+                out.extend(r.on_chunk(SRC, &c, NOW));
+            }
+            assert_eq!(out.len(), 1);
+            let got: Vec<*const u8> = out[0].fragments.iter().map(|f| f.1.as_ptr()).collect();
+            let want: Vec<*const u8> = if linearize {
+                // The one segment, past its header block.
+                let data = pkt.payload[0]
+                    .as_ptr()
+                    .wrapping_add(framing_bytes(2) as usize);
+                vec![data, data.wrapping_add(3)]
+            } else {
+                // The gather list's own data segments: the sender's buffers.
+                vec![wire[0].data.as_ptr(), wire[1].data.as_ptr()]
+            };
+            assert_eq!(got, want, "linearize {linearize}");
+            assert_eq!(out[0].contiguous(), b"hdrbody");
+        }
+    }
+
+    #[test]
     fn multi_fragment_message_waits_for_all() {
         let mut r = Receiver::new();
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 0, 0, 2, true, 3, 0, b"hdr"), NOW)
-            .is_empty());
-        let out = r.on_chunk(SRC, &chunk(0, 0, 1, 2, false, 4, 0, b"body"), NOW);
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 3, 0, b"hdr")).is_empty());
+        let out = feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 4, 0, b"body"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].fragments.len(), 2);
         assert_eq!(out[0].fragments[0].0, PackMode::Express);
@@ -395,10 +493,8 @@ mod tests {
     #[test]
     fn out_of_order_chunks_within_fragment_reassemble() {
         let mut r = Receiver::new();
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 4, b"WXYZ"), NOW)
-            .is_empty());
-        let out = r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 0, b"abcd"), NOW);
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 4, b"WXYZ")).is_empty());
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 0, b"abcd"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].contiguous(), b"abcdWXYZ");
     }
@@ -407,12 +503,10 @@ mod tests {
     fn flow_order_enforced_even_if_later_message_completes_first() {
         let mut r = Receiver::new();
         // Message 1 completes first...
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 1, 0, 1, false, 2, 0, b"m1"), NOW)
-            .is_empty());
+        assert!(feed(&mut r, SRC, chunk(0, 1, 0, 1, false, 2, 0, b"m1")).is_empty());
         assert_eq!(held_messages(&r), 1);
         // ...but is only delivered after message 0.
-        let out = r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 2, 0, b"m0"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 2, 0, b"m0"));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].id.seq.0, 0);
         assert_eq!(out[1].id.seq.0, 1);
@@ -422,19 +516,16 @@ mod tests {
     fn flows_are_independent() {
         let mut r = Receiver::new();
         assert_eq!(
-            r.on_chunk(SRC, &chunk(1, 0, 0, 1, false, 1, 0, b"a"), NOW)
-                .len(),
+            feed(&mut r, SRC, chunk(1, 0, 0, 1, false, 1, 0, b"a")).len(),
             1
         );
         assert_eq!(
-            r.on_chunk(SRC, &chunk(2, 0, 0, 1, false, 1, 0, b"b"), NOW)
-                .len(),
+            feed(&mut r, SRC, chunk(2, 0, 0, 1, false, 1, 0, b"b")).len(),
             1
         );
         // Same flow id from a different source is independent too.
         assert_eq!(
-            r.on_chunk(NodeId(9), &chunk(1, 0, 0, 1, false, 1, 0, b"c"), NOW)
-                .len(),
+            feed(&mut r, NodeId(9), chunk(1, 0, 0, 1, false, 1, 0, b"c")).len(),
             1
         );
     }
@@ -443,41 +534,39 @@ mod tests {
     fn express_violation_detected() {
         let mut r = Receiver::new();
         // Express fragment 0 partially arrives, then fragment 1 shows up.
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 0, 0, 2, true, 8, 0, b"half"), NOW)
-            .is_empty());
-        r.on_chunk(SRC, &chunk(0, 0, 1, 2, false, 2, 0, b"xx"), NOW);
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 8, 0, b"half")).is_empty());
+        feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 2, 0, b"xx"));
         assert_eq!(r.stats.express_violations, 1);
     }
 
     #[test]
     fn no_violation_when_express_complete_first() {
         let mut r = Receiver::new();
-        r.on_chunk(SRC, &chunk(0, 0, 0, 2, true, 4, 0, b"full"), NOW);
-        r.on_chunk(SRC, &chunk(0, 0, 1, 2, false, 2, 0, b"xx"), NOW);
+        feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 4, 0, b"full"));
+        feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 2, 0, b"xx"));
         assert_eq!(r.stats.express_violations, 0);
     }
 
     #[test]
     fn duplicate_and_overlapping_chunks_rejected() {
         let mut r = Receiver::new();
-        r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 0, b"abcd"), NOW);
-        r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 2, b"XXXX"), NOW); // overlaps
+        feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 0, b"abcd"));
+        feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 2, b"XXXX")); // overlaps
         assert_eq!(r.stats.overlaps, 1);
-        let out = r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 4, b"efgh"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 4, b"efgh"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].contiguous(), b"abcdefgh");
         // Late chunk for the delivered message is dropped.
-        r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 8, 0, b"abcd"), NOW);
+        feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 8, 0, b"abcd"));
         assert_eq!(r.stats.overlaps, 2);
     }
 
     #[test]
     fn zero_length_fragment_messages_deliver() {
         let mut r = Receiver::new();
-        let out = r.on_chunk(SRC, &chunk(0, 0, 0, 2, true, 0, 0, b""), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 0, 0, b""));
         assert!(out.is_empty()); // frag 1 still missing
-        let out = r.on_chunk(SRC, &chunk(0, 0, 1, 2, false, 1, 0, b"x"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 1, 0, b"x"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].fragments[0].1.len(), 0);
     }
@@ -487,16 +576,13 @@ mod tests {
         let mut r = Receiver::new();
         // seq 0 delivers; seq 2 completes but is held behind missing seq 1.
         assert_eq!(
-            r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 2, 0, b"m0"), NOW)
-                .len(),
+            feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 2, 0, b"m0")).len(),
             1
         );
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 2, 0, 1, false, 2, 0, b"m2"), NOW)
-            .is_empty());
+        assert!(feed(&mut r, SRC, chunk(0, 2, 0, 1, false, 2, 0, b"m2")).is_empty());
         assert_eq!(held_messages(&r), 1);
         // The sender shed seq 1: the cancel releases seq 2.
-        let out = r.on_cancel(SRC, FlowId(0), 1, NOW);
+        let out = cancel(&mut r, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id.seq.0, 2);
         assert_eq!(r.stats.cancelled, 1);
@@ -509,30 +595,27 @@ mod tests {
         let mut r = Receiver::new();
         // Cancel for seq 1 arrives before any data (control channel can
         // outrun data under load).
-        assert!(r.on_cancel(SRC, FlowId(0), 1, NOW).is_empty());
+        assert!(cancel(&mut r, 1).is_empty());
         // seq 0 then arrives and delivery crosses the cancelled gap when
         // seq 2 completes.
         assert_eq!(
-            r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 2, 0, b"m0"), NOW)
-                .len(),
+            feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 2, 0, b"m0")).len(),
             1
         );
-        let out = r.on_chunk(SRC, &chunk(0, 2, 0, 1, false, 2, 0, b"m2"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 2, 0, 1, false, 2, 0, b"m2"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id.seq.0, 2);
         assert_eq!(r.stats.cancelled, 1);
         // Late chunks for the cancelled sequence are rejected.
-        assert!(r
-            .on_chunk(SRC, &chunk(0, 1, 0, 1, false, 2, 0, b"m1"), NOW)
-            .is_empty());
+        assert!(feed(&mut r, SRC, chunk(0, 1, 0, 1, false, 2, 0, b"m1")).is_empty());
         assert_eq!(r.stats.overlaps, 1);
     }
 
     #[test]
     fn cancel_for_delivered_sequence_is_surfaced_not_applied() {
         let mut r = Receiver::new();
-        r.on_chunk(SRC, &chunk(0, 0, 0, 1, false, 2, 0, b"m0"), NOW);
-        assert!(r.on_cancel(SRC, FlowId(0), 0, NOW).is_empty());
+        feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 2, 0, b"m0"));
+        assert!(cancel(&mut r, 0).is_empty());
         assert_eq!(r.stats.overlaps, 1);
         assert_eq!(r.stats.cancelled, 0);
     }
@@ -541,9 +624,9 @@ mod tests {
     fn consecutive_cancels_drain_in_one_step() {
         let mut r = Receiver::new();
         for seq in [0u32, 1, 2] {
-            assert!(r.on_cancel(SRC, FlowId(0), seq, NOW).is_empty());
+            assert!(cancel(&mut r, seq).is_empty());
         }
-        let out = r.on_chunk(SRC, &chunk(0, 3, 0, 1, false, 2, 0, b"m3"), NOW);
+        let out = feed(&mut r, SRC, chunk(0, 3, 0, 1, false, 2, 0, b"m3"));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id.seq.0, 3);
         assert_eq!(r.stats.cancelled, 3);

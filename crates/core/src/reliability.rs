@@ -468,16 +468,17 @@ impl Reliability {
     /// cost penalty, so an ECN-inflated (or lossy) rail only sees what
     /// healthier rails left behind. Stable on the rail index — when every
     /// rail is equally healthy this is plain index order, preserving the
-    /// determinism contract.
-    pub(crate) fn pull_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.health.len()).collect();
-        order.sort_by(|&a, &b| {
+    /// determinism contract. Written into the caller's `order`, which it
+    /// keeps between activations.
+    pub(crate) fn pull_order(&self, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..self.health.len());
+        order.sort_unstable_by(|&a, &b| {
             self.health[a]
                 .cost_penalty()
                 .total_cmp(&self.health[b].cost_penalty())
                 .then(a.cmp(&b))
         });
-        order
     }
 
     /// madnet congestion gate: a rail whose ECN-driven penalty is far

@@ -9,8 +9,7 @@
 // madlint: file: hot-path
 
 use crate::constraints::max_gather_chunks;
-use crate::plan::TransferPlan;
-use crate::strategy::{fill_packet, OptContext, Strategy};
+use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Default maximum chunks merged into one packet (see
 /// `EngineConfig::agg_chunk_limit` for the runtime knob); bounds
@@ -33,24 +32,17 @@ impl Strategy for EagerAggregation {
         "aggregate"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         let limit = ctx.config.agg_chunk_limit;
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue; // nothing to merge; FIFO covers the single case
             }
-            let full = fill_packet(ctx, g.dst, &g.candidates, limit, false, self.name());
+            let full = fill_packet(ctx, g.dst, &g.candidates, limit, false, self.name(), out);
             let Some(plan) = full else { continue };
-            let fell_back_to_copy = matches!(
-                plan.body,
-                crate::plan::PlanBody::Data {
-                    linearize: true,
-                    ..
-                }
-            );
-            let chunks = plan.chunk_count();
-            if chunks >= 2 {
-                out.push(plan);
+            let (chunks, fell_back_to_copy) = (plan.chunk_count(), plan.linearized());
+            if chunks < 2 {
+                out.pop();
             }
             // If the maximal fill exceeded the hardware gather width (so it
             // had to linearize), also offer a zero-copy variant trimmed to
@@ -58,17 +50,17 @@ impl Strategy for EagerAggregation {
             // gather-a-bit-less.
             let gather_cap = max_gather_chunks(ctx.caps);
             if fell_back_to_copy && gather_cap >= 2 && gather_cap < chunks {
-                if let Some(trimmed) = fill_packet(
+                let trimmed = fill_packet(
                     ctx,
                     g.dst,
                     &g.candidates,
                     gather_cap,
                     false,
                     "aggregate-gather",
-                ) {
-                    if trimmed.chunk_count() >= 2 {
-                        out.push(trimmed);
-                    }
+                    out,
+                );
+                if trimmed.is_some_and(|p| p.chunk_count() < 2) {
+                    out.pop();
                 }
             }
         }
@@ -102,8 +94,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let groups = vec![group(5, 64)];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].chunk_count(), 5);
         assert_eq!(out[0].payload_bytes(), 320);
@@ -117,8 +110,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let groups = vec![group(1, 64)];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert!(out.is_empty());
     }
 
@@ -129,8 +123,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let groups = vec![group(40, 8)];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out[0].chunk_count(), MAX_AGG_CHUNKS);
     }
 
@@ -143,8 +138,9 @@ mod tests {
         g2.dst = NodeId(2);
         let groups = vec![group(3, 32), g2];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 2);
         assert_ne!(out[0].dst, out[1].dst);
     }
@@ -156,8 +152,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let groups = vec![group(4, 64)];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         match &out[0].body {
             PlanBody::Data { linearize, .. } => assert!(!linearize),
             _ => unreachable!(),

@@ -11,8 +11,7 @@
 
 // madlint: file: hot-path
 
-use crate::plan::TransferPlan;
-use crate::strategy::{fill_packet, OptContext, Strategy};
+use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Linearized (by-copy) cross-flow aggregation.
 #[derive(Debug, Default)]
@@ -30,22 +29,15 @@ impl Strategy for CopyAggregation {
         "copy-agg"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue;
             }
-            if let Some(plan) = fill_packet(
-                ctx,
-                g.dst,
-                &g.candidates,
-                ctx.config.agg_chunk_limit,
-                true,
-                self.name(),
-            ) {
-                if plan.chunk_count() >= 2 {
-                    out.push(plan);
-                }
+            let limit = ctx.config.agg_chunk_limit;
+            let plan = fill_packet(ctx, g.dst, &g.candidates, limit, true, self.name(), out);
+            if plan.is_some_and(|p| p.chunk_count() < 2) {
+                out.pop();
             }
         }
     }
@@ -74,8 +66,9 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         CopyAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 1);
         match &out[0].body {
             PlanBody::Data { linearize, chunks } => {
@@ -97,8 +90,9 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         CopyAggregation::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert!(out.is_empty());
     }
 }

@@ -10,8 +10,7 @@
 
 // madlint: file: hot-path
 
-use crate::plan::TransferPlan;
-use crate::strategy::{fill_packet, OptContext, Strategy};
+use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Oldest-chunk-alone fallback strategy.
 #[derive(Debug, Default)]
@@ -29,7 +28,7 @@ impl Strategy for FifoFallback {
         "fifo"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         // Oldest candidate across all destinations.
         let oldest = ctx
             .groups
@@ -37,11 +36,15 @@ impl Strategy for FifoFallback {
             .flat_map(|g| g.candidates.iter().map(move |c| (g.dst, c)))
             .min_by_key(|(_, c)| (c.submitted_at, c.flow, c.seq, c.frag));
         if let Some((dst, c)) = oldest {
-            if let Some(plan) =
-                fill_packet(ctx, dst, std::slice::from_ref(c), 1, false, self.name())
-            {
-                out.push(plan);
-            }
+            fill_packet(
+                ctx,
+                dst,
+                std::slice::from_ref(c),
+                1,
+                false,
+                self.name(),
+                out,
+            );
         }
     }
 }
@@ -78,8 +81,9 @@ mod tests {
             },
         ];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         FifoFallback::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, NodeId(2));
         assert_eq!(out[0].chunk_count(), 1);
@@ -92,8 +96,9 @@ mod tests {
         let cfg = EngineConfig::default();
         let groups: Vec<DstGroup> = vec![];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         FifoFallback::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert!(out.is_empty());
     }
 }

@@ -2,10 +2,12 @@
 //! strategies can be easily extended").
 //!
 //! A [`Strategy`] looks at the optimizer's current view ([`OptContext`]) and
-//! proposes candidate [`TransferPlan`]s. The optimizer scores every proposal
-//! with the rail's cost model (within the rearrangement budget) and executes
-//! the best one. Users extend the engine by registering their own
-//! strategies — see `examples/custom_strategy.rs`.
+//! writes candidate plans into the pass's [`Proposals`]. The optimizer scores
+//! every proposal with the rail's cost model (within the rearrangement
+//! budget) and executes the best one — the only one that ever becomes an
+//! owned [`TransferPlan`](crate::plan::TransferPlan). Users extend the
+//! engine by registering their own strategies — see
+//! `examples/custom_strategy.rs`.
 
 // madlint: file: hot-path
 
@@ -28,8 +30,8 @@ use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimTime};
 
 use crate::config::EngineConfig;
-use crate::ids::ChannelId;
-use crate::plan::{ChunkCandidate, DstGroup, PlanBody, PlannedChunk, TransferPlan};
+use crate::ids::{ChannelId, FlowId, FragIndex};
+use crate::plan::{Body, ChunkCandidate, DstGroup, Plan, PlanRef, PlannedChunk, TransferPlan};
 use crate::proto::framing_bytes;
 
 /// Everything a strategy may consult when proposing plans for one rail
@@ -72,30 +74,154 @@ pub trait Strategy {
     /// Stable name used in metrics and plan provenance.
     fn name(&self) -> &'static str;
     /// Append candidate plans for the current context to `out`.
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>);
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals);
+}
+
+/// The proposals of one selection pass, in consultation order. Every
+/// proposal's chunks lie in one arena the optimizer keeps from pass to
+/// pass, so proposing allocates nothing once the arena has grown to the
+/// largest pass seen; plans are read back as [`PlanRef`]s.
+#[derive(Debug, Default)]
+pub struct Proposals {
+    chunks: Vec<PlannedChunk>,
+    plans: Vec<Proposed>,
+    /// [`ReorderVariants`]' working storage: like the arena, it belongs to
+    /// the pass, not to the (shared, immutable) strategy.
+    pub(crate) reorder: reorder::Scratch,
+}
+
+/// One proposal: a plan whose chunks are `chunks[from..to]` of the arena.
+type Proposed = Plan<(usize, usize)>;
+
+impl Proposals {
+    /// An empty set.
+    pub fn new() -> Self {
+        Proposals::default()
+    }
+
+    /// Forget every proposal; the storage stays.
+    pub fn clear(&mut self) {
+        self.chunks.clear();
+        self.plans.clear();
+    }
+
+    /// Number of proposals.
+    pub fn len(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// True when nothing was proposed.
+    pub fn is_empty(&self) -> bool {
+        self.plans.is_empty()
+    }
+
+    /// Propose one wire packet toward `dst` carrying `chunks` in order
+    /// (copied into the arena), by copy (`linearize`) or as a gather list.
+    pub fn push_data(
+        &mut self,
+        channel: ChannelId,
+        dst: NodeId,
+        chunks: &[PlannedChunk],
+        linearize: bool,
+        strategy: &'static str,
+    ) {
+        let from = self.chunks.len();
+        self.chunks.extend_from_slice(chunks);
+        self.seal_data(channel, dst, from, linearize, strategy);
+    }
+
+    /// The chunks pushed onto the arena since `from` are one data plan.
+    fn seal_data(
+        &mut self,
+        channel: ChannelId,
+        dst: NodeId,
+        from: usize,
+        linearize: bool,
+        strategy: &'static str,
+    ) {
+        let chunks = (from, self.chunks.len());
+        self.plans.push(Plan {
+            channel,
+            dst,
+            strategy,
+            body: Body::Data { chunks, linearize },
+        });
+    }
+
+    /// Propose a rendezvous request for fragment `frag` of `(flow, seq)`.
+    pub fn push_rndv(
+        &mut self,
+        channel: ChannelId,
+        dst: NodeId,
+        (flow, seq, frag): (FlowId, u32, FragIndex),
+        strategy: &'static str,
+    ) {
+        self.plans.push(Plan {
+            channel,
+            dst,
+            strategy,
+            body: Body::RndvRequest { flow, seq, frag },
+        });
+    }
+
+    /// Withdraw the latest proposal.
+    pub fn pop(&mut self) {
+        if let Some(Plan {
+            body: Body::Data {
+                chunks: (from, _), ..
+            },
+            ..
+        }) = self.plans.pop()
+        {
+            self.chunks.truncate(from);
+        }
+    }
+
+    /// Proposal `at`, in consultation order.
+    ///
+    /// # Panics
+    /// Panics when `at >= self.len()`.
+    pub fn get(&self, at: usize) -> PlanRef<'_> {
+        self.plans[at].map_chunks(|&(from, to)| &self.chunks[from..to])
+    }
+
+    /// Every proposal, in consultation order.
+    pub fn iter(&self) -> impl Iterator<Item = PlanRef<'_>> + '_ {
+        (0..self.len()).map(|at| self.get(at))
+    }
+
+    /// Every proposal as an owned plan (analyzers and tests; the optimizer
+    /// only ever owns the winner).
+    pub fn to_plans(&self) -> Vec<TransferPlan> {
+        self.iter().map(|p| p.to_plan()).collect()
+    }
 }
 
 /// Greedily fill one packet from `candidates` (in the given order),
 /// respecting the packet size budget and, when `force_linearize` is false,
-/// preferring zero-copy gather when the hardware allows it.
+/// preferring zero-copy gather when the hardware allows it. The packet is
+/// appended to `out` and returned; `None` (and nothing appended) when no
+/// candidate fits.
 ///
 /// Within-message chunk order must already be correct in `candidates`
 /// (callers permute *messages*, not chunks within a message).
-pub fn fill_packet(
+pub fn fill_packet<'a>(
     ctx: &OptContext<'_>,
     dst: NodeId,
     candidates: &[ChunkCandidate],
     max_chunks: usize,
     force_linearize: bool,
     strategy: &'static str,
-) -> Option<TransferPlan> {
-    let mut chunks: Vec<PlannedChunk> = Vec::new();
+    out: &'a mut Proposals,
+) -> Option<PlanRef<'a>> {
+    let from = out.chunks.len();
+    let mut count = 0usize;
     let mut payload = 0u64;
     for cand in candidates {
-        if chunks.len() >= max_chunks {
+        if count >= max_chunks {
             break;
         }
-        let budget = ctx.payload_budget(chunks.len() + 1).saturating_sub(payload);
+        let budget = ctx.payload_budget(count + 1).saturating_sub(payload);
         if budget == 0 {
             break;
         }
@@ -103,13 +229,14 @@ pub fn fill_packet(
         if take == 0 {
             continue;
         }
-        chunks.push(PlannedChunk {
+        out.chunks.push(PlannedChunk {
             flow: cand.flow,
             seq: cand.seq,
             frag: cand.frag,
             offset: cand.offset,
             len: take,
         });
+        count += 1;
         payload += take as u64;
         // A partially-taken fragment blocks everything after it from the
         // same message (offsets must stay contiguous), but candidates from
@@ -119,23 +246,19 @@ pub fn fill_packet(
             break;
         }
     }
-    if chunks.is_empty() {
+    if count == 0 {
         return None;
     }
-    let total = payload + framing_bytes(chunks.len());
-    let linearize = if force_linearize || (!ctx.config.enable_gather && chunks.len() > 1) {
+    let total = payload + framing_bytes(count);
+    let linearize = if force_linearize || (!ctx.config.enable_gather && count > 1) {
         true
     } else {
-        let segs = 1 + chunks.len();
+        let segs = 1 + count;
         // Zero-copy requires either PIO streaming or a wide-enough gather.
         !(ctx.caps.can_pio(total) || ctx.caps.can_gather(segs))
     };
-    Some(TransferPlan {
-        channel: ctx.channel,
-        dst,
-        body: PlanBody::Data { chunks, linearize },
-        strategy,
-    })
+    out.seal_data(ctx.channel, dst, from, linearize, strategy);
+    Some(out.get(out.len() - 1))
 }
 
 /// Registry of strategies consulted on every optimizer activation, in
@@ -203,7 +326,7 @@ impl StrategyRegistry {
     /// so the sweep only visits live candidates. Selection is unchanged —
     /// `madcheck::mask_check` proves masked-out strategies contribute no
     /// valid plans on any capability profile.
-    pub fn propose_all(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    pub fn propose_all(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         let mask = effective_strategy_mask(ctx.config, ctx.caps);
         for s in &self.items {
             if mask.allows(s.name()) {
@@ -311,7 +434,8 @@ mod tests {
         let cands: Vec<_> = (0..10)
             .map(|i| cand(i, 0, 0, 0, 100, false, TrafficClass::DEFAULT, 0))
             .collect();
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 4, false, "t").unwrap();
+        let mut out = Proposals::new();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 4, false, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 4);
         assert_eq!(plan.payload_bytes(), 400);
     }
@@ -323,7 +447,8 @@ mod tests {
         let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         ctx.packet_limit = 1000;
         let cands = vec![cand(0, 0, 0, 0, 5000, false, TrafficClass::DEFAULT, 0)];
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t").unwrap();
+        let mut out = Proposals::new();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 1);
         // 1000 - framing(1) = 964 payload bytes.
         assert_eq!(plan.payload_bytes(), 1000 - crate::proto::framing_bytes(1));
@@ -339,11 +464,9 @@ mod tests {
         let cands: Vec<_> = (0..4)
             .map(|i| cand(i, 0, 0, 0, 100, false, TrafficClass::DEFAULT, 0))
             .collect();
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t").unwrap();
-        match plan.body {
-            PlanBody::Data { linearize, .. } => assert!(linearize),
-            _ => unreachable!(),
-        }
+        let mut out = Proposals::new();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t", &mut out).unwrap();
+        assert!(plan.linearized());
     }
 
     #[test]
@@ -351,7 +474,70 @@ mod tests {
         let (caps, cost, cfg) = fixtures();
         let groups: Vec<DstGroup> = vec![];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        assert!(fill_packet(&ctx, simnet::NodeId(1), &[], 4, false, "t").is_none());
+        let mut out = Proposals::new();
+        assert!(fill_packet(&ctx, simnet::NodeId(1), &[], 4, false, "t", &mut out).is_none());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn proposals_share_one_arena_and_read_back_in_order() {
+        use crate::ids::FlowId;
+        use crate::plan::PlanBody;
+        let chunk = |flow: u32, len: u32| PlannedChunk {
+            flow: FlowId(flow),
+            seq: 0,
+            frag: 0,
+            offset: 0,
+            len,
+        };
+        let (rail, dst) = (ChannelId(1), NodeId(2));
+        let mut out = Proposals::new();
+        out.push_data(rail, dst, &[chunk(0, 10), chunk(1, 20)], false, "a");
+        out.push_rndv(rail, dst, (FlowId(7), 3, 1), "b");
+        out.push_data(rail, dst, &[chunk(2, 30)], true, "c");
+        out.push_data(rail, dst, &[chunk(3, 40), chunk(4, 50)], false, "withdrawn");
+        out.pop();
+        out.push_data(rail, dst, &[], false, "empty");
+        assert_eq!(out.len(), 4);
+        let sizes: Vec<_> = out
+            .iter()
+            .map(|p| {
+                (
+                    p.strategy,
+                    p.chunk_count(),
+                    p.payload_bytes(),
+                    p.linearized(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                ("a", 2, 30, false),
+                ("b", 0, 0, false),
+                ("c", 1, 30, true),
+                ("empty", 0, 0, false)
+            ]
+        );
+        // An owned plan is its view again; a withdrawn proposal left
+        // nothing behind for its successor to pick up.
+        let plans = out.to_plans();
+        for (at, plan) in plans.iter().enumerate() {
+            assert_eq!(plan.view(), out.get(at));
+            assert_eq!((plan.channel, plan.dst), (rail, dst));
+        }
+        assert_eq!(
+            plans[1].body,
+            PlanBody::RndvRequest {
+                flow: FlowId(7),
+                seq: 3,
+                frag: 1
+            }
+        );
+        out.clear();
+        assert!(out.is_empty());
+        out.push_data(rail, dst, &[chunk(9, 1)], false, "again");
+        assert_eq!(out.get(0).payload_bytes(), 1);
     }
 
     #[test]
@@ -361,7 +547,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "noop"
             }
-            fn propose(&self, _ctx: &OptContext<'_>, _out: &mut Vec<TransferPlan>) {}
+            fn propose(&self, _ctx: &OptContext<'_>, _out: &mut Proposals) {}
         }
         let mut r = StrategyRegistry::standard(&EngineConfig::default());
         r.register(Box::new(Noop));

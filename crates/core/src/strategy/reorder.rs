@@ -14,8 +14,8 @@ use std::ops::Range;
 
 use simnet::SimTime;
 
-use crate::plan::{ChunkCandidate, TransferPlan};
-use crate::strategy::{fill_packet, OptContext, Strategy};
+use crate::plan::ChunkCandidate;
+use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Message-permutation proposals: shortest-message-first and
 /// urgent-class-first orderings.
@@ -31,7 +31,7 @@ impl ReorderVariants {
 
 /// One message's candidates: a run of adjacent window entries, with the
 /// two sort keys the variants order messages by.
-#[derive(Clone)]
+#[derive(Debug)]
 struct MessageRun {
     at: Range<usize>,
     bytes: u64,
@@ -39,13 +39,21 @@ struct MessageRun {
     submitted_at: SimTime,
 }
 
+/// The strategy's working storage, kept by the pass's [`Proposals`] so that
+/// permuting a window allocates nothing once it has held the largest one.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    runs: Vec<MessageRun>,
+    order: Vec<ChunkCandidate>,
+}
+
 /// Split a window into per-message runs, in window order. The collect
 /// layer offers a message's fragments back to back, so a run is a message;
 /// candidates of one message that are *not* adjacent would form separate
 /// runs, and a permutation that then breaks their order is vetoed by the
 /// constraint checker like any other invalid proposal.
-fn message_runs(cands: &[ChunkCandidate]) -> Vec<MessageRun> {
-    let mut runs: Vec<MessageRun> = Vec::new();
+fn message_runs(cands: &[ChunkCandidate], runs: &mut Vec<MessageRun>) {
+    runs.clear();
     for (i, c) in cands.iter().enumerate() {
         let same_message = |run: &MessageRun| {
             let head = &cands[run.at.start];
@@ -64,7 +72,6 @@ fn message_runs(cands: &[ChunkCandidate]) -> Vec<MessageRun> {
             }),
         }
     }
-    runs
 }
 
 /// The window's candidates with whole messages permuted into `runs` order.
@@ -80,52 +87,37 @@ impl Strategy for ReorderVariants {
         "reorder"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+        let Scratch {
+            mut runs,
+            mut order,
+        } = std::mem::take(&mut out.reorder);
+        let limit = ctx.config.agg_chunk_limit;
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue;
             }
+            message_runs(&g.candidates, &mut runs);
+            // Both orders break ties by window position (`at.start`, unique
+            // per run): what a stable sort of the window gives, without
+            // its buffer.
             // Variant 1: shortest message first — packs more distinct
             // messages per packet, minimizing mean completion time.
-            let runs = message_runs(&g.candidates);
-            let mut order = Vec::with_capacity(g.candidates.len());
-            let mut by_size = runs.clone();
-            by_size.sort_by_key(|m| m.bytes);
-            permuted(&g.candidates, &by_size, &mut order);
-            if let Some(p) = fill_packet(
-                ctx,
-                g.dst,
-                &order,
-                ctx.config.agg_chunk_limit,
-                false,
-                "reorder-sjf",
-            ) {
-                if p.chunk_count() >= 1 {
-                    out.push(p);
-                }
-            }
+            runs.sort_unstable_by_key(|m| (m.bytes, m.at.start));
+            permuted(&g.candidates, &runs, &mut order);
+            fill_packet(ctx, g.dst, &order, limit, false, "reorder-sjf", out);
             // Variant 2: most urgent class first (control before bulk),
             // then oldest first within a class.
-            let mut by_urgency = runs;
-            by_urgency.sort_by(|a, b| {
+            runs.sort_unstable_by(|a, b| {
                 b.urgency
                     .total_cmp(&a.urgency)
                     .then(a.submitted_at.cmp(&b.submitted_at))
+                    .then(a.at.start.cmp(&b.at.start))
             });
-            permuted(&g.candidates, &by_urgency, &mut order);
-            if let Some(p) = fill_packet(
-                ctx,
-                g.dst,
-                &order,
-                ctx.config.agg_chunk_limit,
-                false,
-                "reorder-urgent",
-            ) {
-                if p.chunk_count() >= 1 {
-                    out.push(p);
-                }
-            }
+            permuted(&g.candidates, &runs, &mut order);
+            fill_packet(ctx, g.dst, &order, limit, false, "reorder-urgent", out);
         }
+        out.reorder = Scratch { runs, order };
     }
 }
 
@@ -154,8 +146,9 @@ mod tests {
         }];
         let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         ctx.packet_limit = 2000;
-        let mut out = vec![];
+        let mut out = Proposals::new();
         ReorderVariants::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         let sjf = out.iter().find(|p| p.strategy == "reorder-sjf").unwrap();
         match &sjf.body {
             PlanBody::Data { chunks, .. } => {
@@ -181,8 +174,9 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         ReorderVariants::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         let urgent = out.iter().find(|p| p.strategy == "reorder-urgent").unwrap();
         match &urgent.body {
             PlanBody::Data { chunks, .. } => assert_eq!(chunks[0].flow, FlowId(1)),
@@ -207,8 +201,9 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         ReorderVariants::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         for p in &out {
             if let PlanBody::Data { chunks, .. } = &p.body {
                 let pos0 = chunks

@@ -10,8 +10,7 @@
 
 // madlint: file: hot-path
 
-use crate::plan::{PlanBody, TransferPlan};
-use crate::strategy::{OptContext, Strategy};
+use crate::strategy::{OptContext, Proposals, Strategy};
 
 /// Cap on rendezvous requests proposed per destination per activation,
 /// keeping the proposal set small under bursty large-message load.
@@ -33,19 +32,10 @@ impl Strategy for RendezvousPromotion {
         "rndv"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             for r in g.rndv.iter().take(MAX_REQS_PER_DST) {
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::RndvRequest {
-                        flow: r.flow,
-                        seq: r.seq,
-                        frag: r.frag,
-                    },
-                    strategy: self.name(),
-                });
+                out.push_rndv(ctx.channel, g.dst, (r.flow, r.seq, r.frag), self.name());
             }
         }
     }
@@ -56,7 +46,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ids::{FlowId, TrafficClass};
-    use crate::plan::{DstGroup, RndvCandidate};
+    use crate::plan::{DstGroup, PlanBody, RndvCandidate};
     use crate::strategy::testutil::ctx_fixture;
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId, SimTime};
@@ -83,8 +73,9 @@ mod tests {
             rndv: vec![rndv_cand(0, 1 << 20), rndv_cand(1, 1 << 18)],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         RendezvousPromotion::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].body, PlanBody::RndvRequest { .. }));
     }
@@ -100,8 +91,9 @@ mod tests {
             rndv: (0..10).map(|i| rndv_cand(i, 1 << 20)).collect(),
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         RendezvousPromotion::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), MAX_REQS_PER_DST);
     }
 }

@@ -12,8 +12,7 @@
 
 // madlint: file: hot-path
 
-use crate::plan::TransferPlan;
-use crate::strategy::{fill_packet, OptContext, Strategy};
+use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Largest-fragment streaming strategy.
 #[derive(Debug, Default)]
@@ -31,7 +30,7 @@ impl Strategy for BulkChunking {
         "bulk-chunk"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             // Largest remaining candidate that is the *first* pending chunk
             // of its message (a later fragment would need its predecessors
@@ -59,11 +58,15 @@ impl Strategy for BulkChunking {
             if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
                 continue;
             }
-            if let Some(plan) =
-                fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, false, self.name())
-            {
-                out.push(plan);
-            }
+            fill_packet(
+                ctx,
+                g.dst,
+                std::slice::from_ref(c),
+                1,
+                false,
+                self.name(),
+                out,
+            );
         }
     }
 }
@@ -93,8 +96,9 @@ mod tests {
         }];
         let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         ctx.packet_limit = 8192;
-        let mut out = vec![];
+        let mut out = Proposals::new();
         BulkChunking::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].chunk_count(), 1);
         // Took a budget-limited chunk of the big fragment at its frontier.
@@ -118,8 +122,9 @@ mod tests {
             rndv: vec![],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = vec![];
+        let mut out = Proposals::new();
         BulkChunking::new().propose(&ctx, &mut out);
+        let out = out.to_plans();
         assert!(out.is_empty());
     }
 }

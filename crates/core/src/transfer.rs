@@ -3,7 +3,8 @@
 //! in-flight packets by cookie, cookie allocation and the control-packet
 //! queue. [`Transfer::submit_data`] is the only place a data
 //! [`TransferRequest`] is built; first sends and retransmissions both go
-//! through it.
+//! through it, and it stamps and encodes every packet in the same two
+//! buffers.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
@@ -21,7 +22,7 @@ use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq};
 use crate::message::PackMode;
 use crate::plan::PlannedChunk;
 use crate::proto::{
-    encode_packet, encode_rndv, framing_bytes, make_header, ChunkHeader, WireChunk, KIND_DATA,
+    encode_packet_with, encode_rndv, framing_bytes, make_header, ChunkHeader, WireChunk, KIND_DATA,
 };
 
 /// Cookie used by control packets (no completion bookkeeping).
@@ -107,6 +108,10 @@ pub(crate) struct Transfer {
     inflight: BTreeMap<u64, Vec<PlannedChunk>>,
     next_cookie: u64,
     pending_ctrl: VecDeque<(usize, NodeId, u16, ChunkHeader)>,
+    /// The wire chunks of the data packet submitted last.
+    wire: Vec<WireChunk>,
+    /// Where a gather list's header block is written before it is frozen.
+    block: Vec<u8>,
 }
 
 impl Transfer {
@@ -116,6 +121,8 @@ impl Transfer {
             inflight: BTreeMap::new(),
             next_cookie: 1,
             pending_ctrl: VecDeque::new(),
+            wire: Vec::new(),
+            block: Vec::new(),
         }
     }
 
@@ -128,18 +135,24 @@ impl Transfer {
         &mut self.rails
     }
 
-    /// Encode `wire` into one data packet toward `dst` and submit it on
-    /// `rail` under a fresh cookie. A packet travels on one virtual
-    /// channel; when chunks of several classes share it (only possible
-    /// when the policy lets those classes share the rail), the leading
-    /// chunk's class tags it. Receiver demux by channel is a sorting aid
-    /// (§2), not a correctness dependency — chunk headers carry the
-    /// authoritative class.
+    /// Stamp one wire chunk per planned chunk from its live message (the
+    /// header and a zero-copy slice of the payload), encode them into one
+    /// data packet toward `dst` and submit it on `rail` under a fresh
+    /// cookie. A packet travels on one virtual channel; when chunks of
+    /// several classes share it (only possible when the policy lets those
+    /// classes share the rail), the leading chunk's class tags it.
+    /// Receiver demux by channel is a sorting aid (§2), not a correctness
+    /// dependency — chunk headers carry the authoritative class.
     ///
     /// Returns the cookie with the driver's verdict — the caller decides
     /// what a refusal means (a first send stops the activation; a
     /// retransmission stays tracked for the next sweep) — or fails without
-    /// consuming a cookie when `rail` does not reach `dst`.
+    /// consuming a cookie when `rail` does not reach `dst`. Either way
+    /// [`Transfer::wire`] holds the stamped chunks until the next call.
+    ///
+    /// # Panics
+    /// Panics when a chunk names a message no longer pending: plans are
+    /// validated and retransmits only cover unacknowledged, still-queued data.
     // madlint: allow(trace-coverage) — a driver submit, not a collect-layer
     // one; PacketEncoded/ChunkBound/Retransmit are pushed by the callers
     pub(crate) fn submit_data(
@@ -147,9 +160,23 @@ impl Transfer {
         ctx: &mut SimCtx<'_>,
         rail: usize,
         dst: NodeId,
-        wire: &[WireChunk],
+        collect: &CollectLayer,
+        chunks: &[PlannedChunk],
         linearize: bool,
     ) -> Result<(u64, Result<(), DriverError>), EngineError> {
+        self.wire.clear();
+        self.wire.extend(chunks.iter().map(|c| {
+            let msg = collect
+                .find_msg(c.flow, c.seq)
+                .expect("planned chunk references live message");
+            WireChunk {
+                header: chunk_header(c.flow, msg, c.frag, c.offset, c.len),
+                data: msg.frags[c.frag as usize]
+                    .data
+                    .slice(c.offset as usize..(c.offset + c.len) as usize),
+            }
+        }));
+        let wire = &self.wire;
         let rail = &self.rails[rail];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
         let host_prep = if linearize {
@@ -171,10 +198,17 @@ impl Transfer {
                 cookie,
                 mode: ModeSel::Auto,
                 host_prep,
-                segments: encode_packet(wire, linearize),
+                segments: encode_packet_with(&mut self.block, wire, linearize),
             },
         );
         Ok((cookie, sent))
+    }
+
+    /// The wire chunks [`Transfer::submit_data`] stamped last, one per
+    /// planned chunk in order: what the rest of a send needs from the
+    /// messages (class, submission time) without looking them up again.
+    pub(crate) fn wire(&self) -> &[WireChunk] {
+        &self.wire
     }
 
     /// Account `chunks` as in flight under `cookie`.
@@ -189,14 +223,18 @@ impl Transfer {
     }
 
     /// `cookie`'s packet is done: complete its chunks in the collect
-    /// layer. Returns the ids of messages whose transmission completed
-    /// with this packet.
+    /// layer. Appends to `done` the ids of messages whose transmission
+    /// completed with this packet.
     // madlint: allow(trace-coverage) — send-side accounting only; the
     // PacketCompleted/Delivered events are pushed by the on_sent callers
-    pub(crate) fn complete(&mut self, cookie: u64, collect: &mut CollectLayer) -> Vec<MsgId> {
-        let mut done = Vec::new();
+    pub(crate) fn complete(
+        &mut self,
+        cookie: u64,
+        collect: &mut CollectLayer,
+        done: &mut Vec<MsgId>,
+    ) {
         if cookie == CTRL_COOKIE {
-            return done;
+            return;
         }
         if let Some(chunks) = self.inflight.remove(&cookie) {
             for c in &chunks {
@@ -208,7 +246,6 @@ impl Transfer {
                 }
             }
         }
-        done
     }
 
     /// Send (or queue) a control packet on a rail's control channel.
@@ -314,27 +351,4 @@ pub(crate) fn chunk_header(
         len,
         msg.submitted_at,
     )
-}
-
-/// Stamp one wire chunk per planned chunk from its live message — the
-/// header and a zero-copy slice of the payload.
-///
-/// # Panics
-/// Panics when a chunk names a message no longer pending: plans are
-/// validated and retransmits only cover unacknowledged, still-queued data.
-pub(crate) fn wire_chunks_for(collect: &CollectLayer, chunks: &[PlannedChunk]) -> Vec<WireChunk> {
-    chunks
-        .iter()
-        .map(|c| {
-            let msg = collect
-                .find_msg(c.flow, c.seq)
-                .expect("planned chunk references live message");
-            WireChunk {
-                header: chunk_header(c.flow, msg, c.frag, c.offset, c.len),
-                data: msg.frags[c.frag as usize]
-                    .data
-                    .slice(c.offset as usize..(c.offset + c.len) as usize),
-            }
-        })
-        .collect()
 }

@@ -5,7 +5,7 @@ use madeleine::collect::CollectLayer;
 use madeleine::config::EngineConfig;
 use madeleine::constraints::{validate_plan, PlanViolation};
 use madeleine::plan::TransferPlan;
-use madeleine::strategy::{OptContext, Strategy, StrategyRegistry};
+use madeleine::strategy::{OptContext, Proposals, Strategy, StrategyRegistry};
 use nicdrv::{calib, CostModel, DriverCapabilities};
 use simnet::{SimTime, Technology};
 
@@ -139,11 +139,11 @@ pub fn check_spec(
         rail_count: 1,
         health_penalty: 1.0,
     };
-    let mut proposals = Vec::new();
+    let mut proposals = Proposals::new();
     strategy.propose(&ctx, &mut proposals);
     let plans = proposals.len();
     let threshold = effective_rndv_threshold(cfg, caps);
-    for plan in proposals {
+    for plan in proposals.to_plans() {
         if let Some(defect) = check_plan(&plan, &collect, caps, wire_mtu, threshold) {
             return CheckOutcome {
                 failure: Some(Failure { plan, defect }),

@@ -6,8 +6,8 @@
 //! produces a minimized counterexample. They are **never** registered by
 //! the engine.
 
-use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
-use madeleine::strategy::{OptContext, Strategy};
+use madeleine::plan::PlannedChunk;
+use madeleine::strategy::{OptContext, Proposals, Strategy};
 
 /// Proposes the first schedulable chunk with its offset shifted by one
 /// byte — breaks the contiguity constraint on every backlog that has any
@@ -20,7 +20,7 @@ impl Strategy for SkewedOffset {
         "fixture-skewed-offset"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         let Some((dst, c)) = ctx
             .groups
             .iter()
@@ -29,21 +29,14 @@ impl Strategy for SkewedOffset {
         else {
             return;
         };
-        out.push(TransferPlan {
-            channel: ctx.channel,
-            dst,
-            body: PlanBody::Data {
-                chunks: vec![PlannedChunk {
-                    flow: c.flow,
-                    seq: c.seq,
-                    frag: c.frag,
-                    offset: c.offset + 1,
-                    len: 1,
-                }],
-                linearize: false,
-            },
-            strategy: self.name(),
-        });
+        let skewed = PlannedChunk {
+            flow: c.flow,
+            seq: c.seq,
+            frag: c.frag,
+            offset: c.offset + 1,
+            len: 1,
+        };
+        out.push_data(ctx.channel, dst, &[skewed], false, self.name());
     }
 }
 
@@ -58,7 +51,7 @@ impl Strategy for GatherHog {
         "fixture-gather-hog"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             if g.candidates.is_empty() {
                 continue;
@@ -74,15 +67,7 @@ impl Strategy for GatherHog {
                     len: c.remaining,
                 })
                 .collect();
-            out.push(TransferPlan {
-                channel: ctx.channel,
-                dst: g.dst,
-                body: PlanBody::Data {
-                    chunks,
-                    linearize: false,
-                },
-                strategy: self.name(),
-            });
+            out.push_data(ctx.channel, g.dst, &chunks, false, self.name());
         }
     }
 }
@@ -98,19 +83,10 @@ impl Strategy for EagerRequester {
         "fixture-eager-requester"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             if let Some(c) = g.candidates.first() {
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::RndvRequest {
-                        flow: c.flow,
-                        seq: c.seq,
-                        frag: c.frag,
-                    },
-                    strategy: self.name(),
-                });
+                out.push_rndv(ctx.channel, g.dst, (c.flow, c.seq, c.frag), self.name());
             }
         }
     }

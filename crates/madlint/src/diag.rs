@@ -14,7 +14,7 @@
 //! | 3    | panic hygiene (panic-path)                |
 //! | 4    | concurrency readiness (shared-state)      |
 //! | 5    | trace coverage (trace-coverage)           |
-//! | 6    | complexity (linear-scan)                  |
+//! | 6    | complexity (linear-scan, flatten-copy)    |
 //! | 64   | analyzer error (I/O, malformed directive) |
 
 use std::fmt::Write as _;
@@ -36,11 +36,13 @@ pub enum RuleId {
     TraceCoverage,
     /// Element searches over a queue or window in engine hot paths.
     LinearScan,
+    /// Whole-buffer copies of payload in engine hot paths.
+    FlattenCopy,
 }
 
 impl RuleId {
     /// Every shipped rule, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::NondetIter,
         RuleId::NondetSource,
         RuleId::PanicPath,
@@ -48,6 +50,7 @@ impl RuleId {
         RuleId::SharedState,
         RuleId::TraceCoverage,
         RuleId::LinearScan,
+        RuleId::FlattenCopy,
     ];
 
     /// Kebab-case rule id used in diagnostics and `allow(...)` directives.
@@ -60,6 +63,7 @@ impl RuleId {
             RuleId::SharedState => "shared-state",
             RuleId::TraceCoverage => "trace-coverage",
             RuleId::LinearScan => "linear-scan",
+            RuleId::FlattenCopy => "flatten-copy",
         }
     }
 
@@ -72,7 +76,7 @@ impl RuleId {
             RuleId::PanicPath => FailureClass::PanicHygiene,
             RuleId::SharedState => FailureClass::Concurrency,
             RuleId::TraceCoverage => FailureClass::Coverage,
-            RuleId::LinearScan => FailureClass::Complexity,
+            RuleId::LinearScan | RuleId::FlattenCopy => FailureClass::Complexity,
         }
     }
 }

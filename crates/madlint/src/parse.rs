@@ -23,7 +23,8 @@
 //! the whole item; a trailing `allow` on a code line suppresses it for
 //! that line only. Marker directives (`hot-path`, `deterministic-output`,
 //! `scoring`, `send-sync`, `trace-covered`, `emits-trace`) opt a scope
-//! *into* a rule (`hot-path` into two: panic-path and linear-scan);
+//! *into* a rule (`hot-path` into three: panic-path, linear-scan and
+//! flatten-copy);
 //! nothing is linted by default except the always-on rules
 //! (`nondet-source`, `shared-state`).
 
@@ -37,7 +38,8 @@ use crate::lexer::{Tok, TokKind};
 pub enum Directive {
     /// Suppress the named rules in this scope.
     Allow(Vec<String>),
-    /// Engine hot path: panic-path hygiene and linear-scan apply.
+    /// Engine hot path: panic-path hygiene, linear-scan and flatten-copy
+    /// apply.
     HotPath,
     /// Scope feeds deterministic output (traces, exports, registries):
     /// nondet-iter applies.

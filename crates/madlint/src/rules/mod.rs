@@ -11,6 +11,7 @@
 //! | shared-state   | always on + `send-sync` type audits   |
 //! | panic-path     | `hot-path` scopes                     |
 //! | linear-scan    | `hot-path` scopes                     |
+//! | flatten-copy   | `hot-path` scopes                     |
 //! | nondet-iter    | `deterministic-output` scopes         |
 //! | float-ord      | `scoring` scopes                      |
 //! | trace-coverage | `trace-covered` scopes                |
@@ -21,6 +22,7 @@
 //! fires. Rules match token sequences, never raw text, so banned names
 //! inside strings, comments or unrelated identifiers cannot trip them.
 
+pub mod flatten_copy;
 pub mod float_ord;
 pub mod linear_scan;
 pub mod nondet_iter;
@@ -39,7 +41,7 @@ use crate::parse::{Directive, Item, ItemKind, SourceFile};
 /// Effective scope context at one point of the item tree.
 #[derive(Clone, Debug, Default)]
 pub struct ScopeFlags {
-    /// panic-path and linear-scan apply.
+    /// panic-path, linear-scan and flatten-copy apply.
     pub hot_path: bool,
     /// nondet-iter applies.
     pub det_output: bool,
@@ -190,6 +192,7 @@ fn walk(f: &SourceFile, item: &Item, parent: &ScopeFlags, out: &mut Vec<Diagnost
             if ctx.hot_path {
                 panic_path::check(f, &ctx, &sig, out);
                 linear_scan::check(f, &ctx, &sig, out);
+                flatten_copy::check(f, &ctx, &sig, out);
             }
             if ctx.det_output {
                 nondet_iter::check(f, &ctx, &sig, out);

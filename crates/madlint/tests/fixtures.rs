@@ -33,6 +33,7 @@ fn each_bad_fixture_trips_exactly_its_rule() {
         ("bad_shared_state.rs", RuleId::SharedState),
         ("bad_trace_coverage.rs", RuleId::TraceCoverage),
         ("bad_linear_scan.rs", RuleId::LinearScan),
+        ("bad_flatten_copy.rs", RuleId::FlattenCopy),
     ];
     for (file, rule) in cases {
         let report = lint_fixture(file);
@@ -83,6 +84,19 @@ fn allowed_linear_scan_fixture_is_silent() {
     assert!(
         report.diagnostics.is_empty(),
         "allowed_linear_scan.rs should be silent:\n{}",
+        report.render_text()
+    );
+}
+
+/// The partner of `bad_flatten_copy.rs`: the same reads done in place, or
+/// the copy allowed at item and line level with its reason, raise nothing.
+#[test]
+fn allowed_flatten_copy_fixture_is_silent() {
+    let report = lint_fixture("allowed_flatten_copy.rs");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(
+        report.diagnostics.is_empty(),
+        "allowed_flatten_copy.rs should be silent:\n{}",
         report.render_text()
     );
 }

@@ -12,8 +12,8 @@
 
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
-use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
-use madeleine::strategy::{OptContext, Strategy};
+use madeleine::plan::PlannedChunk;
+use madeleine::strategy::{OptContext, Proposals, Strategy};
 use madeleine::EngineBuilder;
 use simnet::{NicId, NodeId, SimTime, Simulation, Technology};
 
@@ -28,7 +28,7 @@ impl Strategy for TelemetryFirst {
         "telemetry-first"
     }
 
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             let telemetry = g
                 .candidates
@@ -36,21 +36,16 @@ impl Strategy for TelemetryFirst {
                 .filter(|c| c.class == TELEMETRY)
                 .min_by_key(|c| (c.submitted_at, c.flow, c.seq));
             if let Some(c) = telemetry {
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::Data {
-                        chunks: vec![PlannedChunk {
-                            flow: c.flow,
-                            seq: c.seq,
-                            frag: c.frag,
-                            offset: c.offset,
-                            len: c.remaining,
-                        }],
-                        linearize: false,
-                    },
-                    strategy: self.name(),
-                });
+                let alone = PlannedChunk {
+                    flow: c.flow,
+                    seq: c.seq,
+                    frag: c.frag,
+                    offset: c.offset,
+                    len: c.remaining,
+                };
+                // Copied into the pass's chunk arena: proposing allocates
+                // nothing, and only a winner becomes an owned plan.
+                out.push_data(ctx.channel, g.dst, &[alone], false, self.name());
             }
         }
     }

@@ -5,8 +5,8 @@ use madeleine::api::{AppDriver, CommApi};
 use madeleine::harness::{Cluster, ClusterSpec, NodeHandle};
 use madeleine::ids::{FlowId, MsgId, TrafficClass};
 use madeleine::message::MessageBuilder;
-use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
-use madeleine::strategy::{OptContext, Strategy};
+use madeleine::plan::PlannedChunk;
+use madeleine::strategy::{OptContext, Proposals, Strategy};
 use madeleine::{EngineConfig, MadEngine};
 use madware::pattern;
 use simnet::{NodeId, SimDuration, SimTime, Technology};
@@ -132,57 +132,40 @@ impl Strategy for RogueStrategy {
     fn name(&self) -> &'static str {
         "rogue"
     }
-    fn propose(&self, ctx: &OptContext<'_>, out: &mut Vec<TransferPlan>) {
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
             for c in &g.candidates {
-                // Wrong offset (skips bytes).
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::Data {
-                        chunks: vec![PlannedChunk {
-                            flow: c.flow,
-                            seq: c.seq,
-                            frag: c.frag,
-                            offset: c.offset + 1,
-                            len: c.remaining.saturating_sub(1).max(1),
-                        }],
-                        linearize: false,
+                let honest = PlannedChunk {
+                    flow: c.flow,
+                    seq: c.seq,
+                    frag: c.frag,
+                    offset: c.offset,
+                    len: c.remaining,
+                };
+                let rogue = [
+                    // Wrong offset (skips bytes).
+                    PlannedChunk {
+                        offset: c.offset + 1,
+                        len: c.remaining.saturating_sub(1).max(1),
+                        ..honest
                     },
-                    strategy: "rogue",
-                });
-                // Unknown message.
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::Data {
-                        chunks: vec![PlannedChunk {
-                            flow: FlowId(9999),
-                            seq: 12345,
-                            frag: 0,
-                            offset: 0,
-                            len: 64,
-                        }],
-                        linearize: false,
+                    // Unknown message.
+                    PlannedChunk {
+                        flow: FlowId(9999),
+                        seq: 12345,
+                        frag: 0,
+                        offset: 0,
+                        len: 64,
                     },
-                    strategy: "rogue",
-                });
-                // Oversized packet.
-                out.push(TransferPlan {
-                    channel: ctx.channel,
-                    dst: g.dst,
-                    body: PlanBody::Data {
-                        chunks: vec![PlannedChunk {
-                            flow: c.flow,
-                            seq: c.seq,
-                            frag: c.frag,
-                            offset: c.offset,
-                            len: u32::MAX / 2,
-                        }],
-                        linearize: false,
+                    // Oversized packet.
+                    PlannedChunk {
+                        len: u32::MAX / 2,
+                        ..honest
                     },
-                    strategy: "rogue",
-                });
+                ];
+                for chunk in rogue {
+                    out.push_data(ctx.channel, g.dst, &[chunk], false, "rogue");
+                }
             }
         }
     }
