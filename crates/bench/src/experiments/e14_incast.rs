@@ -392,8 +392,19 @@ mod tests {
     /// admission control recovers every message with a bounded tail.
     #[test]
     fn smoke_incast_collapse_and_recovery() {
-        let naive = run_incast(false);
+        let (naive, cluster) = incast_cell(false, None, 0);
         assert!(naive.fabric_drops > 0, "incast never overflowed the core");
+        // The senders' `node*/nic0` registry sections carry the per-NIC
+        // fabric counters: what they report dropped, the links dropped.
+        let registry = cluster.metrics_registry().to_json();
+        let total = |field: &str| -> Option<u64> {
+            let sections = registry.get("sections")?;
+            (0..INCAST_SENDERS)
+                .map(|i| sections.get(&format!("node{i}/nic0"))?.get(field)?.as_u64())
+                .sum()
+        };
+        assert_eq!(total("fabric_drops"), Some(naive.fabric_drops));
+        assert!(total("ecn_marked") > Some(0), "marks reach the registry");
         assert!(
             naive.ecn_marks > 0,
             "incast never crossed the ECN threshold"

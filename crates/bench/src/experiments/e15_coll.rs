@@ -32,13 +32,13 @@
 //! Everything runs in virtual time on seeded RNGs: repeat runs are
 //! byte-identical, schedules included.
 
-use madeleine::coll::{CollAlgo, CollApp, CollConfig, CollHub, CollOp};
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madeleine::{
-    coll_hub, AppDriver, CommApi, EngineConfig, FairnessMode, LatencyHistogram, ReliabilityMode,
+    AppDriver, CommApi, EngineConfig, FairnessMode, LatencyHistogram, ReliabilityMode,
 };
+use madware::coll::{coll_hub, CollAlgo, CollApp, CollConfig, CollHub, CollOp};
 use madware::mltrain::{MlTrainApp, MlTrainMode, MlTrainSpec};
 use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Technology, Topology};
 

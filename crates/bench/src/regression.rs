@@ -468,7 +468,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
     for fabric in [e15_coll::Fabric::Dumbbell, e15_coll::Fabric::FatTree] {
         for shape in e15_coll::shapes() {
             let mut best = f64::INFINITY;
-            for algo in madeleine::CollAlgo::ALL {
+            for algo in madware::coll::CollAlgo::ALL {
                 best = best.min(e15_coll::run_grid_cell(fabric, &shape, Some(algo)).p99_us);
             }
             let auto = e15_coll::run_grid_cell(fabric, &shape, None);
@@ -477,7 +477,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
                 wins += 1;
             }
             if fabric == e15_coll::Fabric::Dumbbell
-                && matches!(shape.op, madeleine::CollOp::Allreduce)
+                && matches!(shape.op, madware::coll::CollOp::Allreduce)
             {
                 allreduce_p99 = auto.p99_us;
             }

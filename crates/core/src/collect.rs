@@ -114,15 +114,6 @@ pub struct PendingMessage {
 }
 
 impl PendingMessage {
-    /// Index of the first express fragment that is not yet fully committed;
-    /// fragments *after* it may not be scheduled yet.
-    // madlint: allow(linear-scan) — the fragments of one message
-    pub fn first_open_express(&self) -> Option<usize> {
-        self.frags
-            .iter()
-            .position(|f| f.mode == PackMode::Express && !f.fully_committed())
-    }
-
     /// All fragments fully transmitted.
     pub fn is_complete(&self) -> bool {
         self.frags.iter().all(PendingFragment::fully_sent)

@@ -501,13 +501,12 @@ impl EngineCore {
                         let _ = self.transfer.send_ctrl(ctx, rail, pkt.src, KIND_ACK, ack);
                     }
                 }
-                let violations_before = self.receiver.stats.express_violations;
                 // Drained, so the chunks give their packet's buffers up
                 // here and not when the next packet arrives.
                 for ch in self.scratch.chunks.drain(..) {
                     out.extend(self.receiver.on_chunk(pkt.src, &ch, now));
                 }
-                if self.receiver.stats.express_violations > violations_before {
+                if self.receiver.stats.express_violations > self.obs.metrics().express_violations {
                     self.obs
                         .fault(now, FlightTrigger::ExpressViolation, &view!(self));
                 }

@@ -55,7 +55,6 @@
 
 pub mod api;
 pub mod classes;
-pub mod coll;
 pub mod collect;
 pub mod config;
 pub mod constraints;
@@ -85,10 +84,6 @@ pub mod trace;
 pub mod transfer;
 
 pub use api::{AppDriver, CommApi, NullApp};
-pub use coll::{
-    coll_hub, estimate_ns, select_algo, CollAlgo, CollApp, CollChoice, CollConfig, CollHub,
-    CollMember, CollOp, CollPlan, CollSend, CollStats, FabricHint,
-};
 pub use config::EngineConfig;
 pub use diff::{diff, AlignedDelta, CritDiff, DecisionDivergence, RunDiff, RunSnapshot, SnapRow};
 pub use engine::{EngineBuilder, EngineHandle, MadEngine};
@@ -105,7 +100,7 @@ pub use policy::PolicyKind;
 pub use prof::{CritSpan, FlowSpan, MsgKey, Phase, ProfInput, Profile, PHASE_COUNT};
 pub use reliability::{plan_retransmit, RailHealth, ReliabilityMode, RetransmitTracker};
 pub use scope::{flatten_registry, prometheus_render, PromSample, Sampler};
-pub use strategy::{effective_strategy_mask, Strategy, StrategyMask, StrategyRegistry};
+pub use strategy::{Strategy, StrategyRegistry};
 pub use trace::{
     chrome_event_count, export_chrome_trace, export_chrome_trace_with_topology, ChromeExport,
     EngineEvent, EngineRecord, EventSink, FlightDump, FlightTrigger, TopologySummary,

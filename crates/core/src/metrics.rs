@@ -152,10 +152,6 @@ pub struct EngineMetrics {
     /// How many times each strategy's proposal won the scoring contest
     /// (keyed by strategy name; `BTreeMap` for deterministic iteration).
     pub strategy_wins: BTreeMap<&'static str, u64>,
-    /// Total time submissions spent blocked in the application's context.
-    /// The collect layer returns immediately, so this only accumulates the
-    /// (modelled) enqueue cost — E2's "application blocking" metric.
-    pub app_blocking: SimDuration,
 }
 
 impl Default for EngineMetrics {
@@ -205,7 +201,6 @@ impl Default for EngineMetrics {
             deliveries_dropped: 0,
             backlog_depth: Summary::new(),
             strategy_wins: BTreeMap::new(),
-            app_blocking: SimDuration::ZERO,
         }
     }
 }
@@ -374,7 +369,6 @@ impl EngineMetrics {
             .field("latency_by_rail_us", per_rail.build())
             .field("queue_delay_us", self.queue_delay.to_json_us())
             .field("decision_evals", self.decision_evals.to_json())
-            .field("app_blocking_ns", self.app_blocking.as_nanos())
             .build()
     }
 }
@@ -433,6 +427,8 @@ impl MetricsRegistry {
                 .field("wire_dups", s.wire_dups)
                 .field("wire_stalls", s.wire_stalls)
                 .field("tx_segments", s.tx_segments)
+                .field("ecn_marked", s.ecn_marked)
+                .field("fabric_drops", s.fabric_drops)
                 .build(),
         ));
     }

@@ -160,8 +160,13 @@ impl Observer {
         match trigger {
             FlightTrigger::ProtoError => self.metrics.proto_errors += 1,
             FlightTrigger::DriverRejection => self.metrics.driver_rejections += 1,
-            // Counted where they are detected: receiver stats, `timeouts`.
-            FlightTrigger::ExpressViolation | FlightTrigger::Timeout => {}
+            // Detected and counted by the receiver; the engine's counter
+            // follows it.
+            FlightTrigger::ExpressViolation => {
+                self.metrics.express_violations = view.receiver.stats.express_violations;
+            }
+            // Counted where it is detected: `timeouts`.
+            FlightTrigger::Timeout => {}
         }
         self.fault_counts[fault_idx(trigger)] += 1;
         if self.flight.is_some() {

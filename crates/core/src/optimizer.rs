@@ -419,8 +419,8 @@ mod tests {
     use crate::message::{MessageBuilder, PackMode};
     use crate::plan::{PlanBody, PlannedChunk, TransferPlan};
     use crate::strategy::{OptContext, Strategy};
-    use nicdrv::{calib, CostModel};
-    use simnet::{NetworkParams, NodeId, SimTime};
+    use nicdrv::{calib, CostModel, DriverCapabilities};
+    use simnet::{NetworkParams, NodeId, SimTime, Technology};
 
     fn backlog(n_msgs: usize, size: usize) -> CollectLayer {
         let mut c = CollectLayer::new();
@@ -434,24 +434,40 @@ mod tests {
         c
     }
 
-    fn run_selection(collect: &mut CollectLayer, budget: usize) -> SelectionOutcome {
-        let caps = calib::synthetic_capabilities();
-        let cost = CostModel::from_params(&NetworkParams::synthetic());
+    /// One pass of the standard registry over `collect`'s window at t = 10 µs:
+    /// the untraced wrapper, or activation 9 of the decision log in `sink`.
+    fn pass(
+        collect: &mut CollectLayer,
+        caps: &DriverCapabilities,
+        cost: &CostModel,
+        packet_limit: u64,
+        budget: usize,
+        sink: Option<&mut EventSink>,
+    ) -> SelectionOutcome {
         let cfg = EngineConfig::default();
         let registry = StrategyRegistry::standard(&cfg);
         let groups = collect.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
         let ctx = OptContext {
             now: SimTime::from_nanos(10_000),
             channel: ChannelId(0),
-            caps: &caps,
-            cost: &cost,
+            caps,
+            cost,
             config: &cfg,
             groups: &groups,
-            packet_limit: 1 << 16,
+            packet_limit,
             rail_count: 1,
             health_penalty: 1.0,
         };
-        select_plan(&registry, &ctx, collect, 1 << 20, budget)
+        match sink {
+            Some(sink) => select_plan_traced(&registry, &ctx, collect, 1 << 20, budget, sink, 9),
+            None => select_plan(&registry, &ctx, collect, 1 << 20, budget),
+        }
+    }
+
+    fn run_selection(collect: &mut CollectLayer, budget: usize) -> SelectionOutcome {
+        let caps = calib::synthetic_capabilities();
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        pass(collect, &caps, &cost, 1 << 16, budget, None)
     }
 
     #[test]
@@ -497,22 +513,8 @@ mod tests {
         let mut c = backlog(6, 64);
         let caps = calib::synthetic_capabilities();
         let cost = CostModel::from_params(&NetworkParams::synthetic());
-        let cfg = EngineConfig::default();
-        let registry = StrategyRegistry::standard(&cfg);
-        let groups = c.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
-        let ctx = OptContext {
-            now: SimTime::from_nanos(10_000),
-            channel: ChannelId(0),
-            caps: &caps,
-            cost: &cost,
-            config: &cfg,
-            groups: &groups,
-            packet_limit: 1 << 16,
-            rail_count: 1,
-            health_penalty: 1.0,
-        };
-        let mut sink = crate::trace::EventSink::with_capacity(256);
-        let out = select_plan_traced(&registry, &ctx, &c, 1 << 20, 256, &mut sink, 9);
+        let mut sink = EventSink::with_capacity(256);
+        let out = pass(&mut c, &caps, &cost, 1 << 16, 256, Some(&mut sink));
         let best = out.best.expect("a plan must be selected");
         let proposed = sink.count_matching(|e| matches!(e, EngineEvent::PlanProposed { .. }));
         let scored = sink.count_matching(|e| matches!(e, EngineEvent::PlanScored { .. }));
@@ -534,8 +536,73 @@ mod tests {
             }
         }
         // The untraced wrapper picks the same plan.
-        let plain = select_plan(&registry, &ctx, &c, 1 << 20, 256);
+        let plain = run_selection(&mut c, 256);
         assert_eq!(plain.best.unwrap().plan, best.plan);
+    }
+
+    /// [`pass`] in 1 200-byte packets over one BULK flow of 900/700/300/64-byte
+    /// messages and one CONTROL flow of 40/24-byte messages to the same
+    /// node; returns the outcome and the `strategy:chunks` of every
+    /// `PlanProposed` record.
+    fn bulk_and_control_pass(
+        caps: &DriverCapabilities,
+        cost: &CostModel,
+    ) -> (SelectionOutcome, String) {
+        let mut c = CollectLayer::new();
+        let bulk = c.open_flow(NodeId(1), TrafficClass::BULK);
+        let control = c.open_flow(NodeId(1), TrafficClass::CONTROL);
+        let flows = [bulk, bulk, bulk, bulk, control, control];
+        for (flow, size) in flows.into_iter().zip([900usize, 700, 300, 64, 40, 24]) {
+            let parts = MessageBuilder::new()
+                .pack(&vec![7u8; size], PackMode::Cheaper)
+                .build_parts();
+            c.submit(flow, parts, SimTime::ZERO, 1 << 30);
+        }
+        let mut sink = EventSink::with_capacity(256);
+        let out = pass(&mut c, caps, cost, 1200, 256, Some(&mut sink));
+        let mut proposed = Vec::new();
+        for rec in sink.iter() {
+            if let EngineEvent::PlanProposed {
+                strategy, chunks, ..
+            } = rec.event
+            {
+                proposed.push(format!("{strategy}:{chunks}"));
+            }
+        }
+        (out, proposed.join(" "))
+    }
+
+    #[test]
+    fn every_strategy_is_consulted_whatever_the_rail_can_inject() {
+        // No PIO and a one-entry gather list: a multi-chunk packet cannot
+        // go out zero-copy, so `fill_packet` linearizes it — which makes
+        // `aggregate` and `reorder` as valid here as `copy-agg`.
+        let mut dma_only = calib::synthetic_capabilities();
+        dma_only.supports_pio = false;
+        dma_only.pio_max_bytes = 0;
+        dma_only.max_gather_entries = 1;
+        let synthetic = CostModel::from_params(&NetworkParams::synthetic());
+        // TCP never switches to rendezvous: `rndv` is registered, walks an
+        // empty request list and leaves the contest to the other five.
+        let tcp = calib::capabilities(Technology::TcpEthernet);
+        assert_eq!(tcp.rndv_threshold_hint, u64::MAX);
+        let tcp_cost = CostModel::from_params(&calib::params(Technology::TcpEthernet));
+        for (caps, cost, by_copy) in [(&dma_only, &synthetic, true), (&tcp, &tcp_cost, false)] {
+            let (out, proposed) = bulk_and_control_pass(caps, cost);
+            assert_eq!(
+                proposed,
+                "aggregate:2 copy-agg:2 reorder-sjf:5 reorder-urgent:4 bulk-chunk:1 fifo:1"
+            );
+            // `validate_plan` took all six: without PIO or a gather list a
+            // multi-chunk packet passes only as one linearized segment.
+            assert_eq!((out.evaluated, out.rejected, out.skipped), (6, 0, 0));
+            // Both CONTROL messages ride ahead of the BULK head: 1 062
+            // payload bytes whose urgency outscores the 1 130 that
+            // `aggregate` and `copy-agg` take in pack order.
+            let best = out.best.expect("a plan must be selected").plan;
+            assert_eq!(best.strategy, "reorder-urgent", "{:?}", caps.tech);
+            assert_eq!(best.linearized(), by_copy, "{:?}", caps.tech);
+        }
     }
 
     /// A strategy whose only proposal names a message nobody submitted.

@@ -25,7 +25,6 @@ pub use reorder::ReorderVariants;
 pub use rndv::RendezvousPromotion;
 pub use split::BulkChunking;
 
-pub use nicdrv::StrategyMask;
 use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimTime};
 
@@ -320,36 +319,15 @@ impl StrategyRegistry {
         self.items.iter().map(|b| b.as_ref())
     }
 
-    /// Collect proposals from every applicable strategy: the driver's
-    /// precomputed [`StrategyMask`] (adjusted for config overrides) skips
-    /// strategies that can never yield an acceptable plan on this rail,
-    /// so the sweep only visits live candidates. Selection is unchanged —
-    /// `madcheck::mask_check` proves masked-out strategies contribute no
-    /// valid plans on any capability profile.
+    /// Collect proposals from every registered strategy, in consultation
+    /// order. The driver's capabilities parameterise what comes of them
+    /// downstream: `validate_plan` vetoes what the rail cannot inject and
+    /// the rail's `CostModel` scores the rest.
     pub fn propose_all(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
-        let mask = effective_strategy_mask(ctx.config, ctx.caps);
         for s in &self.items {
-            if mask.allows(s.name()) {
-                s.propose(ctx, out);
-            }
+            s.propose(ctx, out);
         }
     }
-}
-
-/// The applicability mask actually in force on a rail: the driver's
-/// precomputed table, with the rendezvous bit corrected when the config
-/// overrides the driver's switch-point hint (an explicit finite
-/// threshold re-enables rendezvous; an explicit `u64::MAX` disables it).
-pub fn effective_strategy_mask(cfg: &EngineConfig, caps: &DriverCapabilities) -> StrategyMask {
-    let mut mask = caps.strategy_mask();
-    if let Some(t) = cfg.rndv_threshold {
-        mask = if t < u64::MAX {
-            mask.with(StrategyMask::RNDV)
-        } else {
-            mask.without(StrategyMask::RNDV)
-        };
-    }
-    mask
 }
 
 #[cfg(test)]

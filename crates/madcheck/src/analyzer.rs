@@ -51,7 +51,6 @@ impl Defect {
                 CapViolation::PacketExceedsMtu { .. } => "capability:mtu",
                 CapViolation::PacketExceedsDriverLimit { .. } => "capability:driver-limit",
                 CapViolation::GatherTooWide { .. } => "capability:gather-too-wide",
-                CapViolation::MisalignedGather { .. } => "capability:misaligned-gather",
                 CapViolation::NoInjectionPath { .. } => "capability:no-injection-path",
                 CapViolation::EagerAboveRndvThreshold { .. } => "capability:eager-above-threshold",
                 CapViolation::RequestBelowThreshold { .. } => "capability:request-below-threshold",

@@ -3,12 +3,11 @@
 //! `validate_plan` already rejects plans the collect-layer state forbids;
 //! this pass re-derives the *hardware* limits straight from
 //! [`DriverCapabilities`] — maximum gather entries, MTU and driver packet
-//! ceilings, gather-segment alignment, and the eager/rendezvous threshold
-//! policy — so a bug in either checker is caught by disagreement with the
-//! other (the property tests assert the overlap, the analyzer runs both).
+//! ceilings, and the eager/rendezvous threshold policy — so a bug in
+//! either checker is caught by disagreement with the other (the property
+//! tests assert the overlap, the analyzer runs both).
 
 use madeleine::collect::{CollectLayer, RndvState};
-use madeleine::ids::FlowId;
 use madeleine::plan::{PlanBody, TransferPlan};
 use nicdrv::DriverCapabilities;
 
@@ -36,18 +35,6 @@ pub enum CapViolation {
         segs: usize,
         /// Hardware gather entries (0 when DMA is unsupported).
         max: usize,
-    },
-    /// A zero-copy DMA gather segment starts at an offset the DMA engine
-    /// cannot address.
-    MisalignedGather {
-        /// Offending flow.
-        flow: FlowId,
-        /// Offending fragment.
-        frag: u16,
-        /// Segment start offset.
-        offset: u32,
-        /// Required alignment.
-        align: u64,
     },
     /// A linearized plan that no injection path (PIO or DMA) accepts.
     NoInjectionPath {
@@ -85,10 +72,6 @@ impl std::fmt::Display for CapViolation {
             CapViolation::GatherTooWide { segs, max } => {
                 write!(f, "gather list of {segs} segments exceeds hardware limit {max}")
             }
-            CapViolation::MisalignedGather { flow, frag, offset, align } => write!(
-                f,
-                "{flow} frag {frag}: gather segment at offset {offset} breaks {align}-byte DMA alignment"
-            ),
             CapViolation::NoInjectionPath { bytes } => {
                 write!(f, "no injection path accepts a {bytes}-byte linearized packet")
             }
@@ -163,18 +146,6 @@ pub fn check_plan_caps(
                         };
                         return Err(CapViolation::GatherTooWide { segs, max });
                     }
-                    if caps.dma_align > 1 {
-                        for c in chunks {
-                            if u64::from(c.offset) % caps.dma_align != 0 {
-                                return Err(CapViolation::MisalignedGather {
-                                    flow: c.flow,
-                                    frag: c.frag,
-                                    offset: c.offset,
-                                    align: caps.dma_align,
-                                });
-                            }
-                        }
-                    }
                 }
             }
             for c in chunks {
@@ -201,7 +172,7 @@ pub fn check_plan_caps(
 mod tests {
     use super::*;
     use crate::backlog::{BacklogSpec, FragSpec, MsgSpec, RndvPhase, ANALYZED_RAIL};
-    use madeleine::ids::ChannelId;
+    use madeleine::ids::FlowId;
     use madeleine::plan::PlannedChunk;
     use nicdrv::calib;
     use simnet::NodeId;
@@ -272,30 +243,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wide_gather_and_misalignment() {
+    fn rejects_wide_gather() {
         let s = spec(&[2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048]);
         let c = s.build();
-        let mut caps = calib::synthetic_capabilities();
+        let caps = calib::synthetic_capabilities();
         // 9 chunks + header = 10 segments > 8 entries, 18 KiB > 4 KiB PIO.
         let chunks: Vec<_> = (0..9).map(|i| chunk(0, i, 0, 2048)).collect();
         let p = plan_of(chunks, false);
         assert!(matches!(
             check_plan_caps(&p, &c, &caps, 1 << 20, 1 << 30),
             Err(CapViolation::GatherTooWide { segs: 10, max: 8 })
-        ));
-        // A strict DMA engine rejects odd segment offsets.
-        caps.dma_align = 8;
-        let s2 = spec(&[8192]);
-        let mut c2 = s2.build();
-        c2.commit_chunk(&chunk(0, 0, 0, 37), ChannelId(0));
-        let p2 = plan_of(vec![chunk(0, 0, 37, 5000)], false);
-        assert!(matches!(
-            check_plan_caps(&p2, &c2, &caps, 1 << 20, 1 << 30),
-            Err(CapViolation::MisalignedGather {
-                offset: 37,
-                align: 8,
-                ..
-            })
         ));
     }
 

@@ -13,7 +13,7 @@
 //! the plan's public schedule — none of madcoll's own runtime machinery
 //! is consulted.
 
-use madeleine::coll::{select_algo, CollAlgo, CollOp, CollPlan, CHUNK_FULL};
+use madware::coll::{select_algo, CollAlgo, CollOp, CollPlan, CHUNK_FULL};
 use nicdrv::{calib, CostModel};
 use simnet::{SplitMix64, Technology};
 

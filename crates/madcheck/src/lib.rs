@@ -15,8 +15,7 @@
 //!   classes — drawn deterministically from a seeded generator,
 //! * runs every proposal through `validate_plan` **and** a second,
 //!   independent capability pass ([`capcheck`]: gather width, MTU and
-//!   driver packet limits, gather-segment alignment, rendezvous-threshold
-//!   policy),
+//!   driver packet limits, rendezvous-threshold policy),
 //! * and reports each violation with a *minimized* counterexample backlog.
 //!
 //! Nothing here touches the simulator clock or network: the analyzer builds
@@ -25,8 +24,8 @@
 //!
 //! Entry points: [`analyze`] for a whole registry, [`check_spec`] for one
 //! strategy × one backlog, [`minimize`] to shrink a failure, and [`RULES`]
-//! — the table of sweep rules (mask, retx, metrics, flow, net, prof, coll,
-//! diff) that all answer with one [`SweepReport`]. The
+//! — the table of sweep rules (retx, metrics, flow, net, prof, coll, diff)
+//! that all answer with one [`SweepReport`]. The
 //! deliberately broken strategies in [`fixtures`] exist so the analyzer's
 //! own failure path stays tested.
 
@@ -38,7 +37,6 @@ pub mod corpus;
 pub mod diffcheck;
 pub mod fixtures;
 pub mod flowcheck;
-pub mod maskcheck;
 pub mod metricscheck;
 pub mod netcheck;
 pub mod profcheck;
@@ -52,39 +50,36 @@ pub use collcheck::coll_check;
 pub use corpus::corpus;
 pub use diffcheck::diff_check;
 pub use flowcheck::flow_check;
-pub use maskcheck::{mask_check, mask_check_standard, MaskFinding};
 pub use metricscheck::{check_registry, metrics_check};
 pub use netcheck::{net_check, verify_rates};
 pub use profcheck::prof_check;
 pub use report::{Finding, Report, SweepReport};
 pub use retxcheck::{check_retransmit, retx_sweep, verify_packets, RetxViolation};
 
-/// One sweep rule: run it for a registry and a set of options. (Rules
-/// that ignore the registry, or fix their own sample count, say so in
-/// their row below.)
-pub type Rule = fn(&madeleine::strategy::StrategyRegistry, &AnalyzeOptions) -> SweepReport;
+/// One sweep rule: run it for a set of options. (Rules that fix their
+/// own sample count say so in their row below.)
+pub type Rule = fn(&AnalyzeOptions) -> SweepReport;
 
 /// Every sweep rule, in the order `cargo xtask analyze` runs and prints
 /// them after the strategy analyzer ([`analyze`]) itself.
 pub const RULES: &[Rule] = &[
-    mask_check,
-    |_, o| retx_sweep(o.seed, o.samples),
-    |_, _| metrics_check(),
-    |_, o| flow_check(o.seed, o.samples),
+    |o| retx_sweep(o.seed, o.samples),
+    |_| metrics_check(),
+    |o| flow_check(o.seed, o.samples),
     // madnet topology sweep: routed paths + fair-share conservation
     // over the seeded topology corpus.
-    |_, o| net_check(o.seed, o.samples.max(4)),
+    |o| net_check(o.seed, o.samples.max(4)),
     // madprof partition sweep: bounded corpus (each sample is a full
     // traced simulation, so the count is fixed rather than tied to
     // `samples`).
-    |_, o| prof_check(o.seed, 8),
+    |o| prof_check(o.seed, 8),
     // madcoll schedule sweep: every collective plan in the seeded corpus
     // (and every auto-selected plan per capability profile) must be an
     // acyclic, member-spanning, byte-exact round-gated DAG.
-    |_, o| coll_check(o.seed, o.samples.max(8)),
+    |o| coll_check(o.seed, o.samples.max(8)),
     // maddiff sweep: self-diffs must be exactly zero, perturbed diffs
     // must keep the delta-partition invariant, and reports must be
     // byte-stable (each sample is two full traced simulations plus a
     // perturbed third, so the count is fixed like prof's).
-    |_, o| diff_check(o.seed, 6),
+    |o| diff_check(o.seed, 6),
 ];

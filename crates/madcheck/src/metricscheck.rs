@@ -166,6 +166,19 @@ mod tests {
     }
 
     #[test]
+    fn nic_section_exports_every_nic_counter() {
+        // `derive(Debug)` names every field of `NicStats`; the registry
+        // spells them by hand.
+        let stats = simnet::NicStats::default();
+        let fields = format!("{stats:?}").matches(": ").count();
+        let mut reg = MetricsRegistry::new();
+        reg.add_nic("node0/nic0", &stats);
+        let r = check_registry(&reg);
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.count("numeric leaves"), fields);
+    }
+
+    #[test]
     fn duplicate_section_is_flagged() {
         let mut reg = MetricsRegistry::new();
         reg.add_section("dup", obj().field("x", 1u64).build());

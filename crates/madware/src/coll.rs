@@ -4,7 +4,7 @@
 //! environments (the paper's §2 framing) add *structurally dependent*
 //! traffic: barriers, broadcasts, reductions. madcoll expresses those as
 //! dependency-structured multi-flow patterns over the unmodified
-//! [`crate::api::CommApi`]:
+//! [`madeleine::api::CommApi`]:
 //!
 //! * A [`CollPlan`] is a pure function of `(op, algorithm, members,
 //!   payload)`: the full send schedule, organized in *rounds*. Member `m`
@@ -42,13 +42,13 @@ use std::rc::Rc;
 use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimDuration, SimTime, Topology, TxMode};
 
-use crate::api::{AppDriver, CommApi};
-use crate::hist::LatencyHistogram;
-use crate::ids::{FlowId, TrafficClass};
-use crate::json::{obj, Json};
-use crate::message::{DeliveredMessage, MessageBuilder, PackMode};
-use crate::metrics::MetricsRegistry;
-use crate::trace::EngineEvent;
+use madeleine::api::{AppDriver, CommApi};
+use madeleine::hist::LatencyHistogram;
+use madeleine::ids::{FlowId, TrafficClass};
+use madeleine::json::{obj, Json};
+use madeleine::message::{DeliveredMessage, MessageBuilder, PackMode};
+use madeleine::metrics::MetricsRegistry;
+use madeleine::trace::EngineEvent;
 
 /// `chunk` value meaning "the whole payload vector" (every algorithm
 /// except ring-allreduce, which tiles the vector into member-count
@@ -493,7 +493,7 @@ impl CollConfig {
 }
 
 /// Transfer mode a message of `bytes` would use on this rail — the same
-/// PIO/DMA envelope logic as [`crate::cost::estimate_busy`].
+/// PIO/DMA envelope logic as [`madeleine::cost::estimate_busy`].
 fn msg_mode(caps: &DriverCapabilities, bytes: u64) -> TxMode {
     if caps.supports_pio && caps.can_pio(bytes) {
         TxMode::Pio
@@ -1157,7 +1157,7 @@ impl AppDriver for CollApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Cluster, ClusterSpec};
+    use madeleine::harness::{Cluster, ClusterSpec};
     use simnet::Technology;
 
     fn run_cells(

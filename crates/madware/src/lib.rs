@@ -15,6 +15,8 @@
 //! * [`dsm`] — latency-critical page faults answered by bulk pages;
 //! * [`corba`] — marshalled multi-fragment invocations;
 //! * [`rma`] — one-sided put/get windows over the PUT_GET traffic class;
+//! * [`coll`] — madcoll: barrier/broadcast/reduce/allreduce as round-gated
+//!   schedules whose algorithm is selected from the rail's cost model;
 //! * [`mltrain`] — distributed-ML training steps (compute → gradient
 //!   ring-allreduce or parameter-server exchange → step barrier) over
 //!   madcoll's algorithm-selected collectives;
@@ -55,6 +57,7 @@
 #![forbid(unsafe_code)]
 
 pub mod apps;
+pub mod coll;
 pub mod corba;
 pub mod dsm;
 pub mod ga;

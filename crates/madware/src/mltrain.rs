@@ -19,8 +19,8 @@
 //! are verified in closed form every step, so the generator doubles as a
 //! correctness check (the `madware::verify` convention).
 
+use crate::coll::{parse_header, CollConfig, CollMember, CollOp};
 use madeleine::api::{AppDriver, CommApi};
-use madeleine::coll::{parse_header, CollConfig, CollMember, CollOp};
 use madeleine::hist::LatencyHistogram;
 use madeleine::message::DeliveredMessage;
 use simnet::{NodeId, SimDuration, SimTime};
@@ -159,7 +159,7 @@ impl MlTrainApp {
                         // definition; pin it rather than letting selection
                         // reroute the architecture.
                         let cfg = CollConfig {
-                            algo: Some(madeleine::coll::CollAlgo::Flat),
+                            algo: Some(crate::coll::CollAlgo::Flat),
                             ..self.spec.coll.clone()
                         };
                         (CollOp::Reduce { root: 0 }, grad, cfg)
@@ -175,7 +175,7 @@ impl MlTrainApp {
                     vec![0; self.spec.gradient_elems as usize]
                 };
                 let cfg = CollConfig {
-                    algo: Some(madeleine::coll::CollAlgo::Flat),
+                    algo: Some(crate::coll::CollAlgo::Flat),
                     ..self.spec.coll.clone()
                 };
                 (CollOp::Broadcast { root: 0 }, params, cfg)

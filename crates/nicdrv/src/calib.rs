@@ -52,12 +52,10 @@ pub fn synthetic_capabilities() -> DriverCapabilities {
         supports_dma: true,
         pio_max_bytes: 4 << 10,
         max_gather_entries: 8,
-        dma_align: 1,
         max_packet_bytes: 1 << 20,
         vchannels: 8,
         tx_queue_depth: 4,
         rndv_threshold_hint: 32 << 10,
-        supports_rdma: false,
     }
 }
 

@@ -26,11 +26,6 @@ pub struct DriverCapabilities {
     /// hardware cannot gather: multi-segment sends must be linearized by
     /// copy first.
     pub max_gather_entries: usize,
-    /// Required start alignment, in bytes, for gather-segment offsets in a
-    /// DMA descriptor. `1` means byte-addressable (all the 2005-era NICs
-    /// modelled here); stricter engines exist and the static analyzer
-    /// checks plans against this bound.
-    pub dma_align: u64,
     /// Largest single transfer request the driver accepts. Larger messages
     /// must be chunked by the library.
     pub max_packet_bytes: u64,
@@ -42,138 +37,9 @@ pub struct DriverCapabilities {
     /// Driver-suggested eager→rendezvous switch point, in bytes. A hint:
     /// the optimizer's cost model may refine it.
     pub rndv_threshold_hint: u64,
-    /// Whether one-sided put/get (RDMA-style) transfers are natively
-    /// supported (Quadrics, InfiniBand).
-    pub supports_rdma: bool,
-}
-
-/// Bitset of optimizer strategies that can ever produce a plan this
-/// driver would accept, precomputed from the capability descriptor.
-///
-/// Bit names match the standard registry's strategy names
-/// (`StrategyMask::for_name`). The optimizer consults the mask before
-/// its proposal sweep: a strategy whose bit is clear is skipped outright
-/// instead of proposing plans the validator would veto (or, for
-/// rendezvous on a driver that never gates, proposing nothing at all).
-/// `madcheck::mask_check` proves the precomputation against the observed
-/// sweep for every capability profile.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct StrategyMask(u16);
-
-impl StrategyMask {
-    /// FIFO fallback (`"fifo"`); always applicable.
-    pub const FIFO: StrategyMask = StrategyMask(1 << 0);
-    /// Zero-copy eager aggregation (`"aggregate"`).
-    pub const AGGREGATE: StrategyMask = StrategyMask(1 << 1);
-    /// Copy-based aggregation (`"copy-agg"`).
-    pub const COPY_AGG: StrategyMask = StrategyMask(1 << 2);
-    /// Message-order permutations (`"reorder"`).
-    pub const REORDER: StrategyMask = StrategyMask(1 << 3);
-    /// Bulk message chunking (`"bulk-chunk"`).
-    pub const BULK_CHUNK: StrategyMask = StrategyMask(1 << 4);
-    /// Rendezvous promotion (`"rndv"`).
-    pub const RNDV: StrategyMask = StrategyMask(1 << 5);
-
-    /// No strategies.
-    pub const fn empty() -> Self {
-        StrategyMask(0)
-    }
-
-    /// Every standard strategy.
-    pub const fn all() -> Self {
-        StrategyMask(0b11_1111)
-    }
-
-    /// True when every bit of `other` is set in `self`.
-    pub const fn contains(self, other: StrategyMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Union.
-    #[must_use]
-    pub const fn with(self, other: StrategyMask) -> Self {
-        StrategyMask(self.0 | other.0)
-    }
-
-    /// Difference.
-    #[must_use]
-    pub const fn without(self, other: StrategyMask) -> Self {
-        StrategyMask(self.0 & !other.0)
-    }
-
-    /// The bit for a standard strategy name; `None` for user-supplied
-    /// strategies, which the mask makes no claim about (they are always
-    /// consulted).
-    pub fn for_name(name: &str) -> Option<StrategyMask> {
-        match name {
-            "fifo" => Some(Self::FIFO),
-            "aggregate" => Some(Self::AGGREGATE),
-            "copy-agg" => Some(Self::COPY_AGG),
-            "reorder" => Some(Self::REORDER),
-            "bulk-chunk" => Some(Self::BULK_CHUNK),
-            "rndv" => Some(Self::RNDV),
-            _ => None,
-        }
-    }
-
-    /// True when the strategy named `name` should be consulted: its bit
-    /// is set, or the name is not one the mask covers.
-    pub fn allows(self, name: &str) -> bool {
-        Self::for_name(name).is_none_or(|bit| self.contains(bit))
-    }
-
-    /// Names of the set bits, in registry-bit order.
-    pub fn names(self) -> Vec<&'static str> {
-        let table = [
-            (Self::FIFO, "fifo"),
-            (Self::AGGREGATE, "aggregate"),
-            (Self::COPY_AGG, "copy-agg"),
-            (Self::REORDER, "reorder"),
-            (Self::BULK_CHUNK, "bulk-chunk"),
-            (Self::RNDV, "rndv"),
-        ];
-        table
-            .into_iter()
-            .filter(|(bit, _)| self.contains(*bit))
-            .map(|(_, n)| n)
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for StrategyMask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StrategyMask[{}]", self.names().join(", "))
-    }
 }
 
 impl DriverCapabilities {
-    /// Which strategies can ever yield a plan this driver accepts:
-    ///
-    /// * `fifo`, `copy-agg` and `bulk-chunk` always can — their plans are
-    ///   single-segment (or linearized) packets any injection path takes;
-    /// * `aggregate` and `reorder` build multi-segment packets, so they
-    ///   need PIO (which streams segments) or a gather list of at least
-    ///   two entries;
-    /// * `rndv` only ever fires when the eager→rendezvous switch point is
-    ///   reachable — a hint of `0` (always rendezvous) is still usable,
-    ///   but `u64::MAX` means no fragment is ever gated, so the strategy
-    ///   can never have a candidate.
-    ///
-    /// An engine-level config override may re-enable or disable the
-    /// rendezvous bit; see `madeleine::strategy::effective_strategy_mask`.
-    pub fn strategy_mask(&self) -> StrategyMask {
-        let mut m = StrategyMask::FIFO
-            .with(StrategyMask::COPY_AGG)
-            .with(StrategyMask::BULK_CHUNK);
-        if self.supports_pio || (self.supports_dma && self.max_gather_entries >= 2) {
-            m = m.with(StrategyMask::AGGREGATE).with(StrategyMask::REORDER);
-        }
-        if self.rndv_threshold_hint < u64::MAX {
-            m = m.with(StrategyMask::RNDV);
-        }
-        m
-    }
-
     /// True if a gather list of `n` segments can be sent in one DMA request.
     pub fn can_gather(&self, n: usize) -> bool {
         self.supports_dma && n <= self.max_gather_entries
@@ -195,9 +61,6 @@ impl DriverCapabilities {
         }
         if self.supports_dma && self.max_gather_entries == 0 {
             return Err("DMA supported but max_gather_entries == 0".into());
-        }
-        if self.dma_align == 0 || !self.dma_align.is_power_of_two() {
-            return Err("dma_align must be a power of two >= 1".into());
         }
         if self.max_packet_bytes == 0 {
             return Err("max_packet_bytes == 0".into());
@@ -223,48 +86,11 @@ mod tests {
             supports_dma: true,
             pio_max_bytes: 4096,
             max_gather_entries: 8,
-            dma_align: 1,
             max_packet_bytes: 1 << 20,
             vchannels: 4,
             tx_queue_depth: 4,
             rndv_threshold_hint: 32 << 10,
-            supports_rdma: false,
         }
-    }
-
-    #[test]
-    fn strategy_mask_reflects_capabilities() {
-        // Synthetic-style caps: everything applies.
-        assert_eq!(caps().strategy_mask(), StrategyMask::all());
-        // Rendezvous never fires when the hint says "no switch point".
-        let mut c = caps();
-        c.rndv_threshold_hint = u64::MAX;
-        let m = c.strategy_mask();
-        assert!(!m.contains(StrategyMask::RNDV));
-        assert!(m.contains(StrategyMask::AGGREGATE));
-        // No PIO and a single-entry gather list: multi-segment packets
-        // are impossible, so aggregate/reorder are masked out.
-        let mut c = caps();
-        c.supports_pio = false;
-        c.max_gather_entries = 1;
-        let m = c.strategy_mask();
-        assert!(!m.contains(StrategyMask::AGGREGATE));
-        assert!(!m.contains(StrategyMask::REORDER));
-        assert!(m.contains(StrategyMask::FIFO));
-        assert!(m.contains(StrategyMask::COPY_AGG));
-        assert!(m.contains(StrategyMask::BULK_CHUNK));
-    }
-
-    #[test]
-    fn strategy_mask_name_round_trip() {
-        for name in StrategyMask::all().names() {
-            let bit = StrategyMask::for_name(name).expect("standard name");
-            assert!(StrategyMask::all().contains(bit));
-            assert_eq!(bit.names(), vec![name]);
-        }
-        assert!(StrategyMask::for_name("custom-thing").is_none());
-        assert!(StrategyMask::empty().allows("custom-thing"));
-        assert!(!StrategyMask::empty().allows("fifo"));
     }
 
     #[test]
@@ -305,9 +131,6 @@ mod tests {
         let mut c = caps();
         c.supports_dma = true;
         c.max_gather_entries = 0;
-        assert!(c.validate().is_err());
-        let mut c = caps();
-        c.dma_align = 3;
         assert!(c.validate().is_err());
     }
 }

@@ -195,12 +195,10 @@ mod tests {
             supports_dma: true,
             pio_max_bytes: 1024,
             max_gather_entries: 4,
-            dma_align: 1,
             max_packet_bytes: 1 << 16,
             vchannels: 2,
             tx_queue_depth: 4,
             rndv_threshold_hint: 32 << 10,
-            supports_rdma: false,
         }
     }
 

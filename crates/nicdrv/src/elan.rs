@@ -17,7 +17,6 @@ pub fn params() -> NetworkParams {
     NetworkParams {
         tech: Technology::QuadricsElan,
         wire_latency: SimDuration::from_nanos(600),
-        jitter: SimDuration::ZERO,
         wire_bandwidth: 900_000_000,
         per_packet_overhead_bytes: 24,
         mtu: 64 << 10,
@@ -41,12 +40,10 @@ pub fn capabilities() -> DriverCapabilities {
         supports_dma: true,
         pio_max_bytes: 2 << 10,
         max_gather_entries: 8,
-        dma_align: 1,
         max_packet_bytes: 64 << 10,
         vchannels: 16,
         tx_queue_depth: 16,
         rndv_threshold_hint: 16 << 10,
-        supports_rdma: true, // native put/get
     }
 }
 
@@ -76,11 +73,5 @@ mod tests {
             elan.injection_time(TxMode::Dma, 32 << 10, 1)
                 < mx.injection_time(TxMode::Dma, 32 << 10, 1)
         );
-    }
-
-    #[test]
-    fn rdma_capable() {
-        assert!(capabilities().supports_rdma);
-        assert!(capabilities().validate().is_ok());
     }
 }

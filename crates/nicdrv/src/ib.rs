@@ -23,7 +23,6 @@ pub fn params() -> NetworkParams {
     NetworkParams {
         tech: Technology::InfiniBand,
         wire_latency: SimDuration::from_nanos(2_000),
-        jitter: SimDuration::ZERO,
         wire_bandwidth: 950_000_000,
         per_packet_overhead_bytes: 30,
         mtu: 1 << 20,
@@ -47,12 +46,10 @@ pub fn capabilities() -> DriverCapabilities {
         supports_dma: true,
         pio_max_bytes: 256,    // verbs inline limit
         max_gather_entries: 4, // typical max_sge of the era
-        dma_align: 1,
         max_packet_bytes: 1 << 20,
         vchannels: 8,
         tx_queue_depth: 32,
         rndv_threshold_hint: 16 << 10,
-        supports_rdma: true,
     }
 }
 

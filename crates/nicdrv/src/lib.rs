@@ -32,7 +32,7 @@ pub mod shm;
 pub mod tcp;
 pub mod virt;
 
-pub use caps::{DriverCapabilities, StrategyMask};
+pub use caps::DriverCapabilities;
 pub use cost::CostModel;
 pub use driver::{Driver, SimDriver};
 pub use request::{DriverError, ModeSel, TransferRequest};

@@ -23,7 +23,6 @@ pub fn params() -> NetworkParams {
     NetworkParams {
         tech: Technology::MyrinetMx,
         wire_latency: SimDuration::from_nanos(1_000),
-        jitter: SimDuration::ZERO,
         wire_bandwidth: 250_000_000,
         per_packet_overhead_bytes: 32,
         mtu: 32 << 10,
@@ -47,12 +46,10 @@ pub fn capabilities() -> DriverCapabilities {
         supports_dma: true,
         pio_max_bytes: 1 << 10, // MX "small" message class
         max_gather_entries: 16,
-        dma_align: 1,
         max_packet_bytes: 32 << 10,
         vchannels: 8,
         tx_queue_depth: 8,
         rndv_threshold_hint: 32 << 10,
-        supports_rdma: false, // MX is two-sided matching
     }
 }
 

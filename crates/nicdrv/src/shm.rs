@@ -15,7 +15,6 @@ pub fn params() -> NetworkParams {
     NetworkParams {
         tech: Technology::SharedMem,
         wire_latency: SimDuration::from_nanos(150),
-        jitter: SimDuration::ZERO,
         wire_bandwidth: 2_500_000_000,
         per_packet_overhead_bytes: 8,
         mtu: 64 << 10,
@@ -39,12 +38,10 @@ pub fn capabilities() -> DriverCapabilities {
         supports_dma: false,
         pio_max_bytes: 64 << 10,
         max_gather_entries: 1,
-        dma_align: 1, // no DMA engine
         max_packet_bytes: 64 << 10,
         vchannels: 16,
         tx_queue_depth: 16,
         rndv_threshold_hint: 8 << 10, // switch to single-copy mapping
-        supports_rdma: false,
     }
 }
 

@@ -23,7 +23,6 @@ pub fn params() -> NetworkParams {
     NetworkParams {
         tech: Technology::TcpEthernet,
         wire_latency: SimDuration::from_micros(40),
-        jitter: SimDuration::ZERO,
         wire_bandwidth: 110_000_000,
         per_packet_overhead_bytes: 66, // Ethernet + IP + TCP headers
         mtu: 64 << 10,                 // GSO-sized bursts
@@ -47,12 +46,10 @@ pub fn capabilities() -> DriverCapabilities {
         supports_dma: false,
         pio_max_bytes: 64 << 10,
         max_gather_entries: 1, // no hardware gather; PIO streams segments
-        dma_align: 1,          // no DMA engine
         max_packet_bytes: 64 << 10,
         vchannels: 16, // sockets are cheap
         tx_queue_depth: 32,
         rndv_threshold_hint: u64::MAX, // rendezvous buys nothing over TCP
-        supports_rdma: false,
     }
 }
 

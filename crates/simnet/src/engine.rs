@@ -28,7 +28,6 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::link::NetworkParams;
 use crate::nic::NicState;
 use crate::packet::{SubmitError, TxRequest, WirePacket};
-use crate::rng::SplitMix64;
 use crate::time::{transfer_time, SimDuration, SimTime};
 use crate::topo::{AdmitOutcome, FabricState, Topology};
 use crate::trace::{Trace, TraceEvent};
@@ -62,13 +61,11 @@ pub trait Endpoint {
     fn on_timer(&mut self, ctx: &mut SimCtx<'_>, timer: TimerId, tag: u64) {}
 }
 
-/// A network fabric instance: parameters plus its private jitter/drop RNG
-/// and, when installed, a scripted fault plan and/or a switched topology
-/// (madnet).
+/// A network fabric instance: parameters plus, when installed, a scripted
+/// fault plan and/or a switched topology (madnet).
 #[derive(Debug)]
 struct NetworkState {
     params: NetworkParams,
-    rng: SplitMix64,
     fault: Option<FaultState>,
     fabric: Option<FabricState>,
 }
@@ -279,12 +276,8 @@ impl Simulation {
     /// Add a network fabric; returns its id.
     pub fn add_network(&mut self, params: NetworkParams) -> NetworkId {
         let id = NetworkId(self.world.networks.len() as u32);
-        // Seed each network's RNG from its id so topology construction order
-        // does not perturb unrelated networks' jitter streams.
-        let rng = SplitMix64::new(0xC0FF_EE00 ^ id.0 as u64);
         self.world.networks.push(NetworkState {
             params,
-            rng,
             fault: None,
             fabric: None,
         });
@@ -315,9 +308,7 @@ impl Simulation {
     }
 
     /// Install (or replace) a deterministic [`FaultPlan`] on a network. The
-    /// plan's own seed drives a private RNG stream, independent of the
-    /// network's jitter stream, so adding faults does not perturb the
-    /// latency jitter of un-faulted packets.
+    /// plan's own seed drives a private RNG stream.
     pub fn set_fault_plan(&mut self, net: NetworkId, plan: FaultPlan) {
         self.world.networks[net.0 as usize].fault = Some(FaultState::new(plan));
     }
@@ -563,25 +554,14 @@ impl Simulation {
         let cookie = req.cookie;
         let payload_len = req.payload_len();
         let seg_count = req.payload.len();
-        let (latency, jitter, overhead, fault) = {
-            let net = &mut self.world.networks[net_idx];
-            let jitter = if net.params.jitter.is_zero() {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_nanos(net.rng.next_below(net.params.jitter.as_nanos()))
-            };
-            // The scripted fault plan draws from its own RNG stream, so
-            // fault decisions stay a pure function of (seed, tx order).
-            let fault = match net.fault.as_mut() {
-                Some(f) => f.on_tx(now),
-                None => crate::fault::FaultOutcome::default(),
-            };
-            (
-                net.params.wire_latency,
-                jitter,
-                net.params.per_packet_overhead_bytes,
-                fault,
-            )
+        let net = &mut self.world.networks[net_idx];
+        let latency = net.params.wire_latency;
+        let overhead = net.params.per_packet_overhead_bytes;
+        // The scripted fault plan draws from its own RNG stream, so
+        // fault decisions stay a pure function of (seed, tx order).
+        let fault = match net.fault.as_mut() {
+            Some(f) => f.on_tx(now),
+            None => crate::fault::FaultOutcome::default(),
         };
 
         // Account the completed transmit.
@@ -634,7 +614,7 @@ impl Simulation {
                 ecn: false,
                 payload: req.payload,
             };
-            let arrive_at = now + latency + jitter + fault.extra_delay;
+            let arrive_at = now + latency + fault.extra_delay;
             let dup_packet = if fault.duplicate {
                 let dup_seq = {
                     let nic = &mut self.world.nics[nic_idx];
@@ -659,10 +639,9 @@ impl Simulation {
             if self.world.networks[net_idx].fabric.is_some() {
                 // madnet: the packet becomes a fluid transfer serialized
                 // at its max-min fair share; propagation latency comes
-                // from the routed path, while jitter and fault delays
-                // stay with the packet.
+                // from the routed path, while fault delays stay with the
+                // packet.
                 let wire_bytes = payload_len + overhead;
-                let extra = jitter + fault.extra_delay;
                 let network = self.world.nics[nic_idx].network;
                 let fabric = self.world.networks[net_idx]
                     .fabric
@@ -674,7 +653,7 @@ impl Simulation {
                     dup_packet,
                     dst_nic,
                     wire_bytes,
-                    extra,
+                    fault.extra_delay,
                 ) {
                     AdmitOutcome::Local { packet, dup_packet } => {
                         if let Some(dup) = dup_packet {

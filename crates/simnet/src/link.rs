@@ -11,7 +11,7 @@
 //! ```text
 //!  host injection (PIO write or DMA descriptor+pull)
 //!    -> tx engine serialization onto the wire
-//!    -> propagation latency (+ optional jitter)
+//!    -> propagation latency
 //!    -> rx engine processing at the receiver
 //!    -> delivery callback
 //! ```
@@ -68,9 +68,6 @@ pub struct NetworkParams {
     pub tech: Technology,
     /// One-way propagation + switching latency.
     pub wire_latency: SimDuration,
-    /// Uniform random extra latency in `[0, jitter)` added per packet
-    /// (0 = fully deterministic).
-    pub jitter: SimDuration,
     /// Wire serialization bandwidth (bytes/s).
     pub wire_bandwidth: u64,
     /// Framing overhead added to every wire packet (header + CRC bytes).
@@ -101,12 +98,11 @@ pub struct NetworkParams {
 
 impl NetworkParams {
     /// Round-number synthetic fabric for unit tests: 1 µs latency, 1 GB/s
-    /// wire, 0.5 GB/s PIO, 2 GB/s DMA pull, no jitter.
+    /// wire, 0.5 GB/s PIO, 2 GB/s DMA pull.
     pub fn synthetic() -> Self {
         NetworkParams {
             tech: Technology::Synthetic,
             wire_latency: SimDuration::from_micros(1),
-            jitter: SimDuration::ZERO,
             wire_bandwidth: 1_000_000_000,
             per_packet_overhead_bytes: 16,
             mtu: 1 << 20,

@@ -1,12 +1,12 @@
-//! Small deterministic PRNG for simulator-internal randomness (link jitter,
-//! tie-breaking stress tests).
+//! Small deterministic PRNG for simulator-internal randomness (fault
+//! plans, seeded topology and analyzer corpora).
 //!
 //! Workload generation in higher layers uses the `rand` crate; the simulator
 //! itself keeps a dependency-free SplitMix64 so the substrate stays minimal
 //! and its determinism is self-contained.
 
 /// SplitMix64 generator. Passes BigCrush when used as a stream; more than
-/// adequate for jitter modeling. Deterministic across platforms.
+/// adequate for fault modeling. Deterministic across platforms.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
     state: u64,
@@ -32,7 +32,7 @@ impl SplitMix64 {
     /// Uniform value in `[0, bound)`. Returns 0 when `bound == 0`.
     ///
     /// Uses the widening-multiply method (Lemire); the modulo bias is at most
-    /// 2^-64 per draw, negligible for jitter purposes.
+    /// 2^-64 per draw, negligible for these purposes.
     #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         if bound == 0 {

@@ -578,7 +578,7 @@ pub(crate) struct FabricDelivery {
     pub dst_nic: NicId,
     /// Propagation latency along the route (sum of hop latencies).
     pub path_latency: SimDuration,
-    /// Jitter + fault-plan delay drawn at injection time.
+    /// Fault-plan delay drawn at injection time.
     pub extra_delay: SimDuration,
     /// The next completion under the allocation this leave produced;
     /// `None` when the fabric drained.

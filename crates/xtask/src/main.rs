@@ -6,8 +6,7 @@
 //!   conformance analyzer over every registered strategy × every driver
 //!   capability profile. Exits non-zero (printing a minimized
 //!   counterexample) if any strategy can emit a plan that violates the
-//!   plan constraints or a driver capability bound, checks the per-driver
-//!   strategy applicability masks against the sweep, then checks the
+//!   plan constraints or a driver capability bound, then checks the
 //!   madscope metrics export (unique sample keys, no silent drops) and
 //!   the madprof attribution partition (phase durations telescope
 //!   exactly to each message's lifetime over a seeded traced corpus) and
@@ -71,9 +70,9 @@ usage: cargo xtask <command>
 commands:
   analyze   madlint AST lints + static conformance analysis of all
             registered strategies against every driver capability
-            profile, plus the strategy-mask, madflow flow-index,
-            retransmit, metrics-export, madprof-attribution and
-            maddiff-comparison rules
+            profile, plus the madflow flow-index, retransmit,
+            metrics-export, madprof-attribution and maddiff-comparison
+            rules
               --broken-fixture   also register the deliberately broken
                                  fixture strategies (expected to fail)
               --seed <u64>       corpus seed (default: stable)
@@ -151,7 +150,7 @@ fn analyze(args: &[String]) -> ExitCode {
     ok &= report.is_clean();
 
     for rule in madcheck::RULES {
-        let sweep = rule(&registry, &opts);
+        let sweep = rule(&opts);
         print!("{sweep}");
         ok &= sweep.is_clean();
     }

@@ -12,8 +12,8 @@
 //! cargo run --release -p madeleine --example allreduce
 //! ```
 
-use madeleine::coll::{CollApp, CollConfig, CollOp};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
+use madware::coll::{CollApp, CollConfig, CollOp};
 use simnet::Technology;
 
 const ITERATIONS: u32 = 20;

@@ -10,9 +10,9 @@
 //! and a multi-flow workload that actually populates the converted
 //! containers.)
 
-use madeleine::coll::{CollApp, CollConfig, CollHub, CollOp};
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::{EngineConfig, MessageBuilder, ReliabilityMode, TrafficClass};
+use madware::coll::{CollApp, CollConfig, CollHub, CollOp};
 use proptest::prelude::*;
 use simnet::{FaultPlan, SimDuration, SimTime, Technology};
 

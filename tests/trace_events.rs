@@ -5,9 +5,10 @@
 //! malformed wire packet).
 
 use madeleine::harness::{Cluster, ClusterSpec};
+use madeleine::proto::{encode_packet, ChunkHeader, WireChunk};
 use madeleine::trace::{EngineEvent, FlightTrigger};
-use madeleine::{Json, MessageBuilder, TrafficClass};
-use simnet::{NodeId, WirePacket};
+use madeleine::{FlowId, Json, MessageBuilder, TrafficClass};
+use simnet::{NodeId, SimDuration, TxMode, TxRequest, WirePacket};
 
 /// A traced two-node MX cluster with `msgs` eager messages submitted
 /// back-to-back on one flow (backlog forms, so activations see depth > 0).
@@ -136,6 +137,57 @@ fn malformed_packet(c: &Cluster) -> WirePacket {
         seq: 0,
         ecn: false,
         payload: vec![bytes::Bytes::from_static(&[0xff])],
+    }
+}
+
+/// The payload of a well-formed data packet that breaks express ordering:
+/// half of express fragment 0, then half of fragment 1 of the same message.
+fn express_overtaken_payload() -> Vec<bytes::Bytes> {
+    let half = ChunkHeader {
+        flow: FlowId(7),
+        msg_seq: 0,
+        frag_index: 0,
+        frag_count: 2,
+        express: true,
+        class: TrafficClass::DEFAULT,
+        frag_len: 8,
+        offset: 0,
+        chunk_len: 4,
+        submit_ns: 0,
+    };
+    let next = ChunkHeader {
+        frag_index: 1,
+        ..half
+    };
+    let chunk = |header| WireChunk {
+        header,
+        data: bytes::Bytes::from_static(b"half"),
+    };
+    encode_packet(&[chunk(half), chunk(next)], true)
+}
+
+#[test]
+fn express_violation_reaches_the_engine_counter_on_both_engines() {
+    for spec in [ClusterSpec::mx_pair(), ClusterSpec::mx_pair().legacy()] {
+        let mut c = Cluster::build(&spec, vec![]);
+        // Node 0 puts the packet on the wire itself, under its engine (the
+        // legacy handle has no `inject_packet`); the simulator delivers it.
+        let (nic, dst_nic) = (c.nics[0][0], c.nics[1][0]);
+        c.sim.inject(c.nodes[0], move |ctx| {
+            let req = TxRequest {
+                dst_nic,
+                vchan: 0,
+                kind: madeleine::proto::KIND_DATA,
+                cookie: 0,
+                mode: TxMode::Pio,
+                host_prep: SimDuration::ZERO,
+                payload: express_overtaken_payload(),
+            };
+            ctx.submit(nic, req).expect("idle NIC accepts the packet");
+        });
+        c.drain();
+        assert_eq!(c.handle(1).receiver_stats().express_violations, 1);
+        assert_eq!(c.handle(1).metrics().express_violations, 1);
     }
 }
 
