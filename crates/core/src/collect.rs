@@ -352,6 +352,8 @@ impl CollectLayer {
             FairnessMode::PackOrder => self.collect_pack_order(rail, window, eligible, groups),
             FairnessMode::Drr => self.collect_drr(rail, window, eligible, groups),
         }
+        #[cfg(feature = "debug-invariants")]
+        groups.debug_assert_invariants();
     }
 
     /// Historical flow order: ascending flow id, messages oldest first.
@@ -491,6 +493,7 @@ impl CollectLayer {
                             *d = d.saturating_sub(u64::from(frag.remaining()));
                         }
                         group.candidates.push(ChunkCandidate {
+                            at: group.candidates.len() as u32,
                             flow: fs.id,
                             seq: msg.id.seq.0,
                             frag: frag.index,

@@ -12,10 +12,13 @@
 
 use nicdrv::DriverCapabilities;
 
+use simnet::NodeId;
+
 use crate::collect::{CollectLayer, RndvState};
-use crate::ids::{FlowId, FragIndex};
+use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::message::PackMode;
-use crate::plan::{Body, PlanRef, TransferPlan};
+use crate::plan::{Body, PlanRef, PlannedChunk, TransferPlan};
+use crate::proto::framing_bytes;
 
 /// Why a plan was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,7 +31,8 @@ pub enum PlanViolation {
     UnknownChunk,
     /// Chunks for different destination nodes in one packet.
     MixedDestinations,
-    /// The message is pinned to a different rail.
+    /// The message is pinned to a different rail, or the plan names a
+    /// rail other than the one being scheduled.
     WrongRail,
     /// A chunk does not start at its fragment's committed/planned frontier.
     NonContiguous {
@@ -81,7 +85,12 @@ impl std::fmt::Display for PlanViolation {
             PlanViolation::ZeroLengthChunk => write!(f, "zero-length chunk"),
             PlanViolation::UnknownChunk => write!(f, "chunk references unknown message"),
             PlanViolation::MixedDestinations => write!(f, "mixed destinations in one packet"),
-            PlanViolation::WrongRail => write!(f, "message pinned to a different rail"),
+            PlanViolation::WrongRail => {
+                write!(
+                    f,
+                    "message pinned to, or plan addressed to, a different rail"
+                )
+            }
             PlanViolation::NonContiguous {
                 flow,
                 frag,
@@ -150,7 +159,9 @@ pub fn validate_plan(
 }
 
 /// [`validate_plan`] of a borrowed plan, with the caller's coverage
-/// scratch (cleared here).
+/// scratch (cleared here): the composition of what a selection pass checks
+/// once per distinct chunk list ([`validate_chunks`]) and once per
+/// proposal ([`validate_injection`]).
 pub(crate) fn validate_plan_with(
     plan: PlanRef<'_>,
     collect: &CollectLayer,
@@ -160,108 +171,147 @@ pub(crate) fn validate_plan_with(
 ) -> Result<(), PlanViolation> {
     match plan.body {
         Body::RndvRequest { flow, seq, frag } => {
-            let msg = collect
-                .find_msg(flow, seq)
-                .ok_or(PlanViolation::UnknownChunk)?;
-            if msg.dst != plan.dst {
-                return Err(PlanViolation::MixedDestinations);
-            }
-            let f = msg
-                .frags
-                .get(frag as usize)
-                .ok_or(PlanViolation::UnknownChunk)?;
-            if f.rndv != RndvState::NeedRequest {
-                return Err(PlanViolation::RndvNotNeeded);
-            }
-            Ok(())
+            validate_request(plan.dst, (flow, seq, frag), collect)
         }
         Body::Data { chunks, linearize } => {
-            if chunks.is_empty() {
-                return Err(PlanViolation::EmptyPlan);
-            }
-            planned.0.clear();
-            let mut payload = 0u64;
-            for c in chunks {
-                if c.len == 0 {
-                    return Err(PlanViolation::ZeroLengthChunk);
-                }
-                let msg = collect
-                    .find_msg(c.flow, c.seq)
-                    .ok_or(PlanViolation::UnknownChunk)?;
-                if msg.dst != plan.dst {
-                    return Err(PlanViolation::MixedDestinations);
-                }
-                if let Some(pin) = msg.pinned_rail {
-                    if pin != plan.channel {
-                        return Err(PlanViolation::WrongRail);
-                    }
-                }
-                let frag = msg
-                    .frags
-                    .get(c.frag as usize)
-                    .ok_or(PlanViolation::UnknownChunk)?;
-                if frag.rndv_blocked() {
-                    return Err(PlanViolation::RndvBlocked);
-                }
-                // Express gating: every earlier express fragment must be
-                // fully committed or fully covered earlier in this plan.
-                for (i, earlier) in msg.frags.iter().enumerate() {
-                    if i as u16 >= c.frag {
-                        break;
-                    }
-                    if earlier.mode != PackMode::Express || earlier.fully_committed() {
-                        continue;
-                    }
-                    let covered = planned.covered((c.flow, c.seq, i as FragIndex));
-                    if earlier.committed() + covered < earlier.len() {
-                        return Err(PlanViolation::ExpressOrder {
-                            flow: c.flow,
-                            frag: c.frag,
-                            open_express: i as FragIndex,
-                        });
-                    }
-                }
-                let already = planned.entry((c.flow, c.seq, c.frag));
-                let expected = frag.committed() + *already;
-                if c.offset != expected {
-                    return Err(PlanViolation::NonContiguous {
-                        flow: c.flow,
-                        frag: c.frag,
-                        expected,
-                        got: c.offset,
-                    });
-                }
-                // Widen before adding: a hostile `len` near `u32::MAX`
-                // must report Overrun, not overflow.
-                if u64::from(c.offset) + u64::from(c.len) > u64::from(frag.len()) {
-                    return Err(PlanViolation::Overrun);
-                }
-                *already += c.len;
-                payload += c.len as u64;
-            }
-            let total = payload + plan.framing();
             let limit = wire_mtu.min(caps.max_packet_bytes);
-            if total > limit {
-                return Err(PlanViolation::OverSize {
-                    bytes: total,
-                    limit,
-                });
-            }
-            if !linearize {
-                let segs = 1 + chunks.len();
-                // PIO can stream arbitrary segment lists; DMA needs gather
-                // entries. If neither path fits, the plan must linearize.
-                let pio_ok = caps.can_pio(total);
-                if !pio_ok && !caps.can_gather(segs) {
-                    return Err(PlanViolation::GatherTooWide {
-                        segs,
-                        max: self::gather_limit(caps),
-                    });
-                }
-            }
-            Ok(())
+            let payload = validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
+            validate_injection(chunks.len(), payload, linearize, caps)
         }
     }
+}
+
+/// A rendezvous request toward `dst` for a pending fragment that needs one.
+pub(crate) fn validate_request(
+    dst: NodeId,
+    (flow, seq, frag): (FlowId, u32, FragIndex),
+    collect: &CollectLayer,
+) -> Result<(), PlanViolation> {
+    let msg = collect
+        .find_msg(flow, seq)
+        .ok_or(PlanViolation::UnknownChunk)?;
+    if msg.dst != dst {
+        return Err(PlanViolation::MixedDestinations);
+    }
+    let f = msg
+        .frags
+        .get(frag as usize)
+        .ok_or(PlanViolation::UnknownChunk)?;
+    if f.rndv != RndvState::NeedRequest {
+        return Err(PlanViolation::RndvNotNeeded);
+    }
+    Ok(())
+}
+
+/// What a data packet of `chunks` toward `dst` on rail `channel` must
+/// satisfy whichever way it is injected: every chunk names live, unpinned
+/// (or pinned here), ungated bytes at its fragment's frontier, in an order
+/// the express constraints allow, and the packet fits `limit` bytes (the
+/// smaller of the wire MTU and the driver's packet size). Returns the
+/// payload bytes; `planned` is cleared here.
+pub(crate) fn validate_chunks(
+    channel: ChannelId,
+    dst: NodeId,
+    chunks: &[PlannedChunk],
+    collect: &CollectLayer,
+    limit: u64,
+    planned: &mut PlanCoverage,
+) -> Result<u64, PlanViolation> {
+    if chunks.is_empty() {
+        return Err(PlanViolation::EmptyPlan);
+    }
+    planned.0.clear();
+    let mut payload = 0u64;
+    for c in chunks {
+        if c.len == 0 {
+            return Err(PlanViolation::ZeroLengthChunk);
+        }
+        let msg = collect
+            .find_msg(c.flow, c.seq)
+            .ok_or(PlanViolation::UnknownChunk)?;
+        if msg.dst != dst {
+            return Err(PlanViolation::MixedDestinations);
+        }
+        if let Some(pin) = msg.pinned_rail {
+            if pin != channel {
+                return Err(PlanViolation::WrongRail);
+            }
+        }
+        let frag = msg
+            .frags
+            .get(c.frag as usize)
+            .ok_or(PlanViolation::UnknownChunk)?;
+        if frag.rndv_blocked() {
+            return Err(PlanViolation::RndvBlocked);
+        }
+        // Express gating: every earlier express fragment must be
+        // fully committed or fully covered earlier in this plan.
+        for (i, earlier) in msg.frags.iter().enumerate() {
+            if i as u16 >= c.frag {
+                break;
+            }
+            if earlier.mode != PackMode::Express || earlier.fully_committed() {
+                continue;
+            }
+            let covered = planned.covered((c.flow, c.seq, i as FragIndex));
+            if earlier.committed() + covered < earlier.len() {
+                return Err(PlanViolation::ExpressOrder {
+                    flow: c.flow,
+                    frag: c.frag,
+                    open_express: i as FragIndex,
+                });
+            }
+        }
+        let already = planned.entry((c.flow, c.seq, c.frag));
+        let expected = frag.committed() + *already;
+        if c.offset != expected {
+            return Err(PlanViolation::NonContiguous {
+                flow: c.flow,
+                frag: c.frag,
+                expected,
+                got: c.offset,
+            });
+        }
+        // Widen before adding: a hostile `len` near `u32::MAX`
+        // must report Overrun, not overflow.
+        if u64::from(c.offset) + u64::from(c.len) > u64::from(frag.len()) {
+            return Err(PlanViolation::Overrun);
+        }
+        *already += c.len;
+        payload += c.len as u64;
+    }
+    let total = payload + framing_bytes(chunks.len());
+    if total > limit {
+        return Err(PlanViolation::OverSize {
+            bytes: total,
+            limit,
+        });
+    }
+    Ok(payload)
+}
+
+/// What depends on how a valid chunk list is injected: a gather list
+/// (`linearize` false) of `chunks` chunks carrying `payload` bytes must
+/// stream by PIO or fit the hardware's gather width.
+pub(crate) fn validate_injection(
+    chunks: usize,
+    payload: u64,
+    linearize: bool,
+    caps: &DriverCapabilities,
+) -> Result<(), PlanViolation> {
+    if linearize {
+        return Ok(());
+    }
+    let segs = 1 + chunks;
+    // PIO can stream arbitrary segment lists; DMA needs gather entries.
+    // If neither path fits, the plan must linearize.
+    if !caps.can_pio(payload + framing_bytes(chunks)) && !caps.can_gather(segs) {
+        return Err(PlanViolation::GatherTooWide {
+            segs,
+            max: gather_limit(caps),
+        });
+    }
+    Ok(())
 }
 
 fn gather_limit(caps: &DriverCapabilities) -> usize {
@@ -532,6 +582,50 @@ mod tests {
             *linearize = true;
         }
         assert_eq!(validate_plan(&lin, &many, &caps(), 1 << 20), Ok(()));
+    }
+
+    #[test]
+    fn what_is_wrong_with_the_chunks_is_reported_before_how_they_are_injected() {
+        // Twelve 1 KiB fragments as one gather list are too wide (13
+        // segments, 12 KiB: neither PIO nor the 8-entry gather); the last
+        // chunk also runs past its fragment. The overrun is the verdict
+        // whichever way the packet would be injected, as it was when one
+        // routine checked both.
+        let mut c = CollectLayer::new();
+        let f = c.open_flow(NodeId(1), TrafficClass::DEFAULT);
+        let sizes: Vec<(usize, PackMode)> = (0..12).map(|_| (1024, PackMode::Cheaper)).collect();
+        c.submit(f, parts(&sizes), SimTime::ZERO, 1 << 30);
+        let chunk = |frag, len| PlannedChunk {
+            flow: f,
+            seq: 0,
+            frag,
+            offset: 0,
+            len,
+        };
+        let mut chunks: Vec<_> = (0..12).map(|i| chunk(i, 1024)).collect();
+        let wide = data_plan(chunks.clone());
+        assert!(matches!(
+            validate_plan(&wide, &c, &caps(), 1 << 20),
+            Err(PlanViolation::GatherTooWide { .. })
+        ));
+        chunks[11].len = 1025;
+        for linearize in [false, true] {
+            let mut plan = data_plan(chunks.clone());
+            plan.body = PlanBody::Data {
+                chunks: chunks.clone(),
+                linearize,
+            };
+            assert_eq!(
+                validate_plan(&plan, &c, &caps(), 1 << 20),
+                Err(PlanViolation::Overrun)
+            );
+        }
+        // So is a packet over the size limit: it is not a gather problem.
+        chunks[11].len = 1024;
+        assert!(matches!(
+            validate_plan(&data_plan(chunks), &c, &caps(), 8192),
+            Err(PlanViolation::OverSize { limit: 8192, .. })
+        ));
     }
 
     #[test]

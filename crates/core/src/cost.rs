@@ -22,11 +22,12 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
-use simnet::{SimDuration, SimTime, TxMode};
+use simnet::{NodeId, SimDuration, TxMode};
 
-use crate::ids::{FlowId, FragIndex, TrafficClass};
-use crate::plan::{Body, DstGroup, PlanRef, TransferPlan};
-use crate::strategy::OptContext;
+use crate::ids::{FlowId, FragIndex};
+use crate::plan::{Body, DstGroup, PlanRef, PlannedChunk, TransferPlan};
+use crate::proto::framing_bytes;
+use crate::strategy::{OptContext, NO_HINT};
 
 /// Weight of the anti-starvation urgency term in plan scoring: one
 /// byte-equivalent per microsecond waited, before the class weight.
@@ -52,68 +53,134 @@ pub fn beats(score: f64, incumbent: f64) -> bool {
     score.total_cmp(&incumbent) == std::cmp::Ordering::Greater
 }
 
-/// `(flow, seq, frag)`-keyed view of one activation window, rebuilt once
-/// per selection pass in storage the optimizer keeps: scoring resolves each
-/// chunk's candidate by binary search instead of walking every group.
-/// Where a key repeats, the entry that comes first in window order
-/// answers, as a front-to-back walk would. Entries copy the two fields
-/// scoring reads, so the index borrows nothing from the window.
-#[derive(Debug, Default)]
-pub struct WindowIndex {
-    data: Vec<(FragKey, (SimTime, TrafficClass))>,
-    rndv: Vec<(FragKey, u32)>,
+/// The window entry a chunk or request names: the one `hint` points at in
+/// `home` (the entries of the plan's own destination group) when that is
+/// the wanted one, else the first a front-to-back walk of `all` finds. A
+/// window offers a fragment once (the [`DstGroup`] invariant), so both
+/// routes end at the same entry; the walk is what a missing or wrong hint
+/// costs, and no built-in strategy gives one.
+fn offered<'a, T>(
+    home: &'a [T],
+    hint: u32,
+    mut all: impl Iterator<Item = &'a T>,
+    wanted: impl Fn(&&'a T) -> bool,
+) -> Option<&'a T> {
+    let hinted = home.get(hint as usize).filter(&wanted);
+    hinted.or_else(|| all.find(wanted))
 }
 
-/// A fragment's `(flow, seq, frag)`.
-type FragId = (FlowId, u32, FragIndex);
+/// The window's group for `dst`.
+// madlint: allow(linear-scan) — one group per destination in the window
+fn home_group<'a>(ctx: &OptContext<'a>, dst: NodeId) -> Option<&'a DstGroup> {
+    ctx.groups.iter().find(|g| g.dst == dst)
+}
 
-/// A fragment, then its position in the window: unique, so an unstable
-/// sort orders equal fragments as the window does.
-type FragKey = (FragId, usize);
+/// What a data packet of `chunks` (carrying `payload` bytes toward `dst`)
+/// is worth however it is injected: its bytes plus the aging bonus of
+/// every chunk the window offers. Submission time and class are the
+/// window's own; `hints` (parallel to `chunks`, or shorter) only say where
+/// to look first.
+pub(crate) fn chunks_value(
+    dst: NodeId,
+    chunks: &[PlannedChunk],
+    hints: &[u32],
+    payload: u64,
+    ctx: &OptContext<'_>,
+) -> f64 {
+    let home = home_group(ctx, dst).map_or(&[][..], |g| &g.candidates);
+    let mut value = payload as f64;
+    for (i, c) in chunks.iter().enumerate() {
+        let hint = hints.get(i).copied().unwrap_or(NO_HINT);
+        let all = ctx.groups.iter().flat_map(|g| g.candidates.iter());
+        let cand = offered(home, hint, all, |k| {
+            k.flow == c.flow && k.seq == c.seq && k.frag == c.frag
+        });
+        if let Some(cand) = cand {
+            let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
+            value += age_us * cand.class.urgency_weight() * URGENCY_WEIGHT;
+        }
+    }
+    value
+}
 
-impl WindowIndex {
-    /// Index every data and rendezvous candidate of `groups`, replacing
-    /// whatever was indexed before.
-    pub fn rebuild(&mut self, groups: &[DstGroup]) {
-        self.data.clear();
-        self.rndv.clear();
-        self.data
-            .reserve(groups.iter().map(|g| g.candidates.len()).sum());
-        self.rndv.reserve(groups.iter().map(|g| g.rndv.len()).sum());
-        let data = groups.iter().flat_map(|g| g.candidates.iter());
-        for (at, c) in data.enumerate() {
-            let key = ((c.flow, c.seq, c.frag), at);
-            self.data.push((key, (c.submitted_at, c.class)));
+/// Value per nanosecond of transmit-engine occupancy.
+pub(crate) fn density(value: f64, est_busy: SimDuration, ctx: &OptContext<'_>) -> f64 {
+    // madrel: a degraded rail's transmissions are worth less per nanosecond
+    // — its timeouts will be paid in retransmissions — so its busy time is
+    // inflated by the health penalty and healthier rails win the contest.
+    value / (est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0))
+}
+
+/// How long data plan `plan`, carrying `payload` bytes, occupies the
+/// transmit engine, including the linearization copy if it makes one.
+pub(crate) fn data_busy(plan: PlanRef<'_>, payload: u64, ctx: &OptContext<'_>) -> SimDuration {
+    let bytes = payload + plan.framing();
+    let segs = plan.segment_count();
+    let linearize = plan.linearized();
+    let pio = if ctx.caps.can_pio(bytes) {
+        Some(ctx.cost.injection_time(TxMode::Pio, bytes, segs))
+    } else {
+        None
+    };
+    let dma = if ctx.caps.supports_dma && (linearize || ctx.caps.can_gather(segs)) {
+        Some(ctx.cost.injection_time(TxMode::Dma, bytes, segs))
+    } else {
+        None
+    };
+    let base = match (pio, dma) {
+        (Some(a), Some(b)) => a.min(b),
+        (Some(a), None) => a,
+        (None, Some(b)) => b,
+        // Neither fits: validation rejects such plans; estimate
+        // pessimistically so they also lose on score.
+        (None, None) => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
+    };
+    if linearize {
+        base + ctx.cost.copy_time(bytes)
+    } else {
+        base
+    }
+}
+
+/// What every rendezvous request costs on a rail, whatever it asks for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RequestCost {
+    /// How long the request occupies the transmit engine.
+    pub(crate) est_busy: SimDuration,
+    /// The handshake a request starts, in nanoseconds.
+    handshake_ns: f64,
+}
+
+/// A rendezvous request is a small linearized control packet.
+fn request_busy(ctx: &OptContext<'_>) -> SimDuration {
+    ctx.cost.injection_time(TxMode::Pio, framing_bytes(1), 1)
+}
+
+impl RequestCost {
+    pub(crate) fn on(ctx: &OptContext<'_>) -> Self {
+        RequestCost {
+            est_busy: request_busy(ctx),
+            handshake_ns: ctx.cost.control_rtt(TxMode::Pio).as_nanos().max(1) as f64,
         }
-        let rndv = groups.iter().flat_map(|g| g.rndv.iter());
-        for (at, r) in rndv.enumerate() {
-            self.rndv.push((((r.flow, r.seq, r.frag), at), r.frag_len));
-        }
-        self.data.sort_unstable_by_key(|e| e.0);
-        self.rndv.sort_unstable_by_key(|e| e.0);
     }
 
-    fn first<T: Copy>(entries: &[(FragKey, T)], frag: FragId) -> Option<T> {
-        let at = entries.partition_point(|e| e.0 < (frag, 0));
-        let &((found, _), value) = entries.get(at)?;
-        (found == frag).then_some(value)
-    }
-
-    /// Submission time and class of a fragment's data candidate, if the
-    /// window offers one.
-    pub fn candidate(
+    /// Value of a request toward `dst` for `(flow, seq, frag)`: the
+    /// bandwidth it unblocks per handshake — the fragment's length as the
+    /// window gives it (`hint` says where), nothing for a fragment the
+    /// window does not offer.
+    pub(crate) fn score(
         &self,
-        flow: FlowId,
-        seq: u32,
-        frag: FragIndex,
-    ) -> Option<(SimTime, TrafficClass)> {
-        Self::first(&self.data, (flow, seq, frag))
-    }
-
-    /// Length of a fragment waiting for its rendezvous request, if the
-    /// window offers one.
-    pub fn rndv(&self, flow: FlowId, seq: u32, frag: FragIndex) -> Option<u32> {
-        Self::first(&self.rndv, (flow, seq, frag))
+        dst: NodeId,
+        (flow, seq, frag): (FlowId, u32, FragIndex),
+        hint: u32,
+        ctx: &OptContext<'_>,
+    ) -> f64 {
+        let home = home_group(ctx, dst).map_or(&[][..], |g| &g.rndv);
+        let all = ctx.groups.iter().flat_map(|g| g.rndv.iter());
+        let waiting = offered(home, hint, all, |r| {
+            r.flow == flow && r.seq == seq && r.frag == frag
+        });
+        waiting.map_or(0.0, |r| f64::from(r.frag_len)) / self.handshake_ns
     }
 }
 
@@ -121,72 +188,29 @@ impl WindowIndex {
 /// including a linearization copy if the plan requires one.
 pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> SimDuration {
     match plan.body {
-        Body::RndvRequest { .. } => {
-            // A rendezvous request is a small linearized control packet.
-            ctx.cost.injection_time(TxMode::Pio, plan.framing(), 1)
-        }
-        Body::Data { linearize, .. } => {
-            let bytes = plan.payload_bytes() + plan.framing();
-            let segs = plan.segment_count();
-            let pio = if ctx.caps.can_pio(bytes) {
-                Some(ctx.cost.injection_time(TxMode::Pio, bytes, segs))
-            } else {
-                None
-            };
-            let dma = if ctx.caps.supports_dma && (linearize || ctx.caps.can_gather(segs)) {
-                Some(ctx.cost.injection_time(TxMode::Dma, bytes, segs))
-            } else {
-                None
-            };
-            let base = match (pio, dma) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                // Neither fits: validation rejects such plans; estimate
-                // pessimistically so they also lose on score.
-                (None, None) => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
-            };
-            if linearize {
-                base + ctx.cost.copy_time(bytes)
-            } else {
-                base
-            }
-        }
+        Body::RndvRequest { .. } => request_busy(ctx),
+        Body::Data { .. } => data_busy(plan, plan.payload_bytes(), ctx),
     }
 }
 
-/// Score a plan against the window it was proposed from (`window` indexes
-/// `ctx.groups`): `(score, estimated busy time)`. Higher is better;
-/// deterministic for identical inputs.
-pub fn score_plan(
-    plan: PlanRef<'_>,
-    ctx: &OptContext<'_>,
-    window: &WindowIndex,
-) -> (f64, SimDuration) {
-    let est_busy = estimate_busy(plan, ctx);
-    // madrel: a degraded rail's transmissions are worth less per nanosecond
-    // — its timeouts will be paid in retransmissions — so its busy time is
-    // inflated by the health penalty and healthier rails win the contest.
-    let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
-    let score = match plan.body {
+/// Score a plan against the window it was proposed from (`ctx.groups`):
+/// `(score, estimated busy time)`. Higher is better; deterministic for
+/// identical inputs. A selection pass computes the same from the same
+/// parts, a chunk list's value once however often it is proposed.
+pub fn score_plan(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> (f64, SimDuration) {
+    match plan.body {
         Body::Data { chunks, .. } => {
-            let mut value = plan.payload_bytes() as f64;
-            for c in chunks {
-                if let Some((submitted_at, class)) = window.candidate(c.flow, c.seq, c.frag) {
-                    let age_us = ctx.now.since(submitted_at).as_nanos() as f64 / 1e3;
-                    value += age_us * class.urgency_weight() * URGENCY_WEIGHT;
-                }
-            }
-            value / busy_ns
+            let payload = plan.payload_bytes();
+            let est_busy = data_busy(plan, payload, ctx);
+            let value = chunks_value(plan.dst, chunks, &[], payload, ctx);
+            (density(value, est_busy, ctx), est_busy)
         }
         Body::RndvRequest { flow, seq, frag } => {
-            // Value of a request = bandwidth it unblocks per handshake cost.
-            let frag_len = window.rndv(flow, seq, frag).map_or(0.0, f64::from);
-            let handshake_ns = ctx.cost.control_rtt(TxMode::Pio).as_nanos().max(1) as f64;
-            frag_len / handshake_ns
+            let cost = RequestCost::on(ctx);
+            let score = cost.score(plan.dst, (flow, seq, frag), NO_HINT, ctx);
+            (score, cost.est_busy)
         }
-    };
-    (score, est_busy)
+    }
 }
 
 #[cfg(test)]
@@ -217,9 +241,7 @@ mod tests {
     }
 
     fn score(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
-        let mut window = WindowIndex::default();
-        window.rebuild(ctx.groups);
-        let (score, est_busy) = score_plan(plan.view(), ctx, &window);
+        let (score, est_busy) = score_plan(plan.view(), ctx);
         ScoredPlan {
             plan: plan.clone(),
             score,

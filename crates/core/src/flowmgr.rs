@@ -94,6 +94,7 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     /// True when any budget is finite (the admission path is active).
+    // madlint: allow(linear-scan) — one budget per class slot (`CLASS_SLOTS`)
     pub fn enabled(&self) -> bool {
         self.max_backlog_bytes != u64::MAX
             || self.class_backlog_bytes.iter().any(|&b| b != u64::MAX)

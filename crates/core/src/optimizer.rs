@@ -22,10 +22,12 @@ use simnet::{SimCtx, SimDuration, TimerId};
 use crate::api::{ADAPTIVE_TAG, NAGLE_TAG};
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
-use crate::constraints::{validate_plan_with, PlanCoverage};
-use crate::cost::{beats, score_plan, ScoredPlan, WindowIndex};
+use crate::constraints::{
+    validate_chunks, validate_injection, validate_request, PlanCoverage, PlanViolation,
+};
+use crate::cost::{beats, chunks_value, data_busy, density, RequestCost, ScoredPlan};
 use crate::ids::{FlowId, TrafficClass};
-use crate::plan::WindowGroups;
+use crate::plan::{Body, PlanRef, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
@@ -50,16 +52,42 @@ pub struct SelectionOutcome {
 }
 
 /// What a selection pass works in, kept by its caller from pass to pass:
-/// the proposals' chunk arena, the keyed window view scoring reads, and
-/// the in-plan coverage validation writes. A pass leaves nothing behind
-/// that the next one reads, so one scratch serves any sequence of windows;
-/// after the first few it costs a pass no allocation, however many
-/// proposals the strategies make.
+/// the proposals' chunk arena, the in-plan coverage validation writes, and
+/// the verdict on every distinct chunk list judged so far in the pass. A
+/// pass leaves nothing behind that the next one reads, so one scratch
+/// serves any sequence of windows; after the first few it costs a pass no
+/// allocation, however many proposals the strategies make.
 #[derive(Debug, Default)]
 pub(crate) struct SelectionScratch {
     proposals: Proposals,
-    window: WindowIndex,
     coverage: PlanCoverage,
+    judged: Vec<JudgedList>,
+}
+
+/// The verdict on one chunk list toward one destination, on the rail and
+/// over the window and backlog of the pass: everything about a data
+/// proposal that does not depend on how it would be injected. Strategies
+/// often propose the same packet (`aggregate` and `copy-agg` differ in
+/// the mode alone, the reorder variants reproduce window order on a
+/// uniform backlog); each copy is a proposal, the list is judged once.
+#[derive(Debug)]
+struct JudgedList {
+    /// The first proposal that carried the list.
+    first: usize,
+    /// Payload bytes and value of a valid list ([`chunks_value`]), or the
+    /// first constraint it breaks.
+    verdict: Result<(u64, f64), PlanViolation>,
+}
+
+/// Where in `judged` the chunk list of data proposal `plan` stands, if an
+/// earlier proposal of the pass carried the same list toward the same node.
+// madlint: allow(linear-scan) — one entry per distinct list of the pass, a
+// handful; two lists mostly differ in length or in their first chunk
+fn judged_before(judged: &[JudgedList], proposals: &Proposals, plan: PlanRef<'_>) -> Option<usize> {
+    judged.iter().position(|j| {
+        let first = proposals.get(j.first);
+        first.dst == plan.dst && first.chunks() == plan.chunks()
+    })
 }
 
 /// The scratch of a rail activation: the window's groups and what the
@@ -118,6 +146,17 @@ pub fn select_plan_traced(
 /// The selection routine: [`select_plan_traced`] in the caller's
 /// `scratch`. Proposals are validated and scored where the strategies
 /// wrote them; only the winner becomes an owned plan.
+///
+/// A proposal is judged in two halves. What depends on the rail, the
+/// destination and the chunk list — that every chunk is live, contiguous,
+/// ungated and in express order, that the packet fits, and what its bytes
+/// and their waiting are worth — is computed once per distinct list of
+/// the pass; what depends on the injection mode — gather width, busy time,
+/// and so the score — once per proposal. The outcome, the counters (a
+/// repeated list is still a plan evaluated) and the decision log are those
+/// of judging every proposal from scratch with
+/// [`validate_plan`](crate::constraints::validate_plan) and
+/// [`score_plan`](crate::cost::score_plan), which compose the same halves.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_plan_in(
     scratch: &mut SelectionScratch,
@@ -131,12 +170,14 @@ pub(crate) fn select_plan_in(
 ) -> SelectionOutcome {
     let SelectionScratch {
         proposals,
-        window,
         coverage,
+        judged,
     } = scratch;
     proposals.clear();
+    judged.clear();
     registry.propose_all(ctx, proposals);
-    window.rebuild(ctx.groups);
+    let size_limit = wire_mtu.min(ctx.caps.max_packet_bytes);
+    let mut request_cost = None;
     // The best so far: its place among the proposals, score, busy time.
     let mut best: Option<(usize, f64, SimDuration)> = None;
     let mut evaluated = 0usize;
@@ -158,19 +199,49 @@ pub(crate) fn select_plan_in(
             skipped += 1;
             continue;
         }
-        if let Err(violation) = validate_plan_with(plan, collect, ctx.caps, wire_mtu, coverage) {
-            sink.push(
-                ctx.now,
-                EngineEvent::PlanVetoed {
-                    activation,
-                    strategy: plan.strategy,
-                    violation,
-                },
-            );
-            rejected += 1;
-            continue;
-        }
-        let (score, est_busy) = score_plan(plan, ctx, window);
+        let hints = proposals.hints(at);
+        let verdict = match plan.body {
+            // The engine sends the winner on the rail it is scheduling,
+            // whatever the plan says: a plan for another rail would be
+            // held to that rail's pins and sent past them on this one.
+            _ if plan.channel != ctx.channel => Err(PlanViolation::WrongRail),
+            Body::RndvRequest { flow, seq, frag } => {
+                let frag = (flow, seq, frag);
+                validate_request(plan.dst, frag, collect).map(|()| {
+                    let cost = request_cost.get_or_insert_with(|| RequestCost::on(ctx));
+                    (cost.score(plan.dst, frag, hints[0], ctx), cost.est_busy)
+                })
+            }
+            Body::Data { chunks, linearize } => {
+                let list = judged_before(judged, proposals, plan).unwrap_or_else(|| {
+                    let (rail, dst) = (plan.channel, plan.dst);
+                    let verdict = validate_chunks(rail, dst, chunks, collect, size_limit, coverage)
+                        .map(|bytes| (bytes, chunks_value(dst, chunks, hints, bytes, ctx)));
+                    judged.push(JudgedList { first: at, verdict });
+                    judged.len() - 1
+                });
+                judged[list].verdict.clone().and_then(|(payload, value)| {
+                    validate_injection(chunks.len(), payload, linearize, ctx.caps)?;
+                    let est_busy = data_busy(plan, payload, ctx);
+                    Ok((density(value, est_busy, ctx), est_busy))
+                })
+            }
+        };
+        let (score, est_busy) = match verdict {
+            Ok(scored) => scored,
+            Err(violation) => {
+                sink.push(
+                    ctx.now,
+                    EngineEvent::PlanVetoed {
+                        activation,
+                        strategy: plan.strategy,
+                        violation,
+                    },
+                );
+                rejected += 1;
+                continue;
+            }
+        };
         if sink.is_enabled() {
             let (score_num, score_den) = encode_score(score, est_busy.as_nanos());
             sink.push(
@@ -688,11 +759,196 @@ mod tests {
         (best, [evaluated, rejected, skipped])
     }
 
-    #[test]
-    fn indexed_selection_matches_linear_search_reference() {
-        // Eight flows alternating between two destinations and three
-        // classes; every message is an express header plus a body, and
-        // every third body is large enough to need a rendezvous.
+    /// A strategy whose only proposal is the plan it holds.
+    struct Replay(TransferPlan);
+
+    impl Strategy for Replay {
+        fn name(&self) -> &'static str {
+            self.0.strategy
+        }
+        fn propose(&self, _: &OptContext<'_>, out: &mut Proposals) {
+            let plan = &self.0;
+            match &plan.body {
+                PlanBody::Data { chunks, linearize } => {
+                    out.push_data(plan.channel, plan.dst, chunks, *linearize, plan.strategy)
+                }
+                &PlanBody::RndvRequest { flow, seq, frag } => {
+                    out.push_rndv(plan.channel, plan.dst, (flow, seq, frag), plan.strategy)
+                }
+            }
+        }
+    }
+
+    /// The decision log [`reference_select`] implies for activation 3: it
+    /// is asked about every proposal alone (within the budget), and says
+    /// veto — then `validate_plan` says why — or score.
+    fn reference_log(
+        registry: &StrategyRegistry,
+        ctx: &OptContext<'_>,
+        collect: &CollectLayer,
+        wire_mtu: u64,
+        budget: usize,
+    ) -> Vec<EngineEvent> {
+        let activation = 3;
+        let mut proposals = Proposals::new();
+        registry.propose_all(ctx, &mut proposals);
+        let mut log = Vec::new();
+        let mut evaluated = 0;
+        let mut best: Option<(&'static str, f64, SimDuration)> = None;
+        for plan in proposals.to_plans() {
+            let strategy = plan.strategy;
+            log.push(EngineEvent::PlanProposed {
+                activation,
+                strategy,
+                chunks: plan.chunk_count() as u16,
+                bytes: plan.payload_bytes(),
+            });
+            if evaluated >= budget {
+                continue;
+            }
+            let mut alone = StrategyRegistry::empty();
+            alone.register(Box::new(Replay(plan.clone())));
+            let Some((_, score, est_busy)) = reference_select(&alone, ctx, collect, wire_mtu, 1).0
+            else {
+                let violation =
+                    crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu)
+                        .expect_err("the reference rejected it");
+                log.push(EngineEvent::PlanVetoed {
+                    activation,
+                    strategy,
+                    violation,
+                });
+                continue;
+            };
+            evaluated += 1;
+            let (score_num, score_den) = encode_score(score, est_busy.as_nanos());
+            log.push(EngineEvent::PlanScored {
+                activation,
+                strategy,
+                score_num,
+                score_den,
+            });
+            if best.is_none_or(|(_, s, _)| score.total_cmp(&s).is_gt()) {
+                best = Some((strategy, score, est_busy));
+            }
+        }
+        if let Some((strategy, score, est_busy)) = best {
+            let (score_num, score_den) = encode_score(score, est_busy.as_nanos());
+            log.push(EngineEvent::PlanWon {
+                activation,
+                strategy,
+                score_num,
+                score_den,
+            });
+        }
+        log
+    }
+
+    /// `aggregate`'s packets proposed once more, chunk by chunk through
+    /// `push_data` — so without a hint — in the same injection mode
+    /// (`flip` false: a plain repeat) or in the other one.
+    struct AggregateAgain {
+        flip: bool,
+    }
+
+    impl Strategy for AggregateAgain {
+        fn name(&self) -> &'static str {
+            if self.flip {
+                "aggregate-flipped"
+            } else {
+                "aggregate-again"
+            }
+        }
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+            let mut theirs = Proposals::new();
+            crate::strategy::EagerAggregation::new().propose(ctx, &mut theirs);
+            for plan in theirs.iter() {
+                let linearize = plan.linearized() != self.flip;
+                out.push_data(ctx.channel, plan.dst, plan.chunks(), linearize, self.name());
+            }
+        }
+    }
+
+    /// Feeds `fill_packet` candidates that lie about everything but their
+    /// key: submitted at time zero, CONTROL class, and — `misplaced` — the
+    /// window position of a message from the other end of the group. The
+    /// score must not move: it reads the window, not the candidate, and
+    /// through a hint only what the hint's own entry confirms.
+    struct Fabricated {
+        misplaced: bool,
+    }
+
+    impl Strategy for Fabricated {
+        fn name(&self) -> &'static str {
+            if self.misplaced {
+                "fabricated-misplaced"
+            } else {
+                "fabricated"
+            }
+        }
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+            // Two chunks or three, so that neither list is the other's
+            // repeat and both are judged through their own hints.
+            let take = if self.misplaced { 2 } else { 3 };
+            for g in ctx.groups {
+                let lies: Vec<_> = g
+                    .candidates
+                    .iter()
+                    .take(take)
+                    .map(|c| crate::plan::ChunkCandidate {
+                        at: if self.misplaced {
+                            g.candidates.len() as u32 - 1 - c.at
+                        } else {
+                            c.at
+                        },
+                        submitted_at: SimTime::ZERO,
+                        class: TrafficClass::CONTROL,
+                        ..*c
+                    })
+                    .collect();
+                crate::strategy::fill_packet(ctx, g.dst, &lies, take, false, self.name(), out);
+            }
+        }
+    }
+
+    /// Per group, its first candidate and beside it the express header of
+    /// the *next* message of its last candidate's flow — which the window,
+    /// where it was cut, does not offer: a chunk that is valid and earns no
+    /// aging (elsewhere there is no such message, and the proposal falls).
+    struct BesideTheWindow;
+
+    impl Strategy for BesideTheWindow {
+        fn name(&self) -> &'static str {
+            "beside-the-window"
+        }
+        fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+            for g in ctx.groups {
+                let (Some(head), Some(last)) = (g.candidates.first(), g.candidates.last()) else {
+                    continue;
+                };
+                let offered = PlannedChunk {
+                    flow: head.flow,
+                    seq: head.seq,
+                    frag: head.frag,
+                    offset: head.offset,
+                    len: head.remaining,
+                };
+                let beyond = PlannedChunk {
+                    flow: last.flow,
+                    seq: last.seq + 1,
+                    frag: 0,
+                    offset: 0,
+                    len: 8,
+                };
+                out.push_data(ctx.channel, g.dst, &[offered, beyond], true, self.name());
+            }
+        }
+    }
+
+    /// Eight flows alternating between two destinations and three classes;
+    /// every message is an express header plus a body, and every third
+    /// body is large enough to need a rendezvous.
+    fn mixed_backlog() -> CollectLayer {
         let mut c = CollectLayer::new();
         let classes = [
             TrafficClass::DEFAULT,
@@ -715,29 +971,70 @@ mod tests {
                 4096,
             );
         }
+        c
+    }
+
+    /// Five flows of one class toward one node, 64 messages of one size
+    /// each, submitted round-robin: whatever order the reorder variants
+    /// sort the window into, size and class do not tell messages apart.
+    fn uniform_backlog() -> CollectLayer {
+        let mut c = CollectLayer::new();
+        let flows: Vec<_> = (0..5)
+            .map(|_| c.open_flow(NodeId(1), TrafficClass::DEFAULT))
+            .collect();
+        for m in 0..320usize {
+            let parts = MessageBuilder::new()
+                .pack_express(&(m as u64).to_le_bytes())
+                .pack_cheaper(&[m as u8; 56])
+                .build_parts();
+            c.submit(
+                flows[m % flows.len()],
+                parts,
+                SimTime::from_nanos(90 * m as u64),
+                4096,
+            );
+        }
+        c
+    }
+
+    /// What [`drain_against_reference`] saw on its way.
+    #[derive(Debug, Default)]
+    struct Drained {
+        data_turns: usize,
+        rndv_turns: usize,
+        /// Passes the budget cut short.
+        cut_short: usize,
+        /// Data proposals whose chunk list an earlier proposal of the pass
+        /// had carried.
+        repeats: usize,
+        /// `beside-the-window` proposals that were scored.
+        beside_scored: usize,
+    }
+
+    /// The engine's refill loop over `c` in `window`-entry windows — select,
+    /// carry the winner out, look again — with every pass held against
+    /// [`reference_select`] and [`reference_log`] at budgets 256 and 5.
+    fn drain_against_reference(mut c: CollectLayer, window: usize) -> Drained {
         let caps = calib::synthetic_capabilities();
         let cost = CostModel::from_params(&NetworkParams::synthetic());
         let cfg = EngineConfig::default();
         let mut registry = StrategyRegistry::standard(&cfg);
+        // Twice: the second veto is read off the first one's verdict.
         registry.register(Box::new(Stray));
+        registry.register(Box::new(Stray));
+        registry.register(Box::new(AggregateAgain { flip: false }));
+        registry.register(Box::new(AggregateAgain { flip: true }));
+        registry.register(Box::new(Fabricated { misplaced: false }));
+        registry.register(Box::new(Fabricated { misplaced: true }));
+        registry.register(Box::new(BesideTheWindow));
         // One scratch for every pass of the loop below: whatever a pass
         // leaves in it, the next — over a different window — must not see.
         let mut scratch = SelectionScratch::default();
-        let (mut data_turns, mut rndv_turns, mut cut_short) = (0, 0, 0);
-        // The engine's refill loop: select, carry the winner out, look again.
+        let mut seen = Drained::default();
         for turn in 0u64.. {
-            let groups = c.collect_candidates(ChannelId(0), cfg.lookahead_window, |_, _| true);
+            let groups = c.collect_candidates(ChannelId(0), window, |_, _| true);
             if groups.is_empty() {
                 break;
-            }
-            if turn == 0 {
-                assert_eq!(groups.len(), 2, "two destinations in the window");
-                let offered: usize = groups
-                    .iter()
-                    .map(|g| g.candidates.len() + g.rndv.len())
-                    .sum();
-                assert_eq!(offered, 64, "the window is full");
-                assert!(groups.iter().all(|g| !g.rndv.is_empty()));
             }
             let ctx = OptContext {
                 now: SimTime::from_nanos(250_000 + 900 * turn),
@@ -773,41 +1070,163 @@ mod tests {
                     "{at}"
                 );
                 if got.skipped == 0 {
-                    assert_eq!(got.rejected, 1, "the stray proposal is vetoed: {at}");
+                    assert!(got.rejected >= 2, "both stray proposals are vetoed: {at}");
+                    let data = scratch.proposals.iter().filter(|p| p.chunk_count() > 0);
+                    seen.repeats += data.count() - scratch.judged.len();
                 }
-                cut_short += usize::from(got.skipped > 0);
+                seen.cut_short += usize::from(got.skipped > 0);
                 let (got, (plan, score, est_busy)) =
                     (got.best.expect("winner"), want.expect("winner"));
                 assert_eq!(got.plan, plan, "{at}");
                 assert_eq!(got.score.to_bits(), score.to_bits(), "{at}");
                 assert_eq!(got.est_busy, est_busy, "{at}");
-                // The decision log of a pass in a used scratch is the log
-                // of the same pass in a fresh one, record for record.
-                let mut fresh = EventSink::with_capacity(1 << 10);
-                select_plan_traced(&registry, &ctx, &c, 1 << 20, budget, &mut fresh, 3);
-                let records = |sink: &EventSink| format!("{:?}", sink.iter().collect::<Vec<_>>());
-                assert_eq!(records(&log), records(&fresh), "{at}");
+                // The decision log is the reference's, record for record.
+                let want = reference_log(&registry, &ctx, &c, 1 << 20, budget);
+                let got_log: Vec<_> = log.iter().map(|rec| rec.event.clone()).collect();
+                assert_eq!(got_log, want, "{at}");
+                seen.beside_scored += want
+                    .iter()
+                    .filter(|e| {
+                        matches!(e, EngineEvent::PlanScored { strategy, .. }
+                            if *strategy == "beside-the-window")
+                    })
+                    .count();
                 winner.get_or_insert(got.plan);
             }
             match winner.expect("two passes ran").body {
                 PlanBody::Data { chunks, .. } => {
-                    data_turns += 1;
+                    seen.data_turns += 1;
                     for chunk in &chunks {
                         c.commit_chunk(chunk, ChannelId(0));
                         c.complete_chunk(chunk);
                     }
                 }
                 PlanBody::RndvRequest { flow, seq, frag } => {
-                    rndv_turns += 1;
+                    seen.rndv_turns += 1;
                     c.mark_rndv_requested(flow, seq, frag);
                     c.grant_rndv(flow, seq, frag);
                 }
             }
         }
         assert!(c.is_empty(), "the loop drained the backlog");
-        assert!(
-            data_turns > 5 && rndv_turns > 5 && cut_short > 10,
-            "{data_turns} data plans and {rndv_turns} requests won; budget 5 cut {cut_short} lists short"
+        seen
+    }
+
+    #[test]
+    fn indexed_selection_matches_linear_search_reference() {
+        let offered = |groups: &[crate::plan::DstGroup]| -> usize {
+            let entries = groups.iter().map(|g| g.candidates.len() + g.rndv.len());
+            entries.sum()
+        };
+        let groups = mixed_backlog().collect_candidates(ChannelId(0), 64, |_, _| true);
+        assert_eq!(groups.len(), 2, "two destinations in the window");
+        assert_eq!(offered(&groups), 64, "the window is full");
+        assert!(groups.iter().all(|g| !g.rndv.is_empty()));
+        let groups = uniform_backlog().collect_candidates(ChannelId(0), 256, |_, _| true);
+        assert_eq!(offered(&groups), 256, "the wide window is full too");
+        for window in [64, 256] {
+            let seen = drain_against_reference(mixed_backlog(), window);
+            assert!(
+                seen.data_turns > 5 && seen.rndv_turns > 5 && seen.cut_short > 10,
+                "window {window}: {seen:?}"
+            );
+            // All 80 entries fit the wide window: nothing lies beside it.
+            assert!(
+                seen.repeats > 0 && (seen.beside_scored > 0) == (window == 64),
+                "window {window}: {seen:?}"
+            );
+        }
+        // Where size and class are uniform the reorder variants propose
+        // `aggregate`'s packet again: per pass, three repeats from the
+        // standard registry on top of the two this test registers.
+        for window in [64, 256] {
+            let seen = drain_against_reference(uniform_backlog(), window);
+            assert!(
+                seen.repeats >= 4 * seen.data_turns && seen.beside_scored > 0,
+                "window {window}: {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_plan_for_another_rail_than_the_scheduled_one_is_vetoed() {
+        // A CONTROL message whose express header went out on rail 0 and is
+        // still in flight: the message is pinned there, and rail 1's window
+        // rightly hides its body.
+        let mut c = CollectLayer::new();
+        let pinned = c.open_flow(NodeId(1), TrafficClass::CONTROL);
+        let other = c.open_flow(NodeId(1), TrafficClass::DEFAULT);
+        let parts = MessageBuilder::new()
+            .pack_express(&[1; 16])
+            .pack_cheaper(&[2; 64])
+            .build_parts();
+        c.submit(pinned, parts, SimTime::ZERO, 1 << 30);
+        let parts = MessageBuilder::new().pack_cheaper(&[3; 32]).build_parts();
+        c.submit(other, parts, SimTime::ZERO, 1 << 30);
+        let chunk = |frag, len| PlannedChunk {
+            flow: pinned,
+            seq: 0,
+            frag,
+            offset: 0,
+            len,
+        };
+        c.commit_chunk(&chunk(0, 16), ChannelId(0));
+
+        /// Proposes the pinned body for the rail it is pinned to, whatever
+        /// rail is being scheduled.
+        struct WrongRail(PlannedChunk);
+        impl Strategy for WrongRail {
+            fn name(&self) -> &'static str {
+                "wrong-rail"
+            }
+            fn propose(&self, _: &OptContext<'_>, out: &mut Proposals) {
+                out.push_data(ChannelId(0), NodeId(1), &[self.0], false, self.name());
+            }
+        }
+
+        let cfg = EngineConfig::default();
+        let caps = calib::synthetic_capabilities();
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        let mut registry = StrategyRegistry::standard(&cfg);
+        registry.register(Box::new(WrongRail(chunk(1, 64))));
+        let groups = c.collect_candidates(ChannelId(1), cfg.lookahead_window, |_, _| true);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(
+            groups[0].candidates.len(),
+            1,
+            "the pinned message is hidden"
+        );
+        let ctx = OptContext {
+            now: SimTime::from_nanos(10_000),
+            channel: ChannelId(1),
+            caps: &caps,
+            cost: &cost,
+            config: &cfg,
+            groups: &groups,
+            packet_limit: 1 << 16,
+            rail_count: 2,
+            health_penalty: 1.0,
+        };
+        let mut sink = EventSink::with_capacity(64);
+        let out = select_plan_traced(&registry, &ctx, &c, 1 << 20, 256, &mut sink, 0);
+        assert_eq!(out.rejected, 1);
+        let vetoed: Vec<_> = sink
+            .iter()
+            .filter_map(|rec| match &rec.event {
+                EngineEvent::PlanVetoed {
+                    strategy,
+                    violation,
+                    ..
+                } => Some((*strategy, violation.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(vetoed, [("wrong-rail", PlanViolation::WrongRail)]);
+        // The body would have outscored the small message: it is the veto,
+        // not the contest, that keeps it off rail 1.
+        assert_eq!(
+            out.best.expect("the other flow's message").plan.strategy,
+            "fifo"
         );
     }
 

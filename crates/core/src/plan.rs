@@ -161,6 +161,12 @@ impl<C: AsRef<[PlannedChunk]>> Plan<C> {
 /// optimizer's lookahead window).
 #[derive(Clone, Copy, Debug)]
 pub struct ChunkCandidate {
+    /// Where the entry lies in its group's `candidates`. A chunk cut from
+    /// the candidate carries it along as a hint, so that judging the chunk
+    /// finds the entry without searching; the hint is checked against the
+    /// window before anything is read through it, so a wrong one costs a
+    /// search and changes nothing.
+    pub at: u32,
     /// Flow of the message.
     pub flow: FlowId,
     /// Message sequence within the flow.
@@ -198,6 +204,14 @@ pub struct RndvCandidate {
 
 /// All schedulable work toward one destination node, as seen by one rail's
 /// optimizer activation.
+///
+/// **Invariant of a window the collect layer built** (what
+/// `strategy::reorder`'s message runs, `BulkChunking`'s single walk and
+/// the chunk hints rest on; asserted under `debug-invariants`): a
+/// window has one group per destination; a message's fragments are offered
+/// back to back in pack order, so the candidates of one `(flow, seq)` are
+/// adjacent and ascending in `frag`; a fragment is offered at most once;
+/// and every candidate's `at` is its index in `candidates`.
 #[derive(Clone, Debug)]
 pub struct DstGroup {
     /// Destination node.
@@ -245,6 +259,30 @@ impl WindowGroups {
     pub fn into_groups(mut self) -> Vec<DstGroup> {
         self.groups.truncate(self.live);
         self.groups
+    }
+
+    /// Check the [`DstGroup`] invariant on every group of the window.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn debug_assert_invariants(&self) {
+        let mut dsts = std::collections::BTreeSet::new();
+        let mut messages = std::collections::BTreeSet::new();
+        for g in self.groups() {
+            assert!(dsts.insert(g.dst), "two groups for {:?}", g.dst);
+            let mut prev: Option<&ChunkCandidate> = None;
+            for (i, c) in g.candidates.iter().enumerate() {
+                assert_eq!(c.at as usize, i, "candidate misplaced in its group");
+                match prev.filter(|p| (p.flow, p.seq) == (c.flow, c.seq)) {
+                    Some(p) => assert!(p.frag < c.frag, "fragments out of pack order"),
+                    None => assert!(
+                        messages.insert((c.flow, c.seq)),
+                        "{}/{}: a message's candidates are not adjacent",
+                        c.flow,
+                        c.seq
+                    ),
+                }
+                prev = Some(c);
+            }
+        }
     }
 
     /// Start an empty window.
@@ -330,6 +368,7 @@ mod tests {
             dst: NodeId(0),
             candidates: vec![
                 ChunkCandidate {
+                    at: 0,
                     flow: FlowId(0),
                     seq: 0,
                     frag: 0,
@@ -340,6 +379,7 @@ mod tests {
                     submitted_at: SimTime::ZERO,
                 },
                 ChunkCandidate {
+                    at: 1,
                     flow: FlowId(1),
                     seq: 0,
                     frag: 0,

@@ -63,6 +63,9 @@ impl FragmentAssembly {
     /// violation worth surfacing). `offset` and the chunk's length are a
     /// peer's header fields: the bounds are checked before anything is
     /// sized from them.
+    // madlint: allow(linear-scan) — `ranges` is coalesced: one entry while a
+    // fragment's chunks arrive in order, one more per chunk that arrives
+    // ahead of a gap — at most what the rails' send queues hold at once
     fn insert(&mut self, offset: u32, data: &Bytes) -> bool {
         let end = u64::from(offset) + data.len() as u64;
         if end > u64::from(self.total) {

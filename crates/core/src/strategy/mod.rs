@@ -83,14 +83,28 @@ pub trait Strategy {
 #[derive(Debug, Default)]
 pub struct Proposals {
     chunks: Vec<PlannedChunk>,
+    /// Parallel to `chunks`: the [`ChunkCandidate::at`] of the candidate
+    /// each chunk was cut from, or [`NO_HINT`]. Judging a chunk starts
+    /// its look into the window there.
+    cut_from: Vec<u32>,
     plans: Vec<Proposed>,
     /// [`ReorderVariants`]' working storage: like the arena, it belongs to
     /// the pass, not to the (shared, immutable) strategy.
     pub(crate) reorder: reorder::Scratch,
 }
 
+/// The hint of a chunk or request whose place in the window its proposer
+/// did not say: judging it searches the window.
+pub(crate) const NO_HINT: u32 = u32::MAX;
+
 /// One proposal: a plan whose chunks are `chunks[from..to]` of the arena.
-type Proposed = Plan<(usize, usize)>;
+#[derive(Debug)]
+struct Proposed {
+    plan: Plan<(usize, usize)>,
+    /// For a rendezvous request, where in its group's `rndv` list the
+    /// fragment waits, or [`NO_HINT`].
+    rndv_at: u32,
+}
 
 impl Proposals {
     /// An empty set.
@@ -101,6 +115,7 @@ impl Proposals {
     /// Forget every proposal; the storage stays.
     pub fn clear(&mut self) {
         self.chunks.clear();
+        self.cut_from.clear();
         self.plans.clear();
     }
 
@@ -126,6 +141,7 @@ impl Proposals {
     ) {
         let from = self.chunks.len();
         self.chunks.extend_from_slice(chunks);
+        self.cut_from.resize(self.chunks.len(), NO_HINT);
         self.seal_data(channel, dst, from, linearize, strategy);
     }
 
@@ -139,12 +155,25 @@ impl Proposals {
         strategy: &'static str,
     ) {
         let chunks = (from, self.chunks.len());
-        self.plans.push(Plan {
+        let body = Body::Data { chunks, linearize };
+        self.seal(channel, dst, body, NO_HINT, strategy);
+    }
+
+    fn seal(
+        &mut self,
+        channel: ChannelId,
+        dst: NodeId,
+        body: Body<(usize, usize)>,
+        rndv_at: u32,
+        strategy: &'static str,
+    ) {
+        let plan = Plan {
             channel,
             dst,
             strategy,
-            body: Body::Data { chunks, linearize },
-        });
+            body,
+        };
+        self.plans.push(Proposed { plan, rndv_at });
     }
 
     /// Propose a rendezvous request for fragment `frag` of `(flow, seq)`.
@@ -155,24 +184,34 @@ impl Proposals {
         (flow, seq, frag): (FlowId, u32, FragIndex),
         strategy: &'static str,
     ) {
-        self.plans.push(Plan {
-            channel,
-            dst,
-            strategy,
-            body: Body::RndvRequest { flow, seq, frag },
-        });
+        let body = Body::RndvRequest { flow, seq, frag };
+        self.seal(channel, dst, body, NO_HINT, strategy);
+    }
+
+    /// [`Proposals::push_rndv`] for `group.rndv[at]`, with its place as
+    /// the hint.
+    pub(crate) fn push_rndv_at(
+        &mut self,
+        channel: ChannelId,
+        group: &DstGroup,
+        at: usize,
+        strategy: &'static str,
+    ) {
+        let r = &group.rndv[at];
+        let (flow, seq, frag) = (r.flow, r.seq, r.frag);
+        let body = Body::RndvRequest { flow, seq, frag };
+        self.seal(channel, group.dst, body, at as u32, strategy);
     }
 
     /// Withdraw the latest proposal.
     pub fn pop(&mut self) {
-        if let Some(Plan {
-            body: Body::Data {
-                chunks: (from, _), ..
-            },
-            ..
-        }) = self.plans.pop()
+        let Some(last) = self.plans.pop() else { return };
+        if let Body::Data {
+            chunks: (from, _), ..
+        } = last.plan.body
         {
             self.chunks.truncate(from);
+            self.cut_from.truncate(from);
         }
     }
 
@@ -181,7 +220,20 @@ impl Proposals {
     /// # Panics
     /// Panics when `at >= self.len()`.
     pub fn get(&self, at: usize) -> PlanRef<'_> {
-        self.plans[at].map_chunks(|&(from, to)| &self.chunks[from..to])
+        let hold = |&(from, to): &(usize, usize)| &self.chunks[from..to];
+        self.plans[at].plan.map_chunks(hold)
+    }
+
+    /// The window hints of proposal `at`: one per chunk of a data plan
+    /// (parallel to its chunk list), the one of a rendezvous request.
+    pub(crate) fn hints(&self, at: usize) -> &[u32] {
+        let proposed = &self.plans[at];
+        match proposed.plan.body {
+            Body::Data {
+                chunks: (from, to), ..
+            } => &self.cut_from[from..to],
+            Body::RndvRequest { .. } => std::slice::from_ref(&proposed.rndv_at),
+        }
     }
 
     /// Every proposal, in consultation order.
@@ -203,11 +255,12 @@ impl Proposals {
 /// candidate fits.
 ///
 /// Within-message chunk order must already be correct in `candidates`
-/// (callers permute *messages*, not chunks within a message).
-pub fn fill_packet<'a>(
+/// (callers permute *messages*, not chunks within a message). Each chunk
+/// remembers the window position of the candidate it was cut from.
+pub fn fill_packet<'a, 'c>(
     ctx: &OptContext<'_>,
     dst: NodeId,
-    candidates: &[ChunkCandidate],
+    candidates: impl IntoIterator<Item = &'c ChunkCandidate>,
     max_chunks: usize,
     force_linearize: bool,
     strategy: &'static str,
@@ -235,6 +288,7 @@ pub fn fill_packet<'a>(
             offset: cand.offset,
             len: take,
         });
+        out.cut_from.push(cand.at);
         count += 1;
         payload += take as u64;
         // A partially-taken fragment blocks everything after it from the
@@ -335,7 +389,8 @@ pub(crate) mod testutil {
     use super::*;
     use crate::ids::{FlowId, TrafficClass};
 
-    /// Candidate constructor for strategy unit tests.
+    /// Candidate constructor for strategy unit tests. It does not know
+    /// where the test will put the candidate, so it gives no hint.
     #[allow(clippy::too_many_arguments)]
     pub fn cand(
         flow: u32,
@@ -348,6 +403,7 @@ pub(crate) mod testutil {
         age_ns: u64,
     ) -> ChunkCandidate {
         ChunkCandidate {
+            at: NO_HINT,
             flow: FlowId(flow),
             seq,
             frag,
@@ -530,5 +586,157 @@ mod tests {
         let mut r = StrategyRegistry::standard(&EngineConfig::default());
         r.register(Box::new(Noop));
         assert!(r.names().contains(&"noop"));
+    }
+
+    /// [`BulkChunking`] as it decided "first pending chunk of its message"
+    /// before it leaned on the window's order: no candidate of the group is
+    /// an earlier fragment of the same message. Quadratic in the window.
+    fn quadratic_propose(ctx: &OptContext<'_>, out: &mut Proposals) {
+        for g in ctx.groups {
+            let biggest = g
+                .candidates
+                .iter()
+                .filter(|c| {
+                    !g.candidates
+                        .iter()
+                        .any(|o| o.flow == c.flow && o.seq == c.seq && o.frag < c.frag)
+                })
+                .max_by_key(|c| {
+                    (
+                        c.remaining,
+                        std::cmp::Reverse(c.submitted_at),
+                        c.flow,
+                        c.seq,
+                    )
+                });
+            let Some(c) = biggest else { continue };
+            if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
+                continue;
+            }
+            fill_packet(
+                ctx,
+                g.dst,
+                std::slice::from_ref(c),
+                1,
+                false,
+                "bulk-chunk",
+                out,
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_chunking_matches_its_quadratic_definition_on_collected_windows() {
+        use crate::collect::CollectLayer;
+        use crate::flowmgr::{FairnessMode, DRR_CLASS_WEIGHTS};
+        use crate::message::{MessageBuilder, PackMode};
+
+        let (caps, cost, cfg) = fixtures();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        let classes = [
+            TrafficClass::DEFAULT,
+            TrafficClass::BULK,
+            TrafficClass::PUT_GET,
+            TrafficClass::CONTROL,
+        ];
+        let (mut proposals, mut multi_fragment_windows) = (0, 0);
+        for case in 0..120u64 {
+            let mut c = CollectLayer::new();
+            if case % 2 == 1 {
+                c.set_fairness(FairnessMode::Drr, 1 + draw(4096), DRR_CLASS_WEIGHTS);
+            }
+            let flows: Vec<_> = (0..1 + draw(9))
+                .map(|i| c.open_flow(NodeId(1 + (i % 2) as u32), classes[draw(4) as usize]))
+                .collect();
+            // 1–4 fragments per message, express or cheaper, some of them
+            // past the rendezvous threshold.
+            let mut submitted = Vec::new();
+            for m in 0..1 + draw(90) {
+                let mut b = MessageBuilder::new();
+                let frags: Vec<u32> = (0..1 + draw(4))
+                    .map(|_| {
+                        let below = if draw(5) == 0 { 3000 } else { 200 };
+                        1 + draw(below) as u32
+                    })
+                    .collect();
+                for &len in &frags {
+                    let mode = if draw(3) == 0 {
+                        PackMode::Express
+                    } else {
+                        PackMode::Cheaper
+                    };
+                    b = b.pack(&vec![m as u8; len as usize], mode);
+                }
+                let flow = flows[draw(flows.len() as u64) as usize];
+                let id = c.submit(flow, b.build_parts(), SimTime::from_nanos(50 * m), 2048);
+                submitted.push((id, frags));
+            }
+            // Move some messages along: requests sent, grants received,
+            // leading fragments partly or wholly committed.
+            for (id, frags) in &submitted {
+                let (flow, seq) = (id.flow, id.seq.0);
+                for (frag, &len) in frags.iter().enumerate() {
+                    let frag = frag as u16;
+                    if len >= 2048 {
+                        match draw(3) {
+                            0 => continue,
+                            1 => c.mark_rndv_requested(flow, seq, frag),
+                            _ => {
+                                c.mark_rndv_requested(flow, seq, frag);
+                                c.grant_rndv(flow, seq, frag);
+                            }
+                        }
+                    }
+                }
+                let mut frag = 0u16;
+                while draw(3) == 0 && (frag as usize) < frags.len() {
+                    let pending = &c.find_msg(flow, seq).expect("submitted").frags[frag as usize];
+                    if pending.rndv_blocked() {
+                        break;
+                    }
+                    let len = 1 + draw(u64::from(frags[frag as usize])) as u32;
+                    let chunk = PlannedChunk {
+                        flow,
+                        seq,
+                        frag,
+                        offset: 0,
+                        len,
+                    };
+                    c.commit_chunk(&chunk, ChannelId(0));
+                    if len < frags[frag as usize] {
+                        break;
+                    }
+                    frag += 1;
+                }
+            }
+            for window in [1, 2, 3, 5, 8, 16, 64, 256] {
+                let groups = c.collect_candidates(ChannelId(0), window, |_, _| true);
+                multi_fragment_windows += usize::from(groups.iter().any(|g| {
+                    let mut pairs = g.candidates.windows(2);
+                    pairs.any(|w| (w[0].flow, w[0].seq) == (w[1].flow, w[1].seq))
+                }));
+                let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+                ctx.packet_limit = [100, 400, 4096][draw(3) as usize];
+                let (mut got, mut want) = (Proposals::new(), Proposals::new());
+                BulkChunking::new().propose(&ctx, &mut got);
+                quadratic_propose(&ctx, &mut want);
+                assert_eq!(
+                    got.to_plans(),
+                    want.to_plans(),
+                    "case {case}, window {window}"
+                );
+                proposals += got.len();
+            }
+        }
+        assert!(
+            proposals > 300 && multi_fragment_windows > 300,
+            "{proposals} proposals, {multi_fragment_windows} windows with a multi-fragment message"
+        );
     }
 }

@@ -10,6 +10,7 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use simnet::SimTime;
@@ -44,17 +45,25 @@ struct MessageRun {
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     runs: Vec<MessageRun>,
-    order: Vec<ChunkCandidate>,
 }
 
 /// Split a window into per-message runs, in window order. The collect
-/// layer offers a message's fragments back to back, so a run is a message;
-/// candidates of one message that are *not* adjacent would form separate
-/// runs, and a permutation that then breaks their order is vetoed by the
-/// constraint checker like any other invalid proposal.
-fn message_runs(cands: &[ChunkCandidate], runs: &mut Vec<MessageRun>) {
+/// layer offers a message's fragments back to back (the `DstGroup`
+/// invariant), so a run is a message; candidates of one message that are
+/// *not* adjacent would form separate runs, and a permutation that then
+/// breaks their order is vetoed by the constraint checker like any other
+/// invalid proposal. Returns how many runs a packet of up to `max_chunks`
+/// chunks can read, in whatever order they are put: every candidate it
+/// looks at gives it a chunk (and it looks at one more to find itself
+/// full) — unless some candidate has no bytes left, which the collect
+/// layer never offers, and then it may read them all.
+fn message_runs(cands: &[ChunkCandidate], max_chunks: usize, runs: &mut Vec<MessageRun>) -> usize {
     runs.clear();
+    let mut read = max_chunks.saturating_add(1);
     for (i, c) in cands.iter().enumerate() {
+        if c.remaining == 0 {
+            read = usize::MAX;
+        }
         let same_message = |run: &MessageRun| {
             let head = &cands[run.at.start];
             head.flow == c.flow && head.seq == c.seq
@@ -72,14 +81,30 @@ fn message_runs(cands: &[ChunkCandidate], runs: &mut Vec<MessageRun>) {
             }),
         }
     }
+    read.min(runs.len())
 }
 
-/// The window's candidates with whole messages permuted into `runs` order.
-fn permuted(cands: &[ChunkCandidate], runs: &[MessageRun], out: &mut Vec<ChunkCandidate>) {
-    out.clear();
-    for run in runs {
-        out.extend_from_slice(&cands[run.at.clone()]);
+/// Sort `runs[..read]` into the places a full sort by `before` would give
+/// them; the rest are left in any order behind them. `before` is a strict
+/// total order, so there is one such arrangement.
+fn sort_front(
+    runs: &mut [MessageRun],
+    read: usize,
+    before: impl Fn(&MessageRun, &MessageRun) -> Ordering,
+) {
+    if read < runs.len() {
+        runs.select_nth_unstable_by(read - 1, &before);
     }
+    runs[..read].sort_unstable_by(&before);
+}
+
+/// The window's candidates with whole messages permuted into `runs`
+/// order, read where they lie: a packet takes the first few.
+fn permuted<'a>(
+    cands: &'a [ChunkCandidate],
+    runs: &'a [MessageRun],
+) -> impl Iterator<Item = &'a ChunkCandidate> {
+    runs.iter().flat_map(|run| &cands[run.at.clone()])
 }
 
 impl Strategy for ReorderVariants {
@@ -88,36 +113,35 @@ impl Strategy for ReorderVariants {
     }
 
     fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
-        let Scratch {
-            mut runs,
-            mut order,
-        } = std::mem::take(&mut out.reorder);
+        let Scratch { mut runs } = std::mem::take(&mut out.reorder);
         let limit = ctx.config.agg_chunk_limit;
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue;
             }
-            message_runs(&g.candidates, &mut runs);
+            let read = message_runs(&g.candidates, limit, &mut runs);
             // Both orders break ties by window position (`at.start`, unique
             // per run): what a stable sort of the window gives, without
-            // its buffer.
+            // its buffer — and only as far as the packet reads.
             // Variant 1: shortest message first — packs more distinct
             // messages per packet, minimizing mean completion time.
-            runs.sort_unstable_by_key(|m| (m.bytes, m.at.start));
-            permuted(&g.candidates, &runs, &mut order);
-            fill_packet(ctx, g.dst, &order, limit, false, "reorder-sjf", out);
+            sort_front(&mut runs, read, |a, b| {
+                (a.bytes, a.at.start).cmp(&(b.bytes, b.at.start))
+            });
+            let order = permuted(&g.candidates, &runs);
+            fill_packet(ctx, g.dst, order, limit, false, "reorder-sjf", out);
             // Variant 2: most urgent class first (control before bulk),
             // then oldest first within a class.
-            runs.sort_unstable_by(|a, b| {
+            sort_front(&mut runs, read, |a, b| {
                 b.urgency
                     .total_cmp(&a.urgency)
                     .then(a.submitted_at.cmp(&b.submitted_at))
                     .then(a.at.start.cmp(&b.at.start))
             });
-            permuted(&g.candidates, &runs, &mut order);
-            fill_packet(ctx, g.dst, &order, limit, false, "reorder-urgent", out);
+            let order = permuted(&g.candidates, &runs);
+            fill_packet(ctx, g.dst, order, limit, false, "reorder-urgent", out);
         }
-        out.reorder = Scratch { runs, order };
+        out.reorder = Scratch { runs };
     }
 }
 

@@ -34,8 +34,8 @@ impl Strategy for RendezvousPromotion {
 
     fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
-            for r in g.rndv.iter().take(MAX_REQS_PER_DST) {
-                out.push_rndv(ctx.channel, g.dst, (r.flow, r.seq, r.frag), self.name());
+            for at in 0..g.rndv.len().min(MAX_REQS_PER_DST) {
+                out.push_rndv_at(ctx.channel, g, at, self.name());
             }
         }
     }

@@ -35,15 +35,14 @@ impl Strategy for BulkChunking {
             // Largest remaining candidate that is the *first* pending chunk
             // of its message (a later fragment would need its predecessors
             // in the same packet); ties broken by age then identity for
-            // determinism.
+            // determinism. A message's candidates are adjacent and in pack
+            // order (the `DstGroup` invariant), so the first of a message
+            // is the one whose predecessor belongs to another.
+            let mut prev = None;
             let biggest = g
                 .candidates
                 .iter()
-                .filter(|c| {
-                    !g.candidates
-                        .iter()
-                        .any(|o| o.flow == c.flow && o.seq == c.seq && o.frag < c.frag)
-                })
+                .filter(|c| prev.replace((c.flow, c.seq)) != Some((c.flow, c.seq)))
                 .max_by_key(|c| {
                     (
                         c.remaining,

@@ -94,6 +94,7 @@ pub(crate) fn rail_of(rails: &[Rail], nic: NicId) -> Option<usize> {
 /// # Panics
 /// Panics when it is not — a topology bug best caught at flow-open time
 /// rather than deep inside the optimizer.
+// madlint: allow(linear-scan) — the rails of one node, once per flow opened
 pub(crate) fn assert_reachable(rails: &[Rail], dst: NodeId, node: NodeId) {
     assert!(
         rails.iter().any(|r| r.reaches(dst)),

@@ -143,7 +143,14 @@ pub fn check_spec(
     let plans = proposals.len();
     let threshold = effective_rndv_threshold(cfg, caps);
     for plan in proposals.to_plans() {
-        if let Some(defect) = check_plan(&plan, &collect, caps, wire_mtu, threshold) {
+        // Selection's first check, before any constraint: the engine sends
+        // a winner on the rail it is scheduling, so a plan must name it.
+        let defect = if plan.channel == ctx.channel {
+            check_plan(&plan, &collect, caps, wire_mtu, threshold)
+        } else {
+            Some(Defect::Validation(PlanViolation::WrongRail))
+        };
+        if let Some(defect) = defect {
             return CheckOutcome {
                 failure: Some(Failure { plan, defect }),
                 plans,

@@ -6,6 +6,7 @@
 //! produces a minimized counterexample. They are **never** registered by
 //! the engine.
 
+use madeleine::ids::ChannelId;
 use madeleine::plan::PlannedChunk;
 use madeleine::strategy::{OptContext, Proposals, Strategy};
 
@@ -89,5 +90,36 @@ impl Strategy for EagerRequester {
                 out.push_rndv(ctx.channel, g.dst, (c.flow, c.seq, c.frag), self.name());
             }
         }
+    }
+}
+
+/// Cuts a perfectly valid chunk from the first candidate and proposes it
+/// for the rail *next to* the one being scheduled. Every constraint on the
+/// chunk holds; the engine would still send the packet on the scheduled
+/// rail, past whatever that other rail was checked for — selection vetoes
+/// such a plan as `WrongRail` before anything else, and so does the
+/// analyzer.
+#[derive(Debug, Default)]
+pub struct OtherRail;
+
+impl Strategy for OtherRail {
+    fn name(&self) -> &'static str {
+        "fixture-other-rail"
+    }
+
+    fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+        let Some(g) = ctx.groups.iter().find(|g| !g.candidates.is_empty()) else {
+            return;
+        };
+        let c = &g.candidates[0];
+        let chunk = PlannedChunk {
+            flow: c.flow,
+            seq: c.seq,
+            frag: c.frag,
+            offset: c.offset,
+            len: 1,
+        };
+        let elsewhere = ChannelId(ctx.channel.0 + 1);
+        out.push_data(elsewhere, g.dst, &[chunk], false, self.name());
     }
 }

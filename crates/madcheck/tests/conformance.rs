@@ -98,6 +98,21 @@ fn eager_requester_fixture_is_caught() {
 }
 
 #[test]
+fn other_rail_fixture_is_caught_and_minimized() {
+    let mut registry = StrategyRegistry::empty();
+    registry.register(Box::new(madcheck::fixtures::OtherRail));
+    let report = analyze(&registry, &opts(8));
+    assert!(!report.is_clean());
+    for f in &report.findings {
+        assert_eq!(f.defect.key(), "validation:wrong-rail", "{report}");
+        // Nothing about the backlog matters: any one byte will do.
+        assert_eq!(f.spec.msgs.len(), 1, "{report}");
+        assert_eq!(f.spec.msgs[0].frags.len(), 1, "{report}");
+        assert_eq!(f.spec.msgs[0].frags[0].len, 1, "{report}");
+    }
+}
+
+#[test]
 fn broken_fixture_alongside_shipped_database_attributes_correctly() {
     let mut registry = StrategyRegistry::standard(&EngineConfig::default());
     registry.register(Box::new(madcheck::fixtures::SkewedOffset));

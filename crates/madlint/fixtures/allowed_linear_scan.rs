@@ -32,3 +32,23 @@ pub fn first_open(frags: &[bool]) -> Option<usize> {
 pub fn first_even(xs: &[u32]) -> Option<u32> {
     xs.iter().copied().find(|x| x % 2 == 0)
 }
+
+pub struct Cand {
+    pub msg: (u32, u32),
+    pub remaining: u32,
+}
+
+/// One walk: a message's candidates are adjacent, so its first one is the
+/// one whose predecessor belongs to another message.
+pub fn biggest_first_of_message(candidates: &[Cand]) -> Option<&Cand> {
+    let mut prev = None;
+    candidates
+        .iter()
+        .filter(|c| prev.replace(c.msg) != Some(c.msg))
+        .max_by_key(|c| c.remaining)
+}
+
+/// Allowed: the collection is an array of fixed, small size.
+pub fn any_finite(budgets: &[u64; 4]) -> bool {
+    budgets.iter().any(|&b| b != u64::MAX) // madlint: allow(linear-scan) — one budget per class slot
+}

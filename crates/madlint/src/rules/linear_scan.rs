@@ -3,9 +3,9 @@
 //! The send path earns its keep when a backlog accumulates, which is
 //! exactly when a per-chunk walk over that backlog turns an activation
 //! quadratic. In scopes marked `// madlint: hot-path`, the element-search
-//! idioms — `.retain(`, `.iter().find(`, `.iter_mut().find(` and
-//! `.position(` — are flagged; state should be reached by key or by
-//! position instead. A scan over something small by construction stays,
+//! idioms — `.retain(`, `.position(`, and `.find(` or `.any(` straight on
+//! `.iter()` / `.iter_mut()` — are flagged; state should be reached by key
+//! or by position instead. A scan over something small by construction stays,
 //! with `// madlint: allow(linear-scan) — <bound>` naming what bounds it.
 
 use crate::diag::{Diagnostic, RuleId};
@@ -28,6 +28,10 @@ pub fn check(f: &SourceFile, ctx: &ScopeFlags, sig: &Sig<'_>, out: &mut Vec<Diag
             Some((i + 5, ".iter().find("))
         } else if iter_call(sig, i, "iter_mut") && sig.method(i + 4, "find") {
             Some((i + 5, ".iter_mut().find("))
+        } else if iter_call(sig, i, "iter") && sig.method(i + 4, "any") {
+            Some((i + 5, ".iter().any("))
+        } else if iter_call(sig, i, "iter_mut") && sig.method(i + 4, "any") {
+            Some((i + 5, ".iter_mut().any("))
         } else {
             None
         };

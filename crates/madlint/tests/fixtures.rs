@@ -75,6 +75,30 @@ fn clean_fixture_is_silent() {
     assert_eq!(report.exit_code(), 0);
 }
 
+/// `linear-scan` knows six spellings of "walk the collection to find one
+/// element"; the bad fixture holds each once.
+#[test]
+fn linear_scan_flags_every_search_idiom() {
+    let report = lint_fixture("bad_linear_scan.rs");
+    let mut flagged: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter_map(|d| d.message.split('`').nth(1))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        [
+            ".iter().any(",
+            ".iter().find(",
+            ".iter_mut().any(",
+            ".iter_mut().find(",
+            ".position(",
+            ".retain(",
+        ]
+    );
+}
+
 /// The partner of `bad_linear_scan.rs`: the same scans, rewritten or
 /// allowed at item and line level with a stated bound, raise nothing.
 #[test]

@@ -139,9 +139,17 @@ pub fn transfer_time(bytes: u64, bytes_per_sec: u64) -> SimDuration {
     if bytes == 0 || bytes_per_sec == 0 {
         return SimDuration::ZERO;
     }
-    // ns = bytes * 1e9 / rate, computed in u128 to avoid overflow.
-    let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-    SimDuration(ns.min(u64::MAX as u128) as u64)
+    // ns = ⌈bytes × 1e9 / rate⌉. The product fits 64 bits below 18 GB,
+    // which is every packet; a 128-bit division is a library call.
+    const NANOS_PER_SEC: u64 = 1_000_000_000;
+    let ns = match bytes.checked_mul(NANOS_PER_SEC) {
+        Some(product) => product.div_ceil(bytes_per_sec),
+        None => {
+            let wide = (bytes as u128 * NANOS_PER_SEC as u128).div_ceil(bytes_per_sec as u128);
+            wide.min(u64::MAX as u128) as u64
+        }
+    };
+    SimDuration(ns)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -290,6 +298,46 @@ mod tests {
     fn transfer_time_large_values_do_not_overflow() {
         let d = transfer_time(u64::MAX / 2, 1);
         assert!(d.as_nanos() > 0);
+    }
+
+    #[test]
+    fn transfer_time_is_the_128_bit_quotient_rounded_up_and_saturated() {
+        let wide = |bytes: u64, rate: u64| {
+            if bytes == 0 || rate == 0 {
+                return 0;
+            }
+            let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(rate as u128);
+            ns.min(u64::MAX as u128) as u64
+        };
+        // Either side of the largest byte count whose product fits 64 bits.
+        let fits = u64::MAX / 1_000_000_000;
+        let edge_bytes = [0, 1, fits - 1, fits, fits + 1, u64::MAX];
+        let edge_rates = [0, 1, 3, 1_000_000_000, u64::MAX];
+        for bytes in edge_bytes {
+            for rate in edge_rates {
+                assert_eq!(
+                    transfer_time(bytes, rate).as_nanos(),
+                    wide(bytes, rate),
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            // Every magnitude: packet sizes as well as what overflows.
+            rng >> (rng % 64)
+        };
+        for _ in 0..20_000 {
+            let (bytes, rate) = (draw(), draw());
+            assert_eq!(
+                transfer_time(bytes, rate).as_nanos(),
+                wide(bytes, rate),
+                "{bytes} B at {rate} B/s"
+            );
+        }
     }
 
     #[test]

@@ -144,6 +144,7 @@ fn analyze(args: &[String]) -> ExitCode {
         registry.register(Box::new(madcheck::fixtures::SkewedOffset));
         registry.register(Box::new(madcheck::fixtures::GatherHog));
         registry.register(Box::new(madcheck::fixtures::EagerRequester));
+        registry.register(Box::new(madcheck::fixtures::OtherRail));
     }
     let report = madcheck::analyze(&registry, &opts);
     print!("{report}");

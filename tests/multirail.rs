@@ -4,9 +4,11 @@
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
-use madeleine::{EngineConfig, PolicyKind};
+use madeleine::plan::PlannedChunk;
+use madeleine::strategy::{OptContext, Proposals, Strategy};
+use madeleine::{ChannelId, EngineConfig, FlowId, MadEngine, PolicyKind};
 use madware::pattern;
-use simnet::Technology;
+use simnet::{NetworkParams, NicId, NodeId, SimTime, Simulation, Technology};
 
 fn bulk_spec(engine: EngineKind, rails: Vec<Technology>) -> ClusterSpec {
     ClusterSpec::new(2, rails).engine(engine)
@@ -180,4 +182,92 @@ fn runtime_policy_switch_takes_effect() {
     );
     assert!(phase2[0] > phase1[0]);
     assert_eq!(c.handle(1).delivered_count(), 40);
+}
+
+/// Proposes the body of message 0 of flow 0 for rail 0, whatever rail is
+/// being scheduled.
+struct WrongRail;
+
+impl Strategy for WrongRail {
+    fn name(&self) -> &'static str {
+        "wrong-rail"
+    }
+    fn propose(&self, _: &OptContext<'_>, out: &mut Proposals) {
+        let body = PlannedChunk {
+            flow: FlowId(0),
+            seq: 0,
+            frag: 1,
+            offset: 0,
+            len: 64,
+        };
+        out.push_data(ChannelId(0), NodeId(1), &[body], false, self.name());
+    }
+}
+
+#[test]
+fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
+    // Rail 0 is slow and takes one packet at a time; rail 1 is fast. One
+    // chunk per packet, so the CONTROL message's express header leaves
+    // alone on rail 0 and fills it: the message is pinned there with its
+    // body still to send. The second flow's message then wakes rail 1,
+    // whose window rightly hides the pinned body — and where `WrongRail`
+    // proposes it "for rail 0". Sent from there it would reach the peer
+    // long before its header.
+    let mut sim = Simulation::new();
+    let slow = sim.add_network(NetworkParams {
+        tx_queue_depth: 1,
+        ..nicdrv::calib::params(Technology::TcpEthernet)
+    });
+    let fast = sim.add_network(nicdrv::calib::params(Technology::MyrinetMx));
+    let (a, b) = (sim.add_node(), sim.add_node());
+    let nics_a = vec![sim.add_nic(a, slow), sim.add_nic(a, fast)];
+    let nics_b = vec![sim.add_nic(b, slow), sim.add_nic(b, fast)];
+    let build = |node, nics: &[NicId], peer, peer_nics: &[NicId]| {
+        MadEngine::builder(node)
+            .config(EngineConfig {
+                agg_chunk_limit: 1,
+                ..eager_cfg()
+            })
+            .rail_tech(Technology::TcpEthernet, nics[0])
+            .rail_tech(Technology::MyrinetMx, nics[1])
+            .peer(peer, peer_nics.to_vec())
+            .strategy(Box::new(WrongRail))
+            .build()
+            .unwrap()
+    };
+    let (ea, ha) = build(a, &nics_a, b, &nics_b);
+    let (eb, hb) = build(b, &nics_b, a, &nics_a);
+    sim.set_endpoint(a, Box::new(ea));
+    sim.set_endpoint(b, Box::new(eb));
+    let pinned = ha.open_flow(b, TrafficClass::CONTROL);
+    let other = ha.open_flow(b, TrafficClass::DEFAULT);
+    assert_eq!((pinned, b), (FlowId(0), NodeId(1)));
+    sim.inject(a, |ctx| {
+        let parts = MessageBuilder::new()
+            .pack_express(&pattern(0, 0, 0, 16))
+            .pack_cheaper(&pattern(0, 0, 1, 64))
+            .build_parts();
+        ha.send(ctx, pinned, parts);
+        let parts = MessageBuilder::new()
+            .pack_cheaper(&pattern(1, 0, 0, 8))
+            .build_parts();
+        ha.send(ctx, other, parts);
+    });
+    sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+    let m = ha.metrics();
+    assert_eq!(
+        m.strategy_wins.get("wrong-rail"),
+        None,
+        "{:?}",
+        m.strategy_wins
+    );
+    // The body followed its header: rail 1 carried the small message only.
+    assert_eq!(sim.nic(nics_a[1]).stats.tx_packets, 1);
+    assert_eq!(hb.metrics().express_violations, 0);
+    let mut got = hb.take_delivered();
+    got.sort_by_key(|m| m.flow);
+    assert_eq!(got.len(), 2, "each message delivered exactly once");
+    assert_eq!(got[0].fragments[0].1[..], pattern(0, 0, 0, 16)[..]);
+    assert_eq!(got[0].fragments[1].1[..], pattern(0, 0, 1, 64)[..]);
+    assert_eq!(got[1].contiguous(), pattern(1, 0, 0, 8));
 }
