@@ -132,6 +132,13 @@ fn e13_cell(salt: u64) -> Cluster {
     e13_flowscale::fairness_cluster(madeleine::FairnessMode::Drr, 100, 8, seed, Some(TRACE_CAP))
 }
 
+/// E13's heterogeneous cell in miniature (see
+/// [`e13_flowscale::traced_hetero_cell`] for what a miniature can and
+/// cannot hold).
+fn e13h_cell(salt: u64) -> Cluster {
+    e13_flowscale::traced_hetero_cell(salt)
+}
+
 fn e14_cell(salt: u64) -> Cluster {
     e14_incast::traced_cell(salt)
 }
@@ -167,6 +174,11 @@ pub const CELLS: &[DiffCell] = &[
         name: "e13",
         prefixes: &["e13_"],
         build: e13_cell,
+    },
+    DiffCell {
+        name: "e13h",
+        prefixes: &["e13h_"],
+        build: e13h_cell,
     },
     DiffCell {
         name: "e14",
@@ -358,6 +370,7 @@ mod tests {
             "e12_retransmits",
             "prof_wire_share_p50",
             "e13_mice_p99",
+            "e13h_makespan_us",
             "e14_incast_p99",
         ] {
             assert!(cell_for_metric(metric).is_some(), "unmapped: {metric}");

@@ -13,6 +13,11 @@
 //!   peak collect-layer backlog (the memory ceiling), per-class tail
 //!   latency and express violations. Delivery recording is off, so the
 //!   only unbounded state would be engine-internal — there is none.
+//!   Sizes stop at 16 KiB, below the rail's rendezvous threshold: the
+//!   **heterogeneous** row ([`run_hetero`]) lets them run to 256 KiB on
+//!   MX + Elan, so a fraction of a percent of the messages negotiate
+//!   first and their requests wait in the backlog beside the data. It is
+//!   the cell E4 and E5 sweep the window and the budget on.
 //! * **Fairness** — one elephant flow (BULK, continuous 8KiB) plus 64
 //!   mice (DEFAULT, sparse 256B) under pack-order vs weighted DRR
 //!   candidate ordering.
@@ -37,7 +42,7 @@ use madeleine::{AdmissionPolicy, EngineConfig, SendOutcome};
 use madware::apps::FlowSpec;
 use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
-use simnet::{NodeId, SimDuration};
+use simnet::{NodeId, SimDuration, Technology};
 
 use crate::{fmt_f, Report, Table};
 
@@ -57,6 +62,18 @@ pub const SCALE_SWEEP: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// Flow count used by CI smoke and the bench gate.
 pub const SMOKE_FLOWS: usize = 2_000;
+
+/// Flow count of the heterogeneous row, and of E4's and E5's sweeps on it:
+/// rendezvous requests take time to accumulate, so what a window does with
+/// them only shows at scale.
+pub const HETERO_FLOWS: usize = 100_000;
+
+/// Flow count of the bench gate's heterogeneous point: the smallest scale
+/// at which a window that counts requests costs 5 % of the makespan.
+pub const HETERO_SMOKE_FLOWS: usize = 60_000;
+
+/// Largest message of the heterogeneous cell (the scale cell's is 16 KiB).
+const HETERO_MAX_SIZE: usize = 256 << 10;
 
 fn fairness_mode_drr() -> madeleine::FairnessMode {
     madeleine::FairnessMode::Drr
@@ -80,6 +97,13 @@ pub struct ScalePoint {
     pub p99_us: f64,
     /// Per-class p99 latency (µs), indexed by class slot.
     pub class_p99_us: [f64; 4],
+    /// Mean latency (µs) overall and per class slot: exact, where the
+    /// quantiles above are read off log2 buckets and move in octaves.
+    pub mean_us: f64,
+    /// See `mean_us`.
+    pub class_mean_us: [f64; 4],
+    /// Chunks per data packet at the sender.
+    pub chunks_per_pkt: f64,
     /// Express-ordering violations observed by the receiver (must be 0).
     pub violations: u64,
     /// Sender + receiver engine metrics as deterministic JSON (byte
@@ -89,30 +113,110 @@ pub struct ScalePoint {
     pub registry: String,
 }
 
+/// What distinguishes one scale cell from another: how many flows send
+/// how many messages each, of which sizes, how far apart.
+struct ScaleShape {
+    flows: usize,
+    msgs_per_flow: u64,
+    sizes: SizeDist,
+    mean_gap: SimDuration,
+}
+
+impl ScaleShape {
+    /// `flows` × `msgs_per_flow` bounded-Pareto messages of up to
+    /// `max_size` bytes, 400 µs apart on average.
+    fn pareto(flows: usize, msgs_per_flow: u64, max_size: usize) -> Self {
+        ScaleShape {
+            flows,
+            msgs_per_flow,
+            sizes: SizeDist::Pareto {
+                min: 64,
+                max: max_size,
+                alpha: 1.2,
+            },
+            mean_gap: SimDuration::from_micros(400),
+        }
+    }
+}
+
+/// The configuration every scale cell shares: nothing recorded per
+/// delivery, so the only unbounded state would be the engine's own.
+fn unrecorded(config: EngineConfig) -> EngineConfig {
+    EngineConfig {
+        record_deliveries: false,
+        ..config
+    }
+}
+
 /// Run the scale cell: `total_flows` flows, `msgs_per_flow` messages
 /// each, classes cycled, bounded-Pareto sizes, open-loop arrivals.
 pub fn run_scale(total_flows: usize, msgs_per_flow: u64, seed: u64, sampler: bool) -> ScalePoint {
+    let spec = ClusterSpec::mx_pair().config(unrecorded(EngineConfig::default()));
+    let shape = ScaleShape::pareto(total_flows, msgs_per_flow, 16 << 10);
+    scale_cell(&spec, &shape, seed, sampler).0
+}
+
+/// The two rails of the heterogeneous cells.
+fn hetero_spec(config: EngineConfig) -> ClusterSpec {
+    let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
+    ClusterSpec::new(2, rails).config(unrecorded(config))
+}
+
+/// Run the heterogeneous cell under `config`: the scale cell's arrivals
+/// with sizes across the rendezvous threshold, on MX + Elan.
+pub fn run_hetero(total_flows: usize, config: EngineConfig) -> ScalePoint {
+    let shape = ScaleShape::pareto(total_flows, 2, HETERO_MAX_SIZE);
+    scale_cell(&hetero_spec(config), &shape, SEED, false).0
+}
+
+/// Fully-traced miniature of the heterogeneous cell, drained — what
+/// maddiff re-runs to explain an `e13h_` metric, and the one cell in the
+/// tree whose decision log has requests and data contesting a packet. A
+/// cell small enough to trace and to commit as a snapshot holds no
+/// rendezvous body at one in eight hundred, so the miniature draws its
+/// sizes from 1 KiB up (one message in thirty negotiates) and lets them
+/// arrive 20 µs apart per flow, far above what the rails drain. What it
+/// cannot hold is the effect the full cell gates: requests lose to data
+/// that has aged for milliseconds, and 640 messages are gone before
+/// they have.
+pub fn traced_hetero_cell(salt: u64) -> Cluster {
+    let shape = ScaleShape {
+        flows: 160,
+        msgs_per_flow: 4,
+        sizes: SizeDist::Pareto {
+            min: 1 << 10,
+            max: HETERO_MAX_SIZE,
+            alpha: 1.2,
+        },
+        mean_gap: SimDuration::from_micros(20),
+    };
+    let spec = hetero_spec(EngineConfig::default()).with_tracing(1 << 16);
+    let seed = SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    scale_cell(&spec, &shape, seed, false).1
+}
+
+/// The scale workload `shape` describes on the cluster `spec` describes,
+/// drained: classes cycled, open-loop Poisson arrivals.
+fn scale_cell(
+    spec: &ClusterSpec,
+    shape: &ScaleShape,
+    seed: u64,
+    sampler: bool,
+) -> (ScalePoint, Cluster) {
+    let (total_flows, msgs_per_flow) = (shape.flows, shape.msgs_per_flow);
     let specs: Vec<FlowSpec> = (0..total_flows)
         .map(|i| FlowSpec {
             dst: NodeId(1),
             class: CLASS_CYCLE[i % CLASS_CYCLE.len()],
-            arrival: Arrival::Poisson(SimDuration::from_micros(400)),
-            sizes: SizeDist::Pareto {
-                min: 64,
-                max: 16 << 10,
-                alpha: 1.2,
-            },
+            arrival: Arrival::Poisson(shape.mean_gap),
+            sizes: shape.sizes.clone(),
             express_header: 8,
             stop_after: Some(msgs_per_flow),
             // Stagger first arrivals so 100k timers do not fire at t=0.
             start_after: SimDuration::from_nanos((i as u64 % 4096) * 500),
         })
         .collect();
-    let spec = ClusterSpec::mx_pair().config(EngineConfig {
-        record_deliveries: false,
-        ..EngineConfig::default()
-    });
-    let (mut cluster, _tx, rx) = traffic_pair(&spec, "flowscale", specs, seed);
+    let (mut cluster, _tx, rx) = traffic_pair(spec, "flowscale", specs, seed);
     if sampler {
         cluster.enable_sampler(SimDuration::from_micros(50));
     }
@@ -129,15 +233,14 @@ pub fn run_scale(total_flows: usize, msgs_per_flow: u64, seed: u64, sampler: boo
     let makespan_us = rx.borrow().last_recv.as_micros_f64();
     let m = cluster.handle(1).metrics();
     let mut class_p99_us = [0.0f64; 4];
-    for (slot, p) in class_p99_us.iter_mut().enumerate() {
-        *p = m.latency_by_class[slot].quantile(0.99).as_micros_f64();
+    let mut class_mean_us = [0.0f64; 4];
+    for (slot, by_class) in m.latency_by_class.iter().take(4).enumerate() {
+        class_p99_us[slot] = by_class.quantile(0.99).as_micros_f64();
+        class_mean_us[slot] = by_class.summary().mean();
     }
-    let engine_json = format!(
-        "{}\n{}",
-        cluster.handle(0).metrics().to_json().render(),
-        m.to_json().render()
-    );
-    ScalePoint {
+    let sender = cluster.handle(0).metrics();
+    let engine_json = format!("{}\n{}", sender.to_json().render(), m.to_json().render());
+    let point = ScalePoint {
         flows: total_flows,
         expected,
         delivered: m.delivered_msgs,
@@ -146,10 +249,14 @@ pub fn run_scale(total_flows: usize, msgs_per_flow: u64, seed: u64, sampler: boo
         p50_us: m.latency.quantile(0.5).as_micros_f64(),
         p99_us: m.latency.quantile(0.99).as_micros_f64(),
         class_p99_us,
+        mean_us: m.latency.summary().mean(),
+        class_mean_us,
+        chunks_per_pkt: sender.aggregation_ratio(),
         violations: cluster.handle(1).receiver_stats().express_violations,
         engine_json,
         registry: cluster.prometheus_text(),
-    }
+    };
+    (point, cluster)
 }
 
 /// One measured fairness-cell run.
@@ -519,6 +626,37 @@ pub fn run() -> Report {
             .into(),
     );
 
+    let mut th = Table::new(
+        "the same arrivals, sizes 64B..256KiB across the rendezvous threshold, MX + Elan rails",
+        &[
+            "flows",
+            "delivered",
+            "makespan(ms)",
+            "chunks/pkt",
+            "mean(us)",
+            "ctrl mean(us)",
+            "express viol",
+        ],
+    );
+    let h = run_hetero(HETERO_FLOWS, EngineConfig::default());
+    th.row(vec![
+        h.flows.to_string(),
+        format!("{}/{}", h.delivered, h.expected),
+        fmt_f(h.makespan_us / 1000.0),
+        fmt_f(h.chunks_per_pkt),
+        fmt_f(h.mean_us),
+        fmt_f(h.class_mean_us[TrafficClass::CONTROL.0 as usize]),
+        h.violations.to_string(),
+    ]);
+    notes.push(format!(
+        "heterogeneous row: one message in eight hundred is a rendezvous \
+         body whose request waits in the backlog; requests are offered \
+         beside the lookahead window, not in it, so the window stays full \
+         of data ({} chunks per packet) however many of them are parked — \
+         E4 and E5 sweep the window and the budget on this cell",
+        fmt_f(h.chunks_per_pkt),
+    ));
+
     let mut tf = Table::new(
         "1 BULK elephant (8KiB every 10us, flow 0) vs 64 DEFAULT mice (256B, sparse)",
         &[
@@ -593,7 +731,7 @@ pub fn run() -> Report {
         id: "E13",
         title: "madflow sustains 100k flows with O(active) scheduling, admission control and weighted fairness",
         claim: "dynamic optimization survives flow-count scale: the backlog index keeps activations O(active), budgets bound memory, and DRR bounds mice latency under an elephant",
-        tables: vec![ts, tf, to],
+        tables: vec![ts, th, tf, to],
         notes,
         artifacts: profile_artifacts(),
     }

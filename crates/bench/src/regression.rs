@@ -2,8 +2,8 @@
 //!
 //! `run_suite` drives one smoke point of each flagship experiment
 //! (E1 aggregation, E2 NIC-idle batching, E7 multi-rail balancing,
-//! E12 loss recovery, E13 flow scale + admission, E14 incast +
-//! congestion steering) plus a
+//! E12 loss recovery, E13 flow scale + admission and its heterogeneous
+//! cell, E14 incast + congestion steering) plus a
 //! sampler-instrumented replay, and collects the headline numbers into
 //! a schema-versioned [`BenchDoc`].
 //! `cargo xtask bench` serializes it as `BENCH_<label>.json`;
@@ -15,11 +15,9 @@
 //! function of the seed: on unchanged code the comparison is
 //! byte-for-byte equal on any machine, and the threshold only exists to
 //! tolerate *intentional* small behavioral drift (a strategy tweak that
-//! shuffles a packet boundary), not host noise. The one wall-clock
-//! measurement (`prof_events_per_sec`) is reported saturated at
-//! [`PROF_EVENTS_PER_SEC_CAP`] so it too stays byte-identical on any
-//! healthy machine: the gate is an O(events) throughput *floor* for the
-//! madprof reconstruction, not a drift tracker.
+//! shuffles a packet boundary), not host noise. Nothing here reads a
+//! wall clock: host time is madclock's business
+//! (`prof.build_ns_per_event` is what the profiler costs).
 //!
 //! Makespan-bearing smoke points run with the sampler **off**: a
 //! sampler keeps its tick timer armed for up to [`SAMPLER_SLEEP_TICKS`]
@@ -48,14 +46,6 @@ pub const DEFAULT_THRESHOLD: f64 = 0.05;
 
 /// Sampler tick used by the instrumented replay.
 pub const SAMPLER_TICK_US: u64 = 5;
-
-/// Saturation cap for `prof_events_per_sec` (events per wall-clock
-/// second). Any machine reconstructing faster than this — which is every
-/// healthy one by an order of magnitude — reports exactly the cap, so
-/// the metric stays deterministic; only a pathological slowdown in the
-/// profiler (an accidental O(events^2) pass) can pull the value below
-/// the cap and trip the `HigherIsBetter` gate.
-pub const PROF_EVENTS_PER_SEC_CAP: f64 = 2_000_000.0;
 
 /// Which way a metric is allowed to move without tripping the gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -387,6 +377,24 @@ pub fn run_suite(label: &str) -> SuiteOutput {
         s.peak_backlog as f64,
         Direction::Info,
     );
+    // E13, heterogeneous: sizes across the rendezvous threshold on MX +
+    // Elan, at the smallest scale where a lookahead window that counted
+    // parked requests cost 5 % of the makespan (59.4 ms and 7.7 chunks per
+    // packet there). The regime none of the cells above contains.
+    let h = e13_flowscale::run_hetero(e13_flowscale::HETERO_SMOKE_FLOWS, Default::default());
+    assert_eq!(h.delivered, h.expected, "E13 heterogeneous smoke: loss");
+    push(
+        &mut metrics,
+        "e13h_makespan_us",
+        h.makespan_us,
+        Direction::LowerIsBetter,
+    );
+    push(
+        &mut metrics,
+        "e13h_chunks_per_pkt",
+        h.chunks_per_pkt,
+        Direction::HigherIsBetter,
+    );
     let fair = e13_flowscale::run_fairness(FairnessMode::Drr);
     push(
         &mut metrics,
@@ -506,8 +514,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
     // madprof: phase attribution of the traced E12 loss cell (the 1%
     // seeded loss puts real time in every phase, so the share gates
     // bite). Shares are exact per-mille integers over virtual time —
-    // deterministic like everything else; the events/sec floor is the
-    // suite's only wall-clock measurement (see PROF_EVENTS_PER_SEC_CAP).
+    // deterministic like everything else.
     let cell = e12_loss::traced_cell();
     let prof = cell.profile();
     assert_eq!(
@@ -532,29 +539,6 @@ pub fn run_suite(label: &str) -> SuiteOutput {
         "prof_decision_share_p99",
         prof.phase_share_mille(Phase::Decision, 0.99) as f64,
         Direction::LowerIsBetter,
-    );
-    let input = cell.prof_input();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        // Deliberate wall-clock read: the events/sec floor measures real
-        // attribution throughput over a prebuilt input (ring collection
-        // and decision-log extraction are one-time capture costs, not
-        // the O(events) reconstruction this floor pins). An input keeps
-        // the profile it computes, so each repeat profiles a copy that
-        // has none yet; the saturation cap keeps the reported value
-        // deterministic.
-        let fresh = input.clone();
-        let t0 = std::time::Instant::now(); // madlint: allow(nondet-source) — see above
-        let rerun = fresh.profile();
-        best = best.min(t0.elapsed().as_secs_f64());
-        assert_eq!(rerun.flows.len(), prof.flows.len());
-    }
-    let events_per_sec = prof.events_processed as f64 / best.max(1e-9);
-    push(
-        &mut metrics,
-        "prof_events_per_sec",
-        events_per_sec.min(PROF_EVENTS_PER_SEC_CAP),
-        Direction::HigherIsBetter,
     );
 
     // Sampler replay of the E2 workload: time-series digest + CSV. Kept
@@ -757,6 +741,8 @@ mod tests {
             "e12_delivered_fraction",
             "e13_scale_makespan_us",
             "e13_overload_delivered_fraction",
+            "e13h_makespan_us",
+            "e13h_chunks_per_pkt",
             "e15_allreduce_auto_p99_us",
             "e15_selection_win_rate",
             "e15_barrier_fanin_p999_us",
@@ -775,12 +761,9 @@ mod tests {
             retx > 0.0,
             "retx share p99 is zero (loss cell lost nothing?)"
         );
-        // The wall-clock floor must be saturated at the cap — that is
-        // what keeps the document byte-identical across runs.
-        assert_eq!(
-            a.doc.get("prof_events_per_sec").unwrap().value,
-            PROF_EVENTS_PER_SEC_CAP,
-            "profiler fell below the events/sec saturation cap"
-        );
+        // The heterogeneous point must sit in its regime: a window full
+        // of data aggregates like a fresh one.
+        let chunks = a.doc.get("e13h_chunks_per_pkt").unwrap().value;
+        assert!(chunks > 12.0, "parked requests crowd the window: {chunks}");
     }
 }

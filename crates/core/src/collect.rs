@@ -4,7 +4,12 @@
 //! "The application simply enqueues packets into a list and immediately
 //! returns to computing" (§3). While a NIC is busy, submissions accumulate
 //! here as a *backlog*; each optimizer activation views a window of that
-//! backlog as schedulable chunk candidates.
+//! backlog as schedulable chunk candidates. The window is made of data:
+//! `lookahead_window` counts byte ranges a packet could carry, and a
+//! fragment still waiting to *ask* for its rendezvous is offered beside
+//! them, a few per destination ([`crate::plan::MAX_REQS_PER_DST`]), because a
+//! request is no lookahead and a window full of requests has nothing to
+//! aggregate.
 
 // madlint: file: hot-path
 
@@ -38,6 +43,15 @@ pub enum RndvState {
     Requested,
     /// Grant received; data may move.
     Granted,
+}
+
+/// What a pending fragment has for a window.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Offer {
+    /// Bytes a data packet can take.
+    Data,
+    /// A rendezvous request still to be sent.
+    Request,
 }
 
 /// One fragment awaiting (complete) transmission.
@@ -91,6 +105,19 @@ impl PendingFragment {
     /// Whether the rendezvous protocol currently blocks scheduling.
     pub fn rndv_blocked(&self) -> bool {
         matches!(self.rndv, RndvState::NeedRequest | RndvState::Requested)
+    }
+
+    /// What the fragment has for a window: nothing once every byte is
+    /// with a NIC, or while its request is out.
+    fn offer(&self) -> Option<Offer> {
+        if self.fully_committed() {
+            return None;
+        }
+        match self.rndv {
+            RndvState::Eager | RndvState::Granted => Some(Offer::Data),
+            RndvState::NeedRequest => Some(Offer::Request),
+            RndvState::Requested => None,
+        }
     }
 }
 
@@ -148,9 +175,44 @@ pub struct FlowState {
     /// ascending in `seq`, which is what lets `find_msg` and the mutators
     /// resolve a message by position instead of walking the queue.
     pub queue: VecDeque<PendingMessage>,
+    /// Queued fragments that offer [`Offer::Data`].
+    ready: u32,
+    /// Queued fragments that offer [`Offer::Request`].
+    asking: u32,
 }
 
 impl FlowState {
+    /// Whether any queued fragment has something for a window. A flow
+    /// without one is stepped over without a look at its queue.
+    fn offerable(&self) -> bool {
+        self.ready != 0 || self.asking != 0
+    }
+
+    /// One fragment of the flow went from offering `before` to offering
+    /// `after` (`None` on either side: it entered or left the queue, or
+    /// has nothing): keep the counts, and tell `index` when the flow
+    /// becomes or stops being ready or asking.
+    fn retally(&mut self, index: &mut FlowIndex, before: Option<Offer>, after: Option<Offer>) {
+        if before == after {
+            return;
+        }
+        let was = (self.ready, self.asking);
+        for (offer, gained) in [(before, false), (after, true)] {
+            let count = match offer {
+                Some(Offer::Data) => &mut self.ready,
+                Some(Offer::Request) => &mut self.asking,
+                None => continue,
+            };
+            *count = if gained { *count + 1 } else { *count - 1 };
+        }
+        if (was.0 == 0) != (self.ready == 0) {
+            index.note_ready(self.id.0, self.ready != 0);
+        }
+        if (was.1 == 0) != (self.asking == 0) {
+            index.note_asking(self.dst, self.id.0, self.asking != 0);
+        }
+    }
+
     /// Queue index of message `seq`, if it is still pending. Sequences are
     /// assigned densely and the queue is ascending, so the message sits
     /// `seq − front.seq` places from the front unless shedding or
@@ -176,6 +238,8 @@ pub struct CollectLayer {
     index: FlowIndex,
     fairness: FairnessMode,
     drr: DrrScheduler,
+    /// The pack-order walk's scratch, kept so a window allocates nothing.
+    heads: Vec<(u32, NodeId)>,
 }
 
 impl CollectLayer {
@@ -193,6 +257,8 @@ impl CollectLayer {
             class,
             next_seq: 0,
             queue: VecDeque::new(),
+            ready: 0,
+            asking: 0,
         });
         self.drr.ensure_flows(self.flows.len());
         id
@@ -260,6 +326,9 @@ impl CollectLayer {
             .map(|f: &PendingFragment| u64::from(f.len()))
             .sum();
         let slot = class_slot(fs.class);
+        for f in &frags {
+            fs.retally(&mut self.index, None, f.offer());
+        }
         fs.queue.push_back(PendingMessage {
             id,
             dst: fs.dst,
@@ -315,15 +384,19 @@ impl CollectLayer {
     }
 
     /// Build the optimizer's view for one rail: schedulable chunks grouped
-    /// by destination, at most `window` candidates, oldest messages first.
-    /// `eligible` filters flows by the scheduler policy for this rail.
+    /// by destination, at most `window` data candidates, oldest messages
+    /// first, and beside them at most [`crate::plan::MAX_REQS_PER_DST`]
+    /// rendezvous requests per destination — requests do not count
+    /// against `window`. `eligible` filters flows by the scheduler policy
+    /// for this rail. The walk ends when the window is full: a request
+    /// lying behind the last data candidate waits for a later window.
     ///
-    /// Only *active* flows (non-empty queue) are visited, so the walk is
-    /// O(active), independent of how many idle flows exist. In the default
-    /// [`FairnessMode::PackOrder`], flows are visited in ascending id
-    /// order — the active set iterates ascending, so the output is
-    /// identical to a full-table walk. [`FairnessMode::Drr`] instead
-    /// splits the window across classes by weight and rotates a
+    /// Only *offerable* flows — active, and with a fragment that has
+    /// something for a window — are looked at. In the default
+    /// [`FairnessMode::PackOrder`], they are visited in ascending id
+    /// order, so the output is identical to a full-table walk, which
+    /// would find nothing in the flows stepped over. [`FairnessMode::Drr`]
+    /// instead splits the window across classes by weight and rotates a
     /// deficit-round-robin cursor over each class's flows (which is why
     /// this takes `&mut self`: cursors and deficits advance per call).
     pub fn collect_candidates(
@@ -358,29 +431,31 @@ impl CollectLayer {
 
     /// Historical flow order: ascending flow id, messages oldest first.
     fn collect_pack_order(
-        &self,
+        &mut self,
         rail: ChannelId,
         window: usize,
         eligible: impl Fn(FlowId, TrafficClass) -> bool,
         groups: &mut WindowGroups,
     ) {
         let mut taken = 0usize;
-        for id in self.index.active_ids() {
-            if taken >= window {
+        let mut walk = self.index.offer_walk(&mut self.heads);
+        while taken < window {
+            let Some(id) = walk.next(|dst| groups.rndv_full(dst)) else {
                 break;
-            }
+            };
             let fs = &self.flows[id as usize];
-            if !eligible(fs.id, fs.class) {
-                continue;
+            if eligible(fs.id, fs.class) {
+                Self::offer_flow(fs, rail, window, &mut taken, groups, None);
             }
-            Self::offer_flow(fs, rail, window, &mut taken, groups, None);
         }
     }
 
     /// Weighted-fair flow order: the window is split across class slots
     /// proportionally to the configured weights, and within a class a
     /// deficit-round-robin cursor rotates over the active flows so every
-    /// saturated flow is sampled, not just the lowest ids.
+    /// saturated flow is sampled, not just the lowest ids. Every active
+    /// flow the cursor passes earns its quantum, offerable or not — what
+    /// a flow with nothing to give is spared is the look at its queue.
     fn collect_drr(
         &mut self,
         rail: ChannelId,
@@ -415,7 +490,9 @@ impl CollectLayer {
                 }
                 let mut budget = drr.visit(id as usize);
                 last_visited = Some(id);
-                Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
+                if fs.offerable() {
+                    Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
+                }
                 drr.store(id as usize, budget);
             }
             if let Some(last) = last_visited {
@@ -426,9 +503,14 @@ impl CollectLayer {
 
     /// Offer one flow's schedulable fragments into `groups`, honouring the
     /// candidate `window`, rail pinning, express gating and the rendezvous
-    /// protocol. With `deficit` set (DRR mode), each data candidate charges
-    /// its remaining bytes and the flow stops offering when the budget
-    /// drains; rendezvous requests carry no payload and charge nothing.
+    /// protocol. `taken` counts data candidates: a rendezvous request is
+    /// offered beside the window while its destination has room for it,
+    /// and skipped when it has not — but a request that has not gone out
+    /// closes the express gate behind it, offered or not. With `deficit`
+    /// set (DRR mode), each data candidate charges its remaining bytes and
+    /// the flow stops offering when the budget drains; rendezvous requests
+    /// carry no payload and charge nothing. A group is opened by the
+    /// entry pushed into it, so a flow that has nothing leaves none.
     fn offer_flow(
         fs: &FlowState,
         rail: ChannelId,
@@ -461,18 +543,17 @@ impl CollectLayer {
                 if frag.fully_committed() {
                     continue;
                 }
-                let group = groups.group_for(msg.dst);
                 match frag.rndv {
                     RndvState::NeedRequest => {
-                        group.rndv.push(RndvCandidate {
+                        let request = RndvCandidate {
                             flow: fs.id,
                             seq: msg.id.seq.0,
                             frag: frag.index,
                             frag_len: frag.len(),
                             class: msg.class,
                             submitted_at: msg.submitted_at,
-                        });
-                        *taken += 1;
+                        };
+                        groups.offer_rndv(msg.dst, request);
                         if frag.mode == PackMode::Express {
                             express_open = true;
                         }
@@ -492,6 +573,7 @@ impl CollectLayer {
                             }
                             *d = d.saturating_sub(u64::from(frag.remaining()));
                         }
+                        let group = groups.group_for(msg.dst);
                         group.candidates.push(ChunkCandidate {
                             at: group.candidates.len() as u32,
                             flow: fs.id,
@@ -534,7 +616,10 @@ impl CollectLayer {
             }
             let fs = &mut self.flows[flow as usize];
             let at = fs.index_of(seq).expect("sheddable message is queued");
-            fs.queue.remove(at);
+            let msg = fs.queue.remove(at).expect("found at its index");
+            for f in &msg.frags {
+                fs.retally(&mut self.index, f.offer(), None);
+            }
             let empty = fs.queue.is_empty();
             self.index.note_remove(flow, slot, bytes, empty);
             freed += bytes;
@@ -558,13 +643,15 @@ impl CollectLayer {
     /// Panics if the chunk does not start at the fragment's committed
     /// frontier — plans must schedule fragment bytes contiguously.
     pub fn commit_chunk(&mut self, chunk: &PlannedChunk, rail: ChannelId) {
-        let msg = self
-            .find_msg_mut(chunk.flow, chunk.seq)
-            .expect("commit for unknown message");
+        let fs = self.flows.get_mut(chunk.flow.0 as usize);
+        let fs = fs.expect("commit for unknown flow");
+        let at = fs.index_of(chunk.seq).expect("commit for unknown message");
+        let msg = &mut fs.queue[at];
         if msg.pinned_rail.is_none() && !msg.express_resolved() {
             msg.pinned_rail = Some(rail);
         }
         let frag = &mut msg.frags[chunk.frag as usize];
+        let before = frag.offer();
         assert_eq!(
             frag.committed(),
             chunk.offset,
@@ -577,7 +664,9 @@ impl CollectLayer {
             "chunk overruns fragment"
         );
         frag.inflight += chunk.len;
+        let after = frag.offer();
         let slot = class_slot(msg.class);
+        fs.retally(&mut self.index, before, after);
         self.index.note_commit(slot, u64::from(chunk.len));
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants();
@@ -618,15 +707,17 @@ impl CollectLayer {
     /// Check the structural invariants every mutation must preserve:
     /// per-flow queues sorted by sequence number, no fragment accounting
     /// past its length, no committed bytes on rendezvous-gated fragments,
-    /// and no fully-sent message left in a queue. Compiled only with the
-    /// `debug-invariants` feature; callers wrap invocations in the same
+    /// no fully-sent message left in a queue, and an index — counters,
+    /// active sets, offerable sets — that a recount of the queues agrees
+    /// with. Compiled only with the `debug-invariants` feature (and for
+    /// this crate's own tests); callers wrap invocations in the feature's
     /// `cfg` so release builds pay nothing.
     ///
     /// The sequence-order assertion is load-bearing: `find_msg`, commit,
     /// completion and shedding all locate a message by its position in an
     /// ascending queue, so an out-of-order queue would make live messages
     /// unreachable rather than merely mis-ordered.
-    #[cfg(feature = "debug-invariants")]
+    #[cfg(any(test, feature = "debug-invariants"))]
     pub fn debug_assert_invariants(&self) {
         for fs in &self.flows {
             let mut prev_seq: Option<u32> = None;
@@ -666,8 +757,10 @@ impl CollectLayer {
         // pass checks membership both ways (an id left over at the end
         // names no flow, or sits in another class's set).
         let mut active_ids = self.index.active_ids().peekable();
+        let mut ready_ids = self.index.ready_ids().peekable();
         let mut class_ids: [_; CLASS_SLOTS] =
             std::array::from_fn(|slot| self.index.class_ids(slot).peekable());
+        let mut asking = Vec::new();
         for fs in &self.flows {
             let slot = class_slot(fs.class);
             assert_eq!(
@@ -682,12 +775,36 @@ impl CollectLayer {
                 "{}: class-set membership diverged from queue state",
                 fs.id
             );
+            // What the flow has for a window, recounted from its queue.
+            let frags = || fs.queue.iter().flat_map(|m| &m.frags);
+            let offering = |o| frags().filter(|f| f.offer() == Some(o)).count() as u32;
+            assert_eq!(
+                (fs.ready, fs.asking),
+                (offering(Offer::Data), offering(Offer::Request)),
+                "{}: offer counts drifted",
+                fs.id
+            );
+            assert_eq!(
+                ready_ids.next_if_eq(&fs.id.0).is_some(),
+                fs.ready != 0,
+                "{}: ready-set membership diverged from the count",
+                fs.id
+            );
+            if fs.asking != 0 {
+                asking.push((fs.dst, fs.id.0));
+            }
             pending += fs.queue.len() as u64;
             let flow_backlog: u64 = fs.queue.iter().map(PendingMessage::backlog_bytes).sum();
             backlog += flow_backlog;
             by_class[slot] += flow_backlog;
         }
         assert_eq!(active_ids.next(), None, "active set holds a stray flow id");
+        assert_eq!(ready_ids.next(), None, "ready set holds a stray flow id");
+        asking.sort_unstable();
+        assert!(
+            self.index.asking_ids().eq(asking),
+            "asking set diverged from the counts"
+        );
         for (slot, ids) in class_ids.iter_mut().enumerate() {
             assert_eq!(ids.next(), None, "class {slot} set holds a stray flow id");
         }
@@ -704,24 +821,132 @@ impl CollectLayer {
 
     /// Transition a fragment from `NeedRequest` to `Requested`.
     pub fn mark_rndv_requested(&mut self, flow: FlowId, seq: u32, frag: FragIndex) {
-        if let Some(msg) = self.find_msg_mut(flow, seq) {
-            let f = &mut msg.frags[frag as usize];
-            debug_assert_eq!(f.rndv, RndvState::NeedRequest);
-            f.rndv = RndvState::Requested;
-        }
+        self.set_rndv(
+            flow,
+            seq,
+            frag,
+            RndvState::NeedRequest,
+            RndvState::Requested,
+        );
     }
 
     /// Transition a fragment to `Granted` (rendezvous ack received).
     /// Returns true if the fragment was waiting for this grant.
     pub fn grant_rndv(&mut self, flow: FlowId, seq: u32, frag: FragIndex) -> bool {
-        if let Some(msg) = self.find_msg_mut(flow, seq) {
-            let f = &mut msg.frags[frag as usize];
-            if f.rndv == RndvState::Requested {
-                f.rndv = RndvState::Granted;
-                return true;
+        self.set_rndv(flow, seq, frag, RndvState::Requested, RndvState::Granted)
+    }
+
+    /// Move a fragment that is in rendezvous state `from` to state `to`;
+    /// false when it is pending no more, or in another state.
+    fn set_rndv(
+        &mut self,
+        flow: FlowId,
+        seq: u32,
+        frag: FragIndex,
+        from: RndvState,
+        to: RndvState,
+    ) -> bool {
+        let Some(fs) = self.flows.get_mut(flow.0 as usize) else {
+            return false;
+        };
+        let Some(at) = fs.index_of(seq) else {
+            return false;
+        };
+        let f = &mut fs.queue[at].frags[frag as usize];
+        if f.rndv != from {
+            return false;
+        }
+        let before = f.offer();
+        f.rndv = to;
+        let after = f.offer();
+        fs.retally(&mut self.index, before, after);
+        #[cfg(feature = "debug-invariants")]
+        self.debug_assert_invariants();
+        true
+    }
+}
+
+/// The oracle of the window walk: the walk as it was before flows were
+/// indexed by what they have to give — every active flow is visited and
+/// its queue scanned — with nothing new but the rule of what counts
+/// (requests do not, and are offered up to the quota). The walk above must
+/// build the same window, group for group and entry for entry.
+#[cfg(test)]
+impl CollectLayer {
+    fn full_walk_window(
+        &mut self,
+        rail: ChannelId,
+        window: usize,
+        eligible: impl Fn(FlowId, TrafficClass) -> bool,
+        groups: &mut WindowGroups,
+    ) {
+        groups.clear();
+        match self.fairness {
+            FairnessMode::PackOrder => self.full_walk_pack_order(rail, window, eligible, groups),
+            FairnessMode::Drr => self.full_walk_drr(rail, window, eligible, groups),
+        }
+    }
+
+    fn full_walk_pack_order(
+        &self,
+        rail: ChannelId,
+        window: usize,
+        eligible: impl Fn(FlowId, TrafficClass) -> bool,
+        groups: &mut WindowGroups,
+    ) {
+        let mut taken = 0usize;
+        for id in self.index.active_ids() {
+            if taken >= window {
+                break;
+            }
+            let fs = &self.flows[id as usize];
+            if !eligible(fs.id, fs.class) {
+                continue;
+            }
+            Self::offer_flow(fs, rail, window, &mut taken, groups, None);
+        }
+    }
+
+    fn full_walk_drr(
+        &mut self,
+        rail: ChannelId,
+        window: usize,
+        eligible: impl Fn(FlowId, TrafficClass) -> bool,
+        groups: &mut WindowGroups,
+    ) {
+        let CollectLayer {
+            flows, index, drr, ..
+        } = self;
+        drr.ensure_flows(flows.len());
+        let mut taken = 0usize;
+        let mut active = [0usize; CLASS_SLOTS];
+        for (slot, a) in active.iter_mut().enumerate() {
+            *a = index.class_active_count(slot);
+        }
+        let shares = drr.shares(window, &active);
+        for slot in 0..CLASS_SLOTS {
+            if taken >= window || active[slot] == 0 || shares[slot] == 0 {
+                continue;
+            }
+            let class_cap = (taken + shares[slot]).min(window);
+            let mut last_visited = None;
+            for id in index.class_ids_from(slot, drr.cursor(slot)) {
+                if taken >= class_cap {
+                    break;
+                }
+                let fs = &flows[id as usize];
+                if !eligible(fs.id, fs.class) {
+                    continue;
+                }
+                let mut budget = drr.visit(id as usize);
+                last_visited = Some(id);
+                Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
+                drr.store(id as usize, budget);
+            }
+            if let Some(last) = last_visited {
+                drr.set_cursor(slot, last.wrapping_add(1));
             }
         }
-        false
     }
 }
 
@@ -1198,5 +1423,312 @@ mod tests {
         let g = c.collect_candidates(ChannelId(0), 64, |_, _| true);
         assert_eq!(g.len(), 2);
         assert_ne!(g[0].dst, g[1].dst);
+    }
+
+    // ---- the window against its definition --------------------------------
+
+    use crate::flowmgr::DRR_CLASS_WEIGHTS;
+    use crate::plan::MAX_REQS_PER_DST;
+
+    const THRESHOLD: u64 = 1024;
+
+    fn xorshift(state: &mut u64, below: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % below
+    }
+
+    /// Ten flows toward two destinations in four classes; each holds
+    /// messages with a request before, between and after eager data,
+    /// express and cheaper, and some requests are already out or granted.
+    fn mixed_backlog(drr: bool) -> CollectLayer {
+        use PackMode::{Cheaper, Express};
+        let mut c = CollectLayer::new();
+        if drr {
+            c.set_fairness(FairnessMode::Drr, 1 << 20, DRR_CLASS_WEIGHTS);
+        }
+        let shapes: [&[(usize, PackMode)]; 5] = [
+            &[(5000, Express), (60, Cheaper)],
+            &[(8, Express), (100, Cheaper)],
+            &[(3000, Cheaper)],
+            &[(8, Express), (4000, Cheaper), (50, Cheaper)],
+            &[(40, Cheaper), (70, Cheaper), (2000, Express), (30, Cheaper)],
+        ];
+        for i in 0..10u32 {
+            let f = c.open_flow(NodeId(1 + i % 2), TrafficClass((i % 4) as u8));
+            for m in 0..6 {
+                let shape = shapes[(i as usize + m) % shapes.len()];
+                c.submit(f, parts(shape), SimTime::from_nanos(m as u64), THRESHOLD);
+            }
+            // The first message's requests: out on every third flow,
+            // granted on every sixth.
+            let first: Vec<_> = c.find_msg(f, 0).unwrap().frags.iter().collect();
+            let asking: Vec<_> = first
+                .iter()
+                .filter(|fr| fr.rndv == RndvState::NeedRequest)
+                .map(|fr| fr.index)
+                .collect();
+            for frag in asking {
+                if i % 3 == 0 {
+                    c.mark_rndv_requested(f, 0, frag);
+                }
+                if i % 6 == 0 {
+                    c.grant_rndv(f, 0, frag);
+                }
+            }
+        }
+        c
+    }
+
+    /// Data fragments and, per destination, asking fragments that a window
+    /// of any width could hold: the definition, read off the queues.
+    fn offerable(c: &CollectLayer) -> (usize, std::collections::BTreeMap<NodeId, usize>) {
+        let (mut data, mut asking) = (0, std::collections::BTreeMap::new());
+        for fs in c.flows() {
+            for msg in &fs.queue {
+                let mut gated = false;
+                for f in &msg.frags {
+                    match f.offer() {
+                        Some(Offer::Request) => *asking.entry(msg.dst).or_insert(0) += 1,
+                        Some(Offer::Data) if !gated => data += 1,
+                        _ => {}
+                    }
+                    gated |= f.rndv_blocked() && f.mode == PackMode::Express;
+                }
+            }
+        }
+        (data, asking)
+    }
+
+    #[test]
+    fn a_window_is_its_width_in_data_with_the_requests_beside_it() {
+        for drr in [false, true] {
+            let mut c = mixed_backlog(drr);
+            let (data, asking) = offerable(&c);
+            assert!(data > 64 && asking.values().all(|&n| n > MAX_REQS_PER_DST));
+            let mut groups = WindowGroups::default();
+            for window in 1..=256usize {
+                c.collect_window(ChannelId(0), window, |_, _| true, &mut groups);
+                groups.debug_assert_invariants();
+                let got: usize = groups.groups().iter().map(|g| g.candidates.len()).sum();
+                if drr {
+                    // Class shares are soft targets: they may leave slots.
+                    assert!((1..=window.min(data)).contains(&got), "{window}: {got}");
+                } else {
+                    assert_eq!(got, window.min(data), "window {window}");
+                }
+                for g in groups.groups() {
+                    assert!(g.rndv.len() <= MAX_REQS_PER_DST, "window {window}");
+                    if window >= data && !drr {
+                        assert_eq!(g.rndv.len(), MAX_REQS_PER_DST.min(asking[&g.dst]));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_over_the_quota_still_gates_the_body_behind_it() {
+        let (mut c, _) = layer_with_flow();
+        let flows: Vec<_> = (0..MAX_REQS_PER_DST + 1)
+            .map(|_| c.open_flow(NodeId(1), TrafficClass::DEFAULT))
+            .collect();
+        for &f in &flows {
+            let shape = [(5000, PackMode::Express), (100, PackMode::Cheaper)];
+            c.submit(f, parts(&shape), SimTime::ZERO, THRESHOLD);
+        }
+        let g = c.collect_candidates(ChannelId(0), 64, |_, _| true);
+        assert_eq!(g.len(), 1);
+        assert_eq!(
+            g[0].rndv.len(),
+            MAX_REQS_PER_DST,
+            "the fifth is not offered"
+        );
+        assert!(g[0].candidates.is_empty(), "and its body is not either");
+        // The skipped one is offered as soon as there is room for it.
+        c.mark_rndv_requested(flows[0], 0, 0);
+        let g = c.collect_candidates(ChannelId(0), 64, |_, _| true);
+        let last = g[0].rndv.last().unwrap();
+        assert_eq!((g[0].rndv.len(), last.flow), (MAX_REQS_PER_DST, flows[4]));
+    }
+
+    #[test]
+    fn a_flow_with_nothing_to_give_opens_no_group_and_is_not_offerable() {
+        let (mut c, f) = layer_with_flow();
+        let shape = [(5000, PackMode::Express), (100, PackMode::Cheaper)];
+        c.submit(f, parts(&shape), SimTime::ZERO, THRESHOLD);
+        assert_eq!(c.index().asking_ids().count(), 1);
+        c.mark_rndv_requested(f, 0, 0);
+        // The body is eager and uncommitted, so the flow is still looked
+        // at; gated behind the request, it yields nothing — and no group.
+        assert_eq!(c.index().ready_ids().collect::<Vec<_>>(), vec![f.0]);
+        assert!(c
+            .collect_candidates(ChannelId(0), 64, |_, _| true)
+            .is_empty());
+        // A lone body whose request is out is not even looked at.
+        let g = c.open_flow(NodeId(2), TrafficClass::BULK);
+        c.submit(
+            g,
+            parts(&[(3000, PackMode::Cheaper)]),
+            SimTime::ZERO,
+            THRESHOLD,
+        );
+        c.mark_rndv_requested(g, 0, 0);
+        assert!(c.index().asking_ids().next().is_none());
+        assert_eq!(c.index().ready_ids().collect::<Vec<_>>(), vec![f.0]);
+        assert_eq!(c.active_flow_ids().count(), 2);
+        assert!(c.grant_rndv(g, 0, 0));
+        assert_eq!(c.index().ready_ids().collect::<Vec<_>>(), vec![f.0, g.0]);
+    }
+
+    /// Every `(flow, seq, frag)` of `c` whose fragment satisfies `pred`.
+    fn frags_where(
+        c: &CollectLayer,
+        pred: impl Fn(&PendingFragment) -> bool,
+    ) -> Vec<(FlowId, u32, FragIndex)> {
+        let msgs = c.flows().iter().flat_map(|fs| &fs.queue);
+        msgs.flat_map(|m| m.frags.iter().map(move |f| (m.id, f)))
+            .filter(|(_, f)| pred(f))
+            .map(|(id, f)| (id.flow, id.seq.0, f.index))
+            .collect()
+    }
+
+    #[test]
+    fn the_skipping_walk_builds_the_full_walks_window_on_every_step() {
+        let classes = [
+            TrafficClass::DEFAULT,
+            TrafficClass::BULK,
+            TrafficClass::PUT_GET,
+            TrafficClass::CONTROL,
+        ];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut stepped_over, mut refused, mut compared) = (0usize, 0usize, 0usize);
+        for case in 0..80u64 {
+            let draw = |rng: &mut u64, below: u64| xorshift(rng, below);
+            let mut real = CollectLayer::new();
+            if case % 2 == 1 {
+                let quantum = 1 + draw(&mut rng, 4096);
+                real.set_fairness(FairnessMode::Drr, quantum, DRR_CLASS_WEIGHTS);
+            }
+            let flows: Vec<_> = (0..2 + draw(&mut rng, 8))
+                .map(|i| {
+                    let class = classes[draw(&mut rng, 4) as usize];
+                    real.open_flow(NodeId(1 + (i % 3) as u32), class)
+                })
+                .collect();
+            // The same operations go to both; each keeps its own DRR state.
+            let mut oracle = real.clone();
+            let mut outstanding: Vec<PlannedChunk> = Vec::new();
+            let (mut got, mut want) = (WindowGroups::default(), WindowGroups::default());
+            for step in 0..160u64 {
+                match draw(&mut rng, 10) {
+                    0..=2 => {
+                        let shape: Vec<_> = (0..1 + draw(&mut rng, 3))
+                            .map(|_| {
+                                let below = if draw(&mut rng, 4) == 0 { 3000 } else { 200 };
+                                let mode = if draw(&mut rng, 3) == 0 {
+                                    PackMode::Express
+                                } else {
+                                    PackMode::Cheaper
+                                };
+                                (1 + draw(&mut rng, below) as usize, mode)
+                            })
+                            .collect();
+                        let flow = flows[draw(&mut rng, flows.len() as u64) as usize];
+                        let now = SimTime::from_nanos(step / 4);
+                        for c in [&mut real, &mut oracle] {
+                            c.submit(flow, parts(&shape), now, THRESHOLD);
+                        }
+                    }
+                    3 | 4 => {
+                        let ready = frags_where(&real, |f| f.offer() == Some(Offer::Data));
+                        if ready.is_empty() {
+                            continue;
+                        }
+                        let (flow, seq, frag) = ready[draw(&mut rng, ready.len() as u64) as usize];
+                        let f = &real.find_msg(flow, seq).unwrap().frags[frag as usize];
+                        let len = match draw(&mut rng, 2) {
+                            0 => f.remaining(),
+                            _ => f.remaining().div_ceil(2),
+                        };
+                        let chunk = PlannedChunk {
+                            flow,
+                            seq,
+                            frag,
+                            offset: f.committed(),
+                            len,
+                        };
+                        let rail = ChannelId(draw(&mut rng, 2) as u16);
+                        for c in [&mut real, &mut oracle] {
+                            c.commit_chunk(&chunk, rail);
+                        }
+                        outstanding.push(chunk);
+                    }
+                    5 | 6 => {
+                        if outstanding.is_empty() {
+                            continue;
+                        }
+                        let at = draw(&mut rng, outstanding.len() as u64) as usize;
+                        let chunk = outstanding.swap_remove(at);
+                        for c in [&mut real, &mut oracle] {
+                            c.complete_chunk(&chunk);
+                        }
+                    }
+                    7 => {
+                        let class = classes[draw(&mut rng, 4) as usize];
+                        let need = draw(&mut rng, 6000);
+                        for c in [&mut real, &mut oracle] {
+                            c.shed_oldest(class, need);
+                        }
+                    }
+                    op => {
+                        let from = if op == 8 {
+                            RndvState::NeedRequest
+                        } else {
+                            RndvState::Requested
+                        };
+                        let waiting = frags_where(&real, |f| f.rndv == from);
+                        if waiting.is_empty() {
+                            continue;
+                        }
+                        let pick = draw(&mut rng, waiting.len() as u64) as usize;
+                        let (flow, seq, frag) = waiting[pick];
+                        for c in [&mut real, &mut oracle] {
+                            if op == 8 {
+                                c.mark_rndv_requested(flow, seq, frag);
+                            } else {
+                                assert!(c.grant_rndv(flow, seq, frag));
+                            }
+                        }
+                    }
+                }
+                real.debug_assert_invariants();
+                let window = [1, 2, 3, 5, 8, 64, 256][draw(&mut rng, 7) as usize];
+                let rail = ChannelId(draw(&mut rng, 2) as u16);
+                // Now and then the policy keeps one class off the rail.
+                let barred = draw(&mut rng, 8);
+                let eligible = |_: FlowId, class: TrafficClass| u64::from(class.0) != barred;
+                real.collect_window(rail, window, eligible, &mut got);
+                oracle.full_walk_window(rail, window, eligible, &mut want);
+                assert_eq!(
+                    format!("{:?}", got.groups()),
+                    format!("{:?}", want.groups()),
+                    "case {case} step {step} window {window}"
+                );
+                got.debug_assert_invariants();
+                compared += 1;
+                let idle = real.flows().iter().filter(|fs| !fs.queue.is_empty());
+                stepped_over += idle.filter(|fs| !fs.offerable()).count();
+                let asked: usize = got.groups().iter().map(|g| g.rndv.len()).sum();
+                refused += frags_where(&real, |f| f.offer() == Some(Offer::Request)).len() - asked;
+            }
+        }
+        // The comparison saw what it is for: flows with nothing to give,
+        // and requests that found no room.
+        assert!(
+            compared > 10_000 && stepped_over > 500 && refused > 1_000,
+            "{compared} windows, {stepped_over} flows stepped over, {refused} requests refused"
+        );
     }
 }

@@ -11,9 +11,14 @@ use crate::reliability::ReliabilityMode;
 /// Configuration of the optimizing engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Maximum backlog chunks the optimizer examines per activation — the
-    /// "packet lookahead window" whose sizing the paper lists as future
-    /// work (§4).
+    /// Maximum backlog chunks the optimizer examines per selection pass —
+    /// the "packet lookahead window" whose sizing the paper lists as
+    /// future work (§4). It counts *data*: byte ranges a packet could
+    /// carry. A fragment still waiting to ask for its rendezvous is
+    /// offered beside the window, at most
+    /// [`crate::plan::MAX_REQS_PER_DST`] per destination, and takes no
+    /// slot — however many requests are parked in the backlog, the window
+    /// holds this many candidates to aggregate (E4's second table).
     pub lookahead_window: usize,
     /// Maximum candidate plans the optimizer *scores* per activation — the
     /// bound on "the number of data rearrangements the optimizer has to

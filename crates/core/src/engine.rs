@@ -55,7 +55,7 @@ use crate::proto::{
     ProtoError, KIND_ACK, KIND_CTRL, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
-use crate::reliability::{plan_retransmit, Attempt, Expiry, PendingTx, Reliability};
+use crate::reliability::{plan_retransmit, Attempt, Expiry, PendingTx, Reliability, RequestKey};
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
 use crate::trace::{EngineEvent, EventSink, FlightDump, FlightTrigger};
@@ -427,6 +427,13 @@ impl EngineCore {
                 let m = self.obs.metrics_mut();
                 m.rndv_requests += 1;
                 m.plans_submitted += 1;
+                // madrel: the request is watched until its grant, as a
+                // data packet is until its ack.
+                if self.rel.acks_enabled() {
+                    let first = self.rel.attempt(rail_idx, 1, now);
+                    self.rel.track_request((flow, seq, frag), dst, first);
+                    self.rel.arm_timer(ctx);
+                }
                 Ok(())
             }
         }
@@ -529,6 +536,9 @@ impl EngineCore {
             KIND_RNDV_ACK => {
                 let h = decode_rndv(pkt)?;
                 let (flow, seq, frag) = (h.flow, h.msg_seq, h.frag_index);
+                // Nothing is tracked, and no timer armed, with acks off.
+                self.rel.settle_request((flow, seq, frag));
+                self.rel.arm_timer(ctx);
                 if self.collect.grant_rndv(flow, seq, frag) {
                     let granted = EngineEvent::RndvGranted { flow, seq, frag };
                     self.obs.emit(now, granted);
@@ -548,10 +558,10 @@ impl EngineCore {
         Ok(())
     }
 
-    /// The retransmit timer fired: sweep every expired packet and execute
-    /// what [`Reliability::expire`] decides for each. Returns message ids
-    /// whose send-side accounting completed here so the engine can run
-    /// the usual `on_sent` callbacks.
+    /// The retransmit timer fired: sweep every expired packet and every
+    /// overdue rendezvous request and execute what [`Reliability::expire`]
+    /// decides for each. Returns message ids whose send-side accounting
+    /// completed here so the engine can run the usual `on_sent` callbacks.
     fn on_retx_timer(&mut self, ctx: &mut SimCtx<'_>) -> Vec<MsgId> {
         let now = ctx.now();
         let mut completed = std::mem::take(&mut self.scratch.sent);
@@ -579,8 +589,47 @@ impl EngineCore {
                 }
             }
         }
+        for key in self.rel.overdue_requests(now) {
+            self.request_again(ctx, key);
+        }
         self.rel.arm_timer(ctx);
         completed
+    }
+
+    /// The grant for `key`'s rendezvous request is overdue: the request
+    /// or the grant was lost. Under `Recover` ask again — a second grant
+    /// changes nothing at either end — on the rail and with the patience
+    /// [`Reliability::expire_request`] decides; a budget spent on every
+    /// route ends as a lost message, and `Detect` only reports.
+    fn request_again(&mut self, ctx: &mut SimCtx<'_>, key: RequestKey) {
+        let now = ctx.now();
+        let (flow, seq, frag) = key;
+        // Shed while its request was out: nothing waits for the grant.
+        let Some(msg) = self.collect.find_msg(flow, seq) else {
+            return self.rel.settle_request(key);
+        };
+        let rails = self.transfer.rails();
+        let reaches = |rail: usize, dst| rails[rail].reaches(dst);
+        let Some((asked, action)) = self.rel.expire_request(key, now, reaches, &mut self.obs)
+        else {
+            return;
+        };
+        match action {
+            Expiry::Resend(attempt) | Expiry::Reroute(attempt) => {
+                let header = chunk_header(flow, msg, frag, 0, 0);
+                let sent =
+                    self.transfer
+                        .send_ctrl(ctx, attempt.rail, asked.dst, KIND_RNDV_REQ, header);
+                debug_assert!(sent.is_ok(), "the chosen rail reaches the destination");
+                self.rel.track_request(key, asked.dst, attempt);
+                self.obs.metrics_mut().rndv_rerequests += 1;
+            }
+            Expiry::DetectOnly => self.obs.fault(now, FlightTrigger::Timeout, &view!(self)),
+            Expiry::Lost => {
+                self.obs.metrics_mut().lost_msgs += 1;
+                self.obs.fault(now, FlightTrigger::Timeout, &view!(self));
+            }
+        }
     }
 
     /// Re-send a timed-out packet's chunks on `attempt.rail` under fresh

@@ -7,9 +7,12 @@
 //! to the number of flows that can actually emit candidates:
 //!
 //! * [`FlowIndex`] — the **active-flow index**: ordered sets of flows
-//!   with a non-empty pending queue (global and per traffic class),
-//!   maintained incrementally on submit / commit / complete / shed, plus
-//!   O(1) backlog-byte and pending-message counters.
+//!   with a non-empty pending queue (per traffic class; together, all of
+//!   them), maintained incrementally on submit / commit / complete / shed, plus
+//!   O(1) backlog-byte and pending-message counters — and, among the
+//!   active flows, the **offerable** ones: those with bytes a window can
+//!   take or a rendezvous request still to send, which are the only
+//!   flows a window walk ([`OfferWalk`]) stops at.
 //! * [`AdmissionConfig`] / [`AdmissionPolicy`] / [`SendOutcome`] —
 //!   **admission control with backpressure**: per-engine and per-class
 //!   backlog byte budgets; over budget, a class either blocks
@@ -25,9 +28,11 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::BTreeSet;
+use std::collections::{btree_set, BTreeSet};
+use std::iter::{Copied, Peekable};
+use std::ops::Bound;
 
-use simnet::SimTime;
+use simnet::{NodeId, SimTime};
 
 use crate::ids::{MsgId, TrafficClass};
 use crate::observer::Observer;
@@ -247,10 +252,26 @@ impl Admission {
 /// flows a full-table walk would visit. Sets iterate in ascending flow-id
 /// order, so an index-driven pack-order walk reproduces the full-table
 /// walk's candidate order exactly.
+///
+/// An active flow is *offerable* while it is `ready` — some eager or
+/// granted fragment has uncommitted bytes — or `asking` — some fragment
+/// still needs its rendezvous request sent. Every other active flow
+/// (everything in flight, or parked behind a request that is out) yields
+/// nothing to any window, so the walk never looks at its queue. The
+/// collect layer counts both kinds of fragment per flow and reports the
+/// transitions ([`FlowIndex::note_ready`], [`FlowIndex::note_asking`]).
 #[derive(Clone, Debug, Default)]
 pub struct FlowIndex {
-    active: BTreeSet<u32>,
+    /// A flow has one class, so these are disjoint and their union is the
+    /// active set.
     by_class: [BTreeSet<u32>; CLASS_SLOTS],
+    /// Flows with a fragment that has bytes a window can take.
+    ready: BTreeSet<u32>,
+    /// Flows with a fragment whose rendezvous request is still to be sent.
+    /// Keyed by destination first: a window takes a few requests per
+    /// destination, and the walk leaves a destination's flows alone once
+    /// it has them.
+    asking: BTreeSet<(NodeId, u32)>,
     backlog_bytes: u64,
     backlog_by_class: [u64; CLASS_SLOTS],
     pending_msgs: u64,
@@ -259,7 +280,6 @@ pub struct FlowIndex {
 impl FlowIndex {
     /// A message with `bytes` uncommitted payload entered `flow`'s queue.
     pub fn note_submit(&mut self, flow: u32, slot: usize, bytes: u64) {
-        self.active.insert(flow);
         self.by_class[slot].insert(flow);
         self.backlog_bytes += bytes;
         self.backlog_by_class[slot] += bytes;
@@ -285,8 +305,56 @@ impl FlowIndex {
         self.pending_msgs = self.pending_msgs.saturating_sub(1);
         self.note_commit(slot, freed_backlog);
         if queue_empty {
-            self.active.remove(&flow);
             self.by_class[slot].remove(&flow);
+        }
+    }
+
+    /// `flow` gained its first, or lost its last, fragment with bytes a
+    /// window can take.
+    pub fn note_ready(&mut self, flow: u32, ready: bool) {
+        if ready {
+            self.ready.insert(flow);
+        } else {
+            self.ready.remove(&flow);
+        }
+    }
+
+    /// `flow`, which sends to `dst`, gained its first, or lost its last,
+    /// fragment whose rendezvous request is still to be sent.
+    pub fn note_asking(&mut self, dst: NodeId, flow: u32, asking: bool) {
+        if asking {
+            self.asking.insert((dst, flow));
+        } else {
+            self.asking.remove(&(dst, flow));
+        }
+    }
+
+    /// Flows with bytes a window can take, ascending.
+    pub fn ready_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ready.iter().copied()
+    }
+
+    /// Flows with a rendezvous request to send, as `(destination, flow)`,
+    /// ascending.
+    pub fn asking_ids(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.asking.iter().copied()
+    }
+
+    /// Start a pack-order walk over the offerable flows. `heads` is the
+    /// caller's scratch (emptied here).
+    #[inline]
+    pub fn offer_walk<'a>(&'a self, heads: &'a mut Vec<(u32, NodeId)>) -> OfferWalk<'a> {
+        heads.clear();
+        let mut next = self.asking.first();
+        while let Some(&(dst, flow)) = next {
+            heads.push((flow, dst));
+            let later = (Bound::Excluded((dst, u32::MAX)), Bound::Unbounded);
+            next = self.asking.range(later).next();
+        }
+        OfferWalk {
+            ready: self.ready.iter().copied().peekable(),
+            asking: &self.asking,
+            heads,
         }
     }
 
@@ -312,7 +380,7 @@ impl FlowIndex {
 
     /// Number of active flows.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.by_class.iter().map(BTreeSet::len).sum()
     }
 
     /// Number of active flows in one class slot.
@@ -320,9 +388,21 @@ impl FlowIndex {
         self.by_class[slot].len()
     }
 
-    /// Active flow ids, ascending.
+    /// Active flow ids, ascending: the class sets merged. For reports and
+    /// checks — a window walk goes over [`FlowIndex::offer_walk`].
     pub fn active_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.active.iter().copied()
+        let mut classes = self
+            .by_class
+            .each_ref()
+            .map(|ids| ids.iter().copied().peekable());
+        std::iter::from_fn(move || {
+            let heads = classes
+                .iter_mut()
+                .filter_map(|ids| Some((*ids.peek()?, ids)));
+            heads
+                .min_by_key(|&(id, _)| id)
+                .and_then(|(_, ids)| ids.next())
+        })
     }
 
     /// Active flow ids of one class slot, ascending.
@@ -337,6 +417,54 @@ impl FlowIndex {
             .range(cursor..)
             .chain(self.by_class[slot].range(..cursor))
             .copied()
+    }
+}
+
+/// The offerable flows in ascending id order — the order of a walk over
+/// every active flow, without the flows that have nothing to give: the
+/// `ready` set merged with, per destination, the `asking` flows up to the
+/// one that fills that destination's request quota. What lies behind that
+/// one could only be refused, so a thousand parked requests cost a window
+/// what four do.
+pub struct OfferWalk<'a> {
+    ready: Peekable<Copied<btree_set::Iter<'a, u32>>>,
+    asking: &'a BTreeSet<(NodeId, u32)>,
+    /// `(flow, destination)`: the next asking flow of every destination
+    /// that still takes requests.
+    heads: &'a mut Vec<(u32, NodeId)>,
+}
+
+impl OfferWalk<'_> {
+    /// The next flow to visit. `full(dst)` says whether the window being
+    /// filled has taken its quota of requests toward `dst`.
+    #[inline]
+    pub fn next(&mut self, full: impl Fn(NodeId) -> bool) -> Option<u32> {
+        loop {
+            // One head per destination with requests parked toward it.
+            let first = (0..self.heads.len()).min_by_key(|&i| self.heads[i].0);
+            let Some((at, (flow, dst))) = first.map(|i| (i, self.heads[i])) else {
+                return self.ready.next();
+            };
+            if self.ready.peek().is_some_and(|&r| r < flow) {
+                return self.ready.next();
+            }
+            if full(dst) {
+                self.heads.swap_remove(at);
+                continue;
+            }
+            let later = (
+                Bound::Excluded((dst, flow)),
+                Bound::Included((dst, u32::MAX)),
+            );
+            match self.asking.range(later).next() {
+                Some(&(_, next)) => self.heads[at].0 = next,
+                None => {
+                    self.heads.swap_remove(at);
+                }
+            }
+            self.ready.next_if_eq(&flow);
+            return Some(flow);
+        }
     }
 }
 
@@ -494,6 +622,39 @@ mod tests {
         ix.note_remove(1, 1, 50, true);
         assert!(ix.is_idle());
         assert_eq!(ix.backlog_bytes(), 0);
+    }
+
+    #[test]
+    fn offer_walk_merges_ready_with_asking_and_leaves_full_destinations_alone() {
+        let mut ix = FlowIndex::default();
+        for flow in [2, 5, 9] {
+            ix.note_ready(flow, true);
+        }
+        for (dst, flow) in [(1, 1), (1, 5), (1, 7), (1, 8), (2, 3), (2, 30)] {
+            ix.note_asking(NodeId(dst), flow, true);
+        }
+        let mut heads = Vec::new();
+        let mut walk = ix.offer_walk(&mut heads);
+        let all: Vec<u32> = std::iter::from_fn(|| walk.next(|_| false)).collect();
+        assert_eq!(all, [1, 2, 3, 5, 7, 8, 9, 30], "ascending, each once");
+
+        // Node 1 has its quota once two of its asking flows were visited:
+        // 7 and 8 are left alone; 5 was visited while there was room, and
+        // would still be visited for its data.
+        let visited = std::cell::Cell::new(0);
+        let mut walk = ix.offer_walk(&mut heads);
+        let mut seen = Vec::new();
+        while let Some(flow) = walk.next(|dst| dst == NodeId(1) && visited.get() >= 2) {
+            visited.set(visited.get() + usize::from([1, 5, 7, 8].contains(&flow)));
+            seen.push(flow);
+        }
+        assert_eq!(seen, [1, 2, 3, 5, 9, 30]);
+
+        ix.note_asking(NodeId(1), 5, false);
+        ix.note_ready(9, false);
+        let mut walk = ix.offer_walk(&mut heads);
+        let all: Vec<u32> = std::iter::from_fn(|| walk.next(|_| false)).collect();
+        assert_eq!(all, [1, 2, 3, 5, 7, 8, 30]);
     }
 
     #[test]

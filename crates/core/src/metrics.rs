@@ -98,6 +98,9 @@ pub struct EngineMetrics {
     pub rndv_requests: u64,
     /// Rendezvous grants received.
     pub rndv_grants: u64,
+    /// Rendezvous requests sent again because no grant came back in time
+    /// (madrel; a lost request or a lost grant).
+    pub rndv_rerequests: u64,
     /// Multi-chunk packets sent linearized (by copy).
     pub linearized_packets: u64,
     /// Multi-chunk packets sent as zero-copy gather lists.
@@ -180,6 +183,7 @@ impl Default for EngineMetrics {
             plans_submitted: 0,
             rndv_requests: 0,
             rndv_grants: 0,
+            rndv_rerequests: 0,
             linearized_packets: 0,
             gathered_packets: 0,
             express_violations: 0,
@@ -335,6 +339,7 @@ impl EngineMetrics {
             .field("plans_submitted", self.plans_submitted)
             .field("rndv_requests", self.rndv_requests)
             .field("rndv_grants", self.rndv_grants)
+            .field("rndv_rerequests", self.rndv_rerequests)
             .field("linearized_packets", self.linearized_packets)
             .field("gathered_packets", self.gathered_packets)
             .field("express_violations", self.express_violations)

@@ -390,11 +390,12 @@ impl Observer {
         ));
         if config.reliability.acks_enabled() {
             out.push_str(&format!(
-                "             madrel({:?}): {} unacked; timeouts={} retransmits={} acks={} lost={} rails_dead={}\n",
+                "             madrel({:?}): {} unacked; timeouts={} retransmits={} rndv_rerequests={} acks={} lost={} rails_dead={}\n",
                 config.reliability,
                 view.rel.unacked(),
                 m.timeouts,
                 m.retransmits,
+                m.rndv_rerequests,
                 m.acks_received,
                 m.lost_msgs,
                 m.rails_dead,

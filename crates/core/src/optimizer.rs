@@ -1114,16 +1114,19 @@ mod tests {
 
     #[test]
     fn indexed_selection_matches_linear_search_reference() {
-        let offered = |groups: &[crate::plan::DstGroup]| -> usize {
-            let entries = groups.iter().map(|g| g.candidates.len() + g.rndv.len());
-            entries.sum()
+        // A full window is `window` data candidates; requests lie beside
+        // it, at most the quota per destination.
+        let data = |groups: &[crate::plan::DstGroup]| -> usize {
+            groups.iter().map(|g| g.candidates.len()).sum()
         };
         let groups = mixed_backlog().collect_candidates(ChannelId(0), 64, |_, _| true);
         assert_eq!(groups.len(), 2, "two destinations in the window");
-        assert_eq!(offered(&groups), 64, "the window is full");
-        assert!(groups.iter().all(|g| !g.rndv.is_empty()));
+        assert_eq!(data(&groups), 64, "the window is full");
+        assert!(groups
+            .iter()
+            .all(|g| (1..=crate::plan::MAX_REQS_PER_DST).contains(&g.rndv.len())));
         let groups = uniform_backlog().collect_candidates(ChannelId(0), 256, |_, _| true);
-        assert_eq!(offered(&groups), 256, "the wide window is full too");
+        assert_eq!(data(&groups), 256, "the wide window is full too");
         for window in [64, 256] {
             let seen = drain_against_reference(mixed_backlog(), window);
             assert!(

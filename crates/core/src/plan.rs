@@ -202,16 +202,24 @@ pub struct RndvCandidate {
     pub submitted_at: SimTime,
 }
 
+/// Rendezvous requests offered per destination in one window. A request
+/// carries no payload and is not lookahead: it is offered *beside* the
+/// window's data candidates, and this is how many of them — what the
+/// collect layer offers and what `RendezvousPromotion` proposes, one
+/// value for both sides.
+pub const MAX_REQS_PER_DST: usize = 4;
+
 /// All schedulable work toward one destination node, as seen by one rail's
 /// optimizer activation.
 ///
 /// **Invariant of a window the collect layer built** (what
 /// `strategy::reorder`'s message runs, `BulkChunking`'s single walk and
 /// the chunk hints rest on; asserted under `debug-invariants`): a
-/// window has one group per destination; a message's fragments are offered
-/// back to back in pack order, so the candidates of one `(flow, seq)` are
-/// adjacent and ascending in `frag`; a fragment is offered at most once;
-/// and every candidate's `at` is its index in `candidates`.
+/// window has one group per destination and no empty group; a message's
+/// fragments are offered back to back in pack order, so the candidates of
+/// one `(flow, seq)` are adjacent and ascending in `frag`; a fragment is
+/// offered at most once; every candidate's `at` is its index in
+/// `candidates`; and `rndv` holds at most [`MAX_REQS_PER_DST`] requests.
 #[derive(Clone, Debug)]
 pub struct DstGroup {
     /// Destination node.
@@ -262,12 +270,18 @@ impl WindowGroups {
     }
 
     /// Check the [`DstGroup`] invariant on every group of the window.
-    #[cfg(feature = "debug-invariants")]
+    #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn debug_assert_invariants(&self) {
         let mut dsts = std::collections::BTreeSet::new();
         let mut messages = std::collections::BTreeSet::new();
         for g in self.groups() {
             assert!(dsts.insert(g.dst), "two groups for {:?}", g.dst);
+            assert!(
+                !(g.candidates.is_empty() && g.rndv.is_empty()),
+                "empty group for {:?}",
+                g.dst
+            );
+            assert!(g.rndv.len() <= MAX_REQS_PER_DST, "requests over quota");
             let mut prev: Option<&ChunkCandidate> = None;
             for (i, c) in g.candidates.iter().enumerate() {
                 assert_eq!(c.at as usize, i, "candidate misplaced in its group");
@@ -290,10 +304,32 @@ impl WindowGroups {
         self.live = 0;
     }
 
-    /// The window's group for `dst`, opened on first use.
+    /// Offer a rendezvous request beside the window. It is left for a
+    /// later window when `dst` already holds [`MAX_REQS_PER_DST`] of them.
+    pub(crate) fn offer_rndv(&mut self, dst: NodeId, request: RndvCandidate) {
+        // A group this opens has room, so it is not left empty.
+        let group = self.group_for(dst);
+        if group.rndv.len() < MAX_REQS_PER_DST {
+            group.rndv.push(request);
+        }
+    }
+
+    /// Whether `dst` takes no more requests in this window.
+    pub(crate) fn rndv_full(&self, dst: NodeId) -> bool {
+        self.open_at(dst)
+            .is_some_and(|at| self.groups[at].rndv.len() >= MAX_REQS_PER_DST)
+    }
+
+    /// Where the window's group for `dst` lies, if one is open.
     // madlint: allow(linear-scan) — one group per destination in the window
+    fn open_at(&self, dst: NodeId) -> Option<usize> {
+        self.groups().iter().position(|g| g.dst == dst)
+    }
+
+    /// The window's group for `dst`, opened on first use — by the entry
+    /// the caller is about to push into it.
     pub(crate) fn group_for(&mut self, dst: NodeId) -> &mut DstGroup {
-        let open = self.groups[..self.live].iter().position(|g| g.dst == dst);
+        let open = self.open_at(dst);
         let at = open.unwrap_or_else(|| {
             match self.groups.get_mut(self.live) {
                 Some(spare) => {

@@ -14,7 +14,11 @@
 //!   model (degraded rails look slower, so the optimizer reroutes) and
 //!   declares a rail dead after the retry budget is exhausted;
 //! * retransmits rerouted to a different rail are re-chunked by
-//!   [`plan_retransmit`] so they respect the target driver's capabilities.
+//!   [`plan_retransmit`] so they respect the target driver's capabilities;
+//! * a rendezvous request is tracked until its grant returns, under the
+//!   same timeout, backoff and retry budget: a lost request or a lost
+//!   grant is asked again (the receiver's grant and the sender's handling
+//!   of it are idempotent), so the handshake cannot strand a message.
 //!
 //! Everything here is driven by the simulation clock and the engine's
 //! deterministic event order: identical seeds yield identical recovery
@@ -31,6 +35,7 @@ use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId};
 
 use crate::api::RETX_TAG;
 use crate::config::EngineConfig;
+use crate::ids::{FlowId, FragIndex};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
 use crate::proto;
@@ -405,7 +410,21 @@ pub(crate) struct Attempt {
     pub(crate) deadline: SimTime,
 }
 
-/// What to do with one timed-out packet ([`Reliability::expire`]).
+/// The fragment a rendezvous request asks for: flow, message sequence,
+/// fragment index.
+pub(crate) type RequestKey = (FlowId, u32, FragIndex);
+
+/// One rendezvous request awaiting its grant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PendingRequest {
+    /// Node asked.
+    pub(crate) dst: NodeId,
+    /// The transmission that is out.
+    pub(crate) sent: Attempt,
+}
+
+/// What to do with one timed-out packet ([`Reliability::expire`]) or
+/// request ([`Reliability::expire_request`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Expiry {
     /// Re-send on the same rail; the retry budget is not yet spent.
@@ -431,6 +450,8 @@ pub(crate) struct Reliability {
     retry_budget: u32,
     congestion_aware: bool,
     retx: RetransmitTracker,
+    /// Rendezvous requests whose grant has not come back.
+    requests: BTreeMap<RequestKey, PendingRequest>,
     /// The armed timer with the deadline it was armed for.
     timer: Option<(TimerId, SimTime)>,
     health: Vec<RailHealth>,
@@ -444,6 +465,7 @@ impl Reliability {
             retry_budget: cfg.retry_budget,
             congestion_aware: cfg.congestion_aware,
             retx: RetransmitTracker::new(),
+            requests: BTreeMap::new(),
             timer: None,
             health: vec![RailHealth::new(); rails],
         }
@@ -594,36 +616,83 @@ impl Reliability {
         obs: &mut Observer,
     ) -> Option<(PendingTx, Expiry)> {
         let p = self.retx.acked(cookie)?;
+        let action = self.timed_out(p.rail, p.attempts, p.dst, now, reaches, obs);
+        Some((p, action))
+    }
+
+    /// The `attempts`-th transmission on `rail` toward `dst` — of a data
+    /// packet or of a rendezvous request — got no answer in time.
+    fn timed_out(
+        &mut self,
+        rail: usize,
+        attempts: u32,
+        dst: NodeId,
+        now: SimTime,
+        reaches: impl Fn(usize, NodeId) -> bool,
+        obs: &mut Observer,
+    ) -> Expiry {
         obs.metrics_mut().timeouts += 1;
-        let rail = p.rail;
         if self.health[rail].on_timeout() {
             let score_milli = (self.health[rail].score() * 1000.0) as u32;
             let rail = rail as u16;
             obs.emit(now, EngineEvent::RailDegraded { rail, score_milli });
         }
         if !self.mode.recovers() {
-            return Some((p, Expiry::DetectOnly));
+            return Expiry::DetectOnly;
         }
-        let action = if p.attempts < self.retry_budget {
-            Expiry::Resend(self.attempt(rail, p.attempts + 1, now))
-        } else {
-            if !self.health[rail].is_dead() {
-                self.health[rail].declare_dead();
-                obs.emit(now, EngineEvent::RailDead { rail: rail as u16 });
-            }
-            match self.live_rail_for(|r| reaches(r, p.dst)) {
-                Some(live) => Expiry::Reroute(self.attempt(live, 1, now)),
-                None => Expiry::Lost,
-            }
-        };
-        Some((p, action))
+        if attempts < self.retry_budget {
+            return Expiry::Resend(self.attempt(rail, attempts + 1, now));
+        }
+        if !self.health[rail].is_dead() {
+            self.health[rail].declare_dead();
+            obs.emit(now, EngineEvent::RailDead { rail: rail as u16 });
+        }
+        match self.live_rail_for(|r| reaches(r, dst)) {
+            Some(live) => Expiry::Reroute(self.attempt(live, 1, now)),
+            None => Expiry::Lost,
+        }
+    }
+
+    /// Track a rendezvous request toward `dst` until its grant.
+    pub(crate) fn track_request(&mut self, key: RequestKey, dst: NodeId, sent: Attempt) {
+        self.requests.insert(key, PendingRequest { dst, sent });
+    }
+
+    /// The request for `key` needs no more watching: its grant arrived (a
+    /// second grant finds nothing), or its message left the backlog.
+    pub(crate) fn settle_request(&mut self, key: RequestKey) {
+        self.requests.remove(&key);
+    }
+
+    /// Requests whose grant is overdue at `now`, in key order. Feed each
+    /// to [`Reliability::expire_request`].
+    pub(crate) fn overdue_requests(&self, now: SimTime) -> Vec<RequestKey> {
+        let overdue = self.requests.iter().filter(|(_, r)| r.sent.deadline <= now);
+        overdue.map(|(&key, _)| key).collect()
+    }
+
+    /// [`Reliability::expire`] for the request of `key`: the same
+    /// timeout, the same budget, the same decision.
+    pub(crate) fn expire_request(
+        &mut self,
+        key: RequestKey,
+        now: SimTime,
+        reaches: impl Fn(usize, NodeId) -> bool,
+        obs: &mut Observer,
+    ) -> Option<(PendingRequest, Expiry)> {
+        let asked = self.requests.remove(&key)?;
+        let Attempt { rail, attempts, .. } = asked.sent;
+        let action = self.timed_out(rail, attempts, asked.dst, now, reaches, obs);
+        Some((asked, action))
     }
 
     /// (Re)arm the single retransmit timer toward the earliest pending
-    /// deadline, cancelling a stale one. With nothing pending the timer is
-    /// cancelled so the simulation can reach quiescence.
+    /// deadline — of a packet or of a request — cancelling a stale one.
+    /// With nothing pending the timer is cancelled so the simulation can
+    /// reach quiescence.
     pub(crate) fn arm_timer(&mut self, ctx: &mut SimCtx<'_>) {
-        let deadline = self.retx.next_deadline();
+        let asked = self.requests.values().map(|r| r.sent.deadline).min();
+        let deadline = self.retx.next_deadline().into_iter().chain(asked).min();
         if let Some((timer, armed_for)) = self.timer {
             if Some(armed_for) == deadline {
                 return;
@@ -727,6 +796,42 @@ mod tests {
                 "deciding sends nothing"
             );
         }
+    }
+
+    #[test]
+    fn a_request_is_watched_like_a_packet() {
+        let cfg = EngineConfig {
+            reliability: ReliabilityMode::Recover,
+            retry_budget: 2,
+            ..EngineConfig::default()
+        };
+        let (mut r, mut obs) = (Reliability::new(1, &cfg), Observer::new(NodeId(0)));
+        let (key, other) = ((FlowId(3), 7, 1), (FlowId(3), 8, 0));
+        let t = |us: u64| SimTime::from_nanos(us * 1_000);
+        r.track_request(key, NodeId(1), r.attempt(0, 1, t(0)));
+        r.track_request(other, NodeId(1), r.attempt(0, 1, t(10)));
+        assert!(r.overdue_requests(t(49)).is_empty());
+        assert_eq!(r.overdue_requests(t(50)), vec![key]);
+        // Granted in time: nothing left to expire, and a second grant
+        // finds nothing.
+        r.settle_request(other);
+        r.settle_request(other);
+        assert!(r
+            .expire_request(other, t(60), |_, _| true, &mut obs)
+            .is_none());
+        // Overdue: asked again with doubled patience, then — the budget
+        // spent on the only rail — lost, and the rail with it.
+        let (asked, action) = r.expire_request(key, t(50), |_, _| true, &mut obs).unwrap();
+        let again = r.attempt(0, 2, t(50));
+        assert_eq!((asked.dst, action), (NodeId(1), Expiry::Resend(again)));
+        assert_eq!(again.deadline, t(150));
+        r.track_request(key, NodeId(1), again);
+        let (_, action) = r
+            .expire_request(key, t(150), |_, _| true, &mut obs)
+            .unwrap();
+        assert_eq!(action, Expiry::Lost);
+        assert!(r.rails()[0].is_dead());
+        assert_eq!(obs.metrics().timeouts, 2);
     }
 
     #[test]

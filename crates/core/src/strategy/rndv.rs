@@ -10,11 +10,8 @@
 
 // madlint: file: hot-path
 
+use crate::plan::MAX_REQS_PER_DST;
 use crate::strategy::{OptContext, Proposals, Strategy};
-
-/// Cap on rendezvous requests proposed per destination per activation,
-/// keeping the proposal set small under bursty large-message load.
-const MAX_REQS_PER_DST: usize = 4;
 
 /// Rendezvous request emission strategy.
 #[derive(Debug, Default)]
@@ -34,6 +31,8 @@ impl Strategy for RendezvousPromotion {
 
     fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
+            // A window the collect layer built offers no more than the
+            // quota; a hand-built one may.
             for at in 0..g.rndv.len().min(MAX_REQS_PER_DST) {
                 out.push_rndv_at(ctx.channel, g, at, self.name());
             }

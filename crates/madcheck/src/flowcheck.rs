@@ -2,22 +2,24 @@
 //! counters and sets in [`madeleine::flowmgr::FlowIndex`] must always
 //! agree with a brute-force walk of the flow table — the O(full-table)
 //! scan the index exists to replace. A drifting index is silent data
-//! corruption: `collect_candidates` skips flows it believes idle, and
-//! admission control budgets against backlog bytes that do not exist.
+//! corruption: `collect_candidates` skips flows it believes idle — or
+//! believes to have nothing a window could take — and admission control
+//! budgets against backlog bytes that do not exist.
 //!
 //! Like the other madcheck rules the verdict is re-derived independently
 //! over the seeded backlog corpus, then re-checked after every mutating
 //! operation the collect layer exposes (candidate collection under both
-//! fairness modes, per-class shedding, fresh submits).
+//! fairness modes, rendezvous requests and grants, per-class shedding,
+//! fresh submits).
 
 use std::collections::BTreeSet;
 
-use madeleine::collect::CollectLayer;
+use madeleine::collect::{CollectLayer, RndvState};
 use madeleine::flowmgr::{class_slot, FairnessMode, CLASS_SLOTS};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use nicdrv::calib;
-use simnet::SimTime;
+use simnet::{NodeId, SimTime};
 
 use crate::backlog::ANALYZED_RAIL;
 use crate::corpus::corpus;
@@ -31,6 +33,10 @@ struct Snapshot {
     pending: u64,
     active: BTreeSet<u32>,
     class_sets: [BTreeSet<u32>; CLASS_SLOTS],
+    /// Flows with uncommitted eager or granted bytes.
+    ready: BTreeSet<u32>,
+    /// Flows with a rendezvous request still to send, by destination.
+    asking: BTreeSet<(NodeId, u32)>,
 }
 
 /// What the incremental index reports (O(1) reads).
@@ -48,6 +54,8 @@ fn indexed(c: &CollectLayer) -> Snapshot {
         pending: ix.pending_msgs(),
         active: ix.active_ids().collect(),
         class_sets,
+        ready: ix.ready_ids().collect(),
+        asking: ix.asking_ids().collect(),
     }
 }
 
@@ -59,6 +67,8 @@ fn brute_force(c: &CollectLayer) -> Snapshot {
         pending: 0,
         active: BTreeSet::new(),
         class_sets: Default::default(),
+        ready: BTreeSet::new(),
+        asking: BTreeSet::new(),
     };
     for f in c.flows() {
         let slot = class_slot(f.class);
@@ -67,6 +77,13 @@ fn brute_force(c: &CollectLayer) -> Snapshot {
             s.backlog += b;
             s.by_class[slot] += b;
             s.pending += 1;
+            for frag in m.frags.iter().filter(|frag| frag.remaining() > 0) {
+                if !frag.rndv_blocked() {
+                    s.ready.insert(f.id.0);
+                } else if frag.rndv == RndvState::NeedRequest {
+                    s.asking.insert((f.dst, f.id.0));
+                }
+            }
         }
         if !f.queue.is_empty() {
             s.active.insert(f.id.0);
@@ -95,6 +112,18 @@ fn diff(ctx: &str, index: &Snapshot, walk: &Snapshot) -> Vec<String> {
         out.push(format!(
             "{ctx}: index active set {:?}, full walk {:?}",
             index.active, walk.active
+        ));
+    }
+    if index.ready != walk.ready {
+        out.push(format!(
+            "{ctx}: index ready set {:?}, full walk {:?}",
+            index.ready, walk.ready
+        ));
+    }
+    if index.asking != walk.asking {
+        out.push(format!(
+            "{ctx}: index asking set {:?}, full walk {:?}",
+            index.asking, walk.asking
         ));
     }
     for slot in 0..CLASS_SLOTS {
@@ -142,8 +171,16 @@ pub fn flow_check(seed: u64, samples: usize) -> SweepReport {
             }
             audit(&c, &format!("spec {i} {mode:?} fresh"), &mut report);
 
-            // Candidate collection must not disturb the index.
-            let _ = c.collect_candidates(ANALYZED_RAIL, 64, |_, _| true);
+            // Candidate collection must not disturb the index, and what
+            // the window's requests lead to must keep it right: every
+            // offered request goes out, every second one is granted.
+            let groups = c.collect_candidates(ANALYZED_RAIL, 64, |_, _| true);
+            for (n, r) in groups.iter().flat_map(|g| &g.rndv).enumerate() {
+                c.mark_rndv_requested(r.flow, r.seq, r.frag);
+                if n % 2 == 0 {
+                    c.grant_rndv(r.flow, r.seq, r.frag);
+                }
+            }
             audit(&c, &format!("spec {i} {mode:?} after collect"), &mut report);
 
             // Shed a little from every class: exercises note_remove,
@@ -204,6 +241,8 @@ mod tests {
                 BTreeSet::new(),
                 BTreeSet::new(),
             ],
+            ready: BTreeSet::from([3]),
+            asking: BTreeSet::new(),
         };
         assert!(diff("x", &clean, &clean).is_empty());
         let mut broken = clean.clone();
@@ -212,8 +251,10 @@ mod tests {
         broken.active.insert(9);
         broken.by_class[1] = 5;
         broken.class_sets[1].insert(9);
+        broken.ready.clear();
+        broken.asking.insert((NodeId(1), 3));
         let out = diff("x", &broken, &clean);
-        assert_eq!(out.len(), 5, "{out:?}");
+        assert_eq!(out.len(), 7, "{out:?}");
         assert!(out.iter().all(|l| l.starts_with("x: ")));
     }
 }

@@ -6,12 +6,15 @@
 //! it. The reference below is the obvious thing — a `Vec` per flow, every
 //! lookup a front-to-back walk, every removal a `retain` — and random
 //! interleavings of submit / commit / complete / shed / rendezvous must
-//! leave both in the same state, answer for answer.
+//! leave both in the same state, answer for answer — the index of
+//! *offerable* flows (the only ones a window walk looks at) included: it
+//! must name exactly the flows whose queues, recounted, hold bytes a
+//! window can take or a rendezvous request still to send.
 
 use madeleine::collect::{CollectLayer, RndvState};
 use madeleine::ids::{ChannelId, FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use madeleine::message::{MessageBuilder, PackMode};
-use madeleine::plan::PlannedChunk;
+use madeleine::plan::{PlannedChunk, MAX_REQS_PER_DST};
 use proptest::prelude::*;
 use simnet::{NodeId, SimTime};
 
@@ -34,6 +37,14 @@ impl RefFrag {
     }
     fn blocked(&self) -> bool {
         matches!(self.rndv, RndvState::NeedRequest | RndvState::Requested)
+    }
+    /// Has bytes a data packet can take.
+    fn ready(&self) -> bool {
+        self.remaining() > 0 && !self.blocked()
+    }
+    /// Has its rendezvous request still to send.
+    fn asking(&self) -> bool {
+        self.remaining() > 0 && self.rndv == RndvState::NeedRequest
     }
 }
 
@@ -178,6 +189,7 @@ fn assert_agree(real: &CollectLayer, model: &Model) {
     let mut pending = 0u64;
     let mut by_class = [0u64; TrafficClass::COUNT];
     let mut active = Vec::new();
+    let (mut ready, mut asking) = (Vec::new(), Vec::new());
     for (id, fs) in model.flows.iter().enumerate() {
         let flow = FlowId(id as u32);
         let real_seqs: Vec<u32> = real.flows()[id].queue.iter().map(|m| m.id.seq.0).collect();
@@ -217,7 +229,22 @@ fn assert_agree(real: &CollectLayer, model: &Model) {
         if !fs.queue.is_empty() {
             active.push(flow);
         }
+        let frags = || fs.queue.iter().flat_map(|m| &m.frags);
+        if frags().any(RefFrag::ready) {
+            ready.push(flow.0);
+        }
+        if frags().any(RefFrag::asking) {
+            asking.push((real.flows()[id].dst, flow.0));
+        }
     }
+    asking.sort_unstable();
+    let index = real.index();
+    assert_eq!(index.ready_ids().collect::<Vec<_>>(), ready, "ready flows");
+    assert_eq!(
+        index.asking_ids().collect::<Vec<_>>(),
+        asking,
+        "asking flows"
+    );
     assert!(real.find_msg(FlowId(model.flows.len() as u32), 0).is_none());
     assert_eq!(real.backlog_bytes(), backlog);
     assert_eq!(real.pending_msgs(), pending);
@@ -337,6 +364,16 @@ proptest! {
                 }
             }
             assert_agree(&real, &model);
+            // A window of any width: its width in data at most, the
+            // quota in requests per destination at most, no group empty.
+            let window = 1 + val as usize % 80;
+            let groups = real.collect_candidates(ChannelId(val as u16 % 2), window, |_, _| true);
+            let data: usize = groups.iter().map(|g| g.candidates.len()).sum();
+            prop_assert!(data <= window);
+            for g in &groups {
+                prop_assert!(g.rndv.len() <= MAX_REQS_PER_DST);
+                prop_assert!(!g.candidates.is_empty() || !g.rndv.is_empty());
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use simnet::{SimTime, TraceEvent};
+use simnet::{SimDuration, SimTime, TraceEvent};
 
 fn burst_cluster(engine: EngineKind, flows: usize, msgs: u32, size: usize) -> (Cluster, u64) {
     let mut spec = ClusterSpec::mx_pair().engine(engine);
@@ -100,4 +100,69 @@ fn aggregated_payloads_survive_byte_exact() {
     }
     assert_eq!(c.handle(1).receiver_stats().express_violations, 0);
     let _ = SimTime::ZERO;
+}
+
+#[test]
+fn parked_rendezvous_requests_leave_the_window_to_the_data() {
+    // A thousand flows each open with a 33 KiB body — on an MX rail, a
+    // rendezvous — and follow it with forty messages of 64 B, all at
+    // once. Pack order reaches a flow when the ones before it have
+    // drained; by then its backlog is milliseconds old, old data outbids
+    // the request (a request's value does not grow with age), and the
+    // request waits while the flow's small messages leave. Requests pile
+    // up at the head of the walk. While each counted as a window entry
+    // they took the 64 slots from the data one by one: 6.30 chunks per
+    // packet over this span before requests were offered beside the
+    // window (5.2 on madclock's `flowscale_drain`). They no longer do: as
+    // long as the sender holds more than a window of small messages,
+    // packets leave full.
+    const FLOWS: usize = 1024;
+    const SMALL: u32 = 40;
+    const BODY: usize = 33 << 10;
+    let mut c = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let flows: Vec<_> = (0..FLOWS)
+        .map(|_| h.open_flow(dst, TrafficClass::DEFAULT))
+        .collect();
+    let size = |seq: u32| if seq == 0 { BODY } else { 64 };
+    c.sim.inject(src, |ctx| {
+        for f in &flows {
+            for seq in 0..=SMALL {
+                let body = pattern(f.0, seq, 0, size(seq));
+                h.send(
+                    ctx,
+                    *f,
+                    MessageBuilder::new().pack_cheaper(&body).build_parts(),
+                );
+            }
+        }
+    });
+    // Chunks sent bound the small messages sent from above, so this span
+    // ends no later than the one in which 64 of them are still pending.
+    let small = FLOWS as u64 * u64::from(SMALL);
+    let mut in_span = (0, 0);
+    while !h.is_drained() {
+        c.run_for(SimDuration::from_micros(5));
+        let m = h.metrics();
+        if small - m.chunks_sent.min(small) > 64 {
+            in_span = (m.chunks_sent, m.packets_sent);
+        }
+    }
+    c.drain();
+    let ratio = in_span.0 as f64 / in_span.1 as f64;
+    assert!(in_span.1 > 1_000, "the span covers the burst: {in_span:?}");
+    assert!(ratio >= 12.0, "{ratio:.2} chunks per packet, {in_span:?}");
+    let m = h.metrics();
+    assert_eq!(m.rndv_requests, FLOWS as u64);
+    assert_eq!(m.rndv_grants, FLOWS as u64, "every request was granted");
+    let got = c.handle(1).take_delivered();
+    assert_eq!(got.len(), FLOWS * (SMALL as usize + 1));
+    let mut next = vec![0u32; FLOWS];
+    for msg in &got {
+        let seq = msg.id.seq.0;
+        assert_eq!(seq, next[msg.flow.0 as usize], "{}: once, in order", msg.id);
+        next[msg.flow.0 as usize] += 1;
+        assert_eq!(msg.contiguous(), pattern(msg.flow.0, seq, 0, size(seq)));
+    }
 }

@@ -2,7 +2,10 @@
 //!
 //! * Property: any mix of drops and duplicates drawn from a seeded
 //!   [`FaultPlan`] yields exactly-once, byte-exact delivery per
-//!   `(flow, seq)` when recovery is on.
+//!   `(flow, seq)` when recovery is on — for eager bodies and for bodies
+//!   that negotiate a rendezvous first.
+//! * Regression: a lost rendezvous request or grant is asked again; the
+//!   handshake never strands a message.
 //! * Integration: the E2-style eager-flow workload completes fully under
 //!   loss with madrel on; with recovery off (Detect), the loss trips the
 //!   flight recorder instead of silently vanishing.
@@ -18,15 +21,23 @@ use madware::scenario::eager_flows;
 use proptest::prelude::*;
 use simnet::{FaultPlan, SimDuration};
 
-fn engine(mode: ReliabilityMode) -> EngineKind {
-    EngineKind::with_config(EngineConfig {
+/// Bodies of this size and above negotiate a rendezvous.
+const RNDV_THRESHOLD: u64 = 1024;
+
+fn config(mode: ReliabilityMode) -> EngineConfig {
+    EngineConfig {
         reliability: mode,
+        rndv_threshold: Some(RNDV_THRESHOLD),
         ..EngineConfig::default()
-    })
+    }
 }
 
-fn lossy_cluster(mode: ReliabilityMode, plan: FaultPlan) -> Cluster {
-    let mut c = Cluster::build(&ClusterSpec::mx_pair().engine(engine(mode)), vec![]);
+fn engine(mode: ReliabilityMode) -> EngineKind {
+    EngineKind::with_config(config(mode))
+}
+
+fn lossy_cluster(engine: EngineKind, plan: FaultPlan) -> Cluster {
+    let mut c = Cluster::build(&ClusterSpec::mx_pair().engine(engine), vec![]);
     c.set_fault_plan(0, plan);
     c
 }
@@ -42,13 +53,21 @@ proptest! {
         seed in any::<u64>(),
         loss_pm in 0u32..300, // per-mille; the shim has no f64 ranges
         dup_pm in 0u32..300,
+        sizes in any::<u32>(),
     ) {
         const MSGS: u32 = 30;
+        // Bit `i` of `sizes`: message `i` is an eager body, or one that
+        // asks first — the request and the grant are droppable too.
+        let size = |i: u32| if sizes >> i & 1 == 0 { 200 } else { 2048 };
         let plan = FaultPlan::new(seed)
             .with_loss(f64::from(loss_pm) / 1000.0)
             .with_dup(f64::from(dup_pm) / 1000.0)
             .with_reorder(0.15, SimDuration::from_micros(2));
-        let mut c = lossy_cluster(ReliabilityMode::Recover, plan);
+        // The property is idempotence, not patience: where three packets
+        // in ten are lost a handshake fails four times in ten, and the
+        // default budget of six attempts would give the only rail up.
+        let patient = EngineConfig { retry_budget: 12, ..config(ReliabilityMode::Recover) };
+        let mut c = lossy_cluster(EngineKind::with_config(patient), plan);
         let h = c.handle(0).clone();
         let (src, dst) = (c.nodes[0], c.nodes[1]);
         let f = h.open_flow(dst, TrafficClass::DEFAULT);
@@ -58,7 +77,7 @@ proptest! {
                     ctx,
                     f,
                     MessageBuilder::new()
-                        .pack_cheaper(&pattern(f.0, i, 0, 200))
+                        .pack_cheaper(&pattern(f.0, i, 0, size(i)))
                         .build_parts(),
                 );
             }
@@ -71,10 +90,78 @@ proptest! {
             let seq = m.id.seq.0;
             prop_assert!(!seen[seq as usize], "seq {} delivered twice", seq);
             seen[seq as usize] = true;
-            prop_assert_eq!(m.contiguous(), pattern(m.flow.0, seq, 0, 200));
+            prop_assert_eq!(m.contiguous(), pattern(m.flow.0, seq, 0, size(seq)));
         }
         prop_assert_eq!(c.handle(0).metrics().lost_msgs, 0);
     }
+}
+
+#[test]
+fn a_lost_rendezvous_handshake_is_asked_again() {
+    // Forty bodies that each negotiate first, on a wire that drops one
+    // packet in twenty — requests and grants among them. Nothing tracked
+    // the handshake once: one lost control packet left its fragment
+    // waiting for ever, in-order delivery stopped behind it (1 to 22 of
+    // 40 arrived on these seeds), and no counter moved.
+    const MSGS: u32 = 40;
+    let mut asked_again = 0;
+    for seed in 1..=7 {
+        let plan = FaultPlan::new(seed).with_loss(0.05);
+        let mut c = lossy_cluster(engine(ReliabilityMode::Recover), plan);
+        let h = c.handle(0).opt().expect("optimizing engine").clone();
+        let (src, dst) = (c.nodes[0], c.nodes[1]);
+        let f = h.open_flow(dst, TrafficClass::DEFAULT);
+        c.sim.inject(src, |ctx| {
+            for i in 0..MSGS {
+                let body = pattern(f.0, i, 0, 2048);
+                h.send(
+                    ctx,
+                    f,
+                    MessageBuilder::new().pack_cheaper(&body).build_parts(),
+                );
+            }
+        });
+        c.drain();
+        let got = c.handle(1).take_delivered();
+        let seqs: Vec<u32> = got.iter().map(|m| m.id.seq.0).collect();
+        assert_eq!(seqs, (0..MSGS).collect::<Vec<_>>(), "seed {seed}");
+        for m in &got {
+            assert_eq!(m.contiguous(), pattern(f.0, m.id.seq.0, 0, 2048));
+        }
+        assert_eq!(h.backlog_bytes(), 0, "seed {seed}: nothing stranded");
+        assert!(h.is_drained(), "seed {seed}");
+        let m = h.metrics();
+        assert_eq!((m.rndv_requests, m.lost_msgs), (u64::from(MSGS), 0));
+        assert!(
+            h.flight_dump().is_none(),
+            "seed {seed}: recovered, no fault"
+        );
+        asked_again += m.rndv_rerequests;
+    }
+    assert!(asked_again > 7, "the wire must injure the handshake");
+}
+
+#[test]
+fn a_missed_grant_trips_the_flight_recorder_under_detect() {
+    let plan = FaultPlan::new(7).with_loss(0.05);
+    let mut c = lossy_cluster(engine(ReliabilityMode::Detect), plan);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let f = h.open_flow(dst, TrafficClass::DEFAULT);
+    c.sim.inject(src, |ctx| {
+        let body = pattern(f.0, 0, 0, 2048);
+        // Seed 7's plan drops this handshake on its first crossing.
+        h.send(
+            ctx,
+            f,
+            MessageBuilder::new().pack_cheaper(&body).build_parts(),
+        );
+    });
+    c.drain(); // must not hang: Detect reports, it does not retry
+    assert_eq!(c.handle(1).delivered_count(), 0);
+    assert_eq!(h.metrics().rndv_rerequests, 0, "nothing is re-sent");
+    let dump = h.flight_dump().expect("the missed grant is reported");
+    assert_eq!(dump.trigger, FlightTrigger::Timeout);
 }
 
 #[test]
@@ -105,7 +192,7 @@ fn is_drained_never_holds_while_packets_await_their_ack() {
     // A lost data packet leaves nothing in the backlog, the NIC idle and
     // the control queue empty: only the retransmit tracker still knows.
     let plan = FaultPlan::new(9).with_loss(0.2);
-    let mut c = lossy_cluster(ReliabilityMode::Recover, plan);
+    let mut c = lossy_cluster(engine(ReliabilityMode::Recover), plan);
     let h = c.handle(0).opt().expect("optimizing engine").clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
@@ -141,7 +228,7 @@ fn loss_without_recovery_trips_the_flight_recorder() {
     // Same wire, recovery off (Detect): messages go missing, and the
     // first ack timeout captures a flight dump instead of hanging drain.
     let plan = FaultPlan::new(11).with_loss(0.25);
-    let mut c = lossy_cluster(ReliabilityMode::Detect, plan);
+    let mut c = lossy_cluster(engine(ReliabilityMode::Detect), plan);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);

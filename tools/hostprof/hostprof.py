@@ -34,6 +34,8 @@ SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
     ("  collect_window", "CollectLayer::collect_window"),
+    ("    offer_flow", "CollectLayer::offer_flow"),
+    ("    OfferWalk::next", "OfferWalk::next"),
     ("  select_plan_in", "optimizer::select_plan_in"),
     ("    BulkChunking::propose", "BulkChunking as madeleine::strategy::Strategy>::propose"),
     ("    ReorderVariants::propose", "ReorderVariants as madeleine::strategy::Strategy>::propose"),
