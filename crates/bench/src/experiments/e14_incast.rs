@@ -7,8 +7,11 @@
 //!   packets drop, and madrel's retransmit timeouts stretch the tail by
 //!   orders of magnitude. The same workload behind madflow admission
 //!   control (Block policy, small per-sender budget) keeps the engine
-//!   backlog — and therefore each message's measured lifetime — bounded,
-//!   and recovers every message.
+//!   backlog bounded and recovers every message. (It does not bound the
+//!   tail any more: with timeouts kept by the cost model the open-loop
+//!   cell is through in 24.9 ms, before the admitted one at 31.4 ms —
+//!   see the smoke test; what admission buys under incast is ROADMAP
+//!   2(b)(iii).)
 //! * **Steering** — an elephant (BULK, node 1 → node 3) saturates the
 //!   shared dumbbell core of rail 0 while mice (DEFAULT, node 0 →
 //!   node 2) need the same core. Rail 1 is a flat private-pipe rail.
@@ -58,6 +61,11 @@ pub struct IncastPoint {
     pub p50_us: f64,
     /// Receiver-measured tail latency (µs).
     pub p99_us: f64,
+    /// Deepest engine backlog any sender reached (messages).
+    pub peak_backlog: u64,
+    /// Rails declared dead across all senders (must be 0: the rail is
+    /// congested, not dead).
+    pub rails_dead: u64,
     /// Fabric packets dropped at full switch queues (per-link sum).
     pub fabric_drops: u64,
     /// Fabric ECN marks (per-link sum).
@@ -89,10 +97,6 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
     let mut config = EngineConfig {
         reliability: ReliabilityMode::Recover,
         record_deliveries: false,
-        // A full incast queue takes ~1 ms to drain at the core rate;
-        // a 6-attempt budget with 50 µs base timeout would declare the
-        // rail dead mid-collapse instead of riding it out.
-        retry_budget: 16,
         ..EngineConfig::default()
     };
     if admission {
@@ -127,12 +131,15 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         drops += s.queue_drops;
         marks += s.ecn_marks;
     }
-    let (mut retransmits, mut lost, mut blocked) = (0u64, 0u64, 0u64);
+    let (mut retransmits, mut lost, mut blocked, mut rails_dead) = (0u64, 0u64, 0u64, 0u64);
+    let mut peak_backlog = 0u64;
     let mut engine_json = String::new();
     for i in 0..n {
         let m = cluster.handle(i).metrics();
         retransmits += m.retransmits;
         lost += m.lost_msgs;
+        rails_dead += m.rails_dead;
+        peak_backlog = peak_backlog.max(m.backlog_depth.max() as u64);
         engine_json.push_str(&m.to_json().render());
         engine_json.push('\n');
     }
@@ -147,6 +154,8 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         makespan_us: end.as_micros_f64(),
         p50_us: rx.latency.quantile(0.5).as_micros_f64(),
         p99_us: rx.latency.quantile(0.99).as_micros_f64(),
+        peak_backlog,
+        rails_dead,
         fabric_drops: drops,
         ecn_marks: marks,
         retransmits,
@@ -234,9 +243,6 @@ pub fn run_steering(aware: bool) -> SteerPoint {
         reliability: ReliabilityMode::Recover,
         record_deliveries: false,
         congestion_aware: aware,
-        // The blind cell rides out the collapsing core on timeouts; a
-        // 6-attempt budget would kill both rails and lose messages.
-        retry_budget: 16,
         ..EngineConfig::default()
     };
     let mouse = FlowSpec {
@@ -304,6 +310,8 @@ pub fn run() -> Report {
             "ecn marks",
             "retx",
             "blocked",
+            "peak backlog",
+            "rails dead",
         ],
     );
     let naive = run_incast(false);
@@ -319,17 +327,23 @@ pub fn run() -> Report {
             p.ecn_marks.to_string(),
             p.retransmits.to_string(),
             p.blocked.to_string(),
+            p.peak_backlog.to_string(),
+            p.rails_dead.to_string(),
         ]);
     }
     notes.push(format!(
         "incast collapse is a queue phenomenon: the open-loop burst \
          overflows the core switch queue ({} drops, {} retransmits) and \
          p99 stretches to {} us; the same offered load behind a 32KiB \
-         Block budget keeps the engine lifetime bounded (p99 {} us) and \
-         recovers every message",
+         Block budget keeps the engine backlog bounded (at most {} \
+         messages a sender, against {}) and recovers every message; its \
+         p99 is {} us, no longer below the open-loop cell's (ROADMAP: \
+         what admission buys under incast)",
         naive.fabric_drops,
         naive.retransmits,
         fmt_f(naive.p99_us),
+        admitted.peak_backlog,
+        naive.peak_backlog,
         fmt_f(admitted.p99_us),
     ));
 
@@ -389,7 +403,7 @@ mod tests {
     use super::*;
 
     /// CI smoke (satellite): the naive burst collapses the core queue;
-    /// admission control recovers every message with a bounded tail.
+    /// admission control recovers every message with a bounded backlog.
     #[test]
     fn smoke_incast_collapse_and_recovery() {
         let (naive, cluster) = incast_cell(false, None, 0);
@@ -416,12 +430,26 @@ mod tests {
             admitted.delivered, admitted.expected,
             "admission-controlled incast must be lossless"
         );
-        assert_eq!(admitted.lost, 0);
+        for p in [&naive, &admitted] {
+            assert_eq!((p.lost, p.rails_dead), (0, 0), "default timers");
+        }
+        assert_eq!(naive.delivered, naive.expected);
+        // Until ISSUE 22 this asserted `admitted.p99_us < naive.p99_us /
+        // 4.0` (33.6 ms against 134 ms). That no longer holds: with the
+        // default timers the open-loop cell is through in 24.9 ms (exact
+        // worst lifetime 24.9 ms) and the admitted one in 31.4 ms (31.4),
+        // both p99 in the 33.6 ms bucket. What admission still bounds —
+        // by the same factor — is the backlog it is a budget on.
         assert!(
-            admitted.p99_us < naive.p99_us / 4.0,
-            "admission p99 {} us not clearly better than naive {} us",
-            admitted.p99_us,
-            naive.p99_us
+            admitted.peak_backlog <= INCAST_BUDGET / INCAST_MSG_BYTES as u64,
+            "budget of {INCAST_BUDGET} bytes overrun: {} messages queued",
+            admitted.peak_backlog
+        );
+        assert!(
+            admitted.peak_backlog * 4 < naive.peak_backlog,
+            "admission backlog {} not clearly below naive {}",
+            admitted.peak_backlog,
+            naive.peak_backlog
         );
     }
 

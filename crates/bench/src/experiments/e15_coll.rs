@@ -156,14 +156,6 @@ fn engine_config() -> EngineConfig {
     EngineConfig {
         reliability: ReliabilityMode::Recover,
         record_deliveries: false,
-        // Large collectives serialize several long injections at one
-        // member; the default 50 us base timeout then fires spuriously
-        // and the retransmit storm congests the very links the schedule
-        // is waiting on, while a 6-attempt budget would declare the rail
-        // dead mid-collective. A 500 us base rides out a serialized
-        // fan-in, and backoff doubles per attempt from there.
-        retransmit_timeout: SimDuration::from_micros(500),
-        retry_budget: 16,
         ..EngineConfig::default()
     }
 }
@@ -583,12 +575,14 @@ pub fn run() -> Report {
     notes.push(format!(
         "the elephant shares member 0's engine, so fairness is decided \
          at pack time: pack-order serves the elephant's earlier flow id \
-         first and the collective tail stretches to p99 {} us; DRR \
-         round-robins flows within each class and weights classes, \
-         holding it to {} us while still delivering every elephant \
-         message",
+         first (collective p99 {} us, the cell done after {} ms); DRR \
+         round-robins flows within each class and weights classes \
+         (p99 {} us, done after {} ms) while still delivering every \
+         elephant message",
         fmt_f(pack.p99_us),
+        fmt_f(pack.makespan_us / 1000.0),
         fmt_f(drr.p99_us),
+        fmt_f(drr.makespan_us / 1000.0),
     ));
 
     let mut tr = Table::new(

@@ -55,11 +55,16 @@ pub struct EngineConfig {
     /// lossless assumption), detect (acks + timeout diagnostics, no
     /// recovery), or recover (ack/retransmit with rail-health rerouting).
     pub reliability: ReliabilityMode,
-    /// Base retransmit timeout. Doubled per attempt (exponential backoff).
+    /// The *initial* margin a rail's timeouts add to a packet's modelled
+    /// flight (propagation, receive, the ack's way back), before any ack
+    /// has been heard; madrel learns the margin from there
+    /// (`reliability::RtoMargin`). Timeouts double per attempt.
     pub retransmit_timeout: SimDuration,
-    /// Retransmit attempts per data packet before its rail is declared
-    /// dead and remaining chunks are rerouted (or the message abandoned
-    /// when no live rail remains).
+    /// Transmissions of one data packet (or rendezvous request) on a rail
+    /// before the rail is declared dead — if it has been silent since the
+    /// last of them left — and what it carried is rerouted (or abandoned
+    /// when no live rail remains). A rail that still answers others is
+    /// asked again beyond the budget.
     pub retry_budget: u32,
     /// madflow flow-iteration order for candidate collection: pack order
     /// (historical, default) or weighted deficit round robin.

@@ -22,6 +22,7 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
+use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
@@ -117,28 +118,36 @@ pub(crate) fn data_busy(plan: PlanRef<'_>, payload: u64, ctx: &OptContext<'_>) -
     let bytes = payload + plan.framing();
     let segs = plan.segment_count();
     let linearize = plan.linearized();
-    let pio = if ctx.caps.can_pio(bytes) {
-        Some(ctx.cost.injection_time(TxMode::Pio, bytes, segs))
-    } else {
-        None
-    };
-    let dma = if ctx.caps.supports_dma && (linearize || ctx.caps.can_gather(segs)) {
-        Some(ctx.cost.injection_time(TxMode::Dma, bytes, segs))
-    } else {
-        None
-    };
-    let base = match (pio, dma) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
+    let base = match cheapest_injection(ctx.caps, ctx.cost, bytes, segs, linearize) {
+        Some((_, busy)) => busy,
         // Neither fits: validation rejects such plans; estimate
         // pessimistically so they also lose on score.
-        (None, None) => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
+        None => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
     };
     if linearize {
         base + ctx.cost.copy_time(bytes)
     } else {
         base
+    }
+}
+
+/// The cheaper of the injection modes a rail admits for a data packet of
+/// `bytes` (payload and framing) in `segs` gather segments, with the time
+/// it occupies the transmit engine; `None` when neither fits.
+pub(crate) fn cheapest_injection(
+    caps: &DriverCapabilities,
+    cost: &CostModel,
+    bytes: u64,
+    segs: usize,
+    linearize: bool,
+) -> Option<(TxMode, SimDuration)> {
+    let time = |mode| (mode, cost.injection_time(mode, bytes, segs));
+    let pio = caps.can_pio(bytes).then(|| time(TxMode::Pio));
+    let dma =
+        (caps.supports_dma && (linearize || caps.can_gather(segs))).then(|| time(TxMode::Dma));
+    match (pio, dma) {
+        (Some(a), Some(b)) if b.1 < a.1 => Some(b),
+        (a, b) => a.or(b),
     }
 }
 

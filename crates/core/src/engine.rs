@@ -242,7 +242,8 @@ impl EngineCore {
     /// order, skipping rails the congestion gate holds back.
     fn optimize_all_idle(&mut self, ctx: &mut SimCtx<'_>, cause: Activation) {
         let mut order = std::mem::take(&mut self.scratch.rail_order);
-        self.rel.pull_order(&mut order);
+        let mean_msg = self.collect.backlog_bytes() / self.collect.pending_msgs().max(1);
+        self.rel.pull_order(&mut order, mean_msg);
         for &r in &order {
             if self.rel.congestion_gated(r) {
                 self.obs.metrics_mut().congestion_gated += 1;
@@ -406,10 +407,9 @@ impl EngineCore {
                 let class = self.transfer.wire()[0].header.class;
                 self.opt.policy_mut().record_traffic(class, bytes);
                 if self.rel.acks_enabled() {
-                    let first = self.rel.attempt(rail_idx, 1, now);
-                    let tx = PendingTx::sent(chunks.clone(), plan.dst, linearize, now, first);
-                    self.rel.track(cookie, tx);
-                    self.rel.arm_timer(ctx);
+                    let first = Attempt::first(rail_idx);
+                    self.rel
+                        .track(cookie, chunks.clone(), plan.dst, linearize, first, now);
                 }
                 self.transfer.track(cookie, chunks);
                 Ok(())
@@ -430,8 +430,8 @@ impl EngineCore {
                 // madrel: the request is watched until its grant, as a
                 // data packet is until its ack.
                 if self.rel.acks_enabled() {
-                    let first = self.rel.attempt(rail_idx, 1, now);
-                    self.rel.track_request((flow, seq, frag), dst, first);
+                    let first = Attempt::first(rail_idx);
+                    self.rel.track_request((flow, seq, frag), dst, first, now);
                     self.rel.arm_timer(ctx);
                 }
                 Ok(())
@@ -547,9 +547,16 @@ impl EngineCore {
             }
             KIND_ACK => {
                 let (cookie, ecn) = decode_ack_ecn(pkt)?;
-                // A duplicate ack finds nothing tracked and is ignored.
-                if self.rel.on_ack(cookie, ecn, now, self.node, &mut self.obs) {
-                    self.transfer.complete(cookie, &mut self.collect, sent);
+                // The ack completes its own packet, or — late, for a cookie
+                // a timeout superseded — what is still out of the
+                // retransmission. A duplicate ack finds nothing and is
+                // ignored.
+                let (transfer, collect) = (&mut self.transfer, &mut self.collect);
+                let settle = |done: u64| transfer.complete(done, collect, sent);
+                if self
+                    .rel
+                    .on_ack(cookie, ecn, now, self.node, &mut self.obs, settle)
+                {
                     self.rel.arm_timer(ctx);
                 }
             }
@@ -610,18 +617,16 @@ impl EngineCore {
         };
         let rails = self.transfer.rails();
         let reaches = |rail: usize, dst| rails[rail].reaches(dst);
-        let Some((asked, action)) = self.rel.expire_request(key, now, reaches, &mut self.obs)
-        else {
+        let Some((dst, action)) = self.rel.expire_request(key, now, reaches, &mut self.obs) else {
             return;
         };
         match action {
-            Expiry::Resend(attempt) | Expiry::Reroute(attempt) => {
+            Expiry::Resend(again) | Expiry::Reroute(again) => {
                 let header = chunk_header(flow, msg, frag, 0, 0);
-                let sent =
-                    self.transfer
-                        .send_ctrl(ctx, attempt.rail, asked.dst, KIND_RNDV_REQ, header);
+                let sent = self
+                    .transfer
+                    .send_ctrl(ctx, again.rail, dst, KIND_RNDV_REQ, header);
                 debug_assert!(sent.is_ok(), "the chosen rail reaches the destination");
-                self.rel.track_request(key, asked.dst, attempt);
                 self.obs.metrics_mut().rndv_rerequests += 1;
             }
             Expiry::DetectOnly => self.obs.fault(now, FlightTrigger::Timeout, &view!(self)),
@@ -632,55 +637,103 @@ impl EngineCore {
         }
     }
 
-    /// Re-send a timed-out packet's chunks on `attempt.rail` under fresh
+    /// Re-send a timed-out packet's chunks on `next.rail` under fresh
     /// cookies, re-chunked for the target driver's capabilities. The
     /// original commit accounting in the collect layer is reused — chunks
-    /// are never re-committed — so completion stays exactly-once.
+    /// are never re-committed — so completion stays exactly-once, and the
+    /// old cookie is remembered as superseded: its ack, should it still
+    /// come, settles the new ones. A retransmission that finds the NIC
+    /// queue full has not happened: the packet is parked as it is — same
+    /// cookie, same attempts, same deadline — until `on_tx_done` offers
+    /// it again.
     fn retransmit(
         &mut self,
         ctx: &mut SimCtx<'_>,
         old_cookie: u64,
         pending: PendingTx,
-        attempt: Attempt,
+        next: Attempt,
     ) {
         let now = ctx.now();
-        let rail_idx = attempt.rail;
+        let rail = &self.transfer.rails()[next.rail];
+        if rail.driver.free_slots(ctx) == 0 {
+            return self.rel.park(old_cookie, pending, next);
+        }
+        let packets = plan_retransmit(&pending.chunks, rail.driver.capabilities(), rail.wire_mtu);
         // The old cookie's completion is superseded by the new cookies'.
         self.transfer.forget(old_cookie);
-        let rail = &self.transfer.rails()[rail_idx];
-        let packets = plan_retransmit(&pending.chunks, rail.driver.capabilities(), rail.wire_mtu);
+        let mut heirs = None;
         for chunks in packets {
             let (cookie, sent) = self
                 .transfer
                 .submit_data(
                     ctx,
-                    rail_idx,
+                    next.rail,
                     pending.dst,
                     &self.collect,
                     &chunks,
                     pending.linearize,
                 )
                 .expect("retransmit rail reaches destination");
-            match sent {
+            let first = heirs.map_or(cookie, |(first, _)| first);
+            heirs = Some((first, cookie));
+            self.transfer.track(cookie, chunks.clone());
+            let rejected = match sent {
+                // The queue filled under this packet's own pieces: the
+                // rest waits like a whole packet would.
+                Err(DriverError::Nic(SubmitError::QueueFull)) => {
+                    let waiting = PendingTx {
+                        chunks,
+                        dst: pending.dst,
+                        rail: pending.rail,
+                        linearize: pending.linearize,
+                        sent_at: pending.sent_at,
+                        deadline: pending.deadline,
+                        attempts: pending.attempts,
+                    };
+                    self.rel.park(cookie, waiting, next);
+                    continue;
+                }
                 Ok(()) => {
                     let resent = EngineEvent::Retransmit {
                         old_cookie,
                         new_cookie: cookie,
-                        rail: rail_idx as u16,
-                        attempt: attempt.attempts,
+                        rail: next.rail as u16,
+                        attempt: next.attempts,
                     };
                     self.obs.emit(now, resent);
+                    false
                 }
-                // Queue full: the packet never left; the deadline sweep
-                // picks the (still-tracked) cookie up again.
-                Err(DriverError::Nic(SubmitError::QueueFull)) => {}
-                Err(_) => self
-                    .obs
-                    .fault(now, FlightTrigger::DriverRejection, &view!(self)),
+                Err(_) => {
+                    self.obs
+                        .fault(now, FlightTrigger::DriverRejection, &view!(self));
+                    true
+                }
+            };
+            self.rel
+                .track(cookie, chunks, pending.dst, pending.linearize, next, now);
+            if rejected {
+                // No `tx_done` will start this packet's clock: it starts
+                // now, and the sweep takes the packet up again like one
+                // lost on the wire — to the end of its budget if need be.
+                self.rel.launched(cookie, now);
             }
-            self.transfer.track(cookie, chunks.clone());
-            let resent = PendingTx::sent(chunks, pending.dst, pending.linearize, now, attempt);
-            self.rel.track(cookie, resent);
+        }
+        if let Some((first, last)) = heirs {
+            self.rel.supersede(old_cookie, &pending, first..=last);
+        }
+    }
+
+    /// A transmit completed, so queue space may have appeared: offer each
+    /// rail's parked retransmissions again, lowest cookie first, for as
+    /// long as its queue has room.
+    fn offer_parked(&mut self, ctx: &mut SimCtx<'_>) {
+        for rail in 0..self.transfer.rails().len() {
+            while self.transfer.rails()[rail].driver.free_slots(ctx) > 0 {
+                let Some((cookie, pending, next)) = self.rel.take_parked(rail) else {
+                    break;
+                };
+                self.retransmit(ctx, cookie, pending, next);
+            }
         }
     }
 }
@@ -830,7 +883,13 @@ impl EngineBuilder {
             receiver: Receiver::new(),
             admission: Admission::new(self.config.admission.clone()),
             opt: Optimizer::new(registry, policy),
-            rel: Reliability::new(rails.len(), &self.config),
+            rel: Reliability::new(
+                rails.iter().map(|r| {
+                    let d = &r.driver;
+                    (d.capabilities().clone(), d.cost_model().clone())
+                }),
+                &self.config,
+            ),
             transfer: Transfer::new(rails),
             obs: Observer::new(self.node),
             delivered: DeliveredRing::default(),
@@ -928,13 +987,17 @@ impl Endpoint for MadEngine {
             let core = &mut *self.core.borrow_mut();
             let mut completed = std::mem::take(&mut core.scratch.sent);
             // madrel: a tracked packet completes on its *ack*, not on
-            // injection — `tx_done` for it only frees queue space. (The
-            // lossless seed behavior is the untracked branch.)
-            if !core.rel.is_pending(cookie) {
+            // injection — `tx_done` for it frees queue space and starts
+            // its timeout. (The lossless seed behavior is the untracked
+            // branch.)
+            if core.rel.launched(cookie, ctx.now()) {
+                core.rel.arm_timer(ctx);
+            } else {
                 core.transfer
                     .complete(cookie, &mut core.collect, &mut completed);
             }
             core.transfer.flush_ctrl(ctx);
+            core.offer_parked(ctx);
             completed
         };
         self.notify_sent(ctx, &completed);
@@ -1201,6 +1264,12 @@ impl EngineHandle {
         self.core.borrow().rel.unacked()
     }
 
+    /// madrel: timed-out cookies still remembered in case their ack comes
+    /// late (none once every retransmission has settled).
+    pub fn superseded_cookies(&self) -> usize {
+        self.core.borrow().rel.superseded_len()
+    }
+
     /// Per-kind fault observation counts:
     /// `[express_violation, driver_rejection, proto_error, timeout]`.
     pub fn fault_counts(&self) -> [u64; 4] {
@@ -1300,6 +1369,67 @@ mod tests {
             sim.inject(a, |ctx| handle.send(ctx, f, vec![]));
         }));
         assert!(result.is_err(), "empty message must panic");
+    }
+
+    #[test]
+    fn a_retransmission_that_finds_the_queue_full_costs_no_attempt() {
+        // One rail whose queue holds four packets, every message its own
+        // packet, and a peer that never answers (no endpoint): every packet
+        // times out.
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let config = EngineConfig {
+            reliability: crate::ReliabilityMode::Recover,
+            ..EngineConfig::fifo_only()
+        };
+        let (engine, handle) = MadEngine::builder(a)
+            .rail(driver(na), 1 << 20)
+            .peer(NodeId(1), vec![nb])
+            .config(config)
+            .build()
+            .unwrap();
+        sim.set_endpoint(a, Box::new(engine));
+        let send = |sim: &mut Simulation, len: usize| {
+            let f = handle.open_flow(NodeId(1), TrafficClass::DEFAULT);
+            let parts = MessageBuilder::new()
+                .pack_cheaper(&vec![7; len])
+                .build_parts();
+            sim.inject(a, |ctx| handle.send(ctx, f, parts));
+        };
+        let watched = |cookie: u64| {
+            let core = handle.core.borrow();
+            let found = core.rel.watched(cookie);
+            found.map(|(tx, parked)| (tx.attempts, tx.deadline, parked))
+        };
+        // A small packet leaves at once; its clock starts at `tx_done`.
+        send(&mut sim, 64);
+        assert_eq!(watched(1), Some((1, SimTime::MAX, false)), "in the queue");
+        sim.run_until(SimTime::from_nanos(10_000));
+        let (_, due, _) = watched(1).expect("unacked");
+        assert!(due > SimTime::from_nanos(50_000) && due < SimTime::from_nanos(60_000));
+        // A 30 us packet keeps the NIC busy while eight more are
+        // submitted behind it; when it is done — 10 us before the small
+        // packet is due — the idle NIC's queue is filled with four of them.
+        sim.run_until(SimTime::from_nanos(due.as_nanos() - 40_000));
+        send(&mut sim, 30_000);
+        for _ in 0..8 {
+            send(&mut sim, 30_000);
+        }
+        // So when the small packet times out nothing can leave: no attempt
+        // is spent, no deadline doubled, nothing counted as re-sent.
+        sim.run_until(due + simnet::SimDuration::from_nanos(1_000));
+        let m = handle.metrics();
+        assert_eq!((m.packets_sent, m.timeouts, m.retransmits), (6, 1, 0));
+        assert_eq!(watched(1), Some((1, due, true)), "parked as it was");
+        assert_eq!(handle.unacked_packets(), 6, "and not forgotten");
+        // The next `tx_done` makes room, and it goes out under cookie 7 as
+        // attempt 2 — ahead of the four messages still in the backlog,
+        // since the queue has not run dry.
+        sim.run_until(due + simnet::SimDuration::from_nanos(25_000));
+        let m = handle.metrics();
+        assert_eq!((m.packets_sent, m.timeouts, m.retransmits), (6, 1, 1));
+        assert_eq!(watched(1), None, "superseded");
+        assert_eq!(watched(7), Some((2, SimTime::MAX, false)));
+        assert_eq!(handle.superseded_cookies(), 1);
     }
 
     #[test]

@@ -119,6 +119,10 @@ pub struct EngineMetrics {
     /// Retransmit timeouts fired (madrel; each one means a data packet's
     /// ack did not arrive in time).
     pub timeouts: u64,
+    /// Timeouts that turned out wrong: the timed-out transmission's ack
+    /// arrived after all (madrel; it repaired the retransmission's
+    /// accounting and the rail's health).
+    pub spurious_timeouts: u64,
     /// Data packets re-sent by the reliability layer.
     pub retransmits: u64,
     /// Acknowledgements received for tracked data packets.
@@ -191,6 +195,7 @@ impl Default for EngineMetrics {
             driver_rejections: 0,
             class_clamped: 0,
             timeouts: 0,
+            spurious_timeouts: 0,
             retransmits: 0,
             acks_received: 0,
             ecn_echoes: 0,
@@ -347,6 +352,7 @@ impl EngineMetrics {
             .field("driver_rejections", self.driver_rejections)
             .field("class_clamped", self.class_clamped)
             .field("timeouts", self.timeouts)
+            .field("spurious_timeouts", self.spurious_timeouts)
             .field("retransmits", self.retransmits)
             .field("acks_received", self.acks_received)
             .field("ecn_echoes", self.ecn_echoes)

@@ -15,7 +15,7 @@ use crate::api::SAMPLER_TAG;
 use crate::collect::{CollectLayer, RndvState};
 use crate::config::EngineConfig;
 use crate::ids::{MsgId, TrafficClass};
-use crate::json::obj;
+use crate::json::{obj, Json};
 use crate::message::DeliveredMessage;
 use crate::metrics::{EngineMetrics, MetricsRegistry};
 use crate::optimizer::Optimizer;
@@ -103,6 +103,7 @@ impl Observer {
             EngineEvent::Unblocked { .. } => m.unblocked_events += 1,
             EngineEvent::CongestionMark { .. } => m.ecn_echoes += 1,
             EngineEvent::AckReceived { .. } => m.acks_received += 1,
+            EngineEvent::SpuriousTimeout { .. } => m.spurious_timeouts += 1,
             _ => {}
         }
         self.trace.push(now, event);
@@ -285,6 +286,18 @@ impl Observer {
     ) {
         reg.add_engine(&format!("{prefix}engine"), &self.metrics);
         reg.add_receiver(&format!("{prefix}receiver"), &view.receiver.stats);
+        if view.rel.acks_enabled() {
+            // madrel's learned state, per rail in rail order: the margin
+            // a timeout adds to a packet's modelled round trip.
+            let rails = 0..view.rel.rails().len();
+            let margins = rails.map(|r| Json::UInt(view.rel.rto_margin(r).as_nanos()));
+            reg.add_section(
+                &format!("{prefix}madrel"),
+                obj()
+                    .field("rto_margin_ns", Json::Arr(margins.collect()))
+                    .build(),
+            );
+        }
         if let Some(s) = &self.sampler {
             reg.add_section(&format!("{prefix}sampler"), s.to_json());
         }
@@ -390,10 +403,12 @@ impl Observer {
         ));
         if config.reliability.acks_enabled() {
             out.push_str(&format!(
-                "             madrel({:?}): {} unacked; timeouts={} retransmits={} rndv_rerequests={} acks={} lost={} rails_dead={}\n",
+                "             madrel({:?}): {} unacked, {} superseded; timeouts={} spurious_timeouts={} retransmits={} rndv_rerequests={} acks={} lost={} rails_dead={}\n",
                 config.reliability,
                 view.rel.unacked(),
+                view.rel.superseded_len(),
                 m.timeouts,
+                m.spurious_timeouts,
                 m.retransmits,
                 m.rndv_rerequests,
                 m.acks_received,
@@ -402,12 +417,13 @@ impl Observer {
             ));
             for (r, h) in view.rel.rails().iter().enumerate() {
                 out.push_str(&format!(
-                    "               rail {r}: score={:.3}{}{} acks={} timeouts={} cong={:.3} marks={}\n",
+                    "               rail {r}: score={:.3}{}{} acks={} timeouts={} rto_margin_ns={} cong={:.3} marks={}\n",
                     h.score(),
                     if h.is_degraded() { " DEGRADED" } else { "" },
                     if h.is_dead() { " DEAD" } else { "" },
                     h.acks(),
                     h.timeouts(),
+                    view.rel.rto_margin(r).as_nanos(),
                     h.congestion(),
                     h.ecn_marks(),
                 ));
@@ -500,7 +516,7 @@ mod tests {
             receiver: &Receiver::new(),
             opt: &Optimizer::new(StrategyRegistry::empty(), policy),
             transfer: &Transfer::new(Vec::new()),
-            rel: &Reliability::new(0, &config),
+            rel: &Reliability::new([], &config),
         };
         assert!(view.drained());
         obs.fault(t0, FlightTrigger::ProtoError, &view);

@@ -200,6 +200,17 @@ pub enum EngineEvent {
         /// Round-trip time from injection to ack (ns).
         rtt_ns: u64,
     },
+    /// The ack of a packet that had already timed out arrived after all:
+    /// the timeout was spurious. The ack settles whatever of the
+    /// retransmission is still out, and the rail gets its health back.
+    SpuriousTimeout {
+        /// Cookie of the timed-out (superseded) transmission the ack names.
+        cookie: u64,
+        /// Rail that transmission left on.
+        rail: u16,
+        /// How far past its modelled unloaded round trip the ack came (ns).
+        late_ns: u64,
+    },
     /// A rail's health EWMA crossed into the degraded band.
     RailDegraded {
         /// Degraded rail.
@@ -303,6 +314,7 @@ impl EngineEvent {
             EngineEvent::Delivered { .. } => "Delivered",
             EngineEvent::Retransmit { .. } => "Retransmit",
             EngineEvent::AckReceived { .. } => "AckReceived",
+            EngineEvent::SpuriousTimeout { .. } => "SpuriousTimeout",
             EngineEvent::RailDegraded { .. } => "RailDegraded",
             EngineEvent::RailDead { .. } => "RailDead",
             EngineEvent::Admitted { .. } => "Admitted",
@@ -480,6 +492,15 @@ impl EngineEvent {
                 s.field_uint("cookie", *cookie);
                 s.field_uint("rail", *rail);
                 s.field_uint("rtt_ns", *rtt_ns);
+            }
+            EngineEvent::SpuriousTimeout {
+                cookie,
+                rail,
+                late_ns,
+            } => {
+                s.field_uint("cookie", *cookie);
+                s.field_uint("rail", *rail);
+                s.field_uint("late_ns", *late_ns);
             }
             EngineEvent::RailDegraded { rail, score_milli } => {
                 s.field_uint("rail", *rail);

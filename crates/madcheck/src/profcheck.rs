@@ -37,8 +37,12 @@ const CORPUS: TracedCorpus = TracedCorpus {
     gaps_ns: &[0, 0, 500, 4_000],
     bodies: &[16, 256, 2_048, 16_384],
     express_one_in: 3,
+    // One packet in five is lost: a sample is a dozen packets, and
+    // `retx_recovery` has to carry real time in most of them. (At 2 % it
+    // did only while the fixed 50 us timeout retransmitted every 16 KiB
+    // body on a clean wire.)
     faults: |plan| {
-        plan.with_loss(0.02)
+        plan.with_loss(0.2)
             .with_dup(0.02)
             .with_reorder(0.05, SimDuration::from_nanos(2_000))
     },

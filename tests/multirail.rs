@@ -6,9 +6,11 @@ use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madeleine::plan::PlannedChunk;
 use madeleine::strategy::{OptContext, Proposals, Strategy};
-use madeleine::{ChannelId, EngineConfig, FlowId, MadEngine, PolicyKind};
+use madeleine::{ChannelId, EngineConfig, FlowId, MadEngine, PolicyKind, ReliabilityMode};
 use madware::pattern;
-use simnet::{NetworkParams, NicId, NodeId, SimTime, Simulation, Technology};
+use simnet::{
+    FaultPlan, NetworkParams, NicId, NodeId, SimDuration, SimTime, Simulation, Technology,
+};
 
 fn bulk_spec(engine: EngineKind, rails: Vec<Technology>) -> ClusterSpec {
     ClusterSpec::new(2, rails).engine(engine)
@@ -68,6 +70,56 @@ fn two_rails_nearly_double_throughput() {
             assert_eq!(m.contiguous(), pattern(m.flow.0, m.id.seq.0, 0, 24 << 10));
         }
     }
+}
+
+#[test]
+fn a_lone_message_leaves_on_the_fastest_idle_rail() {
+    // MX (rail 0, 3.3 us one way at 64 B) and Elan (rail 1, 1.6 us), both
+    // idle: index order would put every lone message on MX.
+    let config = EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..EngineConfig::default()
+    };
+    let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
+    let mut c = Cluster::build(&ClusterSpec::new(2, rails).config(config), vec![]);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let f = h.open_flow(dst, TrafficClass::DEFAULT);
+    let lone = |c: &mut Cluster, i: u32| {
+        let before: Vec<u64> = c.nics[0]
+            .iter()
+            .map(|&n| c.sim.nic(n).stats.tx_payload_bytes)
+            .collect();
+        c.sim.inject(src, |ctx| {
+            let body = pattern(f.0, i, 0, 64);
+            h.send(
+                ctx,
+                f,
+                MessageBuilder::new().pack_cheaper(&body).build_parts(),
+            );
+        });
+        c.run_for(SimDuration::from_micros(10));
+        let grew = |r: usize| c.sim.nic(c.nics[0][r]).stats.tx_payload_bytes > before[r] + 64;
+        (grew(0), grew(1))
+    };
+    assert_eq!(lone(&mut c, 0), (false, true), "Elan is asked first");
+    // Elan starts losing everything. The next message still leaves on it
+    // and times out again and again, each timeout denting Elan's health;
+    // once its cost penalty exceeds the latency ratio (2.1: four timeouts
+    // in a row), a lone message leaves on MX — long before Elan's retry
+    // budget is spent and the rail declared dead.
+    c.set_fault_plan(1, FaultPlan::new(1).with_loss(1.0));
+    assert_eq!(lone(&mut c, 1), (false, true), "still the faster rail");
+    c.run_for(SimDuration::from_micros(900));
+    let m = h.metrics();
+    assert!(
+        m.timeouts >= 4 && m.rails_dead == 0,
+        "{} timeouts",
+        m.timeouts
+    );
+    assert_eq!(lone(&mut c, 2), (true, false), "degraded past the ratio");
+    c.drain();
+    assert_eq!(c.handle(1).delivered_count(), 3);
 }
 
 #[test]
@@ -206,13 +258,14 @@ impl Strategy for WrongRail {
 
 #[test]
 fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
-    // Rail 0 is slow and takes one packet at a time; rail 1 is fast. One
-    // chunk per packet, so the CONTROL message's express header leaves
-    // alone on rail 0 and fills it: the message is pinned there with its
-    // body still to send. The second flow's message then wakes rail 1,
-    // whose window rightly hides the pinned body — and where `WrongRail`
-    // proposes it "for rail 0". Sent from there it would reach the peer
-    // long before its header.
+    // Rail 0 is slow and takes one packet at a time; rail 1 is fast, is
+    // asked first, and is kept busy by a filler when the CONTROL message
+    // comes. One chunk per packet, so its express header leaves alone on
+    // rail 0 and fills it: the message is pinned there with its body
+    // still to send. The third flow's message finds no idle rail; when
+    // rail 1 falls idle its window rightly hides the pinned body — and
+    // `WrongRail` proposes it "for rail 0". Sent from there it would
+    // reach the peer long before its header.
     let mut sim = Simulation::new();
     let slow = sim.add_network(NetworkParams {
         tx_queue_depth: 1,
@@ -241,8 +294,13 @@ fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
     sim.set_endpoint(b, Box::new(eb));
     let pinned = ha.open_flow(b, TrafficClass::CONTROL);
     let other = ha.open_flow(b, TrafficClass::DEFAULT);
+    let filler = ha.open_flow(b, TrafficClass::BULK);
     assert_eq!((pinned, b), (FlowId(0), NodeId(1)));
     sim.inject(a, |ctx| {
+        let parts = MessageBuilder::new()
+            .pack_cheaper(&pattern(2, 0, 0, 256))
+            .build_parts();
+        ha.send(ctx, filler, parts);
         let parts = MessageBuilder::new()
             .pack_express(&pattern(0, 0, 0, 16))
             .pack_cheaper(&pattern(0, 0, 1, 64))
@@ -261,12 +319,14 @@ fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
         "{:?}",
         m.strategy_wins
     );
-    // The body followed its header: rail 1 carried the small message only.
-    assert_eq!(sim.nic(nics_a[1]).stats.tx_packets, 1);
+    // The body followed its header: rail 1 carried the filler and the
+    // small message only.
+    assert_eq!(sim.nic(nics_a[1]).stats.tx_packets, 2);
+    assert_eq!(sim.nic(nics_a[0]).stats.tx_packets, 2);
     assert_eq!(hb.metrics().express_violations, 0);
     let mut got = hb.take_delivered();
     got.sort_by_key(|m| m.flow);
-    assert_eq!(got.len(), 2, "each message delivered exactly once");
+    assert_eq!(got.len(), 3, "each message delivered exactly once");
     assert_eq!(got[0].fragments[0].1[..], pattern(0, 0, 0, 16)[..]);
     assert_eq!(got[0].fragments[1].1[..], pattern(0, 0, 1, 64)[..]);
     assert_eq!(got[1].contiguous(), pattern(1, 0, 0, 8));

@@ -6,20 +6,28 @@
 //!   that negotiate a rendezvous first.
 //! * Regression: a lost rendezvous request or grant is asked again; the
 //!   handshake never strands a message.
+//! * Timers: a clean wire never times out, whatever the rail and the
+//!   size; a late ack repairs a spurious timeout exactly once; a fan-in
+//!   that outlasts every timeout leaves its (live) rail alive.
 //! * Integration: the E2-style eager-flow workload completes fully under
 //!   loss with madrel on; with recovery off (Detect), the loss trips the
 //!   flight recorder instead of silently vanishing.
 //! * Determinism: two same-seed lossy runs export byte-identical traces.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use madeleine::api::{AppDriver, CommApi};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madeleine::ids::TrafficClass;
+use madeleine::ids::{MsgId, TrafficClass};
 use madeleine::message::MessageBuilder;
 use madeleine::trace::FlightTrigger;
 use madeleine::{EngineConfig, ReliabilityMode};
 use madware::pattern;
 use madware::scenario::eager_flows;
 use proptest::prelude::*;
-use simnet::{FaultPlan, SimDuration};
+use simnet::{FaultPlan, SimDuration, SimTime, Technology, Topology};
 
 /// Bodies of this size and above negotiate a rendezvous.
 const RNDV_THRESHOLD: u64 = 1024;
@@ -42,6 +50,30 @@ fn lossy_cluster(engine: EngineKind, plan: FaultPlan) -> Cluster {
     c
 }
 
+/// How often `on_sent` fired for each message of the node it runs on.
+type SentLog = Rc<RefCell<BTreeMap<(u32, u32), u32>>>;
+
+struct CountSent(SentLog);
+
+impl AppDriver for CountSent {
+    fn on_sent(&mut self, _api: &mut dyn CommApi, msg: MsgId) {
+        *self
+            .0
+            .borrow_mut()
+            .entry((msg.flow.0, msg.seq.0))
+            .or_insert(0) += 1;
+    }
+}
+
+/// [`lossy_cluster`] whose sender logs its `on_sent` callbacks.
+fn logged_lossy_cluster(engine: EngineKind, plan: FaultPlan) -> (Cluster, SentLog) {
+    let log = SentLog::default();
+    let app: Box<dyn AppDriver> = Box::new(CountSent(log.clone()));
+    let mut c = Cluster::build(&ClusterSpec::mx_pair().engine(engine), vec![Some(app)]);
+    c.set_fault_plan(0, plan);
+    (c, log)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -54,6 +86,10 @@ proptest! {
         loss_pm in 0u32..300, // per-mille; the shim has no f64 ranges
         dup_pm in 0u32..300,
         sizes in any::<u32>(),
+        // Half the cases hold a reordered packet back for longer than any
+        // timeout the sender has learned: its retransmission goes out, and
+        // then the ack of the original arrives late.
+        held_back in any::<bool>(),
     ) {
         const MSGS: u32 = 30;
         // Bit `i` of `sizes`: message `i` is an eager body, or one that
@@ -62,13 +98,13 @@ proptest! {
         let plan = FaultPlan::new(seed)
             .with_loss(f64::from(loss_pm) / 1000.0)
             .with_dup(f64::from(dup_pm) / 1000.0)
-            .with_reorder(0.15, SimDuration::from_micros(2));
+            .with_reorder(0.15, SimDuration::from_micros(if held_back { 400 } else { 2 }));
         // The property is idempotence, not patience: where three packets
         // in ten are lost a handshake fails four times in ten, and the
         // default budget of six attempts would give the only rail up.
         let patient = EngineConfig { retry_budget: 12, ..config(ReliabilityMode::Recover) };
-        let mut c = lossy_cluster(EngineKind::with_config(patient), plan);
-        let h = c.handle(0).clone();
+        let (mut c, sent) = logged_lossy_cluster(EngineKind::with_config(patient), plan);
+        let h = c.handle(0).opt().expect("optimizing engine").clone();
         let (src, dst) = (c.nodes[0], c.nodes[1]);
         let f = h.open_flow(dst, TrafficClass::DEFAULT);
         c.sim.inject(src, |ctx| {
@@ -92,7 +128,193 @@ proptest! {
             seen[seq as usize] = true;
             prop_assert_eq!(m.contiguous(), pattern(m.flow.0, seq, 0, size(seq)));
         }
-        prop_assert_eq!(c.handle(0).metrics().lost_msgs, 0);
+        prop_assert_eq!(h.metrics().lost_msgs, 0);
+        // Send-side accounting is exactly-once too, whichever ack — the
+        // packet's own, a retransmission's, a superseded cookie's — settled
+        // it, and nothing is remembered once everything has settled.
+        let sent = sent.borrow();
+        prop_assert_eq!(sent.len(), MSGS as usize, "every message completed");
+        prop_assert!(sent.values().all(|&n| n == 1), "on_sent fired twice: {:?}", sent);
+        prop_assert!(h.is_drained());
+        prop_assert_eq!(h.superseded_cookies(), 0);
+    }
+}
+
+#[test]
+fn a_late_ack_repairs_a_spurious_timeout() {
+    // Nothing is lost, but one packet in five — data or ack — is held back
+    // for 100 us: longer than a 16 KiB packet's timeout (its 26 us flight
+    // plus the initial 50 us), shorter than that plus the 93 us its
+    // retransmission needs to be injected and acknowledged. So every
+    // timeout on this wire is spurious, and the original's ack is back
+    // first: it settles the retransmission and gives the rail its health
+    // back.
+    let recover = EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..EngineConfig::default()
+    };
+    let mut spurious = 0;
+    for seed in 1..=5 {
+        let plan = FaultPlan::new(seed).with_reorder(0.2, SimDuration::from_micros(100));
+        let engine = EngineKind::with_config(recover.clone());
+        let (mut c, sent) = logged_lossy_cluster(engine, plan);
+        let h = c.handle(0).opt().expect("optimizing engine").clone();
+        let (src, dst) = (c.nodes[0], c.nodes[1]);
+        let f = h.open_flow(dst, TrafficClass::DEFAULT);
+        for i in 0..40u32 {
+            c.sim.inject(src, |ctx| {
+                let body = pattern(f.0, i, 0, 16 << 10);
+                h.send(
+                    ctx,
+                    f,
+                    MessageBuilder::new().pack_cheaper(&body).build_parts(),
+                );
+            });
+            c.run_for(SimDuration::from_micros(300));
+        }
+        c.drain();
+        let got = c.handle(1).take_delivered();
+        let seqs: Vec<u32> = got.iter().map(|m| m.id.seq.0).collect();
+        assert_eq!(seqs, (0..40).collect::<Vec<_>>(), "seed {seed}");
+        let sent = sent.borrow();
+        assert_eq!(sent.len(), 40, "seed {seed}: every send completed");
+        assert!(sent.values().all(|&n| n == 1), "seed {seed}: {sent:?}");
+        let m = h.metrics();
+        assert!(
+            m.timeouts > 0,
+            "seed {seed}: the wire must hold packets back"
+        );
+        // (All but the odd one whose retransmission was held back as well
+        // and came second.)
+        assert!(m.spurious_timeouts <= m.timeouts, "seed {seed}");
+        assert!(
+            2 * m.spurious_timeouts > m.timeouts,
+            "seed {seed}: most repaired"
+        );
+        assert_eq!((m.lost_msgs, m.rails_dead), (0, 0), "seed {seed}");
+        assert!(!h.debug_report().contains("DEGRADED"), "seed {seed}");
+        assert!(h.is_drained(), "seed {seed}");
+        assert_eq!(h.superseded_cookies(), 0, "seed {seed}");
+        spurious += m.spurious_timeouts;
+    }
+    assert!(spurious > 10, "late acks must occur: {spurious}");
+}
+
+#[test]
+fn a_fan_in_that_outlasts_every_timeout_kills_no_rail() {
+    // fat_tree(4), fifteen hosts each sending two 16 KiB messages to the
+    // sixteenth at once, default timers (50 us / 6). The fabric shares the
+    // receiver's link fairly, so every transfer finishes near the end of
+    // the 2 ms incast and no sender hears an ack until then. The fixed
+    // 50 us spent six attempts on every packet inside 3.2 ms, retransmitted
+    // 150 times, declared all fifteen (live) rails dead and lost half the
+    // messages. Now a packet's clock starts when it leaves the NIC, the
+    // first late ack is heard (it settles the retransmission and widens
+    // the margin), and a rail that answers anyone is not given up.
+    const SENDERS: usize = 15;
+    const MSGS: u32 = 2;
+    let config = EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..EngineConfig::default()
+    };
+    let tech = Technology::MyrinetMx;
+    let topo = Topology::fat_tree(4, nicdrv::calib::params(tech).link_profile());
+    let spec = ClusterSpec::new(SENDERS + 1, vec![tech]).config(config.clone());
+    let mut c = Cluster::build_with_topologies(&spec, vec![Some(topo)], vec![]);
+    let sink = c.nodes[SENDERS];
+    for s in 0..SENDERS {
+        let h = c.handle(s).clone();
+        let f = h.open_flow(sink, TrafficClass::DEFAULT);
+        c.sim.inject(c.nodes[s], |ctx| {
+            for i in 0..MSGS {
+                let body = pattern(f.0, i, s as u16, 16 << 10);
+                h.send(
+                    ctx,
+                    f,
+                    MessageBuilder::new().pack_cheaper(&body).build_parts(),
+                );
+            }
+        });
+    }
+    let end = c.drain();
+    assert_eq!(
+        c.handle(SENDERS).delivered_count(),
+        SENDERS as u64 * u64::from(MSGS),
+        "everything delivered"
+    );
+    let (mut packets, mut retransmits, mut spurious) = (0, 0, 0);
+    for s in 0..SENDERS {
+        let h = c.handle(s).opt().expect("optimizing engine");
+        let m = h.metrics();
+        assert_eq!((m.rails_dead, m.lost_msgs), (0, 0), "sender {s}");
+        assert!(h.is_drained() && h.superseded_cookies() == 0, "sender {s}");
+        packets += m.packets_sent;
+        retransmits += m.retransmits;
+        spurious += m.spurious_timeouts;
+    }
+    assert!(spurious > 0, "late acks must have been heard");
+    // Acks are silent until the incast ends, so every timeout before that
+    // is spurious and only backoff bounds them: a packet that left at the
+    // start and is answered at the end times out after 1, 3, 7, 15, ...
+    // first timeouts, and its first is no shorter than the initial margin
+    // plus the time its 16 KiB take to be received. However many of those
+    // fit into the run (five into 2.9 ms), that many times a packet may
+    // be re-sent and no more; a backoff that stops doubling fails this.
+    // (Fewer retransmissions than packets, which ISSUE 22 asked for, is
+    // not to be had from an ack-clocked estimator on this fabric: 105 of
+    // 30.)
+    let cost = nicdrv::CostModel::from_params(&nicdrv::calib::params(tech));
+    let first = config.retransmit_timeout + cost.rx_time(16 << 10);
+    let run = end.since(SimTime::ZERO);
+    let per_packet = (1..).take_while(|&k| first * ((1 << k) - 1) < run).count() as u64;
+    assert!(
+        retransmits <= per_packet * packets,
+        "{retransmits} retransmissions of {packets} packets"
+    );
+}
+
+#[test]
+fn a_clean_wire_never_times_out() {
+    // Nothing is lost, so nothing may time out — whatever the rail and
+    // whatever the size. The fixed 50 us was shorter than the unloaded
+    // round trip of an MX packet above 8 KiB (and of every TCP packet),
+    // a message of several packets waits in its own NIC's queue for
+    // longer than that, and a short packet behind a long one waits for
+    // it again at the peer's receive engine.
+    for tech in nicdrv::calib::REAL_TECHNOLOGIES
+        .into_iter()
+        .chain([Technology::Synthetic])
+    {
+        for size in [64, 1 << 10, 16 << 10, 256 << 10] {
+            let config = EngineConfig {
+                reliability: ReliabilityMode::Recover,
+                ..EngineConfig::default()
+            };
+            let spec = ClusterSpec::new(2, vec![tech]).config(config);
+            let mut c = Cluster::build(&spec, vec![]);
+            let h = c.handle(0).opt().expect("optimizing engine").clone();
+            let (src, dst) = (c.nodes[0], c.nodes[1]);
+            let f = h.open_flow(dst, TrafficClass::DEFAULT);
+            c.sim.inject(src, |ctx| {
+                for i in 0..4 {
+                    let body = pattern(f.0, i, 0, size);
+                    h.send(
+                        ctx,
+                        f,
+                        MessageBuilder::new().pack_cheaper(&body).build_parts(),
+                    );
+                }
+            });
+            c.drain();
+            let m = h.metrics();
+            assert_eq!(c.handle(1).delivered_count(), 4, "{tech:?} {size}");
+            assert_eq!(
+                (m.timeouts, m.retransmits, m.spurious_timeouts),
+                (0, 0, 0),
+                "{tech:?} {size} B: a clean wire timed out"
+            );
+            assert!(h.is_drained(), "{tech:?} {size}");
+        }
     }
 }
 
