@@ -9,8 +9,10 @@
 //! messages (then submits one, to hold the depth). Lookup and removal are
 //! positional, so the acceptance bound is depth-16384 within 3x of
 //! depth-16 — a per-queue scan would be ~1000x.
+//!
+//! Prints one row per case: host nanoseconds per operation, the median of
+//! the timed batches (the loop `fabric_churn` has).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use madeleine::collect::CollectLayer;
 use madeleine::config::EngineConfig;
 use madeleine::flowmgr::{FairnessMode, CLASS_SLOTS};
@@ -19,8 +21,29 @@ use madeleine::message::MessageBuilder;
 use madeleine::plan::PlannedChunk;
 use simnet::{NodeId, SimTime};
 use std::hint::black_box;
+use std::time::Instant;
 
 const ACTIVE_FLOWS: usize = 10;
+const OPS_PER_BATCH: u32 = 2_000;
+const WARMUP_BATCHES: usize = 5;
+const TIMED_BATCHES: usize = 31;
+
+/// Print `case` with the median nanoseconds one `op` takes.
+fn row(case: &str, mut op: impl FnMut()) {
+    let mut ns_per_op = Vec::with_capacity(TIMED_BATCHES);
+    for batch in 0..WARMUP_BATCHES + TIMED_BATCHES {
+        let start = Instant::now();
+        for _ in 0..OPS_PER_BATCH {
+            op();
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        if batch >= WARMUP_BATCHES {
+            ns_per_op.push(ns / f64::from(OPS_PER_BATCH));
+        }
+    }
+    ns_per_op.sort_by(f64::total_cmp);
+    println!("{case:<48} {:>10.0}", ns_per_op[TIMED_BATCHES / 2]);
+}
 
 /// A collect layer with `total` open flows, of which `ACTIVE_FLOWS`
 /// (evenly spread over the id space) have one pending message each.
@@ -53,32 +76,30 @@ fn sparse_backlog(total: usize, fairness: FairnessMode) -> CollectLayer {
     c
 }
 
-fn bench_activation(c: &mut Criterion) {
+fn bench_activation() {
     let cfg = EngineConfig::default();
     for (name, fairness) in [
         ("pack_order", FairnessMode::PackOrder),
         ("drr", FairnessMode::Drr),
     ] {
-        let mut group = c.benchmark_group(&format!("collect_candidates/{name}")[..]);
-        for &total in &[10usize, 100, 1_000, 100_000] {
+        for total in [10usize, 100, 1_000, 100_000] {
             let mut collect = sparse_backlog(total, fairness);
-            group.bench_with_input(BenchmarkId::new("total_flows", total), &total, |b, _| {
-                b.iter(|| {
+            row(
+                &format!("collect_candidates/{name}/total_flows/{total}"),
+                || {
                     black_box(collect.collect_candidates(
                         ChannelId(0),
                         cfg.lookahead_window,
                         |_, _| true,
-                    ))
-                })
-            });
+                    ));
+                },
+            );
         }
-        group.finish();
     }
 }
 
-fn bench_complete(c: &mut Criterion) {
-    let mut group = c.benchmark_group("collect_complete");
-    for &depth in &[16u32, 1_024, 16_384] {
+fn bench_complete() {
+    for depth in [16u32, 1_024, 16_384] {
         let mut collect = CollectLayer::new();
         let flow = collect.open_flow(NodeId(1), TrafficClass::DEFAULT);
         let submit = |collect: &mut CollectLayer| {
@@ -89,25 +110,25 @@ fn bench_complete(c: &mut Criterion) {
             submit(&mut collect);
         }
         let mut oldest = 0u32;
-        group.bench_with_input(BenchmarkId::new("depth", depth), &depth, |b, _| {
-            b.iter(|| {
-                let chunk = PlannedChunk {
-                    flow,
-                    seq: oldest,
-                    frag: 0,
-                    offset: 0,
-                    len: 64,
-                };
-                oldest += 1;
-                collect.commit_chunk(&chunk, ChannelId(0));
-                let done = collect.complete_chunk(&chunk);
-                submit(&mut collect);
-                black_box(done)
-            })
+        row(&format!("collect_complete/depth/{depth}"), || {
+            let chunk = PlannedChunk {
+                flow,
+                seq: oldest,
+                frag: 0,
+                offset: 0,
+                len: 64,
+            };
+            oldest += 1;
+            collect.commit_chunk(&chunk, ChannelId(0));
+            let done = collect.complete_chunk(&chunk);
+            submit(&mut collect);
+            black_box(done);
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_activation, bench_complete);
-criterion_main!(benches);
+fn main() {
+    println!("{:<48} {:>10}", "case", "ns/op");
+    bench_activation();
+    bench_complete();
+}

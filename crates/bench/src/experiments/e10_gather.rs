@@ -1,4 +1,4 @@
-//! **E10 — Copy-aggregation vs gather/scatter** (§1: merge packets "at the
+//! **E10 — Aggregation by copy vs gather/scatter** (§1: merge packets "at the
 //! cost of additional processing ... or even to use a gather/scatter
 //! request").
 //!
@@ -131,6 +131,42 @@ mod tests {
         let (copy_big, gather_big) = analytic(&cost, 8, 8192);
         assert!(copy_small < gather_small, "tiny chunks: copy should win");
         assert!(gather_big < copy_big, "big chunks: gather should win");
+    }
+
+    #[test]
+    fn the_engine_flips_from_copy_to_gather_where_the_analytic_table_does() {
+        // The table prices an N-chunk MX packet sent by DMA, copied or
+        // gathered; `cheapest_injection` is what the engine asks. On MX's
+        // own capabilities, for every row whose packet is too big for PIO
+        // and narrow enough to gather (elsewhere the choice is not
+        // between the table's two columns), the engine's choice is the
+        // table's winner — and the flip falls between the same two sizes.
+        let caps = calib::capabilities(Technology::MyrinetMx);
+        let cost = CostModel::from_params(&calib::params(Technology::MyrinetMx));
+        let mut flips = 0;
+        for n in [2usize, 4, 8] {
+            assert!(caps.can_gather(1 + n));
+            let mut previous = None;
+            for shift in 4..=12 {
+                let chunk = 1u64 << shift;
+                let payload = n as u64 * chunk;
+                let bytes = payload + madeleine::proto::framing_bytes(n);
+                if caps.can_pio(bytes) || bytes > caps.max_packet_bytes {
+                    continue;
+                }
+                let (copy, gather) = analytic(&cost, n, chunk);
+                let how = madeleine::cost::cheapest_injection(&caps, &cost, n, payload, true)
+                    .expect("MX can DMA");
+                assert_eq!(how.mode, TxMode::Dma);
+                assert_eq!(how.linearize, copy < gather, "{n} x {chunk} B");
+                let busy_us = how.busy.as_nanos() as f64 / 1e3;
+                assert_eq!(busy_us, copy.min(gather), "{n} x {chunk} B");
+                flips += usize::from(previous == Some(true) && !how.linearize);
+                assert_ne!((previous, how.linearize), (Some(false), true), "one flip");
+                previous = Some(how.linearize);
+            }
+        }
+        assert!(flips > 0, "the sweep crosses the switch point");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   retries them from [`AppDriver::on_unblocked`].
 //!
 //! The wall-clock cost of candidate collection vs *total* flow count is
-//! measured separately by the `activation_scaling` Criterion bench.
+//! measured separately by the `activation_scaling` bench.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -620,7 +620,7 @@ pub fn run() -> Report {
     }
     notes.push(
         "candidate collection walks the O(active) flow index, so idle \
-         flows are free: the `activation_scaling` Criterion bench holds \
+         flows are free: the `activation_scaling` bench holds \
          active flows at 10 while growing the table from 10 to 100k and \
          the per-activation cost stays flat"
             .into(),

@@ -696,7 +696,7 @@ pub fn recovery_cell() -> Cluster {
         }
         fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
             if let Some(group) = ctx.groups.first() {
-                out.push_data(ctx.channel, group.dst, &[], false, self.name());
+                out.push_data(ctx.channel, group.dst, &[], self.name());
             }
         }
     }

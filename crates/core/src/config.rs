@@ -1,7 +1,12 @@
 //! Engine configuration: every tunable the paper discusses or announces as
 //! future work is an explicit knob here, so the experiment harness can sweep
 //! them (lookahead window — E4; rearrangement budget — E5; Nagle delay — E3;
-//! strategy toggles — ablations).
+//! strategy toggles — ablations). Two things are deliberately *not* knobs
+//! of their own: how a packet is injected — by copy or as a gather list —
+//! is priced per packet by the rail's cost model
+//! (`cost::cheapest_injection`; `enable_gather` only takes the gather side
+//! away, for E10's and E11's forced-copy arm), and "no rendezvous" is
+//! `rndv_threshold: Some(u64::MAX)`.
 
 use simnet::SimDuration;
 
@@ -29,7 +34,8 @@ pub struct EngineConfig {
     /// sent as they become available.
     pub nagle_delay: SimDuration,
     /// Eager→rendezvous switch point in bytes; `None` uses the driver's
-    /// capability hint per rail.
+    /// capability hint per rail, `Some(u64::MAX)` turns the rendezvous
+    /// protocol off.
     pub rndv_threshold: Option<u64>,
     /// Maximum chunks merged into one packet by the aggregation
     /// strategies (bounds header-table growth and per-chunk framing
@@ -41,10 +47,9 @@ pub struct EngineConfig {
     pub enable_reorder: bool,
     /// Enable multi-rail bulk splitting.
     pub enable_split: bool,
-    /// Enable the rendezvous protocol for large fragments.
-    pub enable_rndv: bool,
-    /// Enable zero-copy gather variants (else every multi-chunk packet is
-    /// linearized by copy).
+    /// Let the cost model choose between a zero-copy gather list and a
+    /// copy for every packet (else every multi-chunk packet is linearized
+    /// by copy). Read in one place: `cost::cheapest_injection`.
     pub enable_gather: bool,
     /// Record every delivered message in the engine handle (tests and
     /// examples want them; long benches turn this off).
@@ -94,7 +99,6 @@ impl Default for EngineConfig {
             enable_aggregation: true,
             enable_reorder: true,
             enable_split: true,
-            enable_rndv: true,
             enable_gather: true,
             record_deliveries: true,
             adaptive_epoch: SimDuration::from_millis(1),
@@ -119,7 +123,7 @@ impl EngineConfig {
             enable_aggregation: false,
             enable_reorder: false,
             enable_split: false,
-            enable_rndv: false,
+            rndv_threshold: Some(u64::MAX),
             enable_gather: false,
             ..Self::default()
         }
@@ -192,7 +196,8 @@ mod tests {
     fn fifo_only_disables_strategies() {
         let c = EngineConfig::fifo_only();
         assert!(c.validate().is_ok());
-        assert!(!c.enable_aggregation && !c.enable_rndv && !c.enable_gather);
+        assert!(!c.enable_aggregation && !c.enable_gather);
+        assert_eq!(c.rndv_threshold, Some(u64::MAX));
     }
 
     #[test]

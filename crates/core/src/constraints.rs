@@ -15,6 +15,7 @@ use nicdrv::DriverCapabilities;
 use simnet::NodeId;
 
 use crate::collect::{CollectLayer, RndvState};
+use crate::cost::{injectable, packet_limit};
 use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::message::PackMode;
 use crate::plan::{Body, PlanRef, PlannedChunk, TransferPlan};
@@ -74,6 +75,12 @@ pub enum PlanViolation {
         /// Hardware gather limit.
         max: usize,
     },
+    /// No injection mode of the rail, PIO or DMA, takes the packet even
+    /// as one copied segment.
+    NoInjectionPath {
+        /// Payload + framing bytes.
+        bytes: u64,
+    },
     /// A rendezvous request for a fragment that does not need one.
     RndvNotNeeded,
 }
@@ -116,6 +123,9 @@ impl std::fmt::Display for PlanViolation {
             PlanViolation::GatherTooWide { segs, max } => {
                 write!(f, "gather list of {segs} exceeds hardware limit {max}")
             }
+            PlanViolation::NoInjectionPath { bytes } => {
+                write!(f, "no injection path accepts a packet of {bytes} bytes")
+            }
             PlanViolation::RndvNotNeeded => write!(f, "rendezvous request not needed"),
         }
     }
@@ -147,7 +157,8 @@ impl PlanCoverage {
 }
 
 /// Validate a candidate plan against the current backlog state and the
-/// target rail's capabilities. `wire_mtu` is the network MTU of the rail.
+/// target rail's capabilities, injected as the plan says it is. `wire_mtu`
+/// is the network MTU of the rail.
 pub fn validate_plan(
     plan: &TransferPlan,
     collect: &CollectLayer,
@@ -159,9 +170,10 @@ pub fn validate_plan(
 }
 
 /// [`validate_plan`] of a borrowed plan, with the caller's coverage
-/// scratch (cleared here): the composition of what a selection pass checks
-/// once per distinct chunk list ([`validate_chunks`]) and once per
-/// proposal ([`validate_injection`]).
+/// scratch (cleared here): what a selection pass checks of a chunk list
+/// ([`validate_chunks`]), and that the rail can inject it in the form the
+/// plan names — where selection asks the cost model for the cheapest form
+/// instead, and vetoes the list when there is none.
 pub(crate) fn validate_plan_with(
     plan: PlanRef<'_>,
     collect: &CollectLayer,
@@ -174,9 +186,19 @@ pub(crate) fn validate_plan_with(
             validate_request(plan.dst, (flow, seq, frag), collect)
         }
         Body::Data { chunks, linearize } => {
-            let limit = wire_mtu.min(caps.max_packet_bytes);
+            let limit = packet_limit(caps, wire_mtu);
             let payload = validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
-            validate_injection(chunks.len(), payload, linearize, caps)
+            if injectable(caps, chunks.len(), payload, linearize) {
+                Ok(())
+            } else if linearize {
+                let bytes = payload + framing_bytes(chunks.len());
+                Err(PlanViolation::NoInjectionPath { bytes })
+            } else {
+                // PIO can stream arbitrary segment lists; DMA needs gather
+                // entries. Neither fits: the plan must linearize.
+                let (segs, max) = (1 + chunks.len(), gather_limit(caps));
+                Err(PlanViolation::GatherTooWide { segs, max })
+            }
         }
     }
 }
@@ -207,8 +229,8 @@ pub(crate) fn validate_request(
 /// satisfy whichever way it is injected: every chunk names live, unpinned
 /// (or pinned here), ungated bytes at its fragment's frontier, in an order
 /// the express constraints allow, and the packet fits `limit` bytes (the
-/// smaller of the wire MTU and the driver's packet size). Returns the
-/// payload bytes; `planned` is cleared here.
+/// rail's [`packet_limit`]). Returns the payload bytes; `planned` is
+/// cleared here.
 pub(crate) fn validate_chunks(
     channel: ChannelId,
     dst: NodeId,
@@ -288,30 +310,6 @@ pub(crate) fn validate_chunks(
         });
     }
     Ok(payload)
-}
-
-/// What depends on how a valid chunk list is injected: a gather list
-/// (`linearize` false) of `chunks` chunks carrying `payload` bytes must
-/// stream by PIO or fit the hardware's gather width.
-pub(crate) fn validate_injection(
-    chunks: usize,
-    payload: u64,
-    linearize: bool,
-    caps: &DriverCapabilities,
-) -> Result<(), PlanViolation> {
-    if linearize {
-        return Ok(());
-    }
-    let segs = 1 + chunks;
-    // PIO can stream arbitrary segment lists; DMA needs gather entries.
-    // If neither path fits, the plan must linearize.
-    if !caps.can_pio(payload + framing_bytes(chunks)) && !caps.can_gather(segs) {
-        return Err(PlanViolation::GatherTooWide {
-            segs,
-            max: gather_limit(caps),
-        });
-    }
-    Ok(())
 }
 
 fn gather_limit(caps: &DriverCapabilities) -> usize {

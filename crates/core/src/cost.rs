@@ -112,43 +112,123 @@ pub(crate) fn density(value: f64, est_busy: SimDuration, ctx: &OptContext<'_>) -
     value / (est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0))
 }
 
-/// How long data plan `plan`, carrying `payload` bytes, occupies the
-/// transmit engine, including the linearization copy if it makes one.
-pub(crate) fn data_busy(plan: PlanRef<'_>, payload: u64, ctx: &OptContext<'_>) -> SimDuration {
-    let bytes = payload + plan.framing();
-    let segs = plan.segment_count();
-    let linearize = plan.linearized();
-    let base = match cheapest_injection(ctx.caps, ctx.cost, bytes, segs, linearize) {
-        Some((_, busy)) => busy,
-        // Neither fits: validation rejects such plans; estimate
-        // pessimistically so they also lose on score.
-        None => ctx.cost.injection_time(TxMode::Dma, bytes, segs) * 4,
-    };
-    if linearize {
-        base + ctx.cost.copy_time(bytes)
+/// The largest packet (payload and framing) a rail carries: what the wire
+/// and the driver take in one request, and — on a rail that cannot DMA —
+/// what PIO streams, so that such a rail cuts its chunks to that instead
+/// of proposing packets nothing can inject.
+pub fn packet_limit(caps: &DriverCapabilities, wire_mtu: u64) -> u64 {
+    let limit = wire_mtu.min(caps.max_packet_bytes);
+    if caps.supports_dma {
+        limit
     } else {
-        base
+        limit.min(caps.pio_max_bytes)
     }
 }
 
-/// The cheaper of the injection modes a rail admits for a data packet of
-/// `bytes` (payload and framing) in `segs` gather segments, with the time
-/// it occupies the transmit engine; `None` when neither fits.
-pub(crate) fn cheapest_injection(
+/// How a data packet goes onto a rail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Injection {
+    /// Copied into one segment first (true) or handed over as a gather
+    /// list: the header block and one segment per chunk.
+    pub linearize: bool,
+    /// The injection mode the driver will pick for it.
+    pub mode: TxMode,
+    /// Transmit-engine occupancy, the copy included.
+    pub busy: SimDuration,
+}
+
+/// Segments the NIC sees of a packet of `chunks` chunks.
+fn segments(chunks: usize, linearize: bool) -> usize {
+    if linearize {
+        1
+    } else {
+        1 + chunks
+    }
+}
+
+/// The injection modes a rail admits for `bytes` in `segs` segments: PIO
+/// streams any segment list up to its size cap, DMA needs a gather entry
+/// per segment. This is the rule; everything below asks it.
+fn admitted(caps: &DriverCapabilities, bytes: u64, segs: usize) -> impl Iterator<Item = TxMode> {
+    let modes = [
+        (TxMode::Pio, caps.can_pio(bytes)),
+        (TxMode::Dma, caps.can_gather(segs)),
+    ];
+    modes
+        .into_iter()
+        .filter_map(|(mode, ok)| ok.then_some(mode))
+}
+
+/// Whether a rail can inject `chunks` chunks carrying `payload` bytes in
+/// the given form at all.
+pub(crate) fn injectable(
+    caps: &DriverCapabilities,
+    chunks: usize,
+    payload: u64,
+    linearize: bool,
+) -> bool {
+    let bytes = payload + framing_bytes(chunks);
+    admitted(caps, bytes, segments(chunks, linearize))
+        .next()
+        .is_some()
+}
+
+/// The cheaper of the modes a rail admits for `bytes` (payload and
+/// framing) in `segs` segments, with the time it occupies the transmit
+/// engine; PIO on a tie, as the driver chooses; `None` when neither fits.
+pub(crate) fn cheaper_mode(
     caps: &DriverCapabilities,
     cost: &CostModel,
     bytes: u64,
     segs: usize,
-    linearize: bool,
 ) -> Option<(TxMode, SimDuration)> {
-    let time = |mode| (mode, cost.injection_time(mode, bytes, segs));
-    let pio = caps.can_pio(bytes).then(|| time(TxMode::Pio));
-    let dma =
-        (caps.supports_dma && (linearize || caps.can_gather(segs))).then(|| time(TxMode::Dma));
-    match (pio, dma) {
-        (Some(a), Some(b)) if b.1 < a.1 => Some(b),
-        (a, b) => a.or(b),
-    }
+    admitted(caps, bytes, segs)
+        .map(|mode| (mode, cost.injection_time(mode, bytes, segs)))
+        .min_by_key(|&(_, busy)| busy)
+}
+
+/// A packet of `chunks` chunks and `payload` bytes in one form, priced.
+fn priced(
+    caps: &DriverCapabilities,
+    cost: &CostModel,
+    chunks: usize,
+    payload: u64,
+    linearize: bool,
+) -> Option<Injection> {
+    let bytes = payload + framing_bytes(chunks);
+    let (mode, inject) = cheaper_mode(caps, cost, bytes, segments(chunks, linearize))?;
+    let copy = if linearize {
+        cost.copy_time(bytes)
+    } else {
+        SimDuration::ZERO
+    };
+    Some(Injection {
+        linearize,
+        mode,
+        busy: inject + copy,
+    })
+}
+
+/// **The injection decision** (§1: merge "at the cost of additional
+/// processing … or even use a gather/scatter request"): the cheapest way
+/// the rail admits of injecting a data packet of `chunks` chunks carrying
+/// `payload` bytes — `{gather, copy} × {PIO, DMA}`, a copy paying its
+/// memcpy — or `None` when it admits none, which vetoes the packet. A
+/// strategy proposes a chunk list; this prices how it goes out. On a tie
+/// the gather list is kept. `enable_gather == false` leaves a packet of
+/// several chunks the copy alone (E10's and E11's forced-copy arm).
+pub fn cheapest_injection(
+    caps: &DriverCapabilities,
+    cost: &CostModel,
+    chunks: usize,
+    payload: u64,
+    enable_gather: bool,
+) -> Option<Injection> {
+    let gather = (enable_gather || chunks < 2).then_some(false);
+    let forms = gather.into_iter().chain([true]);
+    forms
+        .filter_map(|linearize| priced(caps, cost, chunks, payload, linearize))
+        .min_by_key(|how| how.busy)
 }
 
 /// What every rendezvous request costs on a rail, whatever it asks for.
@@ -193,31 +273,36 @@ impl RequestCost {
     }
 }
 
-/// Estimate how long the transmit engine will be occupied by this plan,
-/// including a linearization copy if the plan requires one.
-pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> SimDuration {
+/// How long the transmit engine is occupied by this plan as it says it is
+/// injected, the linearization copy included; `None` for a data packet the
+/// rail cannot inject that way.
+pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<SimDuration> {
     match plan.body {
-        Body::RndvRequest { .. } => request_busy(ctx),
-        Body::Data { .. } => data_busy(plan, plan.payload_bytes(), ctx),
+        Body::RndvRequest { .. } => Some(request_busy(ctx)),
+        Body::Data { chunks, linearize } => {
+            let payload = plan.payload_bytes();
+            priced(ctx.caps, ctx.cost, chunks.len(), payload, linearize).map(|how| how.busy)
+        }
     }
 }
 
-/// Score a plan against the window it was proposed from (`ctx.groups`):
-/// `(score, estimated busy time)`. Higher is better; deterministic for
+/// Score a plan, injected as it says, against the window it was proposed
+/// from (`ctx.groups`): `(score, estimated busy time)`, or `None` where
+/// [`estimate_busy`] has none. Higher is better; deterministic for
 /// identical inputs. A selection pass computes the same from the same
-/// parts, a chunk list's value once however often it is proposed.
-pub fn score_plan(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> (f64, SimDuration) {
+/// parts — a chunk list's value and its cheapest injection once however
+/// often it is proposed.
+pub fn score_plan(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<(f64, SimDuration)> {
     match plan.body {
         Body::Data { chunks, .. } => {
-            let payload = plan.payload_bytes();
-            let est_busy = data_busy(plan, payload, ctx);
-            let value = chunks_value(plan.dst, chunks, &[], payload, ctx);
-            (density(value, est_busy, ctx), est_busy)
+            let est_busy = estimate_busy(plan, ctx)?;
+            let value = chunks_value(plan.dst, chunks, &[], plan.payload_bytes(), ctx);
+            Some((density(value, est_busy, ctx), est_busy))
         }
         Body::RndvRequest { flow, seq, frag } => {
             let cost = RequestCost::on(ctx);
             let score = cost.score(plan.dst, (flow, seq, frag), NO_HINT, ctx);
-            (score, cost.est_busy)
+            Some((score, cost.est_busy))
         }
     }
 }
@@ -250,7 +335,7 @@ mod tests {
     }
 
     fn score(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
-        let (score, est_busy) = score_plan(plan.view(), ctx);
+        let (score, est_busy) = score_plan(plan.view(), ctx).expect("injectable");
         ScoredPlan {
             plan: plan.clone(),
             score,
@@ -333,9 +418,9 @@ mod tests {
         let groups: Vec<DstGroup> = vec![];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let gather = data_plan(vec![pc(0, 4096), pc(1, 4096)], false);
-        let gather = estimate_busy(gather.view(), &ctx);
+        let gather = estimate_busy(gather.view(), &ctx).unwrap();
         let copied = data_plan(vec![pc(0, 4096), pc(1, 4096)], true);
-        let copied = estimate_busy(copied.view(), &ctx);
+        let copied = estimate_busy(copied.view(), &ctx).unwrap();
         assert!(
             copied > gather,
             "copy {copied} should exceed gather {gather} at 4 KiB chunks"

@@ -40,6 +40,7 @@ use crate::api::{
 };
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
+use crate::cost::packet_limit;
 use crate::error::EngineError;
 use crate::flowmgr::{Admission, FairnessMode, SendOutcome, DRR_CLASS_WEIGHTS};
 use crate::ids::{ChannelId, FlowId, MsgId, TrafficClass};
@@ -312,7 +313,7 @@ impl EngineCore {
                 cost: rail.driver.cost_model(),
                 config: &self.config,
                 groups,
-                packet_limit: rail.wire_mtu.min(caps.max_packet_bytes),
+                packet_limit: packet_limit(caps, rail.wire_mtu),
                 rail_count: self.rel.live_rails().count().max(1),
                 health_penalty: self.rel.rails()[rail_idx].cost_penalty(),
             };

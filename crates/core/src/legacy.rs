@@ -78,9 +78,6 @@ pub struct LegacyCore {
 
 impl LegacyCore {
     fn rndv_threshold(&self, rail: usize) -> u64 {
-        if !self.config.enable_rndv {
-            return u64::MAX;
-        }
         self.config
             .rndv_threshold
             .unwrap_or(self.rails[rail].driver.capabilities().rndv_threshold_hint)
@@ -409,7 +406,7 @@ impl CommApi for LegacyApi<'_, '_> {
 impl LegacyEngine {
     /// The engine and its handle over already-assembled rails
     /// ([`crate::engine::EngineBuilder::build_legacy`]). Of `config`
-    /// only `rndv_threshold`, `enable_rndv` and `record_deliveries` are
+    /// only `rndv_threshold` and `record_deliveries` are
     /// meaningful for the legacy engine.
     pub(crate) fn assemble(
         node: NodeId,

@@ -75,8 +75,8 @@ pub struct EngineMetrics {
     /// Plans scored per optimizer activation (the decision-work
     /// distribution behind `plans_evaluated`). Virtual-time decisions are
     /// instantaneous by construction, so decision *work* — not wall time —
-    /// is the observable cost; the `select_plan` Criterion bench converts
-    /// it to host nanoseconds.
+    /// is the observable cost; madclock's `optimizer.select_plan_ns` row
+    /// converts it to host nanoseconds.
     pub decision_evals: LogHistogram,
     /// Wire packets sent (data only).
     pub packets_sent: u64,

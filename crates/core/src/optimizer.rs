@@ -22,13 +22,15 @@ use simnet::{SimCtx, SimDuration, TimerId};
 use crate::api::{ADAPTIVE_TAG, NAGLE_TAG};
 use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
-use crate::constraints::{
-    validate_chunks, validate_injection, validate_request, PlanCoverage, PlanViolation,
+use crate::constraints::{validate_chunks, validate_request, PlanCoverage, PlanViolation};
+use crate::cost::{
+    beats, cheapest_injection, chunks_value, density, packet_limit, Injection, RequestCost,
+    ScoredPlan,
 };
-use crate::cost::{beats, chunks_value, data_busy, density, RequestCost, ScoredPlan};
 use crate::ids::{FlowId, TrafficClass};
 use crate::plan::{Body, PlanRef, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
+use crate::proto::framing_bytes;
 use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
@@ -65,18 +67,17 @@ pub(crate) struct SelectionScratch {
 }
 
 /// The verdict on one chunk list toward one destination, on the rail and
-/// over the window and backlog of the pass: everything about a data
-/// proposal that does not depend on how it would be injected. Strategies
-/// often propose the same packet (`aggregate` and `copy-agg` differ in
-/// the mode alone, the reorder variants reproduce window order on a
-/// uniform backlog); each copy is a proposal, the list is judged once.
+/// over the window and backlog of the pass: everything there is to say
+/// about a data proposal. Strategies at times propose the same packet (the
+/// reorder variants reproduce window order on a backlog uniform in size
+/// and class); each copy is a proposal, the list is judged once.
 #[derive(Debug)]
 struct JudgedList {
     /// The first proposal that carried the list.
     first: usize,
-    /// Payload bytes and value of a valid list ([`chunks_value`]), or the
-    /// first constraint it breaks.
-    verdict: Result<(u64, f64), PlanViolation>,
+    /// The value of a valid list ([`chunks_value`]) and the cheapest way
+    /// the rail admits of injecting it, or the first constraint it breaks.
+    verdict: Result<(f64, Injection), PlanViolation>,
 }
 
 /// Where in `judged` the chunk list of data proposal `plan` stands, if an
@@ -147,16 +148,18 @@ pub fn select_plan_traced(
 /// `scratch`. Proposals are validated and scored where the strategies
 /// wrote them; only the winner becomes an owned plan.
 ///
-/// A proposal is judged in two halves. What depends on the rail, the
-/// destination and the chunk list — that every chunk is live, contiguous,
-/// ungated and in express order, that the packet fits, and what its bytes
-/// and their waiting are worth — is computed once per distinct list of
-/// the pass; what depends on the injection mode — gather width, busy time,
-/// and so the score — once per proposal. The outcome, the counters (a
-/// repeated list is still a plan evaluated) and the decision log are those
-/// of judging every proposal from scratch with
-/// [`validate_plan`](crate::constraints::validate_plan) and
-/// [`score_plan`](crate::cost::score_plan), which compose the same halves.
+/// A data proposal is a chunk list, and everything about it depends on the
+/// rail, the destination and the list alone, so it is computed once per
+/// distinct list of the pass: that every chunk is live, contiguous,
+/// ungated and in express order, that the packet fits, what its bytes and
+/// their waiting are worth — and how it goes out, by copy or as a gather
+/// list, by PIO or DMA, which is the cost model's choice
+/// ([`cheapest_injection`]; a list the rail cannot inject either way is
+/// vetoed). The winner's `linearize` records that choice. The outcome, the
+/// counters (a repeated list is still a plan evaluated) and the decision
+/// log are those of judging every proposal from scratch, in both forms,
+/// with [`validate_plan`](crate::constraints::validate_plan) and
+/// [`score_plan`](crate::cost::score_plan), and keeping the cheaper.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_plan_in(
     scratch: &mut SelectionScratch,
@@ -176,10 +179,11 @@ pub(crate) fn select_plan_in(
     proposals.clear();
     judged.clear();
     registry.propose_all(ctx, proposals);
-    let size_limit = wire_mtu.min(ctx.caps.max_packet_bytes);
+    let size_limit = packet_limit(ctx.caps, wire_mtu);
     let mut request_cost = None;
-    // The best so far: its place among the proposals, score, busy time.
-    let mut best: Option<(usize, f64, SimDuration)> = None;
+    // The best so far: its place among the proposals, score, busy time,
+    // and whether it goes out by copy.
+    let mut best: Option<(usize, f64, SimDuration, bool)> = None;
     let mut evaluated = 0usize;
     let mut rejected = 0usize;
     let mut skipped = 0usize;
@@ -200,6 +204,7 @@ pub(crate) fn select_plan_in(
             continue;
         }
         let hints = proposals.hints(at);
+        // Score, busy time, and whether the packet goes out by copy.
         let verdict = match plan.body {
             // The engine sends the winner on the rail it is scheduling,
             // whatever the plan says: a plan for another rail would be
@@ -209,25 +214,33 @@ pub(crate) fn select_plan_in(
                 let frag = (flow, seq, frag);
                 validate_request(plan.dst, frag, collect).map(|()| {
                     let cost = request_cost.get_or_insert_with(|| RequestCost::on(ctx));
-                    (cost.score(plan.dst, frag, hints[0], ctx), cost.est_busy)
+                    (
+                        cost.score(plan.dst, frag, hints[0], ctx),
+                        cost.est_busy,
+                        false,
+                    )
                 })
             }
-            Body::Data { chunks, linearize } => {
+            Body::Data { chunks, .. } => {
                 let list = judged_before(judged, proposals, plan).unwrap_or_else(|| {
-                    let (rail, dst) = (plan.channel, plan.dst);
+                    let (rail, dst, n) = (plan.channel, plan.dst, chunks.len());
                     let verdict = validate_chunks(rail, dst, chunks, collect, size_limit, coverage)
-                        .map(|bytes| (bytes, chunks_value(dst, chunks, hints, bytes, ctx)));
+                        .and_then(|payload| {
+                            let gather = ctx.config.enable_gather;
+                            let how = cheapest_injection(ctx.caps, ctx.cost, n, payload, gather)
+                                .ok_or(PlanViolation::NoInjectionPath {
+                                    bytes: payload + framing_bytes(n),
+                                })?;
+                            Ok((chunks_value(dst, chunks, hints, payload, ctx), how))
+                        });
                     judged.push(JudgedList { first: at, verdict });
                     judged.len() - 1
                 });
-                judged[list].verdict.clone().and_then(|(payload, value)| {
-                    validate_injection(chunks.len(), payload, linearize, ctx.caps)?;
-                    let est_busy = data_busy(plan, payload, ctx);
-                    Ok((density(value, est_busy, ctx), est_busy))
-                })
+                let priced = judged[list].verdict.clone();
+                priced.map(|(value, how)| (density(value, how.busy, ctx), how.busy, how.linearize))
             }
         };
-        let (score, est_busy) = match verdict {
+        let (score, est_busy, by_copy) = match verdict {
             Ok(scored) => scored,
             Err(violation) => {
                 sink.push(
@@ -255,12 +268,12 @@ pub(crate) fn select_plan_in(
             );
         }
         evaluated += 1;
-        if best.is_none_or(|(_, incumbent, _)| beats(score, incumbent)) {
-            best = Some((at, score, est_busy));
+        if best.is_none_or(|(_, incumbent, ..)| beats(score, incumbent)) {
+            best = Some((at, score, est_busy, by_copy));
         }
     }
-    let best = best.map(|(at, score, est_busy)| ScoredPlan {
-        plan: proposals.get(at).to_plan(),
+    let best = best.map(|(at, score, est_busy, by_copy)| ScoredPlan {
+        plan: proposals.get(at).to_plan().injected(by_copy),
         score,
         est_busy,
     });
@@ -394,9 +407,6 @@ impl Optimizer {
         rails: &[Rail],
         rel: &Reliability,
     ) -> u64 {
-        if !cfg.enable_rndv {
-            return u64::MAX;
-        }
         if let Some(t) = cfg.rndv_threshold {
             return t;
         }
@@ -646,15 +656,15 @@ mod tests {
     #[test]
     fn every_strategy_is_consulted_whatever_the_rail_can_inject() {
         // No PIO and a one-entry gather list: a multi-chunk packet cannot
-        // go out zero-copy, so `fill_packet` linearizes it — which makes
-        // `aggregate` and `reorder` as valid here as `copy-agg`.
+        // go out zero-copy, so the cost model has only the copy to price —
+        // for every strategy's list alike.
         let mut dma_only = calib::synthetic_capabilities();
         dma_only.supports_pio = false;
         dma_only.pio_max_bytes = 0;
         dma_only.max_gather_entries = 1;
         let synthetic = CostModel::from_params(&NetworkParams::synthetic());
         // TCP never switches to rendezvous: `rndv` is registered, walks an
-        // empty request list and leaves the contest to the other five.
+        // empty request list and leaves the contest to the other four.
         let tcp = calib::capabilities(Technology::TcpEthernet);
         assert_eq!(tcp.rndv_threshold_hint, u64::MAX);
         let tcp_cost = CostModel::from_params(&calib::params(Technology::TcpEthernet));
@@ -662,14 +672,14 @@ mod tests {
             let (out, proposed) = bulk_and_control_pass(caps, cost);
             assert_eq!(
                 proposed,
-                "aggregate:2 copy-agg:2 reorder-sjf:5 reorder-urgent:4 bulk-chunk:1 fifo:1"
+                "aggregate:2 reorder-sjf:5 reorder-urgent:4 bulk-chunk:1 fifo:1"
             );
-            // `validate_plan` took all six: without PIO or a gather list a
-            // multi-chunk packet passes only as one linearized segment.
-            assert_eq!((out.evaluated, out.rejected, out.skipped), (6, 0, 0));
+            // All five are priced: without PIO or a gather list a
+            // multi-chunk packet goes out as one linearized segment.
+            assert_eq!((out.evaluated, out.rejected, out.skipped), (5, 0, 0));
             // Both CONTROL messages ride ahead of the BULK head: 1 062
             // payload bytes whose urgency outscores the 1 130 that
-            // `aggregate` and `copy-agg` take in pack order.
+            // `aggregate` takes in pack order.
             let best = out.best.expect("a plan must be selected").plan;
             assert_eq!(best.strategy, "reorder-urgent", "{:?}", caps.tech);
             assert_eq!(best.linearized(), by_copy, "{:?}", caps.tech);
@@ -691,13 +701,15 @@ mod tests {
                 offset: 0,
                 len: 8,
             };
-            out.push_data(ctx.channel, NodeId(1), &[stray], false, "stray");
+            out.push_data(ctx.channel, NodeId(1), &[stray], "stray");
         }
     }
 
-    /// Selection as it read before the window was indexed: validate with a
-    /// fresh scratch, score with one front-to-back walk of the window per
-    /// chunk. Returns (winner, score, est_busy) and the three counters.
+    /// Selection as it read before the window was indexed, asked about
+    /// both injection modes of every proposal: validate with a fresh
+    /// scratch, score with one front-to-back walk of the window per chunk,
+    /// keep the cheaper mode (the gather list on a tie). Returns (winner,
+    /// score, est_busy) and the three counters.
     #[allow(clippy::type_complexity)]
     fn reference_select(
         registry: &StrategyRegistry,
@@ -715,11 +727,10 @@ mod tests {
                 skipped += 1;
                 continue;
             }
-            if crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu).is_err() {
+            let Ok((plan, est_busy)) = reference_mode(plan, ctx, collect, wire_mtu) else {
                 rejected += 1;
                 continue;
-            }
-            let est_busy = crate::cost::estimate_busy(plan.view(), ctx);
+            };
             let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
             let score = match &plan.body {
                 PlanBody::Data { chunks, .. } => {
@@ -759,6 +770,32 @@ mod tests {
         (best, [evaluated, rejected, skipped])
     }
 
+    /// The cheaper of the two ways `plan` can be injected — as the gather
+    /// list it was proposed as, unless the configuration rules that out, or
+    /// by copy — each judged on its own by `validate_plan` and priced by
+    /// `estimate_busy`; where neither passes, what is wrong with the copy.
+    fn reference_mode(
+        plan: TransferPlan,
+        ctx: &OptContext<'_>,
+        collect: &CollectLayer,
+        wire_mtu: u64,
+    ) -> Result<(TransferPlan, SimDuration), PlanViolation> {
+        let judge = |plan: TransferPlan| {
+            crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu)?;
+            let busy = crate::cost::estimate_busy(plan.view(), ctx).expect("validated");
+            Ok((plan, busy))
+        };
+        let copied = judge(plan.clone().injected(true));
+        if plan.chunk_count() == 0 || (plan.chunk_count() > 1 && !ctx.config.enable_gather) {
+            return copied; // a request, or a packet only the copy is open to
+        }
+        match (judge(plan), copied) {
+            (Ok(gathered), Ok(copied)) if copied.1 < gathered.1 => Ok(copied),
+            (Ok(gathered), _) => Ok(gathered),
+            (Err(_), copied) => copied,
+        }
+    }
+
     /// A strategy whose only proposal is the plan it holds.
     struct Replay(TransferPlan);
 
@@ -769,8 +806,8 @@ mod tests {
         fn propose(&self, _: &OptContext<'_>, out: &mut Proposals) {
             let plan = &self.0;
             match &plan.body {
-                PlanBody::Data { chunks, linearize } => {
-                    out.push_data(plan.channel, plan.dst, chunks, *linearize, plan.strategy)
+                PlanBody::Data { chunks, .. } => {
+                    out.push_data(plan.channel, plan.dst, chunks, plan.strategy)
                 }
                 &PlanBody::RndvRequest { flow, seq, frag } => {
                     out.push_rndv(plan.channel, plan.dst, (flow, seq, frag), plan.strategy)
@@ -810,9 +847,8 @@ mod tests {
             alone.register(Box::new(Replay(plan.clone())));
             let Some((_, score, est_busy)) = reference_select(&alone, ctx, collect, wire_mtu, 1).0
             else {
-                let violation =
-                    crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu)
-                        .expect_err("the reference rejected it");
+                let violation = reference_mode(plan, ctx, collect, wire_mtu)
+                    .expect_err("the reference rejected it");
                 log.push(EngineEvent::PlanVetoed {
                     activation,
                     strategy,
@@ -845,26 +881,18 @@ mod tests {
     }
 
     /// `aggregate`'s packets proposed once more, chunk by chunk through
-    /// `push_data` — so without a hint — in the same injection mode
-    /// (`flip` false: a plain repeat) or in the other one.
-    struct AggregateAgain {
-        flip: bool,
-    }
+    /// `push_data` — so without a hint.
+    struct AggregateAgain;
 
     impl Strategy for AggregateAgain {
         fn name(&self) -> &'static str {
-            if self.flip {
-                "aggregate-flipped"
-            } else {
-                "aggregate-again"
-            }
+            "aggregate-again"
         }
         fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
             let mut theirs = Proposals::new();
             crate::strategy::EagerAggregation::new().propose(ctx, &mut theirs);
             for plan in theirs.iter() {
-                let linearize = plan.linearized() != self.flip;
-                out.push_data(ctx.channel, plan.dst, plan.chunks(), linearize, self.name());
+                out.push_data(ctx.channel, plan.dst, plan.chunks(), self.name());
             }
         }
     }
@@ -906,7 +934,7 @@ mod tests {
                         ..*c
                     })
                     .collect();
-                crate::strategy::fill_packet(ctx, g.dst, &lies, take, false, self.name(), out);
+                crate::strategy::fill_packet(ctx, g.dst, &lies, take, self.name(), out);
             }
         }
     }
@@ -940,7 +968,7 @@ mod tests {
                     offset: 0,
                     len: 8,
                 };
-                out.push_data(ctx.channel, g.dst, &[offered, beyond], true, self.name());
+                out.push_data(ctx.channel, g.dst, &[offered, beyond], self.name());
             }
         }
     }
@@ -1019,11 +1047,12 @@ mod tests {
         let cost = CostModel::from_params(&NetworkParams::synthetic());
         let cfg = EngineConfig::default();
         let mut registry = StrategyRegistry::standard(&cfg);
-        // Twice: the second veto is read off the first one's verdict.
+        // Twice each: the second veto, and the second price, is read off
+        // the first one's verdict.
         registry.register(Box::new(Stray));
         registry.register(Box::new(Stray));
-        registry.register(Box::new(AggregateAgain { flip: false }));
-        registry.register(Box::new(AggregateAgain { flip: true }));
+        registry.register(Box::new(AggregateAgain));
+        registry.register(Box::new(AggregateAgain));
         registry.register(Box::new(Fabricated { misplaced: false }));
         registry.register(Box::new(Fabricated { misplaced: true }));
         registry.register(Box::new(BesideTheWindow));
@@ -1140,7 +1169,7 @@ mod tests {
             );
         }
         // Where size and class are uniform the reorder variants propose
-        // `aggregate`'s packet again: per pass, three repeats from the
+        // `aggregate`'s packet again: per pass, two repeats from the
         // standard registry on top of the two this test registers.
         for window in [64, 256] {
             let seen = drain_against_reference(uniform_backlog(), window);
@@ -1183,7 +1212,7 @@ mod tests {
                 "wrong-rail"
             }
             fn propose(&self, _: &OptContext<'_>, out: &mut Proposals) {
-                out.push_data(ChannelId(0), NodeId(1), &[self.0], false, self.name());
+                out.push_data(ChannelId(0), NodeId(1), &[self.0], self.name());
             }
         }
 

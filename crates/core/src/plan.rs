@@ -2,8 +2,10 @@
 //! enumerates, scores and submits (§3).
 //!
 //! A plan describes one wire packet (or one rendezvous request) on one
-//! rail. Strategies propose plans; the cost model scores them; the
-//! constraint checker vetoes invalid ones; the best one is executed.
+//! rail. Strategies propose plans — for a data packet: a rail, a
+//! destination and a chunk list; the constraint checker vetoes invalid
+//! ones; the cost model chooses how each list is injected, by copy or as
+//! a gather list, and scores it; the best one is executed.
 
 use simnet::{NodeId, SimTime};
 
@@ -34,7 +36,10 @@ pub enum Body<C> {
     Data {
         /// Chunks in packet order.
         chunks: C,
-        /// Linearize by copy (true) or send as a gather list (false).
+        /// Linearize by copy (true) or send as a gather list (false). Not
+        /// a strategy's to say: a proposal reads `false`, and selection
+        /// writes into its winner what
+        /// [`cheapest_injection`](crate::cost::cheapest_injection) chose.
         linearize: bool,
     },
     /// Send a rendezvous request for a large fragment.
@@ -92,6 +97,17 @@ impl<C> Plan<C> {
     }
 }
 
+impl<C> Plan<C> {
+    /// The same plan with its data packet injected by copy (`by_copy`) or
+    /// as a gather list; a rendezvous request has no such choice.
+    pub fn injected(mut self, by_copy: bool) -> Self {
+        if let Body::Data { linearize, .. } = &mut self.body {
+            *linearize = by_copy;
+        }
+        self
+    }
+}
+
 impl TransferPlan {
     /// The plan, borrowed.
     pub fn view(&self) -> PlanRef<'_> {
@@ -141,18 +157,6 @@ impl<C: AsRef<[PlannedChunk]>> Plan<C> {
         match &self.body {
             Body::Data { chunks, .. } => framing_bytes(chunks.as_ref().len()),
             Body::RndvRequest { .. } => framing_bytes(1),
-        }
-    }
-
-    /// Gather segments the NIC sees (header block + one per chunk, or a
-    /// single linearized segment).
-    pub fn segment_count(&self) -> usize {
-        match &self.body {
-            Body::Data {
-                linearize: false,
-                chunks,
-            } => 1 + chunks.as_ref().len(),
-            _ => 1,
         }
     }
 }
@@ -376,9 +380,8 @@ mod tests {
         assert_eq!(p.payload_bytes(), 150);
         assert_eq!(p.chunk_count(), 2);
         assert_eq!(p.framing(), PACKET_PREFIX_BYTES + 2 * CHUNK_HEADER_BYTES);
-        assert_eq!(p.segment_count(), 3);
-        let p = data_plan(vec![chunk(100), chunk(50)], true);
-        assert_eq!(p.segment_count(), 1);
+        assert!(!p.linearized());
+        assert!(p.injected(true).linearized());
     }
 
     #[test]
@@ -395,7 +398,10 @@ mod tests {
         };
         assert_eq!(p.payload_bytes(), 0);
         assert_eq!(p.chunk_count(), 0);
-        assert_eq!(p.segment_count(), 1);
+        assert!(
+            !p.clone().injected(true).linearized(),
+            "a request has no mode"
+        );
     }
 
     #[test]

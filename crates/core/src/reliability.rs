@@ -50,7 +50,8 @@ use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId, TxMode};
 
 use crate::api::RETX_TAG;
 use crate::config::EngineConfig;
-use crate::cost::cheapest_injection;
+use crate::constraints::max_gather_chunks;
+use crate::cost::{cheaper_mode, packet_limit};
 use crate::ids::{FlowId, FragIndex};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
@@ -345,26 +346,18 @@ pub fn plan_retransmit(
     caps: &DriverCapabilities,
     wire_mtu: u64,
 ) -> Vec<Vec<PlannedChunk>> {
-    // The per-packet payload ceiling: the wire MTU minus worst-case framing
-    // for the chunks we pack, and the PIO cap when the driver cannot DMA.
+    // The per-packet payload ceiling: what the rail carries in one packet
+    // minus the framing of the chunks we pack.
+    let limit = packet_limit(caps, wire_mtu);
     let payload_cap = |n_chunks: usize| -> u64 {
         let framing = proto::framing_bytes(n_chunks.max(1));
-        let mut cap = wire_mtu.saturating_sub(framing);
-        cap = cap.min(caps.max_packet_bytes.saturating_sub(framing));
-        if !caps.supports_dma {
-            cap = cap.min(caps.pio_max_bytes.saturating_sub(framing));
-        }
-        cap.max(1)
+        limit.saturating_sub(framing).max(1)
     };
     // Gather width: header block occupies one entry, each chunk one more.
     // Linearized (copy) packets have no gather constraint, but splitting to
     // the gather width is always safe, so we honor it unconditionally —
     // this is what the madcheck conformance rule verifies.
-    let max_chunks = if caps.supports_dma && caps.max_gather_entries > 1 {
-        (caps.max_gather_entries - 1).max(1)
-    } else {
-        1
-    };
+    let max_chunks = max_gather_chunks(caps).max(1);
 
     let mut packets: Vec<Vec<PlannedChunk>> = Vec::new();
     let mut current: Vec<PlannedChunk> = Vec::new();
@@ -493,8 +486,7 @@ fn wire_bytes(chunks: &[PlannedChunk]) -> u64 {
 /// Unloaded one-way time of a one-segment packet of `bytes` (payload and
 /// framing) on a rail, injected in the cheapest mode the rail admits.
 fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
-    let mode =
-        cheapest_injection(caps, cost, bytes, 1, false).map_or(TxMode::Dma, |(mode, _)| mode);
+    let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
     cost.one_way(mode, bytes, 1)
 }
 
@@ -1294,7 +1286,7 @@ mod tests {
         let (mut r, mut obs) = layer(&[Technology::TcpEthernet], 6);
         let clock = r.clocks[0].clone();
         let bytes = wire_bytes(&[chunk(64)]);
-        let (_, inject) = cheapest_injection(&clock.caps, &clock.cost, bytes, 1, false).unwrap();
+        let (_, inject) = cheaper_mode(&clock.caps, &clock.cost, bytes, 1).unwrap();
         let receive = clock.cost.rx_time(bytes);
         assert!(receive > inject, "{receive:?} {inject:?}");
         let flight = clock.data_flight(&[chunk(64)]);

@@ -3,8 +3,10 @@
 //! communication flows brings huge performance gains" (§4).
 //!
 //! For each destination with more than one schedulable chunk, propose one
-//! packet that merges as many chunks as fit, oldest first, preferring
-//! zero-copy gather when the hardware allows.
+//! packet that merges as many chunks as fit, oldest first — and, where
+//! that is more chunks than the hardware gathers, a second one trimmed to
+//! the gather width. Whether a list goes out by copy or as a gather list
+//! is the cost model's choice, not this strategy's.
 
 // madlint: file: hot-path
 
@@ -38,24 +40,24 @@ impl Strategy for EagerAggregation {
             if g.candidates.len() < 2 {
                 continue; // nothing to merge; FIFO covers the single case
             }
-            let full = fill_packet(ctx, g.dst, &g.candidates, limit, false, self.name(), out);
-            let Some(plan) = full else { continue };
-            let (chunks, fell_back_to_copy) = (plan.chunk_count(), plan.linearized());
+            let full = fill_packet(ctx, g.dst, &g.candidates, limit, self.name(), out);
+            let Some(chunks) = full.map(|plan| plan.chunk_count()) else {
+                continue;
+            };
             if chunks < 2 {
                 out.pop();
             }
-            // If the maximal fill exceeded the hardware gather width (so it
-            // had to linearize), also offer a zero-copy variant trimmed to
-            // the gather limit — scoring arbitrates copy-the-lot vs
+            // A maximal fill wider than the hardware gathers goes out by
+            // copy unless PIO streams it, so also offer the list trimmed
+            // to the gather width — scoring arbitrates copy-the-lot vs
             // gather-a-bit-less.
             let gather_cap = max_gather_chunks(ctx.caps);
-            if fell_back_to_copy && gather_cap >= 2 && gather_cap < chunks {
+            if gather_cap >= 2 && gather_cap < chunks {
                 let trimmed = fill_packet(
                     ctx,
                     g.dst,
                     &g.candidates,
                     gather_cap,
-                    false,
                     "aggregate-gather",
                     out,
                 );
@@ -72,7 +74,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ids::TrafficClass;
-    use crate::plan::{DstGroup, PlanBody};
+    use crate::plan::DstGroup;
     use crate::strategy::testutil::{cand, ctx_fixture};
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId};
@@ -147,17 +149,48 @@ mod tests {
 
     #[test]
     fn prefers_zero_copy_on_capable_hardware() {
+        // The strategy names no mode; its list of four 4 KiB chunks is
+        // priced as a gather list where the hardware gathers five
+        // segments, and as a copy where it gathers two.
         let caps = calib::synthetic_capabilities(); // gather up to 8
         let cost = CostModel::from_params(&NetworkParams::synthetic());
         let cfg = EngineConfig::default();
-        let groups = vec![group(4, 64)];
+        let groups = vec![group(4, 4096)];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let mut out = Proposals::new();
         EagerAggregation::new().propose(&ctx, &mut out);
-        let out = out.to_plans();
-        match &out[0].body {
-            PlanBody::Data { linearize, .. } => assert!(!linearize),
-            _ => unreachable!(),
-        }
+        let plan = out.get(0);
+        assert!(!plan.linearized(), "a proposal names no mode");
+        let (chunks, payload) = (plan.chunk_count(), plan.payload_bytes());
+        let price = |caps: &nicdrv::DriverCapabilities| {
+            crate::cost::cheapest_injection(caps, &cost, chunks, payload, true)
+        };
+        assert!(!price(&caps).expect("gathered").linearize);
+        let mut narrow = caps.clone();
+        narrow.max_gather_entries = 2;
+        assert!(price(&narrow).expect("copied").linearize);
+    }
+
+    #[test]
+    fn offers_the_gather_width_beside_a_wider_fill() {
+        let caps = calib::synthetic_capabilities(); // gather up to 8
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        let cfg = EngineConfig::default();
+        let proposed = |n: usize, size: u32| {
+            let groups = vec![group(n, size)];
+            let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+            let mut out = Proposals::new();
+            EagerAggregation::new().propose(&ctx, &mut out);
+            let plans = out.to_plans();
+            let shape = |p: &crate::plan::TransferPlan| (p.strategy, p.chunk_count());
+            plans.iter().map(shape).collect::<Vec<_>>()
+        };
+        // Four chunks fit the eight entries (header block + 4): one list.
+        assert_eq!(proposed(4, 64), [("aggregate", 4)]);
+        // Twelve do not: the full fill and the seven the hardware gathers,
+        // whether PIO could stream the lot (64 B each) or not (1 KiB).
+        let both = [("aggregate", 12), ("aggregate-gather", 7)];
+        assert_eq!(proposed(12, 64), both);
+        assert_eq!(proposed(12, 1024), both);
     }
 }

@@ -36,15 +36,7 @@ impl Strategy for FifoFallback {
             .flat_map(|g| g.candidates.iter().map(move |c| (g.dst, c)))
             .min_by_key(|(_, c)| (c.submitted_at, c.flow, c.seq, c.frag));
         if let Some((dst, c)) = oldest {
-            fill_packet(
-                ctx,
-                dst,
-                std::slice::from_ref(c),
-                1,
-                false,
-                self.name(),
-                out,
-            );
+            fill_packet(ctx, dst, std::slice::from_ref(c), 1, self.name(), out);
         }
     }
 }

@@ -2,24 +2,24 @@
 //! strategies can be easily extended").
 //!
 //! A [`Strategy`] looks at the optimizer's current view ([`OptContext`]) and
-//! writes candidate plans into the pass's [`Proposals`]. The optimizer scores
-//! every proposal with the rail's cost model (within the rearrangement
-//! budget) and executes the best one — the only one that ever becomes an
-//! owned [`TransferPlan`](crate::plan::TransferPlan). Users extend the
-//! engine by registering their own strategies — see
-//! `examples/custom_strategy.rs`.
+//! writes candidate plans into the pass's [`Proposals`]: for a data packet
+//! a rail, a destination and a chunk list. How the list is injected — by
+//! copy or as a gather list — is not proposed: the optimizer asks the
+//! rail's cost model ([`crate::cost::cheapest_injection`]), scores every
+//! proposal (within the rearrangement budget) and executes the best one —
+//! the only one that ever becomes an owned
+//! [`TransferPlan`](crate::plan::TransferPlan). Users extend the engine by
+//! registering their own strategies — see `examples/custom_strategy.rs`.
 
 // madlint: file: hot-path
 
 mod aggregate;
-mod copyagg;
 mod fifo;
 mod reorder;
 mod rndv;
 mod split;
 
 pub use aggregate::{EagerAggregation, MAX_AGG_CHUNKS};
-pub use copyagg::CopyAggregation;
 pub use fifo::FifoFallback;
 pub use reorder::ReorderVariants;
 pub use rndv::RendezvousPromotion;
@@ -130,32 +130,27 @@ impl Proposals {
     }
 
     /// Propose one wire packet toward `dst` carrying `chunks` in order
-    /// (copied into the arena), by copy (`linearize`) or as a gather list.
+    /// (copied into the arena).
     pub fn push_data(
         &mut self,
         channel: ChannelId,
         dst: NodeId,
         chunks: &[PlannedChunk],
-        linearize: bool,
         strategy: &'static str,
     ) {
         let from = self.chunks.len();
         self.chunks.extend_from_slice(chunks);
         self.cut_from.resize(self.chunks.len(), NO_HINT);
-        self.seal_data(channel, dst, from, linearize, strategy);
+        self.seal_data(channel, dst, from, strategy);
     }
 
     /// The chunks pushed onto the arena since `from` are one data plan.
-    fn seal_data(
-        &mut self,
-        channel: ChannelId,
-        dst: NodeId,
-        from: usize,
-        linearize: bool,
-        strategy: &'static str,
-    ) {
-        let chunks = (from, self.chunks.len());
-        let body = Body::Data { chunks, linearize };
+    /// Its `linearize` says nothing yet: selection prices the mode.
+    fn seal_data(&mut self, channel: ChannelId, dst: NodeId, from: usize, strategy: &'static str) {
+        let body = Body::Data {
+            chunks: (from, self.chunks.len()),
+            linearize: false,
+        };
         self.seal(channel, dst, body, NO_HINT, strategy);
     }
 
@@ -249,10 +244,8 @@ impl Proposals {
 }
 
 /// Greedily fill one packet from `candidates` (in the given order),
-/// respecting the packet size budget and, when `force_linearize` is false,
-/// preferring zero-copy gather when the hardware allows it. The packet is
-/// appended to `out` and returned; `None` (and nothing appended) when no
-/// candidate fits.
+/// respecting the packet size budget. The packet is appended to `out` and
+/// returned; `None` (and nothing appended) when no candidate fits.
 ///
 /// Within-message chunk order must already be correct in `candidates`
 /// (callers permute *messages*, not chunks within a message). Each chunk
@@ -262,7 +255,6 @@ pub fn fill_packet<'a, 'c>(
     dst: NodeId,
     candidates: impl IntoIterator<Item = &'c ChunkCandidate>,
     max_chunks: usize,
-    force_linearize: bool,
     strategy: &'static str,
     out: &'a mut Proposals,
 ) -> Option<PlanRef<'a>> {
@@ -302,15 +294,7 @@ pub fn fill_packet<'a, 'c>(
     if count == 0 {
         return None;
     }
-    let total = payload + framing_bytes(count);
-    let linearize = if force_linearize || (!ctx.config.enable_gather && count > 1) {
-        true
-    } else {
-        let segs = 1 + count;
-        // Zero-copy requires either PIO streaming or a wide-enough gather.
-        !(ctx.caps.can_pio(total) || ctx.caps.can_gather(segs))
-    };
-    out.seal_data(ctx.channel, dst, from, linearize, strategy);
+    out.seal_data(ctx.channel, dst, from, strategy);
     Some(out.get(out.len() - 1))
 }
 
@@ -335,17 +319,14 @@ impl StrategyRegistry {
     }
 
     /// The predefined database, honouring the config's toggles. The FIFO
-    /// fallback is always present so the engine can always make progress.
+    /// fallback is always present so the engine can always make progress,
+    /// and so is rendezvous promotion: it proposes for fragments at or
+    /// above the switch point, of which a threshold of `u64::MAX` has none.
     pub fn standard(cfg: &EngineConfig) -> Self {
         let mut r = StrategyRegistry::empty();
-        if cfg.enable_rndv {
-            r.register(Box::new(RendezvousPromotion::new()));
-        }
+        r.register(Box::new(RendezvousPromotion::new()));
         if cfg.enable_aggregation {
             r.register(Box::new(EagerAggregation::new()));
-        }
-        if cfg.enable_aggregation && cfg.enable_gather {
-            r.register(Box::new(CopyAggregation::new()));
         }
         if cfg.enable_reorder {
             r.register(Box::new(ReorderVariants::new()));
@@ -375,8 +356,8 @@ impl StrategyRegistry {
 
     /// Collect proposals from every registered strategy, in consultation
     /// order. The driver's capabilities parameterise what comes of them
-    /// downstream: `validate_plan` vetoes what the rail cannot inject and
-    /// the rail's `CostModel` scores the rest.
+    /// downstream: the rail's `CostModel` chooses how each chunk list is
+    /// injected — a list the rail cannot inject is vetoed — and scores it.
     pub fn propose_all(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         for s in &self.items {
             s.propose(ctx, out);
@@ -457,7 +438,11 @@ mod tests {
         assert!(full.names().contains(&"aggregate"));
         assert!(full.names().contains(&"fifo"));
         let fifo = StrategyRegistry::standard(&EngineConfig::fifo_only());
-        assert_eq!(fifo.names(), vec!["fifo"]);
+        assert_eq!(fifo.names(), vec!["rndv", "fifo"]);
+        assert_eq!(
+            full.names(),
+            ["rndv", "aggregate", "reorder", "bulk-chunk", "fifo"]
+        );
     }
 
     #[test]
@@ -469,7 +454,7 @@ mod tests {
             .map(|i| cand(i, 0, 0, 0, 100, false, TrafficClass::DEFAULT, 0))
             .collect();
         let mut out = Proposals::new();
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 4, false, "t", &mut out).unwrap();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 4, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 4);
         assert_eq!(plan.payload_bytes(), 400);
     }
@@ -482,7 +467,7 @@ mod tests {
         ctx.packet_limit = 1000;
         let cands = vec![cand(0, 0, 0, 0, 5000, false, TrafficClass::DEFAULT, 0)];
         let mut out = Proposals::new();
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t", &mut out).unwrap();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 1);
         // 1000 - framing(1) = 964 payload bytes.
         assert_eq!(plan.payload_bytes(), 1000 - crate::proto::framing_bytes(1));
@@ -490,6 +475,8 @@ mod tests {
 
     #[test]
     fn fill_packet_linearizes_when_gather_impossible() {
+        // `fill_packet` says nothing of the mode; the list it fills is
+        // priced as a copy where the rail can neither stream nor gather it.
         let (mut caps, cost, cfg) = fixtures();
         caps.max_gather_entries = 2;
         caps.pio_max_bytes = 16; // too small to stream
@@ -499,8 +486,11 @@ mod tests {
             .map(|i| cand(i, 0, 0, 0, 100, false, TrafficClass::DEFAULT, 0))
             .collect();
         let mut out = Proposals::new();
-        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, false, "t", &mut out).unwrap();
-        assert!(plan.linearized());
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
+        assert!(!plan.linearized(), "a proposal names no mode");
+        let (chunks, payload) = (plan.chunk_count(), plan.payload_bytes());
+        let how = crate::cost::cheapest_injection(&caps, &cost, chunks, payload, true);
+        assert!(how.expect("the copy goes by DMA").linearize);
     }
 
     #[test]
@@ -509,7 +499,7 @@ mod tests {
         let groups: Vec<DstGroup> = vec![];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let mut out = Proposals::new();
-        assert!(fill_packet(&ctx, simnet::NodeId(1), &[], 4, false, "t", &mut out).is_none());
+        assert!(fill_packet(&ctx, simnet::NodeId(1), &[], 4, "t", &mut out).is_none());
         assert!(out.is_empty());
     }
 
@@ -526,12 +516,12 @@ mod tests {
         };
         let (rail, dst) = (ChannelId(1), NodeId(2));
         let mut out = Proposals::new();
-        out.push_data(rail, dst, &[chunk(0, 10), chunk(1, 20)], false, "a");
+        out.push_data(rail, dst, &[chunk(0, 10), chunk(1, 20)], "a");
         out.push_rndv(rail, dst, (FlowId(7), 3, 1), "b");
-        out.push_data(rail, dst, &[chunk(2, 30)], true, "c");
-        out.push_data(rail, dst, &[chunk(3, 40), chunk(4, 50)], false, "withdrawn");
+        out.push_data(rail, dst, &[chunk(2, 30)], "c");
+        out.push_data(rail, dst, &[chunk(3, 40), chunk(4, 50)], "withdrawn");
         out.pop();
-        out.push_data(rail, dst, &[], false, "empty");
+        out.push_data(rail, dst, &[], "empty");
         assert_eq!(out.len(), 4);
         let sizes: Vec<_> = out
             .iter()
@@ -549,7 +539,7 @@ mod tests {
             [
                 ("a", 2, 30, false),
                 ("b", 0, 0, false),
-                ("c", 1, 30, true),
+                ("c", 1, 30, false),
                 ("empty", 0, 0, false)
             ]
         );
@@ -570,7 +560,7 @@ mod tests {
         );
         out.clear();
         assert!(out.is_empty());
-        out.push_data(rail, dst, &[chunk(9, 1)], false, "again");
+        out.push_data(rail, dst, &[chunk(9, 1)], "again");
         assert_eq!(out.get(0).payload_bytes(), 1);
     }
 
@@ -613,15 +603,7 @@ mod tests {
             if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
                 continue;
             }
-            fill_packet(
-                ctx,
-                g.dst,
-                std::slice::from_ref(c),
-                1,
-                false,
-                "bulk-chunk",
-                out,
-            );
+            fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, "bulk-chunk", out);
         }
     }
 

@@ -129,7 +129,7 @@ impl Strategy for ReorderVariants {
                 (a.bytes, a.at.start).cmp(&(b.bytes, b.at.start))
             });
             let order = permuted(&g.candidates, &runs);
-            fill_packet(ctx, g.dst, order, limit, false, "reorder-sjf", out);
+            fill_packet(ctx, g.dst, order, limit, "reorder-sjf", out);
             // Variant 2: most urgent class first (control before bulk),
             // then oldest first within a class.
             sort_front(&mut runs, read, |a, b| {
@@ -139,7 +139,7 @@ impl Strategy for ReorderVariants {
                     .then(a.at.start.cmp(&b.at.start))
             });
             let order = permuted(&g.candidates, &runs);
-            fill_packet(ctx, g.dst, order, limit, false, "reorder-urgent", out);
+            fill_packet(ctx, g.dst, order, limit, "reorder-urgent", out);
         }
         out.reorder = Scratch { runs };
     }

@@ -57,15 +57,7 @@ impl Strategy for BulkChunking {
             if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
                 continue;
             }
-            fill_packet(
-                ctx,
-                g.dst,
-                std::slice::from_ref(c),
-                1,
-                false,
-                self.name(),
-                out,
-            );
+            fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, self.name(), out);
         }
     }
 }

@@ -4,6 +4,7 @@
 use madeleine::collect::CollectLayer;
 use madeleine::config::EngineConfig;
 use madeleine::constraints::{validate_plan, PlanViolation};
+use madeleine::cost::{cheapest_injection, packet_limit};
 use madeleine::plan::TransferPlan;
 use madeleine::strategy::{OptContext, Proposals, Strategy, StrategyRegistry};
 use nicdrv::{calib, CostModel, DriverCapabilities};
@@ -45,6 +46,7 @@ impl Defect {
                 PlanViolation::RndvBlocked => "validation:rndv-blocked",
                 PlanViolation::OverSize { .. } => "validation:oversize",
                 PlanViolation::GatherTooWide { .. } => "validation:gather-too-wide",
+                PlanViolation::NoInjectionPath { .. } => "validation:no-injection-path",
                 PlanViolation::RndvNotNeeded => "validation:rndv-not-needed",
             },
             Defect::Capability(v) => match v {
@@ -110,7 +112,11 @@ pub struct CheckOutcome {
 }
 
 /// Materialize `spec`, let `strategy` propose plans for it, and check every
-/// proposal. Pure with respect to simulator state: no clock, no network.
+/// proposal, injected the way selection would inject it: in the form
+/// [`cheapest_injection`] picks for its chunk list (by copy where it picks
+/// none, which both checkers must then refuse). `validate_plan` judges the
+/// list, `check_plan_caps` the pick — the pricing function is never its own
+/// judge. Pure with respect to simulator state: no clock, no network.
 pub fn check_spec(
     strategy: &dyn Strategy,
     spec: &BacklogSpec,
@@ -134,7 +140,7 @@ pub fn check_spec(
         cost,
         config: cfg,
         groups: &groups,
-        packet_limit: wire_mtu.min(caps.max_packet_bytes),
+        packet_limit: packet_limit(caps, wire_mtu),
         rail_count: 1,
         health_penalty: 1.0,
     };
@@ -143,6 +149,9 @@ pub fn check_spec(
     let plans = proposals.len();
     let threshold = effective_rndv_threshold(cfg, caps);
     for plan in proposals.to_plans() {
+        let (chunks, payload) = (plan.chunk_count(), plan.payload_bytes());
+        let how = cheapest_injection(caps, cost, chunks, payload, cfg.enable_gather);
+        let plan = plan.injected(how.is_none_or(|how| how.linearize));
         // Selection's first check, before any constraint: the engine sends
         // a winner on the rail it is scheduling, so a plan must name it.
         let defect = if plan.channel == ctx.channel {

@@ -6,6 +6,13 @@
 //! ceilings, and the eager/rendezvous threshold policy — so a bug in
 //! either checker is caught by disagreement with the other (the property
 //! tests assert the overlap, the analyzer runs both).
+//!
+//! It is also the independent verdict on the engine's injection decision:
+//! a strategy proposes a chunk list and `madeleine::cost::cheapest_injection`
+//! chooses how it goes out, so the analyzer hands this pass every list *in
+//! the form that function picked*. The rule here — PIO up to its size cap,
+//! DMA up to its gather width, one segment after a copy — is spelled from
+//! the capability fields and shares no code with `cost.rs`.
 
 use madeleine::collect::{CollectLayer, RndvState};
 use madeleine::plan::{PlanBody, TransferPlan};

@@ -37,13 +37,14 @@ impl Strategy for SkewedOffset {
             offset: c.offset + 1,
             len: 1,
         };
-        out.push_data(ctx.channel, dst, &[skewed], false, self.name());
+        out.push_data(ctx.channel, dst, &[skewed], self.name());
     }
 }
 
-/// Stuffs every candidate into a single zero-copy packet, ignoring both
-/// the packet size budget and the hardware gather width — trips the
-/// oversize or gather-width constraint once the backlog is large enough.
+/// Stuffs every candidate into a single packet, ignoring the packet size
+/// budget — trips the oversize constraint once the backlog is large
+/// enough. (The hardware gather width is not a strategy's to break: the
+/// cost model prices a list too wide to gather as a copy.)
 #[derive(Debug, Default)]
 pub struct GatherHog;
 
@@ -68,7 +69,7 @@ impl Strategy for GatherHog {
                     len: c.remaining,
                 })
                 .collect();
-            out.push_data(ctx.channel, g.dst, &chunks, false, self.name());
+            out.push_data(ctx.channel, g.dst, &chunks, self.name());
         }
     }
 }
@@ -120,6 +121,6 @@ impl Strategy for OtherRail {
             len: 1,
         };
         let elsewhere = ChannelId(ctx.channel.0 + 1);
-        out.push_data(elsewhere, g.dst, &[chunk], false, self.name());
+        out.push_data(elsewhere, g.dst, &[chunk], self.name());
     }
 }

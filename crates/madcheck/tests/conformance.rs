@@ -79,10 +79,12 @@ fn gather_hog_fixture_is_caught() {
         .findings
         .iter()
         .all(|f| f.strategy == "fixture-gather-hog"));
-    assert!(report.findings.iter().any(|f| matches!(
-        f.defect.key(),
-        "validation:oversize" | "validation:gather-too-wide"
-    )));
+    // A strategy cannot say "gather" (the cost model prices a list too
+    // wide to gather as a copy): what the hog can trip is the size budget.
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.defect.key() == "validation:oversize"));
 }
 
 #[test]
@@ -124,5 +126,116 @@ fn broken_fixture_alongside_shipped_database_attributes_correctly() {
             .iter()
             .all(|f| f.strategy.starts_with("fixture-")),
         "shipped strategies wrongly implicated:\n{report}"
+    );
+}
+
+/// The injection decision against its definition: over every driver
+/// profile the analyzer sweeps (and each one again with its DMA engine
+/// taken away), chunk counts 1–32, chunk sizes 16 B–64 KiB and
+/// `enable_gather` on and off, `cheapest_injection` is the argmin over the
+/// legal `{gather, copy} × {PIO, DMA}` combinations, computed here from the
+/// capability fields and `CostModel::{injection_time, copy_time}` alone —
+/// first in that order on a tie — and `check_plan_caps`, which knows
+/// nothing of prices, accepts every choice and refuses both forms of a
+/// list priced `None`.
+#[test]
+fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
+    use madcheck::analyzer::profiles;
+    use madcheck::{check_plan_caps, ANALYZED_RAIL};
+    use madeleine::collect::CollectLayer;
+    use madeleine::cost::cheapest_injection;
+    use madeleine::ids::FlowId;
+    use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
+    use madeleine::proto::framing_bytes;
+    use nicdrv::{calib, CostModel};
+    use simnet::{NodeId, TxMode};
+
+    let nothing_pending = CollectLayer::new();
+    let (mut choices, mut by_copy, mut unpriced) = (0, 0, 0);
+    for tech in profiles() {
+        let params = calib::params(tech);
+        let cost = CostModel::from_params(&params);
+        let stock = calib::capabilities(tech);
+        let mut pio_only = stock.clone();
+        pio_only.supports_dma = false;
+        for caps in [stock, pio_only] {
+            if caps.validate().is_err() {
+                continue; // a DMA-only technology has no PIO-only variant
+            }
+            for n in 1..=32usize {
+                for size in [16u32, 64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10] {
+                    let payload = n as u64 * u64::from(size);
+                    let bytes = payload + framing_bytes(n);
+                    if bytes > params.mtu.min(caps.max_packet_bytes) {
+                        continue; // no packet: both checkers stop at its size
+                    }
+                    let chunks: Vec<_> = (0..n as u32)
+                        .map(|flow| PlannedChunk {
+                            flow: FlowId(flow),
+                            seq: 0,
+                            frag: 0,
+                            offset: 0,
+                            len: size,
+                        })
+                        .collect();
+                    let plan = |linearize| TransferPlan {
+                        channel: ANALYZED_RAIL,
+                        dst: NodeId(1),
+                        body: PlanBody::Data {
+                            chunks: chunks.clone(),
+                            linearize,
+                        },
+                        strategy: "priced",
+                    };
+                    let admitted = |plan: &TransferPlan| {
+                        check_plan_caps(plan, &nothing_pending, &caps, params.mtu, u64::MAX).is_ok()
+                    };
+                    for enable_gather in [true, false] {
+                        let mut want = None;
+                        for linearize in [false, true] {
+                            if !linearize && !enable_gather && n > 1 {
+                                continue;
+                            }
+                            let segs = if linearize { 1 } else { 1 + n };
+                            for mode in [TxMode::Pio, TxMode::Dma] {
+                                let legal = match mode {
+                                    TxMode::Pio => caps.supports_pio && bytes <= caps.pio_max_bytes,
+                                    TxMode::Dma => {
+                                        caps.supports_dma && segs <= caps.max_gather_entries
+                                    }
+                                };
+                                let mut busy = cost.injection_time(mode, bytes, segs);
+                                if linearize {
+                                    busy += cost.copy_time(bytes);
+                                }
+                                if legal && want.is_none_or(|(_, _, best)| busy < best) {
+                                    want = Some((linearize, mode, busy));
+                                }
+                            }
+                        }
+                        let got = cheapest_injection(&caps, &cost, n, payload, enable_gather);
+                        let at = format!("{tech:?} dma={} n={n} size={size}", caps.supports_dma);
+                        assert_eq!(got.map(|h| (h.linearize, h.mode, h.busy)), want, "{at}");
+                        match got {
+                            Some(how) => {
+                                assert!(admitted(&plan(how.linearize)), "{at}: {how:?}");
+                                choices += 1;
+                                by_copy += usize::from(how.linearize);
+                            }
+                            None => {
+                                assert!(!admitted(&plan(false)) && !admitted(&plan(true)), "{at}");
+                                unpriced += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The sweep reaches both sides of the decision, and lists nothing can
+    // inject (beyond the PIO cap of a rail without DMA).
+    assert!(
+        by_copy > 100 && choices - by_copy > 100 && unpriced > 100,
+        "{choices} choices, {by_copy} by copy, {unpriced} unpriced"
     );
 }

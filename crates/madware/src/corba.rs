@@ -4,7 +4,7 @@
 //! concurrent flows. The distinguishing texture reproduced here is
 //! *marshalling*: one logical invocation becomes several fragments (GIOP
 //! header, typed arguments), each a separate pack — small, numerous, and a
-//! perfect target for gather/scatter vs copy-aggregation decisions (E10).
+//! perfect target for gather/scatter vs by-copy decisions (E10).
 
 use madeleine::api::{AppDriver, CommApi};
 use madeleine::ids::{FlowId, TrafficClass};

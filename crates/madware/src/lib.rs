@@ -9,18 +9,14 @@
 //!
 //! * [`apps::TrafficApp`] — generic multi-flow generator (arrival process ×
 //!   size distribution × traffic class), the experiment workhorse;
-//! * [`mpi::MpiStencil`] — regular halo exchanges (the workload the old
-//!   Madeleine already handled well);
 //! * [`rpc`] — request/response with RTT matching;
 //! * [`dsm`] — latency-critical page faults answered by bulk pages;
 //! * [`corba`] — marshalled multi-fragment invocations;
-//! * [`rma`] — one-sided put/get windows over the PUT_GET traffic class;
 //! * [`coll`] — madcoll: barrier/broadcast/reduce/allreduce as round-gated
 //!   schedules whose algorithm is selected from the rail's cost model;
 //! * [`mltrain`] — distributed-ML training steps (compute → gradient
 //!   ring-allreduce or parameter-server exchange → step barrier) over
 //!   madcoll's algorithm-selected collectives;
-//! * [`ga`] — Global-Arrays-style strided distributed arrays over [`rma`];
 //! * [`verify`] — deterministic payload patterns: every workload checks the
 //!   bytes it receives, so experiments double as correctness tests;
 //! * [`scenario`] — composed clusters (multi-middleware node pair, the
@@ -60,10 +56,7 @@ pub mod apps;
 pub mod coll;
 pub mod corba;
 pub mod dsm;
-pub mod ga;
 pub mod mltrain;
-pub mod mpi;
-pub mod rma;
 pub mod rpc;
 pub mod scenario;
 pub mod trace;

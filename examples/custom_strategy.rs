@@ -44,8 +44,10 @@ impl Strategy for TelemetryFirst {
                     len: c.remaining,
                 };
                 // Copied into the pass's chunk arena: proposing allocates
-                // nothing, and only a winner becomes an owned plan.
-                out.push_data(ctx.channel, g.dst, &[alone], false, self.name());
+                // nothing, and only a winner becomes an owned plan. How
+                // the packet is injected — by copy or as a gather list —
+                // is not ours to say: the rail's cost model prices it.
+                out.push_data(ctx.channel, g.dst, &[alone], self.name());
             }
         }
     }

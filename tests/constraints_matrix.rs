@@ -286,6 +286,49 @@ fn gather_too_wide() {
 }
 
 #[test]
+fn no_injection_path() {
+    // A rail that cannot DMA and streams at most 4 KiB by PIO, under a
+    // 1 MiB request ceiling — capabilities `validate()` accepts. Nothing
+    // can inject a one-chunk 8 KiB packet there, copied or not: the rail's
+    // packet limit is what PIO streams.
+    let mut pio_only = caps();
+    pio_only.supports_dma = false;
+    pio_only.pio_max_bytes = 4 << 10;
+    pio_only.max_packet_bytes = 1 << 20;
+    pio_only.validate().expect("a driver may be PIO-only");
+    let (c, f) = setup(&[(8 << 10, PackMode::Cheaper)]);
+    let whole = data_plan(vec![chunk(f, 0, 0, 8 << 10)]);
+    for by_copy in [false, true] {
+        assert!(matches!(
+            validate_plan(&whole.clone().injected(by_copy), &c, &pio_only, MTU),
+            Err(PlanViolation::OverSize { limit: 4096, .. })
+        ));
+    }
+    // What fits the limit streams, whatever the number of segments.
+    let piece = data_plan(vec![chunk(f, 0, 0, 4000)]);
+    for by_copy in [false, true] {
+        let piece = piece.clone().injected(by_copy);
+        assert_eq!(validate_plan(&piece, &c, &pio_only, MTU), Ok(()));
+    }
+    // The veto of last resort, for capabilities no driver constructor
+    // accepts: neither mode exists, so not even the copy goes out — where
+    // the cost model prices `None`, validation says why.
+    let mut neither = caps();
+    neither.supports_pio = false;
+    neither.supports_dma = false;
+    assert!(neither.validate().is_err());
+    let small = data_plan(vec![chunk(f, 0, 0, 64)]);
+    match validate_plan(&small.clone().injected(true), &c, &neither, MTU) {
+        Err(PlanViolation::NoInjectionPath { bytes }) => assert!(bytes > 64),
+        other => panic!("expected NoInjectionPath, got {other:?}"),
+    }
+    assert!(matches!(
+        validate_plan(&small, &c, &neither, MTU),
+        Err(PlanViolation::GatherTooWide { segs: 2, max: 0 })
+    ));
+}
+
+#[test]
 fn rndv_not_needed() {
     let (c, f) = setup(&[(64, PackMode::Cheaper)]);
     let p = TransferPlan {

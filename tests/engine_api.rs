@@ -164,7 +164,7 @@ impl Strategy for RogueStrategy {
                     },
                 ];
                 for chunk in rogue {
-                    out.push_data(ctx.channel, g.dst, &[chunk], false, "rogue");
+                    out.push_data(ctx.channel, g.dst, &[chunk], "rogue");
                 }
             }
         }
@@ -246,7 +246,7 @@ fn debug_report_and_strategy_wins_reflect_activity() {
     let agg_wins: u64 = m
         .strategy_wins
         .iter()
-        .filter(|(k, _)| k.starts_with("aggregate") || *k == &"copy-agg")
+        .filter(|(k, _)| k.starts_with("aggregate"))
         .map(|(_, v)| *v)
         .sum();
     assert!(agg_wins > 0, "{:?}", m.strategy_wins);
@@ -291,4 +291,58 @@ fn incast_many_senders_one_receiver() {
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "src {src_idx}");
     }
     assert_eq!(c.handle(0).receiver_stats().express_violations, 0);
+}
+
+#[test]
+fn a_pio_only_rail_cuts_its_chunks_to_what_it_can_stream() {
+    // A driver that cannot DMA and streams at most 4 KiB by PIO, on a wire
+    // and with a request ceiling far above that — a capability set
+    // `validate()` accepts. The rail's packet limit is the PIO cap: an
+    // 8 KiB message leaves in pieces PIO takes. (Were the limit the
+    // smaller of wire MTU and driver ceiling alone, the strategies would
+    // fill one 8 KiB packet and the driver refuse it: `PioTooLarge`.)
+    use madeleine::EngineBuilder;
+    use nicdrv::{calib, CostModel, SimDriver};
+    use simnet::{NetworkParams, NicId, Simulation};
+
+    let mut caps = calib::synthetic_capabilities();
+    caps.supports_dma = false;
+    caps.pio_max_bytes = 4 << 10;
+    caps.max_packet_bytes = 1 << 20;
+    caps.validate().expect("a driver may be PIO-only");
+    let params = NetworkParams::synthetic();
+    assert!(params.mtu >= caps.max_packet_bytes);
+
+    let mut sim = Simulation::new();
+    let net = sim.add_network(params.clone());
+    let (a, b) = (sim.add_node(), sim.add_node());
+    let (na, nb) = (sim.add_nic(a, net), sim.add_nic(b, net));
+    let build = |node: NodeId, nic: NicId, peer: NodeId, peer_nic: NicId| {
+        let driver = SimDriver::new(nic, caps.clone(), CostModel::from_params(&params));
+        EngineBuilder::new(node)
+            .rail(driver, params.mtu)
+            .peer(peer, vec![peer_nic])
+            .build()
+            .expect("valid engine")
+    };
+    let (ea, ha) = build(a, na, b, nb);
+    let (eb, hb) = build(b, nb, a, na);
+    sim.set_endpoint(a, Box::new(ea));
+    sim.set_endpoint(b, Box::new(eb));
+
+    let flow = ha.open_flow(b, TrafficClass::DEFAULT);
+    let body = pattern(flow.0, 0, 0, 8 << 10);
+    sim.inject(a, |ctx| {
+        let parts = MessageBuilder::new().pack_cheaper(&body).build_parts();
+        ha.send(ctx, flow, parts);
+    });
+    sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+
+    let delivered = hb.take_delivered();
+    assert_eq!(delivered.len(), 1, "{}", ha.debug_report());
+    assert_eq!(delivered[0].contiguous(), body);
+    let m = ha.metrics();
+    assert_eq!(m.driver_rejections, 0, "{}", ha.debug_report());
+    assert!(m.packets_sent >= 3, "8 KiB in packets of at most 4 KiB");
+    assert!(ha.is_drained());
 }

@@ -252,7 +252,7 @@ impl Strategy for WrongRail {
             offset: 0,
             len: 64,
         };
-        out.push_data(ChannelId(0), NodeId(1), &[body], false, self.name());
+        out.push_data(ChannelId(0), NodeId(1), &[body], self.name());
     }
 }
 

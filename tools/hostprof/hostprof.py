@@ -40,7 +40,6 @@ SEAMS = [
     ("    BulkChunking::propose", "BulkChunking as madeleine::strategy::Strategy>::propose"),
     ("    ReorderVariants::propose", "ReorderVariants as madeleine::strategy::Strategy>::propose"),
     ("    EagerAggregation::propose", "EagerAggregation as madeleine::strategy::Strategy>::propose"),
-    ("    CopyAggregation::propose", "CopyAggregation as madeleine::strategy::Strategy>::propose"),
     ("    FifoFallback::propose", "FifoFallback as madeleine::strategy::Strategy>::propose"),
     ("    validation (constraints::)", "madeleine::constraints::validate_"),
     ("    scoring (cost::)", "madeleine::cost::"),
