@@ -12,17 +12,33 @@
 //!    variants enabled (optimizer picks per packet) vs forcibly linearized.
 
 use madeleine::harness::ClusterSpec;
-use madeleine::EngineConfig;
+use madeleine::plan::PlannedChunk;
+use madeleine::proto::wire_bytes;
+use madeleine::{EngineConfig, FlowId};
 use madware::scenario::eager_flows;
 use nicdrv::{calib, CostModel};
 use simnet::{Technology, TxMode};
 
 use crate::{fmt_bytes, fmt_f, Report, Table};
 
+/// Wire bytes of a packet aggregating one `chunk`-byte message from each of
+/// `n` flows (every header names its message).
+pub fn packet_bytes(n: usize, chunk: u64) -> u64 {
+    let list: Vec<PlannedChunk> = (0..n as u32)
+        .map(|flow| PlannedChunk {
+            flow: FlowId(flow),
+            seq: 0,
+            frag: 0,
+            offset: 0,
+            len: chunk as u32,
+        })
+        .collect();
+    wire_bytes(&list)
+}
+
 /// Analytic occupancy of an `n`-chunk packet of `chunk` bytes each.
 pub fn analytic(cost: &CostModel, n: usize, chunk: u64) -> (f64, f64) {
-    let framing = madeleine::proto::framing_bytes(n);
-    let bytes = n as u64 * chunk + framing;
+    let bytes = packet_bytes(n, chunk);
     let gather = cost.injection_time(TxMode::Dma, bytes, 1 + n).as_nanos() as f64 / 1e3;
     let copy = (cost.injection_time(TxMode::Dma, bytes, 1) + cost.copy_time(bytes)).as_nanos()
         as f64
@@ -149,13 +165,12 @@ mod tests {
             let mut previous = None;
             for shift in 4..=12 {
                 let chunk = 1u64 << shift;
-                let payload = n as u64 * chunk;
-                let bytes = payload + madeleine::proto::framing_bytes(n);
+                let bytes = packet_bytes(n, chunk);
                 if caps.can_pio(bytes) || bytes > caps.max_packet_bytes {
                     continue;
                 }
                 let (copy, gather) = analytic(&cost, n, chunk);
-                let how = madeleine::cost::cheapest_injection(&caps, &cost, n, payload, true)
+                let how = madeleine::cost::cheapest_injection(&caps, &cost, n, bytes, true)
                     .expect("MX can DMA");
                 assert_eq!(how.mode, TxMode::Dma);
                 assert_eq!(how.linearize, copy < gather, "{n} x {chunk} B");

@@ -19,7 +19,7 @@ use crate::cost::{injectable, packet_limit};
 use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::message::PackMode;
 use crate::plan::{Body, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::framing_bytes;
+use crate::proto::Framing;
 
 /// Why a plan was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,11 +187,11 @@ pub(crate) fn validate_plan_with(
         }
         Body::Data { chunks, linearize } => {
             let limit = packet_limit(caps, wire_mtu);
-            let payload = validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
-            if injectable(caps, chunks.len(), payload, linearize) {
+            let (_, bytes) =
+                validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
+            if injectable(caps, chunks.len(), bytes, linearize) {
                 Ok(())
             } else if linearize {
-                let bytes = payload + framing_bytes(chunks.len());
                 Err(PlanViolation::NoInjectionPath { bytes })
             } else {
                 // PIO can stream arbitrary segment lists; DMA needs gather
@@ -229,8 +229,9 @@ pub(crate) fn validate_request(
 /// satisfy whichever way it is injected: every chunk names live, unpinned
 /// (or pinned here), ungated bytes at its fragment's frontier, in an order
 /// the express constraints allow, and the packet fits `limit` bytes (the
-/// rail's [`packet_limit`]). Returns the payload bytes; `planned` is
-/// cleared here.
+/// rail's [`packet_limit`]). Returns the packet's payload bytes and its
+/// bytes on the wire — payload and the framing this list has, counted on
+/// the walk that checks it; `planned` is cleared here.
 pub(crate) fn validate_chunks(
     channel: ChannelId,
     dst: NodeId,
@@ -238,12 +239,13 @@ pub(crate) fn validate_chunks(
     collect: &CollectLayer,
     limit: u64,
     planned: &mut PlanCoverage,
-) -> Result<u64, PlanViolation> {
+) -> Result<(u64, u64), PlanViolation> {
     if chunks.is_empty() {
         return Err(PlanViolation::EmptyPlan);
     }
     planned.0.clear();
     let mut payload = 0u64;
+    let mut framing = Framing::new();
     for c in chunks {
         if c.len == 0 {
             return Err(PlanViolation::ZeroLengthChunk);
@@ -301,15 +303,16 @@ pub(crate) fn validate_chunks(
         }
         *already += c.len;
         payload += c.len as u64;
+        framing.push(c.flow, c.seq, c.offset);
     }
-    let total = payload + framing_bytes(chunks.len());
+    let total = payload + framing.bytes();
     if total > limit {
         return Err(PlanViolation::OverSize {
             bytes: total,
             limit,
         });
     }
-    Ok(payload)
+    Ok((payload, total))
 }
 
 fn gather_limit(caps: &DriverCapabilities) -> usize {

@@ -27,7 +27,7 @@ use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
 use crate::plan::{Body, DstGroup, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::framing_bytes;
+use crate::proto::{wire_bytes, CONTROL_PACKET_BYTES};
 use crate::strategy::{OptContext, NO_HINT};
 
 /// Weight of the anti-starvation urgency term in plan scoring: one
@@ -159,15 +159,14 @@ fn admitted(caps: &DriverCapabilities, bytes: u64, segs: usize) -> impl Iterator
         .filter_map(|(mode, ok)| ok.then_some(mode))
 }
 
-/// Whether a rail can inject `chunks` chunks carrying `payload` bytes in
-/// the given form at all.
+/// Whether a rail can inject a packet of `chunks` chunks and `bytes` on
+/// the wire (payload and framing) in the given form at all.
 pub(crate) fn injectable(
     caps: &DriverCapabilities,
     chunks: usize,
-    payload: u64,
+    bytes: u64,
     linearize: bool,
 ) -> bool {
-    let bytes = payload + framing_bytes(chunks);
     admitted(caps, bytes, segments(chunks, linearize))
         .next()
         .is_some()
@@ -187,15 +186,14 @@ pub(crate) fn cheaper_mode(
         .min_by_key(|&(_, busy)| busy)
 }
 
-/// A packet of `chunks` chunks and `payload` bytes in one form, priced.
+/// A packet of `chunks` chunks and `bytes` on the wire in one form, priced.
 fn priced(
     caps: &DriverCapabilities,
     cost: &CostModel,
     chunks: usize,
-    payload: u64,
+    bytes: u64,
     linearize: bool,
 ) -> Option<Injection> {
-    let bytes = payload + framing_bytes(chunks);
     let (mode, inject) = cheaper_mode(caps, cost, bytes, segments(chunks, linearize))?;
     let copy = if linearize {
         cost.copy_time(bytes)
@@ -211,23 +209,25 @@ fn priced(
 
 /// **The injection decision** (§1: merge "at the cost of additional
 /// processing … or even use a gather/scatter request"): the cheapest way
-/// the rail admits of injecting a data packet of `chunks` chunks carrying
-/// `payload` bytes — `{gather, copy} × {PIO, DMA}`, a copy paying its
-/// memcpy — or `None` when it admits none, which vetoes the packet. A
-/// strategy proposes a chunk list; this prices how it goes out. On a tie
-/// the gather list is kept. `enable_gather == false` leaves a packet of
-/// several chunks the copy alone (E10's and E11's forced-copy arm).
+/// the rail admits of injecting a data packet of `chunks` chunks that is
+/// `bytes` long on the wire — payload and the framing its chunk list has
+/// ([`wire_bytes`]), the bytes the NIC is handed — `{gather, copy} × {PIO,
+/// DMA}`, a copy paying its memcpy — or `None` when it admits none, which
+/// vetoes the packet. A strategy proposes a chunk list; this prices how it
+/// goes out. On a tie the gather list is kept. `enable_gather == false`
+/// leaves a packet of several chunks the copy alone (E10's and E11's
+/// forced-copy arm).
 pub fn cheapest_injection(
     caps: &DriverCapabilities,
     cost: &CostModel,
     chunks: usize,
-    payload: u64,
+    bytes: u64,
     enable_gather: bool,
 ) -> Option<Injection> {
     let gather = (enable_gather || chunks < 2).then_some(false);
     let forms = gather.into_iter().chain([true]);
     forms
-        .filter_map(|linearize| priced(caps, cost, chunks, payload, linearize))
+        .filter_map(|linearize| priced(caps, cost, chunks, bytes, linearize))
         .min_by_key(|how| how.busy)
 }
 
@@ -242,7 +242,8 @@ pub(crate) struct RequestCost {
 
 /// A rendezvous request is a small linearized control packet.
 fn request_busy(ctx: &OptContext<'_>) -> SimDuration {
-    ctx.cost.injection_time(TxMode::Pio, framing_bytes(1), 1)
+    ctx.cost
+        .injection_time(TxMode::Pio, CONTROL_PACKET_BYTES, 1)
 }
 
 impl RequestCost {
@@ -280,8 +281,8 @@ pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<SimDurat
     match plan.body {
         Body::RndvRequest { .. } => Some(request_busy(ctx)),
         Body::Data { chunks, linearize } => {
-            let payload = plan.payload_bytes();
-            priced(ctx.caps, ctx.cost, chunks.len(), payload, linearize).map(|how| how.busy)
+            let bytes = wire_bytes(chunks);
+            priced(ctx.caps, ctx.cost, chunks.len(), bytes, linearize).map(|how| how.busy)
         }
     }
 }
@@ -457,5 +458,92 @@ mod tests {
         // Unblocking a 1 MiB transfer should dominate small data plans.
         let small = score(&data_plan(vec![pc(0, 64)], false), &ctx);
         assert!(scored.score > small.score);
+    }
+
+    mod the_priced_packet_is_the_encoded_packet {
+        use super::*;
+        use crate::ids::FragIndex;
+        use crate::proto::{encode_packet, make_header, WireChunk};
+        use bytes::Bytes;
+        use proptest::prelude::*;
+
+        /// 1–64 chunks over a few messages of a few flows, so that runs of
+        /// one message and messages named twice both occur; a third of the
+        /// chunks resume their fragment.
+        fn chunk_lists() -> impl Strategy<Value = Vec<PlannedChunk>> {
+            let chunk = (0u32..3, 0u32..2, 0u16..4, 0u32..3, 1u32..300);
+            prop::collection::vec(chunk, 1..65).prop_map(|list| {
+                list.into_iter()
+                    .map(|(flow, seq, frag, resumed, len)| PlannedChunk {
+                        flow: FlowId(flow),
+                        seq,
+                        frag: frag as FragIndex,
+                        offset: resumed.saturating_sub(1) * 977,
+                        len,
+                    })
+                    .collect()
+            })
+        }
+
+        /// The chunk as `Transfer::submit_data` stamps it: what a header
+        /// says of its message is a function of the message.
+        fn stamped(c: &PlannedChunk) -> WireChunk {
+            WireChunk {
+                header: make_header(
+                    c.flow,
+                    c.seq,
+                    c.frag,
+                    4,
+                    c.frag == 0,
+                    TrafficClass(c.flow.0 as u8),
+                    c.offset + c.len,
+                    c.offset,
+                    c.len,
+                    SimTime::from_nanos(u64::from(c.flow.0) * 1000 + u64::from(c.seq)),
+                ),
+                data: Bytes::from(vec![0xA5; c.len as usize]),
+            }
+        }
+
+        proptest! {
+            /// `est_busy` is compared with what the NIC is handed: the
+            /// bytes selection prices are the bytes the encoder emits, in
+            /// the segments it emits them in, and the price is the cost
+            /// model's injection time of exactly that (plus the copy).
+            #[test]
+            fn on_every_rail_in_both_forms(
+                list in chunk_lists(),
+                tech in prop::sample::select(&calib::REAL_TECHNOLOGIES[..]),
+                enable_gather in any::<bool>(),
+            ) {
+                let (caps, cost) = (calib::capabilities(tech), CostModel::from_params(&calib::params(tech)));
+                let wire: Vec<WireChunk> = list.iter().map(stamped).collect();
+                let payload: u64 = list.iter().map(|c| u64::from(c.len)).sum();
+                let bytes = payload + crate::proto::framing_of(&list);
+                for linearize in [false, true] {
+                    let segs = encode_packet(&wire, linearize);
+                    let encoded: u64 = segs.iter().map(|s| s.len() as u64).sum();
+                    prop_assert_eq!(encoded, bytes, "linearize {}", linearize);
+                    prop_assert_eq!(segs.len(), if linearize { 1 } else { 1 + list.len() });
+                    prop_assert_eq!(segs.len(), segments(list.len(), linearize));
+                }
+                // Every in-tree rail can DMA one copied segment.
+                let how = cheapest_injection(&caps, &cost, list.len(), bytes, enable_gather)
+                    .expect("the copy goes by DMA");
+                let segs = encode_packet(&wire, how.linearize);
+                let handed: u64 = segs.iter().map(|s| s.len() as u64).sum();
+                let mut busy = cost.injection_time(how.mode, handed, segs.len());
+                if how.linearize {
+                    busy += cost.copy_time(handed);
+                }
+                prop_assert_eq!(how.busy, busy);
+                // The plan that carries the list is priced the same.
+                let groups: Vec<DstGroup> = vec![];
+                let cfg = EngineConfig::default();
+                let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+                let plan = data_plan(list.clone(), how.linearize);
+                prop_assert_eq!(estimate_busy(plan.view(), &ctx), Some(busy));
+            }
+        }
     }
 }

@@ -31,8 +31,8 @@ use crate::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, Fragment, PackMode};
 use crate::metrics::{Activation, EngineMetrics};
 use crate::proto::{
-    decode_packet, decode_rndv, encode_packet, encode_rndv, framing_bytes, make_header,
-    ChunkHeader, WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
+    decode_packet, decode_rndv, encode_packet, encode_rndv, lone_chunk_framing, make_header,
+    ChunkHeader, Framing, WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::strategy::MAX_AGG_CHUNKS;
@@ -117,6 +117,7 @@ impl LegacyCore {
         let threshold = self.rndv_threshold(rail_idx);
         let frag_count = parts.len() as u16;
         let caps = self.rails[rail_idx].driver.capabilities().clone();
+        let cost = self.rails[rail_idx].driver.cost_model().clone();
         let packet_limit = self.rails[rail_idx].wire_mtu.min(caps.max_packet_bytes);
         let vchan = self.rails[rail_idx].classmap.vchan_for(class);
 
@@ -124,18 +125,20 @@ impl LegacyCore {
         // fragments; flush on rendezvous fragments and size limits.
         let mut pending: Vec<WireChunk> = Vec::new();
         let mut pending_bytes = 0u64;
+        let mut framing = Framing::new();
         let mut packets: Vec<PreparedPacket> = Vec::new();
         let flush = |pending: &mut Vec<WireChunk>,
                      pending_bytes: &mut u64,
+                     framing: &mut Framing,
                      packets: &mut Vec<PreparedPacket>| {
             if pending.is_empty() {
                 return;
             }
-            let total = *pending_bytes + framing_bytes(pending.len());
+            let total = *pending_bytes + framing.bytes();
             let segs = 1 + pending.len();
             let linearized = !(caps.can_pio(total) || caps.can_gather(segs));
             let host_prep = if linearized {
-                nicdrv::CostModel::from_params(&nicdrv::calib::params(caps.tech)).copy_time(total)
+                cost.copy_time(total)
             } else {
                 simnet::SimDuration::ZERO
             };
@@ -150,6 +153,7 @@ impl LegacyCore {
             });
             pending.clear();
             *pending_bytes = 0;
+            *framing = Framing::new();
         };
 
         for frag in &parts {
@@ -169,7 +173,7 @@ impl LegacyCore {
             };
             if (frag.data.len() as u64) >= threshold {
                 // Rendezvous: flush what we have, then negotiate.
-                flush(&mut pending, &mut pending_bytes, &mut packets);
+                flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
                 let h = header_base(0, 0);
                 self.rndv_waiting
                     .insert((flow.0, seq, frag.index), (frag.data.clone(), h));
@@ -189,11 +193,11 @@ impl LegacyCore {
             let mut offset = 0u32;
             let len = frag.data.len() as u32;
             loop {
-                let budget =
-                    packet_limit.saturating_sub(pending_bytes + framing_bytes(pending.len() + 1));
+                let header = framing.next(flow, seq, offset);
+                let budget = packet_limit.saturating_sub(pending_bytes + framing.bytes() + header);
                 let remaining = len - offset;
                 if (remaining > 0 && budget == 0) || pending.len() >= MAX_AGG_CHUNKS {
-                    flush(&mut pending, &mut pending_bytes, &mut packets);
+                    flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
                     continue;
                 }
                 let take = (remaining as u64).min(budget) as u32;
@@ -201,16 +205,17 @@ impl LegacyCore {
                     header: header_base(offset, take),
                     data: frag.data.slice(offset as usize..(offset + take) as usize),
                 });
+                framing.push(flow, seq, offset);
                 pending_bytes += take as u64;
                 offset += take;
                 if offset >= len {
                     break;
                 }
                 // Fragment continues: current packet is full.
-                flush(&mut pending, &mut pending_bytes, &mut packets);
+                flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
             }
         }
-        flush(&mut pending, &mut pending_bytes, &mut packets);
+        flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
 
         self.queues[rail_idx].extend(packets);
         self.pump(ctx, rail_idx);
@@ -326,7 +331,7 @@ impl LegacyCore {
                         let mut offset = 0u32;
                         let len = data.len() as u32;
                         while offset < len {
-                            let budget = limit.saturating_sub(framing_bytes(1));
+                            let budget = limit.saturating_sub(lone_chunk_framing(offset));
                             let take = ((len - offset) as u64).min(budget) as u32;
                             let mut h = base;
                             h.offset = offset;

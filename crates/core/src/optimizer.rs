@@ -30,7 +30,6 @@ use crate::cost::{
 use crate::ids::{FlowId, TrafficClass};
 use crate::plan::{Body, PlanRef, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
-use crate::proto::framing_bytes;
 use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
@@ -225,12 +224,10 @@ pub(crate) fn select_plan_in(
                 let list = judged_before(judged, proposals, plan).unwrap_or_else(|| {
                     let (rail, dst, n) = (plan.channel, plan.dst, chunks.len());
                     let verdict = validate_chunks(rail, dst, chunks, collect, size_limit, coverage)
-                        .and_then(|payload| {
+                        .and_then(|(payload, bytes)| {
                             let gather = ctx.config.enable_gather;
-                            let how = cheapest_injection(ctx.caps, ctx.cost, n, payload, gather)
-                                .ok_or(PlanViolation::NoInjectionPath {
-                                    bytes: payload + framing_bytes(n),
-                                })?;
+                            let how = cheapest_injection(ctx.caps, ctx.cost, n, bytes, gather)
+                                .ok_or(PlanViolation::NoInjectionPath { bytes })?;
                             Ok((chunks_value(dst, chunks, hints, payload, ctx), how))
                         });
                     judged.push(JudgedList { first: at, verdict });

@@ -10,7 +10,7 @@
 use simnet::{NodeId, SimTime};
 
 use crate::ids::{ChannelId, FlowId, FragIndex, TrafficClass};
-use crate::proto::framing_bytes;
+use crate::proto::{framing_of, CONTROL_PACKET_BYTES};
 
 /// A byte range of one fragment scheduled for transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,8 +155,8 @@ impl<C: AsRef<[PlannedChunk]>> Plan<C> {
     /// Protocol framing bytes this plan will add on the wire.
     pub fn framing(&self) -> u64 {
         match &self.body {
-            Body::Data { chunks, .. } => framing_bytes(chunks.as_ref().len()),
-            Body::RndvRequest { .. } => framing_bytes(1),
+            Body::Data { chunks, .. } => framing_of(chunks.as_ref()),
+            Body::RndvRequest { .. } => CONTROL_PACKET_BYTES,
         }
     }
 }
@@ -353,7 +353,10 @@ impl WindowGroups {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CHUNK_HEADER_BYTES, PACKET_PREFIX_BYTES};
+    use crate::proto::{
+        CONTROL_PACKET_BYTES, OFFSET_BYTES, OPEN_HEADER_BYTES, PACKET_PREFIX_BYTES,
+        SAME_MSG_HEADER_BYTES,
+    };
 
     fn chunk(len: u32) -> PlannedChunk {
         PlannedChunk {
@@ -379,7 +382,20 @@ mod tests {
         let p = data_plan(vec![chunk(100), chunk(50)], false);
         assert_eq!(p.payload_bytes(), 150);
         assert_eq!(p.chunk_count(), 2);
-        assert_eq!(p.framing(), PACKET_PREFIX_BYTES + 2 * CHUNK_HEADER_BYTES);
+        // Two chunks of one message: the second header names none.
+        assert_eq!(
+            p.framing(),
+            PACKET_PREFIX_BYTES + OPEN_HEADER_BYTES + SAME_MSG_HEADER_BYTES
+        );
+        // A chunk of another message says so, and one past the start of
+        // its fragment says where.
+        let mut other = chunk(10);
+        (other.flow, other.offset) = (FlowId(1), 40);
+        let q = data_plan(vec![chunk(100), other], false);
+        assert_eq!(
+            q.framing(),
+            PACKET_PREFIX_BYTES + 2 * OPEN_HEADER_BYTES + OFFSET_BYTES
+        );
         assert!(!p.linearized());
         assert!(p.injected(true).linearized());
     }
@@ -398,6 +414,7 @@ mod tests {
         };
         assert_eq!(p.payload_bytes(), 0);
         assert_eq!(p.chunk_count(), 0);
+        assert_eq!(p.framing(), CONTROL_PACKET_BYTES);
         assert!(
             !p.clone().injected(true).linearized(),
             "a request has no mode"

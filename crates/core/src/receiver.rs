@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn whole_fragment_chunks_are_delivered_as_slices_of_their_packet() {
-        use crate::proto::{decode_packet, encode_packet, framing_bytes, WireChunk, KIND_DATA};
+        use crate::proto::{decode_packet, encode_packet, WireChunk, KIND_DATA};
         use simnet::{NicId, WirePacket};
         let wire: Vec<WireChunk> = [
             chunk(0, 0, 0, 2, true, 3, 0, b"hdr"),
@@ -468,10 +468,9 @@ mod tests {
             assert_eq!(out.len(), 1);
             let got: Vec<*const u8> = out[0].fragments.iter().map(|f| f.1.as_ptr()).collect();
             let want: Vec<*const u8> = if linearize {
-                // The one segment, past its header block.
-                let data = pkt.payload[0]
-                    .as_ptr()
-                    .wrapping_add(framing_bytes(2) as usize);
+                // The one segment, past its header block: the count, a
+                // header that names the message and one that does not.
+                let data = pkt.payload[0].as_ptr().wrapping_add(2 + 30 + 11);
                 vec![data, data.wrapping_add(3)]
             } else {
                 // The gather list's own data segments: the sender's buffers.

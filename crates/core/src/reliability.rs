@@ -55,7 +55,7 @@ use crate::cost::{cheaper_mode, packet_limit};
 use crate::ids::{FlowId, FragIndex};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
-use crate::proto;
+use crate::proto::{self, lone_chunk_framing, wire_bytes, Framing};
 use crate::trace::EngineEvent;
 
 /// How the engine treats packet loss.
@@ -346,13 +346,8 @@ pub fn plan_retransmit(
     caps: &DriverCapabilities,
     wire_mtu: u64,
 ) -> Vec<Vec<PlannedChunk>> {
-    // The per-packet payload ceiling: what the rail carries in one packet
-    // minus the framing of the chunks we pack.
+    // What the rail carries in one packet, payload and framing.
     let limit = packet_limit(caps, wire_mtu);
-    let payload_cap = |n_chunks: usize| -> u64 {
-        let framing = proto::framing_bytes(n_chunks.max(1));
-        limit.saturating_sub(framing).max(1)
-    };
     // Gather width: header block occupies one entry, each chunk one more.
     // Linearized (copy) packets have no gather constraint, but splitting to
     // the gather width is always safe, so we honor it unconditionally —
@@ -361,29 +356,33 @@ pub fn plan_retransmit(
 
     let mut packets: Vec<Vec<PlannedChunk>> = Vec::new();
     let mut current: Vec<PlannedChunk> = Vec::new();
-    let mut current_bytes = 0u64;
+    let mut payload = 0u64;
+    let mut framing = Framing::new();
     for chunk in chunks {
-        // Split the chunk itself if it alone exceeds the single-chunk cap.
-        let single_cap = payload_cap(1) as u32;
         let mut offset = chunk.offset;
         let mut remaining = chunk.len;
         while remaining > 0 {
-            let piece = remaining.min(single_cap);
-            let pc = PlannedChunk {
+            // Split the chunk itself if it alone exceeds what a packet of
+            // its own carries behind the header it would get there.
+            let single_cap = limit.saturating_sub(lone_chunk_framing(offset)).max(1);
+            let piece = u64::from(remaining).min(single_cap) as u32;
+            let fits_count = current.len() < max_chunks;
+            let header = framing.next(chunk.flow, chunk.seq, offset);
+            let fits_bytes = framing.bytes() + header + payload + u64::from(piece) <= limit;
+            if !current.is_empty() && !(fits_count && fits_bytes) {
+                packets.push(std::mem::take(&mut current));
+                payload = 0;
+                framing = Framing::new();
+            }
+            framing.push(chunk.flow, chunk.seq, offset);
+            payload += u64::from(piece);
+            current.push(PlannedChunk {
                 flow: chunk.flow,
                 seq: chunk.seq,
                 frag: chunk.frag,
                 offset,
                 len: piece,
-            };
-            let fits_count = current.len() < max_chunks;
-            let fits_bytes = current_bytes + piece as u64 <= payload_cap(current.len() + 1);
-            if !current.is_empty() && !(fits_count && fits_bytes) {
-                packets.push(std::mem::take(&mut current));
-                current_bytes = 0;
-            }
-            current_bytes += piece as u64;
-            current.push(pc);
+            });
             offset += piece;
             remaining -= piece;
         }
@@ -477,12 +476,6 @@ impl RtoMargin {
     }
 }
 
-/// Bytes a data packet of `chunks` puts on the wire: payload and framing.
-fn wire_bytes(chunks: &[PlannedChunk]) -> u64 {
-    let payload: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
-    payload + proto::framing_bytes(chunks.len())
-}
-
 /// Unloaded one-way time of a one-segment packet of `bytes` (payload and
 /// framing) on a rail, injected in the cheapest mode the rail admits.
 fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
@@ -500,7 +493,7 @@ struct RailClock {
     /// Unloaded one way of a control packet — an ack, a rendezvous request,
     /// a grant: one chunk header and no payload. (Not half of
     /// `CostModel::control_rtt`, which prices a 16-byte packet: ours are
-    /// 36 bytes, and a timeout shorter than the real round trip fires on
+    /// 32 bytes, and a timeout shorter than the real round trip fires on
     /// every request once the margin has learned a quiet rail.)
     control_one_way: SimDuration,
     margin: RtoMargin,
@@ -513,7 +506,7 @@ struct RailClock {
 
 impl RailClock {
     fn new(caps: DriverCapabilities, cost: CostModel, initial_margin: SimDuration) -> Self {
-        let control_one_way = one_way(&caps, &cost, proto::framing_bytes(1));
+        let control_one_way = one_way(&caps, &cost, proto::CONTROL_PACKET_BYTES);
         RailClock {
             caps,
             cost,
@@ -707,7 +700,7 @@ impl Reliability {
         let price = |r: usize| {
             let clock = &self.clocks[r];
             let bytes = mean_msg_bytes.clamp(1, clock.caps.max_packet_bytes);
-            let bytes = bytes + proto::framing_bytes(1);
+            let bytes = bytes + proto::CONTROL_PACKET_BYTES;
             self.health[r].cost_penalty()
                 * one_way(&clock.caps, &clock.cost, bytes).as_nanos() as f64
         };
@@ -1597,8 +1590,7 @@ mod tests {
         assert_eq!(total, 5_000, "no bytes lost in re-chunking");
         for p in &packets {
             assert_eq!(p.len(), 1, "no gather without DMA");
-            let payload: u64 = p.iter().map(|c| c.len as u64).sum();
-            assert!(payload + proto::framing_bytes(p.len()) <= caps.pio_max_bytes);
+            assert!(wire_bytes(p) <= caps.pio_max_bytes);
         }
         // Offsets stay contiguous.
         let mut expect = 0u32;
@@ -1626,8 +1618,7 @@ mod tests {
         let caps = calib::synthetic_capabilities();
         let packets = plan_retransmit(&[chunk(10_000)], &caps, 4096);
         for p in &packets {
-            let payload: u64 = p.iter().map(|c| c.len as u64).sum();
-            assert!(payload + proto::framing_bytes(p.len()) <= 4096);
+            assert!(wire_bytes(p) <= 4096);
         }
     }
 }

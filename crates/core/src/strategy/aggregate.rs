@@ -14,8 +14,12 @@ use crate::constraints::max_gather_chunks;
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Default maximum chunks merged into one packet (see
-/// `EngineConfig::agg_chunk_limit` for the runtime knob); bounds
-/// header-table growth and keeps per-chunk framing overhead in check.
+/// `EngineConfig::agg_chunk_limit` for the runtime knob); bounds the
+/// header block and the gather list. Since a chunk header shrank to
+/// 30 / 11 bytes this, not the rail's packet size, is what ends a packet of
+/// small messages — sixteen chunks of 64-byte messages are 842 bytes on a
+/// rail whose PIO takes 1 KiB — which makes it "derive, don't set"
+/// material (ROADMAP 1(c)).
 pub const MAX_AGG_CHUNKS: usize = 16;
 
 /// Cross-flow eager aggregation strategy.

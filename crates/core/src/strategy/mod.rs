@@ -31,7 +31,7 @@ use simnet::{NodeId, SimTime};
 use crate::config::EngineConfig;
 use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::plan::{Body, ChunkCandidate, DstGroup, Plan, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::framing_bytes;
+use crate::proto::Framing;
 
 /// Everything a strategy may consult when proposing plans for one rail
 /// activation.
@@ -58,14 +58,6 @@ pub struct OptContext<'a> {
     /// scoring so degraded rails lose cost-model contests and the
     /// optimizer reroutes around them.
     pub health_penalty: f64,
-}
-
-impl<'a> OptContext<'a> {
-    /// Remaining payload budget for a packet already carrying `chunks`
-    /// chunks.
-    pub fn payload_budget(&self, chunks: usize) -> u64 {
-        self.packet_limit.saturating_sub(framing_bytes(chunks))
-    }
 }
 
 /// A packet-rearrangement strategy.
@@ -244,8 +236,11 @@ impl Proposals {
 }
 
 /// Greedily fill one packet from `candidates` (in the given order),
-/// respecting the packet size budget. The packet is appended to `out` and
-/// returned; `None` (and nothing appended) when no candidate fits.
+/// respecting the packet size budget: what `ctx.packet_limit` leaves once
+/// the chunks taken so far and the header the next one would get — which
+/// depends on the chunk before it, see [`Framing`] — are counted. The
+/// packet is appended to `out` and returned; `None` (and nothing appended)
+/// when no candidate fits.
 ///
 /// Within-message chunk order must already be correct in `candidates`
 /// (callers permute *messages*, not chunks within a message). Each chunk
@@ -261,11 +256,15 @@ pub fn fill_packet<'a, 'c>(
     let from = out.chunks.len();
     let mut count = 0usize;
     let mut payload = 0u64;
+    let mut framing = Framing::new();
     for cand in candidates {
         if count >= max_chunks {
             break;
         }
-        let budget = ctx.payload_budget(count + 1).saturating_sub(payload);
+        // The packet's framing with this candidate in it.
+        let mut framed = framing;
+        framed.push(cand.flow, cand.seq, cand.offset);
+        let budget = ctx.packet_limit.saturating_sub(framed.bytes() + payload);
         if budget == 0 {
             break;
         }
@@ -281,6 +280,7 @@ pub fn fill_packet<'a, 'c>(
             len: take,
         });
         out.cut_from.push(cand.at);
+        framing = framed;
         count += 1;
         payload += take as u64;
         // A partially-taken fragment blocks everything after it from the
@@ -469,8 +469,23 @@ mod tests {
         let mut out = Proposals::new();
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 1);
-        // 1000 - framing(1) = 964 payload bytes.
-        assert_eq!(plan.payload_bytes(), 1000 - crate::proto::framing_bytes(1));
+        // 1000 less the prefix and one header that names its message.
+        assert_eq!(plan.payload_bytes(), 1000 - 2 - 30);
+        // From the middle of a fragment the header says where: 4 more.
+        let cands = vec![cand(0, 0, 0, 100, 5000, false, TrafficClass::DEFAULT, 0)];
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
+        assert_eq!(plan.payload_bytes(), 1000 - 2 - 34);
+        // The fragments of one message fill to the byte: each header
+        // after the first names no message (2 + 30 + 3 × 11 + 935).
+        let cands: Vec<_> = (0..4)
+            .map(|frag| cand(0, 0, frag, 0, 400, false, TrafficClass::DEFAULT, 0))
+            .collect();
+        let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
+        assert_eq!(
+            (plan.chunk_count(), plan.payload_bytes()),
+            (3, 1000 - 2 - 30 - 22)
+        );
+        assert_eq!(plan.payload_bytes() + plan.framing(), 1000);
     }
 
     #[test]
@@ -488,8 +503,8 @@ mod tests {
         let mut out = Proposals::new();
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert!(!plan.linearized(), "a proposal names no mode");
-        let (chunks, payload) = (plan.chunk_count(), plan.payload_bytes());
-        let how = crate::cost::cheapest_injection(&caps, &cost, chunks, payload, true);
+        let (chunks, bytes) = (plan.chunk_count(), plan.payload_bytes() + plan.framing());
+        let how = crate::cost::cheapest_injection(&caps, &cost, chunks, bytes, true);
         assert!(how.expect("the copy goes by DMA").linearize);
     }
 
@@ -600,7 +615,7 @@ mod tests {
                     )
                 });
             let Some(c) = biggest else { continue };
-            if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
+            if (c.remaining as u64) < split::lone_chunk_budget(ctx, c) / 2 {
                 continue;
             }
             fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, "bulk-chunk", out);

@@ -12,7 +12,15 @@
 
 // madlint: file: hot-path
 
+use crate::plan::ChunkCandidate;
+use crate::proto::lone_chunk_framing;
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
+
+/// Payload bytes of a packet that carries a chunk of `c` and nothing else.
+pub(super) fn lone_chunk_budget(ctx: &OptContext<'_>, c: &ChunkCandidate) -> u64 {
+    ctx.packet_limit
+        .saturating_sub(lone_chunk_framing(c.offset))
+}
 
 /// Largest-fragment streaming strategy.
 #[derive(Debug, Default)]
@@ -54,7 +62,7 @@ impl Strategy for BulkChunking {
             let Some(c) = biggest else { continue };
             // Only worth a dedicated proposal when the fragment dominates a
             // packet; small ones are better served by aggregation.
-            if (c.remaining as u64) < ctx.payload_budget(1) / 2 {
+            if (c.remaining as u64) < lone_chunk_budget(ctx, c) / 2 {
                 continue;
             }
             fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, self.name(), out);
@@ -93,7 +101,8 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].chunk_count(), 1);
         // Took a budget-limited chunk of the big fragment at its frontier.
-        assert_eq!(out[0].payload_bytes(), ctx.payload_budget(1));
+        // (The candidate is 4096 bytes into its fragment.)
+        assert_eq!(out[0].payload_bytes(), 8192 - 2 - 34);
         match &out[0].body {
             crate::plan::PlanBody::Data { chunks, .. } => {
                 assert_eq!(chunks[0].offset, 4096);

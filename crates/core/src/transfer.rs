@@ -22,7 +22,7 @@ use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq};
 use crate::message::PackMode;
 use crate::plan::PlannedChunk;
 use crate::proto::{
-    encode_packet_with, encode_rndv, framing_bytes, make_header, ChunkHeader, WireChunk, KIND_DATA,
+    encode_packet_with, encode_rndv, make_header, wire_bytes, ChunkHeader, WireChunk, KIND_DATA,
 };
 
 /// Cookie used by control packets (no completion bookkeeping).
@@ -180,11 +180,15 @@ impl Transfer {
         let wire = &self.wire;
         let rail = &self.rails[rail];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
+        let segments = encode_packet_with(&mut self.block, wire, linearize);
+        // The bytes selection priced (`validate_chunks`) are the bytes the
+        // NIC is handed.
+        debug_assert_eq!(
+            segments.iter().map(|s| s.len() as u64).sum::<u64>(),
+            wire_bytes(chunks)
+        );
         let host_prep = if linearize {
-            let payload: u64 = wire.iter().map(|w| w.data.len() as u64).sum();
-            rail.driver
-                .cost_model()
-                .copy_time(payload + framing_bytes(wire.len()))
+            rail.driver.cost_model().copy_time(wire_bytes(chunks))
         } else {
             SimDuration::ZERO
         };
@@ -199,7 +203,7 @@ impl Transfer {
                 cookie,
                 mode: ModeSel::Auto,
                 host_prep,
-                segments: encode_packet_with(&mut self.block, wire, linearize),
+                segments,
             },
         );
         Ok((cookie, sent))

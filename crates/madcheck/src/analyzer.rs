@@ -149,8 +149,8 @@ pub fn check_spec(
     let plans = proposals.len();
     let threshold = effective_rndv_threshold(cfg, caps);
     for plan in proposals.to_plans() {
-        let (chunks, payload) = (plan.chunk_count(), plan.payload_bytes());
-        let how = cheapest_injection(caps, cost, chunks, payload, cfg.enable_gather);
+        let (chunks, bytes) = (plan.chunk_count(), plan.payload_bytes() + plan.framing());
+        let how = cheapest_injection(caps, cost, chunks, bytes, cfg.enable_gather);
         let plan = plan.injected(how.is_none_or(|how| how.linearize));
         // Selection's first check, before any constraint: the engine sends
         // a winner on the rail it is scheduling, so a plan must name it.

@@ -12,11 +12,30 @@
 //! chooses how it goes out, so the analyzer hands this pass every list *in
 //! the form that function picked*. The rule here — PIO up to its size cap,
 //! DMA up to its gather width, one segment after a copy — is spelled from
-//! the capability fields and shares no code with `cost.rs`.
+//! the capability fields and shares no code with `cost.rs`. Nor does the
+//! packet's size share any with `proto.rs`: [`wire_bytes`] spells the three
+//! header sizes of the wire format itself, so it is the independent verdict
+//! on `proto::framing_of` too.
 
 use madeleine::collect::{CollectLayer, RndvState};
-use madeleine::plan::{PlanBody, TransferPlan};
+use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
 use nicdrv::DriverCapabilities;
+
+/// Bytes a data packet of `chunks` is on the wire, from the format's
+/// definition: a 2-byte count; a 30-byte header for a chunk whose message
+/// the header before it did not name, 11 bytes for one that continues that
+/// message; 4 more for a chunk that does not start its fragment; the
+/// payload.
+pub fn wire_bytes(chunks: &[PlannedChunk]) -> u64 {
+    let mut bytes = 2;
+    for (i, c) in chunks.iter().enumerate() {
+        let continues = i > 0 && (chunks[i - 1].flow, chunks[i - 1].seq) == (c.flow, c.seq);
+        bytes += if continues { 11 } else { 30 };
+        bytes += if c.offset != 0 { 4 } else { 0 };
+        bytes += u64::from(c.len);
+    }
+    bytes
+}
 
 /// A plan/capability mismatch found by the capability pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,7 +141,7 @@ pub fn check_plan_caps(
             Ok(())
         }
         PlanBody::Data { chunks, linearize } => {
-            let bytes = plan.payload_bytes() + plan.framing();
+            let bytes = wire_bytes(chunks);
             if bytes > wire_mtu {
                 return Err(CapViolation::PacketExceedsMtu {
                     bytes,

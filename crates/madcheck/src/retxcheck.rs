@@ -12,7 +12,7 @@
 
 use madeleine::ids::FlowId;
 use madeleine::plan::PlannedChunk;
-use madeleine::proto::framing_bytes;
+use madeleine::proto::wire_bytes;
 use madeleine::reliability::plan_retransmit;
 use nicdrv::{calib, DriverCapabilities};
 use simnet::SplitMix64;
@@ -125,8 +125,7 @@ pub fn verify_packets(
                 max: max_chunks,
             });
         }
-        let payload: u64 = packet.iter().map(|c| u64::from(c.len)).sum();
-        let bytes = payload + framing_bytes(packet.len());
+        let bytes = wire_bytes(packet);
         if bytes > wire_mtu {
             return Err(RetxViolation::PacketExceedsMtu {
                 bytes,

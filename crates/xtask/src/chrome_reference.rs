@@ -308,11 +308,15 @@ fn streamed_export_equals_the_reference_over_the_corpus() {
     assert_streamed_equals_reference(&crate::trace_smoke_cell(), "smoke cell");
 }
 
-/// The smoke cell's export, byte for byte as the last DOM-built exporter
-/// wrote it (generated at that commit) — less the two records of the
-/// by-copy aggregation strategy's one proposal, its `PlanProposed` and
+/// The smoke cell's export, record for record as the last DOM-built
+/// exporter wrote it (generated at that commit) — less the two records of
+/// the by-copy aggregation strategy's one proposal, its `PlanProposed` and
 /// `PlanScored` in activation 1, which left the file when the strategy
-/// left the database (ISSUE 23; every other byte is that commit's).
+/// left the database (ISSUE 23), and with the sizes and instants of the
+/// wire format in which a packet names each message once (ISSUE 24: the
+/// first packet is 128 bytes where it was 132, the second 884 for 912, and
+/// 45 of the 71 records carry a size, a score denominator or a timestamp
+/// that follows from that; names, order and count are that commit's).
 #[test]
 fn smoke_cell_export_equals_the_committed_golden_file() {
     let golden = include_str!("../golden/trace_smoke.chrome.json");

@@ -159,6 +159,81 @@ fn undecodable_packet_counted_not_fatal() {
 }
 
 #[test]
+fn hostile_header_blocks_counted_not_fatal() {
+    // The header block is as long as its tags say, so a peer can lie in
+    // four more ways than by sending garbage: a first header that
+    // continues a message the packet has not named, a tag bit the format
+    // does not define, a block that runs past the packet, a count the
+    // bytes cannot hold. Each is one protocol error, none delivers
+    // anything — and the valid packet behind them is delivered.
+    use madeleine::proto::{encode_packet, make_header, WireChunk, KIND_DATA};
+    let mut sim = Simulation::new();
+    let net = sim.add_network(calib::params(Technology::MyrinetMx));
+    let a = sim.add_node();
+    let b = sim.add_node();
+    let na = sim.add_nic(a, net);
+    let nb = sim.add_nic(b, net);
+    let (eb, hb) = madeleine::MadEngine::builder(b)
+        .rail(calib::driver(Technology::MyrinetMx, nb), 32 << 10)
+        .peer(a, vec![na])
+        .build()
+        .unwrap();
+    sim.set_endpoint(b, Box::new(eb));
+
+    let body = Bytes::from_static(b"twelve bytes");
+    let header = make_header(
+        madeleine::FlowId(0),
+        0,
+        0,
+        1,
+        false,
+        TrafficClass::DEFAULT,
+        body.len() as u32,
+        0,
+        body.len() as u32,
+        SimTime::ZERO,
+    );
+    let chunk = WireChunk { header, data: body };
+    let valid = encode_packet(std::slice::from_ref(&chunk), true).remove(0);
+    let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = valid.to_vec();
+        edit(&mut bytes);
+        Bytes::from(bytes)
+    };
+    let hostile = [
+        mutated(&|b| b[2] |= 0b010), // SAME_MSG on the packet's first header
+        mutated(&|b| b[2] |= 0b1000_0000), // an unknown tag bit
+        mutated(&|b| b.truncate(2 + 17)), // the block runs past the packet
+        mutated(&|b| b[..2].copy_from_slice(&u16::MAX.to_le_bytes())), // 65 535 chunks in 44 bytes
+    ];
+    let sent = hostile.len() as u64;
+    sim.inject(a, |ctx| {
+        for payload in hostile.into_iter().chain([valid.clone()]) {
+            ctx.submit(
+                na,
+                simnet::TxRequest {
+                    dst_nic: nb,
+                    vchan: 1,
+                    kind: KIND_DATA,
+                    cookie: 0,
+                    mode: simnet::TxMode::Pio,
+                    host_prep: simnet::SimDuration::ZERO,
+                    payload: vec![payload],
+                },
+            )
+            .unwrap();
+        }
+    });
+    sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+    assert_eq!(hb.metrics().proto_errors, sent);
+    assert_eq!(
+        hb.metrics().delivered_msgs,
+        1,
+        "the engine is still running"
+    );
+}
+
+#[test]
 fn capability_violations_rejected_with_precise_errors() {
     let mut sim = Simulation::new();
     let net = sim.add_network(calib::params(Technology::InfiniBand));
