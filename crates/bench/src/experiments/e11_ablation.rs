@@ -147,24 +147,6 @@ pub fn run() -> Report {
             p.packets.to_string(),
         ]);
     }
-    // How deep should aggregation go? Sweep the chunk cap.
-    let mut t3 = Table::new(
-        "aggregation-depth sweep (same workload, full engine)",
-        &["agg chunk limit", "makespan(us)", "chunks/pkt", "pkts"],
-    );
-    for &limit in &[2usize, 4, 8, 16, 32] {
-        let p = run_config(EngineConfig {
-            agg_chunk_limit: limit,
-            ..EngineConfig::default()
-        });
-        t3.row(vec![
-            limit.to_string(),
-            fmt_f(p.makespan_us),
-            fmt_f(p.agg),
-            p.packets.to_string(),
-        ]);
-    }
-
     // Which strategy wins the scoring contest, full engine.
     let full = run_config(EngineConfig::default());
     let mut t2 = Table::new(
@@ -179,7 +161,7 @@ pub fn run() -> Report {
         id: "E11",
         title: "strategy-database ablation",
         claim: "(repository ablation — quantifies each predefined strategy's contribution)",
-        tables: vec![t, t3, t2],
+        tables: vec![t, t2],
         notes: vec![
             "cross-flow merging carries most of the win on this mix, and it has \
              two proposers: with `aggregate` alone off the reorder variants \
@@ -201,8 +183,8 @@ mod tests {
     fn disabling_aggregation_hurts() {
         // Cross-flow merging has two proposers: `aggregate` fills in
         // window order, the reorder variants in theirs. With `aggregate`
-        // alone off the reorder lists still merge — 10.0 chunks per packet
-        // against the full engine's 9.29, now that the cost model may send
+        // alone off the reorder lists still merge — 14.2 chunks per packet
+        // against the full engine's 14.9, now that the cost model may send
         // their lists by copy too; "no aggregation" used to mean "no
         // by-copy mode", which only `aggregate`'s family could reach. What
         // remains true: with both proposers off, packets carry fewer

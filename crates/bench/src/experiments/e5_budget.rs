@@ -105,7 +105,7 @@ pub fn run() -> Report {
             "a budget of a handful of evaluations per activation already \
              captures nearly all of the communication benefit; the unbounded \
              search buys little — evaluations can be safely capped".into(),
-            "the heterogeneous cell agrees on makespan (within 2% from budget 1 \
+            "the heterogeneous cell agrees on makespan (within 2.5% from budget 1 \
              to 256) and is where the budget buys latency: what the later \
              proposals add is which messages go first, not how many bytes a \
              packet carries".into(),

@@ -1,11 +1,13 @@
 //! Engine configuration: every tunable the paper discusses or announces as
 //! future work is an explicit knob here, so the experiment harness can sweep
 //! them (lookahead window — E4; rearrangement budget — E5; Nagle delay — E3;
-//! strategy toggles — ablations). Two things are deliberately *not* knobs
-//! of their own: how a packet is injected — by copy or as a gather list —
-//! is priced per packet by the rail's cost model
-//! (`cost::cheapest_injection`; `enable_gather` only takes the gather side
-//! away, for E10's and E11's forced-copy arm), and "no rendezvous" is
+//! strategy toggles — ablations). Three things are deliberately *not*
+//! knobs of their own: how many chunks a packet carries — the rail's packet
+//! size and the window end it (`cost::packet_limit`, `lookahead_window`);
+//! how a packet is injected — by copy or as a gather list — which is priced
+//! per packet by the rail's cost model (`cost::cheapest_injection`;
+//! `enable_gather` only takes the gather side away, for E10's and E11's
+//! forced-copy arm); and "no rendezvous", which is
 //! `rndv_threshold: Some(u64::MAX)`.
 
 use simnet::SimDuration;
@@ -23,7 +25,8 @@ pub struct EngineConfig {
     /// offered beside the window, at most
     /// [`crate::plan::MAX_REQS_PER_DST`] per destination, and takes no
     /// slot — however many requests are parked in the backlog, the window
-    /// holds this many candidates to aggregate (E4's second table).
+    /// holds this many candidates to aggregate (E4's second table). With
+    /// the rail's packet size it is what ends a packet of small messages.
     pub lookahead_window: usize,
     /// Maximum candidate plans the optimizer *scores* per activation — the
     /// bound on "the number of data rearrangements the optimizer has to
@@ -37,10 +40,6 @@ pub struct EngineConfig {
     /// capability hint per rail, `Some(u64::MAX)` turns the rendezvous
     /// protocol off.
     pub rndv_threshold: Option<u64>,
-    /// Maximum chunks merged into one packet by the aggregation
-    /// strategies (bounds header-table growth and per-chunk framing
-    /// overhead).
-    pub agg_chunk_limit: usize,
     /// Enable the cross-flow eager aggregation strategy.
     pub enable_aggregation: bool,
     /// Enable reordering strategies (SJF / class-priority orderings).
@@ -95,7 +94,6 @@ impl Default for EngineConfig {
             rearrange_budget: 256,
             nagle_delay: SimDuration::ZERO,
             rndv_threshold: None,
-            agg_chunk_limit: 16,
             enable_aggregation: true,
             enable_reorder: true,
             enable_split: true,
@@ -154,9 +152,6 @@ impl EngineConfig {
         }
         if self.rearrange_budget == 0 {
             return Err("rearrange_budget must be >= 1".into());
-        }
-        if self.agg_chunk_limit == 0 {
-            return Err("agg_chunk_limit must be >= 1".into());
         }
         if self.reliability != ReliabilityMode::Off {
             if self.retransmit_timeout.is_zero() {
@@ -244,10 +239,5 @@ mod tests {
     fn validation_rejects_degenerate_values() {
         assert!(EngineConfig::default().with_window(0).validate().is_err());
         assert!(EngineConfig::default().with_budget(0).validate().is_err());
-        let c = EngineConfig {
-            agg_chunk_limit: 0,
-            ..EngineConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 }

@@ -10,11 +10,14 @@
 
 // madlint: file: hot-path
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use nicdrv::DriverCapabilities;
 
 use simnet::NodeId;
 
-use crate::collect::{CollectLayer, RndvState};
+use crate::collect::{CollectLayer, PendingMessage, RndvState};
 use crate::cost::{injectable, packet_limit};
 use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::message::PackMode;
@@ -133,26 +136,155 @@ impl std::fmt::Display for PlanViolation {
 
 impl std::error::Error for PlanViolation {}
 
-/// Bytes of each fragment claimed by the chunks of one plan seen so far,
-/// so that a later chunk may rely on an earlier chunk of the same packet.
-/// A selection pass reuses one across all its proposals.
+/// What the chunks of one plan seen so far claim of their fragments, so
+/// that a later chunk may rely on an earlier chunk of the same packet. A
+/// selection pass reuses one across all its proposals.
+///
+/// Checking a list stays linear in its length. Every built-in list keeps a
+/// message's chunks adjacent (the `DstGroup` invariant), so the message the
+/// chunk before named is kept at hand: a chunk that continues it reads its
+/// fragments' claims by index and its express gate where the last chunk
+/// left it, with no lookup. Where the list moves to another message, a
+/// list in window order — which names messages in ascending `(flow, seq)`
+/// under pack-order fairness — is known to meet a new one; any other list
+/// pays a keyed lookup there, so that one that comes back to a message —
+/// a user strategy may interleave — finds what its earlier chunks claimed.
 #[derive(Debug, Default)]
-pub(crate) struct PlanCoverage(Vec<((FlowId, u32, FragIndex), u32)>);
+pub(crate) struct PlanCoverage {
+    /// Bytes claimed of each fragment, message after message (see
+    /// [`MsgClaims`]); the message being walked owns the tail.
+    claimed: Vec<u32>,
+    /// Every message the list has named so far, in the order met.
+    msgs: Vec<MsgClaims>,
+    /// Where in `msgs` a message is; empty while the list has named its
+    /// messages in ascending order, each one new.
+    met: HashMap<(FlowId, u32), u32, BuildHasherDefault<KeyHasher>>,
+}
+
+/// One message's share of [`PlanCoverage`].
+#[derive(Clone, Copy, Debug)]
+struct MsgClaims {
+    key: (FlowId, u32),
+    /// The claims of its fragments `0..len` are `claimed[at..at + len]`;
+    /// a later fragment claims nothing yet.
+    at: u32,
+    len: u32,
+    /// Its fragments below this one are known not to hold a later one
+    /// back: not express, or every byte committed or claimed.
+    gate: FragIndex,
+}
 
 impl PlanCoverage {
-    // madlint: allow(linear-scan) — one entry per fragment the plan
-    // touches: at most `agg_chunk_limit` for every built-in strategy
-    fn covered(&self, key: (FlowId, u32, FragIndex)) -> u32 {
-        self.0.iter().find(|e| e.0 == key).map_or(0, |e| e.1)
+    fn clear(&mut self) {
+        self.claimed.clear();
+        self.msgs.clear();
+        self.met.clear();
     }
 
-    // madlint: allow(linear-scan) — same bound as `covered`
-    fn entry(&mut self, key: (FlowId, u32, FragIndex)) -> &mut u32 {
-        let at = self.0.iter().position(|e| e.0 == key).unwrap_or_else(|| {
-            self.0.push((key, 0));
-            self.0.len() - 1
-        });
-        &mut self.0[at].1
+    /// The list names message `key`, which the chunk before did not: its
+    /// place in `msgs`, its claims moved to the tail.
+    fn enter(&mut self, key: (FlowId, u32)) -> usize {
+        let tail = self.claimed.len() as u32;
+        let next = self.msgs.len() as u32;
+        let ascending = self.met.is_empty() && self.msgs.last().is_none_or(|m| m.key < key);
+        let m = if ascending {
+            next
+        } else {
+            if self.met.is_empty() {
+                // The first message out of order: from here on, look up.
+                let met = self.msgs.iter().zip(0..).map(|(m, at)| (m.key, at));
+                self.met.extend(met);
+            }
+            *self.met.entry(key).or_insert(next)
+        } as usize;
+        if m == self.msgs.len() {
+            self.msgs.push(MsgClaims {
+                key,
+                at: tail,
+                len: 0,
+                gate: 0,
+            });
+        } else {
+            // Back to a message met before: where it was, another now ends.
+            let MsgClaims { at, len, .. } = self.msgs[m];
+            self.claimed
+                .extend_from_within(at as usize..(at + len) as usize);
+            self.msgs[m].at = tail;
+        }
+        m
+    }
+
+    /// Bytes the list has claimed so far of fragment `frag` of message `m`.
+    fn claimed(&self, m: usize, frag: FragIndex) -> u32 {
+        let MsgClaims { at, len, .. } = self.msgs[m];
+        let frag = u32::from(frag);
+        if frag < len {
+            self.claimed[(at + frag) as usize]
+        } else {
+            0
+        }
+    }
+
+    /// Fragment `frag` of message `m`, the one at the tail, claims `bytes`.
+    fn claim(&mut self, m: usize, frag: FragIndex, bytes: u32) {
+        let claims = &mut self.msgs[m];
+        let frag = u32::from(frag);
+        if frag >= claims.len {
+            let grown = (claims.at + frag + 1) as usize;
+            debug_assert!(grown >= self.claimed.len(), "message {m} is not the tail");
+            self.claimed.resize(grown, 0);
+            claims.len = frag + 1;
+        }
+        self.claimed[(claims.at + frag) as usize] += bytes;
+    }
+
+    /// The first express fragment of `msg` (message `m`) before `frag`
+    /// that is neither committed nor claimed in full, if any. Fragments
+    /// found clear stay clear — claims only grow — so no fragment of a
+    /// message is looked at twice in one list.
+    fn open_express(
+        &mut self,
+        m: usize,
+        msg: &PendingMessage,
+        frag: FragIndex,
+    ) -> Option<FragIndex> {
+        let mut gate = self.msgs[m].gate;
+        while gate < frag {
+            let earlier = &msg.frags[gate as usize];
+            if earlier.mode == PackMode::Express
+                && earlier.committed() + self.claimed(m, gate) < earlier.len()
+            {
+                break;
+            }
+            gate += 1;
+        }
+        self.msgs[m].gate = gate;
+        (gate < frag).then_some(gate)
+    }
+}
+
+/// Hashes a message key with a multiply per word (the "Fx" scheme): every
+/// key [`PlanCoverage`] hashes names a live message (`find_msg` found it
+/// first), so the keys are small integers the engine assigned, not chosen
+/// by a peer, and a keyed hash would buy nothing.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high bits are the ones the table's
+        // bucket index reads.
+        self.0.rotate_left(26)
     }
 }
 
@@ -243,24 +375,34 @@ pub(crate) fn validate_chunks(
     if chunks.is_empty() {
         return Err(PlanViolation::EmptyPlan);
     }
-    planned.0.clear();
+    planned.clear();
     let mut payload = 0u64;
     let mut framing = Framing::new();
+    // The message the chunk before named, and its place in `planned`.
+    let mut current: Option<(&PendingMessage, usize)> = None;
     for c in chunks {
         if c.len == 0 {
             return Err(PlanViolation::ZeroLengthChunk);
         }
-        let msg = collect
-            .find_msg(c.flow, c.seq)
-            .ok_or(PlanViolation::UnknownChunk)?;
-        if msg.dst != dst {
-            return Err(PlanViolation::MixedDestinations);
-        }
-        if let Some(pin) = msg.pinned_rail {
-            if pin != channel {
-                return Err(PlanViolation::WrongRail);
+        let (msg, m) = match current {
+            Some((msg, m)) if (msg.id.flow, msg.id.seq.0) == (c.flow, c.seq) => (msg, m),
+            _ => {
+                let msg = collect
+                    .find_msg(c.flow, c.seq)
+                    .ok_or(PlanViolation::UnknownChunk)?;
+                if msg.dst != dst {
+                    return Err(PlanViolation::MixedDestinations);
+                }
+                if let Some(pin) = msg.pinned_rail {
+                    if pin != channel {
+                        return Err(PlanViolation::WrongRail);
+                    }
+                }
+                let m = planned.enter((c.flow, c.seq));
+                current = Some((msg, m));
+                (msg, m)
             }
-        }
+        };
         let frag = msg
             .frags
             .get(c.frag as usize)
@@ -270,24 +412,14 @@ pub(crate) fn validate_chunks(
         }
         // Express gating: every earlier express fragment must be
         // fully committed or fully covered earlier in this plan.
-        for (i, earlier) in msg.frags.iter().enumerate() {
-            if i as u16 >= c.frag {
-                break;
-            }
-            if earlier.mode != PackMode::Express || earlier.fully_committed() {
-                continue;
-            }
-            let covered = planned.covered((c.flow, c.seq, i as FragIndex));
-            if earlier.committed() + covered < earlier.len() {
-                return Err(PlanViolation::ExpressOrder {
-                    flow: c.flow,
-                    frag: c.frag,
-                    open_express: i as FragIndex,
-                });
-            }
+        if let Some(open_express) = planned.open_express(m, msg, c.frag) {
+            return Err(PlanViolation::ExpressOrder {
+                flow: c.flow,
+                frag: c.frag,
+                open_express,
+            });
         }
-        let already = planned.entry((c.flow, c.seq, c.frag));
-        let expected = frag.committed() + *already;
+        let expected = frag.committed() + planned.claimed(m, c.frag);
         if c.offset != expected {
             return Err(PlanViolation::NonContiguous {
                 flow: c.flow,
@@ -301,7 +433,7 @@ pub(crate) fn validate_chunks(
         if u64::from(c.offset) + u64::from(c.len) > u64::from(frag.len()) {
             return Err(PlanViolation::Overrun);
         }
-        *already += c.len;
+        planned.claim(m, c.frag, c.len);
         payload += c.len as u64;
         framing.push(c.flow, c.seq, c.offset);
     }
@@ -703,6 +835,240 @@ mod tests {
         assert_eq!(
             validate_plan(&p, &c, &caps(), 1 << 20),
             Err(PlanViolation::WrongRail)
+        );
+    }
+
+    /// The coverage [`validate_chunks`] kept before it walked a message at a
+    /// time: one entry per fragment touched, found by a scan.
+    #[derive(Default)]
+    struct ScannedCoverage(Vec<((FlowId, u32, FragIndex), u32)>);
+
+    impl ScannedCoverage {
+        fn covered(&self, key: (FlowId, u32, FragIndex)) -> u32 {
+            self.0.iter().find(|e| e.0 == key).map_or(0, |e| e.1)
+        }
+
+        fn entry(&mut self, key: (FlowId, u32, FragIndex)) -> &mut u32 {
+            let at = self.0.iter().position(|e| e.0 == key).unwrap_or_else(|| {
+                self.0.push((key, 0));
+                self.0.len() - 1
+            });
+            &mut self.0[at].1
+        }
+    }
+
+    /// [`validate_chunks`] as it read with a scanned coverage, verbatim:
+    /// every chunk looks its message up, walks its earlier fragments and
+    /// scans the plan's claims.
+    fn scanned_validate_chunks(
+        channel: ChannelId,
+        dst: NodeId,
+        chunks: &[PlannedChunk],
+        collect: &CollectLayer,
+        limit: u64,
+    ) -> Result<(u64, u64), PlanViolation> {
+        if chunks.is_empty() {
+            return Err(PlanViolation::EmptyPlan);
+        }
+        let mut planned = ScannedCoverage::default();
+        let mut payload = 0u64;
+        let mut framing = Framing::new();
+        for c in chunks {
+            if c.len == 0 {
+                return Err(PlanViolation::ZeroLengthChunk);
+            }
+            let msg = collect
+                .find_msg(c.flow, c.seq)
+                .ok_or(PlanViolation::UnknownChunk)?;
+            if msg.dst != dst {
+                return Err(PlanViolation::MixedDestinations);
+            }
+            if let Some(pin) = msg.pinned_rail {
+                if pin != channel {
+                    return Err(PlanViolation::WrongRail);
+                }
+            }
+            let frag = msg
+                .frags
+                .get(c.frag as usize)
+                .ok_or(PlanViolation::UnknownChunk)?;
+            if frag.rndv_blocked() {
+                return Err(PlanViolation::RndvBlocked);
+            }
+            for (i, earlier) in msg.frags.iter().enumerate() {
+                if i as u16 >= c.frag {
+                    break;
+                }
+                if earlier.mode != PackMode::Express || earlier.fully_committed() {
+                    continue;
+                }
+                let covered = planned.covered((c.flow, c.seq, i as FragIndex));
+                if earlier.committed() + covered < earlier.len() {
+                    return Err(PlanViolation::ExpressOrder {
+                        flow: c.flow,
+                        frag: c.frag,
+                        open_express: i as FragIndex,
+                    });
+                }
+            }
+            let already = planned.entry((c.flow, c.seq, c.frag));
+            let expected = frag.committed() + *already;
+            if c.offset != expected {
+                return Err(PlanViolation::NonContiguous {
+                    flow: c.flow,
+                    frag: c.frag,
+                    expected,
+                    got: c.offset,
+                });
+            }
+            if u64::from(c.offset) + u64::from(c.len) > u64::from(frag.len()) {
+                return Err(PlanViolation::Overrun);
+            }
+            *already += c.len;
+            payload += c.len as u64;
+            framing.push(c.flow, c.seq, c.offset);
+        }
+        let total = payload + framing.bytes();
+        if total > limit {
+            return Err(PlanViolation::OverSize {
+                bytes: total,
+                limit,
+            });
+        }
+        Ok((payload, total))
+    }
+
+    #[test]
+    fn interleaved_lists_get_the_verdict_of_the_scanned_coverage() {
+        // Three flows to node 1 and one to node 2, two messages each, of
+        // three fragments whose sizes and offsets are multiples of 8, so
+        // that random chunks often land on a fragment's frontier. Some
+        // fragments are express, some partly committed, one needs a
+        // rendezvous; flow 2's first message is pinned to rail 3.
+        let mut c = CollectLayer::new();
+        let flows: Vec<FlowId> = (0..4u32)
+            .map(|f| c.open_flow(NodeId(1 + f / 3), TrafficClass::DEFAULT))
+            .collect();
+        let mode = |express: bool| {
+            if express {
+                PackMode::Express
+            } else {
+                PackMode::Cheaper
+            }
+        };
+        let mut keys = Vec::new();
+        for (i, &flow) in flows.iter().enumerate() {
+            for seq in 0..2u32 {
+                let k = i as u32 * 2 + seq;
+                let last = if k == 5 { 2048 } else { 32 };
+                let sizes = [
+                    (16, mode(k % 2 == 0)),
+                    (24, mode(k % 3 == 0)),
+                    (last, PackMode::Cheaper),
+                ];
+                c.submit(flow, parts(&sizes), SimTime::ZERO, 1024);
+                keys.push((flow, seq));
+            }
+        }
+        keys.push((flows[0], 7)); // never submitted
+        let commit = |c: &mut CollectLayer, (flow, seq): (FlowId, u32), frag, len, rail| {
+            let chunk = PlannedChunk {
+                flow,
+                seq,
+                frag,
+                offset: 0,
+                len,
+            };
+            c.commit_chunk(&chunk, ChannelId(rail));
+        };
+        commit(&mut c, keys[0], 0, 8, 0);
+        commit(&mut c, keys[2], 2, 16, 0);
+        commit(&mut c, keys[3], 1, 16, 0);
+        commit(&mut c, keys[4], 0, 16, 3);
+
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        let mut planned = PlanCoverage::default();
+        let (mut valid, mut revisits, mut express, mut contiguity) = (0, 0, 0, 0);
+        for case in 0..20_000 {
+            // Chunks at their fragment's frontier — of the message before,
+            // or of one of two or three messages the case keeps returning
+            // to — most of the time; now and then a chunk anywhere. Runs of
+            // one message, returns to it and stray chunks all occur.
+            let mut list: Vec<PlannedChunk> = Vec::new();
+            let favourites: Vec<_> = (0..2 + draw(2))
+                .map(|_| keys[draw(keys.len() as u64) as usize])
+                .collect();
+            for _ in 0..1 + draw(12) {
+                let len = 8 * (1 + draw(3) as u32);
+                let (flow, seq) = match (list.last(), draw(8)) {
+                    (Some(p), 0..=2) => (p.flow, p.seq),
+                    (_, 7) => keys[draw(keys.len() as u64) as usize],
+                    _ => favourites[draw(favourites.len() as u64) as usize],
+                };
+                let claimed = |list: &[PlannedChunk], frag| -> u32 {
+                    let mine = |p: &&PlannedChunk| (p.flow, p.seq, p.frag) == (flow, seq, frag);
+                    list.iter().filter(mine).map(|p| p.len).sum()
+                };
+                // Mostly the first fragment with bytes left, else any.
+                let msg = c.find_msg(flow, seq);
+                let first_open = msg.and_then(|m| {
+                    (0..m.frags.len() as FragIndex).find(|&i| {
+                        let f = &m.frags[i as usize];
+                        f.committed() + claimed(&list, i) < f.len()
+                    })
+                });
+                let frag = match first_open {
+                    Some(i) if draw(4) != 0 => i,
+                    _ => draw(4) as FragIndex,
+                };
+                let frontier = msg.and_then(|m| m.frags.get(frag as usize));
+                let chunk = match frontier {
+                    Some(f) if draw(8) != 0 => {
+                        let offset = f.committed() + claimed(&list, frag);
+                        PlannedChunk {
+                            flow,
+                            seq,
+                            frag,
+                            offset,
+                            len: len.min(f.len().saturating_sub(offset)).max(1),
+                        }
+                    }
+                    _ => PlannedChunk {
+                        flow,
+                        seq,
+                        frag,
+                        offset: 8 * draw(3) as u32,
+                        len,
+                    },
+                };
+                list.push(chunk);
+            }
+            let limit = if case % 5 == 0 { 120 } else { 1 << 20 };
+            let (rail, dst) = (ChannelId(0), NodeId(1));
+            let want = scanned_validate_chunks(rail, dst, &list, &c, limit);
+            let got = validate_chunks(rail, dst, &list, &c, limit, &mut planned);
+            assert_eq!(got, want, "case {case}: {list:?}");
+            let came_back = list.iter().enumerate().any(|(i, a)| {
+                let key = |c: &PlannedChunk| (c.flow, c.seq);
+                i > 1
+                    && list[..i - 1].iter().any(|b| key(b) == key(a))
+                    && key(&list[i - 1]) != key(a)
+            });
+            valid += usize::from(want.is_ok());
+            revisits += usize::from(want.is_ok() && came_back);
+            express += usize::from(matches!(want, Err(PlanViolation::ExpressOrder { .. })));
+            contiguity += usize::from(matches!(want, Err(PlanViolation::NonContiguous { .. })));
+        }
+        assert!(
+            valid > 1000 && revisits > 50 && express > 500 && contiguity > 500,
+            "{valid} valid, {revisits} of them coming back to a message, \
+             {express} express-order and {contiguity} contiguity verdicts"
         );
     }
 }

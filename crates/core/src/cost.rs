@@ -186,6 +186,15 @@ pub(crate) fn cheaper_mode(
         .min_by_key(|&(_, busy)| busy)
 }
 
+/// Unloaded one-way time of a one-segment packet of `bytes` (payload and
+/// framing) on a rail, injected in the cheapest mode the rail admits: for
+/// a control packet ([`CONTROL_PACKET_BYTES`]), half the handshake a
+/// rendezvous request starts, and the way back of an ack.
+pub(crate) fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
+    let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
+    cost.one_way(mode, bytes, 1)
+}
+
 /// A packet of `chunks` chunks and `bytes` on the wire in one form, priced.
 fn priced(
     caps: &DriverCapabilities,
@@ -248,9 +257,11 @@ fn request_busy(ctx: &OptContext<'_>) -> SimDuration {
 
 impl RequestCost {
     pub(crate) fn on(ctx: &OptContext<'_>) -> Self {
+        // The request out and the grant back: two control packets.
+        let handshake = one_way(ctx.caps, ctx.cost, CONTROL_PACKET_BYTES) * 2;
         RequestCost {
             est_busy: request_busy(ctx),
-            handshake_ns: ctx.cost.control_rtt(TxMode::Pio).as_nanos().max(1) as f64,
+            handshake_ns: handshake.as_nanos().max(1) as f64,
         }
     }
 

@@ -35,7 +35,6 @@ use crate::proto::{
     ChunkHeader, Framing, WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
-use crate::strategy::MAX_AGG_CHUNKS;
 use crate::transfer::{assert_reachable, rail_of, Rail};
 
 /// A packet fully built at submission time, waiting in a rail's software
@@ -196,7 +195,7 @@ impl LegacyCore {
                 let header = framing.next(flow, seq, offset);
                 let budget = packet_limit.saturating_sub(pending_bytes + framing.bytes() + header);
                 let remaining = len - offset;
-                if (remaining > 0 && budget == 0) || pending.len() >= MAX_AGG_CHUNKS {
+                if remaining > 0 && budget == 0 {
                     flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
                     continue;
                 }

@@ -11,10 +11,6 @@ use crate::ids::{FlowId, TrafficClass};
 use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
 use crate::receiver::ReceiverStats;
 
-/// Histogram of chunks-per-packet (index = chunk count, capped at the last
-/// bucket). `chunks/packets > 1` is aggregation happening.
-const AGG_BUCKETS: usize = 17;
-
 /// Distinct per-flow latency histograms retained before further flows are
 /// pooled into the overflow histogram (madscope; bounds hot-path memory on
 /// workloads with unbounded flow churn).
@@ -82,8 +78,6 @@ pub struct EngineMetrics {
     pub packets_sent: u64,
     /// Chunks sent (aggregation ratio = chunks / packets).
     pub chunks_sent: u64,
-    /// chunks-per-packet histogram.
-    pub agg_histogram: [u64; AGG_BUCKETS],
     /// Optimizer activations by NIC-idle events.
     pub activations_idle: u64,
     /// Optimizer activations by application submissions.
@@ -179,7 +173,6 @@ impl Default for EngineMetrics {
             decision_evals: LogHistogram::new(),
             packets_sent: 0,
             chunks_sent: 0,
-            agg_histogram: [0; AGG_BUCKETS],
             activations_idle: 0,
             activations_submit: 0,
             activations_timer: 0,
@@ -228,8 +221,6 @@ impl EngineMetrics {
     pub fn record_packet(&mut self, chunks: usize, linearized: bool) {
         self.packets_sent += 1;
         self.chunks_sent += chunks as u64;
-        let idx = chunks.min(AGG_BUCKETS - 1);
-        self.agg_histogram[idx] += 1;
         if chunks > 1 {
             if linearized {
                 self.linearized_packets += 1;
@@ -501,9 +492,8 @@ mod tests {
         m.record_packet(4, false);
         assert!((m.aggregation_ratio() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.linearized_packets, 1);
+        assert_eq!((m.packets_sent, m.chunks_sent), (3, 8));
         assert_eq!(m.gathered_packets, 1);
-        assert_eq!(m.agg_histogram[1], 1);
-        assert_eq!(m.agg_histogram[3], 1);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::cost::{
 use crate::ids::{FlowId, TrafficClass};
 use crate::plan::{Body, PlanRef, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
+use crate::proto::framing_of;
 use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
@@ -79,15 +80,39 @@ struct JudgedList {
     verdict: Result<(f64, Injection), PlanViolation>,
 }
 
-/// Where in `judged` the chunk list of data proposal `plan` stands, if an
-/// earlier proposal of the pass carried the same list toward the same node.
+/// What the pass already knows of a data proposal's chunk list.
+#[derive(Clone, Copy, Debug)]
+enum Known {
+    /// An earlier proposal carried the same list toward the same node: its
+    /// verdict is `judged[at]`.
+    Repeat(usize),
+    /// The list begins a longer one an earlier proposal carried toward the
+    /// same node, which is valid — so is the list (`aggregate-gather`'s cut
+    /// of `aggregate`'s fill): a chunk's checks read only the chunks before
+    /// it, and a shorter packet fits where a longer one does. What is left
+    /// to count is its size.
+    Within,
+}
+
+/// What the judged lists of the pass say of data proposal `plan`'s list —
+/// a repeat before a prefix, whose verdict would need pricing again.
 // madlint: allow(linear-scan) — one entry per distinct list of the pass, a
 // handful; two lists mostly differ in length or in their first chunk
-fn judged_before(judged: &[JudgedList], proposals: &Proposals, plan: PlanRef<'_>) -> Option<usize> {
-    judged.iter().position(|j| {
+fn judged_before(judged: &[JudgedList], proposals: &Proposals, plan: PlanRef<'_>) -> Option<Known> {
+    let mut within = None;
+    for (at, j) in judged.iter().enumerate() {
         let first = proposals.get(j.first);
-        first.dst == plan.dst && first.chunks() == plan.chunks()
-    })
+        if first.dst != plan.dst || !first.chunks().starts_with(plan.chunks()) {
+            continue;
+        }
+        if first.chunk_count() == plan.chunk_count() {
+            return Some(Known::Repeat(at));
+        }
+        if j.verdict.is_ok() && plan.chunk_count() > 0 {
+            within = Some(Known::Within);
+        }
+    }
+    within
 }
 
 /// The scratch of a rail activation: the window's groups and what the
@@ -154,9 +179,11 @@ pub fn select_plan_traced(
 /// their waiting are worth — and how it goes out, by copy or as a gather
 /// list, by PIO or DMA, which is the cost model's choice
 /// ([`cheapest_injection`]; a list the rail cannot inject either way is
-/// vetoed). The winner's `linearize` records that choice. The outcome, the
-/// counters (a repeated list is still a plan evaluated) and the decision
-/// log are those of judging every proposal from scratch, in both forms,
+/// vetoed). A list that begins a valid one of the pass is valid and is only
+/// sized, not checked again. The winner's `linearize` records that choice.
+/// The outcome, the counters (a repeated list is still a plan evaluated)
+/// and the decision log are those of judging every proposal from scratch,
+/// in both forms,
 /// with [`validate_plan`](crate::constraints::validate_plan) and
 /// [`score_plan`](crate::cost::score_plan), and keeping the cheaper.
 #[allow(clippy::too_many_arguments)]
@@ -221,18 +248,27 @@ pub(crate) fn select_plan_in(
                 })
             }
             Body::Data { chunks, .. } => {
-                let list = judged_before(judged, proposals, plan).unwrap_or_else(|| {
-                    let (rail, dst, n) = (plan.channel, plan.dst, chunks.len());
-                    let verdict = validate_chunks(rail, dst, chunks, collect, size_limit, coverage)
-                        .and_then(|(payload, bytes)| {
+                let list = match judged_before(judged, proposals, plan) {
+                    Some(Known::Repeat(list)) => list,
+                    known => {
+                        let (rail, dst, n) = (plan.channel, plan.dst, chunks.len());
+                        let checked = match known {
+                            Some(Known::Within) => {
+                                let payload = chunks.iter().map(|c| u64::from(c.len)).sum::<u64>();
+                                Ok((payload, payload + framing_of(chunks)))
+                            }
+                            _ => validate_chunks(rail, dst, chunks, collect, size_limit, coverage),
+                        };
+                        let verdict = checked.and_then(|(payload, bytes)| {
                             let gather = ctx.config.enable_gather;
                             let how = cheapest_injection(ctx.caps, ctx.cost, n, bytes, gather)
                                 .ok_or(PlanViolation::NoInjectionPath { bytes })?;
                             Ok((chunks_value(dst, chunks, hints, payload, ctx), how))
                         });
-                    judged.push(JudgedList { first: at, verdict });
-                    judged.len() - 1
-                });
+                        judged.push(JudgedList { first: at, verdict });
+                        judged.len() - 1
+                    }
+                };
                 let priced = judged[list].verdict.clone();
                 priced.map(|(value, how)| (density(value, how.busy, ctx), how.busy, how.linearize))
             }
@@ -753,7 +789,9 @@ mod tests {
                         .flat_map(|g| g.rndv.iter())
                         .find(|r| r.flow == *flow && r.seq == *seq && r.frag == *frag)
                         .map_or(0.0, |r| r.frag_len as f64);
-                    frag_len / ctx.cost.control_rtt(simnet::TxMode::Pio).as_nanos().max(1) as f64
+                    let bytes = crate::proto::CONTROL_PACKET_BYTES;
+                    let handshake = crate::cost::one_way(ctx.caps, ctx.cost, bytes) * 2;
+                    frag_len / handshake.as_nanos().max(1) as f64
                 }
             };
             evaluated += 1;
@@ -999,15 +1037,18 @@ mod tests {
         c
     }
 
-    /// Five flows of one class toward one node, 64 messages of one size
+    /// Five flows of one class toward one node, 66 messages of one size
     /// each, submitted round-robin: whatever order the reorder variants
-    /// sort the window into, size and class do not tell messages apart.
+    /// sort the window into, size and class do not tell messages apart. A
+    /// flow is 132 window entries, so a window of 64 or 256 — which a
+    /// packet takes whole — ends inside a flow, short of a message the flow
+    /// has next.
     fn uniform_backlog() -> CollectLayer {
         let mut c = CollectLayer::new();
         let flows: Vec<_> = (0..5)
             .map(|_| c.open_flow(NodeId(1), TrafficClass::DEFAULT))
             .collect();
-        for m in 0..320usize {
+        for m in 0..330usize {
             let parts = MessageBuilder::new()
                 .pack_express(&(m as u64).to_le_bytes())
                 .pack_cheaper(&[m as u8; 56])

@@ -46,12 +46,12 @@ use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 use nicdrv::{CostModel, DriverCapabilities};
-use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId, TxMode};
+use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId};
 
 use crate::api::RETX_TAG;
 use crate::config::EngineConfig;
 use crate::constraints::max_gather_chunks;
-use crate::cost::{cheaper_mode, packet_limit};
+use crate::cost::{one_way, packet_limit};
 use crate::ids::{FlowId, FragIndex};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
@@ -476,13 +476,6 @@ impl RtoMargin {
     }
 }
 
-/// Unloaded one-way time of a one-segment packet of `bytes` (payload and
-/// framing) on a rail, injected in the cheapest mode the rail admits.
-fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
-    let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
-    cost.one_way(mode, bytes, 1)
-}
-
 /// What madrel knows of one rail beside its health: the driver's
 /// capabilities and cost model, by which it models a packet's unloaded
 /// round trip, and what the acks have shown on top of that model.
@@ -491,10 +484,9 @@ struct RailClock {
     caps: DriverCapabilities,
     cost: CostModel,
     /// Unloaded one way of a control packet — an ack, a rendezvous request,
-    /// a grant: one chunk header and no payload. (Not half of
-    /// `CostModel::control_rtt`, which prices a 16-byte packet: ours are
-    /// 32 bytes, and a timeout shorter than the real round trip fires on
-    /// every request once the margin has learned a quiet rail.)
+    /// a grant: one chunk header and no payload. Twice it is the handshake
+    /// a request's score is priced by (`cost::RequestCost`), one price for
+    /// one packet.
     control_one_way: SimDuration,
     margin: RtoMargin,
     /// When an ack last came back on this rail.
@@ -1100,6 +1092,7 @@ impl Reliability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::cheaper_mode;
     use crate::ids::FlowId;
     use nicdrv::calib;
     use simnet::Technology;

@@ -5,22 +5,15 @@
 //! For each destination with more than one schedulable chunk, propose one
 //! packet that merges as many chunks as fit, oldest first — and, where
 //! that is more chunks than the hardware gathers, a second one trimmed to
-//! the gather width. Whether a list goes out by copy or as a gather list
-//! is the cost model's choice, not this strategy's.
+//! the gather width. What ends a packet is the rail (`ctx.packet_limit`)
+//! or the window, not a chunk count: whether a long list goes out by copy
+//! or as a gather list, by PIO or DMA, is the cost model's choice, not this
+//! strategy's.
 
 // madlint: file: hot-path
 
 use crate::constraints::max_gather_chunks;
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
-
-/// Default maximum chunks merged into one packet (see
-/// `EngineConfig::agg_chunk_limit` for the runtime knob); bounds the
-/// header block and the gather list. Since a chunk header shrank to
-/// 30 / 11 bytes this, not the rail's packet size, is what ends a packet of
-/// small messages — sixteen chunks of 64-byte messages are 842 bytes on a
-/// rail whose PIO takes 1 KiB — which makes it "derive, don't set"
-/// material (ROADMAP 1(c)).
-pub const MAX_AGG_CHUNKS: usize = 16;
 
 /// Cross-flow eager aggregation strategy.
 #[derive(Debug, Default)]
@@ -39,12 +32,11 @@ impl Strategy for EagerAggregation {
     }
 
     fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
-        let limit = ctx.config.agg_chunk_limit;
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue; // nothing to merge; FIFO covers the single case
             }
-            let full = fill_packet(ctx, g.dst, &g.candidates, limit, self.name(), out);
+            let full = fill_packet(ctx, g.dst, &g.candidates, usize::MAX, self.name(), out);
             let Some(chunks) = full.map(|plan| plan.chunk_count()) else {
                 continue;
             };
@@ -124,15 +116,26 @@ mod tests {
 
     #[test]
     fn caps_chunk_count() {
+        // The rail and the window cap a packet, not a chunk count: forty
+        // 8-byte messages all ride a 64 KiB packet, a packet of 2 +
+        // 10 × (30 + 8) bytes takes ten of them, and one byte less cuts
+        // the tenth short.
         let caps = calib::synthetic_capabilities();
         let cost = CostModel::from_params(&NetworkParams::synthetic());
         let cfg = EngineConfig::default();
         let groups = vec![group(40, 8)];
-        let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = Proposals::new();
-        EagerAggregation::new().propose(&ctx, &mut out);
-        let out = out.to_plans();
-        assert_eq!(out[0].chunk_count(), MAX_AGG_CHUNKS);
+        let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+        let full = |ctx: &OptContext<'_>| {
+            let mut out = Proposals::new();
+            EagerAggregation::new().propose(ctx, &mut out);
+            let plan = out.get(0);
+            (plan.chunk_count(), plan.payload_bytes())
+        };
+        assert_eq!(full(&ctx), (40, 320));
+        ctx.packet_limit = 2 + 10 * (30 + 8);
+        assert_eq!(full(&ctx), (10, 80));
+        ctx.packet_limit -= 1;
+        assert_eq!(full(&ctx), (10, 79));
     }
 
     #[test]

@@ -19,7 +19,7 @@ mod reorder;
 mod rndv;
 mod split;
 
-pub use aggregate::{EagerAggregation, MAX_AGG_CHUNKS};
+pub use aggregate::EagerAggregation;
 pub use fifo::FifoFallback;
 pub use reorder::ReorderVariants;
 pub use rndv::RendezvousPromotion;
@@ -223,6 +223,28 @@ impl Proposals {
         }
     }
 
+    /// The first data proposal toward `dst` that takes its window group in
+    /// order, whole, as far as entry `c`, with `c` not the first: its first
+    /// `c.at + 1` chunks were cut from the group's first `c.at + 1` entries,
+    /// in that order, and the one cut from `c` is all of it. A chunk is cut
+    /// short only where a fill ends, so the ones before it are whole.
+    // madlint: allow(linear-scan) — the handful of proposals of one pass,
+    // and a window prefix of each; the window's own fill is the first
+    pub(crate) fn in_order_carrier(&self, dst: NodeId, c: &ChunkCandidate) -> Option<PlanRef<'_>> {
+        let n = c.at as usize + 1;
+        if n < 2 {
+            return None;
+        }
+        (0..self.len()).find_map(|at| {
+            let plan = self.get(at);
+            let carries = plan.dst == dst
+                && plan.chunk_count() >= n
+                && plan.chunks()[n - 1].len == c.remaining
+                && self.hints(at)[..n].iter().zip(0u32..).all(|(&h, i)| h == i);
+            carries.then_some(plan)
+        })
+    }
+
     /// Every proposal, in consultation order.
     pub fn iter(&self) -> impl Iterator<Item = PlanRef<'_>> + '_ {
         (0..self.len()).map(|at| self.get(at))
@@ -239,8 +261,11 @@ impl Proposals {
 /// respecting the packet size budget: what `ctx.packet_limit` leaves once
 /// the chunks taken so far and the header the next one would get — which
 /// depends on the chunk before it, see [`Framing`] — are counted. The
-/// packet is appended to `out` and returned; `None` (and nothing appended)
-/// when no candidate fits.
+/// packet ends where the next candidate does not fit or the candidates run
+/// out; `max_chunks` cuts it shorter for a proposer that wants a list of
+/// its own width (one chunk, the gather width) — `usize::MAX` lets the
+/// rail and the window end it. The packet is appended to `out` and
+/// returned; `None` (and nothing appended) when no candidate fits.
 ///
 /// Within-message chunk order must already be correct in `candidates`
 /// (callers permute *messages*, not chunks within a message). Each chunk
@@ -486,6 +511,85 @@ mod tests {
             (3, 1000 - 2 - 30 - 22)
         );
         assert_eq!(plan.payload_bytes() + plan.framing(), 1000);
+    }
+
+    mod a_fill_ends_where_the_rail_or_the_window_does {
+        use super::*;
+        use crate::proto::{framing_of, lone_chunk_framing};
+        use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
+        use proptest::Strategy as Generator;
+
+        /// 1–40 candidates over a few messages of a few flows, a third of
+        /// them resuming their fragment, in window order.
+        fn windows() -> impl Generator<Value = Vec<ChunkCandidate>> {
+            let entry = (0u32..4, 0u32..3, 0u16..3, 0u32..3, 1u32..1500);
+            prop::collection::vec(entry, 1..41).prop_map(|entries| {
+                let at = 0u32..;
+                let entries = entries.into_iter().zip(at);
+                let cut =
+                    |((flow, seq, frag, resumed, remaining), at): ((_, _, _, u32, _), u32)| {
+                        let offset = resumed.saturating_sub(1) * 977;
+                        let c = cand(
+                            flow,
+                            seq,
+                            frag,
+                            offset,
+                            remaining,
+                            false,
+                            TrafficClass::DEFAULT,
+                            0,
+                        );
+                        ChunkCandidate { at, ..c }
+                    };
+                entries.map(cut).collect()
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn and_takes_the_window_in_order(window in windows(), limit in 1u64..20_000) {
+                let (caps, cost, cfg) = fixtures();
+                let groups = vec![DstGroup {
+                    dst: NodeId(1),
+                    candidates: window.clone(),
+                    rndv: vec![],
+                }];
+                let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+                ctx.packet_limit = limit;
+                let mut out = Proposals::new();
+                let taken = fill_packet(&ctx, NodeId(1), &window, usize::MAX, "t", &mut out)
+                    .map_or(Vec::new(), |plan| plan.chunks().to_vec());
+                // Never more than the rail takes, payload and framing.
+                let payload: u64 = taken.iter().map(|c| u64::from(c.len)).sum();
+                prop_assert!(taken.is_empty() || payload + framing_of(&taken) <= limit);
+                // A prefix of the window, in window order, every chunk
+                // whole but perhaps the last.
+                for (i, (c, w)) in taken.iter().zip(&window).enumerate() {
+                    prop_assert_eq!((c.flow, c.seq, c.frag, c.offset), (w.flow, w.seq, w.frag, w.offset));
+                    prop_assert!(c.len == w.remaining || (i + 1 == taken.len() && c.len < w.remaining));
+                }
+                // It ends because the window does, or because the rail is
+                // full: a chunk was cut to the byte, or the next one would
+                // not fit a byte of its own.
+                let next = window.get(taken.len());
+                match (taken.last(), next) {
+                    (_, None) => {}
+                    (None, Some(w)) => prop_assert!(lone_chunk_framing(w.offset) + 1 > limit),
+                    (Some(last), Some(w)) => {
+                        let cut = last.len < window[taken.len() - 1].remaining;
+                        let mut more = taken.to_vec();
+                        more.push(PlannedChunk { flow: w.flow, seq: w.seq, frag: w.frag, offset: w.offset, len: 1 });
+                        let full = payload + 1 + framing_of(&more) > limit;
+                        prop_assert!(cut && payload + framing_of(&taken) == limit || !cut && full);
+                    }
+                }
+                // `aggregate`'s packet is that fill.
+                let mut theirs = Proposals::new();
+                EagerAggregation::new().propose(&ctx, &mut theirs);
+                let full = theirs.iter().find(|p| p.strategy == "aggregate");
+                prop_assert_eq!(full.map(|p| p.chunks().to_vec()), (taken.len() >= 2).then_some(taken));
+            }
+        }
     }
 
     #[test]

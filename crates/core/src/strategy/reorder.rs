@@ -16,6 +16,7 @@ use std::ops::Range;
 use simnet::SimTime;
 
 use crate::plan::ChunkCandidate;
+use crate::proto::{PACKET_PREFIX_BYTES, SAME_MSG_HEADER_BYTES};
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Message-permutation proposals: shortest-message-first and
@@ -52,14 +53,16 @@ pub(crate) struct Scratch {
 /// invariant), so a run is a message; candidates of one message that are
 /// *not* adjacent would form separate runs, and a permutation that then
 /// breaks their order is vetoed by the constraint checker like any other
-/// invalid proposal. Returns how many runs a packet of up to `max_chunks`
-/// chunks can read, in whatever order they are put: every candidate it
-/// looks at gives it a chunk (and it looks at one more to find itself
+/// invalid proposal. Returns how many runs a packet of `packet_limit`
+/// bytes can read, in whatever order they are put: every candidate it
+/// looks at gives it a chunk of at least a byte under a header of at least
+/// [`SAME_MSG_HEADER_BYTES`] (and it looks at one more to find itself
 /// full) — unless some candidate has no bytes left, which the collect
 /// layer never offers, and then it may read them all.
-fn message_runs(cands: &[ChunkCandidate], max_chunks: usize, runs: &mut Vec<MessageRun>) -> usize {
+fn message_runs(cands: &[ChunkCandidate], packet_limit: u64, runs: &mut Vec<MessageRun>) -> usize {
     runs.clear();
-    let mut read = max_chunks.saturating_add(1);
+    let chunks = packet_limit.saturating_sub(PACKET_PREFIX_BYTES) / (SAME_MSG_HEADER_BYTES + 1);
+    let mut read = usize::try_from(chunks).map_or(usize::MAX, |n| n.saturating_add(1));
     for (i, c) in cands.iter().enumerate() {
         if c.remaining == 0 {
             read = usize::MAX;
@@ -114,12 +117,11 @@ impl Strategy for ReorderVariants {
 
     fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
         let Scratch { mut runs } = std::mem::take(&mut out.reorder);
-        let limit = ctx.config.agg_chunk_limit;
         for g in ctx.groups {
             if g.candidates.len() < 2 {
                 continue;
             }
-            let read = message_runs(&g.candidates, limit, &mut runs);
+            let read = message_runs(&g.candidates, ctx.packet_limit, &mut runs);
             // Both orders break ties by window position (`at.start`, unique
             // per run): what a stable sort of the window gives, without
             // its buffer — and only as far as the packet reads.
@@ -129,7 +131,7 @@ impl Strategy for ReorderVariants {
                 (a.bytes, a.at.start).cmp(&(b.bytes, b.at.start))
             });
             let order = permuted(&g.candidates, &runs);
-            fill_packet(ctx, g.dst, order, limit, "reorder-sjf", out);
+            fill_packet(ctx, g.dst, order, usize::MAX, "reorder-sjf", out);
             // Variant 2: most urgent class first (control before bulk),
             // then oldest first within a class.
             sort_front(&mut runs, read, |a, b| {
@@ -139,7 +141,7 @@ impl Strategy for ReorderVariants {
                     .then(a.at.start.cmp(&b.at.start))
             });
             let order = permuted(&g.candidates, &runs);
-            fill_packet(ctx, g.dst, order, limit, "reorder-urgent", out);
+            fill_packet(ctx, g.dst, order, usize::MAX, "reorder-urgent", out);
         }
         out.reorder = Scratch { runs };
     }

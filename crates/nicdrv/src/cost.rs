@@ -95,12 +95,6 @@ impl CostModel {
         transfer_time(bytes, self.host_copy_bandwidth)
     }
 
-    /// Round-trip time of a zero-payload control message pair, used to
-    /// estimate the rendezvous handshake cost.
-    pub fn control_rtt(&self, mode: TxMode) -> SimDuration {
-        self.one_way(mode, 16, 1) * 2
-    }
-
     /// Message size at which DMA injection becomes cheaper than PIO.
     ///
     /// Solves `injection_time(Pio, n) == injection_time(Dma, n)` by linear

@@ -281,7 +281,10 @@ fn burst_drain_at_16_chunks_per_packet_allocates_at_most_8_per_message() {
         chunks_per_packet > 15.0,
         "{chunks_per_packet:.1} chunks per packet"
     );
-    println!("alloc_budget: burst drain (16 chunks/packet) {per_msg:.2} allocations per message");
+    println!(
+        "alloc_budget: burst drain ({chunks_per_packet:.1} chunks/packet) \
+         {per_msg:.2} allocations per message"
+    );
     assert!(per_msg <= 8.0, "{per_msg:.2} allocations per message");
 }
 

@@ -82,13 +82,16 @@ fn lossy_wire_is_detected_not_corrupting() {
     // whatever is delivered is byte-exact and in order, and reassembly
     // state reports the stuck messages. The calibrated fabrics are
     // lossless, so the loss is scripted with a fault plan.
+    // A packet of small messages ends where the window does (64 chunks),
+    // so a thousand messages make a few dozen packets to lose.
+    const MSGS: u32 = 1000;
     let mut c = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
     c.set_fault_plan(0, FaultPlan::new(8).with_loss(0.3));
     let (a, b) = (c.nodes[0], c.nodes[1]);
     let ha = c.handle(0).clone();
     let f = ha.open_flow(b, TrafficClass::DEFAULT);
     c.sim.inject(a, |ctx| {
-        for i in 0..100u32 {
+        for i in 0..MSGS {
             ha.send(
                 ctx,
                 f,
@@ -102,7 +105,7 @@ fn lossy_wire_is_detected_not_corrupting() {
     let na = c.nics[0][0];
     let sim = &c.sim;
     let drops = sim.nic(na).stats.wire_drops;
-    // Aggregation packs the 100 messages into few packets, so the absolute
+    // Aggregation packs the messages into few packets, so the absolute
     // drop count is small — but it must be nonzero and visible.
     assert!(drops >= 1, "expected drops, got {drops}");
     assert!(
@@ -110,7 +113,7 @@ fn lossy_wire_is_detected_not_corrupting() {
         "some packets must still get through"
     );
     let got = c.handle(1).take_delivered();
-    assert!(got.len() < 100, "some messages must be missing");
+    assert!(got.len() < MSGS as usize, "some messages must be missing");
     // Whatever arrived is intact and strictly in order.
     let mut last = None;
     for m in &got {

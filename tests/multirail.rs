@@ -260,7 +260,8 @@ impl Strategy for WrongRail {
 fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
     // Rail 0 is slow and takes one packet at a time; rail 1 is fast, is
     // asked first, and is kept busy by a filler when the CONTROL message
-    // comes. One chunk per packet, so its express header leaves alone on
+    // comes. Nothing merges chunks (no `aggregate`, no `reorder`: one
+    // chunk per packet), so its express header leaves alone on
     // rail 0 and fills it: the message is pinned there with its body
     // still to send. The third flow's message finds no idle rail; when
     // rail 1 falls idle its window rightly hides the pinned body — and
@@ -278,7 +279,8 @@ fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
     let build = |node, nics: &[NicId], peer, peer_nics: &[NicId]| {
         MadEngine::builder(node)
             .config(EngineConfig {
-                agg_chunk_limit: 1,
+                enable_aggregation: false,
+                enable_reorder: false,
                 ..eager_cfg()
             })
             .rail_tech(Technology::TcpEthernet, nics[0])
