@@ -35,9 +35,7 @@
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
-use madeleine::{
-    AppDriver, CommApi, EngineConfig, FairnessMode, LatencyHistogram, ReliabilityMode,
-};
+use madeleine::{AppDriver, CommApi, EngineConfig, FairnessMode, LogHistogram, ReliabilityMode};
 use madware::coll::{coll_hub, CollAlgo, CollApp, CollConfig, CollHub, CollOp};
 use madware::mltrain::{MlTrainApp, MlTrainMode, MlTrainSpec};
 use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Technology, Topology};
@@ -483,9 +481,9 @@ pub fn run_train_cell(mode: MlTrainMode) -> TrainPoint {
         ClusterSpec::new(ranks as usize, vec![Technology::MyrinetMx]).config(engine_config());
     let mut cluster = Cluster::build(&cluster_spec, apps);
     let end = cluster.drain();
-    let mut step = LatencyHistogram::new();
-    let mut exchange = LatencyHistogram::new();
-    let mut barrier = LatencyHistogram::new();
+    let mut step = LogHistogram::new();
+    let mut exchange = LogHistogram::new();
+    let mut barrier = LogHistogram::new();
     let mut wrong = 0;
     let mut steps_done = u32::MAX;
     for h in &handles {

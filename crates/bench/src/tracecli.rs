@@ -4,7 +4,7 @@
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::json::{JsonError, Parser};
 use madeleine::trace::{ChromeExport, EngineEvent};
-use madeleine::{Json, LatencyHistogram, Sampler};
+use madeleine::{Json, LogHistogram, Sampler};
 use madware::apps::{FlowSpec, TrafficApp};
 use madware::trace::{Recorder, ReplayApp, Trace};
 use madware::workload::{Arrival, SizeDist};
@@ -177,7 +177,7 @@ pub fn stats(trace: Trace, tech: Technology, tick_us: u64) -> (String, String) {
         &["scope", "count", "p50", "p90", "p99", "max"],
     );
     let mut rows = 0usize;
-    let row = |t: &mut crate::Table, name: String, h: &LatencyHistogram| -> bool {
+    let row = |t: &mut crate::Table, name: String, h: &LogHistogram<SimDuration>| -> bool {
         if h.count() == 0 {
             return false;
         }

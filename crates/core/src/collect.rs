@@ -536,6 +536,7 @@ impl CollectLayer {
             // express fragment stuck in the rendezvous protocol gates
             // everything behind it.
             let mut express_open = false;
+            let msg_remaining = msg.backlog_bytes();
             for frag in &msg.frags {
                 if *taken >= window {
                     return;
@@ -549,7 +550,6 @@ impl CollectLayer {
                             flow: fs.id,
                             seq: msg.id.seq.0,
                             frag: frag.index,
-                            frag_len: frag.len(),
                             class: msg.class,
                             submitted_at: msg.submitted_at,
                         };
@@ -581,6 +581,7 @@ impl CollectLayer {
                             frag: frag.index,
                             offset: frag.committed(),
                             remaining: frag.remaining(),
+                            msg_remaining,
                             express: frag.mode == PackMode::Express,
                             class: msg.class,
                             submitted_at: msg.submitted_at,

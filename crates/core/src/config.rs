@@ -26,7 +26,9 @@ pub struct EngineConfig {
     /// [`crate::plan::MAX_REQS_PER_DST`] per destination, and takes no
     /// slot — however many requests are parked in the backlog, the window
     /// holds this many candidates to aggregate (E4's second table). With
-    /// the rail's packet size it is what ends a packet of small messages.
+    /// the rail's packet size it is what ends a packet of small messages,
+    /// and it bounds a selection pass's host time: the default is as wide
+    /// as the score keeps that cost per chunk sent flat (E4).
     pub lookahead_window: usize,
     /// Maximum candidate plans the optimizer *scores* per activation — the
     /// bound on "the number of data rearrangements the optimizer has to
@@ -90,7 +92,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            lookahead_window: 64,
+            lookahead_window: 256,
             rearrange_budget: 256,
             nagle_delay: SimDuration::ZERO,
             rndv_threshold: None,

@@ -319,8 +319,7 @@ pub(crate) fn validate_plan_with(
         }
         Body::Data { chunks, linearize } => {
             let limit = packet_limit(caps, wire_mtu);
-            let (_, bytes) =
-                validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
+            let bytes = validate_chunks(plan.channel, plan.dst, chunks, collect, limit, planned)?;
             if injectable(caps, chunks.len(), bytes, linearize) {
                 Ok(())
             } else if linearize {
@@ -361,9 +360,9 @@ pub(crate) fn validate_request(
 /// satisfy whichever way it is injected: every chunk names live, unpinned
 /// (or pinned here), ungated bytes at its fragment's frontier, in an order
 /// the express constraints allow, and the packet fits `limit` bytes (the
-/// rail's [`packet_limit`]). Returns the packet's payload bytes and its
-/// bytes on the wire — payload and the framing this list has, counted on
-/// the walk that checks it; `planned` is cleared here.
+/// rail's [`packet_limit`]). Returns the packet's bytes on the wire —
+/// payload and the framing this list has, counted on the walk that checks
+/// it; `planned` is cleared here.
 pub(crate) fn validate_chunks(
     channel: ChannelId,
     dst: NodeId,
@@ -371,7 +370,7 @@ pub(crate) fn validate_chunks(
     collect: &CollectLayer,
     limit: u64,
     planned: &mut PlanCoverage,
-) -> Result<(u64, u64), PlanViolation> {
+) -> Result<u64, PlanViolation> {
     if chunks.is_empty() {
         return Err(PlanViolation::EmptyPlan);
     }
@@ -444,7 +443,7 @@ pub(crate) fn validate_chunks(
             limit,
         });
     }
-    Ok((payload, total))
+    Ok(total)
 }
 
 fn gather_limit(caps: &DriverCapabilities) -> usize {
@@ -1051,7 +1050,7 @@ mod tests {
             }
             let limit = if case % 5 == 0 { 120 } else { 1 << 20 };
             let (rail, dst) = (ChannelId(0), NodeId(1));
-            let want = scanned_validate_chunks(rail, dst, &list, &c, limit);
+            let want = scanned_validate_chunks(rail, dst, &list, &c, limit).map(|(_, bytes)| bytes);
             let got = validate_chunks(rail, dst, &list, &c, limit, &mut planned);
             assert_eq!(got, want, "case {case}: {list:?}");
             let came_back = list.iter().enumerate().any(|(i, a)| {

@@ -1,23 +1,23 @@
 //! Plan scoring: "estimating the value of a given packet reordering
 //! operation" (§3) with the driver's capability-parameterized cost model.
 //!
-//! The score is a **value density**: value moved per nanosecond of
-//! estimated transmit-engine occupancy,
+//! The score is Smith's weighted-shortest-processing-time ratio: the
+//! class-weighted messages a packet delivers per nanosecond of estimated
+//! transmit-engine occupancy,
 //!
 //! ```text
-//!   score = (payload_bytes + Σ_chunks age_µs × class_weight × urgency_weight)
-//!           ─────────────────────────────────────────────────────────────────
-//!                              est_busy_ns
+//!           Σ_chunks class_weight × chunk_bytes ÷ bytes its message still has to send
+//!   score = ──────────────────────────────────────────────────────────────────────────
+//!                                est_busy_ns × health_penalty
 //! ```
 //!
-//! The denominator makes fixed per-packet costs (setup, descriptors,
-//! framing, linearization memcpy) matter: merged packets win for small
-//! chunks, and the copy-vs-gather choice lands wherever the hardware's
-//! per-segment costs put it. The aging bonus in the numerator (one
-//! byte-equivalent per microsecond waited, scaled by class) prevents
-//! starvation and lets control traffic jump bulk queues — and because it
-//! is inside the ratio, old backlogs do not drown the efficiency
-//! comparison between plan variants carrying the same chunks.
+//! A message carried whole counts its full class weight, a slice of a large
+//! one the share it carries. The denominator makes fixed per-packet costs
+//! (setup, descriptors, framing, linearization memcpy) matter: a full packet
+//! of small messages beats a short one, and the copy-vs-gather choice lands
+//! wherever the hardware's per-segment costs put it. A rendezvous request is
+//! worth its message's class weight per nanosecond of the handshake it
+//! starts, so requests and data are scored in the same unit.
 
 // madlint: file: hot-path
 // madlint: file: scoring
@@ -29,10 +29,6 @@ use crate::ids::{FlowId, FragIndex};
 use crate::plan::{Body, DstGroup, PlanRef, PlannedChunk, TransferPlan};
 use crate::proto::{wire_bytes, CONTROL_PACKET_BYTES};
 use crate::strategy::{OptContext, NO_HINT};
-
-/// Weight of the anti-starvation urgency term in plan scoring: one
-/// byte-equivalent per microsecond waited, before the class weight.
-pub const URGENCY_WEIGHT: f64 = 1.0;
 
 /// A plan together with its evaluated score.
 #[derive(Clone, Debug)]
@@ -76,20 +72,21 @@ fn home_group<'a>(ctx: &OptContext<'a>, dst: NodeId) -> Option<&'a DstGroup> {
     ctx.groups.iter().find(|g| g.dst == dst)
 }
 
-/// What a data packet of `chunks` (carrying `payload` bytes toward `dst`)
-/// is worth however it is injected: its bytes plus the aging bonus of
-/// every chunk the window offers. Submission time and class are the
-/// window's own; `hints` (parallel to `chunks`, or shorter) only say where
-/// to look first.
+/// What a data packet of `chunks` toward `dst` is worth however it is
+/// injected: for every chunk the window offers, its class weight times the
+/// share of its message it carries (its bytes over the bytes the message
+/// still has to send). A message carried whole counts its class weight
+/// once, however many chunks it takes; a chunk the window does not offer
+/// counts nothing. Class and message are the window's own; `hints`
+/// (parallel to `chunks`, or shorter) only say where to look first.
 pub(crate) fn chunks_value(
     dst: NodeId,
     chunks: &[PlannedChunk],
     hints: &[u32],
-    payload: u64,
     ctx: &OptContext<'_>,
 ) -> f64 {
     let home = home_group(ctx, dst).map_or(&[][..], |g| &g.candidates);
-    let mut value = payload as f64;
+    let mut value = 0.0;
     for (i, c) in chunks.iter().enumerate() {
         let hint = hints.get(i).copied().unwrap_or(NO_HINT);
         let all = ctx.groups.iter().flat_map(|g| g.candidates.iter());
@@ -97,8 +94,8 @@ pub(crate) fn chunks_value(
             k.flow == c.flow && k.seq == c.seq && k.frag == c.frag
         });
         if let Some(cand) = cand {
-            let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
-            value += age_us * cand.class.urgency_weight() * URGENCY_WEIGHT;
+            let share = f64::from(c.len) / cand.msg_remaining.max(1) as f64;
+            value += cand.class.urgency_weight() * share;
         }
     }
     value
@@ -265,9 +262,9 @@ impl RequestCost {
         }
     }
 
-    /// Value of a request toward `dst` for `(flow, seq, frag)`: the
-    /// bandwidth it unblocks per handshake — the fragment's length as the
-    /// window gives it (`hint` says where), nothing for a fragment the
+    /// Score of a request toward `dst` for `(flow, seq, frag)`: its
+    /// message's class weight per nanosecond of handshake — the class as
+    /// the window gives it (`hint` says where), nothing for a fragment the
     /// window does not offer.
     pub(crate) fn score(
         &self,
@@ -281,7 +278,7 @@ impl RequestCost {
         let waiting = offered(home, hint, all, |r| {
             r.flow == flow && r.seq == seq && r.frag == frag
         });
-        waiting.map_or(0.0, |r| f64::from(r.frag_len)) / self.handshake_ns
+        waiting.map_or(0.0, |r| r.class.urgency_weight()) / self.handshake_ns
     }
 }
 
@@ -308,7 +305,7 @@ pub fn score_plan(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<(f64, SimDu
     match plan.body {
         Body::Data { chunks, .. } => {
             let est_busy = estimate_busy(plan, ctx)?;
-            let value = chunks_value(plan.dst, chunks, &[], plan.payload_bytes(), ctx);
+            let value = chunks_value(plan.dst, chunks, &[], ctx);
             Some((density(value, est_busy, ctx), est_busy))
         }
         Body::RndvRequest { flow, seq, frag } => {
@@ -324,7 +321,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ids::{ChannelId, FlowId, TrafficClass};
-    use crate::plan::{DstGroup, PlanBody, PlannedChunk, RndvCandidate};
+    use crate::plan::{ChunkCandidate, DstGroup, PlanBody, PlannedChunk, RndvCandidate};
     use crate::strategy::testutil::{cand, ctx_fixture};
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId, SimTime};
@@ -387,32 +384,48 @@ mod tests {
     }
 
     #[test]
-    fn aging_raises_scores() {
+    fn completing_more_weighted_messages_per_busy_time_scores_higher() {
         let (caps, cost, cfg) = fixtures();
-        let fresh_groups = vec![DstGroup {
-            dst: NodeId(1),
-            candidates: vec![cand(0, 0, 0, 0, 64, false, TrafficClass::DEFAULT, 0)],
-            rndv: vec![],
-        }];
-        let mut aged = fresh_groups.clone();
-        aged[0].candidates[0].submitted_at = SimTime::ZERO; // 1 ms old in fixture
-        let ctx_fresh = ctx_fixture(&fresh_groups, &caps, &cost, &cfg);
-        let ctx_aged = ctx_fixture(&aged, &caps, &cost, &cfg);
+        // The same 64 bytes, as a whole message and as a slice of a
+        // message that has 4 KiB left: same busy time, one delivery
+        // against a sixty-fourth of one.
+        let window = |msg_remaining| {
+            let mut c = cand(0, 0, 0, 0, 64, false, TrafficClass::DEFAULT, 0);
+            c.msg_remaining = msg_remaining;
+            vec![DstGroup {
+                dst: NodeId(1),
+                candidates: vec![c],
+                rndv: vec![],
+            }]
+        };
+        let (whole, slice) = (window(64), window(4096));
         let plan = data_plan(vec![pc(0, 64)], false);
-        assert!(score(&plan, &ctx_aged).score > score(&plan, &ctx_fresh).score);
+        let whole = score(&plan, &ctx_fixture(&whole, &caps, &cost, &cfg));
+        let slice = score(&plan, &ctx_fixture(&slice, &caps, &cost, &cfg));
+        assert_eq!(whole.est_busy, slice.est_busy);
+        assert_eq!(whole.score, 64.0 * slice.score);
+        // Age is no part of it.
+        let mut aged = window(64);
+        aged[0].candidates[0].submitted_at = SimTime::ZERO;
+        let aged = score(&plan, &ctx_fixture(&aged, &caps, &cost, &cfg));
+        assert_eq!(aged.score, whole.score);
+        // One message in 64 B beats one in 4 KiB: the same weight for
+        // less busy time.
+        let big = window(4096);
+        let big = score(
+            &data_plan(vec![pc(0, 4096)], false),
+            &ctx_fixture(&big, &caps, &cost, &cfg),
+        );
+        assert!(whole.score > big.score && big.est_busy > whole.est_busy);
     }
 
     #[test]
-    fn control_class_ages_faster_than_bulk() {
+    fn control_class_outweighs_bulk() {
         let (caps, cost, cfg) = fixtures();
         let mk = |class| {
             vec![DstGroup {
                 dst: NodeId(1),
-                candidates: vec![{
-                    let mut c = cand(0, 0, 0, 0, 64, false, class, 0);
-                    c.submitted_at = SimTime::ZERO;
-                    c
-                }],
+                candidates: vec![cand(0, 0, 0, 0, 64, false, class, 0)],
                 rndv: vec![],
             }]
         };
@@ -421,7 +434,8 @@ mod tests {
         let plan = data_plan(vec![pc(0, 64)], false);
         let s_ctrl = score(&plan, &ctx_fixture(&g_ctrl, &caps, &cost, &cfg)).score;
         let s_bulk = score(&plan, &ctx_fixture(&g_bulk, &caps, &cost, &cfg)).score;
-        assert!(s_ctrl > s_bulk);
+        let weights = TrafficClass::CONTROL.urgency_weight() / TrafficClass::BULK.urgency_weight();
+        assert_eq!(s_ctrl, weights * s_bulk);
     }
 
     #[test]
@@ -440,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn rndv_request_scores_by_unblocked_bytes() {
+    fn rndv_request_scores_its_class_weight_per_handshake() {
         let (caps, cost, cfg) = fixtures();
         let groups = vec![DstGroup {
             dst: NodeId(1),
@@ -449,26 +463,122 @@ mod tests {
                 flow: FlowId(0),
                 seq: 0,
                 frag: 0,
-                frag_len: 1 << 20,
                 class: TrafficClass::BULK,
                 submitted_at: SimTime::ZERO,
             }],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let req = TransferPlan {
+        let req = |seq| TransferPlan {
             channel: ChannelId(0),
             dst: NodeId(1),
             body: PlanBody::RndvRequest {
                 flow: FlowId(0),
-                seq: 0,
+                seq,
                 frag: 0,
             },
             strategy: "rndv",
         };
-        let scored = score(&req, &ctx);
-        // Unblocking a 1 MiB transfer should dominate small data plans.
-        let small = score(&data_plan(vec![pc(0, 64)], false), &ctx);
-        assert!(scored.score > small.score);
+        // The request out and the grant back, priced as a data packet
+        // that delivers one BULK message would be.
+        let handshake = one_way(&caps, &cost, CONTROL_PACKET_BYTES) * 2;
+        let scored = score(&req(0), &ctx);
+        assert_eq!(
+            scored.score,
+            TrafficClass::BULK.urgency_weight() / handshake.as_nanos() as f64
+        );
+        assert_eq!(scored.est_busy, request_busy(&ctx));
+        // A fragment the window does not offer is worth nothing.
+        assert_eq!(score(&req(1), &ctx).score, 0.0);
+    }
+
+    mod a_packet_is_worth_the_share_of_each_message_it_delivers {
+        use super::*;
+        use crate::strategy::{fill_packet, Proposals};
+        use proptest::prelude::*;
+
+        /// 1–12 messages of one destination, each an express header and a
+        /// body, in window order: `(class, header, body, body committed,
+        /// header sent)`. A message whose header has gone offers its body
+        /// alone.
+        fn messages() -> impl Strategy<Value = Vec<(u8, u32, u32, u32, bool)>> {
+            let msg = (0u8..4, 1u32..40, 1u32..3000, 0u32..3000, any::<bool>());
+            prop::collection::vec(msg, 1..13)
+        }
+
+        /// The window those messages make, as the collect layer offers it.
+        fn window(msgs: &[(u8, u32, u32, u32, bool)]) -> Vec<ChunkCandidate> {
+            let mut out = Vec::new();
+            for (flow, &(class, header, body, committed, header_sent)) in msgs.iter().enumerate() {
+                let committed = committed % body;
+                let left =
+                    u64::from(body - committed) + u64::from(header) * u64::from(!header_sent);
+                let class = TrafficClass(class);
+                let frags = [
+                    (0, 0, header, true),
+                    (1, committed, body - committed, false),
+                ];
+                for (frag, offset, remaining, express) in frags {
+                    if frag == 0 && header_sent {
+                        continue;
+                    }
+                    let mut c = cand(flow as u32, 0, frag, offset, remaining, express, class, 0);
+                    c.at = out.len() as u32;
+                    c.msg_remaining = left;
+                    out.push(c);
+                }
+            }
+            out
+        }
+
+        fn carried(c: &ChunkCandidate) -> PlannedChunk {
+            PlannedChunk {
+                flow: c.flow,
+                seq: c.seq,
+                frag: c.frag,
+                offset: c.offset,
+                len: c.remaining,
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn and_never_more_than_the_weighted_messages_it_touches(
+                msgs in messages(),
+                limit in 40u64..40_000,
+            ) {
+                let (caps, cost, cfg) = fixtures();
+                let candidates = window(&msgs);
+                let groups = vec![DstGroup { dst: NodeId(1), candidates, rndv: vec![] }];
+                let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+                ctx.packet_limit = limit;
+                let window = &groups[0].candidates;
+                // A message carried whole — its header and body, or the
+                // body it has left — is worth its class weight once.
+                for (flow, &(class, ..)) in msgs.iter().enumerate() {
+                    let whole: Vec<_> = window
+                        .iter()
+                        .filter(|c| c.flow == FlowId(flow as u32))
+                        .map(carried)
+                        .collect();
+                    let value = chunks_value(NodeId(1), &whole, &[], &ctx);
+                    let weight = TrafficClass(class).urgency_weight();
+                    prop_assert!((value - weight).abs() <= 1e-12 * weight, "{} against {}", value, weight);
+                }
+                // Any fill is worth at most the weights of the messages it
+                // touches.
+                let mut out = Proposals::new();
+                let filled = fill_packet(&ctx, NodeId(1), window, usize::MAX, "t", &mut out);
+                let chunks = filled.map_or(Vec::new(), |p| p.chunks().to_vec());
+                let mut touched: Vec<_> = chunks.iter().map(|c| c.flow).collect();
+                touched.dedup();
+                let bound: f64 = touched
+                    .iter()
+                    .map(|f| TrafficClass(msgs[f.0 as usize].0).urgency_weight())
+                    .sum();
+                let value = chunks_value(NodeId(1), &chunks, &[], &ctx);
+                prop_assert!(value <= bound * (1.0 + 1e-12), "{} over {}", value, bound);
+            }
+        }
     }
 
     mod the_priced_packet_is_the_encoded_packet {

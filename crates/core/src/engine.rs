@@ -514,6 +514,7 @@ impl EngineCore {
                 for ch in self.scratch.chunks.drain(..) {
                     out.extend(self.receiver.on_chunk(pkt.src, &ch, now));
                 }
+                self.receiver.end_packet();
                 if self.receiver.stats.express_violations > self.obs.metrics().express_violations {
                     self.obs
                         .fault(now, FlightTrigger::ExpressViolation, &view!(self));

@@ -1,9 +1,9 @@
-//! Shared log2-bucketed histograms (madscope).
+//! The shared log2-bucketed histogram (madscope).
 //!
-//! The canonical latency-histogram implementation lives here; it started
-//! life in `simnet::stats` and was promoted so every layer — simulator
-//! harnesses, the engine's per-flow/per-rail/per-class latency tracking,
-//! the optimizer's decision-work distribution — shares one quantile
+//! The canonical histogram implementation lives here; it started life in
+//! `simnet::stats` and was promoted so every layer — simulator harnesses,
+//! the engine's per-flow/per-rail/per-class latency tracking, the
+//! optimizer's decision-work distribution — shares one quantile
 //! implementation. `simnet` keeps only the scalar [`Summary`]; the crate
 //! dependency direction (core depends on simnet, never the reverse) means
 //! the shared histogram must live up here.
@@ -19,57 +19,87 @@ use simnet::{SimDuration, Summary};
 
 use crate::json::{obj, Json};
 
+/// What a [`LogHistogram`] counts: raw `u64` values (dimensionless
+/// distributions, e.g. plans evaluated per optimizer activation) or
+/// durations, bucketed by nanoseconds and summarised in microseconds, the
+/// harness's reporting unit.
+pub trait Sample: Copy {
+    /// The integer a sample is bucketed by.
+    fn key(self) -> u64;
+    /// The sample a bucket bound stands for.
+    fn from_key(key: u64) -> Self;
+    /// What the scalar [`Summary`] records of a sample.
+    fn summarised(self) -> f64;
+    /// A quantile as the JSON digest renders it.
+    fn rendered(self) -> Json;
+}
+
+impl Sample for u64 {
+    fn key(self) -> u64 {
+        self
+    }
+    fn from_key(key: u64) -> Self {
+        key
+    }
+    fn summarised(self) -> f64 {
+        self as f64
+    }
+    fn rendered(self) -> Json {
+        self.into()
+    }
+}
+
+impl Sample for SimDuration {
+    fn key(self) -> u64 {
+        self.as_nanos()
+    }
+    fn from_key(key: u64) -> Self {
+        SimDuration::from_nanos(key)
+    }
+    fn summarised(self) -> f64 {
+        self.as_micros_f64()
+    }
+    fn rendered(self) -> Json {
+        self.as_micros_f64().into()
+    }
+}
+
 /// Bucket index of a value: floor(log2(max(v,1))).
 #[inline]
 fn bucket_of(v: u64) -> usize {
     63u32.saturating_sub(v.max(1).leading_zeros()) as usize
 }
 
-/// Upper bound of the bucket containing the `q`-th of `total` samples, or
-/// 0 when empty. Shared rank walk of both histogram flavours.
-fn bucket_quantile(buckets: &[u64; 64], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-        }
-    }
-    u64::MAX
-}
-
-/// Log2-bucketed histogram over raw `u64` values, with an exact scalar
-/// [`Summary`] over the same samples. Used for dimensionless
-/// distributions, e.g. plans evaluated per optimizer activation.
+/// Log2-bucketed histogram of `V` samples (raw `u64` values by default,
+/// or [`SimDuration`]s), with an exact scalar [`Summary`] over the same
+/// samples in [`Sample::summarised`] units.
 #[derive(Clone, Debug)]
-pub struct LogHistogram {
+pub struct LogHistogram<V = u64> {
     buckets: [u64; 64],
     summary: Summary,
+    unit: std::marker::PhantomData<V>,
 }
 
-impl Default for LogHistogram {
+impl<V: Sample> Default for LogHistogram<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl LogHistogram {
+impl<V: Sample> LogHistogram<V> {
     /// Empty histogram.
     pub fn new() -> Self {
         LogHistogram {
             buckets: [0; 64],
             summary: Summary::new(),
+            unit: std::marker::PhantomData,
         }
     }
 
-    /// Record one value (0 lands in the first bucket).
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.summary.record(v as f64);
+    /// Record one sample (0 lands in the first bucket).
+    pub fn record(&mut self, v: V) {
+        self.buckets[bucket_of(v.key())] += 1;
+        self.summary.record(v.summarised());
     }
 
     /// Total samples.
@@ -82,105 +112,49 @@ impl LogHistogram {
         &self.summary
     }
 
-    /// Approximate quantile (`q` in `[0,1]`). Returns the upper bound of
-    /// the bucket containing the q-th sample; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        bucket_quantile(&self.buckets, self.count(), q)
+    /// Approximate quantile (`q` in `[0,1]`): the upper bound of the
+    /// bucket containing the q-th sample; zero when empty.
+    pub fn quantile(&self, q: f64) -> V {
+        let total = self.count();
+        if total == 0 {
+            return V::from_key(0);
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return V::from_key(if i >= 63 { u64::MAX } else { (2u64 << i) - 1 });
+            }
+        }
+        V::from_key(u64::MAX)
     }
 
     /// Merge another histogram into this one (bucket-wise addition plus a
     /// parallel Welford merge of the summaries).
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub fn merge(&mut self, other: &LogHistogram<V>) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.summary.merge(&other.summary);
     }
 
-    /// Raw bucket counts (bucket `i` covers `[2^i, 2^(i+1))`).
+    /// Raw bucket counts (bucket `i` covers `[2^i, 2^(i+1))` of
+    /// [`Sample::key`]).
     pub fn buckets(&self) -> &[u64; 64] {
         &self.buckets
     }
 
     /// Percentile digest as JSON: count, exact mean/max, p50/p90/p99
-    /// bucket upper bounds — all in raw value units.
+    /// bucket upper bounds — durations in microseconds, raw values as
+    /// they are.
     pub fn to_json(&self) -> Json {
         obj()
             .field("count", self.count())
             .field("mean", self.summary.mean())
-            .field("p50", self.quantile(0.5))
-            .field("p90", self.quantile(0.9))
-            .field("p99", self.quantile(0.99))
-            .field("max", self.summary.max())
-            .build()
-    }
-}
-
-/// Log2-bucketed histogram for durations, covering 1 ns .. ~584 s in 64
-/// buckets. Approximate quantiles are exact to within one power of two,
-/// which is enough to compare scheduling policies whose effects span
-/// decades. The embedded [`Summary`] records microseconds (exact
-/// count/mean/min/max), matching the harness's reporting unit.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    summary: Summary,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: [0; 64],
-            summary: Summary::new(),
-        }
-    }
-
-    /// Record one duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.buckets[bucket_of(d.as_nanos())] += 1;
-        self.summary.record_duration(d);
-    }
-
-    /// Total samples.
-    pub fn count(&self) -> u64 {
-        self.summary.count()
-    }
-
-    /// Scalar summary over the same samples, in microseconds.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) as a duration. Returns the
-    /// upper bound of the bucket containing the q-th sample.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        SimDuration::from_nanos(bucket_quantile(&self.buckets, self.count(), q))
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.summary.merge(&other.summary);
-    }
-
-    /// Percentile digest as JSON, all durations in microseconds: count,
-    /// exact mean/max, and p50/p90/p99 bucket upper bounds.
-    pub fn to_json_us(&self) -> Json {
-        obj()
-            .field("count", self.count())
-            .field("mean", self.summary.mean())
-            .field("p50", self.quantile(0.5).as_micros_f64())
-            .field("p90", self.quantile(0.9).as_micros_f64())
-            .field("p99", self.quantile(0.99).as_micros_f64())
+            .field("p50", self.quantile(0.5).rendered())
+            .field("p90", self.quantile(0.9).rendered())
+            .field("p99", self.quantile(0.99).rendered())
             .field("max", self.summary.max())
             .build()
     }
@@ -192,7 +166,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LogHistogram::new();
         for us in 1..=1000u64 {
             h.record(SimDuration::from_micros(us));
         }
@@ -204,12 +178,14 @@ mod tests {
         assert!(p50 < 2 * 1_048_576 * 1000, "p50={p50}");
         let p100 = h.quantile(1.0).as_nanos();
         assert!(p100 >= 1_000_000);
+        // The summary is in microseconds.
+        assert_eq!(h.summary().max(), 1000.0);
     }
 
     #[test]
     fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
         a.record(SimDuration::from_micros(10));
         b.record(SimDuration::from_micros(20));
         a.merge(&b);
@@ -219,7 +195,7 @@ mod tests {
 
     #[test]
     fn log_histogram_zero_and_max() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::<u64>::new();
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
@@ -231,7 +207,7 @@ mod tests {
 
     #[test]
     fn log_histogram_json_fields() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::<u64>::new();
         for v in [3u64, 5, 9] {
             h.record(v);
         }
@@ -239,12 +215,19 @@ mod tests {
         assert_eq!(doc.get("count").unwrap().as_u64(), Some(3));
         assert_eq!(doc.get("p50").unwrap().as_u64(), Some(7));
         assert!(doc.get("mean").is_some() && doc.get("max").is_some());
+        // Durations render in microseconds.
+        let mut d = LogHistogram::new();
+        d.record(SimDuration::from_nanos(3_000));
+        let doc = d.to_json();
+        let us = |ns| Json::Float(SimDuration::from_nanos(ns).as_micros_f64());
+        assert_eq!(doc.get("p50"), Some(&us(4_095)));
+        assert_eq!(doc.get("max"), Some(&us(3_000)));
     }
 
     #[test]
     fn empty_histograms_report_zero() {
-        let h = LatencyHistogram::new();
+        let h = LogHistogram::<SimDuration>::new();
         assert_eq!(h.quantile(0.99), SimDuration::ZERO);
-        assert_eq!(LogHistogram::new().quantile(0.5), 0);
+        assert_eq!(LogHistogram::<u64>::new().quantile(0.5), 0);
     }
 }

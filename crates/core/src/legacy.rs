@@ -284,6 +284,7 @@ impl LegacyCore {
                 for ch in &chunks {
                     out.extend(self.receiver.on_chunk(pkt.src, ch, ctx.now()));
                 }
+                self.receiver.end_packet();
                 self.metrics.express_violations = self.receiver.stats.express_violations;
                 for d in &out {
                     self.metrics.record_delivery(

@@ -90,7 +90,7 @@ pub use engine::{EngineBuilder, EngineHandle, MadEngine};
 pub use error::EngineError;
 pub use flowmgr::{AdmissionConfig, AdmissionPolicy, FairnessMode, FlowIndex, SendOutcome};
 pub use harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
-pub use hist::{LatencyHistogram, LogHistogram};
+pub use hist::LogHistogram;
 pub use ids::{ChannelId, FlowId, MsgId, TrafficClass};
 pub use json::Json;
 pub use legacy::{LegacyEngine, LegacyHandle};

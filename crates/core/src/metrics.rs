@@ -6,7 +6,7 @@
 use simnet::{NicStats, SimDuration, Summary};
 use std::collections::BTreeMap;
 
-use crate::hist::{LatencyHistogram, LogHistogram};
+use crate::hist::LogHistogram;
 use crate::ids::{FlowId, TrafficClass};
 use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
 use crate::receiver::ReceiverStats;
@@ -50,24 +50,24 @@ pub struct EngineMetrics {
     /// Payload bytes delivered.
     pub delivered_bytes: u64,
     /// Submission→delivery latency of delivered messages.
-    pub latency: LatencyHistogram,
+    pub latency: LogHistogram<SimDuration>,
     /// Latency split by traffic class.
-    pub latency_by_class: Vec<LatencyHistogram>,
+    pub latency_by_class: Vec<LogHistogram<SimDuration>>,
     /// Latency split by flow (receive side; keyed by the sender's flow
     /// id). Bounded to [`MAX_FLOW_HISTS`] distinct flows; later flows pool
     /// into [`EngineMetrics::latency_flow_overflow`].
-    pub latency_by_flow: BTreeMap<u32, LatencyHistogram>,
+    pub latency_by_flow: BTreeMap<u32, LogHistogram<SimDuration>>,
     /// Pooled latency of flows beyond the per-flow histogram budget.
-    pub latency_flow_overflow: LatencyHistogram,
+    pub latency_flow_overflow: LogHistogram<SimDuration>,
     /// Latency split by the rail the completing packet arrived on (grown
     /// on demand; rail-less deliveries, e.g. injected packets on unknown
     /// NICs, only count in the aggregate histogram).
-    pub latency_by_rail: Vec<LatencyHistogram>,
+    pub latency_by_rail: Vec<LogHistogram<SimDuration>>,
     /// Submit→wire-commit delay of every scheduled chunk: how long payload
     /// waited in the collect backlog before the optimizer put it on a
     /// wire. This is the sender-side share of delivery latency that the
     /// scheduler controls.
-    pub queue_delay: LatencyHistogram,
+    pub queue_delay: LogHistogram<SimDuration>,
     /// Plans scored per optimizer activation (the decision-work
     /// distribution behind `plans_evaluated`). Virtual-time decisions are
     /// instantaneous by construction, so decision *work* — not wall time —
@@ -162,14 +162,14 @@ impl Default for EngineMetrics {
             submitted_bytes: 0,
             delivered_msgs: 0,
             delivered_bytes: 0,
-            latency: LatencyHistogram::new(),
+            latency: LogHistogram::new(),
             latency_by_class: (0..TrafficClass::COUNT)
-                .map(|_| LatencyHistogram::new())
+                .map(|_| LogHistogram::new())
                 .collect(),
             latency_by_flow: BTreeMap::new(),
-            latency_flow_overflow: LatencyHistogram::new(),
+            latency_flow_overflow: LogHistogram::new(),
             latency_by_rail: Vec::new(),
-            queue_delay: LatencyHistogram::new(),
+            queue_delay: LogHistogram::new(),
             decision_evals: LogHistogram::new(),
             packets_sent: 0,
             chunks_sent: 0,
@@ -269,8 +269,7 @@ impl EngineMetrics {
         }
         if let Some(r) = rail {
             if r >= self.latency_by_rail.len() {
-                self.latency_by_rail
-                    .resize_with(r + 1, LatencyHistogram::new);
+                self.latency_by_rail.resize_with(r + 1, LogHistogram::new);
             }
             self.latency_by_rail[r].record(latency);
         }
@@ -307,18 +306,18 @@ impl EngineMetrics {
         }
         let mut per_class = obj();
         for (i, h) in self.latency_by_class.iter().enumerate() {
-            per_class = per_class.field(TrafficClass(i as u8).label(), h.to_json_us());
+            per_class = per_class.field(TrafficClass(i as u8).label(), h.to_json());
         }
         let mut per_flow = obj();
         for (flow, h) in &self.latency_by_flow {
-            per_flow = per_flow.field(&format!("flow{flow}"), h.to_json_us());
+            per_flow = per_flow.field(&format!("flow{flow}"), h.to_json());
         }
         if self.latency_flow_overflow.count() > 0 {
-            per_flow = per_flow.field("overflow", self.latency_flow_overflow.to_json_us());
+            per_flow = per_flow.field("overflow", self.latency_flow_overflow.to_json());
         }
         let mut per_rail = obj();
         for (r, h) in self.latency_by_rail.iter().enumerate() {
-            per_rail = per_rail.field(&format!("rail{r}"), h.to_json_us());
+            per_rail = per_rail.field(&format!("rail{r}"), h.to_json());
         }
         obj()
             .field("submitted_msgs", self.submitted_msgs)
@@ -365,11 +364,11 @@ impl EngineMetrics {
                     .build(),
             )
             .field("strategy_wins", wins.build())
-            .field("latency_us", self.latency.to_json_us())
+            .field("latency_us", self.latency.to_json())
             .field("latency_by_class_us", per_class.build())
             .field("latency_by_flow_us", per_flow.build())
             .field("latency_by_rail_us", per_rail.build())
-            .field("queue_delay_us", self.queue_delay.to_json_us())
+            .field("queue_delay_us", self.queue_delay.to_json())
             .field("decision_evals", self.decision_evals.to_json())
             .build()
     }

@@ -175,9 +175,9 @@ pub fn select_plan_traced(
 /// A data proposal is a chunk list, and everything about it depends on the
 /// rail, the destination and the list alone, so it is computed once per
 /// distinct list of the pass: that every chunk is live, contiguous,
-/// ungated and in express order, that the packet fits, what its bytes and
-/// their waiting are worth — and how it goes out, by copy or as a gather
-/// list, by PIO or DMA, which is the cost model's choice
+/// ungated and in express order, that the packet fits, what the share of
+/// each message it delivers is worth — and how it goes out, by copy or as
+/// a gather list, by PIO or DMA, which is the cost model's choice
 /// ([`cheapest_injection`]; a list the rail cannot inject either way is
 /// vetoed). A list that begins a valid one of the pass is valid and is only
 /// sized, not checked again. The winner's `linearize` records that choice.
@@ -255,15 +255,15 @@ pub(crate) fn select_plan_in(
                         let checked = match known {
                             Some(Known::Within) => {
                                 let payload = chunks.iter().map(|c| u64::from(c.len)).sum::<u64>();
-                                Ok((payload, payload + framing_of(chunks)))
+                                Ok(payload + framing_of(chunks))
                             }
                             _ => validate_chunks(rail, dst, chunks, collect, size_limit, coverage),
                         };
-                        let verdict = checked.and_then(|(payload, bytes)| {
+                        let verdict = checked.and_then(|bytes| {
                             let gather = ctx.config.enable_gather;
                             let how = cheapest_injection(ctx.caps, ctx.cost, n, bytes, gather)
                                 .ok_or(PlanViolation::NoInjectionPath { bytes })?;
-                            Ok((chunks_value(dst, chunks, hints, payload, ctx), how))
+                            Ok((chunks_value(dst, chunks, hints, ctx), how))
                         });
                         judged.push(JudgedList { first: at, verdict });
                         judged.len() - 1
@@ -710,11 +710,14 @@ mod tests {
             // All five are priced: without PIO or a gather list a
             // multi-chunk packet goes out as one linearized segment.
             assert_eq!((out.evaluated, out.rejected, out.skipped), (5, 0, 0));
-            // Both CONTROL messages ride ahead of the BULK head: 1 062
-            // payload bytes whose urgency outscores the 1 130 that
-            // `aggregate` takes in pack order.
+            // Both CONTROL messages ride ahead of the BULK head in either
+            // reordered packet; shortest-first also delivers the two short
+            // BULK messages whole, where class-first spends the room on a
+            // slice of the 900-byte one: about 17.4 weighted messages for
+            // the same busy time against 16.6, and 0.7 for `aggregate`'s
+            // pack order.
             let best = out.best.expect("a plan must be selected").plan;
-            assert_eq!(best.strategy, "reorder-urgent", "{:?}", caps.tech);
+            assert_eq!(best.strategy, "reorder-sjf", "{:?}", caps.tech);
             assert_eq!(best.linearized(), by_copy, "{:?}", caps.tech);
         }
     }
@@ -766,8 +769,10 @@ mod tests {
             };
             let busy_ns = est_busy.as_nanos().max(1) as f64 * ctx.health_penalty.max(1.0);
             let score = match &plan.body {
+                // Class-weighted messages delivered: each chunk the share
+                // of its message's unsent bytes it carries.
                 PlanBody::Data { chunks, .. } => {
-                    let mut value = plan.payload_bytes() as f64;
+                    let mut value = 0.0;
                     for c in chunks {
                         let cand = ctx
                             .groups
@@ -775,23 +780,23 @@ mod tests {
                             .flat_map(|g| g.candidates.iter())
                             .find(|k| k.flow == c.flow && k.seq == c.seq && k.frag == c.frag);
                         if let Some(cand) = cand {
-                            let age_us = ctx.now.since(cand.submitted_at).as_nanos() as f64 / 1e3;
-                            value +=
-                                age_us * cand.class.urgency_weight() * crate::cost::URGENCY_WEIGHT;
+                            let share = c.len as f64 / cand.msg_remaining.max(1) as f64;
+                            value += cand.class.urgency_weight() * share;
                         }
                     }
                     value / busy_ns
                 }
+                // Its message's class weight per handshake.
                 PlanBody::RndvRequest { flow, seq, frag } => {
-                    let frag_len = ctx
+                    let weight = ctx
                         .groups
                         .iter()
                         .flat_map(|g| g.rndv.iter())
                         .find(|r| r.flow == *flow && r.seq == *seq && r.frag == *frag)
-                        .map_or(0.0, |r| r.frag_len as f64);
+                        .map_or(0.0, |r| r.class.urgency_weight());
                     let bytes = crate::proto::CONTROL_PACKET_BYTES;
                     let handshake = crate::cost::one_way(ctx.caps, ctx.cost, bytes) * 2;
-                    frag_len / handshake.as_nanos().max(1) as f64
+                    weight / handshake.as_nanos().max(1) as f64
                 }
             };
             evaluated += 1;
@@ -933,7 +938,8 @@ mod tests {
     }
 
     /// Feeds `fill_packet` candidates that lie about everything but their
-    /// key: submitted at time zero, CONTROL class, and — `misplaced` — the
+    /// key: submitted at time zero, CONTROL class, the last byte of their
+    /// message, and — `misplaced` — the
     /// window position of a message from the other end of the group. The
     /// score must not move: it reads the window, not the candidate, and
     /// through a hint only what the hint's own entry confirms.
@@ -966,6 +972,7 @@ mod tests {
                         },
                         submitted_at: SimTime::ZERO,
                         class: TrafficClass::CONTROL,
+                        msg_remaining: 1,
                         ..*c
                     })
                     .collect();
@@ -976,8 +983,8 @@ mod tests {
 
     /// Per group, its first candidate and beside it the express header of
     /// the *next* message of its last candidate's flow — which the window,
-    /// where it was cut, does not offer: a chunk that is valid and earns no
-    /// aging (elsewhere there is no such message, and the proposal falls).
+    /// where it was cut, does not offer: a chunk that is valid and is worth
+    /// nothing (elsewhere there is no such message, and the proposal falls).
     struct BesideTheWindow;
 
     impl Strategy for BesideTheWindow {

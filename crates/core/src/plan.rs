@@ -181,11 +181,15 @@ pub struct ChunkCandidate {
     pub offset: u32,
     /// Remaining schedulable bytes from `offset`.
     pub remaining: u32,
+    /// Bytes the whole message still has to send: the uncommitted bytes
+    /// of every fragment, offered by this window or not — what a chunk is
+    /// a share of when a packet is scored.
+    pub msg_remaining: u64,
     /// Whether the fragment is express.
     pub express: bool,
     /// Traffic class of the message.
     pub class: TrafficClass,
-    /// When the message was submitted (for aging/urgency).
+    /// When the message was submitted (oldest-first orders).
     pub submitted_at: SimTime,
 }
 
@@ -198,9 +202,7 @@ pub struct RndvCandidate {
     pub seq: u32,
     /// Fragment index.
     pub frag: FragIndex,
-    /// Fragment total length (the size being negotiated).
-    pub frag_len: u32,
-    /// Traffic class.
+    /// Traffic class (what a request is worth).
     pub class: TrafficClass,
     /// Submission time.
     pub submitted_at: SimTime,
@@ -433,6 +435,7 @@ mod tests {
                     frag: 0,
                     offset: 0,
                     remaining: 100,
+                    msg_remaining: 100,
                     express: false,
                     class: TrafficClass::DEFAULT,
                     submitted_at: SimTime::ZERO,
@@ -444,6 +447,7 @@ mod tests {
                     frag: 0,
                     offset: 64,
                     remaining: 36,
+                    msg_remaining: 36,
                     express: true,
                     class: TrafficClass::CONTROL,
                     submitted_at: SimTime::ZERO,

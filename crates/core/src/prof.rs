@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use simnet::{NodeId, SimDuration, Trace as SimTrace, TraceEvent as SimEvent};
 
-use crate::hist::LatencyHistogram;
+use crate::hist::LogHistogram;
 use crate::json::{obj, Json, JsonError, Parser};
 use crate::trace::{read_chrome_export, EngineEvent, EventSink};
 
@@ -729,8 +729,8 @@ impl ProfInput {
 
         // Pass 2: per-message milestone segmentation.
         let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.delivered.len());
-        let mut phase_hist: [LatencyHistogram; PHASE_COUNT] =
-            std::array::from_fn(|_| LatencyHistogram::new());
+        let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
+            std::array::from_fn(|_| LogHistogram::new());
         let mut violations = 0u64;
         for (&key, &(d_ts, d_bytes, latency_ns)) in &self.delivered {
             let (s_ts, bytes, class) = match self.submits.get(&key) {
@@ -921,7 +921,7 @@ pub struct Profile {
     /// One span tree per delivered message, ordered by [`MsgKey`].
     pub flows: Vec<FlowSpan>,
     /// Per-phase latency histograms over all delivered messages.
-    pub phase_hist: [LatencyHistogram; PHASE_COUNT],
+    pub phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT],
     /// The run critical path, chronological.
     pub critical_path: Vec<CritSpan>,
     /// Records consumed from every input stream.
@@ -1040,7 +1040,7 @@ impl Profile {
                     .field("total_ns", total)
                     .field("share_p50_mille", share_quantile(&shares, 0.50))
                     .field("share_p99_mille", share_quantile(&shares, 0.99))
-                    .field("latency_us", h.to_json_us())
+                    .field("latency_us", h.to_json())
                     .build(),
             );
         }

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use bytes::Bytes;
 use simnet::{NodeId, SimDuration, SimTime};
 
-use crate::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
+use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, PackMode};
 use crate::proto::DecodedChunk;
 
@@ -35,7 +35,10 @@ struct FragmentAssembly {
 #[derive(Clone, Debug)]
 enum Assembled {
     /// One chunk carried the whole fragment: that chunk's buffer, a slice
-    /// of the packet it arrived in. Nothing is allocated or copied.
+    /// of the packet it arrived in. Nothing is allocated or copied — unless
+    /// its message still waits once the packet's chunks are in, and then
+    /// the fragment is copied out so that it does not keep the whole
+    /// packet alive ([`Receiver::end_packet`]).
     Whole(Bytes),
     /// Chunks are copied into `buf` (allocated when the first one lands)
     /// as they arrive; `ranges` are the byte ranges received so far, kept
@@ -233,6 +236,9 @@ pub struct Receiver {
     /// Messages the current call made deliverable; drained by its caller,
     /// so the buffer is allocated once.
     ready: Vec<DeliveredMessage>,
+    /// Fragments of the current packet kept as slices of it whose message
+    /// did not deliver when they landed: `(source, flow, seq, fragment)`.
+    sliced: Vec<(NodeId, FlowId, u32, FragIndex)>,
 }
 
 impl Receiver {
@@ -303,12 +309,39 @@ impl Receiver {
             return;
         }
         self.stats.chunks += 1;
-
-        if !asm.complete() {
-            return;
+        // An insert that succeeds into a whole fragment made it whole.
+        let sliced = matches!(fa.bytes, Assembled::Whole(_));
+        if asm.complete() {
+            self.stats.completed += 1;
+            drain_ready(fx, src, h.flow, now, &mut self.stats, &mut self.ready);
         }
-        self.stats.completed += 1;
-        drain_ready(fx, src, h.flow, now, &mut self.stats, &mut self.ready);
+        if sliced && fx.next_deliver <= h.msg_seq {
+            let key = (src, h.flow, h.msg_seq, h.frag_index);
+            self.sliced.push(key);
+        }
+    }
+
+    /// The chunks of one packet are in: every fragment kept as a slice of
+    /// it whose message still waits — for its body, or for an earlier
+    /// message of its flow — is copied out, so that it no longer holds the
+    /// packet's buffer. A header and body that travel together wait for
+    /// each other only within the packet, and are not copied.
+    pub fn end_packet(&mut self) {
+        for (src, flow, seq, frag) in self.sliced.drain(..) {
+            let waiting = self
+                .flows
+                .get_mut(&(src, flow))
+                .and_then(|fx| fx.pending.get_mut(&seq))
+                .and_then(|asm| asm.frags.get_mut(usize::from(frag)))
+                .and_then(Option::as_mut);
+            if let Some(FragmentAssembly {
+                bytes: Assembled::Whole(data),
+                ..
+            }) = waiting
+            {
+                *data = Bytes::copy_from_slice(data);
+            }
+        }
     }
 
     /// Ingest a shed-cancel notification from `src`: `(flow, seq)` was
@@ -479,6 +512,68 @@ mod tests {
             assert_eq!(got, want, "linearize {linearize}");
             assert_eq!(out[0].contiguous(), b"hdrbody");
         }
+    }
+
+    #[test]
+    fn a_fragment_that_waits_is_copied_out_of_its_packet() {
+        use crate::proto::{decode_packet, encode_packet, WireChunk, KIND_DATA};
+        use simnet::{NicId, WirePacket};
+        let packet = |chunks: Vec<DecodedChunk>| {
+            let wire: Vec<WireChunk> = chunks
+                .into_iter()
+                .map(|c| WireChunk {
+                    header: c.header,
+                    data: c.data,
+                })
+                .collect();
+            WirePacket {
+                src: SRC,
+                dst: NodeId(1),
+                src_nic: NicId(0),
+                dst_nic: NicId(1),
+                vchan: 0,
+                kind: KIND_DATA,
+                cookie: 1,
+                seq: 0,
+                ecn: false,
+                payload: encode_packet(&wire, true),
+            }
+        };
+        let mut r = Receiver::new();
+        let mut receive = |pkt: &WirePacket| {
+            let mut out = Vec::new();
+            for c in decode_packet(pkt).unwrap() {
+                out.extend(r.on_chunk(SRC, &c, NOW));
+            }
+            r.end_packet();
+            out
+        };
+        // Flow 0's message 1 is whole but waits for message 0, and message
+        // 2's header waits for its body; flow 1's message travels whole.
+        let first = packet(vec![
+            chunk(0, 1, 0, 1, false, 3, 0, b"one"),
+            chunk(0, 2, 0, 2, true, 3, 0, b"hdr"),
+            chunk(1, 0, 0, 2, true, 2, 0, b"h1"),
+            chunk(1, 0, 1, 2, false, 2, 0, b"b1"),
+        ]);
+        let within = |d: &DeliveredMessage| {
+            let segment = first.payload[0].as_ptr_range();
+            d.fragments
+                .iter()
+                .map(|f| segment.contains(&f.1.as_ptr()))
+                .collect::<Vec<_>>()
+        };
+        let out = receive(&first);
+        assert_eq!(out.len(), 1);
+        assert_eq!(within(&out[0]), [true, true], "delivered from its packet");
+        let out = receive(&packet(vec![
+            chunk(0, 0, 0, 1, false, 4, 0, b"zero"),
+            chunk(0, 2, 1, 2, false, 4, 0, b"body"),
+        ]));
+        let got: Vec<_> = out.iter().map(|d| d.contiguous()).collect();
+        assert_eq!(got, [&b"zero"[..], b"one", b"hdrbody"]);
+        assert_eq!(within(&out[1]), [false], "waited for message 0");
+        assert_eq!(within(&out[2]), [false, false], "waited for its body");
     }
 
     #[test]

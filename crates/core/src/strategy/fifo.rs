@@ -9,22 +9,13 @@
 //! actually scores better.
 //!
 //! When the oldest chunk is not the window's first, its lone packet jumps
-//! the chunks in front of it. Where a packet of the pass already takes the
-//! window in order as far as that chunk, the jump saves the chunk the rest
-//! of that packet's wire time and costs every other chunk of it the lone
-//! packet's fixed cost, so FIFO asks the rail's cost model which is worth
-//! more ([`rides_better`]): for chunks whose wire time is below a packet's
-//! fixed cost it is the ride. Proposing the jump anyway made the
-//! age-weighted score take it over and over on a deep backlog whose window
-//! opens with a young flow: old 64-byte messages left one chunk per packet,
-//! at four times a full packet's cost per chunk, for as long as it took
-//! the young ones to age.
+//! the chunks in front of it. The score settles whether that is worth it:
+//! the lone packet delivers one message for a packet's fixed cost, so it
+//! loses to a packet that carries the same message in order among others
+//! unless its class weight or the others' size says otherwise.
 
 // madlint: file: hot-path
 
-use crate::cost::cheapest_injection;
-use crate::plan::{ChunkCandidate, PlannedChunk};
-use crate::proto::{framing_of, lone_chunk_framing, Framing};
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Oldest-chunk-alone fallback strategy.
@@ -51,51 +42,17 @@ impl Strategy for FifoFallback {
             .flat_map(|g| g.candidates.iter().map(move |c| (g.dst, c)))
             .min_by_key(|(_, c)| (c.submitted_at, c.flow, c.seq, c.frag));
         let Some((dst, c)) = oldest else { return };
-        let carrier = out.in_order_carrier(dst, c);
-        if !carrier.is_some_and(|carrier| rides_better(ctx, carrier.chunks(), c)) {
-            fill_packet(ctx, dst, std::slice::from_ref(c), 1, self.name(), out);
-        }
+        fill_packet(ctx, dst, std::slice::from_ref(c), 1, self.name(), out);
     }
-}
-
-/// Whether window entry `c`, which `carrier` takes whole at its window
-/// place, is better left to ride it than sent alone first, the carrier
-/// following without it: whether the carrier's chunks, `c` among them,
-/// complete no later on the mean when it goes as proposed. With `n` chunks
-/// that is `n × busy(carrier) ≤ busy(lone) + (n − 1) × (busy(lone) +
-/// busy(carrier without c))`, every busy time the rail's cheapest
-/// injection. For `n` chunks of one size it is "a chunk's wire time is
-/// below a packet's fixed cost"; a list the rail cannot price either way
-/// leaves the lone packet proposed.
-fn rides_better(ctx: &OptContext<'_>, carrier: &[PlannedChunk], c: &ChunkCandidate) -> bool {
-    let busy = |chunks: usize, bytes: u64| {
-        let how = cheapest_injection(ctx.caps, ctx.cost, chunks, bytes, ctx.config.enable_gather);
-        how.map(|how| u128::from(how.busy.as_nanos()))
-    };
-    let payload: u64 = carrier.iter().map(|k| u64::from(k.len)).sum();
-    let mut rest = Framing::new();
-    for (i, k) in carrier.iter().enumerate() {
-        if i != c.at as usize {
-            rest.push(k.flow, k.seq, k.offset);
-        }
-    }
-    let n = carrier.len();
-    let alone = busy(1, u64::from(c.remaining) + lone_chunk_framing(c.offset));
-    let all = busy(n, payload + framing_of(carrier));
-    let rest = busy(n - 1, payload - u64::from(c.remaining) + rest.bytes());
-    let (Some(alone), Some(all), Some(rest)) = (alone, all, rest) else {
-        return false;
-    };
-    let n = n as u128;
-    n * all <= alone + (n - 1) * (alone + rest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::cost::{beats, cheapest_injection, chunks_value, density};
     use crate::ids::TrafficClass;
-    use crate::plan::DstGroup;
+    use crate::plan::{DstGroup, PlanRef};
     use crate::strategy::testutil::{cand, ctx_fixture};
     use crate::strategy::EagerAggregation;
     use nicdrv::{calib, CostModel};
@@ -133,8 +90,13 @@ mod tests {
 
     /// What `aggregate` and then `fifo` propose on MX for one destination
     /// whose window is `young` fresh messages of `size` bytes, one flow,
-    /// then one of another flow that has waited half a millisecond.
-    fn behind_a_young_flow(young: u32, size: u32, aggregate: bool) -> Vec<(&'static str, usize)> {
+    /// then one of another flow that has waited half a millisecond — and
+    /// which of the proposals scores best, each injected the cheapest way.
+    fn behind_a_young_flow(
+        young: u32,
+        size: u32,
+        aggregate: bool,
+    ) -> (Vec<(&'static str, usize)>, &'static str) {
         let caps = calib::capabilities(Technology::MyrinetMx);
         let cost = CostModel::from_params(&calib::params(Technology::MyrinetMx));
         let cfg = EngineConfig::default();
@@ -165,28 +127,45 @@ mod tests {
             EagerAggregation::new().propose(&ctx, &mut out);
         }
         FifoFallback::new().propose(&ctx, &mut out);
-        out.iter().map(|p| (p.strategy, p.chunk_count())).collect()
+        let score = |p: PlanRef<'_>| {
+            let bytes = p.payload_bytes() + p.framing();
+            let how = cheapest_injection(&caps, &cost, p.chunk_count(), bytes, true);
+            let how = how.expect("every proposal is injectable");
+            density(chunks_value(p.dst, p.chunks(), &[], &ctx), how.busy, &ctx)
+        };
+        let best = out
+            .iter()
+            .map(|p| (p.strategy, score(p)))
+            .reduce(|best, p| if beats(p.1, best.1) { p } else { best });
+        let proposed = out.iter().map(|p| (p.strategy, p.chunk_count())).collect();
+        (proposed, best.expect("fifo proposes").0)
     }
 
     #[test]
     fn an_old_small_chunk_rides_the_packet_that_reaches_it_in_order() {
-        // Sixty-four 64-byte chunks: a chunk's wire time is below the
-        // packet's fixed cost, so the lone packet is not proposed.
+        // Sixty-four 64-byte messages: the full packet delivers them all
+        // for little more than the lone packet's fixed cost.
         assert_eq!(
             behind_a_young_flow(63, 64, true),
-            [("aggregate", 64), ("aggregate-gather", 15)]
+            (
+                vec![("aggregate", 64), ("aggregate-gather", 15), ("fifo", 1)],
+                "aggregate"
+            )
         );
         // With nothing to ride, it goes alone.
-        assert_eq!(behind_a_young_flow(63, 64, false), [("fifo", 1)]);
+        assert_eq!(
+            behind_a_young_flow(63, 64, false),
+            (vec![("fifo", 1)], "fifo")
+        );
     }
 
     #[test]
-    fn an_old_large_chunk_still_goes_alone() {
-        // Four 8 KiB chunks: the wire time of the ones the lone packet
-        // passes outweighs its fixed cost.
+    fn an_old_large_chunk_rides_it_too() {
+        // Four 8 KiB messages: four deliveries for one fixed cost and four
+        // chunks' wire time beat one delivery for one of each.
         assert_eq!(
             behind_a_young_flow(3, 8 << 10, true),
-            [("aggregate", 4), ("fifo", 1)]
+            (vec![("aggregate", 4), ("fifo", 1)], "aggregate")
         );
     }
 

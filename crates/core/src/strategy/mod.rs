@@ -223,28 +223,6 @@ impl Proposals {
         }
     }
 
-    /// The first data proposal toward `dst` that takes its window group in
-    /// order, whole, as far as entry `c`, with `c` not the first: its first
-    /// `c.at + 1` chunks were cut from the group's first `c.at + 1` entries,
-    /// in that order, and the one cut from `c` is all of it. A chunk is cut
-    /// short only where a fill ends, so the ones before it are whole.
-    // madlint: allow(linear-scan) — the handful of proposals of one pass,
-    // and a window prefix of each; the window's own fill is the first
-    pub(crate) fn in_order_carrier(&self, dst: NodeId, c: &ChunkCandidate) -> Option<PlanRef<'_>> {
-        let n = c.at as usize + 1;
-        if n < 2 {
-            return None;
-        }
-        (0..self.len()).find_map(|at| {
-            let plan = self.get(at);
-            let carries = plan.dst == dst
-                && plan.chunk_count() >= n
-                && plan.chunks()[n - 1].len == c.remaining
-                && self.hints(at)[..n].iter().zip(0u32..).all(|(&h, i)| h == i);
-            carries.then_some(plan)
-        })
-    }
-
     /// Every proposal, in consultation order.
     pub fn iter(&self) -> impl Iterator<Item = PlanRef<'_>> + '_ {
         (0..self.len()).map(|at| self.get(at))
@@ -396,7 +374,8 @@ pub(crate) mod testutil {
     use crate::ids::{FlowId, TrafficClass};
 
     /// Candidate constructor for strategy unit tests. It does not know
-    /// where the test will put the candidate, so it gives no hint.
+    /// where the test will put the candidate, so it gives no hint; its
+    /// message is the fragment's remaining bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn cand(
         flow: u32,
@@ -415,6 +394,7 @@ pub(crate) mod testutil {
             frag,
             offset,
             remaining,
+            msg_remaining: u64::from(remaining),
             express,
             class,
             submitted_at: SimTime::from_nanos(1_000_000u64.saturating_sub(age_ns)),

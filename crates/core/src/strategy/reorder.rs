@@ -36,6 +36,8 @@ impl ReorderVariants {
 #[derive(Debug)]
 struct MessageRun {
     at: Range<usize>,
+    /// What the message still has to send, inside the window or beyond
+    /// its end: a message the window cuts to its header is not short.
     bytes: u64,
     urgency: f64,
     submitted_at: SimTime,
@@ -72,13 +74,10 @@ fn message_runs(cands: &[ChunkCandidate], packet_limit: u64, runs: &mut Vec<Mess
             head.flow == c.flow && head.seq == c.seq
         };
         match runs.last_mut().filter(|run| same_message(run)) {
-            Some(run) => {
-                run.at.end = i + 1;
-                run.bytes += u64::from(c.remaining);
-            }
+            Some(run) => run.at.end = i + 1,
             None => runs.push(MessageRun {
                 at: i..i + 1,
-                bytes: u64::from(c.remaining),
+                bytes: c.msg_remaining,
                 urgency: c.class.urgency_weight(),
                 submitted_at: c.submitted_at,
             }),
@@ -184,6 +183,33 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn sjf_sorts_a_message_the_window_cuts_by_what_it_has_left() {
+        // The window ends inside flow 0's last message: it offers the 8-byte
+        // header, and the 4 KiB body lies beyond. By what the window holds
+        // that message is the shortest; by what it has left it is not.
+        let caps = calib::synthetic_capabilities();
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        let cfg = EngineConfig::default();
+        let mut cut = cand(0, 0, 0, 0, 8, true, TrafficClass::DEFAULT, 10);
+        cut.msg_remaining = 8 + 4096;
+        let groups = vec![DstGroup {
+            dst: NodeId(1),
+            candidates: vec![
+                cand(1, 0, 0, 0, 300, false, TrafficClass::DEFAULT, 10),
+                cand(2, 0, 0, 0, 100, false, TrafficClass::DEFAULT, 10),
+                cut,
+            ],
+            rndv: vec![],
+        }];
+        let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+        let mut out = Proposals::new();
+        ReorderVariants::new().propose(&ctx, &mut out);
+        let sjf = out.iter().find(|p| p.strategy == "reorder-sjf").unwrap();
+        let order: Vec<_> = sjf.chunks().iter().map(|c| c.flow.0).collect();
+        assert_eq!(order, [2, 1, 0]);
     }
 
     #[test]

@@ -50,12 +50,11 @@ mod tests {
     use nicdrv::{calib, CostModel};
     use simnet::{NetworkParams, NodeId, SimTime};
 
-    fn rndv_cand(flow: u32, frag_len: u32) -> RndvCandidate {
+    fn rndv_cand(flow: u32) -> RndvCandidate {
         RndvCandidate {
             flow: FlowId(flow),
             seq: 0,
             frag: 0,
-            frag_len,
             class: TrafficClass::BULK,
             submitted_at: SimTime::ZERO,
         }
@@ -69,7 +68,7 @@ mod tests {
         let groups = vec![DstGroup {
             dst: NodeId(1),
             candidates: vec![],
-            rndv: vec![rndv_cand(0, 1 << 20), rndv_cand(1, 1 << 18)],
+            rndv: vec![rndv_cand(0), rndv_cand(1)],
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let mut out = Proposals::new();
@@ -87,7 +86,7 @@ mod tests {
         let groups = vec![DstGroup {
             dst: NodeId(1),
             candidates: vec![],
-            rndv: (0..10).map(|i| rndv_cand(i, 1 << 20)).collect(),
+            rndv: (0..10).map(rndv_cand).collect(),
         }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let mut out = Proposals::new();

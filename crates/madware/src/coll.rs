@@ -26,7 +26,7 @@
 //!   [`EngineEvent::CollProposed`]/[`EngineEvent::CollWon`] madtrace
 //!   events for madprof/maddiff attribution.
 //! * [`CollStats`] aggregates per-op completion-time
-//!   [`LatencyHistogram`]s and per-algorithm win counts, renders a
+//!   duration [`LogHistogram`]s and per-algorithm win counts, renders a
 //!   `coll` metrics-registry section and a debug report.
 //!
 //! Payloads are `u64` vectors (8 bytes/element) reduced element-wise by
@@ -43,7 +43,7 @@ use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimDuration, SimTime, Topology, TxMode};
 
 use madeleine::api::{AppDriver, CommApi};
-use madeleine::hist::LatencyHistogram;
+use madeleine::hist::LogHistogram;
 use madeleine::ids::{FlowId, TrafficClass};
 use madeleine::json::{obj, Json};
 use madeleine::message::{DeliveredMessage, MessageBuilder, PackMode};
@@ -877,7 +877,7 @@ pub struct CollStats {
     pub completed: u64,
     /// Per-op member completion-time histograms ([`CollOp::index`] order:
     /// barrier, broadcast, reduce, allreduce).
-    pub completion: [LatencyHistogram; 4],
+    pub completion: [LogHistogram<SimDuration>; 4],
     /// Cost-model selection wins per algorithm ([`CollAlgo::index`]
     /// order), counted once per auto-selected collective.
     pub wins: [u64; 3],
@@ -898,7 +898,7 @@ impl CollStats {
     pub fn to_json(&self) -> Json {
         let mut completion = obj();
         for (i, label) in OP_LABELS.iter().enumerate() {
-            completion = completion.field(*label, self.completion[i].to_json_us());
+            completion = completion.field(label, self.completion[i].to_json());
         }
         let mut wins = obj();
         for algo in CollAlgo::ALL {

@@ -21,7 +21,7 @@
 
 use crate::coll::{parse_header, CollConfig, CollMember, CollOp};
 use madeleine::api::{AppDriver, CommApi};
-use madeleine::hist::LatencyHistogram;
+use madeleine::hist::LogHistogram;
 use madeleine::message::DeliveredMessage;
 use simnet::{NodeId, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -59,11 +59,11 @@ pub struct MlTrainStats {
     /// Steps completed on this rank.
     pub steps_done: u32,
     /// Full step span (compute + exchange + barrier), this rank.
-    pub step: LatencyHistogram,
+    pub step: LogHistogram<SimDuration>,
     /// Gradient-exchange span per step.
-    pub exchange: LatencyHistogram,
+    pub exchange: LogHistogram<SimDuration>,
     /// Barrier span per step (empty when disabled).
-    pub barrier: LatencyHistogram,
+    pub barrier: LogHistogram<SimDuration>,
     /// Steps whose verified gradient was wrong.
     pub wrong_results: u32,
 }

@@ -316,7 +316,9 @@ fn streamed_export_equals_the_reference_over_the_corpus() {
 /// wire format in which a packet names each message once (ISSUE 24: the
 /// first packet is 128 bytes where it was 132, the second 884 for 912, and
 /// 45 of the 71 records carry a size, a score denominator or a timestamp
-/// that follows from that; names, order and count are that commit's).
+/// that follows from that; names, order and count are that commit's), and
+/// with the scores of a packet valued by the share of each message it
+/// delivers (seven score numerators moved, nothing else).
 #[test]
 fn smoke_cell_export_equals_the_committed_golden_file() {
     let golden = include_str!("../golden/trace_smoke.chrome.json");

@@ -7,6 +7,7 @@
 //!   "adequately busy with adequately scheduled communication requests";
 //! * the transfer layer is the only place packets are produced.
 
+use madeleine::config::EngineConfig;
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
@@ -67,8 +68,10 @@ fn nic_idle_activations_produce_the_work() {
     let flows: Vec<_> = (0..4)
         .map(|_| h.open_flow(dst, TrafficClass::DEFAULT))
         .collect();
+    // Six windows' worth of 96-byte messages: a packet takes a window.
+    let per_flow = 6 * EngineConfig::default().lookahead_window as u32 / 4;
     c.sim.inject(src, |ctx| {
-        for i in 0..50u32 {
+        for i in 0..per_flow {
             for f in &flows {
                 h.send(
                     ctx,
@@ -85,7 +88,7 @@ fn nic_idle_activations_produce_the_work() {
     // One submit-time activation (the first send found an idle NIC); all
     // further optimization is idle-driven, and each idle activation
     // refills the whole hardware queue with aggregated packets — a few
-    // activations move the entire 200-message burst.
+    // activations move the entire burst.
     assert!(
         m.activations_idle >= 2,
         "idle activations {}",

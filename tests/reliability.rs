@@ -44,6 +44,13 @@ fn engine(mode: ReliabilityMode) -> EngineKind {
     EngineKind::with_config(config(mode))
 }
 
+/// [`engine`] with packets of at most eight messages, so that a burst of a
+/// hundred small ones crosses the wire in enough packets for a lossy plan
+/// to hit some (the default window packs it into two).
+fn engine_of_short_packets(mode: ReliabilityMode) -> EngineKind {
+    EngineKind::with_config(config(mode).with_window(8))
+}
+
 fn lossy_cluster(engine: EngineKind, plan: FaultPlan) -> Cluster {
     let mut c = Cluster::build(&ClusterSpec::mx_pair().engine(engine), vec![]);
     c.set_fault_plan(0, plan);
@@ -414,7 +421,7 @@ fn is_drained_never_holds_while_packets_await_their_ack() {
     // A lost data packet leaves nothing in the backlog, the NIC idle and
     // the control queue empty: only the retransmit tracker still knows.
     let plan = FaultPlan::new(9).with_loss(0.2);
-    let mut c = lossy_cluster(engine(ReliabilityMode::Recover), plan);
+    let mut c = lossy_cluster(engine_of_short_packets(ReliabilityMode::Recover), plan);
     let h = c.handle(0).opt().expect("optimizing engine").clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
@@ -450,7 +457,7 @@ fn loss_without_recovery_trips_the_flight_recorder() {
     // Same wire, recovery off (Detect): messages go missing, and the
     // first ack timeout captures a flight dump instead of hanging drain.
     let plan = FaultPlan::new(11).with_loss(0.25);
-    let mut c = lossy_cluster(engine(ReliabilityMode::Detect), plan);
+    let mut c = lossy_cluster(engine_of_short_packets(ReliabilityMode::Detect), plan);
     let h = c.handle(0).clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
