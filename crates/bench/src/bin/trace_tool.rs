@@ -10,10 +10,10 @@
 //! trace-tool explain <file.trace> [--activation N] [--tech ...]
 //! trace-tool stats <file.trace> [--tick US] [--csv out.csv] [--tech ...]
 //! trace-tool profile <file.trace|file.json> [--top N] [--folded out.folded]
-//!                    [--csv out.csv] [--fail-on-overflow] [--tech ...]
+//!                    [--csv out.csv] [--allow-overflow] [--tech ...]
 //! trace-tool snapshot <file.trace|file.json> <out.json> [--label NAME] [--tech ...]
 //! trace-tool diff <a> <b> [--top N] [--folded out.folded] [--json out.json]
-//!                 [--fail-on-overflow] [--tech ...]
+//!                 [--allow-overflow] [--tech ...]
 //! ```
 //!
 //! `export` replays the workload with full madtrace instrumentation and
@@ -27,9 +27,10 @@
 //! table and the run critical path, from either a workload trace
 //! (replayed traced) or an existing madtrace Chrome export (`--folded`
 //! writes inferno-compatible folded stacks, `--csv` the attribution
-//! table). It warns loudly when any event ring overflowed, and
-//! `--fail-on-overflow` turns the warning into a nonzero exit so CI
-//! never silently analyzes a truncated run.
+//! table). When any event ring overflowed, `profile` and `diff` print
+//! their report under a warning and exit nonzero, so nothing silently
+//! analyzes a truncated run; `--allow-overflow` keeps the warning and
+//! exits zero.
 //!
 //! `snapshot` captures a run's profile as a maddiff snapshot artifact
 //! (a committed-baseline half of a diff); `diff` is maddiff — it aligns
@@ -53,10 +54,10 @@ fn fail(msg: &str) -> ! {
          trace-tool explain <file> [--activation N] [--tech mx|elan|ib|tcp|shm]\n  \
          trace-tool stats <file> [--tick US] [--csv out.csv] [--tech mx|elan|ib|tcp|shm]\n  \
          trace-tool profile <file> [--top N] [--folded out.folded] [--csv out.csv] \
-[--fail-on-overflow] [--tech mx|elan|ib|tcp|shm]\n  \
+[--allow-overflow] [--tech mx|elan|ib|tcp|shm]\n  \
          trace-tool snapshot <file> <out.json> [--label NAME] [--tech mx|elan|ib|tcp|shm]\n  \
          trace-tool diff <a> <b> [--top N] [--folded out.folded] [--json out.json] \
-[--fail-on-overflow] [--tech mx|elan|ib|tcp|shm]"
+[--allow-overflow] [--tech mx|elan|ib|tcp|shm]"
     );
     std::process::exit(2);
 }
@@ -71,6 +72,15 @@ fn tech_arg(args: &[String]) -> Technology {
                 .unwrap_or_else(|| fail(&format!("unknown technology '{name}'")))
         }
         None => Technology::MyrinetMx,
+    }
+}
+
+/// Exit 1 after an analysis of overflowed rings, unless `--allow-overflow`.
+fn refuse_overflow(args: &[String], dropped_events: u64) {
+    let allow = args.iter().any(|a| a == "--allow-overflow");
+    if let Some(refusal) = tracecli::overflow_refusal(dropped_events, allow) {
+        eprintln!("error: {refusal}");
+        std::process::exit(1);
     }
 }
 
@@ -211,13 +221,7 @@ fn main() {
                 std::fs::write(p, &out.csv).unwrap_or_else(|e| fail(&e.to_string()));
                 println!("wrote per-message attribution to {p}");
             }
-            if args.iter().any(|a| a == "--fail-on-overflow") && out.truncated {
-                eprintln!(
-                    "error: trace ring dropped {} events and --fail-on-overflow is set",
-                    out.dropped_events
-                );
-                std::process::exit(1);
-            }
+            refuse_overflow(&args, out.dropped_events);
         }
         Some("snapshot") => {
             let Some(path) = args.get(1) else {
@@ -282,13 +286,7 @@ fn main() {
                 std::fs::write(p, &out.json).unwrap_or_else(|e| fail(&e.to_string()));
                 println!("wrote diff document to {p}");
             }
-            if args.iter().any(|a| a == "--fail-on-overflow") && out.truncated {
-                eprintln!(
-                    "error: trace rings dropped {} events and --fail-on-overflow is set",
-                    out.dropped_events
-                );
-                std::process::exit(1);
-            }
+            refuse_overflow(&args, out.dropped_events);
         }
         _ => fail("missing or unknown subcommand"),
     }

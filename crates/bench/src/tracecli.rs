@@ -453,7 +453,7 @@ pub struct ProfileOutput {
     pub csv: String,
     /// The profile JSON block.
     pub json: String,
-    /// The trace ring dropped events — `--fail-on-overflow` trips on this.
+    /// The trace ring dropped events — [`overflow_refusal`] refuses it.
     pub truncated: bool,
     /// How many events were dropped.
     pub dropped_events: u64,
@@ -613,6 +613,18 @@ pub fn diff_inputs(
         json: d.to_json().render(),
         truncated: d.truncated(),
         dropped_events: a.dropped_events + b.dropped_events,
+    })
+}
+
+/// `profile` and `diff` refuse an analysis of rings that dropped events
+/// unless the caller accepts it (`--allow-overflow`): the error to exit
+/// nonzero with, or `None` when the history was complete or accepted.
+pub fn overflow_refusal(dropped_events: u64, allow_overflow: bool) -> Option<String> {
+    (dropped_events > 0 && !allow_overflow).then(|| {
+        format!(
+            "trace rings dropped {dropped_events} events, so the analysis above is of a \
+             truncated run (raise the trace capacity, or pass --allow-overflow to accept it)"
+        )
     })
 }
 
@@ -1003,7 +1015,8 @@ mod tests {
         assert!(count(&c, "RndvGranted") > 0, "256 KiB goes by rendezvous");
         assert!(count(&c, "PlanVetoed") > 0, "a proposal must be vetoed");
         let live = crossed(&c);
-        let log = live.decisions().values().flatten();
+        let decisions = live.decisions();
+        let log = decisions.values().flatten();
         assert!(log.clone().any(|l| l.starts_with("V:")), "veto logged");
         assert!(log.clone().any(|l| l.starts_with("W:")), "winner logged");
 
@@ -1085,6 +1098,35 @@ mod tests {
             Some(0)
         );
         assert!(out.report.contains("top movers") || out.report.contains("unmatched"));
+    }
+
+    /// A run whose rings overflowed is refused by default, for `profile`
+    /// and `diff` alike, and analyzed with the warning under
+    /// `--allow-overflow`; a complete run passes either way.
+    #[test]
+    fn an_overflowed_run_is_refused_unless_allowed() {
+        let mut c = replay_cluster(sample(7), false, Technology::MyrinetMx, Some(256));
+        c.drain();
+        let truncated = c.export_chrome_trace().json;
+        let clean = sample(7).to_text();
+        let mx = Technology::MyrinetMx;
+
+        let prof = profile_input(&truncated, mx, 5).expect("profiles");
+        assert!(prof.truncated && prof.report.starts_with("WARNING"));
+        let refusal = overflow_refusal(prof.dropped_events, false).expect("refused");
+        assert!(refusal.contains("--allow-overflow"), "{refusal}");
+        assert_eq!(overflow_refusal(prof.dropped_events, true), None);
+
+        let diff = diff_inputs(&clean, &truncated, mx, 5).expect("diffs");
+        assert!(diff.truncated && diff.report.starts_with("WARNING"));
+        assert!(overflow_refusal(diff.dropped_events, false).is_some());
+        assert_eq!(overflow_refusal(diff.dropped_events, true), None);
+
+        let prof = profile_input(&clean, mx, 5).expect("profiles");
+        let diff = diff_inputs(&clean, &clean, mx, 5).expect("diffs");
+        for dropped in [prof.dropped_events, diff.dropped_events] {
+            assert_eq!(overflow_refusal(dropped, false), None);
+        }
     }
 
     #[test]

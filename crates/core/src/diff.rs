@@ -119,14 +119,12 @@ impl RunSnapshot {
                 vetoes: f.vetoes,
             })
             .collect();
-        let mut undelivered = input.undelivered();
-        undelivered.sort();
         RunSnapshot {
             label: label.to_string(),
             rows,
             critical_path: prof.critical_path.clone(),
-            undelivered,
-            decisions: input.decisions().clone(),
+            undelivered: input.undelivered(),
+            decisions: input.decisions(),
             events_processed: prof.events_processed as u64,
             dropped_events: prof.dropped_events,
         }

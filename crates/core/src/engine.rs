@@ -1182,11 +1182,6 @@ impl EngineHandle {
         self.core.borrow_mut().obs.enable_trace(capacity);
     }
 
-    /// Whether the madtrace event sink is recording (no copy of the ring).
-    pub fn trace_enabled(&self) -> bool {
-        self.core.borrow().obs.trace().is_enabled()
-    }
-
     /// The engine's event sink, borrowed in place for as long as the
     /// guard lives (the engine must not run meanwhile) — what a reader of
     /// a large ring wants instead of [`EngineHandle::trace_snapshot`].

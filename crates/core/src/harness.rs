@@ -392,9 +392,10 @@ impl Cluster {
 
     /// Walk every node's engine/receiver metrics (plus sampler digests,
     /// via the single [`EngineHandle::register_metrics`] path) and every
-    /// NIC's counters into one [`crate::metrics::MetricsRegistry`]. When
-    /// engine tracing is enabled, a cluster-level `profile` section
-    /// (madprof summary) rides along.
+    /// NIC's counters into one [`crate::metrics::MetricsRegistry`]. The
+    /// registry holds counters, not analysis: with simulator tracing on,
+    /// its ring's health rides along as `sim/trace`, and the profile those
+    /// rings feed is [`Cluster::profile`].
     pub fn metrics_registry(&self) -> crate::metrics::MetricsRegistry {
         let mut reg = crate::metrics::MetricsRegistry::new();
         for (i, h) in self.handles.iter().enumerate() {
@@ -452,13 +453,7 @@ impl Cluster {
                     .build(),
             );
         }
-        if self
-            .handles
-            .iter()
-            .any(|h| h.opt().is_some_and(|h| h.trace_enabled()))
-        {
-            reg.add_section("profile", self.profile().to_json());
-        }
+        reg.add_ring("sim/trace", self.sim.trace());
         reg
     }
 

@@ -439,6 +439,19 @@ impl MetricsRegistry {
         self.sections.push((name.to_string(), doc));
     }
 
+    /// Add a trace ring's health when it is recording: a non-zero
+    /// `dropped` means every post-hoc consumer of the ring (madprof
+    /// included) saw a truncated stream.
+    pub fn add_ring<E>(&mut self, name: &str, ring: &simnet::Ring<E>) {
+        if ring.is_enabled() {
+            let health = obj()
+                .field("retained", ring.len() as u64)
+                .field("dropped", ring.dropped())
+                .field("capacity", ring.capacity() as u64);
+            self.sections.push((name.to_string(), health.build()));
+        }
+    }
+
     /// Number of sections collected.
     pub fn len(&self) -> usize {
         self.sections.len()

@@ -301,19 +301,7 @@ impl Observer {
         if let Some(s) = &self.sampler {
             reg.add_section(&format!("{prefix}sampler"), s.to_json());
         }
-        if self.trace.is_enabled() {
-            // Ring health next to the data it guards: a non-zero `dropped`
-            // means every post-hoc trace consumer (madprof included) saw a
-            // truncated stream.
-            reg.add_section(
-                &format!("{prefix}trace"),
-                obj()
-                    .field("retained", self.trace.len() as u64)
-                    .field("dropped", self.trace.dropped())
-                    .field("capacity", self.trace.capacity() as u64)
-                    .build(),
-            );
-        }
+        reg.add_ring(&format!("{prefix}trace"), &self.trace);
     }
 
     /// Human-readable snapshot of the engine's state, for debugging stuck

@@ -26,13 +26,14 @@
 //! walks backward — through the message's own phases to its first packet
 //! binding, then across the rail to the packet whose `TxDone` freed the
 //! NIC, then into *that* packet's message — yielding the chain of spans
-//! whose shortening would shorten the run. Everything is a single pass
-//! over the event streams plus ordered-map lookups: O(events · log msgs).
+//! whose shortening would shorten the run. The events are folded into one
+//! row per message as they are read, and the attribution is one walk over
+//! those rows: O(events · log msgs).
 //!
 //! Exports: folded-stack flamegraph text (inferno-compatible),
-//! per-message attribution CSV, a `profile` JSON block for
-//! `metrics_registry()`, and a human `explain` table (top-N slowest
-//! messages with the dominating phase, rail, strategy and veto count).
+//! per-message attribution CSV, a `madprof-profile` JSON document, and a
+//! human `explain` table (top-N slowest messages with the dominating
+//! phase, rail, strategy and veto count).
 
 // madlint: file: deterministic-output
 
@@ -170,31 +171,21 @@ pub struct CritSpan {
 /// Normalized profiler input, decoupled from where the events came from:
 /// [`ProfInput::from_engine`] reads live rings, [`ProfInput::from_chrome`]
 /// re-reads an exported Chrome trace, and both produce the same profile.
+/// Each record is folded into the row it is about as it is read, so the
+/// attribution is one walk over the message rows.
 #[derive(Clone, Debug, Default)]
 pub struct ProfInput {
-    /// key → (ts, bytes, class label).
-    submits: BTreeMap<MsgKey, (u64, u64, String)>,
-    /// key → admission ts.
-    admits: BTreeMap<MsgKey, u64>,
-    /// key → last rendezvous-grant ts.
-    grants: BTreeMap<MsgKey, u64>,
-    /// key → (ts, bytes, latency_ns from the Delivered event).
-    delivered: BTreeMap<MsgKey, (u64, u64, u64)>,
-    /// (node, cookie) → (rail, activation).
-    encoded: BTreeMap<(u32, u64), (u16, u64)>,
-    /// (node, activation) → winning strategy.
-    plan_won: BTreeMap<(u32, u64), String>,
-    /// (node, activation) → vetoed proposals.
-    plan_vetoes: BTreeMap<(u32, u64), u32>,
-    /// (node, activation) → ordered canonical decision records
-    /// (`P:` proposed, `V:` vetoed, `S:` scored, `W:` won) — maddiff's
-    /// decision-divergence input. Built identically by both sources, so
-    /// a live-ring log and its Chrome re-read compare byte-for-byte.
-    decisions: BTreeMap<(u32, u64), Vec<String>>,
-    /// node → chronological cookie ops (binds and retransmits).
-    ops: BTreeMap<u32, Vec<CookieOp>>,
+    /// Everything the streams say about each message.
+    msgs: BTreeMap<MsgKey, MsgRow>,
+    /// (node, cookie) → the packet: where it was encoded, what it carried.
+    packets: BTreeMap<(u32, u64), PacketRow>,
+    /// (node, activation) → what the optimizer decided there.
+    acts: BTreeMap<(u32, u64), ActRow>,
     /// (node, rail) → chronological (ts, cookie) transmit completions.
     txdone: BTreeMap<(u32, u16), Vec<(u64, u64)>>,
+    /// Traffic-class labels, one string per class however many messages
+    /// carry it.
+    classes: BTreeSet<Rc<str>>,
     /// Ring-overflow drops summed over every source stream.
     dropped: u64,
     /// Records consumed (all sources).
@@ -204,14 +195,51 @@ pub struct ProfInput {
     profile: OnceCell<Rc<Profile>>,
 }
 
-/// A chronological per-node cookie operation: chunk→packet bindings and
-/// cookie-renaming retransmissions, interleaved in event order so
-/// retransmit chains inherit the bound message set.
-#[derive(Clone, Debug)]
-enum CookieOp {
-    Bind { ts: u64, key: MsgKey, cookie: u64 },
-    Retx { ts: u64, old: u64, new: u64 },
-    Cong { ts: u64, cookie: u64 },
+/// One message's milestones, from whichever streams recorded them.
+#[derive(Clone, Debug, Default)]
+struct MsgRow {
+    /// (ts, bytes, class label) of the `Submitted` record.
+    submit: Option<(u64, u64, Rc<str>)>,
+    /// Admission ts.
+    admit: Option<u64>,
+    /// Last rendezvous-grant ts.
+    grant: Option<u64>,
+    /// (ts, bytes, latency_ns) of the `Delivered` record.
+    delivered: Option<(u64, u64, u64)>,
+    /// (ts, node, cookie) of the first chunk binding.
+    first_bind: Option<(u64, u32, u64)>,
+    /// Ts of the last chunk binding.
+    last_bind: Option<u64>,
+    /// Ts of the last retransmission that carried this message's bytes.
+    retx_last: Option<u64>,
+    /// Retransmissions that carried this message's bytes.
+    retx_count: u32,
+    /// Ts of the last congestion echo on a packet carrying its bytes.
+    cong_last: Option<u64>,
+    /// The packet it was last listed in: a packet's bindings are
+    /// contiguous, so this lists a message once per packet (A, B, A).
+    cookie: Option<u64>,
+}
+
+/// One packet, by sender-side cookie (a retransmission is a new cookie).
+#[derive(Clone, Debug, Default)]
+struct PacketRow {
+    /// (rail, activation) from `PacketEncoded`.
+    encoded: Option<(u16, u64)>,
+    /// The messages whose bytes it carried, in binding order.
+    msgs: Vec<MsgKey>,
+}
+
+/// One optimizer activation.
+#[derive(Clone, Debug, Default)]
+struct ActRow {
+    /// Winning strategy (empty if no `PlanWon` was read).
+    won: String,
+    /// Vetoed proposals.
+    vetoes: u32,
+    /// Ordered canonical decision records (`P:` proposed, `V:` vetoed,
+    /// `S:` scored, `W:` won), the same from either source.
+    log: Vec<String>,
 }
 
 /// One trace record reduced to what the profiler keeps, independent of
@@ -494,16 +522,11 @@ impl ProfInput {
         input
     }
 
-    /// The one record → state fold: every per-kind update of the maps
+    /// The one record → state fold: every per-kind update of the rows
     /// above lives here, whichever source the record was decoded from.
     /// `node` is the node whose ring (or Chrome process) held the record.
     fn fold(&mut self, node: u32, ts: u64, rec: Rec<'_>) {
-        let mut decide = |activation: u64, line: String| {
-            self.decisions
-                .entry((node, activation))
-                .or_default()
-                .push(line);
-        };
+        let (msgs, packets, acts) = (&mut self.msgs, &mut self.packets, &mut self.acts);
         match rec {
             Rec::TxDone { rail, cookie } => {
                 self.txdone
@@ -512,69 +535,100 @@ impl ProfInput {
                     .push((ts, cookie));
             }
             Rec::Submitted { key, bytes, class } => {
-                self.submits.insert(key, (ts, bytes, class.to_string()));
+                let known = self.classes.get(class).cloned();
+                let class = known.unwrap_or_else(|| Rc::from(class));
+                self.classes.insert(Rc::clone(&class));
+                msgs.entry(key).or_default().submit = Some((ts, bytes, class));
             }
-            Rec::Admitted(key) => {
-                self.admits.insert(key, ts);
-            }
-            Rec::RndvGranted(key) => {
-                self.grants.insert(key, ts); // last grant wins
-            }
+            Rec::Admitted(key) => msgs.entry(key).or_default().admit = Some(ts),
+            // Last grant wins.
+            Rec::RndvGranted(key) => msgs.entry(key).or_default().grant = Some(ts),
             Rec::ChunkBound { key, cookie } => {
-                let op = CookieOp::Bind { ts, key, cookie };
-                self.ops.entry(node).or_default().push(op);
+                let row = msgs.entry(key).or_default();
+                row.first_bind.get_or_insert((ts, node, cookie));
+                row.last_bind = Some(ts);
+                if row.cookie != Some(cookie) {
+                    row.cookie = Some(cookie);
+                    packets.entry((node, cookie)).or_default().msgs.push(key);
+                }
             }
             Rec::Retransmit { old, new } => {
-                let op = CookieOp::Retx { ts, old, new };
-                self.ops.entry(node).or_default().push(op);
+                // The new cookie inherits the old one's messages, so a
+                // re-sent packet still belongs to them.
+                let Some(carried) = packets.get(&(node, old)).map(|p| p.msgs.clone()) else {
+                    return;
+                };
+                let renamed = &mut packets.entry((node, new)).or_default().msgs;
+                for key in carried {
+                    let row = msgs.entry(key).or_default();
+                    row.retx_last = Some(ts);
+                    row.retx_count += 1;
+                    if row.cookie != Some(new) {
+                        row.cookie = Some(new);
+                        renamed.push(key);
+                    }
+                }
             }
             Rec::CongestionMark { sender, cookie } => {
                 // Filed under the *sender* — cookies are per-sender
                 // counters, and the mark lives in the sender's sink.
-                let op = CookieOp::Cong { ts, cookie };
-                self.ops.entry(sender).or_default().push(op);
+                // Every message the marked packet carried spent time in a
+                // hot switch queue; the echo arrival is the queueing
+                // milestone (last mark wins).
+                for key in packets
+                    .get(&(sender, cookie))
+                    .into_iter()
+                    .flat_map(|p| &p.msgs)
+                {
+                    msgs.entry(*key).or_default().cong_last = Some(ts);
+                }
             }
             Rec::Delivered {
                 key,
                 bytes,
                 latency_ns,
-            } => {
-                self.delivered.insert(key, (ts, bytes, latency_ns));
-            }
+            } => msgs.entry(key).or_default().delivered = Some((ts, bytes, latency_ns)),
             Rec::PacketEncoded {
                 activation,
                 rail,
                 cookie,
-            } => {
-                self.encoded.insert((node, cookie), (rail, activation));
-            }
+            } => packets.entry((node, cookie)).or_default().encoded = Some((rail, activation)),
             Rec::PlanProposed {
                 activation,
                 strategy,
                 chunks,
                 bytes,
-            } => decide(activation, format!("P:{strategy}:{chunks}:{bytes}")),
+            } => acts
+                .entry((node, activation))
+                .or_default()
+                .log
+                .push(format!("P:{strategy}:{chunks}:{bytes}")),
             Rec::PlanScored {
                 activation,
                 strategy,
                 score: (num, den),
-            } => decide(activation, format!("S:{strategy}:{num}/{den}")),
+            } => acts
+                .entry((node, activation))
+                .or_default()
+                .log
+                .push(format!("S:{strategy}:{num}/{den}")),
             Rec::PlanWon {
                 activation,
                 strategy,
                 score,
             } => {
+                let row = acts.entry((node, activation)).or_default();
                 if let Some((num, den)) = score {
-                    decide(activation, format!("W:{strategy}:{num}/{den}"));
+                    row.log.push(format!("W:{strategy}:{num}/{den}"));
                 }
-                self.plan_won
-                    .insert((node, activation), strategy.to_string());
+                row.won = strategy.to_string();
             }
             Rec::PlanVetoed { activation, why } => {
+                let row = acts.entry((node, activation)).or_default();
                 if let Some((strategy, violation)) = why {
-                    decide(activation, format!("V:{strategy}:{violation}"));
+                    row.log.push(format!("V:{strategy}:{violation}"));
                 }
-                *self.plan_vetoes.entry((node, activation)).or_insert(0) += 1;
+                row.vetoes += 1;
             }
         }
     }
@@ -647,20 +701,25 @@ impl ProfInput {
 
     /// Ordered canonical decision records per `(node, activation)` —
     /// maddiff compares these log-for-log to find the first activation
-    /// where two runs' planners disagreed.
-    pub fn decisions(&self) -> &BTreeMap<(u32, u64), Vec<String>> {
-        &self.decisions
+    /// where two runs' planners disagreed. Activations that logged no
+    /// record are absent.
+    pub fn decisions(&self) -> BTreeMap<(u32, u64), Vec<String>> {
+        self.acts
+            .iter()
+            .filter(|(_, act)| !act.log.is_empty())
+            .map(|(&at, act)| (at, act.log.clone()))
+            .collect()
     }
 
     /// Messages that were submitted but never delivered (shed under
     /// admission pressure, or abandoned when a rail died), with their
-    /// traffic class. maddiff reports these as `unmatched`, never
-    /// folding them into phase deltas.
+    /// traffic class, ordered by [`MsgKey`]. maddiff reports these as
+    /// `unmatched`, never folding them into phase deltas.
     pub fn undelivered(&self) -> Vec<(MsgKey, String)> {
-        self.submits
+        self.msgs
             .iter()
-            .filter(|(key, _)| !self.delivered.contains_key(key))
-            .map(|(key, (_, _, class))| (*key, class.clone()))
+            .filter(|(_, row)| row.delivered.is_none())
+            .filter_map(|(key, row)| Some((*key, row.submit.as_ref()?.2.to_string())))
             .collect()
     }
 
@@ -683,81 +742,34 @@ impl ProfInput {
 
     /// Run the attribution and critical-path passes.
     fn attribute(&self) -> Profile {
-        // Pass 1: resolve cookie→message sets, following retransmit
-        // renames so a re-sent packet still belongs to its messages.
-        let mut cookie_msgs: BTreeMap<(u32, u64), Vec<MsgKey>> = BTreeMap::new();
-        let mut first_bind: BTreeMap<MsgKey, (u64, u32, u64)> = BTreeMap::new();
-        let mut last_bind: BTreeMap<MsgKey, u64> = BTreeMap::new();
-        let mut retx_last: BTreeMap<MsgKey, u64> = BTreeMap::new();
-        let mut retx_count: BTreeMap<MsgKey, u32> = BTreeMap::new();
-        let mut cong_last: BTreeMap<MsgKey, u64> = BTreeMap::new();
-        for (&node, ops) in &self.ops {
-            for op in ops {
-                match op {
-                    CookieOp::Bind { ts, key, cookie } => {
-                        let set = cookie_msgs.entry((node, *cookie)).or_default();
-                        if !set.contains(key) {
-                            set.push(*key);
-                        }
-                        first_bind.entry(*key).or_insert((*ts, node, *cookie));
-                        last_bind.insert(*key, *ts);
-                    }
-                    CookieOp::Retx { ts, old, new } => {
-                        let carried = cookie_msgs.get(&(node, *old)).cloned().unwrap_or_default();
-                        for key in &carried {
-                            retx_last.insert(*key, *ts);
-                            *retx_count.entry(*key).or_insert(0) += 1;
-                        }
-                        let set = cookie_msgs.entry((node, *new)).or_default();
-                        for key in carried {
-                            if !set.contains(&key) {
-                                set.push(key);
-                            }
-                        }
-                    }
-                    CookieOp::Cong { ts, cookie } => {
-                        // Every message the marked packet carried spent
-                        // time in a hot switch queue; the echo arrival is
-                        // the queueing milestone (last mark wins).
-                        for key in cookie_msgs.get(&(node, *cookie)).into_iter().flatten() {
-                            cong_last.insert(*key, *ts);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pass 2: per-message milestone segmentation.
-        let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.delivered.len());
+        // Per-message milestone segmentation, one walk over the rows.
+        let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.msgs.len());
         let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
             std::array::from_fn(|_| LogHistogram::new());
         let mut violations = 0u64;
-        for (&key, &(d_ts, d_bytes, latency_ns)) in &self.delivered {
-            let (s_ts, bytes, class) = match self.submits.get(&key) {
-                Some((s, b, c)) => (*s, *b, c.clone()),
+        for (&key, row) in &self.msgs {
+            let Some((d_ts, d_bytes, latency_ns)) = row.delivered else {
+                continue;
+            };
+            let (s_ts, bytes, class) = match &row.submit {
+                Some((s, b, c)) => (*s, *b, c.to_string()),
                 // Submit fell off the ring: reconstruct from the latency
                 // the receiver measured; all interior milestones are gone
                 // too, so the time lands in `wire` — `truncated` flags it.
                 None => (d_ts.saturating_sub(latency_ns), d_bytes, "?".to_string()),
             };
             let s_ts = s_ts.min(d_ts);
-            let clamp = |t: u64| t.clamp(s_ts, d_ts);
-            let mut marks: Vec<(u64, Phase)> = Vec::with_capacity(4);
-            if let Some(&t) = self.admits.get(&key) {
-                marks.push((clamp(t), Phase::Admission));
-            }
-            if let Some(&t) = self.grants.get(&key) {
-                marks.push((clamp(t), Phase::Rndv));
-            }
-            if let Some(&t) = last_bind.get(&key) {
-                marks.push((clamp(t), Phase::Decision));
-            }
-            if let Some(&t) = retx_last.get(&key) {
-                marks.push((clamp(t), Phase::Retx));
-            }
-            if let Some(&t) = cong_last.get(&key) {
-                marks.push((clamp(t), Phase::Queueing));
-            }
+            let milestones = [
+                (row.admit, Phase::Admission),
+                (row.grant, Phase::Rndv),
+                (row.last_bind, Phase::Decision),
+                (row.retx_last, Phase::Retx),
+                (row.cong_last, Phase::Queueing),
+            ];
+            let mut marks: Vec<(u64, Phase)> = milestones
+                .into_iter()
+                .filter_map(|(t, p)| Some((t?.clamp(s_ts, d_ts), p)))
+                .collect();
             marks.sort_by_key(|&(t, p)| (t, p.rank()));
             let mut segments: Vec<(Phase, u64, u64)> = Vec::with_capacity(marks.len() + 1);
             let mut phases = [0u64; PHASE_COUNT];
@@ -772,22 +784,20 @@ impl ProfInput {
             // The receiver-side Delivered event carries its own latency
             // measurement; disagreement means the streams are inconsistent
             // (truncation or mixed runs), never a profiler bug.
-            if d_ts - s_ts != latency_ns && self.submits.contains_key(&key) {
+            if d_ts - s_ts != latency_ns && row.submit.is_some() {
                 violations += 1;
             }
             for p in Phase::ALL {
                 phase_hist[p.rank() as usize]
                     .record(SimDuration::from_nanos(phases[p.rank() as usize]));
             }
-            let (rail, strategy, vetoes) = match first_bind.get(&key) {
-                Some(&(_, node, cookie)) => match self.encoded.get(&(node, cookie)) {
-                    Some(&(rail, act)) => (
-                        rail,
-                        self.plan_won.get(&(node, act)).cloned().unwrap_or_default(),
-                        self.plan_vetoes.get(&(node, act)).copied().unwrap_or(0),
-                    ),
-                    None => (u16::MAX, String::new(), 0),
-                },
+            let binding = row.first_bind.and_then(|(_, node, cookie)| {
+                let (rail, act) = self.packets.get(&(node, cookie))?.encoded?;
+                Some((rail, self.acts.get(&(node, act))))
+            });
+            let (rail, strategy, vetoes) = match binding {
+                Some((rail, Some(act))) => (rail, act.won.clone(), act.vetoes),
+                Some((rail, None)) => (rail, String::new(), 0),
                 None => (u16::MAX, String::new(), 0),
             };
             flows.push(FlowSpan {
@@ -798,17 +808,15 @@ impl ProfInput {
                 delivered_ns: d_ts,
                 phases,
                 segments,
-                retransmits: retx_count.get(&key).copied().unwrap_or(0),
+                retransmits: row.retx_count,
                 rail,
                 strategy,
                 vetoes,
             });
         }
 
-        // Pass 3: backward critical-path walk from the makespan delivery.
-        let critical_path = critical_path(&flows, &first_bind, &cookie_msgs, &self.encoded, {
-            &self.txdone
-        });
+        // Backward critical-path walk from the makespan delivery.
+        let critical_path = critical_path(&flows, &self.msgs, &self.packets, &self.txdone);
 
         Profile {
             flows,
@@ -828,12 +836,12 @@ impl ProfInput {
 /// the message's submit) or a cycle would form.
 fn critical_path(
     flows: &[FlowSpan],
-    first_bind: &BTreeMap<MsgKey, (u64, u32, u64)>,
-    cookie_msgs: &BTreeMap<(u32, u64), Vec<MsgKey>>,
-    encoded: &BTreeMap<(u32, u64), (u16, u64)>,
+    msgs: &BTreeMap<MsgKey, MsgRow>,
+    packets: &BTreeMap<(u32, u64), PacketRow>,
     txdone: &BTreeMap<(u32, u16), Vec<(u64, u64)>>,
 ) -> Vec<CritSpan> {
     let by_key: BTreeMap<MsgKey, &FlowSpan> = flows.iter().map(|f| (f.key, f)).collect();
+    let carried = |node: u32, cookie: u64| packets.get(&(node, cookie)).map(|p| &p.msgs);
     let mut end: Option<&FlowSpan> = None;
     for f in flows {
         // Strict `>` keeps the earliest key on ties — deterministic.
@@ -862,8 +870,8 @@ fn critical_path(
         }
     };
     while visited.insert(cur.key) && chain.len() < 4096 {
-        let (tb, node, cookie) = match first_bind.get(&cur.key) {
-            Some(&b) => b,
+        let (tb, node, cookie) = match msgs.get(&cur.key).and_then(|row| row.first_bind) {
+            Some(b) => b,
             None => {
                 push_window(&mut chain, cur, cur.submit_ns, hi);
                 break;
@@ -871,28 +879,24 @@ fn critical_path(
         };
         let tb = tb.clamp(cur.submit_ns, hi);
         push_window(&mut chain, cur, tb, hi);
-        let pred = encoded
+        let pred = packets
             .get(&(node, cookie))
-            .and_then(|&(rail, _)| txdone.get(&(node, rail)))
+            .and_then(|p| p.encoded)
+            .and_then(|(rail, _)| txdone.get(&(node, rail)))
             .and_then(|list| {
                 // Last completion at or before the binding that is not one
                 // of this message's own packets.
                 list.iter()
                     .rev()
                     .skip_while(|&&(t, _)| t > tb)
-                    .find(|&&(_, ck)| {
-                        cookie_msgs
-                            .get(&(node, ck))
-                            .is_none_or(|keys| !keys.contains(&cur.key))
-                    })
+                    .find(|&&(_, ck)| carried(node, ck).is_none_or(|keys| !keys.contains(&cur.key)))
                     .copied()
             })
             .and_then(|(t_done, ck)| {
                 if t_done <= cur.submit_ns {
                     return None; // rail was idle when we arrived
                 }
-                cookie_msgs
-                    .get(&(node, ck))?
+                carried(node, ck)?
                     .iter()
                     .find(|k| !visited.contains(k))
                     .and_then(|k| by_key.get(k))
@@ -1164,16 +1168,6 @@ fn share_quantile(shares: &[u64], q: f64) -> u64 {
     shares[((shares.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
 }
 
-/// Profile live rings in one call (same argument shape as
-/// [`crate::trace::export_chrome_trace`]).
-pub fn profile(
-    sim: &SimTrace,
-    sinks: &[(NodeId, &EventSink)],
-    nics: &[Vec<simnet::NicId>],
-) -> Profile {
-    ProfInput::from_engine(sim, sinks, nics).into_profile()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1355,11 +1349,11 @@ mod tests {
         // The fabric marked the final retransmission (cookie chain
         // 7→8→9); its ack echo lands at t=180, splitting the former
         // 160→200 wire segment into queueing 160→180 + wire 180→200.
-        input
-            .ops
-            .entry(0)
-            .or_default()
-            .push(CookieOp::Cong { ts: 180, cookie: 9 });
+        let mark = Rec::CongestionMark {
+            sender: 0,
+            cookie: 9,
+        };
+        input.fold(0, 180, mark);
         let p = input.profile();
         let f = &p.flows[0];
         assert_eq!(f.phases, [10, 40, 50, 60, 20, 20]);
@@ -1501,5 +1495,724 @@ mod tests {
         assert_eq!(p.folded_stacks(), "");
         assert_eq!(p.phase_share_mille(Phase::Wire, 0.5), 0);
         assert!(p.explain(5).contains("no delivered messages"));
+    }
+
+    /// The ten-map fold, `attribute()` and critical-path walk that the
+    /// row layout replaced, kept verbatim: the oracle it is held to.
+    mod reference {
+        use super::*;
+        use crate::diff::{RunSnapshot, SnapRow};
+
+        #[derive(Clone, Debug, Default)]
+        pub(super) struct RefInput {
+            /// key → (ts, bytes, class label).
+            submits: BTreeMap<MsgKey, (u64, u64, String)>,
+            /// key → admission ts.
+            admits: BTreeMap<MsgKey, u64>,
+            /// key → last rendezvous-grant ts.
+            grants: BTreeMap<MsgKey, u64>,
+            /// key → (ts, bytes, latency_ns from the Delivered event).
+            delivered: BTreeMap<MsgKey, (u64, u64, u64)>,
+            /// (node, cookie) → (rail, activation).
+            encoded: BTreeMap<(u32, u64), (u16, u64)>,
+            /// (node, activation) → winning strategy.
+            plan_won: BTreeMap<(u32, u64), String>,
+            /// (node, activation) → vetoed proposals.
+            plan_vetoes: BTreeMap<(u32, u64), u32>,
+            /// (node, activation) → ordered canonical decision records
+            /// (`P:` proposed, `V:` vetoed, `S:` scored, `W:` won) — maddiff's
+            /// decision-divergence input. Built identically by both sources, so
+            /// a live-ring log and its Chrome re-read compare byte-for-byte.
+            decisions: BTreeMap<(u32, u64), Vec<String>>,
+            /// node → chronological cookie ops (binds and retransmits).
+            ops: BTreeMap<u32, Vec<CookieOp>>,
+            /// (node, rail) → chronological (ts, cookie) transmit completions.
+            txdone: BTreeMap<(u32, u16), Vec<(u64, u64)>>,
+            /// Ring-overflow drops summed over every source stream.
+            dropped: u64,
+            /// Records consumed (all sources).
+            events: usize,
+        }
+
+        /// A chronological per-node cookie operation: chunk→packet bindings and
+        /// cookie-renaming retransmissions, interleaved in event order so
+        /// retransmit chains inherit the bound message set.
+        #[derive(Clone, Debug)]
+        enum CookieOp {
+            Bind { ts: u64, key: MsgKey, cookie: u64 },
+            Retx { ts: u64, old: u64, new: u64 },
+            Cong { ts: u64, cookie: u64 },
+        }
+
+        impl RefInput {
+            pub(super) fn from_engine(
+                sim: &SimTrace,
+                sinks: &[(NodeId, &EventSink)],
+                nics: &[Vec<simnet::NicId>],
+            ) -> RefInput {
+                let mut nic_loc: BTreeMap<u32, (u32, u16)> = BTreeMap::new();
+                for (node, rails) in nics.iter().enumerate() {
+                    for (rail, nic) in rails.iter().enumerate() {
+                        nic_loc.insert(nic.0, (node as u32, rail as u16));
+                    }
+                }
+                let mut input = RefInput {
+                    dropped: sim.dropped(),
+                    ..RefInput::default()
+                };
+                for rec in sim.iter() {
+                    input.events += 1;
+                    if let SimEvent::TxDone { nic, cookie } = &rec.event {
+                        if let Some(&(node, rail)) = nic_loc.get(&nic.0) {
+                            let cookie = *cookie;
+                            input.fold(node, rec.at.as_nanos(), Rec::TxDone { rail, cookie });
+                        }
+                    }
+                }
+                for (node, sink) in sinks {
+                    input.dropped += sink.dropped();
+                    for rec in sink.iter() {
+                        input.events += 1;
+                        if let Some(r) = Rec::of_event(node.0, &rec.event) {
+                            input.fold(node.0, rec.at.as_nanos(), r);
+                        }
+                    }
+                }
+                input
+            }
+
+            fn fold(&mut self, node: u32, ts: u64, rec: Rec<'_>) {
+                let mut decide = |activation: u64, line: String| {
+                    self.decisions
+                        .entry((node, activation))
+                        .or_default()
+                        .push(line);
+                };
+                match rec {
+                    Rec::TxDone { rail, cookie } => {
+                        self.txdone
+                            .entry((node, rail))
+                            .or_default()
+                            .push((ts, cookie));
+                    }
+                    Rec::Submitted { key, bytes, class } => {
+                        self.submits.insert(key, (ts, bytes, class.to_string()));
+                    }
+                    Rec::Admitted(key) => {
+                        self.admits.insert(key, ts);
+                    }
+                    Rec::RndvGranted(key) => {
+                        self.grants.insert(key, ts); // last grant wins
+                    }
+                    Rec::ChunkBound { key, cookie } => {
+                        let op = CookieOp::Bind { ts, key, cookie };
+                        self.ops.entry(node).or_default().push(op);
+                    }
+                    Rec::Retransmit { old, new } => {
+                        let op = CookieOp::Retx { ts, old, new };
+                        self.ops.entry(node).or_default().push(op);
+                    }
+                    Rec::CongestionMark { sender, cookie } => {
+                        // Filed under the *sender* — cookies are per-sender
+                        // counters, and the mark lives in the sender's sink.
+                        let op = CookieOp::Cong { ts, cookie };
+                        self.ops.entry(sender).or_default().push(op);
+                    }
+                    Rec::Delivered {
+                        key,
+                        bytes,
+                        latency_ns,
+                    } => {
+                        self.delivered.insert(key, (ts, bytes, latency_ns));
+                    }
+                    Rec::PacketEncoded {
+                        activation,
+                        rail,
+                        cookie,
+                    } => {
+                        self.encoded.insert((node, cookie), (rail, activation));
+                    }
+                    Rec::PlanProposed {
+                        activation,
+                        strategy,
+                        chunks,
+                        bytes,
+                    } => decide(activation, format!("P:{strategy}:{chunks}:{bytes}")),
+                    Rec::PlanScored {
+                        activation,
+                        strategy,
+                        score: (num, den),
+                    } => decide(activation, format!("S:{strategy}:{num}/{den}")),
+                    Rec::PlanWon {
+                        activation,
+                        strategy,
+                        score,
+                    } => {
+                        if let Some((num, den)) = score {
+                            decide(activation, format!("W:{strategy}:{num}/{den}"));
+                        }
+                        self.plan_won
+                            .insert((node, activation), strategy.to_string());
+                    }
+                    Rec::PlanVetoed { activation, why } => {
+                        if let Some((strategy, violation)) = why {
+                            decide(activation, format!("V:{strategy}:{violation}"));
+                        }
+                        *self.plan_vetoes.entry((node, activation)).or_insert(0) += 1;
+                    }
+                }
+            }
+
+            pub(super) fn decisions(&self) -> &BTreeMap<(u32, u64), Vec<String>> {
+                &self.decisions
+            }
+
+            /// Messages that were submitted but never delivered (shed under
+            /// admission pressure, or abandoned when a rail died), with their
+            /// traffic class. maddiff reports these as `unmatched`, never
+            /// folding them into phase deltas.
+            pub(super) fn undelivered(&self) -> Vec<(MsgKey, String)> {
+                self.submits
+                    .iter()
+                    .filter(|(key, _)| !self.delivered.contains_key(key))
+                    .map(|(key, (_, _, class))| (*key, class.clone()))
+                    .collect()
+            }
+
+            pub(super) fn attribute(&self) -> Profile {
+                // Pass 1: resolve cookie→message sets, following retransmit
+                // renames so a re-sent packet still belongs to its messages.
+                let mut cookie_msgs: BTreeMap<(u32, u64), Vec<MsgKey>> = BTreeMap::new();
+                let mut first_bind: BTreeMap<MsgKey, (u64, u32, u64)> = BTreeMap::new();
+                let mut last_bind: BTreeMap<MsgKey, u64> = BTreeMap::new();
+                let mut retx_last: BTreeMap<MsgKey, u64> = BTreeMap::new();
+                let mut retx_count: BTreeMap<MsgKey, u32> = BTreeMap::new();
+                let mut cong_last: BTreeMap<MsgKey, u64> = BTreeMap::new();
+                for (&node, ops) in &self.ops {
+                    for op in ops {
+                        match op {
+                            CookieOp::Bind { ts, key, cookie } => {
+                                let set = cookie_msgs.entry((node, *cookie)).or_default();
+                                if !set.contains(key) {
+                                    set.push(*key);
+                                }
+                                first_bind.entry(*key).or_insert((*ts, node, *cookie));
+                                last_bind.insert(*key, *ts);
+                            }
+                            CookieOp::Retx { ts, old, new } => {
+                                let carried =
+                                    cookie_msgs.get(&(node, *old)).cloned().unwrap_or_default();
+                                for key in &carried {
+                                    retx_last.insert(*key, *ts);
+                                    *retx_count.entry(*key).or_insert(0) += 1;
+                                }
+                                let set = cookie_msgs.entry((node, *new)).or_default();
+                                for key in carried {
+                                    if !set.contains(&key) {
+                                        set.push(key);
+                                    }
+                                }
+                            }
+                            CookieOp::Cong { ts, cookie } => {
+                                // Every message the marked packet carried spent
+                                // time in a hot switch queue; the echo arrival is
+                                // the queueing milestone (last mark wins).
+                                for key in cookie_msgs.get(&(node, *cookie)).into_iter().flatten() {
+                                    cong_last.insert(*key, *ts);
+                                }
+                            }
+                        }
+                    }
+                }
+
+                // Pass 2: per-message milestone segmentation.
+                let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.delivered.len());
+                let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
+                    std::array::from_fn(|_| LogHistogram::new());
+                let mut violations = 0u64;
+                for (&key, &(d_ts, d_bytes, latency_ns)) in &self.delivered {
+                    let (s_ts, bytes, class) = match self.submits.get(&key) {
+                        Some((s, b, c)) => (*s, *b, c.clone()),
+                        // Submit fell off the ring: reconstruct from the latency
+                        // the receiver measured; all interior milestones are gone
+                        // too, so the time lands in `wire` — `truncated` flags it.
+                        None => (d_ts.saturating_sub(latency_ns), d_bytes, "?".to_string()),
+                    };
+                    let s_ts = s_ts.min(d_ts);
+                    let clamp = |t: u64| t.clamp(s_ts, d_ts);
+                    let mut marks: Vec<(u64, Phase)> = Vec::with_capacity(4);
+                    if let Some(&t) = self.admits.get(&key) {
+                        marks.push((clamp(t), Phase::Admission));
+                    }
+                    if let Some(&t) = self.grants.get(&key) {
+                        marks.push((clamp(t), Phase::Rndv));
+                    }
+                    if let Some(&t) = last_bind.get(&key) {
+                        marks.push((clamp(t), Phase::Decision));
+                    }
+                    if let Some(&t) = retx_last.get(&key) {
+                        marks.push((clamp(t), Phase::Retx));
+                    }
+                    if let Some(&t) = cong_last.get(&key) {
+                        marks.push((clamp(t), Phase::Queueing));
+                    }
+                    marks.sort_by_key(|&(t, p)| (t, p.rank()));
+                    let mut segments: Vec<(Phase, u64, u64)> = Vec::with_capacity(marks.len() + 1);
+                    let mut phases = [0u64; PHASE_COUNT];
+                    let mut prev = s_ts;
+                    for (t, p) in marks {
+                        segments.push((p, prev, t));
+                        phases[p.rank() as usize] += t - prev;
+                        prev = t;
+                    }
+                    segments.push((Phase::Wire, prev, d_ts));
+                    phases[Phase::Wire.rank() as usize] += d_ts - prev;
+                    // The receiver-side Delivered event carries its own latency
+                    // measurement; disagreement means the streams are inconsistent
+                    // (truncation or mixed runs), never a profiler bug.
+                    if d_ts - s_ts != latency_ns && self.submits.contains_key(&key) {
+                        violations += 1;
+                    }
+                    for p in Phase::ALL {
+                        phase_hist[p.rank() as usize]
+                            .record(SimDuration::from_nanos(phases[p.rank() as usize]));
+                    }
+                    let (rail, strategy, vetoes) = match first_bind.get(&key) {
+                        Some(&(_, node, cookie)) => match self.encoded.get(&(node, cookie)) {
+                            Some(&(rail, act)) => (
+                                rail,
+                                self.plan_won.get(&(node, act)).cloned().unwrap_or_default(),
+                                self.plan_vetoes.get(&(node, act)).copied().unwrap_or(0),
+                            ),
+                            None => (u16::MAX, String::new(), 0),
+                        },
+                        None => (u16::MAX, String::new(), 0),
+                    };
+                    flows.push(FlowSpan {
+                        key,
+                        class,
+                        bytes,
+                        submit_ns: s_ts,
+                        delivered_ns: d_ts,
+                        phases,
+                        segments,
+                        retransmits: retx_count.get(&key).copied().unwrap_or(0),
+                        rail,
+                        strategy,
+                        vetoes,
+                    });
+                }
+
+                // Pass 3: backward critical-path walk from the makespan delivery.
+                let critical_path =
+                    critical_path(&flows, &first_bind, &cookie_msgs, &self.encoded, {
+                        &self.txdone
+                    });
+
+                Profile {
+                    flows,
+                    phase_hist,
+                    critical_path,
+                    events_processed: self.events,
+                    dropped_events: self.dropped,
+                    partition_violations: violations,
+                }
+            }
+        }
+
+        fn critical_path(
+            flows: &[FlowSpan],
+            first_bind: &BTreeMap<MsgKey, (u64, u32, u64)>,
+            cookie_msgs: &BTreeMap<(u32, u64), Vec<MsgKey>>,
+            encoded: &BTreeMap<(u32, u64), (u16, u64)>,
+            txdone: &BTreeMap<(u32, u16), Vec<(u64, u64)>>,
+        ) -> Vec<CritSpan> {
+            let by_key: BTreeMap<MsgKey, &FlowSpan> = flows.iter().map(|f| (f.key, f)).collect();
+            let mut end: Option<&FlowSpan> = None;
+            for f in flows {
+                // Strict `>` keeps the earliest key on ties — deterministic.
+                if end.is_none_or(|e| f.delivered_ns > e.delivered_ns) {
+                    end = Some(f);
+                }
+            }
+            let mut cur = match end {
+                Some(f) => f,
+                None => return Vec::new(),
+            };
+            let mut hi = cur.delivered_ns;
+            let mut chain: Vec<CritSpan> = Vec::new();
+            let mut visited: BTreeSet<MsgKey> = BTreeSet::new();
+            let push_window = |chain: &mut Vec<CritSpan>, f: &FlowSpan, lo: u64, hi: u64| {
+                for &(phase, s, e) in f.segments.iter().rev() {
+                    let (s, e) = (s.max(lo), e.min(hi));
+                    if s < e {
+                        chain.push(CritSpan {
+                            key: f.key,
+                            phase,
+                            start_ns: s,
+                            end_ns: e,
+                        });
+                    }
+                }
+            };
+            while visited.insert(cur.key) && chain.len() < 4096 {
+                let (tb, node, cookie) = match first_bind.get(&cur.key) {
+                    Some(&b) => b,
+                    None => {
+                        push_window(&mut chain, cur, cur.submit_ns, hi);
+                        break;
+                    }
+                };
+                let tb = tb.clamp(cur.submit_ns, hi);
+                push_window(&mut chain, cur, tb, hi);
+                let pred = encoded
+                    .get(&(node, cookie))
+                    .and_then(|&(rail, _)| txdone.get(&(node, rail)))
+                    .and_then(|list| {
+                        // Last completion at or before the binding that is not one
+                        // of this message's own packets.
+                        list.iter()
+                            .rev()
+                            .skip_while(|&&(t, _)| t > tb)
+                            .find(|&&(_, ck)| {
+                                cookie_msgs
+                                    .get(&(node, ck))
+                                    .is_none_or(|keys| !keys.contains(&cur.key))
+                            })
+                            .copied()
+                    })
+                    .and_then(|(t_done, ck)| {
+                        if t_done <= cur.submit_ns {
+                            return None; // rail was idle when we arrived
+                        }
+                        cookie_msgs
+                            .get(&(node, ck))?
+                            .iter()
+                            .find(|k| !visited.contains(k))
+                            .and_then(|k| by_key.get(k))
+                            .map(|f| (t_done, *f))
+                    });
+                match pred {
+                    Some((t_done, next)) => {
+                        push_window(&mut chain, cur, t_done, tb);
+                        cur = next;
+                        hi = t_done.min(cur.delivered_ns);
+                    }
+                    None => {
+                        push_window(&mut chain, cur, cur.submit_ns, tb);
+                        break;
+                    }
+                }
+            }
+            chain.reverse();
+            chain
+        }
+
+        /// `RunSnapshot::capture` as it read before the row layout, over
+        /// the reference input.
+        pub(super) fn capture(label: &str, input: &RefInput) -> RunSnapshot {
+            let prof = input.attribute();
+            let rows = prof
+                .flows
+                .iter()
+                .map(|f| SnapRow {
+                    key: f.key,
+                    class: f.class.clone(),
+                    bytes: f.bytes,
+                    submit_ns: f.submit_ns,
+                    delivered_ns: f.delivered_ns,
+                    phases: f.phases,
+                    retransmits: f.retransmits,
+                    rail: f.rail,
+                    strategy: f.strategy.clone(),
+                    vetoes: f.vetoes,
+                })
+                .collect();
+            let mut undelivered = input.undelivered();
+            undelivered.sort();
+            RunSnapshot {
+                label: label.to_string(),
+                rows,
+                critical_path: prof.critical_path.clone(),
+                undelivered,
+                decisions: input.decisions().clone(),
+                events_processed: prof.events_processed as u64,
+                dropped_events: prof.dropped_events,
+            }
+        }
+    }
+
+    use crate::harness::{Cluster, ClusterSpec};
+    use crate::{EngineConfig, MessageBuilder, ReliabilityMode};
+    use reference::RefInput;
+    use simnet::{FaultPlan, Technology};
+
+    /// Every output of the row-layout profile equals the reference's.
+    fn assert_matches_reference(input: &ProfInput, old: &RefInput) -> Rc<Profile> {
+        let (new, ref_prof) = (input.profile(), old.attribute());
+        assert_eq!(new.attribution_csv(), ref_prof.attribution_csv());
+        assert_eq!(new.folded_stacks(), ref_prof.folded_stacks());
+        assert_eq!(new.to_json().render(), ref_prof.to_json().render());
+        assert_eq!(new.critical_path, ref_prof.critical_path);
+        assert_eq!(new.explain(20), ref_prof.explain(20));
+        assert_eq!(&input.decisions(), old.decisions());
+        assert_eq!(input.undelivered(), old.undelivered());
+        assert_eq!(
+            crate::diff::RunSnapshot::capture("x", input).render(),
+            reference::capture("x", old).render()
+        );
+        new
+    }
+
+    /// Both inputs over one cluster's live rings.
+    fn assert_cluster_matches_reference(c: &Cluster) -> Rc<Profile> {
+        let held: Vec<_> = c
+            .nodes
+            .iter()
+            .zip(&c.handles)
+            .filter_map(|(&n, h)| h.opt().map(|h| (n, h.trace())))
+            .collect();
+        let rings: Vec<(NodeId, &EventSink)> = held.iter().map(|(n, r)| (*n, &**r)).collect();
+        let old = RefInput::from_engine(c.sim.trace(), &rings, &c.nics);
+        assert_matches_reference(&c.prof_input(), &old)
+    }
+
+    /// Records named `name` across every node's engine ring.
+    fn count(c: &Cluster, name: &str) -> usize {
+        let rings = c.handles.iter().filter_map(|h| h.opt());
+        rings
+            .map(|h| h.trace().count_matching(|e| e.name() == name))
+            .sum()
+    }
+
+    /// Send `sizes` from node `src` to node `dst` on one DEFAULT flow.
+    fn send_all(c: &mut Cluster, src: usize, dst: usize, sizes: &[usize]) {
+        let (from, to) = (c.nodes[src], c.nodes[dst]);
+        let h = c.handles[src].clone();
+        let flow = h.open_flow(to, TrafficClass::DEFAULT);
+        for &len in sizes {
+            c.sim.inject(from, |ctx| {
+                let body = vec![0x5Au8; len];
+                let parts = MessageBuilder::new()
+                    .pack_express(&[7u8; 8])
+                    .pack_cheaper(&body)
+                    .build_parts();
+                h.send(ctx, flow, parts)
+            });
+        }
+    }
+
+    const SIZES: [usize; 6] = [64, 256 << 10, 512, 4096, 96, 2048];
+
+    fn recover() -> EngineConfig {
+        EngineConfig {
+            reliability: ReliabilityMode::Recover,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn rows_match_the_reference_under_loss_dup_and_reorder() {
+        let spec = ClusterSpec::mx_pair()
+            .config(recover())
+            .with_tracing(1 << 16);
+        let mut c = Cluster::build(&spec, vec![]);
+        let plan = FaultPlan::new(13)
+            .with_loss(0.1)
+            .with_dup(0.1)
+            .with_reorder(0.1, SimDuration::from_micros(5));
+        c.set_fault_plan(0, plan);
+        for _ in 0..4 {
+            send_all(&mut c, 0, 1, &SIZES);
+        }
+        c.drain();
+        assert!(count(&c, "Retransmit") > 0, "loss must force a resend");
+        let p = assert_cluster_matches_reference(&c);
+        assert!(p.flows.iter().any(|f| f.retransmits > 0));
+        assert!(!p.truncated());
+    }
+
+    #[test]
+    fn rows_match_the_reference_with_rendezvous_and_vetoes() {
+        use crate::harness::NodeHandle;
+        use crate::strategy::{OptContext, Proposals, Strategy};
+        /// Proposes an empty packet, which is always vetoed.
+        struct EmptyHanded;
+        impl Strategy for EmptyHanded {
+            fn name(&self) -> &'static str {
+                "empty-handed"
+            }
+            fn propose(&self, ctx: &OptContext<'_>, out: &mut Proposals) {
+                if let Some(group) = ctx.groups.first() {
+                    out.push_data(ctx.channel, group.dst, &[], self.name());
+                }
+            }
+        }
+        let tech = Technology::MyrinetMx;
+        let mut sim = simnet::Simulation::new();
+        sim.enable_trace(1 << 16);
+        let net = sim.add_network(nicdrv::calib::params(tech));
+        let nodes = vec![sim.add_node(), sim.add_node()];
+        let nics: Vec<Vec<_>> = nodes.iter().map(|&n| vec![sim.add_nic(n, net)]).collect();
+        let mut handles = Vec::new();
+        for i in 0..2 {
+            let (engine, handle) = crate::MadEngine::builder(nodes[i])
+                .rail_tech(tech, nics[i][0])
+                .peer(nodes[1 - i], nics[1 - i].clone())
+                .strategy(Box::new(EmptyHanded))
+                .build()
+                .expect("valid engine");
+            handle.enable_trace(1 << 16);
+            sim.set_endpoint(nodes[i], Box::new(engine));
+            handles.push(NodeHandle::Opt(handle));
+        }
+        let networks = vec![net];
+        let mut c = Cluster {
+            sim,
+            nodes,
+            nics,
+            handles,
+            networks,
+        };
+        send_all(&mut c, 0, 1, &SIZES);
+        send_all(&mut c, 1, 0, &SIZES);
+        c.drain();
+        assert!(count(&c, "RndvGranted") > 0, "256 KiB goes by rendezvous");
+        assert!(count(&c, "PlanVetoed") > 0, "a proposal must be vetoed");
+        let p = assert_cluster_matches_reference(&c);
+        assert!(p.flows.iter().any(|f| f.vetoes > 0));
+        assert!(p
+            .flows
+            .iter()
+            .any(|f| f.phases[Phase::Rndv.rank() as usize] > 0));
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_a_fat_tree_incast() {
+        let link = nicdrv::calib::params(Technology::MyrinetMx).link_profile();
+        let spec = ClusterSpec::new(16, vec![Technology::MyrinetMx])
+            .config(recover())
+            .with_tracing(1 << 18);
+        let topo = simnet::Topology::fat_tree(4, link);
+        let mut c = Cluster::build_with_topologies(&spec, vec![Some(topo)], vec![]);
+        for src in 0..15 {
+            send_all(&mut c, src, 15, &[16 << 10; 4]);
+        }
+        c.drain();
+        assert!(count(&c, "CongestionMark") > 0, "the incast must mark");
+        let p = assert_cluster_matches_reference(&c);
+        assert!(p
+            .flows
+            .iter()
+            .any(|f| f.phases[Phase::Queueing.rank() as usize] > 0));
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_an_overflowed_ring() {
+        let spec = ClusterSpec::mx_pair()
+            .config(recover())
+            .with_tracing(4 << 10);
+        let mut c = Cluster::build(&spec, vec![]);
+        c.set_fault_plan(0, FaultPlan::new(5).with_loss(0.05));
+        for _ in 0..64 {
+            send_all(&mut c, 0, 1, &SIZES);
+        }
+        c.drain();
+        let p = assert_cluster_matches_reference(&c);
+        assert!(p.truncated(), "a 4 Ki ring must overflow");
+        assert!(p.flows.iter().any(|f| f.class == "?"), "a submit fell off");
+    }
+
+    /// A chunk list that comes back to a message (A, B, A) lists A once in
+    /// its packet: the retransmit counts it once, the congestion echo and
+    /// the critical path see it once.
+    #[test]
+    fn rows_match_the_reference_when_a_packet_comes_back_to_a_message() {
+        let mut sink = EventSink::with_capacity(64);
+        let t = SimTime::from_nanos;
+        let (a, b) = (FlowId(1), FlowId(2));
+        for (ts, flow) in [(0, a), (5, b)] {
+            sink.push(
+                t(ts),
+                EngineEvent::Submitted {
+                    flow,
+                    seq: 0,
+                    frags: 2,
+                    bytes: 128,
+                    class: TrafficClass::DEFAULT,
+                },
+            );
+        }
+        sink.push(
+            t(20),
+            EngineEvent::PacketEncoded {
+                activation: 1,
+                rail: 0,
+                cookie: 3,
+                chunks: 3,
+                bytes: 192,
+                linearized: false,
+            },
+        );
+        for (frag, flow) in [(0, a), (0, b), (1, a)] {
+            sink.push(
+                t(20),
+                EngineEvent::ChunkBound {
+                    flow,
+                    seq: 0,
+                    frag,
+                    cookie: 3,
+                    bytes: 64,
+                },
+            );
+        }
+        sink.push(
+            t(60),
+            EngineEvent::Retransmit {
+                old_cookie: 3,
+                new_cookie: 4,
+                rail: 0,
+                attempt: 2,
+            },
+        );
+        sink.push(
+            t(80),
+            EngineEvent::CongestionMark {
+                src: NodeId(0),
+                cookie: 4,
+                rail: 0,
+            },
+        );
+        for flow in [a, b] {
+            sink.push(
+                t(100),
+                EngineEvent::Delivered {
+                    src: NodeId(0),
+                    flow,
+                    seq: 0,
+                    bytes: 128,
+                    latency_ns: 100 - if flow == a { 0 } else { 5 },
+                },
+            );
+        }
+        let mut sim = SimTrace::with_capacity(8);
+        let tx = |cookie| simnet::TraceEvent::TxDone {
+            nic: NicId(0),
+            cookie,
+        };
+        sim.push(t(30), tx(3));
+        sim.push(t(90), tx(4));
+        let sinks = [(NodeId(0), &sink)];
+        let nics = [vec![NicId(0)], vec![NicId(1)]];
+        let input = ProfInput::from_engine(&sim, &sinks, &nics);
+        let old = RefInput::from_engine(&sim, &sinks, &nics);
+        let p = assert_matches_reference(&input, &old);
+        assert_eq!(p.flows.len(), 2);
+        for f in &p.flows {
+            assert_eq!(f.retransmits, 1, "{} listed once in its packet", f.key);
+            assert_eq!(f.phases[Phase::Queueing.rank() as usize], 20);
+        }
+        assert_eq!(input.packets[&(0, 3)].msgs, [key(1, 0), key(2, 0)]);
+        assert_eq!(input.packets[&(0, 4)].msgs, [key(1, 0), key(2, 0)]);
     }
 }

@@ -193,3 +193,49 @@ fn sampler_does_not_perturb_the_run() {
         "workload delivered"
     );
 }
+
+/// The registry reports counters, not analysis: a traced cluster's
+/// Prometheus text carries the simulator ring's health as `sim/trace` and
+/// no `profile` section, and a ring that overflowed shows its drops there.
+#[test]
+fn a_traced_cluster_reports_its_simulator_ring() {
+    let traced = |cap: usize, msgs: usize| {
+        let mut c = Cluster::build(&ClusterSpec::mx_pair().with_tracing(cap), vec![]);
+        let (src, dst) = (c.nodes[0], c.nodes[1]);
+        let h = c.handles[0].clone();
+        let flow = h.open_flow(dst, TrafficClass::DEFAULT);
+        for i in 0..msgs {
+            c.sim.inject(src, |ctx| {
+                let parts = MessageBuilder::new()
+                    .pack_cheaper(&[i as u8; 4 << 10])
+                    .build_parts();
+                h.send(ctx, flow, parts)
+            });
+        }
+        c.drain();
+        c
+    };
+    let sample = |text: &str, field: &str| -> u64 {
+        let key = format!("madeleine_{field}{{section=\"sim/trace\"}} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(key.as_str()));
+        line.and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {key}in\n{text}"))
+    };
+
+    let text = traced(1 << 16, 16).prometheus_text();
+    assert!(!text.contains("section=\"profile\""), "{text}");
+    assert_eq!(sample(&text, "capacity"), 1 << 16);
+    assert!(sample(&text, "retained") > 0);
+    assert_eq!(sample(&text, "dropped"), 0);
+
+    let c = traced(4 << 10, 6000);
+    let text = c.prometheus_text();
+    assert_eq!(sample(&text, "capacity"), 4 << 10);
+    assert_eq!(sample(&text, "retained"), 4 << 10);
+    assert_eq!(sample(&text, "dropped"), c.sim.trace().dropped());
+    assert!(sample(&text, "dropped") > 0, "a 4 Ki ring must overflow");
+
+    // Untraced, the section is absent.
+    let plain = run_workload(false).prometheus_text();
+    assert!(!plain.contains("sim/trace"), "{plain}");
+}
