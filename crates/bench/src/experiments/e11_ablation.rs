@@ -105,13 +105,6 @@ pub fn run() -> Report {
             },
         ),
         (
-            "no bulk-chunking",
-            EngineConfig {
-                enable_split: false,
-                ..EngineConfig::default()
-            },
-        ),
-        (
             "no gather (copy only)",
             EngineConfig {
                 enable_gather: false,
@@ -164,11 +157,10 @@ pub fn run() -> Report {
         tables: vec![t, t2],
         notes: vec![
             "cross-flow merging carries most of the win on this mix, and it has \
-             two proposers: with `aggregate` alone off the reorder variants \
-             still merge (their lists go out by copy or gathered, as the cost \
-             model prices them), with both off packets shrink and small \
-             messages wait; the other families matter in their own regimes \
-             (bulk-chunking for multi-rail streams, gather for large chunks)"
+             two proposers: with `aggregate` alone off `reorder-sjf` still \
+             merges (its lists go out by copy or gathered, as the cost model \
+             prices them), with both off packets shrink and small \
+             messages wait; gather matters in its own regime (large chunks)"
                 .into(),
         ],
         artifacts: vec![],
@@ -182,10 +174,10 @@ mod tests {
     #[test]
     fn disabling_aggregation_hurts() {
         // Cross-flow merging has two proposers: `aggregate` fills in
-        // window order, the reorder variants in theirs. With `aggregate`
-        // alone off the reorder lists still merge — 14.2 chunks per packet
-        // against the full engine's 14.9, now that the cost model may send
-        // their lists by copy too; "no aggregation" used to mean "no
+        // window order, `reorder-sjf` shortest message first. With
+        // `aggregate` alone off the reorder lists still merge — 14.9 chunks
+        // per packet against the full engine's 13.3, now that the cost
+        // model may send them by copy too; "no aggregation" used to mean "no
         // by-copy mode", which only `aggregate`'s family could reach. What
         // remains true: with both proposers off, packets carry fewer
         // chunks and small messages wait longer than under the full

@@ -44,10 +44,8 @@ pub struct EngineConfig {
     pub rndv_threshold: Option<u64>,
     /// Enable the cross-flow eager aggregation strategy.
     pub enable_aggregation: bool,
-    /// Enable reordering strategies (SJF / class-priority orderings).
+    /// Enable the shortest-message-first reordering strategy.
     pub enable_reorder: bool,
-    /// Enable multi-rail bulk splitting.
-    pub enable_split: bool,
     /// Let the cost model choose between a zero-copy gather list and a
     /// copy for every packet (else every multi-chunk packet is linearized
     /// by copy). Read in one place: `cost::cheapest_injection`.
@@ -98,7 +96,6 @@ impl Default for EngineConfig {
             rndv_threshold: None,
             enable_aggregation: true,
             enable_reorder: true,
-            enable_split: true,
             enable_gather: true,
             record_deliveries: true,
             adaptive_epoch: SimDuration::from_millis(1),
@@ -122,7 +119,6 @@ impl EngineConfig {
         EngineConfig {
             enable_aggregation: false,
             enable_reorder: false,
-            enable_split: false,
             rndv_threshold: Some(u64::MAX),
             enable_gather: false,
             ..Self::default()
@@ -182,7 +178,7 @@ mod tests {
     fn default_is_valid_and_everything_enabled() {
         let c = EngineConfig::default();
         assert!(c.validate().is_ok());
-        assert!(c.enable_aggregation && c.enable_reorder && c.enable_split);
+        assert!(c.enable_aggregation && c.enable_reorder);
         assert!(
             c.nagle_delay.is_zero(),
             "paper default: send when available"

@@ -219,8 +219,8 @@ pub const MAX_REQS_PER_DST: usize = 4;
 /// optimizer activation.
 ///
 /// **Invariant of a window the collect layer built** (what
-/// `strategy::reorder`'s message runs, `BulkChunking`'s single walk and
-/// the chunk hints rest on; asserted under `debug-invariants`): a
+/// `strategy::reorder`'s message runs and the chunk hints rest on;
+/// asserted under `debug-invariants`): a
 /// window has one group per destination and no empty group; a message's
 /// fragments are offered back to back in pack order, so the candidates of
 /// one `(flow, seq)` are adjacent and ascending in `frag`; a fragment is

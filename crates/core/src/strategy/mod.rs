@@ -17,13 +17,11 @@ mod aggregate;
 mod fifo;
 mod reorder;
 mod rndv;
-mod split;
 
 pub use aggregate::EagerAggregation;
 pub use fifo::FifoFallback;
 pub use reorder::ReorderVariants;
 pub use rndv::RendezvousPromotion;
-pub use split::BulkChunking;
 
 use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimTime};
@@ -50,8 +48,7 @@ pub struct OptContext<'a> {
     pub groups: &'a [DstGroup],
     /// Upper bound on payload+framing bytes per packet on this rail.
     pub packet_limit: u64,
-    /// Number of rails currently eligible for this traffic (≥ 1); used by
-    /// splitting heuristics.
+    /// Number of rails currently eligible for this traffic (≥ 1).
     pub rail_count: usize,
     /// madrel: reliability penalty (≥ 1.0) for this rail — the inverse of
     /// its ack/timeout health score. Scales estimated busy time in plan
@@ -334,9 +331,6 @@ impl StrategyRegistry {
         if cfg.enable_reorder {
             r.register(Box::new(ReorderVariants::new()));
         }
-        if cfg.enable_split {
-            r.register(Box::new(BulkChunking::new()));
-        }
         r.register(Box::new(FifoFallback::new()));
         r
     }
@@ -444,10 +438,7 @@ mod tests {
         assert!(full.names().contains(&"fifo"));
         let fifo = StrategyRegistry::standard(&EngineConfig::fifo_only());
         assert_eq!(fifo.names(), vec!["rndv", "fifo"]);
-        assert_eq!(
-            full.names(),
-            ["rndv", "aggregate", "reorder", "bulk-chunk", "fifo"]
-        );
+        assert_eq!(full.names(), ["rndv", "aggregate", "reorder", "fifo"]);
     }
 
     #[test]
@@ -677,37 +668,30 @@ mod tests {
         assert!(r.names().contains(&"noop"));
     }
 
-    /// [`BulkChunking`] as it decided "first pending chunk of its message"
-    /// before it leaned on the window's order: no candidate of the group is
-    /// an earlier fragment of the same message. Quadratic in the window.
-    fn quadratic_propose(ctx: &OptContext<'_>, out: &mut Proposals) {
+    /// `reorder-sjf` by its definition: every message of the group — all of
+    /// its candidates, wherever they lie — in the order of its first one,
+    /// stably sorted by what the message has left to send, and a packet
+    /// filled from the front. Quadratic in the window.
+    fn quadratic_sjf(ctx: &OptContext<'_>, out: &mut Proposals) {
         for g in ctx.groups {
-            let biggest = g
-                .candidates
-                .iter()
-                .filter(|c| {
-                    !g.candidates
-                        .iter()
-                        .any(|o| o.flow == c.flow && o.seq == c.seq && o.frag < c.frag)
-                })
-                .max_by_key(|c| {
-                    (
-                        c.remaining,
-                        std::cmp::Reverse(c.submitted_at),
-                        c.flow,
-                        c.seq,
-                    )
-                });
-            let Some(c) = biggest else { continue };
-            if (c.remaining as u64) < split::lone_chunk_budget(ctx, c) / 2 {
+            if g.candidates.len() < 2 {
                 continue;
             }
-            fill_packet(ctx, g.dst, std::slice::from_ref(c), 1, "bulk-chunk", out);
+            let mut messages: Vec<Vec<&ChunkCandidate>> = Vec::new();
+            for c in &g.candidates {
+                let same = |o: &&ChunkCandidate| (o.flow, o.seq) == (c.flow, c.seq);
+                if !messages.iter().any(|m| same(&m[0])) {
+                    messages.push(g.candidates.iter().filter(same).collect());
+                }
+            }
+            messages.sort_by_key(|m| m[0].msg_remaining);
+            let order = messages.into_iter().flatten();
+            fill_packet(ctx, g.dst, order, usize::MAX, "reorder-sjf", out);
         }
     }
 
     #[test]
-    fn bulk_chunking_matches_its_quadratic_definition_on_collected_windows() {
+    fn reorder_sjf_matches_its_quadratic_definition_on_collected_windows() {
         use crate::collect::CollectLayer;
         use crate::flowmgr::{FairnessMode, DRR_CLASS_WEIGHTS};
         use crate::message::{MessageBuilder, PackMode};
@@ -805,8 +789,8 @@ mod tests {
                 let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
                 ctx.packet_limit = [100, 400, 4096][draw(3) as usize];
                 let (mut got, mut want) = (Proposals::new(), Proposals::new());
-                BulkChunking::new().propose(&ctx, &mut got);
-                quadratic_propose(&ctx, &mut want);
+                ReorderVariants::new().propose(&ctx, &mut got);
+                quadratic_sjf(&ctx, &mut want);
                 assert_eq!(
                     got.to_plans(),
                     want.to_plans(),

@@ -1,26 +1,24 @@
-//! Reordering strategies: propose alternative packet *orders* for the same
-//! backlog, widening the space of rearrangements the optimizer evaluates
-//! (§3: accumulating packets "widens the possibilities of packet
-//! reordering").
+//! Reordering: propose the same backlog in another packet *order* —
+//! shortest message first — widening the space of rearrangements the
+//! optimizer evaluates (§3: accumulating packets "widens the possibilities
+//! of packet reordering").
 //!
-//! Permutations operate on whole messages — chunks of one message keep
-//! their relative order, so express constraints survive any permutation
-//! this strategy produces.
+//! The permutation moves whole messages — chunks of one message keep their
+//! relative order, so express constraints survive it. There is no
+//! most-urgent-class-first order beside it: the score already weighs a
+//! message by its class, and such an order moved no benchmark beyond its
+//! one-seed bound (EXPERIMENTS.md E11).
 
 // madlint: file: hot-path
 // madlint: file: scoring
 
-use std::cmp::Ordering;
 use std::ops::Range;
-
-use simnet::SimTime;
 
 use crate::plan::ChunkCandidate;
 use crate::proto::{PACKET_PREFIX_BYTES, SAME_MSG_HEADER_BYTES};
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
-/// Message-permutation proposals: shortest-message-first and
-/// urgent-class-first orderings.
+/// Message-permutation proposal: shortest message first.
 #[derive(Debug, Default)]
 pub struct ReorderVariants;
 
@@ -32,15 +30,13 @@ impl ReorderVariants {
 }
 
 /// One message's candidates: a run of adjacent window entries, with the
-/// two sort keys the variants order messages by.
+/// key the strategy orders messages by.
 #[derive(Debug)]
 struct MessageRun {
     at: Range<usize>,
     /// What the message still has to send, inside the window or beyond
     /// its end: a message the window cuts to its header is not short.
     bytes: u64,
-    urgency: f64,
-    submitted_at: SimTime,
 }
 
 /// The strategy's working storage, kept by the pass's [`Proposals`] so that
@@ -78,35 +74,23 @@ fn message_runs(cands: &[ChunkCandidate], packet_limit: u64, runs: &mut Vec<Mess
             None => runs.push(MessageRun {
                 at: i..i + 1,
                 bytes: c.msg_remaining,
-                urgency: c.class.urgency_weight(),
-                submitted_at: c.submitted_at,
             }),
         }
     }
     read.min(runs.len())
 }
 
-/// Sort `runs[..read]` into the places a full sort by `before` would give
-/// them; the rest are left in any order behind them. `before` is a strict
-/// total order, so there is one such arrangement.
-fn sort_front(
-    runs: &mut [MessageRun],
-    read: usize,
-    before: impl Fn(&MessageRun, &MessageRun) -> Ordering,
-) {
+/// Sort `runs[..read]` into the places a full sort shortest-first would
+/// give them; the rest are left in any order behind them. Ties go by window
+/// position (`at.start`, unique per run), so there is one such arrangement:
+/// what a stable sort of the window gives, without its buffer — and only as
+/// far as the packet reads.
+fn sort_front(runs: &mut [MessageRun], read: usize) {
+    let key = |run: &MessageRun| (run.bytes, run.at.start);
     if read < runs.len() {
-        runs.select_nth_unstable_by(read - 1, &before);
+        runs.select_nth_unstable_by_key(read - 1, key);
     }
-    runs[..read].sort_unstable_by(&before);
-}
-
-/// The window's candidates with whole messages permuted into `runs`
-/// order, read where they lie: a packet takes the first few.
-fn permuted<'a>(
-    cands: &'a [ChunkCandidate],
-    runs: &'a [MessageRun],
-) -> impl Iterator<Item = &'a ChunkCandidate> {
-    runs.iter().flat_map(|run| &cands[run.at.clone()])
+    runs[..read].sort_unstable_by_key(key);
 }
 
 impl Strategy for ReorderVariants {
@@ -120,27 +104,13 @@ impl Strategy for ReorderVariants {
             if g.candidates.len() < 2 {
                 continue;
             }
+            // Shortest message first packs more distinct messages per
+            // packet, minimizing mean completion time. The packet reads the
+            // permuted candidates where they lie.
             let read = message_runs(&g.candidates, ctx.packet_limit, &mut runs);
-            // Both orders break ties by window position (`at.start`, unique
-            // per run): what a stable sort of the window gives, without
-            // its buffer — and only as far as the packet reads.
-            // Variant 1: shortest message first — packs more distinct
-            // messages per packet, minimizing mean completion time.
-            sort_front(&mut runs, read, |a, b| {
-                (a.bytes, a.at.start).cmp(&(b.bytes, b.at.start))
-            });
-            let order = permuted(&g.candidates, &runs);
+            sort_front(&mut runs, read);
+            let order = runs.iter().flat_map(|run| &g.candidates[run.at.clone()]);
             fill_packet(ctx, g.dst, order, usize::MAX, "reorder-sjf", out);
-            // Variant 2: most urgent class first (control before bulk),
-            // then oldest first within a class.
-            sort_front(&mut runs, read, |a, b| {
-                b.urgency
-                    .total_cmp(&a.urgency)
-                    .then(a.submitted_at.cmp(&b.submitted_at))
-                    .then(a.at.start.cmp(&b.at.start))
-            });
-            let order = permuted(&g.candidates, &runs);
-            fill_packet(ctx, g.dst, order, usize::MAX, "reorder-urgent", out);
         }
         out.reorder = Scratch { runs };
     }
@@ -210,30 +180,6 @@ mod tests {
         let sjf = out.iter().find(|p| p.strategy == "reorder-sjf").unwrap();
         let order: Vec<_> = sjf.chunks().iter().map(|c| c.flow.0).collect();
         assert_eq!(order, [2, 1, 0]);
-    }
-
-    #[test]
-    fn urgent_variant_puts_control_first() {
-        let caps = calib::synthetic_capabilities();
-        let cost = CostModel::from_params(&NetworkParams::synthetic());
-        let cfg = EngineConfig::default();
-        let groups = vec![DstGroup {
-            dst: NodeId(1),
-            candidates: vec![
-                cand(0, 0, 0, 0, 64, false, TrafficClass::BULK, 10),
-                cand(1, 0, 0, 0, 16, false, TrafficClass::CONTROL, 5),
-            ],
-            rndv: vec![],
-        }];
-        let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
-        let mut out = Proposals::new();
-        ReorderVariants::new().propose(&ctx, &mut out);
-        let out = out.to_plans();
-        let urgent = out.iter().find(|p| p.strategy == "reorder-urgent").unwrap();
-        match &urgent.body {
-            PlanBody::Data { chunks, .. } => assert_eq!(chunks[0].flow, FlowId(1)),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -318,7 +318,9 @@ fn streamed_export_equals_the_reference_over_the_corpus() {
 /// 45 of the 71 records carry a size, a score denominator or a timestamp
 /// that follows from that; names, order and count are that commit's), and
 /// with the scores of a packet valued by the share of each message it
-/// delivers (seven score numerators moved, nothing else).
+/// delivers (seven score numerators moved, nothing else) — less the
+/// `PlanProposed` and `PlanScored` of `reorder-urgent` in activation 1,
+/// which left with that proposer.
 #[test]
 fn smoke_cell_export_equals_the_committed_golden_file() {
     let golden = include_str!("../golden/trace_smoke.chrome.json");

@@ -27,9 +27,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
 # (row label, substring of a demangled function name). Indented rows lie
-# inside the row above them. The `WindowIndex::rebuild` and `__udivti3` rows
-# name code the selection pass no longer reaches (the first is gone from the
-# tree): they read 0 here and say how much it was under `--binary <parent>`.
+# inside the row above them. The `BulkChunking::propose`,
+# `WindowIndex::rebuild` and `__udivti3` rows name code the selection pass
+# no longer reaches (the first two are gone from the tree): they read 0 here
+# and say how much it was under `--binary <parent>`.
 SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
