@@ -10,10 +10,18 @@
 //! an optimizer bug). Across rails with different latencies the wire can
 //! reorder packets, which is why the sender pins express-constrained
 //! messages to one rail until their express fragments complete.
+//!
+//! State is node-wide and keyed by message, not kept per flow: the next
+//! sequence each `(source, flow)` delivers, the messages being reassembled
+//! or held for order by `(source, flow, seq)`, and the shed-cancel marks by
+//! the same key. A flow whose messages are all delivered costs one `u32`
+//! entry; a map per flow would keep its emptied root leaf (496 bytes) for
+//! the rest of the run, and the maps here keep only their own.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
@@ -139,17 +147,6 @@ impl MessageAssembly {
     }
 }
 
-/// Per-(source, flow) receive state.
-#[derive(Clone, Debug, Default)]
-struct FlowRx {
-    next_deliver: u32,
-    pending: BTreeMap<u32, MessageAssembly>,
-    /// Sequences the sender shed before committing any byte
-    /// (`KIND_CTRL` cancel notifications): ordered delivery skips these
-    /// instead of waiting for data that will never arrive.
-    cancelled: BTreeSet<u32>,
-}
-
 /// Receive-side counters.
 #[derive(Clone, Debug, Default)]
 pub struct ReceiverStats {
@@ -170,59 +167,65 @@ pub struct ReceiverStats {
     pub per_vchan_packets: Vec<u64>,
 }
 
-/// Deliver every message at the head of `fx`'s sequence space that is
-/// either complete (appended to `out`) or cancelled (skipped), stopping at
-/// the first gap still waiting for data. Deliveries and cancelled skips
-/// are counted here.
+/// Deliver every message at the head of a flow's sequence space, from
+/// `next` on, that is either complete (appended to `out`) or cancelled
+/// (skipped), stopping at the first gap still waiting for data. Deliveries
+/// and cancelled skips are counted here.
 fn drain_ready(
-    fx: &mut FlowRx,
-    src: NodeId,
-    flow: FlowId,
+    next: &mut u32,
+    (src, flow): (NodeId, FlowId),
     now: SimTime,
+    pending: &mut BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
+    cancelled: &mut BTreeSet<(NodeId, FlowId, u32)>,
     stats: &mut ReceiverStats,
     out: &mut Vec<DeliveredMessage>,
 ) {
     loop {
-        if fx.cancelled.remove(&fx.next_deliver) {
-            fx.next_deliver += 1;
+        let key = (src, flow, *next);
+        if cancelled.remove(&key) {
+            *next += 1;
             stats.cancelled += 1;
             continue;
         }
-        let Some(ready) = fx.pending.get(&fx.next_deliver) else {
-            break;
+        let asm = match pending.entry(key) {
+            Entry::Occupied(ready) if ready.get().complete() => ready.remove(),
+            _ => break,
         };
-        if !ready.complete() {
-            break;
-        }
-        let seq = fx.next_deliver;
-        let asm = fx.pending.remove(&seq).expect("checked present");
-        fx.next_deliver += 1;
-        let latency = SimDuration::from_nanos(now.as_nanos().saturating_sub(asm.submit_ns));
         stats.delivered += 1;
-        out.push(DeliveredMessage {
-            src,
+        out.push(delivered(key, asm, now));
+        *next += 1;
+    }
+}
+
+/// Message `(src, flow, seq)`, complete, as the application receives it.
+fn delivered(
+    (src, flow, seq): (NodeId, FlowId, u32),
+    asm: MessageAssembly,
+    now: SimTime,
+) -> DeliveredMessage {
+    DeliveredMessage {
+        src,
+        flow,
+        id: MsgId {
             flow,
-            id: MsgId {
-                flow,
-                seq: MsgSeq(seq),
-            },
-            class: asm.class,
-            fragments: asm
-                .frags
-                .into_iter()
-                .map(|f| {
-                    let f = f.expect("complete message has all fragments");
-                    let mode = if f.express {
-                        PackMode::Express
-                    } else {
-                        PackMode::Cheaper
-                    };
-                    (mode, f.into_bytes())
-                })
-                .collect(),
-            latency,
-            delivered_at: now,
-        });
+            seq: MsgSeq(seq),
+        },
+        class: asm.class,
+        fragments: asm
+            .frags
+            .into_iter()
+            .map(|f| {
+                let f = f.expect("complete message has all fragments");
+                let mode = if f.express {
+                    PackMode::Express
+                } else {
+                    PackMode::Cheaper
+                };
+                (mode, f.into_bytes())
+            })
+            .collect(),
+        latency: SimDuration::from_nanos(now.as_nanos().saturating_sub(asm.submit_ns)),
+        delivered_at: now,
     }
 }
 
@@ -230,15 +233,24 @@ fn drain_ready(
 #[derive(Clone, Debug, Default)]
 // madlint: send-sync — owned per engine core, must shard with it
 pub struct Receiver {
-    flows: BTreeMap<(NodeId, FlowId), FlowRx>,
+    /// The next sequence to deliver, per `(source, flow)` that has sent a
+    /// chunk or a cancel.
+    next_deliver: BTreeMap<(NodeId, FlowId), u32>,
+    /// Messages being reassembled or held for their flow's order, by
+    /// `(source, flow, seq)`. A flow with nothing pending has no entry.
+    pending: BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
+    /// Sequences the sender shed before committing any byte (`KIND_CTRL`
+    /// cancel notifications), until ordered delivery skips them instead of
+    /// waiting for data that will never arrive.
+    cancelled: BTreeSet<(NodeId, FlowId, u32)>,
     /// Counters.
     pub stats: ReceiverStats,
     /// Messages the current call made deliverable; drained by its caller,
     /// so the buffer is allocated once.
     ready: Vec<DeliveredMessage>,
     /// Fragments of the current packet kept as slices of it whose message
-    /// did not deliver when they landed: `(source, flow, seq, fragment)`.
-    sliced: Vec<(NodeId, FlowId, u32, FragIndex)>,
+    /// did not deliver when they landed: `((source, flow, seq), fragment)`.
+    sliced: Vec<((NodeId, FlowId, u32), FragIndex)>,
 }
 
 impl Receiver {
@@ -271,22 +283,23 @@ impl Receiver {
 
     fn ingest(&mut self, src: NodeId, chunk: &DecodedChunk, now: SimTime) {
         let h = &chunk.header;
-        let key = (src, h.flow);
-        let fx = self.flows.entry(key).or_default();
+        let key = (src, h.flow, h.msg_seq);
+        let next = self.next_deliver.entry((src, h.flow)).or_insert(0);
         // Late chunk for an already-delivered message (duplicate) or a
         // sequence the sender announced as shed — drop.
-        if h.msg_seq < fx.next_deliver || fx.cancelled.contains(&h.msg_seq) {
+        if h.msg_seq < *next || self.cancelled.contains(&key) {
             self.stats.overlaps += 1;
             return;
         }
-        let asm = fx
-            .pending
-            .entry(h.msg_seq)
-            .or_insert_with(|| MessageAssembly {
+        let mut slot = match self.pending.entry(key) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => slot.insert_entry(MessageAssembly {
                 class: h.class,
                 submit_ns: h.submit_ns,
                 frags: (0..h.frag_count as usize).map(|_| None).collect(),
-            });
+            }),
+        };
+        let asm = slot.get_mut();
         let fi = h.frag_index as usize;
         if fi >= asm.frags.len() {
             self.stats.overlaps += 1;
@@ -313,11 +326,25 @@ impl Receiver {
         let sliced = matches!(fa.bytes, Assembled::Whole(_));
         if asm.complete() {
             self.stats.completed += 1;
-            drain_ready(fx, src, h.flow, now, &mut self.stats, &mut self.ready);
+            if h.msg_seq == *next {
+                // The head of its flow leaves through the entry that found
+                // it; the drain goes on from the message after it.
+                self.stats.delivered += 1;
+                self.ready.push(delivered(key, slot.remove(), now));
+                *next += 1;
+            }
+            drain_ready(
+                next,
+                (src, h.flow),
+                now,
+                &mut self.pending,
+                &mut self.cancelled,
+                &mut self.stats,
+                &mut self.ready,
+            );
         }
-        if sliced && fx.next_deliver <= h.msg_seq {
-            let key = (src, h.flow, h.msg_seq, h.frag_index);
-            self.sliced.push(key);
+        if sliced && *next <= h.msg_seq {
+            self.sliced.push((key, h.frag_index));
         }
     }
 
@@ -327,11 +354,10 @@ impl Receiver {
     /// packet's buffer. A header and body that travel together wait for
     /// each other only within the packet, and are not copied.
     pub fn end_packet(&mut self) {
-        for (src, flow, seq, frag) in self.sliced.drain(..) {
+        for (key, frag) in self.sliced.drain(..) {
             let waiting = self
-                .flows
-                .get_mut(&(src, flow))
-                .and_then(|fx| fx.pending.get_mut(&seq))
+                .pending
+                .get_mut(&key)
                 .and_then(|asm| asm.frags.get_mut(usize::from(frag)))
                 .and_then(Option::as_mut);
             if let Some(FragmentAssembly {
@@ -355,18 +381,26 @@ impl Receiver {
         seq: u32,
         now: SimTime,
     ) -> std::vec::Drain<'_, DeliveredMessage> {
-        let fx = self.flows.entry((src, flow)).or_default();
+        let next = self.next_deliver.entry((src, flow)).or_insert(0);
         // Cancel for an already-delivered sequence: a protocol violation
         // (shed messages never commit bytes) — surface, don't apply.
-        if seq < fx.next_deliver {
+        if seq < *next {
             self.stats.overlaps += 1;
         } else {
             // Drop any partial reassembly state (none should exist for a
             // fully-uncommitted message; duplicates under fault injection
             // can leave some) and mark the gap.
-            fx.pending.remove(&seq);
-            fx.cancelled.insert(seq);
-            drain_ready(fx, src, flow, now, &mut self.stats, &mut self.ready);
+            self.pending.remove(&(src, flow, seq));
+            self.cancelled.insert((src, flow, seq));
+            drain_ready(
+                next,
+                (src, flow),
+                now,
+                &mut self.pending,
+                &mut self.cancelled,
+                &mut self.stats,
+                &mut self.ready,
+            );
         }
         self.ready.drain(..)
     }
@@ -411,10 +445,7 @@ mod tests {
 
     /// Messages reassembled but held for flow ordering.
     fn held_messages(r: &Receiver) -> usize {
-        r.flows
-            .values()
-            .map(|f| f.pending.values().filter(|m| m.complete()).count())
-            .sum()
+        r.pending.values().filter(|m| m.complete()).count()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -727,6 +758,31 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id.seq.0, 3);
         assert_eq!(r.stats.cancelled, 3);
+    }
+
+    #[test]
+    fn a_drained_flow_keeps_only_its_next_sequence() {
+        const FLOWS: u32 = 16;
+        let mut r = Receiver::new();
+        let mut delivered = 0;
+        for flow in 0..FLOWS {
+            // Two sources per flow id, so that a key without the source
+            // would mix their sequence spaces. Message 2 of each flow
+            // arrives first and waits; message 1 is shed.
+            for src in [SRC, NodeId(1)] {
+                delivered += feed(&mut r, src, chunk(flow, 2, 0, 2, true, 1, 0, b"h")).len();
+                delivered += feed(&mut r, src, chunk(flow, 2, 1, 2, false, 1, 0, b"b")).len();
+                let cancelled: Vec<_> = r.on_cancel(src, FlowId(flow), 1, NOW).collect();
+                delivered += cancelled.len();
+                delivered += feed(&mut r, src, chunk(flow, 0, 0, 1, false, 2, 0, b"m0")).len();
+            }
+        }
+        assert_eq!(delivered, 4 * FLOWS as usize);
+        assert_eq!(r.stats.cancelled, 2 * u64::from(FLOWS));
+        assert!(r.pending.is_empty(), "{:?}", r.pending.keys());
+        assert!(r.cancelled.is_empty(), "{:?}", r.cancelled);
+        assert_eq!(r.next_deliver.len(), 2 * FLOWS as usize);
+        assert!(r.next_deliver.values().all(|&next| next == 3));
     }
 
     #[test]

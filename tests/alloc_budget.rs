@@ -4,11 +4,13 @@
 //! cell runs on its test's own thread, so the counts are deterministic)
 //! measures heap allocations per delivered message of three 2-node cells
 //! after a warm-up, and of an idle-NIC activation on an empty backlog.
-//! The messages are madclock's: a 16-byte express header packed by copy
-//! plus a body sliced from a pool without copying.
+//! It also keeps the bytes each thread has live, which measures what a
+//! flow retains once everything it carried is delivered. The messages are
+//! madclock's: a 16-byte express header packed by copy plus a body sliced
+//! from a pool without copying.
 //!
 //! `cargo test --release -p madeleine --test alloc_budget -- --nocapture`
-//! prints the four counts; CI appends them to its step summary.
+//! prints the five figures; CI appends them to its step summary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -25,39 +27,53 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (it can go below zero
+    /// when a thread frees what another allocated; no cell does).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation that grows the live bytes by `grown`.
+fn bump(grown: i64) {
     // `try_with`: the allocator outlives the thread's locals.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    live(grown);
+}
+
+fn live(grown: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// `const`-initialised thread-local `Cell` and never allocates.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// `const`-initialised thread-local `Cell`s and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -316,6 +332,45 @@ fn idle_activation_on_an_empty_backlog_allocates_nothing() {
     let per_activation = allocated as f64 / activations as f64;
     println!("alloc_budget: idle activation {per_activation:.2} allocations per activation");
     assert_eq!(per_activation, 0.0);
+}
+
+/// What a flow keeps on both nodes once everything it carried is
+/// delivered: the sender's drained queue, the receiver's next sequence.
+/// The flows are opened before the count starts, so that the sender's
+/// flow table, a vector that doubles, grows outside it.
+#[test]
+#[cfg_attr(
+    feature = "debug-invariants",
+    ignore = "the structural checks walk every flow on every operation: minutes at 4 096 flows"
+)]
+fn a_drained_flow_retains_at_most_320_bytes() {
+    const OPEN: usize = 4_096;
+    let shared = Shared::new();
+    let apps: [Box<dyn AppDriver>; 2] =
+        [Box::new(madeleine::NullApp), Box::new(Sink(shared.clone()))];
+    let mut cluster = build(
+        vec![Technology::MyrinetMx],
+        ReliabilityMode::Off,
+        apps,
+        &shared,
+    );
+    let sender = cluster.handle(0).clone();
+    let flows: Vec<FlowId> = (0..OPEN)
+        .map(|_| sender.open_flow(NodeId(1), TrafficClass::DEFAULT))
+        .collect();
+    let before = live_bytes();
+    cluster.sim.inject(NodeId(0), |ctx| {
+        for n in 0..2 {
+            for (client, &flow) in flows.iter().enumerate() {
+                sender.send(ctx, flow, shared.parts(client, n));
+            }
+        }
+    });
+    cluster.drain();
+    assert_eq!(shared.delivered.get(), 2 * OPEN as u64);
+    let per_flow = (live_bytes() - before) as f64 / OPEN as f64;
+    println!("alloc_budget: {per_flow:.0} bytes retained per drained flow");
+    assert!(per_flow <= 320.0, "{per_flow:.0} bytes per drained flow");
 }
 
 /// The vendored `Bytes` is what the counts above rest on: an empty buffer

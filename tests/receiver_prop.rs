@@ -436,9 +436,12 @@ proptest! {
     fn any_arrival_sequence_delivers_what_the_copying_receiver_did(seed in any::<u64>()) {
         let mut rng = simnet::SplitMix64::new(seed);
         let mut below = |n: usize| rng.next_below(n as u64) as usize;
-        // Two flows of four messages, 1–3 fragments of 0–40 bytes each.
-        let mut ops: Vec<Result<DecodedChunk, (u32, u32)>> = Vec::new();
-        for flow in 0..2u32 {
+        // Two or three sources, each with the same two flow ids (a key
+        // that drops the source mixes their sequences), of four messages,
+        // 1–3 fragments of 0–40 bytes each.
+        let mut ops = Vec::new();
+        let sources = 2 + below(2) as u32;
+        for (src, flow) in (0..sources).flat_map(|src| (0..2u32).map(move |flow| (NodeId(src), flow))) {
             for seq in 0..4u32 {
                 let frag_count = 1 + below(3);
                 for frag in 0..frag_count {
@@ -471,13 +474,13 @@ proptest! {
                         let chunk = DecodedChunk { header: h, data: Bytes::from(piece) };
                         // Duplicates now and then.
                         for _ in 0..1 + usize::from(below(6) == 0) {
-                            ops.push(Ok(chunk.clone()));
+                            ops.push((src, Ok(chunk.clone())));
                         }
                         start = cut;
                     }
                 }
                 if below(8) == 0 {
-                    ops.push(Err((flow, seq)));
+                    ops.push((src, Err((flow, seq))));
                 }
             }
         }
@@ -492,19 +495,19 @@ proptest! {
                 s.per_vchan_packets.clone(),
             )
         };
-        for (i, op) in ops.iter().enumerate() {
-            let now = SimTime::from_nanos(30 + 7 * i as u64);
+        for (i, (src, op)) in ops.iter().enumerate() {
+            let (src, now) = (*src, SimTime::from_nanos(30 + 7 * i as u64));
             let vchan = below(3) as u8;
             got.record_vchan(vchan);
             want.record_vchan(vchan);
             let (g, w) = match op {
                 Ok(chunk) => (
-                    got.on_chunk(NodeId(0), chunk, now).collect::<Vec<_>>(),
-                    want.on_chunk(NodeId(0), chunk, now),
+                    got.on_chunk(src, chunk, now).collect::<Vec<_>>(),
+                    want.on_chunk(src, chunk, now),
                 ),
                 &Err((flow, seq)) => (
-                    got.on_cancel(NodeId(0), FlowId(flow), seq, now).collect(),
-                    want.on_cancel(NodeId(0), FlowId(flow), seq, now),
+                    got.on_cancel(src, FlowId(flow), seq, now).collect(),
+                    want.on_cancel(src, FlowId(flow), seq, now),
                 ),
             };
             // Bytes, order, latency and identity, through `Debug`.

@@ -13,7 +13,8 @@ madclock's calibration loop are left out of both sides of the ratio).
 
 `--binary` profiles an already built frame-pointer madclock (say, the parent
 commit's, built the same way in a scratch clone) instead of building this
-tree's. Needs cc, python3, addr2line and the repository's own cargo.
+tree's. Needs cc, python3, addr2line, nm, readelf, c++filt and the
+repository's own cargo.
 """
 import argparse
 import bisect
@@ -27,10 +28,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
 # (row label, substring of a demangled function name). Indented rows lie
-# inside the row above them. The `BulkChunking::propose`,
-# `WindowIndex::rebuild` and `__udivti3` rows name code the selection pass
-# no longer reaches (the first two are gone from the tree): they read 0 here
-# and say how much it was under `--binary <parent>`.
+# inside the row above them. The `__udivti3` row names code the selection
+# pass no longer reaches: it reads 0 here and says how much it was under
+# `--binary <parent>`. A row whose pattern matches no function of the
+# profiled binary prints `(no such function)` instead of a share.
 SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
@@ -38,13 +39,11 @@ SEAMS = [
     ("    offer_flow", "CollectLayer::offer_flow"),
     ("    OfferWalk::next", "OfferWalk::next"),
     ("  select_plan_in", "optimizer::select_plan_in"),
-    ("    BulkChunking::propose", "BulkChunking as madeleine::strategy::Strategy>::propose"),
     ("    ReorderVariants::propose", "ReorderVariants as madeleine::strategy::Strategy>::propose"),
     ("    EagerAggregation::propose", "EagerAggregation as madeleine::strategy::Strategy>::propose"),
     ("    FifoFallback::propose", "FifoFallback as madeleine::strategy::Strategy>::propose"),
     ("    validation (constraints::)", "madeleine::constraints::validate_"),
     ("    scoring (cost::)", "madeleine::cost::"),
-    ("    WindowIndex::rebuild", "WindowIndex::rebuild"),
     ("  apply_plan", "EngineCore::apply_plan"),
     ("    Transfer::submit_data", "Transfer::submit_data"),
     ("handle_packet (receive, acks)", "EngineCore::handle_packet"),
@@ -143,6 +142,20 @@ def symbolise(stacks, maps, binary):
     return names
 
 
+def functions(binary):
+    """The demangled names of the functions `binary` defines: its symbols,
+    and the linkage names its debug strings keep for functions the compiler
+    inlined everywhere, which have no symbol."""
+    out = run(["nm", "-C", "--defined-only", binary], capture_output=True, text=True).stdout
+    names = [cols[2] for cols in (line.split(None, 2) for line in out.splitlines()) if len(cols) == 3]
+    strings = subprocess.run(["readelf", "-p", ".debug_str", binary],
+                             capture_output=True, text=True).stdout
+    mangled = "\n".join(word for word in strings.split() if word.startswith("_ZN"))
+    if mangled:
+        names += run(["c++filt"], input=mangled, capture_output=True, text=True).stdout.splitlines()
+    return names
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -154,7 +167,7 @@ def main():
     ap.add_argument("--target-dir", default=os.path.join(ROOT, "target", "hostprof"))
     ap.add_argument("--binary", help="profile this frame-pointer madclock instead of building one")
     args = ap.parse_args()
-    for tool in ("cc", "addr2line", "cargo"):
+    for tool in ("cc", "addr2line", "nm", "readelf", "c++filt", "cargo"):
         need(tool)
     target_dir = os.path.abspath(args.target_dir)
     shim, binary = build(target_dir)
@@ -179,12 +192,16 @@ def main():
           % (args.workload, args.seed, len(stacks), args.hz, len(kept)))
     print("| seam (inclusive) | samples | share |")
     print("|---|---:|---:|")
+    defined = functions(binary)
     for label, patterns in SEAMS:
         if isinstance(patterns, str):
             patterns = (patterns,)
         wanted = {fn for fn in hits if any(p in fn for p in patterns)}
         n = sum(1 for on_stack in kept if not wanted.isdisjoint(on_stack))
-        print("| `%s` | %d | %.1f %% |" % (label, n, 100.0 * n / len(kept)))
+        if not any(p in fn for fn in defined for p in patterns):
+            print("| `%s` | — | (no such function) |" % label)
+        else:
+            print("| `%s` | %d | %.1f %% |" % (label, n, 100.0 * n / len(kept)))
     if args.top:
         print("\ntop %d functions by samples they are on the stack of:" % args.top)
         for fn, n in hits.most_common(args.top):
