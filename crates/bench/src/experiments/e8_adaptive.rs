@@ -61,7 +61,6 @@ pub fn run_point(adaptive: bool) -> AdaptivePoint {
     let phase2_start = SimDuration::from_millis(4);
     let config = EngineConfig {
         rndv_threshold: Some(u64::MAX),
-        adaptive_epoch: SimDuration::from_micros(200),
         ..EngineConfig::default()
     };
     let policy = if adaptive {

@@ -53,11 +53,9 @@ pub struct EngineConfig {
     /// Record every delivered message in the engine handle (tests and
     /// examples want them; long benches turn this off).
     pub record_deliveries: bool,
-    /// Epoch length for the adaptive policy's class↔channel reassignment.
-    pub adaptive_epoch: SimDuration,
     /// Reliability mode (madrel): off (completion = injection, the paper's
-    /// lossless assumption), detect (acks + timeout diagnostics, no
-    /// recovery), or recover (ack/retransmit with rail-health rerouting).
+    /// lossless assumption) or recover (ack/retransmit with rail-health
+    /// rerouting, and what no live rail can carry counted in `lost_msgs`).
     pub reliability: ReliabilityMode,
     /// The *initial* margin a rail's timeouts add to a packet's modelled
     /// flight (propagation, receive, the ack's way back), before any ack
@@ -98,7 +96,6 @@ impl Default for EngineConfig {
             enable_reorder: true,
             enable_gather: true,
             record_deliveries: true,
-            adaptive_epoch: SimDuration::from_millis(1),
             reliability: ReliabilityMode::Off,
             retransmit_timeout: SimDuration::from_micros(50),
             retry_budget: 6,

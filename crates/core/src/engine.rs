@@ -59,7 +59,7 @@ use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::reliability::{plan_retransmit, Attempt, Expiry, PendingTx, Reliability, RequestKey};
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
-use crate::trace::{EngineEvent, EventSink, FlightDump, FlightTrigger};
+use crate::trace::{EngineEvent, EventSink, FlightDump};
 use crate::transfer::{
     assert_reachable, build_rails, chunk_header, rail_of, Transfer, CTRL_COOKIE,
 };
@@ -212,7 +212,7 @@ impl EngineCore {
         let m = self.obs.metrics_mut();
         m.submitted_msgs += 1;
         m.submitted_bytes += parts.iter().map(|p| p.data.len() as u64).sum::<u64>();
-        self.opt.wake(ctx, &self.config);
+        self.opt.wake(ctx);
         self.obs.wake(ctx);
         let id = self.collect.submit(flow, parts, ctx.now(), threshold);
         let collect = &self.collect;
@@ -337,8 +337,8 @@ impl EngineCore {
             if let Err(e) = self.apply_plan(ctx, rail_idx, best.plan, act) {
                 // Plans are validated before scoring, so a rejection here is
                 // an engine bug or transient queue race; count and stop.
-                self.obs
-                    .fault(ctx.now(), FlightTrigger::DriverRejection, &view!(self));
+                self.obs.metrics_mut().driver_rejections += 1;
+                self.obs.check_faults(ctx.now(), &view!(self));
                 debug_assert!(false, "driver rejected validated plan: {e}");
                 break;
             }
@@ -459,13 +459,14 @@ impl EngineCore {
             .dispatch(ctx, rx_rail, &pkt, &mut out, &mut sent)
             .is_err()
         {
-            self.obs.fault(now, FlightTrigger::ProtoError, &view!(self));
-            return (out, sent);
+            self.obs.metrics_mut().proto_errors += 1;
+        } else {
+            self.obs.delivered(now, rx_rail, &out);
+            if self.config.record_deliveries {
+                self.obs.metrics_mut().deliveries_dropped += self.delivered.extend(&out);
+            }
         }
-        self.obs.delivered(now, rx_rail, &out);
-        if self.config.record_deliveries {
-            self.obs.metrics_mut().deliveries_dropped += self.delivered.extend(&out);
-        }
+        self.obs.check_faults(now, &view!(self));
         (out, sent)
     }
 
@@ -515,10 +516,9 @@ impl EngineCore {
                     out.extend(self.receiver.on_chunk(pkt.src, &ch, now));
                 }
                 self.receiver.end_packet();
-                if self.receiver.stats.express_violations > self.obs.metrics().express_violations {
-                    self.obs
-                        .fault(now, FlightTrigger::ExpressViolation, &view!(self));
-                }
+                // Detected and counted by the receiver; the engine's
+                // counter follows it.
+                self.obs.metrics_mut().express_violations = self.receiver.stats.express_violations;
             }
             KIND_CTRL => {
                 // Shed-cancel notification: the sender dropped (flow, seq)
@@ -585,11 +585,6 @@ impl EngineCore {
                 Expiry::Resend(attempt) | Expiry::Reroute(attempt) => {
                     self.retransmit(ctx, cookie, pending, attempt)
                 }
-                Expiry::DetectOnly => {
-                    self.obs.fault(now, FlightTrigger::Timeout, &view!(self));
-                    self.transfer
-                        .complete(cookie, &mut self.collect, &mut completed);
-                }
                 Expiry::Lost => {
                     let before = completed.len();
                     self.transfer
@@ -601,15 +596,17 @@ impl EngineCore {
         for key in self.rel.overdue_requests(now) {
             self.request_again(ctx, key);
         }
+        // A sweep is where rails die and messages are lost.
+        self.obs.check_faults(now, &view!(self));
         self.rel.arm_timer(ctx);
         completed
     }
 
     /// The grant for `key`'s rendezvous request is overdue: the request
-    /// or the grant was lost. Under `Recover` ask again — a second grant
-    /// changes nothing at either end — on the rail and with the patience
+    /// or the grant was lost. Ask again — a second grant changes nothing
+    /// at either end — on the rail and with the patience
     /// [`Reliability::expire_request`] decides; a budget spent on every
-    /// route ends as a lost message, and `Detect` only reports.
+    /// route ends as a lost message.
     fn request_again(&mut self, ctx: &mut SimCtx<'_>, key: RequestKey) {
         let now = ctx.now();
         let (flow, seq, frag) = key;
@@ -631,11 +628,7 @@ impl EngineCore {
                 debug_assert!(sent.is_ok(), "the chosen rail reaches the destination");
                 self.obs.metrics_mut().rndv_rerequests += 1;
             }
-            Expiry::DetectOnly => self.obs.fault(now, FlightTrigger::Timeout, &view!(self)),
-            Expiry::Lost => {
-                self.obs.metrics_mut().lost_msgs += 1;
-                self.obs.fault(now, FlightTrigger::Timeout, &view!(self));
-            }
+            Expiry::Lost => self.obs.metrics_mut().lost_msgs += 1,
         }
     }
 
@@ -706,8 +699,8 @@ impl EngineCore {
                     false
                 }
                 Err(_) => {
-                    self.obs
-                        .fault(now, FlightTrigger::DriverRejection, &view!(self));
+                    self.obs.metrics_mut().driver_rejections += 1;
+                    self.obs.check_faults(now, &view!(self));
                     true
                 }
             };
@@ -978,7 +971,7 @@ impl Endpoint for MadEngine {
     fn on_start(&mut self, ctx: &mut SimCtx<'_>) {
         {
             let core = &mut *self.core.borrow_mut();
-            core.opt.wake(ctx, &core.config);
+            core.opt.wake(ctx);
             core.obs.wake(ctx);
         }
         self.with_app(ctx, |app, api| app.on_start(api));
@@ -1056,7 +1049,7 @@ impl Endpoint for MadEngine {
             }
             ADAPTIVE_TAG => {
                 let core = &mut *self.core.borrow_mut();
-                core.opt.on_epoch(ctx, &core.config);
+                core.opt.on_epoch(ctx);
             }
             t => self.with_app(ctx, |app, api| app.on_timer(api, t)),
         }
@@ -1265,12 +1258,6 @@ impl EngineHandle {
     /// late (none once every retransmission has settled).
     pub fn superseded_cookies(&self) -> usize {
         self.core.borrow().rel.superseded_len()
-    }
-
-    /// Per-kind fault observation counts:
-    /// `[express_violation, driver_rejection, proto_error, timeout]`.
-    pub fn fault_counts(&self) -> [u64; 4] {
-        self.core.borrow().obs.fault_counts()
     }
 }
 

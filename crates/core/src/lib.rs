@@ -95,7 +95,7 @@ pub use ids::{ChannelId, FlowId, MsgId, TrafficClass};
 pub use json::Json;
 pub use legacy::{LegacyEngine, LegacyHandle};
 pub use message::{DeliveredMessage, Fragment, MessageBuilder, PackMode};
-pub use metrics::{EngineMetrics, MetricsRegistry};
+pub use metrics::{EngineMetrics, Fault, MetricsRegistry};
 pub use policy::PolicyKind;
 pub use prof::{CritSpan, FlowSpan, MsgKey, Phase, ProfInput, Profile, PHASE_COUNT};
 pub use reliability::{plan_retransmit, RailHealth, ReliabilityMode, RetransmitTracker};
@@ -103,5 +103,5 @@ pub use scope::{flatten_registry, prometheus_render, PromSample, Sampler};
 pub use strategy::{Strategy, StrategyRegistry};
 pub use trace::{
     chrome_event_count, export_chrome_trace, export_chrome_trace_with_topology, ChromeExport,
-    EngineEvent, EngineRecord, EventSink, FlightDump, FlightTrigger, TopologySummary,
+    EngineEvent, EngineRecord, EventSink, FlightDump, TopologySummary,
 };

@@ -38,6 +38,63 @@ impl Activation {
     }
 }
 
+/// A should-stay-zero counter of [`EngineMetrics`], each a broken
+/// invariant of the engine. The one list of them: the flight recorder
+/// fires the first time one leaves zero, the debug report's `health:`
+/// line renders them, and `madcheck`'s registry rule checks them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// An undecodable packet arrived.
+    ProtoError,
+    /// A driver rejected a validated plan.
+    DriverRejection,
+    /// The receiver observed an express-ordering violation.
+    ExpressViolation,
+    /// A delivery's traffic class was out of range and got clamped.
+    ClassClamped,
+    /// A message was abandoned: no live rail is left to reach its peer.
+    LostMsg,
+    /// The reliability layer declared a rail dead.
+    RailDead,
+}
+
+impl Fault {
+    /// Every fault, in the order reports list them.
+    pub const ALL: [Fault; 6] = [
+        Fault::ProtoError,
+        Fault::DriverRejection,
+        Fault::ExpressViolation,
+        Fault::ClassClamped,
+        Fault::LostMsg,
+        Fault::RailDead,
+    ];
+
+    /// The counter's [`EngineMetrics`] field name, which is also its key
+    /// in the metrics JSON and the label artifacts carry.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fault::ProtoError => "proto_errors",
+            Fault::DriverRejection => "driver_rejections",
+            Fault::ExpressViolation => "express_violations",
+            Fault::ClassClamped => "class_clamped",
+            Fault::LostMsg => "lost_msgs",
+            Fault::RailDead => "rails_dead",
+        }
+    }
+
+    /// The counter's value in `m`.
+    pub fn count(self, m: &EngineMetrics) -> u64 {
+        match self {
+            Fault::ProtoError => m.proto_errors,
+            Fault::DriverRejection => m.driver_rejections,
+            Fault::ExpressViolation => m.express_violations,
+            Fault::ClassClamped => m.class_clamped,
+            Fault::LostMsg => m.lost_msgs,
+            Fault::RailDead => m.rails_dead,
+        }
+    }
+}
+
 /// Counters and distributions for one engine instance.
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {

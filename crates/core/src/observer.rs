@@ -1,8 +1,10 @@
 //! The one observer seam of the engine: the madtrace event sink, the
-//! madscope sampler, the flight recorder with its fault counts, and the
-//! [`EngineMetrics`] counters. The layers of Figure 1 report through
-//! [`Observer::emit`] / [`Observer::emit_with`] / [`Observer::fault`];
-//! what is switched on is decided here and nowhere else.
+//! madscope sampler, the flight recorder, and the [`EngineMetrics`]
+//! counters. The layers of Figure 1 report through [`Observer::emit`] /
+//! [`Observer::emit_with`], and the engine calls
+//! [`Observer::check_faults`] after the steps that can advance a
+//! should-stay-zero counter; what is switched on is decided here and
+//! nowhere else.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
@@ -17,12 +19,12 @@ use crate::config::EngineConfig;
 use crate::ids::{MsgId, TrafficClass};
 use crate::json::{obj, Json};
 use crate::message::DeliveredMessage;
-use crate::metrics::{EngineMetrics, MetricsRegistry};
+use crate::metrics::{EngineMetrics, Fault, MetricsRegistry};
 use crate::optimizer::Optimizer;
 use crate::receiver::Receiver;
 use crate::reliability::Reliability;
 use crate::scope::{RailTick, Sampler, TickStats};
-use crate::trace::{EngineEvent, EventSink, FlightDump, FlightTrigger};
+use crate::trace::{EngineEvent, EventSink, FlightDump};
 use crate::transfer::Transfer;
 
 /// The layers an [`Observer`] reads when it reports on the engine —
@@ -59,19 +61,7 @@ pub(crate) struct Observer {
     sampler: Option<Sampler>,
     /// Set once, when a should-stay-zero counter first leaves zero.
     flight: Option<FlightDump>,
-    /// Per-kind fault observations, indexed by [`fault_idx`].
-    fault_counts: [u64; 4],
     metrics: EngineMetrics,
-}
-
-/// Stable index of a fault kind in `fault_counts`.
-fn fault_idx(trigger: FlightTrigger) -> usize {
-    match trigger {
-        FlightTrigger::ExpressViolation => 0,
-        FlightTrigger::DriverRejection => 1,
-        FlightTrigger::ProtoError => 2,
-        FlightTrigger::Timeout => 3,
-    }
 }
 
 impl Observer {
@@ -82,7 +72,6 @@ impl Observer {
             trace: EventSink::disabled(),
             sampler: None,
             flight: None,
-            fault_counts: [0; 4],
             metrics: EngineMetrics::default(),
         }
     }
@@ -153,31 +142,23 @@ impl Observer {
         }
     }
 
-    /// Record a fault observation (with its should-stay-zero counter,
-    /// where the metrics keep one) and, on the very first one, fire the
+    /// The first time a should-stay-zero counter reads non-zero, fire the
     /// flight recorder: capture the trailing trace events, the debug
-    /// report and a metrics-registry snapshot.
-    pub(crate) fn fault(&mut self, now: SimTime, trigger: FlightTrigger, view: &EngineView<'_>) {
-        match trigger {
-            FlightTrigger::ProtoError => self.metrics.proto_errors += 1,
-            FlightTrigger::DriverRejection => self.metrics.driver_rejections += 1,
-            // Detected and counted by the receiver; the engine's counter
-            // follows it.
-            FlightTrigger::ExpressViolation => {
-                self.metrics.express_violations = view.receiver.stats.express_violations;
-            }
-            // Counted where it is detected: `timeouts`.
-            FlightTrigger::Timeout => {}
-        }
-        self.fault_counts[fault_idx(trigger)] += 1;
+    /// report and a metrics-registry snapshot, labelled with that counter
+    /// (the first in [`Fault::ALL`] when one step moved several). Called
+    /// after each step that can advance one.
+    pub(crate) fn check_faults(&mut self, now: SimTime, view: &EngineView<'_>) {
         if self.flight.is_some() {
             return;
         }
+        let Some(fault) = Fault::ALL.into_iter().find(|f| f.count(&self.metrics) > 0) else {
+            return;
+        };
         let mut reg = MetricsRegistry::new();
         self.register_metrics(&mut reg, "", view);
         self.flight = Some(FlightDump::capture(
             self.node,
-            trigger,
+            fault,
             now,
             self.debug_report(view),
             reg.to_json(),
@@ -205,11 +186,6 @@ impl Observer {
     /// The flight recorder's capture, if a fault has fired it.
     pub(crate) fn flight(&self) -> Option<&FlightDump> {
         self.flight.as_ref()
-    }
-
-    /// `[express_violation, driver_rejection, proto_error, timeout]`.
-    pub(crate) fn fault_counts(&self) -> [u64; 4] {
-        self.fault_counts
     }
 
     /// Switch tracing on with a ring of `capacity` records (replacing any
@@ -361,21 +337,15 @@ impl Observer {
             )),
             None => out.push_str("             sampler: disabled\n"),
         }
-        out.push_str(&format!(
-            "             health: proto_errors={} driver_rejections={} express_violations={} class_clamped={}; flight recorder {}\n",
-            m.proto_errors,
-            m.driver_rejections,
-            view.receiver.stats.express_violations,
-            m.class_clamped,
-            match &self.flight {
-                Some(d) => format!("fired({} @ {})", d.trigger.label(), d.at),
-                None => "armed".to_string(),
-            },
-        ));
-        out.push_str(&format!(
-            "             faults: express_violation={} driver_rejection={} proto_error={} timeout={}\n",
-            self.fault_counts[0], self.fault_counts[1], self.fault_counts[2], self.fault_counts[3],
-        ));
+        out.push_str("             health:");
+        for f in Fault::ALL {
+            out.push_str(&format!(" {}={}", f.label(), f.count(m)));
+        }
+        let recorder = match &self.flight {
+            Some(d) => format!("fired({} @ {})", d.trigger.label(), d.at),
+            None => "armed".to_string(),
+        };
+        out.push_str(&format!("; flight recorder {recorder}\n"));
         out.push_str(&format!(
             "             madflow: {} active / {} total flows, {} pending msgs, fairness {:?}, admission {}; blocked={} rejected={} shed={} unblocked={} deliveries_dropped={}\n",
             collect.index().active_count(),
@@ -389,10 +359,9 @@ impl Observer {
             m.unblocked_events,
             m.deliveries_dropped,
         ));
-        if config.reliability.acks_enabled() {
+        if view.rel.acks_enabled() {
             out.push_str(&format!(
-                "             madrel({:?}): {} unacked, {} superseded; timeouts={} spurious_timeouts={} retransmits={} rndv_rerequests={} acks={} lost={} rails_dead={}\n",
-                config.reliability,
+                "             madrel: {} unacked, {} superseded; timeouts={} spurious_timeouts={} retransmits={} rndv_rerequests={} acks={}\n",
                 view.rel.unacked(),
                 view.rel.superseded_len(),
                 m.timeouts,
@@ -400,8 +369,6 @@ impl Observer {
                 m.retransmits,
                 m.rndv_rerequests,
                 m.acks_received,
-                m.lost_msgs,
-                m.rails_dead,
             ));
             for (r, h) in view.rel.rails().iter().enumerate() {
                 out.push_str(&format!(
@@ -481,21 +448,12 @@ pub(crate) fn submitted_events(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{FlowId, MsgSeq};
     use crate::policy::{PolicyKind, RailPolicy};
     use crate::strategy::StrategyRegistry;
 
-    #[test]
-    fn off_never_builds_and_the_flight_recorder_fires_once() {
-        let mut obs = Observer::new(NodeId(3));
-        let (t0, t1) = (SimTime::from_nanos(5), SimTime::from_nanos(9));
-        // Trace and sampler off: the closure is not run, counters still move.
-        obs.emit_with(t0, || -> Option<EngineEvent> {
-            unreachable!("tracing is off")
-        });
-        obs.emit(t0, EngineEvent::RailDead { rail: 0 });
-        assert_eq!(obs.metrics().rails_dead, 1);
-        assert!(obs.trace().is_empty() && obs.sampler().is_none());
-
+    /// `f` over the view of a drained engine of no rails.
+    fn with_view<R>(f: impl FnOnce(&EngineView<'_>) -> R) -> R {
         let config = EngineConfig::default();
         let policy = RailPolicy::new(PolicyKind::Pooled, 1);
         let view = EngineView {
@@ -507,17 +465,82 @@ mod tests {
             rel: &Reliability::new([], &config),
         };
         assert!(view.drained());
-        obs.fault(t0, FlightTrigger::ProtoError, &view);
-        obs.fault(t1, FlightTrigger::Timeout, &view);
+        f(&view)
+    }
+
+    fn check(obs: &mut Observer, now: SimTime) {
+        with_view(|view| obs.check_faults(now, view));
+    }
+
+    #[test]
+    fn off_never_builds_and_the_flight_recorder_fires_once() {
+        let mut obs = Observer::new(NodeId(3));
+        let (t0, t1) = (SimTime::from_nanos(5), SimTime::from_nanos(9));
+        check(&mut obs, t0);
+        assert!(obs.flight().is_none(), "every counter reads zero");
+        // Trace and sampler off: the closure is not run, counters still move.
+        obs.emit_with(t0, || -> Option<EngineEvent> {
+            unreachable!("tracing is off")
+        });
+        obs.emit(t0, EngineEvent::RailDead { rail: 0 });
+        assert_eq!(obs.metrics().rails_dead, 1);
+        assert!(obs.trace().is_empty() && obs.sampler().is_none());
+
+        check(&mut obs, t0);
+        obs.metrics_mut().proto_errors += 1;
+        check(&mut obs, t1);
         let dump = obs.flight().expect("the first fault fires the recorder");
-        assert_eq!((dump.trigger, dump.at), (FlightTrigger::ProtoError, t0));
-        assert!(dump.report.contains("proto_errors=1"), "{}", dump.report);
-        assert_eq!(obs.fault_counts(), [0, 0, 1, 1]);
+        assert_eq!((dump.trigger, dump.at), (Fault::RailDead, t0));
+        assert!(dump.report.contains("rails_dead=1"), "{}", dump.report);
+        assert!(dump.report.contains("proto_errors=0"), "{}", dump.report);
 
         obs.enable_trace(8);
         let dead = EngineEvent::RailDead { rail: 1 };
         obs.emit_with(t1, || [dead.clone(), dead]);
         assert_eq!(obs.trace().len(), 2, "tracing on: every built event kept");
         assert_eq!(obs.metrics().rails_dead, 1, "emit_with never counts");
+    }
+
+    #[test]
+    #[cfg(not(feature = "debug-invariants"))]
+    fn a_clamped_class_fires_the_recorder_once() {
+        let mut obs = Observer::new(NodeId(1));
+        let (t0, t1) = (SimTime::from_nanos(5), SimTime::from_nanos(9));
+        let flow = FlowId(4);
+        let misclassified = DeliveredMessage {
+            src: NodeId(0),
+            flow,
+            id: MsgId {
+                flow,
+                seq: MsgSeq(0),
+            },
+            class: TrafficClass(200),
+            fragments: Vec::new(),
+            latency: SimDuration::from_nanos(1),
+            delivered_at: t0,
+        };
+        obs.delivered(t0, None, &[misclassified]);
+        check(&mut obs, t0);
+        obs.metrics_mut().driver_rejections += 1;
+        check(&mut obs, t1);
+        let dump = obs.flight().expect("a clamped class fires the recorder");
+        assert_eq!((dump.trigger, dump.at), (Fault::ClassClamped, t0));
+        assert_eq!(dump.trigger.label(), "class_clamped");
+        let report = with_view(|view| obs.debug_report(view));
+        assert!(
+            report.contains("driver_rejections=1 express_violations=0 class_clamped=1")
+                && report.contains("flight recorder fired(class_clamped @"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn a_rejected_plan_fires_the_recorder() {
+        // The engine counts the rejection, then checks.
+        let mut obs = Observer::new(NodeId(1));
+        obs.metrics_mut().driver_rejections += 1;
+        check(&mut obs, SimTime::from_nanos(5));
+        let dump = obs.flight().expect("a rejected plan fires the recorder");
+        assert_eq!(dump.trigger.label(), "driver_rejections");
     }
 }

@@ -40,6 +40,9 @@ use crate::transfer::Rail;
 /// and the optimizer runs immediately.
 const NAGLE_THRESHOLD: u64 = 1024;
 
+/// Epoch length of the adaptive policy's class↔channel reassignment.
+const ADAPTIVE_EPOCH: SimDuration = SimDuration::from_micros(200);
+
 /// Result of one plan-selection pass.
 #[derive(Debug)]
 pub struct SelectionOutcome {
@@ -472,18 +475,18 @@ impl Optimizer {
 
     /// Engine start, or a submission arrived: wake a sleeping
     /// adaptive-epoch timer (it starts out asleep).
-    pub(crate) fn wake(&mut self, ctx: &mut SimCtx<'_>, cfg: &EngineConfig) {
+    pub(crate) fn wake(&mut self, ctx: &mut SimCtx<'_>) {
         if self.policy.kind() == PolicyKind::Adaptive && self.adaptive_sleeping {
             self.adaptive_sleeping = false;
             self.adaptive_idle_epochs = 0;
-            ctx.set_timer(cfg.adaptive_epoch, ADAPTIVE_TAG);
+            ctx.set_timer(ADAPTIVE_EPOCH, ADAPTIVE_TAG);
         }
     }
 
     /// The adaptive-policy epoch ended: rebalance, then re-arm — unless
     /// this was the second silent epoch, after which the timer sleeps so
     /// the event queue can drain.
-    pub(crate) fn on_epoch(&mut self, ctx: &mut SimCtx<'_>, cfg: &EngineConfig) {
+    pub(crate) fn on_epoch(&mut self, ctx: &mut SimCtx<'_>) {
         let traffic = self.policy.epoch_traffic();
         self.policy.rebalance();
         self.adaptive_idle_epochs = if traffic == 0 {
@@ -494,7 +497,7 @@ impl Optimizer {
         if self.adaptive_idle_epochs >= 2 {
             self.adaptive_sleeping = true;
         } else {
-            ctx.set_timer(cfg.adaptive_epoch, ADAPTIVE_TAG);
+            ctx.set_timer(ADAPTIVE_EPOCH, ADAPTIVE_TAG);
         }
     }
 

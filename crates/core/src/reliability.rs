@@ -62,27 +62,14 @@ use crate::trace::EngineEvent;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReliabilityMode {
     /// The paper's lossless assumption: completion equals injection; a
-    /// dropped packet silently loses its chunks (the flight recorder and
-    /// wire-drop counters are the only witnesses).
+    /// dropped packet silently loses its chunks (the NICs' wire-drop
+    /// counters are the only witnesses).
     Off,
-    /// Acks and timeouts run for diagnosis — a timeout raises a fault and
-    /// trips the flight recorder — but nothing is re-sent.
-    Detect,
     /// Full recovery: ack tracking, timeout + backoff retransmission,
-    /// rail-death rerouting.
+    /// rail-death rerouting. What no live rail can carry any more is
+    /// counted lost, and a rail declared dead or a lost message fires
+    /// the flight recorder.
     Recover,
-}
-
-impl ReliabilityMode {
-    /// Whether data packets are tracked and acknowledged.
-    pub fn acks_enabled(self) -> bool {
-        !matches!(self, ReliabilityMode::Off)
-    }
-
-    /// Whether lost packets are re-sent.
-    pub fn recovers(self) -> bool {
-        matches!(self, ReliabilityMode::Recover)
-    }
 }
 
 /// One unacked data packet awaiting its acknowledgement.
@@ -594,9 +581,6 @@ pub(crate) enum Expiry {
     /// The budget is spent and no live rail reaches the destination:
     /// complete the packet's accounting and count its messages lost.
     Lost,
-    /// `Detect` mode: raise a fault and complete the packet's
-    /// accounting; nothing is re-sent.
-    DetectOnly,
 }
 
 /// The reliability layer's state: unacked packets with the single
@@ -604,7 +588,7 @@ pub(crate) enum Expiry {
 /// values that drive them.
 // madlint: send-sync — sharded across madpar workers with the engine core
 pub(crate) struct Reliability {
-    mode: ReliabilityMode,
+    acks: bool,
     retry_budget: u32,
     congestion_aware: bool,
     retx: RetransmitTracker,
@@ -636,7 +620,7 @@ impl Reliability {
             .map(|(caps, cost)| RailClock::new(caps, cost, cfg.retransmit_timeout))
             .collect();
         Reliability {
-            mode: cfg.reliability,
+            acks: cfg.reliability == ReliabilityMode::Recover,
             retry_budget: cfg.retry_budget,
             congestion_aware: cfg.congestion_aware,
             retx: RetransmitTracker::new(),
@@ -652,7 +636,7 @@ impl Reliability {
 
     /// Whether data packets are tracked and acknowledged.
     pub(crate) fn acks_enabled(&self) -> bool {
-        self.mode.acks_enabled()
+        self.acks
     }
 
     /// Health of every rail, in rail order.
@@ -928,7 +912,7 @@ impl Reliability {
             attempts: p.attempts,
         };
         let action = self.timed_out(sent, p.sent_at, p.dst, now, reaches, obs);
-        if matches!(action, Expiry::Lost | Expiry::DetectOnly) {
+        if action == Expiry::Lost {
             self.leave(cookie);
         }
         Some((p, action))
@@ -958,9 +942,6 @@ impl Reliability {
             let score_milli = (self.health[rail].score() * 1000.0) as u32;
             let rail = rail as u16;
             obs.emit(now, EngineEvent::RailDegraded { rail, score_milli });
-        }
-        if !self.mode.recovers() {
-            return Expiry::DetectOnly;
         }
         let again = Attempt {
             rail,
@@ -1162,23 +1143,20 @@ mod tests {
     }
 
     #[test]
-    fn expire_decides_resend_reroute_lost_and_detect() {
-        use ReliabilityMode::{Detect, Recover};
+    fn expire_decides_resend_reroute_and_lost() {
         let sent = |rail, attempts| Attempt { rail, attempts };
         // Two packets on rail 0 time out in one sweep, on their
         // `attempts`-th transmission of a budget of 3, and the rail has
         // been silent throughout:
-        // (mode, rails, attempts, rail 1 reaches dst) → decision, rail 0 dies
+        // (rails, attempts, rail 1 reaches dst) → decision, rail 0 dies
         let cases = [
-            (Recover, 2, 1, true, Expiry::Resend(sent(0, 2)), false),
-            (Recover, 2, 3, true, Expiry::Reroute(sent(1, 1)), true),
-            (Recover, 2, 3, false, Expiry::Lost, true),
-            (Recover, 1, 3, true, Expiry::Lost, true),
-            (Detect, 2, 3, true, Expiry::DetectOnly, false),
+            (2, 1, true, Expiry::Resend(sent(0, 2)), false),
+            (2, 3, true, Expiry::Reroute(sent(1, 1)), true),
+            (2, 3, false, Expiry::Lost, true),
+            (1, 3, true, Expiry::Lost, true),
         ];
-        for (mode, rails, attempts, alt, want, dies) in cases {
+        for (rails, attempts, alt, want, dies) in cases {
             let (mut r, mut obs) = layer(&[MX, MX][..rails], 3);
-            r.mode = mode;
             for cookie in [7, 8] {
                 let first = sent(0, attempts);
                 send(&mut r, cookie, 10, first, SimTime::ZERO);

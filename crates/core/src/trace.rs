@@ -30,9 +30,9 @@
 //!   JSON (loadable in Perfetto / `about:tracing`): rails are tracks,
 //!   optimizer decisions land on the rail they ran for, and each message
 //!   becomes a flow arrow from `Submitted` to `Delivered`.
-//! * [`FlightDump`] — the flight recorder artifact: when an engine first
-//!   observes an `express_violation`, `driver_rejection` or `proto_error`,
-//!   it snapshots the last events, the debug report and a metrics document
+//! * [`FlightDump`] — the flight recorder artifact: the first time one of
+//!   an engine's should-stay-zero counters ([`Fault`]) leaves zero, it
+//!   snapshots the last events, the debug report and a metrics document
 //!   into a deterministic JSON artifact (see `EngineHandle::flight_dump`).
 
 // madlint: file: deterministic-output
@@ -44,7 +44,7 @@ use std::collections::{BinaryHeap, HashMap};
 use crate::constraints::PlanViolation;
 use crate::ids::{FlowId, FragIndex, TrafficClass};
 use crate::json::{Json, JsonError, JsonSink, JsonTree, JsonWriter, Parser};
-use crate::metrics::Activation;
+use crate::metrics::{Activation, Fault};
 
 /// One structured engine event.
 #[derive(Clone, Debug, PartialEq)]
@@ -1002,43 +1002,18 @@ fn meta_event(w: &mut JsonWriter<'_>, name: &str, pid: u32, tid: Option<u32>, va
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// Why the flight recorder fired.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlightTrigger {
-    /// The receiver observed an express-ordering violation.
-    ExpressViolation,
-    /// A driver rejected a validated plan.
-    DriverRejection,
-    /// An undecodable packet arrived.
-    ProtoError,
-    /// A reliability-tracked packet timed out awaiting its ack.
-    Timeout,
-}
-
-impl FlightTrigger {
-    /// Stable label used in artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightTrigger::ExpressViolation => "express_violations",
-            FlightTrigger::DriverRejection => "driver_rejections",
-            FlightTrigger::ProtoError => "proto_errors",
-            FlightTrigger::Timeout => "timeouts",
-        }
-    }
-}
-
 /// Number of trailing events a flight dump keeps.
 pub const FLIGHT_KEEP: usize = 64;
 
 /// The flight recorder's captured artifact: the moment one of the
-/// should-stay-zero counters first left zero, with enough context to
-/// debug it after the fact.
+/// should-stay-zero counters ([`Fault`]) first left zero, with enough
+/// context to debug it after the fact.
 #[derive(Clone, Debug)]
 pub struct FlightDump {
     /// Node whose engine fired.
     pub node: NodeId,
-    /// Which counter transitioned from 0.
-    pub trigger: FlightTrigger,
+    /// Which counter left zero.
+    pub trigger: Fault,
     /// Virtual time of the capture.
     pub at: SimTime,
     /// The engine's `debug_report()` at capture time.
@@ -1055,7 +1030,7 @@ impl FlightDump {
     /// events).
     pub fn capture(
         node: NodeId,
-        trigger: FlightTrigger,
+        trigger: Fault,
         at: SimTime,
         report: String,
         metrics: Json,
@@ -1238,7 +1213,7 @@ mod tests {
         }
         let dump = FlightDump::capture(
             NodeId(1),
-            FlightTrigger::ProtoError,
+            Fault::ProtoError,
             SimTime::from_nanos(40),
             "engine@NodeId(1): report".into(),
             obj().field("proto_errors", 1u64).build(),

@@ -1,7 +1,9 @@
 //! Conformance rule for madscope exports: every numeric leaf registered
 //! in a [`MetricsRegistry`] must surface in the Prometheus text format
 //! exactly once — no duplicate sample keys (which Prometheus servers
-//! reject or silently last-write-win) and no silently dropped metrics.
+//! reject or silently last-write-win) and no silently dropped metrics —
+//! and every engine section carries each should-stay-zero counter
+//! ([`Fault::ALL`]), reading 0 on the clean run checked.
 //!
 //! Like the capability checks, the verdict is re-derived independently:
 //! a local JSON walk counts the numeric leaves of the registry document
@@ -13,7 +15,7 @@
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::json::Json;
 use madeleine::metrics::MetricsRegistry;
-use madeleine::{flatten_registry, prometheus_render, MessageBuilder, TrafficClass};
+use madeleine::{flatten_registry, prometheus_render, Fault, MessageBuilder, TrafficClass};
 use simnet::SimDuration;
 
 use crate::report::SweepReport;
@@ -31,15 +33,36 @@ fn count_leaves(doc: &Json) -> usize {
     }
 }
 
-/// Check one registry: unique sample keys, an independent leaf count,
-/// and presence of every sample in the rendered text export.
+/// The one list of should-stay-zero counters and an engine section
+/// (`engine`, `nodeN/engine`) agree: each counter is a numeric leaf of
+/// it — and, the registry being of a clean run, reads 0.
+fn check_faults(section: &str, body: &Json, report: &mut SweepReport) {
+    for label in Fault::ALL.map(Fault::label) {
+        report.add("should-stay-zero leaves", 1);
+        let finding = match body.get(label).and_then(Json::as_u64) {
+            Some(0) => continue,
+            Some(n) => format!("`{section}` `{label}` = {n} on a clean run"),
+            None => format!("engine section `{section}` has no numeric `{label}` leaf"),
+        };
+        report.findings.push(finding);
+    }
+}
+
+/// Check the registry of a clean run: unique sample keys, an independent
+/// leaf count, presence of every sample in the rendered text export, and
+/// every should-stay-zero counter at 0 in every engine section.
 pub fn check_registry(reg: &MetricsRegistry) -> SweepReport {
     // Sections walked; samples the flattener produced; numeric leaves the
     // independent JSON walk below counts.
     let mut report = SweepReport::new(
         "metrics",
-        "every registered metric exports exactly once",
-        &["sections", "Prometheus samples", "numeric leaves"],
+        "every registered metric exports exactly once, every should-stay-zero counter reads 0",
+        &[
+            "sections",
+            "Prometheus samples",
+            "numeric leaves",
+            "should-stay-zero leaves",
+        ],
     );
     let samples = flatten_registry(reg);
     report.add("sections", reg.len());
@@ -56,6 +79,9 @@ pub fn check_registry(reg: &MetricsRegistry) -> SweepReport {
                     .push(format!("duplicate registry section name `{name}`"));
             }
             report.add("numeric leaves", count_leaves(body));
+            if name == "engine" || name.ends_with("/engine") {
+                check_faults(name, body, &mut report);
+            }
         }
     } else {
         report
@@ -163,6 +189,32 @@ mod tests {
         assert!(sections >= 5, "engines + receivers + nics: {sections}");
         assert!(samples > 100, "rich registry expected: {samples}");
         assert_eq!(samples, r.count("numeric leaves"));
+        assert_eq!(r.count("should-stay-zero leaves"), 2 * Fault::ALL.len());
+    }
+
+    #[test]
+    fn an_engine_section_without_a_zero_fault_counter_is_flagged() {
+        let engine = |edit: fn(&mut Vec<(String, Json)>)| {
+            let Json::Obj(mut fields) = madeleine::EngineMetrics::default().to_json() else {
+                unreachable!("metrics render as an object")
+            };
+            edit(&mut fields);
+            let mut reg = MetricsRegistry::new();
+            reg.add_section("node0/engine", Json::Obj(fields));
+            check_registry(&reg).findings
+        };
+        assert!(engine(|_| {}).is_empty());
+        assert_eq!(
+            engine(|f| f.retain(|(k, _)| k != "lost_msgs")),
+            ["engine section `node0/engine` has no numeric `lost_msgs` leaf"]
+        );
+        assert_eq!(
+            engine(|f| f
+                .iter_mut()
+                .filter(|(k, _)| k == "rails_dead")
+                .for_each(|(_, v)| *v = Json::UInt(1))),
+            ["`node0/engine` `rails_dead` = 1 on a clean run"]
+        );
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn run(adaptive: bool) -> (f64, u64) {
     let phase2_at = SimDuration::from_millis(4);
     let config = EngineConfig {
         rndv_threshold: Some(u64::MAX),
-        adaptive_epoch: SimDuration::from_micros(200),
         ..EngineConfig::default()
     };
     let policy = if adaptive {

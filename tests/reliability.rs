@@ -10,8 +10,8 @@
 //!   size; a late ack repairs a spurious timeout exactly once; a fan-in
 //!   that outlasts every timeout leaves its (live) rail alive.
 //! * Integration: the E2-style eager-flow workload completes fully under
-//!   loss with madrel on; with recovery off (Detect), the loss trips the
-//!   flight recorder instead of silently vanishing.
+//!   loss with madrel on; a rail declared dead, and a message no live rail
+//!   can carry, each trip the flight recorder under its own name.
 //! * Determinism: two same-seed lossy runs export byte-identical traces.
 
 use std::cell::RefCell;
@@ -22,8 +22,7 @@ use madeleine::api::{AppDriver, CommApi};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::{MsgId, TrafficClass};
 use madeleine::message::MessageBuilder;
-use madeleine::trace::FlightTrigger;
-use madeleine::{EngineConfig, ReliabilityMode};
+use madeleine::{EngineConfig, EngineHandle, Fault, ReliabilityMode};
 use madware::pattern;
 use madware::scenario::eager_flows;
 use proptest::prelude::*;
@@ -371,29 +370,6 @@ fn a_lost_rendezvous_handshake_is_asked_again() {
 }
 
 #[test]
-fn a_missed_grant_trips_the_flight_recorder_under_detect() {
-    let plan = FaultPlan::new(7).with_loss(0.05);
-    let mut c = lossy_cluster(engine(ReliabilityMode::Detect), plan);
-    let h = c.handle(0).opt().expect("optimizing engine").clone();
-    let (src, dst) = (c.nodes[0], c.nodes[1]);
-    let f = h.open_flow(dst, TrafficClass::DEFAULT);
-    c.sim.inject(src, |ctx| {
-        let body = pattern(f.0, 0, 0, 2048);
-        // Seed 7's plan drops this handshake on its first crossing.
-        h.send(
-            ctx,
-            f,
-            MessageBuilder::new().pack_cheaper(&body).build_parts(),
-        );
-    });
-    c.drain(); // must not hang: Detect reports, it does not retry
-    assert_eq!(c.handle(1).delivered_count(), 0);
-    assert_eq!(h.metrics().rndv_rerequests, 0, "nothing is re-sent");
-    let dump = h.flight_dump().expect("the missed grant is reported");
-    assert_eq!(dump.trigger, FlightTrigger::Timeout);
-}
-
-#[test]
 fn eager_flows_complete_under_loss_with_madrel() {
     // The E2-style scenario, but on a 2%-lossy wire: recovery must make it
     // indistinguishable (in delivery terms) from a lossless run.
@@ -452,13 +428,10 @@ fn is_drained_never_holds_while_packets_await_their_ack() {
     assert!(h.metrics().retransmits > 0, "the plan must injure the wire");
 }
 
-#[test]
-fn loss_without_recovery_trips_the_flight_recorder() {
-    // Same wire, recovery off (Detect): messages go missing, and the
-    // first ack timeout captures a flight dump instead of hanging drain.
-    let plan = FaultPlan::new(11).with_loss(0.25);
-    let mut c = lossy_cluster(engine_of_short_packets(ReliabilityMode::Detect), plan);
-    let h = c.handle(0).clone();
+/// Submit 200 messages of 96 B at once on a new flow from node 0 to node
+/// 1, and return node 0's engine.
+fn burst_of_small_messages(c: &mut Cluster) -> EngineHandle {
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
     let (src, dst) = (c.nodes[0], c.nodes[1]);
     let f = h.open_flow(dst, TrafficClass::DEFAULT);
     c.sim.inject(src, |ctx| {
@@ -472,15 +445,49 @@ fn loss_without_recovery_trips_the_flight_recorder() {
             );
         }
     });
-    c.drain(); // Detect mode must not hang on lost packets
-    let opt = c.handle(0).opt().expect("optimizing engine").clone();
+    h
+}
+
+#[test]
+fn a_message_no_rail_can_carry_trips_the_flight_recorder() {
+    // The only rail dies mid-burst: the packet that spends its retry
+    // budget on it finds no live rail left, and its messages are lost —
+    // in the sweep that declares the rail dead, so the recorder names the
+    // loss.
+    let plan = FaultPlan::new(11).with_death(SimTime::from_nanos(20_000));
+    let mut c = lossy_cluster(engine_of_short_packets(ReliabilityMode::Recover), plan);
+    let h = burst_of_small_messages(&mut c);
+    c.drain(); // must not hang on a dead rail
     assert!(c.handle(1).delivered_count() < 200, "losses stay lost");
-    assert!(opt.metrics().timeouts > 0, "loss detected via ack timeouts");
-    let dump = opt
+    let m = h.metrics();
+    assert!(m.timeouts > 0, "loss detected via ack timeouts");
+    assert!(m.lost_msgs > 0 && m.rails_dead == 1, "{}", h.debug_report());
+    let dump = h
         .flight_dump()
-        .expect("first timeout captures a flight dump");
-    assert_eq!(dump.trigger, FlightTrigger::Timeout);
-    assert!(opt.fault_counts()[3] > 0, "timeout fault counter advanced");
+        .expect("the first lost message captures a dump");
+    assert_eq!(dump.trigger, Fault::LostMsg);
+    assert_eq!(dump.trigger.label(), "lost_msgs");
+}
+
+#[test]
+fn a_dead_rail_trips_the_flight_recorder() {
+    // Rail 0 of two dies mid-burst: what it held is rerouted to rail 1,
+    // nothing is lost, and the rail's death is the fault on record.
+    let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 2])
+        .engine(engine_of_short_packets(ReliabilityMode::Recover));
+    let mut c = Cluster::build(&spec, vec![]);
+    c.set_fault_plan(
+        0,
+        FaultPlan::new(11).with_death(SimTime::from_nanos(20_000)),
+    );
+    let h = burst_of_small_messages(&mut c);
+    c.drain();
+    assert_eq!(c.handle(1).delivered_count(), 200);
+    let m = h.metrics();
+    assert_eq!((m.rails_dead, m.lost_msgs), (1, 0), "{}", h.debug_report());
+    let dump = h.flight_dump().expect("the rail's death captures a dump");
+    assert_eq!(dump.trigger, Fault::RailDead);
+    assert_eq!(dump.trigger.label(), "rails_dead");
 }
 
 #[test]

@@ -117,7 +117,6 @@ fn soak_legacy_engine() {
 fn soak_adaptive_policy_with_nagle() {
     let config = madeleine::EngineConfig {
         nagle_delay: SimDuration::from_micros(3),
-        adaptive_epoch: SimDuration::from_micros(500),
         ..madeleine::EngineConfig::default()
     };
     soak(

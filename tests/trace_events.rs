@@ -6,8 +6,8 @@
 
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::proto::{encode_packet, ChunkHeader, WireChunk};
-use madeleine::trace::{EngineEvent, FlightTrigger};
-use madeleine::{FlowId, Json, MessageBuilder, TrafficClass};
+use madeleine::trace::EngineEvent;
+use madeleine::{Fault, FlowId, Json, MessageBuilder, TrafficClass};
 use simnet::{NodeId, SimDuration, TxMode, TxRequest, WirePacket};
 
 /// A traced two-node MX cluster with `msgs` eager messages submitted
@@ -103,8 +103,8 @@ fn debug_report_has_the_golden_shape() {
     );
     assert!(
         report.contains(
-            "health: proto_errors=0 driver_rejections=0 express_violations=0 class_clamped=0; \
-             flight recorder armed"
+            "health: proto_errors=0 driver_rejections=0 express_violations=0 class_clamped=0 \
+             lost_msgs=0 rails_dead=0; flight recorder armed"
         ),
         "missing health line:\n{report}"
     );
@@ -188,6 +188,10 @@ fn express_violation_reaches_the_engine_counter_on_both_engines() {
         c.drain();
         assert_eq!(c.handle(1).receiver_stats().express_violations, 1);
         assert_eq!(c.handle(1).metrics().express_violations, 1);
+        if let Some(h) = c.handle(1).opt() {
+            let dump = h.flight_dump().expect("the violation fires the recorder");
+            assert_eq!(dump.trigger.label(), "express_violations");
+        }
     }
 }
 
@@ -206,7 +210,7 @@ fn flight_recorder_fires_once_on_proto_error() {
     c.drain();
 
     let dump = h1.flight_dump().expect("flight recorder must fire");
-    assert_eq!(dump.trigger, FlightTrigger::ProtoError);
+    assert_eq!(dump.trigger, Fault::ProtoError);
     assert_eq!(dump.trigger.label(), "proto_errors");
     assert_eq!(dump.node, NodeId(1));
 

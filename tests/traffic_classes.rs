@@ -149,7 +149,6 @@ fn class_vchan_reassignment_at_runtime() {
 fn adaptive_policy_rebalances_under_shifting_load() {
     let config = EngineConfig {
         rndv_threshold: Some(u64::MAX),
-        adaptive_epoch: simnet::SimDuration::from_micros(100),
         ..EngineConfig::default()
     };
     let mut c = Cluster::build(
