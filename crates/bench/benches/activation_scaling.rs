@@ -15,7 +15,7 @@
 
 use madeleine::collect::CollectLayer;
 use madeleine::config::EngineConfig;
-use madeleine::flowmgr::{FairnessMode, CLASS_SLOTS};
+use madeleine::flowmgr::FairnessMode;
 use madeleine::ids::{ChannelId, TrafficClass};
 use madeleine::message::MessageBuilder;
 use madeleine::plan::PlannedChunk;
@@ -59,7 +59,7 @@ fn sparse_backlog(total: usize, fairness: FairnessMode) -> CollectLayer {
         .map(|i| c.open_flow(NodeId(1), classes[i % classes.len()]))
         .collect();
     if fairness == FairnessMode::Drr {
-        c.set_fairness(FairnessMode::Drr, 2048, [1; CLASS_SLOTS]);
+        c.set_fairness(FairnessMode::Drr, 2048);
     }
     let stride = (total / ACTIVE_FLOWS).max(1);
     for k in 0..ACTIVE_FLOWS.min(total) {

@@ -224,8 +224,8 @@ pub fn stats(trace: Trace, tech: Technology, tick_us: u64) -> (String, String) {
             h,
         ) as usize;
     }
-    for (flow, h) in &rx.latency_by_flow {
-        rows += row(&mut t, format!("flow {flow}"), h) as usize;
+    for ((src, flow), h) in &rx.latency_by_flow {
+        rows += row(&mut t, format!("node {} flow {}", src.0, flow.0), h) as usize;
     }
     for (r, h) in rx.latency_by_rail.iter().enumerate() {
         rows += row(&mut t, format!("rail {r}"), h) as usize;

@@ -265,11 +265,10 @@ impl CollectLayer {
     }
 
     /// Select the flow-iteration order for `collect_candidates` and, for
-    /// [`FairnessMode::Drr`], the quantum and class weights. Resets DRR
-    /// cursors and deficits.
-    pub fn set_fairness(&mut self, mode: FairnessMode, quantum: u64, weights: [u32; CLASS_SLOTS]) {
+    /// [`FairnessMode::Drr`], the quantum. Resets DRR cursors and deficits.
+    pub fn set_fairness(&mut self, mode: FairnessMode, quantum: u64) {
         self.fairness = mode;
-        self.drr = DrrScheduler::new(quantum, weights);
+        self.drr = DrrScheduler::new(quantum);
         self.drr.ensure_flows(self.flows.len());
     }
 
@@ -450,8 +449,8 @@ impl CollectLayer {
         }
     }
 
-    /// Weighted-fair flow order: the window is split across class slots
-    /// proportionally to the configured weights, and within a class a
+    /// Fair flow order: the window is split evenly across the class slots
+    /// with active flows ([`DrrScheduler::shares`]), and within a class a
     /// deficit-round-robin cursor rotates over the active flows so every
     /// saturated flow is sampled, not just the lowest ids. Every active
     /// flow the cursor passes earns its quantum, offerable or not — what
@@ -1321,7 +1320,7 @@ mod tests {
     #[test]
     fn drr_rotates_across_flows_within_a_class() {
         let mut c = CollectLayer::new();
-        c.set_fairness(FairnessMode::Drr, 64, [1; CLASS_SLOTS]);
+        c.set_fairness(FairnessMode::Drr, 64);
         let flows: Vec<_> = (0..4)
             .map(|_| c.open_flow(NodeId(1), TrafficClass::DEFAULT))
             .collect();
@@ -1352,7 +1351,7 @@ mod tests {
     #[test]
     fn drr_weights_split_window_across_classes() {
         let mut c = CollectLayer::new();
-        c.set_fairness(FairnessMode::Drr, 1 << 20, [3, 1, 1, 1]);
+        c.set_fairness(FairnessMode::Drr, 1 << 20);
         let bulk = c.open_flow(NodeId(1), TrafficClass::DEFAULT);
         let ctrl = c.open_flow(NodeId(1), TrafficClass::CONTROL);
         for _ in 0..16 {
@@ -1380,11 +1379,7 @@ mod tests {
             .iter()
             .filter(|cc| cc.class == TrafficClass::CONTROL)
             .count();
-        assert!(
-            default_n > ctrl_n,
-            "weight 3 beats weight 1: {default_n} vs {ctrl_n}"
-        );
-        assert!(ctrl_n >= 1, "weighted class never starves");
+        assert_eq!((default_n, ctrl_n), (4, 4), "an equal share each");
     }
 
     #[test]
@@ -1428,7 +1423,6 @@ mod tests {
 
     // ---- the window against its definition --------------------------------
 
-    use crate::flowmgr::DRR_CLASS_WEIGHTS;
     use crate::plan::MAX_REQS_PER_DST;
 
     const THRESHOLD: u64 = 1024;
@@ -1447,7 +1441,7 @@ mod tests {
         use PackMode::{Cheaper, Express};
         let mut c = CollectLayer::new();
         if drr {
-            c.set_fairness(FairnessMode::Drr, 1 << 20, DRR_CLASS_WEIGHTS);
+            c.set_fairness(FairnessMode::Drr, 1 << 20);
         }
         let shapes: [&[(usize, PackMode)]; 5] = [
             &[(5000, Express), (60, Cheaper)],
@@ -1610,7 +1604,7 @@ mod tests {
             let mut real = CollectLayer::new();
             if case % 2 == 1 {
                 let quantum = 1 + draw(&mut rng, 4096);
-                real.set_fairness(FairnessMode::Drr, quantum, DRR_CLASS_WEIGHTS);
+                real.set_fairness(FairnessMode::Drr, quantum);
             }
             let flows: Vec<_> = (0..2 + draw(&mut rng, 8))
                 .map(|i| {

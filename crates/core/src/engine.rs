@@ -10,7 +10,7 @@
 //!   │ (optimizer.rs, strategy/*)   │  strategies × cost model × budget
 //!   ├──────────────────────────────┤
 //!   │ Transfer layer (transfer.rs, │  Transfer: capability-validated submissions;
-//!   │ reliability.rs) over nicdrv  │  Reliability: acks, retransmit decisions, rail health
+//!   │ reliability.rs) over nicdrv  │  Reliability: packets in flight, acks, retransmits
 //!   └──────────────────────────────┘
 //!        │ simulated NICs (simnet)        each layer reports to the one Observer
 //! ```
@@ -42,8 +42,8 @@ use crate::collect::CollectLayer;
 use crate::config::EngineConfig;
 use crate::cost::packet_limit;
 use crate::error::EngineError;
-use crate::flowmgr::{Admission, FairnessMode, SendOutcome, DRR_CLASS_WEIGHTS};
-use crate::ids::{ChannelId, FlowId, MsgId, TrafficClass};
+use crate::flowmgr::{Admission, FairnessMode, SendOutcome};
+use crate::ids::{ChannelId, FlowId, MsgId, MsgSeq, TrafficClass};
 use crate::legacy::{LegacyEngine, LegacyHandle};
 use crate::message::{DeliveredMessage, Fragment};
 use crate::metrics::{Activation, EngineMetrics, MetricsRegistry};
@@ -56,7 +56,9 @@ use crate::proto::{
     ProtoError, KIND_ACK, KIND_CTRL, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
-use crate::reliability::{plan_retransmit, Attempt, Expiry, PendingTx, Reliability, RequestKey};
+use crate::reliability::{
+    plan_retransmit, Attempt, Expiry, Launched, PendingTx, Reliability, RequestKey,
+};
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
 use crate::trace::{EngineEvent, EventSink, FlightDump};
@@ -343,7 +345,7 @@ impl EngineCore {
                 break;
             }
             #[cfg(feature = "debug-invariants")]
-            self.transfer.debug_assert_invariants(&self.collect);
+            self.rel.debug_assert_invariants(&self.collect);
         }
         self.opt.return_scratch(pass);
     }
@@ -407,12 +409,9 @@ impl EngineCore {
                 m.plans_submitted += 1;
                 let class = self.transfer.wire()[0].header.class;
                 self.opt.policy_mut().record_traffic(class, bytes);
-                if self.rel.acks_enabled() {
-                    let first = Attempt::first(rail_idx);
-                    self.rel
-                        .track(cookie, chunks.clone(), plan.dst, linearize, first, now);
-                }
-                self.transfer.track(cookie, chunks);
+                let first = Attempt::first(rail_idx);
+                self.rel
+                    .track(cookie, chunks, plan.dst, linearize, first, now);
                 Ok(())
             }
             PlanBody::RndvRequest { flow, seq, frag } => {
@@ -538,7 +537,7 @@ impl EngineCore {
             KIND_RNDV_ACK => {
                 let h = decode_rndv(pkt)?;
                 let (flow, seq, frag) = (h.flow, h.msg_seq, h.frag_index);
-                // Nothing is tracked, and no timer armed, with acks off.
+                // No request is tracked, and no timer armed, with acks off.
                 self.rel.settle_request((flow, seq, frag));
                 self.rel.arm_timer(ctx);
                 if self.collect.grant_rndv(flow, seq, frag) {
@@ -553,8 +552,8 @@ impl EngineCore {
                 // a timeout superseded — what is still out of the
                 // retransmission. A duplicate ack finds nothing and is
                 // ignored.
-                let (transfer, collect) = (&mut self.transfer, &mut self.collect);
-                let settle = |done: u64| transfer.complete(done, collect, sent);
+                let collect = &mut self.collect;
+                let settle = |done: PendingTx| complete(collect, done, sent);
                 if self
                     .rel
                     .on_ack(cookie, ecn, now, self.node, &mut self.obs, settle)
@@ -587,8 +586,7 @@ impl EngineCore {
                 }
                 Expiry::Lost => {
                     let before = completed.len();
-                    self.transfer
-                        .complete(cookie, &mut self.collect, &mut completed);
+                    complete(&mut self.collect, pending, &mut completed);
                     self.obs.metrics_mut().lost_msgs += (completed.len() - before) as u64;
                 }
             }
@@ -654,8 +652,6 @@ impl EngineCore {
             return self.rel.park(old_cookie, pending, next);
         }
         let packets = plan_retransmit(&pending.chunks, rail.driver.capabilities(), rail.wire_mtu);
-        // The old cookie's completion is superseded by the new cookies'.
-        self.transfer.forget(old_cookie);
         let mut heirs = None;
         for chunks in packets {
             let (cookie, sent) = self
@@ -671,7 +667,6 @@ impl EngineCore {
                 .expect("retransmit rail reaches destination");
             let first = heirs.map_or(cookie, |(first, _)| first);
             heirs = Some((first, cookie));
-            self.transfer.track(cookie, chunks.clone());
             let rejected = match sent {
                 // The queue filled under this packet's own pieces: the
                 // rest waits like a whole packet would.
@@ -729,6 +724,22 @@ impl EngineCore {
                 };
                 self.retransmit(ctx, cookie, pending, next);
             }
+        }
+    }
+}
+
+/// A data packet is done — injected under `Off`, acknowledged or given up
+/// under `Recover`: complete its chunks in the collect layer. Appends to
+/// `done` the ids of messages whose transmission completed with it.
+// madlint: allow(trace-coverage) — send-side accounting only; the
+// PacketCompleted/Delivered events are pushed by the on_sent callers
+fn complete(collect: &mut CollectLayer, tx: PendingTx, done: &mut Vec<MsgId>) {
+    for c in &tx.chunks {
+        if collect.complete_chunk(c) {
+            done.push(MsgId {
+                flow: c.flow,
+                seq: MsgSeq(c.seq),
+            });
         }
     }
 }
@@ -866,11 +877,7 @@ impl EngineBuilder {
         let policy = RailPolicy::new(self.policy_kind, rails.len());
         let mut collect = CollectLayer::new();
         if self.config.fairness == FairnessMode::Drr {
-            collect.set_fairness(
-                FairnessMode::Drr,
-                self.config.drr_quantum,
-                DRR_CLASS_WEIGHTS,
-            );
+            collect.set_fairness(FairnessMode::Drr, self.config.drr_quantum);
         }
         let core = Rc::new(RefCell::new(EngineCore {
             node: self.node,
@@ -981,15 +988,13 @@ impl Endpoint for MadEngine {
         let completed = {
             let core = &mut *self.core.borrow_mut();
             let mut completed = std::mem::take(&mut core.scratch.sent);
-            // madrel: a tracked packet completes on its *ack*, not on
-            // injection — `tx_done` for it frees queue space and starts
-            // its timeout. (The lossless seed behavior is the untracked
-            // branch.)
-            if core.rel.launched(cookie, ctx.now()) {
-                core.rel.arm_timer(ctx);
-            } else {
-                core.transfer
-                    .complete(cookie, &mut core.collect, &mut completed);
+            // madrel: under `Recover` a packet completes on its *ack*, not
+            // on injection — `tx_done` for it frees queue space and starts
+            // its timeout. (The paper's lossless `Off` completes it here.)
+            match core.rel.launched(cookie, ctx.now()) {
+                Launched::Done(tx) => complete(&mut core.collect, tx, &mut completed),
+                Launched::Watched => core.rel.arm_timer(ctx),
+                Launched::Untracked => {}
             }
             core.transfer.flush_ctrl(ctx);
             core.offer_parked(ctx);

@@ -18,9 +18,9 @@
 //!   backlog byte budgets; over budget, a class either blocks
 //!   ([`SendOutcome::WouldBlock`]), sheds its oldest uncommitted
 //!   messages, or rejects the submission.
-//! * [`DrrScheduler`] — **weighted-fair candidate ordering**:
-//!   deficit-round-robin across the flows of a class plus configurable
-//!   weights across classes, replacing pack-order iteration when
+//! * [`DrrScheduler`] — **fair candidate ordering**:
+//!   deficit-round-robin across the flows of a class plus an even split
+//!   of the window across classes, replacing pack-order iteration when
 //!   [`FairnessMode::Drr`] is selected (pack order remains the default,
 //!   byte-identical to the pre-madflow walk).
 
@@ -38,7 +38,7 @@ use crate::ids::{MsgId, TrafficClass};
 use crate::observer::Observer;
 use crate::trace::EngineEvent;
 
-/// Number of class slots tracked by the index, budgets and weights.
+/// Number of class slots tracked by the index, budgets and window shares.
 /// User-defined classes above the predefined range share the last slot
 /// (the same clamping rule the policy and metrics layers use).
 pub const CLASS_SLOTS: usize = TrafficClass::COUNT;
@@ -55,8 +55,8 @@ pub enum FairnessMode {
     /// Flow-id ascending, messages oldest-first — the historical order.
     #[default]
     PackOrder,
-    /// Deficit round robin across flows within each class, with
-    /// configurable weights across classes.
+    /// Deficit round robin across flows within each class, with the
+    /// window split evenly across classes.
     Drr,
 }
 
@@ -468,40 +468,34 @@ impl OfferWalk<'_> {
     }
 }
 
-/// Per-class-slot weights splitting the lookahead window under
-/// [`FairnessMode::Drr`]: every class an equal share.
-pub const DRR_CLASS_WEIGHTS: [u32; CLASS_SLOTS] = [1; CLASS_SLOTS];
-
 /// Credit a flow may accumulate, in quanta, while it has nothing
 /// schedulable or loses window races — bounds burst size after idling.
 const MAX_CREDIT_QUANTA: u64 = 8;
 
 /// Deficit-round-robin scheduler state: one rotating cursor per class
-/// slot, a byte deficit per flow, and the class weights that split the
-/// lookahead window. All state is deterministic — cursors advance only in
-/// `collect_candidates`, deficits only on visits and offers.
+/// slot and a byte deficit per flow; the class slots with active flows
+/// split the lookahead window evenly. All state is deterministic —
+/// cursors advance only in `collect_candidates`, deficits only on visits
+/// and offers.
 #[derive(Clone, Debug)]
 pub struct DrrScheduler {
     /// Byte quantum granted per visit.
     pub quantum: u64,
-    /// Per-class-slot share weights for splitting the window.
-    pub weights: [u32; CLASS_SLOTS],
     cursors: [u32; CLASS_SLOTS],
     deficits: Vec<u64>,
 }
 
 impl Default for DrrScheduler {
     fn default() -> Self {
-        DrrScheduler::new(4096, DRR_CLASS_WEIGHTS)
+        DrrScheduler::new(4096)
     }
 }
 
 impl DrrScheduler {
-    /// New scheduler with the given quantum and class weights.
-    pub fn new(quantum: u64, weights: [u32; CLASS_SLOTS]) -> Self {
+    /// New scheduler with the given quantum.
+    pub fn new(quantum: u64) -> Self {
         DrrScheduler {
             quantum,
-            weights,
             cursors: [0; CLASS_SLOTS],
             deficits: Vec::new(),
         }
@@ -537,47 +531,18 @@ impl DrrScheduler {
         self.cursors[slot] = next;
     }
 
-    /// Split `window` candidate slots across class slots proportionally
-    /// to their weights, counting only slots with active flows. Shares
-    /// are soft targets: the global window cap still bounds the total,
-    /// and a class with little work simply yields fewer candidates.
+    /// Split `window` candidate slots evenly across the class slots with
+    /// active flows: the floor share each, the remainder one each to the
+    /// first of them in slot order, and at least one each. Shares are soft
+    /// targets: the global window cap still bounds the total, and a class
+    /// with little work simply yields fewer candidates.
     pub fn shares(&self, window: usize, active: &[usize; CLASS_SLOTS]) -> [usize; CLASS_SLOTS] {
-        let mut w = [0u64; CLASS_SLOTS];
-        for s in 0..CLASS_SLOTS {
-            if active[s] > 0 {
-                w[s] = u64::from(self.weights[s]);
-            }
-        }
-        let total: u64 = w.iter().sum();
+        let live = active.iter().filter(|&&a| a > 0).count().max(1);
+        let (even, mut leftover) = (window / live, window % live);
         let mut shares = [0usize; CLASS_SLOTS];
-        if total == 0 {
-            // All-zero weights (or no active flows): fall back to an even
-            // split over active slots.
-            let live = active.iter().filter(|&&a| a > 0).count().max(1);
-            for s in 0..CLASS_SLOTS {
-                if active[s] > 0 {
-                    shares[s] = (window / live).max(1);
-                }
-            }
-            return shares;
-        }
-        let mut assigned = 0usize;
-        for s in 0..CLASS_SLOTS {
-            if w[s] > 0 {
-                shares[s] = ((window as u64 * w[s]) / total) as usize;
-                assigned += shares[s];
-            }
-        }
-        // Hand leftover slots (rounding loss) to weighted slots in order,
-        // and guarantee every weighted active slot at least one.
-        let mut leftover = window.saturating_sub(assigned);
-        for s in 0..CLASS_SLOTS {
-            if w[s] > 0 && shares[s] == 0 {
-                shares[s] = 1;
-            } else if w[s] > 0 && leftover > 0 {
-                shares[s] += 1;
-                leftover -= 1;
-            }
+        for (share, _) in shares.iter_mut().zip(active).filter(|(_, &a)| a > 0) {
+            *share = (even + usize::from(leftover > 0)).max(1);
+            leftover = leftover.saturating_sub(1);
         }
         shares
     }
@@ -671,7 +636,7 @@ mod tests {
 
     #[test]
     fn drr_deficit_accumulates_and_caps() {
-        let mut drr = DrrScheduler::new(100, [1; CLASS_SLOTS]);
+        let mut drr = DrrScheduler::new(100);
         drr.ensure_flows(2);
         assert_eq!(drr.visit(0), 100);
         drr.store(0, 0); // spent everything
@@ -684,25 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn drr_shares_follow_weights() {
-        let drr = DrrScheduler::new(4096, [3, 1, 0, 0]);
-        let shares = drr.shares(64, &[10, 10, 0, 0]);
-        assert!(shares[0] > shares[1], "{shares:?}");
-        assert_eq!(shares[2], 0, "no weight, no share");
-        assert!(shares[0] + shares[1] >= 60, "window mostly assigned");
-        // A weighted active slot never starves entirely.
-        let tiny = DrrScheduler::new(4096, [100, 1, 0, 0]);
-        let shares = tiny.shares(8, &[5, 5, 0, 0]);
-        assert!(shares[1] >= 1, "{shares:?}");
-    }
-
-    #[test]
-    fn drr_shares_even_split_on_zero_weights() {
-        let drr = DrrScheduler::new(4096, [0; CLASS_SLOTS]);
+    fn drr_shares_split_the_window_evenly() {
+        let drr = DrrScheduler::new(4096);
         let shares = drr.shares(64, &[4, 0, 4, 0]);
-        assert_eq!(shares[0], 32);
-        assert_eq!(shares[2], 32);
-        assert_eq!(shares[1], 0);
+        assert_eq!(shares, [32, 0, 32, 0]);
+        // The remainder goes to the first active slots in slot order.
+        assert_eq!(drr.shares(256, &[1, 1, 0, 1]), [86, 85, 0, 85]);
+        // No active slot starves, however small the window.
+        assert_eq!(drr.shares(2, &[5, 5, 5, 5]), [1; CLASS_SLOTS]);
+        assert_eq!(drr.shares(64, &[0; CLASS_SLOTS]), [0; CLASS_SLOTS]);
     }
 
     #[test]

@@ -287,7 +287,8 @@ impl LegacyCore {
                 self.receiver.end_packet();
                 self.metrics.express_violations = self.receiver.stats.express_violations;
                 for d in &out {
-                    self.metrics.record_delivery(
+                    self.metrics.record_delivery_from(
+                        d.src,
                         d.class,
                         d.flow,
                         rail_idx,

@@ -3,7 +3,7 @@
 
 // madlint: file: deterministic-output
 
-use simnet::{NicStats, SimDuration, Summary};
+use simnet::{NicStats, NodeId, SimDuration, Summary};
 use std::collections::BTreeMap;
 
 use crate::hist::LogHistogram;
@@ -110,10 +110,11 @@ pub struct EngineMetrics {
     pub latency: LogHistogram<SimDuration>,
     /// Latency split by traffic class.
     pub latency_by_class: Vec<LogHistogram<SimDuration>>,
-    /// Latency split by flow (receive side; keyed by the sender's flow
-    /// id). Bounded to [`MAX_FLOW_HISTS`] distinct flows; later flows pool
-    /// into [`EngineMetrics::latency_flow_overflow`].
-    pub latency_by_flow: BTreeMap<u32, LogHistogram<SimDuration>>,
+    /// Latency split by flow (receive side; keyed by the sending node and
+    /// its flow id, since flow ids are per sender). Bounded to
+    /// [`MAX_FLOW_HISTS`] distinct flows; later flows pool into
+    /// [`EngineMetrics::latency_flow_overflow`].
+    pub latency_by_flow: BTreeMap<(NodeId, FlowId), LogHistogram<SimDuration>>,
     /// Pooled latency of flows beyond the per-flow histogram budget.
     pub latency_flow_overflow: LogHistogram<SimDuration>,
     /// Latency split by the rail the completing packet arrived on (grown
@@ -287,13 +288,28 @@ impl EngineMetrics {
         }
     }
 
-    /// Record a delivered message, attributed to its traffic class, flow
-    /// and (when known) the rail the completing packet arrived on.
-    /// Out-of-range classes are clamped into the last per-class bucket and
-    /// counted in `class_clamped` (and, with the `debug-invariants`
-    /// feature, assert immediately).
+    /// [`EngineMetrics::record_delivery_from`] with the sender taken to be
+    /// node 0: the form without a source, which madclock's
+    /// `metrics.record_delivery` kernel calls.
     pub fn record_delivery(
         &mut self,
+        class: TrafficClass,
+        flow: FlowId,
+        rail: Option<usize>,
+        bytes: u64,
+        latency: SimDuration,
+    ) {
+        self.record_delivery_from(NodeId(0), class, flow, rail, bytes, latency);
+    }
+
+    /// Record a delivered message, attributed to its traffic class, to
+    /// flow `flow` of node `src`, and (when known) to the rail the
+    /// completing packet arrived on. Out-of-range classes are clamped into
+    /// the last per-class bucket and counted in `class_clamped` (and, with
+    /// the `debug-invariants` feature, assert immediately).
+    pub fn record_delivery_from(
+        &mut self,
+        src: NodeId,
         class: TrafficClass,
         flow: FlowId,
         rail: Option<usize>,
@@ -315,12 +331,9 @@ impl EngineMetrics {
         }
         let idx = idx.min(self.latency_by_class.len() - 1);
         self.latency_by_class[idx].record(latency);
-        if self.latency_by_flow.len() < MAX_FLOW_HISTS || self.latency_by_flow.contains_key(&flow.0)
-        {
-            self.latency_by_flow
-                .entry(flow.0)
-                .or_default()
-                .record(latency);
+        let key = (src, flow);
+        if self.latency_by_flow.len() < MAX_FLOW_HISTS || self.latency_by_flow.contains_key(&key) {
+            self.latency_by_flow.entry(key).or_default().record(latency);
         } else {
             self.latency_flow_overflow.record(latency);
         }
@@ -366,8 +379,8 @@ impl EngineMetrics {
             per_class = per_class.field(TrafficClass(i as u8).label(), h.to_json());
         }
         let mut per_flow = obj();
-        for (flow, h) in &self.latency_by_flow {
-            per_flow = per_flow.field(&format!("flow{flow}"), h.to_json());
+        for ((src, flow), h) in &self.latency_by_flow {
+            per_flow = per_flow.field(&format!("node{}_flow{}", src.0, flow.0), h.to_json());
         }
         if self.latency_flow_overflow.count() > 0 {
             per_flow = per_flow.field("overflow", self.latency_flow_overflow.to_json());

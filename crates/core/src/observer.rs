@@ -39,15 +39,13 @@ pub(crate) struct EngineView<'a> {
 }
 
 impl EngineView<'_> {
-    /// True when nothing is pending: no backlog, no in-flight packets, no
-    /// unacked data, no queued control messages. The one definition of
+    /// True when nothing is pending: no backlog, no data packet in flight
+    /// (unacked ones among them), no queued control messages. The one
+    /// definition of
     /// "drained" — the handle, the sampler and the benchmark's quiescence
     /// oracle all read it.
     pub(crate) fn drained(&self) -> bool {
-        self.collect.is_empty()
-            && self.transfer.inflight_len() == 0
-            && self.rel.unacked() == 0
-            && self.transfer.ctrl_len() == 0
+        self.collect.is_empty() && self.rel.inflight() == 0 && self.transfer.ctrl_len() == 0
     }
 }
 
@@ -127,8 +125,9 @@ impl Observer {
         out: &[DeliveredMessage],
     ) {
         for d in out {
+            let (bytes, latency) = (d.total_len(), d.latency);
             self.metrics
-                .record_delivery(d.class, d.flow, rx_rail, d.total_len(), d.latency);
+                .record_delivery_from(d.src, d.class, d.flow, rx_rail, bytes, latency);
             self.trace.push(
                 now,
                 EngineEvent::Delivered {
@@ -224,7 +223,7 @@ impl Observer {
         let stats = TickStats {
             backlog_bytes: view.collect.backlog_bytes(),
             backlog_msgs: view.collect.pending_msgs(),
-            inflight_pkts: view.transfer.inflight_len() as u64,
+            inflight_pkts: view.rel.inflight() as u64,
             retx_pending: view.rel.unacked() as u64,
             submitted_msgs: m.submitted_msgs,
             delivered_msgs: m.delivered_msgs,
@@ -293,7 +292,7 @@ impl Observer {
             view.opt.policy().kind(),
             collect.backlog_bytes(),
             collect.flows().len(),
-            view.transfer.inflight_len(),
+            view.rel.inflight(),
             view.transfer.ctrl_len(),
             m.submitted_msgs,
             m.delivered_msgs,

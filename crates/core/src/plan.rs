@@ -261,6 +261,11 @@ pub struct WindowGroups {
     /// `groups[..live]` are the window; the rest are spares.
     groups: Vec<DstGroup>,
     live: usize,
+    /// The window's messages, sorted by `debug_assert_invariants` in a
+    /// buffer kept for the next window, so the check allocates nothing
+    /// once warm and the allocation budget holds with it compiled in.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    messages: Vec<(FlowId, u32)>,
 }
 
 impl WindowGroups {
@@ -277,11 +282,13 @@ impl WindowGroups {
 
     /// Check the [`DstGroup`] invariant on every group of the window.
     #[cfg(any(test, feature = "debug-invariants"))]
-    pub(crate) fn debug_assert_invariants(&self) {
-        let mut dsts = std::collections::BTreeSet::new();
-        let mut messages = std::collections::BTreeSet::new();
-        for g in self.groups() {
-            assert!(dsts.insert(g.dst), "two groups for {:?}", g.dst);
+    pub(crate) fn debug_assert_invariants(&mut self) {
+        let groups = &self.groups[..self.live];
+        let messages = &mut self.messages;
+        messages.clear();
+        for (at, g) in groups.iter().enumerate() {
+            let twice = groups[..at].iter().any(|e| e.dst == g.dst);
+            assert!(!twice, "two groups for {:?}", g.dst);
             assert!(
                 !(g.candidates.is_empty() && g.rndv.is_empty()),
                 "empty group for {:?}",
@@ -293,15 +300,15 @@ impl WindowGroups {
                 assert_eq!(c.at as usize, i, "candidate misplaced in its group");
                 match prev.filter(|p| (p.flow, p.seq) == (c.flow, c.seq)) {
                     Some(p) => assert!(p.frag < c.frag, "fragments out of pack order"),
-                    None => assert!(
-                        messages.insert((c.flow, c.seq)),
-                        "{}/{}: a message's candidates are not adjacent",
-                        c.flow,
-                        c.seq
-                    ),
+                    None => messages.push((c.flow, c.seq)),
                 }
                 prev = Some(c);
             }
+        }
+        messages.sort_unstable();
+        if let Some(w) = messages.windows(2).find(|w| w[0] == w[1]) {
+            let (flow, seq) = w[0];
+            panic!("{flow}/{seq}: a message's candidates are not adjacent");
         }
     }
 

@@ -5,8 +5,10 @@
 //! accounted as sent, and a packet lost on the wire silently loses its
 //! messages. madrel closes that gap:
 //!
-//! * every data packet is tracked in a [`RetransmitTracker`] until the
-//!   receiver's acknowledgement returns;
+//! * every data packet is tracked in a [`RetransmitTracker`] from its
+//!   submission until the receiver's acknowledgement returns — the
+//!   engine's one record of it: under `Off` the same record is completed
+//!   when the packet leaves the NIC;
 //! * its timeout is kept by the cost model: the clock starts when the
 //!   packet leaves the NIC (`tx_done` — nothing loses it in its own
 //!   queue), and runs for the packet's *own* modelled flight on *its*
@@ -72,7 +74,7 @@ pub enum ReliabilityMode {
     Recover,
 }
 
-/// One unacked data packet awaiting its acknowledgement.
+/// A data packet between submission and completion.
 #[derive(Clone, Debug)]
 pub struct PendingTx {
     /// The chunks the packet carried (retransmission re-encodes these from
@@ -94,7 +96,7 @@ pub struct PendingTx {
     pub attempts: u32,
 }
 
-/// Tracks unacked packets.
+/// Tracks data packets between submission and completion.
 ///
 /// The tracker keys by cookie in a `BTreeMap` so iteration — and therefore
 /// timer scheduling and retransmit order — is deterministic.
@@ -109,20 +111,16 @@ impl RetransmitTracker {
         RetransmitTracker::default()
     }
 
-    /// Track a freshly sent data packet.
+    /// Track a freshly submitted data packet.
     pub fn track(&mut self, cookie: u64, tx: PendingTx) {
         self.pending.insert(cookie, tx);
     }
 
-    /// Stop tracking `cookie` (ack received, timed out or given up). Returns the
-    /// entry when it was still tracked — a duplicate ack returns `None`.
+    /// Stop tracking `cookie` (ack received, timed out, given up, or —
+    /// under `Off` — launched). Returns the entry when it was still
+    /// tracked — a duplicate ack returns `None`.
     pub fn acked(&mut self, cookie: u64) -> Option<PendingTx> {
         self.pending.remove(&cookie)
-    }
-
-    /// Whether a cookie is still awaiting its ack.
-    pub fn is_pending(&self, cookie: u64) -> bool {
-        self.pending.contains_key(&cookie)
     }
 
     /// The tracked packet of `cookie`, to restamp it.
@@ -130,12 +128,12 @@ impl RetransmitTracker {
         self.pending.get_mut(&cookie)
     }
 
-    /// Number of unacked packets.
+    /// Number of tracked packets.
     pub fn len(&self) -> usize {
         self.pending.len()
     }
 
-    /// True when nothing is awaiting an ack.
+    /// True when nothing is tracked.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
@@ -583,9 +581,23 @@ pub(crate) enum Expiry {
     Lost,
 }
 
-/// The reliability layer's state: unacked packets with the single
-/// retransmit timer, per-rail health and clock, and the `EngineConfig`
-/// values that drive them.
+/// What a `tx_done` means for the packet of its cookie
+/// ([`Reliability::launched`]).
+#[derive(Debug)]
+pub(crate) enum Launched {
+    /// Nothing tracks the cookie: a control packet, or a data packet
+    /// settled already.
+    Untracked,
+    /// `Off`: injection is completion — the packet's record, taken out of
+    /// the tracker, to complete.
+    Done(PendingTx),
+    /// `Recover`: the packet's clock runs from now — re-arm the timer.
+    Watched,
+}
+
+/// The reliability layer's state: the data packets between submission and
+/// completion with the single retransmit timer, per-rail health and
+/// clock, and the `EngineConfig` values that drive them.
 // madlint: send-sync — sharded across madpar workers with the engine core
 pub(crate) struct Reliability {
     acks: bool,
@@ -634,7 +646,7 @@ impl Reliability {
         }
     }
 
-    /// Whether data packets are tracked and acknowledged.
+    /// Whether data packets are acknowledged (`Recover`).
     pub(crate) fn acks_enabled(&self) -> bool {
         self.acks
     }
@@ -713,10 +725,20 @@ impl Reliability {
         })
     }
 
-    /// Data packets awaiting their ack, those waiting to be re-sent among
-    /// them.
-    pub(crate) fn unacked(&self) -> usize {
+    /// Data packets between submission and completion: tracked, or
+    /// parked to be re-sent.
+    pub(crate) fn inflight(&self) -> usize {
         self.retx.len() + self.parked.len()
+    }
+
+    /// Data packets awaiting their ack, those waiting to be re-sent among
+    /// them: [`Reliability::inflight`] under `Recover`, none under `Off`.
+    pub(crate) fn unacked(&self) -> usize {
+        if self.acks {
+            self.inflight()
+        } else {
+            0
+        }
     }
 
     /// The packet `cookie` names while it is watched: tracked, or parked
@@ -741,7 +763,8 @@ impl Reliability {
     }
 
     /// Track a data packet of `chunks` entering `sent.rail`'s NIC queue at
-    /// `now` until its ack. Its timeout starts when it leaves the NIC
+    /// `now` until its completion: when it leaves the NIC under `Off`, at
+    /// its ack under `Recover`. Its timeout starts when it leaves the NIC
     /// ([`Reliability::launched`]): a packet cannot be lost in its own
     /// queue, however long the packets ahead of it take.
     pub(crate) fn track(
@@ -765,29 +788,36 @@ impl Reliability {
         self.retx.track(cookie, tx);
     }
 
-    /// `tx_done` for `cookie`: false when nothing tracks it (a control
-    /// packet, reliability off, or acked already). A tracked packet is on
-    /// the wire from `now`, and times out its own modelled flight on its
-    /// rail — propagation, receive, the ack's way back — plus the rail's
-    /// margin later, doubled per attempt.
-    pub(crate) fn launched(&mut self, cookie: u64, now: SimTime) -> bool {
+    /// `tx_done` for `cookie`. Under `Off` the packet is done and its
+    /// record leaves the tracker. Under `Recover` it is on the wire from
+    /// `now`, and times out its own modelled flight on its rail —
+    /// propagation, receive, the ack's way back — plus the rail's margin
+    /// later, doubled per attempt.
+    pub(crate) fn launched(&mut self, cookie: u64, now: SimTime) -> Launched {
+        if !self.acks {
+            return self
+                .retx
+                .acked(cookie)
+                .map_or(Launched::Untracked, Launched::Done);
+        }
         let Some(tx) = self.retx.pending_mut(cookie) else {
-            return false;
+            return Launched::Untracked;
         };
         let clock = &mut self.clocks[tx.rail];
         let flight = clock.launch(&tx.chunks, tx.dst, now);
         tx.sent_at = now;
         tx.deadline = clock.deadline(flight, tx.attempts, now);
-        true
+        Launched::Watched
     }
 
-    /// An ack for `cookie` arrived carrying the fabric's ECN echo. Calls
-    /// `settle` with every cookie whose accounting the ack completes and
-    /// returns whether it found anything: the packet itself when it is
-    /// still tracked; for a cookie a timeout has superseded, whatever of
-    /// its retransmission is still out (the chunks arrived, whichever
+    /// An ack for `cookie` arrived carrying the fabric's ECN echo. Hands
+    /// `settle` the record of every packet the ack completes and returns
+    /// whether it found anything: the packet itself when it is still
+    /// tracked; for a cookie a timeout has superseded, whatever of its
+    /// retransmission is still out (the chunks arrived, whichever
     /// transmission carried them) — the timeout was spurious, and the rail
-    /// gets back the health it took. A duplicate ack finds nothing.
+    /// gets back the health it took. A duplicate ack finds nothing, and so
+    /// does any ack under `Off`, where nothing waits for one.
     pub(crate) fn on_ack(
         &mut self,
         cookie: u64,
@@ -795,13 +825,17 @@ impl Reliability {
         now: SimTime,
         node: NodeId,
         obs: &mut Observer,
-        mut settle: impl FnMut(u64),
+        mut settle: impl FnMut(PendingTx),
     ) -> bool {
+        if !self.acks {
+            return false;
+        }
         let (rail, sent_at, model, late) = if let Some((p, parked)) = self.take_live(cookie) {
             let model = self.clocks[p.rail].data_flight(&p.chunks);
-            settle(cookie);
+            let (rail, sent_at) = (p.rail, p.sent_at);
+            settle(p);
             // Parked: timed out, and answered before it could be re-sent.
-            (p.rail, p.sent_at, model, parked)
+            (rail, sent_at, model, parked)
         } else if let Some(old) = self.superseded.remove(&cookie) {
             self.settle_heirs(old.heirs, &mut settle);
             (old.rail, old.sent_at, old.model, true)
@@ -857,11 +891,11 @@ impl Reliability {
 
     /// The chunks `heirs` carry have arrived: settle every heir still
     /// out, and what superseded heirs passed on in their turn.
-    fn settle_heirs(&mut self, heirs: RangeInclusive<u64>, settle: &mut impl FnMut(u64)) {
+    fn settle_heirs(&mut self, heirs: RangeInclusive<u64>, settle: &mut impl FnMut(PendingTx)) {
         for heir in heirs {
             self.parent_of.remove(&heir);
-            if self.take_live(heir).is_some() {
-                settle(heir);
+            if let Some((tx, _)) = self.take_live(heir) {
+                settle(tx);
             } else if let Some(old) = self.superseded.remove(&heir) {
                 self.settle_heirs(old.heirs, settle);
             }
@@ -1068,6 +1102,37 @@ impl Reliability {
         }
         self.timer = deadline.map(|d| (ctx.set_timer(d.since(ctx.now()), RETX_TAG), d));
     }
+
+    /// Cross-check the packets in flight against the collect layer: each
+    /// has one record, tracked or parked, and every chunk of it references
+    /// a live message with enough in-flight bytes to cover it. Compiled
+    /// only with the `debug-invariants` feature.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn debug_assert_invariants(&self, collect: &crate::collect::CollectLayer) {
+        collect.debug_assert_invariants();
+        let tracked = self.retx.pending.iter().map(|(&cookie, tx)| (cookie, tx));
+        let parked = self
+            .parked
+            .iter()
+            .map(|(&(_, cookie), (tx, _))| (cookie, tx));
+        for &(_, cookie) in self.parked.keys() {
+            let tracked = self.retx.pending.contains_key(&cookie);
+            assert!(!tracked, "cookie {cookie}: both tracked and parked");
+        }
+        for (cookie, tx) in tracked.chain(parked) {
+            for c in &tx.chunks {
+                assert!(c.len > 0, "cookie {cookie}: zero-length in-flight chunk");
+                let msg = collect
+                    .find_msg(c.flow, c.seq)
+                    .unwrap_or_else(|| panic!("cookie {cookie}: in-flight chunk for dead message"));
+                let frag = &msg.frags[c.frag as usize];
+                assert!(
+                    frag.inflight >= c.len,
+                    "cookie {cookie}: fragment in-flight accounting below chunk length"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1131,15 +1196,25 @@ mod tests {
     const FAR: SimTime = SimTime::from_nanos(1_000_000_000);
 
     /// A packet of one `len`-byte chunk toward node 1 enters the NIC and
-    /// leaves it at once, at `at`.
+    /// leaves it at once, at `at`. The chunk's message sequence is the
+    /// cookie, so that a settled record names its packet.
     fn send(r: &mut Reliability, cookie: u64, len: u32, sent: Attempt, at: SimTime) {
-        r.track(cookie, vec![chunk(len)], NodeId(1), false, sent, at);
-        assert!(r.launched(cookie, at));
+        let chunks = vec![PlannedChunk {
+            seq: cookie as u32,
+            ..chunk(len)
+        }];
+        r.track(cookie, chunks, NodeId(1), false, sent, at);
+        assert!(matches!(r.launched(cookie, at), Launched::Watched));
+    }
+
+    /// The cookie [`send`] sent a settled record under.
+    fn cookie_of(tx: PendingTx) -> u64 {
+        u64::from(tx.chunks[0].seq)
     }
 
     /// Settle nothing: for acks that must find nothing to settle.
-    fn none(cookie: u64) {
-        panic!("cookie {cookie} settled");
+    fn none(tx: PendingTx) {
+        panic!("cookie {} settled", cookie_of(tx));
     }
 
     #[test]
@@ -1191,7 +1266,8 @@ mod tests {
         r.track(1, vec![chunk(64)], NodeId(1), false, Attempt::first(0), t0);
         assert_eq!(r.retx.next_deadline(), Some(SimTime::MAX));
         assert!(r.begin_sweep(t1).is_empty());
-        assert!(r.launched(1, t1) && !r.launched(2, t1));
+        assert!(matches!(r.launched(1, t1), Launched::Watched));
+        assert!(matches!(r.launched(2, t1), Launched::Untracked));
         let flight = |r: &Reliability, rail: usize, len| r.clocks[rail].data_flight(&[chunk(len)]);
         assert_eq!(
             r.retx.next_deadline(),
@@ -1258,7 +1334,7 @@ mod tests {
             let at = SimTime::ZERO + inject * cookie;
             let sent = Attempt::first(0);
             r.track(cookie, vec![chunk(64)], NodeId(dst), false, sent, at);
-            assert!(r.launched(cookie, at));
+            assert!(matches!(r.launched(cookie, at), Launched::Watched));
             (at, r.retx.pending_mut(cookie).expect("tracked").deadline)
         };
         for cookie in 0..1_000 {
@@ -1303,7 +1379,8 @@ mod tests {
     fn a_late_ack_settles_what_is_still_out_once_and_repairs_the_rail() {
         let ack = |r: &mut Reliability, obs: &mut Observer, cookie, at| {
             let mut settled = Vec::new();
-            let found = r.on_ack(cookie, false, at, NodeId(0), obs, |c| settled.push(c));
+            let settle = |tx| settled.push(cookie_of(tx));
+            let found = r.on_ack(cookie, false, at, NodeId(0), obs, settle);
             assert_eq!(found, !settled.is_empty());
             settled
         };
@@ -1364,7 +1441,8 @@ mod tests {
             panic!("{action:?}");
         };
         r.park(1, old.clone(), next);
-        assert_eq!(r.unacked(), 1, "not drained while parked");
+        let in_flight = (r.inflight(), r.unacked());
+        assert_eq!(in_flight, (1, 1), "one packet in flight while parked");
         assert_eq!(
             r.retx.next_deadline(),
             None,
@@ -1381,9 +1459,52 @@ mod tests {
         // its own cookie.
         r.park(1, old, next);
         let mut settled = Vec::new();
-        assert!(r.on_ack(1, false, due, NodeId(0), &mut obs, |c| settled.push(c)));
+        let settle = |tx| settled.push(cookie_of(tx));
+        assert!(r.on_ack(1, false, due, NodeId(0), &mut obs, settle));
         assert_eq!((settled, r.unacked()), (vec![1], 0));
+        assert!(!r.on_ack(1, false, due, NodeId(0), &mut obs, none), "once");
         assert_eq!(obs.metrics().spurious_timeouts, 1);
+    }
+
+    #[test]
+    fn a_packet_in_flight_is_one_record_in_either_mode() {
+        let at = SimTime::from_nanos(1_000);
+        // `Off`: injection is completion. The record comes back at
+        // `tx_done`, and nothing is ever unacked or acked.
+        let cfg = EngineConfig {
+            reliability: ReliabilityMode::Off,
+            ..EngineConfig::default()
+        };
+        let mx = (
+            calib::capabilities(MX),
+            CostModel::from_params(&calib::params(MX)),
+        );
+        let mut r = Reliability::new([mx], &cfg);
+        let (mut obs, first) = (Observer::new(NodeId(0)), Attempt::first(0));
+        r.track(1, vec![chunk(64)], NodeId(1), false, first, SimTime::ZERO);
+        assert_eq!((r.inflight(), r.unacked()), (1, 0));
+        let Launched::Done(tx) = r.launched(1, at) else {
+            panic!("an injected packet is done under Off");
+        };
+        assert_eq!((tx.chunks.len(), tx.chunks[0].len), (1, 64));
+        assert_eq!((r.inflight(), r.unacked()), (0, 0));
+        assert!(matches!(r.launched(1, at), Launched::Untracked));
+        r.track(2, vec![chunk(64)], NodeId(1), false, first, SimTime::ZERO);
+        assert!(!r.on_ack(2, false, at, NodeId(0), &mut obs, none));
+        assert_eq!(
+            (r.inflight(), r.unacked()),
+            (1, 0),
+            "an ack completes nothing"
+        );
+
+        // `Recover`: the record stays through `tx_done` until its ack.
+        let (mut r, mut obs) = layer(&[MX], 6);
+        send(&mut r, 1, 64, first, SimTime::ZERO);
+        assert_eq!((r.inflight(), r.unacked()), (1, 1));
+        let mut settled = Vec::new();
+        let settle = |tx| settled.push(cookie_of(tx));
+        assert!(r.on_ack(1, false, at, NodeId(0), &mut obs, settle));
+        assert_eq!((settled, r.inflight(), r.unacked()), (vec![1], 0, 0));
     }
 
     #[test]

@@ -693,7 +693,7 @@ mod tests {
     #[test]
     fn reorder_sjf_matches_its_quadratic_definition_on_collected_windows() {
         use crate::collect::CollectLayer;
-        use crate::flowmgr::{FairnessMode, DRR_CLASS_WEIGHTS};
+        use crate::flowmgr::FairnessMode;
         use crate::message::{MessageBuilder, PackMode};
 
         let (caps, cost, cfg) = fixtures();
@@ -714,7 +714,7 @@ mod tests {
         for case in 0..120u64 {
             let mut c = CollectLayer::new();
             if case % 2 == 1 {
-                c.set_fairness(FairnessMode::Drr, 1 + draw(4096), DRR_CLASS_WEIGHTS);
+                c.set_fairness(FairnessMode::Drr, 1 + draw(4096));
             }
             let flows: Vec<_> = (0..1 + draw(9))
                 .map(|i| c.open_flow(NodeId(1 + (i % 2) as u32), classes[draw(4) as usize]))

@@ -1,16 +1,17 @@
 //! The transfer layer of Figure 1: the rails (drivers, class maps, peer
-//! wiring) and the send-side bookkeeping above the drivers —
-//! in-flight packets by cookie, cookie allocation and the control-packet
-//! queue. [`Transfer::submit_data`] is the only place a data
-//! [`TransferRequest`] is built; first sends and retransmissions both go
-//! through it, and it stamps and encodes every packet in the same two
-//! buffers.
+//! wiring) and the send-side bookkeeping above the drivers — cookie
+//! allocation and the control-packet queue. [`Transfer::submit_data`] is
+//! the only place a data [`TransferRequest`] is built; first sends and
+//! retransmissions both go through it, and it stamps and encodes every
+//! packet in the same two buffers. A data packet between submission and
+//! completion is recorded once, by madrel
+//! ([`crate::reliability::PendingTx`]), in either reliability mode.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SubmitError};
@@ -18,7 +19,7 @@ use simnet::{NicId, NodeId, SimCtx, SimDuration, SubmitError};
 use crate::classes::ClassMap;
 use crate::collect::{CollectLayer, PendingMessage};
 use crate::error::EngineError;
-use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq};
+use crate::ids::{FlowId, FragIndex};
 use crate::message::PackMode;
 use crate::plan::PlannedChunk;
 use crate::proto::{
@@ -106,7 +107,6 @@ pub(crate) fn assert_reachable(rails: &[Rail], dst: NodeId, node: NodeId) {
 // madlint: send-sync — sharded across madpar workers with the engine core
 pub(crate) struct Transfer {
     rails: Vec<Rail>,
-    inflight: BTreeMap<u64, Vec<PlannedChunk>>,
     next_cookie: u64,
     pending_ctrl: VecDeque<(usize, NodeId, u16, ChunkHeader)>,
     /// The wire chunks of the data packet submitted last.
@@ -119,7 +119,6 @@ impl Transfer {
     pub(crate) fn new(rails: Vec<Rail>) -> Self {
         Transfer {
             rails,
-            inflight: BTreeMap::new(),
             next_cookie: 1,
             pending_ctrl: VecDeque::new(),
             wire: Vec::new(),
@@ -216,43 +215,6 @@ impl Transfer {
         &self.wire
     }
 
-    /// Account `chunks` as in flight under `cookie`.
-    pub(crate) fn track(&mut self, cookie: u64, chunks: Vec<PlannedChunk>) {
-        self.inflight.insert(cookie, chunks);
-    }
-
-    /// Drop `cookie`'s in-flight entry without completing its chunks (a
-    /// retransmission's new cookies supersede it).
-    pub(crate) fn forget(&mut self, cookie: u64) {
-        self.inflight.remove(&cookie);
-    }
-
-    /// `cookie`'s packet is done: complete its chunks in the collect
-    /// layer. Appends to `done` the ids of messages whose transmission
-    /// completed with this packet.
-    // madlint: allow(trace-coverage) — send-side accounting only; the
-    // PacketCompleted/Delivered events are pushed by the on_sent callers
-    pub(crate) fn complete(
-        &mut self,
-        cookie: u64,
-        collect: &mut CollectLayer,
-        done: &mut Vec<MsgId>,
-    ) {
-        if cookie == CTRL_COOKIE {
-            return;
-        }
-        if let Some(chunks) = self.inflight.remove(&cookie) {
-            for c in &chunks {
-                if collect.complete_chunk(c) {
-                    done.push(MsgId {
-                        flow: c.flow,
-                        seq: MsgSeq(c.seq),
-                    });
-                }
-            }
-        }
-    }
-
     /// Send (or queue) a control packet on a rail's control channel.
     // madlint: allow(trace-coverage) — control-plane send; rndv gate/grant
     // transitions are traced by the callers that build the header
@@ -301,35 +263,9 @@ impl Transfer {
         }
     }
 
-    /// Data packets in flight.
-    pub(crate) fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Control packets waiting for queue space.
     pub(crate) fn ctrl_len(&self) -> usize {
         self.pending_ctrl.len()
-    }
-
-    /// Cross-check in-flight bookkeeping against the collect layer: every
-    /// in-flight chunk must reference a live message with enough in-flight
-    /// bytes to cover it. Compiled only with the `debug-invariants` feature.
-    #[cfg(feature = "debug-invariants")]
-    pub(crate) fn debug_assert_invariants(&self, collect: &CollectLayer) {
-        collect.debug_assert_invariants();
-        for (cookie, chunks) in &self.inflight {
-            for c in chunks {
-                assert!(c.len > 0, "cookie {cookie}: zero-length in-flight chunk");
-                let msg = collect
-                    .find_msg(c.flow, c.seq)
-                    .unwrap_or_else(|| panic!("cookie {cookie}: in-flight chunk for dead message"));
-                let frag = &msg.frags[c.frag as usize];
-                assert!(
-                    frag.inflight >= c.len,
-                    "cookie {cookie}: fragment in-flight accounting below chunk length"
-                );
-            }
-        }
     }
 }
 

@@ -167,7 +167,7 @@ pub fn flow_check(seed: u64, samples: usize) -> SweepReport {
         for mode in [FairnessMode::PackOrder, FairnessMode::Drr] {
             let mut c = spec.build();
             if mode == FairnessMode::Drr {
-                c.set_fairness(FairnessMode::Drr, 2048, [1; CLASS_SLOTS]);
+                c.set_fairness(FairnessMode::Drr, 2048);
             }
             audit(&c, &format!("spec {i} {mode:?} fresh"), &mut report);
 

@@ -45,11 +45,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Record a duration sample in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
-    }
-
     /// Merge another summary into this one.
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {

@@ -254,11 +254,13 @@ fn pingpong_on_one_mx_rail_allocates_at_most_12_per_message() {
 }
 
 #[test]
-fn pingpong_under_recover_on_two_rails_allocates_at_most_20_per_message() {
+fn pingpong_under_recover_on_two_rails_allocates_at_most_11_per_message() {
     let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
     let per_msg = pingpong(rails, ReliabilityMode::Recover, 1_000);
     println!("alloc_budget: pingpong (Recover, MX + Elan) {per_msg:.2} allocations per message");
-    assert!(per_msg <= 20.0, "{per_msg:.2} allocations per message");
+    // A data packet's chunk list is held once, by madrel's tracker: a
+    // second copy per packet (0.85 packets a message here) reads 11.78.
+    assert!(per_msg <= 11.0, "{per_msg:.2} allocations per message");
 }
 
 #[test]

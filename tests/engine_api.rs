@@ -294,6 +294,40 @@ fn incast_many_senders_one_receiver() {
 }
 
 #[test]
+fn per_flow_latency_keeps_each_sender_apart() {
+    // Flow ids are per sender: nodes 1 and 2 each open their flow 0 toward
+    // node 0, whose per-flow histograms must not pool the two.
+    const N: u32 = 25;
+    let spec = ClusterSpec::new(3, vec![Technology::MyrinetMx]);
+    let mut c = Cluster::build(&spec, vec![]);
+    let sink = c.nodes[0];
+    for i in 1..3 {
+        let h = c.handle(i).clone();
+        let f = h.open_flow(sink, TrafficClass::DEFAULT);
+        assert_eq!(f, FlowId(0));
+        c.sim.inject(c.nodes[i], |ctx| {
+            for k in 0..N {
+                let parts = MessageBuilder::new()
+                    .pack_cheaper(&pattern(f.0, k, 0, 256))
+                    .build_parts();
+                h.send(ctx, f, parts);
+            }
+        });
+    }
+    c.drain();
+    let m = c.handle(0).metrics();
+    let counts: Vec<u64> = m.latency_by_flow.values().map(|h| h.count()).collect();
+    assert_eq!(counts, [u64::from(N); 2]);
+    let per_flow = m.to_json();
+    let per_flow = per_flow
+        .get("latency_by_flow_us")
+        .expect("per-flow section");
+    for key in ["node1_flow0", "node2_flow0"] {
+        assert!(per_flow.get(key).is_some(), "{key}");
+    }
+}
+
+#[test]
 fn a_pio_only_rail_cuts_its_chunks_to_what_it_can_stream() {
     // A driver that cannot DMA and streams at most 4 KiB by PIO, on a wire
     // and with a request ceiling far above that — a capability set
