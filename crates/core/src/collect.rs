@@ -10,10 +10,17 @@
 //! them, a few per destination ([`crate::plan::MAX_REQS_PER_DST`]), because a
 //! request is no lookahead and a window full of requests has nothing to
 //! aggregate.
+//!
+//! The backlog is one node-wide [`Slab`] of pending messages, each with
+//! its first two fragments in place; a flow's queue holds only the
+//! sequence number and slot of each of its messages. Memory follows the
+//! backlog: a drained flow keeps an empty queue, and the slab gives back
+//! every page but its first when the last message leaves.
 
 // madlint: file: hot-path
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use bytes::Bytes;
 use simnet::{NodeId, SimTime};
@@ -22,14 +29,24 @@ use crate::flowmgr::{class_slot, DrrScheduler, FairnessMode, FlowIndex, CLASS_SL
 use crate::ids::{ChannelId, FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{Fragment, PackMode};
 use crate::plan::{ChunkCandidate, DstGroup, PlannedChunk, RndvCandidate, WindowGroups};
+use crate::slab::Slab;
 
-/// Convert a flow-table index into a `FlowId` payload, refusing the
-/// silent wraparound a bare `as u32` cast would produce.
+/// Flows one sender may open, and so the flow ids a receiver accepts: a
+/// peer's flow id is untrusted, and the receiver keeps a table indexed by
+/// it.
+pub const MAX_FLOWS: u32 = 1 << 20;
+
+/// Convert a flow-table index into a `FlowId` payload, refusing ids at or
+/// past [`MAX_FLOWS`] (which also refuses the silent wraparound a bare
+/// `as u32` cast would produce).
 ///
 /// # Panics
-/// Panics when the table has exhausted the 32-bit flow-id space.
+/// Panics when the table has exhausted the flow-id space.
 pub fn flow_id_for_index(index: usize) -> u32 {
-    u32::try_from(index).expect("flow table exceeds the u32 FlowId space")
+    u32::try_from(index)
+        .ok()
+        .filter(|&id| id < MAX_FLOWS)
+        .expect("flow table exceeds MAX_FLOWS, the FlowId space")
 }
 
 /// Rendezvous protocol state of one pending fragment.
@@ -72,6 +89,24 @@ pub struct PendingFragment {
 }
 
 impl PendingFragment {
+    /// A submitted fragment; one of `rndv_threshold` bytes or more enters
+    /// the rendezvous protocol.
+    fn new(f: Fragment, rndv_threshold: u64) -> Self {
+        let rndv = if (f.data.len() as u64) >= rndv_threshold {
+            RndvState::NeedRequest
+        } else {
+            RndvState::Eager
+        };
+        PendingFragment {
+            index: f.index,
+            mode: f.mode,
+            data: f.data,
+            sent: 0,
+            inflight: 0,
+            rndv,
+        }
+    }
+
     /// Fragment length.
     pub fn len(&self) -> u32 {
         self.data.len() as u32
@@ -121,19 +156,86 @@ impl PendingFragment {
     }
 }
 
-/// One submitted message not yet fully transmitted.
+/// A message's fragments in pack order, used as a slice: one or two in
+/// place — a header and a body, the shape most middleware sends — and
+/// none or more than two in one heap block.
+#[derive(Clone)]
+pub struct Frags(FragStore);
+
+/// The three shapes share one tag, kept in a spare value of a fragment's
+/// enums, so two fragments in place cost no more than two fragments.
+#[derive(Clone)]
+enum FragStore {
+    One(PendingFragment),
+    Two([PendingFragment; 2]),
+    Spilled(Box<[PendingFragment]>),
+}
+
+impl Frags {
+    /// The fragments of `parts`, built where they are kept.
+    fn from_parts(parts: Vec<Fragment>, rndv_threshold: u64) -> Self {
+        let n = parts.len();
+        let mut frags = parts
+            .into_iter()
+            .map(|f| PendingFragment::new(f, rndv_threshold));
+        Frags(match (n, frags.next(), frags.next()) {
+            (1, Some(one), None) => FragStore::One(one),
+            (2, Some(first), Some(second)) => FragStore::Two([first, second]),
+            (_, first, second) => {
+                FragStore::Spilled(first.into_iter().chain(second).chain(frags).collect())
+            }
+        })
+    }
+}
+
+impl Deref for Frags {
+    type Target = [PendingFragment];
+
+    fn deref(&self) -> &[PendingFragment] {
+        match &self.0 {
+            FragStore::One(frag) => std::slice::from_ref(frag),
+            FragStore::Two(frags) => frags,
+            FragStore::Spilled(frags) => frags,
+        }
+    }
+}
+
+impl DerefMut for Frags {
+    fn deref_mut(&mut self) -> &mut [PendingFragment] {
+        match &mut self.0 {
+            FragStore::One(frag) => std::slice::from_mut(frag),
+            FragStore::Two(frags) => frags,
+            FragStore::Spilled(frags) => frags,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Frags {
+    type Item = &'a PendingFragment;
+    type IntoIter = std::slice::Iter<'a, PendingFragment>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Frags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One submitted message not yet fully transmitted: a slot of the collect
+/// layer's slab, 128 bytes with its first two fragments, so that a window
+/// walk or a completion that reads it waits for memory once. Its flow and
+/// sequence number are where its flow's queue names it, and its
+/// destination and class are its flow's ([`FlowState`]).
 #[derive(Clone, Debug)]
 pub struct PendingMessage {
-    /// Identity.
-    pub id: MsgId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Traffic class (from the flow).
-    pub class: TrafficClass,
     /// Submission time.
     pub submitted_at: SimTime,
     /// Fragments in pack order.
-    pub frags: Vec<PendingFragment>,
+    pub frags: Frags,
     /// Rail the message is pinned to while its express constraints are
     /// unresolved (cross-rail reordering could otherwise overtake an
     /// express header). `None` = free to use any eligible rail.
@@ -160,6 +262,14 @@ impl PendingMessage {
     }
 }
 
+/// A pending message as its flow's queue holds it: its sequence number and
+/// its slot in the layer's slab.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    seq: u32,
+    slot: u32,
+}
+
 /// One flow's state: identity, class, routing, and its queue of pending
 /// messages.
 #[derive(Clone, Debug)]
@@ -172,9 +282,9 @@ pub struct FlowState {
     pub class: TrafficClass,
     next_seq: u32,
     /// Pending (not fully transmitted) messages, oldest first: strictly
-    /// ascending in `seq`, which is what lets `find_msg` and the mutators
-    /// resolve a message by position instead of walking the queue.
-    pub queue: VecDeque<PendingMessage>,
+    /// ascending in `seq`, which is what lets `locate` resolve a message
+    /// by position instead of walking the queue.
+    queue: VecDeque<Queued>,
     /// Queued fragments that offer [`Offer::Data`].
     ready: u32,
     /// Queued fragments that offer [`Offer::Request`].
@@ -182,6 +292,11 @@ pub struct FlowState {
 }
 
 impl FlowState {
+    /// Pending (not fully transmitted) messages of the flow.
+    pub fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Whether any queued fragment has something for a window. A flow
     /// without one is stepped over without a look at its queue.
     fn offerable(&self) -> bool {
@@ -213,18 +328,21 @@ impl FlowState {
         }
     }
 
-    /// Queue index of message `seq`, if it is still pending. Sequences are
-    /// assigned densely and the queue is ascending, so the message sits
-    /// `seq − front.seq` places from the front unless shedding or
-    /// out-of-order completion removed something older; only then is it
-    /// binary-searched for.
-    fn index_of(&self, seq: u32) -> Option<usize> {
-        let front = self.queue.front()?.id.seq.0;
+    /// Queue position and slab slot of message `seq`, if it is still
+    /// pending. Sequences are assigned densely and the queue is ascending,
+    /// so the message sits `seq − front.seq` places from the front unless
+    /// shedding or out-of-order completion removed something older; only
+    /// then is it binary-searched for.
+    fn locate(&self, seq: u32) -> Option<(usize, u32)> {
+        let front = self.queue.front()?.seq;
         let guess = seq.checked_sub(front)? as usize;
-        if self.queue.get(guess).is_some_and(|m| m.id.seq.0 == seq) {
-            return Some(guess);
+        match self.queue.get(guess) {
+            Some(q) if q.seq == seq => Some((guess, q.slot)),
+            _ => {
+                let at = self.queue.binary_search_by_key(&seq, |q| q.seq).ok()?;
+                Some((at, self.queue[at].slot))
+            }
         }
-        self.queue.binary_search_by_key(&seq, |m| m.id.seq.0).ok()
     }
 }
 
@@ -235,6 +353,8 @@ impl FlowState {
 // madlint: send-sync — owned per engine core, must shard with it
 pub struct CollectLayer {
     flows: Vec<FlowState>,
+    /// Every flow's pending messages, in the slots the queues name.
+    msgs: Slab<PendingMessage>,
     index: FlowIndex,
     fairness: FairnessMode,
     drr: DrrScheduler,
@@ -249,6 +369,9 @@ impl CollectLayer {
     }
 
     /// Open a new flow toward `dst` with the given class.
+    ///
+    /// # Panics
+    /// Panics past [`MAX_FLOWS`] flows.
     pub fn open_flow(&mut self, dst: NodeId, class: TrafficClass) -> FlowId {
         let id = FlowId(flow_id_for_index(self.flows.len()));
         self.flows.push(FlowState {
@@ -287,6 +410,21 @@ impl CollectLayer {
         &self.flows
     }
 
+    /// Flow `id`'s pending messages with their sequence numbers, oldest
+    /// first.
+    pub fn queue(&self, id: FlowId) -> impl ExactSizeIterator<Item = (u32, &PendingMessage)> + '_ {
+        let msgs = &self.msgs;
+        self.flows[id.0 as usize]
+            .queue
+            .iter()
+            .map(move |q| (q.seq, msgs.get(q.slot)))
+    }
+
+    /// The slab that holds every pending message (read-only view).
+    pub fn slab(&self) -> &Slab<PendingMessage> {
+        &self.msgs
+    }
+
     /// Enqueue a packed message on `flow`. Fragments of `rndv_threshold`
     /// bytes or more enter the rendezvous protocol. Returns the assigned id.
     pub fn submit(
@@ -302,41 +440,22 @@ impl CollectLayer {
             seq: MsgSeq(fs.next_seq),
         };
         fs.next_seq += 1;
-        let frags = parts
-            .into_iter()
-            .map(|f| {
-                let rndv = if (f.data.len() as u64) >= rndv_threshold {
-                    RndvState::NeedRequest
-                } else {
-                    RndvState::Eager
-                };
-                PendingFragment {
-                    index: f.index,
-                    mode: f.mode,
-                    data: f.data,
-                    sent: 0,
-                    inflight: 0,
-                    rndv,
-                }
-            })
-            .collect::<Vec<_>>();
-        let bytes: u64 = frags
-            .iter()
-            .map(|f: &PendingFragment| u64::from(f.len()))
-            .sum();
-        let slot = class_slot(fs.class);
+        let frags = Frags::from_parts(parts, rndv_threshold);
+        let mut bytes = 0u64;
         for f in &frags {
+            bytes += u64::from(f.len());
             fs.retally(&mut self.index, None, f.offer());
         }
-        fs.queue.push_back(PendingMessage {
-            id,
-            dst: fs.dst,
-            class: fs.class,
+        let slot = self.msgs.insert(PendingMessage {
             submitted_at: now,
             frags,
             pinned_rail: None,
         });
-        self.index.note_submit(flow.0, slot, bytes);
+        fs.queue.push_back(Queued {
+            seq: id.seq.0,
+            slot,
+        });
+        self.index.note_submit(flow.0, class_slot(fs.class), bytes);
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants();
         id
@@ -371,15 +490,15 @@ impl CollectLayer {
 
     /// Find a pending message.
     pub fn find_msg(&self, flow: FlowId, seq: u32) -> Option<&PendingMessage> {
-        let fs = self.flows.get(flow.0 as usize)?;
-        fs.queue.get(fs.index_of(seq)?)
+        self.find(flow, seq).map(|(_, msg)| msg)
     }
 
-    /// Find a pending message mutably.
-    pub fn find_msg_mut(&mut self, flow: FlowId, seq: u32) -> Option<&mut PendingMessage> {
-        let fs = self.flows.get_mut(flow.0 as usize)?;
-        let at = fs.index_of(seq)?;
-        fs.queue.get_mut(at)
+    /// Find a pending message with its flow, which names its destination
+    /// and class.
+    pub fn find(&self, flow: FlowId, seq: u32) -> Option<(&FlowState, &PendingMessage)> {
+        let fs = self.flows.get(flow.0 as usize)?;
+        let (_, slot) = fs.locate(seq)?;
+        Some((fs, self.msgs.get(slot)))
     }
 
     /// Build the optimizer's view for one rail: schedulable chunks grouped
@@ -444,7 +563,7 @@ impl CollectLayer {
             };
             let fs = &self.flows[id as usize];
             if eligible(fs.id, fs.class) {
-                Self::offer_flow(fs, rail, window, &mut taken, groups, None);
+                Self::offer_flow(fs, &self.msgs, rail, window, &mut taken, groups, None);
             }
         }
     }
@@ -463,7 +582,11 @@ impl CollectLayer {
         groups: &mut WindowGroups,
     ) {
         let CollectLayer {
-            flows, index, drr, ..
+            flows,
+            msgs,
+            index,
+            drr,
+            ..
         } = self;
         drr.ensure_flows(flows.len());
         let mut taken = 0usize;
@@ -490,7 +613,8 @@ impl CollectLayer {
                 let mut budget = drr.visit(id as usize);
                 last_visited = Some(id);
                 if fs.offerable() {
-                    Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
+                    let deficit = Some(&mut budget);
+                    Self::offer_flow(fs, msgs, rail, class_cap, &mut taken, groups, deficit);
                 }
                 drr.store(id as usize, budget);
             }
@@ -512,16 +636,18 @@ impl CollectLayer {
     /// entry pushed into it, so a flow that has nothing leaves none.
     fn offer_flow(
         fs: &FlowState,
+        msgs: &Slab<PendingMessage>,
         rail: ChannelId,
         window: usize,
         taken: &mut usize,
         groups: &mut WindowGroups,
         mut deficit: Option<&mut u64>,
     ) {
-        for msg in &fs.queue {
+        for q in &fs.queue {
             if *taken >= window {
                 return;
             }
+            let msg = msgs.get(q.slot);
             if let Some(pin) = msg.pinned_rail {
                 if pin != rail {
                     continue;
@@ -547,12 +673,12 @@ impl CollectLayer {
                     RndvState::NeedRequest => {
                         let request = RndvCandidate {
                             flow: fs.id,
-                            seq: msg.id.seq.0,
+                            seq: q.seq,
                             frag: frag.index,
-                            class: msg.class,
+                            class: fs.class,
                             submitted_at: msg.submitted_at,
                         };
-                        groups.offer_rndv(msg.dst, request);
+                        groups.offer_rndv(fs.dst, request);
                         if frag.mode == PackMode::Express {
                             express_open = true;
                         }
@@ -572,17 +698,17 @@ impl CollectLayer {
                             }
                             *d = d.saturating_sub(u64::from(frag.remaining()));
                         }
-                        let group = groups.group_for(msg.dst);
+                        let group = groups.group_for(fs.dst);
                         group.candidates.push(ChunkCandidate {
                             at: group.candidates.len() as u32,
                             flow: fs.id,
-                            seq: msg.id.seq.0,
+                            seq: q.seq,
                             frag: frag.index,
                             offset: frag.committed(),
                             remaining: frag.remaining(),
                             msg_remaining,
                             express: frag.mode == PackMode::Express,
-                            class: msg.class,
+                            class: fs.class,
                             submitted_at: msg.submitted_at,
                         });
                         *taken += 1;
@@ -601,9 +727,10 @@ impl CollectLayer {
         let slot = class_slot(class);
         let mut sheddable: Vec<(SimTime, u32, u32, u64)> = Vec::new();
         for id in self.index.class_ids(slot) {
-            for msg in &self.flows[id as usize].queue {
+            for q in &self.flows[id as usize].queue {
+                let msg = self.msgs.get(q.slot);
                 if msg.frags.iter().all(|f| f.committed() == 0) {
-                    sheddable.push((msg.submitted_at, id, msg.id.seq.0, msg.backlog_bytes()));
+                    sheddable.push((msg.submitted_at, id, q.seq, msg.backlog_bytes()));
                 }
             }
         }
@@ -615,9 +742,9 @@ impl CollectLayer {
                 break;
             }
             let fs = &mut self.flows[flow as usize];
-            let at = fs.index_of(seq).expect("sheddable message is queued");
-            let msg = fs.queue.remove(at).expect("found at its index");
-            for f in &msg.frags {
+            let (at, msg_slot) = fs.locate(seq).expect("sheddable message is queued");
+            fs.queue.remove(at);
+            for f in &self.msgs.remove(msg_slot).frags {
                 fs.retally(&mut self.index, f.offer(), None);
             }
             let empty = fs.queue.is_empty();
@@ -645,8 +772,8 @@ impl CollectLayer {
     pub fn commit_chunk(&mut self, chunk: &PlannedChunk, rail: ChannelId) {
         let fs = self.flows.get_mut(chunk.flow.0 as usize);
         let fs = fs.expect("commit for unknown flow");
-        let at = fs.index_of(chunk.seq).expect("commit for unknown message");
-        let msg = &mut fs.queue[at];
+        let (_, slot) = fs.locate(chunk.seq).expect("commit for unknown message");
+        let msg = self.msgs.get_mut(slot);
         if msg.pinned_rail.is_none() && !msg.express_resolved() {
             msg.pinned_rail = Some(rail);
         }
@@ -665,9 +792,9 @@ impl CollectLayer {
         );
         frag.inflight += chunk.len;
         let after = frag.offer();
-        let slot = class_slot(msg.class);
         fs.retally(&mut self.index, before, after);
-        self.index.note_commit(slot, u64::from(chunk.len));
+        self.index
+            .note_commit(class_slot(fs.class), u64::from(chunk.len));
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants();
     }
@@ -679,10 +806,10 @@ impl CollectLayer {
             .flows
             .get_mut(chunk.flow.0 as usize)
             .expect("completion for unknown flow");
-        let at = fs
-            .index_of(chunk.seq)
+        let (at, slot) = fs
+            .locate(chunk.seq)
             .expect("completion for unknown message");
-        let msg = &mut fs.queue[at];
+        let msg = self.msgs.get_mut(slot);
         let frag = &mut msg.frags[chunk.frag as usize];
         debug_assert!(frag.inflight >= chunk.len, "completion exceeds inflight");
         frag.inflight -= chunk.len;
@@ -690,14 +817,15 @@ impl CollectLayer {
         if msg.pinned_rail.is_some() && msg.express_resolved() {
             msg.pinned_rail = None;
         }
-        let slot = class_slot(msg.class);
         let completed = msg.is_complete();
         if completed {
             // Front of the queue unless another rail finished a younger
             // message first; `remove` shifts the shorter side either way.
             fs.queue.remove(at);
+            self.msgs.remove(slot);
             let empty = fs.queue.is_empty();
-            self.index.note_remove(chunk.flow.0, slot, 0, empty);
+            self.index
+                .note_remove(chunk.flow.0, class_slot(fs.class), 0, empty);
         }
         #[cfg(feature = "debug-invariants")]
         self.debug_assert_invariants();
@@ -705,13 +833,14 @@ impl CollectLayer {
     }
 
     /// Check the structural invariants every mutation must preserve:
-    /// per-flow queues sorted by sequence number, no fragment accounting
-    /// past its length, no committed bytes on rendezvous-gated fragments,
-    /// no fully-sent message left in a queue, and an index — counters,
-    /// active sets, offerable sets — that a recount of the queues agrees
-    /// with. Compiled only with the `debug-invariants` feature (and for
-    /// this crate's own tests); callers wrap invocations in the feature's
-    /// `cfg` so release builds pay nothing.
+    /// per-flow queues sorted by sequence number, one slab slot per queued
+    /// message, no fragment accounting past its length, no committed bytes
+    /// on rendezvous-gated fragments, no fully-sent message left in a
+    /// queue, and an index — counters, active sets, offerable sets — that a
+    /// recount of the queues agrees with. One pass over each queue.
+    /// Compiled only with the `debug-invariants` feature (and for this
+    /// crate's own tests); callers wrap invocations in the feature's `cfg`
+    /// so release builds pay nothing.
     ///
     /// The sequence-order assertion is load-bearing: `find_msg`, commit,
     /// completion and shedding all locate a message by its position in an
@@ -719,37 +848,6 @@ impl CollectLayer {
     /// unreachable rather than merely mis-ordered.
     #[cfg(any(test, feature = "debug-invariants"))]
     pub fn debug_assert_invariants(&self) {
-        for fs in &self.flows {
-            let mut prev_seq: Option<u32> = None;
-            for msg in &fs.queue {
-                assert_eq!(msg.id.flow, fs.id, "message filed under wrong flow");
-                assert_eq!(msg.dst, fs.dst, "message dst diverged from flow dst");
-                if let Some(p) = prev_seq {
-                    assert!(msg.id.seq.0 > p, "{}: queue out of sequence order", fs.id);
-                }
-                prev_seq = Some(msg.id.seq.0);
-                assert!(!msg.is_complete(), "fully-sent message still queued");
-                for f in &msg.frags {
-                    assert!(
-                        f.sent.checked_add(f.inflight).is_some_and(|c| c <= f.len()),
-                        "{}: fragment {} accounting exceeds length",
-                        fs.id,
-                        f.index
-                    );
-                    if matches!(f.rndv, RndvState::NeedRequest | RndvState::Requested) {
-                        assert_eq!(
-                            f.committed(),
-                            0,
-                            "{}: rendezvous-gated fragment {} has committed bytes",
-                            fs.id,
-                            f.index
-                        );
-                    }
-                }
-            }
-        }
-        // The madflow index must agree with a brute-force re-derivation:
-        // the same counters and active sets a full-table walk produces.
         let mut backlog = 0u64;
         let mut by_class = [0u64; CLASS_SLOTS];
         let mut pending = 0u64;
@@ -763,24 +861,56 @@ impl CollectLayer {
         let mut asking = Vec::new();
         for fs in &self.flows {
             let slot = class_slot(fs.class);
+            let active = !fs.queue.is_empty();
             assert_eq!(
                 active_ids.next_if_eq(&fs.id.0).is_some(),
-                !fs.queue.is_empty(),
+                active,
                 "{}: active-set membership diverged from queue state",
                 fs.id
             );
             assert_eq!(
                 class_ids[slot].next_if_eq(&fs.id.0).is_some(),
-                !fs.queue.is_empty(),
+                active,
                 "{}: class-set membership diverged from queue state",
                 fs.id
             );
-            // What the flow has for a window, recounted from its queue.
-            let frags = || fs.queue.iter().flat_map(|m| &m.frags);
-            let offering = |o| frags().filter(|f| f.offer() == Some(o)).count() as u32;
+            // What the flow has for a window and its backlog, recounted
+            // from its queue.
+            let (mut ready, mut asks, mut flow_backlog) = (0, 0, 0);
+            let mut prev_seq: Option<u32> = None;
+            for (seq, msg) in self.queue(fs.id) {
+                if let Some(p) = prev_seq {
+                    assert!(seq > p, "{}: queue out of sequence order", fs.id);
+                }
+                prev_seq = Some(seq);
+                assert!(!msg.is_complete(), "fully-sent message still queued");
+                for f in &msg.frags {
+                    assert!(
+                        f.sent.checked_add(f.inflight).is_some_and(|c| c <= f.len()),
+                        "{}: fragment {} accounting exceeds length",
+                        fs.id,
+                        f.index
+                    );
+                    if f.rndv_blocked() {
+                        assert_eq!(
+                            f.committed(),
+                            0,
+                            "{}: rendezvous-gated fragment {} has committed bytes",
+                            fs.id,
+                            f.index
+                        );
+                    }
+                    match f.offer() {
+                        Some(Offer::Data) => ready += 1,
+                        Some(Offer::Request) => asks += 1,
+                        None => {}
+                    }
+                    flow_backlog += u64::from(f.remaining());
+                }
+            }
             assert_eq!(
                 (fs.ready, fs.asking),
-                (offering(Offer::Data), offering(Offer::Request)),
+                (ready, asks),
                 "{}: offer counts drifted",
                 fs.id
             );
@@ -794,7 +924,6 @@ impl CollectLayer {
                 asking.push((fs.dst, fs.id.0));
             }
             pending += fs.queue.len() as u64;
-            let flow_backlog: u64 = fs.queue.iter().map(PendingMessage::backlog_bytes).sum();
             backlog += flow_backlog;
             by_class[slot] += flow_backlog;
         }
@@ -808,6 +937,11 @@ impl CollectLayer {
         for (slot, ids) in class_ids.iter_mut().enumerate() {
             assert_eq!(ids.next(), None, "class {slot} set holds a stray flow id");
         }
+        assert_eq!(
+            pending,
+            self.msgs.len() as u64,
+            "slab slots diverged from the queues"
+        );
         assert_eq!(backlog, self.index.backlog_bytes(), "backlog counter drift");
         assert_eq!(pending, self.index.pending_msgs(), "pending counter drift");
         for (slot, &b) in by_class.iter().enumerate() {
@@ -849,10 +983,10 @@ impl CollectLayer {
         let Some(fs) = self.flows.get_mut(flow.0 as usize) else {
             return false;
         };
-        let Some(at) = fs.index_of(seq) else {
+        let Some((_, slot)) = fs.locate(seq) else {
             return false;
         };
-        let f = &mut fs.queue[at].frags[frag as usize];
+        let f = &mut self.msgs.get_mut(slot).frags[frag as usize];
         if f.rndv != from {
             return false;
         }
@@ -903,7 +1037,7 @@ impl CollectLayer {
             if !eligible(fs.id, fs.class) {
                 continue;
             }
-            Self::offer_flow(fs, rail, window, &mut taken, groups, None);
+            Self::offer_flow(fs, &self.msgs, rail, window, &mut taken, groups, None);
         }
     }
 
@@ -915,7 +1049,11 @@ impl CollectLayer {
         groups: &mut WindowGroups,
     ) {
         let CollectLayer {
-            flows, index, drr, ..
+            flows,
+            msgs,
+            index,
+            drr,
+            ..
         } = self;
         drr.ensure_flows(flows.len());
         let mut taken = 0usize;
@@ -940,7 +1078,8 @@ impl CollectLayer {
                 }
                 let mut budget = drr.visit(id as usize);
                 last_visited = Some(id);
-                Self::offer_flow(fs, rail, class_cap, &mut taken, groups, Some(&mut budget));
+                let deficit = Some(&mut budget);
+                Self::offer_flow(fs, msgs, rail, class_cap, &mut taken, groups, deficit);
                 drr.store(id as usize, budget);
             }
             if let Some(last) = last_visited {
@@ -1241,7 +1380,13 @@ mod tests {
     #[test]
     fn flow_id_conversion_guards_truncation() {
         assert_eq!(flow_id_for_index(0), 0);
-        assert_eq!(flow_id_for_index(u32::MAX as usize), u32::MAX);
+        assert_eq!(flow_id_for_index(MAX_FLOWS as usize - 1), MAX_FLOWS - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_FLOWS")]
+    fn flow_id_conversion_refuses_max_flows() {
+        let _ = flow_id_for_index(MAX_FLOWS as usize);
     }
 
     #[test]
@@ -1421,6 +1566,74 @@ mod tests {
         assert_ne!(g[0].dst, g[1].dst);
     }
 
+    #[test]
+    fn the_backlog_lives_in_one_slab_that_empties_with_it() {
+        use crate::slab::FIRST_PAGE;
+        // A header and a body sit in the message's slot; a third fragment
+        // sends them all to the heap.
+        assert_eq!(Slab::<PendingMessage>::SLOT_BYTES, 128);
+        let mut c = CollectLayer::new();
+        let flows: Vec<_> = (0..4)
+            .map(|i| c.open_flow(NodeId(1 + i), TrafficClass::DEFAULT))
+            .collect();
+        let shapes: [&[(usize, PackMode)]; 3] = [
+            &[(16, PackMode::Express), (64, PackMode::Cheaper)],
+            &[(8, PackMode::Cheaper)],
+            &[
+                (8, PackMode::Express),
+                (8, PackMode::Cheaper),
+                (8, PackMode::Cheaper),
+            ],
+        ];
+        let mut sent = Vec::new();
+        for n in 0..3 * FIRST_PAGE {
+            let f = flows[n % flows.len()];
+            let shape = parts(shapes[n % shapes.len()]);
+            let id = c.submit(f, shape, SimTime::ZERO, 1 << 20);
+            let frags = &c.find_msg(f, id.seq.0).unwrap().frags;
+            assert_eq!(frags.len(), shapes[n % shapes.len()].len());
+            sent.push(id);
+        }
+        assert_eq!(c.slab().len(), 3 * FIRST_PAGE);
+        let grown = c.slab().capacity();
+        assert!(grown >= 3 * FIRST_PAGE, "{grown}");
+        let finish = |c: &mut CollectLayer, id: MsgId| {
+            let frags = c.find_msg(id.flow, id.seq.0).unwrap().frags.len();
+            for frag in 0..frags as FragIndex {
+                let len = c.find_msg(id.flow, id.seq.0).unwrap().frags[frag as usize].len();
+                let ch = PlannedChunk {
+                    flow: id.flow,
+                    seq: id.seq.0,
+                    frag,
+                    offset: 0,
+                    len,
+                };
+                c.commit_chunk(&ch, ChannelId(0));
+                c.complete_chunk(&ch);
+            }
+        };
+        // Half go, as many come: the freed slots take them.
+        for &id in &sent[..FIRST_PAGE] {
+            finish(&mut c, id);
+        }
+        for n in 0..FIRST_PAGE {
+            let f = flows[n % flows.len()];
+            sent.push(c.submit(f, parts(shapes[0]), SimTime::ZERO, 1 << 20));
+        }
+        assert_eq!(c.slab().capacity(), grown, "no growth while slots are free");
+        c.debug_assert_invariants();
+        for &id in &sent[FIRST_PAGE..] {
+            finish(&mut c, id);
+        }
+        assert!(c.is_empty());
+        assert_eq!(
+            c.slab().capacity(),
+            FIRST_PAGE,
+            "an empty backlog keeps one page"
+        );
+        c.debug_assert_invariants();
+    }
+
     // ---- the window against its definition --------------------------------
 
     use crate::plan::MAX_REQS_PER_DST;
@@ -1481,11 +1694,11 @@ mod tests {
     fn offerable(c: &CollectLayer) -> (usize, std::collections::BTreeMap<NodeId, usize>) {
         let (mut data, mut asking) = (0, std::collections::BTreeMap::new());
         for fs in c.flows() {
-            for msg in &fs.queue {
+            for (_, msg) in c.queue(fs.id) {
                 let mut gated = false;
                 for f in &msg.frags {
                     match f.offer() {
-                        Some(Offer::Request) => *asking.entry(msg.dst).or_insert(0) += 1,
+                        Some(Offer::Request) => *asking.entry(fs.dst).or_insert(0) += 1,
                         Some(Offer::Data) if !gated => data += 1,
                         _ => {}
                     }
@@ -1582,10 +1795,13 @@ mod tests {
         c: &CollectLayer,
         pred: impl Fn(&PendingFragment) -> bool,
     ) -> Vec<(FlowId, u32, FragIndex)> {
-        let msgs = c.flows().iter().flat_map(|fs| &fs.queue);
-        msgs.flat_map(|m| m.frags.iter().map(move |f| (m.id, f)))
-            .filter(|(_, f)| pred(f))
-            .map(|(id, f)| (id.flow, id.seq.0, f.index))
+        let msgs = c
+            .flows()
+            .iter()
+            .flat_map(|fs| c.queue(fs.id).map(|(seq, m)| (fs.id, seq, m)));
+        msgs.flat_map(|(flow, seq, m)| m.frags.iter().map(move |f| (flow, seq, f)))
+            .filter(|(_, _, f)| pred(f))
+            .map(|(flow, seq, f)| (flow, seq, f.index))
             .collect()
     }
 
@@ -1713,7 +1929,7 @@ mod tests {
                 );
                 got.debug_assert_invariants();
                 compared += 1;
-                let idle = real.flows().iter().filter(|fs| !fs.queue.is_empty());
+                let idle = real.flows().iter().filter(|fs| fs.queued() != 0);
                 stepped_over += idle.filter(|fs| !fs.offerable()).count();
                 let asked: usize = got.groups().iter().map(|g| g.rndv.len()).sum();
                 refused += frags_where(&real, |f| f.offer() == Some(Offer::Request)).len() - asked;

@@ -340,10 +340,8 @@ pub(crate) fn validate_request(
     (flow, seq, frag): (FlowId, u32, FragIndex),
     collect: &CollectLayer,
 ) -> Result<(), PlanViolation> {
-    let msg = collect
-        .find_msg(flow, seq)
-        .ok_or(PlanViolation::UnknownChunk)?;
-    if msg.dst != dst {
+    let (fs, msg) = collect.find(flow, seq).ok_or(PlanViolation::UnknownChunk)?;
+    if fs.dst != dst {
         return Err(PlanViolation::MixedDestinations);
     }
     let f = msg
@@ -378,18 +376,18 @@ pub(crate) fn validate_chunks(
     let mut payload = 0u64;
     let mut framing = Framing::new();
     // The message the chunk before named, and its place in `planned`.
-    let mut current: Option<(&PendingMessage, usize)> = None;
+    let mut current: Option<((FlowId, u32), &PendingMessage, usize)> = None;
     for c in chunks {
         if c.len == 0 {
             return Err(PlanViolation::ZeroLengthChunk);
         }
         let (msg, m) = match current {
-            Some((msg, m)) if (msg.id.flow, msg.id.seq.0) == (c.flow, c.seq) => (msg, m),
+            Some((key, msg, m)) if key == (c.flow, c.seq) => (msg, m),
             _ => {
-                let msg = collect
-                    .find_msg(c.flow, c.seq)
+                let (fs, msg) = collect
+                    .find(c.flow, c.seq)
                     .ok_or(PlanViolation::UnknownChunk)?;
-                if msg.dst != dst {
+                if fs.dst != dst {
                     return Err(PlanViolation::MixedDestinations);
                 }
                 if let Some(pin) = msg.pinned_rail {
@@ -398,7 +396,7 @@ pub(crate) fn validate_chunks(
                     }
                 }
                 let m = planned.enter((c.flow, c.seq));
-                current = Some((msg, m));
+                current = Some(((c.flow, c.seq), msg, m));
                 (msg, m)
             }
         };
@@ -876,10 +874,10 @@ mod tests {
             if c.len == 0 {
                 return Err(PlanViolation::ZeroLengthChunk);
             }
-            let msg = collect
-                .find_msg(c.flow, c.seq)
+            let (fs, msg) = collect
+                .find(c.flow, c.seq)
                 .ok_or(PlanViolation::UnknownChunk)?;
-            if msg.dst != dst {
+            if fs.dst != dst {
                 return Err(PlanViolation::MixedDestinations);
             }
             if let Some(pin) = msg.pinned_rail {

@@ -415,12 +415,12 @@ impl EngineCore {
                 Ok(())
             }
             PlanBody::RndvRequest { flow, seq, frag } => {
-                let msg = self
+                let (fs, msg) = self
                     .collect
-                    .find_msg(flow, seq)
+                    .find(flow, seq)
                     .expect("validated plan references live message");
-                let header = chunk_header(flow, msg, frag, 0, 0);
-                let dst = msg.dst;
+                let header = chunk_header(fs, seq, msg, frag, 0, 0);
+                let dst = fs.dst;
                 self.transfer
                     .send_ctrl(ctx, rail_idx, dst, KIND_RNDV_REQ, header)?;
                 self.collect.mark_rndv_requested(flow, seq, frag);
@@ -454,12 +454,14 @@ impl EngineCore {
         let rx_rail = rail_of(self.transfer.rails(), nic);
         let mut out = std::mem::take(&mut self.scratch.deliveries);
         let mut sent = std::mem::take(&mut self.scratch.sent);
-        if self
+        let refused_before = self.receiver.stats.proto_errors;
+        let decoded = self
             .dispatch(ctx, rx_rail, &pkt, &mut out, &mut sent)
-            .is_err()
-        {
-            self.obs.metrics_mut().proto_errors += 1;
-        } else {
+            .is_ok();
+        // A chunk or cancel the receiver refused is a protocol error too.
+        let refused = self.receiver.stats.proto_errors - refused_before;
+        self.obs.metrics_mut().proto_errors += u64::from(!decoded) + refused;
+        if decoded {
             self.obs.delivered(now, rx_rail, &out);
             if self.config.record_deliveries {
                 self.obs.metrics_mut().deliveries_dropped += self.delivered.extend(&out);
@@ -609,7 +611,7 @@ impl EngineCore {
         let now = ctx.now();
         let (flow, seq, frag) = key;
         // Shed while its request was out: nothing waits for the grant.
-        let Some(msg) = self.collect.find_msg(flow, seq) else {
+        let Some((fs, msg)) = self.collect.find(flow, seq) else {
             return self.rel.settle_request(key);
         };
         let rails = self.transfer.rails();
@@ -619,7 +621,7 @@ impl EngineCore {
         };
         match action {
             Expiry::Resend(again) | Expiry::Reroute(again) => {
-                let header = chunk_header(flow, msg, frag, 0, 0);
+                let header = chunk_header(fs, seq, msg, frag, 0, 0);
                 let sent = self
                     .transfer
                     .send_ctrl(ctx, again.rail, dst, KIND_RNDV_REQ, header);

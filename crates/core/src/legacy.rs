@@ -281,11 +281,13 @@ impl LegacyCore {
                     }
                 };
                 let mut out = Vec::new();
+                let refused = self.receiver.stats.proto_errors;
                 for ch in &chunks {
                     out.extend(self.receiver.on_chunk(pkt.src, ch, ctx.now()));
                 }
                 self.receiver.end_packet();
                 self.metrics.express_violations = self.receiver.stats.express_violations;
+                self.metrics.proto_errors += self.receiver.stats.proto_errors - refused;
                 for d in &out {
                     self.metrics.record_delivery_from(
                         d.src,

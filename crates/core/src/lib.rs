@@ -79,6 +79,7 @@ pub mod proto;
 pub mod receiver;
 pub mod reliability;
 pub mod scope;
+pub mod slab;
 pub mod strategy;
 pub mod trace;
 pub mod transfer;

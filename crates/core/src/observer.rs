@@ -398,7 +398,7 @@ impl Observer {
             out.push_str(&format!(
                 "  {}: {} pending messages toward {:?}\n",
                 fs.id,
-                fs.queue.len(),
+                fs.queued(),
                 fs.dst
             ));
         }

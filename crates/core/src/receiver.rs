@@ -12,11 +12,14 @@
 //! messages to one rail until their express fragments complete.
 //!
 //! State is node-wide and keyed by message, not kept per flow: the next
-//! sequence each `(source, flow)` delivers, the messages being reassembled
-//! or held for order by `(source, flow, seq)`, and the shed-cancel marks by
-//! the same key. A flow whose messages are all delivered costs one `u32`
-//! entry; a map per flow would keep its emptied root leaf (496 bytes) for
-//! the rest of the run, and the maps here keep only their own.
+//! sequence each `(source, flow)` delivers, in a dense table per source
+//! indexed by flow id, the messages being reassembled or held for order by
+//! `(source, flow, seq)`, and the shed-cancel marks by the same key. A flow
+//! whose messages are all delivered costs one `u32`; a map per flow would
+//! keep its emptied root leaf (496 bytes) for the rest of the run, and the
+//! maps here keep only their own. A flow id is a peer's header field, so
+//! one at or past [`MAX_FLOWS`] — which no sender can open — is refused
+//! before it can size a table, and counted as a protocol error.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
@@ -27,6 +30,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use bytes::Bytes;
 use simnet::{NodeId, SimDuration, SimTime};
 
+use crate::collect::MAX_FLOWS;
 use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, PackMode};
 use crate::proto::DecodedChunk;
@@ -163,6 +167,9 @@ pub struct ReceiverStats {
     pub express_violations: u64,
     /// Overlapping/duplicate chunks rejected.
     pub overlaps: u64,
+    /// Chunks and cancels dropped for naming a flow id at or past
+    /// [`MAX_FLOWS`]; the engine counts them as protocol errors.
+    pub proto_errors: u64,
     /// Packets received per virtual channel (receiver pre-sorting, §2).
     pub per_vchan_packets: Vec<u64>,
 }
@@ -195,6 +202,21 @@ fn drain_ready(
         out.push(delivered(key, asm, now));
         *next += 1;
     }
+}
+
+/// The next sequence to deliver of `(src, flow)` in `table`, indexed by
+/// source and then by flow id, which the caller has checked against
+/// [`MAX_FLOWS`].
+fn next_of(table: &mut Vec<Vec<u32>>, src: NodeId, flow: FlowId) -> &mut u32 {
+    let (src, flow) = (src.0 as usize, flow.0 as usize);
+    if table.len() <= src {
+        table.resize_with(src + 1, Vec::new);
+    }
+    let by_flow = &mut table[src];
+    if by_flow.len() <= flow {
+        by_flow.resize(flow + 1, 0);
+    }
+    &mut by_flow[flow]
 }
 
 /// Message `(src, flow, seq)`, complete, as the application receives it.
@@ -233,9 +255,9 @@ fn delivered(
 #[derive(Clone, Debug, Default)]
 // madlint: send-sync — owned per engine core, must shard with it
 pub struct Receiver {
-    /// The next sequence to deliver, per `(source, flow)` that has sent a
-    /// chunk or a cancel.
-    next_deliver: BTreeMap<(NodeId, FlowId), u32>,
+    /// The next sequence to deliver, by source and then by flow id: zero
+    /// for a flow that has sent nothing yet.
+    next_deliver: Vec<Vec<u32>>,
     /// Messages being reassembled or held for their flow's order, by
     /// `(source, flow, seq)`. A flow with nothing pending has no entry.
     pending: BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
@@ -283,8 +305,12 @@ impl Receiver {
 
     fn ingest(&mut self, src: NodeId, chunk: &DecodedChunk, now: SimTime) {
         let h = &chunk.header;
+        if h.flow.0 >= MAX_FLOWS {
+            self.stats.proto_errors += 1;
+            return;
+        }
         let key = (src, h.flow, h.msg_seq);
-        let next = self.next_deliver.entry((src, h.flow)).or_insert(0);
+        let next = next_of(&mut self.next_deliver, src, h.flow);
         // Late chunk for an already-delivered message (duplicate) or a
         // sequence the sender announced as shed — drop.
         if h.msg_seq < *next || self.cancelled.contains(&key) {
@@ -381,7 +407,11 @@ impl Receiver {
         seq: u32,
         now: SimTime,
     ) -> std::vec::Drain<'_, DeliveredMessage> {
-        let next = self.next_deliver.entry((src, flow)).or_insert(0);
+        if flow.0 >= MAX_FLOWS {
+            self.stats.proto_errors += 1;
+            return self.ready.drain(..);
+        }
+        let next = next_of(&mut self.next_deliver, src, flow);
         // Cancel for an already-delivered sequence: a protocol violation
         // (shed messages never commit bytes) — surface, don't apply.
         if seq < *next {
@@ -781,8 +811,26 @@ mod tests {
         assert_eq!(r.stats.cancelled, 2 * u64::from(FLOWS));
         assert!(r.pending.is_empty(), "{:?}", r.pending.keys());
         assert!(r.cancelled.is_empty(), "{:?}", r.cancelled);
-        assert_eq!(r.next_deliver.len(), 2 * FLOWS as usize);
-        assert!(r.next_deliver.values().all(|&next| next == 3));
+        let next: Vec<u32> = r.next_deliver.iter().flatten().copied().collect();
+        assert_eq!(next, vec![3; 2 * FLOWS as usize]);
+    }
+
+    #[test]
+    fn a_chunk_or_cancel_for_a_flow_no_sender_can_open_is_a_proto_error() {
+        let mut r = Receiver::new();
+        let hostile = chunk(u32::MAX, 0, 0, 1, false, 1, 0, b"x");
+        assert!(feed(&mut r, SRC, hostile).is_empty());
+        let past = chunk(MAX_FLOWS, 0, 0, 1, false, 1, 0, b"x");
+        assert!(feed(&mut r, SRC, past).is_empty());
+        assert_eq!(r.on_cancel(SRC, FlowId(u32::MAX), 0, NOW).count(), 0);
+        assert_eq!(r.stats.proto_errors, 3);
+        assert_eq!((r.stats.chunks, r.stats.overlaps), (0, 0));
+        assert!(r.next_deliver.is_empty(), "no table is allocated");
+        assert!(r.pending.is_empty() && r.cancelled.is_empty());
+        // The last flow a sender can open is accepted.
+        let last = chunk(MAX_FLOWS - 1, 0, 0, 1, false, 1, 0, b"x");
+        assert_eq!(feed(&mut r, SRC, last).len(), 1);
+        assert_eq!(r.stats.proto_errors, 3);
     }
 
     #[test]

@@ -17,9 +17,9 @@ use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SubmitError};
 
 use crate::classes::ClassMap;
-use crate::collect::{CollectLayer, PendingMessage};
+use crate::collect::{CollectLayer, FlowState, PendingMessage};
 use crate::error::EngineError;
-use crate::ids::{FlowId, FragIndex};
+use crate::ids::FragIndex;
 use crate::message::PackMode;
 use crate::plan::PlannedChunk;
 use crate::proto::{
@@ -166,11 +166,11 @@ impl Transfer {
     ) -> Result<(u64, Result<(), DriverError>), EngineError> {
         self.wire.clear();
         self.wire.extend(chunks.iter().map(|c| {
-            let msg = collect
-                .find_msg(c.flow, c.seq)
+            let (fs, msg) = collect
+                .find(c.flow, c.seq)
                 .expect("planned chunk references live message");
             WireChunk {
-                header: chunk_header(c.flow, msg, c.frag, c.offset, c.len),
+                header: chunk_header(fs, c.seq, msg, c.frag, c.offset, c.len),
                 data: msg.frags[c.frag as usize]
                     .data
                     .slice(c.offset as usize..(c.offset + c.len) as usize),
@@ -270,10 +270,11 @@ impl Transfer {
 }
 
 /// The wire header of bytes `offset..offset + len` of fragment `frag` of
-/// a live message (class, submission time, fragment geometry). A
-/// rendezvous request is the header of an empty range.
+/// live message `seq` of flow `fs` (class, submission time, fragment
+/// geometry). A rendezvous request is the header of an empty range.
 pub(crate) fn chunk_header(
-    flow: FlowId,
+    fs: &FlowState,
+    seq: u32,
     msg: &PendingMessage,
     frag: FragIndex,
     offset: u32,
@@ -281,12 +282,12 @@ pub(crate) fn chunk_header(
 ) -> ChunkHeader {
     let f = &msg.frags[frag as usize];
     make_header(
-        flow,
-        msg.id.seq.0,
+        fs.id,
+        seq,
         frag,
         msg.frags.len() as u16,
         f.mode == PackMode::Express,
-        msg.class,
+        fs.class,
         f.len(),
         offset,
         len,

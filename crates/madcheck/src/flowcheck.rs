@@ -72,7 +72,7 @@ fn brute_force(c: &CollectLayer) -> Snapshot {
     };
     for f in c.flows() {
         let slot = class_slot(f.class);
-        for m in &f.queue {
+        for (_, m) in c.queue(f.id) {
             let b = m.backlog_bytes();
             s.backlog += b;
             s.by_class[slot] += b;
@@ -85,7 +85,7 @@ fn brute_force(c: &CollectLayer) -> Snapshot {
                 }
             }
         }
-        if !f.queue.is_empty() {
+        if f.queued() != 0 {
             s.active.insert(f.id.0);
             s.class_sets[slot].insert(f.id.0);
         }

@@ -10,11 +10,17 @@
 //! *offerable* flows (the only ones a window walk looks at) included: it
 //! must name exactly the flows whose queues, recounted, hold bytes a
 //! window can take or a rendezvous request still to send.
+//!
+//! The queues name slots of one node-wide slab of pending messages; the
+//! same interleavings check its accounting: one live slot per pending
+//! message, no growth while a freed slot waits, and no page beyond the
+//! first kept once the backlog is empty.
 
 use madeleine::collect::{CollectLayer, RndvState};
 use madeleine::ids::{ChannelId, FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use madeleine::message::{MessageBuilder, PackMode};
 use madeleine::plan::{PlannedChunk, MAX_REQS_PER_DST};
+use madeleine::slab::FIRST_PAGE;
 use proptest::prelude::*;
 use simnet::{NodeId, SimTime};
 
@@ -183,6 +189,25 @@ impl Model {
     }
 }
 
+/// The slab after one operation, given its (live, capacity) before it.
+fn assert_slab(real: &CollectLayer, (live, capacity): (usize, usize)) {
+    let slab = real.slab();
+    assert_eq!(
+        slab.len() as u64,
+        real.pending_msgs(),
+        "a live slot per message"
+    );
+    if slab.capacity() > capacity {
+        assert_eq!(live, capacity, "the slab grew while a slot was free");
+    }
+    if slab.is_empty() {
+        assert!(
+            slab.capacity() <= FIRST_PAGE,
+            "an empty backlog keeps pages"
+        );
+    }
+}
+
 /// The layer and the model must be indistinguishable from outside.
 fn assert_agree(real: &CollectLayer, model: &Model) {
     let mut backlog = 0u64;
@@ -192,7 +217,7 @@ fn assert_agree(real: &CollectLayer, model: &Model) {
     let (mut ready, mut asking) = (Vec::new(), Vec::new());
     for (id, fs) in model.flows.iter().enumerate() {
         let flow = FlowId(id as u32);
-        let real_seqs: Vec<u32> = real.flows()[id].queue.iter().map(|m| m.id.seq.0).collect();
+        let real_seqs: Vec<u32> = real.queue(flow).map(|(seq, _)| seq).collect();
         let model_seqs: Vec<u32> = fs.queue.iter().map(|m| m.seq).collect();
         assert_eq!(real_seqs, model_seqs, "{flow}: queue order");
         // Live, removed (holes on either side of a live one) and
@@ -201,7 +226,6 @@ fn assert_agree(real: &CollectLayer, model: &Model) {
             match (real.find_msg(flow, seq), model.find(id, seq)) {
                 (None, None) => {}
                 (Some(r), Some(m)) => {
-                    assert_eq!(r.id.seq.0, seq);
                     assert_eq!(r.submitted_at, m.at);
                     let frags: Vec<RefFrag> = r
                         .frags
@@ -217,7 +241,7 @@ fn assert_agree(real: &CollectLayer, model: &Model) {
                 }
                 (r, m) => panic!(
                     "{flow}/{seq}: find_msg says {:?}, the reference says {:?}",
-                    r.map(|m| m.id),
+                    r.map(|m| m.submitted_at),
                     m.map(|m| m.seq)
                 ),
             }
@@ -291,6 +315,7 @@ proptest! {
             // Coarse clock: several messages share a submission time, so
             // shedding's (time, flow, seq) tie-break is exercised.
             let now = SimTime::from_nanos(step as u64 / 4);
+            let slab = (real.slab().len(), real.slab().capacity());
             match op {
                 0..=2 => {
                     let flow = a.index(classes.len());
@@ -364,6 +389,7 @@ proptest! {
                 }
             }
             assert_agree(&real, &model);
+            assert_slab(&real, slab);
             // A window of any width: its width in data at most, the
             // quota in requests per destination at most, no group empty.
             let window = 1 + val as usize % 80;

@@ -237,6 +237,70 @@ fn hostile_header_blocks_counted_not_fatal() {
 }
 
 #[test]
+fn a_chunk_for_a_flow_no_sender_can_open_is_a_proto_error() {
+    // A flow id is a peer's header field, and the receiver keeps a table
+    // indexed by it: an id at or past MAX_FLOWS is one protocol error and
+    // no table, and the valid packet behind it is delivered.
+    use madeleine::collect::MAX_FLOWS;
+    use madeleine::proto::{encode_packet, make_header, WireChunk, KIND_DATA};
+    let mut sim = Simulation::new();
+    let net = sim.add_network(calib::params(Technology::MyrinetMx));
+    let a = sim.add_node();
+    let b = sim.add_node();
+    let na = sim.add_nic(a, net);
+    let nb = sim.add_nic(b, net);
+    let (eb, hb) = madeleine::MadEngine::builder(b)
+        .rail(calib::driver(Technology::MyrinetMx, nb), 32 << 10)
+        .peer(a, vec![na])
+        .build()
+        .unwrap();
+    sim.set_endpoint(b, Box::new(eb));
+    let body = Bytes::from_static(b"twelve bytes");
+    let packet = |flow: u32| {
+        let len = body.len() as u32;
+        let class = TrafficClass::DEFAULT;
+        let header = make_header(
+            madeleine::FlowId(flow),
+            0,
+            0,
+            1,
+            false,
+            class,
+            len,
+            0,
+            len,
+            SimTime::ZERO,
+        );
+        let chunk = WireChunk {
+            header,
+            data: body.clone(),
+        };
+        encode_packet(std::slice::from_ref(&chunk), true).remove(0)
+    };
+    sim.inject(a, |ctx| {
+        for flow in [u32::MAX, MAX_FLOWS, 0] {
+            ctx.submit(
+                na,
+                simnet::TxRequest {
+                    dst_nic: nb,
+                    vchan: 1,
+                    kind: KIND_DATA,
+                    cookie: 0,
+                    mode: simnet::TxMode::Pio,
+                    host_prep: simnet::SimDuration::ZERO,
+                    payload: vec![packet(flow)],
+                },
+            )
+            .unwrap();
+        }
+    });
+    sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+    assert_eq!(hb.metrics().proto_errors, 2);
+    assert_eq!(hb.receiver_stats().proto_errors, 2);
+    assert_eq!(hb.metrics().delivered_msgs, 1);
+}
+
+#[test]
 fn capability_violations_rejected_with_precise_errors() {
     let mut sim = Simulation::new();
     let net = sim.add_network(calib::params(Technology::InfiniBand));

@@ -27,8 +27,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
-# (row label, substring of a demangled function name). Indented rows lie
-# inside the row above them. The `__udivti3` row names code the selection
+# (row label, substring of a demangled function name[, substring of the
+# name of a function the sample must also be inside]). Indented rows lie
+# inside the row above them; only a row with the third field counts just
+# the samples that do. The `__udivti3` row names code the selection
 # pass no longer reaches: it reads 0 here and says how much it was under
 # `--binary <parent>`. A row whose pattern matches no function of the
 # profiled binary prints `(no such function)` instead of a share.
@@ -38,6 +40,7 @@ SEAMS = [
     ("  collect_window", "CollectLayer::collect_window"),
     ("    offer_flow", "CollectLayer::offer_flow"),
     ("    OfferWalk::next", "OfferWalk::next"),
+    ("    slab lookups (Slab::get*)", "slab::Slab<T>::get", "CollectLayer::collect_window"),
     ("  select_plan_in", "optimizer::select_plan_in"),
     ("    ReorderVariants::propose", "ReorderVariants as madeleine::strategy::Strategy>::propose"),
     ("    EagerAggregation::propose", "EagerAggregation as madeleine::strategy::Strategy>::propose"),
@@ -46,6 +49,7 @@ SEAMS = [
     ("    scoring (cost::)", "madeleine::cost::"),
     ("  apply_plan", "EngineCore::apply_plan"),
     ("    Transfer::submit_data", "Transfer::submit_data"),
+    ("collect: complete_chunk", "CollectLayer::complete_chunk"),
     ("handle_packet (receive, acks)", "EngineCore::handle_packet"),
     ("  Receiver::on_chunk", "Receiver::on_chunk"),
     ("reliability (madeleine::reliability::)", "madeleine::reliability::"),
@@ -193,11 +197,13 @@ def main():
     print("| seam (inclusive) | samples | share |")
     print("|---|---:|---:|")
     defined = functions(binary)
-    for label, patterns in SEAMS:
+    for label, patterns, *within in SEAMS:
         if isinstance(patterns, str):
             patterns = (patterns,)
         wanted = {fn for fn in hits if any(p in fn for p in patterns)}
-        n = sum(1 for on_stack in kept if not wanted.isdisjoint(on_stack))
+        outer = {fn for fn in hits if any(w in fn for w in within)}
+        n = sum(1 for on_stack in kept if not wanted.isdisjoint(on_stack)
+                and (not within or not outer.isdisjoint(on_stack)))
         if not any(p in fn for fn in defined for p in patterns):
             print("| `%s` | — | (no such function) |" % label)
         else:
