@@ -1168,9 +1168,11 @@ impl EngineHandle {
         view!(core).drained()
     }
 
-    /// Human-readable snapshot of the engine's state, for debugging stuck
-    /// workloads: backlog, in-flight packets, pending control messages,
-    /// trace/health status, per-strategy win counts and headline metrics.
+    /// This engine's metrics registry as text, for debugging stuck
+    /// workloads: a `health:` line of the should-stay-zero counters, then
+    /// one `section/path value` line per registry leaf — the `state`
+    /// section holds the backlog, packets in flight, the control queue,
+    /// the first active flows and every rail's health.
     pub fn debug_report(&self) -> String {
         let core = self.core.borrow();
         core.obs.debug_report(&view!(core))
@@ -1197,15 +1199,6 @@ impl EngineHandle {
     /// The flight recorder's capture, if a fault has fired it.
     pub fn flight_dump(&self) -> Option<FlightDump> {
         self.core.borrow().obs.flight().cloned()
-    }
-
-    /// Walk this engine's metric sources into one [`MetricsRegistry`]
-    /// (engine counters + receiver stats + sampler digest; the harness
-    /// appends NIC stats).
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.register_metrics(&mut reg, "");
-        reg
     }
 
     /// Register this engine's metric sources into an existing registry
@@ -1238,12 +1231,6 @@ impl EngineHandle {
     /// sampling is disabled.
     pub fn sampler_csv(&self) -> Option<String> {
         self.core.borrow().obs.sampler().map(Sampler::csv)
-    }
-
-    /// madscope: this engine's metrics registry rendered as Prometheus
-    /// text exposition format.
-    pub fn prometheus_text(&self) -> String {
-        crate::scope::prometheus_render(&self.metrics_registry())
     }
 
     /// Test hook: feed a raw wire packet straight into the receive path,

@@ -23,7 +23,7 @@ use crate::metrics::{EngineMetrics, Fault, MetricsRegistry};
 use crate::optimizer::Optimizer;
 use crate::receiver::Receiver;
 use crate::reliability::Reliability;
-use crate::scope::{RailTick, Sampler, TickStats};
+use crate::scope::{self, RailTick, Sampler, TickStats};
 use crate::trace::{EngineEvent, EventSink, FlightDump};
 use crate::transfer::Transfer;
 
@@ -47,6 +47,89 @@ impl EngineView<'_> {
     pub(crate) fn drained(&self) -> bool {
         self.collect.is_empty() && self.rel.inflight() == 0 && self.transfer.ctrl_len() == 0
     }
+
+    /// The four live gauges — backlog bytes and messages, data packets in
+    /// flight and unacked — read once for the sampler's tick and the
+    /// registry's `state` section, so the two cannot disagree. The
+    /// cumulative counters are left at zero.
+    pub(crate) fn gauges(&self) -> TickStats {
+        TickStats {
+            backlog_bytes: self.collect.backlog_bytes(),
+            backlog_msgs: self.collect.pending_msgs(),
+            inflight_pkts: self.rel.inflight() as u64,
+            retx_pending: self.rel.unacked() as u64,
+            ..TickStats::default()
+        }
+    }
+
+    /// Each rail's health score in thousandths and whether it is dead, in
+    /// rail order — the sampler's and the `state` section's one reading.
+    pub(crate) fn rail_health(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.rel
+            .rails()
+            .iter()
+            .map(|h| (milli(h.score()), h.is_dead()))
+    }
+
+    /// The registry's `state` section: the live gauges, the engine's
+    /// settings, the flight recorder's status (`recorder`), the first
+    /// [`STATE_FLOWS`] active flows and every rail's health — what a stuck
+    /// workload is debugged from.
+    fn state(&self, recorder: Json) -> Json {
+        let (g, collect, rel) = (self.gauges(), self.collect, self.rel);
+        // O(active) walk, capped so a 100k-flow stall does not produce a
+        // 100k-entry section.
+        let active = collect.active_flow_ids().take(STATE_FLOWS).map(|id| {
+            let fs = collect.flow(id);
+            obj()
+                .field("flow", fs.id.0)
+                .field("dst", fs.dst.0)
+                .field("queued", fs.queued())
+                .build()
+        });
+        let rails = rel.rails().iter().zip(self.rail_health()).enumerate();
+        let rails = rails.map(|(r, (h, (health_milli, dead)))| {
+            obj()
+                .field("health_milli", health_milli)
+                .field("degraded", h.is_degraded())
+                .field("dead", dead)
+                .field("acks", h.acks())
+                .field("timeouts", h.timeouts())
+                .field("congestion_milli", milli(h.congestion()))
+                .field("ecn_marks", h.ecn_marks())
+                .field("rto_margin_ns", rel.rto_margin(r).as_nanos())
+                .build()
+        });
+        let admission = if self.config.admission.enabled() {
+            "on"
+        } else {
+            "off"
+        };
+        obj()
+            .field("backlog_bytes", g.backlog_bytes)
+            .field("backlog_msgs", g.backlog_msgs)
+            .field("flows", collect.flows().len())
+            .field("active_flows", collect.index().active_count())
+            .field("inflight_pkts", g.inflight_pkts)
+            .field("unacked_pkts", g.retx_pending)
+            .field("superseded_cookies", rel.superseded_len())
+            .field("ctrl_queue", self.transfer.ctrl_len())
+            .field("policy", format!("{:?}", self.opt.policy().kind()))
+            .field("fairness", format!("{:?}", self.config.fairness))
+            .field("admission", admission)
+            .field("recorder", recorder)
+            .field("active", Json::Arr(active.collect()))
+            .field("rails", Json::Arr(rails.collect()))
+            .build()
+    }
+}
+
+/// Active flows the `state` section lists.
+const STATE_FLOWS: usize = 16;
+
+/// `x` in thousandths, rounded.
+fn milli(x: f64) -> u32 {
+    (x * 1000.0).round() as u32
 }
 
 /// Everything that watches one engine.
@@ -142,10 +225,10 @@ impl Observer {
     }
 
     /// The first time a should-stay-zero counter reads non-zero, fire the
-    /// flight recorder: capture the trailing trace events, the debug
-    /// report and a metrics-registry snapshot, labelled with that counter
-    /// (the first in [`Fault::ALL`] when one step moved several). Called
-    /// after each step that can advance one.
+    /// flight recorder: capture the trailing trace events and the
+    /// registry, whose `state` names that counter (the first in
+    /// [`Fault::ALL`] when one step moved several). Called after each
+    /// step that can advance one.
     pub(crate) fn check_faults(&mut self, now: SimTime, view: &EngineView<'_>) {
         if self.flight.is_some() {
             return;
@@ -154,12 +237,11 @@ impl Observer {
             return;
         };
         let mut reg = MetricsRegistry::new();
-        self.register_metrics(&mut reg, "", view);
+        self.register(&mut reg, "", view, Some((fault, now)));
         self.flight = Some(FlightDump::capture(
             self.node,
             fault,
             now,
-            self.debug_report(view),
             reg.to_json(),
             &self.trace,
         ));
@@ -211,34 +293,30 @@ impl Observer {
         }
     }
 
-    /// One madscope sampler tick: snapshot backlog/occupancy/counters and
-    /// per-rail state into the ring, then re-arm unless the engine has
-    /// been drained long enough for the timer to sleep (preserving
-    /// quiescence of idle simulations).
+    /// One madscope sampler tick: snapshot the engine's gauges, its
+    /// cumulative counters and per-rail state into the ring, then re-arm
+    /// unless the engine has been drained long enough for the timer to
+    /// sleep (preserving quiescence of idle simulations).
     pub(crate) fn sampler_tick(&mut self, ctx: &mut SimCtx<'_>, view: &EngineView<'_>) {
         let Some(s) = self.sampler.as_mut() else {
             return;
         };
         let m = &self.metrics;
         let stats = TickStats {
-            backlog_bytes: view.collect.backlog_bytes(),
-            backlog_msgs: view.collect.pending_msgs(),
-            inflight_pkts: view.rel.inflight() as u64,
-            retx_pending: view.rel.unacked() as u64,
             submitted_msgs: m.submitted_msgs,
             delivered_msgs: m.delivered_msgs,
             packets_sent: m.packets_sent,
             plans_evaluated: m.plans_evaluated,
             strategy_wins: m.strategy_wins.values().sum(),
+            ..view.gauges()
         };
-        let (health, rails) = (view.rel.rails(), view.transfer.rails());
-        let rails: Vec<RailTick> = health
-            .iter()
-            .zip(rails)
-            .map(|(h, rail)| RailTick {
+        let rails: Vec<RailTick> = view
+            .rail_health()
+            .zip(view.transfer.rails())
+            .map(|((health_milli, dead), rail)| RailTick {
                 busy: !rail.driver.is_idle(ctx),
-                health_milli: (h.score() * 1000.0).round() as u32,
-                dead: h.is_dead(),
+                health_milli,
+                dead,
             })
             .collect();
         if s.record_tick(ctx.now(), stats, &rails, view.drained()) {
@@ -249,167 +327,58 @@ impl Observer {
     }
 
     /// Register every metric source of the engine — engine counters,
-    /// receiver stats and (when enabled) the sampler digest and the trace
-    /// ring's health — under `prefix` (e.g. `""` or `"node0/"`). This is
-    /// the **single** place engine gauges join a registry, so a new
-    /// madscope gauge registers exactly once, everywhere.
+    /// receiver stats, the live `state` and (when enabled) the sampler
+    /// digest and the trace ring's health — under `prefix` (e.g. `""` or
+    /// `"node0/"`). This is the **single** place engine gauges join a
+    /// registry, so a new madscope gauge registers exactly once,
+    /// everywhere: the debug report and the flight dump are this registry.
     pub(crate) fn register_metrics(
         &self,
         reg: &mut MetricsRegistry,
         prefix: &str,
         view: &EngineView<'_>,
     ) {
+        let fired = self.flight.as_ref().map(|d| (d.trigger, d.at));
+        self.register(reg, prefix, view, fired);
+    }
+
+    /// [`Observer::register_metrics`] with the flight recorder's status
+    /// given: `fired` names the fault that fired it and when.
+    fn register(
+        &self,
+        reg: &mut MetricsRegistry,
+        prefix: &str,
+        view: &EngineView<'_>,
+        fired: Option<(Fault, SimTime)>,
+    ) {
         reg.add_engine(&format!("{prefix}engine"), &self.metrics);
         reg.add_receiver(&format!("{prefix}receiver"), &view.receiver.stats);
-        if view.rel.acks_enabled() {
-            // madrel's learned state, per rail in rail order: the margin
-            // a timeout adds to a packet's modelled round trip.
-            let rails = 0..view.rel.rails().len();
-            let margins = rails.map(|r| Json::UInt(view.rel.rto_margin(r).as_nanos()));
-            reg.add_section(
-                &format!("{prefix}madrel"),
-                obj()
-                    .field("rto_margin_ns", Json::Arr(margins.collect()))
-                    .build(),
-            );
-        }
+        let recorder = match fired {
+            Some((fault, at)) => obj()
+                .field("trigger", fault.label())
+                .field("at_ns", at.as_nanos())
+                .build(),
+            None => Json::from("armed"),
+        };
+        reg.add_section(&format!("{prefix}state"), view.state(recorder));
         if let Some(s) = &self.sampler {
             reg.add_section(&format!("{prefix}sampler"), s.to_json());
         }
         reg.add_ring(&format!("{prefix}trace"), &self.trace);
     }
 
-    /// Human-readable snapshot of the engine's state, for debugging stuck
-    /// workloads: backlog, in-flight packets, pending control messages,
-    /// trace/health status, per-strategy win counts and headline metrics.
+    /// The engine's registry as text, for debugging a stuck workload: a
+    /// `health:` line of the should-stay-zero counters, then one
+    /// `section/path value` line per leaf ([`scope::text_render`]).
     pub(crate) fn debug_report(&self, view: &EngineView<'_>) -> String {
-        let m = &self.metrics;
-        let (config, collect) = (view.config, view.collect);
-        let mut out = format!(
-            "engine@{:?}: {} rails, policy {:?}\n             backlog: {} bytes in {} flows; inflight packets: {}; pending ctrl: {}\n             submitted {} msgs / delivered {} msgs; {} packets ({:.2} chunks/pkt)\n             activations: {} idle / {} submit / {} timer; plans {} evaluated / {} submitted\n",
-            self.node,
-            view.transfer.rails().len(),
-            view.opt.policy().kind(),
-            collect.backlog_bytes(),
-            collect.flows().len(),
-            view.rel.inflight(),
-            view.transfer.ctrl_len(),
-            m.submitted_msgs,
-            m.delivered_msgs,
-            m.packets_sent,
-            m.aggregation_ratio(),
-            m.activations_idle,
-            m.activations_submit,
-            m.activations_timer,
-            m.plans_evaluated,
-            m.plans_submitted,
-        );
-        if m.latency.count() > 0 {
-            out.push_str(&format!(
-                "             latency us: p50={:.1} p90={:.1} p99={:.1} max={:.1}; queue delay p99={:.1}us; decision evals p99={}\n",
-                m.latency.quantile(0.5).as_micros_f64(),
-                m.latency.quantile(0.9).as_micros_f64(),
-                m.latency.quantile(0.99).as_micros_f64(),
-                m.latency.summary().max(),
-                m.queue_delay.quantile(0.99).as_micros_f64(),
-                m.decision_evals.quantile(0.99),
-            ));
-        }
-        if self.trace.is_enabled() {
-            out.push_str(&format!(
-                "             trace: {}/{} events retained, {} dropped\n",
-                self.trace.len(),
-                self.trace.capacity(),
-                self.trace.dropped(),
-            ));
-        } else {
-            out.push_str("             trace: disabled\n");
-        }
-        match &self.sampler {
-            Some(s) => out.push_str(&format!(
-                "             sampler: {}/{} rows retained, {} dropped, tick {}us, {}\n",
-                s.len(),
-                s.capacity(),
-                s.dropped(),
-                s.tick().as_micros_f64(),
-                if s.is_armed() { "armed" } else { "sleeping" },
-            )),
-            None => out.push_str("             sampler: disabled\n"),
-        }
-        out.push_str("             health:");
+        let mut out = String::from("health:");
         for f in Fault::ALL {
-            out.push_str(&format!(" {}={}", f.label(), f.count(m)));
+            out.push_str(&format!(" {}={}", f.label(), f.count(&self.metrics)));
         }
-        let recorder = match &self.flight {
-            Some(d) => format!("fired({} @ {})", d.trigger.label(), d.at),
-            None => "armed".to_string(),
-        };
-        out.push_str(&format!("; flight recorder {recorder}\n"));
-        out.push_str(&format!(
-            "             madflow: {} active / {} total flows, {} pending msgs, fairness {:?}, admission {}; blocked={} rejected={} shed={} unblocked={} deliveries_dropped={}\n",
-            collect.index().active_count(),
-            collect.flows().len(),
-            collect.pending_msgs(),
-            config.fairness,
-            if config.admission.enabled() { "on" } else { "off" },
-            m.blocked_sends,
-            m.rejected_sends,
-            m.shed_msgs,
-            m.unblocked_events,
-            m.deliveries_dropped,
-        ));
-        if view.rel.acks_enabled() {
-            out.push_str(&format!(
-                "             madrel: {} unacked, {} superseded; timeouts={} spurious_timeouts={} retransmits={} rndv_rerequests={} acks={}\n",
-                view.rel.unacked(),
-                view.rel.superseded_len(),
-                m.timeouts,
-                m.spurious_timeouts,
-                m.retransmits,
-                m.rndv_rerequests,
-                m.acks_received,
-            ));
-            for (r, h) in view.rel.rails().iter().enumerate() {
-                out.push_str(&format!(
-                    "               rail {r}: score={:.3}{}{} acks={} timeouts={} rto_margin_ns={} cong={:.3} marks={}\n",
-                    h.score(),
-                    if h.is_degraded() { " DEGRADED" } else { "" },
-                    if h.is_dead() { " DEAD" } else { "" },
-                    h.acks(),
-                    h.timeouts(),
-                    view.rel.rto_margin(r).as_nanos(),
-                    h.congestion(),
-                    h.ecn_marks(),
-                ));
-            }
-        }
-        if !m.strategy_wins.is_empty() {
-            out.push_str("strategy wins:");
-            for (name, wins) in &m.strategy_wins {
-                out.push_str(&format!(" {name}={wins}"));
-            }
-            out.push('\n');
-        }
-        // O(active) walk, capped so a 100k-flow stall doesn't produce a
-        // 100k-line report.
-        const MAX_FLOW_LINES: usize = 16;
-        for id in collect.active_flow_ids().take(MAX_FLOW_LINES) {
-            let fs = collect.flow(id);
-            out.push_str(&format!(
-                "  {}: {} pending messages toward {:?}\n",
-                fs.id,
-                fs.queued(),
-                fs.dst
-            ));
-        }
-        let active = collect.index().active_count();
-        if active > MAX_FLOW_LINES {
-            out.push_str(&format!(
-                "  ... and {} more active flows\n",
-                active - MAX_FLOW_LINES
-            ));
-        }
-        out
+        out.push('\n');
+        let mut reg = MetricsRegistry::new();
+        self.register_metrics(&mut reg, "", view);
+        out + &scope::text_render(&reg)
     }
 }
 
@@ -467,6 +436,11 @@ mod tests {
         f(&view)
     }
 
+    /// `section`'s field `key` in a registry document.
+    fn leaf<'a>(doc: &'a Json, section: &str, key: &str) -> Option<&'a Json> {
+        doc.get("sections")?.get(section)?.get(key)
+    }
+
     fn check(obs: &mut Observer, now: SimTime) {
         with_view(|view| obs.check_faults(now, view));
     }
@@ -490,8 +464,17 @@ mod tests {
         check(&mut obs, t1);
         let dump = obs.flight().expect("the first fault fires the recorder");
         assert_eq!((dump.trigger, dump.at), (Fault::RailDead, t0));
-        assert!(dump.report.contains("rails_dead=1"), "{}", dump.report);
-        assert!(dump.report.contains("proto_errors=0"), "{}", dump.report);
+        let engine = |key| leaf(&dump.metrics, "engine", key).and_then(Json::as_u64);
+        assert_eq!(
+            (engine("rails_dead"), engine("proto_errors")),
+            (Some(1), Some(0))
+        );
+        let recorder = leaf(&dump.metrics, "state", "recorder").expect("state");
+        assert_eq!(
+            recorder.get("trigger").and_then(Json::as_str),
+            Some("rails_dead")
+        );
+        assert_eq!(recorder.get("at_ns").and_then(Json::as_u64), Some(5));
 
         obs.enable_trace(8);
         let dead = EngineEvent::RailDead { rail: 1 };
@@ -527,8 +510,11 @@ mod tests {
         assert_eq!(dump.trigger.label(), "class_clamped");
         let report = with_view(|view| obs.debug_report(view));
         assert!(
-            report.contains("driver_rejections=1 express_violations=0 class_clamped=1")
-                && report.contains("flight recorder fired(class_clamped @"),
+            report.starts_with(
+                "health: proto_errors=0 driver_rejections=1 express_violations=0 \
+                 class_clamped=1 lost_msgs=0 rails_dead=0\n"
+            ) && report
+                .contains("\nstate/recorder/trigger class_clamped\nstate/recorder/at_ns 5\n"),
             "{report}"
         );
     }

@@ -8,8 +8,9 @@
 //! into a bounded ring. The ring exports as deterministic CSV (one row per
 //! tick, fixed column order) and a JSON digest that joins the registry;
 //! the whole registry flattens to Prometheus text format via
-//! [`prometheus_render`] — no new dependencies, same determinism contract
-//! as `core::json`.
+//! [`prometheus_render`], and to the `section/path value` lines of an
+//! engine's debug report by the same walk — no new dependencies, same
+//! determinism contract as `core::json`.
 //!
 //! Cost discipline: an engine without a sampler pays exactly one branch
 //! (`Option::is_none`) per wake-probe and nothing per event; the sampler's
@@ -384,7 +385,7 @@ fn sanitize(seg: &str) -> String {
 }
 
 /// One registry leaf as the walk hands it out: its section, sanitized key
-/// path, array index label (if it sits in an array) and numeric value.
+/// path, array index label (if it sits in an array) and value.
 type LeafVisitor<'v> = dyn FnMut(&str, &[String], Option<&str>, &Json) + 'v;
 
 fn walk_leaves(
@@ -411,23 +412,28 @@ fn walk_leaves(
                 walk_leaves(child, section, path, Some(&idx), visit);
             }
         }
-        Json::UInt(_) | Json::Int(_) | Json::Float(_) | Json::Fixed3(_) => {
+        Json::UInt(_) | Json::Int(_) | Json::Float(_) | Json::Fixed3(_) | Json::Str(_) => {
             visit(section, path, index, v);
         }
         Json::Bool(b) => visit(section, path, index, &Json::UInt(u64::from(*b))),
-        Json::Str(_) | Json::Null => {}
+        Json::Null => {}
     }
 }
 
-/// Visit every numeric/boolean leaf of the registry: the family name is
-/// the `madeleine_`-prefixed key path, the registry section becomes a
-/// `section` label, array positions an `index` label. Strings and nulls
-/// are skipped (they are identity, not measurement). The order follows
-/// the registry's insertion order, so it is deterministic.
-fn for_each_leaf(reg: &MetricsRegistry, visit: &mut LeafVisitor<'_>) {
+/// Visit every leaf of the registry but nulls, booleans as 0 / 1: the
+/// registry section names the leaf's section, the key path its path and
+/// array positions its index. The order follows the registry's insertion
+/// order, so it is deterministic. With `strings` false, string leaves
+/// are skipped too (they are identity, not measurement).
+fn for_each_leaf(reg: &MetricsRegistry, strings: bool, visit: &mut LeafVisitor<'_>) {
     let mut path = Vec::new();
+    let mut keep = |section: &str, path: &[String], index: Option<&str>, value: &Json| {
+        if strings || !matches!(value, Json::Str(_)) {
+            visit(section, path, index, value);
+        }
+    };
     for (name, body) in reg.sections() {
-        walk_leaves(body, name, &mut path, None, visit);
+        walk_leaves(body, name, &mut path, None, &mut keep);
     }
 }
 
@@ -436,7 +442,7 @@ fn for_each_leaf(reg: &MetricsRegistry, visit: &mut LeafVisitor<'_>) {
 /// for uniqueness / completeness.
 pub fn flatten_registry(reg: &MetricsRegistry) -> Vec<PromSample> {
     let mut out = Vec::new();
-    for_each_leaf(reg, &mut |section, path, index, value| {
+    for_each_leaf(reg, false, &mut |section, path, index, value| {
         let mut family = String::new();
         family_into(&mut family, path);
         out.push(PromSample {
@@ -459,7 +465,7 @@ pub fn prometheus_render(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut family = String::new();
-    for_each_leaf(reg, &mut |section, path, index, value| {
+    for_each_leaf(reg, false, &mut |section, path, index, value| {
         family_into(&mut family, path);
         if !seen.contains(&family) {
             seen.insert(family.clone());
@@ -475,6 +481,33 @@ pub fn prometheus_render(reg: &MetricsRegistry) -> String {
         push_sample_key(&mut out, &family, leaf_labels(section, index));
         out.push(' ');
         JsonWriter::new(&mut out).value(value);
+        out.push('\n');
+    });
+    out
+}
+
+/// Render the registry as text: one `section/path value` line per leaf,
+/// strings included and written bare, an array position as `[index]`
+/// after the path — the walk [`prometheus_render`] makes, without its
+/// `# HELP` / `# TYPE` lines. The engine's debug report is this.
+pub(crate) fn text_render(reg: &MetricsRegistry) -> String {
+    let mut out = String::new();
+    for_each_leaf(reg, true, &mut |section, path, index, value| {
+        out.push_str(section);
+        for seg in path {
+            out.push('/');
+            out.push_str(seg);
+        }
+        if let Some(i) = index {
+            out.push('[');
+            out.push_str(i);
+            out.push(']');
+        }
+        out.push(' ');
+        match value {
+            Json::Str(s) => out.push_str(s),
+            v => JsonWriter::new(&mut out).value(v),
+        }
         out.push('\n');
     });
     out

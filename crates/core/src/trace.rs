@@ -32,8 +32,8 @@
 //!   becomes a flow arrow from `Submitted` to `Delivered`.
 //! * [`FlightDump`] — the flight recorder artifact: the first time one of
 //!   an engine's should-stay-zero counters ([`Fault`]) leaves zero, it
-//!   snapshots the last events, the debug report and a metrics document
-//!   into a deterministic JSON artifact (see `EngineHandle::flight_dump`).
+//!   snapshots the last events and the engine's metrics registry into a
+//!   deterministic JSON artifact (see `EngineHandle::flight_dump`).
 
 // madlint: file: deterministic-output
 
@@ -1016,9 +1016,8 @@ pub struct FlightDump {
     pub trigger: Fault,
     /// Virtual time of the capture.
     pub at: SimTime,
-    /// The engine's `debug_report()` at capture time.
-    pub report: String,
-    /// Metrics-registry document at capture time.
+    /// The engine's metrics registry at capture time; its `state`
+    /// section names the trigger.
     pub metrics: Json,
     /// Last events from the engine's sink (up to [`FLIGHT_KEEP`]; empty
     /// when tracing was disabled).
@@ -1032,7 +1031,6 @@ impl FlightDump {
         node: NodeId,
         trigger: Fault,
         at: SimTime,
-        report: String,
         metrics: Json,
         sink: &EventSink,
     ) -> FlightDump {
@@ -1045,7 +1043,6 @@ impl FlightDump {
             node,
             trigger,
             at,
-            report,
             metrics,
             events,
         }
@@ -1059,7 +1056,6 @@ impl FlightDump {
             w.field_uint("node", self.node.0);
             w.field_str("trigger", self.trigger.label());
             w.field_uint("at_ns", self.at.as_nanos());
-            w.field_str("report", &self.report);
             w.key("metrics");
             w.value(&self.metrics);
             w.key("events");
@@ -1215,7 +1211,6 @@ mod tests {
             NodeId(1),
             Fault::ProtoError,
             SimTime::from_nanos(40),
-            "engine@NodeId(1): report".into(),
             obj().field("proto_errors", 1u64).build(),
             &sink,
         );
@@ -1228,12 +1223,7 @@ mod tests {
         assert_eq!(doc.get("trigger").unwrap().as_str(), Some("proto_errors"));
         assert_eq!(doc.get("at_ns").unwrap().as_u64(), Some(40));
         assert_eq!(doc.get("events").unwrap().as_array().unwrap().len(), 4);
-        assert!(doc
-            .get("report")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("engine@"));
+        assert!(doc.get("report").is_none(), "the registry is the report");
         // Deterministic rendering.
         assert_eq!(text, dump.render());
     }

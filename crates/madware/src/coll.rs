@@ -26,8 +26,8 @@
 //!   [`EngineEvent::CollProposed`]/[`EngineEvent::CollWon`] madtrace
 //!   events for madprof/maddiff attribution.
 //! * [`CollStats`] aggregates per-op completion-time
-//!   duration [`LogHistogram`]s and per-algorithm win counts, renders a
-//!   `coll` metrics-registry section and a debug report.
+//!   duration [`LogHistogram`]s and per-algorithm win counts, and renders
+//!   them as a `coll` metrics-registry section.
 //!
 //! Payloads are `u64` vectors (8 bytes/element) reduced element-wise by
 //! wrapping addition; a barrier is a 1-element token collective.
@@ -917,32 +917,6 @@ impl CollStats {
     /// Install the `coll` section into a metrics registry.
     pub fn register(&self, reg: &mut MetricsRegistry) {
         reg.add_section("coll", self.to_json());
-    }
-
-    /// Human-readable summary for debug reports.
-    pub fn debug_report(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "coll: {}/{} collectives complete ({} member completions, {} wrong)\n",
-            self.completed, self.started, self.member_completions, self.wrong_results
-        ));
-        for (i, label) in OP_LABELS.iter().enumerate() {
-            let h = &self.completion[i];
-            if h.count() > 0 {
-                out.push_str(&format!(
-                    "  {label:<10} n={} p50={:.1}us p99={:.1}us\n",
-                    h.count(),
-                    h.quantile(0.5).as_micros_f64(),
-                    h.quantile(0.99).as_micros_f64(),
-                ));
-            }
-        }
-        let wins: Vec<String> = CollAlgo::ALL
-            .iter()
-            .map(|a| format!("{}={}", a.label(), self.wins[a.index()]))
-            .collect();
-        out.push_str(&format!("  auto wins: {}\n", wins.join(" ")));
-        out
     }
 }
 

@@ -70,18 +70,11 @@ struct NetworkState {
     fabric: Option<FabricState>,
 }
 
-/// A node: the set of NICs it hosts.
-#[derive(Debug, Default)]
-struct NodeState {
-    nics: Vec<NicId>,
-}
-
 /// Mutable world state shared by the engine and endpoint callbacks.
 #[derive(Debug)]
 pub(crate) struct World {
     networks: Vec<NetworkState>,
     nics: Vec<NicState>,
-    nodes: Vec<NodeState>,
     next_timer: u64,
     cancelled_timers: HashSet<TimerId>,
     pub(crate) trace: Trace,
@@ -92,7 +85,6 @@ impl World {
         World {
             networks: Vec::new(),
             nics: Vec::new(),
-            nodes: Vec::new(),
             next_timer: 0,
             cancelled_timers: HashSet::new(),
             trace: Trace::disabled(),
@@ -226,11 +218,6 @@ impl<'a> SimCtx<'a> {
         self.nic(nic).tx_queue_free(depth)
     }
 
-    /// NICs hosted by a node.
-    pub fn node_nics(&self, node: NodeId) -> &[NicId] {
-        &self.world.nodes[node.0 as usize].nics
-    }
-
     /// Arm a one-shot timer; `tag` is echoed in [`Endpoint::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         self.world
@@ -315,8 +302,7 @@ impl Simulation {
 
     /// Add a node; returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.world.nodes.len() as u32);
-        self.world.nodes.push(NodeState::default());
+        let id = NodeId(self.endpoints.len() as u32);
         self.endpoints.push(None);
         id
     }
@@ -327,6 +313,7 @@ impl Simulation {
             (network.0 as usize) < self.world.networks.len(),
             "unknown network"
         );
+        assert!((node.0 as usize) < self.endpoints.len(), "unknown node");
         let id = NicId(self.world.nics.len() as u32);
         if let Some(fabric) = self.world.networks[network.0 as usize].fabric.as_mut() {
             fabric
@@ -334,7 +321,6 @@ impl Simulation {
                 .expect("topology has no free host port for this NIC");
         }
         self.world.nics.push(NicState::new(id, node, network));
-        self.world.nodes[node.0 as usize].nics.push(id);
         id
     }
 
@@ -366,11 +352,6 @@ impl Simulation {
     /// NIC state (stats, queue occupancy, utilization).
     pub fn nic(&self, nic: NicId) -> &NicState {
         &self.world.nics[nic.0 as usize]
-    }
-
-    /// All NIC ids of a node.
-    pub fn node_nics(&self, node: NodeId) -> &[NicId] {
-        &self.world.nodes[node.0 as usize].nics
     }
 
     /// Parameters of a network.
@@ -656,22 +637,7 @@ impl Simulation {
                     fault.extra_delay,
                 ) {
                     AdmitOutcome::Local { packet, dup_packet } => {
-                        if let Some(dup) = dup_packet {
-                            self.queue.push(
-                                arrive_at + SimDuration::from_nanos(1),
-                                EventKind::Arrival {
-                                    nic: dst_nic,
-                                    packet: dup,
-                                },
-                            );
-                        }
-                        self.queue.push(
-                            arrive_at,
-                            EventKind::Arrival {
-                                nic: dst_nic,
-                                packet,
-                            },
-                        );
+                        self.schedule_arrival(dst_nic, arrive_at, packet, dup_packet)
                     }
                     AdmitOutcome::NoRoute | AdmitOutcome::Dropped => {
                         self.world.nics[nic_idx].stats.fabric_drops += 1;
@@ -705,22 +671,7 @@ impl Simulation {
                     }
                 }
             } else {
-                if let Some(dup) = dup_packet {
-                    self.queue.push(
-                        arrive_at + SimDuration::from_nanos(1),
-                        EventKind::Arrival {
-                            nic: dst_nic,
-                            packet: dup,
-                        },
-                    );
-                }
-                self.queue.push(
-                    arrive_at,
-                    EventKind::Arrival {
-                        nic: dst_nic,
-                        packet: Box::new(packet),
-                    },
-                );
+                self.schedule_arrival(dst_nic, arrive_at, Box::new(packet), dup_packet);
             }
         }
 
@@ -753,6 +704,24 @@ impl Simulation {
                 .push(now, TraceEvent::NicIdle { nic: nic_id });
             self.with_endpoint(node, |ep, ctx| ep.on_nic_idle(ctx, nic_id));
         }
+    }
+
+    /// Schedule `packet`'s arrival at `nic` at `at`, and its duplicate's
+    /// (when the fault plan made one) 1 ns later. The duplicate is pushed
+    /// first: event sequence numbers, and with them every run, depend on
+    /// that order.
+    fn schedule_arrival(
+        &mut self,
+        nic: NicId,
+        at: SimTime,
+        packet: Box<WirePacket>,
+        dup: Option<Box<WirePacket>>,
+    ) {
+        if let Some(dup) = dup {
+            let kind = EventKind::Arrival { nic, packet: dup };
+            self.queue.push(at + SimDuration::from_nanos(1), kind);
+        }
+        self.queue.push(at, EventKind::Arrival { nic, packet });
     }
 
     fn arrival(&mut self, nic_id: NicId, packet: WirePacket) {

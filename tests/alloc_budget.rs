@@ -248,7 +248,7 @@ fn pingpong(rails: Vec<Technology>, reliability: ReliabilityMode, rounds: u32) -
 }
 
 #[test]
-fn pingpong_on_one_mx_rail_allocates_at_most_12_per_message() {
+fn pingpong_on_one_mx_rail_allocates_at_most_7_2_per_message() {
     let per_msg = pingpong(vec![Technology::MyrinetMx], ReliabilityMode::Off, 1_000);
     println!("alloc_budget: pingpong (MX) {per_msg:.2} allocations per message");
     // 8.17 while each message kept its fragments in a block of its own.
@@ -256,7 +256,7 @@ fn pingpong_on_one_mx_rail_allocates_at_most_12_per_message() {
 }
 
 #[test]
-fn pingpong_under_recover_on_two_rails_allocates_at_most_11_per_message() {
+fn pingpong_under_recover_on_two_rails_allocates_at_most_10_per_message() {
     let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
     let per_msg = pingpong(rails, ReliabilityMode::Recover, 1_000);
     println!("alloc_budget: pingpong (Recover, MX + Elan) {per_msg:.2} allocations per message");
@@ -267,7 +267,7 @@ fn pingpong_under_recover_on_two_rails_allocates_at_most_11_per_message() {
 }
 
 #[test]
-fn burst_drain_at_16_chunks_per_packet_allocates_at_most_8_per_message() {
+fn burst_drain_in_aggregated_packets_allocates_at_most_4_05_per_message() {
     const BURST: u32 = 4_096;
     let shared = Shared::new();
     let apps: [Box<dyn AppDriver>; 2] =

@@ -236,8 +236,8 @@ fn debug_report_and_strategy_wins_reflect_activity() {
     });
     c.drain();
     let report = h.debug_report();
-    assert!(report.contains("submitted 30 msgs"), "{report}");
-    assert!(report.contains("strategy wins:"), "{report}");
+    assert!(report.contains("\nengine/submitted_msgs 30\n"), "{report}");
+    assert!(report.contains("\nengine/strategy_wins/"), "{report}");
     let m = h.metrics();
     let total_wins: u64 = m.strategy_wins.values().sum();
     assert_eq!(total_wins, m.plans_submitted);

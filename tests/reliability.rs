@@ -22,7 +22,7 @@ use madeleine::api::{AppDriver, CommApi};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::{MsgId, TrafficClass};
 use madeleine::message::MessageBuilder;
-use madeleine::{EngineConfig, EngineHandle, Fault, ReliabilityMode};
+use madeleine::{EngineConfig, EngineHandle, Fault, Json, MetricsRegistry, ReliabilityMode};
 use madware::pattern;
 use madware::scenario::eager_flows;
 use proptest::prelude::*;
@@ -198,7 +198,8 @@ fn a_late_ack_repairs_a_spurious_timeout() {
             "seed {seed}: most repaired"
         );
         assert_eq!((m.lost_msgs, m.rails_dead), (0, 0), "seed {seed}");
-        assert!(!h.debug_report().contains("DEGRADED"), "seed {seed}");
+        let degraded = |l: &str| l.starts_with("state/rails/degraded") && l.ends_with(" 1");
+        assert!(!h.debug_report().lines().any(degraded), "seed {seed}");
         assert!(h.is_drained(), "seed {seed}");
         assert_eq!(h.superseded_cookies(), 0, "seed {seed}");
         spurious += m.spurious_timeouts;
@@ -426,6 +427,58 @@ fn is_drained_never_holds_while_packets_await_their_ack() {
     assert_eq!(h.unacked_packets(), 0);
     assert_eq!(c.handle(1).delivered_count(), 100);
     assert!(h.metrics().retransmits > 0, "the plan must injure the wire");
+}
+
+/// `h`'s `state` registry section agrees with what the handle says:
+/// drained exactly when no message, packet or control message is
+/// pending; the same unacked packets and superseded cookies. Returns the
+/// section's (unacked, superseded) gauges.
+fn state_agrees(h: &EngineHandle) -> (u64, u64) {
+    let mut reg = MetricsRegistry::new();
+    h.register_metrics(&mut reg, "");
+    let doc = reg.to_json();
+    let state = doc
+        .get("sections")
+        .and_then(|s| s.get("state"))
+        .expect("state section");
+    let gauge = |key| state.get(key).and_then(Json::as_u64).expect(key);
+    let pending = gauge("backlog_msgs") + gauge("inflight_pkts") + gauge("ctrl_queue");
+    assert_eq!(pending == 0, h.is_drained(), "{}", state.render());
+    let (unacked, superseded) = (gauge("unacked_pkts"), gauge("superseded_cookies"));
+    assert_eq!(unacked, h.unacked_packets() as u64);
+    assert_eq!(superseded, h.superseded_cookies() as u64);
+    (unacked, superseded)
+}
+
+#[test]
+fn the_state_section_agrees_with_the_handle_mid_run_and_at_the_end() {
+    let plan = FaultPlan::new(9).with_loss(0.2);
+    let mut c = lossy_cluster(engine_of_short_packets(ReliabilityMode::Recover), plan);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let f = h.open_flow(dst, TrafficClass::DEFAULT);
+    c.sim.inject(src, |ctx| {
+        for i in 0..100u32 {
+            let body = pattern(f.0, i, 0, 96);
+            h.send(
+                ctx,
+                f,
+                MessageBuilder::new().pack_cheaper(&body).build_parts(),
+            );
+        }
+    });
+    let (mut unacked, mut superseded) = (0, 0);
+    while !h.is_drained() {
+        c.run_for(SimDuration::from_micros(2));
+        let (u, s) = state_agrees(&h);
+        (unacked, superseded) = (unacked.max(u), superseded.max(s));
+    }
+    assert!(unacked > 0, "the run must pass through unacked states");
+    assert!(superseded > 0, "and through timed-out cookies");
+    c.drain();
+    assert_eq!(state_agrees(&h), (0, 0));
+    assert!(h.is_drained());
+    assert_eq!(c.handle(1).delivered_count(), 100);
 }
 
 /// Submit 200 messages of 96 B at once on a new flow from node 0 to node

@@ -1,13 +1,16 @@
 //! Integration tests for madtrace: the engine event sink, the decision
 //! log, the metrics recording paths it rides along with
-//! (`strategy_wins`, `backlog_depth`), the shape of `debug_report()`,
+//! (`strategy_wins`, `backlog_depth`), the shape of `debug_report()` (the
+//! metrics registry as text),
 //! and the flight recorder (triggered deterministically by injecting a
 //! malformed wire packet).
 
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::proto::{encode_packet, ChunkHeader, WireChunk};
 use madeleine::trace::EngineEvent;
-use madeleine::{Fault, FlowId, Json, MessageBuilder, TrafficClass};
+use madeleine::{
+    flatten_registry, Fault, FlowId, Json, MessageBuilder, MetricsRegistry, TrafficClass,
+};
 use simnet::{NodeId, SimDuration, TxMode, TxRequest, WirePacket};
 
 /// A traced two-node MX cluster with `msgs` eager messages submitted
@@ -95,22 +98,29 @@ fn backlog_depth_matches_activation_start_events() {
 fn debug_report_has_the_golden_shape() {
     let c = traced_run(4);
     let report = c.handle(0).opt().expect("optimizing engine").debug_report();
-    // Satellite guarantees: the retained/dropped trace line and the
-    // health line (flight recorder armed on a clean run).
+    // The health line first (flight recorder armed on a clean run), then
+    // the registry: the trace ring's retained/dropped leaves, the wins.
     assert!(
-        report.contains("events retained, 0 dropped"),
-        "missing trace status line:\n{report}"
-    );
-    assert!(
-        report.contains(
+        report.starts_with(
             "health: proto_errors=0 driver_rejections=0 express_violations=0 class_clamped=0 \
-             lost_msgs=0 rails_dead=0; flight recorder armed"
+             lost_msgs=0 rails_dead=0\n"
         ),
         "missing health line:\n{report}"
     );
-    assert!(report.contains("strategy wins:"), "missing wins:\n{report}");
+    assert!(
+        report.contains("\nstate/recorder armed\n"),
+        "missing recorder status:\n{report}"
+    );
+    assert!(
+        report.contains("\ntrace/retained ") && report.contains("\ntrace/dropped 0\n"),
+        "missing trace status lines:\n{report}"
+    );
+    assert!(
+        report.contains("\nengine/strategy_wins/"),
+        "missing wins:\n{report}"
+    );
 
-    // Disabled tracing is reported as such.
+    // Disabled tracing has no ring to report on.
     let c2 = Cluster::build(&ClusterSpec::mx_pair(), vec![]);
     let report2 = c2
         .handle(0)
@@ -118,9 +128,78 @@ fn debug_report_has_the_golden_shape() {
         .expect("optimizing engine")
         .debug_report();
     assert!(
-        report2.contains("trace: disabled"),
-        "missing disabled marker:\n{report2}"
+        !report2.contains("\ntrace/"),
+        "a disabled ring must not report:\n{report2}"
     );
+}
+
+/// One line of a debug report as the leaf it names: section, the
+/// flattener's family name, index label and rendered value.
+fn report_leaf(line: &str) -> (String, String, Option<String>, String) {
+    let (key, value) = line.split_once(' ').expect("`key value`");
+    let (key, index) = match key.split_once('[') {
+        Some((key, index)) => (key, Some(index.trim_end_matches(']').to_string())),
+        None => (key, None),
+    };
+    let (section, path) = key.split_once('/').expect("`section/path`");
+    let family = format!("madeleine_{}", path.replace('/', "_"));
+    (section.to_string(), family, index, value.to_string())
+}
+
+#[test]
+fn every_registry_leaf_is_one_line_of_the_debug_report() {
+    let mut c = Cluster::build(&ClusterSpec::mx_pair().with_tracing(4096), vec![]);
+    c.enable_sampler(SimDuration::from_micros(5));
+    let (src, dst) = (c.nodes[0], c.nodes[1]);
+    let h = c.handles[0].clone();
+    let flows = [
+        h.open_flow(dst, TrafficClass::DEFAULT),
+        h.open_flow(dst, TrafficClass::CONTROL),
+    ];
+    for i in 0..8u8 {
+        let flow = flows[usize::from(i) % flows.len()];
+        c.sim.inject(src, |ctx| {
+            h.send(
+                ctx,
+                flow,
+                MessageBuilder::new().pack_cheaper(&[i; 96]).build_parts(),
+            )
+        });
+    }
+    c.drain();
+    for node in 0..2 {
+        let h = c.handle(node).opt().expect("optimizing engine");
+        let mut reg = MetricsRegistry::new();
+        h.register_metrics(&mut reg, "");
+        let report = h.debug_report();
+        let mut lines = report.lines();
+        assert!(lines.next().is_some_and(|l| l.starts_with("health: ")));
+        let leaves: Vec<_> = lines.map(report_leaf).collect();
+        let samples = flatten_registry(&reg);
+        assert!(samples.len() > 100, "node {node}: {}", samples.len());
+        let mut matched = vec![0usize; leaves.len()];
+        for s in &samples {
+            let label = |k: &str| {
+                s.labels
+                    .iter()
+                    .find(|(l, _)| l == k)
+                    .map(|(_, v)| v.clone())
+            };
+            let want = (
+                label("section").expect("section label"),
+                s.family.clone(),
+                label("index"),
+                s.value.render(),
+            );
+            let at: Vec<usize> = (0..leaves.len()).filter(|&i| leaves[i] == want).collect();
+            assert_eq!(at.len(), 1, "node {node}: {want:?} in\n{report}");
+            matched[at[0]] += 1;
+        }
+        // Every other line is a string leaf: no number the registry lacks.
+        for (leaf, n) in leaves.iter().zip(&matched) {
+            assert!(*n == 1 || leaf.3.parse::<f64>().is_err(), "{leaf:?}");
+        }
+    }
 }
 
 /// A wire packet whose payload cannot possibly decode (shorter than the
@@ -225,8 +304,12 @@ fn flight_recorder_fires_once_on_proto_error() {
 
     // The engine's own report now says so.
     let report = h1.debug_report();
+    let fired = format!(
+        "\nstate/recorder/trigger proto_errors\nstate/recorder/at_ns {}\n",
+        dump.at.as_nanos()
+    );
     assert!(
-        report.contains("flight recorder fired(proto_errors @"),
+        report.contains(&fired),
         "report must show the trigger:\n{report}"
     );
 }
@@ -258,10 +341,7 @@ fn flight_dump_artifact_has_the_golden_shape() {
     );
     assert_eq!(doc.get("node").and_then(|v| v.as_u64()), Some(1));
     assert!(doc.get("at_ns").and_then(|v| v.as_u64()).is_some());
-    assert!(doc
-        .get("report")
-        .and_then(|v| v.as_str())
-        .is_some_and(|r| r.contains("health:")));
+    assert!(doc.get("report").is_none(), "the registry is the report");
     // The embedded metrics document is the full registry walk.
     let metrics = doc.get("metrics").expect("metrics section");
     assert_eq!(
@@ -276,6 +356,20 @@ fn flight_dump_artifact_has_the_golden_shape() {
             .and_then(|v| v.as_u64()),
         Some(1),
         "registry must show the fault that fired the recorder"
+    );
+    let recorder = metrics
+        .get("sections")
+        .and_then(|s| s.get("state"))
+        .and_then(|s| s.get("recorder"))
+        .expect("state section");
+    assert_eq!(
+        recorder.get("trigger").and_then(|v| v.as_str()),
+        Some("proto_errors"),
+        "the state section must name the trigger"
+    );
+    assert_eq!(
+        recorder.get("at_ns").and_then(|v| v.as_u64()),
+        Some(dump.at.as_nanos())
     );
     // Trailing events, each with the (ts, name, args) record shape.
     let events = doc
