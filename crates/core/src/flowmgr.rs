@@ -6,9 +6,9 @@
 //! flows that merely *exist*. madflow keeps activation cost proportional
 //! to the number of flows that can actually emit candidates:
 //!
-//! * [`FlowIndex`] — the **active-flow index**: ordered sets of flows
-//!   with a non-empty pending queue (per traffic class; together, all of
-//!   them), maintained incrementally on submit / commit / complete / shed, plus
+//! * [`FlowIndex`] — the **active-flow index**: bitsets over flow ids of
+//!   the flows with a non-empty pending queue (per traffic class; together,
+//!   all of them), one bit operation per submit / commit / complete / shed, plus
 //!   O(1) backlog-byte and pending-message counters — and, among the
 //!   active flows, the **offerable** ones: those with bytes a window can
 //!   take or a rendezvous request still to send, which are the only
@@ -28,8 +28,8 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::{btree_set, BTreeSet};
-use std::iter::{Copied, Peekable};
+use std::collections::BTreeSet;
+use std::iter::Peekable;
 use std::ops::Bound;
 
 use simnet::{NodeId, SimTime};
@@ -245,6 +245,108 @@ impl Admission {
     }
 }
 
+/// A set of flow ids: one bit per id in words of 64, with its size beside
+/// it. Adding or removing an id is one bit operation; the words grow to
+/// the highest id added and stay (at most [`crate::collect::MAX_FLOWS`]
+/// bits, 128 KiB), and iteration goes up them by `trailing_zeros`, so ids
+/// come out ascending.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct IdSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdSet {
+    /// Add `id`; false when it was there.
+    #[inline]
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        let added = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Take `id` out; false when it was not there.
+    #[inline]
+    pub(crate) fn remove(&mut self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        let Some(w) = self.words.get_mut(word) else {
+            return false;
+        };
+        let removed = *w & bit != 0;
+        *w &= !bit;
+        self.len -= usize::from(removed);
+        removed
+    }
+
+    /// Number of ids.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every id, ascending.
+    pub(crate) fn iter(&self) -> Ids<'_> {
+        self.range(0, u32::MAX)
+    }
+
+    /// The ids in `from..to`, ascending.
+    pub(crate) fn range(&self, from: u32, to: u32) -> Ids<'_> {
+        let end = (to as usize).min(64 * self.words.len());
+        let start = (from as usize).min(end);
+        let words = &self.words[..end.div_ceil(64)];
+        let at = start / 64;
+        let bits = words.get(at).map_or(0, |w| w & (u64::MAX << (start % 64)));
+        Ids {
+            words,
+            at,
+            bits,
+            end,
+        }
+    }
+
+    /// Every id in circular order: ascending from the first one `>= cursor`,
+    /// then around to those below it.
+    pub(crate) fn wrapping_from(&self, cursor: u32) -> impl Iterator<Item = u32> + '_ {
+        self.range(cursor, u32::MAX).chain(self.range(0, cursor))
+    }
+}
+
+/// The ids of an [`IdSet`] range, ascending.
+#[derive(Clone, Debug)]
+pub(crate) struct Ids<'a> {
+    /// The set's words up to the one holding the range's last id.
+    words: &'a [u64],
+    /// The word `bits` came from.
+    at: usize,
+    /// The bits of word `at` not yet given.
+    bits: u64,
+    /// The range ends before this id.
+    end: usize,
+}
+
+impl Iterator for Ids<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.bits == 0 {
+            self.at += 1;
+            self.bits = *self.words.get(self.at)?;
+        }
+        let id = 64 * self.at + self.bits.trailing_zeros() as usize;
+        if id >= self.end {
+            self.bits = 0;
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        Some(id as u32)
+    }
+}
+
 /// The active-flow index: which flows have a non-empty pending queue
 /// (globally and per class slot), plus O(1) aggregate counters. A flow is
 /// *active* exactly while its queue is non-empty — including messages
@@ -264,9 +366,9 @@ impl Admission {
 pub struct FlowIndex {
     /// A flow has one class, so these are disjoint and their union is the
     /// active set.
-    by_class: [BTreeSet<u32>; CLASS_SLOTS],
+    by_class: [IdSet; CLASS_SLOTS],
     /// Flows with a fragment that has bytes a window can take.
-    ready: BTreeSet<u32>,
+    ready: IdSet,
     /// Flows with a fragment whose rendezvous request is still to be sent.
     /// Keyed by destination first: a window takes a few requests per
     /// destination, and the walk leaves a destination's flows alone once
@@ -305,7 +407,7 @@ impl FlowIndex {
         self.pending_msgs = self.pending_msgs.saturating_sub(1);
         self.note_commit(slot, freed_backlog);
         if queue_empty {
-            self.by_class[slot].remove(&flow);
+            self.by_class[slot].remove(flow);
         }
     }
 
@@ -315,7 +417,7 @@ impl FlowIndex {
         if ready {
             self.ready.insert(flow);
         } else {
-            self.ready.remove(&flow);
+            self.ready.remove(flow);
         }
     }
 
@@ -331,7 +433,7 @@ impl FlowIndex {
 
     /// Flows with bytes a window can take, ascending.
     pub fn ready_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ready.iter().copied()
+        self.ready.iter()
     }
 
     /// Flows with a rendezvous request to send, as `(destination, flow)`,
@@ -352,7 +454,7 @@ impl FlowIndex {
             next = self.asking.range(later).next();
         }
         OfferWalk {
-            ready: self.ready.iter().copied().peekable(),
+            ready: self.ready.iter().peekable(),
             asking: &self.asking,
             heads,
         }
@@ -380,7 +482,7 @@ impl FlowIndex {
 
     /// Number of active flows.
     pub fn active_count(&self) -> usize {
-        self.by_class.iter().map(BTreeSet::len).sum()
+        self.by_class.iter().map(IdSet::len).sum()
     }
 
     /// Number of active flows in one class slot.
@@ -391,10 +493,7 @@ impl FlowIndex {
     /// Active flow ids, ascending: the class sets merged. For reports and
     /// checks — a window walk goes over [`FlowIndex::offer_walk`].
     pub fn active_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut classes = self
-            .by_class
-            .each_ref()
-            .map(|ids| ids.iter().copied().peekable());
+        let mut classes = self.by_class.each_ref().map(|ids| ids.iter().peekable());
         std::iter::from_fn(move || {
             let heads = classes
                 .iter_mut()
@@ -407,16 +506,13 @@ impl FlowIndex {
 
     /// Active flow ids of one class slot, ascending.
     pub fn class_ids(&self, slot: usize) -> impl Iterator<Item = u32> + '_ {
-        self.by_class[slot].iter().copied()
+        self.by_class[slot].iter()
     }
 
     /// Active flow ids of one class slot in circular order starting at
     /// the first id `>= cursor` and wrapping around.
     pub fn class_ids_from(&self, slot: usize, cursor: u32) -> impl Iterator<Item = u32> + '_ {
-        self.by_class[slot]
-            .range(cursor..)
-            .chain(self.by_class[slot].range(..cursor))
-            .copied()
+        self.by_class[slot].wrapping_from(cursor)
     }
 }
 
@@ -427,7 +523,7 @@ impl FlowIndex {
 /// one could only be refused, so a thousand parked requests cost a window
 /// what four do.
 pub struct OfferWalk<'a> {
-    ready: Peekable<Copied<btree_set::Iter<'a, u32>>>,
+    ready: Peekable<Ids<'a>>,
     asking: &'a BTreeSet<(NodeId, u32)>,
     /// `(flow, destination)`: the next asking flow of every destination
     /// that still takes requests.
@@ -620,6 +716,55 @@ mod tests {
         let mut walk = ix.offer_walk(&mut heads);
         let all: Vec<u32> = std::iter::from_fn(|| walk.next(|_| false)).collect();
         assert_eq!(all, [1, 2, 3, 5, 7, 8, 30]);
+    }
+
+    #[test]
+    fn an_id_set_is_the_ordered_set_it_replaced() {
+        use crate::collect::MAX_FLOWS;
+        let edges = [0, 1, 63, 64, 65, 127, 128, 4_095, 4_096, MAX_FLOWS - 1];
+        let check = |ids: &IdSet, reference: &BTreeSet<u32>, cursors: &[u32]| {
+            assert_eq!(ids.len(), reference.len());
+            assert!(ids.iter().eq(reference.iter().copied()), "ascending");
+            for &cursor in cursors {
+                let wrapping = reference.range(cursor..).chain(reference.range(..cursor));
+                assert!(
+                    ids.wrapping_from(cursor).eq(wrapping.copied()),
+                    "from {cursor}"
+                );
+            }
+        };
+        let empty = IdSet::default();
+        check(&empty, &BTreeSet::new(), &[0, 64, MAX_FLOWS]);
+        for seed in 1..=40u64 {
+            let mut rng = simnet::SplitMix64::new(seed);
+            // Ids packed in a few words, or spread up to the last flow id.
+            let top = if seed % 2 == 0 { 300 } else { MAX_FLOWS };
+            let (mut ids, mut reference) = (IdSet::default(), BTreeSet::new());
+            for step in 0..400 {
+                let id = if rng.next_below(4) == 0 {
+                    edges[rng.next_below(edges.len() as u64) as usize]
+                } else {
+                    rng.next_below(u64::from(top)) as u32
+                };
+                if rng.next_below(3) == 0 {
+                    assert_eq!(ids.remove(id), reference.remove(&id), "remove {id}");
+                } else {
+                    assert_eq!(ids.insert(id), reference.insert(id), "insert {id}");
+                }
+                if step % 40 == 39 {
+                    let past = reference.last().map_or(0, |&last| last + 1);
+                    let mut cursors = vec![0, past, MAX_FLOWS, id, id.saturating_add(1)];
+                    cursors.extend(edges);
+                    check(&ids, &reference, &cursors);
+                }
+            }
+            // And empty again, its words kept.
+            for id in reference.clone() {
+                assert!(ids.remove(id));
+                reference.remove(&id);
+            }
+            check(&ids, &reference, &[0, 63, MAX_FLOWS - 1]);
+        }
     }
 
     #[test]

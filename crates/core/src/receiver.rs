@@ -11,15 +11,20 @@
 //! reorder packets, which is why the sender pins express-constrained
 //! messages to one rail until their express fragments complete.
 //!
-//! State is node-wide and keyed by message, not kept per flow: the next
-//! sequence each `(source, flow)` delivers, in a dense table per source
-//! indexed by flow id, the messages being reassembled or held for order by
-//! `(source, flow, seq)`, and the shed-cancel marks by the same key. A flow
-//! whose messages are all delivered costs one `u32`; a map per flow would
-//! keep its emptied root leaf (496 bytes) for the rest of the run, and the
-//! maps here keep only their own. A flow id is a peer's header field, so
-//! one at or past [`MAX_FLOWS`] — which no sender can open — is refused
-//! before it can size a table, and counted as a protocol error.
+//! A flow is found by its id, not searched for. Each `(source, flow)` has a
+//! row in a dense table per source indexed by flow id: the next sequence
+//! it delivers, the slot of a node-wide [`Slab`] in which that message is
+//! being assembled, and how many of its messages wait ahead of their turn.
+//! Only those — messages that arrive before an earlier one of their flow
+//! has left, and the shed-cancel marks — go into node-wide maps keyed by
+//! `(source, flow, seq)`. So while a flow holds nothing ahead, a chunk of
+//! its next message, that message's completion and the delivery that
+//! follows touch no search tree. A flow whose messages are all delivered
+//! costs its 12-byte row; a map per flow would keep its emptied root leaf
+//! (496 bytes) for the rest of the run, and the maps here keep only their
+//! own. A flow id is a peer's header field, so one at or past
+//! [`MAX_FLOWS`] — which no sender can open — is refused before it can
+//! size a table, and counted as a protocol error.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
@@ -34,6 +39,7 @@ use crate::collect::MAX_FLOWS;
 use crate::ids::{FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, PackMode};
 use crate::proto::DecodedChunk;
+use crate::slab::Slab;
 
 /// Reassembly state of one fragment.
 #[derive(Clone, Debug)]
@@ -174,49 +180,95 @@ pub struct ReceiverStats {
     pub per_vchan_packets: Vec<u64>,
 }
 
-/// Deliver every message at the head of a flow's sequence space, from
-/// `next` on, that is either complete (appended to `out`) or cancelled
-/// (skipped), stopping at the first gap still waiting for data. Deliveries
-/// and cancelled skips are counted here.
-fn drain_ready(
-    next: &mut u32,
-    (src, flow): (NodeId, FlowId),
-    now: SimTime,
-    pending: &mut BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
-    cancelled: &mut BTreeSet<(NodeId, FlowId, u32)>,
-    stats: &mut ReceiverStats,
-    out: &mut Vec<DeliveredMessage>,
-) {
-    loop {
-        let key = (src, flow, *next);
-        if cancelled.remove(&key) {
-            *next += 1;
-            stats.cancelled += 1;
-            continue;
+/// Where the head of a flow's sequence space is being assembled: a slot of
+/// [`Receiver::heads`], or none yet.
+const NO_HEAD: u32 = u32::MAX;
+
+/// The receive state of one `(source, flow)`: the next sequence to
+/// deliver, the slot in which that message is being assembled, and how
+/// many messages and cancel marks of the flow wait in the maps, ahead of
+/// their turn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Row {
+    next: u32,
+    head: u32,
+    held: u32,
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row {
+            next: 0,
+            head: NO_HEAD,
+            held: 0,
         }
-        let asm = match pending.entry(key) {
-            Entry::Occupied(ready) if ready.get().complete() => ready.remove(),
-            _ => break,
-        };
-        stats.delivered += 1;
-        out.push(delivered(key, asm, now));
-        *next += 1;
     }
 }
 
-/// The next sequence to deliver of `(src, flow)` in `table`, indexed by
-/// source and then by flow id, which the caller has checked against
-/// [`MAX_FLOWS`].
-fn next_of(table: &mut Vec<Vec<u32>>, src: NodeId, flow: FlowId) -> &mut u32 {
+/// The row of `(src, flow)` in `table`, indexed by source and then by flow
+/// id, which the caller has checked against [`MAX_FLOWS`].
+fn row_of(table: &mut Vec<Vec<Row>>, src: NodeId, flow: FlowId) -> &mut Row {
     let (src, flow) = (src.0 as usize, flow.0 as usize);
     if table.len() <= src {
         table.resize_with(src + 1, Vec::new);
     }
     let by_flow = &mut table[src];
     if by_flow.len() <= flow {
-        by_flow.resize(flow + 1, 0);
+        by_flow.resize(flow + 1, Row::default());
     }
     &mut by_flow[flow]
+}
+
+/// The maps a flow's messages wait in while they are not its head.
+#[derive(Clone, Debug, Default)]
+struct Held {
+    /// Messages being reassembled or held for their flow's order, by
+    /// `(source, flow, seq)`.
+    ahead: BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
+    /// Sequences the sender shed before committing any byte (`KIND_CTRL`
+    /// cancel notifications), until ordered delivery skips them instead of
+    /// waiting for data that will never arrive.
+    cancelled: BTreeSet<(NodeId, FlowId, u32)>,
+}
+
+/// Deliver from `row`'s head on: every message at the head of the flow's
+/// sequence space that is complete is delivered (appended to `out`), every
+/// cancelled one skipped, and the message after it moved out of the map
+/// into a head slot if it arrived ahead of its turn; stops at the first
+/// message still waiting for data. While the flow holds nothing, no map is
+/// looked at. Deliveries and cancelled skips are counted here.
+fn drain_ready(
+    row: &mut Row,
+    (src, flow): (NodeId, FlowId),
+    now: SimTime,
+    heads: &mut Slab<MessageAssembly>,
+    held: &mut Held,
+    stats: &mut ReceiverStats,
+    out: &mut Vec<DeliveredMessage>,
+) {
+    loop {
+        let key = (src, flow, row.next);
+        if row.head != NO_HEAD {
+            if !heads.get(row.head).complete() {
+                break;
+            }
+            stats.delivered += 1;
+            out.push(delivered(key, heads.remove(row.head), now));
+            row.head = NO_HEAD;
+        } else if row.held == 0 {
+            break;
+        } else if held.cancelled.remove(&key) {
+            row.held -= 1;
+            stats.cancelled += 1;
+        } else if let Some(asm) = held.ahead.remove(&key) {
+            row.held -= 1;
+            row.head = heads.insert(asm);
+            continue;
+        } else {
+            break;
+        }
+        row.next += 1;
+    }
 }
 
 /// Message `(src, flow, seq)`, complete, as the application receives it.
@@ -255,16 +307,15 @@ fn delivered(
 #[derive(Clone, Debug, Default)]
 // madlint: send-sync — owned per engine core, must shard with it
 pub struct Receiver {
-    /// The next sequence to deliver, by source and then by flow id: zero
-    /// for a flow that has sent nothing yet.
-    next_deliver: Vec<Vec<u32>>,
-    /// Messages being reassembled or held for their flow's order, by
-    /// `(source, flow, seq)`. A flow with nothing pending has no entry.
-    pending: BTreeMap<(NodeId, FlowId, u32), MessageAssembly>,
-    /// Sequences the sender shed before committing any byte (`KIND_CTRL`
-    /// cancel notifications), until ordered delivery skips them instead of
-    /// waiting for data that will never arrive.
-    cancelled: BTreeSet<(NodeId, FlowId, u32)>,
+    /// One row per `(source, flow)`, by source and then by flow id: the
+    /// default row for a flow that has sent nothing yet.
+    rows: Vec<Vec<Row>>,
+    /// The message each flow delivers next, while it is being assembled:
+    /// one slot per row that names it.
+    heads: Slab<MessageAssembly>,
+    /// What arrived ahead of its turn. A flow whose row holds nothing has
+    /// no entry.
+    held: Held,
     /// Counters.
     pub stats: ReceiverStats,
     /// Messages the current call made deliverable; drained by its caller,
@@ -310,22 +361,34 @@ impl Receiver {
             return;
         }
         let key = (src, h.flow, h.msg_seq);
-        let next = next_of(&mut self.next_deliver, src, h.flow);
+        let row = row_of(&mut self.rows, src, h.flow);
         // Late chunk for an already-delivered message (duplicate) or a
-        // sequence the sender announced as shed — drop.
-        if h.msg_seq < *next || self.cancelled.contains(&key) {
+        // sequence the sender announced as shed — drop. The head is never
+        // a cancelled sequence: a cancel of it skips it at once.
+        let ahead = h.msg_seq > row.next;
+        if h.msg_seq < row.next || (ahead && row.held > 0 && self.held.cancelled.contains(&key)) {
             self.stats.overlaps += 1;
             return;
         }
-        let mut slot = match self.pending.entry(key) {
-            Entry::Occupied(slot) => slot,
-            Entry::Vacant(slot) => slot.insert_entry(MessageAssembly {
-                class: h.class,
-                submit_ns: h.submit_ns,
-                frags: (0..h.frag_count as usize).map(|_| None).collect(),
-            }),
+        let fresh = || MessageAssembly {
+            class: h.class,
+            submit_ns: h.submit_ns,
+            frags: (0..h.frag_count as usize).map(|_| None).collect(),
         };
-        let asm = slot.get_mut();
+        let asm = if ahead {
+            match self.held.ahead.entry(key) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    row.held += 1;
+                    slot.insert(fresh())
+                }
+            }
+        } else {
+            if row.head == NO_HEAD {
+                row.head = self.heads.insert(fresh());
+            }
+            self.heads.get_mut(row.head)
+        };
         let fi = h.frag_index as usize;
         if fi >= asm.frags.len() {
             self.stats.overlaps += 1;
@@ -352,24 +415,17 @@ impl Receiver {
         let sliced = matches!(fa.bytes, Assembled::Whole(_));
         if asm.complete() {
             self.stats.completed += 1;
-            if h.msg_seq == *next {
-                // The head of its flow leaves through the entry that found
-                // it; the drain goes on from the message after it.
-                self.stats.delivered += 1;
-                self.ready.push(delivered(key, slot.remove(), now));
-                *next += 1;
-            }
             drain_ready(
-                next,
+                row,
                 (src, h.flow),
                 now,
-                &mut self.pending,
-                &mut self.cancelled,
+                &mut self.heads,
+                &mut self.held,
                 &mut self.stats,
                 &mut self.ready,
             );
         }
-        if sliced && *next <= h.msg_seq {
+        if sliced && row.next <= h.msg_seq {
             self.sliced.push((key, h.frag_index));
         }
     }
@@ -380,10 +436,16 @@ impl Receiver {
     /// packet's buffer. A header and body that travel together wait for
     /// each other only within the packet, and are not copied.
     pub fn end_packet(&mut self) {
-        for (key, frag) in self.sliced.drain(..) {
-            let waiting = self
-                .pending
-                .get_mut(&key)
+        for ((src, flow, seq), frag) in self.sliced.drain(..) {
+            let row = self.rows[src.0 as usize][flow.0 as usize];
+            let asm = if seq == row.next && row.head != NO_HEAD {
+                Some(self.heads.get_mut(row.head))
+            } else if seq > row.next && row.held > 0 {
+                self.held.ahead.get_mut(&(src, flow, seq))
+            } else {
+                None
+            };
+            let waiting = asm
                 .and_then(|asm| asm.frags.get_mut(usize::from(frag)))
                 .and_then(Option::as_mut);
             if let Some(FragmentAssembly {
@@ -411,27 +473,37 @@ impl Receiver {
             self.stats.proto_errors += 1;
             return self.ready.drain(..);
         }
-        let next = next_of(&mut self.next_deliver, src, flow);
+        let row = row_of(&mut self.rows, src, flow);
         // Cancel for an already-delivered sequence: a protocol violation
         // (shed messages never commit bytes) — surface, don't apply.
-        if seq < *next {
+        if seq < row.next {
             self.stats.overlaps += 1;
-        } else {
-            // Drop any partial reassembly state (none should exist for a
-            // fully-uncommitted message; duplicates under fault injection
-            // can leave some) and mark the gap.
-            self.pending.remove(&(src, flow, seq));
-            self.cancelled.insert((src, flow, seq));
-            drain_ready(
-                next,
-                (src, flow),
-                now,
-                &mut self.pending,
-                &mut self.cancelled,
-                &mut self.stats,
-                &mut self.ready,
-            );
+            return self.ready.drain(..);
         }
+        // Drop any partial reassembly state (none should exist for a
+        // fully-uncommitted message; duplicates under fault injection can
+        // leave some) and mark the gap; the drain skips it at once if it
+        // is the head.
+        if seq == row.next && row.head != NO_HEAD {
+            self.heads.remove(row.head);
+            row.head = NO_HEAD;
+        }
+        let key = (src, flow, seq);
+        if self.held.ahead.remove(&key).is_some() {
+            row.held -= 1;
+        }
+        if self.held.cancelled.insert(key) {
+            row.held += 1;
+        }
+        drain_ready(
+            row,
+            (src, flow),
+            now,
+            &mut self.heads,
+            &mut self.held,
+            &mut self.stats,
+            &mut self.ready,
+        );
         self.ready.drain(..)
     }
 }
@@ -475,7 +547,7 @@ mod tests {
 
     /// Messages reassembled but held for flow ordering.
     fn held_messages(r: &Receiver) -> usize {
-        r.pending.values().filter(|m| m.complete()).count()
+        r.held.ahead.values().filter(|m| m.complete()).count()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -809,10 +881,15 @@ mod tests {
         }
         assert_eq!(delivered, 4 * FLOWS as usize);
         assert_eq!(r.stats.cancelled, 2 * u64::from(FLOWS));
-        assert!(r.pending.is_empty(), "{:?}", r.pending.keys());
-        assert!(r.cancelled.is_empty(), "{:?}", r.cancelled);
-        let next: Vec<u32> = r.next_deliver.iter().flatten().copied().collect();
-        assert_eq!(next, vec![3; 2 * FLOWS as usize]);
+        assert!(r.held.ahead.is_empty(), "{:?}", r.held.ahead.keys());
+        assert!(r.held.cancelled.is_empty(), "{:?}", r.held.cancelled);
+        assert!(r.heads.is_empty());
+        let rows: Vec<Row> = r.rows.iter().flatten().copied().collect();
+        let drained = Row {
+            next: 3,
+            ..Row::default()
+        };
+        assert_eq!(rows, vec![drained; 2 * FLOWS as usize]);
     }
 
     #[test]
@@ -825,8 +902,8 @@ mod tests {
         assert_eq!(r.on_cancel(SRC, FlowId(u32::MAX), 0, NOW).count(), 0);
         assert_eq!(r.stats.proto_errors, 3);
         assert_eq!((r.stats.chunks, r.stats.overlaps), (0, 0));
-        assert!(r.next_deliver.is_empty(), "no table is allocated");
-        assert!(r.pending.is_empty() && r.cancelled.is_empty());
+        assert!(r.rows.is_empty(), "no table is allocated");
+        assert!(r.held.ahead.is_empty() && r.held.cancelled.is_empty());
         // The last flow a sender can open is accepted.
         let last = chunk(MAX_FLOWS - 1, 0, 0, 1, false, 1, 0, b"x");
         assert_eq!(feed(&mut r, SRC, last).len(), 1);

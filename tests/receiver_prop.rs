@@ -542,3 +542,88 @@ fn chunk_whose_end_overflows_u32_is_an_overlap_not_a_panic() {
     }
     assert_eq!(delivered, 1);
 }
+
+/// One step of a directed replay: a chunk of `(seq, frag, frag_count)`
+/// carrying `data` whole, or the cancel of a sequence, all on flow 0 of
+/// node 0.
+enum Step {
+    Chunk(u32, u16, u16, &'static [u8]),
+    Cancel(u32),
+}
+
+/// Feed `steps` to the receiver and to the reference, which must agree on
+/// every call (bytes, order, identity and counters); returns the sequences
+/// each call delivered.
+fn replay(steps: &[Step]) -> Vec<Vec<u32>> {
+    let (mut got, mut want) = (Receiver::new(), reference::Receiver::new());
+    let (src, flow, now) = (NodeId(0), FlowId(0), SimTime::from_nanos(100));
+    let mut seqs = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        let (g, w) = match *step {
+            Step::Chunk(seq, frag, frag_count, data) => {
+                let chunk = DecodedChunk {
+                    header: header(0, seq, frag, frag_count, false, data.len(), 0, data.len()),
+                    data: Bytes::from_static(data),
+                };
+                let g: Vec<_> = got.on_chunk(src, &chunk, now).collect();
+                (g, want.on_chunk(src, &chunk, now))
+            }
+            Step::Cancel(seq) => {
+                let g: Vec<_> = got.on_cancel(src, flow, seq, now).collect();
+                (g, want.on_cancel(src, flow, seq, now))
+            }
+        };
+        assert_eq!(format!("{g:?}"), format!("{w:?}"), "step {i}");
+        let counters = |s: &madeleine::receiver::ReceiverStats| {
+            [s.chunks, s.completed, s.delivered, s.cancelled, s.overlaps]
+        };
+        assert_eq!(counters(&got.stats), counters(&want.stats), "step {i}");
+        seqs.push(g.iter().map(|m| m.id.seq.0).collect());
+    }
+    seqs
+}
+
+/// A chunk whose fragment index is out of range still opens its message,
+/// here with no fragment at all: complete, but nothing delivers it until a
+/// later message of the flow completes and the drain it sets off reaches
+/// the head — which a receiver that drains only after a head delivery
+/// never does.
+#[test]
+fn a_head_with_no_fragments_leaves_with_the_drain_a_later_completion_sets_off() {
+    let delivered = replay(&[
+        Step::Chunk(0, 0, 0, b"lie"),
+        Step::Chunk(2, 0, 1, b"two"),
+        Step::Chunk(1, 0, 1, b"one"),
+    ]);
+    assert_eq!(delivered, [vec![], vec![0], vec![1, 2]]);
+}
+
+/// Message 1's header arrives ahead of its turn and waits in the map; once
+/// message 0 leaves, message 1 is the head, and its body completes it
+/// there — a receiver that never looks in the map for a new head starts
+/// message 1 afresh and waits for a header that came already.
+#[test]
+fn a_message_begun_ahead_of_its_turn_completes_as_the_head() {
+    let delivered = replay(&[
+        Step::Chunk(1, 0, 2, b"hdr1"),
+        Step::Chunk(2, 0, 1, b"two"),
+        Step::Chunk(0, 0, 1, b"zero"),
+        Step::Chunk(1, 1, 2, b"body1"),
+        Step::Chunk(1, 0, 2, b"hdr1"),
+    ]);
+    assert_eq!(delivered, [vec![], vec![], vec![0], vec![1, 2], vec![]]);
+}
+
+/// The head is cancelled while half of it is in and the message after it
+/// is held complete: one call skips the one and delivers the other.
+#[test]
+fn a_cancelled_head_and_its_complete_successor_leave_in_one_call() {
+    let delivered = replay(&[
+        Step::Chunk(0, 0, 2, b"hdr0"),
+        Step::Chunk(1, 0, 1, b"one"),
+        Step::Cancel(0),
+        Step::Chunk(0, 1, 2, b"body0"),
+        Step::Chunk(2, 0, 1, b"two"),
+    ]);
+    assert_eq!(delivered, [vec![], vec![], vec![1], vec![], vec![2]]);
+}

@@ -57,6 +57,7 @@ SEAMS = [
     ("simnet fabric (simnet::topo::)", "simnet::topo::"),
     ("simnet event queue (simnet::event::)", "simnet::event::"),
     ("analysis (prof, diff, trace export)", ("madeleine::prof::", "madeleine::diff::", "madeleine::trace::")),
+    ("search trees (BTreeMap/BTreeSet)", "alloc::collections::btree::"),
     ("128-bit division (__udivti3)", "__udivti3"),
 ]
 CALIBRATION = "madclock::host::calibrate"
