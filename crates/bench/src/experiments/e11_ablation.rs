@@ -26,6 +26,8 @@ fn workload() -> Vec<FlowSpec> {
             arrival: Arrival::Poisson(SimDuration::from_micros(3)),
             sizes: SizeDist::Uniform(16, 256),
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(150),
             start_after: SimDuration::ZERO,
         })
@@ -36,6 +38,8 @@ fn workload() -> Vec<FlowSpec> {
         arrival: Arrival::Periodic(SimDuration::from_micros(40)),
         sizes: SizeDist::Fixed(24 << 10),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(100),
         start_after: SimDuration::ZERO,
     });

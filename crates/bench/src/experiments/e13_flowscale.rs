@@ -211,6 +211,8 @@ fn scale_cell(
             arrival: Arrival::Poisson(shape.mean_gap),
             sizes: shape.sizes.clone(),
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(msgs_per_flow),
             // Stagger first arrivals so 100k timers do not fire at t=0.
             start_after: SimDuration::from_nanos((i as u64 % 4096) * 500),
@@ -286,7 +288,7 @@ pub fn run_fairness(mode: madeleine::FairnessMode) -> FairnessPoint {
 
 /// The fairness workload at any size, drained: one continuous BULK
 /// elephant of `elephant_msgs` × 8 KiB against `mice` sparse DEFAULT
-/// flows of [`MICE_MSGS`] × 256 B, with optional madtrace rings. The
+/// flows of `MICE_MSGS` × 256 B, with optional madtrace rings. The
 /// fairness cell and maddiff's smaller E13 cell are both this.
 pub fn fairness_cluster(
     mode: madeleine::FairnessMode,
@@ -301,6 +303,8 @@ pub fn fairness_cluster(
         arrival: Arrival::Periodic(SimDuration::from_micros(10)),
         sizes: SizeDist::Fixed(8 << 10),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(elephant_msgs),
         start_after: SimDuration::ZERO,
     }];

@@ -256,6 +256,8 @@ pub fn run_steering(aware: bool) -> SteerPoint {
         arrival: Arrival::Periodic(SimDuration::from_micros(40)),
         sizes: SizeDist::Fixed(8 << 10),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(ELEPHANT_MSGS),
         start_after: SimDuration::ZERO,
     }];

@@ -309,7 +309,7 @@ pub struct FairPoint {
 
 /// Run the elephant + fairness cell: an 8-member core-crossing
 /// allreduce on `dumbbell(5,5)` whose member 0 also pumps
-/// [`ELEPHANT_MSGS`] × 8 KiB of BULK at node 9, under the given engine
+/// `ELEPHANT_MSGS` × 8 KiB of BULK at node 9, under the given engine
 /// fairness mode.
 pub fn run_fairness_cell(fairness: FairnessMode) -> FairPoint {
     let profile = nicdrv::calib::params(Technology::MyrinetMx).link_profile();

@@ -41,6 +41,8 @@ fn workload() -> Vec<FlowSpec> {
             arrival: Arrival::Periodic(SimDuration::from_micros(30)),
             sizes: SizeDist::Fixed(16 << 10),
             express_header: 0,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(400),
             start_after: SimDuration::ZERO,
         },
@@ -51,6 +53,8 @@ fn workload() -> Vec<FlowSpec> {
             arrival: Arrival::Poisson(SimDuration::from_micros(25)),
             sizes: SizeDist::Fixed(16),
             express_header: 0,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(400),
             start_after: SimDuration::ZERO,
         },

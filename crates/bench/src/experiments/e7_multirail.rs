@@ -42,6 +42,8 @@ fn bulk_stream(spec: &ClusterSpec, msgs: u64) -> (Cluster, SimTime, StatsHandle)
         arrival: Arrival::Periodic(SimDuration::from_micros(5)),
         sizes: SizeDist::Fixed(24 << 10),
         express_header: 0, // pure bulk: free to split across rails
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };

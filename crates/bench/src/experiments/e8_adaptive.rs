@@ -40,6 +40,8 @@ fn phased_workload(phase2_start: SimDuration) -> Vec<FlowSpec> {
             arrival: Arrival::Periodic(SimDuration::from_micros(25)),
             sizes: SizeDist::Fixed(MSG),
             express_header: 0,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(PHASE_MSGS / 3),
             start_after: SimDuration::ZERO,
         })
@@ -50,6 +52,8 @@ fn phased_workload(phase2_start: SimDuration) -> Vec<FlowSpec> {
         arrival: Arrival::Periodic(SimDuration::from_micros(25)),
         sizes: SizeDist::Fixed(MSG),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(PHASE_MSGS / 3),
         start_after: phase2_start,
     }));

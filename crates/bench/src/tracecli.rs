@@ -771,6 +771,8 @@ pub fn sample(seed: u64) -> Trace {
             arrival: Arrival::Poisson(SimDuration::from_micros(6)),
             sizes: SizeDist::Uniform(16, 1024),
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(50),
             start_after: SimDuration::ZERO,
         })

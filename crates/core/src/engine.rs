@@ -1161,7 +1161,7 @@ impl EngineHandle {
         self.core.borrow_mut().flush(ctx);
     }
 
-    /// True when nothing is pending ([`EngineView::drained`]): no backlog,
+    /// True when nothing is pending (`EngineView::drained`): no backlog,
     /// no in-flight packets, no unacked data, no queued control messages.
     pub fn is_drained(&self) -> bool {
         let core = self.core.borrow();
@@ -1203,7 +1203,7 @@ impl EngineHandle {
 
     /// Register this engine's metric sources into an existing registry
     /// under `prefix` (the single registration path; see
-    /// [`Observer::register_metrics`]). NIC stats live in the simulator
+    /// `Observer::register_metrics`). NIC stats live in the simulator
     /// and are appended by the harness, which can see them.
     pub fn register_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
         let core = self.core.borrow();

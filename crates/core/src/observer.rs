@@ -1,8 +1,8 @@
 //! The one observer seam of the engine: the madtrace event sink, the
 //! madscope sampler, the flight recorder, and the [`EngineMetrics`]
-//! counters. The layers of Figure 1 report through [`Observer::emit`] /
-//! [`Observer::emit_with`], and the engine calls
-//! [`Observer::check_faults`] after the steps that can advance a
+//! counters. The layers of Figure 1 report through `Observer::emit` /
+//! `Observer::emit_with`, and the engine calls
+//! `Observer::check_faults` after the steps that can advance a
 //! should-stay-zero counter; what is switched on is decided here and
 //! nowhere else.
 

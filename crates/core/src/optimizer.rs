@@ -1,6 +1,6 @@
 //! The optimizer's decision procedures: plan selection under a
 //! rearrangement budget, and the submit-time activation policy (send now,
-//! wait for NIC idle, or arm a Nagle-style delay) — plus [`Optimizer`],
+//! wait for NIC idle, or arm a Nagle-style delay) — plus `Optimizer`,
 //! the scheduler state Figure 1's middle box owns between activations.
 //!
 //! Candidate order is owned by the collect layer's madflow machinery

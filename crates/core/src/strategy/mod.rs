@@ -7,9 +7,9 @@
 //! copy or as a gather list — is not proposed: the optimizer asks the
 //! rail's cost model ([`crate::cost::cheapest_injection`]), scores every
 //! proposal (within the rearrangement budget) and executes the best one —
-//! the only one that ever becomes an owned
-//! [`TransferPlan`](crate::plan::TransferPlan). Users extend the engine by
-//! registering their own strategies — see `examples/custom_strategy.rs`.
+//! the only one that ever becomes an owned [`TransferPlan`]. Users extend
+//! the engine by registering their own strategies — see
+//! `examples/custom_strategy.rs`.
 
 // madlint: file: hot-path
 

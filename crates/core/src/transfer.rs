@@ -1,6 +1,6 @@
 //! The transfer layer of Figure 1: the rails (drivers, class maps, peer
 //! wiring) and the send-side bookkeeping above the drivers — cookie
-//! allocation and the control-packet queue. [`Transfer::submit_data`] is
+//! allocation and the control-packet queue. `Transfer::submit_data` is
 //! the only place a data [`TransferRequest`] is built; first sends and
 //! retransmissions both go through it, and it stamps and encodes every
 //! packet in the same two buffers. A data packet between submission and

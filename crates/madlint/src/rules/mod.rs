@@ -17,7 +17,7 @@
 //! | trace-coverage | `trace-covered` scopes                |
 //!
 //! Adding a rule: add a `RuleId` variant, a module here implementing a
-//! `check(...)` over a [`Sig`] token view, dispatch it from [`walk`], and
+//! `check(...)` over a [`Sig`] token view, dispatch it from `walk`, and
 //! drop a bad fixture under `fixtures/` so the corpus test proves it
 //! fires. Rules match token sequences, never raw text, so banned names
 //! inside strings, comments or unrelated identifiers cannot trip them.

@@ -7,11 +7,12 @@
 //! [`madeleine::AppDriver`] API so they run unchanged on the optimizing
 //! engine and on the legacy baseline:
 //!
-//! * [`apps::TrafficApp`] — generic multi-flow generator (arrival process ×
-//!   size distribution × traffic class), the experiment workhorse;
-//! * [`rpc`] — request/response with RTT matching;
-//! * [`dsm`] — latency-critical page faults answered by bulk pages;
-//! * [`corba`] — marshalled multi-fragment invocations;
+//! * [`apps::TrafficApp`] — the one multi-flow generator (arrival process ×
+//!   size distribution × traffic class), the experiment workhorse; every
+//!   instance also answers requests. The middlewares are shapes of its
+//!   [`FlowSpec`]: [`FlowSpec::rpc`] (request/reply with RTT matching),
+//!   [`FlowSpec::dsm`] (latency-critical page faults answered by bulk
+//!   pages), [`FlowSpec::corba`] (marshalled multi-fragment invocations);
 //! * [`coll`] — madcoll: barrier/broadcast/reduce/allreduce as round-gated
 //!   schedules whose algorithm is selected from the rail's cost model;
 //! * [`mltrain`] — distributed-ML training steps (compute → gradient
@@ -19,8 +20,8 @@
 //!   madcoll's algorithm-selected collectives;
 //! * [`verify`] — deterministic payload patterns: every workload checks the
 //!   bytes it receives, so experiments double as correctness tests;
-//! * [`scenario`] — composed clusters (multi-middleware node pair, the
-//!   source → sink pair, N eager flows) used by the experiment harness;
+//! * [`scenario`] — composed clusters (the source → sink pair, N eager
+//!   flows) used by the experiment harness;
 //! * [`trace`] — workload record & replay for apples-to-apples engine
 //!   comparisons.
 //!
@@ -39,6 +40,8 @@
 //!     arrival: Arrival::Poisson(SimDuration::from_micros(5)),
 //!     sizes: SizeDist::Uniform(32, 256),
 //!     express_header: 8,
+//!     body_frags: SizeDist::Fixed(1),
+//!     reply: None,
 //!     stop_after: Some(20),
 //!     start_after: SimDuration::ZERO,
 //! };
@@ -54,15 +57,12 @@
 
 pub mod apps;
 pub mod coll;
-pub mod corba;
-pub mod dsm;
 pub mod mltrain;
-pub mod rpc;
 pub mod scenario;
 pub mod trace;
 pub mod verify;
 pub mod workload;
 
-pub use apps::{stats_handle, AppStats, FlowSpec, StatsHandle, TrafficApp};
+pub use apps::{AppStats, FlowSpec, Reply, StatsHandle, TrafficApp};
 pub use verify::{check_message, pattern, IntegrityChecker};
 pub use workload::{rng_for, Arrival, SizeDist};

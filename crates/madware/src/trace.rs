@@ -398,6 +398,8 @@ mod tests {
             arrival: Arrival::Poisson(SimDuration::from_micros(5)),
             sizes: SizeDist::Uniform(16, 400),
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(40),
             start_after: SimDuration::ZERO,
         }];

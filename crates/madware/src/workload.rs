@@ -5,7 +5,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::SimDuration;
 
-/// A message-size distribution.
+/// A message-size distribution (also drawn for counts, such as
+/// [`FlowSpec::body_frags`](crate::FlowSpec::body_frags)).
 #[derive(Clone, Debug)]
 pub enum SizeDist {
     /// Every message has the same size.

@@ -1,5 +1,5 @@
 //! Driver conformance checking: exercises any [`Driver`] implementation
-//! against its own declared [`DriverCapabilities`] and reports every
+//! against its own declared [`DriverCapabilities`](crate::DriverCapabilities) and reports every
 //! inconsistency.
 //!
 //! The engine's correctness argument rests on drivers being *strict*:

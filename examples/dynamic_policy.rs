@@ -27,6 +27,8 @@ fn workload(phase2_at: SimDuration) -> Vec<FlowSpec> {
         arrival: Arrival::Periodic(SimDuration::from_micros(25)),
         sizes: SizeDist::Fixed(8 << 10),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(100),
         start_after: start,
     };

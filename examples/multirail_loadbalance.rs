@@ -27,6 +27,8 @@ fn run(engine: EngineKind, label: &str) {
         arrival: Arrival::Periodic(SimDuration::from_micros(4)),
         sizes: SizeDist::Fixed(24 << 10),
         express_header: 0,
+        body_frags: SizeDist::Fixed(1),
+        reply: None,
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };

@@ -32,6 +32,8 @@ fn record() -> Trace {
             },
             sizes: SizeDist::Uniform(16, 800),
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(60),
             start_after: SimDuration::ZERO,
         })

@@ -24,6 +24,8 @@ fn node_workload(me: usize, nodes: usize, msgs: u64) -> Vec<FlowSpec> {
             arrival: Arrival::Poisson(SimDuration::from_micros(40)),
             sizes: SizeDist::Fixed(16),
             express_header: 4,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(msgs),
             start_after: SimDuration::ZERO,
         });
@@ -40,6 +42,8 @@ fn node_workload(me: usize, nodes: usize, msgs: u64) -> Vec<FlowSpec> {
                 p_large: 0.2,
             },
             express_header: 8,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(msgs),
             start_after: SimDuration::ZERO,
         });
@@ -49,6 +53,8 @@ fn node_workload(me: usize, nodes: usize, msgs: u64) -> Vec<FlowSpec> {
             arrival: Arrival::Periodic(SimDuration::from_micros(120)),
             sizes: SizeDist::Fixed(16 << 10),
             express_header: 0,
+            body_frags: SizeDist::Fixed(1),
+            reply: None,
             stop_after: Some(msgs / 2),
             start_after: SimDuration::from_micros(300),
         });
