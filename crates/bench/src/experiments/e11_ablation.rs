@@ -63,7 +63,7 @@ pub struct AblationPoint {
 /// Run the mixed workload under a configuration.
 pub fn run_config(config: EngineConfig) -> AblationPoint {
     let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 2]).config(config);
-    let (mut c, _, rx) = traffic_pair(&spec, "mixed", workload(), 61);
+    let (mut c, _, rx) = traffic_pair(&spec, workload(), 61);
     let end = c.drain();
     assert!(
         rx.borrow().integrity.all_ok(),

@@ -122,7 +122,7 @@ pub fn run_mixed_point(loss: f64) -> LossPoint {
         ..FlowSpec::eager(NodeId(1), SimDuration::from_micros(MIXED_GAP_US), MSG_SIZE)
     };
     let spec = ClusterSpec::mx_pair().engine(recover_engine());
-    let mut cluster = traffic_pair(&spec, "mixed", vec![flow; FLOWS], SEED).0;
+    let mut cluster = traffic_pair(&spec, vec![flow; FLOWS], SEED).0;
     if loss > 0.0 {
         cluster.set_fault_plan(0, FaultPlan::new(SEED).with_loss(loss));
     }

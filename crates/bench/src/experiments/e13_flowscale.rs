@@ -22,24 +22,19 @@
 //!   mice (DEFAULT, sparse 256B) under pack-order vs weighted DRR
 //!   candidate ordering.
 //! * **Overload** — an admission budget of 64KiB with offered load far
-//!   above the rail's drain rate, once per [`AdmissionPolicy`]; the
-//!   budget-aware [`OverloadApp`] defers `WouldBlock`ed messages and
-//!   retries them from [`AppDriver::on_unblocked`].
+//!   above the rail's drain rate, once per [`AdmissionPolicy`]: one
+//!   periodic `FlowSpec` of the `TrafficApp`, which queues a
+//!   `WouldBlock`ed message and its flow's later ones and offers them
+//!   again from `on_unblocked`.
 //!
 //! The wall-clock cost of candidate collection vs *total* flow count is
 //! measured separately by the `activation_scaling` bench.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-
-use madeleine::api::{AppDriver, CommApi, NullApp};
 use madeleine::harness::{Cluster, ClusterSpec};
-use madeleine::ids::{FlowId, TrafficClass};
-use madeleine::message::{Fragment, MessageBuilder, PackMode};
+use madeleine::ids::TrafficClass;
 use madeleine::trace::EngineEvent;
-use madeleine::{AdmissionPolicy, EngineConfig, SendOutcome};
-use madware::apps::FlowSpec;
+use madeleine::{AdmissionPolicy, EngineConfig};
+use madware::apps::{FlowSpec, StatsHandle};
 use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
@@ -218,7 +213,7 @@ fn scale_cell(
             start_after: SimDuration::from_nanos((i as u64 % 4096) * 500),
         })
         .collect();
-    let (mut cluster, _tx, rx) = traffic_pair(spec, "flowscale", specs, seed);
+    let (mut cluster, _tx, rx) = traffic_pair(spec, specs, seed);
     if sampler {
         cluster.enable_sampler(SimDuration::from_micros(50));
     }
@@ -298,15 +293,9 @@ pub fn fairness_cluster(
     trace_cap: Option<usize>,
 ) -> Cluster {
     let mut specs = vec![FlowSpec {
-        dst: NodeId(1),
         class: TrafficClass::BULK,
-        arrival: Arrival::Periodic(SimDuration::from_micros(10)),
-        sizes: SizeDist::Fixed(8 << 10),
-        express_header: 0,
-        body_frags: SizeDist::Fixed(1),
-        reply: None,
         stop_after: Some(elephant_msgs),
-        start_after: SimDuration::ZERO,
+        ..FlowSpec::periodic(NodeId(1), SimDuration::from_micros(10), 8 << 10)
     }];
     let mouse = FlowSpec {
         stop_after: Some(MICE_MSGS),
@@ -320,7 +309,7 @@ pub fn fairness_cluster(
             ..EngineConfig::default()
         })
         .with_tracing(trace_cap);
-    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "fairness", specs, seed);
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, specs, seed);
     cluster.drain();
     cluster
 }
@@ -368,141 +357,10 @@ pub fn profile_artifacts() -> Vec<(String, String)> {
     ]
 }
 
-/// Externally inspectable counters of one [`OverloadApp`] run.
-#[derive(Clone, Debug, Default)]
-pub struct OverloadStats {
-    /// Messages the generator tried to submit.
-    pub attempts: u64,
-    /// `Admitted` outcomes (first-try submissions).
-    pub admitted: u64,
-    /// `WouldBlock` outcomes (message deferred for retry).
-    pub blocked: u64,
-    /// `Rejected` outcomes (message dropped by the app).
-    pub rejected: u64,
-    /// Messages shed by the engine to admit newer ones (from `Shed`
-    /// outcomes observed by this sender).
-    pub shed_seen: u64,
-    /// Deferred messages admitted from `on_unblocked` retries.
-    pub retried_ok: u64,
-}
-
-/// Budget-aware open-loop generator: submits via [`CommApi::try_send`],
-/// defers `WouldBlock`ed messages and retries them when the engine
-/// reports the class unblocked. The showcase consumer of madflow
-/// admission control.
-pub struct OverloadApp {
-    dst: NodeId,
-    class: TrafficClass,
-    msg_size: usize,
-    period: SimDuration,
-    target: u64,
-    flow: Option<FlowId>,
-    deferred: VecDeque<Vec<Fragment>>,
-    stats: Rc<RefCell<OverloadStats>>,
-}
-
-impl OverloadApp {
-    /// Build the generator and a handle onto its counters.
-    pub fn new(
-        dst: NodeId,
-        class: TrafficClass,
-        msg_size: usize,
-        period: SimDuration,
-        target: u64,
-    ) -> (Self, Rc<RefCell<OverloadStats>>) {
-        let stats = Rc::new(RefCell::new(OverloadStats::default()));
-        (
-            OverloadApp {
-                dst,
-                class,
-                msg_size,
-                period,
-                target,
-                flow: None,
-                deferred: VecDeque::new(),
-                stats: stats.clone(),
-            },
-            stats,
-        )
-    }
-
-    fn build_parts(&self, seq: u64) -> Vec<Fragment> {
-        let body = vec![(seq & 0xFF) as u8; self.msg_size];
-        MessageBuilder::new()
-            .pack(&body, PackMode::Cheaper)
-            .build_parts()
-    }
-
-    fn record_outcome(&mut self, outcome: SendOutcome, parts: Vec<Fragment>) {
-        let mut s = self.stats.borrow_mut();
-        match outcome {
-            SendOutcome::Admitted(_) => s.admitted += 1,
-            SendOutcome::Shed { shed, .. } => {
-                s.admitted += 1;
-                s.shed_seen += shed.len() as u64;
-            }
-            SendOutcome::WouldBlock => {
-                s.blocked += 1;
-                drop(s);
-                self.deferred.push_back(parts);
-            }
-            SendOutcome::Rejected => s.rejected += 1,
-        }
-    }
-}
-
-impl AppDriver for OverloadApp {
-    fn on_start(&mut self, api: &mut dyn CommApi) {
-        self.flow = Some(api.open_flow(self.dst, self.class));
-        api.set_timer(self.period, 0);
-    }
-
-    fn on_timer(&mut self, api: &mut dyn CommApi, _tag: u64) {
-        let flow = self.flow.expect("flow opened at start");
-        let attempts = {
-            let mut s = self.stats.borrow_mut();
-            s.attempts += 1;
-            s.attempts
-        };
-        let parts = self.build_parts(attempts);
-        if self.deferred.is_empty() {
-            let outcome = api.try_send(flow, parts.clone());
-            self.record_outcome(outcome, parts);
-        } else {
-            // Already backpressured: keep FIFO order, wait for unblock.
-            self.deferred.push_back(parts);
-        }
-        if attempts < self.target {
-            api.set_timer(self.period, 0);
-        }
-    }
-
-    fn on_unblocked(&mut self, api: &mut dyn CommApi, class: TrafficClass) {
-        if class != self.class {
-            return;
-        }
-        let flow = self.flow.expect("flow opened at start");
-        while let Some(parts) = self.deferred.pop_front() {
-            match api.try_send(flow, parts.clone()) {
-                SendOutcome::Admitted(_) | SendOutcome::Shed { .. } => {
-                    self.stats.borrow_mut().retried_ok += 1;
-                }
-                SendOutcome::WouldBlock => {
-                    self.deferred.push_front(parts);
-                    break;
-                }
-                SendOutcome::Rejected => {
-                    self.stats.borrow_mut().rejected += 1;
-                }
-            }
-        }
-    }
-}
-
 /// One measured overload-cell run.
 pub struct OverloadPoint {
-    /// Generator counters.
-    pub stats: OverloadStats,
+    /// The sender's counters.
+    pub sender: StatsHandle,
     /// Messages the sink engine delivered.
     pub delivered: u64,
     /// Engine counters: refused submissions.
@@ -522,33 +380,30 @@ const OVERLOAD_TARGET: u64 = 300;
 const OVERLOAD_MSG: usize = 4 << 10;
 const OVERLOAD_BUDGET: u64 = 64 << 10;
 
-/// The overload cell, undrained: offered load far above the rail drain
-/// rate against a 64KiB engine backlog budget under `policy`, with the
-/// given simulator / engine ring capacities.
+/// The overload cell, undrained: 4 KiB messages every microsecond, far
+/// above the rail drain rate, against a 64KiB engine backlog budget under
+/// `policy`, with the given simulator / engine ring capacities.
 fn overload_cluster(
     policy: AdmissionPolicy,
     trace: Option<usize>,
     engine_trace: Option<usize>,
-) -> (Cluster, Rc<RefCell<OverloadStats>>) {
+) -> (Cluster, StatsHandle) {
     let mut config = EngineConfig::default();
     config.admission.max_backlog_bytes = OVERLOAD_BUDGET;
     config.admission.policy = [policy; 4];
-    let (app, stats) = OverloadApp::new(
-        NodeId(1),
-        TrafficClass::DEFAULT,
-        OVERLOAD_MSG,
-        SimDuration::from_micros(1),
-        OVERLOAD_TARGET,
-    );
+    let flow = FlowSpec {
+        stop_after: Some(OVERLOAD_TARGET),
+        ..FlowSpec::periodic(NodeId(1), SimDuration::from_micros(1), OVERLOAD_MSG)
+    };
     let mut spec = ClusterSpec::mx_pair().config(config);
     (spec.trace, spec.engine_trace) = (trace, engine_trace);
-    let cluster = Cluster::build(&spec, vec![Some(Box::new(app)), Some(Box::new(NullApp))]);
-    (cluster, stats)
+    let (cluster, sender, _sink) = traffic_pair(&spec, vec![flow], SEED);
+    (cluster, sender)
 }
 
 /// Run the overload cell under the given policy.
 pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
-    let (mut cluster, stats) = overload_cluster(policy, None, Some(1 << 14));
+    let (mut cluster, sender) = overload_cluster(policy, None, Some(1 << 14));
     if sampler {
         cluster.enable_sampler(SimDuration::from_micros(20));
     }
@@ -572,9 +427,8 @@ pub fn run_overload(policy: AdmissionPolicy, sampler: bool) -> OverloadPoint {
             }
         }
     }
-    let stats = stats.borrow().clone();
     OverloadPoint {
-        stats,
+        sender,
         delivered: cluster.handle(1).metrics().delivered_msgs,
         blocked_sends: m.blocked_sends,
         shed_msgs: m.shed_msgs,
@@ -710,12 +564,13 @@ pub fn run() -> Report {
         AdmissionPolicy::Reject,
     ] {
         let p = run_overload(policy, false);
+        let s = p.sender.borrow();
         to.row(vec![
             policy_label(policy).into(),
-            p.stats.attempts.to_string(),
-            p.stats.admitted.to_string(),
-            p.stats.blocked.to_string(),
-            p.stats.retried_ok.to_string(),
+            s.attempts.to_string(),
+            s.first_try_admits.to_string(),
+            s.first_try_blocks.to_string(),
+            s.wait_queue_admits.to_string(),
             p.shed_msgs.to_string(),
             p.rejected_sends.to_string(),
             p.unblocked_events.to_string(),
@@ -774,9 +629,10 @@ mod tests {
         let p = run_overload(AdmissionPolicy::Block, false);
         assert!(p.blocked_sends > 0, "budget never hit");
         assert!(p.unblocked_events > 0, "pressure never released");
-        assert!(p.stats.retried_ok > 0, "no deferred retries");
+        let s = p.sender.borrow();
+        assert!(s.wait_queue_admits > 0, "no deferred retries");
         assert_eq!(
-            p.delivered, p.stats.attempts,
+            p.delivered, s.attempts,
             "block must be lossless: every deferred message retried"
         );
         assert_eq!(p.shed_msgs, 0);
@@ -787,10 +643,11 @@ mod tests {
     fn overload_shed_oldest_sheds_and_stays_fresh() {
         let p = run_overload(AdmissionPolicy::ShedOldest, false);
         assert!(p.shed_msgs > 0, "nothing shed at 2x overload");
-        assert_eq!(p.stats.blocked, 0, "shed-oldest never blocks");
+        let s = p.sender.borrow();
+        assert_eq!(s.first_try_blocks, 0, "shed-oldest never blocks");
         assert_eq!(
             p.delivered,
-            p.stats.attempts - p.shed_msgs,
+            s.attempts - p.shed_msgs,
             "delivered must equal admitted minus shed"
         );
     }
@@ -799,9 +656,10 @@ mod tests {
     fn overload_reject_refuses_at_the_door() {
         let p = run_overload(AdmissionPolicy::Reject, false);
         assert!(p.rejected_sends > 0, "nothing rejected at 2x overload");
-        assert_eq!(p.stats.blocked, 0);
+        let s = p.sender.borrow();
+        assert_eq!(s.first_try_blocks, 0);
         assert_eq!(p.shed_msgs, 0);
-        assert_eq!(p.delivered, p.stats.attempts - p.rejected_sends);
+        assert_eq!(p.delivered, s.attempts - p.rejected_sends);
     }
 
     /// Same seed => byte-identical metrics and admission event sequence,

@@ -30,11 +30,10 @@
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::{AdmissionPolicy, EngineConfig, ReliabilityMode};
-use madware::apps::{FlowSpec, TrafficApp};
-use madware::workload::{Arrival, SizeDist};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic;
 use simnet::{LinkProfile, NodeId, SimDuration, Technology, Topology};
 
-use super::e13_flowscale::OverloadApp;
 use crate::{fmt_f, Report, Table};
 
 /// Seed shared by both cells, CI smoke and the bench gate.
@@ -103,24 +102,16 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         config.admission.max_backlog_bytes = INCAST_BUDGET;
         config.admission.policy = [AdmissionPolicy::Block; 4];
     }
-    let mut apps: Vec<Option<Box<dyn madeleine::api::AppDriver>>> = Vec::new();
-    let mut stats = Vec::new();
-    for _ in 0..n {
-        let (app, s) = OverloadApp::new(
-            NodeId(n as u32),
-            TrafficClass::DEFAULT,
-            INCAST_MSG_BYTES,
-            SimDuration::from_nanos(2_000 + salt),
-            INCAST_MSGS,
-        );
-        apps.push(Some(Box::new(app)));
-        stats.push(s);
-    }
-    apps.push(None); // the receiver runs a bare engine
+    let period = SimDuration::from_nanos(2_000 + salt);
+    let burst = FlowSpec {
+        stop_after: Some(INCAST_MSGS),
+        ..FlowSpec::periodic(NodeId(n as u32), period, INCAST_MSG_BYTES)
+    };
+    // Node `n`, the receiver, is the sink.
     let spec = ClusterSpec::new(n + 1, vec![Technology::MyrinetMx])
         .config(config)
         .with_tracing(trace_cap);
-    let mut cluster = Cluster::build_with_topologies(&spec, vec![Some(topo)], apps);
+    let (mut cluster, stats) = traffic(&spec, vec![Some(topo)], vec![vec![burst]; n], SEED);
     let end = cluster.drain();
     let fab = cluster
         .sim
@@ -131,7 +122,7 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         drops += s.queue_drops;
         marks += s.ecn_marks;
     }
-    let (mut retransmits, mut lost, mut blocked, mut rails_dead) = (0u64, 0u64, 0u64, 0u64);
+    let (mut retransmits, mut lost, mut rails_dead) = (0u64, 0u64, 0u64);
     let mut peak_backlog = 0u64;
     let mut engine_json = String::new();
     for i in 0..n {
@@ -143,9 +134,7 @@ fn incast_cell(admission: bool, trace_cap: Option<usize>, salt: u64) -> (IncastP
         engine_json.push_str(&m.to_json().render());
         engine_json.push('\n');
     }
-    for s in &stats {
-        blocked += s.borrow().blocked;
-    }
+    let blocked = stats.iter().map(|s| s.borrow().first_try_blocks).sum();
     let rx = cluster.handle(n).metrics();
     engine_json.push_str(&rx.to_json().render());
     let point = IncastPoint {
@@ -251,23 +240,16 @@ pub fn run_steering(aware: bool) -> SteerPoint {
     };
     let mice_specs = vec![mouse; MICE];
     let elephant_spec = vec![FlowSpec {
-        dst: NodeId(3),
         class: TrafficClass::BULK,
-        arrival: Arrival::Periodic(SimDuration::from_micros(40)),
-        sizes: SizeDist::Fixed(8 << 10),
-        express_header: 0,
-        body_frags: SizeDist::Fixed(1),
-        reply: None,
         stop_after: Some(ELEPHANT_MSGS),
-        start_after: SimDuration::ZERO,
+        ..FlowSpec::periodic(NodeId(3), SimDuration::from_micros(40), 8 << 10)
     }];
-    let (mice, _mtx) = TrafficApp::new("mice", mice_specs, SEED, 0);
-    let (elephant, _etx) = TrafficApp::new("elephant", elephant_spec, SEED, 1);
     let spec = ClusterSpec::new(4, vec![Technology::MyrinetMx; 2]).config(config);
-    let mut cluster = Cluster::build_with_topologies(
+    let (mut cluster, _stats) = traffic(
         &spec,
         vec![Some(topo), None],
-        vec![Some(Box::new(mice)), Some(Box::new(elephant))],
+        vec![mice_specs, elephant_spec],
+        SEED,
     );
     cluster.drain();
     let mice_rx = cluster.handle(2).metrics();

@@ -74,7 +74,7 @@ pub fn run_point(pin: bool, collapse_vchans: bool) -> ClassPoint {
     };
     let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx, Technology::MyrinetMx])
         .engine(EngineKind::with_policy(config, policy));
-    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "mix", workload(), 17);
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, workload(), 17);
     if pin {
         if let NodeHandle::Opt(h) = cluster.handle(0) {
             h.pin_class(TrafficClass::CONTROL, &[0]);

@@ -47,7 +47,7 @@ fn bulk_stream(spec: &ClusterSpec, msgs: u64) -> (Cluster, SimTime, StatsHandle)
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };
-    let (mut cluster, _tx, rx) = traffic_pair(spec, "bulk", vec![flow], 29);
+    let (mut cluster, _tx, rx) = traffic_pair(spec, vec![flow], 29);
     let end = cluster.drain();
     (cluster, end, rx)
 }

@@ -74,7 +74,7 @@ pub fn run_point(adaptive: bool) -> AdaptivePoint {
     };
     let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 4])
         .engine(EngineKind::with_policy(config, policy));
-    let (mut cluster, _tx, _rx) = traffic_pair(&spec, "phased", phased_workload(phase2_start), 41);
+    let (mut cluster, _tx, _rx) = traffic_pair(&spec, phased_workload(phase2_start), 41);
     let (rebalances, _) = {
         if let NodeHandle::Opt(h) = cluster.handle(0) {
             if !adaptive {

@@ -11,10 +11,10 @@
 //!
 //! Every experiment describes its cell with `ClusterSpec`'s constructors
 //! — `ClusterSpec::mx_pair().config(cfg)`, `ClusterSpec::new(2, rails)
-//! .engine(kind).with_tracing(cap)` — and, where the workload is one
-//! traffic source and one sink, builds it with
-//! `madware::scenario::traffic_pair` (or `eager_flows`, the E1 workload
-//! on any cell).
+//! .engine(kind).with_tracing(cap)` — and builds its workload with
+//! `madware::scenario::traffic` (a `TrafficApp` on every node),
+//! `traffic_pair` (one source, one sink) or `eager_flows` (the E1
+//! workload on any cell).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

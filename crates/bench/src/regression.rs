@@ -406,7 +406,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
     push(
         &mut metrics,
         "e13_overload_delivered_fraction",
-        ov.delivered as f64 / ov.stats.attempts as f64,
+        ov.delivered as f64 / ov.sender.borrow().attempts as f64,
         Direction::HigherIsBetter,
     );
     push(

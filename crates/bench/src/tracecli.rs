@@ -777,7 +777,7 @@ pub fn sample(seed: u64) -> Trace {
             start_after: SimDuration::ZERO,
         })
         .collect();
-    let (app, _) = TrafficApp::new("sample", specs, seed, 0);
+    let (app, _) = TrafficApp::new(specs, seed, 0);
     let (recorder, handle) = Recorder::new(Box::new(app));
     let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);

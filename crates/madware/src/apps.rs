@@ -8,34 +8,48 @@
 //! distilled form. The middlewares themselves are shapes of a stream:
 //! [`FlowSpec::rpc`] and [`FlowSpec::dsm`] are requests that every
 //! `TrafficApp` answers (see [`Reply`]), [`FlowSpec::corba`] a one-way
-//! invocation of several marshalled arguments.
+//! invocation of several marshalled arguments. Overload is a shape too:
+//! every message goes through admission control, and one that has to
+//! wait for its class to unblock waits in its flow's queue.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use madeleine::api::{AppDriver, CommApi};
 use madeleine::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
 use madeleine::message::{DeliveredMessage, MessageBuilder, PackMode};
+use madeleine::SendOutcome;
 use rand::rngs::StdRng;
 use simnet::{NodeId, SimDuration, SimTime, Summary};
 
 use crate::verify::{pattern, IntegrityChecker};
 use crate::workload::{rng_for, Arrival, SizeDist};
 
-/// Shared, externally inspectable statistics of one app instance.
+/// Shared, externally inspectable statistics of one app instance. What
+/// the engine shed or rejected is in its own metrics (`shed_msgs`,
+/// `rejected_sends`), not here.
 #[derive(Debug, Default)]
 pub struct AppStats {
-    /// Messages sent, replies included.
+    /// Messages drawn, replies included: what `stop_after` counts.
+    pub attempts: u64,
+    /// Messages admitted at their first try.
+    pub first_try_admits: u64,
+    /// Messages refused with `WouldBlock` at their first try.
+    pub first_try_blocks: u64,
+    /// Messages admitted from their flow's wait queue after an unblock.
+    pub wait_queue_admits: u64,
+    /// Messages admitted, replies included.
     pub sent: u64,
-    /// Payload bytes sent.
+    /// Payload bytes admitted.
     pub bytes_sent: u64,
     /// Messages received.
     pub received: u64,
     /// Payload bytes received.
     pub bytes_received: u64,
-    /// Request→reply round-trip times in microseconds, one summary per
-    /// [`FlowSpec`] in the order given (empty for flows without a reply).
+    /// Request→reply round-trip times in microseconds, from the request's
+    /// draw, one summary per [`FlowSpec`] in the order given (empty for
+    /// flows without a reply).
     pub rtt_us: Vec<Summary>,
     /// End-to-end integrity verification of received payloads.
     pub integrity: IntegrityChecker,
@@ -100,6 +114,16 @@ impl FlowSpec {
             reply: None,
             stop_after: None,
             start_after: SimDuration::ZERO,
+        }
+    }
+
+    /// A plain stream: a `size`-byte body every `period`, no express
+    /// header — a bulk transfer, or offered load with no draw in it.
+    pub fn periodic(dst: NodeId, period: SimDuration, size: usize) -> Self {
+        FlowSpec {
+            arrival: Arrival::Periodic(period),
+            express_header: 0,
+            ..FlowSpec::eager(dst, period, size)
         }
     }
 
@@ -210,67 +234,43 @@ impl Tag {
     }
 }
 
+/// A drawn message the engine has not taken yet: its shape, packed only
+/// when it is offered, with the sequence number the flow is at then.
+struct Drawn {
+    /// Express header bytes, with `tag` masked over their front.
+    header: usize,
+    tag: Option<Tag>,
+    /// Body fragment lengths; a length of 0 packs no fragment.
+    body: Vec<usize>,
+    /// When it was drawn: a request's round trip starts here.
+    at: SimTime,
+}
+
 struct FlowRt {
     flow: FlowId,
-    /// Messages sent, which is the next one's sequence number.
+    class: TrafficClass,
+    /// Messages admitted, which is the next one's sequence number.
     sent: u32,
+    /// Messages drawn, admitted or not.
+    drawn: u64,
     /// Messages due at the flow's next timer: the count `Arrival::next`
     /// drew with its delay.
     due: u32,
+    /// The message the engine answered `WouldBlock`, then the ones drawn
+    /// behind it, oldest first.
+    waiting: VecDeque<Drawn>,
 }
 
 impl FlowRt {
     fn open(api: &mut dyn CommApi, dst: NodeId, class: TrafficClass) -> Self {
         FlowRt {
             flow: api.open_flow(dst, class),
+            class,
             sent: 0,
+            drawn: 0,
             due: 0,
+            waiting: VecDeque::new(),
         }
-    }
-
-    /// Submit a message: an express header of `header` bytes with `tag`
-    /// masked over its front, then one `Cheaper` fragment per non-zero
-    /// length `body` yields.
-    fn submit(
-        &mut self,
-        api: &mut dyn CommApi,
-        stats: &StatsHandle,
-        header: usize,
-        tag: Option<Tag>,
-        body: impl Iterator<Item = usize>,
-    ) -> MsgId {
-        let id = MsgId {
-            flow: self.flow,
-            seq: MsgSeq(self.sent),
-        };
-        self.sent += 1;
-        let mut b = MessageBuilder::new();
-        let mut frag = 0;
-        if header > 0 {
-            let mut hdr = pattern(id.flow.0, id.seq.0, 0, header);
-            let tag = tag.map_or_else(Vec::new, Tag::encode);
-            assert!(
-                tag.len() <= header,
-                "a {header}-byte header cannot carry a tag of {}",
-                tag.len()
-            );
-            for (h, t) in hdr.iter_mut().zip(tag) {
-                *h ^= t;
-            }
-            b = b.pack(&hdr, PackMode::Express);
-            frag = 1;
-        }
-        for len in body.filter(|&n| n > 0) {
-            b = b.pack(&pattern(id.flow.0, id.seq.0, frag, len), PackMode::Cheaper);
-            frag += 1;
-        }
-        let parts = b.build_parts();
-        {
-            let mut s = stats.borrow_mut();
-            s.sent += 1;
-            s.bytes_sent += parts.iter().map(|p| p.data.len() as u64).sum::<u64>();
-        }
-        api.send(self.flow, parts)
     }
 }
 
@@ -278,12 +278,16 @@ impl FlowRt {
 ///
 /// Flows `0..specs.len()` of `flows` are the specs' own; the rest are the
 /// reply flows it opens, one per (requester, class), as requests arrive.
+/// Every message goes through [`CommApi::try_send`], so the app runs
+/// under any [`AdmissionPolicy`](madeleine::AdmissionPolicy): a message
+/// refused with `WouldBlock` waits in its flow's queue, with the flow's
+/// later messages behind it, until [`AppDriver::on_unblocked`] fires for
+/// its class; a `Rejected` one is dropped.
 pub struct TrafficApp {
-    name: &'static str,
     specs: Vec<FlowSpec>,
     flows: Vec<FlowRt>,
     reply_flows: BTreeMap<(NodeId, TrafficClass), usize>,
-    /// Requests awaiting their reply: spec index and submission time.
+    /// Requests awaiting their reply: spec index and draw time.
     pending: BTreeMap<MsgId, (usize, SimTime)>,
     rng: StdRng,
     stats: StatsHandle,
@@ -291,17 +295,11 @@ pub struct TrafficApp {
 
 impl TrafficApp {
     /// Build a traffic app; `seed`/`stream` select the RNG stream.
-    pub fn new(
-        name: &'static str,
-        specs: Vec<FlowSpec>,
-        seed: u64,
-        stream: u64,
-    ) -> (Self, StatsHandle) {
+    pub fn new(specs: Vec<FlowSpec>, seed: u64, stream: u64) -> (Self, StatsHandle) {
         let stats = StatsHandle::default();
         stats.borrow_mut().rtt_us = vec![Summary::new(); specs.len()];
         (
             TrafficApp {
-                name,
                 specs,
                 flows: Vec::new(),
                 reply_flows: BTreeMap::new(),
@@ -321,11 +319,81 @@ impl TrafficApp {
             size: r.sizes.sample(rng),
         });
         let frags = spec.body_frags.sample(rng);
-        let body = (0..frags).map(|_| spec.sizes.sample(rng));
-        let id = self.flows[idx].submit(api, &self.stats, spec.express_header, tag, body);
-        if tag.is_some() {
-            self.pending.insert(id, (idx, api.now()));
+        let msg = Drawn {
+            header: spec.express_header,
+            tag,
+            body: (0..frags).map(|_| spec.sizes.sample(rng)).collect(),
+            at: api.now(),
+        };
+        self.offer(api, idx, msg);
+    }
+
+    /// Offer a freshly drawn message on flow `idx`, or queue it behind the
+    /// flow's waiting ones.
+    fn offer(&mut self, api: &mut dyn CommApi, idx: usize, msg: Drawn) {
+        self.stats.borrow_mut().attempts += 1;
+        self.flows[idx].drawn += 1;
+        if !self.flows[idx].waiting.is_empty() {
+            self.flows[idx].waiting.push_back(msg);
+            return;
         }
+        let outcome = self.try_submit(api, idx, &msg);
+        let mut s = self.stats.borrow_mut();
+        match outcome {
+            SendOutcome::Admitted(_) | SendOutcome::Shed { .. } => s.first_try_admits += 1,
+            SendOutcome::WouldBlock => {
+                s.first_try_blocks += 1;
+                self.flows[idx].waiting.push_back(msg);
+            }
+            SendOutcome::Rejected => {}
+        }
+    }
+
+    /// Pack `msg` as flow `idx`'s next message — an express header of
+    /// `msg.header` bytes with its tag masked over the front, then one
+    /// `Cheaper` fragment per non-zero body length — and offer it; an
+    /// admitted request starts its round trip.
+    fn try_submit(&mut self, api: &mut dyn CommApi, idx: usize, msg: &Drawn) -> SendOutcome {
+        let flow = &mut self.flows[idx];
+        let id = MsgId {
+            flow: flow.flow,
+            seq: MsgSeq(flow.sent),
+        };
+        let mut b = MessageBuilder::new();
+        let mut frag = 0;
+        if msg.header > 0 {
+            let mut hdr = pattern(id.flow.0, id.seq.0, 0, msg.header);
+            let tag = msg.tag.map_or_else(Vec::new, Tag::encode);
+            assert!(
+                tag.len() <= msg.header,
+                "a {}-byte header cannot carry a tag of {}",
+                msg.header,
+                tag.len()
+            );
+            for (h, t) in hdr.iter_mut().zip(tag) {
+                *h ^= t;
+            }
+            b = b.pack(&hdr, PackMode::Express);
+            frag = 1;
+        }
+        for &len in msg.body.iter().filter(|&&n| n > 0) {
+            b = b.pack(&pattern(id.flow.0, id.seq.0, frag, len), PackMode::Cheaper);
+            frag += 1;
+        }
+        let parts = b.build_parts();
+        let bytes: u64 = parts.iter().map(|p| p.data.len() as u64).sum();
+        let outcome = api.try_send(flow.flow, parts);
+        if let Some(admitted) = outcome.msg_id() {
+            debug_assert_eq!(admitted, id, "a refused message used up a sequence number");
+            flow.sent += 1;
+            let mut s = self.stats.borrow_mut();
+            s.sent += 1;
+            s.bytes_sent += bytes;
+            if let Some(Tag::Request { .. }) = msg.tag {
+                self.pending.insert(id, (idx, msg.at));
+            }
+        }
+        outcome
     }
 
     fn arm(&mut self, api: &mut dyn CommApi, idx: usize) {
@@ -349,14 +417,13 @@ impl TrafficApp {
                 flows.push(FlowRt::open(api, request.src, class));
                 flows.len() - 1
             });
-        let tag = Some(Tag::Reply(request.id));
-        let body = std::iter::once(size);
-        flows[idx].submit(api, &self.stats, REPLY_HEADER_BYTES, tag, body);
-    }
-
-    /// The app's name (used in reports).
-    pub fn name(&self) -> &'static str {
-        self.name
+        let msg = Drawn {
+            header: REPLY_HEADER_BYTES,
+            tag: Some(Tag::Reply(request.id)),
+            body: vec![size],
+            at: api.now(),
+        };
+        self.offer(api, idx, msg);
     }
 }
 
@@ -386,12 +453,12 @@ impl AppDriver for TrafficApp {
         let idx = tag as usize;
         let limit = self.specs[idx].stop_after.unwrap_or(u64::MAX);
         for _ in 0..self.flows[idx].due {
-            if u64::from(self.flows[idx].sent) >= limit {
+            if self.flows[idx].drawn >= limit {
                 return;
             }
             self.send_one(api, idx);
         }
-        if u64::from(self.flows[idx].sent) < limit {
+        if self.flows[idx].drawn < limit {
             self.arm(api, idx);
         }
     }
@@ -415,6 +482,28 @@ impl AppDriver for TrafficApp {
             None => {}
         }
     }
+
+    /// Offer the waiting messages of `class`'s flows again, in flow order,
+    /// until the engine refuses one.
+    fn on_unblocked(&mut self, api: &mut dyn CommApi, class: TrafficClass) {
+        for idx in 0..self.flows.len() {
+            if self.flows[idx].class != class {
+                continue;
+            }
+            while let Some(msg) = self.flows[idx].waiting.pop_front() {
+                match self.try_submit(api, idx, &msg) {
+                    SendOutcome::Admitted(_) | SendOutcome::Shed { .. } => {
+                        self.stats.borrow_mut().wait_queue_admits += 1;
+                    }
+                    SendOutcome::WouldBlock => {
+                        self.flows[idx].waiting.push_front(msg);
+                        return;
+                    }
+                    SendOutcome::Rejected => {}
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -423,11 +512,69 @@ mod tests {
     use crate::scenario::traffic_pair;
     use crate::trace::{Recorder, ReplayApp};
     use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-    use madeleine::{EngineConfig, ReliabilityMode};
+    use madeleine::{AdmissionPolicy, EngineConfig, ReliabilityMode};
     use simnet::FaultPlan;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
+    }
+
+    /// One stream of 32 × 4 KiB, one a microsecond — twice a 64 KiB
+    /// budget, offered far faster than the rail drains it — under
+    /// `policy`, drained.
+    fn over_budget(policy: AdmissionPolicy) -> (Cluster, StatsHandle, StatsHandle) {
+        let mut config = EngineConfig::default();
+        config.admission.max_backlog_bytes = 64 << 10;
+        config.admission.policy = [policy; 4];
+        let stream = FlowSpec {
+            stop_after: Some(32),
+            ..FlowSpec::periodic(NodeId(1), us(1), 4 << 10)
+        };
+        let spec = ClusterSpec::mx_pair().config(config);
+        let (mut c, tx, rx) = traffic_pair(&spec, vec![stream], 17);
+        c.drain();
+        (c, tx, rx)
+    }
+
+    #[test]
+    fn block_delivers_every_message_intact_and_in_order() {
+        let (_, tx, rx) = over_budget(AdmissionPolicy::Block);
+        let (tx, rx) = (tx.borrow(), rx.borrow());
+        assert!(tx.first_try_blocks > 0, "the budget never bit");
+        assert_eq!(
+            tx.first_try_admits + tx.wait_queue_admits,
+            tx.sent,
+            "every message admitted once"
+        );
+        assert_eq!((tx.attempts, tx.sent, rx.received), (32, 32, 32));
+        assert_eq!(rx.integrity.checked, 32);
+        assert!(rx.integrity.all_ok(), "{:?}", rx.integrity.failures);
+    }
+
+    #[test]
+    fn shed_oldest_accounts_for_every_message() {
+        let (c, tx, rx) = over_budget(AdmissionPolicy::ShedOldest);
+        let shed = c.handle(0).metrics().shed_msgs;
+        assert!(shed > 0, "the budget never bit");
+        let (tx, rx) = (tx.borrow(), rx.borrow());
+        assert_eq!(tx.attempts, 32);
+        assert_eq!(rx.received + shed, tx.attempts);
+        assert!(rx.integrity.all_ok(), "{:?}", rx.integrity.failures);
+    }
+
+    #[test]
+    fn reject_accounts_for_every_message() {
+        let (c, tx, rx) = over_budget(AdmissionPolicy::Reject);
+        let rejected = c.handle(0).metrics().rejected_sends;
+        assert!(rejected > 0, "the budget never bit");
+        let (tx, rx) = (tx.borrow(), rx.borrow());
+        assert_eq!(tx.attempts, 32);
+        assert_eq!(rx.received + rejected, tx.attempts);
+        assert_eq!(
+            tx.sent, rx.received,
+            "a rejected message uses up no sequence number"
+        );
+        assert!(rx.integrity.all_ok(), "{:?}", rx.integrity.failures);
     }
 
     #[test]
@@ -444,8 +591,7 @@ mod tests {
             stop_after: Some(50),
             start_after: SimDuration::ZERO,
         };
-        let (mut c, tx_stats, rx_stats) =
-            traffic_pair(&ClusterSpec::mx_pair(), "t", vec![flow], 42);
+        let (mut c, tx_stats, rx_stats) = traffic_pair(&ClusterSpec::mx_pair(), vec![flow], 42);
         c.drain();
         assert_eq!(tx_stats.borrow().sent, 50);
         let rx = rx_stats.borrow();
@@ -470,7 +616,7 @@ mod tests {
             stop_after: Some(30),
             start_after: SimDuration::ZERO,
         };
-        let (mut c, tx_stats, rx_stats) = traffic_pair(&ClusterSpec::mx_pair(), "b", vec![flow], 7);
+        let (mut c, tx_stats, rx_stats) = traffic_pair(&ClusterSpec::mx_pair(), vec![flow], 7);
         c.drain();
         assert_eq!(tx_stats.borrow().sent, 30);
         assert_eq!(rx_stats.borrow().received, 30);
@@ -491,7 +637,7 @@ mod tests {
             start_after: SimDuration::ZERO,
         };
         let spec = ClusterSpec::mx_pair().legacy();
-        let (mut c, _, rx_stats) = traffic_pair(&spec, "multi", vec![flow; 4], 11);
+        let (mut c, _, rx_stats) = traffic_pair(&spec, vec![flow; 4], 11);
         c.drain();
         let rx = rx_stats.borrow();
         assert_eq!(rx.received, 100);
@@ -502,7 +648,7 @@ mod tests {
     /// through a derived `Default` whose minimum started at 0.
     #[test]
     fn fresh_stats_report_the_true_minimum_rtt() {
-        let (_, stats) = TrafficApp::new("rtt", vec![FlowSpec::rpc(NodeId(1), us(5))], 1, 0);
+        let (_, stats) = TrafficApp::new(vec![FlowSpec::rpc(NodeId(1), us(5))], 1, 0);
         stats.borrow_mut().rtt_us[0].record(5.0);
         stats.borrow_mut().rtt_us[0].record(9.0);
         assert_eq!(stats.borrow().rtt_us[0].min(), 5.0);
@@ -519,7 +665,7 @@ mod tests {
             stop_after: Some(40),
             ..FlowSpec::rpc(NodeId(1), us(20))
         };
-        let (mut c, client, server) = traffic_pair(&ClusterSpec::mx_pair(), "rpc", vec![rpc], 5);
+        let (mut c, client, server) = traffic_pair(&ClusterSpec::mx_pair(), vec![rpc], 5);
         c.drain();
         let (cs, ss) = (client.borrow(), server.borrow());
         assert_eq!(cs.sent, 40);
@@ -557,7 +703,7 @@ mod tests {
             stop_after: Some(30),
             ..FlowSpec::dsm(NodeId(1), us(30))
         };
-        let (mut c, client, home) = traffic_pair(&ClusterSpec::mx_pair(), "dsm", vec![dsm], 13);
+        let (mut c, client, home) = traffic_pair(&ClusterSpec::mx_pair(), vec![dsm], 13);
         c.drain();
         let cs = client.borrow();
         assert_eq!(cs.sent, 30);
@@ -580,8 +726,7 @@ mod tests {
             stop_after: Some(60),
             ..FlowSpec::corba(NodeId(1), us(8))
         };
-        let (mut c, invoker, servant) =
-            traffic_pair(&ClusterSpec::mx_pair(), "corba", vec![corba], 21);
+        let (mut c, invoker, servant) = traffic_pair(&ClusterSpec::mx_pair(), vec![corba], 21);
         c.drain();
         assert_eq!(invoker.borrow().sent, 60);
         let ss = servant.borrow();
@@ -604,7 +749,7 @@ mod tests {
             stop_after: Some(200),
             ..FlowSpec::rpc(NodeId(1), us(5))
         };
-        let (mut c, client, server) = traffic_pair(&spec, "rpc", vec![rpc], 3);
+        let (mut c, client, server) = traffic_pair(&spec, vec![rpc], 3);
         c.set_fault_plan(0, FaultPlan::new(3).with_loss(0.02));
         c.drain();
         let (cs, ss) = (client.borrow(), server.borrow());
@@ -630,7 +775,7 @@ mod tests {
                 ..FlowSpec::eager(NodeId(1), us(2), 64)
             })
             .collect();
-        let (mut c, _, rx) = traffic_pair(&ClusterSpec::mx_pair(), "plain", plain, 9);
+        let (mut c, _, rx) = traffic_pair(&ClusterSpec::mx_pair(), plain, 9);
         c.drain();
         assert_eq!(rx.borrow().received, 17 * 20);
         assert_eq!(rx.borrow().sent, 0);
@@ -643,7 +788,7 @@ mod tests {
                 ..preset(NodeId(1), us(3))
             })
             .to_vec();
-        let (app, _) = TrafficApp::new("rec", presets, 9, 0);
+        let (app, _) = TrafficApp::new(presets, 9, 0);
         let (recorder, trace) = Recorder::new(Box::new(app));
         let mut c = Cluster::build(
             &ClusterSpec::mx_pair(),
@@ -651,7 +796,7 @@ mod tests {
         );
         c.drain();
         let replay = ReplayApp::new(trace.borrow().clone());
-        let (sink, rx) = TrafficApp::new("sink", vec![], 9, 1);
+        let (sink, rx) = TrafficApp::new(vec![], 9, 1);
         let mut c = Cluster::build(
             &ClusterSpec::mx_pair(),
             vec![Some(Box::new(replay)), Some(Box::new(sink))],

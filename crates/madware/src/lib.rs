@@ -9,7 +9,9 @@
 //!
 //! * [`apps::TrafficApp`] — the one multi-flow generator (arrival process ×
 //!   size distribution × traffic class), the experiment workhorse; every
-//!   instance also answers requests. The middlewares are shapes of its
+//!   instance also answers requests, and submits through admission
+//!   control, holding back what the engine refuses until its class
+//!   unblocks. The middlewares are shapes of its
 //!   [`FlowSpec`]: [`FlowSpec::rpc`] (request/reply with RTT matching),
 //!   [`FlowSpec::dsm`] (latency-critical page faults answered by bulk
 //!   pages), [`FlowSpec::corba`] (marshalled multi-fragment invocations);
@@ -19,9 +21,11 @@
 //!   ring-allreduce or parameter-server exchange → step barrier) over
 //!   madcoll's algorithm-selected collectives;
 //! * [`verify`] — deterministic payload patterns: every workload checks the
-//!   bytes it receives, so experiments double as correctness tests;
-//! * [`scenario`] — composed clusters (the source → sink pair, N eager
-//!   flows) used by the experiment harness;
+//!   bytes and the per-flow order of what it receives, so experiments
+//!   double as correctness tests;
+//! * [`scenario`] — composed clusters: [`scenario::traffic`], a
+//!   `TrafficApp` on every node of any cluster, and its two-node case
+//!   [`scenario::traffic_pair`];
 //! * [`trace`] — workload record & replay for apples-to-apples engine
 //!   comparisons.
 //!
@@ -46,7 +50,7 @@
 //!     start_after: SimDuration::ZERO,
 //! };
 //! let (mut cluster, _tx, rx) =
-//!     traffic_pair(&ClusterSpec::mx_pair(), "demo", vec![spec.clone(), spec], 1);
+//!     traffic_pair(&ClusterSpec::mx_pair(), vec![spec.clone(), spec], 1);
 //! cluster.drain();
 //! assert_eq!(rx.borrow().received, 40);
 //! assert!(rx.borrow().integrity.all_ok());

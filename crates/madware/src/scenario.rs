@@ -1,24 +1,46 @@
 //! Composed scenarios: ready-made clusters for experiments and examples.
 
+use madeleine::api::AppDriver;
 use madeleine::harness::{Cluster, ClusterSpec};
-use simnet::{NodeId, SimDuration};
+use simnet::{NodeId, SimDuration, Topology};
 
 use crate::apps::{FlowSpec, StatsHandle, TrafficApp};
 
-/// One traffic source and one sink: node 0 runs `flows` as a
-/// [`TrafficApp`] called `name` (RNG stream 0 of `seed`), node 1 a
-/// flow-less one (stream 1) that counts, verifies and answers requests.
-/// `spec` describes everything else about the cell — rails, engine,
-/// tracing. Returns the undrained cluster plus (sender stats, sink stats).
+/// A [`TrafficApp`] on every node of the cell `spec` describes: node `i`
+/// runs `flows_per_node[i]` on RNG stream `i` of `seed`, and a node past
+/// the end of the list runs none — a sink that counts, verifies and
+/// answers requests. `topos[r]` switches rail `r` as in
+/// [`Cluster::build_with_topologies`]. Returns the undrained cluster plus
+/// every node's stats, in node order.
+pub fn traffic(
+    spec: &ClusterSpec,
+    topos: Vec<Option<Topology>>,
+    flows_per_node: Vec<Vec<FlowSpec>>,
+    seed: u64,
+) -> (Cluster, Vec<StatsHandle>) {
+    assert!(
+        flows_per_node.len() <= spec.nodes,
+        "more workloads than nodes"
+    );
+    let mut flows = flows_per_node.into_iter();
+    let (apps, stats): (Vec<Option<Box<dyn AppDriver>>>, Vec<StatsHandle>) = (0..spec.nodes)
+        .map(|i| {
+            let (app, stats) = TrafficApp::new(flows.next().unwrap_or_default(), seed, i as u64);
+            (Some(Box::new(app) as Box<dyn AppDriver>), stats)
+        })
+        .unzip();
+    (Cluster::build_with_topologies(spec, topos, apps), stats)
+}
+
+/// [`traffic`] on a node pair: node 0 runs `flows`, node 1 is the sink.
+/// Returns the undrained cluster plus (sender stats, sink stats).
 pub fn traffic_pair(
     spec: &ClusterSpec,
-    name: &'static str,
     flows: Vec<FlowSpec>,
     seed: u64,
 ) -> (Cluster, StatsHandle, StatsHandle) {
-    let (app, tx) = TrafficApp::new(name, flows, seed, 0);
-    let (sink, rx) = TrafficApp::new("sink", vec![], seed, 1);
-    let cluster = Cluster::build(spec, vec![Some(Box::new(app)), Some(Box::new(sink))]);
+    let (cluster, stats) = traffic(spec, Vec::new(), vec![flows], seed);
+    let [tx, rx] = <[StatsHandle; 2]>::try_from(stats).expect("a pair is two nodes");
     (cluster, tx, rx)
 }
 
@@ -37,12 +59,15 @@ pub fn eager_flows(
         stop_after: Some(msgs_per_flow),
         ..FlowSpec::eager(NodeId(1), mean_gap, msg_size)
     };
-    traffic_pair(spec, "eager", vec![flow; n_flows], seed)
+    traffic_pair(spec, vec![flow; n_flows], seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::SizeDist;
+    use madeleine::harness::NodeHandle;
+    use simnet::Technology;
 
     /// The paper's motivating workload (§1): RPC, DSM and CORBA stacked
     /// on one node pair, every request answered and every payload intact.
@@ -54,8 +79,7 @@ mod tests {
                 ..preset(NodeId(1), SimDuration::from_micros(15))
             })
             .to_vec();
-        let (mut cluster, clients, servers) =
-            traffic_pair(&ClusterSpec::mx_pair(), "middlewares", flows, 77);
+        let (mut cluster, clients, servers) = traffic_pair(&ClusterSpec::mx_pair(), flows, 77);
         cluster.drain();
         let (c, s) = (clients.borrow(), servers.borrow());
         assert_eq!(c.sent, 75);
@@ -70,6 +94,39 @@ mod tests {
                 "{name}: {:?}",
                 stats.integrity.failures
             );
+        }
+    }
+
+    /// Four nodes across a dumbbell, every one streaming to every other.
+    #[test]
+    fn every_node_streams_to_every_other_across_a_dumbbell() {
+        let nodes = 4;
+        let profile = nicdrv::calib::params(Technology::MyrinetMx).link_profile();
+        let topo = Topology::dumbbell(2, 2, profile, profile);
+        let flows = (0..nodes)
+            .map(|me| {
+                (0..nodes)
+                    .filter(|&dst| dst != me)
+                    .map(|dst| FlowSpec {
+                        sizes: SizeDist::Uniform(16, 2048),
+                        stop_after: Some(20),
+                        ..FlowSpec::eager(NodeId(dst as u32), SimDuration::from_micros(5), 0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let spec = ClusterSpec::new(nodes, vec![Technology::MyrinetMx]);
+        let (mut cluster, stats) = traffic(&spec, vec![Some(topo)], flows, 4);
+        cluster.drain();
+        for (i, stats) in stats.iter().enumerate() {
+            let s = stats.borrow();
+            assert_eq!((s.sent, s.received), (60, 60), "node {i}");
+            assert_eq!(s.integrity.checked, 60, "node {i}");
+            assert!(s.integrity.all_ok(), "node {i}: {:?}", s.integrity.failures);
+            assert_eq!(cluster.handle(i).backlog_bytes(), 0, "node {i} drained");
+            if let NodeHandle::Opt(h) = cluster.handle(i) {
+                assert!(h.is_drained(), "node {i} engine drained");
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! Communication-library research lives and dies by apples-to-apples
 //! comparisons: the same submission sequence must be driven into both
 //! engines. [`Recorder`] wraps any [`AppDriver`] and records every
-//! submission (time, flow, fragment shapes); the resulting [`Trace`]
+//! submission the engine admits (time, flow, fragment shapes); the resulting [`Trace`]
 //! serializes to a plain-text format and replays deterministically via
 //! [`ReplayApp`] — on the optimizing engine, the legacy engine, or any
 //! future one.
@@ -22,6 +22,7 @@
 use madeleine::api::{AppDriver, CommApi};
 use madeleine::ids::{FlowId, MsgId, TrafficClass};
 use madeleine::message::{DeliveredMessage, Fragment, MessageBuilder, PackMode};
+use madeleine::SendOutcome;
 use simnet::{NodeId, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -177,7 +178,7 @@ impl Trace {
 pub type TraceHandle = Rc<RefCell<Trace>>;
 
 /// Wraps an [`AppDriver`], recording every flow it opens and every message
-/// it submits.
+/// the engine admits from it; every callback reaches the wrapped app.
 pub struct Recorder {
     inner: Box<dyn AppDriver>,
     trace: TraceHandle,
@@ -221,20 +222,31 @@ impl CommApi for RecordingApi<'_> {
         id
     }
     fn send(&mut self, flow: FlowId, parts: Vec<Fragment>) -> MsgId {
-        let idx = self
-            .flow_map
+        let outcome = self.try_send(flow, parts);
+        outcome.msg_id().unwrap_or_else(|| {
+            panic!("send refused by madflow admission control ({outcome:?}); use try_send")
+        })
+    }
+    /// Submits, and records the message if the engine admits it.
+    fn try_send(&mut self, flow: FlowId, parts: Vec<Fragment>) -> SendOutcome {
+        let frags = parts
             .iter()
-            .position(|&f| f == flow)
-            .expect("send on a flow the recorded app did not open");
-        self.trace.borrow_mut().msgs.push(TraceMsg {
-            at_ns: self.api.now().as_nanos(),
-            flow_idx: idx,
-            frags: parts
+            .map(|p| (p.data.len(), p.mode == PackMode::Express))
+            .collect();
+        let outcome = self.api.try_send(flow, parts);
+        if outcome.msg_id().is_some() {
+            let flow_idx = self
+                .flow_map
                 .iter()
-                .map(|p| (p.data.len(), p.mode == PackMode::Express))
-                .collect(),
-        });
-        self.api.send(flow, parts)
+                .position(|&f| f == flow)
+                .expect("send on a flow the recorded app did not open");
+            self.trace.borrow_mut().msgs.push(TraceMsg {
+                at_ns: self.api.now().as_nanos(),
+                flow_idx,
+                frags,
+            });
+        }
+        outcome
     }
     fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.api.set_timer(delay, tag);
@@ -244,45 +256,37 @@ impl CommApi for RecordingApi<'_> {
     }
 }
 
+impl Recorder {
+    /// Run `f` on the wrapped app with the recording shim over `api`.
+    fn forward(
+        &mut self,
+        api: &mut dyn CommApi,
+        f: impl FnOnce(&mut dyn AppDriver, &mut dyn CommApi),
+    ) {
+        let mut shim = RecordingApi {
+            api,
+            trace: &self.trace,
+            flow_map: &mut self.flow_map,
+        };
+        f(self.inner.as_mut(), &mut shim);
+    }
+}
+
 impl AppDriver for Recorder {
     fn on_start(&mut self, api: &mut dyn CommApi) {
-        let Recorder {
-            inner,
-            trace,
-            flow_map,
-        } = self;
-        let mut shim = RecordingApi {
-            api,
-            trace,
-            flow_map,
-        };
-        inner.on_start(&mut shim);
+        self.forward(api, |app, api| app.on_start(api));
     }
     fn on_timer(&mut self, api: &mut dyn CommApi, tag: u64) {
-        let Recorder {
-            inner,
-            trace,
-            flow_map,
-        } = self;
-        let mut shim = RecordingApi {
-            api,
-            trace,
-            flow_map,
-        };
-        inner.on_timer(&mut shim, tag);
+        self.forward(api, |app, api| app.on_timer(api, tag));
     }
     fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) {
-        let Recorder {
-            inner,
-            trace,
-            flow_map,
-        } = self;
-        let mut shim = RecordingApi {
-            api,
-            trace,
-            flow_map,
-        };
-        inner.on_message(&mut shim, msg);
+        self.forward(api, |app, api| app.on_message(api, msg));
+    }
+    fn on_sent(&mut self, api: &mut dyn CommApi, msg: MsgId) {
+        self.forward(api, |app, api| app.on_sent(api, msg));
+    }
+    fn on_unblocked(&mut self, api: &mut dyn CommApi, class: TrafficClass) {
+        self.forward(api, |app, api| app.on_unblocked(api, class));
     }
 }
 
@@ -353,6 +357,7 @@ mod tests {
     use crate::apps::{FlowSpec, TrafficApp};
     use crate::workload::{Arrival, SizeDist};
     use madeleine::harness::{Cluster, ClusterSpec};
+    use madeleine::EngineConfig;
 
     fn text_fixture() -> &'static str {
         "# madeleine-trace v1\n\
@@ -403,7 +408,7 @@ mod tests {
             stop_after: Some(40),
             start_after: SimDuration::ZERO,
         }];
-        let (app, _stats) = TrafficApp::new("rec", specs, 99, 0);
+        let (app, _stats) = TrafficApp::new(specs, 99, 0);
         let (recorder, trace) = Recorder::new(Box::new(app));
         let spec = ClusterSpec::mx_pair();
         let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);
@@ -433,6 +438,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_recording_under_backpressure_replays_what_was_admitted() {
+        // 32 × 4 KiB a microsecond apart against a 64 KiB Block budget.
+        let mut config = EngineConfig::default();
+        config.admission.max_backlog_bytes = 64 << 10;
+        let specs = vec![FlowSpec {
+            stop_after: Some(32),
+            ..FlowSpec::periodic(NodeId(1), SimDuration::from_micros(1), 4 << 10)
+        }];
+        let (app, tx) = TrafficApp::new(specs, 5, 0);
+        let (recorder, trace) = Recorder::new(Box::new(app));
+        let spec = ClusterSpec::mx_pair().config(config);
+        let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);
+        c.drain();
+        let tx = tx.borrow();
+        assert!(tx.first_try_blocks > 0, "the budget never bit");
+        assert_eq!(tx.sent, 32, "every waiting message offered again");
+        let recorded = trace.borrow().clone();
+        assert_eq!(recorded.len() as u64, tx.sent, "refused offers recorded");
+        assert_eq!(recorded.total_bytes(), tx.bytes_sent);
+
+        // Replayed without a budget, the trace delivers exactly those.
+        let (sink, rx) = TrafficApp::new(vec![], 5, 1);
+        let replay = ReplayApp::new(recorded);
+        let mut c = Cluster::build(
+            &ClusterSpec::mx_pair(),
+            vec![Some(Box::new(replay)), Some(Box::new(sink))],
+        );
+        c.drain();
+        let rx = rx.borrow();
+        assert_eq!((rx.received, rx.bytes_received), (tx.sent, tx.bytes_sent));
+        assert!(rx.integrity.all_ok(), "{:?}", rx.integrity.failures);
     }
 
     #[test]

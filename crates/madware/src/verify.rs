@@ -2,7 +2,11 @@
 //! verification, so every experiment doubles as a correctness check of the
 //! optimizer's reorderings.
 
+use std::collections::HashMap;
+
+use madeleine::ids::FlowId;
 use madeleine::message::DeliveredMessage;
+use simnet::NodeId;
 
 /// Deterministic byte pattern for (flow, seq, frag) at each offset.
 /// Position-dependent so that any chunk misplacement (wrong offset, wrong
@@ -49,27 +53,40 @@ pub fn check_message(msg: &DeliveredMessage) -> Result<(), String> {
     Ok(())
 }
 
-/// Running verification over a stream of deliveries.
+/// Running verification over a stream of deliveries: every payload
+/// intact, and each (source, flow)'s sequence numbers rising — a
+/// duplicate or a reorder fails, a gap (a shed or cancelled message) does
+/// not.
 #[derive(Clone, Debug, Default)]
 pub struct IntegrityChecker {
     /// Messages verified.
     pub checked: u64,
     /// Descriptions of failures (bounded to the first 16).
     pub failures: Vec<String>,
+    /// Last sequence number delivered per (source, flow).
+    last_seq: HashMap<(NodeId, FlowId), u32>,
 }
 
 impl IntegrityChecker {
     /// Check one message.
     pub fn check(&mut self, msg: &DeliveredMessage) {
         self.checked += 1;
-        if let Err(e) = check_message(msg) {
+        let seq = msg.id.seq.0;
+        let order = match self.last_seq.insert((msg.src, msg.flow), seq) {
+            Some(last) if seq <= last => Err(format!(
+                "{} from node {} after seq {last}: a duplicate or a reorder",
+                msg.id, msg.src.0
+            )),
+            _ => Ok(()),
+        };
+        if let Err(e) = order.and_then(|()| check_message(msg)) {
             if self.failures.len() < 16 {
                 self.failures.push(e);
             }
         }
     }
 
-    /// True if every checked message was intact.
+    /// True if every checked message was intact and in order.
     pub fn all_ok(&self) -> bool {
         self.failures.is_empty()
     }
@@ -136,6 +153,46 @@ mod tests {
     fn swapped_fragments_detected() {
         let m = delivered(1, 1, vec![pattern(1, 1, 1, 32), pattern(1, 1, 0, 32)]);
         assert!(check_message(&m).is_err());
+    }
+
+    /// Deliver `seqs` of flow 3 from `src`, in the order given.
+    fn checked(seqs: &[(u32, u32)]) -> IntegrityChecker {
+        let mut c = IntegrityChecker::default();
+        for &(src, seq) in seqs {
+            let mut m = delivered(3, seq, vec![pattern(3, seq, 0, 24)]);
+            m.src = NodeId(src);
+            c.check(&m);
+        }
+        c
+    }
+
+    #[test]
+    fn a_duplicate_is_flagged() {
+        let c = checked(&[(0, 0), (0, 1), (0, 1), (0, 2)]);
+        assert_eq!((c.checked, c.failures.len()), (4, 1), "{:?}", c.failures);
+        assert!(c.failures[0].contains("after seq 1"), "{:?}", c.failures);
+    }
+
+    #[test]
+    fn a_reorder_is_flagged() {
+        let c = checked(&[(0, 0), (0, 2), (0, 1), (0, 3)]);
+        assert_eq!(c.failures.len(), 1, "{:?}", c.failures);
+        assert!(c.failures[0].contains("after seq 2"), "{:?}", c.failures);
+    }
+
+    #[test]
+    fn a_gap_is_legal() {
+        // A shed or cancelled message never arrives.
+        assert!(checked(&[(0, 0), (0, 3), (0, 4), (0, 9)]).all_ok());
+    }
+
+    #[test]
+    fn sources_sharing_a_flow_id_are_ordered_apart() {
+        let c = checked(&[(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (0, 2)]);
+        assert!(c.all_ok(), "{:?}", c.failures);
+        let c = checked(&[(0, 0), (1, 0), (1, 1), (1, 0)]);
+        assert_eq!(c.failures.len(), 1, "{:?}", c.failures);
+        assert!(c.failures[0].contains("node 1"), "{:?}", c.failures);
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn run(adaptive: bool) -> (f64, u64) {
     };
     let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx; 4])
         .engine(EngineKind::with_policy(config, policy));
-    let (mut cluster, _, rx) = traffic_pair(&spec, "phased", workload(phase2_at), 5);
+    let (mut cluster, _, rx) = traffic_pair(&spec, workload(phase2_at), 5);
     let NodeHandle::Opt(h) = cluster.handle(0).clone() else {
         unreachable!()
     };

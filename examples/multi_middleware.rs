@@ -31,7 +31,7 @@ fn run(kind: EngineKind, gaps_us: [u64; 3], label: &str) {
         })
         .collect();
     let spec = ClusterSpec::new(2, vec![Technology::MyrinetMx]).engine(kind);
-    let (mut cluster, clients, servers) = traffic_pair(&spec, "middlewares", flows, 2026);
+    let (mut cluster, clients, servers) = traffic_pair(&spec, flows, 2026);
     let end = cluster.drain();
     let tx = cluster.handle(0).metrics();
     let (c, s) = (clients.borrow(), servers.borrow());

@@ -32,7 +32,7 @@ fn run(engine: EngineKind, label: &str) {
         stop_after: Some(msgs),
         start_after: SimDuration::ZERO,
     };
-    let (mut cluster, _, rx) = traffic_pair(&spec, "bulk", vec![flow], 1);
+    let (mut cluster, _, rx) = traffic_pair(&spec, vec![flow], 1);
     let end = cluster.drain();
     let bytes = msgs * (24 << 10);
     let mbps = bytes as f64 / 1e6 / end.as_secs_f64();

@@ -38,7 +38,7 @@ fn record() -> Trace {
             start_after: SimDuration::ZERO,
         })
         .collect();
-    let (app, _) = TrafficApp::new("recorded", specs, 1234, 0);
+    let (app, _) = TrafficApp::new(specs, 1234, 0);
     let (recorder, trace) = Recorder::new(Box::new(app));
     let spec = ClusterSpec::mx_pair();
     let mut c = Cluster::build(&spec, vec![Some(Box::new(recorder)), None]);

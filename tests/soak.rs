@@ -4,9 +4,10 @@
 //! scale: exact delivery counts, byte-exact payloads, per-flow order, no
 //! express violations, no driver rejections, engines fully drained.
 
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind, NodeHandle};
+use madeleine::harness::{ClusterSpec, EngineKind, NodeHandle};
 use madeleine::ids::TrafficClass;
-use madware::apps::{FlowSpec, TrafficApp};
+use madware::apps::FlowSpec;
+use madware::scenario::traffic;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
@@ -66,14 +67,10 @@ fn soak(engine: EngineKind, msgs: u64) {
     let nodes = 4usize;
     let spec = ClusterSpec::new(nodes, vec![Technology::MyrinetMx, Technology::QuadricsElan])
         .engine(engine);
-    let mut apps: Vec<Option<Box<dyn madeleine::AppDriver>>> = Vec::new();
-    let mut stats = Vec::new();
-    for me in 0..nodes {
-        let (app, h) = TrafficApp::new("soak", node_workload(me, nodes, msgs), 1717, me as u64);
-        apps.push(Some(Box::new(app)));
-        stats.push(h);
-    }
-    let mut c = Cluster::build(&spec, apps);
+    let workloads = (0..nodes)
+        .map(|me| node_workload(me, nodes, msgs))
+        .collect();
+    let (mut c, stats) = traffic(&spec, Vec::new(), workloads, 1717);
     c.drain();
 
     let per_peer = msgs + msgs + msgs / 2; // control + default + bulk
