@@ -12,28 +12,35 @@
 //!    variants enabled (optimizer picks per packet) vs forcibly linearized.
 
 use madeleine::harness::ClusterSpec;
-use madeleine::plan::PlannedChunk;
-use madeleine::proto::wire_bytes;
-use madeleine::{EngineConfig, FlowId};
+use madeleine::proto::{make_header, wire_bytes};
+use madeleine::{EngineConfig, FlowId, TrafficClass};
 use madware::scenario::eager_flows;
 use nicdrv::{calib, CostModel};
-use simnet::{Technology, TxMode};
+use simnet::{SimTime, Technology, TxMode};
 
 use crate::{fmt_bytes, fmt_f, Report, Table};
 
-/// Wire bytes of a packet aggregating one `chunk`-byte message from each of
-/// `n` flows (every header names its message).
+/// Wire bytes of a packet aggregating one `chunk`-byte message of one
+/// fragment from each of `n` flows, all submitted at the same instant
+/// (every header names its message).
 pub fn packet_bytes(n: usize, chunk: u64) -> u64 {
-    let list: Vec<PlannedChunk> = (0..n as u32)
-        .map(|flow| PlannedChunk {
-            flow: FlowId(flow),
-            seq: 0,
-            frag: 0,
-            offset: 0,
-            len: chunk as u32,
-        })
-        .collect();
-    wire_bytes(&list)
+    let headers = (0..n as u32).map(|flow| {
+        let len = chunk as u32;
+        let class = TrafficClass::DEFAULT;
+        make_header(
+            FlowId(flow),
+            0,
+            0,
+            1,
+            false,
+            class,
+            len,
+            0,
+            len,
+            SimTime::ZERO,
+        )
+    });
+    wire_bytes(headers)
 }
 
 /// Analytic occupancy of an `n`-chunk packet of `chunk` bytes each.

@@ -29,6 +29,7 @@ use crate::flowmgr::{class_slot, DrrScheduler, FairnessMode, FlowIndex, CLASS_SL
 use crate::ids::{ChannelId, FlowId, FragIndex, MsgId, MsgSeq, TrafficClass};
 use crate::message::{Fragment, PackMode};
 use crate::plan::{ChunkCandidate, DstGroup, PlannedChunk, RndvCandidate, WindowGroups};
+use crate::proto::ChunkHeader;
 use crate::slab::Slab;
 
 /// Flows one sender may open, and so the flow ids a receiver accepts: a
@@ -501,6 +502,15 @@ impl CollectLayer {
         Some((fs, self.msgs.get(slot)))
     }
 
+    /// The wire header of chunk `c` of a pending message (a rendezvous
+    /// request's is that of the empty chunk at its fragment's start), or
+    /// `None` when no pending message has its fragment.
+    pub fn header(&self, c: &PlannedChunk) -> Option<ChunkHeader> {
+        let (fs, msg) = self.find(c.flow, c.seq)?;
+        msg.frags.get(c.frag as usize)?;
+        Some(chunk_header(fs, c.seq, msg, c))
+    }
+
     /// Build the optimizer's view for one rail: schedulable chunks grouped
     /// by destination, at most `window` data candidates, oldest messages
     /// first, and beside them at most [`crate::plan::MAX_REQS_PER_DST`]
@@ -662,6 +672,7 @@ impl CollectLayer {
             // everything behind it.
             let mut express_open = false;
             let msg_remaining = msg.backlog_bytes();
+            let frag_count = msg.frags.len() as u16;
             for frag in &msg.frags {
                 if *taken >= window {
                     return;
@@ -675,6 +686,9 @@ impl CollectLayer {
                             flow: fs.id,
                             seq: q.seq,
                             frag: frag.index,
+                            frag_count,
+                            frag_len: frag.len(),
+                            express: frag.mode == PackMode::Express,
                             class: fs.class,
                             submitted_at: msg.submitted_at,
                         };
@@ -704,6 +718,7 @@ impl CollectLayer {
                             flow: fs.id,
                             seq: q.seq,
                             frag: frag.index,
+                            frag_count,
                             offset: frag.committed(),
                             remaining: frag.remaining(),
                             msg_remaining,
@@ -1086,6 +1101,32 @@ impl CollectLayer {
                 drr.set_cursor(slot, last.wrapping_add(1));
             }
         }
+    }
+}
+
+/// The wire header of chunk `c` of live message `c.seq` of flow `fs`
+/// (class, submission time, fragment geometry).
+///
+/// # Panics
+/// Panics when the message has no fragment `c.frag`.
+pub(crate) fn chunk_header(
+    fs: &FlowState,
+    seq: u32,
+    msg: &PendingMessage,
+    c: &PlannedChunk,
+) -> ChunkHeader {
+    let f = &msg.frags[c.frag as usize];
+    ChunkHeader {
+        flow: fs.id,
+        msg_seq: seq,
+        frag_index: c.frag,
+        frag_count: msg.frags.len() as u16,
+        express: f.mode == PackMode::Express,
+        class: fs.class,
+        frag_len: f.len(),
+        offset: c.offset,
+        chunk_len: c.len,
+        submit_ns: msg.submitted_at.as_nanos(),
     }
 }
 

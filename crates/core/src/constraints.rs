@@ -17,12 +17,12 @@ use nicdrv::DriverCapabilities;
 
 use simnet::NodeId;
 
-use crate::collect::{CollectLayer, PendingMessage, RndvState};
+use crate::collect::{chunk_header, CollectLayer, FlowState, PendingMessage, RndvState};
 use crate::cost::{injectable, packet_limit};
 use crate::ids::{ChannelId, FlowId, FragIndex};
 use crate::message::PackMode;
 use crate::plan::{Body, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::Framing;
+use crate::proto::{ChunkHeader, Framing};
 
 /// Why a plan was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,6 +159,9 @@ pub(crate) struct PlanCoverage {
     /// Where in `msgs` a message is; empty while the list has named its
     /// messages in ascending order, each one new.
     met: HashMap<(FlowId, u32), u32, BuildHasherDefault<KeyHasher>>,
+    /// The list's size on the wire after each of its chunks, as the walk
+    /// counted it: what a list that begins this one is.
+    sizes: Vec<u64>,
 }
 
 /// One message's share of [`PlanCoverage`].
@@ -179,6 +182,13 @@ impl PlanCoverage {
         self.claimed.clear();
         self.msgs.clear();
         self.met.clear();
+        self.sizes.clear();
+    }
+
+    /// The size on the wire of the list [`validate_chunks`] walked last,
+    /// after each of its chunks.
+    pub(crate) fn sizes(&self) -> &[u64] {
+        &self.sizes
     }
 
     /// The list names message `key`, which the chunk before did not: its
@@ -315,7 +325,7 @@ pub(crate) fn validate_plan_with(
 ) -> Result<(), PlanViolation> {
     match plan.body {
         Body::RndvRequest { flow, seq, frag } => {
-            validate_request(plan.dst, (flow, seq, frag), collect)
+            validate_request(plan.dst, (flow, seq, frag), collect).map(drop)
         }
         Body::Data { chunks, linearize } => {
             let limit = packet_limit(caps, wire_mtu);
@@ -335,11 +345,12 @@ pub(crate) fn validate_plan_with(
 }
 
 /// A rendezvous request toward `dst` for a pending fragment that needs one.
+/// Returns the header it travels under.
 pub(crate) fn validate_request(
     dst: NodeId,
     (flow, seq, frag): (FlowId, u32, FragIndex),
     collect: &CollectLayer,
-) -> Result<(), PlanViolation> {
+) -> Result<ChunkHeader, PlanViolation> {
     let (fs, msg) = collect.find(flow, seq).ok_or(PlanViolation::UnknownChunk)?;
     if fs.dst != dst {
         return Err(PlanViolation::MixedDestinations);
@@ -351,7 +362,12 @@ pub(crate) fn validate_request(
     if f.rndv != RndvState::NeedRequest {
         return Err(PlanViolation::RndvNotNeeded);
     }
-    Ok(())
+    Ok(chunk_header(
+        fs,
+        seq,
+        msg,
+        &PlannedChunk::request(flow, seq, frag),
+    ))
 }
 
 /// What a data packet of `chunks` toward `dst` on rail `channel` must
@@ -375,14 +391,15 @@ pub(crate) fn validate_chunks(
     planned.clear();
     let mut payload = 0u64;
     let mut framing = Framing::new();
-    // The message the chunk before named, and its place in `planned`.
-    let mut current: Option<((FlowId, u32), &PendingMessage, usize)> = None;
+    // The message the chunk before named, its flow, and its place in
+    // `planned`.
+    let mut current: Option<((FlowId, u32), &FlowState, &PendingMessage, usize)> = None;
     for c in chunks {
         if c.len == 0 {
             return Err(PlanViolation::ZeroLengthChunk);
         }
-        let (msg, m) = match current {
-            Some((key, msg, m)) if key == (c.flow, c.seq) => (msg, m),
+        let (fs, msg, m) = match current {
+            Some((key, fs, msg, m)) if key == (c.flow, c.seq) => (fs, msg, m),
             _ => {
                 let (fs, msg) = collect
                     .find(c.flow, c.seq)
@@ -396,8 +413,8 @@ pub(crate) fn validate_chunks(
                     }
                 }
                 let m = planned.enter((c.flow, c.seq));
-                current = Some(((c.flow, c.seq), msg, m));
-                (msg, m)
+                current = Some(((c.flow, c.seq), fs, msg, m));
+                (fs, msg, m)
             }
         };
         let frag = msg
@@ -432,7 +449,8 @@ pub(crate) fn validate_chunks(
         }
         planned.claim(m, c.frag, c.len);
         payload += c.len as u64;
-        framing.push(c.flow, c.seq, c.offset);
+        framing.push(&chunk_header(fs, c.seq, msg, c));
+        planned.sizes.push(payload + framing.bytes());
     }
     let total = payload + framing.bytes();
     if total > limit {
@@ -923,7 +941,7 @@ mod tests {
             }
             *already += c.len;
             payload += c.len as u64;
-            framing.push(c.flow, c.seq, c.offset);
+            framing.push(&chunk_header(fs, c.seq, msg, c));
         }
         let total = payload + framing.bytes();
         if total > limit {

@@ -27,7 +27,7 @@ use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
 use crate::plan::{Body, DstGroup, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::{wire_bytes, CONTROL_PACKET_BYTES};
+use crate::proto::{lone_packet_bytes, wire_bytes, ChunkHeader};
 use crate::strategy::{OptContext, NO_HINT};
 
 /// A plan together with its evaluated score.
@@ -185,8 +185,8 @@ pub(crate) fn cheaper_mode(
 
 /// Unloaded one-way time of a one-segment packet of `bytes` (payload and
 /// framing) on a rail, injected in the cheapest mode the rail admits: for
-/// a control packet ([`CONTROL_PACKET_BYTES`]), half the handshake a
-/// rendezvous request starts, and the way back of an ack.
+/// a control packet ([`lone_packet_bytes`] of its header), half the
+/// handshake a rendezvous request starts, and the way back of an ack.
 pub(crate) fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
     let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
     cost.one_way(mode, bytes, 1)
@@ -237,7 +237,7 @@ pub fn cheapest_injection(
         .min_by_key(|how| how.busy)
 }
 
-/// What every rendezvous request costs on a rail, whatever it asks for.
+/// What a rendezvous request costs on a rail.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RequestCost {
     /// How long the request occupies the transmit engine.
@@ -246,18 +246,19 @@ pub(crate) struct RequestCost {
     handshake_ns: f64,
 }
 
-/// A rendezvous request is a small linearized control packet.
-fn request_busy(ctx: &OptContext<'_>) -> SimDuration {
-    ctx.cost
-        .injection_time(TxMode::Pio, CONTROL_PACKET_BYTES, 1)
-}
-
 impl RequestCost {
-    pub(crate) fn on(ctx: &OptContext<'_>) -> Self {
+    /// The cost of the request under `header`: a small linearized control
+    /// packet, and the grant that echoes its header.
+    pub(crate) fn of(header: &ChunkHeader, ctx: &OptContext<'_>) -> Self {
+        RequestCost::sized(lone_packet_bytes(header), ctx)
+    }
+
+    /// The cost of a request `bytes` long on the wire.
+    pub(crate) fn sized(bytes: u64, ctx: &OptContext<'_>) -> Self {
         // The request out and the grant back: two control packets.
-        let handshake = one_way(ctx.caps, ctx.cost, CONTROL_PACKET_BYTES) * 2;
+        let handshake = one_way(ctx.caps, ctx.cost, bytes) * 2;
         RequestCost {
-            est_busy: request_busy(ctx),
+            est_busy: ctx.cost.injection_time(TxMode::Pio, bytes, 1),
             handshake_ns: handshake.as_nanos().max(1) as f64,
         }
     }
@@ -282,34 +283,71 @@ impl RequestCost {
     }
 }
 
+/// The header of chunk `c` toward `dst` as the window (`ctx.groups`)
+/// offers its fragment — a rendezvous request's, for the empty chunk at
+/// the start of a fragment offered for one; `None` for a fragment the
+/// window does not offer.
+pub fn window_header(c: &PlannedChunk, dst: NodeId, ctx: &OptContext<'_>) -> Option<ChunkHeader> {
+    let home = home_group(ctx, dst);
+    let key = |flow, seq, frag| (flow, seq, frag) == (c.flow, c.seq, c.frag);
+    let all = ctx.groups.iter().flat_map(|g| g.candidates.iter());
+    let home_cands = home.map_or(&[][..], |g| &g.candidates);
+    let data = offered(home_cands, NO_HINT, all, |k| key(k.flow, k.seq, k.frag));
+    let header = data.map(|k| k.header(c));
+    header.or_else(|| {
+        let all = ctx.groups.iter().flat_map(|g| g.rndv.iter());
+        let home_reqs = home.map_or(&[][..], |g| &g.rndv);
+        let request = offered(home_reqs, NO_HINT, all, |r| key(r.flow, r.seq, r.frag));
+        request
+            .filter(|_| (c.offset, c.len) == (0, 0))
+            .map(|r| r.header())
+    })
+}
+
 /// How long the transmit engine is occupied by this plan as it says it is
-/// injected, the linearization copy included; `None` for a data packet the
-/// rail cannot inject that way.
-pub fn estimate_busy(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<SimDuration> {
+/// injected, the linearization copy included, under the headers `stamp`
+/// gives its chunks (a request's is that of the empty chunk at its
+/// fragment's start) — the window's ([`window_header`]), or the collect
+/// layer's; `None` for a data packet the rail cannot inject that way, or a
+/// chunk `stamp` knows no header of.
+pub fn estimate_busy(
+    plan: PlanRef<'_>,
+    ctx: &OptContext<'_>,
+    stamp: impl Fn(&PlannedChunk) -> Option<ChunkHeader>,
+) -> Option<SimDuration> {
     match plan.body {
-        Body::RndvRequest { .. } => Some(request_busy(ctx)),
+        Body::RndvRequest { flow, seq, frag } => {
+            let request = stamp(&PlannedChunk::request(flow, seq, frag))?;
+            Some(RequestCost::of(&request, ctx).est_busy)
+        }
         Body::Data { chunks, linearize } => {
-            let bytes = wire_bytes(chunks);
+            let headers: Option<Vec<_>> = chunks.iter().map(stamp).collect();
+            let bytes = wire_bytes(headers?);
             priced(ctx.caps, ctx.cost, chunks.len(), bytes, linearize).map(|how| how.busy)
         }
     }
 }
 
-/// Score a plan, injected as it says, against the window it was proposed
-/// from (`ctx.groups`): `(score, estimated busy time)`, or `None` where
-/// [`estimate_busy`] has none. Higher is better; deterministic for
+/// Score a plan, injected as it says and under the headers `stamp` gives
+/// it, against the window it was proposed from (`ctx.groups`): `(score,
+/// estimated busy time)`, or `None` where [`estimate_busy`] has none. Higher is better; deterministic for
 /// identical inputs. A selection pass computes the same from the same
 /// parts — a chunk list's value and its cheapest injection once however
 /// often it is proposed.
-pub fn score_plan(plan: PlanRef<'_>, ctx: &OptContext<'_>) -> Option<(f64, SimDuration)> {
+pub fn score_plan(
+    plan: PlanRef<'_>,
+    ctx: &OptContext<'_>,
+    stamp: impl Fn(&PlannedChunk) -> Option<ChunkHeader>,
+) -> Option<(f64, SimDuration)> {
     match plan.body {
         Body::Data { chunks, .. } => {
-            let est_busy = estimate_busy(plan, ctx)?;
+            let est_busy = estimate_busy(plan, ctx, stamp)?;
             let value = chunks_value(plan.dst, chunks, &[], ctx);
             Some((density(value, est_busy, ctx), est_busy))
         }
         Body::RndvRequest { flow, seq, frag } => {
-            let cost = RequestCost::on(ctx);
+            let request = stamp(&PlannedChunk::request(flow, seq, frag))?;
+            let cost = RequestCost::of(&request, ctx);
             let score = cost.score(plan.dst, (flow, seq, frag), NO_HINT, ctx);
             Some((score, cost.est_busy))
         }
@@ -344,7 +382,8 @@ mod tests {
     }
 
     fn score(plan: &TransferPlan, ctx: &OptContext<'_>) -> ScoredPlan {
-        let (score, est_busy) = score_plan(plan.view(), ctx).expect("injectable");
+        let stamp = |c: &PlannedChunk| window_header(c, plan.dst, ctx);
+        let (score, est_busy) = score_plan(plan.view(), ctx, stamp).expect("injectable");
         ScoredPlan {
             plan: plan.clone(),
             score,
@@ -404,9 +443,10 @@ mod tests {
         let slice = score(&plan, &ctx_fixture(&slice, &caps, &cost, &cfg));
         assert_eq!(whole.est_busy, slice.est_busy);
         assert_eq!(whole.score, 64.0 * slice.score);
-        // Age is no part of it.
+        // Age is no part of it (the header says when the message was
+        // submitted, here in as many bytes).
         let mut aged = window(64);
-        aged[0].candidates[0].submitted_at = SimTime::ZERO;
+        aged[0].candidates[0].submitted_at = SimTime::from_nanos(500_000);
         let aged = score(&plan, &ctx_fixture(&aged, &caps, &cost, &cfg));
         assert_eq!(aged.score, whole.score);
         // One message in 64 B beats one in 4 KiB: the same weight for
@@ -441,12 +481,20 @@ mod tests {
     #[test]
     fn linearized_plan_pays_copy_time() {
         let (caps, cost, cfg) = fixtures();
-        let groups: Vec<DstGroup> = vec![];
+        let groups = vec![DstGroup {
+            dst: NodeId(1),
+            candidates: (0..2)
+                .map(|i| cand(i, 0, 0, 0, 4096, false, TrafficClass::DEFAULT, 0))
+                .collect(),
+            rndv: vec![],
+        }];
         let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
         let gather = data_plan(vec![pc(0, 4096), pc(1, 4096)], false);
-        let gather = estimate_busy(gather.view(), &ctx).unwrap();
+        let gather =
+            estimate_busy(gather.view(), &ctx, |c| window_header(c, NodeId(1), &ctx)).unwrap();
         let copied = data_plan(vec![pc(0, 4096), pc(1, 4096)], true);
-        let copied = estimate_busy(copied.view(), &ctx).unwrap();
+        let copied =
+            estimate_busy(copied.view(), &ctx, |c| window_header(c, NodeId(1), &ctx)).unwrap();
         assert!(
             copied > gather,
             "copy {copied} should exceed gather {gather} at 4 KiB chunks"
@@ -463,6 +511,9 @@ mod tests {
                 flow: FlowId(0),
                 seq: 0,
                 frag: 0,
+                frag_count: 1,
+                frag_len: 1 << 20,
+                express: false,
                 class: TrafficClass::BULK,
                 submitted_at: SimTime::ZERO,
             }],
@@ -479,16 +530,20 @@ mod tests {
             strategy: "rndv",
         };
         // The request out and the grant back, priced as a data packet
-        // that delivers one BULK message would be.
-        let handshake = one_way(&caps, &cost, CONTROL_PACKET_BYTES) * 2;
+        // that delivers one BULK message would be: two packets of the
+        // request's one header, which says how long the fragment is.
+        let bytes = lone_packet_bytes(&groups[0].rndv[0].header());
+        assert_eq!(bytes, 2 + 10 + 4);
+        let handshake = one_way(&caps, &cost, bytes) * 2;
         let scored = score(&req(0), &ctx);
         assert_eq!(
             scored.score,
             TrafficClass::BULK.urgency_weight() / handshake.as_nanos() as f64
         );
-        assert_eq!(scored.est_busy, request_busy(&ctx));
-        // A fragment the window does not offer is worth nothing.
-        assert_eq!(score(&req(1), &ctx).score, 0.0);
+        assert_eq!(scored.est_busy, cost.injection_time(TxMode::Pio, bytes, 1));
+        // A fragment the window does not offer has no header to price.
+        let stamp = |c: &PlannedChunk| window_header(c, NodeId(1), &ctx);
+        assert_eq!(score_plan(req(1).view(), &ctx, stamp), None);
     }
 
     mod a_packet_is_worth_the_share_of_each_message_it_delivers {
@@ -588,27 +643,34 @@ mod tests {
         use bytes::Bytes;
         use proptest::prelude::*;
 
-        /// 1–64 chunks over a few messages of a few flows, so that runs of
-        /// one message and messages named twice both occur; a third of the
-        /// chunks resume their fragment.
-        fn chunk_lists() -> impl Strategy<Value = Vec<PlannedChunk>> {
-            let chunk = (0u32..3, 0u32..2, 0u16..4, 0u32..3, 1u32..300);
+        /// 1–24 chunks of distinct fragments over a few messages of a few
+        /// flows, so that runs of one message and messages named twice
+        /// both occur; a third of the chunks resume their fragment, and a
+        /// third stop short of its end.
+        fn chunk_lists() -> impl Strategy<Value = Vec<(PlannedChunk, u32)>> {
+            let chunk = (0u32..3, 0u32..2, 0u16..4, 0u32..3, 1u32..300, 0u32..3);
             prop::collection::vec(chunk, 1..65).prop_map(|list| {
+                let mut seen = std::collections::BTreeSet::new();
                 list.into_iter()
-                    .map(|(flow, seq, frag, resumed, len)| PlannedChunk {
-                        flow: FlowId(flow),
-                        seq,
-                        frag: frag as FragIndex,
-                        offset: resumed.saturating_sub(1) * 977,
-                        len,
+                    .filter(|&(flow, seq, frag, ..)| seen.insert((flow, seq, frag)))
+                    .map(|(flow, seq, frag, resumed, len, short)| {
+                        let chunk = PlannedChunk {
+                            flow: FlowId(flow),
+                            seq,
+                            frag: frag as FragIndex,
+                            offset: resumed.saturating_sub(1) * 977,
+                            len,
+                        };
+                        (chunk, short.saturating_sub(1) * 5)
                     })
                     .collect()
             })
         }
 
-        /// The chunk as `Transfer::submit_data` stamps it: what a header
-        /// says of its message is a function of the message.
-        fn stamped(c: &PlannedChunk) -> WireChunk {
+        /// The chunk as `Transfer::submit_data` stamps it, its fragment
+        /// going on `short` bytes past it: what a header says of its
+        /// message is a function of the message.
+        fn stamped(&(c, short): &(PlannedChunk, u32)) -> WireChunk {
             WireChunk {
                 header: make_header(
                     c.flow,
@@ -617,12 +679,30 @@ mod tests {
                     4,
                     c.frag == 0,
                     TrafficClass(c.flow.0 as u8),
-                    c.offset + c.len,
+                    c.offset + c.len + short,
                     c.offset,
                     c.len,
                     SimTime::from_nanos(u64::from(c.flow.0) * 1000 + u64::from(c.seq)),
                 ),
                 data: Bytes::from(vec![0xA5; c.len as usize]),
+            }
+        }
+
+        /// The window entry the chunk is cut from, as the collect layer
+        /// would offer it.
+        fn offered(at: usize, &(c, short): &(PlannedChunk, u32)) -> ChunkCandidate {
+            ChunkCandidate {
+                at: at as u32,
+                flow: c.flow,
+                seq: c.seq,
+                frag: c.frag,
+                frag_count: 4,
+                offset: c.offset,
+                remaining: c.len + short,
+                msg_remaining: u64::from(c.len + short),
+                express: c.frag == 0,
+                class: TrafficClass(c.flow.0 as u8),
+                submitted_at: SimTime::from_nanos(u64::from(c.flow.0) * 1000 + u64::from(c.seq)),
             }
         }
 
@@ -639,8 +719,10 @@ mod tests {
             ) {
                 let (caps, cost) = (calib::capabilities(tech), CostModel::from_params(&calib::params(tech)));
                 let wire: Vec<WireChunk> = list.iter().map(stamped).collect();
-                let payload: u64 = list.iter().map(|c| u64::from(c.len)).sum();
-                let bytes = payload + crate::proto::framing_of(&list);
+                let payload: u64 = list.iter().map(|(c, _)| u64::from(c.len)).sum();
+                let bytes = payload + crate::proto::framing_of(wire.iter().map(|w| w.header));
+                let (list, window): (Vec<_>, Vec<_>) =
+                    list.iter().enumerate().map(|(at, c)| (c.0, offered(at, c))).unzip();
                 for linearize in [false, true] {
                     let segs = encode_packet(&wire, linearize);
                     let encoded: u64 = segs.iter().map(|s| s.len() as u64).sum();
@@ -658,12 +740,14 @@ mod tests {
                     busy += cost.copy_time(handed);
                 }
                 prop_assert_eq!(how.busy, busy);
-                // The plan that carries the list is priced the same.
-                let groups: Vec<DstGroup> = vec![];
+                // The plan that carries the list is priced the same, its
+                // headers stamped from the window.
+                let groups = vec![DstGroup { dst: NodeId(1), candidates: window, rndv: vec![] }];
                 let cfg = EngineConfig::default();
                 let ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
                 let plan = data_plan(list.clone(), how.linearize);
-                prop_assert_eq!(estimate_busy(plan.view(), &ctx), Some(busy));
+                let stamp = |c: &PlannedChunk| window_header(c, NodeId(1), &ctx);
+                prop_assert_eq!(estimate_busy(plan.view(), &ctx, stamp), Some(busy));
             }
         }
     }

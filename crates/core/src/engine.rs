@@ -38,7 +38,7 @@ use simnet::{
 use crate::api::{
     AppDriver, CommApi, ADAPTIVE_TAG, INTERNAL_TAG_BASE, NAGLE_TAG, RETX_TAG, SAMPLER_TAG,
 };
-use crate::collect::CollectLayer;
+use crate::collect::{chunk_header, CollectLayer};
 use crate::config::EngineConfig;
 use crate::cost::packet_limit;
 use crate::error::EngineError;
@@ -49,7 +49,7 @@ use crate::message::{DeliveredMessage, Fragment};
 use crate::metrics::{Activation, EngineMetrics, MetricsRegistry};
 use crate::observer::{submitted_events, EngineView, Observer};
 use crate::optimizer::{select_plan_in, Optimizer};
-use crate::plan::{PlanBody, TransferPlan};
+use crate::plan::{PlanBody, PlannedChunk, TransferPlan};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::proto::{
     ack_header_ecn, cancel_header, decode_ack_ecn, decode_packet_into, decode_rndv, DecodedChunk,
@@ -62,9 +62,7 @@ use crate::reliability::{
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
 use crate::trace::{EngineEvent, EventSink, FlightDump};
-use crate::transfer::{
-    assert_reachable, build_rails, chunk_header, rail_of, Transfer, CTRL_COOKIE,
-};
+use crate::transfer::{assert_reachable, build_rails, rail_of, Transfer, CTRL_COOKIE};
 
 /// The engine's mutable state (shared behind an [`EngineHandle`]): the
 /// layers of Figure 1, each owning its own.
@@ -409,9 +407,9 @@ impl EngineCore {
                 m.plans_submitted += 1;
                 let class = self.transfer.wire()[0].header.class;
                 self.opt.policy_mut().record_traffic(class, bytes);
-                let first = Attempt::first(rail_idx);
+                let (first, wire_bytes) = (Attempt::first(rail_idx), self.transfer.wire_bytes());
                 self.rel
-                    .track(cookie, chunks, plan.dst, linearize, first, now);
+                    .track(cookie, chunks, wire_bytes, plan.dst, linearize, first, now);
                 Ok(())
             }
             PlanBody::RndvRequest { flow, seq, frag } => {
@@ -419,7 +417,7 @@ impl EngineCore {
                     .collect
                     .find(flow, seq)
                     .expect("validated plan references live message");
-                let header = chunk_header(fs, seq, msg, frag, 0, 0);
+                let header = chunk_header(fs, seq, msg, &PlannedChunk::request(flow, seq, frag));
                 let dst = fs.dst;
                 self.transfer
                     .send_ctrl(ctx, rail_idx, dst, KIND_RNDV_REQ, header)?;
@@ -431,7 +429,8 @@ impl EngineCore {
                 // data packet is until its ack.
                 if self.rel.acks_enabled() {
                     let first = Attempt::first(rail_idx);
-                    self.rel.track_request((flow, seq, frag), dst, first, now);
+                    self.rel
+                        .track_request((flow, seq, frag), header, dst, first, now);
                     self.rel.arm_timer(ctx);
                 }
                 Ok(())
@@ -554,8 +553,8 @@ impl EngineCore {
                 // a timeout superseded — what is still out of the
                 // retransmission. A duplicate ack finds nothing and is
                 // ignored.
-                let collect = &mut self.collect;
-                let settle = |done: PendingTx| complete(collect, done, sent);
+                let (opt, collect) = (&mut self.opt, &mut self.collect);
+                let settle = |done| opt.recycle(complete(collect, done, sent));
                 if self
                     .rel
                     .on_ack(cookie, ecn, now, self.node, &mut self.obs, settle)
@@ -578,17 +577,19 @@ impl EngineCore {
         for cookie in self.rel.begin_sweep(now) {
             let rails = self.transfer.rails();
             let reaches = |rail: usize, dst| rails[rail].reaches(dst);
-            let Some((pending, action)) = self.rel.expire(cookie, now, reaches, &mut self.obs)
+            let Some((pending, wire_bytes, action)) =
+                self.rel.expire(cookie, now, reaches, &mut self.obs)
             else {
                 continue;
             };
             match action {
                 Expiry::Resend(attempt) | Expiry::Reroute(attempt) => {
-                    self.retransmit(ctx, cookie, pending, attempt)
+                    self.retransmit(ctx, cookie, pending, wire_bytes, attempt)
                 }
                 Expiry::Lost => {
                     let before = completed.len();
-                    complete(&mut self.collect, pending, &mut completed);
+                    let list = complete(&mut self.collect, pending, &mut completed);
+                    self.opt.recycle(list);
                     self.obs.metrics_mut().lost_msgs += (completed.len() - before) as u64;
                 }
             }
@@ -621,7 +622,7 @@ impl EngineCore {
         };
         match action {
             Expiry::Resend(again) | Expiry::Reroute(again) => {
-                let header = chunk_header(fs, seq, msg, frag, 0, 0);
+                let header = chunk_header(fs, seq, msg, &PlannedChunk::request(flow, seq, frag));
                 let sent = self
                     .transfer
                     .send_ctrl(ctx, again.rail, dst, KIND_RNDV_REQ, header);
@@ -646,14 +647,17 @@ impl EngineCore {
         ctx: &mut SimCtx<'_>,
         old_cookie: u64,
         pending: PendingTx,
+        wire_bytes: u64,
         next: Attempt,
     ) {
         let now = ctx.now();
         let rail = &self.transfer.rails()[next.rail];
         if rail.driver.free_slots(ctx) == 0 {
-            return self.rel.park(old_cookie, pending, next);
+            return self.rel.park(old_cookie, pending, wire_bytes, next);
         }
-        let packets = plan_retransmit(&pending.chunks, rail.driver.capabilities(), rail.wire_mtu);
+        let stamp = |c: &PlannedChunk| self.collect.header(c).expect("retransmits are pending");
+        let caps = rail.driver.capabilities();
+        let packets = plan_retransmit(&pending.chunks, stamp, caps, rail.wire_mtu);
         let mut heirs = None;
         for chunks in packets {
             let (cookie, sent) = self
@@ -669,6 +673,7 @@ impl EngineCore {
                 .expect("retransmit rail reaches destination");
             let first = heirs.map_or(cookie, |(first, _)| first);
             heirs = Some((first, cookie));
+            let bytes = self.transfer.wire_bytes();
             let rejected = match sent {
                 // The queue filled under this packet's own pieces: the
                 // rest waits like a whole packet would.
@@ -682,7 +687,7 @@ impl EngineCore {
                         deadline: pending.deadline,
                         attempts: pending.attempts,
                     };
-                    self.rel.park(cookie, waiting, next);
+                    self.rel.park(cookie, waiting, bytes, next);
                     continue;
                 }
                 Ok(()) => {
@@ -701,8 +706,9 @@ impl EngineCore {
                     true
                 }
             };
+            let (dst, linearize) = (pending.dst, pending.linearize);
             self.rel
-                .track(cookie, chunks, pending.dst, pending.linearize, next, now);
+                .track(cookie, chunks, bytes, dst, linearize, next, now);
             if rejected {
                 // No `tx_done` will start this packet's clock: it starts
                 // now, and the sweep takes the packet up again like one
@@ -711,7 +717,8 @@ impl EngineCore {
             }
         }
         if let Some((first, last)) = heirs {
-            self.rel.supersede(old_cookie, &pending, first..=last);
+            self.rel
+                .supersede(old_cookie, &pending, wire_bytes, first..=last);
         }
     }
 
@@ -721,10 +728,10 @@ impl EngineCore {
     fn offer_parked(&mut self, ctx: &mut SimCtx<'_>) {
         for rail in 0..self.transfer.rails().len() {
             while self.transfer.rails()[rail].driver.free_slots(ctx) > 0 {
-                let Some((cookie, pending, next)) = self.rel.take_parked(rail) else {
+                let Some((cookie, pending, wire_bytes, next)) = self.rel.take_parked(rail) else {
                     break;
                 };
-                self.retransmit(ctx, cookie, pending, next);
+                self.retransmit(ctx, cookie, pending, wire_bytes, next);
             }
         }
     }
@@ -732,10 +739,11 @@ impl EngineCore {
 
 /// A data packet is done — injected under `Off`, acknowledged or given up
 /// under `Recover`: complete its chunks in the collect layer. Appends to
-/// `done` the ids of messages whose transmission completed with it.
+/// `done` the ids of messages whose transmission completed with it, and
+/// returns the packet's chunk list for a later winner to be written in.
 // madlint: allow(trace-coverage) — send-side accounting only; the
 // PacketCompleted/Delivered events are pushed by the on_sent callers
-fn complete(collect: &mut CollectLayer, tx: PendingTx, done: &mut Vec<MsgId>) {
+fn complete(collect: &mut CollectLayer, tx: PendingTx, done: &mut Vec<MsgId>) -> Vec<PlannedChunk> {
     for c in &tx.chunks {
         if collect.complete_chunk(c) {
             done.push(MsgId {
@@ -744,6 +752,7 @@ fn complete(collect: &mut CollectLayer, tx: PendingTx, done: &mut Vec<MsgId>) {
             });
         }
     }
+    tx.chunks
 }
 
 /// The [`CommApi`] view handed to application callbacks.
@@ -994,7 +1003,10 @@ impl Endpoint for MadEngine {
             // on injection — `tx_done` for it frees queue space and starts
             // its timeout. (The paper's lossless `Off` completes it here.)
             match core.rel.launched(cookie, ctx.now()) {
-                Launched::Done(tx) => complete(&mut core.collect, tx, &mut completed),
+                Launched::Done(tx) => {
+                    let list = complete(&mut core.collect, tx, &mut completed);
+                    core.opt.recycle(list);
+                }
                 Launched::Watched => core.rel.arm_timer(ctx),
                 Launched::Untracked => {}
             }

@@ -31,8 +31,8 @@ use crate::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
 use crate::message::{DeliveredMessage, Fragment, PackMode};
 use crate::metrics::{Activation, EngineMetrics};
 use crate::proto::{
-    decode_packet, decode_rndv, encode_packet, encode_rndv, lone_chunk_framing, make_header,
-    ChunkHeader, Framing, WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
+    decode_packet, decode_rndv, encode_packet, encode_rndv, make_header, ChunkHeader, Framing,
+    WireChunk, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::transfer::{assert_reachable, rail_of, Rail};
@@ -192,19 +192,17 @@ impl LegacyCore {
             let mut offset = 0u32;
             let len = frag.data.len() as u32;
             loop {
-                let header = framing.next(flow, seq, offset);
-                let budget = packet_limit.saturating_sub(pending_bytes + framing.bytes() + header);
-                let remaining = len - offset;
-                if remaining > 0 && budget == 0 {
+                let room = packet_limit.saturating_sub(pending_bytes + framing.bytes());
+                let mut header = header_base(offset, len - offset);
+                if !framing.take(&mut header, room) {
                     flush(&mut pending, &mut pending_bytes, &mut framing, &mut packets);
                     continue;
                 }
-                let take = (remaining as u64).min(budget) as u32;
+                let take = header.chunk_len;
                 pending.push(WireChunk {
-                    header: header_base(offset, take),
+                    header,
                     data: frag.data.slice(offset as usize..(offset + take) as usize),
                 });
-                framing.push(flow, seq, offset);
                 pending_bytes += take as u64;
                 offset += take;
                 if offset >= len {
@@ -334,11 +332,15 @@ impl LegacyCore {
                         let mut offset = 0u32;
                         let len = data.len() as u32;
                         while offset < len {
-                            let budget = limit.saturating_sub(lone_chunk_framing(offset));
-                            let take = ((len - offset) as u64).min(budget) as u32;
-                            let mut h = base;
-                            h.offset = offset;
-                            h.chunk_len = take;
+                            let mut h = ChunkHeader {
+                                offset,
+                                chunk_len: len - offset,
+                                ..base
+                            };
+                            if !Framing::take_alone(&mut h, limit) {
+                                h.chunk_len = 1;
+                            }
+                            let take = h.chunk_len;
                             let chunk = WireChunk {
                                 header: h,
                                 data: data.slice(offset as usize..(offset + take) as usize),

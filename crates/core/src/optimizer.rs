@@ -16,6 +16,8 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
+use std::ops::Range;
+
 use nicdrv::Driver;
 use simnet::{SimCtx, SimDuration, TimerId};
 
@@ -28,9 +30,9 @@ use crate::cost::{
     ScoredPlan,
 };
 use crate::ids::{FlowId, TrafficClass};
-use crate::plan::{Body, PlanRef, WindowGroups};
+use crate::plan::{Body, PlanRef, PlannedChunk, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
-use crate::proto::framing_of;
+use crate::proto::lone_packet_bytes;
 use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
@@ -57,17 +59,30 @@ pub struct SelectionOutcome {
 }
 
 /// What a selection pass works in, kept by its caller from pass to pass:
-/// the proposals' chunk arena, the in-plan coverage validation writes, and
-/// the verdict on every distinct chunk list judged so far in the pass. A
-/// pass leaves nothing behind that the next one reads, so one scratch
-/// serves any sequence of windows; after the first few it costs a pass no
-/// allocation, however many proposals the strategies make.
+/// the proposals' chunk arena, the in-plan coverage validation writes, the
+/// verdict on every distinct chunk list judged so far in the pass, and the
+/// chunk lists of packets the engine is through with, which winners are
+/// written in. A pass leaves nothing behind that the next one reads, so
+/// one scratch serves any sequence of windows; after the first few it
+/// costs a pass no allocation, however many proposals the strategies make.
 #[derive(Debug, Default)]
 pub(crate) struct SelectionScratch {
     proposals: Proposals,
     coverage: PlanCoverage,
     judged: Vec<JudgedList>,
+    /// The sizes on the wire of the valid judged lists, after each chunk.
+    sizes: Vec<u64>,
+    lists: Vec<Vec<PlannedChunk>>,
 }
+
+/// How many spare chunk lists a selection scratch keeps.
+const SPARE_LISTS: usize = 16;
+
+/// The longest spare chunk list kept, in chunks: a list is kept where its
+/// allocation would be a share of each message's cost — on a packet of a
+/// few messages; a packet of hundreds spreads a fresh one thin, and a
+/// kept one would hold its memory.
+const SPARE_LIST_CHUNKS: usize = 16;
 
 /// The verdict on one chunk list toward one destination, on the rail and
 /// over the window and backlog of the pass: everything there is to say
@@ -81,6 +96,8 @@ struct JudgedList {
     /// The value of a valid list ([`chunks_value`]) and the cheapest way
     /// the rail admits of injecting it, or the first constraint it breaks.
     verdict: Result<(f64, Injection), PlanViolation>,
+    /// Where in the pass's sizes a valid list's size after each chunk is.
+    sizes: Range<usize>,
 }
 
 /// What the pass already knows of a data proposal's chunk list.
@@ -92,9 +109,9 @@ enum Known {
     /// The list begins a longer one an earlier proposal carried toward the
     /// same node, which is valid — so is the list (`aggregate-gather`'s cut
     /// of `aggregate`'s fill): a chunk's checks read only the chunks before
-    /// it, and a shorter packet fits where a longer one does. What is left
-    /// to count is its size.
-    Within,
+    /// it, and a shorter packet fits where a longer one does. Its size
+    /// is what `judged[at]`'s walk counted after as many chunks.
+    Within(usize),
 }
 
 /// What the judged lists of the pass say of data proposal `plan`'s list —
@@ -112,7 +129,7 @@ fn judged_before(judged: &[JudgedList], proposals: &Proposals, plan: PlanRef<'_>
             return Some(Known::Repeat(at));
         }
         if j.verdict.is_ok() && plan.chunk_count() > 0 {
-            within = Some(Known::Within);
+            within = Some(Known::Within(at));
         }
     }
     within
@@ -204,12 +221,15 @@ pub(crate) fn select_plan_in(
         proposals,
         coverage,
         judged,
+        sizes,
+        lists,
     } = scratch;
     proposals.clear();
     judged.clear();
+    sizes.clear();
     registry.propose_all(ctx, proposals);
     let size_limit = packet_limit(ctx.caps, wire_mtu);
-    let mut request_cost = None;
+    let mut request_cost: Option<(u64, RequestCost)> = None;
     // The best so far: its place among the proposals, score, busy time,
     // and whether it goes out by copy.
     let mut best: Option<(usize, f64, SimDuration, bool)> = None;
@@ -241,8 +261,14 @@ pub(crate) fn select_plan_in(
             _ if plan.channel != ctx.channel => Err(PlanViolation::WrongRail),
             Body::RndvRequest { flow, seq, frag } => {
                 let frag = (flow, seq, frag);
-                validate_request(plan.dst, frag, collect).map(|()| {
-                    let cost = request_cost.get_or_insert_with(|| RequestCost::on(ctx));
+                validate_request(plan.dst, frag, collect).map(|request| {
+                    // Requests mostly come in one size: price each size once.
+                    let bytes = lone_packet_bytes(&request);
+                    let cost = match request_cost {
+                        Some((priced, cost)) if priced == bytes => cost,
+                        _ => RequestCost::sized(bytes, ctx),
+                    };
+                    request_cost = Some((bytes, cost));
                     (
                         cost.score(plan.dst, frag, hints[0], ctx),
                         cost.est_busy,
@@ -255,12 +281,19 @@ pub(crate) fn select_plan_in(
                     Some(Known::Repeat(list)) => list,
                     known => {
                         let (rail, dst, n) = (plan.channel, plan.dst, chunks.len());
-                        let checked = match known {
-                            Some(Known::Within) => {
-                                let payload = chunks.iter().map(|c| u64::from(c.len)).sum::<u64>();
-                                Ok(payload + framing_of(chunks))
+                        let (checked, at_sizes) = match known {
+                            Some(Known::Within(longer)) => {
+                                let from = judged[longer].sizes.start;
+                                (Ok(sizes[from + n - 1]), from..from + n)
                             }
-                            _ => validate_chunks(rail, dst, chunks, collect, size_limit, coverage),
+                            _ => {
+                                let checked = validate_chunks(
+                                    rail, dst, chunks, collect, size_limit, coverage,
+                                );
+                                let from = sizes.len();
+                                sizes.extend_from_slice(coverage.sizes());
+                                (checked, from..sizes.len())
+                            }
                         };
                         let verdict = checked.and_then(|bytes| {
                             let gather = ctx.config.enable_gather;
@@ -268,7 +301,11 @@ pub(crate) fn select_plan_in(
                                 .ok_or(PlanViolation::NoInjectionPath { bytes })?;
                             Ok((chunks_value(dst, chunks, hints, ctx), how))
                         });
-                        judged.push(JudgedList { first: at, verdict });
+                        judged.push(JudgedList {
+                            first: at,
+                            verdict,
+                            sizes: at_sizes,
+                        });
                         judged.len() - 1
                     }
                 };
@@ -308,10 +345,17 @@ pub(crate) fn select_plan_in(
             best = Some((at, score, est_busy, by_copy));
         }
     }
-    let best = best.map(|(at, score, est_busy, by_copy)| ScoredPlan {
-        plan: proposals.get(at).to_plan().injected(by_copy),
-        score,
-        est_busy,
+    let best = best.map(|(at, score, est_busy, by_copy)| {
+        let winner = proposals.get(at);
+        let list = match winner.body {
+            Body::Data { .. } => lists.pop().unwrap_or_default(),
+            Body::RndvRequest { .. } => Vec::new(),
+        };
+        ScoredPlan {
+            plan: winner.to_plan_in(list).injected(by_copy),
+            score,
+            est_busy,
+        }
     });
     if let Some(b) = &best {
         if sink.is_enabled() {
@@ -411,6 +455,16 @@ impl Optimizer {
     /// Take the pass scratch back from the activation that borrowed it.
     pub(crate) fn return_scratch(&mut self, scratch: PassScratch) {
         self.scratch = scratch;
+    }
+
+    /// The chunk list of a packet the engine is through with: a later
+    /// winner is written in it, if it is short and few wait
+    /// ([`SPARE_LIST_CHUNKS`], [`SPARE_LISTS`]).
+    pub(crate) fn recycle(&mut self, list: Vec<PlannedChunk>) {
+        let lists = &mut self.scratch.selection.lists;
+        if lists.len() < SPARE_LISTS && list.capacity() <= SPARE_LIST_CHUNKS {
+            lists.push(list);
+        }
     }
 
     pub(crate) fn registry(&self) -> &StrategyRegistry {
@@ -706,7 +760,7 @@ mod tests {
         let tcp_cost = CostModel::from_params(&calib::params(Technology::TcpEthernet));
         for (caps, cost, by_copy) in [(&dma_only, &synthetic, true), (&tcp, &tcp_cost, false)] {
             let (out, proposed) = bulk_and_control_pass(caps, cost);
-            assert_eq!(proposed, "aggregate:2 reorder-sjf:5 fifo:1");
+            assert_eq!(proposed, "aggregate:2 reorder-sjf:6 fifo:1");
             // All three are priced: without PIO or a gather list a
             // multi-chunk packet goes out as one linearized segment.
             assert_eq!((out.evaluated, out.rejected, out.skipped), (3, 0, 0));
@@ -792,7 +846,9 @@ mod tests {
                         .flat_map(|g| g.rndv.iter())
                         .find(|r| r.flow == *flow && r.seq == *seq && r.frag == *frag)
                         .map_or(0.0, |r| r.class.urgency_weight());
-                    let bytes = crate::proto::CONTROL_PACKET_BYTES;
+                    let request = PlannedChunk::request(*flow, *seq, *frag);
+                    let request = collect.header(&request).expect("validated");
+                    let bytes = crate::proto::lone_packet_bytes(&request);
                     let handshake = crate::cost::one_way(ctx.caps, ctx.cost, bytes) * 2;
                     weight / handshake.as_nanos().max(1) as f64
                 }
@@ -820,7 +876,8 @@ mod tests {
     ) -> Result<(TransferPlan, SimDuration), PlanViolation> {
         let judge = |plan: TransferPlan| {
             crate::constraints::validate_plan(&plan, collect, ctx.caps, wire_mtu)?;
-            let busy = crate::cost::estimate_busy(plan.view(), ctx).expect("validated");
+            let stamp = |c: &PlannedChunk| collect.header(c);
+            let busy = crate::cost::estimate_busy(plan.view(), ctx, stamp).expect("validated");
             Ok((plan, busy))
         };
         let copied = judge(plan.clone().injected(true));

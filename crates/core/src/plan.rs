@@ -10,7 +10,7 @@
 use simnet::{NodeId, SimTime};
 
 use crate::ids::{ChannelId, FlowId, FragIndex, TrafficClass};
-use crate::proto::{framing_of, CONTROL_PACKET_BYTES};
+use crate::proto::{framing_of, lone_packet_bytes, ChunkHeader};
 
 /// A byte range of one fragment scheduled for transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,6 +25,20 @@ pub struct PlannedChunk {
     pub offset: u32,
     /// Bytes to send.
     pub len: u32,
+}
+
+impl PlannedChunk {
+    /// The empty chunk at the start of fragment `frag` of message `seq` of
+    /// `flow`: what a rendezvous request's header describes.
+    pub fn request(flow: FlowId, seq: u32, frag: FragIndex) -> Self {
+        PlannedChunk {
+            flow,
+            seq,
+            frag,
+            offset: 0,
+            len: 0,
+        }
+    }
 }
 
 /// What a plan does. `C` is how a data packet's chunk list is held: owned
@@ -120,6 +134,16 @@ impl PlanRef<'_> {
     pub fn to_plan(&self) -> TransferPlan {
         self.map_chunks(|chunks| chunks.to_vec())
     }
+
+    /// [`PlanRef::to_plan`], a data plan's chunks written in `list` (its
+    /// contents dropped) rather than in a list of their own.
+    pub(crate) fn to_plan_in(self, mut list: Vec<PlannedChunk>) -> TransferPlan {
+        self.map_chunks(|chunks| {
+            list.clear();
+            list.extend_from_slice(chunks);
+            list
+        })
+    }
 }
 
 impl<C: AsRef<[PlannedChunk]>> Plan<C> {
@@ -152,11 +176,19 @@ impl<C: AsRef<[PlannedChunk]>> Plan<C> {
         )
     }
 
-    /// Protocol framing bytes this plan will add on the wire.
-    pub fn framing(&self) -> u64 {
+    /// Protocol framing bytes this plan will add on the wire, its headers
+    /// as `stamp` gives them (a request's is that of the empty chunk at
+    /// its fragment's start); `None` when `stamp` knows one not.
+    pub fn framing(&self, stamp: impl Fn(&PlannedChunk) -> Option<ChunkHeader>) -> Option<u64> {
         match &self.body {
-            Body::Data { chunks, .. } => framing_of(chunks.as_ref()),
-            Body::RndvRequest { .. } => CONTROL_PACKET_BYTES,
+            Body::Data { chunks, .. } => {
+                let headers = chunks.as_ref().iter().map(&stamp);
+                headers.collect::<Option<Vec<_>>>().map(framing_of)
+            }
+            &Body::RndvRequest { flow, seq, frag } => {
+                let request = stamp(&PlannedChunk::request(flow, seq, frag));
+                request.as_ref().map(lone_packet_bytes)
+            }
         }
     }
 }
@@ -177,6 +209,8 @@ pub struct ChunkCandidate {
     pub seq: u32,
     /// Fragment index.
     pub frag: FragIndex,
+    /// Fragments in the message.
+    pub frag_count: u16,
     /// Next schedulable offset (contiguous after sent+inflight bytes).
     pub offset: u32,
     /// Remaining schedulable bytes from `offset`.
@@ -193,6 +227,38 @@ pub struct ChunkCandidate {
     pub submitted_at: SimTime,
 }
 
+impl ChunkCandidate {
+    /// The header of `c`, a chunk of this candidate's fragment: the
+    /// fragment is `offset + remaining` bytes long.
+    #[inline]
+    pub fn header(&self, c: &PlannedChunk) -> ChunkHeader {
+        ChunkHeader {
+            flow: self.flow,
+            msg_seq: self.seq,
+            frag_index: self.frag,
+            frag_count: self.frag_count,
+            express: self.express,
+            class: self.class,
+            frag_len: self.offset + self.remaining,
+            offset: c.offset,
+            chunk_len: c.len,
+            submit_ns: self.submitted_at.as_nanos(),
+        }
+    }
+
+    /// The header of all the bytes the candidate offers.
+    #[inline]
+    pub fn whole(&self) -> ChunkHeader {
+        self.header(&PlannedChunk {
+            flow: self.flow,
+            seq: self.seq,
+            frag: self.frag,
+            offset: self.offset,
+            len: self.remaining,
+        })
+    }
+}
+
 /// A fragment waiting for a rendezvous request to be sent.
 #[derive(Clone, Copy, Debug)]
 pub struct RndvCandidate {
@@ -202,10 +268,34 @@ pub struct RndvCandidate {
     pub seq: u32,
     /// Fragment index.
     pub frag: FragIndex,
+    /// Fragments in the message.
+    pub frag_count: u16,
+    /// The fragment's length.
+    pub frag_len: u32,
+    /// Whether the fragment is express.
+    pub express: bool,
     /// Traffic class (what a request is worth).
     pub class: TrafficClass,
     /// Submission time.
     pub submitted_at: SimTime,
+}
+
+impl RndvCandidate {
+    /// The header the request travels under, and its grant.
+    pub fn header(&self) -> ChunkHeader {
+        ChunkHeader {
+            flow: self.flow,
+            msg_seq: self.seq,
+            frag_index: self.frag,
+            frag_count: self.frag_count,
+            express: self.express,
+            class: self.class,
+            frag_len: self.frag_len,
+            offset: 0,
+            chunk_len: 0,
+            submit_ns: self.submitted_at.as_nanos(),
+        }
+    }
 }
 
 /// Rendezvous requests offered per destination in one window. A request
@@ -362,18 +452,37 @@ impl WindowGroups {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{
-        CONTROL_PACKET_BYTES, OFFSET_BYTES, OPEN_HEADER_BYTES, PACKET_PREFIX_BYTES,
-        SAME_MSG_HEADER_BYTES,
-    };
+    use crate::proto::make_header;
 
-    fn chunk(len: u32) -> PlannedChunk {
+    fn chunk(frag: u16, len: u32) -> PlannedChunk {
         PlannedChunk {
             flow: FlowId(0),
             seq: 0,
-            frag: 0,
+            frag,
             offset: 0,
             len,
+        }
+    }
+
+    /// Headers as a message of two fragments submitted at time zero stamps
+    /// them, its fragments `frag_len` bytes long.
+    fn stamp(frag_len: u32) -> impl Fn(&PlannedChunk) -> Option<ChunkHeader> {
+        move |c| {
+            let class = TrafficClass::DEFAULT;
+            let (frag, offset, len) = (c.frag, c.offset, c.len);
+            let h = make_header(
+                c.flow,
+                c.seq,
+                frag,
+                2,
+                false,
+                class,
+                frag_len,
+                offset,
+                len,
+                SimTime::ZERO,
+            );
+            Some(h)
         }
     }
 
@@ -388,23 +497,25 @@ mod tests {
 
     #[test]
     fn plan_accounting() {
-        let p = data_plan(vec![chunk(100), chunk(50)], false);
-        assert_eq!(p.payload_bytes(), 150);
+        let p = data_plan(vec![chunk(0, 100), chunk(1, 100)], false);
+        assert_eq!(p.payload_bytes(), 200);
         assert_eq!(p.chunk_count(), 2);
-        // Two chunks of one message: the second header names none.
-        assert_eq!(
-            p.framing(),
-            PACKET_PREFIX_BYTES + OPEN_HEADER_BYTES + SAME_MSG_HEADER_BYTES
-        );
-        // A chunk of another message says so, and one past the start of
-        // its fragment says where.
-        let mut other = chunk(10);
+        // Two whole fragments of one message: the prefix; tag, flow, seq,
+        // fragment count, class, submission time, index and length, one
+        // byte each; then the second header names no message: tag, index
+        // and length.
+        assert_eq!(p.framing(stamp(100)), Some(2 + 8 + 3));
+        // Cut short of the fragment's end, a chunk says its length in four
+        // bytes; 200 takes two bytes as a varint.
+        assert_eq!(p.framing(stamp(200)), Some(2 + (9 + 4) + (4 + 4)));
+        // A chunk of another message names it again (its submission time
+        // as a difference of nothing), and one past the start of its
+        // fragment says where.
+        let mut other = chunk(0, 60);
         (other.flow, other.offset) = (FlowId(1), 40);
-        let q = data_plan(vec![chunk(100), other], false);
-        assert_eq!(
-            q.framing(),
-            PACKET_PREFIX_BYTES + 2 * OPEN_HEADER_BYTES + OFFSET_BYTES
-        );
+        let q = data_plan(vec![chunk(0, 100), other], false);
+        assert_eq!(q.framing(stamp(100)), Some(2 + 8 + 9));
+        assert_eq!(q.framing(|_| None), None);
         assert!(!p.linearized());
         assert!(p.injected(true).linearized());
     }
@@ -423,7 +534,14 @@ mod tests {
         };
         assert_eq!(p.payload_bytes(), 0);
         assert_eq!(p.chunk_count(), 0);
-        assert_eq!(p.framing(), CONTROL_PACKET_BYTES);
+        // A request is a control packet of one header: the empty chunk at
+        // its fragment's start, whose length it says (2^20 takes three
+        // bytes as a varint).
+        let request = |c: &PlannedChunk| {
+            assert_eq!((c.offset, c.len), (0, 0));
+            stamp(1 << 20)(c)
+        };
+        assert_eq!(p.framing(request), Some(2 + (6 + 1 + 3) + 4));
         assert!(
             !p.clone().injected(true).linearized(),
             "a request has no mode"
@@ -440,6 +558,7 @@ mod tests {
                     flow: FlowId(0),
                     seq: 0,
                     frag: 0,
+                    frag_count: 1,
                     offset: 0,
                     remaining: 100,
                     msg_remaining: 100,
@@ -452,6 +571,7 @@ mod tests {
                     flow: FlowId(1),
                     seq: 0,
                     frag: 0,
+                    frag_count: 1,
                     offset: 64,
                     remaining: 36,
                     msg_remaining: 36,

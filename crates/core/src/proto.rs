@@ -9,26 +9,38 @@
 //! | count (u16) | hdr 0   | ... | hdr N-1 | chunk data 0 | ... | chunk data N-1
 //! +-------------+---------+-----+---------+--------------+-----+--------------+
 //!
-//! hdr = tag (u8) | [ flow u32 | msg_seq u32 | frag_count u16 | class u8 | submit_ns u64 ]
-//!                | frag_index u16 | frag_len u32 | chunk_len u32 | [ offset u32 ]
+//! hdr = tag (u8) | [ flow v32 | msg_seq v32 | frag_count v16 | class u8 | submit v64 ]
+//!                | frag_index v16 | frag_len v32 | [ offset v32 ] | [ chunk_len u32 ]
 //!
+//! vN         an N-bit field as a LEB128 varint: seven bits a byte, low
+//!            bits first, the high bit set on every byte but the last; at
+//!            most ⌈N/7⌉ bytes, and only the shortest form
 //! tag bit 0  express
 //!     bit 1  SAME_MSG: the message part (first bracket) is that of the
 //!            header before this one in the packet, and is left out
-//!     bit 2  an offset follows (left out: the chunk starts its fragment)
+//!     bit 2  OFFSET: an offset follows (left out: the chunk starts its
+//!            fragment)
+//!     bit 3  TAIL: the chunk runs to its fragment's end, so its length is
+//!            frag_len - offset and is left out; a chunk cut short of the
+//!            end says its length in four fixed bytes
+//! submit     the packet's first message part carries submit_ns itself,
+//!            every later one the zigzag varint of its difference (mod
+//!            2^64) from the message part before it
 //! ```
 //!
 //! Each chunk is a contiguous byte range of one message fragment. A packet
-//! names each message once per run of its chunks: a header that opens a
-//! message is [`OPEN_HEADER_BYTES`] long, one that continues the message of
-//! the header before it [`SAME_MSG_HEADER_BYTES`], and either grows by
-//! [`OFFSET_BYTES`] when the chunk does not start its fragment. The header
-//! block travels as the packet's first gather segment; chunk data follow as
-//! zero-copy segments (or everything is linearized into one segment when
-//! the cost model chose by-copy injection). Header bytes are real bytes:
-//! aggregation's framing overhead costs wire time, so the optimizer's
-//! trade-offs are physically grounded — [`Framing`] is the one place that
-//! says how many there are.
+//! names each message once per run of its chunks, and every field is as
+//! long as its value: a whole fragment of a message the header before it
+//! named takes [`MIN_CHUNK_HEADER_BYTES`] while its index and length are
+//! below 128, and no header takes more than [`MAX_CHUNK_HEADER_BYTES`].
+//! The header block travels as the packet's first gather segment; chunk
+//! data follow as zero-copy segments (or everything is linearized into one
+//! segment when the cost model chose by-copy injection). Header bytes are
+//! real bytes: aggregation's framing overhead costs wire time, so the
+//! optimizer's trade-offs are physically grounded — [`Framing`] is the one
+//! place that says how many there are. Control packets (rendezvous
+//! requests and grants, acks, cancels) are one metadata-only header in the
+//! same layout.
 
 // madlint: file: hot-path
 
@@ -38,7 +50,6 @@ use bytes::Bytes;
 use simnet::{SimTime, WirePacket};
 
 use crate::ids::{FlowId, FragIndex, TrafficClass};
-use crate::plan::PlannedChunk;
 
 /// Packet kind: eager data (possibly aggregated chunks).
 pub const KIND_DATA: u16 = 1;
@@ -53,53 +64,62 @@ pub const KIND_ACK: u16 = 5;
 
 /// Size of the packet-level prefix.
 pub const PACKET_PREFIX_BYTES: u64 = 2;
-/// Size of a chunk header that opens a message (tag, message part, chunk
-/// part), the chunk starting its fragment.
-pub const OPEN_HEADER_BYTES: u64 = 30;
-/// Size of a chunk header that continues the message of the header before
-/// it (tag and chunk part), the chunk starting its fragment.
-pub const SAME_MSG_HEADER_BYTES: u64 = 11;
-/// What a chunk that does not start its fragment adds to its header.
-pub const OFFSET_BYTES: u64 = 4;
-/// Size of the largest encoded chunk header.
-pub const CHUNK_HEADER_BYTES: u64 = OPEN_HEADER_BYTES + OFFSET_BYTES;
-/// Size of a packet of one opening header and nothing else: every control
-/// packet (request, grant, ack, cancel), and the framing of a data packet
-/// that carries one chunk from the start of its fragment.
-pub const CONTROL_PACKET_BYTES: u64 = PACKET_PREFIX_BYTES + OPEN_HEADER_BYTES;
+/// Size of the shortest chunk header: the tag, a fragment index and a
+/// fragment length below 128, for a chunk that continues the message of
+/// the header before it and runs from its fragment's start to its end.
+pub const MIN_CHUNK_HEADER_BYTES: u64 = 3;
+/// Size of the longest chunk header: every field present at its widest —
+/// the tag 1, flow 5, sequence 5, fragment count 3, class 1, submission
+/// time 10, fragment index 3, fragment length 5, offset 5 and chunk length
+/// 4 bytes.
+pub const MAX_CHUNK_HEADER_BYTES: u64 = 42;
 
+/// Size of the length of a chunk cut short of its fragment's end: fixed,
+/// so that a cut's header does not depend on where it is cut.
+const CHUNK_LEN_BYTES: u64 = 4;
 const PREFIX: usize = PACKET_PREFIX_BYTES as usize;
-const MAX_HEADER: usize = CHUNK_HEADER_BYTES as usize;
-/// A header's first half at its longest: the tag and the message part.
-const NAMED: usize = (1 + OPEN_HEADER_BYTES - SAME_MSG_HEADER_BYTES) as usize;
-/// A header's second half without an offset: the chunk part.
-const CHUNK_PART: usize = SAME_MSG_HEADER_BYTES as usize - 1;
+const MAX_HEADER: usize = MAX_CHUNK_HEADER_BYTES as usize;
 
 const TAG_EXPRESS: u8 = 1 << 0;
 const TAG_SAME_MSG: u8 = 1 << 1;
 const TAG_OFFSET: u8 = 1 << 2;
-const TAG_KNOWN: u8 = TAG_EXPRESS | TAG_SAME_MSG | TAG_OFFSET;
+const TAG_TAIL: u8 = 1 << 3;
+const TAG_KNOWN: u8 = TAG_EXPRESS | TAG_SAME_MSG | TAG_OFFSET | TAG_TAIL;
 
-/// Bytes of one chunk header on the wire.
-const fn header_bytes(same_msg: bool, has_offset: bool) -> u64 {
-    let named = if same_msg {
-        SAME_MSG_HEADER_BYTES
-    } else {
-        OPEN_HEADER_BYTES
-    };
-    named + if has_offset { OFFSET_BYTES } else { 0 }
+/// Bytes of `v` as a varint: one per seven bits, counted from the low end
+/// because most fields are small.
+#[inline]
+const fn varint_len(v: u64) -> u64 {
+    let (mut bytes, mut rest) = (1, v >> 7);
+    while rest != 0 {
+        bytes += 1;
+        rest >>= 7;
+    }
+    bytes
+}
+
+/// What a message part says of its submission time behind `before`, the
+/// message part before it in the packet (none: it is the first).
+#[inline]
+fn submit_field(submit_ns: u64, before: Option<&MessagePart>) -> u64 {
+    match before {
+        None => submit_ns,
+        Some(b) => {
+            let delta = submit_ns.wrapping_sub(b.4) as i64;
+            ((delta << 1) ^ (delta >> 63)) as u64
+        }
+    }
 }
 
 /// The framing bytes of a data packet, chunk by chunk: the prefix, and for
-/// every chunk pushed the header its place in the packet gives it. The
-/// size of a header block is a function of the packet's `(flow, seq,
-/// offset)` sequence alone, and this is its only spelling — whoever fills,
-/// prices, checks or re-cuts a packet asks here.
+/// every chunk pushed the header it travels under. A header's size depends
+/// on what it says and on the header before it, and this is its only
+/// spelling — whoever fills, prices, checks or re-cuts a packet asks here.
 #[derive(Clone, Copy, Debug)]
 pub struct Framing {
     bytes: u64,
-    /// The message of the chunk pushed last.
-    last: Option<(FlowId, u32)>,
+    /// The message part of the header pushed last.
+    last: Option<MessagePart>,
 }
 
 impl Default for Framing {
@@ -117,44 +137,83 @@ impl Framing {
         }
     }
 
-    /// What a chunk of message `(flow, seq)` starting at `offset` of its
-    /// fragment would add if it came next.
-    pub fn next(&self, flow: FlowId, seq: u32, offset: u32) -> u64 {
-        header_bytes(self.last == Some((flow, seq)), offset != 0)
+    /// What a chunk under header `h` would add if it came next.
+    #[inline]
+    pub fn next(&self, h: &ChunkHeader) -> u64 {
+        h.encoded_len(self.last.as_ref())
     }
 
-    /// The chunk comes next.
-    pub fn push(&mut self, flow: FlowId, seq: u32, offset: u32) {
-        self.bytes += self.next(flow, seq, offset);
-        self.last = Some((flow, seq));
+    /// The chunk under header `h` comes next.
+    #[inline]
+    pub fn push(&mut self, h: &ChunkHeader) {
+        self.bytes += self.next(h);
+        self.last = Some(h.message_part());
+    }
+
+    /// As many of the `h.chunk_len` bytes `h` describes (from `h.offset`)
+    /// as fit into the `room` bytes the packet has left, header included,
+    /// come next: all of them under `h`, or else a cut — whose header says
+    /// its length — of exactly what is left, `h.chunk_len` set to it.
+    /// False, and nothing comes next, when not a byte fits.
+    #[inline]
+    pub fn take(&mut self, h: &mut ChunkHeader, room: u64) -> bool {
+        let whole = self.next(h);
+        if whole + u64::from(h.chunk_len) <= room {
+            self.bytes += whole;
+        } else {
+            let cut = whole + if h.is_tail() { CHUNK_LEN_BYTES } else { 0 };
+            match room.checked_sub(cut) {
+                Some(left) if left > 0 => h.chunk_len = left as u32,
+                _ => return false,
+            }
+            self.bytes += cut;
+        }
+        self.last = Some(h.message_part());
+        true
+    }
+
+    /// [`Framing::take`] in a packet of its own of at most `limit` bytes:
+    /// as much of `h` as such a packet carries.
+    pub fn take_alone(h: &mut ChunkHeader, limit: u64) -> bool {
+        let mut alone = Framing::new();
+        let room = limit.saturating_sub(alone.bytes());
+        alone.take(h, room)
     }
 
     /// Framing bytes so far.
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 }
 
-/// Framing bytes of a data packet whose one chunk starts at `offset` of
-/// its fragment.
-pub fn lone_chunk_framing(offset: u32) -> u64 {
-    PACKET_PREFIX_BYTES + header_bytes(false, offset != 0)
-}
-
-/// Framing bytes of a data packet carrying `chunks` in order.
-pub fn framing_of(chunks: &[PlannedChunk]) -> u64 {
+/// Framing bytes of a data packet carrying chunks under `headers`, in
+/// order.
+pub fn framing_of(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
     let mut framing = Framing::new();
-    for c in chunks {
-        framing.push(c.flow, c.seq, c.offset);
+    for h in headers {
+        framing.push(&h);
     }
     framing.bytes()
 }
 
-/// Bytes a data packet carrying `chunks` puts on the wire: payload and
-/// framing.
-pub fn wire_bytes(chunks: &[PlannedChunk]) -> u64 {
-    let payload: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
-    payload + framing_of(chunks)
+/// Bytes a data packet carrying chunks under `headers` puts on the wire:
+/// payload and framing.
+pub fn wire_bytes(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
+    let mut framing = Framing::new();
+    let mut payload = 0;
+    for h in headers {
+        framing.push(&h);
+        payload += u64::from(h.chunk_len);
+    }
+    payload + framing.bytes()
+}
+
+/// Bytes a packet of one chunk under `h` puts on the wire, payload
+/// included: a control packet (`h` is metadata only), or a data packet
+/// that carries a chunk alone.
+pub fn lone_packet_bytes(h: &ChunkHeader) -> u64 {
+    PACKET_PREFIX_BYTES + h.encoded_len(None) + u64::from(h.chunk_len)
 }
 
 /// Metadata of one chunk on the wire.
@@ -186,7 +245,15 @@ pub struct ChunkHeader {
 /// that opens a message says and one that continues it leaves out.
 type MessagePart = (FlowId, u32, u16, TrafficClass, u64);
 
+/// Whether two message parts are one, field by field — the flow and the
+/// sequence first, where two messages mostly differ.
+#[inline]
+fn same_message(a: &MessagePart, b: &MessagePart) -> bool {
+    a.0 == b.0 && a.1 == b.1 && a.2 == b.2 && a.3 == b.3 && a.4 == b.4
+}
+
 impl ChunkHeader {
+    #[inline]
     fn message_part(&self) -> MessagePart {
         (
             self.flow,
@@ -199,53 +266,104 @@ impl ChunkHeader {
 
     /// Whether this header may leave its message part out behind `before`:
     /// only when it repeats field for field, so no list of headers loses
-    /// anything on the wire; on the engine's lists — where a message's
-    /// chunks agree on it — that is [`Framing`]'s "same `(flow, seq)`".
-    fn continues(&self, before: Option<&ChunkHeader>) -> bool {
-        before.is_some_and(|b| b.message_part() == self.message_part())
+    /// anything on the wire.
+    #[inline]
+    fn continues(&self, before: Option<&MessagePart>) -> bool {
+        before.is_some_and(|b| same_message(b, &self.message_part()))
     }
 
-    /// The header at its longest — tag, message part, chunk part, offset —
-    /// of which less travels: the first [`NAMED`] bytes shrink to the tag
-    /// when the header continues a message, and the last four are cut off
-    /// when the offset is zero.
-    fn encode(&self, same_msg: bool) -> [u8; MAX_HEADER] {
-        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        let mut b = [0u8; MAX_HEADER];
-        b[0] = flag(self.express, TAG_EXPRESS)
-            | flag(same_msg, TAG_SAME_MSG)
-            | flag(self.offset != 0, TAG_OFFSET);
-        b[1..5].copy_from_slice(&self.flow.0.to_le_bytes());
-        b[5..9].copy_from_slice(&self.msg_seq.to_le_bytes());
-        b[9..11].copy_from_slice(&self.frag_count.to_le_bytes());
-        b[11] = self.class.0;
-        b[12..20].copy_from_slice(&self.submit_ns.to_le_bytes());
-        b[20..22].copy_from_slice(&self.frag_index.to_le_bytes());
-        b[22..26].copy_from_slice(&self.frag_len.to_le_bytes());
-        b[26..30].copy_from_slice(&self.chunk_len.to_le_bytes());
-        b[30..34].copy_from_slice(&self.offset.to_le_bytes());
-        b
+    /// Whether the chunk runs to its fragment's end, so that its length
+    /// goes without saying.
+    #[inline]
+    fn is_tail(&self) -> bool {
+        self.offset.checked_add(self.chunk_len) == Some(self.frag_len)
     }
 
-    /// Append the header as it travels behind `before`.
-    fn write(&self, before: Option<&ChunkHeader>, out: &mut Vec<u8>) {
-        const UNPLACED: usize = NAMED + CHUNK_PART;
+    /// Bytes of this header on the wire behind the message part `before`.
+    #[inline]
+    fn encoded_len(&self, before: Option<&MessagePart>) -> u64 {
+        let mut len = 1 + varint_len(self.frag_index.into()) + varint_len(self.frag_len.into());
+        if self.offset != 0 {
+            len += varint_len(self.offset.into());
+        }
+        if !self.is_tail() {
+            len += CHUNK_LEN_BYTES;
+        }
+        if !self.continues(before) {
+            len += varint_len(self.flow.0.into())
+                + varint_len(self.msg_seq.into())
+                + varint_len(self.frag_count.into())
+                + 1
+                + varint_len(submit_field(self.submit_ns, before));
+        }
+        len
+    }
+
+    /// Append the header as it travels behind the message part `before`.
+    #[inline]
+    fn write(&self, before: Option<&MessagePart>, out: &mut impl Put) {
         let same_msg = self.continues(before);
-        let b = self.encode(same_msg);
-        // Copies of a fixed size each, not one of a size to look up.
-        match (same_msg, self.offset != 0) {
-            (false, true) => out.extend_from_slice(&b),
-            (false, false) => out.extend_from_slice(&b[..UNPLACED]),
-            (true, placed) => {
-                out.push(b[0]);
-                if placed {
-                    out.extend_from_slice(&b[NAMED..]);
-                } else {
-                    out.extend_from_slice(&b[NAMED..UNPLACED]);
-                }
+        let tail = self.is_tail();
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        out.put(
+            flag(self.express, TAG_EXPRESS)
+                | flag(same_msg, TAG_SAME_MSG)
+                | flag(self.offset != 0, TAG_OFFSET)
+                | flag(tail, TAG_TAIL),
+        );
+        if !same_msg {
+            put_varint(out, self.flow.0.into());
+            put_varint(out, self.msg_seq.into());
+            put_varint(out, self.frag_count.into());
+            out.put(self.class.0);
+            put_varint(out, submit_field(self.submit_ns, before));
+        }
+        put_varint(out, self.frag_index.into());
+        put_varint(out, self.frag_len.into());
+        if self.offset != 0 {
+            put_varint(out, self.offset.into());
+        }
+        if !tail {
+            for byte in self.chunk_len.to_le_bytes() {
+                out.put(byte);
             }
         }
     }
+}
+
+/// Where header bytes are written: a packet's header block, or a control
+/// packet assembled on the stack.
+trait Put {
+    fn put(&mut self, byte: u8);
+}
+
+impl Put for Vec<u8> {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// A control packet — the prefix and one header — on the stack.
+struct ControlPacket {
+    b: [u8; PREFIX + MAX_HEADER],
+    n: usize,
+}
+
+impl Put for ControlPacket {
+    fn put(&mut self, byte: u8) {
+        self.b[self.n] = byte;
+        self.n += 1;
+    }
+}
+
+#[inline]
+fn put_varint(out: &mut impl Put, mut v: u64) {
+    while v >= 0x80 {
+        out.put(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.put(v as u8);
 }
 
 /// One chunk ready for encoding: header plus its payload slice.
@@ -275,9 +393,16 @@ pub enum ProtoError {
     Truncated,
     /// Chunk payload length disagrees with the header.
     LengthMismatch,
-    /// A header tag with a bit this format does not define, or one that
-    /// continues a message where the packet has named none.
+    /// A header tag with a bit this format does not define, one that
+    /// continues a message where the packet has named none, or one the
+    /// encoder would not have written for the fields behind it: an offset
+    /// of zero, a chunk whose length goes without saying written out or
+    /// one past its fragment's end said to run to it, a message part that
+    /// repeats the one before it.
     BadTag,
+    /// A varint longer than its field allows, holding more bits than the
+    /// field has, or not in its shortest form.
+    BadVarint,
 }
 
 impl std::fmt::Display for ProtoError {
@@ -286,6 +411,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "packet truncated"),
             ProtoError::LengthMismatch => write!(f, "chunk length mismatch"),
             ProtoError::BadTag => write!(f, "malformed chunk header tag"),
+            ProtoError::BadVarint => write!(f, "malformed varint"),
         }
     }
 }
@@ -320,14 +446,13 @@ pub(crate) fn encode_packet_with(
         let mut before = None;
         for c in chunks {
             debug_assert_eq!(c.header.chunk_len as usize, c.data.len());
-            c.header.write(before, out);
-            before = Some(&c.header);
+            c.header.write(before.as_ref(), out);
+            before = Some(c.header.message_part());
         }
     };
     if linearize {
-        // One allocation, sized for headers that leave nothing out: the
-        // buffer becomes the segment as it is, so the slack (at most 23
-        // bytes a chunk) costs no copy.
+        // One allocation, sized for headers at their longest: the buffer
+        // becomes the segment as it is, so the slack costs no copy.
         let payload: usize = chunks.iter().map(|c| c.data.len()).sum();
         let mut one = Vec::with_capacity(PREFIX + MAX_HEADER * chunks.len() + payload);
         write_headers(&mut one);
@@ -343,6 +468,171 @@ pub(crate) fn encode_packet_with(
         segs.push(Bytes::copy_from_slice(block));
         segs.extend(chunks.iter().map(|c| c.data.clone()));
         segs
+    }
+}
+
+/// A read position in a header block.
+struct Fields<'a> {
+    b: &'a [u8],
+    at: usize,
+}
+
+impl Fields<'_> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, ProtoError> {
+        let byte = *self.b.get(self.at).ok_or(ProtoError::Truncated)?;
+        self.at += 1;
+        Ok(byte)
+    }
+
+    /// A varint of a `bits`-bit field, in the one form the encoder writes.
+    #[inline]
+    fn varint(&mut self, bits: u32) -> Result<u64, ProtoError> {
+        let first = self.byte()?;
+        if first < 0x80 {
+            return Ok(first.into()); // every field has seven bits
+        }
+        let mut value = u64::from(first & 0x7F);
+        let mut shift = 7;
+        loop {
+            let byte = self.byte()?;
+            let low = u64::from(byte & 0x7F);
+            if shift + 7 > bits && low >> (bits - shift) != 0 {
+                return Err(ProtoError::BadVarint); // more bits than the field
+            }
+            value |= low << shift;
+            if byte & 0x80 == 0 {
+                // A last byte of nothing is a longer form of a shorter one.
+                return if byte == 0 && shift > 0 {
+                    Err(ProtoError::BadVarint)
+                } else {
+                    Ok(value)
+                };
+            }
+            shift += 7;
+            if shift >= bits {
+                return Err(ProtoError::BadVarint); // more bytes than the field
+            }
+        }
+    }
+
+    #[inline]
+    fn u32_varint(&mut self) -> Result<u32, ProtoError> {
+        Ok(self.varint(32)? as u32)
+    }
+
+    #[inline]
+    fn u16_varint(&mut self) -> Result<u16, ProtoError> {
+        Ok(self.varint(16)? as u16)
+    }
+
+    /// Read the next header into `h`, which holds the header before it
+    /// (unless this is the packet's `first`): a header that continues a
+    /// message keeps `h`'s message part. Only what the encoder writes is
+    /// read: any other byte string is an error, so a header that decodes
+    /// encodes to the bytes it came from. On an error `h` is half read.
+    fn header(&mut self, h: &mut ChunkHeader, first: bool) -> Result<(), ProtoError> {
+        let tag = self.byte()?;
+        if tag & !TAG_KNOWN != 0 {
+            return Err(ProtoError::BadTag);
+        }
+        if tag & TAG_SAME_MSG != 0 {
+            if first {
+                return Err(ProtoError::BadTag);
+            }
+        } else {
+            let flow = FlowId(self.u32_varint()?);
+            let msg_seq = self.u32_varint()?;
+            let frag_count = self.u16_varint()?;
+            let class = TrafficClass(self.byte()?);
+            let field = self.varint(64)?;
+            let submit_ns = if first {
+                field
+            } else {
+                let delta = ((field >> 1) as i64) ^ -((field & 1) as i64);
+                h.submit_ns.wrapping_add(delta as u64)
+            };
+            let part = (flow, msg_seq, frag_count, class, submit_ns);
+            if !first && same_message(&h.message_part(), &part) {
+                return Err(ProtoError::BadTag); // it continues that message
+            }
+            (h.flow, h.msg_seq, h.frag_count, h.class, h.submit_ns) = part;
+        }
+        h.express = tag & TAG_EXPRESS != 0;
+        h.frag_index = self.u16_varint()?;
+        h.frag_len = self.u32_varint()?;
+        h.offset = 0;
+        if tag & TAG_OFFSET != 0 {
+            h.offset = self.u32_varint()?;
+            if h.offset == 0 {
+                return Err(ProtoError::BadTag);
+            }
+        }
+        h.chunk_len = if tag & TAG_TAIL != 0 {
+            h.frag_len.checked_sub(h.offset).ok_or(ProtoError::BadTag)?
+        } else {
+            let mut len = [0; 4];
+            for byte in &mut len {
+                *byte = self.byte()?;
+            }
+            let len = u32::from_le_bytes(len);
+            if h.offset.checked_add(len) == Some(h.frag_len) {
+                return Err(ProtoError::BadTag); // a tail that says its length
+            }
+            len
+        };
+        Ok(())
+    }
+
+    /// Step over a varint of a `bits`-bit field, no longer than the
+    /// field's widest.
+    #[inline]
+    fn skip_varint(&mut self, bits: u32) -> Result<(), ProtoError> {
+        for _ in 0..bits.div_ceil(7) {
+            if self.byte()? < 0x80 {
+                return Ok(());
+            }
+        }
+        Err(ProtoError::BadVarint)
+    }
+
+    /// Step over the next header — the packet's first when `first` —
+    /// checking only what its length rests on: its tag, and that no
+    /// varint runs longer than its field's widest. [`Fields::header`]
+    /// reads it.
+    fn skip_header(&mut self, first: bool) -> Result<(), ProtoError> {
+        let tag = self.byte()?;
+        if tag & !TAG_KNOWN != 0 || (first && tag & TAG_SAME_MSG != 0) {
+            return Err(ProtoError::BadTag);
+        }
+        if tag & TAG_SAME_MSG == 0 {
+            self.skip_varint(32)?;
+            self.skip_varint(32)?;
+            self.skip_varint(16)?;
+            self.byte()?;
+            self.skip_varint(64)?;
+        }
+        self.skip_varint(16)?;
+        self.skip_varint(32)?;
+        if tag & TAG_OFFSET != 0 {
+            self.skip_varint(32)?;
+        }
+        if tag & TAG_TAIL == 0 {
+            for _ in 0..CHUNK_LEN_BYTES {
+                self.byte()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Step over `chunks` headers from the start: where the block they
+    /// make ends.
+    fn block_len(b: &[u8], chunks: usize) -> Result<usize, ProtoError> {
+        let mut fields = Fields { b, at: 0 };
+        for at in 0..chunks {
+            fields.skip_header(at == 0)?;
+        }
+        Ok(fields.at)
     }
 }
 
@@ -439,12 +729,11 @@ impl<'a> SegCursor<'a> {
 /// a linearized single segment both slice), and only a chunk that
 /// straddles segments is copied.
 struct ChunkReader<'a> {
-    /// The headers, back to back: read where they lie when one segment
-    /// holds them all (it does, as encoded), a copy when they straddle
-    /// several.
+    /// The headers, back to back (and perhaps what follows them): read
+    /// where they lie when the segment that begins them holds them all (it
+    /// does, as encoded), from a copy of the rest of the packet when they
+    /// run past it.
     block: Cow<'a, [u8]>,
-    /// How much of `block` is parsed.
-    at: usize,
     data: SegCursor<'a>,
     /// Chunks the packet announces, each with a header of its own in it.
     chunks: usize,
@@ -454,9 +743,9 @@ struct ChunkReader<'a> {
 
 impl<'a> ChunkReader<'a> {
     /// Read the prefix and find where the header block it announces ends:
-    /// a header is as long as its tag says, so the tags are walked — and
-    /// checked — once here, before any header is parsed or anything is
-    /// sized by `chunks`, which the walk bounds by the packet's real size.
+    /// a header is as long as its fields say, so the headers are stepped
+    /// over once here, before anything is sized by `chunks`, which the
+    /// walk bounds by the packet's real size.
     fn open(pkt: &'a WirePacket) -> Result<Self, ProtoError> {
         let segs = &pkt.payload[..];
         let total: usize = segs.iter().map(Bytes::len).sum();
@@ -466,91 +755,40 @@ impl<'a> ChunkReader<'a> {
             return Err(ProtoError::Truncated);
         }
         let chunks = u16::from_le_bytes(count) as usize;
-        let mut data = start.clone();
-        let mut block_len = 0;
-        for at in 0..chunks {
-            let Some(&tag) = data.unread().first() else {
-                return Err(ProtoError::Truncated);
-            };
-            let same_msg = tag & TAG_SAME_MSG != 0;
-            if tag & !TAG_KNOWN != 0 || (same_msg && at == 0) {
-                return Err(ProtoError::BadTag);
+        let here = start.unread();
+        let rest = total - PREFIX;
+        let (block, block_len) = match Fields::block_len(here, chunks) {
+            Err(ProtoError::Truncated) if here.len() < rest => {
+                let mut flat = vec![0u8; rest];
+                let read = start.clone().read(&mut flat);
+                debug_assert!(read);
+                let block_len = Fields::block_len(&flat, chunks)?;
+                (Cow::Owned(flat), block_len)
             }
-            let len = header_bytes(same_msg, tag & TAG_OFFSET != 0) as usize;
-            if !data.skip(len) {
-                return Err(ProtoError::Truncated);
-            }
-            block_len += len;
-        }
-        let block = match start.unread().get(..block_len) {
-            Some(block) => Cow::Borrowed(block),
-            None => {
-                let mut block = vec![0u8; block_len];
-                let walked = start.read(&mut block);
-                debug_assert!(walked);
-                Cow::Owned(block)
-            }
+            walked => (Cow::Borrowed(here), walked?),
         };
+        let mut data = start;
+        let skipped = data.skip(block_len);
+        debug_assert!(skipped);
         Ok(ChunkReader {
             block,
-            at: 0,
             data,
             chunks,
-            bytes: total - PREFIX - block_len,
+            bytes: rest - block_len,
         })
     }
 
-    /// The next header of the block `open` walked: its two halves as the
-    /// encoder wrote them — the tag, with the message part or in place of
-    /// it `named`, the one before's; then the chunk part, with the offset
-    /// or without.
-    fn header(&mut self, named: &mut MessagePart) -> ChunkHeader {
-        let b = &self.block[self.at..];
-        let tag = b[0];
-        let chunk_part = if tag & TAG_SAME_MSG != 0 {
-            &b[1..]
-        } else {
-            let (b, rest) = b.split_first_chunk::<NAMED>().expect("walked");
-            *named = (
-                FlowId(u32::from_le_bytes([b[1], b[2], b[3], b[4]])),
-                u32::from_le_bytes([b[5], b[6], b[7], b[8]]),
-                u16::from_le_bytes([b[9], b[10]]),
-                TrafficClass(b[11]),
-                u64::from_le_bytes([b[12], b[13], b[14], b[15], b[16], b[17], b[18], b[19]]),
-            );
-            rest
-        };
-        let (b, rest) = chunk_part
-            .split_first_chunk::<CHUNK_PART>()
-            .expect("walked");
-        let (offset, rest) = if tag & TAG_OFFSET != 0 {
-            let (offset, rest) = rest.split_first_chunk().expect("walked");
-            (u32::from_le_bytes(*offset), rest)
-        } else {
-            (0, rest)
-        };
-        self.at = self.block.len() - rest.len();
-        let (flow, msg_seq, frag_count, class, submit_ns) = *named;
-        ChunkHeader {
-            flow,
-            msg_seq,
-            frag_index: u16::from_le_bytes([b[0], b[1]]),
-            frag_count,
-            express: tag & TAG_EXPRESS != 0,
-            class,
-            frag_len: u32::from_le_bytes([b[2], b[3], b[4], b[5]]),
-            offset,
-            chunk_len: u32::from_le_bytes([b[6], b[7], b[8], b[9]]),
-            submit_ns,
-        }
-    }
-
-    /// Hand every chunk, in order, to `emit`: each header is parsed once.
-    /// Chunks emitted before an error is found are the caller's to discard.
+    /// Hand every chunk, in order, to `emit`: each header `open` stepped
+    /// over is read here, and checked. Chunks emitted before an error is
+    /// found are the caller's to discard.
     fn read(mut self, mut emit: impl FnMut(ChunkHeader, Bytes)) -> Result<(), ProtoError> {
-        let mut named = (FlowId(0), 0, 0, TrafficClass::DEFAULT, 0);
-        for _ in 0..self.chunks {
-            let header = self.header(&mut named);
+        let mut fields = Fields {
+            b: &self.block,
+            at: 0,
+        };
+        let mut header = ack_header_ecn(0, false);
+        for at in 0..self.chunks {
+            fields.header(&mut header, at == 0)?;
             let len = header.chunk_len as usize;
             if len > self.bytes {
                 return Err(ProtoError::Truncated);
@@ -589,15 +827,20 @@ pub(crate) fn decode_packet_into(
     decoded
 }
 
-/// Encode a rendezvous request/grant: a single metadata-only chunk header.
+/// Encode a rendezvous request/grant — or any control packet: a single
+/// metadata-only chunk header.
 pub fn encode_rndv(header: ChunkHeader) -> Vec<Bytes> {
-    let mut h = header;
-    h.chunk_len = 0;
-    let mut pkt = [0u8; PREFIX + MAX_HEADER];
-    pkt[..PREFIX].copy_from_slice(&1u16.to_le_bytes());
-    pkt[PREFIX..].copy_from_slice(&h.encode(false));
-    let len = PREFIX + header_bytes(false, h.offset != 0) as usize;
-    vec![Bytes::copy_from_slice(&pkt[..len])]
+    let h = ChunkHeader {
+        chunk_len: 0,
+        ..header
+    };
+    let mut pkt = ControlPacket {
+        b: [0; PREFIX + MAX_HEADER],
+        n: PREFIX,
+    };
+    pkt.b[..PREFIX].copy_from_slice(&1u16.to_le_bytes());
+    h.write(None, &mut pkt);
+    vec![Bytes::copy_from_slice(&pkt.b[..pkt.n])]
 }
 
 /// Decode a rendezvous request/grant.
@@ -700,6 +943,12 @@ mod tests {
     use super::*;
     use simnet::{NicId, NodeId};
 
+    /// The framing of the reference message — a 16 B express header and a
+    /// 48 B body — behind another message in its packet, with a flow below
+    /// 128, a sequence below 16 384 and a submission time within 8 191 ns
+    /// of that message's.
+    const REFERENCE_MESSAGE_FRAMING: u64 = 13;
+
     fn chunk(flow: u32, seq: u32, frag: u16, data: &[u8], offset: u32, frag_len: u32) -> WireChunk {
         WireChunk {
             header: ChunkHeader {
@@ -733,197 +982,227 @@ mod tests {
         }
     }
 
-    /// One header at the front of `b`, the layout restated by position:
-    /// the header and the bytes it took. `named` is the message part of
-    /// the header before it.
-    fn reference_decode_from(
-        b: &[u8],
-        named: Option<&ChunkHeader>,
-    ) -> Result<(ChunkHeader, usize), ProtoError> {
-        let Some(&tag) = b.first() else {
-            return Err(ProtoError::Truncated);
-        };
-        if tag > 0b111 || (tag & 0b010 != 0 && named.is_none()) {
-            return Err(ProtoError::BadTag);
-        }
-        let (same_msg, has_offset) = (tag & 0b010 != 0, tag & 0b100 != 0);
-        // Where the chunk part starts, and where the header ends.
-        let chunk_part = if same_msg { 1 } else { 20 };
-        let len = chunk_part + 10 + if has_offset { 4 } else { 0 };
-        if b.len() < len {
-            return Err(ProtoError::Truncated);
-        }
-        let u64le = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().expect("fixed width"));
-        let u32le = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().expect("fixed width"));
-        let u16le = |o: usize| u16::from_le_bytes(b[o..o + 2].try_into().expect("fixed width"));
-        let mut h = match named {
-            Some(named) if same_msg => *named,
-            _ => ChunkHeader {
-                flow: FlowId(u32le(1)),
-                msg_seq: u32le(5),
-                frag_count: u16le(9),
-                class: TrafficClass(b[11]),
-                submit_ns: u64le(12),
-                ..chunk(0, 0, 0, b"", 0, 0).header
-            },
-        };
-        h.express = tag & 0b001 != 0;
-        h.frag_index = u16le(chunk_part);
-        h.frag_len = u32le(chunk_part + 2);
-        h.chunk_len = u32le(chunk_part + 6);
-        h.offset = if has_offset {
-            u32le(chunk_part + 10)
-        } else {
-            0
-        };
-        Ok((h, len))
+    fn headers(chunks: &[WireChunk]) -> impl Iterator<Item = ChunkHeader> + '_ {
+        chunks.iter().map(|c| c.header)
     }
 
-    /// The decoder this file shipped before the segment cursor, restated
-    /// for the layout in which a header is as long as its tag says:
-    /// flatten the gather list, then slice the copy. The oracle the cursor
-    /// is held to.
-    fn reference_decode_packet(pkt: &WirePacket) -> Result<Vec<DecodedChunk>, ProtoError> {
-        let flat = Bytes::from(pkt.contiguous());
-        if flat.len() < 2 {
-            return Err(ProtoError::Truncated);
-        }
-        let count = u16::from_le_bytes(flat[0..2].try_into().expect("fixed width")) as usize;
-        let mut headers: Vec<ChunkHeader> = Vec::with_capacity(count);
-        let mut hdr_end = 2;
-        for _ in 0..count {
-            let (h, len) = reference_decode_from(&flat[hdr_end..], headers.last())?;
-            headers.push(h);
-            hdr_end += len;
-        }
-        let mut out = Vec::with_capacity(count);
-        let mut cursor = hdr_end;
-        for h in headers {
-            let end = cursor + h.chunk_len as usize;
-            if end > flat.len() {
-                return Err(ProtoError::Truncated);
-            }
-            out.push(DecodedChunk {
-                header: h,
-                data: flat.slice(cursor..end),
-            });
-            cursor = end;
-        }
-        if cursor != flat.len() {
-            return Err(ProtoError::LengthMismatch);
-        }
-        Ok(out)
+    /// A decoding as comparable values.
+    fn flatten(
+        r: Result<Vec<DecodedChunk>, ProtoError>,
+    ) -> Result<Vec<(ChunkHeader, Vec<u8>)>, ProtoError> {
+        r.map(|chunks| {
+            chunks
+                .into_iter()
+                .map(|c| (c.header, c.data.to_vec()))
+                .collect()
+        })
     }
 
-    /// `decode_rndv` over the reference decoder, verbatim.
-    fn reference_decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
-        let chunks = reference_decode_packet(pkt)?;
-        if chunks.len() != 1 || !chunks[0].data.is_empty() {
-            return Err(ProtoError::LengthMismatch);
-        }
-        Ok(chunks[0].header)
-    }
-
-    /// Both decoders must say the same about `bytes` cut at `cuts`
-    /// (ascending; equal neighbours make an empty segment).
-    fn assert_same_decoding(bytes: &Bytes, cuts: &[usize]) {
+    /// `bytes` cut at `cuts` (ascending; equal neighbours make an empty
+    /// segment).
+    fn cut(bytes: &Bytes, cuts: &[usize]) -> WirePacket {
         let mut segs = Vec::with_capacity(cuts.len() + 1);
         let mut from = 0;
         for &cut in cuts.iter().chain([&bytes.len()]) {
             segs.push(bytes.slice(from..cut));
             from = cut;
         }
-        let pkt = as_packet(segs);
-        let flatten = |r: Result<Vec<DecodedChunk>, ProtoError>| {
-            r.map(|chunks| {
-                chunks
-                    .into_iter()
-                    .map(|c| (c.header, c.data.to_vec()))
-                    .collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(
-            flatten(decode_packet(&pkt)),
-            flatten(reference_decode_packet(&pkt)),
-            "{} bytes cut at {cuts:?}",
-            bytes.len()
-        );
-        assert_eq!(decode_rndv(&pkt), reference_decode_rndv(&pkt), "{cuts:?}");
+        as_packet(segs)
+    }
+
+    /// Every decoder entry point says of `pkt` what it says of its bytes
+    /// in one segment, and none panics.
+    fn assert_segmentation_blind(pkt: &WirePacket) {
+        let flat = as_packet(vec![Bytes::from(pkt.contiguous())]);
+        assert_eq!(flatten(decode_packet(pkt)), flatten(decode_packet(&flat)));
+        assert_eq!(decode_rndv(pkt), decode_rndv(&flat));
+        assert_eq!(decode_ack_ecn(pkt), decode_ack_ecn(&flat));
+    }
+
+    /// A packet of `(tag, fields)` headers behind a count, the fields
+    /// written byte for byte, and `payload` behind them.
+    fn handmade(count: u16, block: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut out = count.to_le_bytes().to_vec();
+        out.extend_from_slice(block);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn decode_bytes(bytes: &[u8]) -> Result<Vec<DecodedChunk>, ProtoError> {
+        decode_packet(&as_packet(vec![Bytes::copy_from_slice(bytes)]))
     }
 
     #[test]
-    fn segment_cursor_decodes_what_the_flattening_decoder_did() {
-        // Chunk lists of 0–4 chunks: empty payloads, runs of one message
-        // (headers that name no message), offsets on either kind.
-        let lists: Vec<Vec<WireChunk>> = vec![
-            vec![],
-            vec![
-                chunk(1, 0, 0, b"a", 0, 1),
-                chunk(1, 0, 1, b"bc", 4, 9),
-                chunk(1, 0, 2, b"", 0, 0),
-            ],
-            vec![chunk(9, 8, 1, b"", 0, 1 << 20)],
-            vec![chunk(1, 0, 0, b"hello", 0, 5)],
-            vec![chunk(1, 0, 0, b"xy", 3, 9), chunk(2, 7, 1, b"", 0, 0)],
-            vec![
-                chunk(1, 0, 0, b"hdr", 0, 3),
-                chunk(1, 0, 1, b"payload-a", 0, 9),
-                chunk(2, 5, 0, b"other-flow", 0, 10),
-            ],
-            vec![
-                chunk(4, 1, 2, b"", 0, 7),
-                chunk(4, 1, 2, b"0123456", 0, 7),
-                chunk(5, 1, 0, b"z", 6, 7),
-                chunk(
-                    u32::MAX,
-                    u32::MAX,
-                    u16::MAX,
-                    b"\xff\x00",
-                    u32::MAX,
-                    u32::MAX,
-                ),
-            ],
+    fn the_layout_byte_by_byte() {
+        // An express header and a body of one message, then a whole
+        // fragment of another message submitted 100 ns earlier, resumed
+        // at byte 5 of it.
+        let mut first = chunk(1, 300, 0, b"hdr", 0, 3);
+        first.header.frag_count = 2;
+        first.header.submit_ns = 1000;
+        let mut body = chunk(1, 300, 1, b"body", 0, 4);
+        (body.header.frag_count, body.header.submit_ns) = (2, 1000);
+        let mut other = chunk(2, 0, 0, b"xy", 5, 7);
+        other.header.submit_ns = 900;
+        other.header.express = false;
+        let chunks = [first, body, other];
+        let segs = encode_packet(&chunks, false);
+        #[rustfmt::skip]
+        let block = [
+            3, 0, // three chunks
+            TAG_EXPRESS | TAG_TAIL, 1, 0xAC, 0x02, 2, 0, 0xE8, 0x07, 0, 3,
+            TAG_SAME_MSG | TAG_TAIL, 1, 4,
+            TAG_OFFSET | TAG_TAIL, 2, 0, 3, 0, 0xC7, 0x01, 0, 7, 5,
         ];
-        for list in &lists {
-            for linearize in [false, true] {
-                // Both encodings as the encoder cut them.
-                let pkt = as_packet(encode_packet(list, linearize));
-                let flat = Bytes::from(pkt.contiguous());
-                let back = decode_packet(&pkt).expect("own encoding decodes");
-                let want = reference_decode_packet(&pkt).expect("own encoding decodes");
-                assert_eq!(back.len(), list.len());
-                for ((c, d), w) in list.iter().zip(&back).zip(&want) {
-                    assert_eq!((d.header, &d.data), (c.header, &c.data));
-                    assert_eq!((d.header, &d.data), (w.header, &w.data));
-                }
-                // Every re-segmentation into two and into three, cuts
-                // inside the prefix, a header and a chunk included.
-                let len = flat.len();
-                for a in 0..=len {
-                    assert_same_decoding(&flat, &[a]);
-                    for b in a..=len {
-                        assert_same_decoding(&flat, &[a, b]);
-                    }
-                }
-                // One byte per segment, with empty segments between.
-                let every: Vec<usize> = (0..=len).flat_map(|i| [i, i]).collect();
-                assert_same_decoding(&flat, &every);
-                // Every truncation, and a trailing byte.
-                for keep in 0..len {
-                    let short = flat.slice(..keep);
-                    assert_same_decoding(&short, &[]);
-                    assert_same_decoding(&short, &[keep / 2]);
-                    assert_same_decoding(&short, &[keep / 3, keep - keep / 3]);
-                }
-                let mut longer = flat.to_vec();
-                longer.push(0xEE);
-                let longer = Bytes::from(longer);
-                assert_same_decoding(&longer, &[]);
-                for a in 0..=longer.len() {
-                    assert_same_decoding(&longer, &[a]);
-                }
-            }
+        assert_eq!(&segs[0][..], &block[..]);
+        assert_eq!(block.len() as u64, framing_of(headers(&chunks)));
+        // Cut one byte short of its fragment's end, the last chunk says
+        // its length in four bytes.
+        let mut cut = chunks.clone();
+        cut[2].header.frag_len = 8;
+        let segs = encode_packet(&cut, false);
+        let mut longer = block[..block.len() - 2].to_vec();
+        longer[2 + 10 + 3] = TAG_OFFSET;
+        longer.extend_from_slice(&[8, 5, 2, 0, 0, 0]);
+        assert_eq!(&segs[0][..], &longer[..]);
+        let back = decode_packet(&as_packet(encode_packet(&cut, true))).unwrap();
+        let want: Vec<_> = cut.iter().map(|c| (c.header, c.data.to_vec())).collect();
+        assert_eq!(flatten(Ok(back)), Ok(want));
+    }
+
+    #[test]
+    fn framing_matches_encoded_size() {
+        // The extremes of a header.
+        assert_eq!((MIN_CHUNK_HEADER_BYTES, MAX_CHUNK_HEADER_BYTES), (3, 42));
+        let widest = ChunkHeader {
+            flow: FlowId(u32::MAX),
+            msg_seq: u32::MAX,
+            frag_index: u16::MAX,
+            frag_count: u16::MAX,
+            express: true,
+            class: TrafficClass(u8::MAX),
+            frag_len: u32::MAX - 1,
+            offset: u32::MAX,
+            chunk_len: 0,
+            submit_ns: u64::MAX,
+        };
+        assert_eq!(lone_packet_bytes(&widest), 2 + 42);
+        let mut framing = Framing::new();
+        framing.push(&widest);
+        let narrowest = ChunkHeader {
+            frag_index: 0,
+            frag_len: 0,
+            offset: 0,
+            ..widest
+        };
+        assert_eq!(framing.next(&narrowest), 3);
+        // The reference message, at the edges of the bounds it is pinned
+        // for: 10 bytes to name it and open its header, 3 to continue it
+        // with its body.
+        let message = |seq, submit_ns| {
+            let mut hdr = chunk(127, seq, 0, &[0; 16], 0, 16);
+            let mut body = chunk(127, seq, 1, &[0; 48], 0, 48);
+            (hdr.header.frag_count, body.header.frag_count) = (2, 2);
+            (hdr.header.submit_ns, body.header.submit_ns) = (submit_ns, submit_ns);
+            [hdr, body]
+        };
+        let [before, _] = message(0, 1_000_000);
+        let [hdr, body] = message(16_383, 1_000_000 - 8_191);
+        let mut framing = Framing::new();
+        framing.push(&before.header);
+        let after_one = framing.bytes();
+        framing.push(&hdr.header);
+        framing.push(&body.header);
+        assert_eq!(framing.bytes() - after_one, REFERENCE_MESSAGE_FRAMING);
+        let packet = [before, hdr, body];
+        let segs = encode_packet(&packet, false);
+        assert_eq!(segs[0].len() as u64, framing.bytes());
+        // Control packets: one header, no payload.
+        let ack = encode_rndv(ack_header_ecn(5, true));
+        assert_eq!(
+            ack[0].len() as u64,
+            lone_packet_bytes(&ack_header_ecn(5, true))
+        );
+        assert_eq!(ack[0].len(), 10);
+        assert_eq!(encode_rndv(ack_header_ecn(600_000, false))[0].len(), 12);
+        let cancel = cancel_header(FlowId(1), 2, TrafficClass::DEFAULT);
+        assert_eq!(encode_rndv(cancel)[0].len(), 10);
+        // `next` is what `push` then adds, `wire_bytes` the payload on
+        // top, and `framing_of` is the sum.
+        let chunks = [
+            chunk(1, 0, 0, b"xy", 0, 2),
+            chunk(1, 0, 1, b"z", 0, 1),
+            chunk(1, 0, 2, b"w", 7, 9),
+            chunk(2, 0, 0, b"v", 1, 2),
+            chunk(1, 0, 2, b"u", 0, 9),
+        ];
+        let mut framing = Framing::new();
+        for c in &chunks {
+            let before = framing.bytes();
+            let next = framing.next(&c.header);
+            framing.push(&c.header);
+            assert_eq!(framing.bytes(), before + next);
         }
+        assert_eq!(framing.bytes(), framing_of(headers(&chunks)));
+        assert_eq!(
+            framing.bytes(),
+            encode_packet(&chunks, false)[0].len() as u64
+        );
+        assert_eq!(wire_bytes(headers(&chunks)), framing.bytes() + 6);
+        assert_eq!(framing_of([]), PACKET_PREFIX_BYTES);
+    }
+
+    #[test]
+    fn a_take_fills_to_the_byte_or_takes_it_whole() {
+        let whole = chunk(1, 0, 1, &[0; 100], 20, 120).header;
+        let tail = Framing::new().next(&whole);
+        // What `take` leaves in the header and adds to the framing, or
+        // `None` when not a byte fits.
+        let take = |h: &ChunkHeader, room| {
+            let (mut framing, mut h) = (Framing::new(), *h);
+            let taken = framing.take(&mut h, room);
+            taken.then(|| (h.chunk_len, framing.bytes() - PACKET_PREFIX_BYTES))
+        };
+        // Whole under its own header, down to the last byte of room...
+        assert_eq!(take(&whole, tail + 100), Some((100, tail)));
+        // ... and cut one byte short of it under one that says its length.
+        assert_eq!(take(&whole, tail + 99), Some((99 - 4, tail + 4)));
+        assert_eq!(take(&whole, tail + 5), Some((1, tail + 4)));
+        assert_eq!(take(&whole, tail + 4), None);
+        // A chunk that stops short of its fragment's end is cut under a
+        // header of the same size.
+        let short = ChunkHeader {
+            frag_len: 121,
+            ..whole
+        };
+        let header = Framing::new().next(&short);
+        assert_eq!(header, tail + 4);
+        assert_eq!(take(&short, header + 100), Some((100, header)));
+        assert_eq!(take(&short, header + 99), Some((99, header)));
+        // Alone in a packet of a given size.
+        let mut alone = whole;
+        assert!(Framing::take_alone(&mut alone, 2 + tail + 50));
+        assert_eq!(alone.chunk_len, 50 - 4);
+        // A chunk of nothing comes next under its header, when that fits.
+        let empty = chunk(1, 0, 1, &[], 0, 0).header;
+        let header = Framing::new().next(&empty);
+        assert_eq!(take(&empty, header), Some((0, header)));
+        assert_eq!(take(&empty, header - 1), None);
+    }
+
+    #[test]
+    fn a_header_names_its_message_unless_every_field_of_it_repeats() {
+        // Same flow and sequence, another timestamp: no engine list holds
+        // such a pair, and the wire still loses nothing of it.
+        let mut later = chunk(1, 0, 1, b"z", 0, 1);
+        later.header.submit_ns += 1;
+        let chunks = vec![chunk(1, 0, 0, b"xy", 0, 2), later];
+        let segs = encode_packet(&chunks, false);
+        // The timestamp (12 345 ns, two bytes) and then its difference
+        // (one, in one).
+        assert_eq!(segs[0].len(), 2 + 9 + 8);
+        let back = decode_packet(&as_packet(segs)).unwrap();
+        assert_eq!(back[1].header, chunks[1].header);
     }
 
     #[test]
@@ -942,7 +1221,8 @@ mod tests {
         let base = segs[0].as_ptr();
         let back = decode_packet(&as_packet(segs)).unwrap();
         // The second header continues the first one's message.
-        let first = (PACKET_PREFIX_BYTES + OPEN_HEADER_BYTES + SAME_MSG_HEADER_BYTES) as usize;
+        let first = framing_of(headers(&chunks)) as usize;
+        assert_eq!(first, 2 + 9 + 3);
         assert_eq!(back[0].data.as_ptr(), base.wrapping_add(first));
         assert_eq!(back[1].data.as_ptr(), base.wrapping_add(first + 3));
         // A chunk cut in two by the segmentation is the one that copies.
@@ -954,6 +1234,234 @@ mod tests {
             back[1].data.as_ptr(),
             pkt.payload[1].as_ptr().wrapping_add(2)
         );
+        // A header block that straddles segments is read from a copy.
+        let pkt = as_packet(vec![flat.slice(..5), flat.slice(5..)]);
+        assert_eq!(
+            flatten(decode_packet(&pkt)),
+            flatten(decode_packet(&as_packet(vec![flat])))
+        );
+    }
+
+    /// The decoder reads a packet's gather list where it lies; flattened
+    /// into one segment, the packet is the oracle: every segmentation of
+    /// it decodes alike.
+    #[test]
+    fn segment_cursor_decodes_what_the_flattening_decoder_did() {
+        let lists: Vec<Vec<WireChunk>> = vec![
+            vec![],
+            vec![
+                chunk(1, 0, 0, b"a", 0, 1),
+                chunk(1, 0, 1, b"bc", 4, 9),
+                chunk(1, 0, 2, b"", 0, 0),
+            ],
+            vec![chunk(9, 8, 1, b"", 0, 1 << 20)],
+            vec![chunk(1, 0, 0, b"xy", 3, 9), chunk(2, 7, 1, b"", 0, 0)],
+            vec![
+                chunk(4, 1, 2, b"", 0, 7),
+                chunk(4, 1, 2, b"0123456", 0, 7),
+                chunk(5, 1, 0, b"z", 6, 7),
+                chunk(
+                    u32::MAX,
+                    u32::MAX,
+                    u16::MAX,
+                    b"\xff\x00",
+                    u32::MAX,
+                    u32::MAX,
+                ),
+            ],
+        ];
+        for list in &lists {
+            for linearize in [false, true] {
+                let flat = Bytes::from(as_packet(encode_packet(list, linearize)).contiguous());
+                let want: Vec<_> = list.iter().map(|c| (c.header, c.data.to_vec())).collect();
+                assert_eq!(flatten(decode_packet(&cut(&flat, &[]))), Ok(want));
+                // Every cut into two and into three, inside the prefix, a
+                // header, a varint and a chunk included; one byte a
+                // segment with empty ones between; every truncation, and
+                // a trailing byte.
+                let len = flat.len();
+                for a in 0..=len {
+                    assert_segmentation_blind(&cut(&flat, &[a]));
+                    for b in a..=len {
+                        assert_segmentation_blind(&cut(&flat, &[a, b]));
+                    }
+                }
+                let every: Vec<usize> = (0..=len).flat_map(|i| [i, i]).collect();
+                assert_segmentation_blind(&cut(&flat, &every));
+                for keep in 0..len {
+                    let short = flat.slice(..keep);
+                    assert!(decode_packet(&cut(&short, &[])).is_err(), "{keep} of {len}");
+                    assert_segmentation_blind(&cut(&short, &[keep / 2]));
+                }
+                let mut longer = flat.to_vec();
+                longer.push(0xEE);
+                let longer = Bytes::from(longer);
+                assert_eq!(
+                    decode_packet(&cut(&longer, &[])).map(|c| c.len()),
+                    Err(ProtoError::LengthMismatch)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_header_blocks_are_errors() {
+        let decode = |bytes: &[u8]| {
+            let pkt = as_packet(vec![Bytes::copy_from_slice(bytes)]);
+            assert!(decode_rndv(&pkt).is_err() && decode_ack_ecn(&pkt).is_err());
+            decode_packet(&pkt).map(|c| c.len())
+        };
+        let valid = as_packet(encode_packet(
+            &[chunk(1, 0, 0, b"hdr", 0, 3), chunk(1, 0, 1, b"body", 0, 4)],
+            true,
+        ))
+        .contiguous();
+        let second = 2 + 9;
+        assert_eq!(decode(&valid), Ok(2));
+        // The first header continues a message the packet has not named.
+        let mut orphan = valid.clone();
+        orphan[2] |= TAG_SAME_MSG;
+        assert_eq!(decode(&orphan), Err(ProtoError::BadTag));
+        // A tag bit the format does not define, on either header.
+        for at in [2, second] {
+            for bit in 4..8 {
+                let mut unknown = valid.clone();
+                unknown[at] |= 1 << bit;
+                assert_eq!(
+                    decode(&unknown),
+                    Err(ProtoError::BadTag),
+                    "bit {bit} at {at}"
+                );
+            }
+        }
+        // A header block that runs past the packet: the second header
+        // claims a message part that is not there.
+        let mut past = valid[..second + 3].to_vec();
+        past[second] &= !TAG_SAME_MSG;
+        assert_eq!(decode(&past), Err(ProtoError::Truncated));
+        // An offset flag reads the payload's first byte as an offset.
+        let mut longer = valid.clone();
+        longer[second] |= TAG_OFFSET;
+        assert!(decode(&longer).is_err());
+        // A count the bytes cannot hold: the walk for the block's end runs
+        // into the payload (read as headers) or off the packet, before
+        // anything is sized by the count — the vector handed in stays as
+        // small as it was.
+        for count in [3, 4, 400, u16::MAX] {
+            let mut crowd = valid.clone();
+            crowd[..2].copy_from_slice(&count.to_le_bytes());
+            assert!(decode(&crowd).is_err(), "{count} chunks");
+            let mut out = Vec::new();
+            let pkt = as_packet(vec![Bytes::from(crowd)]);
+            assert!(decode_packet_into(&pkt, &mut out).is_err());
+            assert_eq!(out.capacity(), 0);
+        }
+        // ... also when every byte behind the count reads as the shortest
+        // header there is.
+        let mut shortest = valid[..second + 3].to_vec();
+        shortest[..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        for _ in 0..20 {
+            shortest.extend_from_slice(&valid[second..second + 3]);
+        }
+        assert_eq!(decode(&shortest), Err(ProtoError::Truncated));
+        assert_eq!(decode(b"\xFF\xFFgarbage"), Err(ProtoError::BadTag));
+    }
+
+    #[test]
+    fn only_the_encoders_form_of_a_header_decodes() {
+        // A lone whole chunk of one byte: tag, flow, seq, count, class,
+        // submit, index, length — and the byte.
+        let tag = TAG_TAIL;
+        let good = handmade(1, &[tag, 1, 0, 1, 0, 0, 0, 1], b"x");
+        assert_eq!(decode_bytes(&good).map(|c| c.len()), Ok(1));
+        let with_flow = |flow: &[u8]| {
+            let mut block = vec![tag];
+            block.extend_from_slice(flow);
+            block.extend_from_slice(&[0, 1, 0, 0, 0, 1]);
+            decode_bytes(&handmade(1, &block, b"x")).map(|c| c[0].header.flow.0)
+        };
+        // Varints: the widest u32, and what is not a u32 in the shortest
+        // form — a trailing zero byte, a sixth byte, a fifth byte with
+        // more than four bits — nor a varint at all: one that runs off
+        // the packet.
+        assert_eq!(with_flow(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]), Ok(u32::MAX));
+        assert_eq!(with_flow(&[0x81, 0x00]), Err(ProtoError::BadVarint));
+        assert_eq!(
+            with_flow(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00]),
+            Err(ProtoError::BadVarint)
+        );
+        assert_eq!(
+            with_flow(&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F]),
+            Err(ProtoError::BadVarint)
+        );
+        assert_eq!(
+            with_flow(&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0x00]),
+            Err(ProtoError::BadVarint)
+        );
+        let runs_off = handmade(1, &[tag, 0x80, 0x80], b"");
+        assert_eq!(
+            decode_bytes(&runs_off).map(|c| c.len()),
+            Err(ProtoError::Truncated)
+        );
+        // A fragment count over 16 bits, and a submission time over 64.
+        let count = |bytes: &[u8]| {
+            let mut block = vec![tag, 1, 0];
+            block.extend_from_slice(bytes);
+            block.extend_from_slice(&[0, 0, 0, 1]);
+            decode_bytes(&handmade(1, &block, b"x")).map(|c| c[0].header.frag_count)
+        };
+        assert_eq!(count(&[0xFF, 0xFF, 0x03]), Ok(u16::MAX));
+        assert_eq!(count(&[0x80, 0x80, 0x04]), Err(ProtoError::BadVarint));
+        let submit = |bytes: &[u8]| {
+            let mut block = vec![tag, 1, 0, 1, 0];
+            block.extend_from_slice(bytes);
+            block.extend_from_slice(&[0, 1]);
+            decode_bytes(&handmade(1, &block, b"x")).map(|c| c[0].header.submit_ns)
+        };
+        let widest = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(submit(&widest), Ok(u64::MAX));
+        let mut over = widest;
+        over[9] = 0x02;
+        assert_eq!(submit(&over), Err(ProtoError::BadVarint));
+        let mut eleven = widest.to_vec();
+        eleven[9] = 0x81;
+        eleven.push(0x00);
+        assert_eq!(submit(&eleven), Err(ProtoError::BadVarint));
+        // Tags the fields behind them contradict: an offset of zero; a
+        // tail past its fragment's end; a length written out that runs to
+        // the end; a message part that repeats the one before it.
+        let offset_zero = handmade(1, &[tag | TAG_OFFSET, 1, 0, 1, 0, 0, 0, 1, 0], b"x");
+        assert_eq!(
+            decode_bytes(&offset_zero).map(|c| c.len()),
+            Err(ProtoError::BadTag)
+        );
+        let past_end = handmade(1, &[tag | TAG_OFFSET, 1, 0, 1, 0, 0, 0, 1, 2], b"");
+        assert_eq!(
+            decode_bytes(&past_end).map(|c| c.len()),
+            Err(ProtoError::BadTag)
+        );
+        let spelled_out = handmade(1, &[0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0], b"x");
+        assert_eq!(
+            decode_bytes(&spelled_out).map(|c| c.len()),
+            Err(ProtoError::BadTag)
+        );
+        let cut_short = handmade(1, &[0, 1, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0], b"x");
+        assert_eq!(decode_bytes(&cut_short).map(|c| c.len()), Ok(1));
+        let named_twice = handmade(
+            2,
+            &[tag, 1, 0, 2, 0, 0, 0, 1, tag, 1, 0, 2, 0, 0, 1, 1],
+            b"xy",
+        );
+        assert_eq!(
+            decode_bytes(&named_twice).map(|c| c.len()),
+            Err(ProtoError::BadTag)
+        );
+        let continued = handmade(
+            2,
+            &[tag, 1, 0, 2, 0, 0, 0, 1, tag | TAG_SAME_MSG, 1, 1],
+            b"xy",
+        );
+        assert_eq!(decode_bytes(&continued).map(|c| c.len()), Ok(2));
     }
 
     #[test]
@@ -983,259 +1491,6 @@ mod tests {
         assert_eq!(&decoded[0].data[..], b"abcdef");
     }
 
-    /// The planned chunk a wire chunk stands for.
-    fn planned(c: &WireChunk) -> PlannedChunk {
-        PlannedChunk {
-            flow: c.header.flow,
-            seq: c.header.msg_seq,
-            frag: c.header.frag_index,
-            offset: c.header.offset,
-            len: c.header.chunk_len,
-        }
-    }
-
-    #[test]
-    fn framing_matches_encoded_size() {
-        // The three sizes, as bytes.
-        assert_eq!(
-            (OPEN_HEADER_BYTES, SAME_MSG_HEADER_BYTES, OFFSET_BYTES),
-            (30, 11, 4)
-        );
-        assert_eq!((CHUNK_HEADER_BYTES, CONTROL_PACKET_BYTES), (34, 32));
-        assert_eq!(
-            encode_rndv(cancel_header(FlowId(1), 2, TrafficClass::DEFAULT))[0].len(),
-            32
-        );
-        // A message run, an offset inside it, a message named again after
-        // another came between: 2 + 30 + 11 + 15 + 34 + 30.
-        let chunks = vec![
-            chunk(1, 0, 0, b"xy", 0, 2),
-            chunk(1, 0, 1, b"z", 0, 1),
-            chunk(1, 0, 2, b"w", 7, 9),
-            chunk(2, 0, 0, b"v", 1, 2),
-            chunk(1, 0, 2, b"u", 0, 9),
-        ];
-        let segs = encode_packet(&chunks, false);
-        assert_eq!(segs[0].len(), 2 + 30 + 11 + 15 + 34 + 30);
-        let list: Vec<PlannedChunk> = chunks.iter().map(planned).collect();
-        assert_eq!(segs[0].len() as u64, framing_of(&list));
-        assert_eq!(framing_of(&[]), PACKET_PREFIX_BYTES);
-        // `next` is what `push` then adds.
-        let mut framing = Framing::new();
-        for c in &list {
-            let before = framing.bytes();
-            let next = framing.next(c.flow, c.seq, c.offset);
-            framing.push(c.flow, c.seq, c.offset);
-            assert_eq!(framing.bytes(), before + next);
-        }
-        assert_eq!(framing.bytes(), framing_of(&list));
-    }
-
-    #[test]
-    fn a_header_names_its_message_unless_every_field_of_it_repeats() {
-        // Same flow and sequence, another timestamp: no engine list holds
-        // such a pair, and the wire still loses nothing of it.
-        let mut later = chunk(1, 0, 1, b"z", 0, 1);
-        later.header.submit_ns += 1;
-        let chunks = vec![chunk(1, 0, 0, b"xy", 0, 2), later];
-        let segs = encode_packet(&chunks, false);
-        assert_eq!(segs[0].len(), 2 + 30 + 30);
-        let back = decode_packet(&as_packet(segs)).unwrap();
-        assert_eq!(back[1].header, chunks[1].header);
-    }
-
-    #[test]
-    fn hostile_header_blocks_are_errors() {
-        let decode = |bytes: &[u8]| {
-            let pkt = as_packet(vec![Bytes::copy_from_slice(bytes)]);
-            assert_eq!(
-                decode_packet(&pkt).map(|c| c.len()),
-                reference_decode_packet(&pkt).map(|c| c.len())
-            );
-            assert!(decode_rndv(&pkt).is_err() && decode_ack_ecn(&pkt).is_err());
-            decode_packet(&pkt).map(|c| c.len())
-        };
-        let valid = as_packet(encode_packet(
-            &[chunk(1, 0, 0, b"hdr", 0, 3), chunk(1, 0, 1, b"body", 0, 4)],
-            true,
-        ))
-        .contiguous();
-        assert_eq!(decode(&valid), Ok(2));
-        // The first header continues a message the packet has not named.
-        let mut orphan = valid.clone();
-        orphan[2] |= TAG_SAME_MSG;
-        assert_eq!(decode(&orphan), Err(ProtoError::BadTag));
-        // A tag bit the format does not define, on either header.
-        for at in [2, 2 + 30] {
-            for bit in 3..8 {
-                let mut unknown = valid.clone();
-                unknown[at] |= 1 << bit;
-                assert_eq!(
-                    decode(&unknown),
-                    Err(ProtoError::BadTag),
-                    "bit {bit} at {at}"
-                );
-            }
-        }
-        // A header block that runs past the packet: the second header
-        // claims a message part that is not there.
-        let mut past = valid[..2 + 30 + 11].to_vec();
-        past[2 + 30] &= !TAG_SAME_MSG;
-        assert_eq!(decode(&past), Err(ProtoError::Truncated));
-        // An offset flag makes the block four bytes longer than it is.
-        let mut longer = valid.clone();
-        longer[2 + 30] |= TAG_OFFSET;
-        assert!(decode(&longer).is_err());
-        // A count the bytes cannot hold: the walk for the block's end runs
-        // into the payload (read as tags) or off the packet, before
-        // anything is sized by the count — the vector handed in stays as
-        // small as it was.
-        for count in [3, 4, 400, u16::MAX] {
-            let mut crowd = valid.clone();
-            crowd[..2].copy_from_slice(&count.to_le_bytes());
-            assert!(decode(&crowd).is_err(), "{count} chunks");
-            let mut out = Vec::new();
-            let pkt = as_packet(vec![Bytes::from(crowd)]);
-            assert!(decode_packet_into(&pkt, &mut out).is_err());
-            assert_eq!(out.capacity(), 0);
-        }
-        // ... also when every byte behind the count reads as a valid tag of
-        // the shortest header.
-        let mut tags = vec![0u8; 2 + 30 + 11 * 5];
-        tags[..2].copy_from_slice(&u16::MAX.to_le_bytes());
-        tags[2 + 30..].fill(TAG_SAME_MSG);
-        assert_eq!(decode(&tags), Err(ProtoError::Truncated));
-        assert_eq!(decode(b"\xFF\xFFgarbage"), Err(ProtoError::BadTag));
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// A chunk list whose message parts come from small domains, so
-        /// that runs of one message, messages that differ in one field
-        /// only, and zero and non-zero offsets all occur.
-        fn wire_chunks() -> impl Strategy<Value = Vec<WireChunk>> {
-            let message = (0u32..3, 0u32..2, 1u16..3, 0u8..2, 0u64..2);
-            let fragment = (
-                any::<u16>(),
-                any::<bool>(),
-                any::<u32>(),
-                0u32..3,
-                0usize..40,
-            );
-            prop::collection::vec((message, fragment, any::<u8>()), 0..12).prop_map(|list| {
-                list.into_iter()
-                    .map(
-                        |((flow, msg_seq, frag_count, class, submit_ns), frag, fill)| {
-                            let (frag_index, express, frag_len, offset, len) = frag;
-                            WireChunk {
-                                header: ChunkHeader {
-                                    flow: FlowId(flow),
-                                    msg_seq,
-                                    frag_index,
-                                    frag_count,
-                                    express,
-                                    class: TrafficClass(class),
-                                    frag_len,
-                                    offset: offset.saturating_sub(1) * 0x0101_0101,
-                                    chunk_len: len as u32,
-                                    submit_ns,
-                                },
-                                data: Bytes::from(vec![fill; len]),
-                            }
-                        },
-                    )
-                    .collect()
-            })
-        }
-
-        /// `flat` cut at `cuts` (any order, any value).
-        fn resegmented(flat: &Bytes, cuts: &[prop::sample::Index]) -> WirePacket {
-            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(flat.len() + 1)).collect();
-            cuts.sort_unstable();
-            cuts.push(flat.len());
-            let mut from = 0;
-            let segs = cuts.iter().map(|&cut| {
-                let seg = flat.slice(from..cut);
-                from = cut;
-                seg
-            });
-            as_packet(segs.collect())
-        }
-
-        fn flatten(
-            r: Result<Vec<DecodedChunk>, ProtoError>,
-        ) -> Result<Vec<(ChunkHeader, Vec<u8>)>, ProtoError> {
-            r.map(|chunks| {
-                chunks
-                    .into_iter()
-                    .map(|c| (c.header, c.data.to_vec()))
-                    .collect()
-            })
-        }
-
-        /// Every decoder entry point on `pkt`: none panics, and the cursor
-        /// says what the flattening oracle says.
-        fn assert_total(pkt: &WirePacket) {
-            assert_eq!(
-                flatten(decode_packet(pkt)),
-                flatten(reference_decode_packet(pkt))
-            );
-            assert_eq!(decode_rndv(pkt), reference_decode_rndv(pkt));
-            let _ = decode_ack_ecn(pkt);
-        }
-
-        proptest! {
-            #[test]
-            fn what_is_encoded_is_decoded_in_both_forms_however_it_is_cut(
-                chunks in wire_chunks(),
-                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
-            ) {
-                let want: Vec<_> = chunks.iter().map(|c| (c.header, c.data.to_vec())).collect();
-                for linearize in [false, true] {
-                    let pkt = as_packet(encode_packet(&chunks, linearize));
-                    prop_assert_eq!(pkt.payload.len(), if linearize { 1 } else { 1 + chunks.len() });
-                    prop_assert_eq!(flatten(decode_packet(&pkt)), Ok(want.clone()));
-                    let flat = Bytes::from(pkt.contiguous());
-                    let cut = resegmented(&flat, &cuts);
-                    prop_assert_eq!(flatten(decode_packet(&cut)), Ok(want.clone()));
-                    assert_total(&cut);
-                }
-            }
-
-            #[test]
-            fn arbitrary_bytes_never_panic_the_decoder(
-                bytes in prop::collection::vec(any::<u8>(), 0..200),
-                small_count in any::<bool>(),
-                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
-            ) {
-                // Half the strings announce a count their length could
-                // hold, so that the walk goes past the first check.
-                let mut bytes = bytes;
-                if small_count && bytes.len() >= 2 {
-                    bytes[0] %= 1 + ((bytes.len() - 2) / 11) as u8;
-                    bytes[1] = 0;
-                }
-                assert_total(&resegmented(&Bytes::from(bytes), &cuts));
-            }
-
-            #[test]
-            fn a_mutated_byte_never_panics_the_decoder(
-                chunks in wire_chunks(),
-                linearize in any::<bool>(),
-                at in any::<prop::sample::Index>(),
-                flip in 1u8..=255,
-                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
-            ) {
-                let mut flat = as_packet(encode_packet(&chunks, linearize)).contiguous();
-                let at = at.index(flat.len());
-                flat[at] ^= flip;
-                assert_total(&resegmented(&Bytes::from(flat), &cuts));
-            }
-        }
-    }
-
     #[test]
     fn truncated_packets_detected() {
         let segs = encode_packet(&[chunk(1, 0, 0, b"hello", 0, 5)], true);
@@ -1260,7 +1515,7 @@ mod tests {
         let mut pkt = as_packet(segs);
         pkt.kind = KIND_RNDV_REQ;
         let back = decode_rndv(&pkt).unwrap();
-        assert_eq!(back.flow, FlowId(9));
+        assert_eq!(back, h);
         assert_eq!(back.frag_len, 1 << 20);
         assert_eq!(back.chunk_len, 0);
     }
@@ -1288,5 +1543,170 @@ mod tests {
         let segs = encode_packet(&[], false);
         let decoded = decode_packet(&as_packet(segs)).unwrap();
         assert!(decoded.is_empty());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A chunk list whose fields come from small sets with their
+        /// extremes in them, so that runs of one message, messages that
+        /// differ in one field only, zero, negative and wrapping
+        /// submission deltas, zero and non-zero offsets, tails and cuts
+        /// all occur.
+        fn wire_chunks() -> impl Strategy<Value = Vec<WireChunk>> {
+            let message = (
+                prop::sample::select(&[0u32, 1, 127, 128, u32::MAX]),
+                prop::sample::select(&[0u32, 1, 16_384, u32::MAX]),
+                prop::sample::select(&[0u16, 1, 2, u16::MAX]),
+                prop::sample::select(&[0u8, 1, 255]),
+                prop::sample::select(&[0u64, 1, 8_191, 1_000_000, u64::MAX - 1, u64::MAX]),
+            );
+            let fragment = (
+                prop::sample::select(&[0u16, 1, 200, u16::MAX]),
+                any::<bool>(),
+                prop::sample::select(&[0u32, 1, 977, u32::MAX - 40, u32::MAX]),
+                0usize..40,
+                (0u8..4, any::<u32>()).prop_map(|(kind, b)| match kind {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(1 + b % 1000),
+                    _ => Some(b),
+                }),
+            );
+            prop::collection::vec((message, fragment, any::<u8>()), 0..12).prop_map(|list| {
+                list.into_iter()
+                    .map(
+                        |((flow, msg_seq, frag_count, class, submit_ns), frag, fill)| {
+                            let (frag_index, express, offset, len, beyond) = frag;
+                            // `None`: any fragment length at all; else the
+                            // fragment runs `beyond` bytes past the chunk.
+                            let end = offset.saturating_add(len as u32);
+                            let frag_len = beyond.map_or(end ^ 0x5555, |b| end.saturating_add(b));
+                            WireChunk {
+                                header: ChunkHeader {
+                                    flow: FlowId(flow),
+                                    msg_seq,
+                                    frag_index,
+                                    frag_count,
+                                    express,
+                                    class: TrafficClass(class),
+                                    frag_len,
+                                    offset,
+                                    chunk_len: len as u32,
+                                    submit_ns,
+                                },
+                                data: Bytes::from(vec![fill; len]),
+                            }
+                        },
+                    )
+                    .collect()
+            })
+        }
+
+        /// `flat` cut at `cuts` (any order, any value).
+        fn resegmented(flat: &Bytes, cuts: &[prop::sample::Index]) -> WirePacket {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(flat.len() + 1)).collect();
+            cuts.sort_unstable();
+            cut(flat, &cuts)
+        }
+
+        /// A byte string that decodes is the encoding of what it decodes
+        /// to: the decoder accepts only the encoder's form.
+        fn assert_canonical(bytes: &[u8]) {
+            let Ok(chunks) = decode_bytes(bytes) else {
+                return;
+            };
+            let again: Vec<WireChunk> = chunks
+                .into_iter()
+                .map(|c| WireChunk {
+                    header: c.header,
+                    data: c.data,
+                })
+                .collect();
+            assert_eq!(encode_packet(&again, true)[0][..], bytes[..]);
+        }
+
+        proptest! {
+            #[test]
+            fn what_is_encoded_is_decoded_in_both_forms_however_it_is_cut(
+                chunks in wire_chunks(),
+                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+            ) {
+                let want: Vec<_> = chunks.iter().map(|c| (c.header, c.data.to_vec())).collect();
+                let payload: u64 = chunks.iter().map(|c| c.data.len() as u64).sum();
+                for linearize in [false, true] {
+                    let pkt = as_packet(encode_packet(&chunks, linearize));
+                    prop_assert_eq!(pkt.payload.len(), if linearize { 1 } else { 1 + chunks.len() });
+                    // The size `Framing` counts is the size written.
+                    let bytes: u64 = pkt.payload.iter().map(|s| s.len() as u64).sum();
+                    prop_assert_eq!(bytes, payload + framing_of(headers(&chunks)));
+                    prop_assert_eq!(bytes, wire_bytes(headers(&chunks)));
+                    prop_assert_eq!(flatten(decode_packet(&pkt)), Ok(want.clone()));
+                    let flat = Bytes::from(pkt.contiguous());
+                    let cut = resegmented(&flat, &cuts);
+                    prop_assert_eq!(flatten(decode_packet(&cut)), Ok(want.clone()));
+                    assert_segmentation_blind(&cut);
+                    assert_canonical(&flat);
+                }
+            }
+
+            #[test]
+            fn a_decoded_byte_string_re_encodes_to_itself(
+                chunks in wire_chunks(),
+                edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..4),
+            ) {
+                let mut flat = as_packet(encode_packet(&chunks, true)).contiguous();
+                for (at, byte) in edits {
+                    let at = at.index(flat.len());
+                    flat[at] = byte;
+                }
+                assert_canonical(&flat);
+            }
+
+            #[test]
+            fn arbitrary_bytes_never_panic_the_decoder(
+                bytes in prop::collection::vec(any::<u8>(), 0..200),
+                small_count in any::<bool>(),
+                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+            ) {
+                // Half the strings announce a count their length could
+                // hold, so that the walk goes past the first check.
+                let mut bytes = bytes;
+                if small_count && bytes.len() >= 2 {
+                    bytes[0] %= 1 + ((bytes.len() - 2) / 3) as u8;
+                    bytes[1] = 0;
+                }
+                assert_canonical(&bytes);
+                assert_segmentation_blind(&resegmented(&Bytes::from(bytes), &cuts));
+            }
+
+            #[test]
+            fn a_mutated_byte_never_panics_the_decoder(
+                chunks in wire_chunks(),
+                linearize in any::<bool>(),
+                at in any::<prop::sample::Index>(),
+                flip in 1u8..=255,
+                cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+            ) {
+                let flat = as_packet(encode_packet(&chunks, linearize)).contiguous();
+                // Every truncation is an error.
+                for keep in 0..flat.len() {
+                    prop_assert!(decode_bytes(&flat[..keep]).is_err());
+                }
+                // One byte flipped.
+                let at = at.index(flat.len());
+                let mut flipped = flat.clone();
+                flipped[at] ^= flip;
+                assert_canonical(&flipped);
+                assert_segmentation_blind(&resegmented(&Bytes::from(flipped), &cuts));
+                // One byte made a continuation of the next: the varint it
+                // ends, if it ends one, grows by the byte after it.
+                let mut longer = flat.clone();
+                longer[at] |= 0x80;
+                assert_canonical(&longer);
+                assert_segmentation_blind(&resegmented(&Bytes::from(longer), &cuts));
+            }
+        }
     }
 }

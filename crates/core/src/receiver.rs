@@ -174,7 +174,10 @@ pub struct ReceiverStats {
     /// Overlapping/duplicate chunks rejected.
     pub overlaps: u64,
     /// Chunks and cancels dropped for naming a flow id at or past
-    /// [`MAX_FLOWS`]; the engine counts them as protocol errors.
+    /// [`MAX_FLOWS`], and chunks whose fragment geometry no message has —
+    /// no fragments, an index past the count, or a count other than the
+    /// one the message's assembly was opened with; the engine counts them
+    /// as protocol errors.
     pub proto_errors: u64,
     /// Packets received per virtual channel (receiver pre-sorting, §2).
     pub per_vchan_packets: Vec<u64>,
@@ -356,7 +359,9 @@ impl Receiver {
 
     fn ingest(&mut self, src: NodeId, chunk: &DecodedChunk, now: SimTime) {
         let h = &chunk.header;
-        if h.flow.0 >= MAX_FLOWS {
+        // A flow id past the table, or a fragment geometry no message has:
+        // nothing of the flow's state is touched.
+        if h.flow.0 >= MAX_FLOWS || h.frag_index >= h.frag_count {
             self.stats.proto_errors += 1;
             return;
         }
@@ -389,11 +394,14 @@ impl Receiver {
             }
             self.heads.get_mut(row.head)
         };
-        let fi = h.frag_index as usize;
-        if fi >= asm.frags.len() {
-            self.stats.overlaps += 1;
+        // A message has one fragment count: a chunk that says otherwise
+        // than the ones it was opened by is refused, and the assembly
+        // stays as they left it.
+        if asm.frags.len() != usize::from(h.frag_count) {
+            self.stats.proto_errors += 1;
             return;
         }
+        let fi = h.frag_index as usize;
         // Express check: every express fragment before this one should
         // already be complete when any of our bytes arrive. An earlier
         // fragment entirely unseen may turn out to be express; we cannot
@@ -636,7 +644,8 @@ mod tests {
             let want: Vec<*const u8> = if linearize {
                 // The one segment, past its header block: the count, a
                 // header that names the message and one that does not.
-                let data = pkt.payload[0].as_ptr().wrapping_add(2 + 30 + 11);
+                let block = crate::proto::framing_of(wire.iter().map(|c| c.header));
+                let data = pkt.payload[0].as_ptr().wrapping_add(block as usize);
                 vec![data, data.wrapping_add(3)]
             } else {
                 // The gather list's own data segments: the sender's buffers.
@@ -907,6 +916,71 @@ mod tests {
         // The last flow a sender can open is accepted.
         let last = chunk(MAX_FLOWS - 1, 0, 0, 1, false, 1, 0, b"x");
         assert_eq!(feed(&mut r, SRC, last).len(), 1);
+        assert_eq!(r.stats.proto_errors, 3);
+    }
+
+    #[test]
+    fn a_chunk_of_no_fragments_is_a_proto_error_and_opens_nothing() {
+        let mut r = Receiver::new();
+        // Seq 0 says its message has no fragments: refused before its flow
+        // is looked at, so it cannot become the flow's head.
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 0, false, 5, 0, b"bogus")).is_empty());
+        assert_eq!((r.stats.proto_errors, r.stats.overlaps), (1, 0));
+        assert!(r.rows.is_empty() && r.heads.is_empty());
+        // The real seq 0 and seq 1 deliver, with their own bytes.
+        let out = feed(&mut r, SRC, chunk(0, 0, 0, 1, false, 5, 0, b"hello"));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].contiguous(), b"hello");
+        let out = feed(&mut r, SRC, chunk(0, 1, 0, 1, false, 5, 0, b"world"));
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            (out[0].id.seq.0, out[0].contiguous()),
+            (1, b"world".to_vec())
+        );
+        assert_eq!((r.stats.delivered, r.stats.proto_errors), (2, 1));
+    }
+
+    #[test]
+    fn a_fragment_index_past_the_count_is_a_proto_error_and_wedges_nothing() {
+        let mut r = Receiver::new();
+        // Fragment 2 of a message of two, first: an assembly no correct
+        // chunk could complete, were it opened.
+        assert!(feed(&mut r, SRC, chunk(0, 0, 2, 2, false, 3, 0, b"xyz")).is_empty());
+        assert_eq!((r.stats.proto_errors, r.stats.overlaps), (1, 0));
+        assert!(r.rows.is_empty() && r.heads.is_empty());
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 3, 0, b"hdr")).is_empty());
+        let out = feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 4, 0, b"body"));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].contiguous(), b"hdrbody");
+        assert_eq!(r.stats.proto_errors, 1);
+    }
+
+    #[test]
+    fn a_fragment_count_other_than_the_messages_is_a_proto_error() {
+        let mut r = Receiver::new();
+        // Seq 0 is the flow's head, seq 1 waits ahead of its turn: both
+        // are open as messages of two fragments.
+        assert!(feed(&mut r, SRC, chunk(0, 0, 0, 2, true, 3, 0, b"hdr")).is_empty());
+        assert!(feed(&mut r, SRC, chunk(0, 1, 0, 2, true, 3, 0, b"HDR")).is_empty());
+        // A chunk of each says three, and one says one: refused, and the
+        // assemblies are as the first chunks left them.
+        let lies = [
+            chunk(0, 0, 1, 3, false, 4, 0, b"lie!"),
+            chunk(0, 1, 1, 3, false, 4, 0, b"LIE!"),
+            chunk(0, 1, 0, 1, false, 3, 0, b"one"),
+        ];
+        for lie in lies {
+            assert!(feed(&mut r, SRC, lie).is_empty());
+        }
+        assert_eq!(
+            (r.stats.proto_errors, r.stats.overlaps, r.stats.chunks),
+            (3, 0, 2)
+        );
+        // The true bodies deliver both messages, in order, whole.
+        assert!(feed(&mut r, SRC, chunk(0, 1, 1, 2, false, 4, 0, b"BODY")).is_empty());
+        let out = feed(&mut r, SRC, chunk(0, 0, 1, 2, false, 4, 0, b"body"));
+        let got: Vec<_> = out.iter().map(|m| (m.id.seq.0, m.contiguous())).collect();
+        assert_eq!(got, [(0, b"hdrbody".to_vec()), (1, b"HDRBODY".to_vec())]);
         assert_eq!(r.stats.proto_errors, 3);
     }
 

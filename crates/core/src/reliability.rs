@@ -54,10 +54,13 @@ use crate::api::RETX_TAG;
 use crate::config::EngineConfig;
 use crate::constraints::max_gather_chunks;
 use crate::cost::{one_way, packet_limit};
-use crate::ids::{FlowId, FragIndex};
+use crate::ids::{FlowId, FragIndex, TrafficClass};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
-use crate::proto::{self, lone_chunk_framing, wire_bytes, Framing};
+use crate::proto::{
+    ack_header_ecn, lone_packet_bytes, make_header, ChunkHeader, Framing, MAX_CHUNK_HEADER_BYTES,
+    PACKET_PREFIX_BYTES,
+};
 use crate::trace::EngineEvent;
 
 /// How the engine treats packet loss.
@@ -96,13 +99,14 @@ pub struct PendingTx {
     pub attempts: u32,
 }
 
-/// Tracks data packets between submission and completion.
+/// Tracks data packets between submission and completion, each with its
+/// size on the wire.
 ///
 /// The tracker keys by cookie in a `BTreeMap` so iteration — and therefore
 /// timer scheduling and retransmit order — is deterministic.
 #[derive(Debug, Default)]
 pub struct RetransmitTracker {
-    pending: BTreeMap<u64, PendingTx>,
+    pending: BTreeMap<u64, (PendingTx, u64)>,
 }
 
 impl RetransmitTracker {
@@ -111,21 +115,33 @@ impl RetransmitTracker {
         RetransmitTracker::default()
     }
 
-    /// Track a freshly submitted data packet.
+    /// Track a freshly submitted data packet, taken to be its payload on
+    /// the wire.
     pub fn track(&mut self, cookie: u64, tx: PendingTx) {
-        self.pending.insert(cookie, tx);
+        let payload = tx.chunks.iter().map(|c| u64::from(c.len)).sum();
+        self.track_sized(cookie, tx, payload);
+    }
+
+    /// Track a freshly submitted data packet `wire_bytes` long on the wire.
+    pub(crate) fn track_sized(&mut self, cookie: u64, tx: PendingTx, wire_bytes: u64) {
+        self.pending.insert(cookie, (tx, wire_bytes));
     }
 
     /// Stop tracking `cookie` (ack received, timed out, given up, or —
     /// under `Off` — launched). Returns the entry when it was still
     /// tracked — a duplicate ack returns `None`.
     pub fn acked(&mut self, cookie: u64) -> Option<PendingTx> {
+        self.settled(cookie).map(|(tx, _)| tx)
+    }
+
+    /// [`RetransmitTracker::acked`], with the packet's size on the wire.
+    fn settled(&mut self, cookie: u64) -> Option<(PendingTx, u64)> {
         self.pending.remove(&cookie)
     }
 
     /// The tracked packet of `cookie`, to restamp it.
     pub fn pending_mut(&mut self, cookie: u64) -> Option<&mut PendingTx> {
-        self.pending.get_mut(&cookie)
+        self.pending.get_mut(&cookie).map(|(tx, _)| tx)
     }
 
     /// Number of tracked packets.
@@ -140,14 +156,14 @@ impl RetransmitTracker {
 
     /// The earliest deadline over all pending packets.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|p| p.deadline).min()
+        self.pending.values().map(|(p, _)| p.deadline).min()
     }
 
     /// Cookies whose deadline has passed at `now`, in cookie order.
     pub fn expired(&self, now: SimTime) -> Vec<u64> {
         self.pending
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
+            .filter(|(_, (p, _))| p.deadline <= now)
             .map(|(&c, _)| c)
             .collect()
     }
@@ -325,9 +341,12 @@ impl RailHealth {
 /// with the given capabilities. Within one fragment the byte ranges are
 /// preserved exactly; they are only re-segmented so that every emitted
 /// packet respects the target driver's PIO size cap, gather width, and
-/// the rail's wire MTU. Returns one chunk list per packet to send.
+/// the rail's wire MTU — each piece counted under the header it travels
+/// under, which `stamp` gives for a chunk of its message. Returns one chunk
+/// list per packet to send.
 pub fn plan_retransmit(
     chunks: &[PlannedChunk],
+    stamp: impl Fn(&PlannedChunk) -> ChunkHeader,
     caps: &DriverCapabilities,
     wire_mtu: u64,
 ) -> Vec<Vec<PlannedChunk>> {
@@ -344,32 +363,33 @@ pub fn plan_retransmit(
     let mut payload = 0u64;
     let mut framing = Framing::new();
     for chunk in chunks {
-        let mut offset = chunk.offset;
-        let mut remaining = chunk.len;
-        while remaining > 0 {
+        let mut h = stamp(chunk);
+        let end = chunk.offset + chunk.len;
+        while h.offset < end {
             // Split the chunk itself if it alone exceeds what a packet of
             // its own carries behind the header it would get there.
-            let single_cap = limit.saturating_sub(lone_chunk_framing(offset)).max(1);
-            let piece = u64::from(remaining).min(single_cap) as u32;
+            h.chunk_len = end - h.offset;
+            if !Framing::take_alone(&mut h, limit) {
+                h.chunk_len = 1;
+            }
             let fits_count = current.len() < max_chunks;
-            let header = framing.next(chunk.flow, chunk.seq, offset);
-            let fits_bytes = framing.bytes() + header + payload + u64::from(piece) <= limit;
+            let fits_bytes =
+                framing.bytes() + framing.next(&h) + payload + u64::from(h.chunk_len) <= limit;
             if !current.is_empty() && !(fits_count && fits_bytes) {
                 packets.push(std::mem::take(&mut current));
                 payload = 0;
                 framing = Framing::new();
             }
-            framing.push(chunk.flow, chunk.seq, offset);
-            payload += u64::from(piece);
+            framing.push(&h);
+            payload += u64::from(h.chunk_len);
             current.push(PlannedChunk {
                 flow: chunk.flow,
                 seq: chunk.seq,
                 frag: chunk.frag,
-                offset,
-                len: piece,
+                offset: h.offset,
+                len: h.chunk_len,
             });
-            offset += piece;
-            remaining -= piece;
+            h.offset += h.chunk_len;
         }
     }
     if !current.is_empty() {
@@ -469,10 +489,8 @@ struct RailClock {
     caps: DriverCapabilities,
     cost: CostModel,
     /// Unloaded one way of a control packet — an ack, a rendezvous request,
-    /// a grant: one chunk header and no payload. Twice it is the handshake
-    /// a request's score is priced by (`cost::RequestCost`), one price for
-    /// one packet.
-    control_one_way: SimDuration,
+    /// a grant: one header and no payload — by its size on the wire.
+    control_one_way: Vec<SimDuration>,
     margin: RtoMargin,
     /// When an ack last came back on this rail.
     last_ack: Option<SimTime>,
@@ -483,7 +501,8 @@ struct RailClock {
 
 impl RailClock {
     fn new(caps: DriverCapabilities, cost: CostModel, initial_margin: SimDuration) -> Self {
-        let control_one_way = one_way(&caps, &cost, proto::CONTROL_PACKET_BYTES);
+        let sizes = 0..=PACKET_PREFIX_BYTES + MAX_CHUNK_HEADER_BYTES;
+        let control_one_way = sizes.map(|bytes| one_way(&caps, &cost, bytes)).collect();
         RailClock {
             caps,
             cost,
@@ -494,15 +513,27 @@ impl RailClock {
         }
     }
 
-    /// Unloaded time from the instant a data packet of `chunks` has left
-    /// the NIC to the arrival of its ack: propagation, receive, and the
-    /// ack's way back. (Its injection is not modelled but awaited: the
-    /// clock starts at `tx_done`.)
-    fn data_flight(&self, chunks: &[PlannedChunk]) -> SimDuration {
-        self.cost.wire_latency + self.cost.rx_time(wire_bytes(chunks)) + self.control_one_way
+    /// Unloaded one way of the control packet of `header` (which carries
+    /// no payload).
+    fn one_way(&self, header: &ChunkHeader) -> SimDuration {
+        self.control_one_way[lone_packet_bytes(header) as usize]
     }
 
-    /// A data packet of `chunks` leaves the NIC for `dst` at `now`: how
+    /// Unloaded one way of the ack of data packet `cookie`.
+    fn ack_one_way(&self, cookie: u64) -> SimDuration {
+        self.one_way(&ack_header_ecn(cookie, false))
+    }
+
+    /// Unloaded time from the instant data packet `cookie`, `bytes` long on
+    /// the wire, has left the NIC to the arrival of its ack: propagation,
+    /// receive, and the ack's way back. (Its injection is not modelled but
+    /// awaited: the clock starts at `tx_done`.)
+    fn data_flight(&self, bytes: u64, cookie: u64) -> SimDuration {
+        self.cost.wire_latency + self.cost.rx_time(bytes) + self.ack_one_way(cookie)
+    }
+
+    /// Data packet `cookie`, `bytes` long on the wire, leaves the NIC for
+    /// `dst` at `now`: how
     /// long until its ack is due — its flight, and before that its wait at
     /// the peer's receive engine. That engine takes packets one at a time,
     /// so a short packet launched behind a long one of ours waits for it
@@ -515,15 +546,15 @@ impl RailClock {
     /// than carry one peer's backlog over to the next, which under a
     /// fan-out of packets that take longer to receive than to inject
     /// would grow every deadline without bound.
-    fn launch(&mut self, chunks: &[PlannedChunk], dst: NodeId, now: SimTime) -> SimDuration {
+    fn launch(&mut self, bytes: u64, cookie: u64, dst: NodeId, now: SimTime) -> SimDuration {
         let arrives = now + self.cost.wire_latency;
         let wait = match self.rx_free {
             (last, free) if last == dst => free.since(arrives),
             _ => SimDuration::ZERO,
         };
-        let flight = self.data_flight(chunks);
+        let flight = self.data_flight(bytes, cookie);
         // The packet is received when its ack sets out.
-        self.rx_free = (dst, now + (wait + flight - self.control_one_way));
+        self.rx_free = (dst, now + (wait + flight - self.ack_one_way(cookie)));
         wait + flight
     }
 
@@ -544,6 +575,8 @@ pub(crate) type RequestKey = (FlowId, u32, FragIndex);
 pub(crate) struct PendingRequest {
     /// Node asked.
     pub(crate) dst: NodeId,
+    /// The header the request travels under.
+    header: ChunkHeader,
     /// The transmission that is out.
     pub(crate) sent: Attempt,
     /// When it went out.
@@ -607,7 +640,7 @@ pub(crate) struct Reliability {
     /// Timed-out packets whose retransmission found the NIC queue full,
     /// each as it was when it timed out and with the attempt it is owed,
     /// by the rail that attempt is to leave on and cookie.
-    parked: BTreeMap<(usize, u64), (PendingTx, Attempt)>,
+    parked: BTreeMap<(usize, u64), (PendingTx, u64, Attempt)>,
     /// Timed-out cookies whose heirs have not all settled.
     superseded: BTreeMap<u64, Superseded>,
     /// Heir cookie → the superseded cookie it carries chunks of.
@@ -687,8 +720,21 @@ impl Reliability {
         }
         let price = |r: usize| {
             let clock = &self.clocks[r];
-            let bytes = mean_msg_bytes.clamp(1, clock.caps.max_packet_bytes);
-            let bytes = bytes + proto::CONTROL_PACKET_BYTES;
+            let bytes = mean_msg_bytes.clamp(1, clock.caps.max_packet_bytes) as u32;
+            // A packet that carries one such message whole.
+            let message = make_header(
+                FlowId(0),
+                0,
+                0,
+                1,
+                false,
+                TrafficClass::DEFAULT,
+                bytes,
+                0,
+                bytes,
+                SimTime::ZERO,
+            );
+            let bytes = lone_packet_bytes(&message);
             self.health[r].cost_penalty()
                 * one_way(&clock.caps, &clock.cost, bytes).as_nanos() as f64
         };
@@ -745,7 +791,7 @@ impl Reliability {
     /// (`true`) with the transmission it is owed.
     #[cfg(test)]
     pub(crate) fn watched(&self, cookie: u64) -> Option<(&PendingTx, bool)> {
-        let tracked = self.retx.pending.get(&cookie).map(|tx| (tx, false));
+        let tracked = self.retx.pending.get(&cookie).map(|(tx, _)| (tx, false));
         let parked = || Some((&self.parked.get(&self.parked_key(cookie)?)?.0, true));
         tracked.or_else(parked)
     }
@@ -762,15 +808,18 @@ impl Reliability {
         self.superseded.len()
     }
 
-    /// Track a data packet of `chunks` entering `sent.rail`'s NIC queue at
-    /// `now` until its completion: when it leaves the NIC under `Off`, at
-    /// its ack under `Recover`. Its timeout starts when it leaves the NIC
-    /// ([`Reliability::launched`]): a packet cannot be lost in its own
-    /// queue, however long the packets ahead of it take.
+    /// Track a data packet of `chunks`, `wire_bytes` long on the wire,
+    /// entering `sent.rail`'s NIC queue at `now` until its completion:
+    /// when it leaves the NIC under `Off`, at its ack under `Recover`. Its
+    /// timeout starts when it leaves the NIC ([`Reliability::launched`]):
+    /// a packet cannot be lost in its own queue, however long the packets
+    /// ahead of it take.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn track(
         &mut self,
         cookie: u64,
         chunks: Vec<PlannedChunk>,
+        wire_bytes: u64,
         dst: NodeId,
         linearize: bool,
         sent: Attempt,
@@ -785,7 +834,7 @@ impl Reliability {
             deadline: SimTime::MAX,
             attempts: sent.attempts,
         };
-        self.retx.track(cookie, tx);
+        self.retx.track_sized(cookie, tx, wire_bytes);
     }
 
     /// `tx_done` for `cookie`. Under `Off` the packet is done and its
@@ -800,11 +849,11 @@ impl Reliability {
                 .acked(cookie)
                 .map_or(Launched::Untracked, Launched::Done);
         }
-        let Some(tx) = self.retx.pending_mut(cookie) else {
+        let Some((tx, wire_bytes)) = self.retx.pending.get_mut(&cookie) else {
             return Launched::Untracked;
         };
         let clock = &mut self.clocks[tx.rail];
-        let flight = clock.launch(&tx.chunks, tx.dst, now);
+        let flight = clock.launch(*wire_bytes, cookie, tx.dst, now);
         tx.sent_at = now;
         tx.deadline = clock.deadline(flight, tx.attempts, now);
         Launched::Watched
@@ -830,8 +879,9 @@ impl Reliability {
         if !self.acks {
             return false;
         }
-        let (rail, sent_at, model, late) = if let Some((p, parked)) = self.take_live(cookie) {
-            let model = self.clocks[p.rail].data_flight(&p.chunks);
+        let live = self.take_live(cookie);
+        let (rail, sent_at, model, late) = if let Some((p, wire_bytes, parked)) = live {
+            let model = self.clocks[p.rail].data_flight(wire_bytes, cookie);
             let (rail, sent_at) = (p.rail, p.sent_at);
             settle(p);
             // Parked: timed out, and answered before it could be re-sent.
@@ -884,9 +934,15 @@ impl Reliability {
 
     /// Stop watching `cookie` wherever it waits: for its ack, or (`true`)
     /// parked, for queue space to be re-sent.
-    fn take_live(&mut self, cookie: u64) -> Option<(PendingTx, bool)> {
-        let tracked = self.retx.acked(cookie).map(|tx| (tx, false));
-        tracked.or_else(|| Some((self.parked.remove(&self.parked_key(cookie)?)?.0, true)))
+    fn take_live(&mut self, cookie: u64) -> Option<(PendingTx, u64, bool)> {
+        let tracked = self
+            .retx
+            .settled(cookie)
+            .map(|(tx, bytes)| (tx, bytes, false));
+        tracked.or_else(|| {
+            let (tx, bytes, _) = self.parked.remove(&self.parked_key(cookie)?)?;
+            Some((tx, bytes, true))
+        })
     }
 
     /// The chunks `heirs` carry have arrived: settle every heir still
@@ -894,7 +950,7 @@ impl Reliability {
     fn settle_heirs(&mut self, heirs: RangeInclusive<u64>, settle: &mut impl FnMut(PendingTx)) {
         for heir in heirs {
             self.parent_of.remove(&heir);
-            if let Some((tx, _)) = self.take_live(heir) {
+            if let Some((tx, ..)) = self.take_live(heir) {
                 settle(tx);
             } else if let Some(old) = self.superseded.remove(&heir) {
                 self.settle_heirs(old.heirs, settle);
@@ -939,8 +995,8 @@ impl Reliability {
         now: SimTime,
         reaches: impl Fn(usize, NodeId) -> bool,
         obs: &mut Observer,
-    ) -> Option<(PendingTx, Expiry)> {
-        let p = self.retx.acked(cookie)?;
+    ) -> Option<(PendingTx, u64, Expiry)> {
+        let (p, wire_bytes) = self.retx.settled(cookie)?;
         let sent = Attempt {
             rail: p.rail,
             attempts: p.attempts,
@@ -949,7 +1005,7 @@ impl Reliability {
         if action == Expiry::Lost {
             self.leave(cookie);
         }
-        Some((p, action))
+        Some((p, wire_bytes, action))
     }
 
     /// Transmission `sent` toward `dst` — of a data packet or of a
@@ -1004,6 +1060,7 @@ impl Reliability {
         &mut self,
         old_cookie: u64,
         old: &PendingTx,
+        wire_bytes: u64,
         heirs: RangeInclusive<u64>,
     ) {
         for heir in heirs.clone() {
@@ -1012,7 +1069,7 @@ impl Reliability {
         let superseded = Superseded {
             rail: old.rail,
             sent_at: old.sent_at,
-            model: self.clocks[old.rail].data_flight(&old.chunks),
+            model: self.clocks[old.rail].data_flight(wire_bytes, old_cookie),
             heirs,
         };
         self.superseded.insert(old_cookie, superseded);
@@ -1022,24 +1079,27 @@ impl Reliability {
     /// full: keep it under `cookie` as it is — its attempts and deadline
     /// are those of the transmission that is out, nothing new has left —
     /// until [`Reliability::take_parked`] offers it again.
-    pub(crate) fn park(&mut self, cookie: u64, tx: PendingTx, next: Attempt) {
-        self.parked.insert((next.rail, cookie), (tx, next));
+    pub(crate) fn park(&mut self, cookie: u64, tx: PendingTx, wire_bytes: u64, next: Attempt) {
+        self.parked
+            .insert((next.rail, cookie), (tx, wire_bytes, next));
     }
 
     /// `rail`'s NIC queue has room: the parked packet with the lowest
     /// cookie that waits for it, to be offered again.
-    pub(crate) fn take_parked(&mut self, rail: usize) -> Option<(u64, PendingTx, Attempt)> {
+    pub(crate) fn take_parked(&mut self, rail: usize) -> Option<(u64, PendingTx, u64, Attempt)> {
         let (&key, _) = self.parked.range((rail, 0)..=(rail, u64::MAX)).next()?;
-        let (tx, next) = self.parked.remove(&key)?;
-        Some((key.1, tx, next))
+        let (tx, wire_bytes, next) = self.parked.remove(&key)?;
+        Some((key.1, tx, wire_bytes, next))
     }
 
-    /// Track a rendezvous request toward `dst`, sent as `sent` at `now`,
-    /// until its grant: a control packet's round trip plus the rail's
-    /// margin, doubled per attempt.
+    /// Track a rendezvous request under `header` toward `dst`, sent as
+    /// `sent` at `now`, until its grant: the round trip of the request and
+    /// of the grant that echoes its header, plus the rail's margin,
+    /// doubled per attempt.
     pub(crate) fn track_request(
         &mut self,
         key: RequestKey,
+        header: ChunkHeader,
         dst: NodeId,
         sent: Attempt,
         now: SimTime,
@@ -1047,9 +1107,10 @@ impl Reliability {
         let clock = &self.clocks[sent.rail];
         let asked = PendingRequest {
             dst,
+            header,
             sent,
             asked_at: now,
-            deadline: clock.deadline(clock.control_one_way * 2, sent.attempts, now),
+            deadline: clock.deadline(clock.one_way(&header) * 2, sent.attempts, now),
         };
         self.requests.insert(key, asked);
     }
@@ -1080,7 +1141,7 @@ impl Reliability {
         let asked = self.requests.remove(&key)?;
         let action = self.timed_out(asked.sent, asked.asked_at, asked.dst, now, reaches, obs);
         if let Expiry::Resend(again) | Expiry::Reroute(again) = action {
-            self.track_request(key, asked.dst, again, now);
+            self.track_request(key, asked.header, asked.dst, again, now);
         }
         Some((asked.dst, action))
     }
@@ -1110,11 +1171,15 @@ impl Reliability {
     #[cfg(feature = "debug-invariants")]
     pub(crate) fn debug_assert_invariants(&self, collect: &crate::collect::CollectLayer) {
         collect.debug_assert_invariants();
-        let tracked = self.retx.pending.iter().map(|(&cookie, tx)| (cookie, tx));
+        let tracked = self
+            .retx
+            .pending
+            .iter()
+            .map(|(&cookie, (tx, _))| (cookie, tx));
         let parked = self
             .parked
             .iter()
-            .map(|(&(_, cookie), (tx, _))| (cookie, tx));
+            .map(|(&(_, cookie), (tx, ..))| (cookie, tx));
         for &(_, cookie) in self.parked.keys() {
             let tracked = self.retx.pending.contains_key(&cookie);
             assert!(!tracked, "cookie {cookie}: both tracked and parked");
@@ -1151,6 +1216,29 @@ mod tests {
             offset: 0,
             len,
         }
+    }
+
+    /// The header of `c` as the whole of a message of one fragment,
+    /// submitted at time zero.
+    fn whole(c: &PlannedChunk) -> ChunkHeader {
+        let (class, at) = (TrafficClass::DEFAULT, SimTime::ZERO);
+        make_header(
+            c.flow,
+            c.seq,
+            c.frag,
+            1,
+            false,
+            class,
+            c.offset + c.len,
+            c.offset,
+            c.len,
+            at,
+        )
+    }
+
+    /// The size on the wire of a packet whose every chunk is [`whole`].
+    fn wire(chunks: &[PlannedChunk]) -> u64 {
+        crate::proto::wire_bytes(chunks.iter().map(whole))
     }
 
     #[test]
@@ -1203,7 +1291,8 @@ mod tests {
             seq: cookie as u32,
             ..chunk(len)
         }];
-        r.track(cookie, chunks, NodeId(1), false, sent, at);
+        let bytes = wire(&chunks);
+        r.track(cookie, chunks, bytes, NodeId(1), false, sent, at);
         assert!(matches!(r.launched(cookie, at), Launched::Watched));
     }
 
@@ -1238,7 +1327,7 @@ mod tests {
             }
             assert_eq!(r.begin_sweep(FAR), vec![7, 8]);
             let reaches = |rail: usize, _| rail == 0 || alt;
-            let (p, action) = r.expire(7, FAR, reaches, &mut obs).expect("tracked");
+            let (p, _, action) = r.expire(7, FAR, reaches, &mut obs).expect("tracked");
             assert_eq!((p.attempts, action), (attempts, want));
             assert!(
                 r.expire(7, FAR, reaches, &mut obs).is_none(),
@@ -1263,12 +1352,21 @@ mod tests {
         let (t0, t1) = (SimTime::from_nanos(1_000), SimTime::from_nanos(900_000));
         // In its own NIC's queue a packet has no deadline, however long
         // it waits there; the clock starts when it leaves.
-        r.track(1, vec![chunk(64)], NodeId(1), false, Attempt::first(0), t0);
+        r.track(
+            1,
+            vec![chunk(64)],
+            wire(&[chunk(64)]),
+            NodeId(1),
+            false,
+            Attempt::first(0),
+            t0,
+        );
         assert_eq!(r.retx.next_deadline(), Some(SimTime::MAX));
         assert!(r.begin_sweep(t1).is_empty());
         assert!(matches!(r.launched(1, t1), Launched::Watched));
         assert!(matches!(r.launched(2, t1), Launched::Untracked));
-        let flight = |r: &Reliability, rail: usize, len| r.clocks[rail].data_flight(&[chunk(len)]);
+        let flight =
+            |r: &Reliability, rail: usize, len| r.clocks[rail].data_flight(wire(&[chunk(len)]), 1);
         assert_eq!(
             r.retx.next_deadline(),
             Some(t1 + flight(&r, 0, 64) + initial)
@@ -1293,7 +1391,11 @@ mod tests {
         send(&mut r, 500, 16 << 10, Attempt::first(0), behind);
         send(&mut r, 501, 64, Attempt::first(0), behind);
         let (long, short) = (r.retx.acked(500).unwrap(), r.retx.acked(501).unwrap());
-        let rx_short = r.clocks[0].cost.rx_time(wire_bytes(&[chunk(64)]));
+        let short_packet = PlannedChunk {
+            seq: 501,
+            ..chunk(64)
+        };
+        let rx_short = r.clocks[0].cost.rx_time(wire(&[short_packet]));
         assert_eq!(short.deadline, long.deadline + rx_short);
         // The fixed 50 us was over ten flights of a small packet on Elan, and
         // a 16 KiB packet on MX has not finished its round trip by then.
@@ -1325,29 +1427,40 @@ mod tests {
         // the fan-out is missed as soon as one lost early.
         let (mut r, mut obs) = layer(&[Technology::TcpEthernet], 6);
         let clock = r.clocks[0].clone();
-        let bytes = wire_bytes(&[chunk(64)]);
+        let bytes = wire(&[chunk(64)]);
         let (_, inject) = cheaper_mode(&clock.caps, &clock.cost, bytes, 1).unwrap();
         let receive = clock.cost.rx_time(bytes);
         assert!(receive > inject, "{receive:?} {inject:?}");
-        let flight = clock.data_flight(&[chunk(64)]);
+        // The ack of a packet names its cookie, in as many bytes as it
+        // takes.
+        let flight = |cookie| clock.data_flight(bytes, cookie);
         let launch = |r: &mut Reliability, cookie: u64, dst: u32| {
             let at = SimTime::ZERO + inject * cookie;
             let sent = Attempt::first(0);
-            r.track(cookie, vec![chunk(64)], NodeId(dst), false, sent, at);
+            r.track(
+                cookie,
+                vec![chunk(64)],
+                wire(&[chunk(64)]),
+                NodeId(dst),
+                false,
+                sent,
+                at,
+            );
             assert!(matches!(r.launched(cookie, at), Launched::Watched));
             (at, r.retx.pending_mut(cookie).expect("tracked").deadline)
         };
         for cookie in 0..1_000 {
             let margin = r.rto_margin(0);
             let (at, deadline) = launch(&mut r, cookie, 1 + cookie as u32 % 4);
-            assert_eq!(deadline, at + flight + margin, "packet {cookie}");
+            assert_eq!(deadline, at + flight(cookie) + margin, "packet {cookie}");
             if cookie % 50 == 49 {
                 // Lost: missed at its deadline, not before.
                 assert!(!r.retx.expired(deadline).is_empty());
                 let expired = r.expire(cookie, deadline, |_, _| true, &mut obs);
-                assert!(matches!(expired, Some((_, Expiry::Resend(_)))));
+                assert!(matches!(expired, Some((_, _, Expiry::Resend(_)))));
             } else {
-                assert!(r.on_ack(cookie, false, at + flight, NodeId(0), &mut obs, |_| ()));
+                let acked = at + flight(cookie);
+                assert!(r.on_ack(cookie, false, acked, NodeId(0), &mut obs, |_| ()));
             }
         }
         // Toward one peer the queue is real, and foreseen: each packet
@@ -1356,7 +1469,11 @@ mod tests {
         for k in 0..10 {
             let (at, deadline) = launch(&mut r, 1_000 + k, 9);
             let wait = (receive - inject) * k;
-            assert_eq!(deadline, at + wait + flight + margin, "packet {k}");
+            assert_eq!(
+                deadline,
+                at + wait + flight(1_000 + k) + margin,
+                "packet {k}"
+            );
         }
     }
 
@@ -1364,7 +1481,7 @@ mod tests {
     /// `expire` decides) under `heirs`, as the engine would.
     fn resend(r: &mut Reliability, obs: &mut Observer, cookie: u64, heirs: RangeInclusive<u64>) {
         let due = r.retx.next_deadline().expect("something is out");
-        let (old, action) = r.expire(cookie, due, |_, _| true, obs).expect("tracked");
+        let (old, _, action) = r.expire(cookie, due, |_, _| true, obs).expect("tracked");
         let (Expiry::Resend(next) | Expiry::Reroute(next)) = action else {
             panic!("{action:?}");
         };
@@ -1372,7 +1489,7 @@ mod tests {
         for heir in heirs.clone() {
             send(r, heir, old.chunks[0].len / pieces, next, due);
         }
-        r.supersede(cookie, &old, heirs);
+        r.supersede(cookie, &old, wire(&old.chunks), heirs);
     }
 
     #[test]
@@ -1436,11 +1553,11 @@ mod tests {
         let (mut r, mut obs) = layer(&[MX], 6);
         send(&mut r, 1, 64, Attempt::first(0), SimTime::ZERO);
         let due = r.retx.next_deadline().expect("out");
-        let (old, action) = r.expire(1, due, |_, _| true, &mut obs).expect("tracked");
+        let (old, bytes, action) = r.expire(1, due, |_, _| true, &mut obs).expect("tracked");
         let Expiry::Resend(next) = action else {
             panic!("{action:?}");
         };
-        r.park(1, old.clone(), next);
+        r.park(1, old.clone(), bytes, next);
         let in_flight = (r.inflight(), r.unacked());
         assert_eq!(in_flight, (1, 1), "one packet in flight while parked");
         assert_eq!(
@@ -1449,7 +1566,7 @@ mod tests {
             "a parked packet arms no timer"
         );
         assert!(r.take_parked(1).is_none(), "it waits for rail 0");
-        let (cookie, tx, owed) = r.take_parked(0).expect("parked");
+        let (cookie, tx, _, owed) = r.take_parked(0).expect("parked");
         assert_eq!(
             (cookie, tx.attempts, tx.deadline, owed.attempts),
             (1, 1, due, 2)
@@ -1457,7 +1574,7 @@ mod tests {
         assert_eq!(r.unacked(), 0);
         // Its ack arrives while it waits: spurious timeout, settled under
         // its own cookie.
-        r.park(1, old, next);
+        r.park(1, old, bytes, next);
         let mut settled = Vec::new();
         let settle = |tx| settled.push(cookie_of(tx));
         assert!(r.on_ack(1, false, due, NodeId(0), &mut obs, settle));
@@ -1481,7 +1598,15 @@ mod tests {
         );
         let mut r = Reliability::new([mx], &cfg);
         let (mut obs, first) = (Observer::new(NodeId(0)), Attempt::first(0));
-        r.track(1, vec![chunk(64)], NodeId(1), false, first, SimTime::ZERO);
+        r.track(
+            1,
+            vec![chunk(64)],
+            wire(&[chunk(64)]),
+            NodeId(1),
+            false,
+            first,
+            SimTime::ZERO,
+        );
         assert_eq!((r.inflight(), r.unacked()), (1, 0));
         let Launched::Done(tx) = r.launched(1, at) else {
             panic!("an injected packet is done under Off");
@@ -1489,7 +1614,15 @@ mod tests {
         assert_eq!((tx.chunks.len(), tx.chunks[0].len), (1, 64));
         assert_eq!((r.inflight(), r.unacked()), (0, 0));
         assert!(matches!(r.launched(1, at), Launched::Untracked));
-        r.track(2, vec![chunk(64)], NodeId(1), false, first, SimTime::ZERO);
+        r.track(
+            2,
+            vec![chunk(64)],
+            wire(&[chunk(64)]),
+            NodeId(1),
+            false,
+            first,
+            SimTime::ZERO,
+        );
         assert!(!r.on_ack(2, false, at, NodeId(0), &mut obs, none));
         assert_eq!(
             (r.inflight(), r.unacked()),
@@ -1519,7 +1652,7 @@ mod tests {
         // Another packet's ack comes back on rail 0 after 1 went out...
         send(&mut r, 2, 64, Attempt::first(0), t(0));
         assert!(r.on_ack(2, false, t(20), NodeId(0), &mut obs, |_| ()));
-        let (_, action) = r.expire(1, FAR, |_, _| true, &mut obs).expect("tracked");
+        let (_, _, action) = r.expire(1, FAR, |_, _| true, &mut obs).expect("tracked");
         let again = Attempt {
             rail: 0,
             attempts: 3,
@@ -1529,7 +1662,7 @@ mod tests {
         // ... and that ack does not vouch for ever: the attempt it earned
         // goes unanswered on a rail silent since, and the rail dies.
         send(&mut r, 3, 64, again, t(30));
-        let (_, action) = r.expire(3, FAR, |_, _| true, &mut obs).expect("tracked");
+        let (_, _, action) = r.expire(3, FAR, |_, _| true, &mut obs).expect("tracked");
         assert_eq!(action, Expiry::Reroute(Attempt::first(1)));
         assert!(r.rails()[0].is_dead());
     }
@@ -1570,10 +1703,12 @@ mod tests {
         let t = |us: u64| SimTime::from_nanos(us * 1_000);
         let just_before = |at: SimTime| SimTime::from_nanos(at.as_nanos() - 1);
         let initial = EngineConfig::default().retransmit_timeout;
-        // A request's patience: its own round trip plus the margin.
-        let patience = r.clocks[0].control_one_way * 2 + initial;
-        r.track_request(key, NodeId(1), Attempt::first(0), t(0));
-        r.track_request(other, NodeId(1), Attempt::first(0), t(10));
+        // A request's patience: its own round trip — the request out, the
+        // grant that echoes its header back — plus the margin.
+        let header = |(flow, seq, frag): RequestKey| whole(&PlannedChunk::request(flow, seq, frag));
+        let patience = r.clocks[0].one_way(&header(key)) * 2 + initial;
+        r.track_request(key, header(key), NodeId(1), Attempt::first(0), t(0));
+        r.track_request(other, header(other), NodeId(1), Attempt::first(0), t(10));
         let due = t(0) + patience;
         assert!(r.overdue_requests(just_before(due)).is_empty());
         assert_eq!(r.overdue_requests(due), vec![key]);
@@ -1676,13 +1811,13 @@ mod tests {
         let mut caps = calib::synthetic_capabilities();
         caps.supports_dma = false;
         caps.pio_max_bytes = 1 << 10;
-        let packets = plan_retransmit(&[chunk(5_000)], &caps, 1 << 20);
+        let packets = plan_retransmit(&[chunk(5_000)], whole, &caps, 1 << 20);
         assert!(packets.len() >= 5);
         let total: u32 = packets.iter().flatten().map(|c| c.len).sum();
         assert_eq!(total, 5_000, "no bytes lost in re-chunking");
         for p in &packets {
             assert_eq!(p.len(), 1, "no gather without DMA");
-            assert!(wire_bytes(p) <= caps.pio_max_bytes);
+            assert!(wire(p) <= caps.pio_max_bytes);
         }
         // Offsets stay contiguous.
         let mut expect = 0u32;
@@ -1697,7 +1832,7 @@ mod tests {
         let mut caps = calib::synthetic_capabilities();
         caps.max_gather_entries = 3; // header + 2 chunks
         let chunks: Vec<PlannedChunk> = (0..5).map(|_| chunk(64)).collect();
-        let packets = plan_retransmit(&chunks, &caps, 1 << 20);
+        let packets = plan_retransmit(&chunks, whole, &caps, 1 << 20);
         for p in &packets {
             assert!(p.len() <= 2);
         }
@@ -1708,9 +1843,9 @@ mod tests {
     #[test]
     fn plan_retransmit_respects_wire_mtu() {
         let caps = calib::synthetic_capabilities();
-        let packets = plan_retransmit(&[chunk(10_000)], &caps, 4096);
+        let packets = plan_retransmit(&[chunk(10_000)], whole, &caps, 4096);
         for p in &packets {
-            assert!(wire_bytes(p) <= 4096);
+            assert!(wire(p) <= 4096);
         }
     }
 }

@@ -117,9 +117,12 @@ mod tests {
     #[test]
     fn caps_chunk_count() {
         // The rail and the window cap a packet, not a chunk count: forty
-        // 8-byte messages all ride a 64 KiB packet, a packet of 2 +
-        // 10 × (30 + 8) bytes takes ten of them, and one byte less cuts
-        // the tenth short.
+        // 8-byte messages all ride a 64 KiB packet; a packet of
+        // 2 + (10 + 8) + 9 × (8 + 8) bytes takes ten of them — the first
+        // header carries the submission time (1 ms, in three bytes), every
+        // later one its difference from the one before (none, in one) —
+        // and one byte less cuts the tenth short, to what is left once
+        // its header says its length in four bytes more.
         let caps = calib::synthetic_capabilities();
         let cost = CostModel::from_params(&NetworkParams::synthetic());
         let cfg = EngineConfig::default();
@@ -132,10 +135,10 @@ mod tests {
             (plan.chunk_count(), plan.payload_bytes())
         };
         assert_eq!(full(&ctx), (40, 320));
-        ctx.packet_limit = 2 + 10 * (30 + 8);
+        ctx.packet_limit = 2 + (10 + 8) + 9 * (8 + 8);
         assert_eq!(full(&ctx), (10, 80));
         ctx.packet_limit -= 1;
-        assert_eq!(full(&ctx), (10, 79));
+        assert_eq!(full(&ctx), (10, 72 + 3));
     }
 
     #[test]

@@ -128,7 +128,8 @@ mod tests {
         }
         FifoFallback::new().propose(&ctx, &mut out);
         let score = |p: PlanRef<'_>| {
-            let bytes = p.payload_bytes() + p.framing();
+            let framing = p.framing(|c| crate::cost::window_header(c, p.dst, &ctx));
+            let bytes = p.payload_bytes() + framing.expect("the window offers it");
             let how = cheapest_injection(&caps, &cost, p.chunk_count(), bytes, true);
             let how = how.expect("every proposal is injectable");
             density(chunks_value(p.dst, p.chunks(), &[], &ctx), how.busy, &ctx)

@@ -235,9 +235,11 @@ impl Proposals {
 /// Greedily fill one packet from `candidates` (in the given order),
 /// respecting the packet size budget: what `ctx.packet_limit` leaves once
 /// the chunks taken so far and the header the next one would get — which
-/// depends on the chunk before it, see [`Framing`] — are counted. The
-/// packet ends where the next candidate does not fit or the candidates run
-/// out; `max_chunks` cuts it shorter for a proposer that wants a list of
+/// depends on what it says and on the chunk before it, see
+/// [`Framing::take`] — are counted. A candidate that does not fit whole is
+/// cut to the byte under a header that names its length. The packet ends
+/// there, where the next candidate does not fit a byte, or where the
+/// candidates run out; `max_chunks` cuts it shorter for a proposer that wants a list of
 /// its own width (one chunk, the gather width) — `usize::MAX` lets the
 /// rail and the window end it. The packet is appended to `out` and
 /// returned; `None` (and nothing appended) when no candidate fits.
@@ -261,17 +263,15 @@ pub fn fill_packet<'a, 'c>(
         if count >= max_chunks {
             break;
         }
-        // The packet's framing with this candidate in it.
-        let mut framed = framing;
-        framed.push(cand.flow, cand.seq, cand.offset);
-        let budget = ctx.packet_limit.saturating_sub(framed.bytes() + payload);
-        if budget == 0 {
-            break;
-        }
-        let take = (cand.remaining as u64).min(budget) as u32;
-        if take == 0 {
+        if cand.remaining == 0 {
             continue;
         }
+        let mut header = cand.whole();
+        let room = ctx.packet_limit.saturating_sub(framing.bytes() + payload);
+        if !framing.take(&mut header, room) {
+            break;
+        }
+        let take = header.chunk_len;
         out.chunks.push(PlannedChunk {
             flow: cand.flow,
             seq: cand.seq,
@@ -280,7 +280,6 @@ pub fn fill_packet<'a, 'c>(
             len: take,
         });
         out.cut_from.push(cand.at);
-        framing = framed;
         count += 1;
         payload += take as u64;
         // A partially-taken fragment blocks everything after it from the
@@ -369,7 +368,7 @@ pub(crate) mod testutil {
 
     /// Candidate constructor for strategy unit tests. It does not know
     /// where the test will put the candidate, so it gives no hint; its
-    /// message is the fragment's remaining bytes.
+    /// message is the fragment's remaining bytes, in four fragments.
     #[allow(clippy::too_many_arguments)]
     pub fn cand(
         flow: u32,
@@ -386,6 +385,7 @@ pub(crate) mod testutil {
             flow: FlowId(flow),
             seq,
             frag,
+            frag_count: 4,
             offset,
             remaining,
             msg_remaining: u64::from(remaining),
@@ -465,28 +465,33 @@ mod tests {
         let mut out = Proposals::new();
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert_eq!(plan.chunk_count(), 1);
-        // 1000 less the prefix and one header that names its message.
-        assert_eq!(plan.payload_bytes(), 1000 - 2 - 30);
-        // From the middle of a fragment the header says where: 4 more.
+        // 1000 less the prefix and one header that names its message: the
+        // tag, flow, sequence, fragment count, class, submission time (1 ms
+        // in three bytes), index, length (5000 in two), and the length of
+        // the cut in four.
+        assert_eq!(plan.payload_bytes(), 1000 - 2 - 15);
+        // From the middle of a fragment the header says where: 1 more.
         let cands = vec![cand(0, 0, 0, 100, 5000, false, TrafficClass::DEFAULT, 0)];
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
-        assert_eq!(plan.payload_bytes(), 1000 - 2 - 34);
+        assert_eq!(plan.payload_bytes(), 1000 - 2 - 16);
         // The fragments of one message fill to the byte: each header
-        // after the first names no message (2 + 30 + 3 × 11 + 935).
+        // after the first names no message, and only the cut one says its
+        // length (2 + 11 + 4 + (4 + 4) + 975).
         let cands: Vec<_> = (0..4)
             .map(|frag| cand(0, 0, frag, 0, 400, false, TrafficClass::DEFAULT, 0))
             .collect();
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert_eq!(
             (plan.chunk_count(), plan.payload_bytes()),
-            (3, 1000 - 2 - 30 - 22)
+            (3, 1000 - 2 - 11 - 4 - 8)
         );
-        assert_eq!(plan.payload_bytes() + plan.framing(), 1000);
+        let stamp = |c: &PlannedChunk| Some(cands[usize::from(c.frag)].header(c));
+        assert_eq!(plan.payload_bytes() + plan.framing(stamp).unwrap(), 1000);
     }
 
     mod a_fill_ends_where_the_rail_or_the_window_does {
         use super::*;
-        use crate::proto::{framing_of, lone_chunk_framing};
+        use crate::proto;
         use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
         use proptest::Strategy as Generator;
 
@@ -530,6 +535,12 @@ mod tests {
                 let mut out = Proposals::new();
                 let taken = fill_packet(&ctx, NodeId(1), &window, usize::MAX, "t", &mut out)
                     .map_or(Vec::new(), |plan| plan.chunks().to_vec());
+                // The framing of a list that runs along the window, under
+                // the headers its entries give.
+                let framing_of = |chunks: &[PlannedChunk]| {
+                    proto::framing_of(chunks.iter().zip(&window).map(|(c, w)| w.header(c)))
+                };
+                let one_byte = |w: &ChunkCandidate| PlannedChunk { flow: w.flow, seq: w.seq, frag: w.frag, offset: w.offset, len: 1 };
                 // Never more than the rail takes, payload and framing.
                 let payload: u64 = taken.iter().map(|c| u64::from(c.len)).sum();
                 prop_assert!(taken.is_empty() || payload + framing_of(&taken) <= limit);
@@ -545,11 +556,11 @@ mod tests {
                 let next = window.get(taken.len());
                 match (taken.last(), next) {
                     (_, None) => {}
-                    (None, Some(w)) => prop_assert!(lone_chunk_framing(w.offset) + 1 > limit),
+                    (None, Some(w)) => prop_assert!(framing_of(&[one_byte(w)]) + 1 > limit),
                     (Some(last), Some(w)) => {
                         let cut = last.len < window[taken.len() - 1].remaining;
                         let mut more = taken.to_vec();
-                        more.push(PlannedChunk { flow: w.flow, seq: w.seq, frag: w.frag, offset: w.offset, len: 1 });
+                        more.push(one_byte(w));
                         let full = payload + 1 + framing_of(&more) > limit;
                         prop_assert!(cut && payload + framing_of(&taken) == limit || !cut && full);
                     }
@@ -578,7 +589,11 @@ mod tests {
         let mut out = Proposals::new();
         let plan = fill_packet(&ctx, simnet::NodeId(1), &cands, 16, "t", &mut out).unwrap();
         assert!(!plan.linearized(), "a proposal names no mode");
-        let (chunks, bytes) = (plan.chunk_count(), plan.payload_bytes() + plan.framing());
+        let stamp = |c: &PlannedChunk| Some(cands[c.flow.0 as usize].header(c));
+        let (chunks, bytes) = (
+            plan.chunk_count(),
+            plan.payload_bytes() + plan.framing(stamp).unwrap(),
+        );
         let how = crate::cost::cheapest_injection(&caps, &cost, chunks, bytes, true);
         assert!(how.expect("the copy goes by DMA").linearize);
     }

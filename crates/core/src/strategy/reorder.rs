@@ -15,7 +15,7 @@
 use std::ops::Range;
 
 use crate::plan::ChunkCandidate;
-use crate::proto::{PACKET_PREFIX_BYTES, SAME_MSG_HEADER_BYTES};
+use crate::proto::{MIN_CHUNK_HEADER_BYTES, PACKET_PREFIX_BYTES};
 use crate::strategy::{fill_packet, OptContext, Proposals, Strategy};
 
 /// Message-permutation proposal: shortest message first.
@@ -54,12 +54,12 @@ pub(crate) struct Scratch {
 /// invalid proposal. Returns how many runs a packet of `packet_limit`
 /// bytes can read, in whatever order they are put: every candidate it
 /// looks at gives it a chunk of at least a byte under a header of at least
-/// [`SAME_MSG_HEADER_BYTES`] (and it looks at one more to find itself
+/// [`MIN_CHUNK_HEADER_BYTES`] (and it looks at one more to find itself
 /// full) — unless some candidate has no bytes left, which the collect
 /// layer never offers, and then it may read them all.
 fn message_runs(cands: &[ChunkCandidate], packet_limit: u64, runs: &mut Vec<MessageRun>) -> usize {
     runs.clear();
-    let chunks = packet_limit.saturating_sub(PACKET_PREFIX_BYTES) / (SAME_MSG_HEADER_BYTES + 1);
+    let chunks = packet_limit.saturating_sub(PACKET_PREFIX_BYTES) / (MIN_CHUNK_HEADER_BYTES + 1);
     let mut read = usize::try_from(chunks).map_or(usize::MAX, |n| n.saturating_add(1));
     for (i, c) in cands.iter().enumerate() {
         if c.remaining == 0 {
@@ -180,6 +180,71 @@ mod tests {
         let sjf = out.iter().find(|p| p.strategy == "reorder-sjf").unwrap();
         let order: Vec<_> = sjf.chunks().iter().map(|c| c.flow.0).collect();
         assert_eq!(order, [2, 1, 0]);
+    }
+
+    #[test]
+    fn sjf_at_the_shortest_headers_proposes_a_full_stable_sorts_packet() {
+        // Sixty messages of one byte, or of one byte then a second whose
+        // header is the shortest there is (three bytes: it continues its
+        // message), each with a different amount left: a packet of a few
+        // hundred bytes reads more of them than a bound of one 12-byte
+        // header a chunk would let `sort_front` place.
+        let caps = calib::synthetic_capabilities();
+        let cost = CostModel::from_params(&NetworkParams::synthetic());
+        let cfg = EngineConfig::default();
+        let mut candidates = Vec::new();
+        for m in 0..60u32 {
+            for frag in 0..1 + u16::from(m % 3 == 0) {
+                let mut c = cand(m, 0, frag, 0, 1, false, TrafficClass::DEFAULT, 0);
+                c.at = candidates.len() as u32;
+                c.msg_remaining = u64::from(m * 37 % 23);
+                candidates.push(c);
+            }
+        }
+        let groups = vec![DstGroup {
+            dst: NodeId(1),
+            candidates,
+            rndv: vec![],
+        }];
+        let window = &groups[0].candidates;
+        // The reference: every message, stably sorted by what it has left.
+        let mut runs = Vec::new();
+        message_runs(window, u64::MAX, &mut runs);
+        runs.sort_by_key(|run| run.bytes);
+        let sorted: Vec<_> = runs
+            .iter()
+            .flat_map(|run| &window[run.at.clone()])
+            .collect();
+        let mut read_past_the_old_bound = false;
+        for limit in (20..600).step_by(7) {
+            let mut ctx = ctx_fixture(&groups, &caps, &cost, &cfg);
+            ctx.packet_limit = limit;
+            let mut want = Proposals::new();
+            fill_packet(
+                &ctx,
+                NodeId(1),
+                sorted.iter().copied(),
+                usize::MAX,
+                "t",
+                &mut want,
+            );
+            let mut got = Proposals::new();
+            ReorderVariants::new().propose(&ctx, &mut got);
+            let sjf = got.iter().find(|p| p.strategy == "reorder-sjf");
+            let want = want.iter().next();
+            assert_eq!(
+                sjf.map(|p| p.chunks().to_vec()),
+                want.map(|p| p.chunks().to_vec()),
+                "limit {limit}"
+            );
+            let runs_read = want.map_or(0, |p| {
+                let mut messages: Vec<_> = p.chunks().iter().map(|c| c.flow).collect();
+                messages.dedup();
+                messages.len() as u64
+            });
+            read_past_the_old_bound |= runs_read > (limit - PACKET_PREFIX_BYTES) / 12 + 1;
+        }
+        assert!(read_past_the_old_bound);
     }
 
     #[test]

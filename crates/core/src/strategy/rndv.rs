@@ -55,6 +55,9 @@ mod tests {
             flow: FlowId(flow),
             seq: 0,
             frag: 0,
+            frag_count: 1,
+            frag_len: 1 << 20,
+            express: false,
             class: TrafficClass::BULK,
             submitted_at: SimTime::ZERO,
         }

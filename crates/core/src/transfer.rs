@@ -17,13 +17,11 @@ use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SubmitError};
 
 use crate::classes::ClassMap;
-use crate::collect::{CollectLayer, FlowState, PendingMessage};
+use crate::collect::{chunk_header, CollectLayer};
 use crate::error::EngineError;
-use crate::ids::FragIndex;
-use crate::message::PackMode;
 use crate::plan::PlannedChunk;
 use crate::proto::{
-    encode_packet_with, encode_rndv, make_header, wire_bytes, ChunkHeader, WireChunk, KIND_DATA,
+    encode_packet_with, encode_rndv, wire_bytes, ChunkHeader, WireChunk, KIND_DATA,
 };
 
 /// Cookie used by control packets (no completion bookkeeping).
@@ -111,6 +109,8 @@ pub(crate) struct Transfer {
     pending_ctrl: VecDeque<(usize, NodeId, u16, ChunkHeader)>,
     /// The wire chunks of the data packet submitted last.
     wire: Vec<WireChunk>,
+    /// That packet's size on the wire.
+    wire_bytes: u64,
     /// Where a gather list's header block is written before it is frozen.
     block: Vec<u8>,
 }
@@ -122,6 +122,7 @@ impl Transfer {
             next_cookie: 1,
             pending_ctrl: VecDeque::new(),
             wire: Vec::new(),
+            wire_bytes: 0,
             block: Vec::new(),
         }
     }
@@ -148,7 +149,8 @@ impl Transfer {
     /// what a refusal means (a first send stops the activation; a
     /// retransmission stays tracked for the next sweep) — or fails without
     /// consuming a cookie when `rail` does not reach `dst`. Either way
-    /// [`Transfer::wire`] holds the stamped chunks until the next call.
+    /// [`Transfer::wire`] holds the stamped chunks, and
+    /// [`Transfer::wire_bytes`] their packet's size, until the next call.
     ///
     /// # Panics
     /// Panics when a chunk names a message no longer pending: plans are
@@ -170,7 +172,7 @@ impl Transfer {
                 .find(c.flow, c.seq)
                 .expect("planned chunk references live message");
             WireChunk {
-                header: chunk_header(fs, c.seq, msg, c.frag, c.offset, c.len),
+                header: chunk_header(fs, c.seq, msg, c),
                 data: msg.frags[c.frag as usize]
                     .data
                     .slice(c.offset as usize..(c.offset + c.len) as usize),
@@ -180,14 +182,13 @@ impl Transfer {
         let rail = &self.rails[rail];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
         let segments = encode_packet_with(&mut self.block, wire, linearize);
-        // The bytes selection priced (`validate_chunks`) are the bytes the
-        // NIC is handed.
-        debug_assert_eq!(
-            segments.iter().map(|s| s.len() as u64).sum::<u64>(),
-            wire_bytes(chunks)
-        );
+        // The bytes selection priced (`validate_chunks`, under the headers
+        // stamped here) are the bytes the NIC is handed.
+        let bytes = segments.iter().map(|s| s.len() as u64).sum::<u64>();
+        debug_assert_eq!(bytes, wire_bytes(wire.iter().map(|c| c.header)));
+        self.wire_bytes = bytes;
         let host_prep = if linearize {
-            rail.driver.cost_model().copy_time(wire_bytes(chunks))
+            rail.driver.cost_model().copy_time(bytes)
         } else {
             SimDuration::ZERO
         };
@@ -213,6 +214,12 @@ impl Transfer {
     /// messages (class, submission time) without looking them up again.
     pub(crate) fn wire(&self) -> &[WireChunk] {
         &self.wire
+    }
+
+    /// The size on the wire of the data packet [`Transfer::submit_data`]
+    /// encoded last.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
     }
 
     /// Send (or queue) a control packet on a rail's control channel.
@@ -267,30 +274,4 @@ impl Transfer {
     pub(crate) fn ctrl_len(&self) -> usize {
         self.pending_ctrl.len()
     }
-}
-
-/// The wire header of bytes `offset..offset + len` of fragment `frag` of
-/// live message `seq` of flow `fs` (class, submission time, fragment
-/// geometry). A rendezvous request is the header of an empty range.
-pub(crate) fn chunk_header(
-    fs: &FlowState,
-    seq: u32,
-    msg: &PendingMessage,
-    frag: FragIndex,
-    offset: u32,
-    len: u32,
-) -> ChunkHeader {
-    let f = &msg.frags[frag as usize];
-    make_header(
-        fs.id,
-        seq,
-        frag,
-        msg.frags.len() as u16,
-        f.mode == PackMode::Express,
-        fs.class,
-        f.len(),
-        offset,
-        len,
-        msg.submitted_at,
-    )
 }

@@ -149,8 +149,12 @@ pub fn check_spec(
     let plans = proposals.len();
     let threshold = effective_rndv_threshold(cfg, caps);
     for plan in proposals.to_plans() {
-        let (chunks, bytes) = (plan.chunk_count(), plan.payload_bytes() + plan.framing());
-        let how = cheapest_injection(caps, cost, chunks, bytes, cfg.enable_gather);
+        // A list the collect layer cannot stamp is unpriced, and vetoed.
+        let framing = plan.framing(|c| collect.header(c));
+        let bytes = framing.map(|framing| plan.payload_bytes() + framing);
+        let price =
+            |bytes| cheapest_injection(caps, cost, plan.chunk_count(), bytes, cfg.enable_gather);
+        let how = bytes.and_then(price);
         let plan = plan.injected(how.is_none_or(|how| how.linearize));
         // Selection's first check, before any constraint: the engine sends
         // a winner on the rail it is scheduling, so a plan must name it.

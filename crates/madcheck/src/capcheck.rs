@@ -13,26 +13,71 @@
 //! the form that function picked*. The rule here — PIO up to its size cap,
 //! DMA up to its gather width, one segment after a copy — is spelled from
 //! the capability fields and shares no code with `cost.rs`. Nor does the
-//! packet's size share any with `proto.rs`: [`wire_bytes`] spells the three
-//! header sizes of the wire format itself, so it is the independent verdict
-//! on `proto::framing_of` too.
+//! packet's size share any with `proto.rs`: [`wire_bytes`] counts the
+//! fields of the wire format itself, so it is the independent verdict on
+//! `proto::framing_of` too.
 
 use madeleine::collect::{CollectLayer, RndvState};
-use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
+use madeleine::plan::{PlanBody, TransferPlan};
+use madeleine::proto::ChunkHeader;
 use nicdrv::DriverCapabilities;
 
-/// Bytes a data packet of `chunks` is on the wire, from the format's
-/// definition: a 2-byte count; a 30-byte header for a chunk whose message
-/// the header before it did not name, 11 bytes for one that continues that
-/// message; 4 more for a chunk that does not start its fragment; the
-/// payload.
-pub fn wire_bytes(chunks: &[PlannedChunk]) -> u64 {
+/// Bytes a data packet of chunks under `headers` is on the wire, from the
+/// format's definition: a 2-byte count, then for each chunk its payload
+/// and a header of
+/// - a tag byte;
+/// - unless the header before it has the same flow, sequence, fragment
+///   count, class and submission time: the flow, the sequence and the
+///   fragment count as varints (7 bits a byte), the class byte, and the
+///   submission time as a varint — itself in the packet's first header,
+///   in a later one the zigzag of its difference (mod 2^64) from the
+///   header's before it;
+/// - the fragment index and length as varints;
+/// - the offset as a varint, unless it is 0;
+/// - the chunk length in 4 bytes, unless the chunk ends where its
+///   fragment does.
+pub fn wire_bytes(headers: &[ChunkHeader]) -> u64 {
+    let varint = |v: u64| {
+        let mut bytes = 1;
+        let mut rest = v >> 7;
+        while rest != 0 {
+            bytes += 1;
+            rest >>= 7;
+        }
+        bytes
+    };
+    let message = |h: &ChunkHeader| (h.flow, h.msg_seq, h.frag_count, h.class, h.submit_ns);
     let mut bytes = 2;
-    for (i, c) in chunks.iter().enumerate() {
-        let continues = i > 0 && (chunks[i - 1].flow, chunks[i - 1].seq) == (c.flow, c.seq);
-        bytes += if continues { 11 } else { 30 };
-        bytes += if c.offset != 0 { 4 } else { 0 };
-        bytes += u64::from(c.len);
+    let mut before: Option<&ChunkHeader> = None;
+    for h in headers {
+        bytes += 1;
+        if before.map(message) != Some(message(h)) {
+            let submit = match before {
+                None => h.submit_ns,
+                Some(b) => {
+                    let d = h.submit_ns.wrapping_sub(b.submit_ns) as i64;
+                    if d >= 0 {
+                        2 * d as u64
+                    } else {
+                        2 * !(d as u64) + 1
+                    }
+                }
+            };
+            bytes += varint(h.flow.0.into())
+                + varint(h.msg_seq.into())
+                + varint(h.frag_count.into())
+                + 1
+                + varint(submit);
+        }
+        bytes += varint(h.frag_index.into()) + varint(h.frag_len.into());
+        if h.offset != 0 {
+            bytes += varint(h.offset.into());
+        }
+        if u64::from(h.offset) + u64::from(h.chunk_len) != u64::from(h.frag_len) {
+            bytes += 4;
+        }
+        bytes += u64::from(h.chunk_len);
+        before = Some(h);
     }
     bytes
 }
@@ -116,8 +161,10 @@ impl std::fmt::Display for CapViolation {
 impl std::error::Error for CapViolation {}
 
 /// Check one plan against the raw driver capabilities and the effective
-/// rendezvous threshold. Chunks referencing unknown messages are skipped —
-/// `validate_plan` owns that class of error.
+/// rendezvous threshold, a data packet sized under the headers its
+/// messages in `collect` give its chunks. Chunks referencing unknown
+/// messages are skipped, and leave a packet unsized — `validate_plan` owns
+/// that class of error.
 pub fn check_plan_caps(
     plan: &TransferPlan,
     collect: &CollectLayer,
@@ -141,38 +188,9 @@ pub fn check_plan_caps(
             Ok(())
         }
         PlanBody::Data { chunks, linearize } => {
-            let bytes = wire_bytes(chunks);
-            if bytes > wire_mtu {
-                return Err(CapViolation::PacketExceedsMtu {
-                    bytes,
-                    mtu: wire_mtu,
-                });
-            }
-            if bytes > caps.max_packet_bytes {
-                return Err(CapViolation::PacketExceedsDriverLimit {
-                    bytes,
-                    limit: caps.max_packet_bytes,
-                });
-            }
-            let pio_ok = caps.can_pio(bytes);
-            if *linearize {
-                // One segment after the copy; some path must still take it.
-                if !pio_ok && !caps.supports_dma {
-                    return Err(CapViolation::NoInjectionPath { bytes });
-                }
-            } else {
-                let segs = 1 + chunks.len();
-                if !pio_ok {
-                    // The DMA gather path is the only option left.
-                    if !caps.can_gather(segs) {
-                        let max = if caps.supports_dma {
-                            caps.max_gather_entries
-                        } else {
-                            0
-                        };
-                        return Err(CapViolation::GatherTooWide { segs, max });
-                    }
-                }
+            let headers: Option<Vec<_>> = chunks.iter().map(|c| collect.header(c)).collect();
+            if let Some(headers) = headers {
+                check_packet_caps(&headers, *linearize, caps, wire_mtu)?;
             }
             for c in chunks {
                 let Some(msg) = collect.find_msg(c.flow, c.seq) else {
@@ -192,6 +210,50 @@ pub fn check_plan_caps(
             Ok(())
         }
     }
+}
+
+/// The size and injection checks of a data packet of chunks under
+/// `headers`, injected by copy (`linearize`) or as a gather list.
+fn check_packet_caps(
+    headers: &[ChunkHeader],
+    linearize: bool,
+    caps: &DriverCapabilities,
+    wire_mtu: u64,
+) -> Result<(), CapViolation> {
+    let bytes = wire_bytes(headers);
+    if bytes > wire_mtu {
+        return Err(CapViolation::PacketExceedsMtu {
+            bytes,
+            mtu: wire_mtu,
+        });
+    }
+    if bytes > caps.max_packet_bytes {
+        return Err(CapViolation::PacketExceedsDriverLimit {
+            bytes,
+            limit: caps.max_packet_bytes,
+        });
+    }
+    let pio_ok = caps.can_pio(bytes);
+    if linearize {
+        // One segment after the copy; some path must still take it.
+        if !pio_ok && !caps.supports_dma {
+            return Err(CapViolation::NoInjectionPath { bytes });
+        }
+    } else {
+        let segs = 1 + headers.len();
+        if !pio_ok {
+            // The DMA gather path is the only option left.
+            if !caps.can_gather(segs) {
+                let max = if caps.supports_dma {
+                    caps.max_gather_entries
+                } else {
+                    0
+                };
+                return Err(CapViolation::GatherTooWide { segs, max });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -10,14 +10,15 @@
 //! sweep replays a seeded corpus of pending-chunk shapes against every
 //! capability profile.
 
-use madeleine::ids::FlowId;
+use madeleine::ids::{FlowId, TrafficClass};
 use madeleine::plan::PlannedChunk;
-use madeleine::proto::wire_bytes;
+use madeleine::proto::ChunkHeader;
 use madeleine::reliability::plan_retransmit;
 use nicdrv::{calib, DriverCapabilities};
 use simnet::SplitMix64;
 
 use crate::analyzer::profiles;
+use crate::capcheck::wire_bytes;
 use crate::report::SweepReport;
 
 /// A retransmission packet that violates the target rail's capabilities,
@@ -105,8 +106,36 @@ pub fn max_chunks_per_packet(caps: &DriverCapabilities) -> usize {
     }
 }
 
+/// The header of chunk `c` of a fragment `input` names: the fragment ends
+/// where the last of its chunks in `input` does, and the message has as
+/// many fragments as the highest index `input` names of it says — what a
+/// timed-out packet's chunks let one infer of their messages.
+pub fn inferred_header(input: &[PlannedChunk], c: &PlannedChunk) -> ChunkHeader {
+    let of_message = input.iter().filter(|k| (k.flow, k.seq) == (c.flow, c.seq));
+    let frag_count = of_message
+        .clone()
+        .map(|k| k.frag + 1)
+        .max()
+        .unwrap_or(c.frag + 1);
+    let of_fragment = of_message.filter(|k| k.frag == c.frag);
+    let frag_end = of_fragment.map(|k| k.offset + k.len).max();
+    ChunkHeader {
+        flow: c.flow,
+        msg_seq: c.seq,
+        frag_index: c.frag,
+        frag_count,
+        express: false,
+        class: TrafficClass::DEFAULT,
+        frag_len: frag_end.unwrap_or(c.offset + c.len),
+        offset: c.offset,
+        chunk_len: c.len,
+        submit_ns: 1_000 * u64::from(c.seq),
+    }
+}
+
 /// Verify a re-segmentation (`packets`) of `input` against the rail's
-/// capabilities. Checks are re-derived from `caps` independently of
+/// capabilities, each packet sized under the headers [`inferred_header`]
+/// gives its chunks. Checks are re-derived from `caps` independently of
 /// [`plan_retransmit`]'s internal arithmetic.
 pub fn verify_packets(
     input: &[PlannedChunk],
@@ -125,7 +154,8 @@ pub fn verify_packets(
                 max: max_chunks,
             });
         }
-        let bytes = wire_bytes(packet);
+        let headers: Vec<_> = packet.iter().map(|c| inferred_header(input, c)).collect();
+        let bytes = wire_bytes(&headers);
         if bytes > wire_mtu {
             return Err(RetxViolation::PacketExceedsMtu {
                 bytes,
@@ -192,14 +222,15 @@ pub fn verify_packets(
     Ok(())
 }
 
-/// Run [`plan_retransmit`] on `input` for this rail and verify its output;
-/// returns the packet count on success.
+/// Run [`plan_retransmit`] on `input` for this rail, its chunks' messages
+/// as [`inferred_header`] infers them, and verify its output; returns the
+/// packet count on success.
 pub fn check_retransmit(
     input: &[PlannedChunk],
     caps: &DriverCapabilities,
     wire_mtu: u64,
 ) -> Result<usize, RetxViolation> {
-    let packets = plan_retransmit(input, caps, wire_mtu);
+    let packets = plan_retransmit(input, |c| inferred_header(input, c), caps, wire_mtu);
     verify_packets(input, &packets, caps, wire_mtu)?;
     Ok(packets.len())
 }

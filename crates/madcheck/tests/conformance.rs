@@ -149,13 +149,36 @@ fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
     use madcheck::{check_plan_caps, ANALYZED_RAIL};
     use madeleine::collect::CollectLayer;
     use madeleine::cost::cheapest_injection;
-    use madeleine::ids::FlowId;
+    use madeleine::ids::{FlowId, TrafficClass};
+    use madeleine::message::{MessageBuilder, PackMode};
     use madeleine::plan::{PlanBody, PlannedChunk, TransferPlan};
-    use madeleine::proto::framing_of;
+    use madeleine::proto::{framing_of, lone_packet_bytes};
     use nicdrv::{calib, CostModel};
-    use simnet::{NodeId, TxMode};
+    use simnet::{NodeId, SimTime, TxMode};
 
-    let nothing_pending = CollectLayer::new();
+    let shapes = [(1u32, 0u32), (2, 0), (4, 0), (1, 7), (4, 7)];
+    let sizes = [16u32, 64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10];
+    // The messages of every list below, by size and shape: message `m`
+    // is `run` fragments of `size` bytes on flow `m`, all submitted at
+    // once, the first fragment `resumed_at` bytes longer.
+    let backlog = |size: u32, (run, resumed_at): (u32, u32)| {
+        let mut collect = CollectLayer::new();
+        for m in 0..32u32.div_ceil(run) {
+            let flow = collect.open_flow(NodeId(1), TrafficClass::DEFAULT);
+            assert_eq!(flow, FlowId(m));
+            let mut b = MessageBuilder::new();
+            for frag in 0..run {
+                let extra = if m == 0 && frag == 0 { resumed_at } else { 0 };
+                b = b.pack(&vec![0u8; (size + extra) as usize], PackMode::Cheaper);
+            }
+            collect.submit(flow, b.build_parts(), SimTime::ZERO, u64::MAX);
+        }
+        collect
+    };
+    let backlogs: Vec<_> = sizes
+        .iter()
+        .flat_map(|&size| shapes.map(|shape| ((size, shape), backlog(size, shape))))
+        .collect();
     let (mut choices, mut by_copy, mut unpriced, mut moved_by_runs) = (0, 0, 0, 0);
     for tech in profiles() {
         let params = calib::params(tech);
@@ -167,8 +190,6 @@ fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
             if caps.validate().is_err() {
                 continue; // a DMA-only technology has no PIO-only variant
             }
-            let shapes = [(1u32, 0u32), (2, 0), (4, 0), (1, 7), (4, 7)];
-            let sizes = [16u32, 64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10];
             for (n, size, (run, resumed_at)) in (1..=32usize)
                 .flat_map(|n| sizes.map(|size| (n, size)))
                 .flat_map(|(n, size)| shapes.map(|shape| (n, size, shape)))
@@ -184,9 +205,19 @@ fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
                         len: size,
                     })
                     .collect();
+                let collect = &backlogs
+                    .iter()
+                    .find(|(key, _)| *key == (size, (run, resumed_at)))
+                    .expect("built")
+                    .1;
+                let headers: Vec<_> = chunks.iter().map(|c| collect.header(c).unwrap()).collect();
                 let payload = n as u64 * u64::from(size);
-                let bytes = wire_bytes(&chunks);
-                assert_eq!(bytes, payload + framing_of(&chunks), "n={n} run={run}");
+                let bytes = wire_bytes(&headers);
+                assert_eq!(
+                    bytes,
+                    payload + framing_of(headers.clone()),
+                    "n={n} run={run}"
+                );
                 if bytes > params.mtu.min(caps.max_packet_bytes) {
                     continue; // no packet: both checkers stop at its size
                 }
@@ -200,7 +231,7 @@ fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
                     strategy: "priced",
                 };
                 let admitted = |plan: &TransferPlan| {
-                    check_plan_caps(plan, &nothing_pending, &caps, params.mtu, u64::MAX).is_ok()
+                    check_plan_caps(plan, collect, &caps, params.mtu, u64::MAX).is_ok()
                 };
                 for enable_gather in [true, false] {
                     let mut want = None;
@@ -229,9 +260,10 @@ fn the_injection_decision_is_the_argmin_over_the_legal_modes() {
                         caps.supports_dma
                     );
                     assert_eq!(got.map(|h| (h.linearize, h.mode, h.busy)), want, "{at}");
-                    // What the same list chose when every header named
-                    // its message.
-                    let unshared = bytes + 19 * (n as u64 - n.div_ceil(run as usize) as u64);
+                    // What the same list chose if every header named its
+                    // message.
+                    let alone = headers.iter().map(|h| lone_packet_bytes(h) - 2);
+                    let unshared = 2 + alone.sum::<u64>();
                     let before = cheapest_injection(&caps, &cost, n, unshared, enable_gather);
                     moved_by_runs += usize::from(
                         before.map(|h| (h.linearize, h.mode)) != got.map(|h| (h.linearize, h.mode)),

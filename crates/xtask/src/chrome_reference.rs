@@ -320,7 +320,10 @@ fn streamed_export_equals_the_reference_over_the_corpus() {
 /// with the scores of a packet valued by the share of each message it
 /// delivers (seven score numerators moved, nothing else) — less the
 /// `PlanProposed` and `PlanScored` of `reorder-urgent` in activation 1,
-/// which left with that proposer.
+/// which left with that proposer — and with the sizes and instants of the
+/// wire format whose header fields are as long as their values (the first
+/// packet is 106 bytes where it was 128, the second 730 for 884; every
+/// score denominator and timestamp after them follows from that).
 #[test]
 fn smoke_cell_export_equals_the_committed_golden_file() {
     let golden = include_str!("../golden/trace_smoke.chrome.json");

@@ -163,12 +163,13 @@ fn undecodable_packet_counted_not_fatal() {
 
 #[test]
 fn hostile_header_blocks_counted_not_fatal() {
-    // The header block is as long as its tags say, so a peer can lie in
-    // four more ways than by sending garbage: a first header that
+    // The header block is as long as its fields say, so a peer can lie in
+    // five more ways than by sending garbage: a first header that
     // continues a message the packet has not named, a tag bit the format
     // does not define, a block that runs past the packet, a count the
-    // bytes cannot hold. Each is one protocol error, none delivers
-    // anything — and the valid packet behind them is delivered.
+    // bytes cannot hold, a varint longer than its shortest form. Each is
+    // one protocol error, none delivers anything — and the valid packet
+    // behind them is delivered.
     use madeleine::proto::{encode_packet, make_header, WireChunk, KIND_DATA};
     let mut sim = Simulation::new();
     let net = sim.add_network(calib::params(Technology::MyrinetMx));
@@ -206,8 +207,9 @@ fn hostile_header_blocks_counted_not_fatal() {
     let hostile = [
         mutated(&|b| b[2] |= 0b010), // SAME_MSG on the packet's first header
         mutated(&|b| b[2] |= 0b1000_0000), // an unknown tag bit
-        mutated(&|b| b.truncate(2 + 17)), // the block runs past the packet
-        mutated(&|b| b[..2].copy_from_slice(&u16::MAX.to_le_bytes())), // 65 535 chunks in 44 bytes
+        mutated(&|b| b.truncate(2 + 5)), // the block runs past the packet
+        mutated(&|b| b[..2].copy_from_slice(&u16::MAX.to_le_bytes())), // 65 535 chunks in 22 bytes
+        mutated(&|b| b.splice(3..4, [0x80, 0x00]).for_each(drop)), // flow 0 in two bytes
     ];
     let sent = hostile.len() as u64;
     sim.inject(a, |ctx| {

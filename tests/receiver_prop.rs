@@ -15,7 +15,10 @@ use simnet::{NicId, NodeId, SimTime, WirePacket};
 /// The receiver as it read before fragments kept their packet's buffer —
 /// `FragmentAssembly`, `drain_ready`, `on_chunk` and `on_cancel` verbatim
 /// (a `calloc` and a copy per chunk, two range vectors per insert, a copy
-/// per delivery): the model the shipped receiver is held to.
+/// per delivery), but for one rule added since: a chunk whose fragment
+/// geometry no message has — an index not below its count, or a count
+/// other than its message's — is a protocol error and touches nothing.
+/// The model the shipped receiver is held to.
 mod reference {
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -193,6 +196,10 @@ mod reference {
             now: SimTime,
         ) -> Vec<DeliveredMessage> {
             let h = &chunk.header;
+            if h.frag_index >= h.frag_count {
+                self.stats.proto_errors += 1;
+                return Vec::new();
+            }
             let key = (src, h.flow);
             let fx = self.flows.entry(key).or_default();
             // Late chunk for an already-delivered message (duplicate) or a
@@ -209,11 +216,11 @@ mod reference {
                     submit_ns: h.submit_ns,
                     frags: (0..h.frag_count as usize).map(|_| None).collect(),
                 });
-            let fi = h.frag_index as usize;
-            if fi >= asm.frags.len() {
-                self.stats.overlaps += 1;
+            if asm.frags.len() != usize::from(h.frag_count) {
+                self.stats.proto_errors += 1;
                 return Vec::new();
             }
+            let fi = h.frag_index as usize;
             // Express check: every express fragment before this one should
             // already be complete when any of our bytes arrive.
             let violation = asm.frags[..fi].iter().any(|f| match f {
@@ -491,7 +498,15 @@ proptest! {
         let (mut got, mut want) = (Receiver::new(), reference::Receiver::new());
         let counters = |s: &madeleine::receiver::ReceiverStats| {
             (
-                [s.chunks, s.completed, s.delivered, s.cancelled, s.express_violations, s.overlaps],
+                [
+                    s.chunks,
+                    s.completed,
+                    s.delivered,
+                    s.cancelled,
+                    s.express_violations,
+                    s.overlaps,
+                    s.proto_errors,
+                ],
                 s.per_vchan_packets.clone(),
             )
         };
@@ -575,7 +590,14 @@ fn replay(steps: &[Step]) -> Vec<Vec<u32>> {
         };
         assert_eq!(format!("{g:?}"), format!("{w:?}"), "step {i}");
         let counters = |s: &madeleine::receiver::ReceiverStats| {
-            [s.chunks, s.completed, s.delivered, s.cancelled, s.overlaps]
+            [
+                s.chunks,
+                s.completed,
+                s.delivered,
+                s.cancelled,
+                s.overlaps,
+                s.proto_errors,
+            ]
         };
         assert_eq!(counters(&got.stats), counters(&want.stats), "step {i}");
         seqs.push(g.iter().map(|m| m.id.seq.0).collect());
@@ -583,19 +605,19 @@ fn replay(steps: &[Step]) -> Vec<Vec<u32>> {
     seqs
 }
 
-/// A chunk whose fragment index is out of range still opens its message,
-/// here with no fragment at all: complete, but nothing delivers it until a
-/// later message of the flow completes and the drain it sets off reaches
-/// the head — which a receiver that drains only after a head delivery
-/// never does.
+/// A chunk that says its message has no fragments opens nothing: it used
+/// to open the flow's head as a message complete with no bytes, which the
+/// next completion delivered in place of the true one. The true head, when
+/// it comes, delivers itself and what waited behind it.
 #[test]
-fn a_head_with_no_fragments_leaves_with_the_drain_a_later_completion_sets_off() {
+fn a_chunk_of_no_fragments_opens_no_head_and_wedges_nothing() {
     let delivered = replay(&[
         Step::Chunk(0, 0, 0, b"lie"),
         Step::Chunk(2, 0, 1, b"two"),
         Step::Chunk(1, 0, 1, b"one"),
+        Step::Chunk(0, 0, 1, b"zero"),
     ]);
-    assert_eq!(delivered, [vec![], vec![0], vec![1, 2]]);
+    assert_eq!(delivered, [vec![], vec![], vec![], vec![0, 1, 2]]);
 }
 
 /// Message 1's header arrives ahead of its turn and waits in the map; once

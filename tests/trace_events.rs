@@ -315,6 +315,46 @@ fn flight_recorder_fires_once_on_proto_error() {
 }
 
 #[test]
+fn a_varint_past_its_shortest_form_is_one_proto_error_and_fires_the_recorder() {
+    // The next message of the run's flow, whose flow id is written in two
+    // bytes instead of one: the decoder accepts only the encoder's form,
+    // so the packet is refused whole and the message is not delivered.
+    let mut c = traced_run(4);
+    let h1 = c.handle(1).opt().expect("optimizing engine").clone();
+    let delivered = h1.metrics().delivered_msgs;
+    let header = ChunkHeader {
+        flow: FlowId(0),
+        msg_seq: 4,
+        frag_index: 0,
+        frag_count: 1,
+        express: false,
+        class: TrafficClass::DEFAULT,
+        frag_len: 48,
+        offset: 0,
+        chunk_len: 48,
+        submit_ns: 0,
+    };
+    let chunk = WireChunk {
+        header,
+        data: bytes::Bytes::from_static(&[7; 48]),
+    };
+    let mut flat = encode_packet(&[chunk], true).remove(0).to_vec();
+    assert_eq!(&flat[..4], &[1, 0, 0b1000, 0]);
+    flat.splice(3..4, [0x80, 0x00]);
+    let mut pkt = malformed_packet(&c);
+    pkt.payload = vec![bytes::Bytes::from(flat)];
+    let (nic, receiver) = (c.nics[1][0], c.nodes[1]);
+    let h = h1.clone();
+    c.sim
+        .inject(receiver, move |ctx| h.inject_packet(ctx, nic, pkt));
+    c.drain();
+    assert_eq!(h1.metrics().proto_errors, 1);
+    assert_eq!(h1.metrics().delivered_msgs, delivered);
+    let dump = h1.flight_dump().expect("the error fires the recorder");
+    assert_eq!(dump.trigger, Fault::ProtoError);
+}
+
+#[test]
 fn flight_dump_artifact_has_the_golden_shape() {
     let mut c = traced_run(4);
     let h1 = c.handle(1).opt().expect("optimizing engine").clone();
