@@ -1109,6 +1109,7 @@ impl CollectLayer {
 ///
 /// # Panics
 /// Panics when the message has no fragment `c.frag`.
+#[inline]
 pub(crate) fn chunk_header(
     fs: &FlowState,
     seq: u32,

@@ -26,9 +26,13 @@ use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
-use crate::plan::{Body, DstGroup, PlanRef, PlannedChunk, TransferPlan};
-use crate::proto::{lone_packet_bytes, wire_bytes, ChunkHeader};
+use crate::plan::{DstGroup, PlannedChunk, TransferPlan};
 use crate::strategy::{OptContext, NO_HINT};
+#[cfg(test)]
+use crate::{
+    plan::{Body, PlanRef},
+    proto::{lone_packet_bytes, wire_bytes, ChunkHeader},
+};
 
 /// A plan together with its evaluated score.
 #[derive(Clone, Debug)]
@@ -185,8 +189,9 @@ pub(crate) fn cheaper_mode(
 
 /// Unloaded one-way time of a one-segment packet of `bytes` (payload and
 /// framing) on a rail, injected in the cheapest mode the rail admits: for
-/// a control packet ([`lone_packet_bytes`] of its header), half the
-/// handshake a rendezvous request starts, and the way back of an ack.
+/// a control packet ([`lone_packet_bytes`](crate::proto::lone_packet_bytes)
+/// of its header), half the handshake a rendezvous request starts, and the
+/// way back of an ack.
 pub(crate) fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
     let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
     cost.one_way(mode, bytes, 1)
@@ -217,9 +222,9 @@ fn priced(
 /// processing … or even use a gather/scatter request"): the cheapest way
 /// the rail admits of injecting a data packet of `chunks` chunks that is
 /// `bytes` long on the wire — payload and the framing its chunk list has
-/// ([`wire_bytes`]), the bytes the NIC is handed — `{gather, copy} × {PIO,
-/// DMA}`, a copy paying its memcpy — or `None` when it admits none, which
-/// vetoes the packet. A strategy proposes a chunk list; this prices how it
+/// ([`wire_bytes`](crate::proto::wire_bytes)), the bytes the NIC is
+/// handed — `{gather, copy} × {PIO, DMA}`, a copy paying its memcpy — or
+/// `None` when it admits none, which vetoes the packet. A strategy proposes a chunk list; this prices how it
 /// goes out. On a tie the gather list is kept. `enable_gather == false`
 /// leaves a packet of several chunks the copy alone (E10's and E11's
 /// forced-copy arm).
@@ -247,13 +252,8 @@ pub(crate) struct RequestCost {
 }
 
 impl RequestCost {
-    /// The cost of the request under `header`: a small linearized control
-    /// packet, and the grant that echoes its header.
-    pub(crate) fn of(header: &ChunkHeader, ctx: &OptContext<'_>) -> Self {
-        RequestCost::sized(lone_packet_bytes(header), ctx)
-    }
-
-    /// The cost of a request `bytes` long on the wire.
+    /// The cost of a request `bytes` long on the wire: a small linearized
+    /// control packet, and the grant that echoes its header.
     pub(crate) fn sized(bytes: u64, ctx: &OptContext<'_>) -> Self {
         // The request out and the grant back: two control packets.
         let handshake = one_way(ctx.caps, ctx.cost, bytes) * 2;
@@ -287,7 +287,12 @@ impl RequestCost {
 /// offers its fragment — a rendezvous request's, for the empty chunk at
 /// the start of a fragment offered for one; `None` for a fragment the
 /// window does not offer.
-pub fn window_header(c: &PlannedChunk, dst: NodeId, ctx: &OptContext<'_>) -> Option<ChunkHeader> {
+#[cfg(test)]
+pub(crate) fn window_header(
+    c: &PlannedChunk,
+    dst: NodeId,
+    ctx: &OptContext<'_>,
+) -> Option<ChunkHeader> {
     let home = home_group(ctx, dst);
     let key = |flow, seq, frag| (flow, seq, frag) == (c.flow, c.seq, c.frag);
     let all = ctx.groups.iter().flat_map(|g| g.candidates.iter());
@@ -310,7 +315,8 @@ pub fn window_header(c: &PlannedChunk, dst: NodeId, ctx: &OptContext<'_>) -> Opt
 /// fragment's start) — the window's ([`window_header`]), or the collect
 /// layer's; `None` for a data packet the rail cannot inject that way, or a
 /// chunk `stamp` knows no header of.
-pub fn estimate_busy(
+#[cfg(test)]
+pub(crate) fn estimate_busy(
     plan: PlanRef<'_>,
     ctx: &OptContext<'_>,
     stamp: impl Fn(&PlannedChunk) -> Option<ChunkHeader>,
@@ -318,7 +324,7 @@ pub fn estimate_busy(
     match plan.body {
         Body::RndvRequest { flow, seq, frag } => {
             let request = stamp(&PlannedChunk::request(flow, seq, frag))?;
-            Some(RequestCost::of(&request, ctx).est_busy)
+            Some(RequestCost::sized(lone_packet_bytes(&request), ctx).est_busy)
         }
         Body::Data { chunks, linearize } => {
             let headers: Option<Vec<_>> = chunks.iter().map(stamp).collect();
@@ -330,11 +336,13 @@ pub fn estimate_busy(
 
 /// Score a plan, injected as it says and under the headers `stamp` gives
 /// it, against the window it was proposed from (`ctx.groups`): `(score,
-/// estimated busy time)`, or `None` where [`estimate_busy`] has none. Higher is better; deterministic for
-/// identical inputs. A selection pass computes the same from the same
-/// parts — a chunk list's value and its cheapest injection once however
-/// often it is proposed.
-pub fn score_plan(
+/// estimated busy time)`, or `None` where [`estimate_busy`] has none.
+/// Higher is better; deterministic for identical inputs. A selection pass
+/// computes the same from the same parts — a chunk list's value and its
+/// cheapest injection once however often it is proposed; this spelling of
+/// it plan by plan is the tests'.
+#[cfg(test)]
+pub(crate) fn score_plan(
     plan: PlanRef<'_>,
     ctx: &OptContext<'_>,
     stamp: impl Fn(&PlannedChunk) -> Option<ChunkHeader>,
@@ -347,7 +355,7 @@ pub fn score_plan(
         }
         Body::RndvRequest { flow, seq, frag } => {
             let request = stamp(&PlannedChunk::request(flow, seq, frag))?;
-            let cost = RequestCost::of(&request, ctx);
+            let cost = RequestCost::sized(lone_packet_bytes(&request), ctx);
             let score = cost.score(plan.dst, (flow, seq, frag), NO_HINT, ctx);
             Some((score, cost.est_busy))
         }
@@ -443,12 +451,31 @@ mod tests {
         let slice = score(&plan, &ctx_fixture(&slice, &caps, &cost, &cfg));
         assert_eq!(whole.est_busy, slice.est_busy);
         assert_eq!(whole.score, 64.0 * slice.score);
-        // Age is no part of it (the header says when the message was
-        // submitted, here in as many bytes).
-        let mut aged = window(64);
-        aged[0].candidates[0].submitted_at = SimTime::from_nanos(500_000);
-        let aged = score(&plan, &ctx_fixture(&aged, &caps, &cost, &cfg));
-        assert_eq!(aged.score, whole.score);
+        // Age is no part of the value. The header says when the message
+        // was submitted, though: at time zero in one byte where 1 ms takes
+        // three, so the older message's packet is two bytes shorter and
+        // busies the engine for that much less.
+        let (mut aged, young) = (window(64), window(64));
+        aged[0].candidates[0].submitted_at = SimTime::ZERO;
+        let (aged_ctx, young_ctx) = (
+            ctx_fixture(&aged, &caps, &cost, &cfg),
+            ctx_fixture(&young, &caps, &cost, &cfg),
+        );
+        let value = |ctx: &OptContext<'_>| chunks_value(NodeId(1), plan.chunks(), &[], ctx);
+        assert_eq!(value(&aged_ctx), value(&young_ctx));
+        let bytes = |g: &[DstGroup]| lone_packet_bytes(&g[0].candidates[0].whole());
+        assert_eq!(bytes(&young) - bytes(&aged), 2);
+        let busy = |bytes| priced(&caps, &cost, 1, bytes, false).unwrap().busy;
+        let aged = score(&plan, &aged_ctx);
+        assert_eq!(
+            (aged.est_busy, whole.est_busy),
+            (busy(bytes(&aged_ctx.groups)), busy(bytes(&young)))
+        );
+        assert!(aged.est_busy < whole.est_busy);
+        assert_eq!(
+            aged.score,
+            density(value(&aged_ctx), aged.est_busy, &aged_ctx)
+        );
         // One message in 64 B beats one in 4 KiB: the same weight for
         // less busy time.
         let big = window(4096);
@@ -642,17 +669,16 @@ mod tests {
         use crate::proto::{encode_packet, make_header, WireChunk};
         use bytes::Bytes;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
-        /// 1–24 chunks of distinct fragments over a few messages of a few
-        /// flows, so that runs of one message and messages named twice
-        /// both occur; a third of the chunks resume their fragment, and a
-        /// third stop short of its end.
+        /// 1–64 chunks over a few messages of a few flows, so that runs of
+        /// one message, messages named twice and fragments cut into
+        /// several chunks all occur; a third of the chunks resume their
+        /// fragment, and a third say their fragment goes on past them.
         fn chunk_lists() -> impl Strategy<Value = Vec<(PlannedChunk, u32)>> {
             let chunk = (0u32..3, 0u32..2, 0u16..4, 0u32..3, 1u32..300, 0u32..3);
             prop::collection::vec(chunk, 1..65).prop_map(|list| {
-                let mut seen = std::collections::BTreeSet::new();
                 list.into_iter()
-                    .filter(|&(flow, seq, frag, ..)| seen.insert((flow, seq, frag)))
                     .map(|(flow, seq, frag, resumed, len, short)| {
                         let chunk = PlannedChunk {
                             flow: FlowId(flow),
@@ -667,10 +693,28 @@ mod tests {
             })
         }
 
+        type FragKey = (FlowId, u32, FragIndex);
+
+        /// Each fragment's length, one for all its chunks: where its
+        /// furthest chunk ends, and as many bytes more as its first chunk
+        /// in the list says it goes on.
+        fn frag_lens(list: &[(PlannedChunk, u32)]) -> BTreeMap<FragKey, u32> {
+            let mut lens = BTreeMap::new();
+            for &(c, short) in list {
+                let end = c.offset + c.len;
+                lens.entry((c.flow, c.seq, c.frag))
+                    .and_modify(|(furthest, _): &mut (u32, u32)| *furthest = end.max(*furthest))
+                    .or_insert((end, short));
+            }
+            lens.into_iter()
+                .map(|(key, (end, short))| (key, end + short))
+                .collect()
+        }
+
         /// The chunk as `Transfer::submit_data` stamps it, its fragment
-        /// going on `short` bytes past it: what a header says of its
-        /// message is a function of the message.
-        fn stamped(&(c, short): &(PlannedChunk, u32)) -> WireChunk {
+        /// `frag_len` bytes long: what a header says of its message is a
+        /// function of the message.
+        fn stamped(c: &PlannedChunk, frag_len: u32) -> WireChunk {
             WireChunk {
                 header: make_header(
                     c.flow,
@@ -679,7 +723,7 @@ mod tests {
                     4,
                     c.frag == 0,
                     TrafficClass(c.flow.0 as u8),
-                    c.offset + c.len + short,
+                    frag_len,
                     c.offset,
                     c.len,
                     SimTime::from_nanos(u64::from(c.flow.0) * 1000 + u64::from(c.seq)),
@@ -688,21 +732,21 @@ mod tests {
             }
         }
 
-        /// The window entry the chunk is cut from, as the collect layer
-        /// would offer it.
-        fn offered(at: usize, &(c, short): &(PlannedChunk, u32)) -> ChunkCandidate {
+        /// The window entry of a fragment `frag_len` bytes long, as the
+        /// collect layer would offer it before any of it is sent.
+        fn offered(at: usize, (flow, seq, frag): FragKey, frag_len: u32) -> ChunkCandidate {
             ChunkCandidate {
                 at: at as u32,
-                flow: c.flow,
-                seq: c.seq,
-                frag: c.frag,
+                flow,
+                seq,
+                frag,
                 frag_count: 4,
-                offset: c.offset,
-                remaining: c.len + short,
-                msg_remaining: u64::from(c.len + short),
-                express: c.frag == 0,
-                class: TrafficClass(c.flow.0 as u8),
-                submitted_at: SimTime::from_nanos(u64::from(c.flow.0) * 1000 + u64::from(c.seq)),
+                offset: 0,
+                remaining: frag_len,
+                msg_remaining: u64::from(frag_len),
+                express: frag == 0,
+                class: TrafficClass(flow.0 as u8),
+                submitted_at: SimTime::from_nanos(u64::from(flow.0) * 1000 + u64::from(seq)),
             }
         }
 
@@ -718,11 +762,14 @@ mod tests {
                 enable_gather in any::<bool>(),
             ) {
                 let (caps, cost) = (calib::capabilities(tech), CostModel::from_params(&calib::params(tech)));
-                let wire: Vec<WireChunk> = list.iter().map(stamped).collect();
-                let payload: u64 = list.iter().map(|(c, _)| u64::from(c.len)).sum();
+                let lens = frag_lens(&list);
+                let list: Vec<PlannedChunk> = list.into_iter().map(|(c, _)| c).collect();
+                let wire: Vec<WireChunk> =
+                    list.iter().map(|c| stamped(c, lens[&(c.flow, c.seq, c.frag)])).collect();
+                let payload: u64 = list.iter().map(|c| u64::from(c.len)).sum();
                 let bytes = payload + crate::proto::framing_of(wire.iter().map(|w| w.header));
-                let (list, window): (Vec<_>, Vec<_>) =
-                    list.iter().enumerate().map(|(at, c)| (c.0, offered(at, c))).unzip();
+                let window: Vec<_> =
+                    lens.iter().enumerate().map(|(at, (&key, &len))| offered(at, key, len)).collect();
                 for linearize in [false, true] {
                     let segs = encode_packet(&wire, linearize);
                     let encoded: u64 = segs.iter().map(|s| s.len() as u64).sum();

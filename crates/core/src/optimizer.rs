@@ -61,10 +61,11 @@ pub struct SelectionOutcome {
 /// What a selection pass works in, kept by its caller from pass to pass:
 /// the proposals' chunk arena, the in-plan coverage validation writes, the
 /// verdict on every distinct chunk list judged so far in the pass, and the
-/// chunk lists of packets the engine is through with, which winners are
-/// written in. A pass leaves nothing behind that the next one reads, so
-/// one scratch serves any sequence of windows; after the first few it
-/// costs a pass no allocation, however many proposals the strategies make.
+/// chunk list of the packet the engine was last through with, which the
+/// next winner is written in. A pass leaves nothing behind that the next
+/// one reads, so one scratch serves any sequence of windows; after the
+/// first few it costs a pass no allocation, however many proposals the
+/// strategies make.
 #[derive(Debug, Default)]
 pub(crate) struct SelectionScratch {
     proposals: Proposals,
@@ -72,17 +73,8 @@ pub(crate) struct SelectionScratch {
     judged: Vec<JudgedList>,
     /// The sizes on the wire of the valid judged lists, after each chunk.
     sizes: Vec<u64>,
-    lists: Vec<Vec<PlannedChunk>>,
+    spare: Vec<PlannedChunk>,
 }
-
-/// How many spare chunk lists a selection scratch keeps.
-const SPARE_LISTS: usize = 16;
-
-/// The longest spare chunk list kept, in chunks: a list is kept where its
-/// allocation would be a share of each message's cost — on a packet of a
-/// few messages; a packet of hundreds spreads a fresh one thin, and a
-/// kept one would hold its memory.
-const SPARE_LIST_CHUNKS: usize = 16;
 
 /// The verdict on one chunk list toward one destination, on the rail and
 /// over the window and backlog of the pass: everything there is to say
@@ -204,8 +196,8 @@ pub fn select_plan_traced(
 /// The outcome, the counters (a repeated list is still a plan evaluated)
 /// and the decision log are those of judging every proposal from scratch,
 /// in both forms,
-/// with [`validate_plan`](crate::constraints::validate_plan) and
-/// [`score_plan`](crate::cost::score_plan), and keeping the cheaper.
+/// with [`validate_plan`](crate::constraints::validate_plan) and the tests'
+/// `cost::score_plan`, and keeping the cheaper.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_plan_in(
     scratch: &mut SelectionScratch,
@@ -222,7 +214,7 @@ pub(crate) fn select_plan_in(
         coverage,
         judged,
         sizes,
-        lists,
+        spare,
     } = scratch;
     proposals.clear();
     judged.clear();
@@ -348,7 +340,7 @@ pub(crate) fn select_plan_in(
     let best = best.map(|(at, score, est_busy, by_copy)| {
         let winner = proposals.get(at);
         let list = match winner.body {
-            Body::Data { .. } => lists.pop().unwrap_or_default(),
+            Body::Data { .. } => std::mem::take(spare),
             Body::RndvRequest { .. } => Vec::new(),
         };
         ScoredPlan {
@@ -457,14 +449,10 @@ impl Optimizer {
         self.scratch = scratch;
     }
 
-    /// The chunk list of a packet the engine is through with: a later
-    /// winner is written in it, if it is short and few wait
-    /// ([`SPARE_LIST_CHUNKS`], [`SPARE_LISTS`]).
+    /// The chunk list of a packet the engine is through with: the next
+    /// winner is written in it.
     pub(crate) fn recycle(&mut self, list: Vec<PlannedChunk>) {
-        let lists = &mut self.scratch.selection.lists;
-        if lists.len() < SPARE_LISTS && list.capacity() <= SPARE_LIST_CHUNKS {
-            lists.push(list);
-        }
+        self.scratch.selection.spare = list;
     }
 
     pub(crate) fn registry(&self) -> &StrategyRegistry {

@@ -44,8 +44,6 @@
 
 // madlint: file: hot-path
 
-use std::borrow::Cow;
-
 use bytes::Bytes;
 use simnet::{SimTime, WirePacket};
 
@@ -86,16 +84,13 @@ const TAG_OFFSET: u8 = 1 << 2;
 const TAG_TAIL: u8 = 1 << 3;
 const TAG_KNOWN: u8 = TAG_EXPRESS | TAG_SAME_MSG | TAG_OFFSET | TAG_TAIL;
 
-/// Bytes of `v` as a varint: one per seven bits, counted from the low end
-/// because most fields are small.
+/// Bytes of `v` as a varint: one per seven of its significant bits, at
+/// least one — for `h` the index of its highest set bit, `⌈(h + 1) / 7⌉`,
+/// which `(9h + 73) / 64` is for every `h` below 64.
 #[inline]
 const fn varint_len(v: u64) -> u64 {
-    let (mut bytes, mut rest) = (1, v >> 7);
-    while rest != 0 {
-        bytes += 1;
-        rest >>= 7;
-    }
-    bytes
+    let high_bit = 63 - (v | 1).leading_zeros() as u64;
+    (high_bit * 9 + 73) / 64
 }
 
 /// What a message part says of its submission time behind `before`, the
@@ -189,6 +184,7 @@ impl Framing {
 
 /// Framing bytes of a data packet carrying chunks under `headers`, in
 /// order.
+#[inline]
 pub fn framing_of(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
     let mut framing = Framing::new();
     for h in headers {
@@ -199,6 +195,7 @@ pub fn framing_of(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
 
 /// Bytes a data packet carrying chunks under `headers` puts on the wire:
 /// payload and framing.
+#[inline]
 pub fn wire_bytes(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
     let mut framing = Framing::new();
     let mut payload = 0;
@@ -212,6 +209,7 @@ pub fn wire_bytes(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
 /// Bytes a packet of one chunk under `h` puts on the wire, payload
 /// included: a control packet (`h` is metadata only), or a data packet
 /// that carries a chunk alone.
+#[inline]
 pub fn lone_packet_bytes(h: &ChunkHeader) -> u64 {
     PACKET_PREFIX_BYTES + h.encoded_len(None) + u64::from(h.chunk_len)
 }
@@ -282,21 +280,26 @@ impl ChunkHeader {
     /// Bytes of this header on the wire behind the message part `before`.
     #[inline]
     fn encoded_len(&self, before: Option<&MessagePart>) -> u64 {
-        let mut len = 1 + varint_len(self.frag_index.into()) + varint_len(self.frag_len.into());
-        if self.offset != 0 {
-            len += varint_len(self.offset.into());
+        let offset = if self.offset != 0 {
+            varint_len(self.offset.into())
+        } else {
+            0
+        };
+        let length = if self.is_tail() { 0 } else { CHUNK_LEN_BYTES };
+        let chunk_part = 1
+            + varint_len(self.frag_index.into())
+            + varint_len(self.frag_len.into())
+            + offset
+            + length;
+        if self.continues(before) {
+            return chunk_part;
         }
-        if !self.is_tail() {
-            len += CHUNK_LEN_BYTES;
-        }
-        if !self.continues(before) {
-            len += varint_len(self.flow.0.into())
-                + varint_len(self.msg_seq.into())
-                + varint_len(self.frag_count.into())
-                + 1
-                + varint_len(submit_field(self.submit_ns, before));
-        }
-        len
+        chunk_part
+            + varint_len(self.flow.0.into())
+            + varint_len(self.msg_seq.into())
+            + varint_len(self.frag_count.into())
+            + 1
+            + varint_len(submit_field(self.submit_ns, before))
     }
 
     /// Append the header as it travels behind the message part `before`.
@@ -351,6 +354,7 @@ struct ControlPacket {
 }
 
 impl Put for ControlPacket {
+    #[inline]
     fn put(&mut self, byte: u8) {
         self.b[self.n] = byte;
         self.n += 1;
@@ -584,55 +588,23 @@ impl Fields<'_> {
         Ok(())
     }
 
-    /// Step over a varint of a `bits`-bit field, no longer than the
-    /// field's widest.
-    #[inline]
-    fn skip_varint(&mut self, bits: u32) -> Result<(), ProtoError> {
-        for _ in 0..bits.div_ceil(7) {
-            if self.byte()? < 0x80 {
-                return Ok(());
-            }
-        }
-        Err(ProtoError::BadVarint)
-    }
-
-    /// Step over the next header — the packet's first when `first` —
-    /// checking only what its length rests on: its tag, and that no
-    /// varint runs longer than its field's widest. [`Fields::header`]
-    /// reads it.
-    fn skip_header(&mut self, first: bool) -> Result<(), ProtoError> {
-        let tag = self.byte()?;
-        if tag & !TAG_KNOWN != 0 || (first && tag & TAG_SAME_MSG != 0) {
-            return Err(ProtoError::BadTag);
-        }
-        if tag & TAG_SAME_MSG == 0 {
-            self.skip_varint(32)?;
-            self.skip_varint(32)?;
-            self.skip_varint(16)?;
-            self.byte()?;
-            self.skip_varint(64)?;
-        }
-        self.skip_varint(16)?;
-        self.skip_varint(32)?;
-        if tag & TAG_OFFSET != 0 {
-            self.skip_varint(32)?;
-        }
-        if tag & TAG_TAIL == 0 {
-            for _ in 0..CHUNK_LEN_BYTES {
-                self.byte()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Step over `chunks` headers from the start: where the block they
-    /// make ends.
-    fn block_len(b: &[u8], chunks: usize) -> Result<usize, ProtoError> {
+    /// Read `chunks` headers from the start, handing each to `each` with
+    /// its place in the block: where the block they make ends, and the
+    /// payload bytes they announce.
+    fn block(
+        b: &[u8],
+        chunks: usize,
+        each: &mut impl FnMut(usize, &ChunkHeader),
+    ) -> Result<(usize, u64), ProtoError> {
         let mut fields = Fields { b, at: 0 };
+        let mut header = ack_header_ecn(0, false);
+        let mut payload = 0;
         for at in 0..chunks {
-            fields.skip_header(at == 0)?;
+            fields.header(&mut header, at == 0)?;
+            payload += u64::from(header.chunk_len);
+            each(at, &header);
         }
-        Ok(fields.at)
+        Ok((fields.at, payload))
     }
 }
 
@@ -723,84 +695,52 @@ impl<'a> SegCursor<'a> {
     }
 }
 
-/// A data packet being decoded: the header block, and a cursor that follows
-/// the payload behind it, so no payload is flattened — it is a slice of the
-/// segment it arrived in (the encoder's `[header block, data0..dataN]` and
-/// a linearized single segment both slice), and only a chunk that
-/// straddles segments is copied.
-struct ChunkReader<'a> {
-    /// The headers, back to back (and perhaps what follows them): read
-    /// where they lie when the segment that begins them holds them all (it
-    /// does, as encoded), from a copy of the rest of the packet when they
-    /// run past it.
-    block: Cow<'a, [u8]>,
-    data: SegCursor<'a>,
-    /// Chunks the packet announces, each with a header of its own in it.
-    chunks: usize,
-    /// Payload bytes behind the header block.
-    bytes: usize,
-}
-
-impl<'a> ChunkReader<'a> {
-    /// Read the prefix and find where the header block it announces ends:
-    /// a header is as long as its fields say, so the headers are stepped
-    /// over once here, before anything is sized by `chunks`, which the
-    /// walk bounds by the packet's real size.
-    fn open(pkt: &'a WirePacket) -> Result<Self, ProtoError> {
-        let segs = &pkt.payload[..];
-        let total: usize = segs.iter().map(Bytes::len).sum();
-        let mut start = SegCursor::new(segs);
-        let mut count = [0u8; PREFIX];
-        if !start.read(&mut count) {
-            return Err(ProtoError::Truncated);
-        }
-        let chunks = u16::from_le_bytes(count) as usize;
-        let here = start.unread();
-        let rest = total - PREFIX;
-        let (block, block_len) = match Fields::block_len(here, chunks) {
-            Err(ProtoError::Truncated) if here.len() < rest => {
-                let mut flat = vec![0u8; rest];
-                let read = start.clone().read(&mut flat);
-                debug_assert!(read);
-                let block_len = Fields::block_len(&flat, chunks)?;
-                (Cow::Owned(flat), block_len)
-            }
-            walked => (Cow::Borrowed(here), walked?),
-        };
-        let mut data = start;
-        let skipped = data.skip(block_len);
-        debug_assert!(skipped);
-        Ok(ChunkReader {
-            block,
-            data,
-            chunks,
-            bytes: rest - block_len,
-        })
+/// Read a packet's prefix and header block, handing each header to `each`
+/// with its place in the block, and check that the payload behind the
+/// block is as long as the headers say: a cursor at that payload, which a
+/// caller slices chunk by chunk, so no payload is flattened — it is a
+/// slice of the segment it arrived in (the encoder's `[header block,
+/// data0..dataN]` and a linearized single segment both slice), and only a
+/// chunk that straddles segments is copied.
+///
+/// A header is as long as its fields say, so the block is read in one
+/// pass: where it lies when the segment that begins it holds it all (it
+/// does, as encoded), and again from a copy of the rest of the packet when
+/// it runs past that segment — `each` then hears of the first headers
+/// twice. Nothing is sized by the count the prefix announces: the block is
+/// read header by header, each from bytes the packet has.
+fn read_block<'a>(
+    pkt: &'a WirePacket,
+    mut each: impl FnMut(usize, &ChunkHeader),
+) -> Result<SegCursor<'a>, ProtoError> {
+    let segs = &pkt.payload[..];
+    let total: usize = segs.iter().map(Bytes::len).sum();
+    let mut start = SegCursor::new(segs);
+    let mut count = [0u8; PREFIX];
+    if !start.read(&mut count) {
+        return Err(ProtoError::Truncated);
     }
-
-    /// Hand every chunk, in order, to `emit`: each header `open` stepped
-    /// over is read here, and checked. Chunks emitted before an error is
-    /// found are the caller's to discard.
-    fn read(mut self, mut emit: impl FnMut(ChunkHeader, Bytes)) -> Result<(), ProtoError> {
-        let mut fields = Fields {
-            b: &self.block,
-            at: 0,
-        };
-        let mut header = ack_header_ecn(0, false);
-        for at in 0..self.chunks {
-            fields.header(&mut header, at == 0)?;
-            let len = header.chunk_len as usize;
-            if len > self.bytes {
-                return Err(ProtoError::Truncated);
-            }
-            self.bytes -= len;
-            emit(header, self.data.take(len).expect("payload is in bounds"));
+    let chunks = usize::from(u16::from_le_bytes(count));
+    let here = start.unread();
+    let rest = total - PREFIX;
+    let (block_len, payload) = match Fields::block(here, chunks, &mut each) {
+        Err(ProtoError::Truncated) if here.len() < rest => {
+            let mut flat = vec![0u8; rest];
+            let read = start.clone().read(&mut flat);
+            debug_assert!(read);
+            Fields::block(&flat, chunks, &mut each)?
         }
-        if self.bytes != 0 {
-            return Err(ProtoError::LengthMismatch);
-        }
-        Ok(())
+        read => read?,
+    };
+    match payload.cmp(&((rest - block_len) as u64)) {
+        std::cmp::Ordering::Greater => return Err(ProtoError::Truncated),
+        std::cmp::Ordering::Less => return Err(ProtoError::LengthMismatch),
+        std::cmp::Ordering::Equal => {}
     }
+    let mut data = start;
+    let skipped = data.skip(block_len);
+    debug_assert!(skipped);
+    Ok(data)
 }
 
 /// Decode a data packet back into chunks. Accepts both gather-encoded and
@@ -812,19 +752,34 @@ pub fn decode_packet(pkt: &WirePacket) -> Result<Vec<DecodedChunk>, ProtoError> 
 }
 
 /// [`decode_packet`] into the caller's vector (cleared here, and left
-/// empty when the packet does not decode).
+/// empty — at the capacity it had — when the packet does not decode).
 pub(crate) fn decode_packet_into(
     pkt: &WirePacket,
     out: &mut Vec<DecodedChunk>,
 ) -> Result<(), ProtoError> {
     out.clear();
-    let reader = ChunkReader::open(pkt)?;
-    out.reserve(reader.chunks);
-    let decoded = reader.read(|header, data| out.push(DecodedChunk { header, data }));
-    if decoded.is_err() {
-        out.clear();
+    let capacity = out.capacity();
+    let read = read_block(pkt, |at, &header| {
+        out.truncate(at);
+        out.push(DecodedChunk {
+            header,
+            data: Bytes::new(),
+        });
+    });
+    match read {
+        Ok(mut data) => {
+            for c in out.iter_mut() {
+                let len = c.header.chunk_len as usize;
+                c.data = data.take(len).expect("payload is in bounds");
+            }
+            Ok(())
+        }
+        Err(e) => {
+            out.clear();
+            out.shrink_to(capacity);
+            Err(e)
+        }
     }
-    decoded
 }
 
 /// Encode a rendezvous request/grant — or any control packet: a single
@@ -847,14 +802,10 @@ pub fn encode_rndv(header: ChunkHeader) -> Vec<Bytes> {
 pub fn decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
     // Whatever is wrong with the packet as a packet comes first; only a
     // well-formed one is then held to the one-empty-chunk shape.
-    let mut chunks = 0usize;
-    let mut metadata_only = None;
-    ChunkReader::open(pkt)?.read(|header, data| {
-        chunks += 1;
-        metadata_only = data.is_empty().then_some(header);
-    })?;
-    match metadata_only {
-        Some(header) if chunks == 1 => Ok(header),
+    let (mut chunks, mut last) = (0, None);
+    read_block(pkt, |at, &header| (chunks, last) = (at + 1, Some(header)))?;
+    match last {
+        Some(header) if chunks == 1 && header.chunk_len == 0 => Ok(header),
         _ => Err(ProtoError::LengthMismatch),
     }
 }
@@ -866,6 +817,7 @@ pub fn decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
 /// high/low halves, so no new wire format is needed. `ecn` echoes a fabric
 /// congestion mark (madnet ECN) in the spare `frag_index` field — acks are
 /// single metadata-only chunks, so the field is otherwise always zero.
+#[inline]
 pub fn ack_header_ecn(cookie: u64, ecn: bool) -> ChunkHeader {
     ChunkHeader {
         flow: FlowId((cookie >> 32) as u32),
@@ -883,6 +835,7 @@ pub fn ack_header_ecn(cookie: u64, ecn: bool) -> ChunkHeader {
 
 /// Decode an acknowledgement to `(cookie, ecn_echo)` — the congestion bit
 /// the receiver observed on the acked data packet (see [`ack_header_ecn`]).
+#[inline]
 pub fn decode_ack_ecn(pkt: &WirePacket) -> Result<(u64, bool), ProtoError> {
     let h = decode_rndv(pkt)?;
     Ok((
@@ -895,6 +848,7 @@ pub fn decode_ack_ecn(pkt: &WirePacket) -> Result<(u64, bool), ProtoError> {
 /// (`KIND_CTRL`). It tells the receiver that `(flow, msg_seq)` was shed
 /// before any byte was committed and will never arrive, so per-flow
 /// ordered delivery must skip that sequence instead of waiting forever.
+#[inline]
 pub fn cancel_header(flow: FlowId, msg_seq: u32, class: TrafficClass) -> ChunkHeader {
     ChunkHeader {
         flow,
@@ -912,6 +866,7 @@ pub fn cancel_header(flow: FlowId, msg_seq: u32, class: TrafficClass) -> ChunkHe
 
 /// Helper: a `ChunkHeader` stamped from message context.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub fn make_header(
     flow: FlowId,
     msg_seq: u32,
@@ -1011,12 +966,175 @@ mod tests {
     }
 
     /// Every decoder entry point says of `pkt` what it says of its bytes
-    /// in one segment, and none panics.
+    /// in one segment, which is what the reference decoder makes of those
+    /// bytes, error kind included — and none panics.
     fn assert_segmentation_blind(pkt: &WirePacket) {
-        let flat = as_packet(vec![Bytes::from(pkt.contiguous())]);
-        assert_eq!(flatten(decode_packet(pkt)), flatten(decode_packet(&flat)));
-        assert_eq!(decode_rndv(pkt), decode_rndv(&flat));
-        assert_eq!(decode_ack_ecn(pkt), decode_ack_ecn(&flat));
+        let bytes = pkt.contiguous();
+        let flat = as_packet(vec![Bytes::from(bytes.clone())]);
+        let want = reference::decode(&bytes);
+        assert_eq!(flatten(decode_packet(pkt)), want);
+        assert_eq!(flatten(decode_packet(&flat)), want);
+        let control = reference::decode_control(&bytes);
+        assert_eq!(decode_rndv(pkt), control);
+        assert_eq!(decode_rndv(&flat), control);
+        let ack = control.map(|h| {
+            (
+                (u64::from(h.flow.0) << 32) | u64::from(h.msg_seq),
+                h.frag_index != 0,
+            )
+        });
+        assert_eq!(decode_ack_ecn(pkt), ack);
+    }
+
+    /// The packet format read from its definition over one flat byte
+    /// string, sharing nothing with the decoder it checks: a count, then
+    /// that many headers, each field in turn and each checked where it is
+    /// read, then the payloads back to back.
+    mod reference {
+        use super::super::{ChunkHeader, ProtoError};
+        use crate::ids::{FlowId, TrafficClass};
+
+        const EXPRESS: u8 = 0b0001;
+        const SAME_MESSAGE: u8 = 0b0010;
+        const HAS_OFFSET: u8 = 0b0100;
+        const RUNS_TO_END: u8 = 0b1000;
+
+        struct Bytes<'a>(&'a [u8]);
+
+        impl Bytes<'_> {
+            fn next(&mut self) -> Result<u8, ProtoError> {
+                let (&first, rest) = self.0.split_first().ok_or(ProtoError::Truncated)?;
+                self.0 = rest;
+                Ok(first)
+            }
+
+            /// A `bits`-bit field as LEB128: at most ⌈bits / 7⌉ bytes, no
+            /// bit past the field, and no last byte of nothing behind
+            /// another.
+            fn leb128(&mut self, bits: u32) -> Result<u64, ProtoError> {
+                let (mut value, mut count) = (0u128, 0u32);
+                loop {
+                    let byte = self.next()?;
+                    value |= u128::from(byte & 0x7F) << (7 * count);
+                    count += 1;
+                    if value >> bits != 0 {
+                        return Err(ProtoError::BadVarint);
+                    }
+                    if byte < 0x80 {
+                        if byte == 0 && count > 1 {
+                            return Err(ProtoError::BadVarint);
+                        }
+                        return Ok(value as u64);
+                    }
+                    if count == bits.div_ceil(7) {
+                        return Err(ProtoError::BadVarint);
+                    }
+                }
+            }
+        }
+
+        /// The headers of a packet and, behind them, its payload bytes.
+        fn headers(packet: &[u8]) -> Result<(Vec<ChunkHeader>, &[u8]), ProtoError> {
+            let [lo, hi, block @ ..] = packet else {
+                return Err(ProtoError::Truncated);
+            };
+            let mut b = Bytes(block);
+            let mut out: Vec<ChunkHeader> = Vec::new();
+            for _ in 0..u16::from_le_bytes([*lo, *hi]) {
+                let tag = b.next()?;
+                if tag > 0b1111 || (out.is_empty() && tag & SAME_MESSAGE != 0) {
+                    return Err(ProtoError::BadTag);
+                }
+                let mut h = match out.last() {
+                    Some(before) if tag & SAME_MESSAGE != 0 => *before,
+                    before => {
+                        let flow = b.leb128(32)? as u32;
+                        let msg_seq = b.leb128(32)? as u32;
+                        let frag_count = b.leb128(16)? as u16;
+                        let class = b.next()?;
+                        let submit = b.leb128(64)?;
+                        let submit_ns = match before {
+                            None => submit,
+                            Some(before) => {
+                                let delta = (submit >> 1) as i64 ^ -((submit & 1) as i64);
+                                before.submit_ns.wrapping_add(delta as u64)
+                            }
+                        };
+                        let named = (flow, msg_seq, frag_count, class, submit_ns);
+                        if before.is_some_and(|p| {
+                            named == (p.flow.0, p.msg_seq, p.frag_count, p.class.0, p.submit_ns)
+                        }) {
+                            return Err(ProtoError::BadTag);
+                        }
+                        ChunkHeader {
+                            flow: FlowId(flow),
+                            msg_seq,
+                            frag_index: 0,
+                            frag_count,
+                            express: false,
+                            class: TrafficClass(class),
+                            frag_len: 0,
+                            offset: 0,
+                            chunk_len: 0,
+                            submit_ns,
+                        }
+                    }
+                };
+                h.express = tag & EXPRESS != 0;
+                h.frag_index = b.leb128(16)? as u16;
+                h.frag_len = b.leb128(32)? as u32;
+                h.offset = 0;
+                if tag & HAS_OFFSET != 0 {
+                    h.offset = b.leb128(32)? as u32;
+                    if h.offset == 0 {
+                        return Err(ProtoError::BadTag);
+                    }
+                }
+                let end = u64::from(h.frag_len);
+                if tag & RUNS_TO_END != 0 {
+                    if u64::from(h.offset) > end {
+                        return Err(ProtoError::BadTag);
+                    }
+                    h.chunk_len = h.frag_len - h.offset;
+                } else {
+                    let len = [b.next()?, b.next()?, b.next()?, b.next()?];
+                    h.chunk_len = u32::from_le_bytes(len);
+                    if u64::from(h.offset) + u64::from(h.chunk_len) == end {
+                        return Err(ProtoError::BadTag);
+                    }
+                }
+                out.push(h);
+            }
+            Ok((out, b.0))
+        }
+
+        /// What [`super::decode_packet`] should make of `packet`.
+        pub(super) fn decode(packet: &[u8]) -> Result<Vec<(ChunkHeader, Vec<u8>)>, ProtoError> {
+            let (headers, mut payload) = headers(packet)?;
+            let announced: u64 = headers.iter().map(|h| u64::from(h.chunk_len)).sum();
+            if announced > payload.len() as u64 {
+                return Err(ProtoError::Truncated);
+            }
+            if announced < payload.len() as u64 {
+                return Err(ProtoError::LengthMismatch);
+            }
+            let mut out = Vec::new();
+            for h in headers {
+                let (data, rest) = payload.split_at(h.chunk_len as usize);
+                out.push((h, data.to_vec()));
+                payload = rest;
+            }
+            Ok(out)
+        }
+
+        /// What [`super::decode_rndv`] should make of `packet`: a packet
+        /// first, then one empty chunk.
+        pub(super) fn decode_control(packet: &[u8]) -> Result<ChunkHeader, ProtoError> {
+            match decode(packet)?[..] {
+                [(h, ref data)] if data.is_empty() => Ok(h),
+                _ => Err(ProtoError::LengthMismatch),
+            }
+        }
     }
 
     /// A packet of `(tag, fields)` headers behind a count, the fields
@@ -1242,9 +1360,10 @@ mod tests {
         );
     }
 
-    /// The decoder reads a packet's gather list where it lies; flattened
-    /// into one segment, the packet is the oracle: every segmentation of
-    /// it decodes alike.
+    /// The decoder reads a packet's gather list where it lies; the oracle
+    /// is the reference decoder over the packet flattened into one byte
+    /// string: every segmentation of it decodes as that does, errors
+    /// included.
     #[test]
     fn segment_cursor_decodes_what_the_flattening_decoder_did() {
         let lists: Vec<Vec<WireChunk>> = vec![
@@ -1343,10 +1462,10 @@ mod tests {
         let mut longer = valid.clone();
         longer[second] |= TAG_OFFSET;
         assert!(decode(&longer).is_err());
-        // A count the bytes cannot hold: the walk for the block's end runs
-        // into the payload (read as headers) or off the packet, before
-        // anything is sized by the count — the vector handed in stays as
-        // small as it was.
+        // A count the bytes cannot hold: the block, read header by header,
+        // runs into the payload (read as headers) or off the packet.
+        // Nothing is sized by the count, and the vector handed in is left
+        // as small as it was.
         for count in [3, 4, 400, u16::MAX] {
             let mut crowd = valid.clone();
             crowd[..2].copy_from_slice(&count.to_le_bytes());
@@ -1662,6 +1781,7 @@ mod tests {
                     flat[at] = byte;
                 }
                 assert_canonical(&flat);
+                assert_segmentation_blind(&as_packet(vec![Bytes::from(flat)]));
             }
 
             #[test]

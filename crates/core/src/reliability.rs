@@ -529,7 +529,13 @@ impl RailClock {
     /// receive, and the ack's way back. (Its injection is not modelled but
     /// awaited: the clock starts at `tx_done`.)
     fn data_flight(&self, bytes: u64, cookie: u64) -> SimDuration {
-        self.cost.wire_latency + self.cost.rx_time(bytes) + self.ack_one_way(cookie)
+        self.received(bytes) + self.ack_one_way(cookie)
+    }
+
+    /// Unloaded time from the instant a data packet `bytes` long on the
+    /// wire has left the NIC to its reception: propagation and receive.
+    fn received(&self, bytes: u64) -> SimDuration {
+        self.cost.wire_latency + self.cost.rx_time(bytes)
     }
 
     /// Data packet `cookie`, `bytes` long on the wire, leaves the NIC for
@@ -552,10 +558,10 @@ impl RailClock {
             (last, free) if last == dst => free.since(arrives),
             _ => SimDuration::ZERO,
         };
-        let flight = self.data_flight(bytes, cookie);
+        let received = self.received(bytes);
         // The packet is received when its ack sets out.
-        self.rx_free = (dst, now + (wait + flight - self.ack_one_way(cookie)));
-        wait + flight
+        self.rx_free = (dst, now + (wait + received));
+        wait + received + self.ack_one_way(cookie)
     }
 
     /// When the `attempts`-th transmission of something times out whose

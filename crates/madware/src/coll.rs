@@ -493,7 +493,7 @@ impl CollConfig {
 }
 
 /// Transfer mode a message of `bytes` would use on this rail — the same
-/// PIO/DMA envelope logic as [`madeleine::cost::estimate_busy`].
+/// PIO/DMA envelope logic as [`madeleine::cost::cheapest_injection`].
 fn msg_mode(caps: &DriverCapabilities, bytes: u64) -> TxMode {
     if caps.supports_pio && caps.can_pio(bytes) {
         TxMode::Pio
