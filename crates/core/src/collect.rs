@@ -662,6 +662,7 @@ impl CollectLayer {
                 if pin != rail {
                     continue;
                 }
+                groups.note_pinned();
             }
             // Fragments are offered in pack order. A fragment may be
             // offered even when an earlier express fragment is not yet

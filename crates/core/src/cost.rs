@@ -27,11 +27,12 @@ use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
 use crate::plan::{DstGroup, PlannedChunk, TransferPlan};
+use crate::proto::{ChunkHeader, Framing};
 use crate::strategy::{OptContext, NO_HINT};
 #[cfg(test)]
 use crate::{
     plan::{Body, PlanRef},
-    proto::{lone_packet_bytes, wire_bytes, ChunkHeader},
+    proto::{framing_of, lone_packet_bytes, wire_bytes},
 };
 
 /// A plan together with its evaluated score.
@@ -193,8 +194,115 @@ pub(crate) fn cheaper_mode(
 /// of its header), half the handshake a rendezvous request starts, and the
 /// way back of an ack.
 pub(crate) fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> SimDuration {
-    let mode = cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode);
-    cost.one_way(mode, bytes, 1)
+    cost.one_way(one_segment_mode(caps, cost, bytes), bytes, 1)
+}
+
+/// The mode [`one_way`] prices a one-segment packet of `bytes` in.
+fn one_segment_mode(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> TxMode {
+    cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode)
+}
+
+/// A rail delivering work the way the engine sends it, priced unloaded:
+/// fragments packed whole into packets up to the rail's packet limit (one
+/// no packet holds is cut across as many as it takes), a destination's
+/// packets apart from another's. The packets pipeline through the
+/// transmit engine — each pays its injection, fixed cost included, one
+/// after the other — and the last one's flight and receive end the
+/// delivery: the injections before it plus [`one_way`] of it.
+pub(crate) struct Delivery<'a> {
+    caps: &'a DriverCapabilities,
+    cost: &'a CostModel,
+    limit: u64,
+    /// Injection of the packets closed so far.
+    injected: SimDuration,
+    /// Wire bytes of the first packet, once it is closed.
+    first: Option<u64>,
+    /// The open packet's framing and payload.
+    framing: Framing,
+    payload: u64,
+    /// The next fragment opens a packet (another destination's).
+    apart: bool,
+}
+
+impl<'a> Delivery<'a> {
+    /// Nothing delivered yet on a rail of `caps` and `cost` whose packets
+    /// carry at most `limit` bytes ([`packet_limit`]).
+    pub(crate) fn new(caps: &'a DriverCapabilities, cost: &'a CostModel, limit: u64) -> Self {
+        Delivery {
+            caps,
+            cost,
+            limit,
+            injected: SimDuration::ZERO,
+            first: None,
+            framing: Framing::new(),
+            payload: 0,
+            apart: false,
+        }
+    }
+
+    /// The fragment `h` describes, `h.chunk_len` bytes from `h.offset`,
+    /// comes next.
+    pub(crate) fn push(&mut self, mut h: ChunkHeader) {
+        if std::mem::take(&mut self.apart) {
+            self.close();
+        }
+        loop {
+            let room = self.limit.saturating_sub(self.bytes());
+            if self.framing.next(&h) + u64::from(h.chunk_len) <= room {
+                self.framing.push(&h);
+                self.payload += u64::from(h.chunk_len);
+                return;
+            }
+            if self.payload > 0 {
+                self.close();
+                continue;
+            }
+            let mut cut = h;
+            if !self.framing.take(&mut cut, room) {
+                return; // a limit below any header: nothing is carried
+            }
+            self.payload += u64::from(cut.chunk_len);
+            self.close();
+            h.offset += cut.chunk_len;
+            h.chunk_len -= cut.chunk_len;
+        }
+    }
+
+    /// What comes next goes to another destination.
+    pub(crate) fn apart(&mut self) {
+        self.apart = self.payload > 0;
+    }
+
+    /// The open packet's bytes on the wire.
+    fn bytes(&self) -> u64 {
+        self.framing.bytes() + self.payload
+    }
+
+    fn close(&mut self) {
+        let bytes = self.bytes();
+        let mode = one_segment_mode(self.caps, self.cost, bytes);
+        self.injected += self.cost.injection_time(mode, bytes, 1);
+        self.first.get_or_insert(bytes);
+        self.framing = Framing::new();
+        self.payload = 0;
+    }
+
+    /// Whether the first packet is full: what follows travels in another.
+    pub(crate) fn first_closed(&self) -> bool {
+        self.first.is_some()
+    }
+
+    /// Unloaded time from the first packet's injection to the first
+    /// packet's reception.
+    pub(crate) fn first_packet(&self) -> SimDuration {
+        one_way(self.caps, self.cost, self.first.unwrap_or(self.bytes()))
+    }
+
+    /// Unloaded time from the first packet's injection to the last one's
+    /// reception.
+    pub(crate) fn all(&self) -> SimDuration {
+        self.injected + one_way(self.caps, self.cost, self.bytes())
+    }
 }
 
 /// A packet of `chunks` chunks and `bytes` on the wire in one form, priced.
@@ -796,6 +904,66 @@ mod tests {
                 let stamp = |c: &PlannedChunk| window_header(c, NodeId(1), &ctx);
                 prop_assert_eq!(estimate_busy(plan.view(), &ctx, stamp), Some(busy));
             }
+        }
+    }
+
+    #[test]
+    fn a_delivery_is_the_injections_before_its_last_packet_and_that_packets_one_way() {
+        let header = |flow: u32, len: u32| {
+            let c = cand(flow, 0, 0, 0, len, false, TrafficClass::DEFAULT, 0);
+            c.whole()
+        };
+        for tech in calib::REAL_TECHNOLOGIES {
+            let (caps, cost) = (
+                calib::capabilities(tech),
+                CostModel::from_params(&calib::params(tech)),
+            );
+            let limit = packet_limit(&caps, calib::params(tech).mtu);
+            let one_way_of = |bytes: u64| {
+                let (mode, _) = cheaper_mode(&caps, &cost, bytes, 1).expect("admitted");
+                cost.one_way(mode, bytes, 1)
+            };
+            let inject = |bytes: u64| cheaper_mode(&caps, &cost, bytes, 1).expect("admitted").1;
+            // One fragment: a lone packet, priced at CostModel::one_way.
+            let mut d = Delivery::new(&caps, &cost, limit);
+            let lone = header(0, 300);
+            d.push(lone);
+            assert!(!d.first_closed(), "{tech:?}");
+            let bytes = lone_packet_bytes(&lone);
+            assert_eq!(d.first_packet(), one_way_of(bytes), "{tech:?}");
+            assert_eq!(d.all(), d.first_packet(), "{tech:?}");
+            // Two that fit share it, framed as one packet.
+            let other = header(1, 200);
+            d.push(other);
+            let shared = framing_of([lone, other]) + 500;
+            assert_eq!(d.all(), one_way_of(shared), "{tech:?}");
+            // A destination apart opens the next packet: the first is
+            // injected, the second flies.
+            d.apart();
+            let far = header(2, 100);
+            d.push(far);
+            assert!(d.first_closed(), "{tech:?}");
+            assert_eq!(d.first_packet(), one_way_of(shared), "{tech:?}");
+            let far_bytes = lone_packet_bytes(&far);
+            assert_eq!(d.all(), inject(shared) + one_way_of(far_bytes), "{tech:?}");
+            // Whole fragments: one that no longer fits starts a packet of
+            // its own; one longer than a packet is cut across packets,
+            // every byte carried once.
+            let mut d = Delivery::new(&caps, &cost, limit);
+            let half = (limit / 2) as u32;
+            d.push(header(0, half));
+            d.push(header(1, half));
+            assert!(d.first_closed(), "{tech:?}: two halves and their framing");
+            let mut d = Delivery::new(&caps, &cost, limit);
+            let long = 2 * limit as u32 + 1;
+            d.push(header(0, long));
+            assert!(d.first_closed(), "{tech:?}");
+            assert_eq!(
+                d.first_packet(),
+                one_way_of(limit),
+                "{tech:?}: the first cut fills a packet"
+            );
+            assert!(d.all() > inject(limit) * 2, "{tech:?}: three packets");
         }
     }
 }

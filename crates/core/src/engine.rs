@@ -32,7 +32,8 @@ use std::rc::Rc;
 
 use nicdrv::{Driver, DriverError, SimDriver};
 use simnet::{
-    Endpoint, NicId, NodeId, SimCtx, SimTime, SubmitError, Technology, TimerId, WirePacket,
+    Endpoint, NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError, Technology, TimerId,
+    WirePacket,
 };
 
 use crate::api::{
@@ -40,7 +41,7 @@ use crate::api::{
 };
 use crate::collect::{chunk_header, CollectLayer};
 use crate::config::EngineConfig;
-use crate::cost::packet_limit;
+use crate::cost::{packet_limit, Delivery};
 use crate::error::EngineError;
 use crate::flowmgr::{Admission, FairnessMode, SendOutcome};
 use crate::ids::{ChannelId, FlowId, MsgId, MsgSeq, TrafficClass};
@@ -49,7 +50,7 @@ use crate::message::{DeliveredMessage, Fragment};
 use crate::metrics::{Activation, EngineMetrics, MetricsRegistry};
 use crate::observer::{submitted_events, EngineView, Observer};
 use crate::optimizer::{select_plan_in, Optimizer};
-use crate::plan::{PlanBody, PlannedChunk, TransferPlan};
+use crate::plan::{PlanBody, PlannedChunk, TransferPlan, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::proto::{
     ack_header_ecn, cancel_header, decode_ack_ecn, decode_packet_into, decode_rndv, DecodedChunk,
@@ -264,28 +265,53 @@ impl EngineCore {
         if self.rel.rails()[rail_idx].is_dead() {
             return;
         }
-        self.obs.metrics_mut().record_activation(cause);
-        let act = self.opt.begin_activation();
         self.transfer.flush_ctrl(ctx);
         let channel = ChannelId(rail_idx as u16);
+        let window = self.config.lookahead_window;
+        let mut pass = self.opt.lend_scratch();
+        // Disjoint-field borrows: the collect layer is mutable (DRR
+        // cursors advance per activation) while the policy only answers
+        // eligibility queries.
+        let collect_window = |core: &mut Self, groups: &mut _| {
+            let policy = core.opt.policy();
+            let eligible = |f, c| policy.eligible(f, c, rail_idx);
+            core.collect
+                .collect_window(channel, window, eligible, groups);
+        };
+        // The window the yield check looked at is the first pass's.
+        let mut collected = self.rivals(ctx, rail_idx).next().is_some();
+        if collected {
+            collect_window(self, &mut pass.groups);
+            if self.stands_aside(ctx, rail_idx, &pass.groups, false) {
+                self.obs.metrics_mut().rail_yields += 1;
+                self.opt.return_scratch(pass);
+                return;
+            }
+        }
+        self.obs.metrics_mut().record_activation(cause);
+        let act = self.opt.begin_activation();
         // The rearrangement budget bounds scoring work per *activation*
         // (§4): plan evaluations are deducted across the whole refill loop.
         let mut budget = self.config.rearrange_budget;
-        let window = self.config.lookahead_window;
-        let mut first_pass = true;
-        let mut pass = self.opt.lend_scratch();
+        let (mut first_pass, mut queued) = (true, false);
         loop {
             let rail = &self.transfer.rails()[rail_idx];
             if budget == 0 || rail.driver.free_slots(ctx) == 0 {
                 break;
             }
-            // Disjoint-field borrows: the collect layer is mutable (DRR
-            // cursors advance per activation) while the policy only
-            // answers eligibility queries.
-            let policy = self.opt.policy();
-            let eligible = |f, c| policy.eligible(f, c, rail_idx);
-            self.collect
-                .collect_window(channel, window, eligible, &mut pass.groups);
+            if !std::mem::take(&mut collected) {
+                collect_window(self, &mut pass.groups);
+                // Busy now with what it queued, the rail asks again before
+                // each further packet.
+                if queued
+                    && self.rivals(ctx, rail_idx).next().is_some()
+                    && self.stands_aside(ctx, rail_idx, &pass.groups, true)
+                {
+                    self.obs.metrics_mut().rail_yields += 1;
+                    break;
+                }
+            }
+            let rail = &self.transfer.rails()[rail_idx];
             let groups = pass.groups.groups();
             let backlog: usize = groups
                 .iter()
@@ -342,10 +368,134 @@ impl EngineCore {
                 debug_assert!(false, "driver rejected validated plan: {e}");
                 break;
             }
+            queued = true;
             #[cfg(feature = "debug-invariants")]
             self.rel.debug_assert_invariants(&self.collect);
         }
         self.opt.return_scratch(pass);
+    }
+
+    /// The rails other than `rail` that are live, free of the congestion
+    /// gate and busy now — the only kind of rail `rail` stands aside for
+    /// ([`EngineCore::stands_aside`]): its transmit engine will report
+    /// idle, and that activation takes up what `rail` left. None on a
+    /// one-rail node, and none for an engine left with the `fifo` fallback
+    /// alone (aggregation and reorder off): that is §1's degenerate
+    /// mapping — a chunk a packet, sent as rails free up — and the rule
+    /// prices packets of whole messages, which only the merging strategies
+    /// build.
+    fn rivals<'a>(&'a self, ctx: &'a SimCtx<'_>, rail: usize) -> impl Iterator<Item = usize> + 'a {
+        let rails = self.transfer.rails();
+        let asks =
+            rails.len() > 1 && (self.config.enable_aggregation || self.config.enable_reorder);
+        self.rel.live_rails().filter(move |&o| {
+            asks && o != rail && !self.rel.congestion_gated(o) && !rails[o].driver.is_idle(ctx)
+        })
+    }
+
+    /// Whether `rail` leaves everything its `window` offers to one of its
+    /// [`EngineCore::rivals`] that may carry all of it and, after the
+    /// wait its transmit engine has left, would deliver all of it before
+    /// `rail` delivered its own next packet: sent now when the rail is
+    /// idle, behind what it has `queued` this activation when it is not.
+    /// Both are priced by [`Delivery`] and the rail's health penalty, as
+    /// `Reliability::pull_order` orders the idle rails. The window must be
+    /// the whole backlog — a rival's drain of part of it says nothing —
+    /// and hold no message a packet has begun, and work only `rail` may
+    /// carry keeps it from standing aside: a message pinned to it, a flow
+    /// the policy confines to it, a destination no rival reaches, and a
+    /// rendezvous request, a control packet that goes out at once.
+    // madlint: scoring
+    // madlint: allow(linear-scan) — one group per destination in the window
+    fn stands_aside(
+        &self,
+        ctx: &SimCtx<'_>,
+        rail: usize,
+        window: &WindowGroups,
+        queued: bool,
+    ) -> bool {
+        let groups = window.groups();
+        if window.holds_pinned() || groups.iter().any(|g| !g.rndv.is_empty()) {
+            return false;
+        }
+        // A full window is taken for a cut one, without walking it.
+        let offered = groups.iter().map(|g| g.candidates.len()).sum::<usize>();
+        if offered >= self.config.lookahead_window {
+            return false;
+        }
+        let (mut bytes, mut last) = (0, None);
+        for c in groups.iter().flat_map(|g| &g.candidates) {
+            // A message some packet has begun is finished where it is:
+            // standing aside would cut it across rails.
+            let message = Some((c.flow, c.seq));
+            if last != message && (c.frag, c.offset) != (0, 0) {
+                return false;
+            }
+            last = message;
+            bytes += u64::from(c.remaining);
+        }
+        let Some(first) = groups
+            .first()
+            .filter(|_| bytes == self.collect.backlog_bytes())
+        else {
+            return false;
+        };
+        let rails = self.transfer.rails();
+        let health = self.rel.rails();
+        let deliver = |r: usize| {
+            let (driver, mtu) = (&rails[r].driver, rails[r].wire_mtu);
+            let caps = driver.capabilities();
+            Delivery::new(caps, driver.cost_model(), packet_limit(caps, mtu))
+        };
+        let mut mine = deliver(rail);
+        for c in &first.candidates {
+            mine.push(c.whole());
+            if mine.first_closed() {
+                break;
+            }
+        }
+        let now = ctx.now();
+        // An idle rail prices itself from now: what the model still has it
+        // busy with is drift.
+        let behind = if queued {
+            rails[rail].tx_wait(now)
+        } else {
+            SimDuration::ZERO
+        };
+        let first_packet = mine.first_packet().as_nanos() as f64;
+        let own_penalty = health[rail].cost_penalty();
+        let own_loaded = own_penalty * (behind.as_nanos() as f64 + first_packet);
+        let own_unloaded = own_penalty * first_packet;
+        let policy = self.opt.policy();
+        self.rivals(ctx, rail).any(|o| {
+            let penalty = health[o].cost_penalty();
+            let wait = rails[o].tx_wait(now).as_nanos() as f64;
+            // Sooner, after both waits, and faster, without them: a rail
+            // no slower than `rail` is never stood aside for, however
+            // their queues stand.
+            let beaten =
+                |all: f64| penalty * (wait + all) >= own_loaded || penalty * all >= own_unloaded;
+            if beaten(0.0) {
+                return false;
+            }
+            let mut theirs = deliver(o);
+            for g in groups {
+                if !rails[o].reaches(g.dst) {
+                    return false;
+                }
+                theirs.apart();
+                for c in &g.candidates {
+                    if !policy.eligible(c.flow, c.class, o) {
+                        return false;
+                    }
+                    theirs.push(c.whole());
+                    if beaten(theirs.all().as_nanos() as f64) {
+                        return false;
+                    }
+                }
+            }
+            true
+        })
     }
 
     fn apply_plan(
@@ -1023,6 +1173,7 @@ impl Endpoint for MadEngine {
         {
             let mut core = self.core.borrow_mut();
             if let Some(rail) = rail_of(core.transfer.rails(), nic) {
+                core.transfer.rail_idle(rail, ctx.now());
                 if core.rel.congestion_gated(rail) {
                     // Hand the activation to healthier rails instead of
                     // pulling backlog onto a marked fabric path.
@@ -1443,5 +1594,63 @@ mod tests {
         assert_eq!(m.submitted_msgs, 1);
         assert_eq!(m.submitted_bytes, 64);
         assert_eq!(m.activations_submit, 1);
+    }
+
+    #[test]
+    fn a_busy_rails_first_packet_costs_its_one_way_after_the_wait_the_model_sees() {
+        // Two messages at time zero on one rail: the first leaves at once,
+        // the second when the rail reports idle. Each time, the model's
+        // wait is the simulator's busy period to the nanosecond, so a
+        // packet handed to the rail then is priced at that wait plus
+        // `CostModel::one_way`.
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let (engine, handle) = MadEngine::builder(a)
+            .rail(driver(na), 1 << 20)
+            .peer(NodeId(1), vec![nb])
+            .config(EngineConfig::fifo_only())
+            .build()
+            .unwrap();
+        sim.set_endpoint(a, Box::new(engine));
+        let f = handle.open_flow(NodeId(1), TrafficClass::DEFAULT);
+        for len in [3000, 200] {
+            let parts = MessageBuilder::new()
+                .pack_cheaper(&vec![7; len])
+                .build_parts();
+            sim.inject(a, |ctx| handle.send(ctx, f, parts));
+        }
+        let wait_at = |at: SimTime| handle.core.borrow().transfer.rails()[0].tx_wait(at);
+        let (mut busy_until, mut wait) = (SimTime::ZERO, simnet::SimDuration::ZERO);
+        for _ in 0..2 {
+            wait = wait_at(busy_until);
+            assert!(wait > simnet::SimDuration::ZERO);
+            busy_until += wait;
+            sim.run_until(SimTime::from_nanos(busy_until.as_nanos() - 1));
+            assert!(!sim.nic(na).is_tx_idle(), "still injecting");
+            sim.run_until(busy_until);
+        }
+        assert!(sim.nic(na).is_tx_idle(), "done when the model says");
+        assert_eq!(handle.metrics().packets_sent, 2);
+        assert_eq!(wait_at(busy_until), simnet::SimDuration::ZERO, "and idle");
+        let core = handle.core.borrow();
+        let rail = &core.transfer.rails()[0];
+        let (caps, cost) = (rail.driver.capabilities(), rail.driver.cost_model());
+        let next = crate::proto::make_header(
+            f,
+            2,
+            0,
+            1,
+            false,
+            TrafficClass::DEFAULT,
+            500,
+            0,
+            500,
+            SimTime::ZERO,
+        );
+        let mut d = Delivery::new(caps, cost, packet_limit(caps, 1 << 20));
+        d.push(next);
+        let bytes = crate::proto::lone_packet_bytes(&next);
+        let mode = rail.driver.select_mode(bytes, 1);
+        // Handed over beside the second packet, it would have waited for it.
+        assert_eq!(wait + d.first_packet(), wait + cost.one_way(mode, bytes, 1));
     }
 }

@@ -186,6 +186,11 @@ pub struct EngineMetrics {
     /// penalty sat far above the best live rail's (madnet gate): the
     /// backlog was left for a cleaner rail to pull.
     pub congestion_gated: u64,
+    /// Times a rail stood aside: it left what its window held to a busy
+    /// rail that, by the cost model, is faster for all of it and would
+    /// deliver it sooner — when idle, in place of an activation (not
+    /// counted as one), or before a further packet of an activation.
+    pub rail_yields: u64,
     /// Messages abandoned after the retry budget was exhausted on every
     /// live rail (should be 0 unless every rail died).
     pub lost_msgs: u64,
@@ -251,6 +256,7 @@ impl Default for EngineMetrics {
             acks_received: 0,
             ecn_echoes: 0,
             congestion_gated: 0,
+            rail_yields: 0,
             lost_msgs: 0,
             rails_dead: 0,
             blocked_sends: 0,
@@ -417,6 +423,7 @@ impl EngineMetrics {
             .field("acks_received", self.acks_received)
             .field("ecn_echoes", self.ecn_echoes)
             .field("congestion_gated", self.congestion_gated)
+            .field("rail_yields", self.rail_yields)
             .field("lost_msgs", self.lost_msgs)
             .field("rails_dead", self.rails_dead)
             .field("blocked_sends", self.blocked_sends)

@@ -351,6 +351,8 @@ pub struct WindowGroups {
     /// `groups[..live]` are the window; the rest are spares.
     groups: Vec<DstGroup>,
     live: usize,
+    /// The window offers a message pinned to the rail it was collected for.
+    pinned: bool,
     /// The window's messages, sorted by `debug_assert_invariants` in a
     /// buffer kept for the next window, so the check allocates nothing
     /// once warm and the allocation budget holds with it compiled in.
@@ -405,6 +407,18 @@ impl WindowGroups {
     /// Start an empty window.
     pub(crate) fn clear(&mut self) {
         self.live = 0;
+        self.pinned = false;
+    }
+
+    /// The window offers a message pinned to its rail by an express
+    /// fragment still in flight: work no other rail may carry.
+    pub(crate) fn note_pinned(&mut self) {
+        self.pinned = true;
+    }
+
+    /// Whether the window offers a message pinned to its rail.
+    pub(crate) fn holds_pinned(&self) -> bool {
+        self.pinned
     }
 
     /// Offer a rendezvous request beside the window. It is left for a

@@ -34,7 +34,9 @@
 //!   grant is asked again (the receiver's grant and the sender's handling
 //!   of it are idempotent), so the handshake cannot strand a message;
 //! * idle rails pull the shared backlog fastest-first
-//!   (`Reliability::pull_order`).
+//!   (`Reliability::pull_order`), and a slower one stands aside for a
+//!   busy rail that would deliver the backlog sooner
+//!   (`EngineCore::stands_aside`).
 //!
 //! Everything here is driven by the simulation clock and the engine's
 //! deterministic event order: identical seeds yield identical recovery
@@ -716,7 +718,10 @@ impl Reliability {
     /// order alike at every size: Myrinet/MX is ahead of InfiniBand at
     /// 64 B (3.3 µs against 3.8 µs one way) and far behind it at 16 KiB
     /// (90 µs against 33 µs). Written into the caller's `order`, which it
-    /// keeps between activations.
+    /// keeps between activations. The order only says who asks first: an
+    /// idle rail that asks may still stand aside for a busy one that would
+    /// deliver the backlog sooner and faster (`EngineCore::stands_aside`,
+    /// priced with the same `one_way × cost_penalty`).
     // madlint: scoring
     pub(crate) fn pull_order(&self, order: &mut Vec<usize>, mean_msg_bytes: u64) {
         order.clear();

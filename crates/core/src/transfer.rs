@@ -14,10 +14,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
-use simnet::{NicId, NodeId, SimCtx, SimDuration, SubmitError};
+use simnet::{NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError};
 
 use crate::classes::ClassMap;
 use crate::collect::{chunk_header, CollectLayer};
+use crate::cost::cheaper_mode;
 use crate::error::EngineError;
 use crate::plan::PlannedChunk;
 use crate::proto::{
@@ -35,6 +36,10 @@ pub(crate) struct Rail {
     /// Network MTU of the rail.
     pub(crate) wire_mtu: u64,
     peers: HashMap<NodeId, NicId>,
+    /// When, by the driver's cost model, the transmit engine is through
+    /// with everything submitted to it: each submission adds its
+    /// injection, and the rail's idle report sets it back to that instant.
+    tx_free: SimTime,
 }
 
 impl Rail {
@@ -45,6 +50,32 @@ impl Rail {
 
     pub(crate) fn reaches(&self, dst: NodeId) -> bool {
         self.peers.contains_key(&dst)
+    }
+
+    /// How long, by the model, the transmit engine stays busy with what
+    /// it holds at `now`.
+    pub(crate) fn tx_wait(&self, now: SimTime) -> SimDuration {
+        self.tx_free.since(now)
+    }
+
+    /// Submit `req`, `bytes` long. Accepted, its injection — in the mode
+    /// the driver picks for it, and after its host preparation — follows
+    /// whatever the transmit engine holds.
+    // madlint: allow(trace-coverage) — a driver submit; the callers push
+    // PacketEncoded / Retransmit for what it carries
+    fn submit(
+        &mut self,
+        ctx: &mut SimCtx<'_>,
+        req: TransferRequest,
+        bytes: u64,
+    ) -> Result<(), DriverError> {
+        let (segs, prep, now) = (req.segments.len(), req.host_prep, ctx.now());
+        self.driver.submit(ctx, req)?;
+        let (caps, cost) = (self.driver.capabilities(), self.driver.cost_model());
+        // The mode the driver picked: the cheaper one it admits.
+        let inject = cheaper_mode(caps, cost, bytes, segs).map_or(SimDuration::ZERO, |(_, t)| t);
+        self.tx_free = self.tx_free.max(now) + prep + inject;
+        Ok(())
     }
 }
 
@@ -65,6 +96,7 @@ pub(crate) fn build_rails(
             driver,
             wire_mtu,
             peers: HashMap::new(),
+            tx_free: SimTime::ZERO,
         })
         .collect();
     for (peer, nics) in peer_nics {
@@ -136,6 +168,12 @@ impl Transfer {
         &mut self.rails
     }
 
+    /// `rail` reported its transmit engine idle at `now`: whatever the
+    /// model still had it busy with is done.
+    pub(crate) fn rail_idle(&mut self, rail: usize, now: SimTime) {
+        self.rails[rail].tx_free = now;
+    }
+
     /// Stamp one wire chunk per planned chunk from its live message (the
     /// header and a zero-copy slice of the payload), encode them into one
     /// data packet toward `dst` and submit it on `rail` under a fresh
@@ -179,7 +217,7 @@ impl Transfer {
             }
         }));
         let wire = &self.wire;
-        let rail = &self.rails[rail];
+        let rail = &mut self.rails[rail];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
         let segments = encode_packet_with(&mut self.block, wire, linearize);
         // The bytes selection priced (`validate_chunks`, under the headers
@@ -194,19 +232,16 @@ impl Transfer {
         };
         let cookie = self.next_cookie;
         self.next_cookie += 1;
-        let sent = rail.driver.submit(
-            ctx,
-            TransferRequest {
-                dst_nic,
-                vchan: rail.classmap.vchan_for(wire[0].header.class),
-                kind: KIND_DATA,
-                cookie,
-                mode: ModeSel::Auto,
-                host_prep,
-                segments,
-            },
-        );
-        Ok((cookie, sent))
+        let req = TransferRequest {
+            dst_nic,
+            vchan: rail.classmap.vchan_for(wire[0].header.class),
+            kind: KIND_DATA,
+            cookie,
+            mode: ModeSel::Auto,
+            host_prep,
+            segments,
+        };
+        Ok((cookie, rail.submit(ctx, req, bytes)))
     }
 
     /// The wire chunks [`Transfer::submit_data`] stamped last, one per
@@ -233,7 +268,7 @@ impl Transfer {
         kind: u16,
         header: ChunkHeader,
     ) -> Result<(), EngineError> {
-        let rail = &self.rails[rail_idx];
+        let rail = &mut self.rails[rail_idx];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
         if rail.driver.free_slots(ctx) == 0 {
             self.pending_ctrl.push_back((rail_idx, dst, kind, header));
@@ -248,7 +283,8 @@ impl Transfer {
             host_prep: SimDuration::ZERO,
             segments: encode_rndv(header),
         };
-        match rail.driver.submit(ctx, req) {
+        let bytes = req.len();
+        match rail.submit(ctx, req, bytes) {
             Ok(()) => Ok(()),
             Err(DriverError::Nic(SubmitError::QueueFull)) => {
                 self.pending_ctrl.push_back((rail_idx, dst, kind, header));

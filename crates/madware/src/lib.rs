@@ -26,6 +26,8 @@
 //! * [`scenario`] — composed clusters: [`scenario::traffic`], a
 //!   `TrafficApp` on every node of any cluster, and its two-node case
 //!   [`scenario::traffic_pair`];
+//! * [`cells`] — seeded two-rail cells (rail pair × reliability × wire ×
+//!   load) and [`cells::safety`], the oracles every drained cell passes;
 //! * [`trace`] — workload record & replay for apples-to-apples engine
 //!   comparisons.
 //!
@@ -60,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod apps;
+pub mod cells;
 pub mod coll;
 pub mod mltrain;
 pub mod scenario;

@@ -9,7 +9,7 @@ use madeleine::strategy::{OptContext, Proposals, Strategy};
 use madeleine::{ChannelId, EngineConfig, FlowId, MadEngine, PolicyKind, ReliabilityMode};
 use madware::pattern;
 use simnet::{
-    FaultPlan, NetworkParams, NicId, NodeId, SimDuration, SimTime, Simulation, Technology,
+    FaultPlan, NetworkParams, NicId, NodeId, SimDuration, SimTime, Simulation, Technology, TxMode,
 };
 
 fn bulk_spec(engine: EngineKind, rails: Vec<Technology>) -> ClusterSpec {
@@ -332,4 +332,125 @@ fn a_plan_naming_another_rail_cannot_overtake_an_express_header() {
     assert_eq!(got[0].fragments[0].1[..], pattern(0, 0, 0, 16)[..]);
     assert_eq!(got[0].fragments[1].1[..], pattern(0, 0, 1, 64)[..]);
     assert_eq!(got[1].contiguous(), pattern(1, 0, 0, 8));
+}
+
+/// Send one eager message of `len` bytes on `f` from node 0, now.
+fn send_now(c: &mut Cluster, f: FlowId, i: u32, len: usize) {
+    let h = c.handle(0).clone();
+    c.sim.inject(c.nodes[0], |ctx| {
+        let parts = MessageBuilder::new()
+            .pack_cheaper(&pattern(f.0, i, 0, len))
+            .build_parts();
+        h.send(ctx, f, parts);
+    });
+}
+
+/// Payload bytes each rail of node 0 has put on the wire.
+fn rail_bytes(c: &Cluster) -> Vec<u64> {
+    c.nics[0]
+        .iter()
+        .map(|&n| c.sim.nic(n).stats.tx_payload_bytes)
+        .collect()
+}
+
+#[test]
+fn a_slow_idle_rail_leaves_a_message_to_a_faster_busy_one() {
+    // MX (rail 0) and Elan (rail 1). Elan, the faster at 16 KiB, takes the
+    // first message; the second comes while Elan carries it. MX is idle,
+    // but Elan delivers the second message after the first sooner than MX
+    // would deliver it alone: MX stands aside.
+    let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
+    let mut c = Cluster::build(&ClusterSpec::new(2, rails).config(eager_cfg()), vec![]);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let f = h.open_flow(c.nodes[1], TrafficClass::DEFAULT);
+    send_now(&mut c, f, 0, 16 << 10);
+    let sent_at = c.run_for(SimDuration::from_micros(2));
+    send_now(&mut c, f, 1, 16 << 10);
+    c.drain();
+    assert_eq!(rail_bytes(&c)[0], 0, "MX carried nothing");
+    assert!(h.metrics().rail_yields >= 1);
+    let got = c.handle(1).take_delivered();
+    assert_eq!(got.len(), 2);
+    let second = got.iter().find(|m| m.id.seq.0 == 1).expect("delivered");
+    assert_eq!(second.contiguous(), pattern(f.0, 1, 0, 16 << 10));
+    // MX alone: its injection, flight and receive of the whole message.
+    let mx = nicdrv::CostModel::from_params(&nicdrv::calib::params(Technology::MyrinetMx));
+    let alone = mx.one_way(TxMode::Dma, 16 << 10, 1);
+    assert!(
+        second.delivered_at < sent_at + alone,
+        "delivered at {:?}, MX would have by {:?}",
+        second.delivered_at,
+        sent_at + alone
+    );
+}
+
+#[test]
+fn a_flow_pinned_to_the_slow_rail_is_never_left_to_another() {
+    // The same two messages, the second of a BULK flow the policy confines
+    // to MX: Elan is busy and faster, but may not carry it.
+    let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
+    let opt = EngineKind::with_policy(eager_cfg(), PolicyKind::ClassPinned);
+    let mut c = Cluster::build(&ClusterSpec::new(2, rails).engine(opt), vec![]);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    h.pin_class(TrafficClass::BULK, &[0]);
+    let fast = h.open_flow(c.nodes[1], TrafficClass::DEFAULT);
+    let pinned = h.open_flow(c.nodes[1], TrafficClass::BULK);
+    send_now(&mut c, fast, 0, 16 << 10);
+    c.run_for(SimDuration::from_micros(2));
+    send_now(&mut c, pinned, 0, 16 << 10);
+    c.drain();
+    assert!(rail_bytes(&c)[0] >= 16 << 10, "MX carried the pinned flow");
+    assert_eq!(h.metrics().rail_yields, 0);
+    assert_eq!(c.handle(1).delivered_count(), 2);
+}
+
+#[test]
+fn a_rail_killed_under_a_yielded_backlog_leaves_it_to_the_survivor() {
+    // 16 KiB every 10 us: Elan carries one in 19 us, so a backlog builds
+    // that MX first leaves to Elan and then shares. Elan dies at 300 us
+    // with messages in flight and waiting; under `Recover` MX carries the
+    // rest and every message arrives, once.
+    let config = EngineConfig {
+        reliability: ReliabilityMode::Recover,
+        ..eager_cfg()
+    };
+    let rails = vec![Technology::MyrinetMx, Technology::QuadricsElan];
+    let mut c = Cluster::build(&ClusterSpec::new(2, rails).config(config), vec![]);
+    let h = c.handle(0).opt().expect("optimizing engine").clone();
+    let f = h.open_flow(c.nodes[1], TrafficClass::DEFAULT);
+    c.set_fault_plan(
+        1,
+        FaultPlan::new(1).with_death(SimTime::from_nanos(300_000)),
+    );
+    let n = 60;
+    for i in 0..n {
+        send_now(&mut c, f, i, 16 << 10);
+        c.run_for(SimDuration::from_micros(10));
+    }
+    c.drain();
+    let m = h.metrics();
+    assert!(m.rail_yields > 0, "MX stood aside before the death");
+    assert_eq!((m.rails_dead, m.lost_msgs), (1, 0));
+    assert!(rail_bytes(&c)[0] > 0);
+    let got = c.handle(1).take_delivered();
+    assert_eq!(got.len(), n as usize);
+    for m in &got {
+        assert_eq!(m.contiguous(), pattern(f.0, m.id.seq.0, 0, 16 << 10));
+    }
+    let seqs: Vec<u32> = got.iter().map(|m| m.id.seq.0).collect();
+    assert_eq!(seqs, (0..n).collect::<Vec<_>>(), "in order, once each");
+}
+
+#[test]
+fn every_two_rail_cell_passes_the_safety_oracles() {
+    // MX+Elan, Elan+MX and MX+TCP × Off / Recover × a clean and a lossy
+    // wire × a light and a loaded stream, 400 messages a cell.
+    let cells = madware::cells::Cell::sweep(400, 11);
+    assert_eq!(cells.len(), 24);
+    let failed: Vec<_> = cells
+        .iter()
+        .map(|cell| cell.run())
+        .filter(|out| !out.violations.is_empty())
+        .collect();
+    assert!(failed.is_empty(), "{failed:#?}");
 }

@@ -37,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
+    ("  stands_aside", "EngineCore::stands_aside"),
     ("  collect_window", "CollectLayer::collect_window"),
     ("    offer_flow", "CollectLayer::offer_flow"),
     ("    OfferWalk::next", "OfferWalk::next"),
