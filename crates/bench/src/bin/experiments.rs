@@ -3,7 +3,7 @@
 //! ```text
 //! experiments all          # run everything
 //! experiments e1 e7        # run selected experiments
-//! experiments --list       # list ids and titles
+//! experiments --list       # list experiment ids
 //! experiments --trace-out <dir> e1   # also write madtrace artifacts
 //! ```
 //!
@@ -20,9 +20,7 @@ fn main() {
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--list") {
-        for (id, run) in experiments::all() {
-            // Cheap: construct only the metadata via running? No — list statically.
-            let _ = run;
+        for (id, _) in experiments::all() {
             println!("{id}");
         }
         return;

@@ -9,19 +9,15 @@
 //!
 //! The last table is the other end of the load axis — the regime where the
 //! paper says to "send packets as they become available" (§3): eight
-//! closed-loop clients, each with one 64-byte request or reply in flight,
-//! so the backlog never exceeds one message per flow ([`light_load`]).
+//! closed-loop flows ([`Arrival::Closed`]), each with one 64-byte request
+//! or reply in flight, so the backlog never exceeds one message per flow
+//! ([`light_load`]).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use madeleine::api::{AppDriver, CommApi};
-use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
-use madeleine::message::{DeliveredMessage, MessageBuilder};
-use madeleine::{FlowId, TrafficClass};
-use madware::scenario::eager_flows;
-use madware::workload::{rng_for, Arrival};
-use rand::rngs::StdRng;
+use madeleine::harness::{ClusterSpec, EngineKind};
+use madeleine::TrafficClass;
+use madware::apps::{FlowSpec, Reply, REPLY_HEADER_BYTES};
+use madware::scenario::{eager_flows, traffic_pair};
+use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, Technology};
 
 use crate::{fmt_bytes, fmt_f, Report, Table};
@@ -81,91 +77,6 @@ const CLIENTS: usize = 8;
 /// request.
 const THINK: SimDuration = SimDuration::from_micros(1);
 
-/// A 64-byte message: a 16-byte express header the receiver must see
-/// first, and 48 bytes of body.
-fn small_message(client: usize, round: u32) -> MessageBuilder {
-    let mut header = [0u8; 16];
-    header[..8].copy_from_slice(&(client as u64).to_le_bytes());
-    header[8..12].copy_from_slice(&round.to_le_bytes());
-    MessageBuilder::new()
-        .pack_express(&header)
-        .pack_cheaper(&[client as u8; 48])
-}
-
-/// The client side: `CLIENTS` independent request loops on one node.
-struct PingClients {
-    rounds: u32,
-    flows: Vec<FlowId>,
-    /// Per client: requests answered, and when the open one was sent.
-    done: Vec<u32>,
-    sent_at: Vec<u64>,
-    rng: StdRng,
-    rtts_ns: Rc<RefCell<Vec<u64>>>,
-}
-
-impl PingClients {
-    fn think(&mut self, api: &mut dyn CommApi, client: usize) {
-        let (think, _) = Arrival::Poisson(THINK).next(&mut self.rng);
-        api.set_timer(think, client as u64);
-    }
-}
-
-impl AppDriver for PingClients {
-    fn on_start(&mut self, api: &mut dyn CommApi) {
-        for client in 0..CLIENTS {
-            self.flows
-                .push(api.open_flow(NodeId(1), TrafficClass::DEFAULT));
-            self.think(api, client);
-        }
-    }
-
-    fn on_timer(&mut self, api: &mut dyn CommApi, tag: u64) {
-        let client = tag as usize;
-        self.sent_at[client] = api.now().as_nanos();
-        let request = small_message(client, self.done[client]);
-        api.send(self.flows[client], request.build_parts());
-    }
-
-    fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) {
-        // The server answers on the flow with the request's index.
-        let client = (0..CLIENTS)
-            .find(|&c| self.flows[c] == msg.flow)
-            .expect("a reply on a known flow");
-        let rtt = api.now().as_nanos() - self.sent_at[client];
-        self.rtts_ns.borrow_mut().push(rtt);
-        self.done[client] += 1;
-        if self.done[client] < self.rounds {
-            self.think(api, client);
-        }
-    }
-}
-
-/// The server side: every request is answered at once, on the flow of the
-/// same index back.
-struct EchoServer {
-    flows: Vec<FlowId>,
-    answered: u32,
-}
-
-impl AppDriver for EchoServer {
-    fn on_start(&mut self, api: &mut dyn CommApi) {
-        for _ in 0..CLIENTS {
-            self.flows
-                .push(api.open_flow(NodeId(0), TrafficClass::DEFAULT));
-        }
-    }
-
-    fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) {
-        // Both nodes open their flows in client order, so ids match.
-        let client = (0..CLIENTS)
-            .find(|&c| self.flows[c] == msg.flow)
-            .expect("a request on a known flow");
-        let reply = small_message(client, self.answered);
-        self.answered += 1;
-        api.send(self.flows[client], reply.build_parts());
-    }
-}
-
 /// What the light-load cell reads of one engine.
 pub struct LightLoad {
     /// When the last reply arrived (µs).
@@ -178,33 +89,32 @@ pub struct LightLoad {
     pub agg_ratio: f64,
 }
 
-/// The light-load cell: `CLIENTS` closed-loop clients × `rounds` round
-/// trips of 64 bytes each way on one MX rail — never more than one message
-/// pending per flow.
+/// The light-load cell: `CLIENTS` closed-loop flows × `rounds` round
+/// trips of 64 bytes each way on one MX rail — a request of a 16-byte
+/// express header and a 48-byte body, a reply of the same size — so never
+/// more than one message is pending per flow.
 pub fn light_load(spec: ClusterSpec, rounds: u32, seed: u64) -> LightLoad {
-    let rtts_ns = Rc::new(RefCell::new(Vec::new()));
-    let clients = PingClients {
-        rounds,
-        flows: Vec::new(),
-        done: vec![0; CLIENTS],
-        sent_at: vec![0; CLIENTS],
-        rng: rng_for(seed, 0),
-        rtts_ns: rtts_ns.clone(),
+    let client = FlowSpec {
+        arrival: Arrival::Closed(THINK),
+        sizes: SizeDist::Fixed(48),
+        express_header: 16,
+        reply: Some(Reply {
+            class: TrafficClass::DEFAULT,
+            sizes: SizeDist::Fixed(64 - REPLY_HEADER_BYTES),
+        }),
+        stop_after: Some(rounds.into()),
+        ..FlowSpec::eager(NodeId(1), THINK, 0)
     };
-    let server = EchoServer {
-        flows: Vec::new(),
-        answered: 0,
-    };
-    let mut cluster = Cluster::build(&spec, vec![Some(Box::new(clients)), Some(Box::new(server))]);
+    let (mut cluster, clients, _) = traffic_pair(&spec, vec![client; CLIENTS], seed);
     let end = cluster.drain();
-    let mut rtts = rtts_ns.borrow().clone();
+    let mut rtts: Vec<f64> = clients.borrow().rtt_us.concat();
     assert_eq!(
         rtts.len(),
         CLIENTS * rounds as usize,
         "every request answered"
     );
-    rtts.sort_unstable();
-    let quantile = |q: f64| rtts[((rtts.len() - 1) as f64 * q) as usize] as f64 / 1e3;
+    rtts.sort_unstable_by(f64::total_cmp);
+    let quantile = |q: f64| rtts[((rtts.len() - 1) as f64 * q) as usize];
     LightLoad {
         makespan_us: end.as_micros_f64(),
         p50_us: quantile(0.5),

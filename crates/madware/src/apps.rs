@@ -8,9 +8,11 @@
 //! distilled form. The middlewares themselves are shapes of a stream:
 //! [`FlowSpec::rpc`] and [`FlowSpec::dsm`] are requests that every
 //! `TrafficApp` answers (see [`Reply`]), [`FlowSpec::corba`] a one-way
-//! invocation of several marshalled arguments. Overload is a shape too:
-//! every message goes through admission control, and one that has to
-//! wait for its class to unblock waits in its flow's queue.
+//! invocation of several marshalled arguments. A closed loop is a shape
+//! too ([`Arrival::Closed`]): a flow that sends its next request a think
+//! time after the reply to the last one, the light-load regime of §3. So
+//! is overload: every message goes through admission control, and one
+//! that has to wait for its class to unblock waits in its flow's queue.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -21,7 +23,7 @@ use madeleine::ids::{FlowId, MsgId, MsgSeq, TrafficClass};
 use madeleine::message::{DeliveredMessage, MessageBuilder, PackMode};
 use madeleine::SendOutcome;
 use rand::rngs::StdRng;
-use simnet::{NodeId, SimDuration, SimTime, Summary};
+use simnet::{NodeId, SimDuration, SimTime};
 
 use crate::verify::{pattern, IntegrityChecker};
 use crate::workload::{rng_for, Arrival, SizeDist};
@@ -48,9 +50,9 @@ pub struct AppStats {
     /// Payload bytes received.
     pub bytes_received: u64,
     /// Request→reply round-trip times in microseconds, from the request's
-    /// draw, one summary per [`FlowSpec`] in the order given (empty for
-    /// flows without a reply).
-    pub rtt_us: Vec<Summary>,
+    /// draw, in arrival order: one list per [`FlowSpec`] in the order
+    /// given (empty for flows without a reply).
+    pub rtt_us: Vec<Vec<f64>>,
     /// End-to-end integrity verification of received payloads.
     pub integrity: IntegrityChecker,
     /// Time of last receipt.
@@ -277,7 +279,8 @@ impl FlowRt {
 /// Generic multi-stream traffic generator, verifier and responder.
 ///
 /// Flows `0..specs.len()` of `flows` are the specs' own; the rest are the
-/// reply flows it opens, one per (requester, class), as requests arrive.
+/// reply flows it opens as requests arrive, one mirroring each request
+/// flow, so a reply queues only behind the replies of its own flow.
 /// Every message goes through [`CommApi::try_send`], so the app runs
 /// under any [`AdmissionPolicy`](madeleine::AdmissionPolicy): a message
 /// refused with `WouldBlock` waits in its flow's queue, with the flow's
@@ -286,7 +289,8 @@ impl FlowRt {
 pub struct TrafficApp {
     specs: Vec<FlowSpec>,
     flows: Vec<FlowRt>,
-    reply_flows: BTreeMap<(NodeId, TrafficClass), usize>,
+    /// Reply flows by (requester, request flow).
+    reply_flows: BTreeMap<(NodeId, FlowId), usize>,
     /// Requests awaiting their reply: spec index and draw time.
     pending: BTreeMap<MsgId, (usize, SimTime)>,
     rng: StdRng,
@@ -297,7 +301,7 @@ impl TrafficApp {
     /// Build a traffic app; `seed`/`stream` select the RNG stream.
     pub fn new(specs: Vec<FlowSpec>, seed: u64, stream: u64) -> (Self, StatsHandle) {
         let stats = StatsHandle::default();
-        stats.borrow_mut().rtt_us = vec![Summary::new(); specs.len()];
+        stats.borrow_mut().rtt_us = vec![Vec::new(); specs.len()];
         (
             TrafficApp {
                 specs,
@@ -412,7 +416,7 @@ impl TrafficApp {
         let flows = &mut self.flows;
         let idx = *self
             .reply_flows
-            .entry((request.src, class))
+            .entry((request.src, request.id.flow))
             .or_insert_with(|| {
                 flows.push(FlowRt::open(api, request.src, class));
                 flows.len() - 1
@@ -433,6 +437,10 @@ impl AppDriver for TrafficApp {
             assert!(
                 spec.reply.is_none() || spec.express_header >= REQUEST_TAG_BYTES,
                 "flow {idx} asks for replies: its express header needs {REQUEST_TAG_BYTES} bytes"
+            );
+            assert!(
+                spec.reply.is_some() || !matches!(spec.arrival, Arrival::Closed(_)),
+                "flow {idx} is a closed loop: it needs a reply to draw its next request"
             );
             self.flows.push(FlowRt::open(api, spec.dst, spec.class));
         }
@@ -458,7 +466,9 @@ impl AppDriver for TrafficApp {
             }
             self.send_one(api, idx);
         }
-        if self.flows[idx].drawn < limit {
+        // A closed flow is re-armed by its reply.
+        let closed = matches!(self.specs[idx].arrival, Arrival::Closed(_));
+        if !closed && self.flows[idx].drawn < limit {
             self.arm(api, idx);
         }
     }
@@ -476,7 +486,13 @@ impl AppDriver for TrafficApp {
             Some(Tag::Reply(request)) => {
                 if let Some((idx, at)) = self.pending.remove(&request) {
                     let rtt = api.now().since(at).as_micros_f64();
-                    self.stats.borrow_mut().rtt_us[idx].record(rtt);
+                    self.stats.borrow_mut().rtt_us[idx].push(rtt);
+                    let spec = &self.specs[idx];
+                    if matches!(spec.arrival, Arrival::Closed(_))
+                        && self.flows[idx].drawn < spec.stop_after.unwrap_or(u64::MAX)
+                    {
+                        self.arm(api, idx);
+                    }
                 }
             }
             None => {}
@@ -645,13 +661,23 @@ mod tests {
     }
 
     /// Regression: `AppStats::default()` used to build its RTT summary
-    /// through a derived `Default` whose minimum started at 0.
+    /// through a derived `Default` whose minimum started at 0. The round
+    /// trips are samples now: a fresh app holds none, and the minimum of a
+    /// run is a real round trip.
     #[test]
     fn fresh_stats_report_the_true_minimum_rtt() {
-        let (_, stats) = TrafficApp::new(vec![FlowSpec::rpc(NodeId(1), us(5))], 1, 0);
-        stats.borrow_mut().rtt_us[0].record(5.0);
-        stats.borrow_mut().rtt_us[0].record(9.0);
-        assert_eq!(stats.borrow().rtt_us[0].min(), 5.0);
+        let rpc = FlowSpec {
+            stop_after: Some(10),
+            ..FlowSpec::rpc(NodeId(1), us(5))
+        };
+        let (_, fresh) = TrafficApp::new(vec![rpc.clone()], 1, 0);
+        assert_eq!(fresh.borrow().rtt_us, vec![Vec::<f64>::new()]);
+        let (mut c, client, _) = traffic_pair(&ClusterSpec::mx_pair(), vec![rpc], 1);
+        c.drain();
+        let rtts = &client.borrow().rtt_us[0];
+        assert_eq!(rtts.len(), 10);
+        let min = rtts.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(min > 0.0, "minimum round trip {min} us");
     }
 
     #[test]
@@ -671,8 +697,8 @@ mod tests {
         assert_eq!(cs.sent, 40);
         assert_eq!(ss.received, 40);
         assert_eq!(cs.received, 40, "every request answered");
-        assert_eq!(cs.rtt_us[0].count(), 40, "every reply matched");
-        assert!(cs.rtt_us[0].mean() > 0.0);
+        assert_eq!(cs.rtt_us[0].len(), 40, "every reply matched");
+        assert!(cs.rtt_us[0].iter().all(|&rtt| rtt > 0.0));
         assert_eq!(cs.bytes_received, 40 * (REPLY_HEADER_BYTES as u64 + 512));
         assert!(cs.integrity.all_ok(), "{:?}", cs.integrity.failures);
         assert!(ss.integrity.all_ok(), "{:?}", ss.integrity.failures);
@@ -716,7 +742,7 @@ mod tests {
             30 * (REPLY_HEADER_BYTES + PAGE_BYTES) as u64
         );
         assert!(cs.integrity.all_ok(), "{:?}", cs.integrity.failures);
-        assert_eq!(cs.rtt_us[0].count(), 30);
+        assert_eq!(cs.rtt_us[0].len(), 30);
     }
 
     #[test]
@@ -749,20 +775,87 @@ mod tests {
             stop_after: Some(200),
             ..FlowSpec::rpc(NodeId(1), us(5))
         };
-        let (mut c, client, server) = traffic_pair(&spec, vec![rpc], 3);
+        // A closed loop stops at its first lost reply: every round
+        // completing says the loss was recovered under it too.
+        let closed = FlowSpec {
+            arrival: Arrival::Closed(us(2)),
+            stop_after: Some(100),
+            ..rpc.clone()
+        };
+        let (mut c, client, server) = traffic_pair(&spec, vec![rpc, closed], 3);
         c.set_fault_plan(0, FaultPlan::new(3).with_loss(0.02));
         c.drain();
         let (cs, ss) = (client.borrow(), server.borrow());
-        assert_eq!((cs.sent, ss.received), (200, 200));
+        assert_eq!((cs.sent, ss.received), (300, 300));
         assert_eq!(
             (ss.sent, cs.received),
-            (200, 200),
+            (300, 300),
             "exactly one reply a request"
         );
-        assert_eq!(cs.rtt_us[0].count(), 200);
+        assert_eq!((cs.rtt_us[0].len(), cs.rtt_us[1].len()), (200, 100));
         assert!(cs.integrity.all_ok(), "{:?}", cs.integrity.failures);
         assert!(ss.integrity.all_ok(), "{:?}", ss.integrity.failures);
         assert!(c.handle(0).metrics().retransmits > 0, "the loss hit");
+    }
+
+    #[test]
+    fn a_closed_loop_keeps_one_request_in_flight_per_flow() {
+        let closed = FlowSpec {
+            arrival: Arrival::Closed(us(1)),
+            sizes: SizeDist::Fixed(48),
+            express_header: 16,
+            reply: Some(Reply {
+                class: TrafficClass::DEFAULT,
+                sizes: SizeDist::Fixed(64 - REPLY_HEADER_BYTES),
+            }),
+            stop_after: Some(50),
+            ..FlowSpec::eager(NodeId(1), us(1), 0)
+        };
+        let (app, client) = TrafficApp::new(vec![closed; 4], 31, 0);
+        let (recorder, trace) = Recorder::new(Box::new(app));
+        let (sink, server) = TrafficApp::new(vec![], 31, 1);
+        let mut c = Cluster::build(
+            &ClusterSpec::mx_pair(),
+            vec![Some(Box::new(recorder)), Some(Box::new(sink))],
+        );
+        c.drain();
+        let (cs, ss) = (client.borrow(), server.borrow());
+        assert_eq!((ss.received, ss.sent), (200, 200));
+        assert!(cs.integrity.all_ok() && ss.integrity.all_ok());
+        let trace = trace.borrow();
+        assert_eq!(trace.flows.len(), 4, "the client opens no reply flow");
+        for (flow, rtts) in cs.rtt_us.iter().enumerate() {
+            assert_eq!(rtts.len(), 50, "flow {flow}");
+            // Request k's reply lands at its submission plus its round
+            // trip, no later than request k + 1 is submitted.
+            let sent: Vec<u64> = trace
+                .msgs
+                .iter()
+                .filter(|m| m.flow_idx == flow)
+                .map(|m| m.at_ns)
+                .collect();
+            assert_eq!(sent.len(), 50, "flow {flow}");
+            for (k, pair) in sent.windows(2).enumerate() {
+                let replied = pair[0] as f64 + rtts[k] * 1e3;
+                assert!(
+                    replied <= pair[1] as f64 + 0.5,
+                    "flow {flow}: request {} sent at {} ns, reply {k} at {replied} ns",
+                    k + 1,
+                    pair[1]
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "closed loop")]
+    fn a_closed_flow_without_a_reply_panics() {
+        let closed = FlowSpec {
+            arrival: Arrival::Closed(us(1)),
+            ..FlowSpec::eager(NodeId(1), us(1), 64)
+        };
+        let (mut c, _, _) = traffic_pair(&ClusterSpec::mx_pair(), vec![closed], 1);
+        c.drain();
     }
 
     #[test]

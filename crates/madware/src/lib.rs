@@ -14,7 +14,10 @@
 //!   unblocks. The middlewares are shapes of its
 //!   [`FlowSpec`]: [`FlowSpec::rpc`] (request/reply with RTT matching),
 //!   [`FlowSpec::dsm`] (latency-critical page faults answered by bulk
-//!   pages), [`FlowSpec::corba`] (marshalled multi-fragment invocations);
+//!   pages), [`FlowSpec::corba`] (marshalled multi-fragment invocations),
+//!   and a closed loop is one more arrival process,
+//!   [`Arrival::Closed`] (the next request a think time after the last
+//!   reply: the light-load regime of §3);
 //! * [`coll`] — madcoll: barrier/broadcast/reduce/allreduce as round-gated
 //!   schedules whose algorithm is selected from the rail's cost model;
 //! * [`mltrain`] — distributed-ML training steps (compute → gradient

@@ -84,9 +84,9 @@ mod tests {
         let (c, s) = (clients.borrow(), servers.borrow());
         assert_eq!(c.sent, 75);
         assert_eq!(s.received, 75);
-        assert_eq!(c.rtt_us[0].count(), 25, "all RPC replies");
-        assert_eq!(c.rtt_us[1].count(), 25, "all pages served");
-        assert_eq!(c.rtt_us[2].count(), 0, "CORBA is one-way");
+        assert_eq!(c.rtt_us[0].len(), 25, "all RPC replies");
+        assert_eq!(c.rtt_us[1].len(), 25, "all pages served");
+        assert_eq!(c.rtt_us[2].len(), 0, "CORBA is one-way");
         assert_eq!((s.sent, c.received), (50, 50));
         for (name, stats) in [("clients", &c), ("servers", &s)] {
             assert!(

@@ -106,15 +106,22 @@ pub enum Arrival {
         /// Time between burst starts.
         period: SimDuration,
     },
+    /// A closed loop: the next request is drawn one exponential think
+    /// time, of this mean, after the reply to the previous one arrives, so
+    /// a flow never has more than one request outstanding. The flow must
+    /// ask for a [`Reply`](crate::Reply). A request the engine `Rejected`,
+    /// or one whose reply is lost under `ReliabilityMode::Off`, stops its
+    /// flow: no reply comes to draw the next request.
+    Closed(SimDuration),
 }
 
 impl Arrival {
     /// Time until the next arrival event, and how many messages arrive
-    /// together at it.
+    /// together at it (for `Closed`, the think time from the reply).
     pub fn next(&self, rng: &mut StdRng) -> (SimDuration, u32) {
         match *self {
             Arrival::Periodic(p) => (p, 1),
-            Arrival::Poisson(mean) => {
+            Arrival::Poisson(mean) | Arrival::Closed(mean) => {
                 // Inverse-CDF exponential; clamp the uniform away from 0.
                 let u: f64 = rng.gen_range(1e-12..1.0);
                 let ns = -(u.ln()) * mean.as_nanos() as f64;

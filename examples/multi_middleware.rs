@@ -45,16 +45,17 @@ fn run(kind: EngineKind, gaps_us: [u64; 3], label: &str) {
         tx.aggregation_ratio()
     );
     let (rpc, dsm) = (&c.rtt_us[0], &c.rtt_us[1]);
+    let mean = |rtts: &[f64]| rtts.iter().sum::<f64>() / rtts.len() as f64;
     println!(
         "  RPC   : {} calls, mean RTT {:.1}us (max {:.1}us)",
-        rpc.count(),
-        rpc.mean(),
-        rpc.max()
+        rpc.len(),
+        mean(rpc),
+        rpc.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     );
     println!(
         "  DSM   : {} faults, mean page RTT {:.1}us",
-        dsm.count(),
-        dsm.mean()
+        dsm.len(),
+        mean(dsm)
     );
     // The servers answered every RPC call and DSM fault; the rest of what
     // they received is the CORBA invocations.
@@ -64,7 +65,7 @@ fn run(kind: EngineKind, gaps_us: [u64; 3], label: &str) {
         s.integrity.all_ok()
     );
     assert_eq!(
-        (rpc.count(), dsm.count()),
+        (rpc.len() as u64, dsm.len() as u64),
         (CALLS, CALLS),
         "a request unanswered"
     );
