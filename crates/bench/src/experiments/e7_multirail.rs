@@ -13,7 +13,7 @@ use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::ids::TrafficClass;
 use madeleine::{EngineConfig, ReliabilityMode};
 use madware::apps::{FlowSpec, StatsHandle};
-use madware::cells::{Cell, RailPair, Wire};
+use madware::cells::{Fabric, Pace, Pattern, ScenarioSpec, Shape};
 use madware::scenario::traffic_pair;
 use madware::workload::{Arrival, SizeDist};
 use simnet::{NodeId, SimDuration, SimTime, Technology};
@@ -133,15 +133,21 @@ pub struct LightLoad {
 /// Run the light-load cell: `msgs` messages, the deliveries read as they
 /// come so the sink keeps none of them.
 pub fn light_load(msgs: u64) -> LightLoad {
-    let cell = Cell {
-        rails: RailPair::MxElan,
+    let cell = ScenarioSpec {
+        fabric: Fabric::Pair,
+        rails: vec![Technology::MyrinetMx, Technology::QuadricsElan],
+        faults: vec![],
         reliability: ReliabilityMode::Off,
-        wire: Wire::Clean,
+        shape: Shape::Stream,
+        pace: Pace::Poisson,
+        pattern: Pattern::FanIn(4),
         mean_gap: SimDuration::from_micros(10),
         msgs,
+        traced: false,
         seed: 29,
     };
-    let (mut cluster, _tx, rx) = cell.build();
+    let (mut cluster, stats) = cell.build();
+    let rx = &stats[1];
     let mut latency = vec![Vec::new(); SIZE_CLASSES.len() + 1];
     let mut read = |cluster: &Cluster| {
         for m in cluster.handle(1).take_delivered() {

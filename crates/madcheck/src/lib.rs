@@ -24,9 +24,15 @@
 //!
 //! Entry points: [`analyze`] for a whole registry, [`check_spec`] for one
 //! strategy × one backlog, [`minimize`] to shrink a failure, and [`RULES`]
-//! — the table of sweep rules (retx, metrics, flow, net, prof, coll, diff)
-//! that all answer with one [`SweepReport`]. The
-//! deliberately broken strategies in [`fixtures`] exist so the analyzer's
+//! — the table of sweep rules (retx, flow, net, coll, fuzz) that all
+//! answer with one [`SweepReport`]. The last, [`fuzz()`], is madfuzz: it
+//! draws whole seeded scenarios (fabric, rails, fault plan, reliability
+//! mode, workload, load) and judges each by every run-level oracle —
+//! safety, conservation, the metrics registry, the profile partition,
+//! same-seed replay, the Nagle delta partition, observation and load
+//! monotonicity — replaying the committed corpus of failures first; the
+//! partition and delta-partition oracles are [`profcheck`] and
+//! [`diffcheck`]. The deliberately broken strategies in [`fixtures`] exist so the analyzer's
 //! own failure path stays tested.
 
 pub mod analyzer;
@@ -37,7 +43,7 @@ pub mod corpus;
 pub mod diffcheck;
 pub mod fixtures;
 pub mod flowcheck;
-pub mod metricscheck;
+pub mod fuzz;
 pub mod netcheck;
 pub mod profcheck;
 pub mod report;
@@ -48,11 +54,9 @@ pub use backlog::{BacklogSpec, FragSpec, MsgSpec, RndvPhase, ANALYZED_RAIL};
 pub use capcheck::{check_plan_caps, CapViolation};
 pub use collcheck::coll_check;
 pub use corpus::corpus;
-pub use diffcheck::diff_check;
 pub use flowcheck::flow_check;
-pub use metricscheck::{check_registry, metrics_check};
+pub use fuzz::{check_registry, fuzz};
 pub use netcheck::{net_check, verify_rates};
-pub use profcheck::prof_check;
 pub use report::{Finding, Report, SweepReport};
 pub use retxcheck::{check_retransmit, retx_sweep, verify_packets, RetxViolation};
 
@@ -64,22 +68,16 @@ pub type Rule = fn(&AnalyzeOptions) -> SweepReport;
 /// them after the strategy analyzer ([`analyze`]) itself.
 pub const RULES: &[Rule] = &[
     |o| retx_sweep(o.seed, o.samples),
-    |_| metrics_check(),
     |o| flow_check(o.seed, o.samples),
     // madnet topology sweep: routed paths + fair-share conservation
     // over the seeded topology corpus.
     |o| net_check(o.seed, o.samples.max(4)),
-    // madprof partition sweep: bounded corpus (each sample is a full
-    // traced simulation, so the count is fixed rather than tied to
-    // `samples`).
-    |o| prof_check(o.seed, 8),
     // madcoll schedule sweep: every collective plan in the seeded corpus
     // (and every auto-selected plan per capability profile) must be an
     // acyclic, member-spanning, byte-exact round-gated DAG.
     |o| coll_check(o.seed, o.samples.max(8)),
-    // maddiff sweep: self-diffs must be exactly zero, perturbed diffs
-    // must keep the delta-partition invariant, and reports must be
-    // byte-stable (each sample is two full traced simulations plus a
-    // perturbed third, so the count is fixed like prof's).
-    |o| diff_check(o.seed, 6),
+    // madfuzz: the committed corpus, then one drawn scenario per four
+    // samples (each is a full simulation, traced ones five), judged by
+    // every oracle of `fuzz::ORACLES`.
+    |o| fuzz(o.seed, o.samples / 4),
 ];

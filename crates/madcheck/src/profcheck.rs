@@ -1,114 +1,100 @@
-//! Conformance rule for madprof latency attribution: over a seeded
-//! corpus of live traced workloads, every delivered message's phase
-//! durations must partition its lifetime *exactly* —
-//! `admission + rndv + decision + retx + wire == delivered − submit`,
-//! with the span segments sorted, non-overlapping, in-bounds, and in
-//! agreement with the per-phase totals — and the profile's exports must
-//! be byte-identical when the same seed is replayed. A profiler that
-//! loses or invents nanoseconds is worse than no profiler: its shares
-//! steer tuning toward phases that never held the time.
-//!
-//! Like the other madcheck rules the verdict is re-derived
-//! independently: the partition is checked span-by-span here, not read
-//! back from [`Profile::partition_violations`] (which cross-checks
-//! against the receiver's own latency counter and is asserted zero as
-//! well). Half the corpus runs under a seeded fault plan
-//! (loss + duplication + reordering) with madrel `Recover`, so the
-//! `retx_recovery` phase carries real time.
+//! madfuzz's `partition` oracle: on a traced run, each delivered
+//! message's six phases partition its lifetime exactly — `admission +
+//! rndv + decision + retx + wire == delivered − submit` — span by span,
+//! and its profiled retransmissions match a recount from the engine rings.
+//! The verdict is re-derived here, not read back from
+//! [`Profile::partition_violations`] (which must read 0 as well). A
+//! profiler that loses or invents nanoseconds steers tuning toward phases
+//! that never held the time.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use madeleine::harness::Cluster;
-use madeleine::ids::TrafficClass;
-use madeleine::Profile;
-use simnet::SimDuration;
+use madeleine::{EngineEvent, MsgKey, Profile};
 
-use crate::corpus::{traced_run, TracedCorpus};
-use crate::report::SweepReport;
-
-/// The madprof corpus: three classes, bursts and drains, a third of the
-/// messages express-led, and the faulted half under loss + duplication
-/// + reordering.
-const CORPUS: TracedCorpus = TracedCorpus {
-    classes: &[
-        TrafficClass::DEFAULT,
-        TrafficClass::CONTROL,
-        TrafficClass::BULK,
-    ],
-    msgs: (6, 12),
-    gaps_ns: &[0, 0, 500, 4_000],
-    bodies: &[16, 256, 2_048, 16_384],
-    express_one_in: 3,
-    // One packet in five is lost: a sample is a dozen packets, and
-    // `retx_recovery` has to carry real time in most of them. (At 2 % it
-    // did only while the fixed 50 us timeout retransmitted every 16 KiB
-    // body on a clean wire.)
-    faults: |plan| {
-        plan.with_loss(0.2)
-            .with_dup(0.02)
-            .with_reorder(0.05, SimDuration::from_nanos(2_000))
-    },
-};
-
-/// Sample `idx` of the madprof corpus for `seed`, run to completion.
-pub fn build_sample(seed: u64, idx: usize) -> Cluster {
-    traced_run(seed, idx, &CORPUS, SimDuration::ZERO)
+/// Each message's retransmissions, recounted from the engine rings: a
+/// re-sent packet counts once for every distinct message it carried.
+pub fn retransmits(c: &Cluster) -> BTreeMap<MsgKey, u32> {
+    let mut count = BTreeMap::new();
+    for (node, h) in c
+        .nodes
+        .iter()
+        .zip(&c.handles)
+        .filter_map(|(n, h)| Some((n.0, h.opt()?)))
+    {
+        let mut carried: BTreeMap<u64, BTreeSet<MsgKey>> = BTreeMap::new();
+        for rec in h.trace().iter() {
+            match rec.event {
+                EngineEvent::ChunkBound {
+                    flow, seq, cookie, ..
+                } => {
+                    let key = MsgKey {
+                        src: node,
+                        flow: flow.0,
+                        seq,
+                    };
+                    carried.entry(cookie).or_default().insert(key);
+                }
+                EngineEvent::Retransmit {
+                    old_cookie,
+                    new_cookie,
+                    ..
+                } => {
+                    let msgs = carried.get(&old_cookie).cloned().unwrap_or_default();
+                    msgs.iter()
+                        .for_each(|&key| *count.entry(key).or_default() += 1);
+                    carried.insert(new_cookie, msgs);
+                }
+                _ => {}
+            }
+        }
+    }
+    count
 }
 
-/// An empty madprof report: corpus workloads, delivered messages whose
-/// partition was verified, span segments bounds-checked, messages that
-/// recovered via at least one retransmission.
-fn new_report(samples: usize) -> SweepReport {
-    let mut report = SweepReport::new(
-        "prof",
-        "every phase attribution partitions its message's lifetime",
-        &[
-            "workloads",
-            "message partitions",
-            "segments",
-            "retransmitted",
-        ],
-    );
-    report.add("workloads", samples);
-    report
-}
-
-/// Verify one profile span-by-span, independently of the profiler's own
-/// violation counter.
-fn check_profile(prof: &Profile, ctx: &str, report: &mut SweepReport) {
+/// The partition of one profile, span by span, independent of the
+/// profiler's own violation counter (which must read 0 too), and each
+/// message's retransmissions against the ring's `retransmits`: one line
+/// per broken message, eight at most.
+pub fn partition_findings(prof: &Profile, retransmits: &BTreeMap<MsgKey, u32>) -> Vec<String> {
+    let mut out = Vec::new();
     if prof.truncated() {
-        report.findings.push(format!(
-            "{ctx}: event ring overflowed ({} dropped)",
+        out.push(format!(
+            "the event ring overflowed ({} dropped)",
             prof.dropped_events
         ));
     }
     if prof.partition_violations != 0 {
-        report.findings.push(format!(
-            "{ctx}: {} attributions disagree with the receiver's latency counter",
-            prof.partition_violations
+        let n = prof.partition_violations;
+        out.push(format!(
+            "{n} attributions disagree with the receiver's latency counter"
         ));
     }
     for f in &prof.flows {
-        report.add("message partitions", 1);
-        if f.retransmits > 0 {
-            report.add("retransmitted", 1);
+        let resent = retransmits.get(&f.key).copied().unwrap_or(0);
+        if f.retransmits != resent {
+            out.push(format!(
+                "{} retransmitted {resent} times, profiled {}",
+                f.key, f.retransmits
+            ));
         }
         let lifetime = f.delivered_ns - f.submit_ns;
         let total: u64 = f.phases.iter().sum();
         if total != lifetime {
-            report.findings.push(format!(
-                "{ctx}: {} phases sum to {total} ns but lifetime is {lifetime} ns",
+            out.push(format!(
+                "{} phases sum to {total} ns but lifetime is {lifetime} ns",
                 f.key
             ));
         }
-        // Segments: sorted, non-overlapping, in-bounds, and telescoping
-        // to the same per-phase totals the phases array claims.
+        // Segments: sorted, non-overlapping, in bounds, and telescoping to
+        // the per-phase totals the phases array claims.
         let mut per_phase = [0u64; madeleine::PHASE_COUNT];
         let mut cursor = f.submit_ns;
         for &(phase, start, end) in &f.segments {
-            report.add("segments", 1);
             if start < cursor || end < start || end > f.delivered_ns {
-                report.findings.push(format!(
-                    "{ctx}: {} segment {}..{} escapes [{}, {}]",
-                    f.key, start, end, cursor, f.delivered_ns
+                out.push(format!(
+                    "{} segment {start}..{end} escapes [{cursor}, {}]",
+                    f.key, f.delivered_ns
                 ));
                 break;
             }
@@ -116,81 +102,71 @@ fn check_profile(prof: &Profile, ctx: &str, report: &mut SweepReport) {
             cursor = end;
         }
         if per_phase != f.phases {
-            report.findings.push(format!(
-                "{ctx}: {} segment totals {per_phase:?} != phase totals {:?}",
+            out.push(format!(
+                "{} segment totals {per_phase:?} != phases {:?}",
                 f.key, f.phases
             ));
         }
-        if report.findings.len() >= 32 {
-            return; // a systematic profiler bug needs no full listing
-        }
     }
-}
-
-/// Replay the seeded corpus, profiling each workload and verifying the
-/// partition invariant; every sample is rebuilt and re-profiled to pin
-/// byte-identical exports.
-pub fn prof_check(seed: u64, samples: usize) -> SweepReport {
-    let mut report = new_report(samples);
-    for idx in 0..samples {
-        let prof = build_sample(seed, idx).profile();
-        check_profile(&prof, &format!("sample {idx}"), &mut report);
-        if report.findings.len() >= 32 {
-            break;
-        }
-        // Same seed, fresh cluster: the exports must not move a byte.
-        let again = build_sample(seed, idx).profile();
-        if again.attribution_csv() != prof.attribution_csv()
-            || again.folded_stacks() != prof.folded_stacks()
-        {
-            report.findings.push(format!(
-                "sample {idx}: same-seed replay changed the profile exports"
-            ));
-        }
-    }
-    report
+    out.truncate(8);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madeleine::Phase;
+    use crate::fuzz::tests::{pair, traced_draws};
+    use crate::fuzz::traced;
+    use simnet::SimDuration;
 
+    /// Twelve traced draws, half of them faulted, and the faulted pair:
+    /// every message's phases partition its lifetime.
     #[test]
     fn corpus_attributions_partition_exactly() {
-        let r = prof_check(42, 8);
-        assert!(r.is_clean(), "{r}");
-        let (messages, segments) = (r.count("message partitions"), r.count("segments"));
-        assert!(messages >= 8 * 6, "messages checked: {messages}");
-        assert!(segments >= messages, "segments checked: {segments}");
-        assert!(
-            r.count("retransmitted") > 0,
-            "the faulted half must exercise retx_recovery"
-        );
+        let (mut messages, mut resent) = (0, 0);
+        for spec in traced_draws(42, 6).into_iter().chain([pair(40, true)]) {
+            let c = traced(&spec, SimDuration::ZERO).cluster;
+            let (prof, counts) = (c.profile(), retransmits(&c));
+            let found = partition_findings(&prof, &counts);
+            assert!(found.is_empty(), "{}: {found:?}", spec.to_json().render());
+            messages += prof.flows.len();
+            resent += counts.values().filter(|&&n| n > 0).count();
+        }
+        assert!(messages >= 13 * 6, "messages checked: {messages}");
+        assert!(resent > 0, "the faulted runs must exercise retx_recovery");
     }
 
     #[test]
     fn prof_check_is_deterministic() {
-        let a = prof_check(7, 4);
-        let b = prof_check(7, 4);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.findings, b.findings);
+        let exports = || {
+            let specs = traced_draws(7, 2).into_iter();
+            let runs = specs.map(|s| traced(&s, SimDuration::ZERO).cluster);
+            let one = |c: Cluster| {
+                let prof = c.profile();
+                let found = partition_findings(&prof, &retransmits(&c));
+                (prof.attribution_csv(), prof.folded_stacks(), found)
+            };
+            runs.map(one).collect::<Vec<_>>()
+        };
+        assert_eq!(exports(), exports());
     }
 
-    /// The verifier itself must catch a broken partition: corrupt one
-    /// span and both the sum check and the segment telescoping fire.
+    /// The verifier itself must catch a broken partition (one span
+    /// corrupted) and a message whose retransmissions it miscounts.
     #[test]
     fn corrupted_partition_is_flagged() {
-        let mut prof = build_sample(3, 0).profile();
-        let f = &mut prof.flows[0];
-        f.phases[Phase::Wire.rank() as usize] += 1;
-        let mut report = new_report(1);
-        check_profile(&prof, "corrupted", &mut report);
-        assert!(!report.is_clean());
+        let run = traced(&pair(40, true), SimDuration::ZERO);
+        let (mut prof, resent) = (run.cluster.profile(), retransmits(&run.cluster));
+        assert!(partition_findings(&prof, &resent).is_empty());
         assert!(
-            report.findings.iter().any(|f| f.contains("lifetime")),
-            "{:?}",
-            report.findings
+            resent.values().any(|&n| n > 0),
+            "the faulted pair retransmits"
         );
+        let f = &mut prof.flows[0];
+        f.phases[madeleine::Phase::Wire.rank() as usize] += 1;
+        f.retransmits += 1;
+        let found = partition_findings(&prof, &resent);
+        assert!(found.iter().any(|f| f.contains("lifetime")), "{found:?}");
+        assert!(found.iter().any(|f| f.contains("profiled")), "{found:?}");
     }
 }

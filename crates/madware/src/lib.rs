@@ -29,8 +29,10 @@
 //! * [`scenario`] — composed clusters: [`scenario::traffic`], a
 //!   `TrafficApp` on every node of any cluster, and its two-node case
 //!   [`scenario::traffic_pair`];
-//! * [`cells`] — seeded two-rail cells (rail pair × reliability × wire ×
-//!   load) and [`cells::safety`], the oracles every drained cell passes;
+//! * [`cells`] — [`cells::ScenarioSpec`], a whole scenario as plain data
+//!   drawn from a seed (fabric × rails × fault plan × reliability ×
+//!   workload × load, JSON in and out: madcheck's madfuzz draws it), and
+//!   [`cells::safety`], the oracles every drained scenario passes;
 //! * [`trace`] — workload record & replay for apples-to-apples engine
 //!   comparisons.
 //!

@@ -290,15 +290,23 @@ fn assert_streamed_equals_reference(c: &Cluster, what: &str) {
     assert_eq!(live.critical_path, reread.critical_path, "{what}");
 }
 
-/// madcheck's traced corpus (clean and faulted halves), the Recover +
-/// loss + duplication + rendezvous + veto cell, E14's incast (congestion
-/// and ECN marks on a switched fabric, three rings) and the smoke cell.
+/// Twelve traced madfuzz draws of 200 messages or fewer (six clean,
+/// six faulted), the Recover + loss + duplication + rendezvous + veto
+/// cell, E14's incast (congestion and ECN marks on a switched fabric,
+/// three rings) and the smoke cell.
 #[test]
 fn streamed_export_equals_the_reference_over_the_corpus() {
-    for seed in [3, 42] {
-        for idx in 0..6 {
-            let c = madcheck::profcheck::build_sample(seed, idx);
-            assert_streamed_equals_reference(&c, &format!("corpus seed {seed} sample {idx}"));
+    let mut left = [6, 6];
+    let draws = (0..).map(|i| madware::cells::ScenarioSpec::draw(42, i));
+    for spec in draws.filter(|s| s.traced && s.msgs <= 200) {
+        let n = &mut left[usize::from(!spec.faults.is_empty())];
+        if *n > 0 {
+            *n -= 1;
+            let c = madcheck::fuzz::traced(&spec, simnet::SimDuration::ZERO).cluster;
+            assert_streamed_equals_reference(&c, &spec.to_json().render());
+        }
+        if left == [0, 0] {
+            break;
         }
     }
     let c = mad_bench::tracecli::recovery_cell();

@@ -6,15 +6,13 @@
 //!   conformance analyzer over every registered strategy × every driver
 //!   capability profile. Exits non-zero (printing a minimized
 //!   counterexample) if any strategy can emit a plan that violates the
-//!   plan constraints or a driver capability bound, then checks the
-//!   madscope metrics export (unique sample keys, no silent drops) and
-//!   the madprof attribution partition (phase durations telescope
-//!   exactly to each message's lifetime over a seeded traced corpus) and
-//!   the maddiff comparison rules (same-seed self-diffs exactly zero,
-//!   per-phase deltas partition each latency delta, byte-stable
-//!   reports). Finishes with a madtrace smoke test: a small
-//!   traced workload is exported to Chrome trace-event JSON, re-parsed,
-//!   and the event count must round-trip (bit-identically across runs).
+//!   plan constraints or a driver capability bound, then runs every row
+//!   of `madcheck::RULES` — the last is madfuzz, which replays its
+//!   committed corpus and judges `--samples / 4` drawn scenarios by every
+//!   run-level oracle (safety, conservation, the metrics export, the
+//!   profile partition, same-seed replay and self-diff, the Nagle delta
+//!   partition, observation, load monotonicity; a traced draw's Chrome
+//!   export must also read back and replay byte for byte).
 //! * `lint` — run the madlint AST pass (determinism, panic hygiene,
 //!   concurrency readiness, trace coverage, hot-path linear scans; see
 //!   `crates/madlint`), plus
@@ -70,13 +68,14 @@ usage: cargo xtask <command>
 commands:
   analyze   madlint AST lints + static conformance analysis of all
             registered strategies against every driver capability
-            profile, plus the madflow flow-index, retransmit,
-            metrics-export, madprof-attribution and maddiff-comparison
-            rules
+            profile, plus the retransmit, flow-index, topology and
+            collective rules and madfuzz (corpus replay + drawn
+            scenarios under every run-level oracle)
               --broken-fixture   also register the deliberately broken
                                  fixture strategies (expected to fail)
               --seed <u64>       corpus seed (default: stable)
-              --samples <n>      sampled backlogs per profile (default 64)
+              --samples <n>      sampled backlogs per profile (default 64;
+                                 madfuzz draws n / 4 scenarios)
               --skip-lints       conformance analysis only
   bench     madscope regression gate: run the E1/E2/E7/E12 smoke suite
             plus a sampler replay, write BENCH_<label>.json,
@@ -155,8 +154,6 @@ fn analyze(args: &[String]) -> ExitCode {
         print!("{sweep}");
         ok &= sweep.is_clean();
     }
-
-    ok &= trace_smoke();
 
     if ok {
         ExitCode::SUCCESS
@@ -357,47 +354,12 @@ fn bench_error(msg: &str) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// trace-export smoke test
+// the golden Chrome export's workload
 // ---------------------------------------------------------------------------
 
-/// Madtrace round-trip check: run a small traced workload twice, export the
-/// merged Chrome timeline, re-parse the JSON and verify the event count
-/// matches what the exporter reported — and that the repeat run is
-/// byte-identical (the export must be deterministic).
-fn trace_smoke() -> bool {
-    let first = trace_export_once();
-    let second = trace_export_once();
-    if first.json != second.json {
-        println!(
-            "xtask analyze: trace smoke FAILED: repeat export differs (nondeterministic export)"
-        );
-        return false;
-    }
-    match madeleine::chrome_event_count(&first.json) {
-        Ok(n) if n == first.events => {
-            println!("xtask analyze: trace smoke passed ({n} Chrome events round-tripped)");
-            true
-        }
-        Ok(n) => {
-            println!(
-                "xtask analyze: trace smoke FAILED: exporter reported {} events, JSON parse found {n}",
-                first.events
-            );
-            false
-        }
-        Err(e) => {
-            println!("xtask analyze: trace smoke FAILED: export is not valid JSON: {e}");
-            false
-        }
-    }
-}
-
-fn trace_export_once() -> madeleine::ChromeExport {
-    trace_smoke_cell().export_chrome_trace()
-}
-
 /// The smoke workload, run to completion: eight 96-byte messages on one
-/// flow of a traced MX pair.
+/// flow of a traced MX pair (the golden Chrome export's run).
+#[cfg(test)]
 fn trace_smoke_cell() -> madeleine::Cluster {
     use madeleine::{Cluster, ClusterSpec, MessageBuilder, TrafficClass};
     let mut c = Cluster::build(&ClusterSpec::mx_pair().with_tracing(4096), vec![]);

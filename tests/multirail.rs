@@ -443,14 +443,90 @@ fn a_rail_killed_under_a_yielded_backlog_leaves_it_to_the_survivor() {
 
 #[test]
 fn every_two_rail_cell_passes_the_safety_oracles() {
-    // MX+Elan, Elan+MX and MX+TCP × Off / Recover × a clean and a lossy
-    // wire × a light and a loaded stream, 400 messages a cell.
-    let cells = madware::cells::Cell::sweep(400, 11);
-    assert_eq!(cells.len(), 24);
-    let failed: Vec<_> = cells
-        .iter()
-        .map(|cell| cell.run())
-        .filter(|out| !out.violations.is_empty())
-        .collect();
+    // Twenty-four madfuzz draws: the old two-rail grid (MX+Elan, Elan+MX
+    // and MX+TCP × Off / Recover × a clean and a faulted wire) and twelve
+    // cells past it, each judged by every oracle; a failure passes only
+    // as the committed known failure of its seed and oracle.
+    use madware::cells::{Fabric, FaultEntry, Pace, ScenarioSpec, Shape, RAIL_TECHS};
+    let draws: Vec<ScenarioSpec> = (0..24).map(|i| ScenarioSpec::draw(11, i)).collect();
+    assert!(draws.iter().all(|s| s.msgs <= 2_000));
+    // Two workers, the even and the odd draws: each scenario is a
+    // simulation of its own.
+    let judged: Vec<_> = std::thread::scope(|scope| {
+        let half = |odd: usize| {
+            let mine = draws.iter().skip(odd).step_by(2);
+            scope.spawn(move || {
+                mine.map(|s| (s, madcheck::fuzz::check(s, None)))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let workers = [half(0), half(1)];
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a worker panicked"))
+            .collect()
+    });
+    let corpus = madcheck::fuzz::corpus();
+    let mut failed = Vec::new();
+    for (spec, failures) in judged {
+        for (oracle, what) in failures {
+            match madcheck::fuzz::known(&corpus, spec, oracle) {
+                Some(e) => println!(
+                    "known failure: seed {} `{oracle}` ({:?})",
+                    e.seed, e.roadmap
+                ),
+                None => failed.push(format!("{}: `{oracle}` {what}", spec.to_json().render())),
+            }
+        }
+    }
     assert!(failed.is_empty(), "{failed:#?}");
+    let seen = |f: &dyn Fn(&ScenarioSpec) -> bool| draws.iter().any(f);
+    for fabric in Fabric::ALL {
+        assert!(seen(&|s| s.fabric == fabric), "{fabric:?}");
+    }
+    for shape in Shape::ALL {
+        assert!(seen(&|s| s.shape == shape), "{shape:?}");
+    }
+    for pace in Pace::ALL {
+        assert!(seen(&|s| s.pace == pace), "{pace:?}");
+    }
+    for tech in RAIL_TECHS {
+        assert!(seen(&|s| s.rails.contains(&tech)), "{tech:?}");
+    }
+    for n in [1, 2] {
+        assert!(seen(&|s| s.rails.len() == n), "{n} rails");
+    }
+    for kind in 0..4 {
+        let of = |f: &FaultEntry| match f {
+            FaultEntry::Loss(_) => 1,
+            FaultEntry::Dup(_) | FaultEntry::Reorder(..) => 2,
+            FaultEntry::Death(..) => 3,
+        };
+        assert!(
+            seen(&|s| s.faults.iter().map(of).max().unwrap_or(0) == kind),
+            "fault kind {kind}"
+        );
+    }
+    assert!(seen(&|s| matches!(
+        s.pattern,
+        madware::cells::Pattern::FanIn(_)
+    )));
+    assert!(seen(&|s| matches!(
+        s.pattern,
+        madware::cells::Pattern::Perm(_)
+    )));
+    assert!(seen(&|s| s.traced) && seen(&|s| !s.traced));
+    use simnet::Technology::{MyrinetMx as Mx, QuadricsElan as Elan, TcpEthernet as Tcp};
+    for rails in [[Mx, Elan], [Elan, Mx], [Mx, Tcp]] {
+        for mode in [ReliabilityMode::Off, ReliabilityMode::Recover] {
+            for faulted in [false, true] {
+                assert!(
+                    seen(&|s| s.rails == rails
+                        && s.reliability == mode
+                        && s.faults.iter().any(|f| f.touches_wire()) == faulted),
+                    "{rails:?} {mode:?} faulted wire {faulted}"
+                );
+            }
+        }
+    }
 }
