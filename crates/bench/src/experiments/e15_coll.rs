@@ -24,10 +24,10 @@
 //!   collective completes with the right value at every member, because
 //!   the round-gated state machine sits entirely above madrel's
 //!   exactly-once delivery.
-//! * **Distributed-ML training** — `madware::MlTrainApp` steps
-//!   (compute → gradient exchange → barrier) under ring-allreduce and
-//!   parameter-server exchange styles; the barrier fan-in p999 feeds
-//!   the bench gate.
+//! * **Distributed-ML training** — `CollApp` jobs whose step is
+//!   compute → gradient exchange → barrier, under the ring-allreduce and
+//!   parameter-server presets of `madware::coll::Phase`; the barrier
+//!   fan-in p999 feeds the bench gate.
 //!
 //! Everything runs in virtual time on seeded RNGs: repeat runs are
 //! byte-identical, schedules included.
@@ -35,9 +35,8 @@
 use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
-use madeleine::{AppDriver, CommApi, EngineConfig, FairnessMode, LogHistogram, ReliabilityMode};
-use madware::coll::{coll_hub, CollAlgo, CollApp, CollConfig, CollHub, CollOp};
-use madware::mltrain::{MlTrainApp, MlTrainMode, MlTrainSpec};
+use madeleine::{AppDriver, CommApi, EngineConfig, FairnessMode, ReliabilityMode};
+use madware::coll::{coll_hub, CollAlgo, CollApp, CollConfig, CollHub, CollOp, Phase};
 use simnet::{FaultPlan, NodeId, SimDuration, SimTime, Technology, Topology};
 
 use crate::{fmt_f, Report, Table};
@@ -448,59 +447,48 @@ pub fn fault_sweep() -> Vec<(&'static str, FaultPlan)> {
 
 /// One measured training run.
 pub struct TrainPoint {
-    /// Training steps completed per rank (must be `steps`).
-    pub steps_done: u32,
-    /// Full-step p50 (µs), merged across ranks.
+    /// Step completions over the rank count (must be `steps`).
+    pub steps_done: u64,
+    /// Full-step p50 (µs) over every rank's steps.
     pub step_p50_us: f64,
     /// Full-step p99 (µs).
     pub step_p99_us: f64,
-    /// Gradient-exchange p99 (µs).
+    /// Gradient-exchange p99 (µs): the step's first collective alone.
     pub exchange_p99_us: f64,
     /// Barrier fan-in p999 (µs) — the bench-gate tail.
     pub barrier_p999_us: f64,
-    /// Steps with a wrong verified gradient, summed over ranks (0).
-    pub wrong: u32,
+    /// Collectives with a wrong verified result, summed over ranks (0).
+    pub wrong: u64,
     /// Quiescence time (µs).
     pub makespan_us: f64,
 }
 
-/// Run the distributed-ML cell: 8 ranks × 10 steps of
-/// compute → gradient exchange → barrier on a flat MX rail.
-pub fn run_train_cell(mode: MlTrainMode) -> TrainPoint {
+/// Run the distributed-ML cell: 8 ranks × 10 steps of the `step`
+/// preset (compute → gradient exchange → barrier) on a flat MX rail.
+pub fn run_train_cell(step: fn(SimDuration) -> Vec<Phase>) -> TrainPoint {
     let ranks = 8u32;
-    let spec = MlTrainSpec {
-        gradient_elems: 8192,
-        compute_delay: SimDuration::from_micros(50),
-        steps: 10,
-        mode,
-        step_barrier: true,
-        coll: CollConfig::for_tech(Technology::MyrinetMx),
+    let phases = step(SimDuration::from_micros(50));
+    let Phase::Op { op: exchange, .. } = phases[1] else {
+        panic!("a training preset's second phase exchanges the gradient");
     };
-    let (apps, handles) = MlTrainApp::ranks(ranks, spec);
+    let cfg = CollConfig::for_tech(Technology::MyrinetMx);
+    let (apps, hub) = CollApp::job_ranks(phases, 8192, ranks, 10, &cfg);
     let cluster_spec =
         ClusterSpec::new(ranks as usize, vec![Technology::MyrinetMx]).config(engine_config());
     let mut cluster = Cluster::build(&cluster_spec, apps);
     let end = cluster.drain();
-    let mut step = LogHistogram::new();
-    let mut exchange = LogHistogram::new();
-    let mut barrier = LogHistogram::new();
-    let mut wrong = 0;
-    let mut steps_done = u32::MAX;
-    for h in &handles {
-        let s = h.borrow();
-        step.merge(&s.step);
-        exchange.merge(&s.exchange);
-        barrier.merge(&s.barrier);
-        wrong += s.wrong_results;
-        steps_done = steps_done.min(s.steps_done);
-    }
+    let s = hub.borrow();
     TrainPoint {
-        steps_done,
-        step_p50_us: step.quantile(0.5).as_micros_f64(),
-        step_p99_us: step.quantile(0.99).as_micros_f64(),
-        exchange_p99_us: exchange.quantile(0.99).as_micros_f64(),
-        barrier_p999_us: barrier.quantile(0.999).as_micros_f64(),
-        wrong,
+        steps_done: s.step.count() / u64::from(ranks),
+        step_p50_us: s.step.quantile(0.5).as_micros_f64(),
+        step_p99_us: s.step.quantile(0.99).as_micros_f64(),
+        exchange_p99_us: s.completion[exchange.index()]
+            .quantile(0.99)
+            .as_micros_f64(),
+        barrier_p999_us: s.completion[CollOp::Barrier.index()]
+            .quantile(0.999)
+            .as_micros_f64(),
+        wrong: s.wrong_results,
         makespan_us: end.as_micros_f64(),
     }
 }
@@ -627,8 +615,8 @@ pub fn run() -> Report {
             "steps",
         ],
     );
-    let ring = run_train_cell(MlTrainMode::RingAllreduce);
-    let ps = run_train_cell(MlTrainMode::ParamServer);
+    let ring = run_train_cell(Phase::ring_training);
+    let ps = run_train_cell(Phase::param_server);
     for (label, p) in [("ring-allreduce", &ring), ("param-server", &ps)] {
         tt.row(vec![
             label.into(),
@@ -749,11 +737,17 @@ mod tests {
     /// Both training modes finish every step with verified gradients.
     #[test]
     fn smoke_training_steps_verify() {
-        for mode in [MlTrainMode::RingAllreduce, MlTrainMode::ParamServer] {
-            let p = run_train_cell(mode);
-            assert_eq!(p.steps_done, 10, "{mode:?}: steps missing");
-            assert_eq!(p.wrong, 0, "{mode:?}: wrong gradient");
-            assert!(p.barrier_p999_us > 0.0, "{mode:?}: barrier never measured");
+        for (label, step) in [
+            (
+                "ring",
+                Phase::ring_training as fn(SimDuration) -> Vec<Phase>,
+            ),
+            ("param-server", Phase::param_server),
+        ] {
+            let p = run_train_cell(step);
+            assert_eq!(p.steps_done, 10, "{label}: steps missing");
+            assert_eq!(p.wrong, 0, "{label}: wrong gradient");
+            assert!(p.barrier_p999_us > 0.0, "{label}: barrier never measured");
         }
     }
 

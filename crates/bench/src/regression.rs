@@ -503,7 +503,7 @@ pub fn run_suite(label: &str) -> SuiteOutput {
         wins as f64 / cells as f64,
         Direction::HigherIsBetter,
     );
-    let train = e15_coll::run_train_cell(madware::mltrain::MlTrainMode::RingAllreduce);
+    let train = e15_coll::run_train_cell(madware::coll::Phase::ring_training);
     push(
         &mut metrics,
         "e15_barrier_fanin_p999_us",

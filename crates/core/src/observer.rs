@@ -295,8 +295,8 @@ impl Observer {
 
     /// One madscope sampler tick: snapshot the engine's gauges, its
     /// cumulative counters and per-rail state into the ring, then re-arm
-    /// unless the engine has been drained long enough for the timer to
-    /// sleep (preserving quiescence of idle simulations).
+    /// unless the engine has been drained or stalled long enough for the
+    /// timer to sleep (preserving quiescence of idle simulations).
     pub(crate) fn sampler_tick(&mut self, ctx: &mut SimCtx<'_>, view: &EngineView<'_>) {
         let Some(s) = self.sampler.as_mut() else {
             return;
@@ -319,7 +319,9 @@ impl Observer {
                 dead,
             })
             .collect();
-        if s.record_tick(ctx.now(), stats, &rails, view.drained()) {
+        let timer_armed = view.rel.timer_armed() || view.opt.timer_armed();
+        let idle = view.drained() || s.stalled(&stats, &rails, timer_armed);
+        if s.record_tick(ctx.now(), stats, &rails, idle) {
             ctx.set_timer(s.tick(), SAMPLER_TAG);
         } else {
             s.set_armed(false);

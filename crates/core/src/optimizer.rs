@@ -564,6 +564,11 @@ impl Optimizer {
         }
     }
 
+    /// True while the Nagle or the adaptive-epoch timer is armed.
+    pub(crate) fn timer_armed(&self) -> bool {
+        self.nagle_timer.is_some() || !self.adaptive_sleeping
+    }
+
     /// Forget the Nagle timer (it fired, or a flush overtakes it);
     /// returns it so a flush can cancel it.
     pub(crate) fn disarm_nagle(&mut self) -> Option<TimerId> {

@@ -1157,6 +1157,11 @@ impl Reliability {
         Some((asked.dst, action))
     }
 
+    /// True while the retransmit timer is armed.
+    pub(crate) fn timer_armed(&self) -> bool {
+        self.timer.is_some()
+    }
+
     /// (Re)arm the single retransmit timer toward the earliest pending
     /// deadline — of a packet or of a request — cancelling a stale one.
     /// With nothing pending the timer is cancelled so the simulation can

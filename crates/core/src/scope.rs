@@ -14,8 +14,8 @@
 //!
 //! Cost discipline: an engine without a sampler pays exactly one branch
 //! (`Option::is_none`) per wake-probe and nothing per event; the sampler's
-//! timer goes to sleep after two consecutive drained ticks so an idle
-//! simulation still reaches quiescence (mirroring the adaptive-policy
+//! timer goes to sleep after two consecutive drained or stalled ticks so an
+//! idle simulation still reaches quiescence (mirroring the adaptive-policy
 //! epoch timer).
 
 // madlint: file: deterministic-output
@@ -27,8 +27,8 @@ use simnet::{SimDuration, SimTime};
 use crate::json::{obj, Json, JsonSink, JsonWriter};
 use crate::metrics::MetricsRegistry;
 
-/// Consecutive drained ticks after which the sampler timer sleeps (a
-/// submission or received packet re-arms it).
+/// Consecutive idle ticks (drained or stalled) after which the sampler
+/// timer sleeps (a submission or received packet re-arms it).
 pub const SAMPLER_SLEEP_TICKS: u32 = 2;
 
 /// Default ring capacity when none is given.
@@ -40,7 +40,7 @@ pub const DEFAULT_SAMPLER_CAPACITY: usize = 4096;
 const UTIL_EWMA_NEW_MILLI: u64 = 200;
 
 /// Cumulative engine-side quantities captured at one sampler tick.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TickStats {
     /// Uncommitted payload bytes in the collect layer.
     pub backlog_bytes: u64,
@@ -141,15 +141,26 @@ impl Sampler {
         self.armed = armed;
     }
 
+    /// Whether a tick finds the engine stalled on a backlog no event will
+    /// send: the row unchanged, no data packet in flight or unacked, no
+    /// rail sending (its end would not wake the sampler), no timer armed.
+    pub(crate) fn stalled(&self, stats: &TickStats, rails: &[RailTick], timer_armed: bool) -> bool {
+        !timer_armed
+            && stats.inflight_pkts == 0
+            && stats.retx_pending == 0
+            && rails.iter().all(|r| !r.busy)
+            && self.rows.back().is_some_and(|row| row.stats == *stats)
+    }
+
     /// Record one tick. Returns `true` when the timer should re-arm,
-    /// `false` when the engine has been drained for
-    /// [`SAMPLER_SLEEP_TICKS`] consecutive ticks and the timer may sleep.
+    /// `false` when the engine has been `idle` (drained or `stalled`)
+    /// for [`SAMPLER_SLEEP_TICKS`] consecutive ticks and the timer may sleep.
     pub fn record_tick(
         &mut self,
         at: SimTime,
         stats: TickStats,
         rails: &[RailTick],
-        drained: bool,
+        idle: bool,
     ) -> bool {
         let mut smoothed = Vec::with_capacity(rails.len());
         for (r, obs) in rails.iter().enumerate() {
@@ -175,7 +186,7 @@ impl Sampler {
             stats,
             rails: smoothed,
         });
-        if drained {
+        if idle {
             self.idle_ticks += 1;
         } else {
             self.idle_ticks = 0;
@@ -555,6 +566,61 @@ mod tests {
         assert!(!s.record_tick(SimTime::from_nanos(2), tick_stats(0), &[], true));
         // Traffic resets the idle streak.
         assert!(s.record_tick(SimTime::from_nanos(3), tick_stats(5), &[], false));
+    }
+
+    /// A backlog that nothing moves puts the sampler to sleep after two
+    /// unchanged ticks; an armed engine timer, a busy rail, a packet in
+    /// flight or a changed row keeps it ticking.
+    #[test]
+    fn sampler_sleeps_on_a_stalled_backlog() {
+        let rail = |busy| RailTick {
+            busy,
+            health_milli: 1000,
+            dead: false,
+        };
+        let mut s = Sampler::new(SimDuration::from_micros(10), 8, 1);
+        let stuck = tick_stats(420);
+        assert!(
+            !s.stalled(&stuck, &[rail(false)], false),
+            "no row to compare"
+        );
+        s.record_tick(SimTime::ZERO, stuck, &[rail(false)], false);
+        assert!(
+            !s.stalled(&stuck, &[rail(false)], true),
+            "a timer will fire"
+        );
+        assert!(
+            !s.stalled(&stuck, &[rail(true)], false),
+            "a rail is sending"
+        );
+        assert!(
+            !s.stalled(&tick_stats(400), &[rail(false)], false),
+            "it moved"
+        );
+        let inflight = TickStats {
+            inflight_pkts: 1,
+            ..stuck
+        };
+        s.record_tick(SimTime::from_nanos(1), inflight, &[rail(false)], false);
+        assert!(
+            !s.stalled(&inflight, &[rail(false)], false),
+            "a packet is out"
+        );
+        let mut ticks = 0;
+        while s.record_tick(
+            SimTime::from_nanos(2 + ticks),
+            stuck,
+            &[rail(false)],
+            s.stalled(&stuck, &[rail(false)], false),
+        ) {
+            ticks += 1;
+            assert!(ticks < 10, "never slept");
+        }
+        assert_eq!(
+            ticks,
+            u64::from(SAMPLER_SLEEP_TICKS),
+            "one tick to differ from the in-flight row, then two stalled ones"
+        );
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub struct Run {
     /// Every node's stats, in node order.
     pub stats: Vec<StatsHandle>,
     /// The instant the run was cut at, when events were still due 200 ms
-    /// plus 50 offered spans in (a stuck backlog keeps a sampler ticking
-    /// for ever).
+    /// plus 50 offered spans in (a bound on a run that never falls
+    /// quiet).
     pub cut: Option<SimTime>,
 }
 

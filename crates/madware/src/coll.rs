@@ -25,9 +25,10 @@
 //!   observer member records the decision as
 //!   [`EngineEvent::CollProposed`]/[`EngineEvent::CollWon`] madtrace
 //!   events for madprof/maddiff attribution.
-//! * [`CollStats`] aggregates per-op completion-time
-//!   duration [`LogHistogram`]s and per-algorithm win counts, and renders
-//!   them as a `coll` metrics-registry section.
+//! * [`CollApp`] runs a collective job — a list of [`Phase`]s (compute,
+//!   collective, barrier) repeated per step — and [`CollStats`]
+//!   aggregates its per-op completion and per-step duration
+//!   [`LogHistogram`]s and per-algorithm win counts.
 //!
 //! Payloads are `u64` vectors (8 bytes/element) reduced element-wise by
 //! wrapping addition; a barrier is a 1-element token collective.
@@ -45,9 +46,7 @@ use simnet::{NodeId, SimDuration, SimTime, Topology, TxMode};
 use madeleine::api::{AppDriver, CommApi};
 use madeleine::hist::LogHistogram;
 use madeleine::ids::{FlowId, TrafficClass};
-use madeleine::json::{obj, Json};
 use madeleine::message::{DeliveredMessage, MessageBuilder, PackMode};
-use madeleine::metrics::MetricsRegistry;
 use madeleine::trace::EngineEvent;
 
 /// `chunk` value meaning "the whole payload vector" (every algorithm
@@ -116,9 +115,6 @@ impl CollOp {
         }
     }
 }
-
-/// Labels for [`CollOp::index`] order.
-pub const OP_LABELS: [&str; 4] = ["barrier", "broadcast", "reduce", "allreduce"];
 
 /// A collective algorithm — the axis "fast tuning" selects over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -635,8 +631,8 @@ fn decode_vec(b: &[u8]) -> Vec<u64> {
 /// One member's deterministic state machine for one collective.
 ///
 /// Drive it from an [`AppDriver`]: call [`CollMember::start`] once, feed
-/// every delivered message whose header matches this collective id to
-/// [`CollMember::on_message`], and poll [`CollMember::done`]. The machine
+/// every receive whose header matches this collective id to
+/// [`CollMember::absorb`], and poll [`CollMember::done`]. The machine
 /// emits each round's sends as soon as its earlier-round receives are in;
 /// it never blocks the engine and needs no timers.
 pub struct CollMember {
@@ -711,16 +707,6 @@ impl CollMember {
         }
     }
 
-    /// The algorithm this member executes.
-    pub fn algo(&self) -> CollAlgo {
-        self.plan.algo
-    }
-
-    /// The schedule (shared by all members).
-    pub fn plan(&self) -> &CollPlan {
-        &self.plan
-    }
-
     /// Begin: member 0 records the selection decision on the madtrace
     /// ring ([`EngineEvent::CollProposed`] per candidate, then
     /// [`EngineEvent::CollWon`]), then every member opens its flows and
@@ -761,30 +747,10 @@ impl CollMember {
         self.pump(api);
     }
 
-    /// Feed a delivered message. Returns `false` if the header does not
-    /// belong to this collective (wrong id, or not a madcoll message).
-    pub fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) -> bool {
-        let Some((_, hdr)) = msg.fragments.first() else {
-            return false;
-        };
-        let Some((coll_id, round, chunk, src)) = parse_header(hdr) else {
-            return false;
-        };
-        if coll_id != self.id {
-            return false;
-        }
-        let body = msg
-            .fragments
-            .get(1)
-            .map(|(_, b)| b.as_ref())
-            .unwrap_or_default();
-        self.absorb(api, round, chunk, src, body);
-        true
-    }
-
-    /// Absorb one already-parsed receive (round, chunk, sending member,
-    /// raw little-endian `u64` tile). Drivers that stash out-of-iteration
-    /// messages (see [`CollApp`]) replay them through here.
+    /// Absorb one receive of this collective, its header already parsed
+    /// by [`parse_header`]: round, chunk, sending member and the raw
+    /// little-endian `u64` tile. [`CollApp`] feeds live receives and
+    /// replays stashed early ones through here.
     pub fn absorb(&mut self, api: &mut dyn CommApi, round: u32, chunk: u32, src: u32, body: &[u8]) {
         let slot = self
             .needed
@@ -878,6 +844,9 @@ pub struct CollStats {
     /// Per-op member completion-time histograms ([`CollOp::index`] order:
     /// barrier, broadcast, reduce, allreduce).
     pub completion: [LogHistogram<SimDuration>; 4],
+    /// Step spans of a [`CollApp`] job, from its first phase's start to
+    /// its last phase's end, one per member per step.
+    pub step: LogHistogram<SimDuration>,
     /// Cost-model selection wins per algorithm ([`CollAlgo::index`]
     /// order), counted once per auto-selected collective.
     pub wins: [u64; 3],
@@ -893,58 +862,113 @@ pub fn coll_hub() -> CollHub {
     CollHub::default()
 }
 
-impl CollStats {
-    /// Deterministic JSON document (the `coll` registry section).
-    pub fn to_json(&self) -> Json {
-        let mut completion = obj();
-        for (i, label) in OP_LABELS.iter().enumerate() {
-            completion = completion.field(label, self.completion[i].to_json());
+/// One phase of a collective job; a [`CollApp`] step runs the job's
+/// phases in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Local work: the next phase starts this long after this one begins
+    /// (at once, with no timer, when zero).
+    Compute(SimDuration),
+    /// One collective over every member of the job.
+    Op {
+        /// The operation.
+        op: CollOp,
+        /// Fixed algorithm, or `None` for the job's [`CollConfig::algo`].
+        algo: Option<CollAlgo>,
+        /// Contribute this member's result of the previous collective (of
+        /// the job's element count) instead of `me + step` per element.
+        carried: bool,
+    },
+    /// A token barrier under the job's [`CollConfig::algo`].
+    Barrier,
+}
+
+impl Phase {
+    /// A collective contributing `me + step` per element.
+    pub fn op(op: CollOp, algo: Option<CollAlgo>) -> Phase {
+        Phase::Op {
+            op,
+            algo,
+            carried: false,
         }
-        let mut wins = obj();
-        for algo in CollAlgo::ALL {
-            wins = wins.field(algo.label(), self.wins[algo.index()]);
-        }
-        obj()
-            .field("started", self.started)
-            .field("completed", self.completed)
-            .field("member_completions", self.member_completions)
-            .field("wrong_results", self.wrong_results)
-            .field("completion_us", completion.build())
-            .field("algo_wins", wins.build())
-            .build()
     }
 
-    /// Install the `coll` section into a metrics registry.
-    pub fn register(&self, reg: &mut MetricsRegistry) {
-        reg.add_section("coll", self.to_json());
+    /// A data-parallel training step: compute, allreduce the gradient (the
+    /// ring once it is large enough), then a step barrier.
+    pub fn ring_training(compute: SimDuration) -> Vec<Phase> {
+        vec![
+            Phase::Compute(compute),
+            Phase::op(CollOp::Allreduce, None),
+            Phase::Barrier,
+        ]
+    }
+
+    /// A parameter-server training step: compute, reduce the gradients to
+    /// rank 0, broadcast the result back, then a step barrier. Both pin the
+    /// flat star, the server's shape, so selection cannot reroute it.
+    pub fn param_server(compute: SimDuration) -> Vec<Phase> {
+        vec![
+            Phase::Compute(compute),
+            Phase::op(CollOp::Reduce { root: 0 }, Some(CollAlgo::Flat)),
+            Phase::Op {
+                op: CollOp::Broadcast { root: 0 },
+                algo: Some(CollAlgo::Flat),
+                carried: true,
+            },
+            Phase::Barrier,
+        ]
     }
 }
 
-/// An [`AppDriver`] running `iterations` back-to-back collectives of one
-/// shape on one member — the standard harness for tests and experiments.
-///
-/// Contribution of member `m` in iteration `i` is `m + i` per element,
-/// so results are verified in closed form every iteration on every member.
+/// What every member holds after `op` when member `m` contributed
+/// `contrib[m]` per element: `None` where the closed form does not say
+/// (a barrier's token, a reduce's non-root members, an unknown input).
+fn held_after(op: CollOp, contrib: &[Option<u64>]) -> Vec<Option<u64>> {
+    let sum = contrib
+        .iter()
+        .try_fold(0u64, |acc, c| c.map(|c| acc.wrapping_add(c)));
+    (0..contrib.len() as u32)
+        .map(|m| match op {
+            CollOp::Barrier => None,
+            CollOp::Broadcast { root } => contrib[root as usize],
+            CollOp::Reduce { root } => sum.filter(|_| m == root),
+            CollOp::Allreduce => sum,
+        })
+        .collect()
+}
+
+/// An [`AppDriver`] running one member of a collective job: its
+/// [`Phase`]s in order, `steps` times. Collective ids number the job's
+/// collectives in order, so a one-collective job's id is its iteration;
+/// every result is verified in closed form on every member.
 pub struct CollApp {
     me: u32,
     nodes: Vec<NodeId>,
-    op: CollOp,
+    phases: Vec<Phase>,
     elems: u32,
+    steps: u32,
     cfg: CollConfig,
-    iterations: u32,
-    iter: u32,
+    step: u32,
+    /// The running (or next) phase of the step.
+    phase: usize,
+    step_started: SimTime,
+    /// Id of the running collective, or of the next one.
+    coll_id: u64,
     member: Option<CollMember>,
-    /// Receives for future iterations: a peer that finished iteration
-    /// `i` starts `i+1` immediately, and its round-0 traffic can land
-    /// here while this member is still in `i` (flows differ across
-    /// iterations, so no FIFO ordering applies). Keyed by collective id;
-    /// replayed when that iteration begins.
+    /// Receives for collectives not started yet: a peer that finished one
+    /// starts the next at once, and flows differ per collective, so no
+    /// FIFO order holds. Replayed when that collective begins.
     stash: Vec<(u64, u32, u32, u32, Vec<u8>)>,
+    /// What each member holds after the last collective (`held_after`).
+    held: Vec<Option<u64>>,
+    /// This member's result of the last collective.
+    value: Vec<u64>,
     hub: CollHub,
 }
 
 impl CollApp {
-    /// Build member `me` of the iterated collective.
+    /// Member `me` of `iterations` back-to-back collectives of one shape
+    /// under `cfg`: the one-phase job.
     pub fn new(
         me: u32,
         nodes: Vec<NodeId>,
@@ -954,22 +978,42 @@ impl CollApp {
         cfg: CollConfig,
         hub: CollHub,
     ) -> CollApp {
+        let phases = vec![Phase::op(op, None)];
+        CollApp::job(me, nodes, phases, elems, iterations, cfg, hub)
+    }
+
+    /// Member `me` of a job that runs `phases` `steps` times over
+    /// `elems`-element vectors (member `m` on `nodes[m]`).
+    pub fn job(
+        me: u32,
+        nodes: Vec<NodeId>,
+        phases: Vec<Phase>,
+        elems: u32,
+        steps: u32,
+        cfg: CollConfig,
+        hub: CollHub,
+    ) -> CollApp {
         CollApp {
             me,
             nodes,
-            op,
+            phases,
             elems,
+            steps,
             cfg,
-            iterations,
-            iter: 0,
+            step: 0,
+            phase: 0,
+            step_started: SimTime::ZERO,
+            coll_id: 0,
             member: None,
             stash: Vec::new(),
+            held: Vec::new(),
+            value: Vec::new(),
             hub,
         }
     }
 
-    /// Build one app per member plus the shared hub, ready for the
-    /// cluster harness (member `m` on node `m`).
+    /// One app per member of the one-phase job plus the shared hub, ready
+    /// for the cluster harness (member `m` on node `m`).
     pub fn ranks(
         op: CollOp,
         elems: u32,
@@ -977,121 +1021,156 @@ impl CollApp {
         iterations: u32,
         cfg: &CollConfig,
     ) -> (Vec<Option<Box<dyn AppDriver>>>, CollHub) {
+        CollApp::job_ranks(vec![Phase::op(op, None)], elems, members, iterations, cfg)
+    }
+
+    /// [`CollApp::ranks`] for a job of any phases.
+    pub fn job_ranks(
+        phases: Vec<Phase>,
+        elems: u32,
+        members: u32,
+        steps: u32,
+        cfg: &CollConfig,
+    ) -> (Vec<Option<Box<dyn AppDriver>>>, CollHub) {
         let hub = coll_hub();
         let nodes: Vec<NodeId> = (0..members).map(NodeId).collect();
         let apps = (0..members)
             .map(|m| {
-                Some(Box::new(CollApp::new(
+                let app = CollApp::job(
                     m,
                     nodes.clone(),
-                    op,
+                    phases.clone(),
                     elems,
-                    iterations,
+                    steps,
                     cfg.clone(),
                     hub.clone(),
-                )) as Box<dyn AppDriver>)
+                );
+                Some(Box::new(app) as Box<dyn AppDriver>)
             })
             .collect();
         (apps, hub)
     }
 
-    fn contribution(&self) -> Vec<u64> {
-        let elems = self.op.payload_elems(self.elems);
-        vec![(self.me + self.iter) as u64; elems as usize]
-    }
-
-    /// Expected per-element result for the current iteration.
-    fn expected(&self) -> Option<u64> {
-        let n = self.nodes.len() as u64;
-        let i = self.iter as u64;
-        match self.op {
-            CollOp::Barrier => None,
-            CollOp::Broadcast { root } => Some(root as u64 + i),
-            CollOp::Reduce { root } => {
-                if self.me == root {
-                    Some(n * (n - 1) / 2 + n * i)
-                } else {
-                    None
-                }
+    /// Run phases from the current one until one waits — on its compute
+    /// timer or on its collective's receives — or the job ends.
+    fn run(&mut self, api: &mut dyn CommApi) {
+        while self.step < self.steps {
+            if self.phase == self.phases.len() {
+                let span = api.now().since(self.step_started);
+                self.hub.borrow_mut().step.record(span);
+                self.step += 1;
+                self.phase = 0;
+                continue;
             }
-            CollOp::Allreduce => Some(n * (n - 1) / 2 + n * i),
+            if self.phase == 0 {
+                self.step_started = api.now();
+            }
+            let (op, algo, carried) = match self.phases[self.phase] {
+                Phase::Compute(delay) if delay.is_zero() => {
+                    self.phase += 1;
+                    continue;
+                }
+                Phase::Compute(delay) => {
+                    api.set_timer(delay, 0);
+                    return;
+                }
+                Phase::Op { op, algo, carried } => (op, algo, carried),
+                Phase::Barrier => (CollOp::Barrier, None, false),
+            };
+            self.begin(api, op, algo, carried);
+            if !self.member.as_ref().is_some_and(CollMember::done) {
+                return;
+            }
+            self.finish();
         }
+        assert!(
+            self.stash.is_empty(),
+            "member {} ended its job with {} stashed receives",
+            self.me,
+            self.stash.len()
+        );
     }
 
-    fn begin(&mut self, api: &mut dyn CommApi) {
+    /// Start the current phase's collective and replay the receives that
+    /// arrived for it before it began.
+    fn begin(&mut self, api: &mut dyn CommApi, op: CollOp, algo: Option<CollAlgo>, carried: bool) {
+        let (init, contrib) = if carried {
+            (
+                std::mem::take(&mut self.value),
+                std::mem::take(&mut self.held),
+            )
+        } else {
+            let step = u64::from(self.step);
+            let mine = vec![u64::from(self.me) + step; op.payload_elems(self.elems) as usize];
+            (
+                mine,
+                (0..self.nodes.len() as u64)
+                    .map(|m| Some(m + step))
+                    .collect(),
+            )
+        };
+        self.held = held_after(op, &contrib);
+        let cfg = CollConfig {
+            algo: algo.or(self.cfg.algo),
+            ..self.cfg.clone()
+        };
         let mut m = CollMember::new(
-            self.iter as u64,
-            self.op,
+            self.coll_id,
+            op,
             self.elems,
             self.me,
             self.nodes.clone(),
-            self.contribution(),
-            &self.cfg,
+            init,
+            &cfg,
         );
         if self.me == 0 {
             let mut hub = self.hub.borrow_mut();
             hub.started += 1;
-            if self.cfg.algo.is_none() {
-                hub.wins[m.algo().index()] += 1;
+            if let Some(choice) = &m.choice {
+                hub.wins[choice.algo.index()] += 1;
             }
         }
         m.start(api);
-        self.member = Some(m);
-        // Replay receives that arrived before this iteration began.
-        let id = self.iter as u64;
-        let ready: Vec<_> = {
-            let stash = &mut self.stash;
-            let mut ready = Vec::new();
-            stash.retain(|e| {
-                if e.0 == id {
-                    ready.push(e.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            ready
-        };
+        let id = self.coll_id;
+        let (ready, later) = std::mem::take(&mut self.stash)
+            .into_iter()
+            .partition::<Vec<_>, _>(|e| e.0 == id);
+        self.stash = later;
         for (_, round, chunk, src, body) in ready {
-            let m = self.member.as_mut().expect("just installed");
             m.absorb(api, round, chunk, src, &body);
         }
-        self.settle(api);
+        self.member = Some(m);
     }
 
-    /// Handle completion (possibly immediately, for 1-member shapes) and
-    /// chain the next iteration.
-    fn settle(&mut self, api: &mut dyn CommApi) {
-        let done = self.member.as_ref().is_some_and(CollMember::done);
-        if !done {
-            return;
-        }
-        let m = self.member.take().expect("checked");
-        {
-            let mut hub = self.hub.borrow_mut();
-            hub.member_completions += 1;
-            hub.completion[self.op.index()].record(m.elapsed().expect("done"));
-            if let Some(want) = self.expected() {
-                if !m.value().iter().all(|&x| x == want) {
-                    hub.wrong_results += 1;
-                }
-            }
-            if self.me == 0 {
-                hub.completed += 1;
+    /// Record the finished collective and move past its phase.
+    fn finish(&mut self) {
+        let m = self.member.take().expect("a finished collective");
+        let mut hub = self.hub.borrow_mut();
+        hub.member_completions += 1;
+        hub.completion[m.plan.op.index()].record(m.elapsed().expect("done"));
+        if let Some(want) = self.held[self.me as usize] {
+            if !m.value().iter().all(|&x| x == want) {
+                hub.wrong_results += 1;
             }
         }
-        self.iter += 1;
-        if self.iter < self.iterations {
-            self.begin(api);
+        if self.me == 0 {
+            hub.completed += 1;
         }
+        self.value = m.accum;
+        self.coll_id += 1;
+        self.phase += 1;
     }
 }
 
 impl AppDriver for CollApp {
     fn on_start(&mut self, api: &mut dyn CommApi) {
-        if self.iterations > 0 {
-            self.begin(api);
-        }
+        self.run(api);
+    }
+
+    /// The one timer a member sets ends its running compute phase.
+    fn on_timer(&mut self, api: &mut dyn CommApi, _tag: u64) {
+        self.phase += 1;
+        self.run(api);
     }
 
     fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) {
@@ -1101,30 +1180,27 @@ impl AppDriver for CollApp {
         let Some((coll_id, round, chunk, src)) = parse_header(hdr) else {
             return;
         };
-        let current = self.iter as u64;
-        if coll_id == current {
-            if let Some(m) = self.member.as_mut() {
-                let body = msg
-                    .fragments
-                    .get(1)
-                    .map(|(_, b)| b.as_ref())
-                    .unwrap_or_default();
-                m.absorb(api, round, chunk, src, body);
-                self.settle(api);
-            }
-            return;
-        }
         assert!(
-            coll_id > current,
-            "member {} got a receive for finished collective {coll_id} (now at {current})",
-            self.me
+            coll_id >= self.coll_id,
+            "member {} got a receive for finished collective {coll_id} (now at {})",
+            self.me,
+            self.coll_id
         );
         let body = msg
             .fragments
             .get(1)
-            .map(|(_, b)| b.to_vec())
+            .map(|(_, b)| b.as_ref())
             .unwrap_or_default();
-        self.stash.push((coll_id, round, chunk, src, body));
+        match self.member.as_mut() {
+            Some(m) if coll_id == self.coll_id => {
+                m.absorb(api, round, chunk, src, body);
+                if m.done() {
+                    self.finish();
+                    self.run(api);
+                }
+            }
+            _ => self.stash.push((coll_id, round, chunk, src, body.to_vec())),
+        }
     }
 }
 
@@ -1201,6 +1277,163 @@ mod tests {
             (s.completed, s.member_completions, s.wrong_results),
             (3, 18, 0)
         );
+    }
+
+    /// A member that reports its stash's peak and final length.
+    struct Watched {
+        app: CollApp,
+        stash: Rc<RefCell<(usize, usize)>>,
+    }
+
+    impl Watched {
+        fn note(&self) {
+            let mut s = self.stash.borrow_mut();
+            *s = (s.0.max(self.app.stash.len()), self.app.stash.len());
+        }
+    }
+
+    impl AppDriver for Watched {
+        fn on_start(&mut self, api: &mut dyn CommApi) {
+            self.app.on_start(api);
+            self.note();
+        }
+
+        fn on_timer(&mut self, api: &mut dyn CommApi, tag: u64) {
+            self.app.on_timer(api, tag);
+            self.note();
+        }
+
+        fn on_message(&mut self, api: &mut dyn CommApi, msg: &DeliveredMessage) {
+            self.app.on_message(api, msg);
+            self.note();
+        }
+    }
+
+    /// Run `phases` × `steps` over `members` on one MX rail (under
+    /// `Recover` with `faults` when given) and check that every member
+    /// ends its job with an empty stash; returns the hub and the largest
+    /// stash any member held.
+    fn run_job(
+        phases: Vec<Phase>,
+        elems: u32,
+        members: u32,
+        steps: u32,
+        faults: Option<simnet::FaultPlan>,
+    ) -> (CollHub, usize) {
+        let cfg = CollConfig::for_tech(Technology::MyrinetMx);
+        let (hub, nodes) = (coll_hub(), (0..members).map(NodeId).collect::<Vec<_>>());
+        let stashes: Vec<_> = (0..members).map(|_| Rc::default()).collect();
+        let apps = stashes
+            .iter()
+            .enumerate()
+            .map(|(m, stash)| {
+                let app = CollApp::job(
+                    m as u32,
+                    nodes.clone(),
+                    phases.clone(),
+                    elems,
+                    steps,
+                    cfg.clone(),
+                    hub.clone(),
+                );
+                let stash = Rc::clone(stash);
+                Some(Box::new(Watched { app, stash }) as Box<dyn AppDriver>)
+            })
+            .collect();
+        let mut spec = ClusterSpec::new(members as usize, vec![Technology::MyrinetMx]);
+        if faults.is_some() {
+            spec = spec.config(madeleine::EngineConfig {
+                reliability: madeleine::ReliabilityMode::Recover,
+                ..madeleine::EngineConfig::default()
+            });
+        }
+        let mut c = Cluster::build(&spec, apps);
+        if let Some(plan) = faults {
+            c.set_fault_plan(0, plan);
+        }
+        c.drain();
+        for (m, stash) in stashes.iter().enumerate() {
+            assert_eq!(
+                stash.borrow().1,
+                0,
+                "member {m} ended with stashed receives"
+            );
+        }
+        let peak = stashes.iter().map(|s| s.borrow().0).max().unwrap_or(0);
+        (hub, peak)
+    }
+
+    const COMPUTE: SimDuration = SimDuration::from_micros(20);
+
+    #[test]
+    fn ring_allreduce_training_verifies_every_step() {
+        for ranks in [2u32, 4, 6] {
+            let (hub, _) = run_job(Phase::ring_training(COMPUTE), 64, ranks, 4, None);
+            let s = hub.borrow();
+            let per_rank = 4 * u64::from(ranks);
+            assert_eq!(s.step.count(), per_rank, "{ranks} ranks");
+            assert_eq!(s.wrong_results, 0, "{ranks} ranks");
+            assert_eq!(s.completion[CollOp::Allreduce.index()].count(), per_rank);
+            assert_eq!(s.completion[CollOp::Barrier.index()].count(), per_rank);
+        }
+    }
+
+    #[test]
+    fn param_server_training_verifies_every_step() {
+        let (hub, _) = run_job(Phase::param_server(COMPUTE), 32, 5, 3, None);
+        let s = hub.borrow();
+        assert_eq!(s.step.count(), 5 * 3);
+        assert_eq!(s.completed, 3 * 3, "reduce, broadcast and barrier per step");
+        assert_eq!(s.wrong_results, 0);
+    }
+
+    #[test]
+    fn steps_cost_at_least_the_compute_delay() {
+        let (hub, _) = run_job(Phase::ring_training(COMPUTE), 16, 3, 2, None);
+        assert!(hub.borrow().step.quantile(0.5) >= COMPUTE);
+    }
+
+    /// A carried broadcast at a non-zero root returns the reduced vector
+    /// to every member, and the closed form knows it everywhere.
+    #[test]
+    fn a_carried_broadcast_at_a_nonzero_root_verifies() {
+        let root = 2;
+        let phases = vec![
+            Phase::Compute(COMPUTE),
+            Phase::op(CollOp::Reduce { root }, None),
+            Phase::Op {
+                op: CollOp::Broadcast { root },
+                algo: None,
+                carried: true,
+            },
+        ];
+        let (hub, _) = run_job(phases, 24, 5, 3, None);
+        let s = hub.borrow();
+        assert_eq!(s.completion[CollOp::Broadcast { root }.index()].count(), 15);
+        assert_eq!(s.wrong_results, 0);
+        let fresh: Vec<_> = (0..5).map(|m| Some(m + 1)).collect();
+        let reduced = held_after(CollOp::Reduce { root }, &fresh);
+        let back = held_after(CollOp::Broadcast { root }, &reduced);
+        assert_eq!(back, vec![Some(15); 5], "Σ (m + 1) reaches every member");
+    }
+
+    /// Loss and reordering let peers race ahead across phases: early
+    /// receives are stashed, replayed, and every step still verifies. At
+    /// 16 members the cost model runs the barrier as a binomial tree, so a
+    /// peer that has the broadcast already signals one still waiting for
+    /// it (the flat star of smaller jobs routes everything through the
+    /// server, which is never behind).
+    #[test]
+    fn param_server_under_loss_and_reorder_replays_the_stash() {
+        const MEMBERS: u32 = 16;
+        let faults = simnet::FaultPlan::new(42)
+            .with_loss(0.02)
+            .with_reorder(0.05, SimDuration::from_micros(5));
+        let (hub, peak) = run_job(Phase::param_server(COMPUTE), 256, MEMBERS, 6, Some(faults));
+        let s = hub.borrow();
+        assert_eq!(s.step.count(), u64::from(MEMBERS) * 6);
+        assert_eq!(s.wrong_results, 0);
+        assert!(peak > 0, "no receive ever arrived early");
     }
 
     #[test]

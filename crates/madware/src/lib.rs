@@ -19,10 +19,11 @@
 //!   [`Arrival::Closed`] (the next request a think time after the last
 //!   reply: the light-load regime of §3);
 //! * [`coll`] — madcoll: barrier/broadcast/reduce/allreduce as round-gated
-//!   schedules whose algorithm is selected from the rail's cost model;
-//! * [`mltrain`] — distributed-ML training steps (compute → gradient
-//!   ring-allreduce or parameter-server exchange → step barrier) over
-//!   madcoll's algorithm-selected collectives;
+//!   schedules whose algorithm is selected from the rail's cost model, and
+//!   [`coll::CollApp`], which runs a collective job as a list of
+//!   [`coll::Phase`]s (compute, collective, barrier) repeated per step —
+//!   iterated collectives, and distributed-ML training steps as its
+//!   ring-allreduce and parameter-server presets;
 //! * [`verify`] — deterministic payload patterns: every workload checks the
 //!   bytes and the per-flow order of what it receives, so experiments
 //!   double as correctness tests;
@@ -69,7 +70,6 @@
 pub mod apps;
 pub mod cells;
 pub mod coll;
-pub mod mltrain;
 pub mod scenario;
 pub mod trace;
 pub mod verify;

@@ -239,3 +239,27 @@ fn a_traced_cluster_reports_its_simulator_ring() {
     let plain = run_workload(false).prometheus_text();
     assert!(!plain.contains("sim/trace"), "{plain}");
 }
+
+/// A backlog that no event will send must not keep a sampled cluster
+/// from draining. madfuzz's corpus scenario seed 12005157745555961858
+/// (fifteen DSM requesters fanning into one host of `fat_tree(4)` over
+/// TCP + MX under `Recover`) strands 420 bytes of replies on the target;
+/// the sampler sleeps on the stalled backlog, so `drain` returns within
+/// three ticks of the unsampled run's last event instead of running to
+/// its `u64::MAX / 2` ns limit.
+#[test]
+fn a_stranded_backlog_lets_a_sampled_cluster_drain() {
+    let entry = madcheck::fuzz::corpus()
+        .into_iter()
+        .find(|e| e.seed == 12_005_157_745_555_961_858)
+        .expect("the stranded fan-in is a corpus entry");
+    let tick = SimDuration::from_micros(100);
+    let plain = entry.spec.build().0.drain();
+    let (mut sampled, _) = entry.spec.build();
+    sampled.enable_sampler(tick);
+    let end = sampled.drain();
+    assert!(
+        end <= plain + tick * 3,
+        "sampled drain ran to {end:?}, the unsampled one to {plain:?}"
+    );
+}
