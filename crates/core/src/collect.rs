@@ -557,6 +557,17 @@ impl CollectLayer {
         groups.debug_assert_invariants();
     }
 
+    /// Whether [`CollectLayer::collect_window`] would leave its window
+    /// empty and its walk state as it is, on any rail: no flow is
+    /// offerable, and under [`FairnessMode::Drr`] — whose cursor passes,
+    /// and credits, active flows with nothing to give — no flow is active.
+    pub(crate) fn offers_nothing(&self) -> bool {
+        match self.fairness {
+            FairnessMode::PackOrder => self.index.none_offerable(),
+            FairnessMode::Drr => self.index.active_count() == 0,
+        }
+    }
+
     /// Historical flow order: ascending flow id, messages oldest first.
     fn collect_pack_order(
         &mut self,

@@ -260,12 +260,23 @@ impl EngineCore {
     /// the best plan until the hardware queue fills or the backlog (as
     /// visible to this rail) is exhausted. Every pass works in the
     /// optimizer's scratch, so an activation that finds nothing to send
-    /// allocates nothing.
+    /// allocates nothing; one with nothing to offer at all records what
+    /// the pass would of its empty window and returns before it.
     fn optimize_rail(&mut self, ctx: &mut SimCtx<'_>, rail_idx: usize, cause: Activation) {
         if self.rel.rails()[rail_idx].is_dead() {
             return;
         }
         self.transfer.flush_ctrl(ctx);
+        if self.collect.offers_nothing() {
+            self.obs.metrics_mut().record_activation(cause);
+            let act = self.opt.begin_activation();
+            // The pass looks at its window only if it could send.
+            let rail = &self.transfer.rails()[rail_idx];
+            if self.config.rearrange_budget > 0 && rail.driver.free_slots(ctx) > 0 {
+                self.start_activation(ctx, act, cause, rail_idx, 0);
+            }
+            return;
+        }
         let channel = ChannelId(rail_idx as u16);
         let window = self.config.lookahead_window;
         let mut pass = self.opt.lend_scratch();
@@ -311,26 +322,16 @@ impl EngineCore {
                     break;
                 }
             }
-            let rail = &self.transfer.rails()[rail_idx];
             let groups = pass.groups.groups();
-            let backlog: usize = groups
-                .iter()
-                .map(|g| g.candidates.len() + g.rndv.len())
-                .sum();
             if first_pass {
-                self.obs.metrics_mut().backlog_depth.record(backlog as f64);
-                let start = EngineEvent::ActivationStart {
-                    id: act,
-                    cause,
-                    rail: rail_idx as u16,
-                    backlog_depth: backlog as u32,
-                };
-                self.obs.emit(ctx.now(), start);
+                let backlog = groups.iter().map(|g| g.candidates.len() + g.rndv.len());
+                self.start_activation(ctx, act, cause, rail_idx, backlog.sum());
                 first_pass = false;
             }
             if groups.is_empty() {
                 break;
             }
+            let rail = &self.transfer.rails()[rail_idx];
             let caps = rail.driver.capabilities();
             let octx = OptContext {
                 now: ctx.now(),
@@ -373,6 +374,26 @@ impl EngineCore {
             self.rel.debug_assert_invariants(&self.collect);
         }
         self.opt.return_scratch(pass);
+    }
+
+    /// Record activation `act`'s first look at `rail`'s window: its
+    /// depth, and the trace's `ActivationStart`.
+    fn start_activation(
+        &mut self,
+        ctx: &SimCtx<'_>,
+        act: u64,
+        cause: Activation,
+        rail: usize,
+        backlog: usize,
+    ) {
+        self.obs.metrics_mut().backlog_depth.record(backlog as f64);
+        let start = EngineEvent::ActivationStart {
+            id: act,
+            cause,
+            rail: rail as u16,
+            backlog_depth: backlog as u32,
+        };
+        self.obs.emit(ctx.now(), start);
     }
 
     /// The rails other than `rail` that are live, free of the congestion
@@ -1594,6 +1615,113 @@ mod tests {
         assert_eq!(m.submitted_msgs, 1);
         assert_eq!(m.submitted_bytes, 64);
         assert_eq!(m.activations_submit, 1);
+    }
+
+    /// One 64-byte message on flow `f`, submitted on node `a` now.
+    fn send_small(sim: &mut Simulation, handle: &EngineHandle, a: NodeId, f: FlowId) {
+        let parts = MessageBuilder::new().pack_cheaper(&[7; 64]).build_parts();
+        sim.inject(a, |ctx| handle.send(ctx, f, parts));
+    }
+
+    #[test]
+    fn an_activation_with_nothing_to_offer_counts_and_traces_as_the_pass_did() {
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let (engine, handle) = MadEngine::builder(a)
+            .rail(driver(na), 1 << 20)
+            .peer(NodeId(1), vec![nb])
+            .build()
+            .unwrap();
+        sim.set_endpoint(a, Box::new(engine));
+        handle.enable_trace(64);
+        let f = handle.open_flow(NodeId(1), TrafficClass::DEFAULT);
+        // The submission finds the message; the idle report after its
+        // packet finds nothing, and so does a flush.
+        send_small(&mut sim, &handle, a, f);
+        sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+        assert!(handle.core.borrow().collect.offers_nothing());
+        sim.inject(a, |ctx| handle.flush(ctx));
+        let m = handle.metrics();
+        let counts = (
+            m.activations_submit,
+            m.activations_idle,
+            m.activations_timer,
+        );
+        assert_eq!(counts, (1, 1, 1));
+        let depth = &m.backlog_depth;
+        assert_eq!((depth.count(), depth.max(), depth.sum()), (3, 1.0, 1.0));
+        let starts: Vec<_> = handle
+            .trace_snapshot()
+            .iter()
+            .filter_map(|r| match r.event {
+                EngineEvent::ActivationStart {
+                    id,
+                    cause,
+                    rail,
+                    backlog_depth,
+                } => Some((id, cause, rail, backlog_depth)),
+                _ => None,
+            })
+            .collect();
+        let want = [
+            (0, Activation::Submit, 0, 1),
+            (1, Activation::NicIdle, 0, 0),
+            (2, Activation::Timer, 0, 0),
+        ];
+        assert_eq!(starts, want);
+    }
+
+    #[test]
+    fn under_drr_an_activation_skips_the_walk_only_when_no_flow_is_active() {
+        // DRR's cursor passes, and credits, every active flow, offerable
+        // or not: an activation leaves the collect layer as one window
+        // walk over it does, whether it walks or not.
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let config = EngineConfig {
+            fairness: FairnessMode::Drr,
+            nagle_delay: SimDuration::from_micros(1),
+            ..EngineConfig::default()
+        };
+        let (engine, handle) = MadEngine::builder(a)
+            .rail(driver(na), 1 << 20)
+            .peer(NodeId(1), vec![nb])
+            .config(config)
+            .build()
+            .unwrap();
+        sim.set_endpoint(a, Box::new(engine));
+        // Held by the Nagle delay, then sent in one flush.
+        for _ in 0..2 {
+            let f = handle.open_flow(NodeId(1), TrafficClass::DEFAULT);
+            send_small(&mut sim, &handle, a, f);
+        }
+        sim.inject(a, |ctx| handle.flush(ctx));
+        // The layer before an activation, after one walk over it, and
+        // after the activation.
+        let activate = |sim: &mut Simulation| {
+            let mut core = handle.core.borrow_mut();
+            let before = format!("{:?}", core.collect);
+            let mut walked = core.collect.clone();
+            let mut groups = WindowGroups::default();
+            walked.collect_window(ChannelId(0), 256, |_, _| true, &mut groups);
+            assert!(groups.groups().is_empty(), "nothing to offer");
+            sim.inject(a, |ctx| core.optimize_rail(ctx, 0, Activation::Timer));
+            (before, format!("{walked:?}"), format!("{:?}", core.collect))
+        };
+        // Both messages are on the NIC and neither is complete: their
+        // flows are active with nothing to offer, and the pass walks them.
+        let idle = handle.core.borrow().collect.index().none_offerable();
+        assert!(idle && !handle.core.borrow().collect.offers_nothing());
+        let (before, walked, after) = activate(&mut sim);
+        assert_ne!(before, walked, "the walk credits the active flows");
+        assert_eq!(after, walked);
+        // Once both are complete no flow is active, and nothing moves.
+        sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+        assert!(handle.core.borrow().collect.offers_nothing());
+        let (before, walked, after) = activate(&mut sim);
+        assert_eq!((&after, &walked), (&before, &before));
+        // The flush, the idle report after the packet and the two above,
+        // each with its sample.
+        let m = handle.metrics();
+        assert_eq!((m.activations(), m.backlog_depth.count()), (4, 4));
     }
 
     #[test]

@@ -475,6 +475,12 @@ impl FlowIndex {
         self.pending_msgs
     }
 
+    /// True when no flow is offerable: a pack-order window walk finds
+    /// nothing (O(1)).
+    pub(crate) fn none_offerable(&self) -> bool {
+        self.ready.len() == 0 && self.asking.is_empty()
+    }
+
     /// True when no flow has anything queued (O(1)).
     pub fn is_idle(&self) -> bool {
         self.pending_msgs == 0

@@ -244,7 +244,7 @@ impl LegacyCore {
                 segments: pkt.segments.clone(),
             };
             match rail.driver.submit(ctx, req) {
-                Ok(()) => {
+                Ok(_) => {
                     if pkt.kind == KIND_DATA {
                         self.metrics.record_packet(pkt.chunk_count, pkt.linearized);
                     }

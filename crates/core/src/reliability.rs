@@ -1162,17 +1162,22 @@ impl Reliability {
         self.timer.is_some()
     }
 
-    /// (Re)arm the single retransmit timer toward the earliest pending
-    /// deadline — of a packet or of a request — cancelling a stale one.
-    /// With nothing pending the timer is cancelled so the simulation can
-    /// reach quiescence. (A packet in the NIC's queue and a parked one
-    /// have no deadline: each waits for a `tx_done` that is bound to come.)
+    /// Arm the single retransmit timer toward the earliest pending
+    /// deadline — of a packet or of a request. An armed timer moves only
+    /// to fire sooner: one at or before the earliest deadline is kept, and
+    /// when it fires early its sweep finds nothing due and arms it again
+    /// for the earliest deadline, so every sweep runs at the instant it
+    /// would have, and an ack that settles the earliest packet costs no
+    /// cancellation. With nothing pending the timer is cancelled so the
+    /// simulation can reach quiescence. (A packet in the NIC's queue and a
+    /// parked one have no deadline: each waits for a `tx_done` that is
+    /// bound to come.)
     pub(crate) fn arm_timer(&mut self, ctx: &mut SimCtx<'_>) {
         let asked = self.requests.values().map(|r| r.deadline).min();
         let launched = self.retx.next_deadline().filter(|&d| d != SimTime::MAX);
         let deadline = launched.into_iter().chain(asked).min();
         if let Some((timer, armed_for)) = self.timer {
-            if Some(armed_for) == deadline {
+            if deadline.is_some_and(|d| armed_for <= d) {
                 return;
             }
             ctx.cancel_timer(timer);
@@ -1222,7 +1227,7 @@ mod tests {
     use crate::cost::cheaper_mode;
     use crate::ids::FlowId;
     use nicdrv::calib;
-    use simnet::Technology;
+    use simnet::{Simulation, Technology};
 
     fn chunk(len: u32) -> PlannedChunk {
         PlannedChunk {
@@ -1491,6 +1496,113 @@ mod tests {
                 "packet {k}"
             );
         }
+    }
+
+    /// Run `sim` to `at` and arm `r`'s timer there, as the engine does
+    /// after each change to what is pending; the timer armed, by id and
+    /// the instant it was armed for.
+    fn arm(sim: &mut Simulation, r: &mut Reliability, at: SimTime) -> Option<(TimerId, SimTime)> {
+        sim.run_until(at);
+        sim.inject(NodeId(0), |ctx| r.arm_timer(ctx));
+        r.timer
+    }
+
+    /// The deadline of tracked `cookie`.
+    fn due(r: &Reliability, cookie: u64) -> SimTime {
+        r.retx.pending[&cookie].0.deadline
+    }
+
+    #[test]
+    fn acks_in_send_order_move_no_timer_and_the_last_one_cancels_it() {
+        let (mut r, mut obs) = layer(&[MX], 6);
+        let mut sim = Simulation::new();
+        sim.add_node();
+        let at = |us: u64| SimTime::from_nanos(us * 1_000);
+        for cookie in 1..=4 {
+            send(&mut r, cookie, 64, Attempt::first(0), at(cookie));
+            arm(&mut sim, &mut r, at(cookie));
+        }
+        let first = r.timer;
+        assert_eq!(first.map(|(_, d)| d), Some(due(&r, 1)));
+        // Each ack settles the earliest packet and leaves the timer where
+        // it is, armed before every deadline still pending.
+        for cookie in 1..=3 {
+            let acked = at(cookie + 10);
+            assert!(r.on_ack(cookie, false, acked, NodeId(0), &mut obs, |_| ()));
+            assert_eq!(arm(&mut sim, &mut r, acked), first, "ack {cookie}");
+            assert!(first.is_some_and(|(_, d)| d < due(&r, cookie + 1)));
+        }
+        // The last settled packet cancels it, so the run can end: it
+        // never fires.
+        assert!(r.on_ack(4, false, at(14), NodeId(0), &mut obs, |_| ()));
+        assert_eq!(arm(&mut sim, &mut r, at(14)), None);
+        assert!(!r.timer_armed());
+        let processed = sim.events_processed();
+        sim.run_until_quiescent(FAR);
+        assert!(sim.is_quiescent());
+        assert_eq!(
+            sim.events_processed(),
+            processed,
+            "a cancelled timer fires nothing"
+        );
+    }
+
+    #[test]
+    fn a_timer_armed_early_sweeps_nothing_and_the_real_timeout_fires_on_time() {
+        let (mut r, mut obs) = layer(&[MX, ELAN], 6);
+        let initial = EngineConfig::default().retransmit_timeout;
+        let mut sim = Simulation::new();
+        sim.add_node();
+        let (t1, t2) = (SimTime::from_nanos(1_000), SimTime::from_nanos(5_000));
+        send(&mut r, 1, 64, Attempt::first(0), t1);
+        send(&mut r, 2, 64, Attempt::first(1), t2);
+        let flight = r.clocks[1].data_flight(wire(&[chunk(64)]), 2);
+        let (early, late) = (due(&r, 1), due(&r, 2));
+        assert_eq!(late, t2 + flight + initial, "packet 2's own deadline");
+        assert!(early < late);
+        let armed = arm(&mut sim, &mut r, t2);
+        assert_eq!(armed.map(|(_, d)| d), Some(early));
+        // Packet 1 is answered: the timer stays, early for packet 2.
+        let acked = t2 + SimDuration::from_micros(5);
+        assert!(r.on_ack(1, false, acked, NodeId(0), &mut obs, |_| ()));
+        assert_eq!(arm(&mut sim, &mut r, acked), armed);
+        // It fires at packet 1's old deadline, finds nothing due, and is
+        // armed again for packet 2's.
+        sim.run_until(early);
+        assert!(r.begin_sweep(early).is_empty());
+        assert!(r.overdue_requests(early).is_empty());
+        let again = arm(&mut sim, &mut r, early);
+        assert_eq!(again.map(|(_, d)| d), Some(late));
+        assert_ne!(again.map(|(id, _)| id), armed.map(|(id, _)| id));
+        // There packet 2 times out, at the instant its flight and margin
+        // say, as if the timer had been moved at the ack.
+        sim.run_until(late);
+        assert_eq!(r.begin_sweep(late), vec![2]);
+    }
+
+    #[test]
+    fn a_sooner_deadline_moves_the_timer() {
+        let (mut r, _) = layer(&[MX], 6);
+        let mut sim = Simulation::new();
+        sim.add_node();
+        // A third attempt waits four margins; a first attempt after it
+        // times out sooner, and the timer moves to it.
+        let t = SimTime::from_nanos(1_000);
+        let third = Attempt {
+            rail: 0,
+            attempts: 3,
+        };
+        send(&mut r, 1, 64, third, t);
+        let armed = arm(&mut sim, &mut r, t);
+        send(&mut r, 2, 64, Attempt::first(0), t);
+        assert!(due(&r, 2) < due(&r, 1));
+        let moved = arm(&mut sim, &mut r, t);
+        assert_eq!(moved.map(|(_, d)| d), Some(due(&r, 2)));
+        assert_ne!(moved.map(|(id, _)| id), armed.map(|(id, _)| id));
+        // The cancelled one never fires; the moved one does.
+        let processed = sim.events_processed();
+        sim.run_until(due(&r, 1));
+        assert_eq!(sim.events_processed(), processed + 1);
     }
 
     /// Time `cookie` out at its deadline and re-send it (on whatever rail

@@ -18,7 +18,6 @@ use simnet::{NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError};
 
 use crate::classes::ClassMap;
 use crate::collect::{chunk_header, CollectLayer};
-use crate::cost::cheaper_mode;
 use crate::error::EngineError;
 use crate::plan::PlannedChunk;
 use crate::proto::{
@@ -59,8 +58,8 @@ impl Rail {
     }
 
     /// Submit `req`, `bytes` long. Accepted, its injection — in the mode
-    /// the driver picks for it, and after its host preparation — follows
-    /// whatever the transmit engine holds.
+    /// the driver resolved for it, and after its host preparation —
+    /// follows whatever the transmit engine holds.
     // madlint: allow(trace-coverage) — a driver submit; the callers push
     // PacketEncoded / Retransmit for what it carries
     fn submit(
@@ -70,10 +69,8 @@ impl Rail {
         bytes: u64,
     ) -> Result<(), DriverError> {
         let (segs, prep, now) = (req.segments.len(), req.host_prep, ctx.now());
-        self.driver.submit(ctx, req)?;
-        let (caps, cost) = (self.driver.capabilities(), self.driver.cost_model());
-        // The mode the driver picked: the cheaper one it admits.
-        let inject = cheaper_mode(caps, cost, bytes, segs).map_or(SimDuration::ZERO, |(_, t)| t);
+        let mode = self.driver.submit(ctx, req)?;
+        let inject = self.driver.cost_model().injection_time(mode, bytes, segs);
         self.tx_free = self.tx_free.max(now) + prep + inject;
         Ok(())
     }

@@ -22,8 +22,9 @@ pub trait Driver {
     /// The NIC this driver controls.
     fn nic(&self) -> NicId;
 
-    /// Validate and submit one transfer.
-    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<(), DriverError>;
+    /// Validate and submit one transfer; accepted, the mode it is
+    /// injected in.
+    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<TxMode, DriverError>;
 
     /// Whether the transmit engine is fully idle.
     fn is_idle(&self, ctx: &SimCtx<'_>) -> bool {
@@ -151,7 +152,7 @@ impl Driver for SimDriver {
         self.nic
     }
 
-    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<(), DriverError> {
+    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<TxMode, DriverError> {
         if req.vchan >= self.caps.vchannels {
             return Err(DriverError::VChannelOutOfRange {
                 got: req.vchan,
@@ -178,7 +179,7 @@ impl Driver for SimDriver {
                 payload: req.segments,
             },
         )?;
-        Ok(())
+        Ok(mode)
     }
 }
 

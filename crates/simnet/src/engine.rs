@@ -394,9 +394,12 @@ impl Simulation {
             // Cancelled timers and stale fabric completions are discarded
             // without advancing the clock or counting as processed, so an
             // event that does nothing cannot inflate the quiescence time
-            // of an otherwise-finished simulation.
+            // of an otherwise-finished simulation. This is the one check a
+            // timer's cancellation gets, and none while nothing is
+            // cancelled.
+            let cancelled = &mut self.world.cancelled_timers;
             let dead = match &ev.kind {
-                EventKind::Timer { timer, .. } => self.world.cancelled_timers.remove(timer),
+                EventKind::Timer { timer, .. } => !cancelled.is_empty() && cancelled.remove(timer),
                 EventKind::FabricDone {
                     network,
                     generation,
@@ -467,9 +470,6 @@ impl Simulation {
             EventKind::Arrival { nic, packet } => self.arrival(nic, *packet),
             EventKind::RxEngineDone { nic } => self.rx_engine_done(nic),
             EventKind::Timer { node, timer, tag } => {
-                if self.world.cancelled_timers.remove(&timer) {
-                    return;
-                }
                 self.world
                     .trace
                     .push(self.time, TraceEvent::TimerFired { node, tag });

@@ -341,15 +341,19 @@ fn idle_activation_on_an_empty_backlog_allocates_nothing() {
     cluster.drain();
     assert_eq!(shared.delivered.get(), 1);
     const FLUSHES: u64 = 100;
-    let activations = sender.metrics().activations_timer;
+    let m = sender.metrics();
+    let (activations, samples) = (m.activations_timer, m.backlog_depth.count());
     let before = allocs();
     for _ in 0..FLUSHES {
         // Every idle rail is activated and finds nothing.
         cluster.sim.inject(NodeId(0), |ctx| sender.flush(ctx));
     }
     let allocated = allocs() - before;
-    let activations = sender.metrics().activations_timer - activations;
+    let m = sender.metrics();
+    let activations = m.activations_timer - activations;
     assert_eq!(activations, 2 * FLUSHES, "both rails, every time");
+    let samples = m.backlog_depth.count() - samples;
+    assert_eq!(samples, activations, "each with its backlog sample");
     let per_activation = allocated as f64 / activations as f64;
     println!("alloc_budget: idle activation {per_activation:.2} allocations per activation");
     assert_eq!(per_activation, 0.0);

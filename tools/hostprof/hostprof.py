@@ -30,8 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 # (row label, substring of a demangled function name[, substring of the
 # name of a function the sample must also be inside]). Indented rows lie
 # inside the row above them; only a row with the third field counts just
-# the samples that do. The `__udivti3` row names code the selection
-# pass no longer reaches: it reads 0 here and says how much it was under
+# the samples that do. The cancelled set is simnet's set of cancelled
+# timer ids, the one `HashSet` on the event path: a cancellation inserts
+# into it, and the cancelled timer's pop takes it out. The `cheaper_mode`
+# row and the `__udivti3` row name code the send and the selection pass
+# no longer reach: each reads 0 here and says how much it was under
 # `--binary <parent>`. A row whose pattern matches no function of the
 # profiled binary prints `(no such function)` instead of a share.
 SEAMS = [
@@ -50,10 +53,16 @@ SEAMS = [
     ("    scoring (cost::)", "madeleine::cost::"),
     ("  apply_plan", "EngineCore::apply_plan"),
     ("    Transfer::submit_data", "Transfer::submit_data"),
+    ("Rail::submit (data and control packets)", "Rail::submit"),
+    ("  cheaper_mode (re-pricing the driver's mode)", "madeleine::cost::cheaper_mode", "Rail::submit"),
     ("collect: complete_chunk", "CollectLayer::complete_chunk"),
     ("handle_packet (receive, acks)", "EngineCore::handle_packet"),
     ("  Receiver::on_chunk", "Receiver::on_chunk"),
     ("reliability (madeleine::reliability::)", "madeleine::reliability::"),
+    ("  Reliability::arm_timer", "Reliability::arm_timer"),
+    ("simnet timers: SimCtx::set_timer", "SimCtx::set_timer"),
+    ("simnet timers: SimCtx::cancel_timer", "SimCtx::cancel_timer"),
+    ("simnet timers: cancelled set (HashSet)", "std::collections::hash::set::HashSet<"),
     ("observer (madeleine::observer::)", "madeleine::observer::"),
     ("simnet fabric (simnet::topo::)", "simnet::topo::"),
     ("simnet event queue (simnet::event::)", "simnet::event::"),
