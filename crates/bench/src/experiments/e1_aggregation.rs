@@ -14,7 +14,7 @@
 //! ([`light_load`]).
 
 use madeleine::harness::{ClusterSpec, EngineKind};
-use madeleine::TrafficClass;
+use madeleine::{EngineConfig, ReliabilityMode, TrafficClass};
 use madware::apps::{FlowSpec, Reply, REPLY_HEADER_BYTES};
 use madware::scenario::{eager_flows, traffic_pair};
 use madware::workload::{Arrival, SizeDist};
@@ -87,6 +87,11 @@ pub struct LightLoad {
     pub p999_us: f64,
     /// Mean chunks per data packet at the client node.
     pub agg_ratio: f64,
+    /// Data packets both nodes sent.
+    pub data_packets: u64,
+    /// Ack packets both nodes sent (madrel `Recover`: acks that found no
+    /// data packet to ride).
+    pub ack_packets: u64,
 }
 
 /// The light-load cell: `CLIENTS` closed-loop flows × `rounds` round
@@ -115,12 +120,23 @@ pub fn light_load(spec: ClusterSpec, rounds: u32, seed: u64) -> LightLoad {
     );
     rtts.sort_unstable_by(f64::total_cmp);
     let quantile = |q: f64| rtts[((rtts.len() - 1) as f64 * q) as usize];
+    let nodes = [cluster.handle(0).metrics(), cluster.handle(1).metrics()];
     LightLoad {
         makespan_us: end.as_micros_f64(),
         p50_us: quantile(0.5),
         p999_us: quantile(0.999),
-        agg_ratio: cluster.handle(0).metrics().aggregation_ratio(),
+        agg_ratio: nodes[0].aggregation_ratio(),
+        data_packets: nodes.iter().map(|m| m.packets_sent).sum(),
+        ack_packets: nodes.iter().map(|m| m.ack_packets).sum(),
     }
+}
+
+/// The light-load cell's pair on `rails` under `reliability`.
+pub fn light_load_pair(rails: &[Technology], reliability: ReliabilityMode) -> ClusterSpec {
+    ClusterSpec::new(2, rails.to_vec()).config(EngineConfig {
+        reliability,
+        ..EngineConfig::default()
+    })
 }
 
 /// Run the full experiment.
@@ -213,6 +229,46 @@ pub fn run() -> Report {
         (1.0 - opt.p50_us / leg.p50_us) * 100.0,
         opt.p999_us - leg.p999_us
     ));
+    let mut t = Table::new(
+        format!(
+            "light load under madrel: the same cell, {rounds} round trips, on a clean \
+             wire without (Off) and with (Recover) acknowledgements"
+        ),
+        &[
+            "rails",
+            "reliability",
+            "makespan(us)",
+            "rtt p50(us)",
+            "rtt p999(us)",
+            "data pkts",
+            "ack pkts",
+            "vs Off",
+        ],
+    );
+    let elan = [Technology::QuadricsElan];
+    let both = [Technology::MyrinetMx, Technology::QuadricsElan];
+    for (label, rails) in [("Elan", &elan[..]), ("MX+Elan", &both[..])] {
+        let off = light_load(light_load_pair(rails, ReliabilityMode::Off), rounds, 11);
+        let rec = light_load(light_load_pair(rails, ReliabilityMode::Recover), rounds, 11);
+        for (mode, cell) in [("Off", &off), ("Recover", &rec)] {
+            t.row(vec![
+                label.into(),
+                mode.into(),
+                fmt_f(cell.makespan_us),
+                format!("{:.2}", cell.p50_us),
+                format!("{:.2}", cell.p999_us),
+                cell.data_packets.to_string(),
+                cell.ack_packets.to_string(),
+                format!("{:.2}x", cell.makespan_us / off.makespan_us),
+            ]);
+        }
+    }
+    tables.push(t);
+    notes.push(
+        "light load under Recover: an ack waits for the reply or the next request \
+         to ride back on, so a closed loop sends almost no ack packet"
+            .into(),
+    );
     // Madtrace artifacts: a fully-instrumented replay of the sample
     // workload — the merged Chrome timeline plus the metrics registry.
     let (export, metrics) =
@@ -276,6 +332,31 @@ mod tests {
         );
         // A legacy packet is one message: its header and its body.
         assert_eq!(leg.agg_ratio, 2.0);
+    }
+
+    #[test]
+    fn under_recover_a_closed_loop_costs_almost_what_it_does_without_acks() {
+        // Each ack rides the reply or the next request: almost no ack
+        // packet, and the makespan within 1.2x of `Off` (1.55x on Elan
+        // while every data packet had an ack packet of its own).
+        let elan = [Technology::QuadricsElan];
+        let both = [Technology::MyrinetMx, Technology::QuadricsElan];
+        for rails in [&elan[..], &both[..]] {
+            let off = light_load(light_load_pair(rails, ReliabilityMode::Off), 400, 11);
+            let rec = light_load(light_load_pair(rails, ReliabilityMode::Recover), 400, 11);
+            assert!(
+                rec.makespan_us <= 1.2 * off.makespan_us,
+                "{rails:?}: {} vs {} us",
+                rec.makespan_us,
+                off.makespan_us
+            );
+            assert!(
+                rec.ack_packets * 100 < rec.data_packets,
+                "{rails:?}: {} ack packets for {} data packets",
+                rec.ack_packets,
+                rec.data_packets
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub(crate) const ADAPTIVE_TAG: u64 = INTERNAL_TAG_BASE + 1;
 pub(crate) const RETX_TAG: u64 = INTERNAL_TAG_BASE + 2;
 /// Internal timer tag: madscope sampler tick (armed by the observer).
 pub(crate) const SAMPLER_TAG: u64 = INTERNAL_TAG_BASE + 3;
+/// Internal timer tag: the end of an ack's hold (armed by the transfer
+/// layer).
+pub(crate) const ACK_HOLD_TAG: u64 = INTERNAL_TAG_BASE + 4;
 
 /// What an application/middleware may do from inside its callbacks.
 ///

@@ -37,7 +37,8 @@ use simnet::{
 };
 
 use crate::api::{
-    AppDriver, CommApi, ADAPTIVE_TAG, INTERNAL_TAG_BASE, NAGLE_TAG, RETX_TAG, SAMPLER_TAG,
+    AppDriver, CommApi, ACK_HOLD_TAG, ADAPTIVE_TAG, INTERNAL_TAG_BASE, NAGLE_TAG, RETX_TAG,
+    SAMPLER_TAG,
 };
 use crate::collect::{chunk_header, CollectLayer};
 use crate::config::EngineConfig;
@@ -53,12 +54,12 @@ use crate::optimizer::{select_plan_in, Optimizer};
 use crate::plan::{PlanBody, PlannedChunk, TransferPlan, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::proto::{
-    ack_header_ecn, cancel_header, decode_ack_ecn, decode_packet_into, decode_rndv, DecodedChunk,
+    cancel_header, decode_acks_into, decode_packet_into, decode_rndv, AckHeader, DecodedChunk,
     ProtoError, KIND_ACK, KIND_CTRL, KIND_DATA, KIND_RNDV_ACK, KIND_RNDV_REQ,
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::reliability::{
-    plan_retransmit, Attempt, Expiry, Launched, PendingTx, Reliability, RequestKey,
+    ack_hold, plan_retransmit, Attempt, Expiry, Launched, PendingTx, Reliability, RequestKey,
 };
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
@@ -95,6 +96,8 @@ struct Scratch {
     rail_order: Vec<usize>,
     /// The chunks of the data packet being received.
     chunks: Vec<DecodedChunk>,
+    /// The acks of the packet being received.
+    acks: Vec<AckHeader>,
     /// Messages the event being handled made deliverable.
     deliveries: Vec<DeliveredMessage>,
     /// Own messages whose transmission the event being handled completed.
@@ -241,15 +244,34 @@ impl EngineCore {
     }
 
     /// Activate every idle live rail, in the reliability layer's pull
-    /// order, skipping rails the congestion gate holds back.
+    /// order, skipping rails the congestion gate holds back. The order is
+    /// priced only when two rails or more are ready: an activation makes
+    /// no other rail idle, so a lone ready rail is the only one activated
+    /// whatever the order.
     fn optimize_all_idle(&mut self, ctx: &mut SimCtx<'_>, cause: Activation) {
+        let (mut gated, mut ready, mut only) = (0, 0, None);
+        for (r, rail) in self.transfer.rails().iter().enumerate() {
+            if self.rel.congestion_gated(r) {
+                gated += 1;
+            } else if rail.driver.is_idle(ctx) && !self.rel.rails()[r].is_dead() {
+                ready += 1;
+                only = Some(r);
+            }
+        }
+        self.obs.metrics_mut().congestion_gated += gated;
+        if ready < 2 {
+            if let Some(r) = only {
+                self.optimize_rail(ctx, r, cause);
+            }
+            return;
+        }
         let mut order = std::mem::take(&mut self.scratch.rail_order);
         let mean_msg = self.collect.backlog_bytes() / self.collect.pending_msgs().max(1);
         self.rel.pull_order(&mut order, mean_msg);
         for &r in &order {
-            if self.rel.congestion_gated(r) {
-                self.obs.metrics_mut().congestion_gated += 1;
-            } else if self.transfer.rails()[r].driver.is_idle(ctx) {
+            // An activation may have filled another rail's queue with the
+            // control packets it flushed.
+            if !self.rel.congestion_gated(r) && self.transfer.rails()[r].driver.is_idle(ctx) {
                 self.optimize_rail(ctx, r, cause);
             }
         }
@@ -266,7 +288,7 @@ impl EngineCore {
         if self.rel.rails()[rail_idx].is_dead() {
             return;
         }
-        self.transfer.flush_ctrl(ctx);
+        self.obs.metrics_mut().ack_packets += self.transfer.flush_ctrl(ctx);
         if self.collect.offers_nothing() {
             self.obs.metrics_mut().record_activation(cause);
             let act = self.opt.begin_activation();
@@ -540,6 +562,7 @@ impl EngineCore {
                     &self.collect,
                     &chunks,
                     linearize,
+                    self.rel.asks_now(rail_idx, plan.dst),
                 )?;
                 sent?;
                 let mut bytes = 0;
@@ -670,15 +693,21 @@ impl EngineCore {
         match pkt.kind {
             KIND_DATA => {
                 self.receiver.record_vchan(pkt.vchan);
-                decode_packet_into(pkt, &mut self.scratch.chunks)?;
+                let (chunks, acks) = (&mut self.scratch.chunks, &mut self.scratch.acks);
+                let ack_now = decode_packet_into(pkt, chunks, acks)?;
+                self.take_acks(ctx, sent);
                 // Acknowledge every decodable data packet — duplicates
                 // included, so a lost ack is repaired by the sender's
-                // retransmission of the data. madnet: the ack echoes the
-                // fabric's ECN mark back to the sender (RFC-3168 style).
+                // retransmission of the data: held for a data packet back
+                // to the sender to carry, unless this one asks for it at
+                // once. madnet: the ack echoes the fabric's ECN mark back
+                // to the sender (RFC-3168 style).
                 if self.rel.acks_enabled() && pkt.cookie != CTRL_COOKIE {
                     if let Some(rail) = rx_rail {
-                        let ack = ack_header_ecn(pkt.cookie, pkt.ecn);
-                        let _ = self.transfer.send_ctrl(ctx, rail, pkt.src, KIND_ACK, ack);
+                        self.rel.heard_from(rail, pkt.src);
+                        let packet = (pkt.cookie, pkt.ecn);
+                        let acks = self.transfer.hold_ack(ctx, rail, pkt.src, packet, ack_now);
+                        self.obs.metrics_mut().ack_packets += acks;
                     }
                 }
                 // Drained, so the chunks give their packet's buffers up
@@ -719,23 +748,32 @@ impl EngineCore {
                 }
             }
             KIND_ACK => {
-                let (cookie, ecn) = decode_ack_ecn(pkt)?;
-                // The ack completes its own packet, or — late, for a cookie
-                // a timeout superseded — what is still out of the
-                // retransmission. A duplicate ack finds nothing and is
-                // ignored.
-                let (opt, collect) = (&mut self.opt, &mut self.collect);
-                let settle = |done| opt.recycle(complete(collect, done, sent));
-                if self
-                    .rel
-                    .on_ack(cookie, ecn, now, self.node, &mut self.obs, settle)
-                {
-                    self.rel.arm_timer(ctx);
-                }
+                decode_acks_into(pkt, &mut self.scratch.acks)?;
+                self.take_acks(ctx, sent);
             }
             _ => {}
         }
         Ok(())
+    }
+
+    /// The acks of the packet being received, alone in an ack packet or
+    /// riding a data packet: each completes its own packet, or — late, for
+    /// a cookie a timeout superseded — what is still out of the
+    /// retransmission. A duplicate ack finds nothing and is ignored.
+    fn take_acks(&mut self, ctx: &mut SimCtx<'_>, sent: &mut Vec<MsgId>) {
+        if self.scratch.acks.is_empty() {
+            return;
+        }
+        let now = ctx.now();
+        let (opt, collect) = (&mut self.opt, &mut self.collect);
+        let mut found = false;
+        for ack in self.scratch.acks.drain(..) {
+            let settle = |done| opt.recycle(complete(collect, done, sent));
+            found |= self.rel.on_ack(&ack, now, self.node, &mut self.obs, settle);
+        }
+        if found {
+            self.rel.arm_timer(ctx);
+        }
     }
 
     /// The retransmit timer fired: sweep every expired packet and every
@@ -840,6 +878,7 @@ impl EngineCore {
                     &self.collect,
                     &chunks,
                     pending.linearize,
+                    self.rel.asks_now(next.rail, pending.dst),
                 )
                 .expect("retransmit rail reaches destination");
             let first = heirs.map_or(cookie, |(first, _)| first);
@@ -1074,7 +1113,7 @@ impl EngineBuilder {
                 }),
                 &self.config,
             ),
-            transfer: Transfer::new(rails),
+            transfer: Transfer::new(rails, ack_hold(&self.config)),
             obs: Observer::new(self.node),
             delivered: DeliveredRing::default(),
             scratch: Scratch::default(),
@@ -1181,7 +1220,7 @@ impl Endpoint for MadEngine {
                 Launched::Watched => core.rel.arm_timer(ctx),
                 Launched::Untracked => {}
             }
-            core.transfer.flush_ctrl(ctx);
+            core.obs.metrics_mut().ack_packets += core.transfer.flush_ctrl(ctx);
             core.offer_parked(ctx);
             completed
         };
@@ -1237,6 +1276,10 @@ impl Endpoint for MadEngine {
             SAMPLER_TAG => {
                 let core = &mut *self.core.borrow_mut();
                 core.obs.sampler_tick(ctx, &view!(core));
+            }
+            ACK_HOLD_TAG => {
+                let core = &mut *self.core.borrow_mut();
+                core.obs.metrics_mut().ack_packets += core.transfer.on_hold_timer(ctx);
             }
             ADAPTIVE_TAG => {
                 let core = &mut *self.core.borrow_mut();
@@ -1722,6 +1765,249 @@ mod tests {
         // each with its sample.
         let m = handle.metrics();
         assert_eq!((m.activations(), m.backlog_depth.count()), (4, 4));
+    }
+
+    /// Two engines under `Recover` on the synthetic pair, each with a flow
+    /// open to the other, so that either may carry the other's acks.
+    fn recover_pair() -> (Simulation, [EngineHandle; 2], [FlowId; 2], [NicId; 2]) {
+        recover_pair_with(EngineConfig::default())
+    }
+
+    /// [`recover_pair`] on `base` otherwise.
+    fn recover_pair_with(
+        base: EngineConfig,
+    ) -> (Simulation, [EngineHandle; 2], [FlowId; 2], [NicId; 2]) {
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let b = NodeId(1);
+        let config = EngineConfig {
+            reliability: crate::ReliabilityMode::Recover,
+            ..base
+        };
+        let mut handles = Vec::new();
+        for (me, nic, peer, peer_nic) in [(a, na, b, nb), (b, nb, a, na)] {
+            let (engine, handle) = MadEngine::builder(me)
+                .rail(driver(nic), 1 << 20)
+                .peer(peer, vec![peer_nic])
+                .config(config.clone())
+                .build()
+                .unwrap();
+            sim.set_endpoint(me, Box::new(engine));
+            handles.push(handle);
+        }
+        let [ha, hb]: [EngineHandle; 2] = handles.try_into().ok().unwrap();
+        let flows = [
+            ha.open_flow(b, TrafficClass::DEFAULT),
+            hb.open_flow(a, TrafficClass::DEFAULT),
+        ];
+        (sim, [ha, hb], flows, [na, nb])
+    }
+
+    /// Run in 10 ns steps until `h` delivers one more message; when it did.
+    fn run_to_delivery(sim: &mut Simulation, h: &EngineHandle) -> SimTime {
+        let n = h.delivered_count() + 1;
+        while h.delivered_count() < n {
+            assert!(
+                sim.now() < SimTime::from_nanos(1_000_000),
+                "never delivered"
+            );
+            sim.run_until(sim.now() + SimDuration::from_nanos(10));
+        }
+        h.take_delivered().last().expect("a delivery").delivered_at
+    }
+
+    /// Acks `h` received and ack packets it sent.
+    fn acks(h: &EngineHandle) -> (u64, u64) {
+        let m = h.metrics();
+        (m.acks_received, m.ack_packets)
+    }
+
+    fn quiesce(sim: &mut Simulation) {
+        sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+    }
+
+    #[test]
+    fn a_held_ack_rides_the_next_data_packet_to_its_peer() {
+        let (mut sim, [a, b], [fa, fb], _) = recover_pair();
+        let hold = ack_hold(&EngineConfig::default());
+        // Until a has heard data from b, its packets ask for their acks at
+        // once: nothing would carry them back.
+        send_small(&mut sim, &a, NodeId(0), fa);
+        run_to_delivery(&mut sim, &b);
+        assert_eq!(acks(&b), (0, 1));
+        quiesce(&mut sim);
+        send_small(&mut sim, &b, NodeId(1), fb);
+        quiesce(&mut sim);
+        // b had heard from a, so a held b's ack, and it left alone.
+        assert_eq!((acks(&a), acks(&b)), ((1, 1), (1, 1)));
+        // Now a grants the hold, and b holds: nothing goes back, and b is
+        // not drained while it holds.
+        send_small(&mut sim, &a, NodeId(0), fa);
+        let arrived = run_to_delivery(&mut sim, &b);
+        assert_eq!((acks(&a), acks(&b)), ((1, 1), (1, 1)));
+        assert!(!b.is_drained() && b.core.borrow().transfer.hold_armed());
+        // b's own message, inside the hold, carries the ack back.
+        assert!(sim.now() < arrived + hold);
+        send_small(&mut sim, &b, NodeId(1), fb);
+        assert!(!b.core.borrow().transfer.hold_armed(), "nothing left held");
+        run_to_delivery(&mut sim, &a);
+        assert_eq!(acks(&a), (2, 1), "acked without an ack packet");
+        assert_eq!(a.unacked_packets(), 0);
+        // a holds b's ack in turn; with nothing to carry it, it leaves
+        // alone, and both engines drain with no timer left.
+        quiesce(&mut sim);
+        assert_eq!((acks(&a), acks(&b)), ((2, 2), (2, 1)));
+        for h in [&a, &b] {
+            assert!(h.is_drained());
+            let core = h.core.borrow();
+            assert!(!core.transfer.hold_armed() && !core.rel.timer_armed());
+        }
+    }
+
+    #[test]
+    fn an_ack_with_no_data_to_ride_leaves_alone_when_its_hold_ends() {
+        let (mut sim, [a, b], [fa, fb], _) = recover_pair();
+        let hold = ack_hold(&EngineConfig::default());
+        // b sends first, so that a's packets grant the hold.
+        send_small(&mut sim, &b, NodeId(1), fb);
+        quiesce(&mut sim);
+        let (acked, sent) = (acks(&a).0, acks(&b).1);
+        // Two packets a little apart: their acks wait in one set, and the
+        // first one's hold ends for both.
+        send_small(&mut sim, &a, NodeId(0), fa);
+        let arrived = run_to_delivery(&mut sim, &b);
+        send_small(&mut sim, &a, NodeId(0), fa);
+        run_to_delivery(&mut sim, &b);
+        let end = arrived + hold;
+        sim.run_until(SimTime::from_nanos(end.as_nanos() - 1));
+        assert_eq!(acks(&b).1, sent, "still held");
+        sim.run_until(end);
+        assert_eq!(acks(&b).1, sent + 1, "both acks in one packet");
+        quiesce(&mut sim);
+        assert_eq!(acks(&a).0, acked + 2);
+        assert!(a.is_drained() && b.is_drained());
+        assert_eq!(a.metrics().timeouts, 0, "the sender waited the hold out");
+    }
+
+    /// A data packet of one 4-byte message on flow 7, cookie `cookie`,
+    /// from node 0 to node 1, asking for its ack at once or not.
+    fn data_from_a(cookie: u64, ack_now: bool, nics: [NicId; 2]) -> WirePacket {
+        let header = crate::proto::make_header(
+            FlowId(7),
+            0,
+            0,
+            1,
+            false,
+            TrafficClass::DEFAULT,
+            4,
+            0,
+            4,
+            SimTime::ZERO,
+        );
+        let chunk = crate::proto::WireChunk {
+            header,
+            data: bytes::Bytes::from_static(b"abcd"),
+        };
+        let segs = crate::proto::encode_packet_with(&mut Vec::new(), &[chunk], &[], ack_now, false);
+        WirePacket {
+            src: NodeId(0),
+            dst: NodeId(1),
+            src_nic: nics[0],
+            dst_nic: nics[1],
+            vchan: 0,
+            kind: KIND_DATA,
+            cookie,
+            seq: 0,
+            ecn: false,
+            payload: segs,
+        }
+    }
+
+    #[test]
+    fn a_packet_that_asks_for_its_ack_at_once_takes_every_held_ack_with_it() {
+        let (mut sim, [_, b], _, nics) = recover_pair();
+        let held = |b: &EngineHandle| b.core.borrow().transfer.ctrl_len();
+        // Two packets that grant the hold — the second a duplicate of the
+        // first, acked all the same — then one that asks.
+        for _ in 0..2 {
+            sim.inject(NodeId(1), |ctx| {
+                b.inject_packet(ctx, nics[1], data_from_a(40, false, nics))
+            });
+        }
+        assert_eq!((held(&b), acks(&b).1), (2, 0));
+        sim.inject(NodeId(1), |ctx| {
+            b.inject_packet(ctx, nics[1], data_from_a(41, true, nics))
+        });
+        assert_eq!((held(&b), acks(&b).1), (0, 1), "one ack packet for three");
+        assert!(!b.core.borrow().transfer.hold_armed());
+    }
+
+    #[test]
+    fn an_ack_that_finds_the_queue_full_leaves_at_the_next_transmit_done() {
+        // Every message its own packet: b's queue of four is full of its
+        // own 30 KB messages.
+        let (mut sim, [_, b], [_, fb], nics) = recover_pair_with(EngineConfig::fifo_only());
+        for _ in 0..9 {
+            let parts = MessageBuilder::new()
+                .pack_cheaper(&vec![7; 30_000])
+                .build_parts();
+            sim.inject(NodeId(1), |ctx| b.send(ctx, fb, parts));
+        }
+        // The first leaves at once; when it is through, four fill the queue.
+        while b.metrics().packets_sent < 5 {
+            sim.run_until(sim.now() + SimDuration::from_nanos(100));
+        }
+        let queue_full = |b: &EngineHandle, sim: &mut Simulation| {
+            let core = b.core.borrow();
+            sim.inject(NodeId(1), |ctx| {
+                core.transfer.rails()[0].driver.free_slots(ctx)
+            }) == 0
+        };
+        assert!(queue_full(&b, &mut sim));
+        sim.inject(NodeId(1), |ctx| {
+            b.inject_packet(ctx, nics[1], data_from_a(40, true, nics))
+        });
+        // Asked for at once, it is owed: no packet, no timer, not drained.
+        let held = |b: &EngineHandle| b.core.borrow().transfer.ctrl_len();
+        assert_eq!((held(&b), acks(&b).1), (1, 0));
+        assert!(!b.core.borrow().transfer.hold_armed());
+        // The first transmission to end makes room for it.
+        while acks(&b).1 == 0 {
+            assert!(sim.now() < SimTime::from_nanos(1_000_000), "never sent");
+            sim.run_until(sim.now() + SimDuration::from_nanos(100));
+        }
+        assert_eq!(held(&b), 0);
+        assert!(b.metrics().packets_sent < 9, "ahead of the backlog");
+    }
+
+    #[test]
+    fn an_ack_packet_with_payload_or_an_unknown_bit_is_a_protocol_error() {
+        let (mut sim, [a, _], _, nics) = recover_pair();
+        let ack = crate::proto::AckHeader {
+            cookie: 9,
+            ecn: false,
+            held_ns: 0,
+        };
+        let good = crate::proto::encode_acks(&[ack])[0].to_vec();
+        let mut payload = good.clone();
+        payload.push(0);
+        let mut unknown = good.clone();
+        unknown[2] |= 1 << 7;
+        for (bytes, errors) in [(good, 0), (payload, 1), (unknown, 2)] {
+            let pkt = WirePacket {
+                src: NodeId(1),
+                dst: NodeId(0),
+                src_nic: nics[1],
+                dst_nic: nics[0],
+                vchan: 0,
+                kind: KIND_ACK,
+                cookie: CTRL_COOKIE,
+                seq: 0,
+                ecn: false,
+                payload: vec![bytes::Bytes::from(bytes)],
+            };
+            sim.inject(NodeId(0), |ctx| a.inject_packet(ctx, nics[0], pkt));
+            assert_eq!(a.metrics().proto_errors, errors);
+        }
     }
 
     #[test]

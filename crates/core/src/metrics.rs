@@ -179,6 +179,9 @@ pub struct EngineMetrics {
     pub retransmits: u64,
     /// Acknowledgements received for tracked data packets.
     pub acks_received: u64,
+    /// Ack control packets sent (madrel): acks that found no data packet
+    /// to ride.
+    pub ack_packets: u64,
     /// Acknowledgements that echoed a fabric ECN mark (madnet): the acked
     /// data packet crossed a switch queue past its marking threshold.
     pub ecn_echoes: u64,
@@ -254,6 +257,7 @@ impl Default for EngineMetrics {
             spurious_timeouts: 0,
             retransmits: 0,
             acks_received: 0,
+            ack_packets: 0,
             ecn_echoes: 0,
             congestion_gated: 0,
             rail_yields: 0,
@@ -421,6 +425,7 @@ impl EngineMetrics {
             .field("spurious_timeouts", self.spurious_timeouts)
             .field("retransmits", self.retransmits)
             .field("acks_received", self.acks_received)
+            .field("ack_packets", self.ack_packets)
             .field("ecn_echoes", self.ecn_echoes)
             .field("congestion_gated", self.congestion_gated)
             .field("rail_yields", self.rail_yields)

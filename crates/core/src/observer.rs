@@ -40,10 +40,9 @@ pub(crate) struct EngineView<'a> {
 
 impl EngineView<'_> {
     /// True when nothing is pending: no backlog, no data packet in flight
-    /// (unacked ones among them), no queued control messages. The one
-    /// definition of
-    /// "drained" — the handle, the sampler and the benchmark's quiescence
-    /// oracle all read it.
+    /// (unacked ones among them), no queued control messages and no held
+    /// acks. The one definition of "drained" — the handle, the sampler and
+    /// the benchmark's quiescence oracle all read it.
     pub(crate) fn drained(&self) -> bool {
         self.collect.is_empty() && self.rel.inflight() == 0 && self.transfer.ctrl_len() == 0
     }
@@ -319,7 +318,8 @@ impl Observer {
                 dead,
             })
             .collect();
-        let timer_armed = view.rel.timer_armed() || view.opt.timer_armed();
+        let timer_armed =
+            view.rel.timer_armed() || view.opt.timer_armed() || view.transfer.hold_armed();
         let idle = view.drained() || s.stalled(&stats, &rails, timer_armed);
         if s.record_tick(ctx.now(), stats, &rails, idle) {
             ctx.set_timer(s.tick(), SAMPLER_TAG);
@@ -431,7 +431,7 @@ mod tests {
             collect: &CollectLayer::new(),
             receiver: &Receiver::new(),
             opt: &Optimizer::new(StrategyRegistry::empty(), policy),
-            transfer: &Transfer::new(Vec::new()),
+            transfer: &Transfer::new(Vec::new(), SimDuration::ZERO),
             rel: &Reliability::new([], &config),
         };
         assert!(view.drained());

@@ -23,10 +23,25 @@
 //!     bit 3  TAIL: the chunk runs to its fragment's end, so its length is
 //!            frag_len - offset and is left out; a chunk cut short of the
 //!            end says its length in four fixed bytes
+//!     bit 6  ACK_NOW, on the packet's first header only: the sender asks
+//!            for this packet's ack at once, where it otherwise grants the
+//!            receiver a hold (madrel)
 //! submit     the packet's first message part carries submit_ns itself,
 //!            every later one the zigzag varint of its difference (mod
 //!            2^64) from the message part before it
+//!
+//! ack = tag (u8) | cookie v64 | held v64
+//!
+//! tag bit 4  ACK: the header acknowledges the data packet of `cookie`,
+//!            whose ack the receiver held `held` ns for a ride (at
+//!            most the hold that packet granted); it announces no
+//!            payload
+//!     bit 5  ECN: that packet arrived congestion-marked (madnet)
 //! ```
+//!
+//! Ack headers follow every chunk header of a data packet's block, and
+//! leave the message-part chain alone; an ack control packet is ack
+//! headers only.
 //!
 //! Each chunk is a contiguous byte range of one message fragment. A packet
 //! names each message once per run of its chunks, and every field is as
@@ -39,8 +54,8 @@
 //! real bytes: aggregation's framing overhead costs wire time, so the
 //! optimizer's trade-offs are physically grounded — [`Framing`] is the one
 //! place that says how many there are. Control packets (rendezvous
-//! requests and grants, acks, cancels) are one metadata-only header in the
-//! same layout.
+//! requests and grants, cancels) are one metadata-only header in the same
+//! layout, and an ack control packet is one or more ack headers.
 
 // madlint: file: hot-path
 
@@ -83,6 +98,14 @@ const TAG_SAME_MSG: u8 = 1 << 1;
 const TAG_OFFSET: u8 = 1 << 2;
 const TAG_TAIL: u8 = 1 << 3;
 const TAG_KNOWN: u8 = TAG_EXPRESS | TAG_SAME_MSG | TAG_OFFSET | TAG_TAIL;
+const TAG_ACK: u8 = 1 << 4;
+const TAG_ECN: u8 = 1 << 5;
+const TAG_ACK_NOW: u8 = 1 << 6;
+
+/// Size of the longest ack header: the tag 1, cookie 10 and held time 10
+/// bytes.
+pub const MAX_ACK_HEADER_BYTES: u64 = 21;
+const MAX_ACK: usize = MAX_ACK_HEADER_BYTES as usize;
 
 /// Bytes of `v` as a varint: one per seven of its significant bits, at
 /// least one — for `h` the index of its highest set bit, `⌈(h + 1) / 7⌉`,
@@ -175,6 +198,13 @@ impl Framing {
         alone.take(h, room)
     }
 
+    /// Ack header `a` comes next, behind the chunks: it costs its bytes
+    /// and leaves the message part alone.
+    #[inline]
+    pub fn ack(&mut self, a: &AckHeader) {
+        self.bytes += a.encoded_len();
+    }
+
     /// Framing bytes so far.
     #[inline]
     pub fn bytes(&self) -> u64 {
@@ -212,6 +242,44 @@ pub fn wire_bytes(headers: impl IntoIterator<Item = ChunkHeader>) -> u64 {
 #[inline]
 pub fn lone_packet_bytes(h: &ChunkHeader) -> u64 {
     PACKET_PREFIX_BYTES + h.encoded_len(None) + u64::from(h.chunk_len)
+}
+
+/// Bytes an ack control packet of `acks` puts on the wire.
+#[inline]
+pub fn ack_packet_bytes<'a>(acks: impl IntoIterator<Item = &'a AckHeader>) -> u64 {
+    let mut framing = Framing::new();
+    for a in acks {
+        framing.ack(a);
+    }
+    framing.bytes()
+}
+
+/// A reliability acknowledgement on the wire (madrel): in a data packet's
+/// header block behind its chunk headers, or in an ack control packet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AckHeader {
+    /// Cookie of the acknowledged data packet.
+    pub cookie: u64,
+    /// The fabric's congestion mark on that packet, echoed (madnet ECN).
+    pub ecn: bool,
+    /// How long the receiver held the ack for a ride, in ns: at most the
+    /// hold the acknowledged packet granted.
+    pub held_ns: u64,
+}
+
+impl AckHeader {
+    /// Bytes of this header on the wire.
+    #[inline]
+    pub fn encoded_len(&self) -> u64 {
+        1 + varint_len(self.cookie) + varint_len(self.held_ns)
+    }
+
+    #[inline]
+    fn write(&self, out: &mut impl Put) {
+        out.put(TAG_ACK | if self.ecn { TAG_ECN } else { 0 });
+        put_varint(out, self.cookie);
+        put_varint(out, self.held_ns);
+    }
 }
 
 /// Metadata of one chunk on the wire.
@@ -302,14 +370,16 @@ impl ChunkHeader {
             + varint_len(submit_field(self.submit_ns, before))
     }
 
-    /// Append the header as it travels behind the message part `before`.
+    /// Append the header as it travels behind the message part `before`,
+    /// its tag carrying the packet-level bits `packet` too.
     #[inline]
-    fn write(&self, before: Option<&MessagePart>, out: &mut impl Put) {
+    fn write(&self, before: Option<&MessagePart>, packet: u8, out: &mut impl Put) {
         let same_msg = self.continues(before);
         let tail = self.is_tail();
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
         out.put(
-            flag(self.express, TAG_EXPRESS)
+            packet
+                | flag(self.express, TAG_EXPRESS)
                 | flag(same_msg, TAG_SAME_MSG)
                 | flag(self.offset != 0, TAG_OFFSET)
                 | flag(tail, TAG_TAIL),
@@ -351,6 +421,12 @@ impl Put for Vec<u8> {
 struct ControlPacket {
     b: [u8; PREFIX + MAX_HEADER],
     n: usize,
+}
+
+/// A header-block entry as the decoder hands it on.
+enum Entry<'h> {
+    Chunk(&'h ChunkHeader),
+    Ack(AckHeader),
 }
 
 impl Put for ControlPacket {
@@ -430,35 +506,45 @@ impl std::error::Error for ProtoError {}
 /// contiguous segment (the caller charges the copy time via the cost
 /// model's `copy_time`).
 pub fn encode_packet(chunks: &[WireChunk], linearize: bool) -> Vec<Bytes> {
-    encode_packet_with(&mut Vec::new(), chunks, linearize)
+    encode_packet_with(&mut Vec::new(), chunks, &[], false, linearize)
 }
 
 /// [`encode_packet`] that writes a gather list's header block in the
 /// caller's `block` (cleared here), so a sender that keeps one allocates
-/// the block's final size only.
+/// the block's final size only, with `acks` behind the chunk headers and,
+/// when `ack_now`, the first header asking for the packet's ack at once.
 pub(crate) fn encode_packet_with(
     block: &mut Vec<u8>,
     chunks: &[WireChunk],
+    acks: &[AckHeader],
+    ack_now: bool,
     linearize: bool,
 ) -> Vec<Bytes> {
-    assert!(
-        chunks.len() <= u16::MAX as usize,
-        "too many chunks in packet"
-    );
+    let headers = chunks.len() + acks.len();
+    assert!(headers <= u16::MAX as usize, "too many chunks in packet");
     let write_headers = |out: &mut Vec<u8>| {
-        out.extend_from_slice(&(chunks.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(headers as u16).to_le_bytes());
         let mut before = None;
         for c in chunks {
             debug_assert_eq!(c.header.chunk_len as usize, c.data.len());
-            c.header.write(before.as_ref(), out);
+            let packet = if ack_now && before.is_none() {
+                TAG_ACK_NOW
+            } else {
+                0
+            };
+            c.header.write(before.as_ref(), packet, out);
             before = Some(c.header.message_part());
         }
+        for a in acks {
+            a.write(out);
+        }
     };
+    let block_max = PREFIX + MAX_HEADER * chunks.len() + MAX_ACK * acks.len();
     if linearize {
         // One allocation, sized for headers at their longest: the buffer
         // becomes the segment as it is, so the slack costs no copy.
         let payload: usize = chunks.iter().map(|c| c.data.len()).sum();
-        let mut one = Vec::with_capacity(PREFIX + MAX_HEADER * chunks.len() + payload);
+        let mut one = Vec::with_capacity(block_max + payload);
         write_headers(&mut one);
         for c in chunks {
             one.extend_from_slice(&c.data);
@@ -466,7 +552,7 @@ pub(crate) fn encode_packet_with(
         vec![Bytes::from(one)]
     } else {
         block.clear();
-        block.reserve(PREFIX + MAX_HEADER * chunks.len());
+        block.reserve(block_max);
         write_headers(block);
         let mut segs = Vec::with_capacity(1 + chunks.len());
         segs.push(Bytes::copy_from_slice(block));
@@ -530,14 +616,35 @@ impl Fields<'_> {
         Ok(self.varint(16)? as u16)
     }
 
-    /// Read the next header into `h`, which holds the header before it
-    /// (unless this is the packet's `first`): a header that continues a
-    /// message keeps `h`'s message part. Only what the encoder writes is
-    /// read: any other byte string is an error, so a header that decodes
-    /// encodes to the bytes it came from. On an error `h` is half read.
-    fn header(&mut self, h: &mut ChunkHeader, first: bool) -> Result<(), ProtoError> {
-        let tag = self.byte()?;
-        if tag & !TAG_KNOWN != 0 {
+    /// Read the rest of the ack header whose tag is `tag`.
+    #[inline]
+    fn ack(&mut self, tag: u8) -> Result<AckHeader, ProtoError> {
+        if tag & !(TAG_ACK | TAG_ECN) != 0 {
+            return Err(ProtoError::BadTag);
+        }
+        let cookie = self.varint(64)?;
+        let held_ns = self.varint(64)?;
+        Ok(AckHeader {
+            cookie,
+            ecn: tag & TAG_ECN != 0,
+            held_ns,
+        })
+    }
+
+    /// Read the rest of the chunk header whose tag is `tag` into `h`, which
+    /// holds the header before it (unless this is the packet's `first`): a
+    /// header that continues a message keeps `h`'s message part. Only what
+    /// the encoder writes is read: any other byte string is an error, so a
+    /// header that decodes encodes to the bytes it came from. On an error
+    /// `h` is half read. Returns whether the header asks for the packet's
+    /// ack at once.
+    fn header(&mut self, tag: u8, h: &mut ChunkHeader, first: bool) -> Result<bool, ProtoError> {
+        let known = if first {
+            TAG_KNOWN | TAG_ACK_NOW
+        } else {
+            TAG_KNOWN
+        };
+        if tag & !known != 0 {
             return Err(ProtoError::BadTag);
         }
         if tag & TAG_SAME_MSG != 0 {
@@ -585,27 +692,48 @@ impl Fields<'_> {
             }
             len
         };
-        Ok(())
+        Ok(tag & TAG_ACK_NOW != 0)
     }
 
-    /// Read `chunks` headers from the start, handing each to `each` with
-    /// its place in the block: where the block they make ends, and the
-    /// payload bytes they announce.
+    /// Read `count` headers from the start — chunk headers, then ack
+    /// headers — handing each to `each` with its place in the block.
     fn block(
         b: &[u8],
-        chunks: usize,
-        each: &mut impl FnMut(usize, &ChunkHeader),
-    ) -> Result<(usize, u64), ProtoError> {
+        count: usize,
+        each: &mut impl FnMut(usize, Entry<'_>),
+    ) -> Result<Block, ProtoError> {
         let mut fields = Fields { b, at: 0 };
-        let mut header = ack_header_ecn(0, false);
-        let mut payload = 0;
-        for at in 0..chunks {
-            fields.header(&mut header, at == 0)?;
-            payload += u64::from(header.chunk_len);
-            each(at, &header);
+        let mut header = cancel_header(FlowId(0), 0, TrafficClass::DEFAULT);
+        let (mut payload, mut chunks, mut ack_now) = (0, 0, false);
+        for at in 0..count {
+            let tag = fields.byte()?;
+            if tag & TAG_ACK != 0 {
+                each(at, Entry::Ack(fields.ack(tag)?));
+            } else if chunks == at {
+                ack_now |= fields.header(tag, &mut header, at == 0)?;
+                chunks += 1;
+                payload += u64::from(header.chunk_len);
+                each(at, Entry::Chunk(&header));
+            } else {
+                return Err(ProtoError::BadTag); // a chunk header behind an ack
+            }
         }
-        Ok((fields.at, payload))
+        Ok(Block {
+            len: fields.at,
+            payload,
+            ack_now,
+        })
     }
+}
+
+/// What a header block says of its packet as a whole.
+struct Block {
+    /// Bytes of the block.
+    len: usize,
+    /// Payload bytes its chunk headers announce.
+    payload: u64,
+    /// Whether the packet asks for its ack at once.
+    ack_now: bool,
 }
 
 /// A read position in a packet's gather list.
@@ -711,8 +839,8 @@ impl<'a> SegCursor<'a> {
 /// read header by header, each from bytes the packet has.
 fn read_block<'a>(
     pkt: &'a WirePacket,
-    mut each: impl FnMut(usize, &ChunkHeader),
-) -> Result<SegCursor<'a>, ProtoError> {
+    mut each: impl FnMut(usize, Entry<'_>),
+) -> Result<(SegCursor<'a>, bool), ProtoError> {
     let segs = &pkt.payload[..];
     let total: usize = segs.iter().map(Bytes::len).sum();
     let mut start = SegCursor::new(segs);
@@ -720,63 +848,78 @@ fn read_block<'a>(
     if !start.read(&mut count) {
         return Err(ProtoError::Truncated);
     }
-    let chunks = usize::from(u16::from_le_bytes(count));
+    let headers = usize::from(u16::from_le_bytes(count));
     let here = start.unread();
     let rest = total - PREFIX;
-    let (block_len, payload) = match Fields::block(here, chunks, &mut each) {
+    let block = match Fields::block(here, headers, &mut each) {
         Err(ProtoError::Truncated) if here.len() < rest => {
             let mut flat = vec![0u8; rest];
             let read = start.clone().read(&mut flat);
             debug_assert!(read);
-            Fields::block(&flat, chunks, &mut each)?
+            Fields::block(&flat, headers, &mut each)?
         }
         read => read?,
     };
-    match payload.cmp(&((rest - block_len) as u64)) {
+    match block.payload.cmp(&((rest - block.len) as u64)) {
         std::cmp::Ordering::Greater => return Err(ProtoError::Truncated),
         std::cmp::Ordering::Less => return Err(ProtoError::LengthMismatch),
         std::cmp::Ordering::Equal => {}
     }
     let mut data = start;
-    let skipped = data.skip(block_len);
+    let skipped = data.skip(block.len);
     debug_assert!(skipped);
-    Ok(data)
+    Ok((data, block.ack_now))
 }
 
 /// Decode a data packet back into chunks. Accepts both gather-encoded and
-/// linearized packets (the wire makes no distinction).
+/// linearized packets (the wire makes no distinction). Acks the packet
+/// carries behind its chunks are read and left out.
 pub fn decode_packet(pkt: &WirePacket) -> Result<Vec<DecodedChunk>, ProtoError> {
     let mut out = Vec::new();
-    decode_packet_into(pkt, &mut out)?;
+    decode_packet_into(pkt, &mut out, &mut Vec::new())?;
     Ok(out)
 }
 
-/// [`decode_packet`] into the caller's vector (cleared here, and left
-/// empty — at the capacity it had — when the packet does not decode).
+/// [`decode_packet`] into the caller's vectors — the chunks, and the acks
+/// behind them — cleared here, and left empty, at the capacity they had,
+/// when the packet does not decode. Returns whether the packet asks for
+/// its ack at once.
 pub(crate) fn decode_packet_into(
     pkt: &WirePacket,
     out: &mut Vec<DecodedChunk>,
-) -> Result<(), ProtoError> {
+    acks: &mut Vec<AckHeader>,
+) -> Result<bool, ProtoError> {
+    let capacity = (out.capacity(), acks.capacity());
     out.clear();
-    let capacity = out.capacity();
-    let read = read_block(pkt, |at, &header| {
-        out.truncate(at);
-        out.push(DecodedChunk {
-            header,
-            data: Bytes::new(),
-        });
+    acks.clear();
+    let read = read_block(pkt, |at, entry| {
+        // Read a second time from the start when the block straddles
+        // segments.
+        if at == 0 {
+            out.clear();
+            acks.clear();
+        }
+        match entry {
+            Entry::Chunk(&header) => out.push(DecodedChunk {
+                header,
+                data: Bytes::new(),
+            }),
+            Entry::Ack(ack) => acks.push(ack),
+        }
     });
     match read {
-        Ok(mut data) => {
+        Ok((mut data, ack_now)) => {
             for c in out.iter_mut() {
                 let len = c.header.chunk_len as usize;
                 c.data = data.take(len).expect("payload is in bounds");
             }
-            Ok(())
+            Ok(ack_now)
         }
         Err(e) => {
             out.clear();
-            out.shrink_to(capacity);
+            out.shrink_to(capacity.0);
+            acks.clear();
+            acks.shrink_to(capacity.1);
             Err(e)
         }
     }
@@ -794,7 +937,7 @@ pub fn encode_rndv(header: ChunkHeader) -> Vec<Bytes> {
         n: PREFIX,
     };
     pkt.b[..PREFIX].copy_from_slice(&1u16.to_le_bytes());
-    h.write(None, &mut pkt);
+    h.write(None, 0, &mut pkt);
     vec![Bytes::copy_from_slice(&pkt.b[..pkt.n])]
 }
 
@@ -802,46 +945,61 @@ pub fn encode_rndv(header: ChunkHeader) -> Vec<Bytes> {
 pub fn decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
     // Whatever is wrong with the packet as a packet comes first; only a
     // well-formed one is then held to the one-empty-chunk shape.
-    let (mut chunks, mut last) = (0, None);
-    read_block(pkt, |at, &header| (chunks, last) = (at + 1, Some(header)))?;
+    let (mut headers, mut last) = (0, None);
+    let (_, ack_now) = read_block(pkt, |at, entry| {
+        headers = at + 1;
+        last = match entry {
+            Entry::Chunk(&header) => Some(header),
+            Entry::Ack(_) => None,
+        };
+    })?;
     match last {
-        Some(header) if chunks == 1 && header.chunk_len == 0 => Ok(header),
+        Some(header) if headers == 1 && header.chunk_len == 0 && !ack_now => Ok(header),
         _ => Err(ProtoError::LengthMismatch),
     }
 }
 
-/// The metadata-only header a reliability acknowledgement for the data
-/// packet that carried `cookie` travels in (the engine queues these through
-/// its control-packet path). It rides the metadata-only packet shape: the
-/// acked cookie is carried in the header's `(flow, msg_seq)` pair as its
-/// high/low halves, so no new wire format is needed. `ecn` echoes a fabric
-/// congestion mark (madnet ECN) in the spare `frag_index` field — acks are
-/// single metadata-only chunks, so the field is otherwise always zero.
-#[inline]
-pub fn ack_header_ecn(cookie: u64, ecn: bool) -> ChunkHeader {
-    ChunkHeader {
-        flow: FlowId((cookie >> 32) as u32),
-        msg_seq: cookie as u32,
-        frag_index: ecn as u16,
-        frag_count: 0,
-        express: false,
-        class: TrafficClass::DEFAULT,
-        frag_len: 0,
-        offset: 0,
-        chunk_len: 0,
-        submit_ns: 0,
-    }
+/// Encode an ack control packet (`KIND_ACK`) of `acks`, at least one.
+pub fn encode_acks(acks: &[AckHeader]) -> Vec<Bytes> {
+    debug_assert!(!acks.is_empty(), "an ack packet acknowledges something");
+    encode_packet_with(&mut Vec::new(), &[], acks, false, true)
 }
 
-/// Decode an acknowledgement to `(cookie, ecn_echo)` — the congestion bit
-/// the receiver observed on the acked data packet (see [`ack_header_ecn`]).
-#[inline]
-pub fn decode_ack_ecn(pkt: &WirePacket) -> Result<(u64, bool), ProtoError> {
-    let h = decode_rndv(pkt)?;
-    Ok((
-        ((h.flow.0 as u64) << 32) | h.msg_seq as u64,
-        h.frag_index != 0,
-    ))
+/// Decode an ack control packet: one or more ack headers and nothing else.
+pub fn decode_acks(pkt: &WirePacket) -> Result<Vec<AckHeader>, ProtoError> {
+    let mut acks = Vec::new();
+    decode_acks_into(pkt, &mut acks)?;
+    Ok(acks)
+}
+
+/// [`decode_acks`] into the caller's vector (cleared here).
+pub(crate) fn decode_acks_into(
+    pkt: &WirePacket,
+    acks: &mut Vec<AckHeader>,
+) -> Result<(), ProtoError> {
+    let mut chunks = 0;
+    acks.clear();
+    let read = read_block(pkt, |at, entry| {
+        // Read a second time from the start when the block straddles
+        // segments.
+        if at == 0 {
+            acks.clear();
+            chunks = 0;
+        }
+        match entry {
+            Entry::Chunk(_) => chunks += 1,
+            Entry::Ack(ack) => acks.push(ack),
+        }
+    });
+    if let Err(e) = read {
+        acks.clear();
+        return Err(e);
+    }
+    if chunks > 0 || acks.is_empty() {
+        acks.clear();
+        return Err(ProtoError::LengthMismatch);
+    }
+    Ok(())
 }
 
 /// The metadata-only header a shed-cancel notification travels in
@@ -972,18 +1130,30 @@ mod tests {
         let bytes = pkt.contiguous();
         let flat = as_packet(vec![Bytes::from(bytes.clone())]);
         let want = reference::decode(&bytes);
-        assert_eq!(flatten(decode_packet(pkt)), want);
-        assert_eq!(flatten(decode_packet(&flat)), want);
+        let chunks = want.clone().map(|p| p.chunks);
+        assert_eq!(flatten(decode_packet(pkt)), chunks);
+        assert_eq!(flatten(decode_packet(&flat)), chunks);
+        assert_eq!(decode_whole(pkt), want);
+        assert_eq!(decode_whole(&flat), want);
         let control = reference::decode_control(&bytes);
         assert_eq!(decode_rndv(pkt), control);
         assert_eq!(decode_rndv(&flat), control);
-        let ack = control.map(|h| {
-            (
-                (u64::from(h.flow.0) << 32) | u64::from(h.msg_seq),
-                h.frag_index != 0,
-            )
-        });
-        assert_eq!(decode_ack_ecn(pkt), ack);
+        let acks = reference::decode_acks(&bytes);
+        assert_eq!(decode_acks(pkt), acks);
+        assert_eq!(decode_acks(&flat), acks);
+    }
+
+    /// Everything [`decode_packet_into`] reads of `pkt`, as comparable
+    /// values.
+    fn decode_whole(pkt: &WirePacket) -> Result<reference::Packet, ProtoError> {
+        let (mut out, mut acks) = (Vec::new(), Vec::new());
+        let ack_now = decode_packet_into(pkt, &mut out, &mut acks)?;
+        let chunks = flatten(Ok(out))?;
+        Ok(reference::Packet {
+            chunks,
+            acks,
+            ack_now,
+        })
     }
 
     /// The packet format read from its definition over one flat byte
@@ -991,13 +1161,25 @@ mod tests {
     /// that many headers, each field in turn and each checked where it is
     /// read, then the payloads back to back.
     mod reference {
-        use super::super::{ChunkHeader, ProtoError};
+        use super::super::{AckHeader, ChunkHeader, ProtoError};
         use crate::ids::{FlowId, TrafficClass};
 
         const EXPRESS: u8 = 0b0001;
         const SAME_MESSAGE: u8 = 0b0010;
         const HAS_OFFSET: u8 = 0b0100;
         const RUNS_TO_END: u8 = 0b1000;
+        const ACKNOWLEDGES: u8 = 0b1_0000;
+        const MARKED: u8 = 0b10_0000;
+        const ASKS_NOW: u8 = 0b100_0000;
+
+        /// What a packet says: its chunks with their payloads, the acks
+        /// behind them, and whether it asks for its own ack at once.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub(super) struct Packet {
+            pub(super) chunks: Vec<(ChunkHeader, Vec<u8>)>,
+            pub(super) acks: Vec<AckHeader>,
+            pub(super) ack_now: bool,
+        }
 
         struct Bytes<'a>(&'a [u8]);
 
@@ -1033,16 +1215,41 @@ mod tests {
             }
         }
 
-        /// The headers of a packet and, behind them, its payload bytes.
-        fn headers(packet: &[u8]) -> Result<(Vec<ChunkHeader>, &[u8]), ProtoError> {
+        /// The chunk headers of a packet, the ack headers behind them,
+        /// whether the first asks for the packet's ack at once, and behind
+        /// them all the payload bytes.
+        #[allow(clippy::type_complexity)]
+        fn headers(
+            packet: &[u8],
+        ) -> Result<(Vec<ChunkHeader>, Vec<AckHeader>, bool, &[u8]), ProtoError> {
             let [lo, hi, block @ ..] = packet else {
                 return Err(ProtoError::Truncated);
             };
             let mut b = Bytes(block);
             let mut out: Vec<ChunkHeader> = Vec::new();
-            for _ in 0..u16::from_le_bytes([*lo, *hi]) {
+            let mut acks: Vec<AckHeader> = Vec::new();
+            let mut ack_now = false;
+            for at in 0..u16::from_le_bytes([*lo, *hi]) {
                 let tag = b.next()?;
-                if tag > 0b1111 || (out.is_empty() && tag & SAME_MESSAGE != 0) {
+                if tag & ACKNOWLEDGES != 0 {
+                    if tag & !(ACKNOWLEDGES | MARKED) != 0 {
+                        return Err(ProtoError::BadTag);
+                    }
+                    let cookie = b.leb128(64)?;
+                    let held_ns = b.leb128(64)?;
+                    acks.push(AckHeader {
+                        cookie,
+                        ecn: tag & MARKED != 0,
+                        held_ns,
+                    });
+                    continue;
+                }
+                // A chunk header: none behind an ack, and only the first
+                // may ask.
+                let asks = at == 0 && tag & ASKS_NOW != 0;
+                ack_now |= asks;
+                let tag = if asks { tag & !ASKS_NOW } else { tag };
+                if !acks.is_empty() || tag > 0b1111 || (out.is_empty() && tag & SAME_MESSAGE != 0) {
                     return Err(ProtoError::BadTag);
                 }
                 let mut h = match out.last() {
@@ -1105,12 +1312,12 @@ mod tests {
                 }
                 out.push(h);
             }
-            Ok((out, b.0))
+            Ok((out, acks, ack_now, b.0))
         }
 
-        /// What [`super::decode_packet`] should make of `packet`.
-        pub(super) fn decode(packet: &[u8]) -> Result<Vec<(ChunkHeader, Vec<u8>)>, ProtoError> {
-            let (headers, mut payload) = headers(packet)?;
+        /// What [`super::decode_packet_into`] should make of `packet`.
+        pub(super) fn decode(packet: &[u8]) -> Result<Packet, ProtoError> {
+            let (headers, acks, ack_now, mut payload) = headers(packet)?;
             let announced: u64 = headers.iter().map(|h| u64::from(h.chunk_len)).sum();
             if announced > payload.len() as u64 {
                 return Err(ProtoError::Truncated);
@@ -1118,21 +1325,37 @@ mod tests {
             if announced < payload.len() as u64 {
                 return Err(ProtoError::LengthMismatch);
             }
-            let mut out = Vec::new();
+            let mut chunks = Vec::new();
             for h in headers {
                 let (data, rest) = payload.split_at(h.chunk_len as usize);
-                out.push((h, data.to_vec()));
+                chunks.push((h, data.to_vec()));
                 payload = rest;
             }
-            Ok(out)
+            Ok(Packet {
+                chunks,
+                acks,
+                ack_now,
+            })
         }
 
         /// What [`super::decode_rndv`] should make of `packet`: a packet
-        /// first, then one empty chunk.
+        /// first, then one empty chunk that asks nothing, and no ack.
         pub(super) fn decode_control(packet: &[u8]) -> Result<ChunkHeader, ProtoError> {
-            match decode(packet)?[..] {
-                [(h, ref data)] if data.is_empty() => Ok(h),
+            let p = decode(packet)?;
+            match (&p.chunks[..], &p.acks[..], p.ack_now) {
+                ([(h, data)], [], false) if data.is_empty() => Ok(*h),
                 _ => Err(ProtoError::LengthMismatch),
+            }
+        }
+
+        /// What [`super::decode_acks`] should make of `packet`: a packet
+        /// first, then acks and nothing else.
+        pub(super) fn decode_acks(packet: &[u8]) -> Result<Vec<AckHeader>, ProtoError> {
+            let p = decode(packet)?;
+            if p.chunks.is_empty() && !p.acks.is_empty() {
+                Ok(p.acks)
+            } else {
+                Err(ProtoError::LengthMismatch)
             }
         }
     }
@@ -1235,16 +1458,33 @@ mod tests {
         let packet = [before, hdr, body];
         let segs = encode_packet(&packet, false);
         assert_eq!(segs[0].len() as u64, framing.bytes());
-        // Control packets: one header, no payload.
-        let ack = encode_rndv(ack_header_ecn(5, true));
+        // Control packets: one header, no payload; an ack packet of as
+        // many ack headers as it carries, each its tag and two varints.
+        let ack = |cookie, held_ns| AckHeader {
+            cookie,
+            ecn: true,
+            held_ns,
+        };
+        assert_eq!(encode_acks(&[ack(5, 0)])[0].len(), 2 + 3);
+        let three = [ack(5, 0), ack(600_000, 40_000), ack(u64::MAX, u64::MAX)];
         assert_eq!(
-            ack[0].len() as u64,
-            lone_packet_bytes(&ack_header_ecn(5, true))
+            encode_acks(&three)[0].len() as u64,
+            ack_packet_bytes(&three)
         );
-        assert_eq!(ack[0].len(), 10);
-        assert_eq!(encode_rndv(ack_header_ecn(600_000, false))[0].len(), 12);
+        assert_eq!(ack_packet_bytes(&three), 2 + 3 + 7 + MAX_ACK_HEADER_BYTES);
         let cancel = cancel_header(FlowId(1), 2, TrafficClass::DEFAULT);
         assert_eq!(encode_rndv(cancel)[0].len(), 10);
+        // An ack behind a data packet's chunks costs its bytes and leaves
+        // the message part alone.
+        let (mut behind, mut plain) = (Framing::new(), Framing::new());
+        behind.push(&packet[0].header);
+        plain.push(&packet[0].header);
+        behind.ack(&ack(600_000, 40_000));
+        assert_eq!(behind.bytes(), after_one + 7);
+        assert_eq!(
+            behind.next(&packet[1].header),
+            plain.next(&packet[1].header)
+        );
         // `next` is what `push` then adds, `wire_bytes` the payload on
         // top, and `framing_of` is the sum.
         let chunks = [
@@ -1427,7 +1667,7 @@ mod tests {
     fn hostile_header_blocks_are_errors() {
         let decode = |bytes: &[u8]| {
             let pkt = as_packet(vec![Bytes::copy_from_slice(bytes)]);
-            assert!(decode_rndv(&pkt).is_err() && decode_ack_ecn(&pkt).is_err());
+            assert!(decode_rndv(&pkt).is_err() && decode_acks(&pkt).is_err());
             decode_packet(&pkt).map(|c| c.len())
         };
         let valid = as_packet(encode_packet(
@@ -1441,16 +1681,20 @@ mod tests {
         let mut orphan = valid.clone();
         orphan[2] |= TAG_SAME_MSG;
         assert_eq!(decode(&orphan), Err(ProtoError::BadTag));
-        // A tag bit the format does not define, on either header.
+        // A tag bit the format does not define for a chunk header, on
+        // either header: an ack's bit (the tag is then an ack's, with bits
+        // no ack has), the congestion echo, a bit of nothing — and the
+        // ask-now bit, except on the packet's first header.
         for at in [2, second] {
             for bit in 4..8 {
                 let mut unknown = valid.clone();
                 unknown[at] |= 1 << bit;
-                assert_eq!(
-                    decode(&unknown),
-                    Err(ProtoError::BadTag),
-                    "bit {bit} at {at}"
-                );
+                let want = if (at, bit) == (2, 6) {
+                    Ok(2)
+                } else {
+                    Err(ProtoError::BadTag)
+                };
+                assert_eq!(decode(&unknown), want, "bit {bit} at {at}");
             }
         }
         // A header block that runs past the packet: the second header
@@ -1472,7 +1716,7 @@ mod tests {
             assert!(decode(&crowd).is_err(), "{count} chunks");
             let mut out = Vec::new();
             let pkt = as_packet(vec![Bytes::from(crowd)]);
-            assert!(decode_packet_into(&pkt, &mut out).is_err());
+            assert!(decode_packet_into(&pkt, &mut out, &mut Vec::new()).is_err());
             assert_eq!(out.capacity(), 0);
         }
         // ... also when every byte behind the count reads as the shortest
@@ -1639,22 +1883,177 @@ mod tests {
         assert_eq!(back.chunk_len, 0);
     }
 
+    /// Acks with every extreme of their fields.
+    fn some_acks() -> Vec<AckHeader> {
+        let cookies = [0u64, 1, 127, 128, 0xDEAD_BEEF, u64::MAX];
+        let held = [0u64, 1, 50_000, u64::MAX];
+        let mut acks = Vec::new();
+        for (i, &cookie) in cookies.iter().enumerate() {
+            acks.push(AckHeader {
+                cookie,
+                ecn: i % 2 == 0,
+                held_ns: held[i % held.len()],
+            });
+        }
+        acks
+    }
+
     #[test]
     fn ack_roundtrip_carries_full_cookie() {
         for cookie in [0u64, 1, 0xDEAD_BEEF, u64::MAX, 0x1234_5678_9ABC_DEF0] {
-            let mut pkt = as_packet(encode_rndv(ack_header_ecn(cookie, false)));
+            let ack = AckHeader {
+                cookie,
+                ecn: false,
+                held_ns: 0,
+            };
+            let mut pkt = as_packet(encode_acks(&[ack]));
             pkt.kind = KIND_ACK;
-            assert_eq!(decode_ack_ecn(&pkt).unwrap(), (cookie, false));
+            assert_eq!(decode_acks(&pkt), Ok(vec![ack]));
         }
     }
 
     #[test]
     fn ack_ecn_echo_roundtrips_and_plain_acks_read_clean() {
         for (cookie, ecn) in [(7u64, true), (0x1234_5678_9ABC_DEF0, false)] {
-            let mut pkt = as_packet(encode_rndv(ack_header_ecn(cookie, ecn)));
+            let ack = AckHeader {
+                cookie,
+                ecn,
+                held_ns: 40_000,
+            };
+            let mut pkt = as_packet(encode_acks(&[ack]));
             pkt.kind = KIND_ACK;
-            assert_eq!(decode_ack_ecn(&pkt).unwrap(), (cookie, ecn));
+            let back = decode_acks(&pkt).unwrap();
+            assert_eq!((back[0].cookie, back[0].ecn), (cookie, ecn));
         }
+    }
+
+    #[test]
+    fn an_ack_packet_of_several_acks_round_trips() {
+        for n in 1..=6 {
+            let acks = &some_acks()[..n];
+            let mut pkt = as_packet(encode_acks(acks));
+            pkt.kind = KIND_ACK;
+            assert_eq!(decode_acks(&pkt).as_deref(), Ok(acks));
+            // It is no data packet's and no control header's shape.
+            assert_eq!(flatten(decode_packet(&pkt)), Ok(vec![]));
+            assert_eq!(decode_rndv(&pkt), Err(ProtoError::LengthMismatch));
+            assert_segmentation_blind(&pkt);
+        }
+    }
+
+    #[test]
+    fn acks_behind_a_data_packets_chunks_round_trip_in_both_forms() {
+        let chunks = [
+            chunk(1, 0, 0, b"hdr", 0, 3),
+            chunk(1, 0, 1, b"body", 0, 4),
+            chunk(2, 9, 0, b"xy", 5, 7),
+        ];
+        let acks = some_acks();
+        for linearize in [false, true] {
+            for ack_now in [false, true] {
+                let segs = encode_packet_with(&mut Vec::new(), &chunks, &acks, ack_now, linearize);
+                let pkt = as_packet(segs);
+                // `Framing` prices the acks like any header.
+                let mut framing = Framing::new();
+                for c in &chunks {
+                    framing.push(&c.header);
+                }
+                for a in &acks {
+                    framing.ack(a);
+                }
+                assert_eq!(pkt.payload_len(), framing.bytes() + 3 + 4 + 2);
+                let want: Vec<_> = chunks.iter().map(|c| (c.header, c.data.to_vec())).collect();
+                assert_eq!(flatten(decode_packet(&pkt)), Ok(want.clone()));
+                let whole = reference::Packet {
+                    chunks: want,
+                    acks: acks.clone(),
+                    ack_now,
+                };
+                assert_eq!(decode_whole(&pkt), Ok(whole));
+                assert_segmentation_blind(&pkt);
+                // Not an ack packet: it carries chunks.
+                assert_eq!(decode_acks(&pkt), Err(ProtoError::LengthMismatch));
+            }
+        }
+    }
+
+    #[test]
+    fn a_data_packet_without_acks_decodes_as_it_did() {
+        // The bytes of the layout test's packet, byte for byte: no ack
+        // and no ask leave the encoding and the decoding as they were.
+        let chunks = [chunk(1, 0, 0, b"hdr", 0, 3), chunk(1, 0, 1, b"body", 0, 4)];
+        let plain = encode_packet(&chunks, false);
+        let with = encode_packet_with(&mut Vec::new(), &chunks, &[], false, false);
+        assert_eq!(plain, with);
+        let pkt = as_packet(plain);
+        let (mut out, mut acks) = (Vec::new(), vec![some_acks()[0]]);
+        assert_eq!(decode_packet_into(&pkt, &mut out, &mut acks), Ok(false));
+        assert!(acks.is_empty(), "cleared");
+        assert_eq!(flatten(Ok(out)), flatten(decode_packet(&pkt)));
+        // Asking sets one bit of the first tag, and costs no byte.
+        let asks = encode_packet_with(&mut Vec::new(), &chunks, &[], true, false);
+        assert_eq!(asks[0][2], pkt.payload[0][2] | TAG_ACK_NOW);
+        assert_eq!(asks[0][3..], pkt.payload[0][3..]);
+    }
+
+    #[test]
+    fn a_packet_of_no_headers_decodes_into_emptied_vectors() {
+        // Vectors that still hold what a packet before left in them.
+        let full = as_packet(encode_packet_with(
+            &mut Vec::new(),
+            &[chunk(1, 0, 0, b"hdr", 0, 3)],
+            &some_acks(),
+            false,
+            false,
+        ));
+        let (mut out, mut acks) = (Vec::new(), Vec::new());
+        assert_eq!(decode_packet_into(&full, &mut out, &mut acks), Ok(false));
+        assert!(!out.is_empty() && !acks.is_empty());
+        let empty = as_packet(encode_packet(&[], false));
+        assert_eq!(decode_packet_into(&empty, &mut out, &mut acks), Ok(false));
+        assert!(out.is_empty() && acks.is_empty(), "cleared");
+        acks.push(some_acks()[0]);
+        let refused = decode_acks_into(&empty, &mut acks);
+        assert_eq!(refused, Err(ProtoError::LengthMismatch));
+        assert!(acks.is_empty(), "cleared");
+    }
+
+    #[test]
+    fn an_ack_with_payload_or_an_unknown_bit_is_refused() {
+        let ack = some_acks()[2];
+        let good = as_packet(encode_acks(&[ack])).contiguous();
+        assert_eq!(decode_bytes_acks(&good), Ok(vec![ack]));
+        // Payload behind an ack packet: nothing announced it.
+        let mut payload = good.clone();
+        payload.push(0xAB);
+        assert_eq!(decode_bytes_acks(&payload), Err(ProtoError::LengthMismatch));
+        // Any tag bit but the ack's and the echo's.
+        for bit in [0, 1, 2, 3, 6, 7] {
+            let mut unknown = good.clone();
+            unknown[2] |= 1 << bit;
+            assert_eq!(
+                decode_bytes_acks(&unknown),
+                Err(ProtoError::BadTag),
+                "bit {bit}"
+            );
+        }
+        // A chunk header behind an ack.
+        let chunk_after = handmade(2, &[TAG_ACK, 1, 0, TAG_TAIL, 1, 0, 1, 0, 0, 0, 1], b"x");
+        assert_eq!(
+            decode_bytes(&chunk_after).map(|c| c.len()),
+            Err(ProtoError::BadTag)
+        );
+        // No acks at all, or a chunk among them.
+        assert_eq!(
+            decode_bytes_acks(&handmade(0, &[], b"")),
+            Err(ProtoError::LengthMismatch)
+        );
+        let mixed = handmade(2, &[TAG_TAIL, 1, 0, 1, 0, 0, 0, 0, TAG_ACK, 1, 0], b"");
+        assert_eq!(decode_bytes_acks(&mixed), Err(ProtoError::LengthMismatch));
+    }
+
+    fn decode_bytes_acks(bytes: &[u8]) -> Result<Vec<AckHeader>, ProtoError> {
+        decode_acks(&as_packet(vec![Bytes::copy_from_slice(bytes)]))
     }
 
     #[test]
@@ -1733,7 +2132,9 @@ mod tests {
         /// A byte string that decodes is the encoding of what it decodes
         /// to: the decoder accepts only the encoder's form.
         fn assert_canonical(bytes: &[u8]) {
-            let Ok(chunks) = decode_bytes(bytes) else {
+            let pkt = as_packet(vec![Bytes::copy_from_slice(bytes)]);
+            let (mut chunks, mut acks) = (Vec::new(), Vec::new());
+            let Ok(ack_now) = decode_packet_into(&pkt, &mut chunks, &mut acks) else {
                 return;
             };
             let again: Vec<WireChunk> = chunks
@@ -1743,17 +2144,39 @@ mod tests {
                     data: c.data,
                 })
                 .collect();
-            assert_eq!(encode_packet(&again, true)[0][..], bytes[..]);
+            let segs = encode_packet_with(&mut Vec::new(), &again, &acks, ack_now, true);
+            assert_eq!(segs[0][..], bytes[..]);
+        }
+
+        /// Up to three acks with their fields' extremes.
+        fn acks() -> impl Strategy<Value = Vec<AckHeader>> {
+            let ack = (
+                prop::sample::select(&[0u64, 1, 128, 200_000, u64::MAX]),
+                any::<bool>(),
+                prop::sample::select(&[0u64, 1, 50_000, u64::MAX]),
+            );
+            prop::collection::vec(ack, 0..4).prop_map(|list| {
+                list.into_iter()
+                    .map(|(cookie, ecn, held_ns)| AckHeader {
+                        cookie,
+                        ecn,
+                        held_ns,
+                    })
+                    .collect()
+            })
         }
 
         proptest! {
             #[test]
             fn what_is_encoded_is_decoded_in_both_forms_however_it_is_cut(
                 chunks in wire_chunks(),
+                acks in acks(),
+                ack_now in any::<bool>(),
                 cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
             ) {
                 let want: Vec<_> = chunks.iter().map(|c| (c.header, c.data.to_vec())).collect();
                 let payload: u64 = chunks.iter().map(|c| c.data.len() as u64).sum();
+                let ack_now = ack_now && !chunks.is_empty();
                 for linearize in [false, true] {
                     let pkt = as_packet(encode_packet(&chunks, linearize));
                     prop_assert_eq!(pkt.payload.len(), if linearize { 1 } else { 1 + chunks.len() });
@@ -1767,15 +2190,27 @@ mod tests {
                     prop_assert_eq!(flatten(decode_packet(&cut)), Ok(want.clone()));
                     assert_segmentation_blind(&cut);
                     assert_canonical(&flat);
+                    // With acks behind the chunks, and the first asking.
+                    let segs = encode_packet_with(&mut Vec::new(), &chunks, &acks, ack_now, linearize);
+                    let pkt = as_packet(segs);
+                    let with_acks: u64 = acks.iter().map(AckHeader::encoded_len).sum();
+                    prop_assert_eq!(pkt.payload_len(), bytes + with_acks);
+                    let whole = reference::Packet { chunks: want.clone(), acks: acks.clone(), ack_now };
+                    prop_assert_eq!(decode_whole(&pkt), Ok(whole));
+                    let flat = Bytes::from(pkt.contiguous());
+                    assert_segmentation_blind(&resegmented(&flat, &cuts));
+                    assert_canonical(&flat);
                 }
             }
 
             #[test]
             fn a_decoded_byte_string_re_encodes_to_itself(
                 chunks in wire_chunks(),
+                acks in acks(),
                 edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..4),
             ) {
-                let mut flat = as_packet(encode_packet(&chunks, true)).contiguous();
+                let segs = encode_packet_with(&mut Vec::new(), &chunks, &acks, false, true);
+                let mut flat = as_packet(segs).contiguous();
                 for (at, byte) in edits {
                     let at = at.index(flat.len());
                     flat[at] = byte;

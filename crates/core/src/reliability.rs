@@ -46,7 +46,7 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 
 use nicdrv::{CostModel, DriverCapabilities};
@@ -60,8 +60,8 @@ use crate::ids::{FlowId, FragIndex, TrafficClass};
 use crate::observer::Observer;
 use crate::plan::PlannedChunk;
 use crate::proto::{
-    ack_header_ecn, lone_packet_bytes, make_header, ChunkHeader, Framing, MAX_CHUNK_HEADER_BYTES,
-    PACKET_PREFIX_BYTES,
+    ack_packet_bytes, lone_packet_bytes, make_header, AckHeader, ChunkHeader, Framing,
+    MAX_CHUNK_HEADER_BYTES, PACKET_PREFIX_BYTES,
 };
 use crate::trace::EngineEvent;
 
@@ -108,7 +108,9 @@ pub struct PendingTx {
 /// timer scheduling and retransmit order — is deterministic.
 #[derive(Debug, Default)]
 pub struct RetransmitTracker {
-    pending: BTreeMap<u64, (PendingTx, u64)>,
+    /// Each packet with its size on the wire and the hold it granted its
+    /// ack (zero: it asked for the ack at once).
+    pending: BTreeMap<u64, (PendingTx, u64, SimDuration)>,
 }
 
 impl RetransmitTracker {
@@ -121,12 +123,19 @@ impl RetransmitTracker {
     /// the wire.
     pub fn track(&mut self, cookie: u64, tx: PendingTx) {
         let payload = tx.chunks.iter().map(|c| u64::from(c.len)).sum();
-        self.track_sized(cookie, tx, payload);
+        self.track_sized(cookie, tx, payload, SimDuration::ZERO);
     }
 
-    /// Track a freshly submitted data packet `wire_bytes` long on the wire.
-    pub(crate) fn track_sized(&mut self, cookie: u64, tx: PendingTx, wire_bytes: u64) {
-        self.pending.insert(cookie, (tx, wire_bytes));
+    /// Track a freshly submitted data packet `wire_bytes` long on the
+    /// wire, whose ack its receiver may hold for `hold`.
+    pub(crate) fn track_sized(
+        &mut self,
+        cookie: u64,
+        tx: PendingTx,
+        wire_bytes: u64,
+        hold: SimDuration,
+    ) {
+        self.pending.insert(cookie, (tx, wire_bytes, hold));
     }
 
     /// Stop tracking `cookie` (ack received, timed out, given up, or —
@@ -138,12 +147,14 @@ impl RetransmitTracker {
 
     /// [`RetransmitTracker::acked`], with the packet's size on the wire.
     fn settled(&mut self, cookie: u64) -> Option<(PendingTx, u64)> {
-        self.pending.remove(&cookie)
+        self.pending
+            .remove(&cookie)
+            .map(|(tx, bytes, _)| (tx, bytes))
     }
 
     /// The tracked packet of `cookie`, to restamp it.
     pub fn pending_mut(&mut self, cookie: u64) -> Option<&mut PendingTx> {
-        self.pending.get_mut(&cookie).map(|(tx, _)| tx)
+        self.pending.get_mut(&cookie).map(|(tx, ..)| tx)
     }
 
     /// Number of tracked packets.
@@ -158,14 +169,14 @@ impl RetransmitTracker {
 
     /// The earliest deadline over all pending packets.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|(p, _)| p.deadline).min()
+        self.pending.values().map(|(p, ..)| p.deadline).min()
     }
 
     /// Cookies whose deadline has passed at `now`, in cookie order.
     pub fn expired(&self, now: SimTime) -> Vec<u64> {
         self.pending
             .iter()
-            .filter(|(_, (p, _))| p.deadline <= now)
+            .filter(|(_, (p, ..))| p.deadline <= now)
             .map(|(&c, _)| c)
             .collect()
     }
@@ -188,6 +199,8 @@ pub struct RailHealth {
     score: f64,
     acks: u64,
     timeouts: u64,
+    /// Acks since the last timeout, up to [`RailHealth::CLEAN_AFTER`].
+    since_timeout: u32,
     dead: bool,
     degraded_announced: bool,
     /// madnet: EWMA of the fraction of acked packets that came back
@@ -202,6 +215,7 @@ impl Default for RailHealth {
             score: 1.0,
             acks: 0,
             timeouts: 0,
+            since_timeout: Self::CLEAN_AFTER,
             dead: false,
             degraded_announced: false,
             congestion: 0.0,
@@ -217,14 +231,30 @@ impl RailHealth {
     /// `RailDegraded` event is announced (once per degradation episode).
     const DEGRADED_BELOW: f64 = 0.6;
 
+    /// Acks in a row, after a timeout, before the rail counts as clean
+    /// again. A lossy wire hardly gets there — `lossy_multirail` times out
+    /// about once in 24 packets, and a run of 256 without one is a chance
+    /// in 50 000 — and a clean one is back 256 acks after a rare spurious
+    /// timeout.
+    const CLEAN_AFTER: u32 = 256;
+
     /// Fresh, fully healthy rail.
     pub fn new() -> Self {
         RailHealth::default()
     }
 
+    /// Whether the rail shows recent loss evidence — a timeout within its
+    /// last 256 acks (`RailHealth::CLEAN_AFTER`) — or is dead. A data packet
+    /// sent on such a rail asks for its ack at once: a held ack would
+    /// only put off the retransmission of a loss.
+    pub fn lossy(&self) -> bool {
+        self.dead || self.since_timeout < Self::CLEAN_AFTER
+    }
+
     /// Record a successful acknowledgement.
     pub fn on_ack(&mut self) {
         self.acks += 1;
+        self.since_timeout = (self.since_timeout + 1).min(Self::CLEAN_AFTER);
         self.score = (1.0 - Self::ALPHA) * self.score + Self::ALPHA;
         if self.score >= Self::DEGRADED_BELOW {
             self.degraded_announced = false;
@@ -235,6 +265,7 @@ impl RailHealth {
     /// the rail into the degraded band (callers emit `RailDegraded` once).
     pub fn on_timeout(&mut self) -> bool {
         self.timeouts += 1;
+        self.since_timeout = 0;
         self.score *= 1.0 - Self::ALPHA;
         if self.score < Self::DEGRADED_BELOW && !self.degraded_announced && !self.dead {
             self.degraded_announced = true;
@@ -521,9 +552,15 @@ impl RailClock {
         self.control_one_way[lone_packet_bytes(header) as usize]
     }
 
-    /// Unloaded one way of the ack of data packet `cookie`.
+    /// Unloaded one way of the ack of data packet `cookie`, alone in its
+    /// packet and sent as the packet arrived.
     fn ack_one_way(&self, cookie: u64) -> SimDuration {
-        self.one_way(&ack_header_ecn(cookie, false))
+        let ack = AckHeader {
+            cookie,
+            ecn: false,
+            held_ns: 0,
+        };
+        self.control_one_way[ack_packet_bytes([&ack]) as usize]
     }
 
     /// Unloaded time from the instant data packet `cookie`, `bytes` long on
@@ -636,12 +673,29 @@ pub(crate) enum Launched {
     Watched,
 }
 
+/// How long a receiver may hold an ack for a data packet to ride back on,
+/// as a share of `EngineConfig::retransmit_timeout`: both ends know it
+/// without a word on the wire, and the sender's timeout waits it out.
+const ACK_HOLD_SHARE: u64 = 10;
+
+/// The hold a receiver under `cfg` may keep an ack for: a tenth of the
+/// initial retransmit margin (5 us at the default 50 us, 50 us on a
+/// fabric run at 500 us).
+pub(crate) fn ack_hold(cfg: &EngineConfig) -> SimDuration {
+    SimDuration::from_nanos(cfg.retransmit_timeout.as_nanos() / ACK_HOLD_SHARE)
+}
+
 /// The reliability layer's state: the data packets between submission and
 /// completion with the single retransmit timer, per-rail health and
 /// clock, and the `EngineConfig` values that drive them.
 // madlint: send-sync — sharded across madpar workers with the engine core
 pub(crate) struct Reliability {
     acks: bool,
+    /// The hold a packet that does not ask for its ack at once grants.
+    hold: SimDuration,
+    /// The (rail, peer) pairs data packets have arrived on: only a peer
+    /// that sends data back can carry an ack on it.
+    heard: BTreeSet<(usize, NodeId)>,
     retry_budget: u32,
     congestion_aware: bool,
     retx: RetransmitTracker,
@@ -655,10 +709,52 @@ pub(crate) struct Reliability {
     parent_of: BTreeMap<u64, u64>,
     /// Rendezvous requests whose grant has not come back.
     requests: BTreeMap<RequestKey, PendingRequest>,
-    /// The armed timer with the deadline it was armed for.
-    timer: Option<(TimerId, SimTime)>,
+    /// The retransmit timer.
+    timer: LazyTimer,
     health: Vec<RailHealth>,
     clocks: Vec<RailClock>,
+}
+
+/// A timer that moves only to fire sooner: one armed at or before the
+/// instant asked for is kept, and whoever it wakes finds what is due, if
+/// anything, and arms it again. Moving a timer later would cost a
+/// cancellation per change.
+#[derive(Debug, Default)]
+pub(crate) struct LazyTimer {
+    /// The armed timer with the instant it was armed for.
+    slot: Option<(TimerId, SimTime)>,
+}
+
+impl LazyTimer {
+    /// Arm toward `due` under `tag`, unless armed at or before it; with
+    /// nothing `due` the timer is cancelled, so the simulation can reach
+    /// quiescence.
+    pub(crate) fn arm(&mut self, ctx: &mut SimCtx<'_>, due: Option<SimTime>, tag: u64) {
+        if let Some((timer, armed_for)) = self.slot {
+            if due.is_some_and(|d| armed_for <= d) {
+                return;
+            }
+            ctx.cancel_timer(timer);
+        }
+        self.slot = due.map(|d| (ctx.set_timer(d.since(ctx.now()), tag), d));
+    }
+
+    /// Cancel the timer, if armed.
+    pub(crate) fn cancel(&mut self, ctx: &mut SimCtx<'_>) {
+        if let Some((timer, _)) = self.slot.take() {
+            ctx.cancel_timer(timer);
+        }
+    }
+
+    /// The timer fired.
+    pub(crate) fn fired(&mut self) {
+        self.slot = None;
+    }
+
+    /// Whether the timer is armed.
+    pub(crate) fn is_armed(&self) -> bool {
+        self.slot.is_some()
+    }
 }
 
 impl Reliability {
@@ -674,6 +770,8 @@ impl Reliability {
             .collect();
         Reliability {
             acks: cfg.reliability == ReliabilityMode::Recover,
+            hold: ack_hold(cfg),
+            heard: BTreeSet::new(),
             retry_budget: cfg.retry_budget,
             congestion_aware: cfg.congestion_aware,
             retx: RetransmitTracker::new(),
@@ -681,7 +779,7 @@ impl Reliability {
             superseded: BTreeMap::new(),
             parent_of: BTreeMap::new(),
             requests: BTreeMap::new(),
-            timer: None,
+            timer: LazyTimer::default(),
             health: vec![RailHealth::new(); clocks.len()],
             clocks,
         }
@@ -690,6 +788,27 @@ impl Reliability {
     /// Whether data packets are acknowledged (`Recover`).
     pub(crate) fn acks_enabled(&self) -> bool {
         self.acks
+    }
+
+    /// Whether a data packet sent now on `rail` to `dst` asks for its ack
+    /// at once (a bit in the packet). Under `Recover` it does on a rail
+    /// with recent loss evidence ([`RailHealth::lossy`]), where a held ack
+    /// would only put off a retransmission; toward a peer that has sent
+    /// no data on the rail, which no data packet of its own would carry
+    /// the ack back from; and when there is no hold to grant. Any other
+    /// packet grants its receiver the hold, and waits that much longer
+    /// for its ack ([`Reliability::track`]).
+    pub(crate) fn asks_now(&self, rail: usize, dst: NodeId) -> bool {
+        self.acks
+            && (self.hold.is_zero()
+                || self.health[rail].lossy()
+                || !self.heard.contains(&(rail, dst)))
+    }
+
+    /// A data packet from `peer` arrived on `rail`: it sends data back
+    /// there, and packets to it may grant their acks the hold.
+    pub(crate) fn heard_from(&mut self, rail: usize, peer: NodeId) {
+        self.heard.insert((rail, peer));
     }
 
     /// Health of every rail, in rail order.
@@ -802,7 +921,7 @@ impl Reliability {
     /// (`true`) with the transmission it is owed.
     #[cfg(test)]
     pub(crate) fn watched(&self, cookie: u64) -> Option<(&PendingTx, bool)> {
-        let tracked = self.retx.pending.get(&cookie).map(|(tx, _)| (tx, false));
+        let tracked = self.retx.pending.get(&cookie).map(|(tx, ..)| (tx, false));
         let parked = || Some((&self.parked.get(&self.parked_key(cookie)?)?.0, true));
         tracked.or_else(parked)
     }
@@ -824,7 +943,9 @@ impl Reliability {
     /// when it leaves the NIC under `Off`, at its ack under `Recover`. Its
     /// timeout starts when it leaves the NIC ([`Reliability::launched`]):
     /// a packet cannot be lost in its own queue, however long the packets
-    /// ahead of it take.
+    /// ahead of it take. Unless it asked for its ack at once
+    /// ([`Reliability::asks_now`], read as it was encoded), it granted its
+    /// receiver the hold, and its timeout allows for it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn track(
         &mut self,
@@ -845,14 +966,19 @@ impl Reliability {
             deadline: SimTime::MAX,
             attempts: sent.attempts,
         };
-        self.retx.track_sized(cookie, tx, wire_bytes);
+        let hold = if !self.acks || self.asks_now(sent.rail, dst) {
+            SimDuration::ZERO
+        } else {
+            self.hold
+        };
+        self.retx.track_sized(cookie, tx, wire_bytes, hold);
     }
 
     /// `tx_done` for `cookie`. Under `Off` the packet is done and its
     /// record leaves the tracker. Under `Recover` it is on the wire from
     /// `now`, and times out its own modelled flight on its rail —
-    /// propagation, receive, the ack's way back — plus the rail's margin
-    /// later, doubled per attempt.
+    /// propagation, receive, the hold it granted its ack, the ack's way
+    /// back — plus the rail's margin later, doubled per attempt.
     pub(crate) fn launched(&mut self, cookie: u64, now: SimTime) -> Launched {
         if !self.acks {
             return self
@@ -860,28 +986,29 @@ impl Reliability {
                 .acked(cookie)
                 .map_or(Launched::Untracked, Launched::Done);
         }
-        let Some((tx, wire_bytes)) = self.retx.pending.get_mut(&cookie) else {
+        let Some((tx, wire_bytes, hold)) = self.retx.pending.get_mut(&cookie) else {
             return Launched::Untracked;
         };
         let clock = &mut self.clocks[tx.rail];
         let flight = clock.launch(*wire_bytes, cookie, tx.dst, now);
         tx.sent_at = now;
-        tx.deadline = clock.deadline(flight, tx.attempts, now);
+        tx.deadline = clock.deadline(flight + *hold, tx.attempts, now);
         Launched::Watched
     }
 
-    /// An ack for `cookie` arrived carrying the fabric's ECN echo. Hands
-    /// `settle` the record of every packet the ack completes and returns
-    /// whether it found anything: the packet itself when it is still
-    /// tracked; for a cookie a timeout has superseded, whatever of its
-    /// retransmission is still out (the chunks arrived, whichever
-    /// transmission carried them) — the timeout was spurious, and the rail
-    /// gets back the health it took. A duplicate ack finds nothing, and so
-    /// does any ack under `Off`, where nothing waits for one.
+    /// An ack arrived for the cookie it names, carrying the fabric's ECN
+    /// echo and the time the receiver held it. Hands `settle` the record
+    /// of every packet the ack completes and returns whether it found
+    /// anything: the packet itself when it is still tracked; for a cookie
+    /// a timeout has superseded, whatever of its retransmission is still
+    /// out (the chunks arrived, whichever transmission carried them) — the
+    /// timeout was spurious, and the rail gets back the health it took. A
+    /// duplicate ack finds nothing, and so does any ack under `Off`, where
+    /// nothing waits for one. The margin hears the round trip less the
+    /// hold: held time is the receiver's choice, not the path's delay.
     pub(crate) fn on_ack(
         &mut self,
-        cookie: u64,
-        ecn: bool,
+        ack: &AckHeader,
         now: SimTime,
         node: NodeId,
         obs: &mut Observer,
@@ -890,6 +1017,7 @@ impl Reliability {
         if !self.acks {
             return false;
         }
+        let (cookie, ecn) = (ack.cookie, ack.ecn);
         let live = self.take_live(cookie);
         let (rail, sent_at, model, late) = if let Some((p, wire_bytes, parked)) = live {
             let model = self.clocks[p.rail].data_flight(wire_bytes, cookie);
@@ -905,8 +1033,9 @@ impl Reliability {
         };
         self.leave(cookie);
         let rtt = now.since(sent_at);
+        let path = rtt.saturating_sub(SimDuration::from_nanos(ack.held_ns));
         let clock = &mut self.clocks[rail];
-        clock.margin.observe(rtt, model);
+        clock.margin.observe(path, model);
         clock.last_ack = Some(now);
         if late {
             self.health[rail].forgive_timeout();
@@ -932,7 +1061,7 @@ impl Reliability {
         };
         obs.emit(now, acked);
         if late {
-            let late_ns = rtt_ns.saturating_sub(model.as_nanos());
+            let late_ns = path.as_nanos().saturating_sub(model.as_nanos());
             let spurious = EngineEvent::SpuriousTimeout {
                 cookie,
                 rail,
@@ -990,7 +1119,7 @@ impl Reliability {
     /// deadline has passed at `now`, in cookie order. Feed each to
     /// [`Reliability::expire`], then re-arm.
     pub(crate) fn begin_sweep(&mut self, now: SimTime) -> Vec<u64> {
-        self.timer = None;
+        self.timer.fired();
         self.retx.expired(now)
     }
 
@@ -1159,7 +1288,7 @@ impl Reliability {
 
     /// True while the retransmit timer is armed.
     pub(crate) fn timer_armed(&self) -> bool {
-        self.timer.is_some()
+        self.timer.is_armed()
     }
 
     /// Arm the single retransmit timer toward the earliest pending
@@ -1176,13 +1305,7 @@ impl Reliability {
         let asked = self.requests.values().map(|r| r.deadline).min();
         let launched = self.retx.next_deadline().filter(|&d| d != SimTime::MAX);
         let deadline = launched.into_iter().chain(asked).min();
-        if let Some((timer, armed_for)) = self.timer {
-            if deadline.is_some_and(|d| armed_for <= d) {
-                return;
-            }
-            ctx.cancel_timer(timer);
-        }
-        self.timer = deadline.map(|d| (ctx.set_timer(d.since(ctx.now()), RETX_TAG), d));
+        self.timer.arm(ctx, deadline, RETX_TAG);
     }
 
     /// Cross-check the packets in flight against the collect layer: each
@@ -1196,7 +1319,7 @@ impl Reliability {
             .retx
             .pending
             .iter()
-            .map(|(&cookie, (tx, _))| (cookie, tx));
+            .map(|(&cookie, (tx, ..))| (cookie, tx));
         let parked = self
             .parked
             .iter()
@@ -1257,6 +1380,15 @@ mod tests {
         )
     }
 
+    /// The ack of `cookie`, unmarked and sent as its packet arrived.
+    fn plain(cookie: u64) -> AckHeader {
+        AckHeader {
+            cookie,
+            ecn: false,
+            held_ns: 0,
+        }
+    }
+
     /// The size on the wire of a packet whose every chunk is [`whole`].
     fn wire(chunks: &[PlannedChunk]) -> u64 {
         crate::proto::wire_bytes(chunks.iter().map(whole))
@@ -1286,7 +1418,9 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
-    /// The layer over one rail per technology, `Recover`, the given budget.
+    /// The layer over one rail per technology, `Recover`, the given budget,
+    /// on a node that node 1 — where the tests send — sends data to on
+    /// every rail.
     fn layer(techs: &[Technology], retry_budget: u32) -> (Reliability, Observer) {
         let cfg = EngineConfig {
             reliability: ReliabilityMode::Recover,
@@ -1297,10 +1431,17 @@ mod tests {
             let cost = CostModel::from_params(&calib::params(t));
             (calib::capabilities(t), cost)
         });
-        (Reliability::new(rails, &cfg), Observer::new(NodeId(0)))
+        let mut r = Reliability::new(rails, &cfg);
+        for rail in 0..techs.len() {
+            r.heard_from(rail, NodeId(1));
+        }
+        (r, Observer::new(NodeId(0)))
     }
 
     const MX: Technology = Technology::MyrinetMx;
+    /// The hold a packet on a clean rail grants its ack under the default
+    /// configuration.
+    const HOLD: SimDuration = SimDuration::from_micros(5);
     const ELAN: Technology = Technology::QuadricsElan;
     const FAR: SimTime = SimTime::from_nanos(1_000_000_000);
 
@@ -1386,8 +1527,11 @@ mod tests {
         assert!(r.begin_sweep(t1).is_empty());
         assert!(matches!(r.launched(1, t1), Launched::Watched));
         assert!(matches!(r.launched(2, t1), Launched::Untracked));
-        let flight =
-            |r: &Reliability, rail: usize, len| r.clocks[rail].data_flight(wire(&[chunk(len)]), 1);
+        // A packet on a clean rail grants its ack the hold, and waits it
+        // out too.
+        let flight = |r: &Reliability, rail: usize, len| {
+            r.clocks[rail].data_flight(wire(&[chunk(len)]), 1) + HOLD
+        };
         assert_eq!(
             r.retx.next_deadline(),
             Some(t1 + flight(&r, 0, 64) + initial)
@@ -1421,14 +1565,15 @@ mod tests {
         // The fixed 50 us was over ten flights of a small packet on Elan, and
         // a 16 KiB packet on MX has not finished its round trip by then.
         let mx = &r.clocks[0];
-        let (small, large) = (flight(&r, 1, 64), one_way(&mx.caps, &mx.cost, 16 << 10));
+        let small = r.clocks[1].data_flight(wire(&[chunk(64)]), 1);
+        let large = one_way(&mx.caps, &mx.cost, 16 << 10);
         assert!(small * 10 < initial && initial < large + small);
         // Acks that come back when the model says leave the margin
         // nothing to hold: the initial value gives way.
         for i in 0..2_000u64 {
             let sent = behind + SimDuration::from_micros(100 * (i + 1));
             send(&mut r, 1_000 + i, 64, Attempt::first(1), sent);
-            assert!(r.on_ack(1_000 + i, false, sent + small, NodeId(0), &mut obs, |_| ()));
+            assert!(r.on_ack(&plain(1_000 + i), sent + small, NodeId(0), &mut obs, |_| ()));
         }
         assert!(
             r.rto_margin(1) < SimDuration::from_micros(1),
@@ -1437,6 +1582,65 @@ mod tests {
         );
         assert_eq!(r.rto_margin(0), initial, "rail 0 has heard nothing");
         assert_eq!(obs.metrics().spurious_timeouts, 0);
+    }
+
+    #[test]
+    fn held_time_leaves_the_margin_unchanged() {
+        // Two rails hear the same round trips, one of them through acks
+        // held for 40 us: the held time is no path delay, and both
+        // margins move alike.
+        let (mut held, mut obs) = layer(&[MX], 6);
+        let (mut prompt, _) = layer(&[MX], 6);
+        let flight = held.clocks[0].data_flight(wire(&[chunk(64)]), 1);
+        let hold = SimDuration::from_micros(40);
+        for i in 0..500u64 {
+            let at = SimTime::from_nanos(1_000_000 * (i + 1));
+            // Each late by a few hundred ns, so the margin has something
+            // to learn.
+            let jitter = SimDuration::from_nanos(100 * (i % 7));
+            for (r, held_ns) in [(&mut held, hold), (&mut prompt, SimDuration::ZERO)] {
+                send(r, 1 + i, 64, Attempt::first(0), at);
+                let ack = AckHeader {
+                    held_ns: held_ns.as_nanos(),
+                    ..plain(1 + i)
+                };
+                let back = at + flight + held_ns + jitter;
+                assert!(r.on_ack(&ack, back, NodeId(0), &mut obs, |_| ()));
+            }
+            assert_eq!(held.rto_margin(0), prompt.rto_margin(0), "ack {i}");
+        }
+        assert!(held.rto_margin(0) < EngineConfig::default().retransmit_timeout);
+    }
+
+    #[test]
+    fn a_packet_asks_for_its_ack_at_once_unless_a_ride_back_may_come_on_a_clean_rail() {
+        let (mut r, _) = layer(&[MX, ELAN], 6);
+        let (one, two) = (NodeId(1), NodeId(2));
+        let asks = |r: &Reliability, rail| r.asks_now(rail, one);
+        assert!(!asks(&r, 0) && !asks(&r, 1), "fresh rails grant the hold");
+        // A peer that has sent nothing on a rail has nothing to carry an
+        // ack back on it.
+        assert!(r.asks_now(0, two));
+        r.heard_from(1, two);
+        assert!(r.asks_now(0, two) && !r.asks_now(1, two));
+        // Loss evidence: a timeout, until a clean run of acks.
+        r.health[0].on_timeout();
+        assert!(asks(&r, 0) && !asks(&r, 1));
+        for _ in 0..RailHealth::CLEAN_AFTER - 1 {
+            r.health[0].on_ack();
+        }
+        assert!(asks(&r, 0), "one ack short of clean");
+        r.health[0].on_ack();
+        assert!(!asks(&r, 0));
+        // `Off` acknowledges nothing, and so asks for nothing.
+        let cfg = EngineConfig::default();
+        let mx = (
+            calib::capabilities(MX),
+            CostModel::from_params(&calib::params(MX)),
+        );
+        let mut off = Reliability::new([mx], &cfg);
+        off.heard_from(0, one);
+        assert!(!off.asks_now(0, one) && !off.asks_now(0, two));
     }
 
     #[test]
@@ -1470,10 +1674,28 @@ mod tests {
             assert!(matches!(r.launched(cookie, at), Launched::Watched));
             (at, r.retx.pending_mut(cookie).expect("tracked").deadline)
         };
+        // Until the first loss a packet grants its ack the hold (every peer
+        // sends data back); after it, on a rail that loses one in fifty,
+        // every packet asks at once.
+        for peer in [2, 3, 4, 9] {
+            r.heard_from(0, NodeId(peer));
+        }
+        let hold = |r: &Reliability| {
+            if r.asks_now(0, NodeId(1)) {
+                SimDuration::ZERO
+            } else {
+                HOLD
+            }
+        };
         for cookie in 0..1_000 {
-            let margin = r.rto_margin(0);
+            let (margin, hold) = (r.rto_margin(0), hold(&r));
+            assert_eq!(hold.is_zero(), cookie >= 50);
             let (at, deadline) = launch(&mut r, cookie, 1 + cookie as u32 % 4);
-            assert_eq!(deadline, at + flight(cookie) + margin, "packet {cookie}");
+            assert_eq!(
+                deadline,
+                at + flight(cookie) + hold + margin,
+                "packet {cookie}"
+            );
             if cookie % 50 == 49 {
                 // Lost: missed at its deadline, not before.
                 assert!(!r.retx.expired(deadline).is_empty());
@@ -1481,7 +1703,7 @@ mod tests {
                 assert!(matches!(expired, Some((_, _, Expiry::Resend(_)))));
             } else {
                 let acked = at + flight(cookie);
-                assert!(r.on_ack(cookie, false, acked, NodeId(0), &mut obs, |_| ()));
+                assert!(r.on_ack(&plain(cookie), acked, NodeId(0), &mut obs, |_| ()));
             }
         }
         // Toward one peer the queue is real, and foreseen: each packet
@@ -1504,7 +1726,7 @@ mod tests {
     fn arm(sim: &mut Simulation, r: &mut Reliability, at: SimTime) -> Option<(TimerId, SimTime)> {
         sim.run_until(at);
         sim.inject(NodeId(0), |ctx| r.arm_timer(ctx));
-        r.timer
+        r.timer.slot
     }
 
     /// The deadline of tracked `cookie`.
@@ -1522,19 +1744,19 @@ mod tests {
             send(&mut r, cookie, 64, Attempt::first(0), at(cookie));
             arm(&mut sim, &mut r, at(cookie));
         }
-        let first = r.timer;
+        let first = r.timer.slot;
         assert_eq!(first.map(|(_, d)| d), Some(due(&r, 1)));
         // Each ack settles the earliest packet and leaves the timer where
         // it is, armed before every deadline still pending.
         for cookie in 1..=3 {
             let acked = at(cookie + 10);
-            assert!(r.on_ack(cookie, false, acked, NodeId(0), &mut obs, |_| ()));
+            assert!(r.on_ack(&plain(cookie), acked, NodeId(0), &mut obs, |_| ()));
             assert_eq!(arm(&mut sim, &mut r, acked), first, "ack {cookie}");
             assert!(first.is_some_and(|(_, d)| d < due(&r, cookie + 1)));
         }
         // The last settled packet cancels it, so the run can end: it
         // never fires.
-        assert!(r.on_ack(4, false, at(14), NodeId(0), &mut obs, |_| ()));
+        assert!(r.on_ack(&plain(4), at(14), NodeId(0), &mut obs, |_| ()));
         assert_eq!(arm(&mut sim, &mut r, at(14)), None);
         assert!(!r.timer_armed());
         let processed = sim.events_processed();
@@ -1558,13 +1780,17 @@ mod tests {
         send(&mut r, 2, 64, Attempt::first(1), t2);
         let flight = r.clocks[1].data_flight(wire(&[chunk(64)]), 2);
         let (early, late) = (due(&r, 1), due(&r, 2));
-        assert_eq!(late, t2 + flight + initial, "packet 2's own deadline");
+        assert_eq!(
+            late,
+            t2 + flight + HOLD + initial,
+            "packet 2's own deadline"
+        );
         assert!(early < late);
         let armed = arm(&mut sim, &mut r, t2);
         assert_eq!(armed.map(|(_, d)| d), Some(early));
         // Packet 1 is answered: the timer stays, early for packet 2.
         let acked = t2 + SimDuration::from_micros(5);
-        assert!(r.on_ack(1, false, acked, NodeId(0), &mut obs, |_| ()));
+        assert!(r.on_ack(&plain(1), acked, NodeId(0), &mut obs, |_| ()));
         assert_eq!(arm(&mut sim, &mut r, acked), armed);
         // It fires at packet 1's old deadline, finds nothing due, and is
         // armed again for packet 2's.
@@ -1625,7 +1851,7 @@ mod tests {
         let ack = |r: &mut Reliability, obs: &mut Observer, cookie, at| {
             let mut settled = Vec::new();
             let settle = |tx| settled.push(cookie_of(tx));
-            let found = r.on_ack(cookie, false, at, NodeId(0), obs, settle);
+            let found = r.on_ack(&plain(cookie), at, NodeId(0), obs, settle);
             assert_eq!(found, !settled.is_empty());
             settled
         };
@@ -1649,7 +1875,7 @@ mod tests {
         assert!(r.rto_margin(0) > margin, "the late ack is heard");
         // Every later ack of the lineage is a duplicate.
         for cookie in [1, 2, 3] {
-            assert!(!r.on_ack(cookie, false, late, NodeId(0), &mut obs, none));
+            assert!(!r.on_ack(&plain(cookie), late, NodeId(0), &mut obs, none));
         }
 
         // A split: 1 was re-chunked into 2 and 3. 2 is acked in time, so
@@ -1705,9 +1931,9 @@ mod tests {
         r.park(1, old, bytes, next);
         let mut settled = Vec::new();
         let settle = |tx| settled.push(cookie_of(tx));
-        assert!(r.on_ack(1, false, due, NodeId(0), &mut obs, settle));
+        assert!(r.on_ack(&plain(1), due, NodeId(0), &mut obs, settle));
         assert_eq!((settled, r.unacked()), (vec![1], 0));
-        assert!(!r.on_ack(1, false, due, NodeId(0), &mut obs, none), "once");
+        assert!(!r.on_ack(&plain(1), due, NodeId(0), &mut obs, none), "once");
         assert_eq!(obs.metrics().spurious_timeouts, 1);
     }
 
@@ -1751,7 +1977,7 @@ mod tests {
             first,
             SimTime::ZERO,
         );
-        assert!(!r.on_ack(2, false, at, NodeId(0), &mut obs, none));
+        assert!(!r.on_ack(&plain(2), at, NodeId(0), &mut obs, none));
         assert_eq!(
             (r.inflight(), r.unacked()),
             (1, 0),
@@ -1764,7 +1990,7 @@ mod tests {
         assert_eq!((r.inflight(), r.unacked()), (1, 1));
         let mut settled = Vec::new();
         let settle = |tx| settled.push(cookie_of(tx));
-        assert!(r.on_ack(1, false, at, NodeId(0), &mut obs, settle));
+        assert!(r.on_ack(&plain(1), at, NodeId(0), &mut obs, settle));
         assert_eq!((settled, r.inflight(), r.unacked()), (vec![1], 0, 0));
     }
 
@@ -1779,7 +2005,7 @@ mod tests {
         send(&mut r, 1, 64, spent, t(10));
         // Another packet's ack comes back on rail 0 after 1 went out...
         send(&mut r, 2, 64, Attempt::first(0), t(0));
-        assert!(r.on_ack(2, false, t(20), NodeId(0), &mut obs, |_| ()));
+        assert!(r.on_ack(&plain(2), t(20), NodeId(0), &mut obs, |_| ()));
         let (_, _, action) = r.expire(1, FAR, |_, _| true, &mut obs).expect("tracked");
         let again = Attempt {
             rail: 0,

@@ -1422,18 +1422,28 @@ mod tests {
     /// 16 members the cost model runs the barrier as a binomial tree, so a
     /// peer that has the broadcast already signals one still waiting for
     /// it (the flat star of smaller jobs routes everything through the
-    /// server, which is never behind).
+    /// server, which is never behind). Whether a given loss pattern races
+    /// a peer ahead is the fault seed's dice (about two seeds in three),
+    /// so four seeds run: every step of each verifies, and some receive
+    /// arrives early on at least one.
     #[test]
     fn param_server_under_loss_and_reorder_replays_the_stash() {
         const MEMBERS: u32 = 16;
-        let faults = simnet::FaultPlan::new(42)
-            .with_loss(0.02)
-            .with_reorder(0.05, SimDuration::from_micros(5));
-        let (hub, peak) = run_job(Phase::param_server(COMPUTE), 256, MEMBERS, 6, Some(faults));
-        let s = hub.borrow();
-        assert_eq!(s.step.count(), u64::from(MEMBERS) * 6);
-        assert_eq!(s.wrong_results, 0);
-        assert!(peak > 0, "no receive ever arrived early");
+        let mut peaks = Vec::new();
+        for seed in 42..46 {
+            let faults = simnet::FaultPlan::new(seed)
+                .with_loss(0.02)
+                .with_reorder(0.05, SimDuration::from_micros(5));
+            let (hub, peak) = run_job(Phase::param_server(COMPUTE), 256, MEMBERS, 6, Some(faults));
+            let s = hub.borrow();
+            assert_eq!(s.step.count(), u64::from(MEMBERS) * 6, "seed {seed}");
+            assert_eq!(s.wrong_results, 0, "seed {seed}");
+            peaks.push(peak);
+        }
+        assert!(
+            peaks.iter().any(|&p| p > 0),
+            "no receive ever arrived early: {peaks:?}"
+        );
     }
 
     #[test]

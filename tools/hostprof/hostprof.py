@@ -58,6 +58,11 @@ SEAMS = [
     ("collect: complete_chunk", "CollectLayer::complete_chunk"),
     ("handle_packet (receive, acks)", "EngineCore::handle_packet"),
     ("  Receiver::on_chunk", "Receiver::on_chunk"),
+    ("  EngineCore::take_acks (acks received)", "EngineCore::take_acks"),
+    ("held acks: Transfer::hold_ack (the pending-ack set)", "Transfer::hold_ack"),
+    ("held acks: riders (acks behind a packet's chunks)", ("HeldAcks::peek", "HeldAcks::sent")),
+    ("held acks: hold timer (Transfer::on_hold_timer)", "Transfer::on_hold_timer"),
+    ("held acks: ack packets (Transfer::send_acks)", "Transfer::send_acks"),
     ("reliability (madeleine::reliability::)", "madeleine::reliability::"),
     ("  Reliability::arm_timer", "Reliability::arm_timer"),
     ("simnet timers: SimCtx::set_timer", "SimCtx::set_timer"),
