@@ -35,7 +35,8 @@
 
 // madlint: file: deterministic-output
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
 use crate::prof::{CritSpan, MsgKey, Phase, ProfInput, PHASE_COUNT};
@@ -482,14 +483,56 @@ fn signed_ns(v: i64) -> String {
     format!("{v:+} ns")
 }
 
-/// Compare two runs. A is the baseline, B the fresh run; every signed
-/// delta reads B minus A, so positive means "B got slower".
-pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> RunDiff {
-    let a_rows: BTreeMap<MsgKey, &SnapRow> = a.rows.iter().map(|r| (r.key, r)).collect();
-    let b_rows: BTreeMap<MsgKey, &SnapRow> = b.rows.iter().map(|r| (r.key, r)).collect();
-    let a_undelivered: BTreeSet<MsgKey> = a.undelivered.iter().map(|(k, _)| *k).collect();
-    let b_undelivered: BTreeSet<MsgKey> = b.undelivered.iter().map(|(k, _)| *k).collect();
+/// The union of two key-ordered sequences, in key order: each key with
+/// what either side holds for it.
+fn merge_join<K: Ord, A, B>(
+    a: impl IntoIterator<Item = (K, A)>,
+    b: impl IntoIterator<Item = (K, B)>,
+) -> impl Iterator<Item = (K, Option<A>, Option<B>)> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let side = match (a.peek(), b.peek()) {
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        Some(match side {
+            Ordering::Less => a.next().map(|(k, va)| (k, Some(va), None))?,
+            Ordering::Greater => b.next().map(|(k, vb)| (k, None, Some(vb)))?,
+            Ordering::Equal => {
+                let ((k, va), (_, vb)) = (a.next()?, b.next()?);
+                (k, Some(va), Some(vb))
+            }
+        })
+    })
+}
 
+/// A snapshot's rows in key order, the last of equal keys kept (what a
+/// map keyed on them would hold). A capture writes them in key order
+/// already; a parsed document may not.
+fn in_key_order(rows: &[SnapRow]) -> Vec<(MsgKey, &SnapRow)> {
+    let mut order: Vec<(MsgKey, &SnapRow)> = rows.iter().map(|r| (r.key, r)).collect();
+    if !rows.windows(2).all(|w| w[0].key < w[1].key) {
+        // Reversed, a stable sort puts the last of equal keys first.
+        order.reverse();
+        order.sort_by_key(|&(key, _)| key);
+        order.dedup_by_key(|&mut (key, _)| key);
+    }
+    order
+}
+
+/// The keys of a snapshot's undelivered messages, sorted for lookup.
+fn undelivered_keys(snap: &RunSnapshot) -> Vec<MsgKey> {
+    let mut keys: Vec<MsgKey> = snap.undelivered.iter().map(|&(key, _)| key).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Compare two runs. A is the baseline, B the fresh run; every signed
+/// delta reads B minus A, so positive means "B got slower". The two
+/// snapshots' rows are merge-joined on [`MsgKey`].
+pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> RunDiff {
     let mut aligned = Vec::new();
     let mut unmatched = Vec::new();
     let mut phases: [PhaseDelta; PHASE_COUNT] = Default::default();
@@ -497,9 +540,20 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> RunDiff {
     let mut strategy_migrations = BTreeMap::new();
     let mut partition_violations = 0u64;
 
-    let keys: BTreeSet<MsgKey> = a_rows.keys().chain(b_rows.keys()).copied().collect();
-    for key in keys {
-        match (a_rows.get(&key), b_rows.get(&key)) {
+    // Why the other run has no row for a message only one run delivered.
+    let missing = |from: &RunSnapshot, undelivered: &[MsgKey], key: &MsgKey| {
+        if undelivered.binary_search(key).is_ok() {
+            format!(
+                "submitted but never delivered in {} (shed or abandoned)",
+                from.label
+            )
+        } else {
+            format!("never submitted in {}", from.label)
+        }
+    };
+    let (a_undelivered, b_undelivered) = (undelivered_keys(a), undelivered_keys(b));
+    for (key, ra, rb) in merge_join(in_key_order(&a.rows), in_key_order(&b.rows)) {
+        match (ra, rb) {
             (Some(ra), Some(rb)) => {
                 let mut phase_deltas = [0i64; PHASE_COUNT];
                 for i in 0..PHASE_COUNT {
@@ -536,39 +590,19 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> RunDiff {
                     strategy_b: rb.strategy.clone(),
                 });
             }
-            (Some(ra), None) => {
-                let reason = if b_undelivered.contains(&key) {
-                    format!(
-                        "submitted but never delivered in {} (shed or abandoned)",
-                        b.label
-                    )
-                } else {
-                    format!("never submitted in {}", b.label)
-                };
-                unmatched.push(UnmatchedMsg {
-                    key,
-                    class: ra.class.clone(),
-                    side: DiffSide::AOnly,
-                    reason,
-                });
-            }
-            (None, Some(rb)) => {
-                let reason = if a_undelivered.contains(&key) {
-                    format!(
-                        "submitted but never delivered in {} (shed or abandoned)",
-                        a.label
-                    )
-                } else {
-                    format!("never submitted in {}", a.label)
-                };
-                unmatched.push(UnmatchedMsg {
-                    key,
-                    class: rb.class.clone(),
-                    side: DiffSide::BOnly,
-                    reason,
-                });
-            }
-            (None, None) => unreachable!("key came from one of the maps"),
+            (Some(ra), None) => unmatched.push(UnmatchedMsg {
+                key,
+                class: ra.class.clone(),
+                side: DiffSide::AOnly,
+                reason: missing(b, &b_undelivered, &key),
+            }),
+            (None, Some(rb)) => unmatched.push(UnmatchedMsg {
+                key,
+                class: rb.class.clone(),
+                side: DiffSide::BOnly,
+                reason: missing(a, &a_undelivered, &key),
+            }),
+            (None, None) => {}
         }
     }
 
@@ -594,17 +628,10 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> RunDiff {
         b_diverges: b.critical_path.get(shared_prefix).cloned(),
     };
 
-    let decision_keys: BTreeSet<(u32, u64)> = a
-        .decisions
-        .keys()
-        .chain(b.decisions.keys())
-        .copied()
-        .collect();
     const EMPTY: &Vec<String> = &Vec::new();
     let mut decision_divergence = None;
-    for (node, act) in decision_keys {
-        let la = a.decisions.get(&(node, act)).unwrap_or(EMPTY);
-        let lb = b.decisions.get(&(node, act)).unwrap_or(EMPTY);
+    for (&(node, act), la, lb) in merge_join(&a.decisions, &b.decisions) {
+        let (la, lb) = (la.unwrap_or(EMPTY), lb.unwrap_or(EMPTY));
         if la == lb {
             continue;
         }
@@ -1186,6 +1213,39 @@ mod tests {
         // is zero except the truncation flags, and render is stable.
         assert_eq!(back.render(), text);
         assert!(diff(&a, &back).is_zero());
+    }
+
+    /// Rows a parsed document holds out of key order, or twice, join as
+    /// a map keyed on them would hold them: in key order, the last kept.
+    #[test]
+    fn rows_out_of_order_or_repeated_join_as_a_map_would_hold_them() {
+        let rows = |seqs: &[(u32, u64)]| {
+            let rows = seqs
+                .iter()
+                .map(|&(seq, decision)| row(seq, [0, 0, decision, 0, 0, 90], 0, "eager"));
+            rows.collect::<Vec<_>>()
+        };
+        let b = snapshot("b", rows(&[(0, 10), (1, 10), (2, 10), (4, 10)]));
+        let mut messy = snapshot("a", rows(&[(3, 5), (1, 99), (0, 10), (1, 30), (2, 10)]));
+        messy.undelivered.push((key(4), "DEFAULT".to_string()));
+        let mut clean = snapshot("a", rows(&[(0, 10), (1, 30), (2, 10), (3, 5)]));
+        clean.undelivered = messy.undelivered.clone();
+        clean.critical_path = messy.critical_path.clone();
+        let (d, want) = (diff(&messy, &b), diff(&clean, &b));
+        assert_eq!(d.report(10), want.report(10));
+        assert_eq!(d.to_json().render(), want.to_json().render());
+        let keys: Vec<MsgKey> = d.aligned.iter().map(|m| m.key).collect();
+        assert_eq!(keys, [key(0), key(1), key(2)]);
+        assert_eq!(
+            d.aligned[1].delta_ns, -20,
+            "the last row of seq 1 is the one compared"
+        );
+        let sides: Vec<_> = d.unmatched.iter().map(|u| (u.key, u.side)).collect();
+        assert_eq!(
+            sides,
+            [(key(3), DiffSide::AOnly), (key(4), DiffSide::BOnly)]
+        );
+        assert!(d.unmatched[1].reason.contains("shed or abandoned"));
     }
 
     #[test]

@@ -245,25 +245,62 @@ impl<'a> JsonWriter<'a> {
         }
     }
 
+    /// Append `text` as it is: keys and punctuation fixed when the program
+    /// is written (`,"ph":"i","ts":`), so an exporter writes a record's
+    /// constant text in one copy. Nothing is escaped and no separator is
+    /// added, so `text` must already be the JSON it stands for; a value
+    /// that follows a key in it is written as after [`JsonSink::key`].
+    pub fn fixed(&mut self, text: &'static str) {
+        debug_assert!(!text.bytes().any(|b| b < 0x20), "{text:?} is not JSON text");
+        self.out.push_str(text);
+    }
+
+    /// `v` in decimal: the two-digit pairs are found from the lowest and
+    /// copied from the highest, out of [`DIGIT_PAIRS`], a leading single
+    /// digit alone.
     fn push_uint(&mut self, mut v: u64) {
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
+        let mut pairs = [0u8; 10];
+        let mut n = 0;
+        while v >= 100 {
+            pairs[n] = (v % 100) as u8;
+            v /= 100;
+            n += 1;
         }
-        for &d in &digits[at..] {
-            self.out.push(d as char);
+        if v < 10 {
+            self.out.push(char::from(b'0' + v as u8));
+        } else {
+            self.push_pair(v as u8);
         }
+        for &pair in pairs[..n].iter().rev() {
+            self.push_pair(pair);
+        }
+    }
+
+    fn push_pair(&mut self, pair: u8) {
+        let at = 2 * usize::from(pair);
+        self.out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
+
+    /// `v` thousandths as `<int>.<frac:03>`.
+    fn push_fixed3(&mut self, v: u64) {
+        const POINT_DIGIT: &str = ".0.1.2.3.4.5.6.7.8.9";
+        let frac = (v % 1000) as usize;
+        self.push_uint(v / 1000);
+        self.out
+            .push_str(&POINT_DIGIT[2 * (frac / 100)..2 * (frac / 100) + 2]);
+        self.push_pair((frac % 100) as u8);
     }
 
     fn push_escaped(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.reserve(s.len() + 2);
         self.out.push('"');
+        // Most strings have nothing to escape and go in one copy.
+        if needs_no_escape(s.as_bytes()) {
+            self.out.push_str(s);
+            self.out.push('"');
+            return;
+        }
         let mut plain = 0;
         for (i, b) in s.bytes().enumerate() {
             let escape = match b {
@@ -287,6 +324,38 @@ impl<'a> JsonWriter<'a> {
         self.out.push('"');
     }
 }
+
+/// Whether `s` holds no control byte, `"` or `\`. Eight bytes are tested
+/// at a time, the tail padded with spaces: a byte below `n` shows as a
+/// borrow out of `x − n·0x01…01` into a top bit the byte did not have.
+fn needs_no_escape(s: &[u8]) -> bool {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const TOPS: u64 = ONES << 7;
+    let escapes = |x: u64| {
+        let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & TOPS;
+        below(x, 0x20)
+            | below(x ^ (ONES * u64::from(b'"')), 1)
+            | below(x ^ (ONES * u64::from(b'\\')), 1)
+    };
+    let mut words = s.chunks_exact(8);
+    let mut found = 0;
+    for word in &mut words {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        found |= escapes(u64::from_le_bytes(bytes));
+    }
+    let mut tail = [b' '; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    (found | escapes(u64::from_le_bytes(tail))) == 0
+}
+
+/// The two digits of every value 0–99, back to back.
+const DIGIT_PAIRS: &str = "\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
 
 impl JsonSink for JsonWriter<'_> {
     fn begin_object(&mut self) {
@@ -353,16 +422,22 @@ impl JsonSink for JsonWriter<'_> {
 
     fn fixed3(&mut self, v: u64) {
         self.separate();
-        self.push_uint(v / 1000);
-        self.out.push('.');
-        let frac = v % 1000;
-        for d in [frac / 100, frac / 10 % 10, frac % 10] {
-            self.out.push((b'0' + d as u8) as char);
-        }
+        self.push_fixed3(v);
     }
 
     fn str(&mut self, v: &str) {
         self.separate();
+        self.push_escaped(v);
+    }
+
+    // A key leaves the text ending in `:`, so its value needs no separator.
+    fn field_uint(&mut self, key: &str, v: impl Into<u64>) {
+        self.key(key);
+        self.push_uint(v.into());
+    }
+
+    fn field_str(&mut self, key: &str, v: &str) {
+        self.key(key);
         self.push_escaped(v);
     }
 }
@@ -1136,6 +1211,195 @@ mod tests {
             p.finish().unwrap();
             assert_eq!(pulled, back, "case {case}: pull != DOM");
         }
+    }
+
+    /// The writer's number and string formatting as it was before it
+    /// wrote digits in pairs and plain strings in one copy: one
+    /// `String::push` per digit and per escaped byte. The reference the
+    /// fast paths are held to.
+    mod char_by_char {
+        pub(super) fn uint(out: &mut String, mut v: u64) {
+            let mut digits = [0u8; 20];
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (v % 10) as u8;
+                v /= 10;
+                if v == 0 {
+                    break;
+                }
+            }
+            for &d in &digits[at..] {
+                out.push(d as char);
+            }
+        }
+
+        pub(super) fn escaped(out: &mut String, s: &str) {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push('"');
+            let mut plain = 0;
+            for (i, b) in s.bytes().enumerate() {
+                let escape = match b {
+                    b'"' => "\\\"",
+                    b'\\' => "\\\\",
+                    b'\n' => "\\n",
+                    b'\r' => "\\r",
+                    b'\t' => "\\t",
+                    0..=0x1f => "\\u00",
+                    _ => continue,
+                };
+                out.push_str(&s[plain..i]);
+                out.push_str(escape);
+                if escape.len() == 4 {
+                    out.push(HEX[usize::from(b >> 4)] as char);
+                    out.push(HEX[usize::from(b & 0xf)] as char);
+                }
+                plain = i + 1;
+            }
+            out.push_str(&s[plain..]);
+            out.push('"');
+        }
+
+        pub(super) fn fixed3(out: &mut String, v: u64) {
+            uint(out, v / 1000);
+            out.push('.');
+            let frac = v % 1000;
+            for d in [frac / 100, frac / 10 % 10, frac % 10] {
+                out.push((b'0' + d as u8) as char);
+            }
+        }
+    }
+
+    /// Every `u64` that starts or ends a digit count, its neighbours, the
+    /// powers of two and `u64::MAX`.
+    fn digit_boundaries() -> Vec<u64> {
+        let mut values = vec![u64::MAX, u64::MAX - 1];
+        for k in 0..20u32 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1, p.saturating_mul(5)]);
+        }
+        values.extend((0..64).map(|k| 1u64 << k));
+        values.extend((0..64).map(|k| (1u64 << k) - 1));
+        values
+    }
+
+    #[test]
+    fn fast_paths_write_the_char_by_char_bytes_and_parse_back() {
+        let mut rng = 0x243f_6a88_85a3_08d3u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let written = |describe: &dyn Fn(&mut JsonWriter<'_>)| {
+            let mut out = String::new();
+            describe(&mut JsonWriter::new(&mut out));
+            out
+        };
+        // Numbers: every digit count, and random values between.
+        let mut values = digit_boundaries();
+        values.extend((0..2000).map(|_| next() >> (next() % 64)));
+        for v in values {
+            let mut want = String::new();
+            char_by_char::uint(&mut want, v);
+            assert_eq!(written(&|w| w.uint(v)), want, "uint {v}");
+            assert_eq!(Json::parse(&want).ok().and_then(|j| j.as_u64()), Some(v));
+            let negative = -(v as i64 & i64::MAX) - 1;
+            assert_eq!(written(&|w| w.int(negative)), negative.to_string());
+            assert_eq!(Json::parse(&negative.to_string()), Ok(Json::Int(negative)));
+            let mut want = String::new();
+            char_by_char::fixed3(&mut want, v);
+            assert_eq!(written(&|w| w.fixed3(v)), want, "fixed3 {v}");
+            assert_eq!(want, format!("{}.{:03}", v / 1000, v % 1000));
+            if v < 1 << 53 {
+                let exact = v as f64 / 1000.0;
+                assert_eq!(Json::parse(&want), Ok(Json::Float(exact)), "fixed3 {v}");
+            }
+        }
+        // Strings: ASCII, quotes, backslashes, every control byte and
+        // multi-byte UTF-8, in runs and alone.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', 'a', 'Z', '0', ' ', '\u{7f}', 'é', 'ß', '€']);
+        alphabet.extend(['\u{7ff}', '\u{800}', '\u{ffff}', '😀', '\u{10ffff}']);
+        for case in 0..5000 {
+            let len = next() % 24;
+            let plain = case % 3 == 0;
+            let s: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .filter(|&c| !plain || (c >= ' ' && c != '"' && c != '\\'))
+                .collect();
+            let mut want = String::new();
+            char_by_char::escaped(&mut want, &s);
+            assert_eq!(written(&|w| w.str(&s)), want, "{s:?}");
+            assert_eq!(Json::parse(&want), Ok(Json::Str(s.clone())), "{s:?}");
+            // As a key and as a field value, through both sinks.
+            let text = written(&|w| {
+                w.begin_object();
+                w.field_str(&s, &s);
+                w.field_uint("n", len);
+                w.key(&s);
+                w.fixed3(len);
+                w.end_object();
+            });
+            let tree = JsonTree::document(|t| {
+                t.begin_object();
+                t.field_str(&s, &s);
+                t.field_uint("n", len);
+                t.key(&s);
+                t.fixed3(len);
+                t.end_object();
+            });
+            assert_eq!(tree.render(), text, "{s:?}");
+            let mut want = String::from("{");
+            char_by_char::escaped(&mut want, &s);
+            want.push(':');
+            char_by_char::escaped(&mut want, &s);
+            want.push_str(",\"n\":");
+            char_by_char::uint(&mut want, len);
+            want.push(',');
+            char_by_char::escaped(&mut want, &s);
+            want.push(':');
+            char_by_char::fixed3(&mut want, len);
+            want.push('}');
+            assert_eq!(text, want, "{s:?}");
+        }
+    }
+
+    /// A fixed run stands for the keys and punctuation it spells: a
+    /// record written with runs is the record written key by key.
+    #[test]
+    fn fixed_runs_write_what_the_keys_they_spell_would() {
+        let by_runs = JsonWriter::document(|w| {
+            w.begin_array();
+            for v in [0, 7, u64::MAX] {
+                w.begin_object();
+                w.fixed("\"name\":");
+                w.str("x\"y");
+                w.fixed(",\"ts\":");
+                w.fixed3(v);
+                w.fixed(",\"args\":{");
+                w.field_uint("v", v);
+                w.fixed("}}");
+            }
+            w.end_array();
+        });
+        let by_keys = JsonWriter::document(|w| {
+            w.begin_array();
+            for v in [0, 7, u64::MAX] {
+                w.begin_object();
+                w.field_str("name", "x\"y");
+                w.key("ts");
+                w.fixed3(v);
+                w.key("args");
+                w.begin_object();
+                w.field_uint("v", v);
+                w.end_object();
+                w.end_object();
+            }
+            w.end_array();
+        });
+        assert_eq!(by_runs, by_keys);
     }
 
     #[test]

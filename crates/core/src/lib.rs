@@ -66,6 +66,7 @@ pub mod flowmgr;
 pub mod harness;
 pub mod hist;
 pub mod ids;
+mod idtable;
 pub mod json;
 pub mod legacy;
 pub mod message;

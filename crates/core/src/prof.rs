@@ -28,7 +28,10 @@
 //! NIC, then into *that* packet's message — yielding the chain of spans
 //! whose shortening would shorten the run. The events are folded into one
 //! row per message as they are read, and the attribution is one walk over
-//! those rows: O(events · log msgs).
+//! those rows. A row is found by its ids — node, flow, sequence number,
+//! cookie, activation — which the engine hands out from counters, so the
+//! rows sit in tables indexed by them and are walked in key order, not
+//! searched for: O(events).
 //!
 //! Exports: folded-stack flamegraph text (inferno-compatible),
 //! per-message attribution CSV, a `madprof-profile` JSON document, and a
@@ -45,6 +48,7 @@ use std::rc::Rc;
 use simnet::{NodeId, SimDuration, Trace as SimTrace, TraceEvent as SimEvent};
 
 use crate::hist::LogHistogram;
+use crate::idtable::IdTable;
 use crate::json::{obj, Json, JsonError, Parser};
 use crate::trace::{read_chrome_export, EngineEvent, EventSink};
 
@@ -172,17 +176,21 @@ pub struct CritSpan {
 /// [`ProfInput::from_engine`] reads live rings, [`ProfInput::from_chrome`]
 /// re-reads an exported Chrome trace, and both produce the same profile.
 /// Each record is folded into the row it is about as it is read, so the
-/// attribution is one walk over the message rows.
+/// attribution is one walk over the message rows. Rows are kept by the
+/// ids the engine hands out from counters, each table indexed by one id,
+/// so a walk over a table is a walk in key order.
 #[derive(Clone, Debug, Default)]
 pub struct ProfInput {
-    /// Everything the streams say about each message.
-    msgs: BTreeMap<MsgKey, MsgRow>,
-    /// (node, cookie) → the packet: where it was encoded, what it carried.
-    packets: BTreeMap<(u32, u64), PacketRow>,
-    /// (node, activation) → what the optimizer decided there.
-    acts: BTreeMap<(u32, u64), ActRow>,
-    /// (node, rail) → chronological (ts, cookie) transmit completions.
-    txdone: BTreeMap<(u32, u16), Vec<(u64, u64)>>,
+    /// Everything the streams say about each message, by sending node,
+    /// flow and sequence number: walked in that order, [`MsgKey`] order.
+    msgs: MsgTable,
+    /// Each node's packets by cookie: where each was encoded, what it
+    /// carried.
+    packets: IdTable<IdTable<PacketRow>>,
+    /// What the optimizer decided, by node and activation.
+    acts: IdTable<IdTable<ActRow>>,
+    /// Chronological (ts, cookie) transmit completions, by node and rail.
+    txdone: IdTable<IdTable<Vec<(u64, u64)>>>,
     /// Traffic-class labels, one string per class however many messages
     /// carry it.
     classes: BTreeSet<Rc<str>>,
@@ -194,6 +202,9 @@ pub struct ProfInput {
     /// not changed once it is built, so there is one profile per input.
     profile: OnceCell<Rc<Profile>>,
 }
+
+/// Message rows by sending node, flow and sequence number.
+type MsgTable = IdTable<IdTable<IdTable<MsgRow>>>;
 
 /// One message's milestones, from whichever streams recorded them.
 #[derive(Clone, Debug, Default)]
@@ -491,10 +502,10 @@ impl ProfInput {
         sinks: &[(NodeId, &EventSink)],
         nics: &[Vec<simnet::NicId>],
     ) -> ProfInput {
-        let mut nic_loc: BTreeMap<u32, (u32, u16)> = BTreeMap::new();
+        let mut nic_loc: IdTable<(u32, u16)> = IdTable::default();
         for (node, rails) in nics.iter().enumerate() {
             for (rail, nic) in rails.iter().enumerate() {
-                nic_loc.insert(nic.0, (node as u32, rail as u16));
+                *nic_loc.row(u64::from(nic.0)) = (node as u32, rail as u16);
             }
         }
         let mut input = ProfInput {
@@ -504,7 +515,7 @@ impl ProfInput {
         for rec in sim.iter() {
             input.events += 1;
             if let SimEvent::TxDone { nic, cookie } = &rec.event {
-                if let Some(&(node, rail)) = nic_loc.get(&nic.0) {
+                if let Some(&(node, rail)) = nic_loc.get(u64::from(nic.0)) {
                     let cookie = *cookie;
                     input.fold(node, rec.at.as_nanos(), Rec::TxDone { rail, cookie });
                 }
@@ -522,50 +533,69 @@ impl ProfInput {
         input
     }
 
+    /// Every message row with its key, in [`MsgKey`] order.
+    fn msg_rows(&self) -> impl Iterator<Item = (MsgKey, &MsgRow)> + '_ {
+        self.msgs.iter().flat_map(|(src, flows)| {
+            flows.iter().flat_map(move |(flow, seqs)| {
+                seqs.iter().map(move |(seq, row)| {
+                    let (src, flow, seq) = (src as u32, flow as u32, seq as u32);
+                    (MsgKey { src, flow, seq }, row)
+                })
+            })
+        })
+    }
+
     /// The one record → state fold: every per-kind update of the rows
     /// above lives here, whichever source the record was decoded from.
     /// `node` is the node whose ring (or Chrome process) held the record.
     fn fold(&mut self, node: u32, ts: u64, rec: Rec<'_>) {
-        let (msgs, packets, acts) = (&mut self.msgs, &mut self.packets, &mut self.acts);
+        /// The row of message `key`, empty if nothing was read about it.
+        fn msg(msgs: &mut MsgTable, key: MsgKey) -> &mut MsgRow {
+            let flows = msgs.row(u64::from(key.src));
+            flows.row(u64::from(key.flow)).row(u64::from(key.seq))
+        }
+        let (msgs, packets, at) = (&mut self.msgs, &mut self.packets, u64::from(node));
         match rec {
             Rec::TxDone { rail, cookie } => {
-                self.txdone
-                    .entry((node, rail))
-                    .or_default()
-                    .push((ts, cookie));
+                let rails = self.txdone.row(at);
+                rails.row(u64::from(rail)).push((ts, cookie));
             }
             Rec::Submitted { key, bytes, class } => {
-                let known = self.classes.get(class).cloned();
-                let class = known.unwrap_or_else(|| Rc::from(class));
-                self.classes.insert(Rc::clone(&class));
-                msgs.entry(key).or_default().submit = Some((ts, bytes, class));
+                let class = match self.classes.get(class) {
+                    Some(known) => Rc::clone(known),
+                    None => {
+                        let class: Rc<str> = Rc::from(class);
+                        self.classes.insert(Rc::clone(&class));
+                        class
+                    }
+                };
+                msg(msgs, key).submit = Some((ts, bytes, class));
             }
-            Rec::Admitted(key) => msgs.entry(key).or_default().admit = Some(ts),
+            Rec::Admitted(key) => msg(msgs, key).admit = Some(ts),
             // Last grant wins.
-            Rec::RndvGranted(key) => msgs.entry(key).or_default().grant = Some(ts),
+            Rec::RndvGranted(key) => msg(msgs, key).grant = Some(ts),
             Rec::ChunkBound { key, cookie } => {
-                let row = msgs.entry(key).or_default();
+                let row = msg(msgs, key);
                 row.first_bind.get_or_insert((ts, node, cookie));
                 row.last_bind = Some(ts);
                 if row.cookie != Some(cookie) {
                     row.cookie = Some(cookie);
-                    packets.entry((node, cookie)).or_default().msgs.push(key);
+                    packets.row(at).row(cookie).msgs.push(key);
                 }
             }
             Rec::Retransmit { old, new } => {
                 // The new cookie inherits the old one's messages, so a
                 // re-sent packet still belongs to them.
-                let Some(carried) = packets.get(&(node, old)).map(|p| p.msgs.clone()) else {
+                let Some(carried) = packets.get_in(at, old).map(|p| p.msgs.clone()) else {
                     return;
                 };
-                let renamed = &mut packets.entry((node, new)).or_default().msgs;
                 for key in carried {
-                    let row = msgs.entry(key).or_default();
+                    let row = msg(msgs, key);
                     row.retx_last = Some(ts);
                     row.retx_count += 1;
                     if row.cookie != Some(new) {
                         row.cookie = Some(new);
-                        renamed.push(key);
+                        packets.row(at).row(new).msgs.push(key);
                     }
                 }
             }
@@ -575,60 +605,55 @@ impl ProfInput {
                 // Every message the marked packet carried spent time in a
                 // hot switch queue; the echo arrival is the queueing
                 // milestone (last mark wins).
-                for key in packets
-                    .get(&(sender, cookie))
-                    .into_iter()
-                    .flat_map(|p| &p.msgs)
-                {
-                    msgs.entry(*key).or_default().cong_last = Some(ts);
+                let marked = packets.get_in(u64::from(sender), cookie);
+                for &key in marked.into_iter().flat_map(|p| &p.msgs) {
+                    msg(msgs, key).cong_last = Some(ts);
                 }
             }
             Rec::Delivered {
                 key,
                 bytes,
                 latency_ns,
-            } => msgs.entry(key).or_default().delivered = Some((ts, bytes, latency_ns)),
+            } => msg(msgs, key).delivered = Some((ts, bytes, latency_ns)),
             Rec::PacketEncoded {
                 activation,
                 rail,
                 cookie,
-            } => packets.entry((node, cookie)).or_default().encoded = Some((rail, activation)),
+            } => packets.row(at).row(cookie).encoded = Some((rail, activation)),
             Rec::PlanProposed {
                 activation,
                 strategy,
                 chunks,
                 bytes,
-            } => acts
-                .entry((node, activation))
-                .or_default()
-                .log
-                .push(format!("P:{strategy}:{chunks}:{bytes}")),
+            } => {
+                let act = self.acts.row(at).row(activation);
+                act.log.push(format!("P:{strategy}:{chunks}:{bytes}"));
+            }
             Rec::PlanScored {
                 activation,
                 strategy,
                 score: (num, den),
-            } => acts
-                .entry((node, activation))
-                .or_default()
-                .log
-                .push(format!("S:{strategy}:{num}/{den}")),
+            } => {
+                let act = self.acts.row(at).row(activation);
+                act.log.push(format!("S:{strategy}:{num}/{den}"));
+            }
             Rec::PlanWon {
                 activation,
                 strategy,
                 score,
             } => {
-                let row = acts.entry((node, activation)).or_default();
+                let act = self.acts.row(at).row(activation);
                 if let Some((num, den)) = score {
-                    row.log.push(format!("W:{strategy}:{num}/{den}"));
+                    act.log.push(format!("W:{strategy}:{num}/{den}"));
                 }
-                row.won = strategy.to_string();
+                act.won = strategy.to_string();
             }
             Rec::PlanVetoed { activation, why } => {
-                let row = acts.entry((node, activation)).or_default();
+                let act = self.acts.row(at).row(activation);
                 if let Some((strategy, violation)) = why {
-                    row.log.push(format!("V:{strategy}:{violation}"));
+                    act.log.push(format!("V:{strategy}:{violation}"));
                 }
-                row.vetoes += 1;
+                act.vetoes += 1;
             }
         }
     }
@@ -704,11 +729,11 @@ impl ProfInput {
     /// where two runs' planners disagreed. Activations that logged no
     /// record are absent.
     pub fn decisions(&self) -> BTreeMap<(u32, u64), Vec<String>> {
-        self.acts
-            .iter()
-            .filter(|(_, act)| !act.log.is_empty())
-            .map(|(&at, act)| (at, act.log.clone()))
-            .collect()
+        let logs = self.acts.iter().flat_map(|(node, acts)| {
+            let logged = acts.iter().filter(|(_, act)| !act.log.is_empty());
+            logged.map(move |(id, act)| ((node as u32, id), act.log.clone()))
+        });
+        logs.collect()
     }
 
     /// Messages that were submitted but never delivered (shed under
@@ -716,11 +741,13 @@ impl ProfInput {
     /// traffic class, ordered by [`MsgKey`]. maddiff reports these as
     /// `unmatched`, never folding them into phase deltas.
     pub fn undelivered(&self) -> Vec<(MsgKey, String)> {
-        self.msgs
-            .iter()
-            .filter(|(_, row)| row.delivered.is_none())
-            .filter_map(|(key, row)| Some((*key, row.submit.as_ref()?.2.to_string())))
-            .collect()
+        let mut undelivered = Vec::new();
+        self.msg_rows().for_each(|(key, row)| {
+            if let (None, Some((_, _, class))) = (&row.delivered, &row.submit) {
+                undelivered.push((key, class.to_string()));
+            }
+        });
+        undelivered
     }
 
     /// This input's profile: the attribution and critical-path passes run
@@ -743,13 +770,15 @@ impl ProfInput {
     /// Run the attribution and critical-path passes.
     fn attribute(&self) -> Profile {
         // Per-message milestone segmentation, one walk over the rows.
-        let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.msgs.len());
+        let mut flows: Vec<FlowSpan> = Vec::new();
         let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
             std::array::from_fn(|_| LogHistogram::new());
         let mut violations = 0u64;
-        for (&key, row) in &self.msgs {
+        // Internal iteration: the nested tables walk faster folded than
+        // stepped one row at a time.
+        self.msg_rows().for_each(|(key, row)| {
             let Some((d_ts, d_bytes, latency_ns)) = row.delivered else {
-                continue;
+                return;
             };
             let (s_ts, bytes, class) = match &row.submit {
                 Some((s, b, c)) => (*s, *b, c.to_string()),
@@ -766,15 +795,20 @@ impl ProfInput {
                 (row.retx_last, Phase::Retx),
                 (row.cong_last, Phase::Queueing),
             ];
-            let mut marks: Vec<(u64, Phase)> = milestones
-                .into_iter()
-                .filter_map(|(t, p)| Some((t?.clamp(s_ts, d_ts), p)))
-                .collect();
+            let mut marks = [(0, Phase::Wire); 5];
+            let mut n = 0;
+            for (t, p) in milestones {
+                if let Some(t) = t {
+                    marks[n] = (t.clamp(s_ts, d_ts), p);
+                    n += 1;
+                }
+            }
+            let marks = &mut marks[..n];
             marks.sort_by_key(|&(t, p)| (t, p.rank()));
-            let mut segments: Vec<(Phase, u64, u64)> = Vec::with_capacity(marks.len() + 1);
+            let mut segments: Vec<(Phase, u64, u64)> = Vec::with_capacity(n + 1);
             let mut phases = [0u64; PHASE_COUNT];
             let mut prev = s_ts;
-            for (t, p) in marks {
+            for &mut (t, p) in marks {
                 segments.push((p, prev, t));
                 phases[p.rank() as usize] += t - prev;
                 prev = t;
@@ -792,8 +826,9 @@ impl ProfInput {
                     .record(SimDuration::from_nanos(phases[p.rank() as usize]));
             }
             let binding = row.first_bind.and_then(|(_, node, cookie)| {
-                let (rail, act) = self.packets.get(&(node, cookie))?.encoded?;
-                Some((rail, self.acts.get(&(node, act))))
+                let node = u64::from(node);
+                let (rail, act) = self.packets.get_in(node, cookie)?.encoded?;
+                Some((rail, self.acts.get_in(node, act)))
             });
             let (rail, strategy, vetoes) = match binding {
                 Some((rail, Some(act))) => (rail, act.won.clone(), act.vetoes),
@@ -813,10 +848,10 @@ impl ProfInput {
                 strategy,
                 vetoes,
             });
-        }
+        });
 
         // Backward critical-path walk from the makespan delivery.
-        let critical_path = critical_path(&flows, &self.msgs, &self.packets, &self.txdone);
+        let critical_path = critical_path(self, &flows);
 
         Profile {
             flows,
@@ -827,21 +862,38 @@ impl ProfInput {
             partition_violations: violations,
         }
     }
+
+    /// The row of message `key`, if anything was read about it.
+    fn msg_row(&self, key: MsgKey) -> Option<&MsgRow> {
+        let flows = self.msgs.get(u64::from(key.src))?;
+        flows.get_in(u64::from(key.flow), u64::from(key.seq))
+    }
+
+    /// Row slots every table of this input has allocated.
+    #[cfg(test)]
+    fn slots(&self) -> usize {
+        let msgs = self.msgs.iter().map(|(_, flows)| flows.nested_slots());
+        self.msgs.slots()
+            + msgs.sum::<usize>()
+            + self.packets.nested_slots()
+            + self.acts.nested_slots()
+            + self.txdone.nested_slots()
+    }
 }
 
 /// Walk backward from the delivery that sets the makespan: follow the
-/// message's own segments to its first packet binding, then jump across
-/// the rail to the packet whose `TxDone` last freed it, and continue in
-/// that packet's message. Stops when the rail was idle (no `TxDone` since
-/// the message's submit) or a cycle would form.
-fn critical_path(
-    flows: &[FlowSpan],
-    msgs: &BTreeMap<MsgKey, MsgRow>,
-    packets: &BTreeMap<(u32, u64), PacketRow>,
-    txdone: &BTreeMap<(u32, u16), Vec<(u64, u64)>>,
-) -> Vec<CritSpan> {
-    let by_key: BTreeMap<MsgKey, &FlowSpan> = flows.iter().map(|f| (f.key, f)).collect();
-    let carried = |node: u32, cookie: u64| packets.get(&(node, cookie)).map(|p| &p.msgs);
+/// message's own segments to its first packet binding, then jump
+/// across the rail to the packet whose `TxDone` last freed it, and
+/// continue in that packet's message. Stops when the rail was idle (no
+/// `TxDone` since the message's submit) or a cycle would form.
+/// `flows` is `input`'s attribution, in [`MsgKey`] order.
+fn critical_path(input: &ProfInput, flows: &[FlowSpan]) -> Vec<CritSpan> {
+    let by_key = |key: &MsgKey| {
+        let at = flows.binary_search_by_key(key, |f| f.key).ok()?;
+        Some(&flows[at])
+    };
+    let carried =
+        |node: u32, cookie: u64| Some(&input.packets.get_in(u64::from(node), cookie)?.msgs);
     let mut end: Option<&FlowSpan> = None;
     for f in flows {
         // Strict `>` keeps the earliest key on ties — deterministic.
@@ -870,7 +922,8 @@ fn critical_path(
         }
     };
     while visited.insert(cur.key) && chain.len() < 4096 {
-        let (tb, node, cookie) = match msgs.get(&cur.key).and_then(|row| row.first_bind) {
+        let first_bind = input.msg_row(cur.key).and_then(|row| row.first_bind);
+        let (tb, node, cookie) = match first_bind {
             Some(b) => b,
             None => {
                 push_window(&mut chain, cur, cur.submit_ns, hi);
@@ -879,10 +932,11 @@ fn critical_path(
         };
         let tb = tb.clamp(cur.submit_ns, hi);
         push_window(&mut chain, cur, tb, hi);
-        let pred = packets
-            .get(&(node, cookie))
+        let pred = input
+            .packets
+            .get_in(u64::from(node), cookie)
             .and_then(|p| p.encoded)
-            .and_then(|(rail, _)| txdone.get(&(node, rail)))
+            .and_then(|(rail, _)| input.txdone.get_in(u64::from(node), u64::from(rail)))
             .and_then(|list| {
                 // Last completion at or before the binding that is not one
                 // of this message's own packets.
@@ -899,8 +953,8 @@ fn critical_path(
                 carried(node, ck)?
                     .iter()
                     .find(|k| !visited.contains(k))
-                    .and_then(|k| by_key.get(k))
-                    .map(|f| (t_done, *f))
+                    .and_then(by_key)
+                    .map(|f| (t_done, f))
             });
         match pred {
             Some((t_done, next)) => {
@@ -2121,6 +2175,168 @@ mod tests {
         let p = assert_cluster_matches_reference(&c);
         assert!(p.truncated(), "a 4 Ki ring must overflow");
         assert!(p.flows.iter().any(|f| f.class == "?"), "a submit fell off");
+    }
+
+    /// Ids an arbitrary document may hold — flows, sequence numbers,
+    /// cookies, activations and a node near `u32::MAX` / `u64::MAX`, mixed
+    /// with small ones — profile as the reference does, read live or from
+    /// their Chrome export, and size no table by their magnitude.
+    #[test]
+    fn foreign_ids_profile_as_the_reference_in_rows_sized_by_the_records() {
+        let t = SimTime::from_nanos;
+        let (f1, f2, f3) = (FlowId(u32::MAX - 1), FlowId(3), FlowId(u32::MAX));
+        let (s1, s2) = (u32::MAX - 2, u32::MAX - 1);
+        let (c1, c2, c3) = (u64::MAX - 1, 5, u64::MAX);
+        let (a1, a2) = (u64::MAX - 3, 2);
+        let mut sender = EventSink::with_capacity(64);
+        for (ts, flow, seq, class) in [
+            (0, f1, s1, TrafficClass::DEFAULT),
+            (1, f1, s2, TrafficClass::DEFAULT),
+            (2, f2, 0, TrafficClass::DEFAULT),
+            (2, f2, 1, TrafficClass::DEFAULT),
+            (3, f3, 7, TrafficClass::BULK),
+        ] {
+            let submitted = EngineEvent::Submitted {
+                flow,
+                seq,
+                frags: 1,
+                bytes: 64,
+                class,
+            };
+            sender.push(t(ts), submitted);
+        }
+        let decisions = [
+            EngineEvent::ActivationStart {
+                id: a1,
+                cause: Activation::Submit,
+                rail: 0,
+                backlog_depth: 3,
+            },
+            EngineEvent::PlanProposed {
+                activation: a1,
+                strategy: "aggregate",
+                chunks: 3,
+                bytes: 192,
+            },
+            EngineEvent::PlanVetoed {
+                activation: a1,
+                strategy: "split",
+                violation: crate::constraints::PlanViolation::EmptyPlan,
+            },
+            EngineEvent::PlanScored {
+                activation: a1,
+                strategy: "aggregate",
+                score_num: u64::MAX,
+                score_den: 3,
+            },
+            EngineEvent::PlanWon {
+                activation: a1,
+                strategy: "aggregate",
+                score_num: u64::MAX,
+                score_den: 3,
+            },
+        ];
+        for event in decisions {
+            sender.push(t(10), event);
+        }
+        let encoded = |activation, cookie| EngineEvent::PacketEncoded {
+            activation,
+            rail: 0,
+            cookie,
+            chunks: 1,
+            bytes: 64,
+            linearized: false,
+        };
+        let bound = |flow, seq, cookie| EngineEvent::ChunkBound {
+            flow,
+            seq,
+            frag: 0,
+            cookie,
+            bytes: 64,
+        };
+        sender.push(t(10), encoded(a1, c1));
+        for (flow, seq) in [(f1, s1), (f1, s2), (f2, 0)] {
+            sender.push(t(10), bound(flow, seq, c1));
+        }
+        let won = EngineEvent::PlanWon {
+            activation: a2,
+            strategy: "fifo",
+            score_num: 1,
+            score_den: 1,
+        };
+        sender.push(t(20), won);
+        sender.push(t(20), encoded(a2, c2));
+        sender.push(t(20), bound(f3, 7, c2));
+        let retransmit = EngineEvent::Retransmit {
+            old_cookie: c2,
+            new_cookie: c3,
+            rail: 0,
+            attempt: 2,
+        };
+        sender.push(t(40), retransmit);
+        let mark = EngineEvent::CongestionMark {
+            src: NodeId(0),
+            cookie: c1,
+            rail: 0,
+        };
+        sender.push(t(60), mark);
+        let mut receiver = EventSink::with_capacity(64);
+        for (ts, flow, seq, latency_ns) in [(70, f1, s1, 70), (71, f1, s2, 70), (72, f2, 0, 70)]
+            .into_iter()
+            .chain([(90, f3, 7, 87)])
+        {
+            let delivered = EngineEvent::Delivered {
+                src: NodeId(0),
+                flow,
+                seq,
+                bytes: 64,
+                latency_ns,
+            };
+            receiver.push(t(ts), delivered);
+        }
+        let mut sim = SimTrace::with_capacity(8);
+        for (ts, cookie) in [(15, c1), (30, c2), (50, c3)] {
+            sim.push(
+                t(ts),
+                simnet::TraceEvent::TxDone {
+                    nic: NicId(0),
+                    cookie,
+                },
+            );
+        }
+        let sinks = [(NodeId(0), &sender), (NodeId(u32::MAX - 1), &receiver)];
+        let nics = [vec![NicId(0)], vec![NicId(1)]];
+        let old = RefInput::from_engine(&sim, &sinks, &nics);
+        let live = ProfInput::from_engine(&sim, &sinks, &nics);
+        let export = crate::trace::export_chrome_trace(&sim, &sinks, &nics);
+        let reread = ProfInput::from_chrome(&export.json).expect("the export parses");
+        let p = assert_matches_reference(&live, &old);
+        assert_matches_reference(&reread, &old);
+        assert_eq!(p.flows.len(), 4);
+        assert_eq!(
+            live.undelivered(),
+            [(
+                MsgKey {
+                    src: 0,
+                    flow: 3,
+                    seq: 1
+                },
+                "default".into()
+            )]
+        );
+        assert!(p
+            .flows
+            .iter()
+            .any(|f| f.retransmits == 1 && f.strategy == "fifo"));
+        assert!(!p.critical_path.is_empty());
+        // A table sized by its largest id would hold 2^32 slots or more.
+        for input in [&live, &reread] {
+            assert!(
+                input.slots() <= 256 * input.events,
+                "{} slots",
+                input.slots()
+            );
+        }
     }
 
     /// A chunk list that comes back to a message (A, B, A) lists A once in

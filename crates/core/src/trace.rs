@@ -39,10 +39,11 @@
 
 use simnet::{NicId, NodeId, SimTime, Trace as SimTrace, TraceEvent as SimEvent};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::constraints::PlanViolation;
 use crate::ids::{FlowId, FragIndex, TrafficClass};
+use crate::idtable::IdTable;
 use crate::json::{Json, JsonError, JsonSink, JsonTree, JsonWriter, Parser};
 use crate::metrics::{Activation, Fault};
 
@@ -684,10 +685,10 @@ pub fn export_chrome_trace_with_topology(
     nics: &[Vec<NicId>],
     topos: &[TopologySummary],
 ) -> ChromeExport {
-    let mut nic_loc: HashMap<u32, (u32, u32)> = HashMap::new();
+    let mut nic_loc: IdTable<(u32, u32)> = IdTable::default();
     for (node, rails) in nics.iter().enumerate() {
         for (rail, nic) in rails.iter().enumerate() {
-            nic_loc.insert(nic.0, (node as u32, rail as u32));
+            *nic_loc.row(u64::from(nic.0)) = (node as u32, rail as u32);
         }
     }
     // madrel: tally injected wire faults so the export is self-describing
@@ -763,13 +764,13 @@ pub fn export_chrome_trace_with_topology(
 
     // Decision events carry only their activation id; recover the rail
     // from the activation's start event so they land on the rail track.
-    let act_rails: Vec<HashMap<u64, u32>> = sinks
+    let act_rails: Vec<IdTable<u32>> = sinks
         .iter()
         .map(|(_, sink)| {
-            let mut act_rail = HashMap::new();
+            let mut act_rail = IdTable::default();
             for rec in sink.iter() {
                 if let EngineEvent::ActivationStart { id, rail, .. } = rec.event {
-                    act_rail.insert(id, rail as u32);
+                    *act_rail.row(id) = u32::from(rail);
                 }
             }
             act_rail
@@ -819,13 +820,13 @@ fn sim_entry(
     w: &mut JsonWriter<'_>,
     ts: u64,
     event: &SimEvent,
-    nic_loc: &HashMap<u32, (u32, u32)>,
+    nic_loc: &IdTable<(u32, u32)>,
 ) -> usize {
     // The unification hook: `TraceEvent::nic()` routes NIC-scoped
     // events onto their rail track; node-scoped events (timers) land
     // on the engine track.
     let (pid, tid) = match (event.nic(), event) {
-        (Some(nic), _) => match nic_loc.get(&nic.0) {
+        (Some(nic), _) => match nic_loc.get(u64::from(nic.0)) {
             Some(&loc) => loc,
             None => return 0, // NIC outside the exported cluster
         },
@@ -860,7 +861,7 @@ fn engine_entry(
     ts: u64,
     node: NodeId,
     event: &EngineEvent,
-    act_rail: &HashMap<u64, u32>,
+    act_rail: &IdTable<u32>,
 ) -> usize {
     let pid = node.0;
     let tid = match event {
@@ -869,7 +870,7 @@ fn engine_entry(
         }
         e => e
             .activation()
-            .and_then(|a| act_rail.get(&a).copied())
+            .and_then(|a| act_rail.get(a).copied())
             .unwrap_or(ENGINE_TRACK),
     };
     instant_event(w, event.name(), ts, pid, tid, |w| event.write_args(w));
@@ -940,6 +941,9 @@ pub fn chrome_event_count(text: &str) -> Result<usize, String> {
     read_chrome_export(text, Parser::skip).map(|h| h.events)
 }
 
+/// One instant event: `{"name":…,"ph":"i","ts":…,"pid":…,"tid":…,
+/// "s":"t","args":{…}}`, its fixed keys and punctuation written a run at
+/// a time.
 fn instant_event(
     w: &mut JsonWriter<'_>,
     name: &str,
@@ -949,34 +953,34 @@ fn instant_event(
     args: impl FnOnce(&mut JsonWriter<'_>),
 ) {
     w.begin_object();
-    w.field_str("name", name);
-    w.field_str("ph", "i");
-    w.key("ts");
+    w.fixed("\"name\":");
+    w.str(name);
+    w.fixed(",\"ph\":\"i\",\"ts\":");
     w.fixed3(ts_ns);
-    w.field_uint("pid", pid);
-    w.field_uint("tid", tid);
-    w.field_str("s", "t");
-    w.key("args");
-    w.begin_object();
+    w.fixed(",\"pid\":");
+    w.uint(u64::from(pid));
+    w.fixed(",\"tid\":");
+    w.uint(u64::from(tid));
+    w.fixed(",\"s\":\"t\",\"args\":{");
     args(w);
-    w.end_object();
-    w.end_object();
+    w.fixed("}}");
 }
 
+/// One end of a message's flow arrow: `ph` is `s` at the submission,
+/// `f` (bound to the enclosing slice, `"bp":"e"`) at the delivery.
 fn flow_event(w: &mut JsonWriter<'_>, ph: &str, ts_ns: u64, pid: u32, tid: u32, id: u64) {
     w.begin_object();
-    w.field_str("name", "msg");
-    w.field_str("cat", "flow");
-    w.field_str("ph", ph);
-    w.key("ts");
+    w.fixed("\"name\":\"msg\",\"cat\":\"flow\",\"ph\":");
+    w.str(ph);
+    w.fixed(",\"ts\":");
     w.fixed3(ts_ns);
-    w.field_uint("pid", pid);
-    w.field_uint("tid", tid);
-    w.field_uint("id", id);
-    if ph == "f" {
-        w.field_str("bp", "e");
-    }
-    w.end_object();
+    w.fixed(",\"pid\":");
+    w.uint(u64::from(pid));
+    w.fixed(",\"tid\":");
+    w.uint(u64::from(tid));
+    w.fixed(",\"id\":");
+    w.uint(id);
+    w.fixed(if ph == "f" { ",\"bp\":\"e\"}" } else { "}" });
 }
 
 fn flow_arrow_id(src: NodeId, flow: FlowId, seq: u32) -> u64 {

@@ -72,10 +72,20 @@ SEAMS = [
     ("simnet fabric (simnet::topo::)", "simnet::topo::"),
     ("simnet event queue (simnet::event::)", "simnet::event::"),
     ("analysis (prof, diff, trace export)", ("madeleine::prof::", "madeleine::diff::", "madeleine::trace::")),
+    ("  export_chrome_trace", "madeleine::trace::export_chrome_trace"),
+    ("    JsonWriter", "madeleine::json::JsonWriter", "madeleine::trace::export_chrome_trace"),
+    ("  ProfInput::from_engine / fold", ("ProfInput::from_engine", "ProfInput::fold")),
+    ("  ProfInput::profile", "ProfInput::profile"),
+    ("  RunSnapshot::capture + diff::diff", ("RunSnapshot::capture", "madeleine::diff::diff")),
     ("search trees (BTreeMap/BTreeSet)", "alloc::collections::btree::"),
     ("128-bit division (__udivti3)", "__udivti3"),
 ]
 CALIBRATION = "madclock::host::calibrate"
+# A frame of the repository's own crates. A sample whose leaf is in libc
+# and whose stack holds none of these is one whose frame-pointer chain
+# the libc function broke: it cannot be put on any seam.
+REPOSITORY = ("madclock::", "madeleine::", "simnet::", "nicdrv::")
+LIBC_ORPHANS = "libc leaf, no repository frame (unattributable)"
 
 
 def die(msg):
@@ -200,12 +210,15 @@ def main():
                  env=env, capture_output=True, text=True).stdout.splitlines()[-1]
     stacks, maps = read_samples(samples)
     names = symbolise(stacks, maps, binary)
-    kept, hits = [], collections.Counter()
+    kept, hits, orphans = [], collections.Counter(), 0
     for stack in stacks:
         on_stack = {fn for addr in stack for fn in names[addr]}
         if not any(CALIBRATION in fn for fn in on_stack):
             kept.append(on_stack)
             hits.update(on_stack)
+            leaf = names[stack[0]][:1] if stack else ()
+            orphans += (leaf != () and leaf[0].startswith("[libc")
+                        and not any(r in fn for fn in on_stack for r in REPOSITORY))
     if not kept:
         die("no samples outside calibration — is %s built with frame pointers?" % binary)
     print("%s seed %s: %d samples at %s Hz, %d outside calibration"
@@ -224,6 +237,7 @@ def main():
             print("| `%s` | — | (no such function) |" % label)
         else:
             print("| `%s` | %d | %.1f %% |" % (label, n, 100.0 * n / len(kept)))
+    print("| `%s` | %d | %.1f %% |" % (LIBC_ORPHANS, orphans, 100.0 * orphans / len(kept)))
     if args.top:
         print("\ntop %d functions by samples they are on the stack of:" % args.top)
         for fn, n in hits.most_common(args.top):
