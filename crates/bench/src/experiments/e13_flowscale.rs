@@ -305,7 +305,6 @@ pub fn fairness_cluster(
     let spec = ClusterSpec::mx_pair()
         .config(EngineConfig {
             fairness: mode,
-            drr_quantum: 2048,
             ..EngineConfig::default()
         })
         .with_tracing(trace_cap);

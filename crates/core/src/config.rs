@@ -69,11 +69,9 @@ pub struct EngineConfig {
     /// asked again beyond the budget.
     pub retry_budget: u32,
     /// madflow flow-iteration order for candidate collection: pack order
-    /// (historical, default) or weighted deficit round robin.
+    /// (historical, default) or weighted deficit round robin, granting
+    /// each flow visit [`crate::flowmgr::DRR_QUANTUM`] bytes.
     pub fairness: FairnessMode,
-    /// DRR byte quantum granted per flow visit (only used with
-    /// [`FairnessMode::Drr`]).
-    pub drr_quantum: u64,
     /// madflow admission control budgets; the default is unlimited
     /// (admission disabled, `send` never blocks).
     pub admission: AdmissionConfig,
@@ -100,7 +98,6 @@ impl Default for EngineConfig {
             retransmit_timeout: SimDuration::from_micros(50),
             retry_budget: 6,
             fairness: FairnessMode::PackOrder,
-            drr_quantum: 4096,
             admission: AdmissionConfig::default(),
             congestion_aware: true,
         }
@@ -155,9 +152,6 @@ impl EngineConfig {
             if self.retry_budget == 0 {
                 return Err("retry_budget must be >= 1 when reliability is on".into());
             }
-        }
-        if self.fairness == FairnessMode::Drr && self.drr_quantum == 0 {
-            return Err("drr_quantum must be >= 1 under DRR fairness".into());
         }
         if self.admission.max_backlog_bytes == 0 || self.admission.class_backlog_bytes.contains(&0)
         {
@@ -220,9 +214,6 @@ mod tests {
         let mut c = EngineConfig::default();
         assert!(c.validate().is_ok(), "madflow defaults are off/unlimited");
         c.fairness = FairnessMode::Drr;
-        c.drr_quantum = 0;
-        assert!(c.validate().is_err());
-        c.drr_quantum = 4096;
         assert!(c.validate().is_ok());
         c.admission.class_backlog_bytes[2] = 0;
         assert!(c.validate().is_err(), "zero budget admits nothing");

@@ -44,7 +44,7 @@ use crate::collect::{chunk_header, CollectLayer};
 use crate::config::EngineConfig;
 use crate::cost::{packet_limit, Delivery};
 use crate::error::EngineError;
-use crate::flowmgr::{Admission, FairnessMode, SendOutcome};
+use crate::flowmgr::{Admission, FairnessMode, SendOutcome, DRR_QUANTUM};
 use crate::ids::{ChannelId, FlowId, MsgId, MsgSeq, TrafficClass};
 use crate::legacy::{LegacyEngine, LegacyHandle};
 use crate::message::{DeliveredMessage, Fragment};
@@ -59,12 +59,14 @@ use crate::proto::{
 };
 use crate::receiver::{DeliveredRing, Receiver, ReceiverStats};
 use crate::reliability::{
-    ack_hold, plan_retransmit, Attempt, Expiry, Launched, PendingTx, Reliability, RequestKey,
+    plan_retransmit, pull_order, Attempt, Expiry, Launched, PendingTx, Reliability, RequestKey,
 };
 use crate::scope::Sampler;
 use crate::strategy::{OptContext, Strategy, StrategyRegistry};
 use crate::trace::{EngineEvent, EventSink, FlightDump};
-use crate::transfer::{assert_reachable, build_rails, rail_of, Transfer, CTRL_COOKIE};
+use crate::transfer::{
+    assert_reachable, build_rails, live_rails, rail_of, Rail, Transfer, CTRL_COOKIE,
+};
 
 /// The engine's mutable state (shared behind an [`EngineHandle`]): the
 /// layers of Figure 1, each owning its own.
@@ -77,6 +79,9 @@ pub struct EngineCore {
     receiver: Receiver,
     admission: Admission,
     opt: Optimizer,
+    /// The rails, each the one record of its driver, health, timeout
+    /// clock and peer paths; `transfer` and `rel` work on them.
+    rails: Vec<Rail>,
     transfer: Transfer,
     rel: Reliability,
     obs: Observer,
@@ -113,6 +118,7 @@ macro_rules! view {
             collect: &$core.collect,
             receiver: &$core.receiver,
             opt: &$core.opt,
+            rails: &$core.rails,
             transfer: &$core.transfer,
             rel: &$core.rel,
         }
@@ -126,7 +132,7 @@ impl EngineCore {
     /// # Panics
     /// Panics when `dst` was never registered via [`EngineBuilder::peer`].
     pub fn open_flow(&mut self, dst: NodeId, class: TrafficClass) -> FlowId {
-        assert_reachable(self.transfer.rails(), dst, self.node);
+        assert_reachable(&self.rails, dst, self.node);
         self.collect.open_flow(dst, class)
     }
 
@@ -181,10 +187,13 @@ impl EngineCore {
                 // Rides the control path (queued and retried like
                 // rendezvous traffic when the NIC is full).
                 let dst = self.collect.flow(flow).dst;
-                let rails = self.transfer.rails();
-                if let Some(rail) = self.rel.live_rails().find(|&r| rails[r].reaches(dst)) {
+                let rails = &mut self.rails;
+                let rail = live_rails(rails).find(|&r| rails[r].reaches(dst));
+                if let Some(rail) = rail {
                     let cancel = cancel_header(flow, seq, class);
-                    let _ = self.transfer.send_ctrl(ctx, rail, dst, KIND_CTRL, cancel);
+                    let _ = self
+                        .transfer
+                        .send_ctrl(ctx, rails, rail, dst, KIND_CTRL, cancel);
                 }
                 shed.push(sid);
             }
@@ -209,10 +218,10 @@ impl EngineCore {
     fn send_admitted(&mut self, ctx: &mut SimCtx<'_>, flow: FlowId, parts: Vec<Fragment>) -> MsgId {
         assert!(!parts.is_empty(), "message must have at least one fragment");
         let class = self.collect.flow(flow).class;
-        let rails = self.transfer.rails();
+        let rails = &self.rails;
         let threshold = self
             .opt
-            .rndv_threshold_for(&self.config, flow, class, rails, &self.rel);
+            .rndv_threshold_for(&self.config, flow, class, rails);
         let m = self.obs.metrics_mut();
         m.submitted_msgs += 1;
         m.submitted_bytes += parts.iter().map(|p| p.data.len() as u64).sum::<u64>();
@@ -223,9 +232,7 @@ impl EngineCore {
         self.obs
             .emit_with(ctx.now(), || submitted_events(collect, id, class));
         let policy = self.opt.policy();
-        let any_idle = self
-            .rel
-            .live_rails()
+        let any_idle = live_rails(rails)
             .any(|r| policy.eligible(flow, class, r) && rails[r].driver.is_idle(ctx));
         let backlog = self.collect.backlog_bytes();
         if self.opt.on_submit(ctx, &self.config, any_idle, backlog) {
@@ -250,10 +257,10 @@ impl EngineCore {
     /// whatever the order.
     fn optimize_all_idle(&mut self, ctx: &mut SimCtx<'_>, cause: Activation) {
         let (mut gated, mut ready, mut only) = (0, 0, None);
-        for (r, rail) in self.transfer.rails().iter().enumerate() {
-            if self.rel.congestion_gated(r) {
+        for (r, rail) in self.rails.iter().enumerate() {
+            if self.rel.congestion_gated(&self.rails, r) {
                 gated += 1;
-            } else if rail.driver.is_idle(ctx) && !self.rel.rails()[r].is_dead() {
+            } else if rail.driver.is_idle(ctx) && !rail.health.is_dead() {
                 ready += 1;
                 only = Some(r);
             }
@@ -267,11 +274,11 @@ impl EngineCore {
         }
         let mut order = std::mem::take(&mut self.scratch.rail_order);
         let mean_msg = self.collect.backlog_bytes() / self.collect.pending_msgs().max(1);
-        self.rel.pull_order(&mut order, mean_msg);
+        pull_order(&self.rails, &mut order, mean_msg);
         for &r in &order {
             // An activation may have filled another rail's queue with the
             // control packets it flushed.
-            if !self.rel.congestion_gated(r) && self.transfer.rails()[r].driver.is_idle(ctx) {
+            if !self.rel.congestion_gated(&self.rails, r) && self.rails[r].driver.is_idle(ctx) {
                 self.optimize_rail(ctx, r, cause);
             }
         }
@@ -285,15 +292,15 @@ impl EngineCore {
     /// allocates nothing; one with nothing to offer at all records what
     /// the pass would of its empty window and returns before it.
     fn optimize_rail(&mut self, ctx: &mut SimCtx<'_>, rail_idx: usize, cause: Activation) {
-        if self.rel.rails()[rail_idx].is_dead() {
+        if self.rails[rail_idx].health.is_dead() {
             return;
         }
-        self.obs.metrics_mut().ack_packets += self.transfer.flush_ctrl(ctx);
+        self.obs.metrics_mut().ack_packets += self.transfer.flush_ctrl(ctx, &mut self.rails);
         if self.collect.offers_nothing() {
             self.obs.metrics_mut().record_activation(cause);
             let act = self.opt.begin_activation();
             // The pass looks at its window only if it could send.
-            let rail = &self.transfer.rails()[rail_idx];
+            let rail = &self.rails[rail_idx];
             if self.config.rearrange_budget > 0 && rail.driver.free_slots(ctx) > 0 {
                 self.start_activation(ctx, act, cause, rail_idx, 0);
             }
@@ -328,7 +335,7 @@ impl EngineCore {
         let mut budget = self.config.rearrange_budget;
         let (mut first_pass, mut queued) = (true, false);
         loop {
-            let rail = &self.transfer.rails()[rail_idx];
+            let rail = &self.rails[rail_idx];
             if budget == 0 || rail.driver.free_slots(ctx) == 0 {
                 break;
             }
@@ -353,7 +360,7 @@ impl EngineCore {
             if groups.is_empty() {
                 break;
             }
-            let rail = &self.transfer.rails()[rail_idx];
+            let rail = &self.rails[rail_idx];
             let caps = rail.driver.capabilities();
             let octx = OptContext {
                 now: ctx.now(),
@@ -363,8 +370,8 @@ impl EngineCore {
                 config: &self.config,
                 groups,
                 packet_limit: packet_limit(caps, rail.wire_mtu),
-                rail_count: self.rel.live_rails().count().max(1),
-                health_penalty: self.rel.rails()[rail_idx].cost_penalty(),
+                rail_count: live_rails(&self.rails).count().max(1),
+                health_penalty: rail.health.cost_penalty(),
             };
             let outcome = select_plan_in(
                 &mut pass.selection,
@@ -393,7 +400,10 @@ impl EngineCore {
             }
             queued = true;
             #[cfg(feature = "debug-invariants")]
-            self.rel.debug_assert_invariants(&self.collect);
+            {
+                self.rel.debug_assert_invariants(&self.collect);
+                self.transfer.debug_assert_invariants(&self.rails);
+            }
         }
         self.opt.return_scratch(pass);
     }
@@ -428,11 +438,12 @@ impl EngineCore {
     /// prices packets of whole messages, which only the merging strategies
     /// build.
     fn rivals<'a>(&'a self, ctx: &'a SimCtx<'_>, rail: usize) -> impl Iterator<Item = usize> + 'a {
-        let rails = self.transfer.rails();
+        let rails = &self.rails;
         let asks =
             rails.len() > 1 && (self.config.enable_aggregation || self.config.enable_reorder);
-        self.rel.live_rails().filter(move |&o| {
-            asks && o != rail && !self.rel.congestion_gated(o) && !rails[o].driver.is_idle(ctx)
+        live_rails(rails).filter(move |&o| {
+            let busy = !rails[o].driver.is_idle(ctx);
+            asks && o != rail && !self.rel.congestion_gated(rails, o) && busy
         })
     }
 
@@ -442,7 +453,7 @@ impl EngineCore {
     /// `rail` delivered its own next packet: sent now when the rail is
     /// idle, behind what it has `queued` this activation when it is not.
     /// Both are priced by [`Delivery`] and the rail's health penalty, as
-    /// `Reliability::pull_order` orders the idle rails. The window must be
+    /// `reliability::pull_order` orders the idle rails. The window must be
     /// the whole backlog — a rival's drain of part of it says nothing —
     /// and hold no message a packet has begun, and work only `rail` may
     /// carry keeps it from standing aside: a message pinned to it, a flow
@@ -483,8 +494,7 @@ impl EngineCore {
         else {
             return false;
         };
-        let rails = self.transfer.rails();
-        let health = self.rel.rails();
+        let rails = &self.rails;
         let deliver = |r: usize| {
             let (driver, mtu) = (&rails[r].driver, rails[r].wire_mtu);
             let caps = driver.capabilities();
@@ -506,12 +516,12 @@ impl EngineCore {
             SimDuration::ZERO
         };
         let first_packet = mine.first_packet().as_nanos() as f64;
-        let own_penalty = health[rail].cost_penalty();
+        let own_penalty = rails[rail].health.cost_penalty();
         let own_loaded = own_penalty * (behind.as_nanos() as f64 + first_packet);
         let own_unloaded = own_penalty * first_packet;
         let policy = self.opt.policy();
         self.rivals(ctx, rail).any(|o| {
-            let penalty = health[o].cost_penalty();
+            let penalty = rails[o].health.cost_penalty();
             let wait = rails[o].tx_wait(now).as_nanos() as f64;
             // Sooner, after both waits, and faster, without them: a rail
             // no slower than `rail` is never stood aside for, however
@@ -555,14 +565,15 @@ impl EngineCore {
                 // The one lookup per chunk before commit: the stamped
                 // headers carry everything the rest of this function needs
                 // from the message (class, submission time).
+                let asks = self.rel.asks_now(&self.rails[rail_idx], plan.dst);
                 let (cookie, sent) = self.transfer.submit_data(
                     ctx,
-                    rail_idx,
+                    &mut self.rails[rail_idx],
                     plan.dst,
                     &self.collect,
                     &chunks,
                     linearize,
-                    self.rel.asks_now(rail_idx, plan.dst),
+                    asks,
                 )?;
                 sent?;
                 let mut bytes = 0;
@@ -602,8 +613,9 @@ impl EngineCore {
                 let class = self.transfer.wire()[0].header.class;
                 self.opt.policy_mut().record_traffic(class, bytes);
                 let (first, wire_bytes) = (Attempt::first(rail_idx), self.transfer.wire_bytes());
-                self.rel
-                    .track(cookie, chunks, wire_bytes, plan.dst, linearize, first, now);
+                self.rel.track(
+                    cookie, chunks, wire_bytes, plan.dst, linearize, first, now, asks,
+                );
                 Ok(())
             }
             PlanBody::RndvRequest { flow, seq, frag } => {
@@ -613,8 +625,9 @@ impl EngineCore {
                     .expect("validated plan references live message");
                 let header = chunk_header(fs, seq, msg, &PlannedChunk::request(flow, seq, frag));
                 let dst = fs.dst;
+                let rails = &mut self.rails;
                 self.transfer
-                    .send_ctrl(ctx, rail_idx, dst, KIND_RNDV_REQ, header)?;
+                    .send_ctrl(ctx, rails, rail_idx, dst, KIND_RNDV_REQ, header)?;
                 self.collect.mark_rndv_requested(flow, seq, frag);
                 let m = self.obs.metrics_mut();
                 m.rndv_requests += 1;
@@ -623,8 +636,9 @@ impl EngineCore {
                 // data packet is until its ack.
                 if self.rel.acks_enabled() {
                     let first = Attempt::first(rail_idx);
+                    let key = (flow, seq, frag);
                     self.rel
-                        .track_request((flow, seq, frag), header, dst, first, now);
+                        .track_request(&self.rails, key, header, dst, first, now);
                     self.rel.arm_timer(ctx);
                 }
                 Ok(())
@@ -644,23 +658,27 @@ impl EngineCore {
     ) -> (Vec<DeliveredMessage>, Vec<MsgId>) {
         self.obs.wake(ctx);
         let now = ctx.now();
-        let rx_rail = rail_of(self.transfer.rails(), nic);
         let mut out = std::mem::take(&mut self.scratch.deliveries);
         let mut sent = std::mem::take(&mut self.scratch.sent);
         let refused_before = self.receiver.stats.proto_errors;
-        let decoded = self
-            .dispatch(ctx, rx_rail, &pkt, &mut out, &mut sent)
-            .is_ok();
+        // A packet from a node that is no peer on the rail it arrived on is
+        // a protocol error: nothing of it is delivered, acknowledged or kept.
+        let rails = &self.rails;
+        let from_peer = rail_of(rails, nic).filter(|&r| rails[r].reaches(pkt.src));
+        let mut dispatch = |rail| self.dispatch(ctx, rail, &pkt, &mut out, &mut sent).is_ok();
+        let decoded = from_peer.is_some_and(&mut dispatch);
         // A chunk or cancel the receiver refused is a protocol error too.
         let refused = self.receiver.stats.proto_errors - refused_before;
         self.obs.metrics_mut().proto_errors += u64::from(!decoded) + refused;
         if decoded {
-            self.obs.delivered(now, rx_rail, &out);
+            self.obs.delivered(now, from_peer, &out);
             if self.config.record_deliveries {
                 self.obs.metrics_mut().deliveries_dropped += self.delivered.extend(&out);
             }
         }
         self.obs.check_faults(now, &view!(self));
+        #[cfg(feature = "debug-invariants")]
+        self.transfer.debug_assert_invariants(&self.rails);
         (out, sent)
     }
 
@@ -679,12 +697,13 @@ impl EngineCore {
         self.scratch.sent = sent;
     }
 
-    /// [`EngineCore::handle_packet`]'s dispatch on the packet kind, adding
-    /// to `out` and `sent`; `Err` is an undecodable packet.
+    /// [`EngineCore::handle_packet`]'s dispatch on the kind of a packet
+    /// from a peer on `rail`, adding to `out` and `sent`; `Err` is an
+    /// undecodable packet.
     fn dispatch(
         &mut self,
         ctx: &mut SimCtx<'_>,
-        rx_rail: Option<usize>,
+        rail: usize,
         pkt: &WirePacket,
         out: &mut Vec<DeliveredMessage>,
         sent: &mut Vec<MsgId>,
@@ -703,12 +722,12 @@ impl EngineCore {
                 // once. madnet: the ack echoes the fabric's ECN mark back
                 // to the sender (RFC-3168 style).
                 if self.rel.acks_enabled() && pkt.cookie != CTRL_COOKIE {
-                    if let Some(rail) = rx_rail {
-                        self.rel.heard_from(rail, pkt.src);
-                        let packet = (pkt.cookie, pkt.ecn);
-                        let acks = self.transfer.hold_ack(ctx, rail, pkt.src, packet, ack_now);
-                        self.obs.metrics_mut().ack_packets += acks;
-                    }
+                    let (packet, grant) = ((pkt.cookie, pkt.ecn), self.rel.granted(ack_now));
+                    let rails = &mut self.rails;
+                    let acks = self
+                        .transfer
+                        .hold_ack(ctx, rails, rail, pkt.src, packet, grant);
+                    self.obs.metrics_mut().ack_packets += acks;
                 }
                 // Drained, so the chunks give their packet's buffers up
                 // here and not when the next packet arrives.
@@ -728,12 +747,11 @@ impl EngineCore {
             }
             KIND_RNDV_REQ => {
                 let header = decode_rndv(pkt)?;
-                if let Some(rail) = rx_rail {
-                    // Grant immediately: echo the header back.
-                    let _ = self
-                        .transfer
-                        .send_ctrl(ctx, rail, pkt.src, KIND_RNDV_ACK, header);
-                }
+                // Grant immediately: echo the header back.
+                let rails = &mut self.rails;
+                let _ = self
+                    .transfer
+                    .send_ctrl(ctx, rails, rail, pkt.src, KIND_RNDV_ACK, header);
             }
             KIND_RNDV_ACK => {
                 let h = decode_rndv(pkt)?;
@@ -769,7 +787,10 @@ impl EngineCore {
         let mut found = false;
         for ack in self.scratch.acks.drain(..) {
             let settle = |done| opt.recycle(complete(collect, done, sent));
-            found |= self.rel.on_ack(&ack, now, self.node, &mut self.obs, settle);
+            let rails = &mut self.rails;
+            found |= self
+                .rel
+                .on_ack(rails, &ack, now, self.node, &mut self.obs, settle);
         }
         if found {
             self.rel.arm_timer(ctx);
@@ -784,10 +805,9 @@ impl EngineCore {
         let now = ctx.now();
         let mut completed = std::mem::take(&mut self.scratch.sent);
         for cookie in self.rel.begin_sweep(now) {
-            let rails = self.transfer.rails();
-            let reaches = |rail: usize, dst| rails[rail].reaches(dst);
+            let rails = &mut self.rails;
             let Some((pending, wire_bytes, action)) =
-                self.rel.expire(cookie, now, reaches, &mut self.obs)
+                self.rel.expire(rails, cookie, now, &mut self.obs)
             else {
                 continue;
             };
@@ -824,17 +844,16 @@ impl EngineCore {
         let Some((fs, msg)) = self.collect.find(flow, seq) else {
             return self.rel.settle_request(key);
         };
-        let rails = self.transfer.rails();
-        let reaches = |rail: usize, dst| rails[rail].reaches(dst);
-        let Some((dst, action)) = self.rel.expire_request(key, now, reaches, &mut self.obs) else {
+        let rails = &mut self.rails;
+        let Some((dst, action)) = self.rel.expire_request(rails, key, now, &mut self.obs) else {
             return;
         };
         match action {
             Expiry::Resend(again) | Expiry::Reroute(again) => {
                 let header = chunk_header(fs, seq, msg, &PlannedChunk::request(flow, seq, frag));
-                let sent = self
-                    .transfer
-                    .send_ctrl(ctx, again.rail, dst, KIND_RNDV_REQ, header);
+                let sent =
+                    self.transfer
+                        .send_ctrl(ctx, rails, again.rail, dst, KIND_RNDV_REQ, header);
                 debug_assert!(sent.is_ok(), "the chosen rail reaches the destination");
                 self.obs.metrics_mut().rndv_rerequests += 1;
             }
@@ -860,7 +879,7 @@ impl EngineCore {
         next: Attempt,
     ) {
         let now = ctx.now();
-        let rail = &self.transfer.rails()[next.rail];
+        let rail = &self.rails[next.rail];
         if rail.driver.free_slots(ctx) == 0 {
             return self.rel.park(old_cookie, pending, wire_bytes, next);
         }
@@ -869,16 +888,18 @@ impl EngineCore {
         let packets = plan_retransmit(&pending.chunks, stamp, caps, rail.wire_mtu);
         let mut heirs = None;
         for chunks in packets {
+            let rail = &mut self.rails[next.rail];
+            let asks = self.rel.asks_now(rail, pending.dst);
             let (cookie, sent) = self
                 .transfer
                 .submit_data(
                     ctx,
-                    next.rail,
+                    rail,
                     pending.dst,
                     &self.collect,
                     &chunks,
                     pending.linearize,
-                    self.rel.asks_now(next.rail, pending.dst),
+                    asks,
                 )
                 .expect("retransmit rail reaches destination");
             let first = heirs.map_or(cookie, |(first, _)| first);
@@ -888,15 +909,7 @@ impl EngineCore {
                 // The queue filled under this packet's own pieces: the
                 // rest waits like a whole packet would.
                 Err(DriverError::Nic(SubmitError::QueueFull)) => {
-                    let waiting = PendingTx {
-                        chunks,
-                        dst: pending.dst,
-                        rail: pending.rail,
-                        linearize: pending.linearize,
-                        sent_at: pending.sent_at,
-                        deadline: pending.deadline,
-                        attempts: pending.attempts,
-                    };
+                    let waiting = PendingTx { chunks, ..pending };
                     self.rel.park(cookie, waiting, bytes, next);
                     continue;
                 }
@@ -918,17 +931,18 @@ impl EngineCore {
             };
             let (dst, linearize) = (pending.dst, pending.linearize);
             self.rel
-                .track(cookie, chunks, bytes, dst, linearize, next, now);
+                .track(cookie, chunks, bytes, dst, linearize, next, now, asks);
             if rejected {
                 // No `tx_done` will start this packet's clock: it starts
                 // now, and the sweep takes the packet up again like one
                 // lost on the wire — to the end of its budget if need be.
-                self.rel.launched(cookie, now);
+                self.rel.launched(&mut self.rails, cookie, now);
             }
         }
         if let Some((first, last)) = heirs {
+            let heirs = first..=last;
             self.rel
-                .supersede(old_cookie, &pending, wire_bytes, first..=last);
+                .supersede(&self.rails, old_cookie, &pending, wire_bytes, heirs);
         }
     }
 
@@ -936,8 +950,8 @@ impl EngineCore {
     /// rail's parked retransmissions again, lowest cookie first, for as
     /// long as its queue has room.
     fn offer_parked(&mut self, ctx: &mut SimCtx<'_>) {
-        for rail in 0..self.transfer.rails().len() {
-            while self.transfer.rails()[rail].driver.free_slots(ctx) > 0 {
+        for rail in 0..self.rails.len() {
+            while self.rails[rail].driver.free_slots(ctx) > 0 {
                 let Some((cookie, pending, wire_bytes, next)) = self.rel.take_parked(rail) else {
                     break;
                 };
@@ -1090,7 +1104,7 @@ impl EngineBuilder {
     /// Build the engine and its handle.
     pub fn build(self) -> Result<(MadEngine, EngineHandle), EngineError> {
         self.config.validate().map_err(EngineError::Config)?;
-        let rails = build_rails(self.rails, self.peer_nics)?;
+        let rails = build_rails(self.rails, self.peer_nics, &self.config)?;
         let mut registry = StrategyRegistry::standard(&self.config);
         for s in self.extra_strategies {
             registry.register(s);
@@ -1098,7 +1112,7 @@ impl EngineBuilder {
         let policy = RailPolicy::new(self.policy_kind, rails.len());
         let mut collect = CollectLayer::new();
         if self.config.fairness == FairnessMode::Drr {
-            collect.set_fairness(FairnessMode::Drr, self.config.drr_quantum);
+            collect.set_fairness(FairnessMode::Drr, DRR_QUANTUM);
         }
         let core = Rc::new(RefCell::new(EngineCore {
             node: self.node,
@@ -1106,14 +1120,9 @@ impl EngineBuilder {
             receiver: Receiver::new(),
             admission: Admission::new(self.config.admission.clone()),
             opt: Optimizer::new(registry, policy),
-            rel: Reliability::new(
-                rails.iter().map(|r| {
-                    let d = &r.driver;
-                    (d.capabilities().clone(), d.cost_model().clone())
-                }),
-                &self.config,
-            ),
-            transfer: Transfer::new(rails, ack_hold(&self.config)),
+            rails,
+            transfer: Transfer::default(),
+            rel: Reliability::new(&self.config),
             obs: Observer::new(self.node),
             delivered: DeliveredRing::default(),
             scratch: Scratch::default(),
@@ -1132,7 +1141,7 @@ impl EngineBuilder {
     /// Build the legacy baseline engine from the same description (the
     /// policy and extra strategies do not apply to it).
     pub fn build_legacy(self) -> Result<(LegacyEngine, LegacyHandle), EngineError> {
-        let rails = build_rails(self.rails, self.peer_nics)?;
+        let rails = build_rails(self.rails, self.peer_nics, &self.config)?;
         Ok(LegacyEngine::assemble(
             self.node,
             self.config,
@@ -1212,7 +1221,7 @@ impl Endpoint for MadEngine {
             // madrel: under `Recover` a packet completes on its *ack*, not
             // on injection — `tx_done` for it frees queue space and starts
             // its timeout. (The paper's lossless `Off` completes it here.)
-            match core.rel.launched(cookie, ctx.now()) {
+            match core.rel.launched(&mut core.rails, cookie, ctx.now()) {
                 Launched::Done(tx) => {
                     let list = complete(&mut core.collect, tx, &mut completed);
                     core.opt.recycle(list);
@@ -1220,7 +1229,7 @@ impl Endpoint for MadEngine {
                 Launched::Watched => core.rel.arm_timer(ctx),
                 Launched::Untracked => {}
             }
-            core.obs.metrics_mut().ack_packets += core.transfer.flush_ctrl(ctx);
+            core.obs.metrics_mut().ack_packets += core.transfer.flush_ctrl(ctx, &mut core.rails);
             core.offer_parked(ctx);
             completed
         };
@@ -1231,10 +1240,10 @@ impl Endpoint for MadEngine {
 
     fn on_nic_idle(&mut self, ctx: &mut SimCtx<'_>, nic: NicId) {
         {
-            let mut core = self.core.borrow_mut();
-            if let Some(rail) = rail_of(core.transfer.rails(), nic) {
-                core.transfer.rail_idle(rail, ctx.now());
-                if core.rel.congestion_gated(rail) {
+            let core = &mut *self.core.borrow_mut();
+            if let Some(rail) = rail_of(&core.rails, nic) {
+                core.rails[rail].tx_idle(ctx.now());
+                if core.rel.congestion_gated(&core.rails, rail) {
                     // Hand the activation to healthier rails instead of
                     // pulling backlog onto a marked fabric path.
                     core.obs.metrics_mut().congestion_gated += 1;
@@ -1279,7 +1288,8 @@ impl Endpoint for MadEngine {
             }
             ACK_HOLD_TAG => {
                 let core = &mut *self.core.borrow_mut();
-                core.obs.metrics_mut().ack_packets += core.transfer.on_hold_timer(ctx);
+                let acks = core.transfer.on_hold_timer(ctx, &mut core.rails);
+                core.obs.metrics_mut().ack_packets += acks;
             }
             ADAPTIVE_TAG => {
                 let core = &mut *self.core.borrow_mut();
@@ -1361,14 +1371,14 @@ impl EngineHandle {
     /// Collapse all traffic classes onto one virtual channel on every rail
     /// (the "no class separation" baseline of experiment E6).
     pub fn collapse_classes(&self) {
-        for rail in self.core.borrow_mut().transfer.rails_mut() {
+        for rail in &mut self.core.borrow_mut().rails {
             rail.classmap.collapse();
         }
     }
 
     /// Reassign a class to a virtual channel on one rail.
     pub fn set_class_vchan(&self, rail: usize, class: TrafficClass, vchan: u8) -> bool {
-        self.core.borrow_mut().transfer.rails_mut()[rail]
+        self.core.borrow_mut().rails[rail]
             .classmap
             .assign(class, vchan)
     }
@@ -1444,7 +1454,7 @@ impl EngineHandle {
     /// tick timer; enabling before the run starts arms it at `on_start`.
     pub fn enable_sampler(&self, tick: simnet::SimDuration, capacity: usize) {
         let mut core = self.core.borrow_mut();
-        let rails = core.transfer.rails().len();
+        let rails = core.rails.len();
         core.obs.enable_sampler(tick, capacity, rails);
     }
 
@@ -1486,6 +1496,7 @@ impl EngineHandle {
 mod tests {
     use super::*;
     use crate::message::MessageBuilder;
+    use crate::reliability::ack_hold;
     use simnet::{NetworkParams, Simulation};
 
     fn sim_with_two_nics() -> (Simulation, NodeId, NicId, NicId) {
@@ -1889,8 +1900,9 @@ mod tests {
     }
 
     /// A data packet of one 4-byte message on flow 7, cookie `cookie`,
-    /// from node 0 to node 1, asking for its ack at once or not.
-    fn data_from_a(cookie: u64, ack_now: bool, nics: [NicId; 2]) -> WirePacket {
+    /// from `src`'s NIC `nics[0]` to node 1's `nics[1]`, asking for its
+    /// ack at once or not.
+    fn data_from(src: NodeId, cookie: u64, ack_now: bool, nics: [NicId; 2]) -> WirePacket {
         let header = crate::proto::make_header(
             FlowId(7),
             0,
@@ -1909,7 +1921,7 @@ mod tests {
         };
         let segs = crate::proto::encode_packet_with(&mut Vec::new(), &[chunk], &[], ack_now, false);
         WirePacket {
-            src: NodeId(0),
+            src,
             dst: NodeId(1),
             src_nic: nics[0],
             dst_nic: nics[1],
@@ -1930,12 +1942,12 @@ mod tests {
         // first, acked all the same — then one that asks.
         for _ in 0..2 {
             sim.inject(NodeId(1), |ctx| {
-                b.inject_packet(ctx, nics[1], data_from_a(40, false, nics))
+                b.inject_packet(ctx, nics[1], data_from(NodeId(0), 40, false, nics))
             });
         }
         assert_eq!((held(&b), acks(&b).1), (2, 0));
         sim.inject(NodeId(1), |ctx| {
-            b.inject_packet(ctx, nics[1], data_from_a(41, true, nics))
+            b.inject_packet(ctx, nics[1], data_from(NodeId(0), 41, true, nics))
         });
         assert_eq!((held(&b), acks(&b).1), (0, 1), "one ack packet for three");
         assert!(!b.core.borrow().transfer.hold_armed());
@@ -1958,13 +1970,11 @@ mod tests {
         }
         let queue_full = |b: &EngineHandle, sim: &mut Simulation| {
             let core = b.core.borrow();
-            sim.inject(NodeId(1), |ctx| {
-                core.transfer.rails()[0].driver.free_slots(ctx)
-            }) == 0
+            sim.inject(NodeId(1), |ctx| core.rails[0].driver.free_slots(ctx)) == 0
         };
         assert!(queue_full(&b, &mut sim));
         sim.inject(NodeId(1), |ctx| {
-            b.inject_packet(ctx, nics[1], data_from_a(40, true, nics))
+            b.inject_packet(ctx, nics[1], data_from(NodeId(0), 40, true, nics))
         });
         // Asked for at once, it is owed: no packet, no timer, not drained.
         let held = |b: &EngineHandle| b.core.borrow().transfer.ctrl_len();
@@ -1977,6 +1987,78 @@ mod tests {
         }
         assert_eq!(held(&b), 0);
         assert!(b.metrics().packets_sent < 9, "ahead of the backlog");
+    }
+
+    #[test]
+    fn ack_packets_owed_to_two_peers_leave_in_the_order_they_were_owed() {
+        // Node 1 talks to node 0 and node 2 on one rail whose queue of four
+        // is full of its own 30 KB messages to node 0.
+        let (mut sim, a, na, nb) = sim_with_two_nics();
+        let b = NodeId(1);
+        let c = sim.add_node();
+        let nc = sim.add_nic(c, simnet::NetworkId(0));
+        let config = EngineConfig {
+            reliability: crate::ReliabilityMode::Recover,
+            ..EngineConfig::fifo_only()
+        };
+        let (engine, h) = MadEngine::builder(b)
+            .rail(driver(nb), 1 << 20)
+            .peer(a, vec![na])
+            .peer(c, vec![nc])
+            .config(config)
+            .build()
+            .unwrap();
+        sim.set_endpoint(b, Box::new(engine));
+        let f = h.open_flow(a, TrafficClass::DEFAULT);
+        for _ in 0..9 {
+            let parts = MessageBuilder::new()
+                .pack_cheaper(&vec![7; 30_000])
+                .build_parts();
+            sim.inject(b, |ctx| h.send(ctx, f, parts));
+        }
+        while h.metrics().packets_sent < 5 {
+            sim.run_until(sim.now() + SimDuration::from_nanos(100));
+        }
+        // Node 2's packet, then node 0's, each asking for its ack at once:
+        // both ack packets are owed, node 2's first although node 0 sorts
+        // before it.
+        for (src, nic, cookie) in [(c, nc, 40), (a, na, 41)] {
+            let pkt = data_from(src, cookie, true, [nic, nb]);
+            sim.inject(b, |ctx| h.inject_packet(ctx, nb, pkt));
+        }
+        let owed = |h: &EngineHandle| h.core.borrow().transfer.owed().to_vec();
+        assert_eq!(owed(&h), [(0, c), (0, a)]);
+        assert_eq!((h.core.borrow().transfer.ctrl_len(), acks(&h).1), (2, 0));
+        // A transmit done frees one slot: node 2's ack packet takes it and
+        // node 0's waits for the next.
+        while acks(&h).1 == 0 {
+            assert!(sim.now() < SimTime::from_nanos(1_000_000), "never sent");
+            sim.run_until(sim.now() + SimDuration::from_nanos(100));
+        }
+        assert_eq!((owed(&h), acks(&h).1), (vec![(0, a)], 1));
+        while acks(&h).1 == 1 {
+            sim.run_until(sim.now() + SimDuration::from_nanos(100));
+        }
+        assert_eq!((owed(&h), h.core.borrow().transfer.ctrl_len()), (vec![], 0));
+    }
+
+    #[test]
+    fn a_packet_from_a_node_that_is_no_peer_is_a_protocol_error() {
+        // A forged source is refused whole: nothing delivered, no ack held
+        // or owed, and the engine drains.
+        let (mut sim, [_, b], _, nics) = recover_pair();
+        for (i, src) in [NodeId(5), NodeId(u32::MAX)].into_iter().enumerate() {
+            let pkt = data_from(src, 40, false, nics);
+            sim.inject(NodeId(1), |ctx| b.inject_packet(ctx, nics[1], pkt));
+            assert_eq!(b.metrics().proto_errors, i as u64 + 1);
+        }
+        quiesce(&mut sim);
+        assert_eq!((b.delivered_count(), acks(&b)), (0, (0, 0)));
+        assert!(b.is_drained() && !b.core.borrow().transfer.hold_armed());
+        assert_eq!(
+            b.flight_dump().expect("fired").trigger.label(),
+            "proto_errors"
+        );
     }
 
     #[test]
@@ -2032,7 +2114,7 @@ mod tests {
                 .build_parts();
             sim.inject(a, |ctx| handle.send(ctx, f, parts));
         }
-        let wait_at = |at: SimTime| handle.core.borrow().transfer.rails()[0].tx_wait(at);
+        let wait_at = |at: SimTime| handle.core.borrow().rails[0].tx_wait(at);
         let (mut busy_until, mut wait) = (SimTime::ZERO, simnet::SimDuration::ZERO);
         for _ in 0..2 {
             wait = wait_at(busy_until);
@@ -2046,7 +2128,7 @@ mod tests {
         assert_eq!(handle.metrics().packets_sent, 2);
         assert_eq!(wait_at(busy_until), simnet::SimDuration::ZERO, "and idle");
         let core = handle.core.borrow();
-        let rail = &core.transfer.rails()[0];
+        let rail = &core.rails[0];
         let (caps, cost) = (rail.driver.capabilities(), rail.driver.cost_model());
         let next = crate::proto::make_header(
             f,

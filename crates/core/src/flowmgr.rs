@@ -49,6 +49,10 @@ pub fn class_slot(class: TrafficClass) -> usize {
     (class.0 as usize).min(CLASS_SLOTS - 1)
 }
 
+/// The byte quantum deficit round robin grants a flow per visit under
+/// [`FairnessMode::Drr`] (at 2048, E15's elephant cell moves).
+pub const DRR_QUANTUM: u64 = 4096;
+
 /// How `collect_candidates` orders flows within an activation window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FairnessMode {

@@ -267,7 +267,13 @@ impl LegacyCore {
         nic: NicId,
         pkt: WirePacket,
     ) -> Vec<DeliveredMessage> {
-        let rail_idx = rail_of(&self.rails, nic);
+        // A packet from a node that is no peer on the rail it arrived on is
+        // a protocol error: nothing of it is delivered or answered.
+        let rails = &self.rails;
+        let Some(rail_idx) = rail_of(rails, nic).filter(|&r| rails[r].reaches(pkt.src)) else {
+            self.metrics.proto_errors += 1;
+            return Vec::new();
+        };
         match pkt.kind {
             KIND_DATA => {
                 self.receiver.record_vchan(pkt.vchan);
@@ -291,7 +297,7 @@ impl LegacyCore {
                         d.src,
                         d.class,
                         d.flow,
-                        rail_idx,
+                        Some(rail_idx),
                         d.total_len(),
                         d.latency,
                     );
@@ -302,7 +308,7 @@ impl LegacyCore {
                 out
             }
             KIND_RNDV_REQ => {
-                if let (Ok(header), Some(rail_idx)) = (decode_rndv(&pkt), rail_idx) {
+                if let Ok(header) = decode_rndv(&pkt) {
                     self.queues[rail_idx].push_back(PreparedPacket {
                         dst: pkt.src,
                         vchan: self.rails[rail_idx].classmap.control(),
@@ -652,6 +658,47 @@ mod tests {
         let got = hb.take_delivered();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].contiguous(), big);
+    }
+
+    #[test]
+    fn a_packet_from_a_node_that_is_no_peer_is_a_protocol_error() {
+        let (mut sim, _, hb, a, b) = cluster();
+        let f = hb.open_flow(a, TrafficClass::DEFAULT);
+        let nb = hb.core.borrow().rails[0].driver.nic();
+        let chunk = WireChunk {
+            header: make_header(
+                f,
+                0,
+                0,
+                1,
+                false,
+                TrafficClass::DEFAULT,
+                4,
+                0,
+                4,
+                SimTime::ZERO,
+            ),
+            data: Bytes::from_static(b"abcd"),
+        };
+        for (i, src) in [NodeId(5), NodeId(u32::MAX)].into_iter().enumerate() {
+            let pkt = WirePacket {
+                src,
+                dst: b,
+                src_nic: NicId(7),
+                dst_nic: nb,
+                vchan: 0,
+                kind: KIND_DATA,
+                cookie: 0,
+                seq: 0,
+                ecn: false,
+                payload: encode_packet(std::slice::from_ref(&chunk), false),
+            };
+            let delivered = sim.inject(b, |ctx| hb.core.borrow_mut().handle_packet(ctx, nb, pkt));
+            assert!(delivered.is_empty());
+            assert_eq!(hb.metrics().proto_errors, i as u64 + 1);
+        }
+        sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+        assert_eq!((hb.delivered_count(), hb.queued_bytes()), (0, 0));
     }
 
     #[test]

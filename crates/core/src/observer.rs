@@ -25,7 +25,7 @@ use crate::receiver::Receiver;
 use crate::reliability::Reliability;
 use crate::scope::{self, RailTick, Sampler, TickStats};
 use crate::trace::{EngineEvent, EventSink, FlightDump};
-use crate::transfer::Transfer;
+use crate::transfer::{Rail, Transfer};
 
 /// The layers an [`Observer`] reads when it reports on the engine —
 /// borrowed, read-only, and never the observer itself.
@@ -34,6 +34,7 @@ pub(crate) struct EngineView<'a> {
     pub(crate) collect: &'a CollectLayer,
     pub(crate) receiver: &'a Receiver,
     pub(crate) opt: &'a Optimizer,
+    pub(crate) rails: &'a [Rail],
     pub(crate) transfer: &'a Transfer,
     pub(crate) rel: &'a Reliability,
 }
@@ -61,15 +62,6 @@ impl EngineView<'_> {
         }
     }
 
-    /// Each rail's health score in thousandths and whether it is dead, in
-    /// rail order — the sampler's and the `state` section's one reading.
-    pub(crate) fn rail_health(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
-        self.rel
-            .rails()
-            .iter()
-            .map(|h| (milli(h.score()), h.is_dead()))
-    }
-
     /// The registry's `state` section: the live gauges, the engine's
     /// settings, the flight recorder's status (`recorder`), the first
     /// [`STATE_FLOWS`] active flows and every rail's health — what a stuck
@@ -86,17 +78,17 @@ impl EngineView<'_> {
                 .field("queued", fs.queued())
                 .build()
         });
-        let rails = rel.rails().iter().zip(self.rail_health()).enumerate();
-        let rails = rails.map(|(r, (h, (health_milli, dead)))| {
+        let rails = self.rails.iter().map(|rail| {
+            let h = &rail.health;
             obj()
-                .field("health_milli", health_milli)
+                .field("health_milli", milli(h.score()))
                 .field("degraded", h.is_degraded())
-                .field("dead", dead)
+                .field("dead", h.is_dead())
                 .field("acks", h.acks())
                 .field("timeouts", h.timeouts())
                 .field("congestion_milli", milli(h.congestion()))
                 .field("ecn_marks", h.ecn_marks())
-                .field("rto_margin_ns", rel.rto_margin(r).as_nanos())
+                .field("rto_margin_ns", rail.clock.margin.value().as_nanos())
                 .build()
         });
         let admission = if self.config.admission.enabled() {
@@ -309,15 +301,12 @@ impl Observer {
             strategy_wins: m.strategy_wins.values().sum(),
             ..view.gauges()
         };
-        let rails: Vec<RailTick> = view
-            .rail_health()
-            .zip(view.transfer.rails())
-            .map(|((health_milli, dead), rail)| RailTick {
-                busy: !rail.driver.is_idle(ctx),
-                health_milli,
-                dead,
-            })
-            .collect();
+        let tick = |rail: &Rail| RailTick {
+            busy: !rail.driver.is_idle(ctx),
+            health_milli: milli(rail.health.score()),
+            dead: rail.health.is_dead(),
+        };
+        let rails: Vec<RailTick> = view.rails.iter().map(tick).collect();
         let timer_armed =
             view.rel.timer_armed() || view.opt.timer_armed() || view.transfer.hold_armed();
         let idle = view.drained() || s.stalled(&stats, &rails, timer_armed);
@@ -431,8 +420,9 @@ mod tests {
             collect: &CollectLayer::new(),
             receiver: &Receiver::new(),
             opt: &Optimizer::new(StrategyRegistry::empty(), policy),
-            transfer: &Transfer::new(Vec::new(), SimDuration::ZERO),
-            rel: &Reliability::new([], &config),
+            rails: &[],
+            transfer: &Transfer::default(),
+            rel: &Reliability::new(&config),
         };
         assert!(view.drained());
         f(&view)

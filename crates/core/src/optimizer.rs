@@ -33,10 +33,9 @@ use crate::ids::{FlowId, TrafficClass};
 use crate::plan::{Body, PlanRef, PlannedChunk, WindowGroups};
 use crate::policy::{PolicyKind, RailPolicy};
 use crate::proto::lone_packet_bytes;
-use crate::reliability::Reliability;
 use crate::strategy::{OptContext, Proposals, StrategyRegistry};
 use crate::trace::{encode_score, EngineEvent, EventSink};
-use crate::transfer::Rail;
+use crate::transfer::{live_rails, Rail};
 
 /// Backlog payload size (bytes) above which the Nagle delay is skipped
 /// and the optimizer runs immediately.
@@ -483,15 +482,11 @@ impl Optimizer {
         flow: FlowId,
         class: TrafficClass,
         rails: &[Rail],
-        rel: &Reliability,
     ) -> u64 {
         if let Some(t) = cfg.rndv_threshold {
             return t;
         }
-        let usable = || {
-            rel.live_rails()
-                .filter(|&r| self.policy.eligible(flow, class, r))
-        };
+        let usable = || live_rails(rails).filter(|&r| self.policy.eligible(flow, class, r));
         let hint = usable()
             .map(|r| rails[r].driver.capabilities().rndv_threshold_hint)
             .min()
@@ -506,7 +501,7 @@ impl Optimizer {
         // eager window (congestion penalty is 1.0 when the EWMA is zero,
         // leaving loss-only scenarios untouched).
         let cong = usable()
-            .map(|r| rel.rails()[r].congestion_penalty())
+            .map(|r| rails[r].health.congestion_penalty())
             .fold(f64::INFINITY, f64::min);
         if cong.is_finite() && cong > 1.0 {
             ((hint as f64 / cong) as u64).max(1)

@@ -34,9 +34,13 @@
 //!   grant is asked again (the receiver's grant and the sender's handling
 //!   of it are idempotent), so the handshake cannot strand a message;
 //! * idle rails pull the shared backlog fastest-first
-//!   (`Reliability::pull_order`), and a slower one stands aside for a
+//!   (`pull_order`), and a slower one stands aside for a
 //!   busy rail that would deliver the backlog sooner
 //!   (`EngineCore::stands_aside`).
+//!
+//! A rail's health and timeout clock live in its one record
+//! (`transfer::Rail`), beside the driver whose cost model prices its
+//! flights; the engine passes its rails to the calls that use them.
 //!
 //! Everything here is driven by the simulation clock and the engine's
 //! deterministic event order: identical seeds yield identical recovery
@@ -46,10 +50,10 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
-use nicdrv::{CostModel, DriverCapabilities};
+use nicdrv::{CostModel, Driver, DriverCapabilities};
 use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId};
 
 use crate::api::RETX_TAG;
@@ -64,6 +68,7 @@ use crate::proto::{
     MAX_CHUNK_HEADER_BYTES, PACKET_PREFIX_BYTES,
 };
 use crate::trace::EngineEvent;
+use crate::transfer::{live_rails, Rail};
 
 /// How the engine treats packet loss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -462,7 +467,7 @@ impl Attempt {
 /// the model's business, so the margin holds only what the model cannot
 /// know: queueing behind other traffic, fabric contention, wire jitter.
 #[derive(Clone, Copy, Debug)]
-struct RtoMargin {
+pub(crate) struct RtoMargin {
     /// Slow mean of the residual (ns).
     mean: f64,
     /// Slow mean of the residual's distance from `mean` (ns).
@@ -508,23 +513,24 @@ impl RtoMargin {
         self.dev += Self::GAIN * (err.abs() - self.dev);
     }
 
-    fn value(&self) -> SimDuration {
+    pub(crate) fn value(&self) -> SimDuration {
         let ns = self.mean + Self::DEVIATIONS * self.dev;
         SimDuration::from_nanos(ns.max(0.0) as u64)
     }
 }
 
-/// What madrel knows of one rail beside its health: the driver's
-/// capabilities and cost model, by which it models a packet's unloaded
-/// round trip, and what the acks have shown on top of that model.
+/// madrel's clock of one rail, kept in its [`Rail`]: the unloaded one way
+/// of a control packet by its size, priced once from the rail's driver,
+/// by whose cost model it prices a data packet's round trip, and what the
+/// acks have shown on top of that model.
 #[derive(Clone, Debug)]
-struct RailClock {
-    caps: DriverCapabilities,
-    cost: CostModel,
+pub(crate) struct RailClock {
     /// Unloaded one way of a control packet — an ack, a rendezvous request,
     /// a grant: one header and no payload — by its size on the wire.
     control_one_way: Vec<SimDuration>,
-    margin: RtoMargin,
+    /// The margin the rail's timeouts add to a packet's modelled round
+    /// trip.
+    pub(crate) margin: RtoMargin,
     /// When an ack last came back on this rail.
     last_ack: Option<SimTime>,
     /// The peer this rail launched to last and when, by the model, that
@@ -533,14 +539,14 @@ struct RailClock {
 }
 
 impl RailClock {
-    fn new(caps: DriverCapabilities, cost: CostModel, initial_margin: SimDuration) -> Self {
+    /// The clock of a rail whose driver has `caps` and `cost`, its margin
+    /// at `initial` until acks are heard.
+    pub(crate) fn new(caps: &DriverCapabilities, cost: &CostModel, initial: SimDuration) -> Self {
         let sizes = 0..=PACKET_PREFIX_BYTES + MAX_CHUNK_HEADER_BYTES;
-        let control_one_way = sizes.map(|bytes| one_way(&caps, &cost, bytes)).collect();
+        let control_one_way = sizes.map(|bytes| one_way(caps, cost, bytes)).collect();
         RailClock {
-            caps,
-            cost,
             control_one_way,
-            margin: RtoMargin::new(initial_margin),
+            margin: RtoMargin::new(initial),
             last_ack: None,
             rx_free: (NodeId(0), SimTime::ZERO),
         }
@@ -563,23 +569,9 @@ impl RailClock {
         self.control_one_way[ack_packet_bytes([&ack]) as usize]
     }
 
-    /// Unloaded time from the instant data packet `cookie`, `bytes` long on
-    /// the wire, has left the NIC to the arrival of its ack: propagation,
-    /// receive, and the ack's way back. (Its injection is not modelled but
-    /// awaited: the clock starts at `tx_done`.)
-    fn data_flight(&self, bytes: u64, cookie: u64) -> SimDuration {
-        self.received(bytes) + self.ack_one_way(cookie)
-    }
-
-    /// Unloaded time from the instant a data packet `bytes` long on the
-    /// wire has left the NIC to its reception: propagation and receive.
-    fn received(&self, bytes: u64) -> SimDuration {
-        self.cost.wire_latency + self.cost.rx_time(bytes)
-    }
-
-    /// Data packet `cookie`, `bytes` long on the wire, leaves the NIC for
-    /// `dst` at `now`: how
-    /// long until its ack is due — its flight, and before that its wait at
+    /// A data packet `bytes` long on the wire leaves the NIC for `dst` at
+    /// `now`, over a rail of cost model `cost`: how long until the peer
+    /// has received it — its flight, and before that its wait at
     /// the peer's receive engine. That engine takes packets one at a time,
     /// so a short packet launched behind a long one of ours waits for it
     /// there (a 144 B tail behind a 64 KiB TCP segment: 72 us) — a wait the
@@ -591,16 +583,16 @@ impl RailClock {
     /// than carry one peer's backlog over to the next, which under a
     /// fan-out of packets that take longer to receive than to inject
     /// would grow every deadline without bound.
-    fn launch(&mut self, bytes: u64, cookie: u64, dst: NodeId, now: SimTime) -> SimDuration {
-        let arrives = now + self.cost.wire_latency;
+    fn launch(&mut self, cost: &CostModel, bytes: u64, dst: NodeId, now: SimTime) -> SimDuration {
+        let arrives = now + cost.wire_latency;
         let wait = match self.rx_free {
             (last, free) if last == dst => free.since(arrives),
             _ => SimDuration::ZERO,
         };
-        let received = self.received(bytes);
+        let received = received(cost, bytes);
         // The packet is received when its ack sets out.
         self.rx_free = (dst, now + (wait + received));
-        wait + received + self.ack_one_way(cookie)
+        wait + received
     }
 
     /// When the `attempts`-th transmission of something times out whose
@@ -609,6 +601,21 @@ impl RailClock {
     fn deadline(&self, model: SimDuration, attempts: u32, now: SimTime) -> SimTime {
         now + RetransmitTracker::backoff(model + self.margin.value(), attempts)
     }
+}
+
+/// Unloaded time from the instant a data packet `bytes` long on the wire
+/// has left the NIC to its reception, on a rail of cost model `cost`:
+/// propagation and receive.
+fn received(cost: &CostModel, bytes: u64) -> SimDuration {
+    cost.wire_latency + cost.rx_time(bytes)
+}
+
+/// Unloaded time from the instant data packet `cookie`, `bytes` long on
+/// the wire, has left `rail`'s NIC to the arrival of its ack: propagation,
+/// receive, and the ack's way back. (Its injection is not modelled but
+/// awaited: the clock starts at `tx_done`.)
+fn data_flight(rail: &Rail, bytes: u64, cookie: u64) -> SimDuration {
+    received(rail.driver.cost_model(), bytes) + rail.clock.ack_one_way(cookie)
 }
 
 /// The fragment a rendezvous request asks for: flow, message sequence,
@@ -686,23 +693,22 @@ pub(crate) fn ack_hold(cfg: &EngineConfig) -> SimDuration {
 }
 
 /// The reliability layer's state: the data packets between submission and
-/// completion with the single retransmit timer, per-rail health and
-/// clock, and the `EngineConfig` values that drive them.
+/// completion with the single retransmit timer, and the `EngineConfig`
+/// values that drive them. Each rail's health and clock are the rail's
+/// own ([`Rail`]), read and updated through the rails the engine passes.
 // madlint: send-sync — sharded across madpar workers with the engine core
 pub(crate) struct Reliability {
     acks: bool,
-    /// The hold a packet that does not ask for its ack at once grants.
+    /// The hold a packet that does not ask for its ack at once grants
+    /// ([`ack_hold`]).
     hold: SimDuration,
-    /// The (rail, peer) pairs data packets have arrived on: only a peer
-    /// that sends data back can carry an ack on it.
-    heard: BTreeSet<(usize, NodeId)>,
     retry_budget: u32,
     congestion_aware: bool,
     retx: RetransmitTracker,
     /// Timed-out packets whose retransmission found the NIC queue full,
-    /// each as it was when it timed out and with the attempt it is owed,
-    /// by the rail that attempt is to leave on and cookie.
-    parked: BTreeMap<(usize, u64), (PendingTx, u64, Attempt)>,
+    /// each as it was when it timed out and with the attempt it is owed
+    /// (whose rail it waits for), by cookie.
+    parked: BTreeMap<u64, (PendingTx, u64, Attempt)>,
     /// Timed-out cookies whose heirs have not all settled.
     superseded: BTreeMap<u64, Superseded>,
     /// Heir cookie → the superseded cookie it carries chunks of.
@@ -711,8 +717,6 @@ pub(crate) struct Reliability {
     requests: BTreeMap<RequestKey, PendingRequest>,
     /// The retransmit timer.
     timer: LazyTimer,
-    health: Vec<RailHealth>,
-    clocks: Vec<RailClock>,
 }
 
 /// A timer that moves only to fire sooner: one armed at or before the
@@ -757,21 +761,66 @@ impl LazyTimer {
     }
 }
 
+/// All rails in the order they pull the shared backlog: ascending
+/// `cost_penalty ×` modelled one-way time of a packet of
+/// `mean_msg_bytes` (the backlog's mean message size, clamped to what
+/// the rail sends in one packet), so a healthy fast rail is asked
+/// first and an ECN-inflated or lossy one yields in proportion to its
+/// penalty; rail index breaks ties only. The size is the backlog's and
+/// not a fixed small packet's because the in-tree profiles do not
+/// order alike at every size: Myrinet/MX is ahead of InfiniBand at
+/// 64 B (3.3 µs against 3.8 µs one way) and far behind it at 16 KiB
+/// (90 µs against 33 µs). Written into the caller's `order`, which it
+/// keeps between activations. The order only says who asks first: an
+/// idle rail that asks may still stand aside for a busy one that would
+/// deliver the backlog sooner and faster (`EngineCore::stands_aside`,
+/// priced with the same `one_way × cost_penalty`).
+// madlint: scoring
+pub(crate) fn pull_order(rails: &[Rail], order: &mut Vec<usize>, mean_msg_bytes: u64) {
+    order.clear();
+    order.extend(0..rails.len());
+    if order.len() < 2 {
+        return;
+    }
+    let price = |r: usize| {
+        let (caps, cost) = (rails[r].driver.capabilities(), rails[r].driver.cost_model());
+        let bytes = mean_msg_bytes.clamp(1, caps.max_packet_bytes) as u32;
+        // A packet that carries one such message whole.
+        let message = make_header(
+            FlowId(0),
+            0,
+            0,
+            1,
+            false,
+            TrafficClass::DEFAULT,
+            bytes,
+            0,
+            bytes,
+            SimTime::ZERO,
+        );
+        let bytes = lone_packet_bytes(&message);
+        rails[r].health.cost_penalty() * one_way(caps, cost, bytes).as_nanos() as f64
+    };
+    order.sort_unstable_by(|&a, &b| price(a).total_cmp(&price(b)).then(a.cmp(&b)));
+}
+
+/// The healthiest live rail that reaches `dst` (lowest index on ties),
+/// or `None` when every route is dead.
+// madlint: scoring
+fn live_rail_for(rails: &[Rail], dst: NodeId) -> Option<usize> {
+    let routes = live_rails(rails).filter(|&r| rails[r].reaches(dst));
+    routes.max_by(|&a, &b| {
+        let score = |r: usize| rails[r].health.score();
+        score(a).total_cmp(&score(b)).then(b.cmp(&a))
+    })
+}
+
 impl Reliability {
-    /// The layer over `rails` — each rail's capabilities and cost model,
-    /// in rail order.
-    pub(crate) fn new(
-        rails: impl IntoIterator<Item = (DriverCapabilities, CostModel)>,
-        cfg: &EngineConfig,
-    ) -> Self {
-        let clocks: Vec<RailClock> = rails
-            .into_iter()
-            .map(|(caps, cost)| RailClock::new(caps, cost, cfg.retransmit_timeout))
-            .collect();
+    /// The layer under `cfg`.
+    pub(crate) fn new(cfg: &EngineConfig) -> Self {
         Reliability {
             acks: cfg.reliability == ReliabilityMode::Recover,
             hold: ack_hold(cfg),
-            heard: BTreeSet::new(),
             retry_budget: cfg.retry_budget,
             congestion_aware: cfg.congestion_aware,
             retx: RetransmitTracker::new(),
@@ -780,8 +829,6 @@ impl Reliability {
             parent_of: BTreeMap::new(),
             requests: BTreeMap::new(),
             timer: LazyTimer::default(),
-            health: vec![RailHealth::new(); clocks.len()],
-            clocks,
         }
     }
 
@@ -798,77 +845,18 @@ impl Reliability {
     /// the ack back from; and when there is no hold to grant. Any other
     /// packet grants its receiver the hold, and waits that much longer
     /// for its ack ([`Reliability::track`]).
-    pub(crate) fn asks_now(&self, rail: usize, dst: NodeId) -> bool {
-        self.acks
-            && (self.hold.is_zero()
-                || self.health[rail].lossy()
-                || !self.heard.contains(&(rail, dst)))
+    pub(crate) fn asks_now(&self, rail: &Rail, dst: NodeId) -> bool {
+        self.acks && (self.hold.is_zero() || rail.health.lossy() || !rail.heard(dst))
     }
 
-    /// A data packet from `peer` arrived on `rail`: it sends data back
-    /// there, and packets to it may grant their acks the hold.
-    pub(crate) fn heard_from(&mut self, rail: usize, peer: NodeId) {
-        self.heard.insert((rail, peer));
-    }
-
-    /// Health of every rail, in rail order.
-    pub(crate) fn rails(&self) -> &[RailHealth] {
-        &self.health
-    }
-
-    /// The margin `rail`'s timeouts currently add to a packet's modelled
-    /// round trip.
-    pub(crate) fn rto_margin(&self, rail: usize) -> SimDuration {
-        self.clocks[rail].margin.value()
-    }
-
-    /// Rails not declared dead, ascending.
-    pub(crate) fn live_rails(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.health.len()).filter(|&r| !self.health[r].is_dead())
-    }
-
-    /// All rails in the order they pull the shared backlog: ascending
-    /// `cost_penalty ×` modelled one-way time of a packet of
-    /// `mean_msg_bytes` (the backlog's mean message size, clamped to what
-    /// the rail sends in one packet), so a healthy fast rail is asked
-    /// first and an ECN-inflated or lossy one yields in proportion to its
-    /// penalty; rail index breaks ties only. The size is the backlog's and
-    /// not a fixed small packet's because the in-tree profiles do not
-    /// order alike at every size: Myrinet/MX is ahead of InfiniBand at
-    /// 64 B (3.3 µs against 3.8 µs one way) and far behind it at 16 KiB
-    /// (90 µs against 33 µs). Written into the caller's `order`, which it
-    /// keeps between activations. The order only says who asks first: an
-    /// idle rail that asks may still stand aside for a busy one that would
-    /// deliver the backlog sooner and faster (`EngineCore::stands_aside`,
-    /// priced with the same `one_way × cost_penalty`).
-    // madlint: scoring
-    pub(crate) fn pull_order(&self, order: &mut Vec<usize>, mean_msg_bytes: u64) {
-        order.clear();
-        order.extend(0..self.health.len());
-        if order.len() < 2 {
-            return;
+    /// The hold a data packet grants its ack: none when it `asks` for the
+    /// ack at once, or when nothing is acknowledged (`Off`).
+    pub(crate) fn granted(&self, asks: bool) -> SimDuration {
+        if self.acks && !asks {
+            self.hold
+        } else {
+            SimDuration::ZERO
         }
-        let price = |r: usize| {
-            let clock = &self.clocks[r];
-            let bytes = mean_msg_bytes.clamp(1, clock.caps.max_packet_bytes) as u32;
-            // A packet that carries one such message whole.
-            let message = make_header(
-                FlowId(0),
-                0,
-                0,
-                1,
-                false,
-                TrafficClass::DEFAULT,
-                bytes,
-                0,
-                bytes,
-                SimTime::ZERO,
-            );
-            let bytes = lone_packet_bytes(&message);
-            self.health[r].cost_penalty()
-                * one_way(&clock.caps, &clock.cost, bytes).as_nanos() as f64
-        };
-        order.sort_unstable_by(|&a, &b| price(a).total_cmp(&price(b)).then(a.cmp(&b)));
     }
 
     /// madnet congestion gate: a rail whose ECN-driven penalty is far
@@ -878,27 +866,14 @@ impl Reliability {
     /// is relative, so the least-congested live rail is never gated and
     /// the engine can always make progress; with `congestion_aware` off
     /// (or no marks seen) this is always false.
-    pub(crate) fn congestion_gated(&self, rail: usize) -> bool {
-        if !self.congestion_aware || self.health.len() < 2 {
+    pub(crate) fn congestion_gated(&self, rails: &[Rail], rail: usize) -> bool {
+        if !self.congestion_aware || rails.len() < 2 {
             return false;
         }
-        let best = self
-            .live_rails()
-            .map(|r| self.health[r].congestion_penalty())
+        let best = live_rails(rails)
+            .map(|r| rails[r].health.congestion_penalty())
             .fold(f64::INFINITY, f64::min);
-        best.is_finite() && self.health[rail].congestion_penalty() > CONGESTION_GATE_RATIO * best
-    }
-
-    /// The healthiest live rail `reaches` admits (lowest index on ties),
-    /// or `None` when every route is dead.
-    // madlint: scoring
-    fn live_rail_for(&self, reaches: impl Fn(usize) -> bool) -> Option<usize> {
-        self.live_rails().filter(|&r| reaches(r)).max_by(|&a, &b| {
-            self.health[a]
-                .score()
-                .total_cmp(&self.health[b].score())
-                .then(b.cmp(&a))
-        })
+        best.is_finite() && rails[rail].health.congestion_penalty() > CONGESTION_GATE_RATIO * best
     }
 
     /// Data packets between submission and completion: tracked, or
@@ -922,15 +897,8 @@ impl Reliability {
     #[cfg(test)]
     pub(crate) fn watched(&self, cookie: u64) -> Option<(&PendingTx, bool)> {
         let tracked = self.retx.pending.get(&cookie).map(|(tx, ..)| (tx, false));
-        let parked = || Some((&self.parked.get(&self.parked_key(cookie)?)?.0, true));
+        let parked = || self.parked.get(&cookie).map(|(tx, ..)| (tx, true));
         tracked.or_else(parked)
-    }
-
-    /// Where `cookie` is parked, if it is: a packet is parked by the rail
-    /// it is owed to, and an ack names only its cookie.
-    fn parked_key(&self, cookie: u64) -> Option<(usize, u64)> {
-        let mut keys = (0..self.clocks.len()).map(|rail| (rail, cookie));
-        keys.find(|key| self.parked.contains_key(key))
     }
 
     /// Timed-out cookies still remembered for a late ack.
@@ -943,8 +911,8 @@ impl Reliability {
     /// when it leaves the NIC under `Off`, at its ack under `Recover`. Its
     /// timeout starts when it leaves the NIC ([`Reliability::launched`]):
     /// a packet cannot be lost in its own queue, however long the packets
-    /// ahead of it take. Unless it asked for its ack at once
-    /// ([`Reliability::asks_now`], read as it was encoded), it granted its
+    /// ahead of it take. Unless it `asked` for its ack at once
+    /// ([`Reliability::asks_now`], as it was encoded), it granted its
     /// receiver the hold, and its timeout allows for it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn track(
@@ -956,6 +924,7 @@ impl Reliability {
         linearize: bool,
         sent: Attempt,
         now: SimTime,
+        asked: bool,
     ) {
         let tx = PendingTx {
             chunks,
@@ -966,11 +935,7 @@ impl Reliability {
             deadline: SimTime::MAX,
             attempts: sent.attempts,
         };
-        let hold = if !self.acks || self.asks_now(sent.rail, dst) {
-            SimDuration::ZERO
-        } else {
-            self.hold
-        };
+        let hold = self.granted(asked);
         self.retx.track_sized(cookie, tx, wire_bytes, hold);
     }
 
@@ -979,7 +944,7 @@ impl Reliability {
     /// `now`, and times out its own modelled flight on its rail —
     /// propagation, receive, the hold it granted its ack, the ack's way
     /// back — plus the rail's margin later, doubled per attempt.
-    pub(crate) fn launched(&mut self, cookie: u64, now: SimTime) -> Launched {
+    pub(crate) fn launched(&mut self, rails: &mut [Rail], cookie: u64, now: SimTime) -> Launched {
         if !self.acks {
             return self
                 .retx
@@ -989,8 +954,9 @@ impl Reliability {
         let Some((tx, wire_bytes, hold)) = self.retx.pending.get_mut(&cookie) else {
             return Launched::Untracked;
         };
-        let clock = &mut self.clocks[tx.rail];
-        let flight = clock.launch(*wire_bytes, cookie, tx.dst, now);
+        let Rail { driver, clock, .. } = &mut rails[tx.rail];
+        let reception = clock.launch(driver.cost_model(), *wire_bytes, tx.dst, now);
+        let flight = reception + clock.ack_one_way(cookie);
         tx.sent_at = now;
         tx.deadline = clock.deadline(flight + *hold, tx.attempts, now);
         Launched::Watched
@@ -1008,6 +974,7 @@ impl Reliability {
     /// hold: held time is the receiver's choice, not the path's delay.
     pub(crate) fn on_ack(
         &mut self,
+        rails: &mut [Rail],
         ack: &AckHeader,
         now: SimTime,
         node: NodeId,
@@ -1020,7 +987,7 @@ impl Reliability {
         let (cookie, ecn) = (ack.cookie, ack.ecn);
         let live = self.take_live(cookie);
         let (rail, sent_at, model, late) = if let Some((p, wire_bytes, parked)) = live {
-            let model = self.clocks[p.rail].data_flight(wire_bytes, cookie);
+            let model = data_flight(&rails[p.rail], wire_bytes, cookie);
             let (rail, sent_at) = (p.rail, p.sent_at);
             settle(p);
             // Parked: timed out, and answered before it could be re-sent.
@@ -1034,16 +1001,16 @@ impl Reliability {
         self.leave(cookie);
         let rtt = now.since(sent_at);
         let path = rtt.saturating_sub(SimDuration::from_nanos(ack.held_ns));
-        let clock = &mut self.clocks[rail];
+        let Rail { clock, health, .. } = &mut rails[rail];
         clock.margin.observe(path, model);
         clock.last_ack = Some(now);
         if late {
-            self.health[rail].forgive_timeout();
+            health.forgive_timeout();
         }
-        self.health[rail].on_ack();
+        health.on_ack();
         // madnet: the echoed congestion bit moves the rail's EWMA only in
         // congestion-aware mode; blind mode still counts marks.
-        self.health[rail].on_congestion(ecn, self.congestion_aware);
+        health.on_congestion(ecn, self.congestion_aware);
         let rail = rail as u16;
         if ecn {
             let mark = EngineEvent::CongestionMark {
@@ -1080,7 +1047,7 @@ impl Reliability {
             .settled(cookie)
             .map(|(tx, bytes)| (tx, bytes, false));
         tracked.or_else(|| {
-            let (tx, bytes, _) = self.parked.remove(&self.parked_key(cookie)?)?;
+            let (tx, bytes, _) = self.parked.remove(&cookie)?;
             Some((tx, bytes, true))
         })
     }
@@ -1127,13 +1094,12 @@ impl Reliability {
     /// the timeout into its rail's health (declaring the rail dead, once,
     /// when the retry budget is spent on a silent rail) and return the
     /// packet with the action the engine must execute. Touches no driver
-    /// and no timer; `reaches(rail, dst)` is the transfer layer's routing
-    /// predicate.
+    /// and no timer.
     pub(crate) fn expire(
         &mut self,
+        rails: &mut [Rail],
         cookie: u64,
         now: SimTime,
-        reaches: impl Fn(usize, NodeId) -> bool,
         obs: &mut Observer,
     ) -> Option<(PendingTx, u64, Expiry)> {
         let (p, wire_bytes) = self.retx.settled(cookie)?;
@@ -1141,7 +1107,7 @@ impl Reliability {
             rail: p.rail,
             attempts: p.attempts,
         };
-        let action = self.timed_out(sent, p.sent_at, p.dst, now, reaches, obs);
+        let action = self.timed_out(rails, sent, p.sent_at, p.dst, now, obs);
         if action == Expiry::Lost {
             self.leave(cookie);
         }
@@ -1158,18 +1124,19 @@ impl Reliability {
     /// (Counted from the packet's *first* transmission, one ack just after
     /// it would vouch for a dead rail for ever.)
     fn timed_out(
-        &mut self,
+        &self,
+        rails: &mut [Rail],
         sent: Attempt,
         since: SimTime,
         dst: NodeId,
         now: SimTime,
-        reaches: impl Fn(usize, NodeId) -> bool,
         obs: &mut Observer,
     ) -> Expiry {
         let Attempt { rail, attempts } = sent;
         obs.metrics_mut().timeouts += 1;
-        if self.health[rail].on_timeout() {
-            let score_milli = (self.health[rail].score() * 1000.0) as u32;
+        let Rail { health, clock, .. } = &mut rails[rail];
+        if health.on_timeout() {
+            let score_milli = (health.score() * 1000.0) as u32;
             let rail = rail as u16;
             obs.emit(now, EngineEvent::RailDegraded { rail, score_milli });
         }
@@ -1180,14 +1147,14 @@ impl Reliability {
         if attempts < self.retry_budget {
             return Expiry::Resend(again);
         }
-        if !self.health[rail].is_dead() {
-            if self.clocks[rail].last_ack.is_some_and(|at| at > since) {
+        if !health.is_dead() {
+            if clock.last_ack.is_some_and(|at| at > since) {
                 return Expiry::Resend(again);
             }
-            self.health[rail].declare_dead();
+            health.declare_dead();
             obs.emit(now, EngineEvent::RailDead { rail: rail as u16 });
         }
-        match self.live_rail_for(|r| reaches(r, dst)) {
+        match live_rail_for(rails, dst) {
             Some(live) => Expiry::Reroute(Attempt::first(live)),
             None => Expiry::Lost,
         }
@@ -1198,6 +1165,7 @@ impl Reliability {
     /// that a late ack for it can settle them.
     pub(crate) fn supersede(
         &mut self,
+        rails: &[Rail],
         old_cookie: u64,
         old: &PendingTx,
         wire_bytes: u64,
@@ -1209,7 +1177,7 @@ impl Reliability {
         let superseded = Superseded {
             rail: old.rail,
             sent_at: old.sent_at,
-            model: self.clocks[old.rail].data_flight(wire_bytes, old_cookie),
+            model: data_flight(&rails[old.rail], wire_bytes, old_cookie),
             heirs,
         };
         self.superseded.insert(old_cookie, superseded);
@@ -1220,16 +1188,20 @@ impl Reliability {
     /// are those of the transmission that is out, nothing new has left —
     /// until [`Reliability::take_parked`] offers it again.
     pub(crate) fn park(&mut self, cookie: u64, tx: PendingTx, wire_bytes: u64, next: Attempt) {
-        self.parked
-            .insert((next.rail, cookie), (tx, wire_bytes, next));
+        self.parked.insert(cookie, (tx, wire_bytes, next));
     }
 
     /// `rail`'s NIC queue has room: the parked packet with the lowest
     /// cookie that waits for it, to be offered again.
+    // madlint: allow(linear-scan) — the packets parked while a queue is full
     pub(crate) fn take_parked(&mut self, rail: usize) -> Option<(u64, PendingTx, u64, Attempt)> {
-        let (&key, _) = self.parked.range((rail, 0)..=(rail, u64::MAX)).next()?;
-        let (tx, wire_bytes, next) = self.parked.remove(&key)?;
-        Some((key.1, tx, wire_bytes, next))
+        let mut waiting = self
+            .parked
+            .iter()
+            .filter(|(_, (.., next))| next.rail == rail);
+        let (&cookie, _) = waiting.next()?;
+        let (tx, wire_bytes, next) = self.parked.remove(&cookie)?;
+        Some((cookie, tx, wire_bytes, next))
     }
 
     /// Track a rendezvous request under `header` toward `dst`, sent as
@@ -1238,13 +1210,14 @@ impl Reliability {
     /// doubled per attempt.
     pub(crate) fn track_request(
         &mut self,
+        rails: &[Rail],
         key: RequestKey,
         header: ChunkHeader,
         dst: NodeId,
         sent: Attempt,
         now: SimTime,
     ) {
-        let clock = &self.clocks[sent.rail];
+        let clock = &rails[sent.rail].clock;
         let asked = PendingRequest {
             dst,
             header,
@@ -1273,15 +1246,15 @@ impl Reliability {
     /// from `now`; the caller only sends it.
     pub(crate) fn expire_request(
         &mut self,
+        rails: &mut [Rail],
         key: RequestKey,
         now: SimTime,
-        reaches: impl Fn(usize, NodeId) -> bool,
         obs: &mut Observer,
     ) -> Option<(NodeId, Expiry)> {
         let asked = self.requests.remove(&key)?;
-        let action = self.timed_out(asked.sent, asked.asked_at, asked.dst, now, reaches, obs);
+        let action = self.timed_out(rails, asked.sent, asked.asked_at, asked.dst, now, obs);
         if let Expiry::Resend(again) | Expiry::Reroute(again) = action {
-            self.track_request(key, asked.header, asked.dst, again, now);
+            self.track_request(rails, key, asked.header, asked.dst, again, now);
         }
         Some((asked.dst, action))
     }
@@ -1320,11 +1293,8 @@ impl Reliability {
             .pending
             .iter()
             .map(|(&cookie, (tx, ..))| (cookie, tx));
-        let parked = self
-            .parked
-            .iter()
-            .map(|(&(_, cookie), (tx, ..))| (cookie, tx));
-        for &(_, cookie) in self.parked.keys() {
+        let parked = self.parked.iter().map(|(&cookie, (tx, ..))| (cookie, tx));
+        for &cookie in self.parked.keys() {
             let tracked = self.retx.pending.contains_key(&cookie);
             assert!(!tracked, "cookie {cookie}: both tracked and parked");
         }
@@ -1349,8 +1319,9 @@ mod tests {
     use super::*;
     use crate::cost::cheaper_mode;
     use crate::ids::FlowId;
+    use crate::transfer::build_rails;
     use nicdrv::calib;
-    use simnet::{Simulation, Technology};
+    use simnet::{NicId, Simulation, Technology};
 
     fn chunk(len: u32) -> PlannedChunk {
         PlannedChunk {
@@ -1418,24 +1389,29 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
+    /// One rail per technology under `cfg`, each reaching nodes 1 to 9.
+    fn rails_of(techs: &[Technology], cfg: &EngineConfig) -> Vec<Rail> {
+        let nic = |node: u32, rail: usize| NicId(16 * node + rail as u32);
+        let drivers = techs.iter().enumerate();
+        let drivers = drivers.map(|(i, &t)| (calib::driver(t, nic(0, i)), calib::params(t).mtu));
+        let peers = (1..10).map(|n| (NodeId(n), (0..techs.len()).map(|i| nic(n, i)).collect()));
+        build_rails(drivers.collect(), peers.collect(), cfg).expect("valid rails")
+    }
+
     /// The layer over one rail per technology, `Recover`, the given budget,
     /// on a node that node 1 — where the tests send — sends data to on
     /// every rail.
-    fn layer(techs: &[Technology], retry_budget: u32) -> (Reliability, Observer) {
+    fn layer(techs: &[Technology], retry_budget: u32) -> (Reliability, Vec<Rail>, Observer) {
         let cfg = EngineConfig {
             reliability: ReliabilityMode::Recover,
             retry_budget,
             ..EngineConfig::default()
         };
-        let rails = techs.iter().map(|&t| {
-            let cost = CostModel::from_params(&calib::params(t));
-            (calib::capabilities(t), cost)
-        });
-        let mut r = Reliability::new(rails, &cfg);
-        for rail in 0..techs.len() {
-            r.heard_from(rail, NodeId(1));
+        let mut rails = rails_of(techs, &cfg);
+        for rail in &mut rails {
+            rail.hear(NodeId(1));
         }
-        (r, Observer::new(NodeId(0)))
+        (Reliability::new(&cfg), rails, Observer::new(NodeId(0)))
     }
 
     const MX: Technology = Technology::MyrinetMx;
@@ -1448,14 +1424,22 @@ mod tests {
     /// A packet of one `len`-byte chunk toward node 1 enters the NIC and
     /// leaves it at once, at `at`. The chunk's message sequence is the
     /// cookie, so that a settled record names its packet.
-    fn send(r: &mut Reliability, cookie: u64, len: u32, sent: Attempt, at: SimTime) {
+    fn send(
+        r: &mut Reliability,
+        rails: &mut [Rail],
+        cookie: u64,
+        len: u32,
+        sent: Attempt,
+        at: SimTime,
+    ) {
         let chunks = vec![PlannedChunk {
             seq: cookie as u32,
             ..chunk(len)
         }];
         let bytes = wire(&chunks);
-        r.track(cookie, chunks, bytes, NodeId(1), false, sent, at);
-        assert!(matches!(r.launched(cookie, at), Launched::Watched));
+        let asks = r.asks_now(&rails[sent.rail], NodeId(1));
+        r.track(cookie, chunks, bytes, NodeId(1), false, sent, at, asks);
+        assert!(matches!(r.launched(rails, cookie, at), Launched::Watched));
     }
 
     /// The cookie [`send`] sent a settled record under.
@@ -1474,29 +1458,31 @@ mod tests {
         // Two packets on rail 0 time out in one sweep, on their
         // `attempts`-th transmission of a budget of 3, and the rail has
         // been silent throughout:
-        // (rails, attempts, rail 1 reaches dst) → decision, rail 0 dies
+        // (rails, attempts, rail 1 lives) → decision, rail 0 dies
         let cases = [
             (2, 1, true, Expiry::Resend(sent(0, 2)), false),
             (2, 3, true, Expiry::Reroute(sent(1, 1)), true),
             (2, 3, false, Expiry::Lost, true),
             (1, 3, true, Expiry::Lost, true),
         ];
-        for (rails, attempts, alt, want, dies) in cases {
-            let (mut r, mut obs) = layer(&[MX, MX][..rails], 3);
+        for (count, attempts, alt, want, dies) in cases {
+            let (mut r, mut rails, mut obs) = layer(&[MX, MX][..count], 3);
             for cookie in [7, 8] {
                 let first = sent(0, attempts);
-                send(&mut r, cookie, 10, first, SimTime::ZERO);
+                send(&mut r, &mut rails, cookie, 10, first, SimTime::ZERO);
+            }
+            if !alt {
+                rails[1].health.declare_dead();
             }
             assert_eq!(r.begin_sweep(FAR), vec![7, 8]);
-            let reaches = |rail: usize, _| rail == 0 || alt;
-            let (p, _, action) = r.expire(7, FAR, reaches, &mut obs).expect("tracked");
+            let (p, _, action) = r.expire(&mut rails, 7, FAR, &mut obs).expect("tracked");
             assert_eq!((p.attempts, action), (attempts, want));
             assert!(
-                r.expire(7, FAR, reaches, &mut obs).is_none(),
+                r.expire(&mut rails, 7, FAR, &mut obs).is_none(),
                 "expires once"
             );
-            r.expire(8, FAR, reaches, &mut obs);
-            assert_eq!(r.rails()[0].is_dead(), dies, "{want:?}");
+            r.expire(&mut rails, 8, FAR, &mut obs);
+            assert_eq!(rails[0].health.is_dead(), dies, "{want:?}");
             let m = obs.metrics();
             assert_eq!((m.timeouts, m.rails_dead), (2, dies as u64), "killed once");
             assert_eq!(
@@ -1509,78 +1495,95 @@ mod tests {
 
     #[test]
     fn a_timeout_is_the_packets_own_flight_plus_the_rails_margin() {
-        let (mut r, mut obs) = layer(&[MX, ELAN], 6);
+        let (mut r, mut rails, mut obs) = layer(&[MX, ELAN], 6);
         let initial = EngineConfig::default().retransmit_timeout;
         let (t0, t1) = (SimTime::from_nanos(1_000), SimTime::from_nanos(900_000));
         // In its own NIC's queue a packet has no deadline, however long
         // it waits there; the clock starts when it leaves.
+        let (dst, first) = (NodeId(1), Attempt::first(0));
+        let asks = r.asks_now(&rails[0], dst);
         r.track(
             1,
             vec![chunk(64)],
             wire(&[chunk(64)]),
-            NodeId(1),
+            dst,
             false,
-            Attempt::first(0),
+            first,
             t0,
+            asks,
         );
         assert_eq!(r.retx.next_deadline(), Some(SimTime::MAX));
         assert!(r.begin_sweep(t1).is_empty());
-        assert!(matches!(r.launched(1, t1), Launched::Watched));
-        assert!(matches!(r.launched(2, t1), Launched::Untracked));
+        assert!(matches!(r.launched(&mut rails, 1, t1), Launched::Watched));
+        assert!(matches!(r.launched(&mut rails, 2, t1), Launched::Untracked));
         // A packet on a clean rail grants its ack the hold, and waits it
         // out too.
-        let flight = |r: &Reliability, rail: usize, len| {
-            r.clocks[rail].data_flight(wire(&[chunk(len)]), 1) + HOLD
+        let flight = |rails: &[Rail], rail: usize, len| {
+            data_flight(&rails[rail], wire(&[chunk(len)]), 1) + HOLD
         };
         assert_eq!(
             r.retx.next_deadline(),
-            Some(t1 + flight(&r, 0, 64) + initial)
+            Some(t1 + flight(&rails, 0, 64) + initial)
         );
         // Each packet below leaves long after the one before is through.
         let mut at = t1;
         let mut cookie = 1;
-        let mut patience = |r: &mut Reliability, rail: usize, len: u32, attempts: u32| {
-            cookie += 1;
-            at = at + SimDuration::from_millis(1);
-            send(r, cookie, len, Attempt { rail, attempts }, at);
-            r.retx.acked(cookie).expect("tracked").deadline.since(at)
-        };
+        let mut patience =
+            |r: &mut Reliability, rails: &mut [Rail], rail: usize, len: u32, attempts: u32| {
+                cookie += 1;
+                at += SimDuration::from_millis(1);
+                send(r, rails, cookie, len, Attempt { rail, attempts }, at);
+                r.retx.acked(cookie).expect("tracked").deadline.since(at)
+            };
         for (rail, len) in [(0, 64), (0, 16 << 10), (1, 64), (1, 16 << 10)] {
-            let model = flight(&r, rail, len);
-            assert_eq!(patience(&mut r, rail, len, 1), model + initial);
-            assert_eq!(patience(&mut r, rail, len, 3), (model + initial) * 4);
+            let model = flight(&rails, rail, len);
+            assert_eq!(patience(&mut r, &mut rails, rail, len, 1), model + initial);
+            let third = patience(&mut r, &mut rails, rail, len, 3);
+            assert_eq!(third, (model + initial) * 4);
         }
         // A short packet right behind a long one waits for it at the
         // peer's receive engine, and its timeout knows.
         let behind = SimTime::from_nanos(20_000_000);
-        send(&mut r, 500, 16 << 10, Attempt::first(0), behind);
-        send(&mut r, 501, 64, Attempt::first(0), behind);
+        send(&mut r, &mut rails, 500, 16 << 10, Attempt::first(0), behind);
+        send(&mut r, &mut rails, 501, 64, Attempt::first(0), behind);
         let (long, short) = (r.retx.acked(500).unwrap(), r.retx.acked(501).unwrap());
         let short_packet = PlannedChunk {
             seq: 501,
             ..chunk(64)
         };
-        let rx_short = r.clocks[0].cost.rx_time(wire(&[short_packet]));
+        let mx = &rails[0].driver;
+        let rx_short = mx.cost_model().rx_time(wire(&[short_packet]));
         assert_eq!(short.deadline, long.deadline + rx_short);
         // The fixed 50 us was over ten flights of a small packet on Elan, and
         // a 16 KiB packet on MX has not finished its round trip by then.
-        let mx = &r.clocks[0];
-        let small = r.clocks[1].data_flight(wire(&[chunk(64)]), 1);
-        let large = one_way(&mx.caps, &mx.cost, 16 << 10);
+        let small = data_flight(&rails[1], wire(&[chunk(64)]), 1);
+        let large = one_way(mx.capabilities(), mx.cost_model(), 16 << 10);
         assert!(small * 10 < initial && initial < large + small);
         // Acks that come back when the model says leave the margin
         // nothing to hold: the initial value gives way.
         for i in 0..2_000u64 {
             let sent = behind + SimDuration::from_micros(100 * (i + 1));
-            send(&mut r, 1_000 + i, 64, Attempt::first(1), sent);
-            assert!(r.on_ack(&plain(1_000 + i), sent + small, NodeId(0), &mut obs, |_| ()));
+            send(&mut r, &mut rails, 1_000 + i, 64, Attempt::first(1), sent);
+            let back = sent + small;
+            assert!(r.on_ack(
+                &mut rails,
+                &plain(1_000 + i),
+                back,
+                NodeId(0),
+                &mut obs,
+                |_| ()
+            ));
         }
         assert!(
-            r.rto_margin(1) < SimDuration::from_micros(1),
+            rails[1].clock.margin.value() < SimDuration::from_micros(1),
             "{:?}",
-            r.rto_margin(1)
+            rails[1].clock.margin.value()
         );
-        assert_eq!(r.rto_margin(0), initial, "rail 0 has heard nothing");
+        assert_eq!(
+            rails[0].clock.margin.value(),
+            initial,
+            "rail 0 has heard nothing"
+        );
         assert_eq!(obs.metrics().spurious_timeouts, 0);
     }
 
@@ -1589,58 +1592,66 @@ mod tests {
         // Two rails hear the same round trips, one of them through acks
         // held for 40 us: the held time is no path delay, and both
         // margins move alike.
-        let (mut held, mut obs) = layer(&[MX], 6);
-        let (mut prompt, _) = layer(&[MX], 6);
-        let flight = held.clocks[0].data_flight(wire(&[chunk(64)]), 1);
+        let (mut held, mut held_rails, mut obs) = layer(&[MX], 6);
+        let (mut prompt, mut prompt_rails, _) = layer(&[MX], 6);
+        let flight = data_flight(&held_rails[0], wire(&[chunk(64)]), 1);
         let hold = SimDuration::from_micros(40);
         for i in 0..500u64 {
             let at = SimTime::from_nanos(1_000_000 * (i + 1));
             // Each late by a few hundred ns, so the margin has something
             // to learn.
             let jitter = SimDuration::from_nanos(100 * (i % 7));
-            for (r, held_ns) in [(&mut held, hold), (&mut prompt, SimDuration::ZERO)] {
-                send(r, 1 + i, 64, Attempt::first(0), at);
+            let both = [
+                (&mut held, &mut held_rails, hold),
+                (&mut prompt, &mut prompt_rails, SimDuration::ZERO),
+            ];
+            for (r, rails, held_ns) in both {
+                send(r, rails, 1 + i, 64, Attempt::first(0), at);
                 let ack = AckHeader {
                     held_ns: held_ns.as_nanos(),
                     ..plain(1 + i)
                 };
                 let back = at + flight + held_ns + jitter;
-                assert!(r.on_ack(&ack, back, NodeId(0), &mut obs, |_| ()));
+                assert!(r.on_ack(rails, &ack, back, NodeId(0), &mut obs, |_| ()));
             }
-            assert_eq!(held.rto_margin(0), prompt.rto_margin(0), "ack {i}");
+            let margins = (
+                held_rails[0].clock.margin.value(),
+                prompt_rails[0].clock.margin.value(),
+            );
+            assert_eq!(margins.0, margins.1, "ack {i}");
         }
-        assert!(held.rto_margin(0) < EngineConfig::default().retransmit_timeout);
+        assert!(held_rails[0].clock.margin.value() < EngineConfig::default().retransmit_timeout);
     }
 
     #[test]
     fn a_packet_asks_for_its_ack_at_once_unless_a_ride_back_may_come_on_a_clean_rail() {
-        let (mut r, _) = layer(&[MX, ELAN], 6);
+        let (r, mut rails, _) = layer(&[MX, ELAN], 6);
         let (one, two) = (NodeId(1), NodeId(2));
-        let asks = |r: &Reliability, rail| r.asks_now(rail, one);
-        assert!(!asks(&r, 0) && !asks(&r, 1), "fresh rails grant the hold");
+        let asks = |rails: &[Rail], rail: usize| r.asks_now(&rails[rail], one);
+        assert!(
+            !asks(&rails, 0) && !asks(&rails, 1),
+            "fresh rails grant the hold"
+        );
         // A peer that has sent nothing on a rail has nothing to carry an
         // ack back on it.
-        assert!(r.asks_now(0, two));
-        r.heard_from(1, two);
-        assert!(r.asks_now(0, two) && !r.asks_now(1, two));
+        assert!(r.asks_now(&rails[0], two));
+        rails[1].hear(two);
+        assert!(r.asks_now(&rails[0], two) && !r.asks_now(&rails[1], two));
         // Loss evidence: a timeout, until a clean run of acks.
-        r.health[0].on_timeout();
-        assert!(asks(&r, 0) && !asks(&r, 1));
+        rails[0].health.on_timeout();
+        assert!(asks(&rails, 0) && !asks(&rails, 1));
         for _ in 0..RailHealth::CLEAN_AFTER - 1 {
-            r.health[0].on_ack();
+            rails[0].health.on_ack();
         }
-        assert!(asks(&r, 0), "one ack short of clean");
-        r.health[0].on_ack();
-        assert!(!asks(&r, 0));
+        assert!(asks(&rails, 0), "one ack short of clean");
+        rails[0].health.on_ack();
+        assert!(!asks(&rails, 0));
         // `Off` acknowledges nothing, and so asks for nothing.
         let cfg = EngineConfig::default();
-        let mx = (
-            calib::capabilities(MX),
-            CostModel::from_params(&calib::params(MX)),
-        );
-        let mut off = Reliability::new([mx], &cfg);
-        off.heard_from(0, one);
-        assert!(!off.asks_now(0, one) && !off.asks_now(0, two));
+        let off = Reliability::new(&cfg);
+        let mut rails = rails_of(&[MX], &cfg);
+        rails[0].hear(one);
+        assert!(!off.asks_now(&rails[0], one) && !off.asks_now(&rails[0], two));
     }
 
     #[test]
@@ -1650,71 +1661,82 @@ mod tests {
         // at *their* peer's. Spread over four peers nothing queues, and
         // no deadline may run ahead as if it did: a packet lost late in
         // the fan-out is missed as soon as one lost early.
-        let (mut r, mut obs) = layer(&[Technology::TcpEthernet], 6);
-        let clock = r.clocks[0].clone();
+        let (mut r, mut rails, mut obs) = layer(&[Technology::TcpEthernet], 6);
+        let tcp = rails[0].driver.clone();
+        let (caps, cost) = (tcp.capabilities(), tcp.cost_model());
         let bytes = wire(&[chunk(64)]);
-        let (_, inject) = cheaper_mode(&clock.caps, &clock.cost, bytes, 1).unwrap();
-        let receive = clock.cost.rx_time(bytes);
+        let (_, inject) = cheaper_mode(caps, cost, bytes, 1).unwrap();
+        let receive = cost.rx_time(bytes);
         assert!(receive > inject, "{receive:?} {inject:?}");
         // The ack of a packet names its cookie, in as many bytes as it
         // takes.
-        let flight = |cookie| clock.data_flight(bytes, cookie);
-        let launch = |r: &mut Reliability, cookie: u64, dst: u32| {
+        let flight = |rails: &[Rail], cookie| data_flight(&rails[0], bytes, cookie);
+        let launch = |r: &mut Reliability, rails: &mut [Rail], cookie: u64, dst: u32| {
             let at = SimTime::ZERO + inject * cookie;
-            let sent = Attempt::first(0);
+            let (dst, sent) = (NodeId(dst), Attempt::first(0));
+            let asks = r.asks_now(&rails[0], dst);
+            let chunks = vec![chunk(64)];
             r.track(
                 cookie,
-                vec![chunk(64)],
+                chunks,
                 wire(&[chunk(64)]),
-                NodeId(dst),
+                dst,
                 false,
                 sent,
                 at,
+                asks,
             );
-            assert!(matches!(r.launched(cookie, at), Launched::Watched));
+            assert!(matches!(r.launched(rails, cookie, at), Launched::Watched));
             (at, r.retx.pending_mut(cookie).expect("tracked").deadline)
         };
         // Until the first loss a packet grants its ack the hold (every peer
         // sends data back); after it, on a rail that loses one in fifty,
         // every packet asks at once.
         for peer in [2, 3, 4, 9] {
-            r.heard_from(0, NodeId(peer));
+            rails[0].hear(NodeId(peer));
         }
-        let hold = |r: &Reliability| {
-            if r.asks_now(0, NodeId(1)) {
+        let hold = |r: &Reliability, rails: &[Rail]| {
+            if r.asks_now(&rails[0], NodeId(1)) {
                 SimDuration::ZERO
             } else {
                 HOLD
             }
         };
         for cookie in 0..1_000 {
-            let (margin, hold) = (r.rto_margin(0), hold(&r));
+            let (margin, hold) = (rails[0].clock.margin.value(), hold(&r, &rails));
             assert_eq!(hold.is_zero(), cookie >= 50);
-            let (at, deadline) = launch(&mut r, cookie, 1 + cookie as u32 % 4);
+            let (at, deadline) = launch(&mut r, &mut rails, cookie, 1 + cookie as u32 % 4);
             assert_eq!(
                 deadline,
-                at + flight(cookie) + hold + margin,
+                at + flight(&rails, cookie) + hold + margin,
                 "packet {cookie}"
             );
             if cookie % 50 == 49 {
                 // Lost: missed at its deadline, not before.
                 assert!(!r.retx.expired(deadline).is_empty());
-                let expired = r.expire(cookie, deadline, |_, _| true, &mut obs);
+                let expired = r.expire(&mut rails, cookie, deadline, &mut obs);
                 assert!(matches!(expired, Some((_, _, Expiry::Resend(_)))));
             } else {
-                let acked = at + flight(cookie);
-                assert!(r.on_ack(&plain(cookie), acked, NodeId(0), &mut obs, |_| ()));
+                let acked = at + flight(&rails, cookie);
+                assert!(r.on_ack(
+                    &mut rails,
+                    &plain(cookie),
+                    acked,
+                    NodeId(0),
+                    &mut obs,
+                    |_| ()
+                ));
             }
         }
         // Toward one peer the queue is real, and foreseen: each packet
         // waits for those before it.
-        let margin = r.rto_margin(0);
+        let margin = rails[0].clock.margin.value();
         for k in 0..10 {
-            let (at, deadline) = launch(&mut r, 1_000 + k, 9);
+            let (at, deadline) = launch(&mut r, &mut rails, 1_000 + k, 9);
             let wait = (receive - inject) * k;
             assert_eq!(
                 deadline,
-                at + wait + flight(1_000 + k) + margin,
+                at + wait + flight(&rails, 1_000 + k) + margin,
                 "packet {k}"
             );
         }
@@ -1736,12 +1758,19 @@ mod tests {
 
     #[test]
     fn acks_in_send_order_move_no_timer_and_the_last_one_cancels_it() {
-        let (mut r, mut obs) = layer(&[MX], 6);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
         let mut sim = Simulation::new();
         sim.add_node();
         let at = |us: u64| SimTime::from_nanos(us * 1_000);
         for cookie in 1..=4 {
-            send(&mut r, cookie, 64, Attempt::first(0), at(cookie));
+            send(
+                &mut r,
+                &mut rails,
+                cookie,
+                64,
+                Attempt::first(0),
+                at(cookie),
+            );
             arm(&mut sim, &mut r, at(cookie));
         }
         let first = r.timer.slot;
@@ -1750,13 +1779,20 @@ mod tests {
         // it is, armed before every deadline still pending.
         for cookie in 1..=3 {
             let acked = at(cookie + 10);
-            assert!(r.on_ack(&plain(cookie), acked, NodeId(0), &mut obs, |_| ()));
+            assert!(r.on_ack(
+                &mut rails,
+                &plain(cookie),
+                acked,
+                NodeId(0),
+                &mut obs,
+                |_| ()
+            ));
             assert_eq!(arm(&mut sim, &mut r, acked), first, "ack {cookie}");
             assert!(first.is_some_and(|(_, d)| d < due(&r, cookie + 1)));
         }
         // The last settled packet cancels it, so the run can end: it
         // never fires.
-        assert!(r.on_ack(&plain(4), at(14), NodeId(0), &mut obs, |_| ()));
+        assert!(r.on_ack(&mut rails, &plain(4), at(14), NodeId(0), &mut obs, |_| ()));
         assert_eq!(arm(&mut sim, &mut r, at(14)), None);
         assert!(!r.timer_armed());
         let processed = sim.events_processed();
@@ -1771,14 +1807,14 @@ mod tests {
 
     #[test]
     fn a_timer_armed_early_sweeps_nothing_and_the_real_timeout_fires_on_time() {
-        let (mut r, mut obs) = layer(&[MX, ELAN], 6);
+        let (mut r, mut rails, mut obs) = layer(&[MX, ELAN], 6);
         let initial = EngineConfig::default().retransmit_timeout;
         let mut sim = Simulation::new();
         sim.add_node();
         let (t1, t2) = (SimTime::from_nanos(1_000), SimTime::from_nanos(5_000));
-        send(&mut r, 1, 64, Attempt::first(0), t1);
-        send(&mut r, 2, 64, Attempt::first(1), t2);
-        let flight = r.clocks[1].data_flight(wire(&[chunk(64)]), 2);
+        send(&mut r, &mut rails, 1, 64, Attempt::first(0), t1);
+        send(&mut r, &mut rails, 2, 64, Attempt::first(1), t2);
+        let flight = data_flight(&rails[1], wire(&[chunk(64)]), 2);
         let (early, late) = (due(&r, 1), due(&r, 2));
         assert_eq!(
             late,
@@ -1790,7 +1826,7 @@ mod tests {
         assert_eq!(armed.map(|(_, d)| d), Some(early));
         // Packet 1 is answered: the timer stays, early for packet 2.
         let acked = t2 + SimDuration::from_micros(5);
-        assert!(r.on_ack(&plain(1), acked, NodeId(0), &mut obs, |_| ()));
+        assert!(r.on_ack(&mut rails, &plain(1), acked, NodeId(0), &mut obs, |_| ()));
         assert_eq!(arm(&mut sim, &mut r, acked), armed);
         // It fires at packet 1's old deadline, finds nothing due, and is
         // armed again for packet 2's.
@@ -1808,7 +1844,7 @@ mod tests {
 
     #[test]
     fn a_sooner_deadline_moves_the_timer() {
-        let (mut r, _) = layer(&[MX], 6);
+        let (mut r, mut rails, _) = layer(&[MX], 6);
         let mut sim = Simulation::new();
         sim.add_node();
         // A third attempt waits four margins; a first attempt after it
@@ -1818,9 +1854,9 @@ mod tests {
             rail: 0,
             attempts: 3,
         };
-        send(&mut r, 1, 64, third, t);
+        send(&mut r, &mut rails, 1, 64, third, t);
         let armed = arm(&mut sim, &mut r, t);
-        send(&mut r, 2, 64, Attempt::first(0), t);
+        send(&mut r, &mut rails, 2, 64, Attempt::first(0), t);
         assert!(due(&r, 2) < due(&r, 1));
         let moved = arm(&mut sim, &mut r, t);
         assert_eq!(moved.map(|(_, d)| d), Some(due(&r, 2)));
@@ -1833,37 +1869,50 @@ mod tests {
 
     /// Time `cookie` out at its deadline and re-send it (on whatever rail
     /// `expire` decides) under `heirs`, as the engine would.
-    fn resend(r: &mut Reliability, obs: &mut Observer, cookie: u64, heirs: RangeInclusive<u64>) {
+    fn resend(
+        r: &mut Reliability,
+        rails: &mut [Rail],
+        obs: &mut Observer,
+        cookie: u64,
+        heirs: RangeInclusive<u64>,
+    ) {
         let due = r.retx.next_deadline().expect("something is out");
-        let (old, _, action) = r.expire(cookie, due, |_, _| true, obs).expect("tracked");
+        let (old, _, action) = r.expire(rails, cookie, due, obs).expect("tracked");
         let (Expiry::Resend(next) | Expiry::Reroute(next)) = action else {
             panic!("{action:?}");
         };
         let pieces = heirs.clone().count() as u32;
         for heir in heirs.clone() {
-            send(r, heir, old.chunks[0].len / pieces, next, due);
+            send(r, rails, heir, old.chunks[0].len / pieces, next, due);
         }
-        r.supersede(cookie, &old, wire(&old.chunks), heirs);
+        r.supersede(rails, cookie, &old, wire(&old.chunks), heirs);
     }
 
     #[test]
     fn a_late_ack_settles_what_is_still_out_once_and_repairs_the_rail() {
-        let ack = |r: &mut Reliability, obs: &mut Observer, cookie, at| {
+        let ack = |r: &mut Reliability, rails: &mut [Rail], obs: &mut Observer, cookie, at| {
             let mut settled = Vec::new();
             let settle = |tx| settled.push(cookie_of(tx));
-            let found = r.on_ack(&plain(cookie), at, NodeId(0), obs, settle);
+            let found = r.on_ack(rails, &plain(cookie), at, NodeId(0), obs, settle);
             assert_eq!(found, !settled.is_empty());
             settled
         };
         // A chain: 1 timed out into 2, 2 into 3, and then 1's ack arrives.
-        let (mut r, mut obs) = layer(&[MX], 6);
-        send(&mut r, 1, 4096, Attempt::first(0), SimTime::ZERO);
-        resend(&mut r, &mut obs, 1, 2..=2);
-        resend(&mut r, &mut obs, 2, 3..=3);
-        let (hurt, margin) = (r.rails()[0].score(), r.rto_margin(0));
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
+        send(
+            &mut r,
+            &mut rails,
+            1,
+            4096,
+            Attempt::first(0),
+            SimTime::ZERO,
+        );
+        resend(&mut r, &mut rails, &mut obs, 1, 2..=2);
+        resend(&mut r, &mut rails, &mut obs, 2, 3..=3);
+        let (hurt, margin) = (rails[0].health.score(), rails[0].clock.margin.value());
         assert_eq!((r.unacked(), r.superseded_len()), (1, 2));
         let late = SimTime::from_nanos(400_000);
-        assert_eq!(ack(&mut r, &mut obs, 1, late), vec![3]);
+        assert_eq!(ack(&mut r, &mut rails, &mut obs, 1, late), vec![3]);
         assert_eq!((r.unacked(), r.superseded_len()), (0, 0));
         assert!(r.parent_of.is_empty());
         let m = obs.metrics();
@@ -1871,31 +1920,48 @@ mod tests {
             (m.timeouts, m.spurious_timeouts, m.acks_received),
             (2, 1, 1)
         );
-        assert!(r.rails()[0].score() > hurt / (1.0 - RailHealth::ALPHA) - 1e-9);
-        assert!(r.rto_margin(0) > margin, "the late ack is heard");
+        assert!(rails[0].health.score() > hurt / (1.0 - RailHealth::ALPHA) - 1e-9);
+        assert!(
+            rails[0].clock.margin.value() > margin,
+            "the late ack is heard"
+        );
         // Every later ack of the lineage is a duplicate.
         for cookie in [1, 2, 3] {
-            assert!(!r.on_ack(&plain(cookie), late, NodeId(0), &mut obs, none));
+            assert!(!r.on_ack(&mut rails, &plain(cookie), late, NodeId(0), &mut obs, none));
         }
 
         // A split: 1 was re-chunked into 2 and 3. 2 is acked in time, so
         // 1's late ack has only 3 left to settle.
-        let (mut r, mut obs) = layer(&[MX], 6);
-        send(&mut r, 1, 4096, Attempt::first(0), SimTime::ZERO);
-        resend(&mut r, &mut obs, 1, 2..=3);
-        assert_eq!(ack(&mut r, &mut obs, 2, late), vec![2]);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
+        send(
+            &mut r,
+            &mut rails,
+            1,
+            4096,
+            Attempt::first(0),
+            SimTime::ZERO,
+        );
+        resend(&mut r, &mut rails, &mut obs, 1, 2..=3);
+        assert_eq!(ack(&mut r, &mut rails, &mut obs, 2, late), vec![2]);
         assert_eq!(r.superseded_len(), 1, "3 is still out");
-        assert_eq!(ack(&mut r, &mut obs, 1, late), vec![3]);
+        assert_eq!(ack(&mut r, &mut rails, &mut obs, 1, late), vec![3]);
         assert_eq!((r.unacked(), r.superseded_len()), (0, 0));
         assert_eq!(obs.metrics().spurious_timeouts, 1);
 
         // No late ack at all: the heirs' own acks empty the table.
-        let (mut r, mut obs) = layer(&[MX], 6);
-        send(&mut r, 1, 4096, Attempt::first(0), SimTime::ZERO);
-        resend(&mut r, &mut obs, 1, 2..=3);
-        resend(&mut r, &mut obs, 3, 4..=4);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
+        send(
+            &mut r,
+            &mut rails,
+            1,
+            4096,
+            Attempt::first(0),
+            SimTime::ZERO,
+        );
+        resend(&mut r, &mut rails, &mut obs, 1, 2..=3);
+        resend(&mut r, &mut rails, &mut obs, 3, 4..=4);
         for heir in [2, 4] {
-            assert_eq!(ack(&mut r, &mut obs, heir, late), vec![heir]);
+            assert_eq!(ack(&mut r, &mut rails, &mut obs, heir, late), vec![heir]);
         }
         assert_eq!((r.unacked(), r.superseded_len()), (0, 0));
         assert!(r.parent_of.is_empty());
@@ -1904,10 +1970,10 @@ mod tests {
 
     #[test]
     fn a_parked_packet_keeps_its_attempt_and_an_ack_still_finds_it() {
-        let (mut r, mut obs) = layer(&[MX], 6);
-        send(&mut r, 1, 64, Attempt::first(0), SimTime::ZERO);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
+        send(&mut r, &mut rails, 1, 64, Attempt::first(0), SimTime::ZERO);
         let due = r.retx.next_deadline().expect("out");
-        let (old, bytes, action) = r.expire(1, due, |_, _| true, &mut obs).expect("tracked");
+        let (old, bytes, action) = r.expire(&mut rails, 1, due, &mut obs).expect("tracked");
         let Expiry::Resend(next) = action else {
             panic!("{action:?}");
         };
@@ -1931,9 +1997,12 @@ mod tests {
         r.park(1, old, bytes, next);
         let mut settled = Vec::new();
         let settle = |tx| settled.push(cookie_of(tx));
-        assert!(r.on_ack(&plain(1), due, NodeId(0), &mut obs, settle));
+        assert!(r.on_ack(&mut rails, &plain(1), due, NodeId(0), &mut obs, settle));
         assert_eq!((settled, r.unacked()), (vec![1], 0));
-        assert!(!r.on_ack(&plain(1), due, NodeId(0), &mut obs, none), "once");
+        assert!(
+            !r.on_ack(&mut rails, &plain(1), due, NodeId(0), &mut obs, none),
+            "once"
+        );
         assert_eq!(obs.metrics().spurious_timeouts, 1);
     }
 
@@ -1946,38 +2015,37 @@ mod tests {
             reliability: ReliabilityMode::Off,
             ..EngineConfig::default()
         };
-        let mx = (
-            calib::capabilities(MX),
-            CostModel::from_params(&calib::params(MX)),
-        );
-        let mut r = Reliability::new([mx], &cfg);
+        let (mut r, mut rails) = (Reliability::new(&cfg), rails_of(&[MX], &cfg));
         let (mut obs, first) = (Observer::new(NodeId(0)), Attempt::first(0));
+        let (bytes, dst) = (wire(&[chunk(64)]), NodeId(1));
         r.track(
             1,
             vec![chunk(64)],
-            wire(&[chunk(64)]),
-            NodeId(1),
+            bytes,
+            dst,
             false,
             first,
             SimTime::ZERO,
+            false,
         );
         assert_eq!((r.inflight(), r.unacked()), (1, 0));
-        let Launched::Done(tx) = r.launched(1, at) else {
+        let Launched::Done(tx) = r.launched(&mut rails, 1, at) else {
             panic!("an injected packet is done under Off");
         };
         assert_eq!((tx.chunks.len(), tx.chunks[0].len), (1, 64));
         assert_eq!((r.inflight(), r.unacked()), (0, 0));
-        assert!(matches!(r.launched(1, at), Launched::Untracked));
+        assert!(matches!(r.launched(&mut rails, 1, at), Launched::Untracked));
         r.track(
             2,
             vec![chunk(64)],
-            wire(&[chunk(64)]),
-            NodeId(1),
+            bytes,
+            dst,
             false,
             first,
             SimTime::ZERO,
+            false,
         );
-        assert!(!r.on_ack(&plain(2), at, NodeId(0), &mut obs, none));
+        assert!(!r.on_ack(&mut rails, &plain(2), at, NodeId(0), &mut obs, none));
         assert_eq!(
             (r.inflight(), r.unacked()),
             (1, 0),
@@ -1985,28 +2053,28 @@ mod tests {
         );
 
         // `Recover`: the record stays through `tx_done` until its ack.
-        let (mut r, mut obs) = layer(&[MX], 6);
-        send(&mut r, 1, 64, first, SimTime::ZERO);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 6);
+        send(&mut r, &mut rails, 1, 64, first, SimTime::ZERO);
         assert_eq!((r.inflight(), r.unacked()), (1, 1));
         let mut settled = Vec::new();
         let settle = |tx| settled.push(cookie_of(tx));
-        assert!(r.on_ack(&plain(1), at, NodeId(0), &mut obs, settle));
+        assert!(r.on_ack(&mut rails, &plain(1), at, NodeId(0), &mut obs, settle));
         assert_eq!((settled, r.inflight(), r.unacked()), (vec![1], 0, 0));
     }
 
     #[test]
     fn a_rail_that_still_answers_is_not_declared_dead() {
-        let (mut r, mut obs) = layer(&[MX, MX], 2);
+        let (mut r, mut rails, mut obs) = layer(&[MX, MX], 2);
         let t = |us: u64| SimTime::from_nanos(us * 1_000);
         let spent = Attempt {
             rail: 0,
             attempts: 2,
         };
-        send(&mut r, 1, 64, spent, t(10));
+        send(&mut r, &mut rails, 1, 64, spent, t(10));
         // Another packet's ack comes back on rail 0 after 1 went out...
-        send(&mut r, 2, 64, Attempt::first(0), t(0));
-        assert!(r.on_ack(&plain(2), t(20), NodeId(0), &mut obs, |_| ()));
-        let (_, _, action) = r.expire(1, FAR, |_, _| true, &mut obs).expect("tracked");
+        send(&mut r, &mut rails, 2, 64, Attempt::first(0), t(0));
+        assert!(r.on_ack(&mut rails, &plain(2), t(20), NodeId(0), &mut obs, |_| ()));
+        let (_, _, action) = r.expire(&mut rails, 1, FAR, &mut obs).expect("tracked");
         let again = Attempt {
             rail: 0,
             attempts: 3,
@@ -2015,44 +2083,45 @@ mod tests {
         assert_eq!(obs.metrics().rails_dead, 0);
         // ... and that ack does not vouch for ever: the attempt it earned
         // goes unanswered on a rail silent since, and the rail dies.
-        send(&mut r, 3, 64, again, t(30));
-        let (_, _, action) = r.expire(3, FAR, |_, _| true, &mut obs).expect("tracked");
+        send(&mut r, &mut rails, 3, 64, again, t(30));
+        let (_, _, action) = r.expire(&mut rails, 3, FAR, &mut obs).expect("tracked");
         assert_eq!(action, Expiry::Reroute(Attempt::first(1)));
-        assert!(r.rails()[0].is_dead());
+        assert!(rails[0].health.is_dead());
     }
 
     #[test]
     fn idle_rails_pull_fastest_first_and_yield_by_their_penalty() {
-        let order = |r: &Reliability, bytes| {
+        let order = |rails: &[Rail], bytes| {
             let mut order = Vec::new();
-            r.pull_order(&mut order, bytes);
+            pull_order(rails, &mut order, bytes);
             order
         };
-        let (mut r, _) = layer(&[MX, ELAN], 6);
-        assert_eq!(order(&r, 64), [1, 0], "Elan is faster at every size");
-        assert_eq!(order(&r, 256 << 10), [1, 0]);
-        let ratio = |r: &Reliability| {
-            let ns = |c: &RailClock| one_way(&c.caps, &c.cost, 64 + 36).as_nanos() as f64;
-            ns(&r.clocks[0]) / ns(&r.clocks[1])
+        let (_, mut rails, _) = layer(&[MX, ELAN], 6);
+        assert_eq!(order(&rails, 64), [1, 0], "Elan is faster at every size");
+        assert_eq!(order(&rails, 256 << 10), [1, 0]);
+        let ns = |rail: &Rail| {
+            let d = &rail.driver;
+            one_way(d.capabilities(), d.cost_model(), 64 + 36).as_nanos() as f64
         };
-        while r.rails()[1].cost_penalty() <= ratio(&r) {
-            assert_eq!(order(&r, 64), [1, 0]);
-            r.health[1].on_timeout();
+        let ratio = ns(&rails[0]) / ns(&rails[1]);
+        while rails[1].health.cost_penalty() <= ratio {
+            assert_eq!(order(&rails, 64), [1, 0]);
+            rails[1].health.on_timeout();
         }
-        assert_eq!(order(&r, 64), [0, 1], "degraded past the latency ratio");
+        assert_eq!(order(&rails, 64), [0, 1], "degraded past the latency ratio");
         // No fixed packet size orders every profile pair: MX leads
         // InfiniBand for a small message and trails it for a large one.
-        let (r, _) = layer(&[MX, Technology::InfiniBand], 6);
-        assert_eq!(order(&r, 64), [0, 1]);
-        assert_eq!(order(&r, 16 << 10), [1, 0]);
+        let (_, rails, _) = layer(&[MX, Technology::InfiniBand], 6);
+        assert_eq!(order(&rails, 64), [0, 1]);
+        assert_eq!(order(&rails, 16 << 10), [1, 0]);
         // Equal rails keep index order; one rail is not priced at all.
-        let (r, _) = layer(&[MX, MX, MX], 6);
-        assert_eq!(order(&r, 64), [0, 1, 2]);
+        let (_, rails, _) = layer(&[MX, MX, MX], 6);
+        assert_eq!(order(&rails, 64), [0, 1, 2]);
     }
 
     #[test]
     fn a_request_is_watched_like_a_packet() {
-        let (mut r, mut obs) = layer(&[MX], 2);
+        let (mut r, mut rails, mut obs) = layer(&[MX], 2);
         let (key, other) = ((FlowId(3), 7, 1), (FlowId(3), 8, 0));
         let t = |us: u64| SimTime::from_nanos(us * 1_000);
         let just_before = |at: SimTime| SimTime::from_nanos(at.as_nanos() - 1);
@@ -2060,9 +2129,10 @@ mod tests {
         // A request's patience: its own round trip — the request out, the
         // grant that echoes its header back — plus the margin.
         let header = |(flow, seq, frag): RequestKey| whole(&PlannedChunk::request(flow, seq, frag));
-        let patience = r.clocks[0].one_way(&header(key)) * 2 + initial;
-        r.track_request(key, header(key), NodeId(1), Attempt::first(0), t(0));
-        r.track_request(other, header(other), NodeId(1), Attempt::first(0), t(10));
+        let patience = rails[0].clock.one_way(&header(key)) * 2 + initial;
+        let first = Attempt::first(0);
+        r.track_request(&rails, key, header(key), NodeId(1), first, t(0));
+        r.track_request(&rails, other, header(other), NodeId(1), first, t(10));
         let due = t(0) + patience;
         assert!(r.overdue_requests(just_before(due)).is_empty());
         assert_eq!(r.overdue_requests(due), vec![key]);
@@ -2070,12 +2140,10 @@ mod tests {
         // finds nothing.
         r.settle_request(other);
         r.settle_request(other);
-        assert!(r
-            .expire_request(other, due, |_, _| true, &mut obs)
-            .is_none());
+        assert!(r.expire_request(&mut rails, other, due, &mut obs).is_none());
         // Overdue: asked again with doubled patience, then — the budget
         // spent on the only, silent rail — lost, and the rail with it.
-        let (dst, action) = r.expire_request(key, due, |_, _| true, &mut obs).unwrap();
+        let (dst, action) = r.expire_request(&mut rails, key, due, &mut obs).unwrap();
         let again = Attempt {
             rail: 0,
             attempts: 2,
@@ -2084,9 +2152,9 @@ mod tests {
         let due = due + patience * 2;
         assert_eq!(r.overdue_requests(due), vec![key], "watched again");
         assert!(r.overdue_requests(just_before(due)).is_empty());
-        let (_, action) = r.expire_request(key, due, |_, _| true, &mut obs).unwrap();
+        let (_, action) = r.expire_request(&mut rails, key, due, &mut obs).unwrap();
         assert_eq!(action, Expiry::Lost);
-        assert!(r.rails()[0].is_dead());
+        assert!(rails[0].health.is_dead());
         assert!(r.requests.is_empty());
         assert_eq!(obs.metrics().timeouts, 2);
     }

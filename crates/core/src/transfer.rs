@@ -1,31 +1,41 @@
-//! The transfer layer of Figure 1: the rails (drivers, class maps, peer
-//! wiring) and the send-side bookkeeping above the drivers — cookie
-//! allocation, the control-packet queue and the acks held for a ride.
+//! The transfer layer of Figure 1: the rails and the send-side bookkeeping
+//! above the drivers — cookie allocation, the control-packet queue and the
+//! acks held for a ride.
+//!
+//! A `Rail` is the one record of a rail: its driver with the class map
+//! and MTU it runs under, when its transmit engine is through, madrel's
+//! health and timeout clock for it, and one path per registered peer —
+//! the peer's NIC address, the acks held for it, whether it has sent data
+//! back. The engine keeps the rails; `Transfer` and madrel's
+//! `Reliability` read and update them.
+//!
 //! `Transfer::submit_data` is the only place a data [`TransferRequest`]
 //! is built; first sends and retransmissions both go through it, and it
 //! stamps and encodes every packet in the same two buffers. A data packet
 //! between submission and completion is recorded once, by madrel
 //! ([`crate::reliability::PendingTx`]), in either reliability mode.
 //!
-//! Under `Recover` a received data packet's ack waits in its (rail, peer)
-//! set (`HeldAcks`) for the next data packet to that peer on that rail,
-//! which carries every ack of the set that fits behind its chunks. The
-//! sender grants the hold: a packet that asks for its ack at once takes
-//! the whole set with it in one ack packet, and so does the end of the
-//! hold of the set's oldest ack, which one timer watches.
+//! Under `Recover` a received data packet's ack waits on its path for the
+//! next data packet to that peer on that rail, which carries every ack
+//! held there that fits behind its chunks. The sender grants the hold: a
+//! packet that asks for its ack at once takes every ack the path holds
+//! with it in one ack packet, and so does the end of the hold of the
+//! path's oldest ack, which one timer watches.
 
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use bytes::Bytes;
 use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError};
 
 use crate::api::ACK_HOLD_TAG;
 use crate::classes::ClassMap;
 use crate::collect::{chunk_header, CollectLayer};
+use crate::config::EngineConfig;
 use crate::cost::packet_limit;
 use crate::error::EngineError;
 use crate::plan::PlannedChunk;
@@ -33,33 +43,63 @@ use crate::proto::{
     encode_acks, encode_packet_with, encode_rndv, wire_bytes, AckHeader, ChunkHeader, Framing,
     WireChunk, KIND_ACK, KIND_DATA,
 };
-use crate::reliability::LazyTimer;
+use crate::reliability::{LazyTimer, RailClock, RailHealth};
 
 /// Cookie used by control packets (no completion bookkeeping).
 pub(crate) const CTRL_COOKIE: u64 = 0;
 
-/// One rail: a driver plus its routing and class/channel assignment.
+/// One rail: a driver with its class/channel assignment and MTU, what
+/// madrel knows of it, and its path to each registered peer.
 pub(crate) struct Rail {
     pub(crate) driver: SimDriver,
     /// Class → virtual channel map for this NIC.
     pub(crate) classmap: ClassMap,
     /// Network MTU of the rail.
     pub(crate) wire_mtu: u64,
-    peers: HashMap<NodeId, NicId>,
     /// When, by the driver's cost model, the transmit engine is through
     /// with everything submitted to it: each submission adds its
     /// injection, and the rail's idle report sets it back to that instant.
     tx_free: SimTime,
+    pub(crate) health: RailHealth,
+    pub(crate) clock: RailClock,
+    /// The path to each registered peer at its `NodeId`'s index: sized by
+    /// the topology the engine was built with, never by an id off the wire.
+    paths: Vec<Option<Path>>,
+}
+
+/// A rail's path to one registered peer: its NIC address, the acks held
+/// for a data packet to it to ride back on (oldest first; emptied, the
+/// buffer stays), and whether it has sent data on the rail — only a peer
+/// that does can carry an ack back.
+#[derive(Debug)]
+struct Path {
+    nic: NicId,
+    held: Vec<Held>,
+    heard: bool,
 }
 
 impl Rail {
-    /// `dst`'s NIC address on this rail, when the rail reaches it.
-    pub(crate) fn peer_nic(&self, dst: NodeId) -> Option<NicId> {
-        self.peers.get(&dst).copied()
+    fn path(&self, peer: NodeId) -> Option<&Path> {
+        self.paths.get(peer.0 as usize)?.as_ref()
     }
 
+    fn path_mut(&mut self, peer: NodeId) -> Option<&mut Path> {
+        self.paths.get_mut(peer.0 as usize)?.as_mut()
+    }
+
+    /// `dst`'s NIC address on this rail, when the rail reaches it.
+    pub(crate) fn peer_nic(&self, dst: NodeId) -> Option<NicId> {
+        self.path(dst).map(|p| p.nic)
+    }
+
+    /// Whether `dst` is a registered peer on this rail.
     pub(crate) fn reaches(&self, dst: NodeId) -> bool {
-        self.peers.contains_key(&dst)
+        self.path(dst).is_some()
+    }
+
+    /// Whether `peer` has sent data on this rail.
+    pub(crate) fn heard(&self, peer: NodeId) -> bool {
+        self.path(peer).is_some_and(|p| p.heard)
     }
 
     /// How long, by the model, the transmit engine stays busy with what
@@ -68,22 +108,68 @@ impl Rail {
         self.tx_free.since(now)
     }
 
-    /// Submit `req`, `bytes` long. Accepted, its injection — in the mode
-    /// the driver resolved for it, and after its host preparation —
-    /// follows whatever the transmit engine holds.
+    /// The rail reported its transmit engine idle at `now`: whatever the
+    /// model still had it busy with is done.
+    pub(crate) fn tx_idle(&mut self, now: SimTime) {
+        self.tx_free = now;
+    }
+
+    /// Submit `req`. Accepted, its injection — in the mode the driver
+    /// resolved for it, and after its host preparation — follows whatever
+    /// the transmit engine holds.
     // madlint: allow(trace-coverage) — a driver submit; the callers push
     // PacketEncoded / Retransmit for what it carries
-    fn submit(
-        &mut self,
-        ctx: &mut SimCtx<'_>,
-        req: TransferRequest,
-        bytes: u64,
-    ) -> Result<(), DriverError> {
-        let (segs, prep, now) = (req.segments.len(), req.host_prep, ctx.now());
+    fn submit(&mut self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<(), DriverError> {
+        let (bytes, segs, prep, now) = (req.len(), req.segments.len(), req.host_prep, ctx.now());
         let mode = self.driver.submit(ctx, req)?;
         let inject = self.driver.cost_model().injection_time(mode, bytes, segs);
         self.tx_free = self.tx_free.max(now) + prep + inject;
         Ok(())
+    }
+
+    /// Write into `out` (empty) the acks from the front of those held
+    /// for `peer` that fit in `room` bytes, as they would leave at `now`;
+    /// returns how many.
+    fn peek(&self, peer: NodeId, mut room: u64, now: SimTime, out: &mut Vec<AckHeader>) -> usize {
+        debug_assert!(out.is_empty());
+        for held in self.path(peer).into_iter().flat_map(|p| &p.held) {
+            let ack = held.header(now);
+            let Some(left) = room.checked_sub(ack.encoded_len()) else {
+                break;
+            };
+            room = left;
+            out.push(ack);
+        }
+        out.len()
+    }
+
+    /// A control packet of `kind` made of `segments` to `dst_nic`, on the
+    /// rail's control channel.
+    fn control(&self, dst_nic: NicId, kind: u16, segments: Vec<Bytes>) -> TransferRequest {
+        TransferRequest {
+            dst_nic,
+            vchan: self.classmap.control(),
+            kind,
+            cookie: CTRL_COOKIE,
+            mode: ModeSel::Auto,
+            host_prep: SimDuration::ZERO,
+            segments,
+        }
+    }
+
+    /// Submit one ack packet of `acks` to `peer`; false when the queue has
+    /// no room for it.
+    // madlint: allow(trace-coverage) — control-plane send; the acks are
+    // traced where they arrive (AckReceived)
+    fn submit_acks(&mut self, ctx: &mut SimCtx<'_>, peer: NodeId, acks: &[AckHeader]) -> bool {
+        let Some(dst_nic) = self.peer_nic(peer) else {
+            return false;
+        };
+        if self.driver.free_slots(ctx) == 0 {
+            return false;
+        }
+        let ack = self.control(dst_nic, KIND_ACK, encode_acks(acks));
+        self.submit(ctx, ack).is_ok()
     }
 }
 
@@ -112,111 +198,33 @@ impl Held {
     }
 }
 
-/// The (rail, peer) pair a set of held acks answers.
-type AckKey = (usize, NodeId);
-
-/// madrel's receive side: the acks a node holds for a data packet to
-/// ride back on, per (rail, peer) and oldest first, and one timer for the
-/// end of the earliest hold. Emptied sets stay, so a steady exchange
-/// allocates nothing.
-#[derive(Debug)]
-struct HeldAcks {
-    /// How long an ack may wait for a ride ([`crate::reliability::ack_hold`]).
-    hold: SimDuration,
-    sets: BTreeMap<AckKey, Vec<Held>>,
-    /// Acks held over all sets.
-    held: usize,
-    /// Sets whose ack packet found the NIC queue full: sent at the next
-    /// [`Transfer::flush_ctrl`].
-    owed: Vec<AckKey>,
-    /// The hold timer.
-    timer: LazyTimer,
-}
-
-impl HeldAcks {
-    fn new(hold: SimDuration) -> Self {
-        HeldAcks {
-            hold,
-            sets: BTreeMap::new(),
-            held: 0,
-            owed: Vec::new(),
-            timer: LazyTimer::default(),
-        }
-    }
-
-    /// When the earliest hold of a set not owed already ends (an owed set
-    /// leaves at the next `tx_done`, not at a timer of its own).
-    // madlint: allow(linear-scan) — the sets owed while one queue is full
-    fn next_due(&self) -> Option<SimTime> {
-        let waiting = self.sets.iter().filter(|(key, _)| !self.owed.contains(key));
-        let oldest = waiting.filter_map(|(_, set)| set.first());
-        oldest.map(|a| a.at + self.hold).min()
-    }
-
-    /// Arm the timer for the earliest hold's end.
-    fn arm(&mut self, ctx: &mut SimCtx<'_>) {
-        let due = self.next_due();
-        self.timer.arm(ctx, due, ACK_HOLD_TAG);
-    }
-
-    /// Whether nothing is held for `key`.
-    fn none_for(&self, key: AckKey) -> bool {
-        self.sets.get(&key).is_none_or(Vec::is_empty)
-    }
-
-    /// Write into `riding` (empty) the acks from the front of `key`'s set
-    /// that fit in `room` bytes, as they would leave at `now`; returns how
-    /// many.
-    fn peek(&self, key: AckKey, mut room: u64, now: SimTime, riding: &mut Vec<AckHeader>) -> usize {
-        debug_assert!(riding.is_empty());
-        for held in self.sets.get(&key).into_iter().flatten() {
-            let ack = held.header(now);
-            let Some(left) = room.checked_sub(ack.encoded_len()) else {
-                break;
-            };
-            room = left;
-            riding.push(ack);
-        }
-        riding.len()
-    }
-
-    /// The first `n` acks of `key`'s set have left; with nothing held
-    /// anywhere the timer is cancelled.
-    fn sent(&mut self, key: AckKey, n: usize, ctx: &mut SimCtx<'_>) {
-        self.sets.get_mut(&key).expect("a set is kept").drain(..n);
-        self.held -= n;
-        if self.held == 0 {
-            self.timer.cancel(ctx);
-        }
-    }
-
-    /// `key`'s ack packet found the NIC queue full.
-    // madlint: allow(linear-scan) — the sets owed while one queue is full
-    fn owe(&mut self, key: AckKey) {
-        if !self.owed.contains(&key) {
-            self.owed.push(key);
-        }
-    }
-}
-
 /// Assemble a node's rails from `(driver, wire MTU)` pairs in rail order
-/// and each peer's NIC addresses (one per rail, in rail order). Both
-/// engines build theirs here.
+/// and each peer's NIC addresses (one per rail, in rail order), each
+/// rail's timeout margin starting at `cfg`'s. Both engines build theirs
+/// here.
 pub(crate) fn build_rails(
     drivers: Vec<(SimDriver, u64)>,
     peer_nics: Vec<(NodeId, Vec<NicId>)>,
+    cfg: &EngineConfig,
 ) -> Result<Vec<Rail>, EngineError> {
     if drivers.is_empty() {
         return Err(EngineError::Config("engine needs at least one rail".into()));
     }
+    let slots = peer_nics.iter().map(|(peer, _)| peer.0 as usize + 1).max();
+    let slots = slots.unwrap_or(0);
     let mut rails: Vec<Rail> = drivers
         .into_iter()
-        .map(|(driver, wire_mtu)| Rail {
-            classmap: ClassMap::new(driver.capabilities().vchannels),
-            driver,
-            wire_mtu,
-            peers: HashMap::new(),
-            tx_free: SimTime::ZERO,
+        .map(|(driver, wire_mtu)| {
+            let (caps, cost) = (driver.capabilities(), driver.cost_model());
+            Rail {
+                classmap: ClassMap::new(caps.vchannels),
+                clock: RailClock::new(caps, cost, cfg.retransmit_timeout),
+                driver,
+                wire_mtu,
+                tx_free: SimTime::ZERO,
+                health: RailHealth::new(),
+                paths: std::iter::repeat_with(|| None).take(slots).collect(),
+            }
         })
         .collect();
     for (peer, nics) in peer_nics {
@@ -228,7 +236,12 @@ pub(crate) fn build_rails(
             )));
         }
         for (rail, nic) in rails.iter_mut().zip(nics) {
-            rail.peers.insert(peer, nic);
+            let path = Path {
+                nic,
+                held: Vec::new(),
+                heard: false,
+            };
+            rail.paths[peer.0 as usize] = Some(path);
         }
     }
     Ok(rails)
@@ -238,6 +251,11 @@ pub(crate) fn build_rails(
 // madlint: allow(linear-scan) — the rails of one node
 pub(crate) fn rail_of(rails: &[Rail], nic: NicId) -> Option<usize> {
     rails.iter().position(|r| r.driver.nic() == nic)
+}
+
+/// The rails not declared dead, ascending.
+pub(crate) fn live_rails(rails: &[Rail]) -> impl Iterator<Item = usize> + '_ {
+    (0..rails.len()).filter(|&r| !rails[r].health.is_dead())
 }
 
 /// Flow-open check: `dst` must be a registered peer on some rail.
@@ -253,11 +271,24 @@ pub(crate) fn assert_reachable(rails: &[Rail], dst: NodeId, node: NodeId) {
     );
 }
 
-/// The optimizing engine's transfer layer.
+/// A path by its rail and peer.
+type PathKey = (usize, NodeId);
+
+/// Every path of every rail, in (rail, `NodeId`) order.
+fn all_paths(rails: &[Rail]) -> impl Iterator<Item = (PathKey, &Path)> {
+    rails.iter().enumerate().flat_map(|(r, rail)| {
+        let slots = rail.paths.iter().enumerate();
+        slots.filter_map(move |(id, path)| Some(((r, NodeId(id as u32)), path.as_ref()?)))
+    })
+}
+
+/// The optimizing engine's transfer layer, over the engine's rails.
 // madlint: send-sync — sharded across madpar workers with the engine core
+#[derive(Default)]
 pub(crate) struct Transfer {
-    rails: Vec<Rail>,
-    next_cookie: u64,
+    /// The cookie of the data packet submitted last (none yet: the
+    /// control packets' [`CTRL_COOKIE`]).
+    last_cookie: u64,
     pending_ctrl: VecDeque<(usize, NodeId, u16, ChunkHeader)>,
     /// The wire chunks of the data packet submitted last.
     wire: Vec<WireChunk>,
@@ -265,42 +296,18 @@ pub(crate) struct Transfer {
     wire_bytes: u64,
     /// Where a gather list's header block is written before it is frozen.
     block: Vec<u8>,
-    /// Acks held for a ride.
-    acks: HeldAcks,
+    /// Acks held over every rail's paths.
+    held: usize,
+    /// Paths whose ack packet found the NIC queue full, in the order they
+    /// were owed: sent in that order at the next [`Transfer::flush_ctrl`].
+    owed: Vec<PathKey>,
+    /// The hold timer, for the end of the earliest hold on a path not owed.
+    hold_timer: LazyTimer,
     /// The ack headers of the packet being built.
     riding: Vec<AckHeader>,
 }
 
 impl Transfer {
-    /// The layer over `rails`, holding acks for up to `hold`.
-    pub(crate) fn new(rails: Vec<Rail>, hold: SimDuration) -> Self {
-        Transfer {
-            rails,
-            next_cookie: 1,
-            pending_ctrl: VecDeque::new(),
-            wire: Vec::new(),
-            wire_bytes: 0,
-            block: Vec::new(),
-            acks: HeldAcks::new(hold),
-            riding: Vec::new(),
-        }
-    }
-
-    pub(crate) fn rails(&self) -> &[Rail] {
-        &self.rails
-    }
-
-    /// The rails, mutably (class ↔ channel reassignment).
-    pub(crate) fn rails_mut(&mut self) -> &mut [Rail] {
-        &mut self.rails
-    }
-
-    /// `rail` reported its transmit engine idle at `now`: whatever the
-    /// model still had it busy with is done.
-    pub(crate) fn rail_idle(&mut self, rail: usize, now: SimTime) {
-        self.rails[rail].tx_free = now;
-    }
-
     /// Stamp one wire chunk per planned chunk from its live message (the
     /// header and a zero-copy slice of the payload), encode them into one
     /// data packet toward `dst` — behind them as many of the acks held for
@@ -328,7 +335,7 @@ impl Transfer {
     pub(crate) fn submit_data(
         &mut self,
         ctx: &mut SimCtx<'_>,
-        rail: usize,
+        rail: &mut Rail,
         dst: NodeId,
         collect: &CollectLayer,
         chunks: &[PlannedChunk],
@@ -348,11 +355,9 @@ impl Transfer {
             }
         }));
         let wire = &self.wire;
-        let rail_idx = rail;
-        let rail = &mut self.rails[rail];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
         self.riding.clear();
-        if self.acks.held > 0 {
+        if self.held > 0 {
             // Acks take only room that leaves the packet every injection
             // mode selection validated it for: one that fits PIO, which
             // may be its only way onto the rail, still does.
@@ -363,8 +368,7 @@ impl Transfer {
                 limit = limit.min(caps.pio_max_bytes);
             }
             let room = limit.saturating_sub(data);
-            let key = (rail_idx, dst);
-            self.acks.peek(key, room, ctx.now(), &mut self.riding);
+            rail.peek(dst, room, ctx.now(), &mut self.riding);
         }
         let riding = &self.riding;
         let segments = encode_packet_with(&mut self.block, wire, riding, ack_now, linearize);
@@ -383,8 +387,8 @@ impl Transfer {
         } else {
             SimDuration::ZERO
         };
-        let cookie = self.next_cookie;
-        self.next_cookie += 1;
+        self.last_cookie += 1;
+        let cookie = self.last_cookie;
         let req = TransferRequest {
             dst_nic,
             vchan: rail.classmap.vchan_for(wire[0].header.class),
@@ -394,9 +398,9 @@ impl Transfer {
             host_prep,
             segments,
         };
-        let sent = rail.submit(ctx, req, bytes);
+        let sent = rail.submit(ctx, req);
         if sent.is_ok() && !self.riding.is_empty() {
-            self.acks.sent((rail_idx, dst), self.riding.len(), ctx);
+            self.sent(ctx, rail, dst, self.riding.len());
         }
         Ok((cookie, sent))
     }
@@ -420,28 +424,20 @@ impl Transfer {
     pub(crate) fn send_ctrl(
         &mut self,
         ctx: &mut SimCtx<'_>,
+        rails: &mut [Rail],
         rail_idx: usize,
         dst: NodeId,
         kind: u16,
         header: ChunkHeader,
     ) -> Result<(), EngineError> {
-        let rail = &mut self.rails[rail_idx];
+        let rail = &mut rails[rail_idx];
         let dst_nic = rail.peer_nic(dst).ok_or(EngineError::UnknownPeer(dst))?;
-        if rail.driver.free_slots(ctx) == 0 {
-            self.pending_ctrl.push_back((rail_idx, dst, kind, header));
-            return Ok(());
-        }
-        let req = TransferRequest {
-            dst_nic,
-            vchan: rail.classmap.control(),
-            kind,
-            cookie: CTRL_COOKIE,
-            mode: ModeSel::Auto,
-            host_prep: SimDuration::ZERO,
-            segments: encode_rndv(header),
+        let sent = if rail.driver.free_slots(ctx) == 0 {
+            Err(DriverError::Nic(SubmitError::QueueFull))
+        } else {
+            rail.submit(ctx, rail.control(dst_nic, kind, encode_rndv(header)))
         };
-        let bytes = req.len();
-        match rail.submit(ctx, req, bytes) {
+        match sent {
             Ok(()) => Ok(()),
             Err(DriverError::Nic(SubmitError::QueueFull)) => {
                 self.pending_ctrl.push_back((rail_idx, dst, kind, header));
@@ -451,148 +447,189 @@ impl Transfer {
         }
     }
 
-    /// Retry queued control packets and owed ack sets (called whenever
+    /// Retry queued control packets and owed ack packets (called whenever
     /// queue space may have appeared). Returns the ack packets sent.
-    pub(crate) fn flush_ctrl(&mut self, ctx: &mut SimCtx<'_>) -> u64 {
+    pub(crate) fn flush_ctrl(&mut self, ctx: &mut SimCtx<'_>, rails: &mut [Rail]) -> u64 {
         for _ in 0..self.pending_ctrl.len() {
             let Some((rail_idx, dst, kind, header)) = self.pending_ctrl.pop_front() else {
                 break;
             };
             // send_ctrl re-queues on failure.
-            let _ = self.send_ctrl(ctx, rail_idx, dst, kind, header);
+            let _ = self.send_ctrl(ctx, rails, rail_idx, dst, kind, header);
         }
-        if self.acks.owed.is_empty() {
+        if self.owed.is_empty() {
             return 0;
         }
-        let owed = std::mem::take(&mut self.acks.owed);
-        owed.into_iter().map(|key| self.send_acks(ctx, key)).sum()
+        let owed = std::mem::take(&mut self.owed);
+        owed.into_iter()
+            .map(|key| self.send_acks(ctx, rails, key))
+            .sum()
     }
 
     /// Control packets waiting for queue space, and acks held for a ride.
     pub(crate) fn ctrl_len(&self) -> usize {
-        self.pending_ctrl.len() + self.acks.held
+        self.pending_ctrl.len() + self.held
     }
 
     /// Whether the hold timer is armed.
     pub(crate) fn hold_armed(&self) -> bool {
-        self.acks.timer.is_armed()
+        self.hold_timer.is_armed()
     }
 
     /// Data packet `cookie` from `peer`, congestion-marked when `ecn`,
-    /// arrived on `rail` just now: hold its ack for a ride, or — when the
-    /// packet asks for it at once — send it now with every ack held for
-    /// `peer` on `rail`. Returns the ack packets sent.
+    /// arrived on `rail` just now, granting its ack the hold `grant`
+    /// (none: it asks for the ack at once). `peer` sends data back on
+    /// `rail` from now on. Hold the ack for a ride, or — asked for at
+    /// once — send it now with every ack held for `peer` on `rail`.
+    /// Returns the ack packets sent.
+    ///
+    /// # Panics
+    /// Panics when `peer` is no peer on `rail`: the engine takes packets
+    /// from peers only.
     pub(crate) fn hold_ack(
         &mut self,
         ctx: &mut SimCtx<'_>,
+        rails: &mut [Rail],
         rail: usize,
         peer: NodeId,
         (cookie, ecn): (u64, bool),
-        ack_now: bool,
+        grant: SimDuration,
     ) -> u64 {
-        let key = (rail, peer);
-        let now = ack_now || self.acks.hold.is_zero();
         let at = ctx.now();
         let held = Held {
             cookie,
             ecn,
             at,
-            until: if now { at } else { at + self.acks.hold },
+            until: at + grant,
         };
+        let now = grant.is_zero();
+        let path = rails[rail].path_mut(peer).expect("packets come from peers");
+        path.heard = true;
         // Nothing held for `peer` on `rail`, so nothing owed either: an ack
-        // asked for at once leaves alone, without its set, unless the
+        // asked for at once leaves alone, without the path's, unless the
         // queue is full.
-        if now && self.acks.none_for(key) && self.submit_acks(ctx, key, &[held.header(held.at)]) {
+        let alone = now && path.held.is_empty();
+        if alone && rails[rail].submit_acks(ctx, peer, &[held.header(at)]) {
             return 1;
         }
-        let acks = &mut self.acks;
-        acks.sets.entry(key).or_default().push(held);
-        acks.held += 1;
-        if now {
-            return self.send_acks(ctx, key);
+        if let Some(path) = rails[rail].path_mut(peer) {
+            path.held.push(held);
         }
-        if !acks.timer.is_armed() {
-            acks.arm(ctx);
+        self.held += 1;
+        if now {
+            return self.send_acks(ctx, rails, (rail, peer));
+        }
+        if !self.hold_timer.is_armed() {
+            self.arm(ctx, rails);
         }
         0
     }
 
-    /// The hold timer fired: every set whose oldest ack has waited its
-    /// hold out leaves in an ack packet. Returns the ack packets sent.
-    pub(crate) fn on_hold_timer(&mut self, ctx: &mut SimCtx<'_>) -> u64 {
-        self.acks.timer.fired();
+    /// The hold timer fired: every path whose oldest ack has waited its
+    /// hold out sends its acks in an ack packet. Returns the ack packets
+    /// sent.
+    pub(crate) fn on_hold_timer(&mut self, ctx: &mut SimCtx<'_>, rails: &mut [Rail]) -> u64 {
+        self.hold_timer.fired();
         let now = ctx.now();
-        let hold = self.acks.hold;
-        let due: Vec<_> = self
-            .acks
-            .sets
-            .iter()
-            .filter(|(key, set)| {
-                set.first().is_some_and(|a| a.at + hold <= now) && !self.acks.owed.contains(key)
-            })
-            .map(|(&key, _)| key)
-            .collect();
-        let sent = due.into_iter().map(|key| self.send_acks(ctx, key)).sum();
-        self.acks.arm(ctx);
+        let ended = self
+            .waiting(rails)
+            .filter(|(_, oldest)| oldest.until <= now);
+        let due: Vec<_> = ended.map(|(key, _)| key).collect();
+        let sent = due
+            .into_iter()
+            .map(|key| self.send_acks(ctx, rails, key))
+            .sum();
+        self.arm(ctx, rails);
         sent
     }
 
-    /// Send every ack held for `key` — one ack packet, or as many as the
-    /// rail's packet size needs — or, with the NIC queue full, owe them
-    /// until [`Transfer::flush_ctrl`]. Returns the ack packets sent.
-    fn send_acks(&mut self, ctx: &mut SimCtx<'_>, key: AckKey) -> u64 {
-        let rail = &self.rails[key.0];
+    /// Arm the hold timer for the earliest hold's end.
+    fn arm(&mut self, ctx: &mut SimCtx<'_>, rails: &[Rail]) {
+        let due = self.waiting(rails).map(|(_, oldest)| oldest.until).min();
+        self.hold_timer.arm(ctx, due, ACK_HOLD_TAG);
+    }
+
+    /// Each path that holds acks and is not owed an ack packet (its acks
+    /// leave at the next `tx_done`), with its oldest ack — one granted its
+    /// hold: one asked for at once leaves, or is owed, as it arrives.
+    // madlint: allow(linear-scan) — the paths owed while one queue is full
+    fn waiting<'a>(&'a self, rails: &'a [Rail]) -> impl Iterator<Item = (PathKey, &'a Held)> {
+        let paths = all_paths(rails).filter(|(key, _)| !self.owed.contains(key));
+        paths.filter_map(|(key, path)| Some((key, path.held.first()?)))
+    }
+
+    /// Send every ack held on `key`'s path — one ack packet, or as many as
+    /// the rail's packet size needs — or, with the NIC queue full, owe
+    /// them until [`Transfer::flush_ctrl`]. Returns the ack packets sent.
+    fn send_acks(&mut self, ctx: &mut SimCtx<'_>, rails: &mut [Rail], key: PathKey) -> u64 {
+        let (rail, peer) = (&mut rails[key.0], key.1);
         let limit = packet_limit(rail.driver.capabilities(), rail.wire_mtu);
         let room = limit.saturating_sub(Framing::new().bytes());
         let mut riding = std::mem::take(&mut self.riding);
         let mut sent = 0;
         loop {
             riding.clear();
-            let n = self.acks.peek(key, room, ctx.now(), &mut riding);
+            let n = rail.peek(peer, room, ctx.now(), &mut riding);
             if n == 0 {
                 break;
             }
-            if !self.submit_acks(ctx, key, &riding) {
-                self.acks.owe(key);
+            if !rail.submit_acks(ctx, peer, &riding) {
+                // madlint: allow(linear-scan) — the paths owed while one queue is full
+                if !self.owed.contains(&key) {
+                    self.owed.push(key);
+                }
                 break;
             }
-            self.acks.sent(key, n, ctx);
+            self.sent(ctx, rail, peer, n);
             sent += 1;
         }
         self.riding = riding;
         sent
     }
 
-    /// Submit one ack packet of `acks` to `key`'s peer on `key`'s rail;
-    /// false when the queue has no room for it (or the rail does not reach
-    /// the peer).
-    // madlint: allow(trace-coverage) — control-plane send; the acks are
-    // traced where they arrive (AckReceived)
-    fn submit_acks(&mut self, ctx: &mut SimCtx<'_>, key: AckKey, acks: &[AckHeader]) -> bool {
-        let rail = &mut self.rails[key.0];
-        let Some(dst_nic) = rail.peer_nic(key.1) else {
-            return false;
-        };
-        if rail.driver.free_slots(ctx) == 0 {
-            return false;
+    /// The first `n` acks held for `peer` on `rail` have left; with
+    /// nothing held anywhere the timer is cancelled.
+    fn sent(&mut self, ctx: &mut SimCtx<'_>, rail: &mut Rail, peer: NodeId, n: usize) {
+        if let Some(path) = rail.path_mut(peer) {
+            path.held.drain(..n);
         }
-        let req = TransferRequest {
-            dst_nic,
-            vchan: rail.classmap.control(),
-            kind: KIND_ACK,
-            cookie: CTRL_COOKIE,
-            mode: ModeSel::Auto,
-            host_prep: SimDuration::ZERO,
-            segments: encode_acks(acks),
-        };
-        let bytes = req.len();
-        rail.submit(ctx, req, bytes).is_ok()
+        self.held -= n;
+        if self.held == 0 {
+            self.hold_timer.cancel(ctx);
+        }
+    }
+
+    /// Cross-check the held acks against the rails: the count is the sum
+    /// over every path, and every path owed an ack packet holds acks for
+    /// it. Compiled only with the `debug-invariants` feature.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn debug_assert_invariants(&self, rails: &[Rail]) {
+        let held: usize = all_paths(rails).map(|(_, path)| path.held.len()).sum();
+        assert_eq!(held, self.held, "held-ack count disagrees with the paths");
+        for &(rail, peer) in &self.owed {
+            let holds = rails[rail].path(peer).is_some_and(|p| !p.held.is_empty());
+            assert!(holds, "rail {rail} owes {peer:?} acks it does not hold");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rail {
+        /// A data packet from `peer` arrived on this rail.
+        pub(crate) fn hear(&mut self, peer: NodeId) {
+            self.path_mut(peer).expect("a registered peer").heard = true;
+        }
+    }
+
+    impl Transfer {
+        /// The paths owed an ack packet, in the order they were owed.
+        pub(crate) fn owed(&self) -> &[PathKey] {
+            &self.owed
+        }
+    }
 
     #[test]
     fn an_ack_reports_no_more_held_time_than_its_packet_granted() {

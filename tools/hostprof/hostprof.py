@@ -60,7 +60,7 @@ SEAMS = [
     ("  Receiver::on_chunk", "Receiver::on_chunk"),
     ("  EngineCore::take_acks (acks received)", "EngineCore::take_acks"),
     ("held acks: Transfer::hold_ack (the pending-ack set)", "Transfer::hold_ack"),
-    ("held acks: riders (acks behind a packet's chunks)", ("HeldAcks::peek", "HeldAcks::sent")),
+    ("held acks: riders (acks behind a packet's chunks)", ("Rail::peek", "Transfer::sent")),
     ("held acks: hold timer (Transfer::on_hold_timer)", "Transfer::on_hold_timer"),
     ("held acks: ack packets (Transfer::send_acks)", "Transfer::send_acks"),
     ("reliability (madeleine::reliability::)", "madeleine::reliability::"),
