@@ -197,8 +197,10 @@ mod tests {
 
     #[test]
     fn reliability_knobs_validated_when_enabled() {
-        let mut c = EngineConfig::default();
-        c.retransmit_timeout = SimDuration::ZERO;
+        let mut c = EngineConfig {
+            retransmit_timeout: SimDuration::ZERO,
+            ..EngineConfig::default()
+        };
         assert!(c.validate().is_ok(), "off mode ignores retransmit knobs");
         c.reliability = ReliabilityMode::Recover;
         assert!(c.validate().is_err());

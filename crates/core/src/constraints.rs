@@ -977,8 +977,8 @@ mod tests {
                 let k = i as u32 * 2 + seq;
                 let last = if k == 5 { 2048 } else { 32 };
                 let sizes = [
-                    (16, mode(k % 2 == 0)),
-                    (24, mode(k % 3 == 0)),
+                    (16, mode(k.is_multiple_of(2))),
+                    (24, mode(k.is_multiple_of(3))),
                     (last, PackMode::Cheaper),
                 ];
                 c.submit(flow, parts(&sizes), SimTime::ZERO, 1024);

@@ -577,7 +577,7 @@ mod tests {
         let aged = score(&plan, &aged_ctx);
         assert_eq!(
             (aged.est_busy, whole.est_busy),
-            (busy(bytes(&aged_ctx.groups)), busy(bytes(&young)))
+            (busy(bytes(aged_ctx.groups)), busy(bytes(&young)))
         );
         assert!(aged.est_busy < whole.est_busy);
         assert_eq!(

@@ -3,7 +3,8 @@
 //! When a benchmark gate trips, the interesting question is never "how
 //! much slower" — the gate already answered that — but *which decision,
 //! phase, or rail changed*. maddiff answers it by aligning two runs'
-//! madprof span trees on stable message identity `(node, flow, seq)`
+//! madprof rows ([`FlowSpan`], one per delivered message, the same type
+//! the profile holds) on stable message identity `(node, flow, seq)`
 //! and decomposing every aligned message's latency delta along the
 //! six-phase partition madprof guarantees: because each run's phases
 //! sum exactly to its lifetime, the per-phase deltas sum exactly to the
@@ -39,54 +40,22 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
-use crate::prof::{CritSpan, MsgKey, Phase, ProfInput, PHASE_COUNT};
-
-/// One message's profile, flattened for snapshotting: a
-/// [`crate::prof::FlowSpan`] minus the interior segment list (segments
-/// are derivable from the phase totals and are dead weight in a
-/// baseline artifact).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapRow {
-    /// Stable identity the alignment keys on.
-    pub key: MsgKey,
-    /// Traffic class label.
-    pub class: String,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Submit timestamp (ns).
-    pub submit_ns: u64,
-    /// Delivery timestamp (ns).
-    pub delivered_ns: u64,
-    /// Per-phase durations; sums exactly to the lifetime.
-    pub phases: [u64; PHASE_COUNT],
-    /// Retransmissions the message suffered.
-    pub retransmits: u32,
-    /// First rail the message was encoded on (`u16::MAX` unknown).
-    pub rail: u16,
-    /// Winning strategy of the binding activation (`"?"` unknown).
-    pub strategy: String,
-    /// Vetoed proposals in the binding activation.
-    pub vetoes: u32,
-}
-
-impl SnapRow {
-    /// Delivered-minus-submit lifetime.
-    pub fn total_ns(&self) -> u64 {
-        self.delivered_ns - self.submit_ns
-    }
-}
+use crate::prof::{CritSpan, FlowSpan, MsgKey, Phase, ProfInput, PHASE_COUNT};
 
 /// A self-contained, serializable capture of one run's profile — the
 /// committed-baseline half of a diff. Built from a [`ProfInput`] (live
 /// engine sinks or a re-read Chrome export; both yield identical
 /// snapshots) and round-trippable through [`RunSnapshot::to_json`] /
-/// [`RunSnapshot::parse`] without loss.
+/// [`RunSnapshot::parse`] without loss. A parsed snapshot has no
+/// milestones to cut segments from and needs none: its critical path is
+/// stored.
 #[derive(Clone, Debug)]
 pub struct RunSnapshot {
     /// Human label ("baseline", "fresh", a git sha, ...).
     pub label: String,
-    /// Per-message rows, ordered by [`MsgKey`].
-    pub rows: Vec<SnapRow>,
+    /// The profile's rows, one per delivered message, ordered by
+    /// [`MsgKey`].
+    pub rows: Vec<FlowSpan>,
     /// Cluster-wide critical path (contiguous blame spans).
     pub critical_path: Vec<CritSpan>,
     /// Messages submitted but never delivered, with class.
@@ -104,25 +73,9 @@ impl RunSnapshot {
     /// [`ProfInput::profile`] holds, not a second run of the passes.
     pub fn capture(label: &str, input: &ProfInput) -> RunSnapshot {
         let prof = input.profile();
-        let rows = prof
-            .flows
-            .iter()
-            .map(|f| SnapRow {
-                key: f.key,
-                class: f.class.clone(),
-                bytes: f.bytes,
-                submit_ns: f.submit_ns,
-                delivered_ns: f.delivered_ns,
-                phases: f.phases,
-                retransmits: f.retransmits,
-                rail: f.rail,
-                strategy: f.strategy.clone(),
-                vetoes: f.vetoes,
-            })
-            .collect();
         RunSnapshot {
             label: label.to_string(),
-            rows,
+            rows: prof.flows.clone(),
             critical_path: prof.critical_path.clone(),
             undelivered: input.undelivered(),
             decisions: input.decisions(),
@@ -258,7 +211,7 @@ impl RunSnapshot {
             for (i, slot) in phases.iter_mut().enumerate() {
                 *slot = need_u64(cells.get(7 + i), "phase")?;
             }
-            rows.push(SnapRow {
+            rows.push(FlowSpan {
                 key: key_of(cells)?,
                 class: need_str(cells.get(3), "class")?,
                 bytes: need_u64(cells.get(4), "bytes")?,
@@ -471,11 +424,7 @@ pub struct RunDiff {
 
 /// Share of `part` in `total`, per-mille, half-up rounding.
 fn mille(part: u64, total: u64) -> u64 {
-    if total == 0 {
-        0
-    } else {
-        (part * 1000 + total / 2) / total
-    }
+    (part * 1000 + total / 2).checked_div(total).unwrap_or(0)
 }
 
 /// Signed nanoseconds with an explicit `+`, for report text.
@@ -511,8 +460,8 @@ fn merge_join<K: Ord, A, B>(
 /// A snapshot's rows in key order, the last of equal keys kept (what a
 /// map keyed on them would hold). A capture writes them in key order
 /// already; a parsed document may not.
-fn in_key_order(rows: &[SnapRow]) -> Vec<(MsgKey, &SnapRow)> {
-    let mut order: Vec<(MsgKey, &SnapRow)> = rows.iter().map(|r| (r.key, r)).collect();
+fn in_key_order(rows: &[FlowSpan]) -> Vec<(MsgKey, &FlowSpan)> {
+    let mut order: Vec<(MsgKey, &FlowSpan)> = rows.iter().map(|r| (r.key, r)).collect();
     if !rows.windows(2).all(|w| w[0].key < w[1].key) {
         // Reversed, a stable sort puts the last of equal keys first.
         order.reverse();
@@ -1000,9 +949,9 @@ mod tests {
         }
     }
 
-    fn row(seq: u32, phases: [u64; PHASE_COUNT], rail: u16, strategy: &str) -> SnapRow {
+    fn row(seq: u32, phases: [u64; PHASE_COUNT], rail: u16, strategy: &str) -> FlowSpan {
         let total: u64 = phases.iter().sum();
-        SnapRow {
+        FlowSpan {
             key: key(seq),
             class: "DEFAULT".to_string(),
             bytes: 256,
@@ -1016,7 +965,7 @@ mod tests {
         }
     }
 
-    fn snapshot(label: &str, rows: Vec<SnapRow>) -> RunSnapshot {
+    fn snapshot(label: &str, rows: Vec<FlowSpan>) -> RunSnapshot {
         let critical_path = rows
             .iter()
             .map(|r| CritSpan {

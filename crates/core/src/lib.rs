@@ -87,7 +87,7 @@ pub mod transfer;
 
 pub use api::{AppDriver, CommApi, NullApp};
 pub use config::EngineConfig;
-pub use diff::{diff, AlignedDelta, CritDiff, DecisionDivergence, RunDiff, RunSnapshot, SnapRow};
+pub use diff::{diff, AlignedDelta, CritDiff, DecisionDivergence, RunDiff, RunSnapshot};
 pub use engine::{EngineBuilder, EngineHandle, MadEngine};
 pub use error::EngineError;
 pub use flowmgr::{AdmissionConfig, AdmissionPolicy, FairnessMode, FlowIndex, SendOutcome};

@@ -249,14 +249,13 @@ mod tests {
         // Epochs 2..=4: one elephant class joins at ~100x the mice volume.
         // Rails must shift toward it while the mice keep at least one rail
         // every epoch (no starvation).
-        let mut elephant_rails = 0;
         for _ in 0..3 {
             for _ in 0..4_000 {
                 p.record_traffic(TrafficClass::DEFAULT, 64);
             }
             p.record_traffic(TrafficClass::BULK, 4_000 * 64 * 100);
             p.rebalance();
-            elephant_rails = p.eligible_rails(FlowId(0), TrafficClass::BULK).len();
+            let elephant_rails = p.eligible_rails(FlowId(0), TrafficClass::BULK).len();
             let mice = p.eligible_rails(FlowId(0), TrafficClass::DEFAULT).len();
             assert!(elephant_rails >= 6, "elephant got {elephant_rails} rails");
             assert!(mice >= 1, "mice starved");

@@ -4,14 +4,14 @@
 //! madtrace records *what happened* and madscope records *how much*; this
 //! module answers **where a message's completion time actually went**. It
 //! is a deterministic post-hoc profiler: it replays the madtrace
-//! [`EngineEvent`] rings and the simnet [`Trace`](simnet::Trace) into
-//! per-message span trees and attributes each delivered message's
-//! end-to-end latency into five named phases:
+//! [`EngineEvent`] rings and the simnet [`Trace`](simnet::Trace) into one
+//! row per message and attributes each delivered message's end-to-end
+//! latency into six named phases:
 //!
 //! ```text
-//!   Submitted ──▶ Admitted ──▶ RndvGranted ──▶ ChunkBound ──▶ (retx) ──▶ Delivered
-//!      │ admission │  rndv      │  decision     │  retx        │  wire     │
-//!      │   _wait   │  _wait     │  _wait        │  _recovery   │           │
+//!   Submitted ──▶ Admitted ──▶ RndvGranted ──▶ ChunkBound ──▶ (retx) ──▶ (mark) ──▶ Delivered
+//!      │ admission │  rndv      │  decision     │  retx        │ queueing │  wire     │
+//!      │   _wait   │  _wait     │  _wait        │  _recovery   │          │           │
 //! ```
 //!
 //! The attribution carries an **exactness invariant**: milestones are
@@ -28,10 +28,14 @@
 //! NIC, then into *that* packet's message — yielding the chain of spans
 //! whose shortening would shorten the run. The events are folded into one
 //! row per message as they are read, and the attribution is one walk over
-//! those rows. A row is found by its ids — node, flow, sequence number,
-//! cookie, activation — which the engine hands out from counters, so the
-//! rows sit in tables indexed by them and are walked in key order, not
-//! searched for: O(events).
+//! those rows. A profiled message is one [`FlowSpan`]: what every export,
+//! the snapshot and the differ read. What only a few readers need is
+//! derived where they read it — a message's segments are cut from its
+//! milestones ([`ProfInput::segments`]), the phase histograms are built
+//! by [`Profile::to_json`]. A row is found by its ids — node, flow,
+//! sequence number, cookie, activation — which the engine hands out from
+//! counters, so the rows sit in tables indexed by them and are walked in
+//! key order, not searched for: O(events).
 //!
 //! Exports: folded-stack flamegraph text (inferno-compatible),
 //! per-message attribution CSV, a `madprof-profile` JSON document, and a
@@ -123,8 +127,10 @@ impl std::fmt::Display for MsgKey {
     }
 }
 
-/// Per-message attribution result: the flattened span tree.
-#[derive(Clone, Debug)]
+/// One profiled message: the row the exports, the snapshot and the
+/// differ all read. Its segments are not kept here: they are cut from the
+/// message's milestones where they are read ([`ProfInput::segments`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlowSpan {
     /// Message identity.
     pub key: MsgKey,
@@ -139,9 +145,6 @@ pub struct FlowSpan {
     /// Phase durations, indexed by [`Phase`]; sums to
     /// `delivered_ns − submit_ns` exactly.
     pub phases: [u64; PHASE_COUNT],
-    /// Contiguous `(phase, start, end)` segments covering
-    /// `[submit_ns, delivered_ns]` (zero-length segments included).
-    pub segments: Vec<(Phase, u64, u64)>,
     /// Retransmissions that carried this message's bytes.
     pub retransmits: u32,
     /// Rail the first packet binding left on (`u16::MAX` if unknown).
@@ -230,6 +233,46 @@ struct MsgRow {
     /// The packet it was last listed in: a packet's bindings are
     /// contiguous, so this lists a message once per packet (A, B, A).
     cookie: Option<u64>,
+}
+
+impl MsgRow {
+    /// A delivered message's lifetime cut at its milestones: contiguous
+    /// `(phase, start, end)` segments from the submit to the delivery,
+    /// zero-length ones included, closed by `wire`. Each milestone is
+    /// clamped into the lifetime, and milestones at one instant keep
+    /// [`Phase::rank`] order, so the segments telescope and their lengths
+    /// sum to the lifetime exactly.
+    fn segments(&self) -> Option<impl DoubleEndedIterator<Item = (Phase, u64, u64)>> {
+        let (d_ts, _, latency_ns) = self.delivered?;
+        let s_ts = match &self.submit {
+            Some((s_ts, _, _)) => (*s_ts).min(d_ts),
+            // Submit fell off the ring: reconstruct from the latency the
+            // receiver measured; all interior milestones are gone too, so
+            // the time lands in `wire` — `truncated` flags it.
+            None => d_ts.saturating_sub(latency_ns),
+        };
+        let milestones = [
+            (self.admit, Phase::Admission),
+            (self.grant, Phase::Rndv),
+            (self.last_bind, Phase::Decision),
+            (self.retx_last, Phase::Retx),
+            (self.cong_last, Phase::Queueing),
+        ];
+        let mut marks = [(0, Phase::Wire); PHASE_COUNT];
+        let mut n = 0;
+        for (t, p) in milestones {
+            if let Some(t) = t {
+                marks[n] = (t.clamp(s_ts, d_ts), p);
+                n += 1;
+            }
+        }
+        marks[..n].sort_by_key(|&(t, p)| (t, p.rank()));
+        marks[n] = (d_ts, Phase::Wire);
+        Some((0..=n).map(move |i| {
+            let start = if i == 0 { s_ts } else { marks[i - 1].0 };
+            (marks[i].1, start, marks[i].0)
+        }))
+    }
 }
 
 /// One packet, by sender-side cookie (a retransmission is a new cookie).
@@ -767,63 +810,44 @@ impl ProfInput {
         Rc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone())
     }
 
+    /// The segments of delivered message `key`, cut from its milestones:
+    /// what its row's `phases` sum. `None` if `key` was not delivered.
+    pub fn segments(
+        &self,
+        key: MsgKey,
+    ) -> Option<impl DoubleEndedIterator<Item = (Phase, u64, u64)>> {
+        self.msg_row(key)?.segments()
+    }
+
     /// Run the attribution and critical-path passes.
     fn attribute(&self) -> Profile {
-        // Per-message milestone segmentation, one walk over the rows.
+        // One row per delivered message, one walk over the message rows.
         let mut flows: Vec<FlowSpan> = Vec::new();
-        let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
-            std::array::from_fn(|_| LogHistogram::new());
         let mut violations = 0u64;
         // Internal iteration: the nested tables walk faster folded than
         // stepped one row at a time.
         self.msg_rows().for_each(|(key, row)| {
-            let Some((d_ts, d_bytes, latency_ns)) = row.delivered else {
+            let (Some((d_ts, d_bytes, latency_ns)), Some(segments)) =
+                (row.delivered, row.segments())
+            else {
                 return;
             };
-            let (s_ts, bytes, class) = match &row.submit {
-                Some((s, b, c)) => (*s, *b, c.to_string()),
-                // Submit fell off the ring: reconstruct from the latency
-                // the receiver measured; all interior milestones are gone
-                // too, so the time lands in `wire` — `truncated` flags it.
-                None => (d_ts.saturating_sub(latency_ns), d_bytes, "?".to_string()),
+            let (bytes, class) = match &row.submit {
+                Some((_, b, c)) => (*b, c.to_string()),
+                None => (d_bytes, "?".to_string()),
             };
-            let s_ts = s_ts.min(d_ts);
-            let milestones = [
-                (row.admit, Phase::Admission),
-                (row.grant, Phase::Rndv),
-                (row.last_bind, Phase::Decision),
-                (row.retx_last, Phase::Retx),
-                (row.cong_last, Phase::Queueing),
-            ];
-            let mut marks = [(0, Phase::Wire); 5];
-            let mut n = 0;
-            for (t, p) in milestones {
-                if let Some(t) = t {
-                    marks[n] = (t.clamp(s_ts, d_ts), p);
-                    n += 1;
-                }
+            // Walked back to front, the last segment seen starts at the
+            // submit.
+            let (mut phases, mut s_ts) = ([0u64; PHASE_COUNT], d_ts);
+            for (p, start, end) in segments.rev() {
+                phases[p.rank() as usize] += end - start;
+                s_ts = start;
             }
-            let marks = &mut marks[..n];
-            marks.sort_by_key(|&(t, p)| (t, p.rank()));
-            let mut segments: Vec<(Phase, u64, u64)> = Vec::with_capacity(n + 1);
-            let mut phases = [0u64; PHASE_COUNT];
-            let mut prev = s_ts;
-            for &mut (t, p) in marks {
-                segments.push((p, prev, t));
-                phases[p.rank() as usize] += t - prev;
-                prev = t;
-            }
-            segments.push((Phase::Wire, prev, d_ts));
-            phases[Phase::Wire.rank() as usize] += d_ts - prev;
             // The receiver-side Delivered event carries its own latency
             // measurement; disagreement means the streams are inconsistent
             // (truncation or mixed runs), never a profiler bug.
             if d_ts - s_ts != latency_ns && row.submit.is_some() {
                 violations += 1;
-            }
-            for p in Phase::ALL {
-                phase_hist[p.rank() as usize]
-                    .record(SimDuration::from_nanos(phases[p.rank() as usize]));
             }
             let binding = row.first_bind.and_then(|(_, node, cookie)| {
                 let node = u64::from(node);
@@ -842,7 +866,6 @@ impl ProfInput {
                 submit_ns: s_ts,
                 delivered_ns: d_ts,
                 phases,
-                segments,
                 retransmits: row.retx_count,
                 rail,
                 strategy,
@@ -855,7 +878,6 @@ impl ProfInput {
 
         Profile {
             flows,
-            phase_hist,
             critical_path,
             events_processed: self.events,
             dropped_events: self.dropped,
@@ -882,7 +904,8 @@ impl ProfInput {
 }
 
 /// Walk backward from the delivery that sets the makespan: follow the
-/// message's own segments to its first packet binding, then jump
+/// message's own segments (cut from its row's milestones as the walk
+/// reaches it) to its first packet binding, then jump
 /// across the rail to the packet whose `TxDone` last freed it, and
 /// continue in that packet's message. Stops when the rail was idle (no
 /// `TxDone` since the message's submit) or a cycle would form.
@@ -908,12 +931,13 @@ fn critical_path(input: &ProfInput, flows: &[FlowSpan]) -> Vec<CritSpan> {
     let mut hi = cur.delivered_ns;
     let mut chain: Vec<CritSpan> = Vec::new();
     let mut visited: BTreeSet<MsgKey> = BTreeSet::new();
-    let push_window = |chain: &mut Vec<CritSpan>, f: &FlowSpan, lo: u64, hi: u64| {
-        for &(phase, s, e) in f.segments.iter().rev() {
+    // `key`'s segments clipped to `[lo, hi]`, latest first.
+    let push_window = |chain: &mut Vec<CritSpan>, key: MsgKey, row: &MsgRow, lo: u64, hi: u64| {
+        for (phase, s, e) in row.segments().into_iter().flatten().rev() {
             let (s, e) = (s.max(lo), e.min(hi));
             if s < e {
                 chain.push(CritSpan {
-                    key: f.key,
+                    key,
                     phase,
                     start_ns: s,
                     end_ns: e,
@@ -922,16 +946,19 @@ fn critical_path(input: &ProfInput, flows: &[FlowSpan]) -> Vec<CritSpan> {
         }
     };
     while visited.insert(cur.key) && chain.len() < 4096 {
-        let first_bind = input.msg_row(cur.key).and_then(|row| row.first_bind);
-        let (tb, node, cookie) = match first_bind {
+        // Every attributed message has a row: it was delivered.
+        let Some(row) = input.msg_row(cur.key) else {
+            break;
+        };
+        let (tb, node, cookie) = match row.first_bind {
             Some(b) => b,
             None => {
-                push_window(&mut chain, cur, cur.submit_ns, hi);
+                push_window(&mut chain, cur.key, row, cur.submit_ns, hi);
                 break;
             }
         };
         let tb = tb.clamp(cur.submit_ns, hi);
-        push_window(&mut chain, cur, tb, hi);
+        push_window(&mut chain, cur.key, row, tb, hi);
         let pred = input
             .packets
             .get_in(u64::from(node), cookie)
@@ -958,12 +985,12 @@ fn critical_path(input: &ProfInput, flows: &[FlowSpan]) -> Vec<CritSpan> {
             });
         match pred {
             Some((t_done, next)) => {
-                push_window(&mut chain, cur, t_done, tb);
+                push_window(&mut chain, cur.key, row, t_done, tb);
                 cur = next;
                 hi = t_done.min(cur.delivered_ns);
             }
             None => {
-                push_window(&mut chain, cur, cur.submit_ns, tb);
+                push_window(&mut chain, cur.key, row, cur.submit_ns, tb);
                 break;
             }
         }
@@ -972,14 +999,12 @@ fn critical_path(input: &ProfInput, flows: &[FlowSpan]) -> Vec<CritSpan> {
     chain
 }
 
-/// A computed profile: per-message attribution, per-phase histograms and
-/// the run critical path.
+/// A computed profile: per-message attribution and the run critical
+/// path.
 #[derive(Clone, Debug)]
 pub struct Profile {
-    /// One span tree per delivered message, ordered by [`MsgKey`].
+    /// One row per delivered message, ordered by [`MsgKey`].
     pub flows: Vec<FlowSpan>,
-    /// Per-phase latency histograms over all delivered messages.
-    pub phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT],
     /// The run critical path, chronological.
     pub critical_path: Vec<CritSpan>,
     /// Records consumed from every input stream.
@@ -1089,8 +1114,15 @@ impl Profile {
     pub fn to_json(&self) -> Json {
         let mut phases = obj();
         for p in Phase::ALL {
-            let h = &self.phase_hist[p.rank() as usize];
-            let total: u64 = self.flows.iter().map(|f| f.phases[p.rank() as usize]).sum();
+            // Samples in row order, `MsgKey` order: the summary's mean
+            // is a float sum, and another order can move its last digit.
+            let mut h = LogHistogram::new();
+            let mut total = 0u64;
+            for f in &self.flows {
+                let ns = f.phases[p.rank() as usize];
+                h.record(SimDuration::from_nanos(ns));
+                total += ns;
+            }
             let shares = self.phase_shares(p);
             phases = phases.field(
                 p.label(),
@@ -1541,6 +1573,87 @@ mod tests {
         assert_eq!(p.partition_violations, 0);
     }
 
+    /// The segment function on hand-built rows: a submit that fell off
+    /// the ring, milestones outside the lifetime, and two milestones at
+    /// one instant. In every case the segments run contiguously from the
+    /// submit to the delivery and sum to the row's phases.
+    #[test]
+    fn segments_cut_the_lifetime_at_clamped_milestones_in_rank_order() {
+        let m = key(1, 0);
+        let submitted = |ts| {
+            let rec = Rec::Submitted {
+                key: m,
+                bytes: 64,
+                class: "default",
+            };
+            (ts, rec)
+        };
+        let bound = |ts| (ts, Rec::ChunkBound { key: m, cookie: 1 });
+        let delivered = |ts, latency_ns| {
+            let rec = Rec::Delivered {
+                key: m,
+                bytes: 64,
+                latency_ns,
+            };
+            (ts, rec)
+        };
+        let cases = [
+            // The submit fell off the ring: the whole lifetime is wire.
+            (vec![delivered(300, 250)], vec![(Phase::Wire, 50, 300)]),
+            // An admission before the submit and a binding after the
+            // delivery are clamped into the lifetime.
+            (
+                vec![
+                    (50, Rec::Admitted(m)),
+                    submitted(100),
+                    bound(400),
+                    delivered(300, 200),
+                ],
+                vec![
+                    (Phase::Admission, 100, 100),
+                    (Phase::Decision, 100, 300),
+                    (Phase::Wire, 300, 300),
+                ],
+            ),
+            // A grant read before an admission at the same instant: the
+            // lower rank, admission, comes first.
+            (
+                vec![
+                    submitted(0),
+                    (40, Rec::RndvGranted(m)),
+                    (40, Rec::Admitted(m)),
+                    bound(70),
+                    delivered(100, 100),
+                ],
+                vec![
+                    (Phase::Admission, 0, 40),
+                    (Phase::Rndv, 40, 40),
+                    (Phase::Decision, 40, 70),
+                    (Phase::Wire, 70, 100),
+                ],
+            ),
+        ];
+        for (records, want) in cases {
+            let mut input = ProfInput::default();
+            for (ts, rec) in records {
+                input.fold(0, ts, rec);
+            }
+            let got: Vec<_> = input.segments(m).into_iter().flatten().collect();
+            assert_eq!(got, want);
+            let p = input.profile();
+            let f = &p.flows[0];
+            let (mut phases, mut cursor) = ([0; PHASE_COUNT], f.submit_ns);
+            for (phase, start, end) in got {
+                assert_eq!(start, cursor, "contiguous");
+                phases[phase.rank() as usize] += end - start;
+                cursor = end;
+            }
+            assert_eq!(cursor, f.delivered_ns);
+            assert_eq!(phases, f.phases);
+        }
+        assert!(ProfInput::default().segments(m).is_none(), "not delivered");
+    }
+
     #[test]
     fn empty_input_profiles_to_nothing() {
         let p = ProfInput::default().profile();
@@ -1555,7 +1668,7 @@ mod tests {
     /// row layout replaced, kept verbatim: the oracle it is held to.
     mod reference {
         use super::*;
-        use crate::diff::{RunSnapshot, SnapRow};
+        use crate::diff::RunSnapshot;
 
         #[derive(Clone, Debug, Default)]
         pub(super) struct RefInput {
@@ -1733,7 +1846,7 @@ mod tests {
                     .collect()
             }
 
-            pub(super) fn attribute(&self) -> Profile {
+            pub(super) fn attribute(&self) -> (Profile, Segments) {
                 // Pass 1: resolve cookie→message sets, following retransmit
                 // renames so a re-sent packet still belongs to its messages.
                 let mut cookie_msgs: BTreeMap<(u32, u64), Vec<MsgKey>> = BTreeMap::new();
@@ -1781,8 +1894,7 @@ mod tests {
 
                 // Pass 2: per-message milestone segmentation.
                 let mut flows: Vec<FlowSpan> = Vec::with_capacity(self.delivered.len());
-                let mut phase_hist: [LogHistogram<SimDuration>; PHASE_COUNT] =
-                    std::array::from_fn(|_| LogHistogram::new());
+                let mut segment_table: Segments = BTreeMap::new();
                 let mut violations = 0u64;
                 for (&key, &(d_ts, d_bytes, latency_ns)) in &self.delivered {
                     let (s_ts, bytes, class) = match self.submits.get(&key) {
@@ -1827,10 +1939,6 @@ mod tests {
                     if d_ts - s_ts != latency_ns && self.submits.contains_key(&key) {
                         violations += 1;
                     }
-                    for p in Phase::ALL {
-                        phase_hist[p.rank() as usize]
-                            .record(SimDuration::from_nanos(phases[p.rank() as usize]));
-                    }
                     let (rail, strategy, vetoes) = match first_bind.get(&key) {
                         Some(&(_, node, cookie)) => match self.encoded.get(&(node, cookie)) {
                             Some(&(rail, act)) => (
@@ -1849,33 +1957,42 @@ mod tests {
                         submit_ns: s_ts,
                         delivered_ns: d_ts,
                         phases,
-                        segments,
                         retransmits: retx_count.get(&key).copied().unwrap_or(0),
                         rail,
                         strategy,
                         vetoes,
                     });
+                    segment_table.insert(key, segments);
                 }
 
                 // Pass 3: backward critical-path walk from the makespan delivery.
-                let critical_path =
-                    critical_path(&flows, &first_bind, &cookie_msgs, &self.encoded, {
-                        &self.txdone
-                    });
+                let critical_path = critical_path(
+                    &flows,
+                    &segment_table,
+                    &first_bind,
+                    &cookie_msgs,
+                    &self.encoded,
+                    &self.txdone,
+                );
 
-                Profile {
+                let profile = Profile {
                     flows,
-                    phase_hist,
                     critical_path,
                     events_processed: self.events,
                     dropped_events: self.dropped,
                     partition_violations: violations,
-                }
+                };
+                (profile, segment_table)
             }
         }
 
+        /// Each delivered message's contiguous `(phase, start, end)`
+        /// segments, by key.
+        pub(super) type Segments = BTreeMap<MsgKey, Vec<(Phase, u64, u64)>>;
+
         fn critical_path(
             flows: &[FlowSpan],
+            segments: &Segments,
             first_bind: &BTreeMap<MsgKey, (u64, u32, u64)>,
             cookie_msgs: &BTreeMap<(u32, u64), Vec<MsgKey>>,
             encoded: &BTreeMap<(u32, u64), (u16, u64)>,
@@ -1897,7 +2014,7 @@ mod tests {
             let mut chain: Vec<CritSpan> = Vec::new();
             let mut visited: BTreeSet<MsgKey> = BTreeSet::new();
             let push_window = |chain: &mut Vec<CritSpan>, f: &FlowSpan, lo: u64, hi: u64| {
-                for &(phase, s, e) in f.segments.iter().rev() {
+                for &(phase, s, e) in segments[&f.key].iter().rev() {
                     let (s, e) = (s.max(lo), e.min(hi));
                     if s < e {
                         chain.push(CritSpan {
@@ -1965,23 +2082,8 @@ mod tests {
         /// `RunSnapshot::capture` as it read before the row layout, over
         /// the reference input.
         pub(super) fn capture(label: &str, input: &RefInput) -> RunSnapshot {
-            let prof = input.attribute();
-            let rows = prof
-                .flows
-                .iter()
-                .map(|f| SnapRow {
-                    key: f.key,
-                    class: f.class.clone(),
-                    bytes: f.bytes,
-                    submit_ns: f.submit_ns,
-                    delivered_ns: f.delivered_ns,
-                    phases: f.phases,
-                    retransmits: f.retransmits,
-                    rail: f.rail,
-                    strategy: f.strategy.clone(),
-                    vetoes: f.vetoes,
-                })
-                .collect();
+            let (prof, _) = input.attribute();
+            let rows = prof.flows.clone();
             let mut undelivered = input.undelivered();
             undelivered.sort();
             RunSnapshot {
@@ -2001,9 +2103,14 @@ mod tests {
     use reference::RefInput;
     use simnet::{FaultPlan, Technology};
 
-    /// Every output of the row-layout profile equals the reference's.
+    /// Every output of the row-layout profile equals the reference's,
+    /// each message's segments included.
     fn assert_matches_reference(input: &ProfInput, old: &RefInput) -> Rc<Profile> {
-        let (new, ref_prof) = (input.profile(), old.attribute());
+        let (new, (ref_prof, ref_segments)) = (input.profile(), old.attribute());
+        for f in &new.flows {
+            let segments: Vec<_> = input.segments(f.key).into_iter().flatten().collect();
+            assert_eq!(segments, ref_segments[&f.key], "{}", f.key);
+        }
         assert_eq!(new.attribution_csv(), ref_prof.attribution_csv());
         assert_eq!(new.folded_stacks(), ref_prof.folded_stacks());
         assert_eq!(new.to_json().render(), ref_prof.to_json().render());

@@ -413,7 +413,7 @@ pub fn plan_retransmit(
             let fits_count = current.len() < max_chunks;
             let fits_bytes =
                 framing.bytes() + framing.next(&h) + payload + u64::from(h.chunk_len) <= limit;
-            if !current.is_empty() && !(fits_count && fits_bytes) {
+            if !current.is_empty() && (!fits_count || !fits_bytes) {
                 packets.push(std::mem::take(&mut current));
                 payload = 0;
                 framing = Framing::new();

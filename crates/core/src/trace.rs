@@ -606,19 +606,6 @@ pub struct ChromeExport {
     pub events: usize,
 }
 
-/// Merge the simulator trace and per-node engine sinks into one Chrome
-/// trace-event JSON document (Perfetto / `about:tracing` loadable).
-///
-/// * `pid` = node index, `tid` = rail index (NIC-level events and the
-///   optimizer decisions of that rail's activations); node-level events
-///   (submissions, deliveries, timers) go on a synthetic `engine` track.
-/// * Every message becomes a flow arrow (`ph:"s"` at `Submitted` on the
-///   sender, `ph:"f"` at `Delivered` on the receiver).
-/// * `nics[node][rail]` supplies NIC→(node, rail) routing — pass
-///   `Cluster::nics` or the equivalent topology.
-/// * `otherData` carries the retained/dropped counts of every ring so a
-///   truncated timeline is distinguishable from a complete one.
-///
 /// Compact per-network topology summary embedded in a Chrome export's
 /// `otherData` (madnet). `trace-tool info` surfaces it as one line per
 /// fabric; flat point-to-point networks simply omit the entry.
@@ -641,8 +628,8 @@ impl TopologySummary {
     pub fn of(topo: &simnet::Topology) -> Self {
         TopologySummary {
             name: topo.name().to_string(),
-            hosts: topo.hosts() as u32,
-            switches: topo.switches() as u32,
+            hosts: topo.hosts(),
+            switches: topo.switches(),
             links: topo.links().len() as u32,
             oversub_milli: topo.oversubscription_milli() as u32,
         }
@@ -1040,8 +1027,8 @@ impl FlightDump {
     ) -> FlightDump {
         let events: Vec<EngineRecord> = sink
             .iter()
-            .cloned()
             .skip(sink.len().saturating_sub(FLIGHT_KEEP))
+            .cloned()
             .collect();
         FlightDump {
             node,

@@ -135,7 +135,7 @@ pub fn corpus(
     let mut rng = SplitMix64::new(seed);
     // Cap fragment sizes so materialized backlogs stay small (payloads are
     // real allocations); sizes beyond the MTU still exercise chunking.
-    let len_cap = wire_mtu.min(2 << 20).max(2) as u32;
+    let len_cap = wire_mtu.clamp(2, 2 << 20) as u32;
     let pio = caps.pio_max_bytes.clamp(2, u64::from(len_cap)) as u32;
     let quarter_mtu = (wire_mtu / 4).clamp(1, u64::from(len_cap)) as u32;
     let rndv32 = rndv_threshold.min(u64::from(len_cap)) as u32;

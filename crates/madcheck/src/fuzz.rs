@@ -30,7 +30,7 @@
 
 use std::collections::HashSet;
 
-use madeleine::diff::diff;
+use madeleine::diff::{diff, RunSnapshot};
 use madeleine::harness::{Cluster, ClusterSpec, EngineKind};
 use madeleine::json::{obj, Json};
 use madeleine::metrics::MetricsRegistry;
@@ -216,15 +216,15 @@ pub fn check(spec: &ScenarioSpec, only: Option<&str>) -> Vec<(&'static str, Stri
     let reg = a.as_ref().unwrap_or(&base).cluster.metrics_registry();
     fail("registry", registry_report(&reg, spec.deaths()).findings);
     if let Some(a) = a {
-        let prof = a.cluster.profile();
-        fail(
-            "partition",
-            partition_findings(&prof, &retransmits(&a.cluster)),
-        );
-        let snap = a.cluster.run_snapshot("base");
+        let input = a.cluster.prof_input();
+        let prof = input.profile();
+        let resent = retransmits(&a.cluster);
+        fail("partition", partition_findings(&input, &prof, &resent));
+        let snap = RunSnapshot::capture("base", &input);
         if wants("replay") {
             let b = traced(spec, SimDuration::ZERO);
-            let again = b.cluster.profile();
+            let input_b = b.cluster.prof_input();
+            let again = input_b.profile();
             let mut lines = Vec::new();
             if again.attribution_csv() != prof.attribution_csv()
                 || again.folded_stacks() != prof.folded_stacks()
@@ -242,7 +242,7 @@ pub fn check(spec: &ScenarioSpec, only: Option<&str>) -> Vec<(&'static str, Stri
                     "the Chrome export moved on a same-seed replay or does not read back".into(),
                 );
             }
-            let snap2 = b.cluster.run_snapshot("base");
+            let snap2 = RunSnapshot::capture("base", &input_b);
             if snap.render() != snap2.render() {
                 lines.push("a same-seed replay changed the snapshot bytes".to_string());
             }

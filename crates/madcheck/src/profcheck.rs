@@ -2,6 +2,8 @@
 //! message's six phases partition its lifetime exactly — `admission +
 //! rndv + decision + retx + wire == delivered − submit` — span by span,
 //! and its profiled retransmissions match a recount from the engine rings.
+//! Each message's segments are cut from its milestones in the
+//! [`ProfInput`] the profile came from and checked against its phases.
 //! The verdict is re-derived here, not read back from
 //! [`Profile::partition_violations`] (which must read 0 as well). A
 //! profiler that loses or invents nanoseconds steers tuning toward phases
@@ -10,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use madeleine::harness::Cluster;
-use madeleine::{EngineEvent, MsgKey, Profile};
+use madeleine::{EngineEvent, MsgKey, ProfInput, Profile};
 
 /// Each message's retransmissions, recounted from the engine rings: a
 /// re-sent packet counts once for every distinct message it carried.
@@ -52,11 +54,15 @@ pub fn retransmits(c: &Cluster) -> BTreeMap<MsgKey, u32> {
     count
 }
 
-/// The partition of one profile, span by span, independent of the
-/// profiler's own violation counter (which must read 0 too), and each
-/// message's retransmissions against the ring's `retransmits`: one line
-/// per broken message, eight at most.
-pub fn partition_findings(prof: &Profile, retransmits: &BTreeMap<MsgKey, u32>) -> Vec<String> {
+/// The partition of `input`'s profile `prof`, span by span, independent
+/// of the profiler's own violation counter (which must read 0 too), and
+/// each message's retransmissions against the ring's `retransmits`: one
+/// line per broken message, eight at most.
+pub fn partition_findings(
+    input: &ProfInput,
+    prof: &Profile,
+    retransmits: &BTreeMap<MsgKey, u32>,
+) -> Vec<String> {
     let mut out = Vec::new();
     if prof.truncated() {
         out.push(format!(
@@ -90,7 +96,7 @@ pub fn partition_findings(prof: &Profile, retransmits: &BTreeMap<MsgKey, u32>) -
         // the per-phase totals the phases array claims.
         let mut per_phase = [0u64; madeleine::PHASE_COUNT];
         let mut cursor = f.submit_ns;
-        for &(phase, start, end) in &f.segments {
+        for (phase, start, end) in input.segments(f.key).into_iter().flatten() {
             if start < cursor || end < start || end > f.delivered_ns {
                 out.push(format!(
                     "{} segment {start}..{end} escapes [{cursor}, {}]",
@@ -126,8 +132,9 @@ mod tests {
         let (mut messages, mut resent) = (0, 0);
         for spec in traced_draws(42, 6).into_iter().chain([pair(40, true)]) {
             let c = traced(&spec, SimDuration::ZERO).cluster;
-            let (prof, counts) = (c.profile(), retransmits(&c));
-            let found = partition_findings(&prof, &counts);
+            let (input, counts) = (c.prof_input(), retransmits(&c));
+            let prof = input.profile();
+            let found = partition_findings(&input, &prof, &counts);
             assert!(found.is_empty(), "{}: {found:?}", spec.to_json().render());
             messages += prof.flows.len();
             resent += counts.values().filter(|&&n| n > 0).count();
@@ -142,8 +149,9 @@ mod tests {
             let specs = traced_draws(7, 2).into_iter();
             let runs = specs.map(|s| traced(&s, SimDuration::ZERO).cluster);
             let one = |c: Cluster| {
-                let prof = c.profile();
-                let found = partition_findings(&prof, &retransmits(&c));
+                let input = c.prof_input();
+                let prof = input.profile();
+                let found = partition_findings(&input, &prof, &retransmits(&c));
                 (prof.attribution_csv(), prof.folded_stacks(), found)
             };
             runs.map(one).collect::<Vec<_>>()
@@ -152,12 +160,14 @@ mod tests {
     }
 
     /// The verifier itself must catch a broken partition (one span
-    /// corrupted) and a message whose retransmissions it miscounts.
+    /// corrupted: its lifetime and its segments disagree with it) and a
+    /// message whose retransmissions it miscounts.
     #[test]
     fn corrupted_partition_is_flagged() {
         let run = traced(&pair(40, true), SimDuration::ZERO);
-        let (mut prof, resent) = (run.cluster.profile(), retransmits(&run.cluster));
-        assert!(partition_findings(&prof, &resent).is_empty());
+        let (input, resent) = (run.cluster.prof_input(), retransmits(&run.cluster));
+        let mut prof = Profile::clone(&input.profile());
+        assert!(partition_findings(&input, &prof, &resent).is_empty());
         assert!(
             resent.values().any(|&n| n > 0),
             "the faulted pair retransmits"
@@ -165,8 +175,12 @@ mod tests {
         let f = &mut prof.flows[0];
         f.phases[madeleine::Phase::Wire.rank() as usize] += 1;
         f.retransmits += 1;
-        let found = partition_findings(&prof, &resent);
+        let found = partition_findings(&input, &prof, &resent);
         assert!(found.iter().any(|f| f.contains("lifetime")), "{found:?}");
+        assert!(
+            found.iter().any(|f| f.contains("segment totals")),
+            "{found:?}"
+        );
         assert!(found.iter().any(|f| f.contains("profiled")), "{found:?}");
     }
 }

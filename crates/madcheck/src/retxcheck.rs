@@ -185,7 +185,7 @@ pub fn verify_packets(
             let (piece, consumed) = match cursor.take() {
                 Some(p) => p,
                 None => match out.next() {
-                    Some(c) => (c.clone(), 0),
+                    Some(c) => (*c, 0),
                     None => {
                         return Err(RetxViolation::CoverageMismatch {
                             flow: want.flow,

@@ -318,8 +318,10 @@ mod tests {
 
     #[test]
     fn json_is_valid_and_escaped() {
-        let mut r = LintReport::default();
-        r.files_scanned = 1;
+        let mut r = LintReport {
+            files_scanned: 1,
+            ..LintReport::default()
+        };
         r.diagnostics.push(Diagnostic {
             rule: RuleId::NondetSource,
             file: "a.rs".into(),

@@ -575,7 +575,7 @@ pub fn select_algo(
         }
         let est = estimate_ns(op, algo, members, elems, caps, cost, hint);
         candidates.push((algo, est));
-        if best.map_or(true, |(_, b)| est < b) {
+        if best.is_none_or(|(_, b)| est < b) {
             best = Some((algo, est));
         }
     }

@@ -18,7 +18,7 @@ fn tech() -> impl Strategy<Value = Technology> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn injection_time_monotone_in_bytes(

@@ -206,7 +206,10 @@ impl Topology {
     /// # Panics
     /// Panics when `k` is odd or less than 2.
     pub fn fat_tree(k: u32, link: LinkProfile) -> Self {
-        assert!(k >= 2 && k % 2 == 0, "fat-tree arity must be even, got {k}");
+        assert!(
+            k >= 2 && k.is_multiple_of(2),
+            "fat-tree arity must be even, got {k}"
+        );
         let half = k / 2;
         let hosts = k * half * half;
         let edge_of = |pod: u32, i: u32| Vertex::Switch(pod * half + i);

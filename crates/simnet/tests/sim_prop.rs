@@ -105,7 +105,7 @@ fn run(sends: &[Send]) -> (u64, Vec<(u64, Vec<u8>)>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn every_packet_delivered_intact(sends in sends()) {

@@ -297,7 +297,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn positional_lookup_matches_linear_scan_reference(ops in ops()) {

@@ -165,7 +165,7 @@ fn arbitrary_plan() -> impl Strategy<Value = madeleine::plan::TransferPlan> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `validate_plan` is total: any well-typed plan against any backlog
     /// yields a verdict, never a panic or overflow.
@@ -213,7 +213,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn optimizer_preserves_message_semantics(

@@ -212,7 +212,7 @@ fn faulted_cell_nagle(seed: u64, loss_pm: u32, dup_pm: u32, nagle_us: u64) -> Cl
                 ctx,
                 f,
                 MessageBuilder::new()
-                    .pack_cheaper(&vec![i as u8; 200])
+                    .pack_cheaper(&[i as u8; 200])
                     .build_parts(),
             );
         }
@@ -277,7 +277,7 @@ fn faulted_allreduce(seed: u64, loss_pm: u32, dup_pm: u32) -> (Cluster, CollHub)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// madcoll under the full madrel gauntlet: every allreduce completes
     /// with the identical (closed-form-verified) reduced value at every

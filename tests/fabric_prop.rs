@@ -46,7 +46,7 @@ fn build_problem(seed: u64, links: usize, nflows: usize) -> (Vec<u64>, Vec<Vec<u
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Conservation + work conservation on seeded random problems,
     /// re-derived by the independent madcheck verifier.
@@ -84,15 +84,15 @@ proptest! {
         // Rotation + reversal generate enough of the symmetric group to
         // catch any order dependence a single swap would miss.
         let rot = rot % nflows;
-        let mut permuted: Vec<Vec<usize>> = flows.iter().cloned().collect();
+        let mut permuted: Vec<Vec<usize>> = flows.to_vec();
         permuted.rotate_left(rot);
         permuted.reverse();
         let back = max_min_rates(&capacities, &permuted);
-        for f in 0..nflows {
+        for (f, &rate) in rates.iter().enumerate() {
             // flows[f] moved to position (nflows - 1) - ((f + nflows - rot) % nflows).
             let p = nflows - 1 - ((f + nflows - rot) % nflows);
             prop_assert_eq!(
-                rates[f], back[p],
+                rate, back[p],
                 "flow {}'s rate changed when the list was permuted", f
             );
         }

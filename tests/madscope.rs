@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use simnet::SimDuration;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// For any sample set and any q, the histogram's bucket-bound
     /// quantile must bracket the exact rank statistic: with

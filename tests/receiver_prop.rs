@@ -315,7 +315,7 @@ fn header(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn arbitrary_chunk_orders_reassemble(
@@ -437,7 +437,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn any_arrival_sequence_delivers_what_the_copying_receiver_did(seed in any::<u64>()) {

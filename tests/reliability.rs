@@ -81,7 +81,7 @@ fn logged_lossy_cluster(engine: EngineKind, plan: FaultPlan) -> (Cluster, SentLo
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Retransmit idempotence: drops force retransmissions, duplicates
     /// replay both data and acks, reordering shuffles arrivals — and every

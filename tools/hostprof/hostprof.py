@@ -76,6 +76,7 @@ SEAMS = [
     ("    JsonWriter", "madeleine::json::JsonWriter", "madeleine::trace::export_chrome_trace"),
     ("  ProfInput::from_engine / fold", ("ProfInput::from_engine", "ProfInput::fold")),
     ("  ProfInput::profile", "ProfInput::profile"),
+    ("    segments cut for the critical path", "MsgRow::segments", "madeleine::prof::critical_path"),
     ("  RunSnapshot::capture + diff::diff", ("RunSnapshot::capture", "madeleine::diff::diff")),
     ("search trees (BTreeMap/BTreeSet)", "alloc::collections::btree::"),
     ("128-bit division (__udivti3)", "__udivti3"),
