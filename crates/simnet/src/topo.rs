@@ -16,9 +16,11 @@
 //!   in transit is a fluid transfer whose serialization rate is
 //!   recomputed on each join/leave, in the style of dslab-network's
 //!   shared-bandwidth throughput model. The per-packet path allocates
-//!   nothing: one [`WaterFill`] scratch and a memoised route table live
-//!   in [`FabricState`], and each reallocation posts one completion
-//!   event (the earliest), not one per live transfer;
+//!   nothing: one [`WaterFill`] scratch, a flat table of the live paths
+//!   and dense port and route tables live in [`FabricState`]; a join or
+//!   leave is one fill that prices the links as it freezes flows (only
+//!   its own path for a transfer alone on its links), and posts one
+//!   completion event (the earliest), not one per live transfer;
 //! * bounded switch queues: a packet whose wire bytes would overflow a
 //!   link's queue is dropped, and occupancy past an ECN threshold marks
 //!   the packet so the receiver can echo congestion back to the sender.
@@ -29,7 +31,7 @@
 // madlint: file: hot-path
 // madlint: file: deterministic-output
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::engine::NicId;
 use crate::packet::WirePacket;
@@ -348,6 +350,9 @@ pub fn flow_hash(src: u32, dst: u32, vchan: u16) -> u64 {
 struct FillLink {
     /// Capacity not yet handed to a frozen flow.
     remaining: u64,
+    /// The rates of the flows frozen on the link, each capped at its
+    /// capacity, summed; reset when a run first touches the link.
+    load: u64,
     /// Path entries of open (not yet frozen) flows on the link. Zero
     /// between runs: every run freezes every flow it counted.
     open: u32,
@@ -364,6 +369,9 @@ struct FillLink {
 #[derive(Clone, Copy, Debug)]
 struct OpenFlow {
     flow: usize,
+    /// The flow's path is `paths[start..end]` of the run.
+    start: usize,
+    end: usize,
     /// The tightest link on the flow's path.
     bottleneck: usize,
     /// Every open flow on `bottleneck` named it: freeze this round.
@@ -391,7 +399,8 @@ struct OpenFlow {
 /// while a single flow is open on it), and each round walks only the
 /// flows still open. Rates are clamped to ≥ 1 B/s so every admitted
 /// transfer makes progress; a flow crossing no links is unconstrained
-/// and gets `u64::MAX`.
+/// and gets `u64::MAX`. As it freezes a flow it adds the flow's rate to
+/// each link's load, so the fabric prices its links in the same pass.
 #[derive(Clone, Debug, Default)]
 pub struct WaterFill {
     links: Vec<FillLink>,
@@ -410,37 +419,43 @@ impl WaterFill {
     /// (see [`max_min_rates`]). The result stays valid until the next
     /// call and depends on nothing but this call's arguments.
     pub fn allocate(&mut self, capacities: &[u64], flows: &[Vec<usize>]) -> &[u64] {
-        self.fill(capacities, flows.len(), |f| &flows[f])
+        self.fill(capacities, &flows.concat(), flows.iter().map(Vec::len))
     }
 
-    fn fill<'p>(
+    /// Fill for flows whose paths lie back to back in `paths`, flow `f`
+    /// taking the next `hops[f]` entries.
+    fn fill(
         &mut self,
         capacities: &[u64],
-        nflows: usize,
-        path_of: impl Fn(usize) -> &'p [usize],
+        paths: &[usize],
+        hops: impl Iterator<Item = usize>,
     ) -> &[u64] {
         let WaterFill { links, open, rates } = self;
         if links.len() < capacities.len() {
             links.resize(capacities.len(), FillLink::default());
         }
         open.clear();
-        open.reserve(nflows);
         rates.clear();
-        rates.resize(nflows, u64::MAX);
-        for flow in 0..nflows {
-            let path = path_of(flow);
-            if path.is_empty() {
+        let mut end = 0;
+        for (flow, n) in hops.enumerate() {
+            rates.push(u64::MAX);
+            let start = end;
+            end += n;
+            if n == 0 {
                 continue;
             }
             open.push(OpenFlow {
                 flow,
-                bottleneck: path[0],
+                start,
+                end,
+                bottleneck: paths[start],
                 ready: false,
             });
-            for &l in path {
+            for &l in &paths[start..end] {
                 let link = &mut links[l];
                 if link.open == 0 {
                     link.remaining = capacities[l];
+                    link.load = 0;
                 }
                 link.open += 1;
                 link.dirty = true;
@@ -453,7 +468,7 @@ impl WaterFill {
             for o in open.iter_mut() {
                 let mut best = (u64::MAX, usize::MAX);
                 let mut hits = 0;
-                for &l in path_of(o.flow) {
+                for &l in &paths[o.start..o.end] {
                     let link = &mut links[l];
                     if link.dirty {
                         link.share = match link.open {
@@ -491,10 +506,12 @@ impl WaterFill {
                 // `share` is the round's: freezes mark links dirty, the
                 // next round re-divides.
                 let share = links[o.bottleneck].share;
-                rates[o.flow] = share.max(1);
-                for &l in path_of(o.flow) {
+                let rate = share.max(1);
+                rates[o.flow] = rate;
+                for &l in &paths[o.start..o.end] {
                     let link = &mut links[l];
                     link.remaining = link.remaining.saturating_sub(share);
+                    link.load = link.load.saturating_add(rate.min(capacities[l]));
                     link.open -= 1;
                     link.dirty = true;
                 }
@@ -517,6 +534,40 @@ pub fn max_min_rates(capacities: &[u64], flows: &[Vec<usize>]) -> Vec<u64> {
     let mut fill = WaterFill::new();
     fill.allocate(capacities, flows);
     fill.rates
+}
+
+/// Which links live transfers cross: a count per link, and the links
+/// whose count is not zero (the ones `FabricState::advance` prices).
+#[derive(Debug)]
+struct Crossings {
+    /// Per link: live path entries on it (a path that crosses a link
+    /// twice counts twice), and its place in `busy` while that is not 0.
+    count: Vec<(u32, usize)>,
+    /// Links with a nonzero count, in no order.
+    busy: Vec<usize>,
+}
+
+impl Crossings {
+    fn join(&mut self, l: usize) {
+        let (n, at) = &mut self.count[l];
+        if *n == 0 {
+            *at = self.busy.len();
+            self.busy.push(l);
+        }
+        *n += 1;
+    }
+
+    fn leave(&mut self, l: usize) {
+        let (n, at) = &mut self.count[l];
+        *n -= 1;
+        if *n == 0 {
+            let at = *at;
+            self.busy.swap_remove(at);
+            if let Some(&moved) = self.busy.get(at) {
+                self.count[moved].1 = at;
+            }
+        }
+    }
 }
 
 /// `a × b / d`, rounded down and truncated to 64 bits; the 128-bit
@@ -602,6 +653,8 @@ struct Transfer {
     id: u64,
     /// Index into `FabricState::routes`.
     route: usize,
+    /// Links on the route: the transfer's span of `FabricState::paths`.
+    hops: usize,
     remaining: u64,
     rate: u64,
     wire_bytes: u64,
@@ -620,7 +673,9 @@ pub struct LinkStats {
     pub queue_drops: u64,
     /// High-water mark of queued wire bytes.
     pub peak_queue_bytes: u64,
-    /// Wire bytes fully serialized across this link.
+    /// Wire bytes serialized across this link: every packet that has
+    /// left the fabric, whole, plus what each packet still in flight had
+    /// sent at the last join or leave.
     pub bytes_carried: u64,
     /// Integral of utilization over virtual time: nanoseconds of
     /// equivalent 100 %-busy wire.
@@ -634,24 +689,33 @@ pub struct FabricState {
     topo: Topology,
     /// Link bandwidths, indexed like [`Topology::links`].
     caps: Vec<u64>,
-    ports: BTreeMap<NicId, u32>,
-    /// (src port, dst port, vchan) → index into `routes`; `None` when
-    /// unreachable.
-    route_of: BTreeMap<(u32, u32, u16), Option<usize>>,
+    /// NIC id → host port.
+    ports: Vec<Option<u32>>,
+    /// `(vchan × hosts + src) × hosts + dst` → index into `routes` once
+    /// resolved (`Some(None)`: unreachable); grown a vchan at a time.
+    route_of: Vec<Option<Option<u32>>>,
     routes: Vec<Route>,
     /// Live transfers in id order (ids only grow, so admission appends).
     transfers: Vec<Transfer>,
+    /// The live transfers' routes back to back, in `transfers` order:
+    /// the table the water-fill reads.
+    paths: Vec<usize>,
     next_transfer: u64,
     /// Bumped by every join/leave; the completion event posted under an
     /// older value is dead.
     generation: u64,
     last_advance: SimTime,
     occupancy: Vec<u64>,
-    link_rate: Vec<u64>,
-    /// Links whose `link_rate` is set: the ones a live transfer crosses.
-    busy: Vec<usize>,
+    crossings: Crossings,
+    /// Per-link counters; `bytes_carried` counts transfers that have left,
+    /// and `link_stats` adds the live ones' progress.
     stats: Vec<LinkStats>,
+    /// Also keeps each busy link's load from the last fill covering it.
     fill: WaterFill,
+    /// (Joins, leaves) that shared no link with another transfer: such a
+    /// join fills its own path alone, such a leave fills nothing.
+    #[cfg(test)]
+    pub(crate) lone: (u64, u64),
 }
 
 impl FabricState {
@@ -661,18 +725,23 @@ impl FabricState {
         FabricState {
             topo,
             caps,
-            ports: BTreeMap::new(),
-            route_of: BTreeMap::new(),
+            ports: Vec::new(),
+            route_of: Vec::new(),
             routes: Vec::new(),
             transfers: Vec::new(),
+            paths: Vec::new(),
             next_transfer: 0,
             generation: 0,
             last_advance: SimTime::ZERO,
             occupancy: vec![0; n],
-            link_rate: vec![0; n],
-            busy: Vec::new(),
+            crossings: Crossings {
+                count: vec![(0, 0); n],
+                busy: Vec::new(),
+            },
             stats: vec![LinkStats::default(); n],
             fill: WaterFill::new(),
+            #[cfg(test)]
+            lone: (0, 0),
         }
     }
 
@@ -681,9 +750,18 @@ impl FabricState {
         &self.topo
     }
 
-    /// Cumulative per-link counters (indexed like [`Topology::links`]).
-    pub fn link_stats(&self) -> &[LinkStats] {
-        &self.stats
+    /// Cumulative per-link counters (indexed like [`Topology::links`]) as
+    /// of the last join or leave: a transfer's bytes are credited whole as
+    /// it leaves, and this read adds the progress of those in flight.
+    pub fn link_stats(&self) -> Vec<LinkStats> {
+        let mut stats = self.stats.clone();
+        let mut paths = self.paths.iter();
+        for t in &self.transfers {
+            for &l in paths.by_ref().take(t.hops) {
+                stats[l].bytes_carried += t.wire_bytes - t.remaining;
+            }
+        }
+        stats
     }
 
     /// Currently queued wire bytes per link.
@@ -699,12 +777,19 @@ impl FabricState {
     /// Attach the next free host port to `nic` (ports fill in attachment
     /// order). Returns `None` when the topology is out of ports.
     pub(crate) fn assign_port(&mut self, nic: NicId) -> Option<u32> {
-        let port = self.ports.len() as u32;
+        let port = self.ports.iter().flatten().count() as u32;
         if port >= self.topo.hosts() {
             return None;
         }
-        self.ports.insert(nic, port);
+        let at = nic.0 as usize;
+        self.ports.resize(self.ports.len().max(at + 1), None);
+        self.ports[at] = Some(port);
         Some(port)
+    }
+
+    /// The host port `nic` is attached to.
+    fn port(&self, nic: NicId) -> Option<u32> {
+        self.ports.get(nic.0 as usize).copied().flatten()
     }
 
     /// Whether a completion event posted under `generation` is dead: a
@@ -715,8 +800,14 @@ impl FabricState {
 
     /// The memoised route of a flow identity, resolved on first use.
     fn route_index(&mut self, src: u32, dst: u32, vchan: u16) -> Option<usize> {
-        if let Some(&known) = self.route_of.get(&(src, dst, vchan)) {
-            return known;
+        let hosts = self.topo.hosts() as usize;
+        let slot = (usize::from(vchan) * hosts + src as usize) * hosts + dst as usize;
+        if slot >= self.route_of.len() {
+            self.route_of
+                .resize((usize::from(vchan) + 1) * hosts * hosts, None);
+        }
+        if let Some(known) = self.route_of[slot] {
+            return known.map(|r| r as usize);
         }
         let resolved = self
             .topo
@@ -726,13 +817,13 @@ impl FabricState {
                 self.routes.push(Route { links, latency });
                 self.routes.len() - 1
             });
-        self.route_of.insert((src, dst, vchan), resolved);
+        self.route_of[slot] = Some(resolved.map(|r| r as u32));
         resolved
     }
 
-    /// Advance every transfer's progress to `now` and accrue per-link
-    /// utilization integrals. Each step rounds the bytes sent down on its
-    /// own — summing elapsed time across steps instead would round
+    /// Advance every transfer's progress to `now` and accrue the busy
+    /// links' utilization integrals. Each step rounds the bytes sent down
+    /// on its own — summing elapsed time across steps instead would round
     /// differently and move completion instants.
     fn advance(&mut self, now: SimTime) {
         let elapsed = now.since(self.last_advance).as_nanos();
@@ -740,8 +831,8 @@ impl FabricState {
         if elapsed == 0 {
             return;
         }
-        for &l in &self.busy {
-            let (rate, cap) = (self.link_rate[l], self.caps[l]);
+        for &l in &self.crossings.busy {
+            let (rate, cap) = (self.fill.links[l].load, self.caps[l]);
             if rate > 0 && cap > 0 {
                 self.stats[l].busy_ns += mul_div(elapsed, rate.min(cap), cap);
             }
@@ -749,9 +840,6 @@ impl FabricState {
         for t in &mut self.transfers {
             let sent = mul_div(t.rate, elapsed, NANOS_PER_SEC).min(t.remaining);
             t.remaining -= sent;
-            for &l in &self.routes[t.route].links {
-                self.stats[l].bytes_carried += sent;
-            }
         }
     }
 
@@ -769,10 +857,7 @@ impl FabricState {
         extra_delay: SimDuration,
     ) -> AdmitOutcome {
         self.advance(now);
-        let (Some(src), Some(dst)) = (
-            self.ports.get(&packet.src_nic).copied(),
-            self.ports.get(&dst_nic).copied(),
-        ) else {
+        let (Some(src), Some(dst)) = (self.port(packet.src_nic), self.port(dst_nic)) else {
             return AdmitOutcome::NoRoute;
         };
         if src == dst {
@@ -783,11 +868,14 @@ impl FabricState {
         };
         let path = &self.routes[route].links;
         let wire = wire_bytes.max(1);
+        // Alone on its links, the transfer changes no other rate.
+        let mut lone = true;
         for &l in path {
             if self.occupancy[l] + wire > self.topo.links()[l].profile.queue_capacity {
                 self.stats[l].queue_drops += 1;
                 return AdmitOutcome::Dropped;
             }
+            lone &= self.crossings.count[l].0 == 0;
         }
         let mut marked = false;
         for &l in path {
@@ -799,16 +887,19 @@ impl FabricState {
                 self.stats[l].ecn_marks += 1;
                 marked = true;
             }
+            self.crossings.join(l);
         }
         packet.ecn = packet.ecn || marked;
         if let Some(d) = dup_packet.as_mut() {
             d.ecn = d.ecn || marked;
         }
+        self.paths.extend_from_slice(path);
         let id = self.next_transfer;
         self.next_transfer += 1;
         self.transfers.push(Transfer {
             id,
             route,
+            hops: path.len(),
             remaining: wire,
             rate: 0,
             wire_bytes: wire,
@@ -817,6 +908,11 @@ impl FabricState {
             dst_nic,
             extra_delay,
         });
+        self.refill(if lone { self.transfers.len() - 1 } else { 0 });
+        #[cfg(test)]
+        {
+            self.lone.0 += u64::from(lone);
+        }
         let next = self
             .recompute(now)
             .expect("the transfer just admitted is live");
@@ -838,54 +934,55 @@ impl FabricState {
         let at = self.transfers.binary_search_by_key(&id, |t| t.id).ok()?;
         self.advance(now);
         let t = self.transfers.remove(at);
-        let route = &self.routes[t.route];
-        for &l in &route.links {
-            // Fluid progress rounds down; credit the residual so
-            // carried-bytes accounting telescopes to the packet size.
-            self.stats[l].bytes_carried += t.remaining;
+        let start: usize = self.transfers[..at].iter().map(|t| t.hops).sum();
+        for l in self.paths.drain(start..start + t.hops) {
+            self.stats[l].bytes_carried += t.wire_bytes;
             self.occupancy[l] = self.occupancy[l].saturating_sub(t.wire_bytes);
+            self.crossings.leave(l);
+        }
+        let route = &self.routes[t.route];
+        let path_latency = route.latency;
+        // Alone on its links, the transfer held back no other rate.
+        let lone = route.links.iter().all(|&l| self.crossings.count[l].0 == 0);
+        if !lone {
+            self.refill(0);
+        }
+        #[cfg(test)]
+        {
+            self.lone.1 += u64::from(lone);
         }
         Some(FabricDelivery {
             packet: t.packet,
             dup_packet: t.dup_packet,
             dst_nic: t.dst_nic,
-            path_latency: route.latency,
+            path_latency,
             extra_delay: t.extra_delay,
             resched: self.recompute(now),
         })
     }
 
-    /// Recompute the max-min fair allocation after a join/leave under a
-    /// fresh generation, and name the one completion worth scheduling:
-    /// the earliest, ties to the lowest id. Every other transfer's
-    /// completion would be posted behind it and die at the reallocation
-    /// it triggers.
+    /// Recompute the max-min fair rates of `transfers[first..]` — all of
+    /// them, or a newcomer that shares no link with the rest — and with
+    /// them their links' loads.
+    fn refill(&mut self, first: usize) {
+        let start = self.transfers[..first].iter().map(|t| t.hops).sum();
+        let live = &mut self.transfers[first..];
+        let hops = live.iter().map(|t| t.hops);
+        let rates = self.fill.fill(&self.caps, &self.paths[start..], hops);
+        for (t, &rate) in live.iter_mut().zip(rates) {
+            t.rate = rate;
+        }
+    }
+
+    /// Open a fresh generation after a join/leave and name the one
+    /// completion worth scheduling under the allocation it left: the
+    /// earliest, ties to the lowest id. Every other transfer's completion
+    /// would be posted behind it and die at the reallocation it triggers.
     fn recompute(&mut self, now: SimTime) -> Option<Resched> {
         self.generation += 1;
-        for &l in &self.busy {
-            self.link_rate[l] = 0;
-        }
-        self.busy.clear();
-        let FabricState {
-            fill,
-            transfers,
-            routes,
-            caps,
-            link_rate,
-            busy,
-            ..
-        } = self;
-        let rates = fill.fill(caps, transfers.len(), |f| &routes[transfers[f].route].links);
         let mut next: Option<(SimTime, u64)> = None;
-        for (t, &rate) in transfers.iter_mut().zip(rates) {
-            t.rate = rate;
-            for &l in &routes[t.route].links {
-                if link_rate[l] == 0 {
-                    busy.push(l);
-                }
-                link_rate[l] = link_rate[l].saturating_add(rate.min(caps[l]));
-            }
-            let ns = mul_div_ceil(t.remaining, NANOS_PER_SEC, rate.max(1));
+        for t in &self.transfers {
+            let ns = mul_div_ceil(t.remaining, NANOS_PER_SEC, t.rate.max(1));
             let done_at = now + SimDuration::from_nanos(ns);
             if next.is_none_or(|(at, _)| done_at < at) {
                 next = Some((done_at, t.id));
@@ -973,6 +1070,86 @@ mod tests {
         let rates = max_min_rates(&[1_000], &[vec![], vec![0]]);
         assert_eq!(rates[0], u64::MAX, "linkless flow is unconstrained");
         assert_eq!(rates[1], 1_000);
+    }
+
+    /// A fabric on `topo` with NIC `h` on host port `h`.
+    fn fabric(topo: Topology) -> FabricState {
+        let mut fab = FabricState::new(topo);
+        for h in 0..fab.topology().hosts() {
+            assert_eq!(fab.assign_port(NicId(h)), Some(h));
+        }
+        fab
+    }
+
+    fn admit(fab: &mut FabricState, at: u64, src: u32, dst: u32, wire: u64) -> Resched {
+        let packet = Box::new(WirePacket {
+            src: crate::engine::NodeId(src),
+            dst: crate::engine::NodeId(dst),
+            src_nic: NicId(src),
+            dst_nic: NicId(dst),
+            vchan: 0,
+            kind: 0,
+            cookie: 0,
+            seq: 0,
+            ecn: false,
+            payload: Vec::new(),
+        });
+        let now = SimTime::from_nanos(at);
+        match fab.admit(now, packet, None, NicId(dst), wire, SimDuration::ZERO) {
+            AdmitOutcome::Queued { next, .. } => next,
+            other => panic!("not queued: {other:?}"),
+        }
+    }
+
+    fn rates(fab: &FabricState) -> Vec<u64> {
+        fab.transfers.iter().map(|t| t.rate).collect()
+    }
+
+    #[test]
+    fn a_lone_transfer_moves_no_other_rate_or_completion() {
+        // Two packets share the dumbbell's core at 500 MB/s each; a third
+        // stays on the left switch, alone on its two links.
+        let mut fab = fabric(Topology::dumbbell(4, 4, p(), p()));
+        admit(&mut fab, 0, 0, 4, 1_500);
+        let before = admit(&mut fab, 0, 1, 5, 1_500);
+        let pair = rates(&fab);
+        assert_eq!(pair, [500_000_000; 2]);
+        let lone = admit(&mut fab, 100, 2, 3, 500);
+        assert_eq!(rates(&fab)[..2], pair);
+        let paths: Vec<Vec<usize>> = fab
+            .transfers
+            .iter()
+            .map(|t| fab.routes[t.route].links.clone())
+            .collect();
+        assert_eq!(rates(&fab)[2], max_min_rates(&fab.caps, &paths)[2]);
+        assert_eq!((lone.id, lone.done_at), (2, SimTime::from_nanos(600)));
+        let left = fab
+            .complete(lone.done_at, lone.id, lone.generation)
+            .expect("live");
+        assert_eq!(rates(&fab), pair);
+        let after = left.resched.expect("the pair is live");
+        assert_eq!((after.id, after.done_at), (before.id, before.done_at));
+        // The first packet joined an empty fabric, the pair's second did
+        // not; the third joined and left alone.
+        assert_eq!(fab.lone, (2, 1));
+    }
+
+    #[test]
+    fn a_lone_path_through_one_link_twice_gets_half_of_it() {
+        let mut fab = fabric(Topology::dumbbell(1, 1, p(), p()));
+        let r = fab.route_index(0, 1, 0).expect("routed");
+        let twice = vec![0, 2, 0];
+        fab.routes[r].links.clone_from(&twice);
+        let done = admit(&mut fab, 0, 0, 1, 1_000);
+        assert_eq!(fab.lone, (1, 0));
+        assert_eq!(rates(&fab), [500_000_000]);
+        assert_eq!(rates(&fab), max_min_rates(&fab.caps, &[twice]));
+        assert_eq!(fab.fill.links[0].load, 1_000_000_000);
+        assert!(fab
+            .complete(done.done_at, done.id, done.generation)
+            .is_some());
+        assert_eq!(fab.lone, (1, 1));
+        assert_eq!(fab.link_stats()[0].bytes_carried, 2_000);
     }
 
     #[test]

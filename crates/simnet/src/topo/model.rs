@@ -11,7 +11,7 @@
 use super::*;
 use crate::rng::SplitMix64;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The water-filling the repository ran before [`WaterFill`], verbatim.
 fn max_min_rates(capacities: &[u64], flows: &[Vec<usize>]) -> Vec<u64> {
@@ -149,8 +149,9 @@ fn packet(offer: usize, o: &Offer) -> Box<WirePacket> {
     })
 }
 
-/// Drive the production fabric through `script`.
-fn run_fabric(topo: &Topology, script: &[Offer]) -> Vec<Step> {
+/// Drive the production fabric through `script`; also returns how many
+/// joins and leaves shared no link (`FabricState::lone`).
+fn run_fabric(topo: &Topology, script: &[Offer]) -> (Vec<Step>, (u64, u64)) {
     let mut fab = FabricState::new(topo.clone());
     for h in 0..topo.hosts() {
         assert_eq!(fab.assign_port(NicId(h)), Some(h));
@@ -215,7 +216,7 @@ fn run_fabric(topo: &Topology, script: &[Offer]) -> Vec<Step> {
         });
     }
     assert_eq!(fab.active_transfers(), 0, "script drained");
-    log
+    (log, fab.lone)
 }
 
 struct Transfer {
@@ -471,14 +472,19 @@ struct Coverage {
     /// Completions at the instant of the previous completion.
     tied_completions: usize,
     peak_transfers: usize,
+    /// Joins and leaves that shared no link and skipped the full fill.
+    lone_joins: u64,
+    lone_leaves: u64,
 }
 
 fn check_scripts(topo: &Topology, seeds: std::ops::Range<u64>, offers: usize) -> Coverage {
     let mut cov = Coverage::default();
     for seed in seeds {
         let script = script(seed, topo.hosts(), offers);
-        let got = run_fabric(topo, &script);
+        let (got, lone) = run_fabric(topo, &script);
         let want = run_oracle(topo, &script);
+        cov.lone_joins += lone.0;
+        cov.lone_leaves += lone.1;
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g, w, "seed {seed}: histories part at step {i}");
         }
@@ -510,6 +516,7 @@ fn dumbbell_history_matches_the_parent_algorithm() {
         "{cov:?}"
     );
     assert!(cov.peak_transfers >= 8, "{cov:?}");
+    assert!(cov.lone_joins > 0 && cov.lone_leaves > 0, "{cov:?}");
 }
 
 #[test]
@@ -522,6 +529,7 @@ fn fat_tree_history_matches_the_parent_algorithm() {
         "{cov:?}"
     );
     assert!(cov.peak_transfers >= 8, "{cov:?}");
+    assert!(cov.lone_joins > 0 && cov.lone_leaves > 0, "{cov:?}");
 }
 
 #[test]
@@ -547,7 +555,7 @@ fn equal_completion_instants_go_to_the_lowest_id() {
             wire: 1_500,
         })
         .collect();
-    let got = run_fabric(&topo, &script);
+    let (got, _) = run_fabric(&topo, &script);
     assert_eq!(got, run_oracle(&topo, &script));
     let done: Vec<(u64, SimTime)> = got
         .iter()
@@ -609,4 +617,27 @@ fn water_filling_matches_textbook_order_on_adversarial_graphs() {
             "seed {seed}: {caps:?} {flows:?}"
         );
     }
+}
+
+#[test]
+fn link_stats_read_mid_transfer_match_the_parent() {
+    // The first packet is a quarter sent when the second joins: its
+    // links' carried bytes are progress summed on read, not a credit.
+    let topo = Topology::dumbbell(2, 2, profile(1_000_000_007), profile(1_500_000_001));
+    let offer = |at, src, dst| Offer {
+        at,
+        src,
+        dst,
+        vchan: 0,
+        wire: 4_000,
+    };
+    let script = [offer(0, 0, 2), offer(1_000, 1, 3)];
+    let (got, _) = run_fabric(&topo, &script);
+    assert_eq!(got, run_oracle(&topo, &script));
+    let carried = got[1].stats.iter().map(|s| s.bytes_carried);
+    assert!(
+        carried.clone().any(|b| b > 0) && carried.clone().all(|b| b < 4_000),
+        "{:?}",
+        got[1].stats
+    );
 }

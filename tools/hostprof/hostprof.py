@@ -36,7 +36,10 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 # row and the `__udivti3` row name code the send and the selection pass
 # no longer reach: each reads 0 here and says how much it was under
 # `--binary <parent>`. A row whose pattern matches no function of the
-# profiled binary prints `(no such function)` instead of a share.
+# profiled binary prints `(no such function)` instead of a share. The
+# fabric's lookup row also counts the ordered-map searches inside
+# `FabricState::admit`: where a binary that kept ports and routes in trees
+# paid for them.
 SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
@@ -70,6 +73,11 @@ SEAMS = [
     ("simnet timers: cancelled set (HashSet)", "std::collections::hash::set::HashSet<"),
     ("observer (madeleine::observer::)", "madeleine::observer::"),
     ("simnet fabric (simnet::topo::)", "simnet::topo::"),
+    ("  WaterFill::fill", "WaterFill::fill"),
+    ("  FabricState::advance", "FabricState::advance"),
+    ("  FabricState::recompute (the next-completion scan)", "FabricState::recompute"),
+    ("  route and port lookup", ("FabricState::route_index", "FabricState::port",
+                                 "alloc::collections::btree::"), "FabricState::admit"),
     ("simnet event queue (simnet::event::)", "simnet::event::"),
     ("analysis (prof, diff, trace export)", ("madeleine::prof::", "madeleine::diff::", "madeleine::trace::")),
     ("  export_chrome_trace", "madeleine::trace::export_chrome_trace"),
@@ -118,20 +126,22 @@ def build(target_dir):
 
 
 def read_samples(path):
-    """Stacks (innermost first) and the file-backed mappings as
-    (from, to, where the file's first byte is mapped, file)."""
-    stacks, maps, base = [], [], {}
+    """Stacks (innermost first), whether the shim resumed each one's chain
+    past a libc leaf, and the file-backed mappings as (from, to, where the
+    file's first byte is mapped, file)."""
+    stacks, resumed, maps, base = [], [], [], {}
     with open(path) as f:
         for line in f:
-            if line.startswith("S "):
+            if line.startswith(("S ", "R ")):
                 stacks.append([int(a, 16) for a in line.split()[1:]])
+                resumed.append(line.startswith("R"))
             elif line.startswith("M "):
                 cols = line.split()
                 if len(cols) >= 7 and cols[6].startswith("/"):
                     lo, hi = (int(x, 16) for x in cols[1].split("-"))
                     base.setdefault(cols[6], lo - int(cols[3], 16))
                     maps.append((lo, hi, base[cols[6]], cols[6]))
-    return stacks, sorted(maps)
+    return stacks, resumed, sorted(maps)
 
 
 def symbolise(stacks, maps, binary):
@@ -209,21 +219,23 @@ def main():
     result = run([binary, "--workload", args.workload, "--seed", args.seed,
                   "--seconds", args.seconds, "--trace", "0"],
                  env=env, capture_output=True, text=True).stdout.splitlines()[-1]
-    stacks, maps = read_samples(samples)
+    stacks, resumed, maps = read_samples(samples)
     names = symbolise(stacks, maps, binary)
-    kept, hits, orphans = [], collections.Counter(), 0
-    for stack in stacks:
+    kept, hits, orphans, resumes = [], collections.Counter(), 0, 0
+    for stack, again in zip(stacks, resumed):
         on_stack = {fn for addr in stack for fn in names[addr]}
         if not any(CALIBRATION in fn for fn in on_stack):
             kept.append(on_stack)
             hits.update(on_stack)
+            resumes += again
             leaf = names[stack[0]][:1] if stack else ()
             orphans += (leaf != () and leaf[0].startswith("[libc")
                         and not any(r in fn for fn in on_stack for r in REPOSITORY))
     if not kept:
         die("no samples outside calibration — is %s built with frame pointers?" % binary)
-    print("%s seed %s: %d samples at %s Hz, %d outside calibration"
-          % (args.workload, args.seed, len(stacks), args.hz, len(kept)))
+    print("%s seed %s: %d samples at %s Hz, %d outside calibration, %d of them "
+          "resumed past a libc leaf"
+          % (args.workload, args.seed, len(stacks), args.hz, len(kept), resumes))
     print("| seam (inclusive) | samples | share |")
     print("|---|---:|---:|")
     defined = functions(binary)
