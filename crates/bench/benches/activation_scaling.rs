@@ -11,7 +11,9 @@
 //! depth-16 — a per-queue scan would be ~1000x.
 //!
 //! Prints one row per case: host nanoseconds per operation, the median of
-//! the timed batches (the loop `fabric_churn` has).
+//! the timed batches between their 25th and 75th percentiles (the loop
+//! `fabric_churn` has), so a before/after difference can be read against
+//! the spread of either side.
 
 use madeleine::collect::CollectLayer;
 use madeleine::config::EngineConfig;
@@ -28,7 +30,8 @@ const OPS_PER_BATCH: u32 = 2_000;
 const WARMUP_BATCHES: usize = 5;
 const TIMED_BATCHES: usize = 31;
 
-/// Print `case` with the median nanoseconds one `op` takes.
+/// Print `case` with the 25th percentile, median and 75th percentile of
+/// the nanoseconds one `op` takes.
 fn row(case: &str, mut op: impl FnMut()) {
     let mut ns_per_op = Vec::with_capacity(TIMED_BATCHES);
     for batch in 0..WARMUP_BATCHES + TIMED_BATCHES {
@@ -42,7 +45,12 @@ fn row(case: &str, mut op: impl FnMut()) {
         }
     }
     ns_per_op.sort_by(f64::total_cmp);
-    println!("{case:<48} {:>10.0}", ns_per_op[TIMED_BATCHES / 2]);
+    println!(
+        "{case:<48} {:>8.0} {:>10.0} {:>8.0}",
+        ns_per_op[TIMED_BATCHES / 4],
+        ns_per_op[TIMED_BATCHES / 2],
+        ns_per_op[3 * TIMED_BATCHES / 4]
+    );
 }
 
 /// A collect layer with `total` open flows, of which `ACTIVE_FLOWS`
@@ -128,7 +136,7 @@ fn bench_complete() {
 }
 
 fn main() {
-    println!("{:<48} {:>10}", "case", "ns/op");
+    println!("{:<48} {:>8} {:>10} {:>8}", "case", "p25", "ns/op", "p75");
     bench_activation();
     bench_complete();
 }

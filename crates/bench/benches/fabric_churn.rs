@@ -7,8 +7,10 @@
 //! spend their life as concurrent fluid transfers.
 //!
 //! Prints one row per (topology, concurrency): host nanoseconds per
-//! packet (median of the timed runs; topology and cluster construction
-//! are outside the clock) and simulator events per packet. The same file
+//! packet — the median of the timed runs between their 25th and 75th
+//! percentiles, so a before/after difference can be read against the
+//! spread of either side (topology and cluster construction are outside
+//! the clock) — and simulator events per packet. The same file
 //! runs on any commit that has `Simulation::install_topology`, which is
 //! how CHANGES.md gets its before/after columns.
 
@@ -103,10 +105,12 @@ fn rows(name: &str, build: impl Fn() -> Topology) {
         }
         ns_per_packet.sort_by(f64::total_cmp);
         println!(
-            "{:<16} {:>10} {:>12.0} {:>14.2}",
+            "{:<16} {:>10} {:>8.0} {:>10.0} {:>8.0} {:>14.2}",
             name,
             tokens,
+            ns_per_packet[TIMED_RUNS / 4],
             ns_per_packet[TIMED_RUNS / 2],
+            ns_per_packet[3 * TIMED_RUNS / 4],
             events as f64 / PACKETS_PER_RUN as f64
         );
     }
@@ -121,8 +125,8 @@ fn main() {
         ecn_threshold: 1 << 30,
     };
     println!(
-        "{:<16} {:>10} {:>12} {:>14}",
-        "fabric", "transfers", "ns/packet", "events/packet"
+        "{:<16} {:>10} {:>8} {:>10} {:>8} {:>14}",
+        "fabric", "transfers", "p25", "ns/packet", "p75", "events/packet"
     );
     rows("fat_tree(4)", || Topology::fat_tree(4, link));
     rows("dumbbell(8,8)", || Topology::dumbbell(8, 8, link, link));

@@ -13,7 +13,7 @@ use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use nicdrv::{calib, CostModel, Driver};
+use nicdrv::{calib, injection_mode, CostModel};
 use simnet::{Technology, TxMode};
 
 use crate::{fmt_bytes, fmt_f, Report, Table};
@@ -65,16 +65,18 @@ pub fn run() -> Report {
     ] {
         let caps = calib::capabilities(tech);
         let cost = CostModel::from_params(&calib::params(tech));
-        let drv = calib::driver(tech, simnet::NicId(0));
         let mut t = Table::new(
             format!("{} one-shot message latency vs size", tech.label()),
             &["size", "latency(us)", "mode", "protocol"],
         );
         for &s in &sizes {
             let (lat, rndv) = measure(tech, s);
-            let mode = match drv.select_mode(s as u64, 1) {
-                TxMode::Pio => "PIO",
-                TxMode::Dma => "DMA",
+            // A message past the packet limit leaves in packets of it.
+            let packet = (s as u64).min(caps.max_packet_bytes);
+            let mode = match injection_mode(&caps, &cost, packet, 1) {
+                Some((TxMode::Pio, _)) => "PIO",
+                Some((TxMode::Dma, _)) => "DMA",
+                None => "-",
             };
             let proto = if rndv { "rndv" } else { "eager" };
             t.row(vec![

@@ -7,49 +7,35 @@
 //! demultiplex by hardware channel before touching payload. Channel 0 is
 //! always the library's control channel (rendezvous handshakes).
 
-use nicdrv::VChannelPool;
 use simnet::VChannel;
 
 use crate::ids::TrafficClass;
 
-/// Per-rail assignment of traffic classes to virtual channels, allocated
-/// from the NIC's [`VChannelPool`] (channel 0 stays reserved for the
-/// library's control traffic).
+/// Per-rail assignment of traffic classes to virtual channels (channel 0
+/// stays reserved for the library's control traffic).
 #[derive(Clone, Debug)]
 pub struct ClassMap {
     vchannels: u8,
-    pool: VChannelPool,
     /// Index = class id (clamped into the predefined range).
     assignment: Vec<VChannel>,
 }
 
 impl ClassMap {
-    /// Default assignment for a NIC exposing `vchannels` channels: each
-    /// predefined class gets a channel allocated from the pool; when the
-    /// pool runs dry, classes wrap onto the already-allocated channels
-    /// (sharing). With a single channel everything shares channel 0.
+    /// Default assignment for a NIC exposing `vchannels` channels: class
+    /// `k` takes data channel `1 + k % (vchannels - 1)`, so the predefined
+    /// classes get channels of their own while there are enough and share
+    /// them round-robin when there are not. With a single channel
+    /// everything shares channel 0.
     pub fn new(vchannels: u8) -> Self {
         assert!(vchannels >= 1);
-        let mut pool = VChannelPool::new(vchannels);
-        let mut allocated: Vec<VChannel> = Vec::new();
         let assignment = (0..TrafficClass::COUNT as u8)
-            .map(|k| match pool.allocate() {
-                Some(ch) => {
-                    allocated.push(ch);
-                    ch
-                }
-                None => {
-                    if allocated.is_empty() {
-                        0 // single-channel NIC: share the control channel
-                    } else {
-                        allocated[k as usize % allocated.len()]
-                    }
-                }
+            .map(|k| match vchannels - 1 {
+                0 => 0, // single-channel NIC: share the control channel
+                data => 1 + k % data,
             })
             .collect();
         ClassMap {
             vchannels,
-            pool,
             assignment,
         }
     }
@@ -67,28 +53,13 @@ impl ClassMap {
 
     /// Reassign a class to a channel (dynamic policy changes, §2). Returns
     /// `false` (and leaves the map unchanged) if the channel is out of
-    /// range or is the control channel. The target channel is claimed from
-    /// the pool if it was free.
+    /// range or is the control channel.
     pub fn assign(&mut self, class: TrafficClass, vchan: VChannel) -> bool {
         if vchan == 0 && self.vchannels > 1 {
             return false; // control channel is reserved on multi-channel NICs
         }
         if vchan >= self.vchannels {
             return false;
-        }
-        if !self.pool.is_allocated(vchan) {
-            // Claim it: drain the pool until the requested channel comes
-            // out, returning the others.
-            let mut parked = Vec::new();
-            while let Some(ch) = self.pool.allocate() {
-                if ch == vchan {
-                    break;
-                }
-                parked.push(ch);
-            }
-            for ch in parked {
-                self.pool.release(ch);
-            }
         }
         let idx = (class.0 as usize).min(self.assignment.len() - 1);
         self.assignment[idx] = vchan;
@@ -108,15 +79,6 @@ impl ClassMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_backs_the_default_assignment() {
-        let m = ClassMap::new(8);
-        // 7 data channels, 4 predefined classes allocated.
-        assert_eq!(m.pool.available(), 3);
-        let m = ClassMap::new(3);
-        assert_eq!(m.pool.available(), 0);
-    }
 
     #[test]
     fn default_separates_classes_when_channels_allow() {

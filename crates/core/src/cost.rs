@@ -22,7 +22,7 @@
 // madlint: file: hot-path
 // madlint: file: scoring
 
-use nicdrv::{CostModel, DriverCapabilities};
+use nicdrv::{admitted_modes, injection_mode, CostModel, DriverCapabilities};
 use simnet::{NodeId, SimDuration, TxMode};
 
 use crate::ids::{FlowId, FragIndex};
@@ -148,44 +148,18 @@ fn segments(chunks: usize, linearize: bool) -> usize {
     }
 }
 
-/// The injection modes a rail admits for `bytes` in `segs` segments: PIO
-/// streams any segment list up to its size cap, DMA needs a gather entry
-/// per segment. This is the rule; everything below asks it.
-fn admitted(caps: &DriverCapabilities, bytes: u64, segs: usize) -> impl Iterator<Item = TxMode> {
-    let modes = [
-        (TxMode::Pio, caps.can_pio(bytes)),
-        (TxMode::Dma, caps.can_gather(segs)),
-    ];
-    modes
-        .into_iter()
-        .filter_map(|(mode, ok)| ok.then_some(mode))
-}
-
 /// Whether a rail can inject a packet of `chunks` chunks and `bytes` on
-/// the wire (payload and framing) in the given form at all.
+/// the wire (payload and framing) in the given form at all: whether the
+/// driver admits a mode for it ([`admitted_modes`]).
 pub(crate) fn injectable(
     caps: &DriverCapabilities,
     chunks: usize,
     bytes: u64,
     linearize: bool,
 ) -> bool {
-    admitted(caps, bytes, segments(chunks, linearize))
+    admitted_modes(caps, bytes, segments(chunks, linearize))
         .next()
         .is_some()
-}
-
-/// The cheaper of the modes a rail admits for `bytes` (payload and
-/// framing) in `segs` segments, with the time it occupies the transmit
-/// engine; PIO on a tie, as the driver chooses; `None` when neither fits.
-pub(crate) fn cheaper_mode(
-    caps: &DriverCapabilities,
-    cost: &CostModel,
-    bytes: u64,
-    segs: usize,
-) -> Option<(TxMode, SimDuration)> {
-    admitted(caps, bytes, segs)
-        .map(|mode| (mode, cost.injection_time(mode, bytes, segs)))
-        .min_by_key(|&(_, busy)| busy)
 }
 
 /// Unloaded one-way time of a one-segment packet of `bytes` (payload and
@@ -197,9 +171,10 @@ pub(crate) fn one_way(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -
     cost.one_way(one_segment_mode(caps, cost, bytes), bytes, 1)
 }
 
-/// The mode [`one_way`] prices a one-segment packet of `bytes` in.
+/// The mode [`one_way`] prices a one-segment packet of `bytes` in: the
+/// driver's ([`injection_mode`]), or DMA for a packet no mode admits.
 fn one_segment_mode(caps: &DriverCapabilities, cost: &CostModel, bytes: u64) -> TxMode {
-    cheaper_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode)
+    injection_mode(caps, cost, bytes, 1).map_or(TxMode::Dma, |(mode, _)| mode)
 }
 
 /// A rail delivering work the way the engine sends it, priced unloaded:
@@ -313,7 +288,7 @@ fn priced(
     bytes: u64,
     linearize: bool,
 ) -> Option<Injection> {
-    let (mode, inject) = cheaper_mode(caps, cost, bytes, segments(chunks, linearize))?;
+    let (mode, inject) = injection_mode(caps, cost, bytes, segments(chunks, linearize))?;
     let copy = if linearize {
         cost.copy_time(bytes)
     } else {
@@ -920,10 +895,10 @@ mod tests {
             );
             let limit = packet_limit(&caps, calib::params(tech).mtu);
             let one_way_of = |bytes: u64| {
-                let (mode, _) = cheaper_mode(&caps, &cost, bytes, 1).expect("admitted");
+                let (mode, _) = injection_mode(&caps, &cost, bytes, 1).expect("admitted");
                 cost.one_way(mode, bytes, 1)
             };
-            let inject = |bytes: u64| cheaper_mode(&caps, &cost, bytes, 1).expect("admitted").1;
+            let inject = |bytes: u64| injection_mode(&caps, &cost, bytes, 1).expect("admitted").1;
             // One fragment: a lone packet, priced at CostModel::one_way.
             let mut d = Delivery::new(&caps, &cost, limit);
             let lone = header(0, 300);

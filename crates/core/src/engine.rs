@@ -2145,7 +2145,7 @@ mod tests {
         let mut d = Delivery::new(caps, cost, packet_limit(caps, 1 << 20));
         d.push(next);
         let bytes = crate::proto::lone_packet_bytes(&next);
-        let mode = rail.driver.select_mode(bytes, 1);
+        let (mode, _) = nicdrv::injection_mode(caps, cost, bytes, 1).unwrap();
         // Handed over beside the second packet, it would have waited for it.
         assert_eq!(wait + d.first_packet(), wait + cost.one_way(mode, bytes, 1));
     }

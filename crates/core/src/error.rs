@@ -66,8 +66,12 @@ mod tests {
     fn conversions_and_display() {
         let e: EngineError = ProtoError::Truncated.into();
         assert!(e.to_string().contains("decode"));
-        let e: EngineError = DriverError::ModeUnsupported("DMA").into();
-        assert!(e.to_string().contains("DMA"));
+        let e: EngineError = DriverError::NotInjectable {
+            len: 300,
+            segments: 6,
+        }
+        .into();
+        assert!(e.to_string().contains("300"));
         assert!(EngineError::UnknownPeer(NodeId(3))
             .to_string()
             .contains('3'));

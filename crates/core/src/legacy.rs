@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nicdrv::{Driver, ModeSel, TransferRequest};
+use nicdrv::{admitted_modes, Driver, TransferRequest};
 use simnet::{Endpoint, NicId, NodeId, SimCtx, SimTime, TimerId, WirePacket};
 
 use crate::api::{AppDriver, CommApi, INTERNAL_TAG_BASE};
@@ -135,7 +135,7 @@ impl LegacyCore {
             }
             let total = *pending_bytes + framing.bytes();
             let segs = 1 + pending.len();
-            let linearized = !(caps.can_pio(total) || caps.can_gather(segs));
+            let linearized = admitted_modes(&caps, total, segs).next().is_none();
             let host_prep = if linearized {
                 cost.copy_time(total)
             } else {
@@ -239,7 +239,6 @@ impl LegacyCore {
                 vchan: pkt.vchan,
                 kind: pkt.kind,
                 cookie: 0,
-                mode: ModeSel::Auto,
                 host_prep: pkt.host_prep,
                 segments: pkt.segments.clone(),
             };

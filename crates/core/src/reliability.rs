@@ -1317,10 +1317,9 @@ impl Reliability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::cheaper_mode;
     use crate::ids::FlowId;
     use crate::transfer::build_rails;
-    use nicdrv::calib;
+    use nicdrv::{calib, injection_mode};
     use simnet::{NicId, Simulation, Technology};
 
     fn chunk(len: u32) -> PlannedChunk {
@@ -1665,7 +1664,7 @@ mod tests {
         let tcp = rails[0].driver.clone();
         let (caps, cost) = (tcp.capabilities(), tcp.cost_model());
         let bytes = wire(&[chunk(64)]);
-        let (_, inject) = cheaper_mode(caps, cost, bytes, 1).unwrap();
+        let (_, inject) = injection_mode(caps, cost, bytes, 1).unwrap();
         let receive = cost.rx_time(bytes);
         assert!(receive > inject, "{receive:?} {inject:?}");
         // The ack of a packet names its cookie, in as many bytes as it

@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use nicdrv::{Driver, DriverError, ModeSel, SimDriver, TransferRequest};
+use nicdrv::{Driver, DriverError, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError};
 
 use crate::api::ACK_HOLD_TAG;
@@ -151,7 +151,6 @@ impl Rail {
             vchan: self.classmap.control(),
             kind,
             cookie: CTRL_COOKIE,
-            mode: ModeSel::Auto,
             host_prep: SimDuration::ZERO,
             segments,
         }
@@ -394,7 +393,6 @@ impl Transfer {
             vchan: rail.classmap.vchan_for(wire[0].header.class),
             kind: KIND_DATA,
             cookie,
-            mode: ModeSel::Auto,
             host_prep,
             segments,
         };

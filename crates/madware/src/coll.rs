@@ -488,8 +488,10 @@ impl CollConfig {
     }
 }
 
-/// Transfer mode a message of `bytes` would use on this rail — the same
-/// PIO/DMA envelope logic as [`madeleine::cost::cheapest_injection`].
+/// Transfer mode the estimates price a message of `bytes` in: PIO
+/// whenever the rail's PIO cap takes it, DMA otherwise. A coarser rule
+/// than the driver's ([`nicdrv::injection_mode`]), which compares the two
+/// modes' costs and may pick DMA below the PIO cap.
 fn msg_mode(caps: &DriverCapabilities, bytes: u64) -> TxMode {
     if caps.supports_pio && caps.can_pio(bytes) {
         TxMode::Pio

@@ -54,7 +54,6 @@ pub fn synthetic_capabilities() -> DriverCapabilities {
         max_gather_entries: 8,
         max_packet_bytes: 1 << 20,
         vchannels: 8,
-        tx_queue_depth: 4,
         rndv_threshold_hint: 32 << 10,
     }
 }
@@ -93,7 +92,6 @@ mod tests {
                 c.max_packet_bytes <= p.mtu,
                 "{tech:?}: driver packet limit exceeds network MTU"
             );
-            assert_eq!(c.tx_queue_depth, p.tx_queue_depth, "{tech:?}");
             if c.supports_pio {
                 assert!(p.pio_bandwidth > 0, "{tech:?}");
             }
@@ -116,7 +114,6 @@ mod tests {
         let c = synthetic_capabilities();
         let p = NetworkParams::synthetic();
         assert!(c.validate().is_ok());
-        assert_eq!(c.tx_queue_depth, p.tx_queue_depth);
         assert!(c.max_packet_bytes <= p.mtu);
     }
 }

@@ -30,10 +30,8 @@ pub struct DriverCapabilities {
     /// must be chunked by the library.
     pub max_packet_bytes: u64,
     /// Number of virtual channels (multiplexing units) the NIC exposes.
-    /// The scheduler pools these and assigns them to traffic classes (§2).
+    /// The scheduler assigns them to traffic classes (§2).
     pub vchannels: u8,
-    /// Hardware transmit queue depth visible to the library.
-    pub tx_queue_depth: usize,
     /// Driver-suggested eager→rendezvous switch point, in bytes. A hint:
     /// the optimizer's cost model may refine it.
     pub rndv_threshold_hint: u64,
@@ -68,9 +66,6 @@ impl DriverCapabilities {
         if self.vchannels == 0 {
             return Err("vchannels == 0".into());
         }
-        if self.tx_queue_depth == 0 {
-            return Err("tx_queue_depth == 0".into());
-        }
         Ok(())
     }
 }
@@ -88,7 +83,6 @@ mod tests {
             max_gather_entries: 8,
             max_packet_bytes: 1 << 20,
             vchannels: 4,
-            tx_queue_depth: 4,
             rndv_threshold_hint: 32 << 10,
         }
     }

@@ -3,11 +3,13 @@
 //! inconsistency.
 //!
 //! The engine's correctness argument rests on drivers being *strict*:
-//! accept exactly what the capabilities promise, reject everything else
-//! with a precise error. This suite probes the acceptance boundary from
-//! both sides — at the limits, one past the limits — for PIO size, gather
-//! width, packet size and virtual channels. Run it against the built-in
-//! technology models (tested here) or against your own driver:
+//! accept exactly what the capabilities promise, inject in the mode
+//! [`injection_mode`] picks, reject everything else with a precise error.
+//! This suite probes the acceptance boundary from both sides — at the
+//! limits, one past the limits — for PIO size, gather width, packet size
+//! and virtual channels, every probe a plain request whose mode the driver
+//! chooses. Run it against the built-in technology models (tested here)
+//! or against your own driver:
 //!
 //! ```
 //! use nicdrv::conformance::check_driver;
@@ -25,10 +27,10 @@
 //! ```
 
 use bytes::Bytes;
-use simnet::{NicId, NodeId, SimDuration, Simulation};
+use simnet::{NicId, NodeId, SimDuration, SimTime, Simulation, TxMode};
 
-use crate::driver::Driver;
-use crate::request::{DriverError, ModeSel, TransferRequest};
+use crate::driver::{injection_mode, Driver};
+use crate::request::{DriverError, TransferRequest};
 
 /// Outcome of a conformance run.
 #[derive(Clone, Debug, Default)]
@@ -72,27 +74,18 @@ impl std::fmt::Display for ConformanceReport {
     }
 }
 
-fn segments(n: usize, each: usize) -> Vec<Bytes> {
+/// `n` segments of `bytes` bytes in all (at least one byte each).
+fn segments(n: usize, bytes: u64) -> Vec<Bytes> {
+    let (each, extra) = (bytes as usize / n, bytes as usize % n);
     (0..n)
-        .map(|i| Bytes::from(vec![i as u8; each.max(1)]))
+        .map(|i| Bytes::from(vec![i as u8; (each + usize::from(i < extra)).max(1)]))
         .collect()
-}
-
-fn req(dst: NicId, mode: ModeSel, segs: Vec<Bytes>, vchan: u8) -> TransferRequest {
-    TransferRequest {
-        dst_nic: dst,
-        vchan,
-        kind: 1,
-        cookie: 0,
-        mode,
-        host_prep: SimDuration::ZERO,
-        segments: segs,
-    }
 }
 
 /// Probe `driver` (attached to a NIC of `src_node` in `sim`) against its
 /// declared capabilities, sending toward `dst_nic`. The simulation is
-/// drained between probes so hardware-queue state never perturbs results.
+/// drained after every probe so hardware-queue state never perturbs
+/// results.
 pub fn check_driver(
     sim: &mut Simulation,
     src_node: NodeId,
@@ -101,152 +94,86 @@ pub fn check_driver(
 ) -> ConformanceReport {
     let caps = driver.capabilities().clone();
     let mut report = ConformanceReport::default();
-    let drain = |sim: &mut Simulation| {
-        sim.run_until_quiescent(simnet::SimTime::from_nanos(u64::MAX / 2));
-    };
 
     // Capabilities themselves must be self-consistent.
     report.check(caps.validate().is_ok(), "capabilities fail self-validation");
 
-    if caps.supports_pio {
-        // PIO at the limit is accepted…
-        let at = sim.inject(src_node, |ctx| {
-            driver.submit(
-                ctx,
-                req(
-                    dst_nic,
-                    ModeSel::Pio,
-                    segments(1, caps.pio_max_bytes.min(caps.max_packet_bytes) as usize),
-                    0,
-                ),
-            )
-        });
-        report.check(at.is_ok(), "PIO at pio_max_bytes rejected");
-        drain(sim);
-        // …one past is rejected with the right error (when distinguishable
-        // from the overall packet limit).
-        if caps.pio_max_bytes < caps.max_packet_bytes {
-            let over = sim.inject(src_node, |ctx| {
-                driver.submit(
-                    ctx,
-                    req(
-                        dst_nic,
-                        ModeSel::Pio,
-                        segments(1, caps.pio_max_bytes as usize + 1),
-                        0,
-                    ),
-                )
-            });
-            report.check(
-                matches!(over, Err(DriverError::PioTooLarge { .. })),
-                "PIO one past pio_max_bytes not rejected as PioTooLarge",
-            );
-            drain(sim);
-        }
-    } else {
-        let r = sim.inject(src_node, |ctx| {
-            driver.submit(ctx, req(dst_nic, ModeSel::Pio, segments(1, 8), 0))
-        });
-        report.check(
-            matches!(r, Err(DriverError::ModeUnsupported(_))),
-            "PIO unsupported but forced PIO not rejected",
-        );
-    }
+    // Submit `segs` segments of `bytes` in all on `vchan`; the outcome
+    // must be `want`.
+    let mut probe = |bytes: u64, segs: usize, vchan: u8, want, what: &str| {
+        let req = TransferRequest {
+            dst_nic,
+            vchan,
+            kind: 1,
+            cookie: 0,
+            host_prep: SimDuration::ZERO,
+            segments: segments(segs, bytes),
+        };
+        let got = sim.inject(src_node, |ctx| driver.submit(ctx, req));
+        sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
+        report.check(got == want, what);
+    };
+    let refused = |len: u64, segments| Err(DriverError::NotInjectable { len, segments });
+    // What the rule says of a one-segment request of `bytes`.
+    let cost = driver.cost_model();
+    let rule = |bytes| match injection_mode(&caps, cost, bytes, 1) {
+        Some((mode, _)) => Ok(mode),
+        None => refused(bytes, 1),
+    };
 
-    if caps.supports_dma {
-        let at = sim.inject(src_node, |ctx| {
-            driver.submit(
-                ctx,
-                req(
-                    dst_nic,
-                    ModeSel::Dma,
-                    segments(caps.max_gather_entries, 8),
-                    0,
-                ),
-            )
-        });
-        report.check(at.is_ok(), "DMA at max_gather_entries rejected");
-        drain(sim);
-        let over = sim.inject(src_node, |ctx| {
-            driver.submit(
-                ctx,
-                req(
-                    dst_nic,
-                    ModeSel::Dma,
-                    segments(caps.max_gather_entries + 1, 8),
-                    0,
-                ),
-            )
-        });
-        report.check(
-            matches!(over, Err(DriverError::TooManySegments { .. })),
-            "gather one past max_gather_entries not rejected as TooManySegments",
-        );
-        drain(sim);
-    } else {
-        let r = sim.inject(src_node, |ctx| {
-            driver.submit(ctx, req(dst_nic, ModeSel::Dma, segments(1, 8), 0))
-        });
-        report.check(
-            matches!(r, Err(DriverError::ModeUnsupported(_))),
-            "DMA unsupported but forced DMA not rejected",
-        );
+    // A gather list one entry wider than a DMA descriptor takes leaves
+    // PIO alone: accepted as PIO up to the PIO cap, refused one past it…
+    let wide = caps.max_gather_entries + 1;
+    let pio_at = caps
+        .pio_max_bytes
+        .min(caps.max_packet_bytes)
+        .max(wide as u64);
+    if caps.supports_pio {
+        let what = "PIO at pio_max_bytes not injected as PIO";
+        probe(pio_at, wide, 0, Ok(TxMode::Pio), what);
+    }
+    // …and past the PIO cap DMA alone decides: accepted as DMA at the
+    // gather width, refused one past it (when distinguishable from the
+    // overall packet limit).
+    let past_pio = (caps.pio_max_bytes + 1).max(wide as u64);
+    if past_pio <= caps.max_packet_bytes {
+        let what = "a request past the PIO cap, one past max_gather_entries, \
+                    not rejected as NotInjectable";
+        probe(past_pio, wide, 0, refused(past_pio, wide), what);
+        let (at, want) = if caps.supports_dma {
+            (caps.max_gather_entries, Ok(TxMode::Dma))
+        } else {
+            (1, refused(past_pio, 1))
+        };
+        let what = "a request past the PIO cap at max_gather_entries not injected as DMA \
+                    (or, without DMA, not rejected as NotInjectable)";
+        probe(past_pio, at, 0, want, what);
     }
 
     // Packet size limit.
-    let over = sim.inject(src_node, |ctx| {
-        driver.submit(
-            ctx,
-            req(
-                dst_nic,
-                ModeSel::Auto,
-                segments(1, caps.max_packet_bytes as usize + 1),
-                0,
-            ),
-        )
+    let over = caps.max_packet_bytes + 1;
+    let too_large = Err(DriverError::TooLarge {
+        len: over,
+        max: caps.max_packet_bytes,
     });
-    report.check(
-        matches!(over, Err(DriverError::TooLarge { .. })),
-        "request one past max_packet_bytes not rejected as TooLarge",
-    );
-    drain(sim);
+    let what = "request one past max_packet_bytes not rejected as TooLarge";
+    probe(over, 1, 0, too_large, what);
 
     // Virtual channel range: highest valid accepted, first invalid rejected.
-    let top = sim.inject(src_node, |ctx| {
-        driver.submit(
-            ctx,
-            req(dst_nic, ModeSel::Auto, segments(1, 8), caps.vchannels - 1),
-        )
+    let top = caps.vchannels - 1;
+    probe(8, 1, top, rule(8), "highest virtual channel rejected");
+    let out_of_range = Err(DriverError::VChannelOutOfRange {
+        got: caps.vchannels,
+        max: caps.vchannels,
     });
-    report.check(top.is_ok(), "highest virtual channel rejected");
-    drain(sim);
-    let over = sim.inject(src_node, |ctx| {
-        driver.submit(
-            ctx,
-            req(dst_nic, ModeSel::Auto, segments(1, 8), caps.vchannels),
-        )
-    });
-    report.check(
-        matches!(over, Err(DriverError::VChannelOutOfRange { .. })),
-        "virtual channel == vchannels not rejected",
-    );
-    drain(sim);
+    let what = "virtual channel == vchannels not rejected";
+    probe(8, 1, caps.vchannels, out_of_range, what);
 
-    // Auto mode must always pick something executable for in-range sizes.
-    for bytes in [
-        1usize,
-        64,
-        1024,
-        caps.max_packet_bytes.min(16 << 10) as usize,
-    ] {
-        let r = sim.inject(src_node, |ctx| {
-            driver.submit(ctx, req(dst_nic, ModeSel::Auto, segments(1, bytes), 0))
-        });
-        report.check(
-            r.is_ok(),
-            &format!("Auto mode rejected in-range {bytes}-byte request"),
-        );
-        drain(sim);
+    // In-range sizes go out in the mode the rule picks.
+    for bytes in [1, 64, 1024, caps.max_packet_bytes.min(16 << 10)] {
+        let want = rule(bytes);
+        let what = format!("{bytes}-byte request's outcome differs from the rule's {want:?}");
+        probe(bytes, 1, 0, want, &what);
     }
 
     report

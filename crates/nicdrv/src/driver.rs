@@ -1,11 +1,48 @@
-//! The [`Driver`] trait (Figure 1's transfer layer) and the generic
-//! simulator-backed implementation shared by all technology models.
+//! The [`Driver`] trait (Figure 1's transfer layer), the injection-mode
+//! rule every driver applies, and the generic simulator-backed
+//! implementation shared by all technology models.
+//!
+//! [`admitted_modes`] and [`injection_mode`] are the one statement of how
+//! a packet goes onto the wire: the modes the capabilities admit, and the
+//! cheaper of them by the cost model. The driver injects by it and the optimizer prices every
+//! plan by it, so the two cannot disagree.
 
-use simnet::{NicId, SimCtx, TxMode, TxRequest};
+use simnet::{NicId, SimCtx, SimDuration, TxMode, TxRequest};
 
 use crate::caps::DriverCapabilities;
 use crate::cost::CostModel;
-use crate::request::{DriverError, ModeSel, TransferRequest};
+use crate::request::{DriverError, TransferRequest};
+
+/// The modes `caps` admits for a packet of `bytes` in `segments` gather
+/// entries: PIO up to its size cap, whatever the segments (it streams
+/// them); DMA with a gather entry per segment.
+pub fn admitted_modes(
+    caps: &DriverCapabilities,
+    bytes: u64,
+    segments: usize,
+) -> impl Iterator<Item = TxMode> {
+    let modes = [
+        (TxMode::Pio, caps.can_pio(bytes)),
+        (TxMode::Dma, caps.can_gather(segments)),
+    ];
+    modes
+        .into_iter()
+        .filter_map(|(mode, ok)| ok.then_some(mode))
+}
+
+/// The mode a packet of `bytes` in `segments` gather entries is injected
+/// in, with the time it occupies the transmit engine: the cheaper of the
+/// [`admitted_modes`], PIO on a tie; `None` when neither is admitted.
+pub fn injection_mode(
+    caps: &DriverCapabilities,
+    cost: &CostModel,
+    bytes: u64,
+    segments: usize,
+) -> Option<(TxMode, SimDuration)> {
+    admitted_modes(caps, bytes, segments)
+        .map(|mode| (mode, cost.injection_time(mode, bytes, segments)))
+        .min_by_key(|&(_, busy)| busy)
+}
 
 /// A network driver: validates requests against its capabilities and maps
 /// them onto a simulated NIC.
@@ -23,7 +60,7 @@ pub trait Driver {
     fn nic(&self) -> NicId;
 
     /// Validate and submit one transfer; accepted, the mode it is
-    /// injected in.
+    /// injected in ([`injection_mode`]).
     fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<TxMode, DriverError>;
 
     /// Whether the transmit engine is fully idle.
@@ -34,37 +71,6 @@ pub trait Driver {
     /// Free hardware queue slots.
     fn free_slots(&self, ctx: &SimCtx<'_>) -> usize {
         ctx.tx_queue_free(self.nic())
-    }
-
-    /// Pick the cheaper injection mode for a message of `bytes` in
-    /// `segments` gather entries, honouring capabilities.
-    fn select_mode(&self, bytes: u64, segments: usize) -> TxMode {
-        let caps = self.capabilities();
-        let pio_ok = caps.can_pio(bytes);
-        let dma_ok = caps.can_gather(segments);
-        match (pio_ok, dma_ok) {
-            (true, false) => TxMode::Pio,
-            (false, true) => TxMode::Dma,
-            (false, false) => {
-                // No mode fits as-is; prefer DMA (the library must have
-                // linearized or chunked already — submit will reject if not).
-                if caps.supports_dma {
-                    TxMode::Dma
-                } else {
-                    TxMode::Pio
-                }
-            }
-            (true, true) => {
-                let m = self.cost_model();
-                if m.injection_time(TxMode::Pio, bytes, segments)
-                    <= m.injection_time(TxMode::Dma, bytes, segments)
-                {
-                    TxMode::Pio
-                } else {
-                    TxMode::Dma
-                }
-            }
-        }
     }
 }
 
@@ -89,53 +95,6 @@ impl SimDriver {
             panic!("invalid driver capabilities: {e}");
         }
         SimDriver { nic, caps, cost }
-    }
-
-    fn resolve_mode(&self, req: &TransferRequest) -> Result<TxMode, DriverError> {
-        let len = req.len();
-        let segs = req.segments.len();
-        match req.mode {
-            ModeSel::Pio => {
-                if !self.caps.supports_pio {
-                    return Err(DriverError::ModeUnsupported("PIO"));
-                }
-                if len > self.caps.pio_max_bytes {
-                    return Err(DriverError::PioTooLarge {
-                        len,
-                        max: self.caps.pio_max_bytes,
-                    });
-                }
-                Ok(TxMode::Pio)
-            }
-            ModeSel::Dma => {
-                if !self.caps.supports_dma {
-                    return Err(DriverError::ModeUnsupported("DMA"));
-                }
-                if segs > self.caps.max_gather_entries {
-                    return Err(DriverError::TooManySegments {
-                        got: segs,
-                        max: self.caps.max_gather_entries,
-                    });
-                }
-                Ok(TxMode::Dma)
-            }
-            ModeSel::Auto => {
-                let mode = self.select_mode(len, segs);
-                // Re-validate the chosen mode strictly.
-                match mode {
-                    TxMode::Pio if self.caps.can_pio(len) => Ok(TxMode::Pio),
-                    TxMode::Dma if self.caps.can_gather(segs) => Ok(TxMode::Dma),
-                    TxMode::Pio => Err(DriverError::PioTooLarge {
-                        len,
-                        max: self.caps.pio_max_bytes,
-                    }),
-                    TxMode::Dma => Err(DriverError::TooManySegments {
-                        got: segs,
-                        max: self.caps.max_gather_entries,
-                    }),
-                }
-            }
-        }
     }
 }
 
@@ -166,7 +125,9 @@ impl Driver for SimDriver {
                 max: self.caps.max_packet_bytes,
             });
         }
-        let mode = self.resolve_mode(&req)?;
+        let segments = req.segments.len();
+        let (mode, _) = injection_mode(&self.caps, &self.cost, len, segments)
+            .ok_or(DriverError::NotInjectable { len, segments })?;
         ctx.submit(
             self.nic,
             TxRequest {
@@ -198,7 +159,6 @@ mod tests {
             max_gather_entries: 4,
             max_packet_bytes: 1 << 16,
             vchannels: 2,
-            tx_queue_depth: 4,
             rndv_threshold_hint: 32 << 10,
         }
     }
@@ -214,13 +174,12 @@ mod tests {
         (sim, SimDriver::new(na, caps(), cost), nb)
     }
 
-    fn req(dst: NicId, mode: ModeSel, seg_sizes: &[usize]) -> TransferRequest {
+    fn req(dst: NicId, seg_sizes: &[usize]) -> TransferRequest {
         TransferRequest {
             dst_nic: dst,
             vchan: 0,
             kind: 0,
             cookie: 0,
-            mode,
             host_prep: SimDuration::ZERO,
             segments: seg_sizes
                 .iter()
@@ -232,41 +191,46 @@ mod tests {
     #[test]
     fn auto_mode_picks_pio_for_small_dma_for_large() {
         let (_sim, drv, _) = fixture();
-        assert_eq!(drv.select_mode(64, 1), TxMode::Pio);
+        let mode = |bytes, segs| injection_mode(&drv.caps, &drv.cost, bytes, segs).map(|m| m.0);
+        assert_eq!(mode(64, 1), Some(TxMode::Pio));
         // 1024+ can't PIO (cap), and even below crossover large messages
         // favour DMA on the synthetic params.
-        assert_eq!(drv.select_mode(100_000, 1), TxMode::Dma);
+        assert_eq!(mode(100_000, 1), Some(TxMode::Dma));
+        // Past the gather width only PIO is left; past both, nothing.
+        assert_eq!(mode(1024, 5), Some(TxMode::Pio));
+        assert_eq!(mode(1025, 5), None);
     }
 
     #[test]
-    fn forced_pio_rejected_when_too_large() {
+    fn a_wide_gather_goes_pio() {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
-        let r = sim.inject(a, |ctx| drv.submit(ctx, req(dst, ModeSel::Pio, &[2048])));
-        assert_eq!(
-            r,
-            Err(DriverError::PioTooLarge {
-                len: 2048,
-                max: 1024
-            })
-        );
+        let r = sim.inject(a, |ctx| drv.submit(ctx, req(dst, &[8, 8, 8, 8, 8])));
+        assert_eq!(r, Ok(TxMode::Pio));
     }
 
     #[test]
     fn gather_limit_enforced() {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
+        // Five segments: past the gather width, and too long for PIO.
         let r = sim.inject(a, |ctx| {
-            drv.submit(ctx, req(dst, ModeSel::Dma, &[8, 8, 8, 8, 8]))
+            drv.submit(ctx, req(dst, &[512, 512, 512, 512, 512]))
         });
-        assert_eq!(r, Err(DriverError::TooManySegments { got: 5, max: 4 }));
+        assert_eq!(
+            r,
+            Err(DriverError::NotInjectable {
+                len: 2560,
+                segments: 5
+            })
+        );
     }
 
     #[test]
     fn vchannel_range_enforced() {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
-        let mut rq = req(dst, ModeSel::Auto, &[8]);
+        let mut rq = req(dst, &[8]);
         rq.vchan = 2;
         let r = sim.inject(a, |ctx| drv.submit(ctx, rq));
         assert_eq!(r, Err(DriverError::VChannelOutOfRange { got: 2, max: 2 }));
@@ -276,7 +240,7 @@ mod tests {
     fn max_packet_enforced_before_mode_resolution() {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
-        let r = sim.inject(a, |ctx| drv.submit(ctx, req(dst, ModeSel::Dma, &[1 << 17])));
+        let r = sim.inject(a, |ctx| drv.submit(ctx, req(dst, &[1 << 17])));
         assert_eq!(
             r,
             Err(DriverError::TooLarge {
@@ -290,7 +254,7 @@ mod tests {
     fn valid_submit_reaches_the_wire() {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
-        sim.inject(a, |ctx| drv.submit(ctx, req(dst, ModeSel::Auto, &[100])))
+        sim.inject(a, |ctx| drv.submit(ctx, req(dst, &[100])))
             .unwrap();
         sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2));
         assert_eq!(sim.nic(dst).stats.rx_packets, 1);
@@ -302,9 +266,7 @@ mod tests {
         let (mut sim, drv, dst) = fixture();
         let a = sim.nic(drv.nic()).node;
         let results: Vec<_> = sim.inject(a, |ctx| {
-            (0..6)
-                .map(|_| drv.submit(ctx, req(dst, ModeSel::Auto, &[8])))
-                .collect()
+            (0..6).map(|_| drv.submit(ctx, req(dst, &[8]))).collect()
         });
         assert!(results[..4].iter().all(|r| r.is_ok()));
         assert!(matches!(

@@ -6,11 +6,9 @@
 //! processor, STEN (short transaction engine) PIO for small packets and
 //! native one-sided put/get DMA.
 
-use simnet::{NetworkParams, NicId, SimDuration, Technology};
+use simnet::{NetworkParams, SimDuration, Technology};
 
 use crate::caps::DriverCapabilities;
-use crate::cost::CostModel;
-use crate::driver::SimDriver;
 
 /// Network parameters of a QsNetII fabric.
 pub fn params() -> NetworkParams {
@@ -42,19 +40,14 @@ pub fn capabilities() -> DriverCapabilities {
         max_gather_entries: 8,
         max_packet_bytes: 64 << 10,
         vchannels: 16,
-        tx_queue_depth: 16,
         rndv_threshold_hint: 16 << 10,
     }
-}
-
-/// Build an Elan driver for a NIC attached to a network with [`params`].
-pub fn driver(nic: NicId) -> SimDriver {
-    SimDriver::new(nic, capabilities(), CostModel::from_params(&params()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use simnet::TxMode;
 
     #[test]

@@ -12,11 +12,9 @@
 //! large driver-level packet limit, because the segmentation is invisible to
 //! the software scheduler the paper studies.
 
-use simnet::{NetworkParams, NicId, SimDuration, Technology};
+use simnet::{NetworkParams, SimDuration, Technology};
 
 use crate::caps::DriverCapabilities;
-use crate::cost::CostModel;
-use crate::driver::SimDriver;
 
 /// Network parameters of an IB 4x SDR fabric.
 pub fn params() -> NetworkParams {
@@ -48,29 +46,26 @@ pub fn capabilities() -> DriverCapabilities {
         max_gather_entries: 4, // typical max_sge of the era
         max_packet_bytes: 1 << 20,
         vchannels: 8,
-        tx_queue_depth: 32,
         rndv_threshold_hint: 16 << 10,
     }
-}
-
-/// Build an IB driver for a NIC attached to a network with [`params`].
-pub fn driver(nic: NicId) -> SimDriver {
-    SimDriver::new(nic, capabilities(), CostModel::from_params(&params()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Driver;
-    use crate::request::{DriverError, ModeSel, TransferRequest};
+    use crate::calib;
+    use crate::cost::CostModel;
+    use crate::driver::{injection_mode, Driver};
+    use crate::request::{DriverError, TransferRequest};
     use bytes::Bytes;
-    use simnet::{Simulation, TxMode};
+    use simnet::{NicId, Simulation, TxMode};
 
     #[test]
     fn inline_limit_forces_dma_above_256_bytes() {
-        let d = driver(NicId(0));
-        assert_eq!(d.select_mode(128, 1), TxMode::Pio);
-        assert_eq!(d.select_mode(512, 1), TxMode::Dma);
+        let d = calib::driver(Technology::InfiniBand, NicId(0));
+        let mode = |bytes| injection_mode(d.capabilities(), d.cost_model(), bytes, 1).map(|m| m.0);
+        assert_eq!(mode(128), Some(TxMode::Pio));
+        assert_eq!(mode(512), Some(TxMode::Dma));
     }
 
     #[test]
@@ -81,7 +76,8 @@ mod tests {
         let b = sim.add_node();
         let na = sim.add_nic(a, net);
         let nb = sim.add_nic(b, net);
-        let d = driver(na);
+        let d = calib::driver(Technology::InfiniBand, na);
+        // Five segments of 64 B: one past max_sge, and past the inline cap.
         let r = sim.inject(a, |ctx| {
             d.submit(
                 ctx,
@@ -90,13 +86,18 @@ mod tests {
                     vchan: 0,
                     kind: 0,
                     cookie: 0,
-                    mode: ModeSel::Dma,
-                    host_prep: simnet::SimDuration::ZERO,
-                    segments: (0..5).map(|_| Bytes::from_static(b"xxxx")).collect(),
+                    host_prep: SimDuration::ZERO,
+                    segments: (0..5).map(|_| Bytes::from(vec![0u8; 64])).collect(),
                 },
             )
         });
-        assert_eq!(r, Err(DriverError::TooManySegments { got: 5, max: 4 }));
+        assert_eq!(
+            r,
+            Err(DriverError::NotInjectable {
+                len: 320,
+                segments: 5
+            })
+        );
     }
 
     #[test]

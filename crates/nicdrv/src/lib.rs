@@ -8,13 +8,18 @@
 //!   virtual channels, rendezvous hints);
 //! * a [`CostModel`] — analytic per-transfer cost estimates used to value
 //!   candidate packet rearrangements;
-//! * strict request validation: a plan exceeding capabilities is an error,
+//! * the injection-mode rule: the modes the capabilities admit for a
+//!   packet ([`admitted_modes`]) and the cheaper of them
+//!   ([`injection_mode`]). The driver
+//!   injects every packet by it and the optimizer prices every plan by it;
+//! * strict request validation: a request no mode admits is an error,
 //!   never silently accepted — [`conformance::check_driver`] probes any
 //!   driver's acceptance boundary against its declared capabilities.
 //!
 //! Five technologies are calibrated to 2006-era hardware: [`mx`]
 //! (Myrinet/MX — the paper's beta platform), [`elan`] (Quadrics QsNetII),
-//! [`ib`] (InfiniBand 4x), [`tcp`] (GigE), and [`shm`] (intra-node).
+//! [`ib`] (InfiniBand 4x), [`tcp`] (GigE), and [`shm`] (intra-node);
+//! [`calib::driver`] builds any of them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,10 +35,8 @@ pub mod mx;
 pub mod request;
 pub mod shm;
 pub mod tcp;
-pub mod virt;
 
 pub use caps::DriverCapabilities;
 pub use cost::CostModel;
-pub use driver::{Driver, SimDriver};
-pub use request::{DriverError, ModeSel, TransferRequest};
-pub use virt::VChannelPool;
+pub use driver::{admitted_modes, injection_mode, Driver, SimDriver};
+pub use request::{DriverError, TransferRequest};

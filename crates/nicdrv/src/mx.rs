@@ -12,11 +12,9 @@
 //! the optimizer's decisions depend on the relative weight of per-message
 //! overhead vs per-byte cost, which these figures preserve.
 
-use simnet::{NetworkParams, NicId, SimDuration, Technology};
+use simnet::{NetworkParams, SimDuration, Technology};
 
 use crate::caps::DriverCapabilities;
-use crate::cost::CostModel;
-use crate::driver::SimDriver;
 
 /// Network parameters of a Myrinet-2000 fabric under MX.
 pub fn params() -> NetworkParams {
@@ -48,21 +46,17 @@ pub fn capabilities() -> DriverCapabilities {
         max_gather_entries: 16,
         max_packet_bytes: 32 << 10,
         vchannels: 8,
-        tx_queue_depth: 8,
         rndv_threshold_hint: 32 << 10,
     }
-}
-
-/// Build an MX driver for a NIC attached to a network with [`params`].
-pub fn driver(nic: NicId) -> SimDriver {
-    SimDriver::new(nic, capabilities(), CostModel::from_params(&params()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Driver;
-    use simnet::TxMode;
+    use crate::calib;
+    use crate::cost::CostModel;
+    use crate::driver::{injection_mode, Driver};
+    use simnet::{NicId, TxMode};
 
     #[test]
     fn small_message_latency_near_three_microseconds() {
@@ -91,9 +85,10 @@ mod tests {
 
     #[test]
     fn driver_prefers_pio_below_dma_above() {
-        let d = driver(NicId(0));
-        assert_eq!(d.select_mode(64, 1), TxMode::Pio);
-        assert_eq!(d.select_mode(16 << 10, 1), TxMode::Dma);
+        let d = calib::driver(Technology::MyrinetMx, NicId(0));
+        let mode = |bytes| injection_mode(d.capabilities(), d.cost_model(), bytes, 1).map(|m| m.0);
+        assert_eq!(mode(64), Some(TxMode::Pio));
+        assert_eq!(mode(16 << 10), Some(TxMode::Dma));
     }
 
     #[test]

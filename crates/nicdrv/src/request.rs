@@ -3,23 +3,12 @@
 use bytes::Bytes;
 use simnet::{NicId, SimDuration, SubmitError, VChannel};
 
-/// Injection-mode selection for a transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ModeSel {
-    /// Let the driver pick the cheaper mode from its cost model.
-    #[default]
-    Auto,
-    /// Force programmed I/O (fails if unsupported or too large).
-    Pio,
-    /// Force DMA (fails if unsupported or too many gather entries).
-    Dma,
-}
-
 /// A transfer request submitted to a [`crate::Driver`].
 ///
 /// Unlike the raw simulator request, a driver request is validated against
 /// the driver's [`crate::DriverCapabilities`] — the contract that keeps the
-/// optimizer honest.
+/// optimizer honest. It names no injection mode: the driver injects it in
+/// the one [`crate::injection_mode`] picks.
 #[derive(Clone, Debug)]
 pub struct TransferRequest {
     /// Destination NIC.
@@ -30,8 +19,6 @@ pub struct TransferRequest {
     pub kind: u16,
     /// Completion cookie echoed in `on_tx_done`.
     pub cookie: u64,
-    /// Injection mode selection.
-    pub mode: ModeSel,
     /// Extra host preparation time (e.g. an aggregation memcpy) to charge.
     pub host_prep: SimDuration,
     /// Payload gather list.
@@ -53,12 +40,13 @@ impl TransferRequest {
 /// Why the driver refused a transfer request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DriverError {
-    /// Gather list longer than the hardware supports.
-    TooManySegments {
+    /// No injection mode admits the request: too long for PIO, and too
+    /// many segments (or no DMA) for a gather list.
+    NotInjectable {
+        /// Requested bytes.
+        len: u64,
         /// Segments in the request.
-        got: usize,
-        /// Hardware gather limit.
-        max: usize,
+        segments: usize,
     },
     /// Request exceeds the driver's maximum packet size.
     TooLarge {
@@ -67,15 +55,6 @@ pub enum DriverError {
         /// Driver limit.
         max: u64,
     },
-    /// PIO was forced but the message exceeds the PIO size limit.
-    PioTooLarge {
-        /// Requested bytes.
-        len: u64,
-        /// PIO limit.
-        max: u64,
-    },
-    /// The forced mode is not supported by this driver.
-    ModeUnsupported(&'static str),
     /// Virtual channel index out of range.
     VChannelOutOfRange {
         /// Requested channel.
@@ -90,19 +69,15 @@ pub enum DriverError {
 impl std::fmt::Display for DriverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DriverError::TooManySegments { got, max } => {
+            DriverError::NotInjectable { len, segments } => {
                 write!(
                     f,
-                    "gather list of {got} segments exceeds hardware limit {max}"
+                    "no injection mode admits {len} bytes in {segments} segments"
                 )
             }
             DriverError::TooLarge { len, max } => {
                 write!(f, "request of {len} bytes exceeds driver limit {max}")
             }
-            DriverError::PioTooLarge { len, max } => {
-                write!(f, "PIO request of {len} bytes exceeds PIO limit {max}")
-            }
-            DriverError::ModeUnsupported(m) => write!(f, "mode {m} not supported by driver"),
             DriverError::VChannelOutOfRange { got, max } => {
                 write!(f, "virtual channel {got} out of range (NIC exposes {max})")
             }
@@ -130,7 +105,6 @@ mod tests {
             vchan: 0,
             kind: 0,
             cookie: 0,
-            mode: ModeSel::Auto,
             host_prep: SimDuration::ZERO,
             segments: vec![Bytes::from_static(b"ab"), Bytes::from_static(b"cde")],
         };
@@ -140,9 +114,12 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = DriverError::TooManySegments { got: 20, max: 8 };
-        assert!(e.to_string().contains("20"));
-        assert!(e.to_string().contains('8'));
+        let e = DriverError::NotInjectable {
+            len: 300,
+            segments: 6,
+        };
+        assert!(e.to_string().contains("300"));
+        assert!(e.to_string().contains('6'));
         let e: DriverError = SubmitError::QueueFull.into();
         assert!(matches!(e, DriverError::Nic(SubmitError::QueueFull)));
     }

@@ -4,11 +4,9 @@
 //! scheduler route intra-node flows over it. Transfers are memcpys through
 //! a shared ring: tiny fixed cost, memory-bus bandwidth, no DMA engine.
 
-use simnet::{NetworkParams, NicId, SimDuration, Technology};
+use simnet::{NetworkParams, SimDuration, Technology};
 
 use crate::caps::DriverCapabilities;
-use crate::cost::CostModel;
-use crate::driver::SimDriver;
 
 /// Network parameters of the shared-memory rail.
 pub fn params() -> NetworkParams {
@@ -40,20 +38,14 @@ pub fn capabilities() -> DriverCapabilities {
         max_gather_entries: 1,
         max_packet_bytes: 64 << 10,
         vchannels: 16,
-        tx_queue_depth: 16,
         rndv_threshold_hint: 8 << 10, // switch to single-copy mapping
     }
-}
-
-/// Build a shared-memory driver for a NIC attached to a network with
-/// [`params`].
-pub fn driver(nic: NicId) -> SimDriver {
-    SimDriver::new(nic, capabilities(), CostModel::from_params(&params()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use simnet::TxMode;
 
     #[test]

@@ -12,11 +12,9 @@
 //! where Nagle's algorithm, which §3 cites as the inspiration for the
 //! artificial-delay strategy, originally lived.
 
-use simnet::{NetworkParams, NicId, SimDuration, Technology};
+use simnet::{NetworkParams, SimDuration, Technology};
 
 use crate::caps::DriverCapabilities;
-use crate::cost::CostModel;
-use crate::driver::SimDriver;
 
 /// Network parameters of a GigE/TCP fabric.
 pub fn params() -> NetworkParams {
@@ -47,24 +45,20 @@ pub fn capabilities() -> DriverCapabilities {
         pio_max_bytes: 64 << 10,
         max_gather_entries: 1, // no hardware gather; PIO streams segments
         max_packet_bytes: 64 << 10,
-        vchannels: 16, // sockets are cheap
-        tx_queue_depth: 32,
+        vchannels: 16,                 // sockets are cheap
         rndv_threshold_hint: u64::MAX, // rendezvous buys nothing over TCP
     }
-}
-
-/// Build a TCP driver for a NIC attached to a network with [`params`].
-pub fn driver(nic: NicId) -> SimDriver {
-    SimDriver::new(nic, capabilities(), CostModel::from_params(&params()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Driver;
-    use crate::request::{DriverError, ModeSel, TransferRequest};
+    use crate::calib;
+    use crate::cost::CostModel;
+    use crate::driver::{injection_mode, Driver};
+    use crate::request::TransferRequest;
     use bytes::Bytes;
-    use simnet::{Simulation, TxMode};
+    use simnet::{NicId, Simulation, TxMode};
 
     #[test]
     fn dma_mode_is_rejected() {
@@ -74,7 +68,8 @@ mod tests {
         let b = sim.add_node();
         let na = sim.add_nic(a, net);
         let nb = sim.add_nic(b, net);
-        let d = driver(na);
+        let d = calib::driver(Technology::TcpEthernet, na);
+        // One segment, which a DMA engine would take: still PIO.
         let r = sim.inject(a, |ctx| {
             d.submit(
                 ctx,
@@ -83,19 +78,25 @@ mod tests {
                     vchan: 0,
                     kind: 0,
                     cookie: 0,
-                    mode: ModeSel::Dma,
-                    host_prep: simnet::SimDuration::ZERO,
+                    host_prep: SimDuration::ZERO,
                     segments: vec![Bytes::from_static(b"data")],
                 },
             )
         });
-        assert_eq!(r, Err(DriverError::ModeUnsupported("DMA")));
+        assert_eq!(r, Ok(TxMode::Pio));
+        // Past the PIO cap nothing is left, however few the segments.
+        let past = d.capabilities().pio_max_bytes + 1;
+        assert_eq!(
+            injection_mode(d.capabilities(), d.cost_model(), past, 1),
+            None
+        );
     }
 
     #[test]
     fn auto_resolves_to_pio() {
-        let d = driver(NicId(0));
-        assert_eq!(d.select_mode(1 << 14, 4), TxMode::Pio);
+        let d = calib::driver(Technology::TcpEthernet, NicId(0));
+        let how = injection_mode(d.capabilities(), d.cost_model(), 1 << 14, 4);
+        assert_eq!(how.map(|m| m.0), Some(TxMode::Pio));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests on the driver cost models: the monotonicity and
-//! consistency properties the optimizer's scoring relies on.
+//! consistency properties the optimizer's scoring relies on, and the
+//! drivers' agreement with the injection-mode rule the optimizer prices
+//! by.
 
+use bytes::Bytes;
 use nicdrv::{calib, CostModel};
 use proptest::prelude::*;
-use simnet::{Technology, TxMode};
+use simnet::{SimDuration, Simulation, Technology, TxMode};
 
 const TECHS: [Technology; 5] = [
     Technology::MyrinetMx,
@@ -92,20 +95,39 @@ proptest! {
     }
 
     #[test]
-    fn driver_mode_selection_is_always_executable(
+    fn submit_agrees_with_the_injection_rule(
         t in tech(),
-        bytes in 1u64..60_000,
-        segs in 1usize..8,
+        raw in any::<u64>(),
+        shift in 0u32..16,
+        segs in 1usize..=20,
     ) {
-        use nicdrv::Driver;
-        let d = calib::driver(t, simnet::NicId(0));
+        use nicdrv::{injection_mode, Driver, DriverError, TransferRequest};
         let caps = calib::capabilities(t);
-        let mode = d.select_mode(bytes, segs);
-        // Whatever the driver picks for in-range requests must be a mode it
-        // can actually execute.
-        match mode {
-            TxMode::Pio => prop_assert!(caps.supports_pio),
-            TxMode::Dma => prop_assert!(caps.supports_dma),
-        }
+        // Up to the packet limit, small sizes as likely as large ones.
+        let bytes = 1 + ((raw % caps.max_packet_bytes) >> shift);
+        let mut sim = Simulation::new();
+        let net = sim.add_network(calib::params(t));
+        let (a, b) = (sim.add_node(), sim.add_node());
+        let (na, nb) = (sim.add_nic(a, net), sim.add_nic(b, net));
+        let d = calib::driver(t, na);
+        let (each, extra) = (bytes / segs as u64, bytes % segs as u64);
+        let segments = (0..segs as u64)
+            .map(|i| Bytes::from(vec![0u8; (each + u64::from(i < extra)) as usize]))
+            .collect();
+        let req = TransferRequest {
+            dst_nic: nb,
+            vchan: 0,
+            kind: 0,
+            cookie: 0,
+            host_prep: SimDuration::ZERO,
+            segments,
+        };
+        let got = sim.inject(a, |ctx| d.submit(ctx, req));
+        // Accepted exactly when the rule admits a mode, in the rule's mode.
+        let rule = injection_mode(d.capabilities(), d.cost_model(), bytes, segs);
+        let want = rule
+            .map(|(mode, _)| mode)
+            .ok_or(DriverError::NotInjectable { len: bytes, segments: segs });
+        prop_assert_eq!(got, want, "{:?}: {} B in {} segments", t, bytes, segs);
     }
 }

@@ -334,7 +334,7 @@ fn a_pio_only_rail_cuts_its_chunks_to_what_it_can_stream() {
     // `validate()` accepts. The rail's packet limit is the PIO cap: an
     // 8 KiB message leaves in pieces PIO takes. (Were the limit the
     // smaller of wire MTU and driver ceiling alone, the strategies would
-    // fill one 8 KiB packet and the driver refuse it: `PioTooLarge`.)
+    // fill one 8 KiB packet and the driver refuse it: `NotInjectable`.)
     use madeleine::EngineBuilder;
     use nicdrv::{calib, CostModel, SimDriver};
     use simnet::{NetworkParams, NicId, Simulation};

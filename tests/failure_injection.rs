@@ -9,8 +9,8 @@ use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use nicdrv::{calib, CostModel, Driver, DriverError, ModeSel, SimDriver, TransferRequest};
-use simnet::{FaultPlan, NetworkParams, SimTime, Simulation, SubmitError, Technology};
+use nicdrv::{calib, CostModel, Driver, DriverError, SimDriver, TransferRequest};
+use simnet::{FaultPlan, NetworkParams, SimTime, Simulation, SubmitError, Technology, TxMode};
 
 #[test]
 fn hardware_queue_exhaustion_backpressures_cleanly() {
@@ -22,10 +22,8 @@ fn hardware_queue_exhaustion_backpressures_cleanly() {
     let b = sim.add_node();
     let na = sim.add_nic(a, net);
     let nb = sim.add_nic(b, net);
-    let mut caps = calib::synthetic_capabilities();
-    caps.tx_queue_depth = 2;
     let cost = CostModel::from_params(sim.network_params(net));
-    let drv = SimDriver::new(na, caps, cost);
+    let drv = SimDriver::new(na, calib::synthetic_capabilities(), cost);
     let results: Vec<_> = sim.inject(a, |ctx| {
         (0..5)
             .map(|i| {
@@ -36,7 +34,6 @@ fn hardware_queue_exhaustion_backpressures_cleanly() {
                         vchan: 0,
                         kind: 1,
                         cookie: i,
-                        mode: ModeSel::Auto,
                         host_prep: simnet::SimDuration::ZERO,
                         segments: vec![Bytes::from_static(b"data")],
                     },
@@ -311,48 +308,35 @@ fn capability_violations_rejected_with_precise_errors() {
     let na = sim.add_nic(a, net);
     let nb = sim.add_nic(b, net);
     let drv = calib::driver(Technology::InfiniBand, na);
+    let req = |vchan, segments| TransferRequest {
+        dst_nic: nb,
+        vchan,
+        kind: 1,
+        cookie: 0,
+        host_prep: simnet::SimDuration::ZERO,
+        segments,
+    };
+    let run = |n: usize, each: usize| -> Vec<Bytes> {
+        (0..n).map(|_| Bytes::from(vec![0u8; each])).collect()
+    };
     sim.inject(a, |ctx| {
-        // Over the inline (PIO) limit.
-        let r = drv.submit(
-            ctx,
-            TransferRequest {
-                dst_nic: nb,
-                vchan: 0,
-                kind: 1,
-                cookie: 0,
-                mode: ModeSel::Pio,
-                host_prep: simnet::SimDuration::ZERO,
-                segments: vec![Bytes::from(vec![0u8; 300])],
-            },
+        // Over the inline (PIO) limit in one segment: DMA takes it.
+        let r = drv.submit(ctx, req(0, run(1, 300)));
+        assert_eq!(r, Ok(TxMode::Dma));
+        // Over the gather width within the inline limit: PIO streams it.
+        let r = drv.submit(ctx, req(0, run(6, 2)));
+        assert_eq!(r, Ok(TxMode::Pio));
+        // Over both: no mode admits it.
+        let r = drv.submit(ctx, req(0, run(6, 50)));
+        assert_eq!(
+            r,
+            Err(DriverError::NotInjectable {
+                len: 300,
+                segments: 6
+            })
         );
-        assert_eq!(r, Err(DriverError::PioTooLarge { len: 300, max: 256 }));
-        // Over the gather width.
-        let r = drv.submit(
-            ctx,
-            TransferRequest {
-                dst_nic: nb,
-                vchan: 0,
-                kind: 1,
-                cookie: 0,
-                mode: ModeSel::Dma,
-                host_prep: simnet::SimDuration::ZERO,
-                segments: (0..6).map(|_| Bytes::from_static(b"xx")).collect(),
-            },
-        );
-        assert_eq!(r, Err(DriverError::TooManySegments { got: 6, max: 4 }));
         // Bad virtual channel.
-        let r = drv.submit(
-            ctx,
-            TransferRequest {
-                dst_nic: nb,
-                vchan: 99,
-                kind: 1,
-                cookie: 0,
-                mode: ModeSel::Auto,
-                host_prep: simnet::SimDuration::ZERO,
-                segments: vec![Bytes::from_static(b"xx")],
-            },
-        );
+        let r = drv.submit(ctx, req(99, run(1, 2)));
         assert_eq!(r, Err(DriverError::VChannelOutOfRange { got: 99, max: 8 }));
     });
 }

@@ -87,19 +87,20 @@ fn eager_latency_beats_rndv_for_medium_messages() {
 
 #[test]
 fn driver_mode_selection_matches_cost_model() {
-    use nicdrv::Driver;
+    use nicdrv::{injection_mode, Driver};
     for tech in [
         Technology::MyrinetMx,
         Technology::QuadricsElan,
         Technology::InfiniBand,
     ] {
         let d = calib::driver(tech, simnet::NicId(0));
-        let caps = calib::capabilities(tech);
+        let caps = d.capabilities();
+        let mode = |bytes| injection_mode(caps, d.cost_model(), bytes, 1).map(|m| m.0);
         // Tiny messages go PIO; messages beyond the PIO cap must go DMA.
-        assert_eq!(d.select_mode(8, 1), simnet::TxMode::Pio, "{tech:?}");
+        assert_eq!(mode(8), Some(simnet::TxMode::Pio), "{tech:?}");
         assert_eq!(
-            d.select_mode(caps.pio_max_bytes + 1, 1),
-            simnet::TxMode::Dma,
+            mode(caps.pio_max_bytes + 1),
+            Some(simnet::TxMode::Dma),
             "{tech:?}"
         );
     }

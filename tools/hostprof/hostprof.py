@@ -34,8 +34,9 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 # timer ids, the one `HashSet` on the event path: a cancellation inserts
 # into it, and the cancelled timer's pop takes it out. The `cheaper_mode`
 # row and the `__udivti3` row name code the send and the selection pass
-# no longer reach: each reads 0 here and says how much it was under
-# `--binary <parent>`. A row whose pattern matches no function of the
+# no longer reach: each reads 0 here, or `(no such function)` where the
+# function is gone (core's `cheaper_mode` is nicdrv's `injection_mode`
+# now), and says how much it was under `--binary <parent>`. A row whose pattern matches no function of the
 # profiled binary prints `(no such function)` instead of a share. The
 # fabric's lookup row also counts the ordered-map searches inside
 # `FabricState::admit`: where a binary that kept ports and routes in trees
