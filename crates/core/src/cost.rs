@@ -336,12 +336,14 @@ pub(crate) struct RequestCost {
 
 impl RequestCost {
     /// The cost of a request `bytes` long on the wire: a small linearized
-    /// control packet, and the grant that echoes its header.
+    /// control packet, injected by the driver's rule, and the grant that
+    /// echoes its header.
     pub(crate) fn sized(bytes: u64, ctx: &OptContext<'_>) -> Self {
+        let mode = one_segment_mode(ctx.caps, ctx.cost, bytes);
         // The request out and the grant back: two control packets.
-        let handshake = one_way(ctx.caps, ctx.cost, bytes) * 2;
+        let handshake = ctx.cost.one_way(mode, bytes, 1) * 2;
         RequestCost {
-            est_busy: ctx.cost.injection_time(TxMode::Pio, bytes, 1),
+            est_busy: ctx.cost.injection_time(mode, bytes, 1),
             handshake_ns: handshake.as_nanos().max(1) as f64,
         }
     }
@@ -609,6 +611,24 @@ mod tests {
             copied > gather,
             "copy {copied} should exceed gather {gather} at 4 KiB chunks"
         );
+    }
+
+    /// A rendezvous request is one header alone in its packet, at most
+    /// `PACKET_PREFIX_BYTES + MAX_CHUNK_HEADER_BYTES` on the wire. At every
+    /// such size the rule injects it by PIO on every technology, so the
+    /// request priced by the rule is the request priced as PIO.
+    #[test]
+    fn every_size_a_request_can_have_goes_out_by_pio() {
+        use crate::proto::{MAX_CHUNK_HEADER_BYTES, PACKET_PREFIX_BYTES};
+        let techs = calib::REAL_TECHNOLOGIES.into_iter();
+        for tech in techs.chain([simnet::Technology::Synthetic]) {
+            let caps = calib::capabilities(tech);
+            let cost = CostModel::from_params(&calib::params(tech));
+            for bytes in 1..=PACKET_PREFIX_BYTES + MAX_CHUNK_HEADER_BYTES {
+                let mode = injection_mode(&caps, &cost, bytes, 1).map(|(mode, _)| mode);
+                assert_eq!(mode, Some(TxMode::Pio), "{tech:?} at {bytes} B");
+            }
+        }
     }
 
     #[test]

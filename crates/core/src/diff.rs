@@ -37,10 +37,10 @@
 // madlint: file: deterministic-output
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::{obj, Json, JsonSink, JsonTree, JsonWriter};
-use crate::prof::{CritSpan, FlowSpan, MsgKey, Phase, ProfInput, PHASE_COUNT};
+use crate::prof::{CritSpan, FlowSpan, Label, MsgKey, Phase, ProfInput, PHASE_COUNT};
 
 /// A self-contained, serializable capture of one run's profile — the
 /// committed-baseline half of a diff. Built from a [`ProfInput`] (live
@@ -59,7 +59,7 @@ pub struct RunSnapshot {
     /// Cluster-wide critical path (contiguous blame spans).
     pub critical_path: Vec<CritSpan>,
     /// Messages submitted but never delivered, with class.
-    pub undelivered: Vec<(MsgKey, String)>,
+    pub undelivered: Vec<(MsgKey, Label)>,
     /// `(node, activation)` → ordered canonical decision records.
     pub decisions: BTreeMap<(u32, u64), Vec<String>>,
     /// Trace events the profile consumed.
@@ -185,11 +185,14 @@ impl RunSnapshot {
             cell.and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("snapshot row: bad {what}"))
         };
-        let need_str = |cell: Option<&Json>, what: &str| -> Result<String, String> {
+        fn need_text<'a>(cell: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
             cell.and_then(|v| v.as_str())
-                .map(str::to_string)
                 .ok_or_else(|| format!("snapshot row: bad {what}"))
-        };
+        }
+        // Labels are interned as `ProfInput` interns them: one per text.
+        let mut labels = BTreeSet::new();
+        let mut need_label =
+            |cell, what| need_text(cell, what).map(|text| Label::interned(&mut labels, text));
         let key_of = |cells: &[Json]| -> Result<MsgKey, String> {
             Ok(MsgKey {
                 src: need_u64(cells.first(), "src")? as u32,
@@ -213,14 +216,14 @@ impl RunSnapshot {
             }
             rows.push(FlowSpan {
                 key: key_of(cells)?,
-                class: need_str(cells.get(3), "class")?,
+                class: need_label(cells.get(3), "class")?,
                 bytes: need_u64(cells.get(4), "bytes")?,
                 submit_ns: need_u64(cells.get(5), "submit_ns")?,
                 delivered_ns: need_u64(cells.get(6), "delivered_ns")?,
                 phases,
                 retransmits: need_u64(cells.get(7 + PHASE_COUNT), "retransmits")? as u32,
                 rail: need_u64(cells.get(8 + PHASE_COUNT), "rail")? as u16,
-                strategy: need_str(cells.get(9 + PHASE_COUNT), "strategy")?,
+                strategy: need_label(cells.get(9 + PHASE_COUNT), "strategy")?,
                 vetoes: need_u64(cells.get(10 + PHASE_COUNT), "vetoes")? as u32,
             });
         }
@@ -246,7 +249,7 @@ impl RunSnapshot {
             .ok_or("snapshot missing undelivered")?
         {
             let cells = item.as_array().ok_or("undelivered entry not an array")?;
-            undelivered.push((key_of(cells)?, need_str(cells.get(3), "class")?));
+            undelivered.push((key_of(cells)?, need_label(cells.get(3), "class")?));
         }
         let mut decisions = BTreeMap::new();
         if let Some(Json::Obj(fields)) = doc.get("decisions") {
@@ -265,7 +268,7 @@ impl RunSnapshot {
             }
         }
         Ok(RunSnapshot {
-            label: need_str(doc.get("label"), "label")?,
+            label: need_text(doc.get("label"), "label")?.to_string(),
             rows,
             critical_path,
             undelivered,
@@ -284,7 +287,7 @@ pub struct AlignedDelta {
     /// Shared identity.
     pub key: MsgKey,
     /// Traffic class (from run A; classes are config, not behavior).
-    pub class: String,
+    pub class: Label,
     /// Lifetime in run A (ns).
     pub a_total_ns: u64,
     /// Lifetime in run B (ns).
@@ -306,9 +309,9 @@ pub struct AlignedDelta {
     /// Rail in run B.
     pub rail_b: u16,
     /// Winning strategy in each run.
-    pub strategy_a: String,
+    pub strategy_a: Label,
     /// Winning strategy in run B.
-    pub strategy_b: String,
+    pub strategy_b: Label,
 }
 
 /// Aggregate phase movement over the aligned set.
@@ -343,7 +346,7 @@ pub struct UnmatchedMsg {
     /// Message identity.
     pub key: MsgKey,
     /// Traffic class.
-    pub class: String,
+    pub class: Label,
     /// Which run delivered it.
     pub side: DiffSide,
     /// Why the other run has no row for it.
@@ -406,7 +409,7 @@ pub struct RunDiff {
     /// `(rail_a, rail_b) → messages` for messages that changed rail.
     pub rail_migrations: BTreeMap<(u16, u16), u64>,
     /// `(strategy_a, strategy_b) → messages` for changed strategies.
-    pub strategy_migrations: BTreeMap<(String, String), u64>,
+    pub strategy_migrations: BTreeMap<(Label, Label), u64>,
     /// Messages delivered in exactly one run.
     pub unmatched: Vec<UnmatchedMsg>,
     /// Critical-path comparison.
@@ -842,7 +845,7 @@ impl RunDiff {
             .map(|u| {
                 obj()
                     .field("key", format!("{}", u.key).as_str())
-                    .field("class", u.class.as_str())
+                    .field("class", &*u.class)
                     .field(
                         "side",
                         match u.side {
@@ -953,14 +956,14 @@ mod tests {
         let total: u64 = phases.iter().sum();
         FlowSpan {
             key: key(seq),
-            class: "DEFAULT".to_string(),
+            class: Label::from("DEFAULT"),
             bytes: 256,
             submit_ns: 1_000,
             delivered_ns: 1_000 + total,
             phases,
             retransmits: 0,
             rail,
-            strategy: strategy.to_string(),
+            strategy: Label::from(strategy),
             vetoes: 0,
         }
     }
@@ -1055,7 +1058,7 @@ mod tests {
         assert_eq!(d.rail_migrations[&(0, 1)], 1);
         assert_eq!(d.strategy_migrations.len(), 1);
         assert_eq!(
-            d.strategy_migrations[&("eager".to_string(), "aggregate".to_string())],
+            d.strategy_migrations[&(Label::from("eager"), Label::from("aggregate"))],
             1
         );
         assert!(!d.is_zero(), "a migration is a nonzero diff");
@@ -1072,7 +1075,7 @@ mod tests {
         );
         // Run B shed message 1: submitted, never delivered.
         let mut b = snapshot("b", vec![row(0, [0, 0, 10, 0, 0, 90], 0, "eager")]);
-        b.undelivered.push((key(1), "DEFAULT".to_string()));
+        b.undelivered.push((key(1), Label::from("DEFAULT")));
         let d = diff(&a, &b);
         assert_eq!(d.aligned.len(), 1);
         assert_eq!(d.unmatched.len(), 1);
@@ -1142,7 +1145,7 @@ mod tests {
                 row(1, [0, 0, 10, 0, 0, 90], u16::MAX, "?"),
             ],
         );
-        a.undelivered.push((key(7), "BULK".to_string()));
+        a.undelivered.push((key(7), Label::from("BULK")));
         a.dropped_events = 3;
         let text = a.render();
         assert_eq!(
@@ -1176,7 +1179,7 @@ mod tests {
         };
         let b = snapshot("b", rows(&[(0, 10), (1, 10), (2, 10), (4, 10)]));
         let mut messy = snapshot("a", rows(&[(3, 5), (1, 99), (0, 10), (1, 30), (2, 10)]));
-        messy.undelivered.push((key(4), "DEFAULT".to_string()));
+        messy.undelivered.push((key(4), Label::from("DEFAULT")));
         let mut clean = snapshot("a", rows(&[(0, 10), (1, 30), (2, 10), (3, 5)]));
         clean.undelivered = messy.undelivered.clone();
         clean.critical_path = messy.critical_path.clone();

@@ -30,7 +30,7 @@
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
-use nicdrv::{Driver, DriverError, SimDriver};
+use nicdrv::{DriverError, SimDriver};
 use simnet::{
     Endpoint, NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError, Technology, TimerId,
     WirePacket,

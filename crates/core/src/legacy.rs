@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use nicdrv::{admitted_modes, Driver, TransferRequest};
+use nicdrv::{admitted_modes, TransferRequest};
 use simnet::{Endpoint, NicId, NodeId, SimCtx, SimTime, TimerId, WirePacket};
 
 use crate::api::{AppDriver, CommApi, INTERNAL_TAG_BASE};

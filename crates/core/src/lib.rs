@@ -99,7 +99,7 @@ pub use legacy::{LegacyEngine, LegacyHandle};
 pub use message::{DeliveredMessage, Fragment, MessageBuilder, PackMode};
 pub use metrics::{EngineMetrics, Fault, MetricsRegistry};
 pub use policy::PolicyKind;
-pub use prof::{CritSpan, FlowSpan, MsgKey, Phase, ProfInput, Profile, PHASE_COUNT};
+pub use prof::{CritSpan, FlowSpan, Label, MsgKey, Phase, ProfInput, Profile, PHASE_COUNT};
 pub use reliability::{plan_retransmit, RailHealth, ReliabilityMode, RetransmitTracker};
 pub use scope::{flatten_registry, prometheus_render, PromSample, Sampler};
 pub use strategy::{Strategy, StrategyRegistry};

@@ -10,7 +10,6 @@
 // madlint: file: deterministic-output
 // madlint: file: trace-covered
 
-use nicdrv::Driver;
 use simnet::{NodeId, SimCtx, SimDuration, SimTime};
 
 use crate::api::SAMPLER_TAG;

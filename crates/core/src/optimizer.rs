@@ -18,7 +18,6 @@
 
 use std::ops::Range;
 
-use nicdrv::Driver;
 use simnet::{SimCtx, SimDuration, TimerId};
 
 use crate::api::{ADAPTIVE_TAG, NAGLE_TAG};

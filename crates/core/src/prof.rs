@@ -127,6 +127,55 @@ impl std::fmt::Display for MsgKey {
     }
 }
 
+/// A profile label — a traffic class or a strategy name. An input keeps
+/// one of each however many rows carry it, so a row, and a copy of a
+/// row, holds a reference, not the bytes.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Label(Rc<str>);
+
+impl Label {
+    /// The one label of `text` among `known`, added to them if new.
+    pub(crate) fn interned(known: &mut BTreeSet<Label>, text: &str) -> Label {
+        if let Some(label) = known.get(text) {
+            return label.clone();
+        }
+        let label = Label::from(text);
+        known.insert(label.clone());
+        label
+    }
+}
+
+impl From<&str> for Label {
+    fn from(text: &str) -> Self {
+        Label(Rc::from(text))
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<str> for Label {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&*self.0, f)
+    }
+}
+
 /// One profiled message: the row the exports, the snapshot and the
 /// differ all read. Its segments are not kept here: they are cut from the
 /// message's milestones where they are read ([`ProfInput::segments`]).
@@ -135,7 +184,7 @@ pub struct FlowSpan {
     /// Message identity.
     pub key: MsgKey,
     /// Traffic-class label (`"?"` when the submit record was truncated).
-    pub class: String,
+    pub class: Label,
     /// Payload bytes.
     pub bytes: u64,
     /// Submission timestamp (ns).
@@ -150,7 +199,7 @@ pub struct FlowSpan {
     /// Rail the first packet binding left on (`u16::MAX` if unknown).
     pub rail: u16,
     /// Strategy that won the binding activation (empty if unknown).
-    pub strategy: String,
+    pub strategy: Label,
     /// Proposals vetoed in the binding activation.
     pub vetoes: u32,
 }
@@ -194,9 +243,9 @@ pub struct ProfInput {
     acts: IdTable<IdTable<ActRow>>,
     /// Chronological (ts, cookie) transmit completions, by node and rail.
     txdone: IdTable<IdTable<Vec<(u64, u64)>>>,
-    /// Traffic-class labels, one string per class however many messages
+    /// Traffic-class and strategy labels, one of each however many rows
     /// carry it.
-    classes: BTreeSet<Rc<str>>,
+    labels: BTreeSet<Label>,
     /// Ring-overflow drops summed over every source stream.
     dropped: u64,
     /// Records consumed (all sources).
@@ -213,7 +262,7 @@ type MsgTable = IdTable<IdTable<IdTable<MsgRow>>>;
 #[derive(Clone, Debug, Default)]
 struct MsgRow {
     /// (ts, bytes, class label) of the `Submitted` record.
-    submit: Option<(u64, u64, Rc<str>)>,
+    submit: Option<(u64, u64, Label)>,
     /// Admission ts.
     admit: Option<u64>,
     /// Last rendezvous-grant ts.
@@ -287,8 +336,8 @@ struct PacketRow {
 /// One optimizer activation.
 #[derive(Clone, Debug, Default)]
 struct ActRow {
-    /// Winning strategy (empty if no `PlanWon` was read).
-    won: String,
+    /// Winning strategy (`None` if no `PlanWon` was read).
+    won: Option<Label>,
     /// Vetoed proposals.
     vetoes: u32,
     /// Ordered canonical decision records (`P:` proposed, `V:` vetoed,
@@ -604,14 +653,7 @@ impl ProfInput {
                 rails.row(u64::from(rail)).push((ts, cookie));
             }
             Rec::Submitted { key, bytes, class } => {
-                let class = match self.classes.get(class) {
-                    Some(known) => Rc::clone(known),
-                    None => {
-                        let class: Rc<str> = Rc::from(class);
-                        self.classes.insert(Rc::clone(&class));
-                        class
-                    }
-                };
+                let class = Label::interned(&mut self.labels, class);
                 msg(msgs, key).submit = Some((ts, bytes, class));
             }
             Rec::Admitted(key) => msg(msgs, key).admit = Some(ts),
@@ -689,7 +731,7 @@ impl ProfInput {
                 if let Some((num, den)) = score {
                     act.log.push(format!("W:{strategy}:{num}/{den}"));
                 }
-                act.won = strategy.to_string();
+                act.won = Some(Label::interned(&mut self.labels, strategy));
             }
             Rec::PlanVetoed { activation, why } => {
                 let act = self.acts.row(at).row(activation);
@@ -783,11 +825,11 @@ impl ProfInput {
     /// admission pressure, or abandoned when a rail died), with their
     /// traffic class, ordered by [`MsgKey`]. maddiff reports these as
     /// `unmatched`, never folding them into phase deltas.
-    pub fn undelivered(&self) -> Vec<(MsgKey, String)> {
+    pub fn undelivered(&self) -> Vec<(MsgKey, Label)> {
         let mut undelivered = Vec::new();
         self.msg_rows().for_each(|(key, row)| {
             if let (None, Some((_, _, class))) = (&row.delivered, &row.submit) {
-                undelivered.push((key, class.to_string()));
+                undelivered.push((key, class.clone()));
             }
         });
         undelivered
@@ -824,6 +866,7 @@ impl ProfInput {
         // One row per delivered message, one walk over the message rows.
         let mut flows: Vec<FlowSpan> = Vec::new();
         let mut violations = 0u64;
+        let (unknown, none) = (Label::from("?"), Label::from(""));
         // Internal iteration: the nested tables walk faster folded than
         // stepped one row at a time.
         self.msg_rows().for_each(|(key, row)| {
@@ -833,8 +876,8 @@ impl ProfInput {
                 return;
             };
             let (bytes, class) = match &row.submit {
-                Some((_, b, c)) => (*b, c.to_string()),
-                None => (d_bytes, "?".to_string()),
+                Some((_, b, c)) => (*b, c.clone()),
+                None => (d_bytes, unknown.clone()),
             };
             // Walked back to front, the last segment seen starts at the
             // submit.
@@ -854,11 +897,12 @@ impl ProfInput {
                 let (rail, act) = self.packets.get_in(node, cookie)?.encoded?;
                 Some((rail, self.acts.get_in(node, act)))
             });
-            let (rail, strategy, vetoes) = match binding {
-                Some((rail, Some(act))) => (rail, act.won.clone(), act.vetoes),
-                Some((rail, None)) => (rail, String::new(), 0),
-                None => (u16::MAX, String::new(), 0),
+            let (rail, won, vetoes) = match binding {
+                Some((rail, Some(act))) => (rail, act.won.as_ref(), act.vetoes),
+                Some((rail, None)) => (rail, None, 0),
+                None => (u16::MAX, None, 0),
             };
+            let strategy = won.unwrap_or(&none).clone();
             flows.push(FlowSpan {
                 key,
                 class,
@@ -1952,14 +1996,14 @@ mod tests {
                     };
                     flows.push(FlowSpan {
                         key,
-                        class,
+                        class: Label::from(class.as_str()),
                         bytes,
                         submit_ns: s_ts,
                         delivered_ns: d_ts,
                         phases,
                         retransmits: retx_count.get(&key).copied().unwrap_or(0),
                         rail,
-                        strategy,
+                        strategy: Label::from(strategy.as_str()),
                         vetoes,
                     });
                     segment_table.insert(key, segments);
@@ -2086,6 +2130,10 @@ mod tests {
             let rows = prof.flows.clone();
             let mut undelivered = input.undelivered();
             undelivered.sort();
+            let undelivered = undelivered
+                .into_iter()
+                .map(|(key, class)| (key, Label::from(class.as_str())))
+                .collect();
             RunSnapshot {
                 label: label.to_string(),
                 rows,
@@ -2117,7 +2165,9 @@ mod tests {
         assert_eq!(new.critical_path, ref_prof.critical_path);
         assert_eq!(new.explain(20), ref_prof.explain(20));
         assert_eq!(&input.decisions(), old.decisions());
-        assert_eq!(input.undelivered(), old.undelivered());
+        let undelivered = input.undelivered().into_iter();
+        let undelivered: Vec<_> = undelivered.map(|(k, c)| (k, c.to_string())).collect();
+        assert_eq!(undelivered, old.undelivered());
         assert_eq!(
             crate::diff::RunSnapshot::capture("x", input).render(),
             reference::capture("x", old).render()

@@ -53,7 +53,7 @@
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
-use nicdrv::{CostModel, Driver, DriverCapabilities};
+use nicdrv::{CostModel, DriverCapabilities};
 use simnet::{NodeId, SimCtx, SimDuration, SimTime, TimerId};
 
 use crate::api::RETX_TAG;
@@ -584,12 +584,12 @@ impl RailClock {
     /// fan-out of packets that take longer to receive than to inject
     /// would grow every deadline without bound.
     fn launch(&mut self, cost: &CostModel, bytes: u64, dst: NodeId, now: SimTime) -> SimDuration {
-        let arrives = now + cost.wire_latency;
+        let arrives = now + cost.wire_latency();
         let wait = match self.rx_free {
             (last, free) if last == dst => free.since(arrives),
             _ => SimDuration::ZERO,
         };
-        let received = received(cost, bytes);
+        let received = cost.flight(bytes);
         // The packet is received when its ack sets out.
         self.rx_free = (dst, now + (wait + received));
         wait + received
@@ -603,19 +603,12 @@ impl RailClock {
     }
 }
 
-/// Unloaded time from the instant a data packet `bytes` long on the wire
-/// has left the NIC to its reception, on a rail of cost model `cost`:
-/// propagation and receive.
-fn received(cost: &CostModel, bytes: u64) -> SimDuration {
-    cost.wire_latency + cost.rx_time(bytes)
-}
-
 /// Unloaded time from the instant data packet `cookie`, `bytes` long on
 /// the wire, has left `rail`'s NIC to the arrival of its ack: propagation,
 /// receive, and the ack's way back. (Its injection is not modelled but
 /// awaited: the clock starts at `tx_done`.)
 fn data_flight(rail: &Rail, bytes: u64, cookie: u64) -> SimDuration {
-    received(rail.driver.cost_model(), bytes) + rail.clock.ack_one_way(cookie)
+    rail.driver.cost_model().flight(bytes) + rail.clock.ack_one_way(cookie)
 }
 
 /// The fragment a rendezvous request asks for: flow, message sequence,

@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use nicdrv::{Driver, DriverError, SimDriver, TransferRequest};
+use nicdrv::{DriverError, SimDriver, TransferRequest};
 use simnet::{NicId, NodeId, SimCtx, SimDuration, SimTime, SubmitError};
 
 use crate::api::ACK_HOLD_TAG;

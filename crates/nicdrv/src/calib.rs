@@ -105,7 +105,7 @@ mod tests {
     fn driver_construction_succeeds_for_all() {
         for tech in REAL_TECHNOLOGIES {
             let d = driver(tech, NicId(0));
-            assert_eq!(crate::driver::Driver::capabilities(&d).tech, tech);
+            assert_eq!(d.capabilities().tech, tech);
         }
     }
 

@@ -1,6 +1,6 @@
-//! Driver conformance checking: exercises any [`Driver`] implementation
-//! against its own declared [`DriverCapabilities`](crate::DriverCapabilities) and reports every
-//! inconsistency.
+//! Driver conformance checking: exercises a [`SimDriver`] against its own
+//! declared [`DriverCapabilities`](crate::DriverCapabilities) and reports
+//! every inconsistency.
 //!
 //! The engine's correctness argument rests on drivers being *strict*:
 //! accept exactly what the capabilities promise, inject in the mode
@@ -9,7 +9,7 @@
 //! limits, one past the limits — for PIO size, gather width, packet size
 //! and virtual channels, every probe a plain request whose mode the driver
 //! chooses. Run it against the built-in technology models (tested here)
-//! or against your own driver:
+//! or against a driver of your own capabilities and parameters:
 //!
 //! ```
 //! use nicdrv::conformance::check_driver;
@@ -29,7 +29,7 @@
 use bytes::Bytes;
 use simnet::{NicId, NodeId, SimDuration, SimTime, Simulation, TxMode};
 
-use crate::driver::{injection_mode, Driver};
+use crate::driver::{injection_mode, SimDriver};
 use crate::request::{DriverError, TransferRequest};
 
 /// Outcome of a conformance run.
@@ -90,7 +90,7 @@ pub fn check_driver(
     sim: &mut Simulation,
     src_node: NodeId,
     dst_nic: NicId,
-    driver: &dyn Driver,
+    driver: &SimDriver,
 ) -> ConformanceReport {
     let caps = driver.capabilities().clone();
     let mut report = ConformanceReport::default();

@@ -2,97 +2,60 @@
 //! uses to *value* candidate packet rearrangements (§3: the scheduler
 //! "estimating the value of a given packet reordering operation").
 //!
-//! The model mirrors the simulator's timing decomposition exactly, so in
-//! this reproduction the optimizer's estimates are unbiased; on real
-//! hardware they would be calibrated measurements. What matters for the
-//! paper's claims is the *relative* cost structure (per-message overhead vs
-//! per-byte cost), which drives aggregation and protocol-selection
-//! decisions.
+//! The model *is* the NIC's parameters: it prices a packet by the
+//! [`NetworkParams::injection_time`] and [`NetworkParams::rx_time`] the
+//! simulated NIC runs by, so its estimates are unbiased by construction;
+//! on real hardware they would be calibrated measurements. What matters
+//! for the paper's claims is the *relative* cost structure (per-message
+//! overhead vs per-byte cost), which drives aggregation and
+//! protocol-selection decisions.
 
 use simnet::{transfer_time, NetworkParams, SimDuration, TxMode};
 
-/// Analytic cost model of one NIC/driver, derived from its network
-/// parameters.
+/// Analytic cost model of one NIC/driver: its network's parameters.
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    /// Fixed host cost to start a PIO injection.
-    pub pio_setup: SimDuration,
-    /// Host PIO copy bandwidth (bytes/s).
-    pub pio_bandwidth: u64,
-    /// Fixed host cost to post a DMA descriptor.
-    pub dma_setup: SimDuration,
-    /// Cost per gather segment in a DMA descriptor.
-    pub dma_per_segment: SimDuration,
-    /// NIC DMA pull bandwidth (bytes/s).
-    pub dma_bandwidth: u64,
-    /// One-way wire propagation latency.
-    pub wire_latency: SimDuration,
-    /// Wire serialization bandwidth (bytes/s).
-    pub wire_bandwidth: u64,
-    /// Framing bytes added to each wire packet.
-    pub per_packet_overhead: u64,
-    /// Per-packet receive handling cost.
-    pub rx_setup: SimDuration,
-    /// Receive copy bandwidth (bytes/s).
-    pub rx_bandwidth: u64,
-    /// Host memcpy bandwidth (bytes/s), for by-copy aggregation estimates.
-    pub host_copy_bandwidth: u64,
+    params: NetworkParams,
 }
 
 impl CostModel {
-    /// Derive the model from a network's parameters.
+    /// The model of a NIC on a network of parameters `p`.
     pub fn from_params(p: &NetworkParams) -> Self {
-        CostModel {
-            pio_setup: p.pio_setup,
-            pio_bandwidth: p.pio_bandwidth,
-            dma_setup: p.dma_setup,
-            dma_per_segment: p.dma_per_segment,
-            dma_bandwidth: p.dma_bandwidth,
-            wire_latency: p.wire_latency,
-            wire_bandwidth: p.wire_bandwidth,
-            per_packet_overhead: p.per_packet_overhead_bytes,
-            rx_setup: p.rx_setup,
-            rx_bandwidth: p.rx_bandwidth,
-            host_copy_bandwidth: p.host_copy_bandwidth,
-        }
-    }
-
-    /// Effective injection bandwidth for a mode (bottleneck of host path
-    /// and wire).
-    pub fn effective_bandwidth(&self, mode: TxMode) -> u64 {
-        match mode {
-            TxMode::Pio => self.wire_bandwidth.min(self.pio_bandwidth),
-            TxMode::Dma => self.wire_bandwidth.min(self.dma_bandwidth),
-        }
+        CostModel { params: p.clone() }
     }
 
     /// Time the transmit engine is occupied injecting + serializing one
-    /// packet of `bytes` payload in `segments` gather entries.
+    /// packet of `bytes` payload in `segments` gather entries
+    /// ([`NetworkParams::injection_time`]).
     pub fn injection_time(&self, mode: TxMode, bytes: u64, segments: usize) -> SimDuration {
-        let fixed = match mode {
-            TxMode::Pio => self.pio_setup,
-            TxMode::Dma => self.dma_setup + self.dma_per_segment * segments as u64,
-        };
-        fixed
-            + transfer_time(
-                bytes + self.per_packet_overhead,
-                self.effective_bandwidth(mode),
-            )
+        self.params.injection_time(mode, bytes, segments)
     }
 
-    /// Receive-side processing time for one packet.
+    /// Receive-side processing time for one packet
+    /// ([`NetworkParams::rx_time`]).
     pub fn rx_time(&self, bytes: u64) -> SimDuration {
-        self.rx_setup + transfer_time(bytes, self.rx_bandwidth)
+        self.params.rx_time(bytes)
+    }
+
+    /// One-way propagation from the wire to the peer's receive engine.
+    pub fn wire_latency(&self) -> SimDuration {
+        self.params.wire_latency
+    }
+
+    /// Unloaded time from the instant a packet of `bytes` payload has
+    /// left the NIC to its reception: propagation, then receive.
+    pub fn flight(&self, bytes: u64) -> SimDuration {
+        self.wire_latency() + self.rx_time(bytes)
     }
 
     /// Full unloaded one-way latency: injection, propagation, receive.
     pub fn one_way(&self, mode: TxMode, bytes: u64, segments: usize) -> SimDuration {
-        self.injection_time(mode, bytes, segments) + self.wire_latency + self.rx_time(bytes)
+        self.injection_time(mode, bytes, segments) + self.flight(bytes)
     }
 
     /// Host memcpy time to linearize `bytes` (by-copy aggregation).
     pub fn copy_time(&self, bytes: u64) -> SimDuration {
-        transfer_time(bytes, self.host_copy_bandwidth)
+        transfer_time(bytes, self.params.host_copy_bandwidth)
     }
 
     /// Message size at which DMA injection becomes cheaper than PIO.

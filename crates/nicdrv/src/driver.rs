@@ -1,6 +1,6 @@
-//! The [`Driver`] trait (Figure 1's transfer layer), the injection-mode
-//! rule every driver applies, and the generic simulator-backed
-//! implementation shared by all technology models.
+//! The driver (Figure 1's transfer layer): the injection-mode rule, and
+//! [`SimDriver`], the simulator-backed driver every technology model is
+//! an instance of.
 //!
 //! [`admitted_modes`] and [`injection_mode`] are the one statement of how
 //! a packet goes onto the wire: the modes the capabilities admit, and the
@@ -45,37 +45,13 @@ pub fn injection_mode(
 }
 
 /// A network driver: validates requests against its capabilities and maps
-/// them onto a simulated NIC.
+/// them onto a simulated NIC. Every technology model is one of these with
+/// its own capability and parameter set.
 ///
-/// Drivers are deliberately *thin and strict*: they do not reorder, split or
-/// merge anything — that is the optimizer's job. They enforce the hardware
-/// contract so an optimizer bug (a plan exceeding capabilities) surfaces as
-/// an error rather than silently mis-modelled behaviour.
-pub trait Driver {
-    /// Hardware/driver capabilities consulted by the optimizer.
-    fn capabilities(&self) -> &DriverCapabilities;
-    /// Analytic cost model used to value candidate plans.
-    fn cost_model(&self) -> &CostModel;
-    /// The NIC this driver controls.
-    fn nic(&self) -> NicId;
-
-    /// Validate and submit one transfer; accepted, the mode it is
-    /// injected in ([`injection_mode`]).
-    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<TxMode, DriverError>;
-
-    /// Whether the transmit engine is fully idle.
-    fn is_idle(&self, ctx: &SimCtx<'_>) -> bool {
-        ctx.nic(self.nic()).is_tx_idle()
-    }
-
-    /// Free hardware queue slots.
-    fn free_slots(&self, ctx: &SimCtx<'_>) -> usize {
-        ctx.tx_queue_free(self.nic())
-    }
-}
-
-/// Generic driver backed by a simulated NIC; all technology models are
-/// instances of this with different capability/parameter sets.
+/// A driver is deliberately *thin and strict*: it does not reorder, split
+/// or merge anything — that is the optimizer's job. It enforces the
+/// hardware contract so an optimizer bug (a plan exceeding capabilities)
+/// surfaces as an error rather than silently mis-modelled behaviour.
 #[derive(Clone, Debug)]
 pub struct SimDriver {
     nic: NicId,
@@ -96,22 +72,39 @@ impl SimDriver {
         }
         SimDriver { nic, caps, cost }
     }
-}
 
-impl Driver for SimDriver {
-    fn capabilities(&self) -> &DriverCapabilities {
+    /// Hardware/driver capabilities consulted by the optimizer.
+    pub fn capabilities(&self) -> &DriverCapabilities {
         &self.caps
     }
 
-    fn cost_model(&self) -> &CostModel {
+    /// Analytic cost model used to value candidate plans.
+    pub fn cost_model(&self) -> &CostModel {
         &self.cost
     }
 
-    fn nic(&self) -> NicId {
+    /// The NIC this driver controls.
+    pub fn nic(&self) -> NicId {
         self.nic
     }
 
-    fn submit(&self, ctx: &mut SimCtx<'_>, req: TransferRequest) -> Result<TxMode, DriverError> {
+    /// Whether the transmit engine is fully idle.
+    pub fn is_idle(&self, ctx: &SimCtx<'_>) -> bool {
+        ctx.nic(self.nic).is_tx_idle()
+    }
+
+    /// Free hardware queue slots.
+    pub fn free_slots(&self, ctx: &SimCtx<'_>) -> usize {
+        ctx.tx_queue_free(self.nic)
+    }
+
+    /// Validate and submit one transfer; accepted, the mode it is
+    /// injected in ([`injection_mode`]).
+    pub fn submit(
+        &self,
+        ctx: &mut SimCtx<'_>,
+        req: TransferRequest,
+    ) -> Result<TxMode, DriverError> {
         if req.vchan >= self.caps.vchannels {
             return Err(DriverError::VChannelOutOfRange {
                 got: req.vchan,

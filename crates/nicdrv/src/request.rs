@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use simnet::{NicId, SimDuration, SubmitError, VChannel};
 
-/// A transfer request submitted to a [`crate::Driver`].
+/// A transfer request submitted to a [`crate::SimDriver`].
 ///
 /// Unlike the raw simulator request, a driver request is validated against
 /// the driver's [`crate::DriverCapabilities`] — the contract that keeps the

@@ -55,7 +55,7 @@ mod tests {
     use super::*;
     use crate::calib;
     use crate::cost::CostModel;
-    use crate::driver::{injection_mode, Driver};
+    use crate::driver::injection_mode;
     use crate::request::TransferRequest;
     use bytes::Bytes;
     use simnet::{NicId, Simulation, TxMode};

@@ -28,7 +28,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::link::NetworkParams;
 use crate::nic::NicState;
 use crate::packet::{SubmitError, TxRequest, WirePacket};
-use crate::time::{transfer_time, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 use crate::topo::{AdmitOutcome, FabricState, Topology};
 use crate::trace::{Trace, TraceEvent};
 
@@ -140,16 +140,13 @@ impl World {
     fn start_tx(&mut self, now: SimTime, queue: &mut EventQueue, nic_id: NicId) {
         let nic_idx = nic_id.0 as usize;
         let net = self.nics[nic_idx].network.0 as usize;
-        let busy = {
-            let head = self.nics[nic_idx]
-                .tx_queue
-                .front()
-                .expect("start_tx on empty queue");
-            let p = &self.networks[net].params;
-            let fixed = p.fixed_tx_cost(head.mode, head.payload.len());
-            let wire_bytes = head.payload_len() + p.per_packet_overhead_bytes;
-            head.host_prep + fixed + transfer_time(wire_bytes, p.effective_bandwidth(head.mode))
-        };
+        let head = self.nics[nic_idx]
+            .tx_queue
+            .front()
+            .expect("start_tx on empty queue");
+        let p = &self.networks[net].params;
+        let busy =
+            head.host_prep + p.injection_time(head.mode, head.payload_len(), head.payload.len());
         let nic = &mut self.nics[nic_idx];
         nic.tx_busy = true;
         nic.tx_util.set_busy(now);
@@ -728,10 +725,9 @@ impl Simulation {
         let now = self.time;
         let nic_idx = nic_id.0 as usize;
         let net_idx = self.world.nics[nic_idx].network.0 as usize;
-        let rx_cost = {
-            let p = &self.world.networks[net_idx].params;
-            p.rx_setup + transfer_time(packet.payload_len(), p.rx_bandwidth)
-        };
+        let rx_cost = self.world.networks[net_idx]
+            .params
+            .rx_time(packet.payload_len());
         let nic = &mut self.world.nics[nic_idx];
         nic.rx_queue.push_back(packet);
         if !nic.rx_busy {
@@ -753,13 +749,12 @@ impl Simulation {
         };
         // Schedule processing of the next queued packet before delivering, so
         // the rx engine models a pipeline rather than stalling on the stack.
-        let next_cost = {
-            let nic = &self.world.nics[nic_idx];
-            nic.rx_queue.front().map(|next| {
-                let p = &self.world.networks[nic.network.0 as usize].params;
-                p.rx_setup + transfer_time(next.payload_len(), p.rx_bandwidth)
-            })
-        };
+        let nic = &self.world.nics[nic_idx];
+        let params = &self.world.networks[nic.network.0 as usize].params;
+        let next_cost = nic
+            .rx_queue
+            .front()
+            .map(|next| params.rx_time(next.payload_len()));
         match next_cost {
             Some(cost) => {
                 self.queue

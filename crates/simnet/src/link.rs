@@ -23,7 +23,8 @@
 //! the application submits a new packet, but rather when one of the NICs
 //! becomes idle", §3).
 
-use crate::time::SimDuration;
+use crate::packet::TxMode;
+use crate::time::{transfer_time, SimDuration};
 
 /// Technology family of a network, used by driver models and reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,13 +119,25 @@ impl NetworkParams {
         }
     }
 
-    /// Effective injection+serialization bandwidth for a given mode: the
-    /// bottleneck of host injection and the wire.
-    pub fn effective_bandwidth(&self, mode: crate::packet::TxMode) -> u64 {
-        match mode {
-            crate::packet::TxMode::Pio => self.wire_bandwidth.min(self.pio_bandwidth),
-            crate::packet::TxMode::Dma => self.wire_bandwidth.min(self.dma_bandwidth),
-        }
+    /// Time the transmit engine takes over one packet of `bytes` payload in
+    /// `segments` gather entries: the mode's fixed cost, then payload and
+    /// framing at the bottleneck of the mode's host path and the wire.
+    pub fn injection_time(&self, mode: TxMode, bytes: u64, segments: usize) -> SimDuration {
+        let (fixed, host_bandwidth) = match mode {
+            TxMode::Pio => (self.pio_setup, self.pio_bandwidth),
+            TxMode::Dma => (
+                self.dma_setup + self.dma_per_segment * segments as u64,
+                self.dma_bandwidth,
+            ),
+        };
+        let wire_bytes = bytes + self.per_packet_overhead_bytes;
+        fixed + transfer_time(wire_bytes, self.wire_bandwidth.min(host_bandwidth))
+    }
+
+    /// Time the receive engine takes over one packet of `bytes` payload:
+    /// its handling, then the copy out of the NIC's buffers.
+    pub fn rx_time(&self, bytes: u64) -> SimDuration {
+        self.rx_setup + transfer_time(bytes, self.rx_bandwidth)
     }
 
     /// Default madnet per-link profile derived from this technology's
@@ -140,21 +153,11 @@ impl NetworkParams {
             ecn_threshold: 1 << 16,
         }
     }
-
-    /// Fixed (size-independent) cost of sending one packet with `segments`
-    /// gather entries in the given mode.
-    pub fn fixed_tx_cost(&self, mode: crate::packet::TxMode, segments: usize) -> SimDuration {
-        match mode {
-            crate::packet::TxMode::Pio => self.pio_setup,
-            crate::packet::TxMode::Dma => self.dma_setup + self.dma_per_segment * segments as u64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::TxMode;
 
     #[test]
     fn synthetic_params_are_consistent() {
@@ -167,20 +170,22 @@ mod tests {
     #[test]
     fn effective_bandwidth_is_bottleneck() {
         let p = NetworkParams::synthetic();
-        assert_eq!(p.effective_bandwidth(TxMode::Pio), 500_000_000);
-        assert_eq!(p.effective_bandwidth(TxMode::Dma), 1_000_000_000);
+        // PIO, 1000 B: 100 ns + 1016 B at min(1, 0.5) GB/s = 2132 ns.
+        assert_eq!(p.injection_time(TxMode::Pio, 1000, 1).as_nanos(), 2132);
+        // DMA, 1000 B in 2 entries: 400 + 2 × 50 + 1016 B at min(1, 2) GB/s.
+        assert_eq!(p.injection_time(TxMode::Dma, 1000, 2).as_nanos(), 1516);
     }
 
     #[test]
     fn fixed_cost_scales_with_gather_entries() {
         let p = NetworkParams::synthetic();
-        let one = p.fixed_tx_cost(TxMode::Dma, 1);
-        let four = p.fixed_tx_cost(TxMode::Dma, 4);
+        let one = p.injection_time(TxMode::Dma, 64, 1);
+        let four = p.injection_time(TxMode::Dma, 64, 4);
         assert_eq!((four - one).as_nanos(), 3 * 50);
         // PIO cost does not depend on segment count (CPU streams them).
         assert_eq!(
-            p.fixed_tx_cost(TxMode::Pio, 1),
-            p.fixed_tx_cost(TxMode::Pio, 9)
+            p.injection_time(TxMode::Pio, 64, 1),
+            p.injection_time(TxMode::Pio, 64, 9)
         );
     }
 

@@ -9,7 +9,7 @@ use madeleine::harness::{Cluster, ClusterSpec};
 use madeleine::ids::TrafficClass;
 use madeleine::message::MessageBuilder;
 use madware::pattern;
-use nicdrv::{calib, CostModel, Driver, DriverError, SimDriver, TransferRequest};
+use nicdrv::{calib, CostModel, DriverError, SimDriver, TransferRequest};
 use simnet::{FaultPlan, NetworkParams, SimTime, Simulation, SubmitError, Technology, TxMode};
 
 #[test]

@@ -87,7 +87,7 @@ fn eager_latency_beats_rndv_for_medium_messages() {
 
 #[test]
 fn driver_mode_selection_matches_cost_model() {
-    use nicdrv::{injection_mode, Driver};
+    use nicdrv::injection_mode;
     for tech in [
         Technology::MyrinetMx,
         Technology::QuadricsElan,
