@@ -458,7 +458,7 @@ impl CollectLayer {
         });
         self.index.note_submit(flow.0, class_slot(fs.class), bytes);
         #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants();
+        self.debug_assert_flow(flow);
         id
     }
 
@@ -776,6 +776,8 @@ impl CollectLayer {
             }
             let empty = fs.queue.is_empty();
             self.index.note_remove(flow, slot, bytes, empty);
+            #[cfg(feature = "debug-invariants")]
+            self.debug_assert_flow(FlowId(flow));
             freed += bytes;
             out.push((
                 MsgId {
@@ -785,8 +787,6 @@ impl CollectLayer {
                 bytes,
             ));
         }
-        #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants();
         out
     }
 
@@ -823,7 +823,7 @@ impl CollectLayer {
         self.index
             .note_commit(class_slot(fs.class), u64::from(chunk.len));
         #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants();
+        self.debug_assert_flow(chunk.flow);
     }
 
     /// Mark a committed chunk's transmission complete; removes the message
@@ -855,7 +855,7 @@ impl CollectLayer {
                 .note_remove(chunk.flow.0, class_slot(fs.class), 0, empty);
         }
         #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants();
+        self.debug_assert_flow(chunk.flow);
         completed
     }
 
@@ -867,7 +867,9 @@ impl CollectLayer {
     /// recount of the queues agrees with. One pass over each queue.
     /// Compiled only with the `debug-invariants` feature (and for this
     /// crate's own tests); callers wrap invocations in the feature's `cfg`
-    /// so release builds pay nothing.
+    /// so release builds pay nothing. A mutation checks only the flow it
+    /// touched (`CollectLayer::debug_assert_flow`); the engine runs this
+    /// whole walk once per entry point that mutates the layer.
     ///
     /// The sequence-order assertion is load-bearing: `find_msg`, commit,
     /// completion and shedding all locate a message by its position in an
@@ -901,46 +903,7 @@ impl CollectLayer {
                 "{}: class-set membership diverged from queue state",
                 fs.id
             );
-            // What the flow has for a window and its backlog, recounted
-            // from its queue.
-            let (mut ready, mut asks, mut flow_backlog) = (0, 0, 0);
-            let mut prev_seq: Option<u32> = None;
-            for (seq, msg) in self.queue(fs.id) {
-                if let Some(p) = prev_seq {
-                    assert!(seq > p, "{}: queue out of sequence order", fs.id);
-                }
-                prev_seq = Some(seq);
-                assert!(!msg.is_complete(), "fully-sent message still queued");
-                for f in &msg.frags {
-                    assert!(
-                        f.sent.checked_add(f.inflight).is_some_and(|c| c <= f.len()),
-                        "{}: fragment {} accounting exceeds length",
-                        fs.id,
-                        f.index
-                    );
-                    if f.rndv_blocked() {
-                        assert_eq!(
-                            f.committed(),
-                            0,
-                            "{}: rendezvous-gated fragment {} has committed bytes",
-                            fs.id,
-                            f.index
-                        );
-                    }
-                    match f.offer() {
-                        Some(Offer::Data) => ready += 1,
-                        Some(Offer::Request) => asks += 1,
-                        None => {}
-                    }
-                    flow_backlog += u64::from(f.remaining());
-                }
-            }
-            assert_eq!(
-                (fs.ready, fs.asking),
-                (ready, asks),
-                "{}: offer counts drifted",
-                fs.id
-            );
+            let flow_backlog = self.assert_queue(fs);
             assert_eq!(
                 ready_ids.next_if_eq(&fs.id.0).is_some(),
                 fs.ready != 0,
@@ -978,6 +941,83 @@ impl CollectLayer {
                 "class {slot} backlog counter drift"
             );
         }
+    }
+
+    /// Check what a mutation of flow `id` may have broken, in one pass
+    /// over that flow's queue: its order, slots and fragments, its offer
+    /// counts, and its place in each of the index's sets. The layer-wide
+    /// counters and the sets' stray ids are the whole walk's
+    /// ([`CollectLayer::debug_assert_invariants`]).
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn debug_assert_flow(&self, id: FlowId) {
+        let fs = self.flow(id);
+        self.assert_queue(fs);
+        let active = !fs.queue.is_empty();
+        for slot in 0..CLASS_SLOTS {
+            assert_eq!(
+                self.index.in_class(slot, id.0),
+                active && slot == class_slot(fs.class),
+                "{id}: class-set membership diverged from queue state"
+            );
+        }
+        assert_eq!(
+            self.index.is_ready(id.0),
+            fs.ready != 0,
+            "{id}: ready-set membership diverged from the count"
+        );
+        assert_eq!(
+            self.index.is_asking(fs.dst, id.0),
+            fs.asking != 0,
+            "{id}: asking-set membership diverged from the count"
+        );
+    }
+
+    /// Check `fs`'s queue — ascending sequence numbers, a live slot for
+    /// each, no fully-sent message, each fragment's accounting within its
+    /// length and nothing committed behind a rendezvous — and that its
+    /// offer counts are what the queue holds. Returns the flow's
+    /// uncommitted bytes.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn assert_queue(&self, fs: &FlowState) -> u64 {
+        let (mut ready, mut asks, mut flow_backlog) = (0, 0, 0);
+        let mut prev_seq: Option<u32> = None;
+        for (seq, msg) in self.queue(fs.id) {
+            if let Some(p) = prev_seq {
+                assert!(seq > p, "{}: queue out of sequence order", fs.id);
+            }
+            prev_seq = Some(seq);
+            assert!(!msg.is_complete(), "fully-sent message still queued");
+            for f in &msg.frags {
+                assert!(
+                    f.sent.checked_add(f.inflight).is_some_and(|c| c <= f.len()),
+                    "{}: fragment {} accounting exceeds length",
+                    fs.id,
+                    f.index
+                );
+                if f.rndv_blocked() {
+                    assert_eq!(
+                        f.committed(),
+                        0,
+                        "{}: rendezvous-gated fragment {} has committed bytes",
+                        fs.id,
+                        f.index
+                    );
+                }
+                match f.offer() {
+                    Some(Offer::Data) => ready += 1,
+                    Some(Offer::Request) => asks += 1,
+                    None => {}
+                }
+                flow_backlog += u64::from(f.remaining());
+            }
+        }
+        assert_eq!(
+            (fs.ready, fs.asking),
+            (ready, asks),
+            "{}: offer counts drifted",
+            fs.id
+        );
+        flow_backlog
     }
 
     /// Transition a fragment from `NeedRequest` to `Requested`.
@@ -1022,7 +1062,7 @@ impl CollectLayer {
         let after = f.offer();
         fs.retally(&mut self.index, before, after);
         #[cfg(feature = "debug-invariants")]
-        self.debug_assert_invariants();
+        self.debug_assert_flow(flow);
         true
     }
 }
@@ -1486,6 +1526,82 @@ mod tests {
         assert!(c.complete_chunk(&ch));
         assert_eq!(c.pending_msgs(), 1);
         assert_eq!(c.active_flow_ids().collect::<Vec<_>>(), vec![fb]);
+    }
+
+    /// Each corruption fails the check of the flow it is in, which a
+    /// mutation runs, and the whole walk, which the engine runs once per
+    /// entry point; a layer-wide counter only the whole walk sees.
+    #[test]
+    fn a_corrupted_flow_fails_its_own_check_and_the_whole_walk() {
+        type Corrupt = fn(&mut CollectLayer, FlowId);
+        let cases: [(Corrupt, Option<&str>, &str); 7] = [
+            (
+                |c, f| c.flows[f.0 as usize].queue.swap(0, 1),
+                Some("queue out of sequence order"),
+                "queue out of sequence order",
+            ),
+            (
+                |c, f| {
+                    let slot = c.flows[f.0 as usize].queue[0].slot;
+                    c.msgs.get_mut(slot).frags[1].sent = 1 << 20;
+                },
+                Some("accounting exceeds length"),
+                "accounting exceeds length",
+            ),
+            (
+                |c, f| c.flows[f.0 as usize].ready += 1,
+                Some("offer counts drifted"),
+                "offer counts drifted",
+            ),
+            (
+                |c, f| c.index.note_ready(f.0, false),
+                Some("ready-set membership"),
+                "ready-set membership",
+            ),
+            (
+                |c, f| c.index.note_asking(NodeId(1), f.0, true),
+                Some("asking-set membership"),
+                "asking set diverged",
+            ),
+            (
+                |c, f| {
+                    c.index
+                        .note_remove(f.0, class_slot(TrafficClass::DEFAULT), 0, true)
+                },
+                Some("class-set membership"),
+                "active-set membership",
+            ),
+            (
+                |c, _| c.index.note_commit(class_slot(TrafficClass::DEFAULT), 1),
+                None,
+                "backlog counter drift",
+            ),
+        ];
+        let failure = |check: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).err()?;
+            let text = err.downcast_ref::<String>().cloned();
+            Some(text.unwrap_or_else(|| err.downcast_ref::<&str>().unwrap().to_string()))
+        };
+        for (corrupt, by_flow, by_walk) in cases {
+            let (mut c, f) = layer_with_flow();
+            for _ in 0..2 {
+                let shape = [(10, PackMode::Express), (20, PackMode::Cheaper)];
+                c.submit(f, parts(&shape), SimTime::ZERO, 1 << 20);
+            }
+            c.debug_assert_flow(f);
+            c.debug_assert_invariants();
+            corrupt(&mut c, f);
+            let flow = failure(&|| c.debug_assert_flow(f));
+            match by_flow {
+                Some(want) => assert!(flow.as_ref().is_some_and(|t| t.contains(want)), "{flow:?}"),
+                None => assert_eq!(flow, None),
+            }
+            let walk = failure(&|| c.debug_assert_invariants());
+            assert!(
+                walk.as_ref().is_some_and(|t| t.contains(by_walk)),
+                "{walk:?}"
+            );
+        }
     }
 
     #[test]

@@ -197,6 +197,8 @@ impl EngineCore {
                 }
                 shed.push(sid);
             }
+            #[cfg(feature = "debug-invariants")]
+            self.collect.debug_assert_invariants();
         }
         let admitted = self.send_admitted(ctx, flow, parts);
         // Traced only while admission control is active, so the default
@@ -976,6 +978,8 @@ fn complete(collect: &mut CollectLayer, tx: PendingTx, done: &mut Vec<MsgId>) ->
             });
         }
     }
+    #[cfg(feature = "debug-invariants")]
+    collect.debug_assert_invariants();
     tx.chunks
 }
 

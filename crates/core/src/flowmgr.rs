@@ -287,6 +287,13 @@ impl IdSet {
         removed
     }
 
+    /// Whether `id` is in the set.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        self.words.get(word).is_some_and(|w| w & bit != 0)
+    }
+
     /// Number of ids.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -444,6 +451,24 @@ impl FlowIndex {
     /// ascending.
     pub fn asking_ids(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.asking.iter().copied()
+    }
+
+    /// Whether `flow` is in class slot `slot`'s active set.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn in_class(&self, slot: usize, flow: u32) -> bool {
+        self.by_class[slot].contains(flow)
+    }
+
+    /// Whether `flow` is in the ready set.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn is_ready(&self, flow: u32) -> bool {
+        self.ready.contains(flow)
+    }
+
+    /// Whether `flow`, which sends to `dst`, is in the asking set.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn is_asking(&self, dst: NodeId, flow: u32) -> bool {
+        self.asking.contains(&(dst, flow))
     }
 
     /// Start a pack-order walk over the offerable flows. `heads` is the

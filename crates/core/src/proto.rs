@@ -417,10 +417,31 @@ impl Put for Vec<u8> {
     }
 }
 
-/// A control packet — the prefix and one header — on the stack.
+/// A control packet on the stack: the prefix and one chunk header, or two
+/// ack headers at their longest.
 struct ControlPacket {
-    b: [u8; PREFIX + MAX_HEADER],
+    b: [u8; CONTROL_BYTES],
     n: usize,
+}
+
+const CONTROL_BYTES: usize = PREFIX + MAX_HEADER;
+
+impl ControlPacket {
+    /// The packet of `headers` headers, its prefix written.
+    fn new(headers: u16) -> Self {
+        let mut pkt = ControlPacket {
+            b: [0; CONTROL_BYTES],
+            n: PREFIX,
+        };
+        pkt.b[..PREFIX].copy_from_slice(&headers.to_le_bytes());
+        pkt
+    }
+
+    /// The packet as its one segment: a copy short enough to live in its
+    /// handle unless the headers are long.
+    fn segments(&self) -> Vec<Bytes> {
+        vec![Bytes::copy_from_slice(&self.b[..self.n])]
+    }
 }
 
 /// A header-block entry as the decoder hands it on.
@@ -932,13 +953,9 @@ pub fn encode_rndv(header: ChunkHeader) -> Vec<Bytes> {
         chunk_len: 0,
         ..header
     };
-    let mut pkt = ControlPacket {
-        b: [0; PREFIX + MAX_HEADER],
-        n: PREFIX,
-    };
-    pkt.b[..PREFIX].copy_from_slice(&1u16.to_le_bytes());
+    let mut pkt = ControlPacket::new(1);
     h.write(None, 0, &mut pkt);
-    vec![Bytes::copy_from_slice(&pkt.b[..pkt.n])]
+    pkt.segments()
 }
 
 /// Decode a rendezvous request/grant.
@@ -959,10 +976,19 @@ pub fn decode_rndv(pkt: &WirePacket) -> Result<ChunkHeader, ProtoError> {
     }
 }
 
-/// Encode an ack control packet (`KIND_ACK`) of `acks`, at least one.
+/// Encode an ack control packet (`KIND_ACK`) of `acks`, at least one: on
+/// the stack, then copied, when they fit in a `ControlPacket` (two acks
+/// at their longest).
 pub fn encode_acks(acks: &[AckHeader]) -> Vec<Bytes> {
     debug_assert!(!acks.is_empty(), "an ack packet acknowledges something");
-    encode_packet_with(&mut Vec::new(), &[], acks, false, true)
+    if PREFIX + MAX_ACK * acks.len() > CONTROL_BYTES {
+        return encode_packet_with(&mut Vec::new(), &[], acks, false, true);
+    }
+    let mut pkt = ControlPacket::new(acks.len() as u16);
+    for a in acks {
+        a.write(&mut pkt);
+    }
+    pkt.segments()
 }
 
 /// Decode an ack control packet: one or more ack headers and nothing else.
@@ -1565,10 +1591,24 @@ mod tests {
 
     #[test]
     fn decoded_payloads_are_slices_of_the_packets_segments() {
-        let chunks = vec![
+        let inline = vec![
             chunk(1, 0, 0, b"hdr", 0, 3),
             chunk(1, 0, 1, b"payload-a", 0, 9),
         ];
+        // A payload this short, copied, lives in its handle and has no
+        // buffer to share: it arrives as equal bytes.
+        let back = decode_packet(&as_packet(encode_packet(&inline, false))).unwrap();
+        for (c, d) in inline.iter().zip(&back) {
+            assert_eq!(d.data, c.data);
+        }
+        // Built from vectors, the payloads are buffers of their own.
+        let chunks: Vec<WireChunk> = inline
+            .into_iter()
+            .map(|c| WireChunk {
+                data: Bytes::from(c.data.to_vec()),
+                ..c
+            })
+            .collect();
         // Gather list: the receiver reads the sender's own buffers.
         let back = decode_packet(&as_packet(encode_packet(&chunks, false))).unwrap();
         for (c, d) in chunks.iter().zip(&back) {

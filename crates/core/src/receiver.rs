@@ -611,7 +611,7 @@ mod tests {
     fn whole_fragment_chunks_are_delivered_as_slices_of_their_packet() {
         use crate::proto::{decode_packet, encode_packet, WireChunk, KIND_DATA};
         use simnet::{NicId, WirePacket};
-        let wire: Vec<WireChunk> = [
+        let inline: Vec<WireChunk> = [
             chunk(0, 0, 0, 2, true, 3, 0, b"hdr"),
             chunk(0, 0, 1, 2, false, 4, 0, b"body"),
         ]
@@ -621,38 +621,53 @@ mod tests {
             data: c.data,
         })
         .collect();
-        for linearize in [false, true] {
-            let pkt = WirePacket {
-                src: SRC,
-                dst: NodeId(1),
-                src_nic: NicId(0),
-                dst_nic: NicId(1),
-                vchan: 0,
-                kind: KIND_DATA,
-                cookie: 1,
-                seq: 0,
-                ecn: false,
-                payload: encode_packet(&wire, linearize),
-            };
-            let mut r = Receiver::new();
-            let mut out = Vec::new();
-            for c in decode_packet(&pkt).unwrap() {
-                out.extend(r.on_chunk(SRC, &c, NOW));
+        // Built from vectors, the payloads are buffers of their own; a
+        // payload this short, copied, lives in its handle and has no
+        // buffer to share, so it is only held to arrive as equal bytes.
+        let heap: Vec<WireChunk> = inline
+            .iter()
+            .map(|c| WireChunk {
+                data: Bytes::from(c.data.to_vec()),
+                ..c.clone()
+            })
+            .collect();
+        for (wire, shared) in [(&heap, true), (&inline, false)] {
+            for linearize in [false, true] {
+                let pkt = WirePacket {
+                    src: SRC,
+                    dst: NodeId(1),
+                    src_nic: NicId(0),
+                    dst_nic: NicId(1),
+                    vchan: 0,
+                    kind: KIND_DATA,
+                    cookie: 1,
+                    seq: 0,
+                    ecn: false,
+                    payload: encode_packet(wire, linearize),
+                };
+                let mut r = Receiver::new();
+                let mut out = Vec::new();
+                for c in decode_packet(&pkt).unwrap() {
+                    out.extend(r.on_chunk(SRC, &c, NOW));
+                }
+                assert_eq!(out.len(), 1);
+                assert_eq!(out[0].contiguous(), b"hdrbody");
+                if !shared && !linearize {
+                    continue;
+                }
+                let got: Vec<_> = out[0].fragments.iter().map(|f| f.1.as_ptr()).collect();
+                let want = if linearize {
+                    // The one segment, past its header block: the count, a
+                    // header that names the message and one that does not.
+                    let block = crate::proto::framing_of(wire.iter().map(|c| c.header));
+                    let data = pkt.payload[0].as_ptr().wrapping_add(block as usize);
+                    vec![data, data.wrapping_add(3)]
+                } else {
+                    // The gather list's own data segments: the sender's buffers.
+                    vec![wire[0].data.as_ptr(), wire[1].data.as_ptr()]
+                };
+                assert_eq!(got, want, "linearize {linearize}");
             }
-            assert_eq!(out.len(), 1);
-            let got: Vec<*const u8> = out[0].fragments.iter().map(|f| f.1.as_ptr()).collect();
-            let want: Vec<*const u8> = if linearize {
-                // The one segment, past its header block: the count, a
-                // header that names the message and one that does not.
-                let block = crate::proto::framing_of(wire.iter().map(|c| c.header));
-                let data = pkt.payload[0].as_ptr().wrapping_add(block as usize);
-                vec![data, data.wrapping_add(3)]
-            } else {
-                // The gather list's own data segments: the sender's buffers.
-                vec![wire[0].data.as_ptr(), wire[1].data.as_ptr()]
-            };
-            assert_eq!(got, want, "linearize {linearize}");
-            assert_eq!(out[0].contiguous(), b"hdrbody");
         }
     }
 

@@ -40,7 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 # profiled binary prints `(no such function)` instead of a share. The
 # fabric's lookup row also counts the ordered-map searches inside
 # `FabricState::admit`: where a binary that kept ports and routes in trees
-# paid for them.
+# paid for them. The reference-count row is every `Arc` clone or drop
+# inside a `bytes::Storage` frame: what sharing a payload handle's buffer
+# costs, which a handle that keeps a short copy inside itself does not pay.
 SEAMS = [
     ("submit (EngineCore::send)", "EngineCore::send"),
     ("optimize_rail", "EngineCore::optimize_rail"),
@@ -87,6 +89,9 @@ SEAMS = [
     ("  ProfInput::profile", "ProfInput::profile"),
     ("    segments cut for the critical path", "MsgRow::segments", "madeleine::prof::critical_path"),
     ("  RunSnapshot::capture + diff::diff", ("RunSnapshot::capture", "madeleine::diff::diff")),
+    ("payload reference counts (Arc clone/drop under bytes::Storage)",
+     ("Arc<T,A> as core::clone::Clone>::clone", "Arc<T,A> as core::ops::drop::Drop>::drop",
+      "Arc<T,A>::drop_slow"), "bytes::Storage"),
     ("search trees (BTreeMap/BTreeSet)", "alloc::collections::btree::"),
     ("128-bit division (__udivti3)", "__udivti3"),
 ]
